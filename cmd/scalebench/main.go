@@ -20,6 +20,11 @@
 //	              every cluster the experiments build
 //	-artifacts DIR write every artifact an experiment emits (e.g. the
 //	              loadgen BENCH_loadgen_*.json reports) into DIR
+//
+// scalebench runs on one P unless the GOMAXPROCS environment variable is
+// set: the simulator executes one goroutine at a time, and with more Ps
+// every scheduler↔process hand-off may cross OS threads (measured 1.55×
+// slower and twice as noisy, see benchmark/README.md).
 package main
 
 import (
@@ -49,7 +54,15 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	gatePath := flag.String("simspeed-gate", "", "committed BENCH_simspeed.json to gate against: exit 1 if the simspeed run's events/sec falls >20% below its gate floor")
+	flag.Usage = func() {
+		usage()
+		flag.PrintDefaults()
+	}
 	flag.Parse()
+
+	if os.Getenv("GOMAXPROCS") == "" {
+		runtime.GOMAXPROCS(1)
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -242,5 +255,7 @@ func usage() {
   scalebench -list | list
   scalebench run <id> [<id>...]
   scalebench all
-  scalebench [-quick] [-csv DIR] [-seed N] [-duration MS] [-metrics FILE] [-faults FILE] [-artifacts DIR] <id>...`)
+  scalebench [-quick] [-csv DIR] [-seed N] [-duration MS] [-metrics FILE] [-faults FILE] [-artifacts DIR] <id>...
+runs on one P (the simulator executes one goroutine at a time; ~1.5x faster,
+half the noise) unless the GOMAXPROCS environment variable is set`)
 }

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"scalerpc/internal/chaos"
@@ -21,6 +22,47 @@ type schedFingerprint struct {
 	macroJSON []byte
 	events    uint64
 	virtualNs int64
+	// kernelOrder is the dispatch order of a scenario that interleaves all
+	// three event forms — At closures, closure-free AtArg and process
+	// wake-ups — at colliding instants (see eventFormOrder).
+	kernelOrder []int
+}
+
+// eventFormOrder schedules At, AtArg and process events over a handful of
+// shared instants, some of them chained from inside callbacks, and returns
+// the order they fired in. AtArg must take its place in (at, seq) order
+// exactly as an At call would, under either scheduler.
+func eventFormOrder() []int {
+	env := sim.NewEnv()
+	defer env.Close()
+	var order []int
+	var note func(any)
+	note = func(arg any) {
+		id := arg.(*int)
+		order = append(order, *id)
+		if *id%7 == 0 && *id < 400 {
+			next := *id + 1000
+			env.AtArg(sim.Duration(*id%3), note, &next) // same instant, +1, +2
+		}
+	}
+	for i := 0; i < 300; i++ {
+		i := i
+		at := sim.Duration((i * 37) % 50 * 100) // many ties, spanning wheel slots
+		switch i % 3 {
+		case 0:
+			env.At(at, func() { order = append(order, i) })
+		case 1:
+			env.AtArg(at, note, &i)
+		default:
+			env.SpawnAt(at, "p", func(p *sim.Proc) {
+				order = append(order, i)
+				p.Sleep(sim.Duration(i % 5))
+				order = append(order, -i)
+			})
+		}
+	}
+	env.Run()
+	return order
 }
 
 // TestSchedulerEquivalence pins that the hierarchical timing wheel and the
@@ -50,6 +92,7 @@ func TestSchedulerEquivalence(t *testing.T) {
 		fp.macroJSON = rep.JSON()
 		fp.events = m.Events
 		fp.virtualNs = m.VirtualNs
+		fp.kernelOrder = eventFormOrder()
 		return fp
 	}
 
@@ -71,5 +114,9 @@ func TestSchedulerEquivalence(t *testing.T) {
 	}
 	if heap.virtualNs != wheel.virtualNs {
 		t.Errorf("macro final virtual clock: heap=%d wheel=%d", heap.virtualNs, wheel.virtualNs)
+	}
+	if len(heap.kernelOrder) < 400 || !slices.Equal(heap.kernelOrder, wheel.kernelOrder) {
+		t.Errorf("At/AtArg/process dispatch order differs between heap and wheel schedulers\nheap:  %v\nwheel: %v",
+			heap.kernelOrder, wheel.kernelOrder)
 	}
 }

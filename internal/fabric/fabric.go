@@ -142,6 +142,9 @@ type Fabric struct {
 	intercept Interceptor
 	// bytesPerNs is the per-direction port bandwidth.
 	bytesPerNs float64
+	// arriveFn is arrive, bound once so that transmit schedules each
+	// delivery without building a closure.
+	arriveFn func(any)
 }
 
 // New creates a fabric with n ports.
@@ -150,6 +153,7 @@ func New(env *sim.Env, cfg Config, n int) *Fabric {
 		panic("fabric: bandwidth must be positive")
 	}
 	f := &Fabric{env: env, cfg: cfg, bytesPerNs: cfg.BandwidthGbps / 8.0}
+	f.arriveFn = f.arrive
 	for i := 0; i < n; i++ {
 		f.ports = append(f.ports, &Port{ID: i, fab: f})
 	}
@@ -264,11 +268,27 @@ func (f *Fabric) transmit(msg *Message, v Verdict, deliver bool) {
 	src.Stats.TxMessages++
 	src.Stats.TxBytes += uint64(msg.Bytes + f.cfg.WireOverheadBytes)
 
-	f.env.At(rxEnd-now, func() {
-		dst.Stats.RxMessages++
-		dst.Stats.RxBytes += uint64(msg.Bytes + f.cfg.WireOverheadBytes)
-		if deliver && dst.deliver != nil {
-			dst.deliver(msg)
-		}
-	})
+	if !deliver {
+		// ICRC discard (fault plane only): the downlink still carried it.
+		f.env.At(rxEnd-now, func() { f.received(dst, msg) })
+		return
+	}
+	f.env.AtArg(rxEnd-now, f.arriveFn, msg)
+}
+
+// received counts one message off the destination downlink.
+func (f *Fabric) received(dst *Port, msg *Message) {
+	dst.Stats.RxMessages++
+	dst.Stats.RxBytes += uint64(msg.Bytes + f.cfg.WireOverheadBytes)
+}
+
+// arrive is the far end of transmit: arg is the *Message, which names its
+// own destination port.
+func (f *Fabric) arrive(arg any) {
+	msg := arg.(*Message)
+	dst := f.ports[msg.Dst]
+	f.received(dst, msg)
+	if dst.deliver != nil {
+		dst.deliver(msg)
+	}
 }

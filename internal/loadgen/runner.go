@@ -200,6 +200,28 @@ func (cr *clientRun) inWindow(at sim.Time) bool {
 // recorded sample — no coordinated omission.
 func (cr *clientRun) run(t *host.Thread) {
 	r := cr.r
+	// Built once, not per poll: idle polls far outnumber responses.
+	collect := func(resp rpccore.Response) {
+		req, ok := cr.pending[resp.ReqID]
+		if !ok {
+			return
+		}
+		delete(cr.pending, resp.ReqID)
+		if !cr.inWindow(req.intended) {
+			return
+		}
+		if resp.Err {
+			cr.ts.errors++
+			if resp.TimedOut {
+				cr.ts.timeouts++
+			}
+			return
+		}
+		cr.ts.completed++
+		l := int64(t.P.Now() - req.intended)
+		cr.ts.lat.Record(l)
+		cr.ts.telLat.Observe(uint64(l))
+	}
 	for {
 		now := t.P.Now()
 
@@ -225,27 +247,7 @@ func (cr *clientRun) run(t *host.Thread) {
 
 		// Collect responses; the state machine under Poll also advances
 		// ScaleRPC's IDLE/WARMUP/PROCESS cycle.
-		cr.c.Conn.Poll(t, func(resp rpccore.Response) {
-			req, ok := cr.pending[resp.ReqID]
-			if !ok {
-				return
-			}
-			delete(cr.pending, resp.ReqID)
-			if !cr.inWindow(req.intended) {
-				return
-			}
-			if resp.Err {
-				cr.ts.errors++
-				if resp.TimedOut {
-					cr.ts.timeouts++
-				}
-				return
-			}
-			cr.ts.completed++
-			l := int64(t.P.Now() - req.intended)
-			cr.ts.lat.Record(l)
-			cr.ts.telLat.Observe(uint64(l))
-		})
+		cr.c.Conn.Poll(t, collect)
 
 		// Push the backlog; TrySend refuses when the window is full or the
 		// transport is mid-context-switch, and the queueing delay keeps

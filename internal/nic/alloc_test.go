@@ -1,0 +1,47 @@
+package nic_test
+
+import (
+	"testing"
+
+	"scalerpc/internal/nic"
+)
+
+// TestAllocBudgetWriteRoundTrip pins the per-packet path closure-free: an RC
+// WRITE from doorbell to ACK — outbound engine, fabric, inbound engine,
+// commit, ACK back, completion — allocates nothing in steady state, with a
+// DMA-gathered payload and with an inline one. Each round writes in both
+// directions, as a request and its response do: a gathered payload's buffer
+// is recycled into the receiving NIC's pool, so one-way traffic would drain
+// the sender's. Reading the completions costs the slice CQ.Poll returns.
+func TestAllocBudgetWriteRoundTrip(t *testing.T) {
+	pe := newPair(t, nic.RC)
+	round := func(signaled bool) func() {
+		return func() {
+			for _, inline := range []bool{false, true} {
+				there := nic.SendWR{Op: nic.OpWrite, Signaled: signaled, Inline: inline,
+					LKey: pe.cli.LKey, LAddr: pe.cli.Base, Len: 64,
+					RKey: pe.srv.RKey, RAddr: pe.srv.Base + 4096}
+				back := nic.SendWR{Op: nic.OpWrite, Signaled: signaled, Inline: inline,
+					LKey: pe.srv.LKey, LAddr: pe.srv.Base, Len: 64,
+					RKey: pe.cli.RKey, RAddr: pe.cli.Base + 4096}
+				if err := pe.qpA.PostSend(there); err != nil {
+					t.Fatal(err)
+				}
+				if err := pe.qpB.PostSend(back); err != nil {
+					t.Fatal(err)
+				}
+				pe.c.Env.Run()
+			}
+			if signaled && (len(pe.cqA.Poll(4)) != 2 || len(pe.cqB.Poll(4)) != 2) {
+				t.Fatal("writes not acknowledged")
+			}
+		}
+	}
+	round(true)() // fill the packet, message and buffer pools
+	if got := testing.AllocsPerRun(50, round(false)); got != 0 {
+		t.Errorf("%v allocs per four unsignaled WRITE round trips, want 0", got)
+	}
+	if got := testing.AllocsPerRun(50, round(true)); got > 2 {
+		t.Errorf("%v allocs per four signaled WRITE round trips and two CQ polls, want ≤ 2", got)
+	}
+}

@@ -70,6 +70,15 @@ type packet struct {
 	// pool.go) set it and leave the packet to the GC.
 	ownsData  bool
 	noRecycle bool
+
+	// Departure state: between the engine pass that built the packet and
+	// its pipelined departure (xmit; sendResp for a READ response waiting
+	// out its DMA gather) the packet itself carries what a closure would
+	// have captured. srcQP also takes an unreliable transport's completion.
+	srcQP     *QP
+	dstNIC    int
+	wireBytes int
+	reconnect bool
 }
 
 // outJob is one queued unit of outbound engine work.
@@ -87,7 +96,7 @@ func (n *NIC) outKick() {
 		return
 	}
 	n.outBusy = true
-	n.env.At(0, n.outStep)
+	n.env.At(0, n.outStepFn)
 }
 
 func (n *NIC) outStep() {
@@ -100,29 +109,30 @@ func (n *NIC) outStep() {
 	job := n.outQ[n.outHead]
 	n.outQ[n.outHead] = outJob{}
 	n.outHead++
-	occ, extraLat, act := n.processOut(job)
-	if act != nil {
-		n.env.At(occ+extraLat, act)
-	}
-	n.env.At(occ, n.outStep)
+	occ := n.processOut(job)
+	n.env.At(occ, n.outStepFn)
 }
 
-// processOut performs the state lookups and cost accounting for one WQE and
-// returns (engine occupancy, extra pipelined latency before transmission,
-// transmit action).
-func (n *NIC) processOut(job outJob) (occ sim.Duration, extraLat sim.Duration, act func()) {
+// processOut performs the state lookups and cost accounting for one WQE,
+// schedules its departure (engine occupancy plus the pipelined latency of
+// cache refills and the payload gather) and returns the engine occupancy.
+// The departure is xmit on the built packet — a closure only on the error
+// paths, which are cold.
+func (n *NIC) processOut(job outJob) (occ sim.Duration) {
 	qp := job.qp
 	wr := job.wr
+	var extraLat sim.Duration
 	if qp.err != nil {
 		// The QP errored while this WQE sat in the engine queue. Fresh posts
 		// flush with an error CQE; retransmissions were already flushed when
 		// the QP entered the error state, so they vanish silently.
+		occ = n.Cfg.OutboundBaseCost
 		if !job.retrans && qp.SendCQ != nil {
-			return n.Cfg.OutboundBaseCost, 0, func() {
+			n.env.At(occ, func() {
 				qp.SendCQ.push(CQE{WRID: wr.WRID, QPN: qp.QPN, Op: wr.Op, Status: CQFlushError})
-			}
+			})
 		}
-		return n.Cfg.OutboundBaseCost, 0, nil
+		return occ
 	}
 	n.Stats.OutWQEs++
 
@@ -169,7 +179,8 @@ func (n *NIC) processOut(job outJob) (occ sim.Duration, extraLat sim.Duration, a
 		} else {
 			reg, src, err := n.mem.TranslateLocal(wr.LKey, wr.LAddr, wr.Len)
 			if err != nil {
-				return occ, 0, func() { qp.completeLocalError(wr, err) }
+				n.env.At(occ, func() { qp.completeLocalError(wr, err) })
+				return occ
 			}
 			occ += n.chargeMTT(reg, wr.LAddr, wr.Len)
 			lines := (wr.Len + n.llc.LineSize() - 1) / n.llc.LineSize()
@@ -217,6 +228,9 @@ func (n *NIC) processOut(job outJob) (occ sim.Duration, extraLat sim.Duration, a
 	pkt.add = wr.Add
 	pkt.atomicOp = wr.Op
 	pkt.class = wr.Class
+	pkt.srcQP = qp
+	pkt.dstNIC = dstNIC
+	pkt.reconnect = reconnect
 	wireBytes := len(data)
 	switch wr.Op {
 	case OpWrite:
@@ -249,24 +263,33 @@ func (n *NIC) processOut(job outJob) (occ sim.Duration, extraLat sim.Duration, a
 		}
 	}
 
-	act = func() {
-		if reconnect {
-			cn := n.ctl(pktDCTConnect, DCT, dstQPN, 0)
-			cn.srcNIC, cn.srcQPN = n.id, qp.QPN
-			cm := n.getMsg()
-			cm.Src, cm.Dst, cm.Bytes, cm.Payload = n.id, dstNIC, dctConnectBytes, cn
-			n.fab.Send(cm)
-		}
-		m := n.getMsg()
-		m.Src, m.Dst, m.Bytes, m.Payload = n.id, dstNIC, wireBytes, pkt
-		m.Class = pkt.class
-		n.fab.Send(m)
-		// Unreliable transports complete at transmission.
-		if wr.Signaled && (qp.Type == UD || qp.Type == UC) {
-			qp.SendCQ.push(CQE{WRID: wr.WRID, QPN: qp.QPN, Op: wr.Op, Status: CQOK, ByteLen: wr.Len})
-		}
+	pkt.wireBytes = wireBytes
+	n.env.AtArg(occ+extraLat, n.xmitFn, pkt)
+	return occ
+}
+
+// xmit puts a packet built by processOut on the wire; arg is the *packet.
+// Everything it needs rides in the packet (the WQE's id, opcode, length and
+// signaled flag are wire fields already), so the per-WQE departure costs no
+// closure.
+func (n *NIC) xmit(arg any) {
+	pkt := arg.(*packet)
+	qp := pkt.srcQP
+	if pkt.reconnect {
+		cn := n.ctl(pktDCTConnect, DCT, pkt.dstQPN, 0)
+		cn.srcNIC, cn.srcQPN = n.id, qp.QPN
+		cm := n.getMsg()
+		cm.Src, cm.Dst, cm.Bytes, cm.Payload = n.id, pkt.dstNIC, dctConnectBytes, cn
+		n.fab.Send(cm)
 	}
-	return occ, extraLat, act
+	m := n.getMsg()
+	m.Src, m.Dst, m.Bytes, m.Payload = n.id, pkt.dstNIC, pkt.wireBytes, pkt
+	m.Class = pkt.class
+	n.fab.Send(m)
+	// Unreliable transports complete at transmission.
+	if pkt.signaled && (qp.Type == UD || qp.Type == UC) {
+		qp.SendCQ.push(CQE{WRID: pkt.wrID, QPN: qp.QPN, Op: pkt.atomicOp, Status: CQOK, ByteLen: pkt.size})
+	}
 }
 
 func (qp *QP) completeLocalError(wr SendWR, err error) {
@@ -324,7 +347,7 @@ func (n *NIC) inKick() {
 		return
 	}
 	n.inBusy = true
-	n.env.At(0, n.inStep)
+	n.env.At(0, n.inStepFn)
 }
 
 func (n *NIC) inStep() {
@@ -337,16 +360,25 @@ func (n *NIC) inStep() {
 	pkt := n.inQ[n.inHead]
 	n.inQ[n.inHead] = nil
 	n.inHead++
-	occ, act := n.processIn(pkt)
-	n.env.At(occ, func() {
-		if act != nil {
-			act()
-		}
-		// The packet's effects are committed; recycle it (freePacket
-		// honors the noRecycle pin set by fault paths like torn writes).
-		n.freePacket(pkt)
-		n.inStep()
-	})
+	// The engine is serial: the next packet is not looked at until inDone
+	// has committed this one, so its pending commit lives in the NIC rather
+	// than in a closure per packet.
+	var occ sim.Duration
+	occ, n.inAct = n.processIn(pkt)
+	n.inPkt = pkt
+	n.env.At(occ, n.inDoneFn)
+}
+
+// inDone fires at the end of a packet's engine occupancy: it commits the
+// packet's effects, recycles it, and turns to the next one.
+func (n *NIC) inDone() {
+	pkt := n.inPkt
+	n.commitIn(pkt, &n.inAct)
+	n.inPkt, n.inAct = nil, inAct{}
+	// The packet's effects are committed; recycle it (freePacket honors the
+	// noRecycle pin set by fault paths like torn writes).
+	n.freePacket(pkt)
+	n.inStep()
 }
 
 // touchQPC models requester-side completion processing: ACKs and READ
@@ -422,9 +454,40 @@ func (n *NIC) reAck(qp *QP, pkt *packet) {
 	n.sendCtl(pkt.srcNIC, n.ctl(pktAck, RC, pkt.srcQPN, pkt.psn), 0)
 }
 
+// inKind selects what commitIn does for a processed packet.
+type inKind uint8
+
+const (
+	inNone         inKind = iota // nothing to commit (dropped, duplicate, unknown QP)
+	inRemoteError                // NAK a remote access violation back to the requester
+	inWrite                      // land a WRITE / WRITE_WITH_IMM payload
+	inSendError                  // complete the consumed recv WQE with an error
+	inSend                       // land a SEND payload in the consumed recv WQE
+	inReadReq                    // gather and return READ data
+	inAtomicReplay               // answer a duplicate atomic from the replay cache
+	inAtomic                     // execute a CAS / FETCH_ADD
+	inAckNak                     // requester side: ACK, sequence-gap NAK or receiver-not-ready NAK
+	inResp                       // requester side: ATOMIC response, or READ data with nowhere to land
+	inRespData                   // requester side: READ response data into the WQE's buffer
+)
+
+// inAct is the commit half of one inbound packet: what processIn decided
+// during the lookups, applied by commitIn at the end of the packet's engine
+// occupancy. It holds what the per-packet commit closure used to capture.
+type inAct struct {
+	kind   inKind
+	qp     *QP
+	rkey   uint32       // region whose watchers the commit wakes
+	mem    []byte       // translated host memory the commit reads or writes
+	wrID   uint64       // inSend, inSendError: the consumed recv WQE
+	status CQEStatus    // inSendError
+	old    uint64       // inAtomicReplay: the cached result
+	dmaLat sim.Duration // inReadReq: gather latency before the response leaves
+}
+
 // processIn handles one arrived packet, returning engine occupancy and the
 // action that commits its effects at the end of that occupancy.
-func (n *NIC) processIn(pkt *packet) (occ sim.Duration, act func()) {
+func (n *NIC) processIn(pkt *packet) (occ sim.Duration, act inAct) {
 	n.Stats.InMessages++
 	qp := n.qps[pkt.dstQPN]
 	if qp != nil && pkt.op.isData() && qp.state < QPRTR {
@@ -437,70 +500,36 @@ func (n *NIC) processIn(pkt *packet) (occ sim.Duration, act func()) {
 	switch pkt.op {
 	case pktDCTConnect:
 		// Responder-side context creation (§5.1).
-		return dctAcceptCost, nil
+		return dctAcceptCost, act
 
 	case pktWrite, pktWriteImm:
 		occ = n.Cfg.InboundWriteCost
 		if qp == nil {
-			return occ, nil
+			return occ, act
 		}
 		if pkt.transport == RC {
 			switch n.rcCheck(qp, pkt) {
 			case rcGap:
-				return occ, nil
+				return occ, act
 			case rcDuplicate:
 				n.reAck(qp, pkt)
-				return occ, nil
+				return occ, act
 			}
 		}
 		reg, dst, err := n.mem.TranslateRemote(pkt.rkey, pkt.raddr, len(pkt.data), true)
 		if err != nil {
-			return occ, func() { n.remoteError(pkt, qp) }
+			return occ, inAct{kind: inRemoteError}
 		}
 		occ += n.chargeMTT(reg, pkt.raddr, len(pkt.data))
 		_, allocs := n.llc.DMAWrite(pkt.raddr, uint64(len(pkt.data)))
 		n.bus.RecordDeviceWrite(pkt.raddr, uint64(len(pkt.data)), n.llc.LineSize(), allocs)
 		occ += allocStall(allocs, n.cost.WriteAllocatePenalty)
-		return occ, func() {
-			commit := func() {
-				if pkt.op == pktWriteImm {
-					if wr, ok := qp.popRecv(); ok {
-						qp.RecvCQ.push(CQE{
-							WRID: wr.WRID, QPN: qp.QPN, Op: OpWriteImm, Status: CQOK,
-							ByteLen: len(pkt.data), Imm: pkt.imm, ImmValid: true,
-							SrcNIC: pkt.srcNIC, SrcQPN: pkt.srcQPN,
-						})
-					} else {
-						n.Stats.RNRDrops++
-					}
-				}
-				n.wakeWatches(reg.RKey)
-				if pkt.transport == RC || pkt.transport == DCT {
-					n.sendCtl(pkt.srcNIC, n.ctl(pktAck, pkt.transport, pkt.srcQPN, pkt.psn), 0)
-				}
-			}
-			if n.Cfg.TornWriteDelay > 0 && len(pkt.data) > 1 {
-				// Increasing-address-order visibility: all but the final
-				// byte now, the final byte later. The delayed closure keeps
-				// using pkt.data, so the packet must not re-enter the pool
-				// when the commit action returns.
-				pkt.noRecycle = true
-				last := len(pkt.data) - 1
-				copy(dst[:last], pkt.data[:last])
-				n.wakeWatches(reg.RKey) // pollers may observe the partial state
-				n.env.At(n.Cfg.TornWriteDelay, func() {
-					dst[last] = pkt.data[last]
-					commit()
-				})
-				return
-			}
-			copy(dst, pkt.data)
-			commit()
-		}
+		return occ, inAct{kind: inWrite, qp: qp, rkey: reg.RKey, mem: dst}
+
 	case pktSend:
 		occ = n.Cfg.InboundSendCost
 		if qp == nil {
-			return occ, nil
+			return occ, act
 		}
 		if pkt.transport == RC {
 			if pkt.psn == qp.expectPSN && qp.RecvQueueLen() == 0 {
@@ -509,166 +538,101 @@ func (n *NIC) processIn(pkt *packet) (occ sim.Duration, act func()) {
 				// never discards an in-sequence send silently).
 				n.Stats.RNRDrops++
 				n.sendCtl(pkt.srcNIC, n.ctl(pktRnrNak, RC, pkt.srcQPN, pkt.psn), 0)
-				return occ, nil
+				return occ, act
 			}
 			switch n.rcCheck(qp, pkt) {
 			case rcGap:
-				return occ, nil
+				return occ, act
 			case rcDuplicate:
 				n.reAck(qp, pkt)
-				return occ, nil
+				return occ, act
 			}
 		}
 		rwr, ok := qp.popRecv()
 		if !ok {
 			n.Stats.RNRDrops++
-			return occ, nil
+			return occ, act
 		}
 		// Fetch the recv WQE descriptor from host memory.
 		n.bus.RecordDMARead(1)
 		if len(pkt.data) > rwr.Len {
-			return occ, func() {
-				qp.RecvCQ.push(CQE{WRID: rwr.WRID, QPN: qp.QPN, Op: OpSend, Status: CQLengthError,
-					SrcNIC: pkt.srcNIC, SrcQPN: pkt.srcQPN})
-			}
+			return occ, inAct{kind: inSendError, qp: qp, wrID: rwr.WRID, status: CQLengthError}
 		}
 		reg, dst, err := n.mem.TranslateLocal(rwr.LKey, rwr.LAddr, len(pkt.data))
 		if err != nil {
-			return occ, func() {
-				qp.RecvCQ.push(CQE{WRID: rwr.WRID, QPN: qp.QPN, Op: OpSend, Status: CQLocalError,
-					SrcNIC: pkt.srcNIC, SrcQPN: pkt.srcQPN})
-			}
+			return occ, inAct{kind: inSendError, qp: qp, wrID: rwr.WRID, status: CQLocalError}
 		}
 		occ += n.chargeMTT(reg, rwr.LAddr, len(pkt.data))
 		_, allocs := n.llc.DMAWrite(rwr.LAddr, uint64(len(pkt.data)))
 		n.bus.RecordDeviceWrite(rwr.LAddr, uint64(len(pkt.data)), n.llc.LineSize(), allocs)
 		occ += allocStall(allocs, n.cost.WriteAllocatePenalty)
-		return occ, func() {
-			copy(dst, pkt.data)
-			qp.RecvCQ.push(CQE{
-				WRID: rwr.WRID, QPN: qp.QPN, Op: OpSend, Status: CQOK,
-				ByteLen: len(pkt.data), Imm: pkt.imm, ImmValid: pkt.immValid,
-				SrcNIC: pkt.srcNIC, SrcQPN: pkt.srcQPN,
-			})
-			n.wakeWatches(reg.RKey)
-			if pkt.transport == RC || pkt.transport == DCT {
-				n.sendCtl(pkt.srcNIC, n.ctl(pktAck, pkt.transport, pkt.srcQPN, pkt.psn), 0)
-			}
-		}
+		return occ, inAct{kind: inSend, qp: qp, rkey: reg.RKey, mem: dst, wrID: rwr.WRID}
 
 	case pktReadReq:
 		occ = n.Cfg.InboundReadCost
 		if qp == nil {
-			return occ, nil
+			return occ, act
 		}
 		if pkt.transport == RC {
 			// Duplicate READs (their response was lost) are re-executed:
 			// reads are idempotent and the requester still needs the data.
 			if n.rcCheck(qp, pkt) == rcGap {
-				return occ, nil
+				return occ, act
 			}
 		}
 		reg, src, err := n.mem.TranslateRemote(pkt.rkey, pkt.raddr, pkt.size, false)
 		if err != nil {
-			return occ, func() { n.remoteError(pkt, qp) }
+			return occ, inAct{kind: inRemoteError}
 		}
 		occ += n.chargeMTT(reg, pkt.raddr, pkt.size)
 		lines := (pkt.size + n.llc.LineSize() - 1) / n.llc.LineSize()
 		n.bus.RecordDMARead(lines)
-		dmaLat := n.cost.DMARead(pkt.size, n.llc.LineSize())
-		return occ, func() {
-			resp := n.ctl(pktReadResp, pkt.transport, pkt.srcQPN, pkt.psn)
-			resp.data = n.getBuf(len(src))
-			copy(resp.data, src)
-			resp.ownsData = true
-			resp.wrID, resp.signaled = pkt.wrID, pkt.signaled
-			dst := pkt.srcNIC
-			n.env.At(dmaLat, func() { n.sendCtl(dst, resp, len(resp.data)) })
-		}
+		return occ, inAct{kind: inReadReq, mem: src, dmaLat: n.cost.DMARead(pkt.size, n.llc.LineSize())}
 
 	case pktAtomicReq:
 		occ = n.Cfg.InboundReadCost + n.Cfg.AtomicCost
 		if qp == nil {
-			return occ, nil
+			return occ, act
 		}
 		if pkt.transport == RC {
 			switch n.rcCheck(qp, pkt) {
 			case rcGap:
-				return occ, nil
+				return occ, act
 			case rcDuplicate:
 				// Atomics are not idempotent: replay the cached result
 				// instead of re-executing.
 				if old, ok := qp.replayAtomic(pkt.psn); ok {
 					n.Stats.AtomicReplays++
-					return occ, func() {
-						resp := n.ctl(pktAtomicResp, pkt.transport, pkt.srcQPN, pkt.psn)
-						resp.wrID, resp.signaled, resp.compare = pkt.wrID, pkt.signaled, old
-						n.sendCtl(pkt.srcNIC, resp, 8)
-					}
+					return occ, inAct{kind: inAtomicReplay, old: old}
 				}
-				return occ, nil
+				return occ, act
 			}
 		}
 		reg, buf, err := n.mem.TranslateRemoteOp(pkt.rkey, pkt.raddr, 8, memory.RemoteOpAtomic)
 		if err != nil {
-			return occ, func() { n.remoteError(pkt, qp) }
+			return occ, inAct{kind: inRemoteError}
 		}
 		occ += n.chargeMTT(reg, pkt.raddr, 8)
 		n.bus.RecordDMARead(1)
 		n.Stats.AtomicOps++
-		return occ, func() {
-			old := binary.LittleEndian.Uint64(buf)
-			switch pkt.atomicOp {
-			case OpCompSwap:
-				if old == pkt.compare {
-					binary.LittleEndian.PutUint64(buf, pkt.swap)
-				}
-			case OpFetchAdd:
-				binary.LittleEndian.PutUint64(buf, old+pkt.add)
-			}
-			_, allocs := n.llc.DMAWrite(pkt.raddr, 8)
-			n.bus.RecordDeviceWrite(pkt.raddr, 8, n.llc.LineSize(), allocs)
-			n.wakeWatches(reg.RKey)
-			if pkt.transport == RC {
-				qp.rememberAtomic(pkt.psn, old)
-			}
-			resp := n.ctl(pktAtomicResp, pkt.transport, pkt.srcQPN, pkt.psn)
-			resp.wrID, resp.signaled, resp.compare = pkt.wrID, pkt.signaled, old
-			n.sendCtl(pkt.srcNIC, resp, 8)
-		}
+		return occ, inAct{kind: inAtomic, qp: qp, rkey: reg.RKey, mem: buf}
 
-	case pktAck:
+	case pktAck, pktNak, pktRnrNak:
 		occ = n.Cfg.InboundAckCost
 		if qp == nil {
-			return occ, nil
+			return occ, act
 		}
 		n.touchQPC(pkt.dstQPN)
-		return occ, func() { qp.handleAck(pkt) }
-
-	case pktNak:
-		occ = n.Cfg.InboundAckCost
-		if qp == nil {
-			return occ, nil
-		}
-		n.touchQPC(pkt.dstQPN)
-		return occ, func() { n.handleNak(qp, pkt) }
-
-	case pktRnrNak:
-		occ = n.Cfg.InboundAckCost
-		if qp == nil {
-			return occ, nil
-		}
-		n.touchQPC(pkt.dstQPN)
-		return occ, func() { n.handleRnrNak(qp, pkt) }
+		return occ, inAct{kind: inAckNak, qp: qp}
 
 	case pktReadResp, pktAtomicResp:
 		occ = n.Cfg.InboundWriteCost
 		if qp == nil {
-			return occ, nil
+			return occ, act
 		}
 		n.touchQPC(pkt.dstQPN)
+		act = inAct{kind: inResp, qp: qp}
 		// DMA the returned data into the original WQE's local buffer.
-		var commit func()
 		if idx := qp.findInflight(pkt.psn); idx >= 0 {
 			wr := qp.inflight[idx].wr
 			if pkt.op == pktReadResp && wr.Len > 0 {
@@ -678,27 +642,148 @@ func (n *NIC) processIn(pkt *packet) (occ sim.Duration, act func()) {
 					_, allocs := n.llc.DMAWrite(wr.LAddr, uint64(len(pkt.data)))
 					n.bus.RecordDeviceWrite(wr.LAddr, uint64(len(pkt.data)), n.llc.LineSize(), allocs)
 					occ += allocStall(allocs, n.cost.WriteAllocatePenalty)
-					data := pkt.data
-					commit = func() {
-						copy(dst, data)
-						n.wakeWatches(reg.RKey)
-					}
+					act.kind, act.rkey, act.mem = inRespData, reg.RKey, dst
 				}
 			}
 		}
-		return occ, func() {
-			if commit != nil {
-				commit()
+		return occ, act
+	}
+	return 1, act
+}
+
+// commitIn applies a processed packet's effects.
+func (n *NIC) commitIn(pkt *packet, a *inAct) {
+	qp := a.qp
+	switch a.kind {
+	case inRemoteError:
+		n.remoteError(pkt)
+
+	case inWrite:
+		if n.Cfg.TornWriteDelay > 0 && len(pkt.data) > 1 {
+			// Increasing-address-order visibility: all but the final byte
+			// now, the final byte later. The delayed closure keeps using
+			// pkt.data, so the packet must not re-enter the pool when this
+			// commit returns.
+			pkt.noRecycle = true
+			dst, rkey := a.mem, a.rkey
+			last := len(pkt.data) - 1
+			copy(dst[:last], pkt.data[:last])
+			n.wakeWatches(rkey) // pollers may observe the partial state
+			n.env.At(n.Cfg.TornWriteDelay, func() {
+				dst[last] = pkt.data[last]
+				n.finishWrite(pkt, qp, rkey)
+			})
+			return
+		}
+		copy(a.mem, pkt.data)
+		n.finishWrite(pkt, qp, a.rkey)
+
+	case inSendError:
+		qp.RecvCQ.push(CQE{WRID: a.wrID, QPN: qp.QPN, Op: OpSend, Status: a.status,
+			SrcNIC: pkt.srcNIC, SrcQPN: pkt.srcQPN})
+
+	case inSend:
+		copy(a.mem, pkt.data)
+		qp.RecvCQ.push(CQE{
+			WRID: a.wrID, QPN: qp.QPN, Op: OpSend, Status: CQOK,
+			ByteLen: len(pkt.data), Imm: pkt.imm, ImmValid: pkt.immValid,
+			SrcNIC: pkt.srcNIC, SrcQPN: pkt.srcQPN,
+		})
+		n.wakeWatches(a.rkey)
+		n.ackData(pkt)
+
+	case inReadReq:
+		resp := n.ctl(pktReadResp, pkt.transport, pkt.srcQPN, pkt.psn)
+		resp.data = n.getBuf(len(a.mem))
+		copy(resp.data, a.mem)
+		resp.ownsData = true
+		resp.wrID, resp.signaled = pkt.wrID, pkt.signaled
+		resp.dstNIC = pkt.srcNIC
+		n.env.AtArg(a.dmaLat, n.sendRespFn, resp)
+
+	case inAtomicReplay:
+		n.atomicResp(pkt, a.old)
+
+	case inAtomic:
+		buf := a.mem
+		old := binary.LittleEndian.Uint64(buf)
+		switch pkt.atomicOp {
+		case OpCompSwap:
+			if old == pkt.compare {
+				binary.LittleEndian.PutUint64(buf, pkt.swap)
 			}
-			qp.handleResp(pkt)
+		case OpFetchAdd:
+			binary.LittleEndian.PutUint64(buf, old+pkt.add)
+		}
+		_, allocs := n.llc.DMAWrite(pkt.raddr, 8)
+		n.bus.RecordDeviceWrite(pkt.raddr, 8, n.llc.LineSize(), allocs)
+		n.wakeWatches(a.rkey)
+		if pkt.transport == RC {
+			qp.rememberAtomic(pkt.psn, old)
+		}
+		n.atomicResp(pkt, old)
+
+	case inAckNak:
+		switch pkt.op {
+		case pktAck:
+			qp.handleAck(pkt)
+		case pktNak:
+			n.handleNak(qp, pkt)
+		case pktRnrNak:
+			n.handleRnrNak(qp, pkt)
+		}
+
+	case inRespData:
+		copy(a.mem, pkt.data)
+		n.wakeWatches(a.rkey)
+		qp.handleResp(pkt)
+	case inResp:
+		qp.handleResp(pkt)
+	}
+}
+
+// finishWrite completes an inbound WRITE once its last byte has landed:
+// the immediate's recv completion, the pollers' wake-up and the ACK.
+func (n *NIC) finishWrite(pkt *packet, qp *QP, rkey uint32) {
+	if pkt.op == pktWriteImm {
+		if wr, ok := qp.popRecv(); ok {
+			qp.RecvCQ.push(CQE{
+				WRID: wr.WRID, QPN: qp.QPN, Op: OpWriteImm, Status: CQOK,
+				ByteLen: len(pkt.data), Imm: pkt.imm, ImmValid: true,
+				SrcNIC: pkt.srcNIC, SrcQPN: pkt.srcQPN,
+			})
+		} else {
+			n.Stats.RNRDrops++
 		}
 	}
-	return 1, nil
+	n.wakeWatches(rkey)
+	n.ackData(pkt)
+}
+
+// ackData acknowledges a committed data packet on the reliable transports.
+func (n *NIC) ackData(pkt *packet) {
+	if pkt.transport == RC || pkt.transport == DCT {
+		n.sendCtl(pkt.srcNIC, n.ctl(pktAck, pkt.transport, pkt.srcQPN, pkt.psn), 0)
+	}
+}
+
+// atomicResp returns an atomic's prior value to the requester.
+func (n *NIC) atomicResp(pkt *packet, old uint64) {
+	resp := n.ctl(pktAtomicResp, pkt.transport, pkt.srcQPN, pkt.psn)
+	resp.wrID, resp.signaled, resp.compare = pkt.wrID, pkt.signaled, old
+	n.sendCtl(pkt.srcNIC, resp, 8)
+}
+
+// sendResp transmits a READ response once its DMA gather has elapsed; arg
+// is the response *packet, which carries its own destination.
+func (n *NIC) sendResp(arg any) {
+	resp := arg.(*packet)
+	n.sendCtl(resp.dstNIC, resp, len(resp.data))
 }
 
 // remoteError reports a remote access violation back to an RC requester
 // (UC violations are silently dropped — no reverse channel).
-func (n *NIC) remoteError(pkt *packet, qp *QP) {
+func (n *NIC) remoteError(pkt *packet) {
 	if pkt.transport != RC {
 		return
 	}

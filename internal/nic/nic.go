@@ -231,6 +231,15 @@ type NIC struct {
 	inQ     []*packet
 	inHead  int
 	inBusy  bool
+	// inPkt/inAct are the packet occupying the inbound engine and its
+	// pending commit (see inStep).
+	inPkt *packet
+	inAct inAct
+
+	// Engine continuations, bound once at construction: scheduling a method
+	// value (n.inStep) directly would build a fresh closure per event.
+	outStepFn, inStepFn, inDoneFn func()
+	xmitFn, sendRespFn            func(any)
 
 	watches map[uint32][]*sim.Signal // rkey → signals woken on DMA write
 
@@ -289,6 +298,8 @@ func New(cfg Config, d Deps) *NIC {
 		n.wqeCache = newRandomCache(cfg.WQECacheEntries, d.RNG.Split())
 		n.mttCache = newRandomCache(cfg.MTTCacheEntries, d.RNG.Split())
 	}
+	n.outStepFn, n.inStepFn, n.inDoneFn = n.outStep, n.inStep, n.inDone
+	n.xmitFn, n.sendRespFn = n.xmit, n.sendResp
 	d.Port.OnDeliver(n.deliver)
 	return n
 }

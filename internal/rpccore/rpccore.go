@@ -110,6 +110,28 @@ type coState struct {
 	warmupLeft int
 	nextReqID  uint64
 	thinkUntil sim.Time
+
+	// The response callback is bound once per coroutine (onResp = collect)
+	// rather than built per Poll; it reaches the driver's thread, config
+	// and totals through these.
+	t      *host.Thread
+	cfg    *DriverConfig
+	res    *DriverStats
+	onResp func(Response)
+}
+
+// collect accounts one delivered response.
+func (co *coState) collect(r Response) {
+	co.inFlight--
+	if co.warmupLeft > 0 {
+		co.warmupLeft--
+		return
+	}
+	if co.t.P.Now() < co.cfg.MeasureFrom {
+		return
+	}
+	co.res.Completed++
+	co.res.Bytes += uint64(len(r.Payload))
 }
 
 // RunDriver runs the benchmark loop over the given connections (coroutines)
@@ -130,7 +152,9 @@ func RunDriver(t *host.Thread, conns []Conn, cfg DriverConfig, sig *sim.Signal, 
 	cos := make([]*coState, len(conns))
 	payload := make([]byte, 4096)
 	for i, c := range conns {
-		cos[i] = &coState{conn: c, warmupLeft: cfg.WarmupOps}
+		co := &coState{conn: c, warmupLeft: cfg.WarmupOps, t: t, cfg: &cfg, res: &res}
+		co.onResp = co.collect
+		cos[i] = co
 	}
 	makePayload := func() []byte {
 		n := cfg.PayloadSize
@@ -143,21 +167,8 @@ func RunDriver(t *host.Thread, conns []Conn, cfg DriverConfig, sig *sim.Signal, 
 	for !stop() {
 		progress := false
 		for _, co := range cos {
-			co := co
 			// Collect responses.
-			got := co.conn.Poll(t, func(r Response) {
-				co.inFlight--
-				if co.warmupLeft > 0 {
-					co.warmupLeft--
-					return
-				}
-				if t.P.Now() < cfg.MeasureFrom {
-					return
-				}
-				res.Completed++
-				res.Bytes += uint64(len(r.Payload))
-			})
-			if got > 0 {
+			if co.conn.Poll(t, co.onResp) > 0 {
 				progress = true
 			}
 			// A batch completes when everything posted has returned.

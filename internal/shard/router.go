@@ -45,7 +45,15 @@ func DefaultRouterConfig() RouterConfig {
 	}
 }
 
-// rcall is one routed call.
+// rcall is one routed call. Finished rcalls return to the router's free
+// list with their body, resp, wireIDs and waiters backing arrays, so a
+// steady-state call allocates nothing. An rcall is recycled when both of
+// its holders have let go: the sweep order (inOrder, dropped at compaction)
+// and the owning endpoint's delivery (delivered, set once the Poll callback
+// has returned). resp is therefore valid only during that callback — the
+// rpccore.Response.Payload contract — and is owned by this rcall alone: a
+// coalesced follower gets a copy of its leader's payload, never an alias,
+// so a leader may be recycled before its followers are delivered.
 type rcall struct {
 	ep      *endpoint
 	origID  uint64
@@ -66,6 +74,9 @@ type rcall struct {
 	resp     []byte
 	errResp  bool
 	timedOut bool
+
+	inOrder   bool
+	delivered bool
 
 	coKey   coKey
 	leader  bool
@@ -108,6 +119,18 @@ type Router struct {
 	// threads interleaving mid-send would claim the same staging slot and
 	// one frame would silently overwrite the other.
 	locked bool
+
+	// Poll-pass state. The wire lock admits one thread into pollAll, so the
+	// thread can be stashed here for the duration of the pass and the wire
+	// callback bound once (onWireFn) instead of closing over it per conn
+	// per pass.
+	pollT    *host.Thread
+	onWireFn func(rpccore.Response)
+
+	// free recycles finished rcalls (at most Window of them); envBuf is
+	// post's envelope scratch, used under the wire lock only.
+	free   []*rcall
+	envBuf []byte
 }
 
 // NewRouter builds a router over per-host wire connections (each created
@@ -131,6 +154,7 @@ func NewRouter(h *host.Host, m *Map, conns map[int]rpccore.Conn, sig *sim.Signal
 		r.hosts = append(r.hosts, hid)
 	}
 	sort.Ints(r.hosts)
+	r.onWireFn = func(resp rpccore.Response) { r.onWire(r.pollT, resp) }
 	return r
 }
 
@@ -160,7 +184,8 @@ func (r *Router) KVConn(client uint16) rpccore.Conn {
 	return &endpoint{r: r, part: -1, client: client}
 }
 
-// acquire takes the wire lock; release drops it and wakes waiting threads.
+// acquire takes the wire lock; release drops it (and the poll pass's stashed
+// thread, if pollAll held it) and wakes waiting threads.
 func (r *Router) acquire(t *host.Thread) {
 	for r.locked {
 		t.WaitSignal(r.sig, 5*sim.Microsecond)
@@ -169,6 +194,7 @@ func (r *Router) acquire(t *host.Thread) {
 }
 
 func (r *Router) release() {
+	r.pollT = nil
 	r.locked = false
 	r.sig.Broadcast()
 }
@@ -178,13 +204,9 @@ func (r *Router) submit(t *host.Thread, ep *endpoint, part int, inner uint8, bod
 	if ep.out >= r.cfg.Window {
 		return false
 	}
-	rc := &rcall{
-		ep:     ep,
-		origID: origID,
-		part:   part,
-		inner:  inner,
-		body:   append([]byte(nil), body...),
-	}
+	rc := r.newCall()
+	rc.ep, rc.origID, rc.part, rc.inner = ep, origID, part, inner
+	rc.body = append(rc.body, body...)
 	if r.cfg.Coalesce && inner == HKVGet && ep.part < 0 {
 		window := r.cfg.CoalesceWindow
 		if window <= 0 {
@@ -208,10 +230,41 @@ func (r *Router) submit(t *host.Thread, ep *endpoint, part int, inner uint8, bod
 	rc.target = r.targetFor(part, inner)
 	rc.epoch = r.cur.Epoch
 	rc.deadline = t.P.Now() + r.cfg.Opts.Timeout
+	rc.inOrder = true
 	r.order = append(r.order, rc)
 	r.post(t, rc)
 	r.release()
 	return true
+}
+
+// newCall takes a zeroed rcall from the free list, keeping its buffers.
+func (r *Router) newCall() *rcall {
+	n := len(r.free)
+	if n == 0 {
+		return &rcall{}
+	}
+	rc := r.free[n-1]
+	r.free[n-1] = nil
+	r.free = r.free[:n-1]
+	return rc
+}
+
+// recycle returns rc to the free list once neither the sweep order nor a
+// pending delivery refers to it.
+func (r *Router) recycle(rc *rcall) {
+	if rc.inOrder || !rc.delivered || len(r.free) >= r.cfg.Window {
+		return
+	}
+	*rc = rcall{body: rc.body[:0], resp: rc.resp[:0], wireIDs: rc.wireIDs[:0], waiters: rc.waiters[:0]}
+	r.free = append(r.free, rc)
+}
+
+// scratch returns buf with length n, reallocating only to grow.
+func scratch(buf []byte, n int) []byte {
+	if cap(buf) < n {
+		return make([]byte, n)
+	}
+	return buf[:n]
 }
 
 // post stamps and sends rc's current attempt; a full wire window leaves it
@@ -222,7 +275,8 @@ func (r *Router) post(t *host.Thread, rc *rcall) {
 		rc.posted = false
 		return
 	}
-	buf := make([]byte, envSize+len(rc.body))
+	r.envBuf = scratch(r.envBuf, envSize+len(rc.body))
+	buf := r.envBuf
 	n := EncodeEnv(buf, rc.epoch, rc.part, rc.inner, rc.body)
 	r.nextWire++
 	wireID := r.nextWire
@@ -242,11 +296,10 @@ func (r *Router) post(t *host.Thread, rc *rcall) {
 // poller would race the conn's slot bookkeeping.
 func (r *Router) pollAll(t *host.Thread) {
 	r.acquire(t)
+	r.pollT = t
 	defer r.release()
 	for _, hid := range r.hosts {
-		r.conns[hid].Poll(t, func(resp rpccore.Response) {
-			r.onWire(t, resp)
-		})
+		r.conns[hid].Poll(t, r.onWireFn)
 	}
 
 	now := t.P.Now()
@@ -277,7 +330,15 @@ func (r *Router) pollAll(t *host.Thread) {
 		for _, rc := range r.order {
 			if !rc.done {
 				keep = append(keep, rc)
+				continue
 			}
+			rc.inOrder = false
+			r.recycle(rc)
+		}
+		// Clear the vacated tail: it would otherwise keep finished rcalls
+		// reachable (and, now, alias recycled ones) past len.
+		for i := len(keep); i < len(r.order); i++ {
+			r.order[i] = nil
 		}
 		r.order = keep
 	}
@@ -380,7 +441,7 @@ func (r *Router) fail(rc *rcall) {
 // on the owning endpoints.
 func (r *Router) complete(rc *rcall, payload []byte, errResp, timedOut bool) {
 	rc.done = true
-	rc.resp = append([]byte(nil), payload...)
+	rc.resp = append(rc.resp[:0], payload...)
 	rc.errResp, rc.timedOut = errResp, timedOut
 	for _, id := range rc.wireIDs {
 		delete(r.wires, id)
@@ -389,13 +450,14 @@ func (r *Router) complete(rc *rcall, payload []byte, errResp, timedOut bool) {
 		delete(r.coal, rc.coKey)
 	}
 	rc.ep.ready = append(rc.ep.ready, rc)
-	for _, w := range rc.waiters {
+	for i, w := range rc.waiters {
 		w.done = true
-		w.resp = rc.resp
+		w.resp = append(w.resp[:0], rc.resp...)
 		w.errResp, w.timedOut = errResp, timedOut
 		w.ep.ready = append(w.ep.ready, w)
+		rc.waiters[i] = nil
 	}
-	rc.waiters = nil
+	rc.waiters = rc.waiters[:0]
 }
 
 // endpoint is one rpccore.Conn face of the router.
@@ -405,6 +467,7 @@ type endpoint struct {
 	client uint16
 	out    int
 	ready  []*rcall
+	putBuf []byte // KV put encoding scratch; submit copies out of it
 }
 
 // TrySend accepts one call. In KV mode the handler must be HKVGet/HKVPut
@@ -420,8 +483,8 @@ func (e *endpoint) TrySend(t *host.Thread, handler uint8, payload []byte, reqID 
 		switch handler {
 		case HKVPut:
 			token := uint64(e.client)<<32 | (reqID & 0xffffffff)
-			buf := make([]byte, 9+len(payload))
-			body = buf[:EncodeKVPut(buf, token, key, payload[8:])]
+			e.putBuf = scratch(e.putBuf, 9+len(payload))
+			body = e.putBuf[:EncodeKVPut(e.putBuf, token, key, payload[8:])]
 		default:
 			handler = HKVGet
 			body = key
@@ -433,14 +496,20 @@ func (e *endpoint) TrySend(t *host.Thread, handler uint8, payload []byte, reqID 
 // Poll advances the router and delivers this endpoint's completions.
 func (e *endpoint) Poll(t *host.Thread, fn func(rpccore.Response)) int {
 	e.r.pollAll(t)
+	// Drain by index and reset to the slice head, so the backing array is
+	// reused and no delivered rcall stays reachable through it. len is read
+	// each turn: a callback that yields lets another thread's pollAll
+	// complete more of this endpoint's calls under the loop.
 	n := 0
-	for len(e.ready) > 0 {
-		rc := e.ready[0]
-		e.ready = e.ready[1:]
+	for ; n < len(e.ready); n++ {
+		rc := e.ready[n]
+		e.ready[n] = nil
 		e.out--
-		n++
 		fn(rpccore.Response{ReqID: rc.origID, Payload: rc.resp, Err: rc.errResp, TimedOut: rc.timedOut})
+		rc.delivered = true
+		e.r.recycle(rc)
 	}
+	e.ready = e.ready[:0]
 	return n
 }
 

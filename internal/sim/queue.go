@@ -96,6 +96,9 @@ type Resource struct {
 	// BusyTime accumulates unit-nanoseconds of usage for utilization stats.
 	BusyTime int64
 	lastTick Time
+	// asyncRelease returns a UseAsync unit; bound once so that UseAsync
+	// schedules it without building a closure per charge.
+	asyncRelease func()
 }
 
 // NewResource returns a resource with the given number of units.
@@ -103,7 +106,13 @@ func NewResource(e *Env, capacity int) *Resource {
 	if capacity <= 0 {
 		panic("sim: resource capacity must be positive")
 	}
-	return &Resource{env: e, capacity: capacity, sig: NewSignal(e)}
+	r := &Resource{env: e, capacity: capacity, sig: NewSignal(e)}
+	r.asyncRelease = func() {
+		r.tick()
+		r.inUse--
+		r.sig.Wake(1)
+	}
+	return r
 }
 
 // Capacity returns the total number of units.
@@ -168,11 +177,7 @@ func (r *Resource) UseAsync(cost Duration) bool {
 	}
 	r.tick()
 	r.inUse++
-	r.env.At(cost, func() {
-		r.tick()
-		r.inUse--
-		r.sig.Wake(1)
-	})
+	r.env.At(cost, r.asyncRelease)
 	return true
 }
 

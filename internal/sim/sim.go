@@ -9,10 +9,11 @@
 //     it to block again — so process code needs no locking and the whole
 //     simulation is deterministic for a given seed and configuration.
 //
-//   - Callbacks: plain functions scheduled with Env.At, executed inline by
-//     the scheduler. These are the cheap event-driven path used by hardware
-//     models (NIC engines, fabric links) where spawning a goroutine per
-//     event would dominate runtime. Callbacks must not block.
+//   - Callbacks: plain functions scheduled with Env.At or Env.AtArg,
+//     executed inline by the scheduler. These are the cheap event-driven
+//     path used by hardware models (NIC engines, fabric links) where
+//     spawning a goroutine per event would dominate runtime. Callbacks must
+//     not block.
 //
 // Determinism: events fire in (time, sequence) order; the sequence number is
 // assigned at scheduling time, so two events scheduled for the same instant
@@ -47,17 +48,20 @@ const maxTime Time = 1<<62 - 1
 // the environment shuts down.
 type killedPanic struct{}
 
-// event is a single entry in the scheduler queue. Exactly one of proc and fn
-// is set. Events targeting a process carry the wake generation they were
-// scheduled against; if the process has been woken by a different source in
-// the meantime the event is stale and is dropped.
+// event is a single entry in the scheduler queue. A callback event runs
+// fn(arg): carrying the argument in the event is what lets hot paths
+// schedule a continuation without building a closure (see AtArg). A process
+// wake-up has a nil fn and the *Proc in arg: the queues copy events on every
+// move, and sharing the slot keeps them at 56 bytes. It carries the wake
+// generation it was scheduled against; if the process has been woken by a
+// different source in the meantime the event is stale and is dropped.
 type event struct {
-	at   Time
-	seq  uint64
-	proc *Proc
-	gen  uint64
-	tag  int
-	fn   func()
+	at  Time
+	seq uint64
+	gen uint64
+	tag int
+	fn  func(any)
+	arg any
 }
 
 // eventHeap is the binary-heap event store behind heapSched. The sift
@@ -162,11 +166,25 @@ func (e *Env) SchedulerName() string { return e.sched.name() }
 // and must not block; it may schedule further events, push to queues, wake
 // signals and spawn processes.
 func (e *Env) At(delay Duration, fn func()) {
+	e.AtArg(delay, callFunc, fn)
+}
+
+// callFunc adapts At's func() to the event's fn(arg) form. A func value is
+// pointer-shaped, so carrying it in arg does not allocate.
+func callFunc(fn any) { fn.(func())() }
+
+// AtArg schedules fn(arg) to run after delay, under the same rules as At:
+// it consumes one sequence number and fires in the same (time, sequence)
+// order as an At call in its place would. It is the closure-free form for
+// per-event continuations: fn is bound once (a package-level function, or a
+// method value stored at construction) and arg is the pointer a closure
+// would have captured, so scheduling allocates nothing.
+func (e *Env) AtArg(delay Duration, fn func(any), arg any) {
 	if delay < 0 {
 		panic("sim: negative delay")
 	}
 	e.seq++
-	e.sched.schedule(event{at: e.now + delay, seq: e.seq, fn: fn})
+	e.sched.schedule(event{at: e.now + delay, seq: e.seq, fn: fn, arg: arg})
 }
 
 // scheduleProc enqueues a wake-up for p at now+delay against its current
@@ -176,7 +194,7 @@ func (e *Env) scheduleProc(p *Proc, delay Duration, tag int) {
 		panic("sim: negative delay")
 	}
 	e.seq++
-	e.sched.schedule(event{at: e.now + delay, seq: e.seq, proc: p, gen: p.gen, tag: tag})
+	e.sched.schedule(event{at: e.now + delay, seq: e.seq, arg: p, gen: p.gen, tag: tag})
 }
 
 // Proc is a simulated process. All methods that block (Sleep, Wait*) must be
@@ -294,10 +312,10 @@ func (e *Env) RunUntil(until Time) Time {
 			e.now = ev.at
 			e.fired++
 			e.firedCB++
-			ev.fn()
+			ev.fn(ev.arg)
 			continue
 		}
-		p := ev.proc
+		p := ev.arg.(*Proc)
 		if p.done || ev.gen != p.gen {
 			continue // stale wake-up
 		}
@@ -403,7 +421,7 @@ func (s *Signal) Wake(n int) int {
 			continue // stale waiter
 		}
 		s.env.seq++
-		s.env.sched.schedule(event{at: s.env.now, seq: s.env.seq, proc: w.proc, gen: w.gen, tag: tagSignal})
+		s.env.sched.schedule(event{at: s.env.now, seq: s.env.seq, arg: w.proc, gen: w.gen, tag: tagSignal})
 		woken++
 	}
 	s.waiters = rest

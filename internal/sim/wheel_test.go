@@ -52,7 +52,7 @@ func TestWheelMatchesHeapRandom(t *testing.T) {
 					d = Time(next() % (1 << 36))
 				}
 				seq++
-				ev := event{at: now + d, seq: seq, fn: func() {}}
+				ev := event{at: now + d, seq: seq, fn: func(any) {}}
 				w.schedule(ev)
 				h.schedule(ev)
 			}
@@ -190,16 +190,16 @@ func TestWheelBehindCursorMatchesHeap(t *testing.T) {
 	both := func(ev event) { w.schedule(ev); h.schedule(ev) }
 	// A lone far-future event, drained: the Env would have dropped it as a
 	// stale timer, leaving the cursor at 1010 while the clock stayed behind.
-	both(event{at: 1010, seq: 1, fn: func() {}})
+	both(event{at: 1010, seq: 1, fn: func(any) {}})
 	drain(w, maxTime)
 	drain(h, maxTime)
 	// Fresh events behind the cursor, out of order, plus one at the cursor
 	// and one beyond it.
-	both(event{at: 20, seq: 2, fn: func() {}})
-	both(event{at: 15, seq: 3, fn: func() {}})
-	both(event{at: 15, seq: 4, fn: func() {}})
-	both(event{at: 1010, seq: 5, fn: func() {}})
-	both(event{at: 4000, seq: 6, fn: func() {}})
+	both(event{at: 20, seq: 2, fn: func(any) {}})
+	both(event{at: 15, seq: 3, fn: func(any) {}})
+	both(event{at: 15, seq: 4, fn: func(any) {}})
+	both(event{at: 1010, seq: 5, fn: func(any) {}})
+	both(event{at: 4000, seq: 6, fn: func(any) {}})
 	check := func(until Time, want [][2]uint64) {
 		t.Helper()
 		wGot := drain(w, until)
@@ -258,7 +258,7 @@ func BenchmarkWheelScheduleFire(b *testing.B) {
 	// Prime with a standing population.
 	for i := 0; i < 4096; i++ {
 		seq++
-		w.schedule(event{at: now + Time(next()%65536) + 1, seq: seq, fn: func() {}})
+		w.schedule(event{at: now + Time(next()%65536) + 1, seq: seq, fn: func(any) {}})
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -268,7 +268,7 @@ func BenchmarkWheelScheduleFire(b *testing.B) {
 		}
 		now = ev.at
 		seq++
-		w.schedule(event{at: now + Time(next()%65536) + 1, seq: seq, fn: func() {}})
+		w.schedule(event{at: now + Time(next()%65536) + 1, seq: seq, fn: func(any) {}})
 	}
 }
 
@@ -285,7 +285,7 @@ func BenchmarkHeapScheduleFire(b *testing.B) {
 	var seq uint64
 	for i := 0; i < 4096; i++ {
 		seq++
-		h.schedule(event{at: now + Time(next()%65536) + 1, seq: seq, fn: func() {}})
+		h.schedule(event{at: now + Time(next()%65536) + 1, seq: seq, fn: func(any) {}})
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -295,7 +295,7 @@ func BenchmarkHeapScheduleFire(b *testing.B) {
 		}
 		now = ev.at
 		seq++
-		h.schedule(event{at: now + Time(next()%65536) + 1, seq: seq, fn: func() {}})
+		h.schedule(event{at: now + Time(next()%65536) + 1, seq: seq, fn: func(any) {}})
 	}
 }
 

@@ -7,6 +7,7 @@ package smallbank
 import (
 	"encoding/binary"
 	"fmt"
+	"strconv"
 
 	"scalerpc/internal/stats"
 	"scalerpc/internal/txn"
@@ -55,14 +56,50 @@ func (t TxnType) String() string {
 // updates 85%.
 var Mix = [numTypes]int{15, 15, 15, 25, 15, 15}
 
-// SavingsKey and CheckingKey name an account's two rows.
-func SavingsKey(acct int) []byte  { return []byte(fmt.Sprintf("sv%08d", acct)) }
-func CheckingKey(acct int) []byte { return []byte(fmt.Sprintf("ck%08d", acct)) }
+// keyLen is the length of a row key for accounts below 10^8.
+const keyLen = 10
 
-func money(v int64) []byte {
-	b := make([]byte, 8)
-	binary.LittleEndian.PutUint64(b, uint64(v))
-	return b
+// SavingsKey and CheckingKey name an account's two rows: "sv"/"ck" plus the
+// account number zero-padded to eight digits (acct must not be negative).
+func SavingsKey(acct int) []byte  { return AppendSavingsKey(make([]byte, 0, keyLen), acct) }
+func CheckingKey(acct int) []byte { return AppendCheckingKey(make([]byte, 0, keyLen), acct) }
+
+// AppendSavingsKey and AppendCheckingKey append the row key to buf, for
+// callers that build many keys into a buffer of their own.
+func AppendSavingsKey(buf []byte, acct int) []byte  { return appendKey(buf, sv, acct) }
+func AppendCheckingKey(buf []byte, acct int) []byte { return appendKey(buf, ck, acct) }
+
+// sv and ck prefix an account's savings and checking row keys; rows lists
+// them in load order.
+const sv, ck = "sv", "ck"
+
+var rows = [2]string{sv, ck}
+
+func appendKey(buf []byte, prefix string, acct int) []byte {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(acct), 10)
+	buf = append(buf, prefix...)
+	for i := len(d); i < 8; i++ {
+		buf = append(buf, '0')
+	}
+	return append(buf, d...)
+}
+
+// appendMoney appends a balance's row value (8 bytes, little endian).
+func appendMoney(buf []byte, v int64) []byte {
+	return binary.LittleEndian.AppendUint64(buf, uint64(v))
+}
+
+// moneys builds an Apply result: one row value per balance, cut from a
+// single backing array.
+func moneys(vs ...int64) [][]byte {
+	out := make([][]byte, len(vs))
+	buf := make([]byte, 0, 8*len(vs))
+	for i, v := range vs {
+		buf = appendMoney(buf, v)
+		out[i] = buf[8*i : 8*i+8 : 8*i+8]
+	}
+	return out
 }
 
 func amount(b []byte) int64 { return int64(binary.LittleEndian.Uint64(b)) }
@@ -72,11 +109,14 @@ func Amount(b []byte) int64 { return amount(b) }
 
 // LoadWith inserts all account rows through put — the caller decides
 // placement (and replication: a sharded deployment's put writes both the
-// primary and the backup replica).
+// primary and the backup replica). key and value are reused from row to
+// row: put must copy what it keeps.
 func LoadWith(cfg Config, put func(key, value []byte) error) error {
+	value := appendMoney(nil, cfg.InitialBalance)
+	key := make([]byte, 0, keyLen)
 	for a := 0; a < cfg.Accounts; a++ {
-		for _, k := range [][]byte{SavingsKey(a), CheckingKey(a)} {
-			if err := put(k, money(cfg.InitialBalance)); err != nil {
+		for _, row := range rows {
+			if err := put(appendKey(key, row, a), value); err != nil {
 				return fmt.Errorf("smallbank: load account %d: %w", a, err)
 			}
 		}
@@ -95,12 +135,14 @@ func Load(parts []*txn.Participant, cfg Config) error {
 }
 
 // TotalBalanceWith sums every row through get (the conservation invariant
-// checked by tests; deposits change it, payments must not).
+// checked by tests; deposits change it, payments must not). key is reused
+// from row to row.
 func TotalBalanceWith(cfg Config, get func(key []byte) int64) int64 {
 	var sum int64
+	key := make([]byte, 0, keyLen)
 	for a := 0; a < cfg.Accounts; a++ {
-		for _, k := range [][]byte{SavingsKey(a), CheckingKey(a)} {
-			sum += get(k)
+		for _, row := range rows {
+			sum += get(appendKey(key, row, a))
 		}
 	}
 	return sum
@@ -172,60 +214,74 @@ func (g *Gen) pickType() TxnType {
 	return WriteCheck
 }
 
+// genTxn is one generated transaction with its key storage, so that Next
+// costs one allocation however many rows the transaction names.
+type genTxn struct {
+	txn.Txn
+	keys [3][]byte
+	buf  [3 * keyLen]byte
+}
+
+// key appends the next row key to the transaction's storage.
+func (g *genTxn) key(n int, row string, acct int) {
+	start := n * keyLen
+	g.keys[n] = appendKey(g.buf[start:start:start+keyLen], row, acct)
+}
+
 // Next builds one transaction.
 func (g *Gen) Next() *txn.Txn {
 	typ := g.pickType()
 	g.Counts[typ]++
+	t := &genTxn{}
 	switch typ {
 	case Amalgamate:
 		a, b := g.pickTwo()
 		// Move everything from a (both rows) into b's checking.
-		return &txn.Txn{
-			Writes: [][]byte{SavingsKey(a), CheckingKey(a), CheckingKey(b)},
-			Apply: func(rv, wv [][]byte) [][]byte {
-				total := amount(wv[0]) + amount(wv[1])
-				return [][]byte{money(0), money(0), money(amount(wv[2]) + total)}
-			},
+		t.key(0, sv, a)
+		t.key(1, ck, a)
+		t.key(2, ck, b)
+		t.Writes = t.keys[:3]
+		t.Apply = func(rv, wv [][]byte) [][]byte {
+			total := amount(wv[0]) + amount(wv[1])
+			return moneys(0, 0, amount(wv[2])+total)
 		}
 	case Balance:
 		a := g.pickAccount()
-		return &txn.Txn{Reads: [][]byte{SavingsKey(a), CheckingKey(a)}}
+		t.key(0, sv, a)
+		t.key(1, ck, a)
+		t.Reads = t.keys[:2]
 	case DepositChecking:
-		a := g.pickAccount()
-		return &txn.Txn{
-			Writes: [][]byte{CheckingKey(a)},
-			Apply: func(rv, wv [][]byte) [][]byte {
-				return [][]byte{money(amount(wv[0]) + 130)}
-			},
+		t.key(0, ck, g.pickAccount())
+		t.Writes = t.keys[:1]
+		t.Apply = func(rv, wv [][]byte) [][]byte {
+			return moneys(amount(wv[0]) + 130)
 		}
 	case SendPayment:
 		a, b := g.pickTwo()
-		return &txn.Txn{
-			Writes: [][]byte{CheckingKey(a), CheckingKey(b)},
-			Apply: func(rv, wv [][]byte) [][]byte {
-				return [][]byte{money(amount(wv[0]) - 5), money(amount(wv[1]) + 5)}
-			},
+		t.key(0, ck, a)
+		t.key(1, ck, b)
+		t.Writes = t.keys[:2]
+		t.Apply = func(rv, wv [][]byte) [][]byte {
+			return moneys(amount(wv[0])-5, amount(wv[1])+5)
 		}
 	case TransactSavings:
-		a := g.pickAccount()
-		return &txn.Txn{
-			Writes: [][]byte{SavingsKey(a)},
-			Apply: func(rv, wv [][]byte) [][]byte {
-				return [][]byte{money(amount(wv[0]) + 20)}
-			},
+		t.key(0, sv, g.pickAccount())
+		t.Writes = t.keys[:1]
+		t.Apply = func(rv, wv [][]byte) [][]byte {
+			return moneys(amount(wv[0]) + 20)
 		}
 	default: // WriteCheck
 		a := g.pickAccount()
-		return &txn.Txn{
-			Reads:  [][]byte{SavingsKey(a)},
-			Writes: [][]byte{CheckingKey(a)},
-			Apply: func(rv, wv [][]byte) [][]byte {
-				check := int64(18)
-				if amount(rv[0])+amount(wv[0]) < check {
-					check++ // overdraft penalty
-				}
-				return [][]byte{money(amount(wv[0]) - check)}
-			},
+		t.key(0, sv, a)
+		t.key(1, ck, a)
+		t.Reads, t.Writes = t.keys[:1], t.keys[1:2]
+		t.Apply = func(rv, wv [][]byte) [][]byte {
+			check := int64(18)
+			if amount(rv[0])+amount(wv[0]) < check {
+				check++ // overdraft penalty
+			}
+			return moneys(amount(wv[0]) - check)
 		}
 	}
+	return &t.Txn
 }

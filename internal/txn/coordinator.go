@@ -18,7 +18,8 @@ var ErrAborted = errors.New("txn: aborted")
 
 // Txn is one transaction specification. Apply receives the execution-phase
 // values of Reads and Writes (in order) and returns the new values for
-// Writes.
+// Writes. The slices it receives are the coordinator's scratch, valid only
+// during the call; what it returns must stay intact until Run returns.
 type Txn struct {
 	Reads  [][]byte
 	Writes [][]byte
@@ -45,6 +46,28 @@ type PartRef struct {
 	Conn   rpccore.Conn
 	qp     *nic.QP
 	kvRKey uint32
+
+	// onResp is this participant's Poll callback, bound once (to match):
+	// which calls a pass is matching against lives in the coordinator, not
+	// in a closure per participant per pass.
+	c      *Coordinator
+	pi     int
+	onResp func(rpccore.Response)
+}
+
+// match hands one response from this participant to the pending call it
+// answers.
+func (ref *PartRef) match(r rpccore.Response) {
+	c := ref.c
+	for _, call := range c.polling {
+		if call.pi == ref.pi && call.reqID == r.ReqID && !call.done {
+			call.resp = append(call.resp[:0], r.Payload...)
+			call.errResp = r.Err
+			call.done = true
+			c.polled++
+			return
+		}
+	}
 }
 
 // CoordinatorStats counts transaction outcomes.
@@ -78,6 +101,13 @@ type Coordinator struct {
 	nextReq uint64
 	nextTxn uint64
 
+	// One thread drives a coordinator, so the calls a pollConns pass is
+	// matching (and how many it matched) live here for the PartRef
+	// callbacks, and every per-attempt slice and buffer lives in run.
+	polling []*pendingCall
+	polled  int
+	run     runArena
+
 	// AfterExec, when set, runs between the execution and validation
 	// phases — a deterministic injection point for concurrency tests.
 	AfterExec func(t *host.Thread)
@@ -108,11 +138,18 @@ func NewCoordinator(h *host.Host, id uint64, parts []*Participant, conns []rpcco
 			panic(err)
 		}
 		ref.qp = cqp
-		c.parts = append(c.parts, ref)
+		c.addPart(ref)
 	}
 	n := len(c.parts)
 	c.Place = func(key []byte) int { return ShardKey(key, n) }
 	return c
+}
+
+// addPart appends ref as the next participant and binds its callback.
+func (c *Coordinator) addPart(ref *PartRef) {
+	ref.c, ref.pi = c, len(c.parts)
+	ref.onResp = ref.match
+	c.parts = append(c.parts, ref)
 }
 
 // NewRoutedCoordinator wires a coordinator to opaque RPC connections only —
@@ -132,7 +169,7 @@ func NewRoutedCoordinator(h *host.Host, id uint64, conns []rpccore.Conn, place f
 		c.Place = func(key []byte) int { return ShardKey(key, n) }
 	}
 	for _, conn := range conns {
-		c.parts = append(c.parts, &PartRef{Conn: conn})
+		c.addPart(&PartRef{Conn: conn})
 	}
 	return c
 }
@@ -155,7 +192,8 @@ type pendingCall struct {
 
 // doCalls posts all calls and blocks until every response arrived.
 func (c *Coordinator) doCalls(t *host.Thread, calls []*pendingCall) {
-	posted := make([]bool, len(calls))
+	c.run.posted = resized(c.run.posted, len(calls))
+	posted := c.run.posted
 	for {
 		progress := false
 		allDone := true
@@ -191,21 +229,12 @@ func (c *Coordinator) doCalls(t *host.Thread, calls []*pendingCall) {
 // pollConns drains every participant connection, matching responses to
 // pending calls.
 func (c *Coordinator) pollConns(t *host.Thread, calls []*pendingCall) int {
-	got := 0
-	for pi, ref := range c.parts {
-		ref.Conn.Poll(t, func(r rpccore.Response) {
-			for _, call := range calls {
-				if call.pi == pi && call.reqID == r.ReqID && !call.done {
-					call.resp = append(call.resp[:0], r.Payload...)
-					call.errResp = r.Err
-					call.done = true
-					got++
-					return
-				}
-			}
-		})
+	c.polling, c.polled = calls, 0
+	for _, ref := range c.parts {
+		ref.Conn.Poll(t, ref.onResp)
 	}
-	return got
+	c.polling = nil
+	return c.polled
 }
 
 func (c *Coordinator) reqID() uint64 {
@@ -219,55 +248,151 @@ type perPart struct {
 	readIdx, writeIdx []int // positions in the txn's global key lists
 	execCall          *pendingCall
 	items             []ItemResult
+	execOK            bool // the execution phase took this participant's W locks
+}
+
+// runArena is the coordinator's scratch for one Run attempt, reset at the
+// start of the next: the per-participant key groups, every pendingCall with
+// its request and response buffers, and the execution-phase result slices.
+// Nothing in it outlives the attempt — Apply sees readVals/writeVals only
+// while it runs — so a steady-state transaction allocates nothing here.
+type runArena struct {
+	parts    []perPart // by participant index
+	involved []int     // participants this attempt touches, in first-use order
+	calls    []*pendingCall
+	pool     []*pendingCall // every call built so far; pool[:used] belong to this attempt
+	used     int
+	posted   []bool
+	kvs      []KV
+	order    [][]int
+
+	vals                []byte // backing store of the copied item values
+	readVals, writeVals [][]byte
+	readVers, readAddr  []uint64
+	writeVers           []uint64
+	writeAddr           []uint64
+	readPart            []int
+	vers                []uint64
+}
+
+// resized returns s with length n and every element zeroed, reusing its
+// backing array when that is large enough.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// begin resets the arena for a new attempt over n participants.
+func (a *runArena) begin(n int) {
+	if len(a.parts) != n {
+		a.parts = make([]perPart, n)
+	}
+	for _, pi := range a.involved {
+		pp := &a.parts[pi]
+		*pp = perPart{reads: pp.reads[:0], writes: pp.writes[:0],
+			readIdx: pp.readIdx[:0], writeIdx: pp.writeIdx[:0], items: pp.items[:0]}
+	}
+	a.involved = a.involved[:0]
+	a.used = 0
+	a.vals = a.vals[:0]
+}
+
+// need returns participant pi's key group, marking it involved on first use.
+func (a *runArena) need(pi int) *perPart {
+	pp := &a.parts[pi]
+	if len(pp.reads)+len(pp.writes) == 0 {
+		a.involved = append(a.involved, pi)
+	}
+	return pp
+}
+
+// keep copies v into the arena and returns the copy.
+func (a *runArena) keep(v []byte) []byte {
+	start := len(a.vals)
+	a.vals = append(a.vals, v...)
+	return a.vals[start:len(a.vals):len(a.vals)]
+}
+
+// newCall adds a recycled pendingCall for participant pi, with a request
+// buffer of reqLen bytes, to the phase being built in run.calls.
+func (c *Coordinator) newCall(pi int, handler uint8, reqLen int) *pendingCall {
+	a := &c.run
+	if a.used == len(a.pool) {
+		a.pool = append(a.pool, &pendingCall{})
+	}
+	call := a.pool[a.used]
+	a.used++
+	*call = pendingCall{pi: pi, handler: handler, req: resized(call.req, reqLen), reqID: c.reqID(), resp: call.resp[:0]}
+	a.calls = append(a.calls, call)
+	return call
+}
+
+// writeCalls builds one HLog or HCommit call per participant with writes.
+func (c *Coordinator) writeCalls(handler uint8, txnID uint64, txn *Txn, newVals [][]byte) []*pendingCall {
+	a := &c.run
+	a.calls = a.calls[:0]
+	for _, pi := range a.involved {
+		pp := &a.parts[pi]
+		if len(pp.writes) == 0 {
+			continue
+		}
+		kvs := a.kvs[:0]
+		for _, gi := range pp.writeIdx {
+			kvs = append(kvs, KV{Key: txn.Writes[gi], Value: newVals[gi]})
+		}
+		a.kvs = kvs
+		call := c.newCall(pi, handler, 16+writeReqBytes(kvs))
+		call.req = call.req[:EncodeWriteReq(call.req, txnID, kvs)]
+	}
+	return a.calls
 }
 
 // Run executes one transaction to commit or abort.
 func (c *Coordinator) Run(t *host.Thread, txn *Txn) error {
 	c.nextTxn++
 	txnID := c.ID<<40 | c.nextTxn
-	parts := make([]*perPart, len(c.parts))
-	involved := make([]int, 0, len(c.parts))
-	need := func(pi int) *perPart {
-		if parts[pi] == nil {
-			parts[pi] = &perPart{}
-			involved = append(involved, pi)
-		}
-		return parts[pi]
-	}
+	a := &c.run
+	a.begin(len(c.parts))
 	for i, k := range txn.Reads {
-		pp := need(c.Place(k))
+		pp := a.need(c.Place(k))
 		pp.reads = append(pp.reads, k)
 		pp.readIdx = append(pp.readIdx, i)
 	}
 	for i, k := range txn.Writes {
-		pp := need(c.Place(k))
+		pp := a.need(c.Place(k))
 		pp.writes = append(pp.writes, k)
 		pp.writeIdx = append(pp.writeIdx, i)
 	}
 
 	// --- Phase 1: Execution (read R∪W, lock W) ---
-	var calls []*pendingCall
-	for _, pi := range involved {
-		pp := parts[pi]
-		req := make([]byte, 16+totalKeyBytes(pp.reads)+totalKeyBytes(pp.writes))
-		n := EncodeExecReq(req, txnID, pp.reads, pp.writes)
-		pp.execCall = &pendingCall{pi: pi, handler: HExec, req: req[:n], reqID: c.reqID()}
-		calls = append(calls, pp.execCall)
+	a.calls = a.calls[:0]
+	for _, pi := range a.involved {
+		pp := &a.parts[pi]
+		call := c.newCall(pi, HExec, 16+totalKeyBytes(pp.reads)+totalKeyBytes(pp.writes))
+		call.req = call.req[:EncodeExecReq(call.req, txnID, pp.reads, pp.writes)]
+		pp.execCall = call
 	}
-	c.doCalls(t, calls)
+	c.doCalls(t, a.calls)
 
-	readVals := make([][]byte, len(txn.Reads))
-	writeVals := make([][]byte, len(txn.Writes))
-	readVers := make([]uint64, len(txn.Reads))
-	readAddr := make([]uint64, len(txn.Reads))
-	readPart := make([]int, len(txn.Reads))
-	writeVers := make([]uint64, len(txn.Writes))
-	writeAddr := make([]uint64, len(txn.Writes))
+	a.readVals = resized(a.readVals, len(txn.Reads))
+	a.writeVals = resized(a.writeVals, len(txn.Writes))
+	a.readVers = resized(a.readVers, len(txn.Reads))
+	a.readAddr = resized(a.readAddr, len(txn.Reads))
+	a.readPart = resized(a.readPart, len(txn.Reads))
+	a.writeVers = resized(a.writeVers, len(txn.Writes))
+	a.writeAddr = resized(a.writeAddr, len(txn.Writes))
+	readVals, writeVals := a.readVals, a.writeVals
+	readVers, readAddr, readPart := a.readVers, a.readAddr, a.readPart
+	writeVers, writeAddr := a.writeVers, a.writeAddr
 
 	conflict, missing := false, false
-	for _, pi := range involved {
-		pp := parts[pi]
-		status, items, err := DecodeExecResp(pp.execCall.resp, len(pp.reads)+len(pp.writes))
+	for _, pi := range a.involved {
+		pp := &a.parts[pi]
+		status, items, err := DecodeExecResp(pp.items[:0], pp.execCall.resp, len(pp.reads)+len(pp.writes))
 		if err != nil || pp.execCall.errResp {
 			missing = true
 			continue
@@ -280,13 +405,13 @@ func (c *Coordinator) Run(t *host.Thread, txn *Txn) error {
 			missing = true
 			continue
 		}
-		pp.items = items
+		pp.items, pp.execOK = items, true
 		for j, gi := range pp.readIdx {
 			if !items[j].Found {
 				missing = true
 				continue
 			}
-			readVals[gi] = append([]byte(nil), items[j].Value...)
+			readVals[gi] = a.keep(items[j].Value)
 			readVers[gi] = items[j].Version
 			readAddr[gi] = items[j].Addr
 			readPart[gi] = pi
@@ -297,14 +422,14 @@ func (c *Coordinator) Run(t *host.Thread, txn *Txn) error {
 				missing = true
 				continue
 			}
-			writeVals[gi] = append([]byte(nil), it.Value...)
+			writeVals[gi] = a.keep(it.Value)
 			writeVers[gi] = it.Version
 			writeAddr[gi] = it.Addr
 		}
 	}
 	if conflict || missing {
 		// Release locks on participants whose exec succeeded.
-		c.unlockAll(t, txnID, parts, involved)
+		c.unlockAll(t, txnID)
 		if conflict {
 			c.Stats.LockAborts++
 		} else {
@@ -323,10 +448,10 @@ func (c *Coordinator) Run(t *host.Thread, txn *Txn) error {
 		if c.OneSided {
 			ok = c.validateOneSided(t, readAddr, readVers, readPart)
 		} else {
-			ok = c.validateRPC(t, txnID, parts, involved, readVers)
+			ok = c.validateRPC(t, txnID, readVers)
 		}
 		if !ok {
-			c.unlockAll(t, txnID, parts, involved)
+			c.unlockAll(t, txnID)
 			c.Stats.ValidationAborts++
 			return ErrAborted
 		}
@@ -342,21 +467,7 @@ func (c *Coordinator) Run(t *host.Thread, txn *Txn) error {
 	if len(newVals) != len(txn.Writes) {
 		panic("txn: Apply returned wrong write count")
 	}
-	calls = calls[:0]
-	for _, pi := range involved {
-		pp := parts[pi]
-		if len(pp.writes) == 0 {
-			continue
-		}
-		kvs := make([]KV, len(pp.writes))
-		for j, gi := range pp.writeIdx {
-			kvs[j] = KV{Key: txn.Writes[gi], Value: newVals[gi]}
-		}
-		req := make([]byte, 16+writeReqBytes(kvs))
-		n := EncodeWriteReq(req, txnID, kvs)
-		calls = append(calls, &pendingCall{pi: pi, handler: HLog, req: req[:n], reqID: c.reqID()})
-	}
-	c.doCalls(t, calls)
+	c.doCalls(t, c.writeCalls(HLog, txnID, txn, newVals))
 
 	// --- Phase 3b: Commit ---
 	if c.OneSided {
@@ -382,21 +493,7 @@ func (c *Coordinator) Run(t *host.Thread, txn *Txn) error {
 			c.Stats.OneSidedWrites++
 		}
 	} else {
-		calls = calls[:0]
-		for _, pi := range involved {
-			pp := parts[pi]
-			if len(pp.writes) == 0 {
-				continue
-			}
-			kvs := make([]KV, len(pp.writes))
-			for j, gi := range pp.writeIdx {
-				kvs[j] = KV{Key: txn.Writes[gi], Value: newVals[gi]}
-			}
-			req := make([]byte, 16+writeReqBytes(kvs))
-			n := EncodeWriteReq(req, txnID, kvs)
-			calls = append(calls, &pendingCall{pi: pi, handler: HCommit, req: req[:n], reqID: c.reqID()})
-		}
-		c.doCalls(t, calls)
+		c.doCalls(t, c.writeCalls(HCommit, txnID, txn, newVals))
 	}
 	c.Stats.Commits++
 	return nil
@@ -436,26 +533,26 @@ func (c *Coordinator) validateOneSided(t *host.Thread, addrs []uint64, vers []ui
 }
 
 // validateRPC is the ScaleTX-O validation: HValidate calls per participant.
-func (c *Coordinator) validateRPC(t *host.Thread, txnID uint64, parts []*perPart, involved []int, readVers []uint64) bool {
-	var calls []*pendingCall
-	var order [][]int
-	for _, pi := range involved {
-		pp := parts[pi]
+func (c *Coordinator) validateRPC(t *host.Thread, txnID uint64, readVers []uint64) bool {
+	a := &c.run
+	a.calls, a.order = a.calls[:0], a.order[:0]
+	for _, pi := range a.involved {
+		pp := &a.parts[pi]
 		if len(pp.reads) == 0 {
 			continue
 		}
-		req := make([]byte, 16+totalKeyBytes(pp.reads))
-		n := EncodeKeysReq(req, txnID, pp.reads)
-		calls = append(calls, &pendingCall{pi: pi, handler: HValidate, req: req[:n], reqID: c.reqID()})
-		order = append(order, pp.readIdx)
+		call := c.newCall(pi, HValidate, 16+totalKeyBytes(pp.reads))
+		call.req = call.req[:EncodeKeysReq(call.req, txnID, pp.reads)]
+		a.order = append(a.order, pp.readIdx)
 	}
-	c.doCalls(t, calls)
-	for ci, call := range calls {
-		vers, err := DecodeVersionsResp(call.resp)
-		if err != nil || len(vers) != len(order[ci]) {
+	c.doCalls(t, a.calls)
+	for ci, call := range a.calls {
+		vers, err := DecodeVersionsResp(a.vers[:0], call.resp)
+		if err != nil || len(vers) != len(a.order[ci]) {
 			return false
 		}
-		for j, gi := range order[ci] {
+		a.vers = vers
+		for j, gi := range a.order[ci] {
 			if vers[j] != readVers[gi] {
 				return false
 			}
@@ -465,19 +562,19 @@ func (c *Coordinator) validateRPC(t *host.Thread, txnID uint64, parts []*perPart
 }
 
 // unlockAll releases W locks on every participant whose exec succeeded.
-func (c *Coordinator) unlockAll(t *host.Thread, txnID uint64, parts []*perPart, involved []int) {
-	var calls []*pendingCall
-	for _, pi := range involved {
-		pp := parts[pi]
-		if len(pp.writes) == 0 || pp.items == nil {
+func (c *Coordinator) unlockAll(t *host.Thread, txnID uint64) {
+	a := &c.run
+	a.calls = a.calls[:0]
+	for _, pi := range a.involved {
+		pp := &a.parts[pi]
+		if len(pp.writes) == 0 || !pp.execOK {
 			continue
 		}
-		req := make([]byte, 16+totalKeyBytes(pp.writes))
-		n := EncodeKeysReq(req, txnID, pp.writes)
-		calls = append(calls, &pendingCall{pi: pi, handler: HUnlock, req: req[:n], reqID: c.reqID()})
+		call := c.newCall(pi, HUnlock, 16+totalKeyBytes(pp.writes))
+		call.req = call.req[:EncodeKeysReq(call.req, txnID, pp.writes)]
 	}
-	if len(calls) > 0 {
-		c.doCalls(t, calls)
+	if len(a.calls) > 0 {
+		c.doCalls(t, a.calls)
 	}
 }
 

@@ -76,7 +76,10 @@ func EncodeExecReq(buf []byte, txnID uint64, reads, writes [][]byte) int {
 	buf[8] = byte(len(reads))
 	buf[9] = byte(len(writes))
 	n := 10
-	for _, k := range append(append([][]byte{}, reads...), writes...) {
+	for _, k := range reads {
+		n += putKey(buf[n:], k)
+	}
+	for _, k := range writes {
 		n += putKey(buf[n:], k)
 	}
 	return n
@@ -124,8 +127,10 @@ func EncodeExecResp(buf []byte, status byte, items []ItemResult) int {
 	return n
 }
 
-// DecodeExecResp parses an execution-phase response carrying count items.
-func DecodeExecResp(buf []byte, count int) (status byte, items []ItemResult, err error) {
+// DecodeExecResp parses an execution-phase response carrying count items,
+// appending them to items (pass nil, or a slice to reuse). Item values alias
+// buf.
+func DecodeExecResp(items []ItemResult, buf []byte, count int) (status byte, _ []ItemResult, err error) {
 	if len(buf) < 1 {
 		return 0, nil, fmt.Errorf("txn: short exec response")
 	}
@@ -194,8 +199,9 @@ func EncodeVersionsResp(buf []byte, versions []uint64) int {
 	return n
 }
 
-// DecodeVersionsResp parses a validate response.
-func DecodeVersionsResp(buf []byte) ([]uint64, error) {
+// DecodeVersionsResp parses a validate response, appending the versions to
+// out (pass nil, or a slice to reuse).
+func DecodeVersionsResp(out []uint64, buf []byte) ([]uint64, error) {
 	if len(buf) < 1 {
 		return nil, fmt.Errorf("txn: short versions response")
 	}
@@ -203,9 +209,8 @@ func DecodeVersionsResp(buf []byte) ([]uint64, error) {
 	if len(buf) < 1+8*count {
 		return nil, fmt.Errorf("txn: truncated versions response")
 	}
-	out := make([]uint64, count)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(buf[1+8*i:])
+	for i := 0; i < count; i++ {
+		out = append(out, binary.LittleEndian.Uint64(buf[1+8*i:]))
 	}
 	return out, nil
 }

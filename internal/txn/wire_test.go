@@ -58,7 +58,7 @@ func TestExecRespRoundTrip(t *testing.T) {
 	}
 	buf := make([]byte, 1024)
 	n := EncodeExecResp(buf, StOK, items)
-	status, got, err := DecodeExecResp(buf[:n], len(items))
+	status, got, err := DecodeExecResp(nil, buf[:n], len(items))
 	if err != nil || status != StOK {
 		t.Fatalf("status=%d err=%v", status, err)
 	}
@@ -73,7 +73,7 @@ func TestExecRespRoundTrip(t *testing.T) {
 func TestExecRespErrorStatusShortCircuits(t *testing.T) {
 	buf := make([]byte, 16)
 	n := EncodeExecResp(buf, StLockConflict, nil)
-	status, items, err := DecodeExecResp(buf[:n], 5)
+	status, items, err := DecodeExecResp(nil, buf[:n], 5)
 	if err != nil || status != StLockConflict || items != nil {
 		t.Fatalf("status=%d items=%v err=%v", status, items, err)
 	}
@@ -82,10 +82,10 @@ func TestExecRespErrorStatusShortCircuits(t *testing.T) {
 func TestExecRespTruncationDetected(t *testing.T) {
 	buf := make([]byte, 1024)
 	n := EncodeExecResp(buf, StOK, []ItemResult{{Found: true, Value: []byte("abcdef")}})
-	if _, _, err := DecodeExecResp(buf[:n-3], 1); err == nil {
+	if _, _, err := DecodeExecResp(nil, buf[:n-3], 1); err == nil {
 		t.Fatal("truncated response accepted")
 	}
-	if _, _, err := DecodeExecResp(buf[:n], 2); err == nil {
+	if _, _, err := DecodeExecResp(nil, buf[:n], 2); err == nil {
 		t.Fatal("over-count accepted")
 	}
 }
@@ -115,7 +115,7 @@ func TestVersionsRespRoundTrip(t *testing.T) {
 	vers := []uint64{0, 1, ^uint64(0), 12345}
 	buf := make([]byte, 256)
 	n := EncodeVersionsResp(buf, vers)
-	got, err := DecodeVersionsResp(buf[:n])
+	got, err := DecodeVersionsResp(nil, buf[:n])
 	if err != nil || len(got) != len(vers) {
 		t.Fatalf("err=%v len=%d", err, len(got))
 	}
@@ -124,7 +124,7 @@ func TestVersionsRespRoundTrip(t *testing.T) {
 			t.Fatalf("version %d: %d != %d", i, got[i], vers[i])
 		}
 	}
-	if _, err := DecodeVersionsResp(buf[:n-2]); err == nil {
+	if _, err := DecodeVersionsResp(nil, buf[:n-2]); err == nil {
 		t.Fatal("truncated versions accepted")
 	}
 }
@@ -167,8 +167,8 @@ func TestDecodersRejectGarbage(t *testing.T) {
 		DecodeExecReq(g)
 		DecodeKeysReq(g)
 		DecodeWriteReq(g)
-		DecodeVersionsResp(g)
-		DecodeExecResp(g, 3)
+		DecodeVersionsResp(nil, g)
+		DecodeExecResp(nil, g, 3)
 	}
 	// Reaching here without panics is the assertion.
 }
