@@ -146,7 +146,8 @@ func (w *worker) run(t *host.Thread) {
 				rpcwire.Clear(block)
 				continue
 			}
-			t.ReadMem(s.pool.BlockAddr(z, b), len(payload)+rpcwire.TrailerSize)
+			t.ReadMem(s.pool.BlockAddr(z, b)+uint64(s.Cfg.BlockSize-rpcwire.TrailerSize-len(payload)),
+				len(payload)+rpcwire.TrailerSize)
 			t.Work(s.Cfg.ParseCost)
 			w.serve(t, cs, b, payload)
 			rpcwire.Clear(block)
