@@ -10,69 +10,10 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
 	"testing"
 
 	"scalerpc/internal/bench"
 )
-
-// TestMain wraps the benchmark run: when BENCH_JSON is set in the
-// environment, a machine-readable perf summary (headline metric per
-// experiment, from a Quick run) is written after the run, so the repo's
-// performance trajectory can be tracked across commits. BENCH_JSON=1 writes
-// the default BENCH_scalerpc.json; any other value is used as the path.
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if path := os.Getenv("BENCH_JSON"); path != "" && code == 0 {
-		if path == "1" {
-			path = "BENCH_scalerpc.json"
-		}
-		if err := writeBenchJSON(path); err != nil {
-			os.Stderr.WriteString("bench json: " + err.Error() + "\n")
-			code = 1
-		}
-	}
-	os.Exit(code)
-}
-
-// writeBenchJSON runs the headline experiments in Quick mode with telemetry
-// recording enabled and emits {experiment id → headline, metrics}.
-func writeBenchJSON(path string) error {
-	type entry struct {
-		ID       string  `json:"id"`
-		Title    string  `json:"title"`
-		Headline float64 `json:"headline"`
-	}
-	out := struct {
-		Benchmarks []entry                `json:"benchmarks"`
-		Metrics    *bench.MetricsRecorder `json:"metrics"`
-	}{Metrics: &bench.MetricsRecorder{}}
-	opts := bench.QuickOptions()
-	opts.Metrics = out.Metrics
-	for _, id := range []string{"fig8", "fig10", "loadlat"} {
-		e, ok := bench.Lookup(id)
-		if !ok {
-			continue
-		}
-		opts.Metrics.Begin(id)
-		res := e.Run(opts)
-		headline := 0.0
-		if len(res.Series) > 0 && len(res.Series[0].Y) > 0 {
-			sum := 0.0
-			for _, y := range res.Series[0].Y {
-				sum += y
-			}
-			headline = sum / float64(len(res.Series[0].Y))
-		}
-		out.Benchmarks = append(out.Benchmarks, entry{ID: id, Title: res.Title, Headline: headline})
-	}
-	b, err := json.MarshalIndent(out, "", " ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, b, 0o644)
-}
 
 // runExperiment executes the experiment once per benchmark iteration and
 // reports the mean of its first series' Y values as "headline".

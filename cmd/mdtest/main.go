@@ -13,13 +13,8 @@ import (
 	"os"
 	"strings"
 
-	"scalerpc/internal/baseline/selfrpc"
-	"scalerpc/internal/cluster"
-	"scalerpc/internal/host"
+	"scalerpc/internal/bench"
 	"scalerpc/internal/mdtest"
-	"scalerpc/internal/octofs"
-	"scalerpc/internal/rpccore"
-	"scalerpc/internal/scalerpc"
 	"scalerpc/internal/sim"
 )
 
@@ -33,74 +28,22 @@ func main() {
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	flag.Parse()
 
-	var op mdtest.Op
-	switch strings.ToLower(*opName) {
-	case "mknod":
-		op = mdtest.Mknod
-	case "rmnod":
-		op = mdtest.Rmnod
-	case "stat":
-		op = mdtest.Stat
-	case "readdir":
-		op = mdtest.Readdir
-	default:
+	ops := map[string]mdtest.Op{"mknod": mdtest.Mknod, "rmnod": mdtest.Rmnod, "stat": mdtest.Stat, "readdir": mdtest.Readdir}
+	op, ok := ops[strings.ToLower(*opName)]
+	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown op %q\n", *opName)
 		os.Exit(2)
 	}
 
-	c := cluster.New(cluster.Default(12))
-	defer c.Close()
-	mds := octofs.NewMDS(c.Hosts[0], octofs.DefaultConfig())
-	if !mds.Preload(*clients, *files) {
-		fmt.Fprintln(os.Stderr, "inode table too small for this preload")
+	opts := bench.DefaultOptions()
+	opts.Seed = *seed
+	opts.Duration = sim.Duration(*ms * float64(sim.Millisecond))
+	pt, err := bench.MeasureDFS(*rpcName, op, *clients, *files, *batch, opts)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-
-	var connect func(*host.Host, *sim.Signal) rpccore.Conn
-	switch strings.ToLower(*rpcName) {
-	case "scalerpc":
-		s := scalerpc.NewServer(c.Hosts[0], scalerpc.DefaultServerConfig())
-		mds.RegisterHandlers(s)
-		s.Start()
-		connect = func(h *host.Host, sig *sim.Signal) rpccore.Conn { return s.Connect(h, sig) }
-	case "selfrpc":
-		s := selfrpc.NewServer(c.Hosts[0], selfrpc.DefaultServerConfig())
-		mds.RegisterHandlers(s)
-		s.Start()
-		connect = func(h *host.Host, sig *sim.Signal) rpccore.Conn { return s.Connect(h, sig) }
-	default:
-		fmt.Fprintf(os.Stderr, "unknown rpc %q\n", *rpcName)
-		os.Exit(2)
-	}
-
-	warmup := sim.Millisecond
-	horizon := warmup + sim.Duration(*ms*float64(sim.Millisecond))
-	results := make([]*rpccore.DriverStats, *clients)
-	for i := 0; i < *clients; i++ {
-		i := i
-		ch := c.Hosts[1+i%11]
-		sig := sim.NewSignal(c.Env)
-		conn := connect(ch, sig)
-		w := mdtest.NewWorkload(op, i, *files, *seed+uint64(i))
-		dcfg := w.DriverConfig(*batch, *seed+uint64(i))
-		dcfg.MeasureFrom = warmup
-		dcfg.StartDelay = sim.Duration(i%64) * 311
-		ch.Spawn(fmt.Sprintf("md%d", i), func(t *host.Thread) {
-			st := rpccore.RunDriver(t, []rpccore.Conn{conn}, dcfg, sig,
-				func() bool { return t.P.Now() >= horizon })
-			results[i] = &st
-		})
-	}
-	c.Env.RunUntil(horizon + 200*sim.Microsecond)
-
-	var completed uint64
-	for _, st := range results {
-		if st != nil {
-			completed += st.Completed
-		}
-	}
-	window := float64(horizon-warmup) / 1e9
 	fmt.Printf("rpc=%s op=%s clients=%d batch=%d\n", *rpcName, op, *clients, *batch)
-	fmt.Printf("completed=%d  throughput=%.1f kops/s\n", completed, float64(completed)/window/1e3)
-	fmt.Printf("server ops: %+v\n", mds.Stats)
+	fmt.Printf("completed=%d  throughput=%.1f kops/s\n", pt.Completed, pt.Kops)
+	fmt.Printf("server ops: %+v\n", pt.Server)
 }

@@ -28,7 +28,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -53,7 +52,6 @@ func main() {
 	artifactsDir := flag.String("artifacts", "", "directory to write experiment artifacts (BENCH_*.json)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
-	gatePath := flag.String("simspeed-gate", "", "committed BENCH_simspeed.json to gate against: exit 1 if the simspeed run's events/sec falls >20% below its gate floor")
 	flag.Usage = func() {
 		usage()
 		flag.PrintDefaults()
@@ -95,8 +93,6 @@ func main() {
 			f.Close()
 		}()
 	}
-	simspeedGate = *gatePath
-
 	if *list {
 		listExperiments()
 		return
@@ -158,51 +154,6 @@ func main() {
 	}
 }
 
-// simspeedGate, when set, is the committed BENCH_simspeed.json whose gate
-// floor the current simspeed run must stay within 20% of.
-var simspeedGate string
-
-// checkSimspeedGate compares the simspeed run's fresh artifact against the
-// committed baseline's regression floor.
-func checkSimspeedGate(res *bench.Result) {
-	if simspeedGate == "" || res.ID != "simspeed" {
-		return
-	}
-	committed, err := os.ReadFile(simspeedGate)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "simspeed-gate:", err)
-		os.Exit(1)
-	}
-	var gate struct {
-		GateEventsPerSec float64 `json:"gate_events_per_sec"`
-	}
-	if err := json.Unmarshal(committed, &gate); err != nil || gate.GateEventsPerSec <= 0 {
-		fmt.Fprintf(os.Stderr, "simspeed-gate: %s has no gate_events_per_sec (err=%v)\n", simspeedGate, err)
-		os.Exit(1)
-	}
-	var cur struct {
-		Macro struct {
-			EventsPerSec float64 `json:"events_per_sec"`
-		} `json:"macro"`
-	}
-	for _, a := range res.Artifacts {
-		if a.Name == "BENCH_simspeed.json" {
-			if err := json.Unmarshal(a.Data, &cur); err != nil {
-				fmt.Fprintln(os.Stderr, "simspeed-gate:", err)
-				os.Exit(1)
-			}
-		}
-	}
-	floor := gate.GateEventsPerSec * 0.8
-	if cur.Macro.EventsPerSec < floor {
-		fmt.Fprintf(os.Stderr, "simspeed-gate: FAIL — macro %.2f M events/s is >20%% below the committed floor %.2f M events/s\n",
-			cur.Macro.EventsPerSec/1e6, gate.GateEventsPerSec/1e6)
-		os.Exit(1)
-	}
-	fmt.Printf("(simspeed-gate: pass — %.2f M events/s vs floor %.2f M events/s)\n",
-		cur.Macro.EventsPerSec/1e6, gate.GateEventsPerSec/1e6)
-}
-
 func runAll(ids []string, opts bench.Options, csvDir, artifactsDir string) {
 	for _, id := range ids {
 		e, ok := bench.Lookup(id)
@@ -214,7 +165,6 @@ func runAll(ids []string, opts bench.Options, csvDir, artifactsDir string) {
 		opts.Metrics.Begin(id)
 		res := e.Run(opts)
 		fmt.Println(res.Render())
-		checkSimspeedGate(res)
 		fmt.Printf("(%s wall time: %.1fs)\n\n", id, time.Since(start).Seconds())
 		if csvDir != "" {
 			if err := os.MkdirAll(csvDir, 0o755); err != nil {

@@ -13,21 +13,12 @@ import (
 	"os"
 	"strings"
 
-	"scalerpc/internal/baseline/fasstrpc"
-	"scalerpc/internal/baseline/herdrpc"
-	"scalerpc/internal/baseline/rawrpc"
-	"scalerpc/internal/cluster"
-	"scalerpc/internal/host"
+	"scalerpc/internal/bench"
 	"scalerpc/internal/mica"
 	"scalerpc/internal/objstore"
-	"scalerpc/internal/rpccore"
-	"scalerpc/internal/scalerpc"
 	"scalerpc/internal/sim"
 	"scalerpc/internal/smallbank"
-	"scalerpc/internal/txn"
 )
-
-const participants = 3
 
 func main() {
 	system := flag.String("system", "scaletx", "rawwrite | herd | fasst | scaletx-o | scaletx")
@@ -41,125 +32,30 @@ func main() {
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	flag.Parse()
 
-	c := cluster.New(cluster.Default(12))
-	defer c.Close()
+	opts := bench.DefaultOptions()
+	opts.Seed = *seed
+	opts.Duration = sim.Duration(*ms * float64(sim.Millisecond))
 
-	oneSided := false
-	var connFns []func(*host.Host, *sim.Signal) rpccore.Conn
-	parts := make([]*txn.Participant, participants)
-	storeCfg := mica.Config{Buckets: 1 << 17, Items: 1 << 19, SlotSize: 128}
-	var scaleSrvs []*scalerpc.Server
-	for i := 0; i < participants; i++ {
-		h := c.Hosts[i]
-		parts[i] = txn.NewParticipant(h, storeCfg)
-		switch strings.ToLower(*system) {
-		case "rawwrite":
-			s := rawrpc.NewServer(h, rawrpc.DefaultServerConfig())
-			parts[i].RegisterHandlers(s)
-			s.Start()
-			connFns = append(connFns, func(ch *host.Host, sig *sim.Signal) rpccore.Conn { return s.Connect(ch, sig) })
-		case "herd":
-			s := herdrpc.NewServer(h, herdrpc.DefaultServerConfig())
-			parts[i].RegisterHandlers(s)
-			s.Start()
-			connFns = append(connFns, func(ch *host.Host, sig *sim.Signal) rpccore.Conn { return s.Connect(ch, sig) })
-		case "fasst":
-			s := fasstrpc.NewServer(h, fasstrpc.DefaultServerConfig())
-			parts[i].RegisterHandlers(s)
-			s.Start()
-			connFns = append(connFns, func(ch *host.Host, sig *sim.Signal) rpccore.Conn { return s.Connect(ch, sig) })
-		case "scaletx", "scaletx-o":
-			oneSided = strings.ToLower(*system) == "scaletx"
-			cfg := scalerpc.DefaultServerConfig()
-			cfg.Dynamic = false
-			cfg.SyncPeriod = 2 * sim.Millisecond
-			s := scalerpc.NewServer(h, cfg)
-			parts[i].RegisterHandlers(s)
-			s.Start()
-			scaleSrvs = append(scaleSrvs, s)
-			connFns = append(connFns, func(ch *host.Host, sig *sim.Signal) rpccore.Conn { return s.Connect(ch, sig) })
-		default:
-			fmt.Fprintf(os.Stderr, "unknown system %q\n", *system)
-			os.Exit(2)
-		}
-	}
-	if len(scaleSrvs) > 1 {
-		scalerpc.NewSyncGroup(scaleSrvs)
-	}
-
-	var genFor func(i int) func() *txn.Txn
+	var w bench.TxnWorkload
 	switch strings.ToLower(*workload) {
 	case "smallbank":
 		cfg := smallbank.DefaultConfig()
 		cfg.Accounts = *accounts
-		if err := smallbank.Load(parts, cfg); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		genFor = func(i int) func() *txn.Txn {
-			g := smallbank.NewGen(cfg, *seed*733+uint64(i))
-			return g.Next
-		}
+		w = bench.SmallBankTxns(cfg, *seed)
 	case "objstore":
-		cfg := objstore.Config{Keys: *keys, ValueSize: 40, ReadSet: *readSet, WriteSet: *writeSet}
-		if err := objstore.Load(parts, cfg); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		genFor = func(i int) func() *txn.Txn {
-			g := objstore.NewGen(cfg, *seed*131+uint64(i))
-			return g.Next
-		}
+		w = bench.ObjStoreTxns(objstore.Config{Keys: *keys, ValueSize: 40, ReadSet: *readSet, WriteSet: *writeSet}, *seed)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *workload)
 		os.Exit(2)
 	}
 
-	warmup := sim.Millisecond
-	horizon := warmup + sim.Duration(*ms*float64(sim.Millisecond))
-	coords := make([]*txn.Coordinator, *clients)
-	measured := make([]uint64, *clients)
-	for i := 0; i < *clients; i++ {
-		i := i
-		ch := c.Hosts[participants+i%(12-participants)]
-		sig := sim.NewSignal(c.Env)
-		conns := make([]rpccore.Conn, participants)
-		for p, fn := range connFns {
-			conns[p] = fn(ch, sig)
-		}
-		co := txn.NewCoordinator(ch, uint64(i+1), parts, conns, oneSided, sig)
-		coords[i] = co
-		gen := genFor(i)
-		co.Spawn(func(t *host.Thread, cc *txn.Coordinator) {
-			t.P.Sleep(sim.Duration(i%64) * 311)
-			var base uint64
-			started := false
-			txn.RunLoop(t, cc, gen, func() bool {
-				if !started && t.P.Now() >= warmup {
-					started = true
-					base = cc.Stats.Commits
-				}
-				return t.P.Now() >= horizon
-			})
-			if started {
-				measured[i] = cc.Stats.Commits - base
-			}
-		})
+	store := mica.Config{Buckets: 1 << 17, Items: 1 << 19, SlotSize: 128}
+	pt, err := bench.MeasureTxn(*system, *clients, store, w, opts)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	c.Env.RunUntil(horizon + 500*sim.Microsecond)
-
-	var total uint64
-	var agg txn.CoordinatorStats
-	for i, co := range coords {
-		total += measured[i]
-		agg.Commits += co.Stats.Commits
-		agg.LockAborts += co.Stats.LockAborts
-		agg.ValidationAborts += co.Stats.ValidationAborts
-		agg.OneSidedReads += co.Stats.OneSidedReads
-		agg.OneSidedWrites += co.Stats.OneSidedWrites
-	}
-	window := float64(horizon-warmup) / 1e9
 	fmt.Printf("system=%s workload=%s clients=%d\n", *system, *workload, *clients)
-	fmt.Printf("committed=%d  throughput=%.3f Mtxns/s\n", total, float64(total)/window/1e6)
-	fmt.Printf("totals: %s\n", agg)
+	fmt.Printf("committed=%d  throughput=%.3f Mtxns/s\n", pt.Committed, pt.Mtxns)
+	fmt.Printf("totals: %s\n", pt.Totals)
 }

@@ -9,15 +9,13 @@
 package fasstrpc
 
 import (
-	"fmt"
-
+	"scalerpc/internal/baseline"
 	"scalerpc/internal/host"
 	"scalerpc/internal/memory"
 	"scalerpc/internal/nic"
 	"scalerpc/internal/rpccore"
 	"scalerpc/internal/rpcwire"
 	"scalerpc/internal/sim"
-	"scalerpc/internal/telemetry"
 )
 
 // ServerConfig sizes a FaSST server.
@@ -42,235 +40,137 @@ func DefaultServerConfig() ServerConfig {
 		RecvDepth:      512,
 		PollTimeout:    20 * sim.Microsecond,
 		ParseCost:      60,
-		ClientOverhead: 350,
+		ClientOverhead: baseline.UDClientOverhead,
 		ClientWindow:   16,
 	}
 }
 
-const scratchRing = 64
-
-type worker struct {
-	s          *Server
-	idx        int
-	qp         *nic.QP
-	cq         *nic.CQ
-	recv       *memory.Region
-	scratch    *memory.Region
-	scratchIdx int
-	buf        []byte
-	toRepost   []nic.RecvWR
-	Served     uint64
+// recvRing is one worker's ring of posted receive blocks: FaSST's request
+// half on the server side.
+type recvRing struct {
+	reg      *memory.Region
+	toRepost []nic.RecvWR
 }
 
-// Server is a FaSST RPC server.
+// Server is a FaSST RPC server: one UD QP per worker carries requests in
+// and responses out.
 type Server struct {
-	Cfg      ServerConfig
-	Host     *host.Host
-	handlers [256]rpccore.Handler
-	workers  []*worker
-	nextCli  uint16
-	started  bool
+	Cfg  ServerConfig
+	Host *host.Host
+	*baseline.Shell
+
+	rings   []*recvRing // by worker
+	nextCli uint16
 }
 
-// NewServer builds per-worker UD QPs and recv rings.
+// NewServer builds per-worker UD QPs and posts each one's recv ring with
+// one doorbell.
 func NewServer(h *host.Host, cfg ServerConfig) *Server {
-	s := &Server{Cfg: cfg, Host: h}
-	var tel telemetry.Scope
-	if reg := h.Tel.Registry(); reg != nil {
-		tel = reg.UniqueScope("fasstrpc")
-	}
+	s := &Server{Cfg: cfg, Host: h, Shell: baseline.NewShell(h, "fasstrpc", cfg.BlockSize, cfg.ClientWindow)}
 	for i := 0; i < cfg.Workers; i++ {
 		cq := h.NIC.CreateCQ()
-		w := &worker{
-			s:       s,
-			idx:     i,
-			cq:      cq,
-			qp:      h.NIC.CreateQP(nic.UD, cq, cq),
-			recv:    h.Mem.Register(cfg.BlockSize*cfg.RecvDepth, memory.PageSize2M, memory.LocalWrite),
-			scratch: h.Mem.Register(cfg.BlockSize*scratchRing, memory.PageSize2M, memory.LocalWrite),
-			buf:     make([]byte, cfg.BlockSize),
+		qp := h.NIC.CreateQP(nic.UD, cq, cq)
+		ring := &recvRing{reg: h.Mem.Register(cfg.BlockSize*cfg.RecvDepth, memory.PageSize2M, memory.LocalWrite)}
+		s.rings = append(s.rings, ring)
+		w := s.AddWorker()
+		w.CQ, w.QP = cq, qp
+		wrs := make([]nic.RecvWR, cfg.RecvDepth)
+		for r := range wrs {
+			wrs[r] = s.recvWR(ring, uint64(r))
 		}
-		tel.Scope(fmt.Sprintf("server.w%d", i)).CounterVar("served", &w.Served)
-		s.workers = append(s.workers, w)
+		qp.PostRecvBatch(wrs)
 	}
 	return s
 }
 
-// Register installs a handler.
-func (s *Server) Register(id uint8, fn rpccore.Handler) { s.handlers[id] = fn }
+// Start launches the worker threads.
+func (s *Server) Start() { s.Spawn("fasst", s.run) }
 
-// Start launches the worker threads and posts the initial recv rings.
-func (s *Server) Start() {
-	if s.started {
-		return
-	}
-	s.started = true
-	for i, w := range s.workers {
-		w := w
-		// Initial recv ring, posted with one doorbell.
-		var wrs []nic.RecvWR
-		for r := 0; r < s.Cfg.RecvDepth; r++ {
-			wrs = append(wrs, nic.RecvWR{
-				WRID: uint64(r),
-				LKey: w.recv.LKey, LAddr: w.recv.Base + uint64(r*s.Cfg.BlockSize), Len: s.Cfg.BlockSize,
-			})
-		}
-		w.qp.PostRecvBatch(wrs)
-		s.Host.Spawn(fmt.Sprintf("fasst-w%d", i), w.run)
-	}
+func (s *Server) recvWR(ring *recvRing, r uint64) nic.RecvWR {
+	return nic.RecvWR{WRID: r, LKey: ring.reg.LKey, LAddr: ring.reg.Base + r*uint64(s.Cfg.BlockSize), Len: s.Cfg.BlockSize}
 }
 
-func (w *worker) run(t *host.Thread) {
+func (s *Server) run(t *host.Thread, w *baseline.Worker) {
+	ring := s.rings[w.Idx]
 	for {
-		cqes := t.PollCQ(w.cq, 16)
+		cqes := t.PollCQ(w.CQ, 16)
 		if len(cqes) == 0 {
 			// Batch-repost consumed receives before sleeping.
-			w.repost(t)
-			w.cq.Sig.WaitTimeout(t.P, w.s.Cfg.PollTimeout)
+			s.repost(t, w, ring)
+			w.CQ.Sig.WaitTimeout(t.P, s.Cfg.PollTimeout)
 			continue
 		}
 		for _, e := range cqes {
 			if e.Status != nic.CQOK {
 				continue
 			}
-			addr := w.recv.Base + e.WRID*uint64(w.s.Cfg.BlockSize)
-			t.ReadMem(addr, e.ByteLen)
-			buf := w.recv.Bytes()[e.WRID*uint64(w.s.Cfg.BlockSize):]
-			t.Work(w.s.Cfg.ParseCost)
-			w.serve(t, e, buf[:e.ByteLen])
-			w.toRepost = append(w.toRepost, nic.RecvWR{
-				WRID: e.WRID, LKey: w.recv.LKey, LAddr: addr, Len: w.s.Cfg.BlockSize,
-			})
+			wr := s.recvWR(ring, e.WRID)
+			t.ReadMem(wr.LAddr, e.ByteLen)
+			off := e.WRID * uint64(s.Cfg.BlockSize)
+			req := ring.reg.Bytes()[off : off+uint64(e.ByteLen)]
+			t.Work(s.Cfg.ParseCost)
+			// No per-client state on the server: the request names its
+			// client, and the response returns to the QP it came from. (A
+			// frame too short to name one parses as client 0 and Dispatch
+			// answers it with an error.)
+			hdr, _, _ := rpcwire.ParseHeader(req)
+			if w.Dispatch(t, hdr.ClientID, req) {
+				w.SendResponse(t, w.QP, e.SrcNIC, e.SrcQPN)
+			}
+			ring.toRepost = append(ring.toRepost, wr)
 			w.Served++
 		}
-		if len(w.toRepost) >= 16 {
-			w.repost(t)
+		if len(ring.toRepost) >= 16 {
+			s.repost(t, w, ring)
 		}
 	}
 }
 
-func (w *worker) repost(t *host.Thread) {
-	if len(w.toRepost) == 0 {
+func (s *Server) repost(t *host.Thread, w *baseline.Worker, ring *recvRing) {
+	if len(ring.toRepost) == 0 {
 		return
 	}
-	t.PostRecvBatch(w.qp, w.toRepost)
-	w.toRepost = w.toRepost[:0]
-}
-
-// serve executes the handler and UD-sends the response back to the
-// requesting QP (taken from the recv completion's source address).
-func (w *worker) serve(t *host.Thread, e nic.CQE, req []byte) {
-	s := w.s
-	hdr, body, err := rpcwire.ParseHeader(req)
-	var errFlag uint32
-	n := rpcwire.PutHeader(w.buf, rpcwire.Header{ReqID: hdr.ReqID, Handler: hdr.Handler, ClientID: hdr.ClientID})
-	respLen := n
-	if err == nil && s.handlers[hdr.Handler] != nil {
-		respLen = n + s.handlers[hdr.Handler](t, hdr.ClientID, body, w.buf[n:])
-	} else {
-		errFlag = 1
-	}
-	blockOff := w.scratchIdx * s.Cfg.BlockSize
-	w.scratchIdx = (w.scratchIdx + 1) % scratchRing
-	copy(w.scratch.Bytes()[blockOff:], w.buf[:respLen])
-	t.WriteMem(w.scratch.Base+uint64(blockOff), respLen)
-	wr := nic.SendWR{
-		Op:     nic.OpSend,
-		LKey:   w.scratch.LKey,
-		LAddr:  w.scratch.Base + uint64(blockOff),
-		Len:    respLen,
-		DstNIC: e.SrcNIC,
-		DstQPN: e.SrcQPN,
-		Imm:    errFlag,
-	}
-	if respLen <= s.Host.NIC.Cfg.MaxInline {
-		wr.Inline = true
-	}
-	t.PostSend(w.qp, wr)
-}
-
-// Served returns total requests processed.
-func (s *Server) Served() uint64 {
-	var n uint64
-	for _, w := range s.workers {
-		n += w.Served
-	}
-	return n
+	t.PostRecvBatch(w.QP, ring.toRepost)
+	ring.toRepost = ring.toRepost[:0]
 }
 
 // Conn is a FaSST client endpoint: one UD QP, a recv ring, a send window.
 type Conn struct {
+	baseline.Window
+	resp  baseline.UDRecv
 	id    uint16
 	h     *host.Host
 	s     *Server
-	qp    *nic.QP
-	cq    *nic.CQ
 	stage *memory.Region
-	recv  *memory.Region
-	slots []slot
-	nfree int
 	// Target server worker QP (clients are spread over workers).
 	dstNIC int
 	dstQPN uint32
 }
 
-type slot struct {
-	busy  bool
-	reqID uint64
-}
-
 // Connect admits a client (no connection state on the server: it only
 // assigns an id and a worker QP to address).
 func (s *Server) Connect(ch *host.Host, sig *sim.Signal) *Conn {
-	id := s.nextCli
-	s.nextCli++
-	cq := ch.NIC.CreateCQ()
-	cq.Sig = sig
-	qp := ch.NIC.CreateQP(nic.UD, cq, cq)
-	w := s.workers[int(id)%len(s.workers)]
 	window := s.Cfg.ClientWindow
-	conn := &Conn{
-		id:     id,
+	c := &Conn{
+		Window: baseline.NewWindow(window),
+		id:     s.nextCli,
 		h:      ch,
 		s:      s,
-		qp:     qp,
-		cq:     cq,
-		stage:  ch.Mem.Register(s.Cfg.BlockSize*window, memory.PageSize2M, memory.LocalWrite),
-		recv:   ch.Mem.Register(s.Cfg.BlockSize*window*2, memory.PageSize2M, memory.LocalWrite),
-		slots:  make([]slot, window),
-		nfree:  window,
 		dstNIC: s.Host.NIC.ID(),
-		dstQPN: w.qp.QPN,
+		dstQPN: s.Workers[int(s.nextCli)%len(s.Workers)].QP.QPN,
 	}
-	for i := 0; i < window*2; i++ {
-		qp.PostRecv(nic.RecvWR{
-			WRID: uint64(i),
-			LKey: conn.recv.LKey, LAddr: conn.recv.Base + uint64(i*s.Cfg.BlockSize), Len: s.Cfg.BlockSize,
-		})
-	}
-	return conn
+	s.nextCli++
+	c.resp = baseline.NewUDRecv(ch, sig, s.Cfg.ClientOverhead)
+	c.stage = ch.Mem.Register(s.Cfg.BlockSize*window, memory.PageSize2M, memory.LocalWrite)
+	c.resp.PostRing(ch, s.Cfg.BlockSize, window*2)
+	return c
 }
-
-// SlotCount returns the request window size.
-func (c *Conn) SlotCount() int { return len(c.slots) }
-
-// Outstanding returns in-flight requests.
-func (c *Conn) Outstanding() int { return len(c.slots) - c.nfree }
 
 // TrySend UD-sends one request to the client's assigned server worker.
 func (c *Conn) TrySend(t *host.Thread, handler uint8, payload []byte, reqID uint64) bool {
-	if c.nfree == 0 {
-		return false
-	}
-	b := -1
-	for i := range c.slots {
-		if !c.slots[i].busy {
-			b = i
-			break
-		}
-	}
+	b := c.FreeSlot()
 	msgLen := rpcwire.HeaderSize + len(payload)
-	if msgLen > c.s.Cfg.BlockSize {
+	if b < 0 || msgLen > c.s.Cfg.BlockSize {
 		return false
 	}
 	blockOff := b * c.s.Cfg.BlockSize
@@ -279,54 +179,25 @@ func (c *Conn) TrySend(t *host.Thread, handler uint8, payload []byte, reqID uint
 	copy(buf[rpcwire.HeaderSize:], payload)
 	t.WriteMem(c.stage.Base+uint64(blockOff), msgLen)
 	t.Work(c.s.Cfg.ClientOverhead)
-	wr := nic.SendWR{
+	err := t.PostSend(c.resp.QP, nic.SendWR{
 		Op:     nic.OpSend,
 		LKey:   c.stage.LKey,
 		LAddr:  c.stage.Base + uint64(blockOff),
 		Len:    msgLen,
+		Inline: msgLen <= c.h.NIC.Cfg.MaxInline,
 		DstNIC: c.dstNIC,
 		DstQPN: c.dstQPN,
-	}
-	if msgLen <= c.h.NIC.Cfg.MaxInline {
-		wr.Inline = true
-	}
-	if err := t.PostSend(c.qp, wr); err != nil {
+	})
+	if err != nil {
 		return false
 	}
-	c.slots[b] = slot{busy: true, reqID: reqID}
-	c.nfree--
+	c.Take(b, reqID, msgLen)
 	return true
 }
 
 // Poll drains the response CQ, reposting receives.
 func (c *Conn) Poll(t *host.Thread, fn func(rpccore.Response)) int {
-	t.Work(c.s.Cfg.ClientOverhead)
-	cqes := t.PollCQ(c.cq, 16)
-	got := 0
-	for _, e := range cqes {
-		if e.Status != nic.CQOK {
-			continue
-		}
-		addr := c.recv.Base + e.WRID*uint64(c.s.Cfg.BlockSize)
-		t.ReadMem(addr, e.ByteLen)
-		buf := c.recv.Bytes()[e.WRID*uint64(c.s.Cfg.BlockSize):]
-		hdr, body, err := rpcwire.ParseHeader(buf[:e.ByteLen])
-		t.PostRecv(c.qp, nic.RecvWR{WRID: e.WRID, LKey: c.recv.LKey, LAddr: addr, Len: c.s.Cfg.BlockSize})
-		if err != nil {
-			continue
-		}
-		// Find the matching slot by request id.
-		for b := range c.slots {
-			if c.slots[b].busy && c.slots[b].reqID == hdr.ReqID {
-				c.slots[b] = slot{}
-				c.nfree++
-				fn(rpccore.Response{ReqID: hdr.ReqID, Payload: body, Err: e.ImmValid && e.Imm == 1})
-				got++
-				break
-			}
-		}
-	}
-	return got
+	return c.resp.Poll(t, &c.Window, fn)
 }
 
 var _ rpccore.Server = (*Server)(nil)

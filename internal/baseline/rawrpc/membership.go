@@ -12,9 +12,9 @@ import (
 	"errors"
 	"fmt"
 
+	"scalerpc/internal/baseline"
 	"scalerpc/internal/ctrlplane"
 	"scalerpc/internal/host"
-	"scalerpc/internal/memory"
 	"scalerpc/internal/nic"
 	"scalerpc/internal/rpcwire"
 	"scalerpc/internal/sim"
@@ -103,14 +103,7 @@ func (a *ctrlAdapter) Accept(t *host.Thread, peer int, qp *nic.QP, payload []byt
 	if err != nil {
 		return nil, 0, err
 	}
-	cs := &clientState{
-		id:       id,
-		qp:       qp,
-		zone:     int(id),
-		respAddr: binary.LittleEndian.Uint64(payload),
-		respRKey: binary.LittleEndian.Uint32(payload[8:]),
-		tenant:   tenant,
-	}
+	cs := &clientState{id: id, qp: qp, resp: joinZone(payload), tenant: tenant}
 	if int(id) == len(s.clients) {
 		s.clients = append(s.clients, cs)
 	} else {
@@ -118,9 +111,9 @@ func (a *ctrlAdapter) Accept(t *host.Thread, peer int, qp *nic.QP, payload []byt
 		// occupant; clear them so the sweep doesn't serve ghosts, and
 		// drop any dedup state left under the reused id.
 		for b := 0; b < s.Cfg.BlocksPerClient; b++ {
-			rpcwire.Clear(s.pool.Block(cs.zone, b))
+			rpcwire.Clear(s.Req.Block(int(id), b))
 		}
-		s.replies.Drop(id)
+		s.Replies.Drop(id)
 		s.clients[id] = cs
 	}
 	s.tenantOpen(cs)
@@ -246,7 +239,7 @@ func (s *Server) releaseID(id uint16) {
 	}
 	s.clients[id] = nil
 	s.freeIDs = append(s.freeIDs, id)
-	s.replies.Drop(id)
+	s.Replies.Drop(id)
 }
 
 func joinResp(cs *clientState) []byte {
@@ -275,14 +268,21 @@ func (s *Server) findParked(payload []byte) *clientState {
 	if len(payload) != joinReqSize {
 		return nil
 	}
-	respAddr := binary.LittleEndian.Uint64(payload)
-	respRKey := binary.LittleEndian.Uint32(payload[8:])
+	zone := joinZone(payload)
 	for _, cs := range s.clients {
-		if cs != nil && (cs.parked || cs.limbo) && cs.respAddr == respAddr && cs.respRKey == respRKey {
+		if cs != nil && (cs.parked || cs.limbo) && cs.resp == zone {
 			return cs
 		}
 	}
 	return nil
+}
+
+// joinZone decodes the response zone a join payload names.
+func joinZone(payload []byte) baseline.RespZone {
+	return baseline.RespZone{
+		Addr: binary.LittleEndian.Uint64(payload),
+		RKey: binary.LittleEndian.Uint32(payload[8:]),
+	}
 }
 
 // Join admits a client through the control plane under the default tenant:
@@ -300,21 +300,8 @@ func (s *Server) JoinTenant(t *host.Thread, dir *ctrlplane.Directory, sig *sim.S
 	if mgr == nil {
 		return nil, fmt.Errorf("rawrpc: no control-plane manager on host %d", ch.ID)
 	}
-	stage := ch.Mem.Register(s.Cfg.BlockSize*s.Cfg.BlocksPerClient,
-		memory.PageSize2M, memory.LocalWrite|memory.RemoteRead)
-	respReg := ch.Mem.Register(s.Cfg.BlockSize*(s.Cfg.BlocksPerClient+1),
-		memory.PageSize2M, memory.LocalWrite|memory.RemoteWrite)
-	c := &Conn{
-		h:          ch,
-		s:          s,
-		stage:      stage,
-		resp:       rpcwire.NewPool(respReg, s.Cfg.BlockSize, s.Cfg.BlocksPerClient+1, 1),
-		sig:        sig,
-		slots:      make([]slot, s.Cfg.BlocksPerClient),
-		nfree:      s.Cfg.BlocksPerClient,
-		mgr:        mgr,
-		joinTenant: tenant,
-	}
+	c := s.newConn(ch, sig)
+	c.mgr, c.joinTenant = mgr, tenant
 	cp, err := mgr.Dial(t, s.Host.ID, ServiceName, c.joinPayload())
 	if err != nil {
 		return nil, err
@@ -322,12 +309,11 @@ func (s *Server) JoinTenant(t *host.Thread, dir *ctrlplane.Directory, sig *sim.S
 	if err := c.adoptDial(cp); err != nil {
 		return nil, err
 	}
-	ch.NIC.WatchRegion(respReg.RKey, sig)
 	return c, nil
 }
 
 // ID returns the server-assigned client id (also the static zone).
-func (c *Conn) ID() uint16 { return c.id }
+func (c *Conn) ID() uint16 { return c.req.ID }
 
 // Left reports whether the connection is currently departed.
 func (c *Conn) Left() bool { return c.left }
@@ -351,10 +337,10 @@ func (c *Conn) Rejoin(t *host.Thread) error {
 	if c.mgr == nil {
 		return ErrNotManaged
 	}
-	if !c.left && c.qp.Err() == nil {
+	if !c.left && c.req.QP.Err() == nil {
 		return nil
 	}
-	oldID := c.id
+	oldID := c.req.ID
 	cp, err := c.mgr.Dial(t, c.s.Host.ID, ServiceName, c.joinPayload())
 	if err != nil {
 		return err
@@ -363,7 +349,7 @@ func (c *Conn) Rejoin(t *host.Thread) error {
 		return err
 	}
 	c.left = false
-	if c.id != oldID {
+	if c.req.ID != oldID {
 		c.repostStaged(t)
 	}
 	return nil
@@ -371,8 +357,9 @@ func (c *Conn) Rejoin(t *host.Thread) error {
 
 func (c *Conn) joinPayload() []byte {
 	p := make([]byte, joinReqSize)
-	binary.LittleEndian.PutUint64(p, c.resp.Region.Base)
-	binary.LittleEndian.PutUint32(p[8:], c.resp.Region.RKey)
+	zone := c.resp.Zone()
+	binary.LittleEndian.PutUint64(p, zone.Addr)
+	binary.LittleEndian.PutUint32(p[8:], zone.RKey)
 	binary.LittleEndian.PutUint16(p[12:], c.joinTenant)
 	return p
 }
@@ -382,9 +369,8 @@ func (c *Conn) adoptDial(cp *ctrlplane.Conn) error {
 		return fmt.Errorf("rawrpc: join response is %d bytes, want %d", len(cp.Payload), joinRespSize)
 	}
 	c.cp = cp
-	c.qp = cp.QP
-	c.id = binary.LittleEndian.Uint16(cp.Payload)
-	c.zone = int(c.id)
+	c.req.QP = cp.QP
+	c.req.ID = binary.LittleEndian.Uint16(cp.Payload)
 	return nil
 }
 
@@ -393,23 +379,9 @@ func (c *Conn) adoptDial(cp *ctrlplane.Conn) error {
 // from the zone, so the staged bytes need no restamp; the old zone's
 // leftovers are cleared when that id is reused.
 func (c *Conn) repostStaged(t *host.Thread) {
-	for b := range c.slots {
-		if !c.slots[b].busy {
-			continue
+	for b := range c.Slots {
+		if c.Slots[b].Busy {
+			c.req.Post(t, b, c.Slots[b].MsgLen)
 		}
-		blockOff := b * c.s.Cfg.BlockSize
-		off, span := rpcwire.EncodedSpan(c.s.Cfg.BlockSize, c.slots[b].msgLen)
-		wr := nic.SendWR{
-			Op:    nic.OpWrite,
-			LKey:  c.stage.LKey,
-			LAddr: c.stage.Base + uint64(blockOff+off),
-			Len:   span,
-			RKey:  c.s.pool.RKey(),
-			RAddr: c.s.pool.BlockAddr(c.zone, b) + uint64(off),
-		}
-		if span <= c.h.NIC.Cfg.MaxInline {
-			wr.Inline = true
-		}
-		t.PostSend(c.qp, wr)
 	}
 }

@@ -11,16 +11,12 @@
 package rawrpc
 
 import (
-	"fmt"
-
+	"scalerpc/internal/baseline"
 	"scalerpc/internal/ctrlplane"
 	"scalerpc/internal/host"
-	"scalerpc/internal/memory"
 	"scalerpc/internal/nic"
 	"scalerpc/internal/rpccore"
-	"scalerpc/internal/rpcwire"
 	"scalerpc/internal/sim"
-	"scalerpc/internal/telemetry"
 )
 
 // ServerConfig sizes a RawWrite server.
@@ -48,16 +44,16 @@ func DefaultServerConfig() ServerConfig {
 	}
 }
 
-// Server is a RawWrite RPC server.
+// Server is a RawWrite RPC server: requests arrive by RC WRITE into a
+// statically mapped pool the workers sweep, responses leave by RC WRITE.
 type Server struct {
 	Cfg  ServerConfig
 	Host *host.Host
+	*baseline.Shell
+	// Req is the request pool, one zone per client id.
+	Req baseline.ReqPool
 
-	pool     *rpcwire.Pool
-	handlers [256]rpccore.Handler
-	clients  []*clientState
-	workers  []*worker
-	started  bool
+	clients []*clientState
 
 	// freeIDs holds zones released by the control-plane adapter when a
 	// client is dropped (lease expiry, cache teardown).
@@ -67,22 +63,16 @@ type Server struct {
 	// when the quarantine overflows.
 	limbo []uint16
 
-	// rel is the registry-shared reliability counter block; replies is the
-	// bounded exactly-once reply cache consulted before every handler run.
-	rel     *rpccore.RelStats
-	replies *rpccore.ReplyCache
-
 	// gate, when set, charges every zone to a tenant (tenancy.go).
 	gate TenantGate
 }
 
-// clientState is the server-side view of one connected client.
+// clientState is the server-side view of one connected client; its zone
+// in the pool is its id.
 type clientState struct {
-	id       uint16
-	qp       *nic.QP
-	zone     int
-	respAddr uint64 // base of the client's response zone
-	respRKey uint32
+	id   uint16
+	qp   *nic.QP
+	resp baseline.RespZone
 
 	// parked marks a control-plane client that gracefully left; the zone
 	// stays statically mapped (and swept) until the client is dropped.
@@ -98,123 +88,52 @@ type clientState struct {
 	counted bool
 }
 
-// scratchRing is the number of response staging blocks per worker; the
-// ring must be deep enough that the NIC has gathered a block before it is
-// reused.
-const scratchRing = 64
-
-type worker struct {
-	s          *Server
-	idx        int
-	sig        *sim.Signal
-	scratch    *memory.Region // scratchRing × BlockSize response staging
-	scratchIdx int
-	buf        []byte // response assembly buffer (no memory-model cost)
-	// req holds a stable snapshot of the frame being served: the pool
-	// block is live RDMA-writable memory, and the serve path yields
-	// virtual time (ReadMem, ParseCost, the handler's own Work), during
-	// which an in-flight duplicate write may overwrite the block.
-	req []byte
-	// Served counts requests this worker processed.
-	Served uint64
-}
-
-// NewServer allocates the pool and worker bookkeeping.
+// NewServer allocates the pool and worker bookkeeping. The pool is fully
+// formatted up front from MaxClients (static mapping, which is precisely
+// the design the paper criticizes).
 func NewServer(h *host.Host, cfg ServerConfig) *Server {
-	poolReg := h.Mem.Register(cfg.BlockSize*cfg.BlocksPerClient*cfg.MaxClients,
-		memory.PageSize2M, memory.LocalWrite|memory.RemoteWrite)
-	s := &Server{
-		Cfg:     cfg,
-		Host:    h,
-		pool:    rpcwire.NewPool(poolReg, cfg.BlockSize, cfg.BlocksPerClient, cfg.MaxClients),
-		replies: rpccore.NewReplyCache(cfg.BlocksPerClient),
-	}
-	s.rel = rpccore.SharedRel(h.Tel.Registry())
-	var tel telemetry.Scope
-	if reg := h.Tel.Registry(); reg != nil {
-		tel = reg.UniqueScope("rawrpc")
-	}
+	s := &Server{Cfg: cfg, Host: h, Shell: baseline.NewShell(h, "rawrpc", cfg.BlockSize, cfg.BlocksPerClient)}
+	s.Req = s.NewReqPool(cfg.BlocksPerClient, cfg.MaxClients, cfg.ParseCost)
 	for i := 0; i < cfg.Workers; i++ {
-		w := &worker{
-			s:       s,
-			idx:     i,
-			sig:     sim.NewSignal(h.Env),
-			scratch: h.Mem.Register(cfg.BlockSize*scratchRing, memory.PageSize2M, memory.LocalWrite),
-			buf:     make([]byte, cfg.BlockSize),
-		}
-		h.NIC.WatchRegion(poolReg.RKey, w.sig)
-		tel.Scope(fmt.Sprintf("server.w%d", i)).CounterVar("served", &w.Served)
-		s.workers = append(s.workers, w)
+		h.NIC.WatchRegion(s.Req.RKey(), s.AddWorker().Sig)
 	}
 	return s
 }
 
-// Register installs a handler.
-func (s *Server) Register(id uint8, fn rpccore.Handler) { s.handlers[id] = fn }
+// Start launches worker threads.
+func (s *Server) Start() { s.Spawn("rawrpc", s.run) }
 
-// Start launches worker threads. Zone ranges are fixed at start from
-// MaxClients (static mapping: the pool is fully formatted up front, which
-// is precisely the design the paper criticizes).
-func (s *Server) Start() {
-	if s.started {
-		return
-	}
-	s.started = true
-	for i, w := range s.workers {
-		w := w
-		s.Host.Spawn(fmt.Sprintf("rawrpc-w%d", i), w.run)
-	}
-}
-
-func (w *worker) run(t *host.Thread) {
+func (s *Server) run(t *host.Thread, w *baseline.Worker) {
 	for {
-		n := w.sweep(t)
-		if n == 0 {
-			w.sig.WaitTimeout(t.P, w.s.Cfg.PollTimeout)
+		if s.sweep(t, w) == 0 {
+			w.Sig.WaitTimeout(t.P, s.Cfg.PollTimeout)
 		}
 	}
 }
 
 // sweep scans this worker's zones once, serving every valid request.
-func (w *worker) sweep(t *host.Thread) int {
+func (s *Server) sweep(t *host.Thread, w *baseline.Worker) int {
 	// Zones are striped across workers so server CPU engages evenly even
 	// when few clients are connected, and the scan is block-major (all
 	// clients' slot 0, then slot 1, ...) so responses to different clients
 	// interleave — the order a fair scanner produces, and the reason
 	// RawWrite's response path cannot hide its QP-cache misses behind
 	// per-client response bursts.
-	s := w.s
 	served := 0
 	for b := 0; b < s.Cfg.BlocksPerClient; b++ {
-		for z := w.idx; z < s.Cfg.MaxClients; z += s.Cfg.Workers {
-			if z >= len(s.clients) || s.clients[z] == nil {
-				continue
-			}
+		for z := w.Idx; z < len(s.clients); z += s.Cfg.Workers {
 			cs := s.clients[z]
-			t.ReadMem(s.pool.ValidAddr(z, b), 1)
-			block := s.pool.Block(z, b)
-			if !rpcwire.Valid(block) {
+			if cs == nil {
 				continue
 			}
-			payload, _, err := rpcwire.Decode(block)
-			if err != nil {
-				// Valid landed but the CRC failed: corruption past the NIC.
-				// Treat as loss — the client's retry re-delivers.
-				s.rel.CRCDrops++
-				rpcwire.Clear(block)
-				t.WriteMem(s.pool.ValidAddr(z, b), 1)
+			req, ok := s.Req.Sweep(t, w, z, b)
+			if !ok {
 				continue
 			}
-			// Snapshot the CRC-validated frame before yielding: ReadMem,
-			// ParseCost and the handler all advance virtual time, and an
-			// in-flight duplicate write may overwrite the pool block.
-			w.req = append(w.req[:0], payload...)
-			t.ReadMem(s.pool.BlockAddr(z, b)+uint64(s.Cfg.BlockSize-rpcwire.TrailerSize-len(payload)),
-				len(payload)+rpcwire.TrailerSize)
-			t.Work(s.Cfg.ParseCost)
-			s.serve(t, w, cs, b, w.req)
-			rpcwire.Clear(block)
-			t.WriteMem(s.pool.ValidAddr(z, b), 1)
+			if w.Dispatch(t, cs.id, req) {
+				w.WriteResponse(t, cs.qp, cs.resp, b)
+			}
+			s.Req.Release(t, z, b)
 			served++
 			w.Served++
 		}
@@ -222,91 +141,12 @@ func (w *worker) sweep(t *host.Thread) int {
 	return served
 }
 
-// serve runs the handler and writes the response into the client's
-// response block for the same slot. Duplicates — retries after a timeout
-// or a crash/rejoin re-post — are answered from the reply cache without
-// re-running the handler.
-func (s *Server) serve(t *host.Thread, w *worker, cs *clientState, slot int, req []byte) {
-	hdr, body, err := rpcwire.ParseHeader(req)
-	if err != nil {
-		s.respond(t, w, cs, slot, w.buf[:rpcwire.PutHeader(w.buf, rpcwire.Header{ClientID: uint16(cs.zone)})], rpcwire.FlagError)
-		return
-	}
-	n := rpcwire.PutHeader(w.buf, rpcwire.Header{ReqID: hdr.ReqID, Handler: hdr.Handler, ClientID: uint16(cs.zone)})
-	if dup, rep, ready := s.replies.Admit(cs.id, hdr.ReqID); dup {
-		s.rel.DedupHits++
-		if ready {
-			var flags byte
-			if rep.Err {
-				flags = rpcwire.FlagError
-			}
-			m := copy(w.buf[n:len(w.buf)-rpcwire.TrailerSize], rep.Payload)
-			s.respond(t, w, cs, slot, w.buf[:n+m], flags)
-		}
-		return
-	}
-	var flags byte
-	respLen := n
-	if s.handlers[hdr.Handler] != nil {
-		respLen = n + s.handlers[hdr.Handler](t, cs.id, body, w.buf[n:len(w.buf)-rpcwire.TrailerSize])
-	} else {
-		flags = rpcwire.FlagError
-	}
-	s.replies.Commit(cs.id, hdr.ReqID, w.buf[n:respLen], flags == rpcwire.FlagError)
-	s.respond(t, w, cs, slot, w.buf[:respLen], flags)
-}
-
-// respond encodes the response into the worker's next scratch ring block
-// and RDMA-writes it to the client's response slot.
-func (s *Server) respond(t *host.Thread, w *worker, cs *clientState, slot int, msg []byte, flags byte) {
-	blockOff := w.scratchIdx * s.Cfg.BlockSize
-	w.scratchIdx = (w.scratchIdx + 1) % scratchRing
-	block := w.scratch.Bytes()[blockOff : blockOff+s.Cfg.BlockSize]
-	if err := rpcwire.Encode(block, msg, flags); err != nil {
-		return
-	}
-	off, span := rpcwire.EncodedSpan(s.Cfg.BlockSize, len(msg))
-	t.WriteMem(w.scratch.Base+uint64(blockOff+off), span)
-	wr := nic.SendWR{
-		Op:    nic.OpWrite,
-		LKey:  w.scratch.LKey,
-		LAddr: w.scratch.Base + uint64(blockOff+off),
-		Len:   span,
-		RKey:  cs.respRKey,
-		RAddr: cs.respAddr + uint64(slot*s.Cfg.BlockSize+off),
-	}
-	if span <= s.Host.NIC.Cfg.MaxInline {
-		wr.Inline = true
-	}
-	t.PostSend(cs.qp, wr)
-}
-
-// Served returns the total number of requests processed.
-func (s *Server) Served() uint64 {
-	var n uint64
-	for _, w := range s.workers {
-		n += w.Served
-	}
-	return n
-}
-
 // Conn is a RawWrite client endpoint.
 type Conn struct {
-	id    uint16
-	h     *host.Host
-	s     *Server
-	qp    *nic.QP
-	zone  int
-	stage *memory.Region
-	resp  *rpcwire.Pool
-	sig   *sim.Signal
-	slots []slot
-	nfree int
-	// respBuf holds a stable snapshot of the response frame being
-	// delivered: the response block is live RDMA-writable memory, and the
-	// ReadMem/WriteMem in Poll yield virtual time during which a late
-	// duplicate response may overwrite the slot in place.
-	respBuf []byte
+	baseline.Window
+	req  baseline.ReqWriter
+	resp baseline.RespPool
+	s    *Server
 
 	// Control-plane membership state (membership.go); nil/false for
 	// connections admitted through the legacy Connect backdoor.
@@ -317,10 +157,15 @@ type Conn struct {
 	joinTenant uint16
 }
 
-type slot struct {
-	busy   bool
-	reqID  uint64
-	msgLen int // encoded message length, for control-plane re-posting
+// newConn registers the client's staging and response blocks; the caller
+// binds the QP and the id.
+func (s *Server) newConn(ch *host.Host, sig *sim.Signal) *Conn {
+	return &Conn{
+		Window: baseline.NewWindow(s.Cfg.BlocksPerClient),
+		req:    baseline.NewReqWriter(ch, s.Req.Pool, nic.OpWrite),
+		resp:   baseline.NewRespPool(ch, sig, s.Cfg.BlockSize, s.Cfg.BlocksPerClient, s.Rel),
+		s:      s,
+	}
 }
 
 // Connect registers a new client on the server and builds its endpoint.
@@ -329,7 +174,6 @@ func (s *Server) Connect(ch *host.Host, sig *sim.Signal) *Conn {
 	if len(s.clients) >= s.Cfg.MaxClients {
 		panic("rawrpc: server full")
 	}
-	id := uint16(len(s.clients))
 	// RC QP pair; both directions unsignaled (completion is the response).
 	scq := s.Host.NIC.CreateCQ()
 	ccq := ch.NIC.CreateCQ()
@@ -338,80 +182,15 @@ func (s *Server) Connect(ch *host.Host, sig *sim.Signal) *Conn {
 	if err := nic.Connect(sqp, cqp); err != nil {
 		panic(err)
 	}
-	stage := ch.Mem.Register(s.Cfg.BlockSize*s.Cfg.BlocksPerClient,
-		memory.PageSize2M, memory.LocalWrite|memory.RemoteRead)
-	respReg := ch.Mem.Register(s.Cfg.BlockSize*(s.Cfg.BlocksPerClient+1),
-		memory.PageSize2M, memory.LocalWrite|memory.RemoteWrite)
-	cs := &clientState{
-		id:       id,
-		qp:       sqp,
-		zone:     int(id),
-		respAddr: respReg.Base,
-		respRKey: respReg.RKey,
-	}
-	s.clients = append(s.clients, cs)
-	conn := &Conn{
-		id:    id,
-		h:     ch,
-		s:     s,
-		qp:    cqp,
-		zone:  int(id),
-		stage: stage,
-		resp:  rpcwire.NewPool(respReg, s.Cfg.BlockSize, s.Cfg.BlocksPerClient+1, 1),
-		sig:   sig,
-		slots: make([]slot, s.Cfg.BlocksPerClient),
-		nfree: s.Cfg.BlocksPerClient,
-	}
-	ch.NIC.WatchRegion(respReg.RKey, sig)
-	return conn
+	c := s.newConn(ch, sig)
+	c.req.QP, c.req.ID = cqp, uint16(len(s.clients))
+	s.clients = append(s.clients, &clientState{id: c.req.ID, qp: sqp, resp: c.resp.Zone()})
+	return c
 }
-
-// SlotCount returns the request window size.
-func (c *Conn) SlotCount() int { return len(c.slots) }
-
-// Outstanding returns in-flight requests.
-func (c *Conn) Outstanding() int { return len(c.slots) - c.nfree }
 
 // TrySend posts one request into a free slot of the client's server zone.
 func (c *Conn) TrySend(t *host.Thread, handler uint8, payload []byte, reqID uint64) bool {
-	if c.left || c.nfree == 0 {
-		return false
-	}
-	b := -1
-	for i := range c.slots {
-		if !c.slots[i].busy {
-			b = i
-			break
-		}
-	}
-	msg := make([]byte, rpcwire.HeaderSize+len(payload))
-	rpcwire.PutHeader(msg, rpcwire.Header{ReqID: reqID, Handler: handler, ClientID: c.id})
-	copy(msg[rpcwire.HeaderSize:], payload)
-
-	blockOff := b * c.s.Cfg.BlockSize
-	block := c.stage.Bytes()[blockOff : blockOff+c.s.Cfg.BlockSize]
-	if err := rpcwire.Encode(block, msg, 0); err != nil {
-		return false
-	}
-	off, span := rpcwire.EncodedSpan(c.s.Cfg.BlockSize, len(msg))
-	t.WriteMem(c.stage.Base+uint64(blockOff+off), span)
-	wr := nic.SendWR{
-		Op:    nic.OpWrite,
-		LKey:  c.stage.LKey,
-		LAddr: c.stage.Base + uint64(blockOff+off),
-		Len:   span,
-		RKey:  c.s.pool.RKey(),
-		RAddr: c.s.pool.BlockAddr(c.zone, b) + uint64(off),
-	}
-	if span <= c.h.NIC.Cfg.MaxInline {
-		wr.Inline = true
-	}
-	if err := t.PostSend(c.qp, wr); err != nil {
-		return false
-	}
-	c.slots[b] = slot{busy: true, reqID: reqID, msgLen: len(msg)}
-	c.nfree--
-	return true
+	return !c.left && c.req.Send(t, &c.Window, handler, payload, reqID)
 }
 
 // Poll scans this connection's in-flight response slots.
@@ -419,47 +198,7 @@ func (c *Conn) Poll(t *host.Thread, fn func(rpccore.Response)) int {
 	if c.left {
 		return 0
 	}
-	got := 0
-	for b := range c.slots {
-		if !c.slots[b].busy {
-			continue
-		}
-		t.ReadMem(c.resp.ValidAddr(0, b), 1)
-		block := c.resp.Block(0, b)
-		if !rpcwire.Valid(block) {
-			continue
-		}
-		payload, flags, err := rpcwire.Decode(block)
-		if err != nil {
-			// Corrupted response: treat as loss, keep the slot in flight so
-			// the deadline/retry layer recovers the call.
-			c.s.rel.CRCDrops++
-			rpcwire.Clear(block)
-			t.WriteMem(c.resp.ValidAddr(0, b), 1)
-			continue
-		}
-		// Snapshot the CRC-validated frame before yielding: ReadMem and
-		// the Clear/WriteMem below advance virtual time, and a late
-		// duplicate response write may overwrite the block under us.
-		c.respBuf = append(c.respBuf[:0], payload...)
-		t.ReadMem(c.resp.BlockAddr(0, b), len(payload)+rpcwire.TrailerSize)
-		hdr, body, herr := rpcwire.ParseHeader(c.respBuf)
-		if herr != nil || hdr.ReqID != c.slots[b].reqID {
-			// A stale response from a previous occupant of this slot (a
-			// zone reused across rejoin, or a late duplicate): the slot's
-			// own response is still outstanding, so keep it busy.
-			rpcwire.Clear(block)
-			t.WriteMem(c.resp.ValidAddr(0, b), 1)
-			continue
-		}
-		rpcwire.Clear(block)
-		t.WriteMem(c.resp.ValidAddr(0, b), 1)
-		c.slots[b].busy = false
-		c.nfree++
-		fn(rpccore.Response{ReqID: hdr.ReqID, Payload: body, Err: flags&rpcwire.FlagError != 0})
-		got++
-	}
-	return got
+	return c.resp.Poll(t, &c.Window, fn)
 }
 
 // Resend re-posts the in-flight request identified by reqID from its
@@ -467,32 +206,11 @@ func (c *Conn) Poll(t *host.Thread, fn func(rpccore.Response)) int {
 // behind Caller retries and hedges). Server-side dedup absorbs duplicate
 // deliveries.
 func (c *Conn) Resend(t *host.Thread, reqID uint64) bool {
-	if c.left || c.qp.Err() != nil {
+	if c.left || c.req.QP.Err() != nil {
 		return false
 	}
-	b := -1
-	for i := range c.slots {
-		if c.slots[i].busy && c.slots[i].reqID == reqID {
-			b = i
-			break
-		}
-	}
-	if b < 0 {
-		return false
-	}
-	off, span := rpcwire.EncodedSpan(c.s.Cfg.BlockSize, c.slots[b].msgLen)
-	wr := nic.SendWR{
-		Op:    nic.OpWrite,
-		LKey:  c.stage.LKey,
-		LAddr: c.stage.Base + uint64(b*c.s.Cfg.BlockSize+off),
-		Len:   span,
-		RKey:  c.s.pool.RKey(),
-		RAddr: c.s.pool.BlockAddr(c.zone, b) + uint64(off),
-	}
-	if span <= c.h.NIC.Cfg.MaxInline {
-		wr.Inline = true
-	}
-	return t.PostSend(c.qp, wr) == nil
+	b := c.Find(reqID)
+	return b >= 0 && c.req.Post(t, b, c.Slots[b].MsgLen)
 }
 
 var _ rpccore.Server = (*Server)(nil)

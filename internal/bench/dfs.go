@@ -2,8 +2,9 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 
-	"scalerpc/internal/baseline/selfrpc"
+	"scalerpc/internal/baseline/table2"
 	"scalerpc/internal/cluster"
 	"scalerpc/internal/host"
 	"scalerpc/internal/mdtest"
@@ -21,34 +22,37 @@ func init() {
 // filesPerClient is each client's preloaded private directory size.
 const filesPerClient = 128
 
-// runDFS measures one (transport, op, clients) metadata point and returns
-// kops/s.
-func runDFS(transport string, op mdtest.Op, nClients int, opts Options) float64 {
+// DFSPoint is one metadata data point's measurements.
+type DFSPoint struct {
+	Completed uint64  // inside the measurement window
+	Kops      float64 // completed per second, thousands
+	Server    octofs.Stats
+}
+
+// MeasureDFS runs nClients mdtest clients, batch requests outstanding
+// each, over private preloaded directories of files entries against one
+// metadata server reached over selfRPC or ScaleRPC (case-insensitive) —
+// the data point behind Figures 1(a) and 13 and cmd/mdtest.
+func MeasureDFS(transport string, op mdtest.Op, nClients, files, batch int, opts Options) (DFSPoint, error) {
 	c := cluster.New(cluster.Default(12))
 	defer c.Close()
 	srv := c.Hosts[0]
-	mdsCfg := octofs.DefaultConfig()
-	mds := octofs.NewMDS(srv, mdsCfg)
-	if !mds.Preload(nClients, filesPerClient) {
-		panic("bench: inode table too small")
+	mds := octofs.NewMDS(srv, octofs.DefaultConfig())
+	if !mds.Preload(nClients, files) {
+		return DFSPoint{}, fmt.Errorf("inode table too small for %d clients x %d files", nClients, files)
 	}
 
-	var connect func(*host.Host, *sim.Signal) rpccore.Conn
-	switch transport {
-	case "selfRPC":
-		cfg := selfrpc.DefaultServerConfig()
-		s := selfrpc.NewServer(srv, cfg)
-		mds.RegisterHandlers(s)
-		s.Start()
-		connect = func(ch *host.Host, sig *sim.Signal) rpccore.Conn { return s.Connect(ch, sig) }
-	case "ScaleRPC":
-		cfg := scalerpc.DefaultServerConfig()
-		s := scalerpc.NewServer(srv, cfg)
+	var connect table2.Connect
+	switch strings.ToLower(transport) {
+	case "selfrpc":
+		connect = startBaseline(transport, srv, mds.RegisterHandlers)
+	case "scalerpc":
+		s := scalerpc.NewServer(srv, scalerpc.DefaultServerConfig())
 		mds.RegisterHandlers(s)
 		s.Start()
 		connect = func(ch *host.Host, sig *sim.Signal) rpccore.Conn { return s.Connect(ch, sig) }
 	default:
-		panic("bench: unknown DFS transport " + transport)
+		return DFSPoint{}, fmt.Errorf("unknown DFS transport %q", transport)
 	}
 
 	horizon := opts.Warmup + opts.Duration
@@ -58,8 +62,8 @@ func runDFS(transport string, op mdtest.Op, nClients int, opts Options) float64 
 		ch := c.Hosts[1+i%11]
 		sig := sim.NewSignal(c.Env)
 		conn := connect(ch, sig)
-		w := mdtest.NewWorkload(op, i, filesPerClient, opts.Seed+uint64(i))
-		dcfg := w.DriverConfig(1, opts.Seed+uint64(i))
+		w := mdtest.NewWorkload(op, i, files, opts.Seed+uint64(i))
+		dcfg := w.DriverConfig(batch, opts.Seed+uint64(i))
 		dcfg.MeasureFrom = opts.Warmup
 		dcfg.StartDelay = sim.Duration(i%64) * 311
 		ch.Spawn(fmt.Sprintf("md%d", i), func(t *host.Thread) {
@@ -69,13 +73,23 @@ func runDFS(transport string, op mdtest.Op, nClients int, opts Options) float64 
 		})
 	}
 	c.Env.RunUntil(horizon + 200*sim.Microsecond)
-	var completed uint64
+	pt := DFSPoint{Server: mds.Stats}
 	for _, st := range results {
 		if st != nil {
-			completed += st.Completed
+			pt.Completed += st.Completed
 		}
 	}
-	return mops(completed, opts.Duration) * 1000 // kops/s
+	pt.Kops = mops(pt.Completed, opts.Duration) * 1000
+	return pt, nil
+}
+
+// runDFS is MeasureDFS at the figures' fixed shape, in kops/s.
+func runDFS(transport string, op mdtest.Op, nClients int, opts Options) float64 {
+	pt, err := MeasureDFS(transport, op, nClients, filesPerClient, 1, opts)
+	if err != nil {
+		panic(err)
+	}
+	return pt.Kops
 }
 
 func dfsClientSweep(quick bool) []int {

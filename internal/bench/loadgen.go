@@ -80,7 +80,7 @@ func runLoad(r loadRun) *loadgen.Report {
 			return s.ConnectLatencySensitive(ch, sig)
 		}
 	} else {
-		connect = buildTransport(r.transport, srv)
+		connect = startBaseline(r.transport, srv, registerEcho)
 		connectPinned = connect
 	}
 

@@ -3,9 +3,7 @@ package bench
 import (
 	"fmt"
 
-	"scalerpc/internal/baseline/fasstrpc"
-	"scalerpc/internal/baseline/herdrpc"
-	"scalerpc/internal/baseline/rawrpc"
+	"scalerpc/internal/baseline/table2"
 	"scalerpc/internal/cluster"
 	"scalerpc/internal/host"
 	"scalerpc/internal/rpccore"
@@ -61,32 +59,17 @@ type rpcOut struct {
 	completed uint64
 }
 
-// buildTransport constructs a started server of the named transport on h
-// and returns its connect function.
-func buildTransport(name string, h *host.Host) func(*host.Host, *sim.Signal) rpccore.Conn {
-	switch name {
-	case "RawWrite":
-		cfg := rawrpc.DefaultServerConfig()
-		s := rawrpc.NewServer(h, cfg)
-		s.Register(1, echoHandler)
-		s.Start()
-		return func(ch *host.Host, sig *sim.Signal) rpccore.Conn { return s.Connect(ch, sig) }
-	case "HERD":
-		cfg := herdrpc.DefaultServerConfig()
-		s := herdrpc.NewServer(h, cfg)
-		s.Register(1, echoHandler)
-		s.Start()
-		return func(ch *host.Host, sig *sim.Signal) rpccore.Conn { return s.Connect(ch, sig) }
-	case "FaSST":
-		cfg := fasstrpc.DefaultServerConfig()
-		s := fasstrpc.NewServer(h, cfg)
-		s.Register(1, echoHandler)
-		s.Start()
-		return func(ch *host.Host, sig *sim.Signal) rpccore.Conn { return s.Connect(ch, sig) }
-	default:
-		panic("bench: unknown transport " + name)
+// startBaseline starts the named Table 2 baseline on h with its default
+// configuration and returns its connect function.
+func startBaseline(name string, h *host.Host, register func(rpccore.Server)) table2.Connect {
+	connect, err := table2.Start(name, h, register)
+	if err != nil {
+		panic("bench: " + err.Error())
 	}
+	return connect
 }
+
+func registerEcho(s rpccore.Server) { s.Register(1, echoHandler) }
 
 // runRPC executes one data point.
 func runRPC(r rpcRun) rpcOut {
@@ -112,7 +95,7 @@ func runRPC(r rpcRun) rpcOut {
 		s.Start()
 		connect = func(ch *host.Host, sig *sim.Signal) rpccore.Conn { return s.Connect(ch, sig) }
 	} else {
-		connect = buildTransport(r.transport, srv)
+		connect = startBaseline(r.transport, srv, registerEcho)
 	}
 
 	horizon := r.opts.Warmup + r.opts.Duration

@@ -2,10 +2,9 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 
-	"scalerpc/internal/baseline/fasstrpc"
-	"scalerpc/internal/baseline/herdrpc"
-	"scalerpc/internal/baseline/rawrpc"
+	"scalerpc/internal/baseline/table2"
 	"scalerpc/internal/cluster"
 	"scalerpc/internal/host"
 	"scalerpc/internal/mica"
@@ -28,50 +27,69 @@ var txnSystems = []string{"RawWrite", "HERD", "FaSST", "ScaleTX-O", "ScaleTX"}
 
 const txnParticipants = 3
 
+// TxnWorkload is what a transaction data point runs: how to load the
+// participants' stores and the generator each coordinator draws from.
+type TxnWorkload struct {
+	Load   func([]*txn.Participant) error
+	GenFor func(i int) func() *txn.Txn
+}
+
+// SmallBankTxns is the SmallBank workload over cfg.
+func SmallBankTxns(cfg smallbank.Config, seed uint64) TxnWorkload {
+	return TxnWorkload{
+		Load:   func(p []*txn.Participant) error { return smallbank.Load(p, cfg) },
+		GenFor: func(i int) func() *txn.Txn { return smallbank.NewGen(cfg, seed*733+uint64(i)).Next },
+	}
+}
+
+// ObjStoreTxns is the object-store workload over cfg.
+func ObjStoreTxns(cfg objstore.Config, seed uint64) TxnWorkload {
+	return TxnWorkload{
+		Load:   func(p []*txn.Participant) error { return objstore.Load(p, cfg) },
+		GenFor: func(i int) func() *txn.Txn { return objstore.NewGen(cfg, seed*131+uint64(i)).Next },
+	}
+}
+
+// TxnPoint is one transaction data point's measurements.
+type TxnPoint struct {
+	Committed uint64  // inside the measurement window
+	Mtxns     float64 // committed per second, millions
+	Totals    txn.CoordinatorStats
+}
+
 // buildTxnDeployment builds participants on hosts[0:3] with the named
-// transport and returns a per-client connect function plus the
-// participants.
-func buildTxnDeployment(c *cluster.Cluster, system string, storeCfg mica.Config) ([]*txn.Participant, func(ch *host.Host, sig *sim.Signal) []rpccore.Conn, bool) {
+// system (case-insensitive: a Table 2 baseline, ScaleTX-O or ScaleTX) and
+// returns a per-client connect function plus the participants.
+func buildTxnDeployment(c *cluster.Cluster, system string, storeCfg mica.Config) ([]*txn.Participant, func(ch *host.Host, sig *sim.Signal) []rpccore.Conn, bool, error) {
 	parts := make([]*txn.Participant, txnParticipants)
-	oneSided := false
-	var connFns []func(*host.Host, *sim.Signal) rpccore.Conn
+	system = strings.ToLower(system)
+	oneSided := system == "scaletx"
+	var connFns []table2.Connect
 	var scaleSrvs []*scalerpc.Server
-	for i := 0; i < txnParticipants; i++ {
+	for i := range parts {
 		h := c.Hosts[i]
-		parts[i] = txn.NewParticipant(h, storeCfg)
-		switch system {
-		case "RawWrite":
-			s := rawrpc.NewServer(h, rawrpc.DefaultServerConfig())
-			parts[i].RegisterHandlers(s)
-			s.Start()
-			connFns = append(connFns, func(ch *host.Host, sig *sim.Signal) rpccore.Conn { return s.Connect(ch, sig) })
-		case "HERD":
-			s := herdrpc.NewServer(h, herdrpc.DefaultServerConfig())
-			parts[i].RegisterHandlers(s)
-			s.Start()
-			connFns = append(connFns, func(ch *host.Host, sig *sim.Signal) rpccore.Conn { return s.Connect(ch, sig) })
-		case "FaSST":
-			s := fasstrpc.NewServer(h, fasstrpc.DefaultServerConfig())
-			parts[i].RegisterHandlers(s)
-			s.Start()
-			connFns = append(connFns, func(ch *host.Host, sig *sim.Signal) rpccore.Conn { return s.Connect(ch, sig) })
-		case "ScaleTX-O", "ScaleTX":
-			oneSided = system == "ScaleTX"
-			cfg := scalerpc.DefaultServerConfig()
-			// Multi-server deployments need identical group membership on
-			// every server, so the per-server dynamic scheduler is off and
-			// clients group statically by join order; the NTP-like sync
-			// keeps the switch phases aligned (§4.2).
-			cfg.Dynamic = false
-			cfg.SyncPeriod = 2 * sim.Millisecond
-			s := scalerpc.NewServer(h, cfg)
-			parts[i].RegisterHandlers(s)
-			s.Start()
-			scaleSrvs = append(scaleSrvs, s)
-			connFns = append(connFns, func(ch *host.Host, sig *sim.Signal) rpccore.Conn { return s.Connect(ch, sig) })
-		default:
-			panic("bench: unknown txn system " + system)
+		p := txn.NewParticipant(h, storeCfg)
+		parts[i] = p
+		if system != "scaletx" && system != "scaletx-o" {
+			connect, err := table2.Start(system, h, p.RegisterHandlers)
+			if err != nil {
+				return nil, nil, false, err
+			}
+			connFns = append(connFns, connect)
+			continue
 		}
+		cfg := scalerpc.DefaultServerConfig()
+		// Multi-server deployments need identical group membership on
+		// every server, so the per-server dynamic scheduler is off and
+		// clients group statically by join order; the NTP-like sync
+		// keeps the switch phases aligned (§4.2).
+		cfg.Dynamic = false
+		cfg.SyncPeriod = 2 * sim.Millisecond
+		s := scalerpc.NewServer(h, cfg)
+		p.RegisterHandlers(s)
+		s.Start()
+		scaleSrvs = append(scaleSrvs, s)
+		connFns = append(connFns, func(ch *host.Host, sig *sim.Signal) rpccore.Conn { return s.Connect(ch, sig) })
 	}
 	if len(scaleSrvs) > 1 {
 		// Multi-server ScaleRPC needs global synchronization (§4.2).
@@ -84,20 +102,21 @@ func buildTxnDeployment(c *cluster.Cluster, system string, storeCfg mica.Config)
 		}
 		return conns
 	}
-	return parts, connect, oneSided
+	return parts, connect, oneSided, nil
 }
 
-// runTxnPoint runs nCoords coordinators of the given system against a
-// generator factory and returns committed Mtxns/s plus abort statistics.
-func runTxnPoint(system string, nCoords int, storeCfg mica.Config,
-	load func([]*txn.Participant) error,
-	genFor func(i int) func() *txn.Txn, opts Options) (float64, txn.CoordinatorStats) {
-
+// MeasureTxn runs nCoords coordinators of the given system over three
+// storage servers and reports what they committed in opts.Duration after
+// opts.Warmup (the data point behind Figure 16 and cmd/txbench).
+func MeasureTxn(system string, nCoords int, storeCfg mica.Config, w TxnWorkload, opts Options) (TxnPoint, error) {
 	c := cluster.New(cluster.Default(12))
 	defer c.Close()
-	parts, connect, oneSided := buildTxnDeployment(c, system, storeCfg)
-	if err := load(parts); err != nil {
-		panic(err)
+	parts, connect, oneSided, err := buildTxnDeployment(c, system, storeCfg)
+	if err != nil {
+		return TxnPoint{}, err
+	}
+	if err := w.Load(parts); err != nil {
+		return TxnPoint{}, err
 	}
 
 	horizon := opts.Warmup + opts.Duration
@@ -110,12 +129,12 @@ func runTxnPoint(system string, nCoords int, storeCfg mica.Config,
 		sig := sim.NewSignal(c.Env)
 		co := txn.NewCoordinator(ch, uint64(i+1), parts, connect(ch, sig), oneSided, sig)
 		coords[i] = co
-		gen := genFor(i)
+		gen := w.GenFor(i)
 		co.Spawn(func(t *host.Thread, cc *txn.Coordinator) {
 			t.P.Sleep(sim.Duration(i%64) * 311)
 			var measured uint64
 			started := false
-			n, _ := txn.RunLoop(t, cc, gen, func() bool {
+			txn.RunLoop(t, cc, gen, func() bool {
 				now := t.P.Now()
 				if !started && now >= opts.Warmup {
 					started = true
@@ -123,24 +142,33 @@ func runTxnPoint(system string, nCoords int, storeCfg mica.Config,
 				}
 				return now >= horizon
 			})
-			_ = n
 			if started {
 				commits[i] = cc.Stats.Commits - measured
 			}
 		})
 	}
 	c.Env.RunUntil(horizon + 500*sim.Microsecond)
-	var total uint64
-	var agg txn.CoordinatorStats
+	var pt TxnPoint
 	for i, co := range coords {
-		total += commits[i]
-		agg.Commits += co.Stats.Commits
-		agg.LockAborts += co.Stats.LockAborts
-		agg.ValidationAborts += co.Stats.ValidationAborts
-		agg.OneSidedReads += co.Stats.OneSidedReads
-		agg.OneSidedWrites += co.Stats.OneSidedWrites
+		pt.Committed += commits[i]
+		pt.Totals.Commits += co.Stats.Commits
+		pt.Totals.LockAborts += co.Stats.LockAborts
+		pt.Totals.ValidationAborts += co.Stats.ValidationAborts
+		pt.Totals.OneSidedReads += co.Stats.OneSidedReads
+		pt.Totals.OneSidedWrites += co.Stats.OneSidedWrites
 	}
-	return mops(total, opts.Duration), agg
+	pt.Mtxns = mops(pt.Committed, opts.Duration)
+	return pt, nil
+}
+
+// runTxnPoint is MeasureTxn for the figures, whose systems and workloads
+// are fixed in code.
+func runTxnPoint(system string, nCoords int, w TxnWorkload, opts Options) TxnPoint {
+	pt, err := MeasureTxn(system, nCoords, txnStoreCfg(opts.Quick), w, opts)
+	if err != nil {
+		panic(err)
+	}
+	return pt
 }
 
 func txnStoreCfg(quick bool) mica.Config {
@@ -174,13 +202,8 @@ func runFig16a(opts Options) *Result {
 		ocfg := objstore.Config{Keys: objKeys(opts.Quick), ValueSize: 40, ReadSet: mix.r, WriteSet: mix.w}
 		for _, n := range counts {
 			for _, sys := range txnSystems {
-				tput, _ := runTxnPoint(sys, n, txnStoreCfg(opts.Quick),
-					func(p []*txn.Participant) error { return objstore.Load(p, ocfg) },
-					func(i int) func() *txn.Txn {
-						g := objstore.NewGen(ocfg, opts.Seed*131+uint64(i))
-						return g.Next
-					}, opts)
-				r.AddPoint(fmt.Sprintf("%s/%s", sys, mix.name), float64(n), tput)
+				pt := runTxnPoint(sys, n, ObjStoreTxns(ocfg, opts.Seed), opts)
+				r.AddPoint(fmt.Sprintf("%s/%s", sys, mix.name), float64(n), pt.Mtxns)
 			}
 		}
 	}
@@ -205,14 +228,9 @@ func runFig16b(opts Options) *Result {
 	}
 	for _, n := range counts {
 		for _, sys := range txnSystems {
-			tput, agg := runTxnPoint(sys, n, txnStoreCfg(opts.Quick),
-				func(p []*txn.Participant) error { return smallbank.Load(p, sbCfg) },
-				func(i int) func() *txn.Txn {
-					g := smallbank.NewGen(sbCfg, opts.Seed*733+uint64(i))
-					return g.Next
-				}, opts)
-			r.AddPoint(sys, float64(n), tput)
-			if sys == "ScaleTX" {
+			pt := runTxnPoint(sys, n, SmallBankTxns(sbCfg, opts.Seed), opts)
+			r.AddPoint(sys, float64(n), pt.Mtxns)
+			if agg := pt.Totals; sys == "ScaleTX" {
 				r.Notef("ScaleTX@%d aborts: lock=%d validation=%d (one-sided reads=%d writes=%d)",
 					n, agg.LockAborts, agg.ValidationAborts, agg.OneSidedReads, agg.OneSidedWrites)
 			}

@@ -17,7 +17,7 @@ import (
 // retransmissions replaying inline buffers — must survive heavy pool churn
 // without a recycled buffer's next tenant bleeding into committed data.
 // They extend the snapshot-before-yield regression tests from the RPC layer
-// (rawrpc's TestServeSnapshotSurvivesOverwrite) down to the NIC arenas.
+// (baseline/table2's TestServeSnapshotSurvivesOverwrite) down to the NIC arenas.
 
 // fill writes a distinctive per-op pattern.
 func fill(b []byte, op int) {

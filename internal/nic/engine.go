@@ -135,6 +135,7 @@ func (n *NIC) processOut(job outJob) (occ sim.Duration) {
 		return occ
 	}
 	n.Stats.OutWQEs++
+	n.Stats.OutVerbs[qp.Type][wr.Op]++
 
 	occ = n.Cfg.OutboundBaseCost
 	if qp.Type == UD {

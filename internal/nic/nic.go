@@ -174,7 +174,11 @@ func (c Config) rnrTimeout() sim.Duration {
 
 // Stats counts NIC-level events.
 type Stats struct {
-	OutWQEs    uint64
+	OutWQEs uint64
+	// OutVerbs splits OutWQEs by the posting QP's transport and the verb
+	// (Table 1's matrix as exercised): which transport class and opcode
+	// carried a protocol's traffic.
+	OutVerbs   [DCTTarget + 1][OpFetchAdd + 1]uint64
 	InMessages uint64
 	QPCHits    uint64
 	QPCMisses  uint64

@@ -75,9 +75,6 @@ func runLifetime(th *host.Thread, sig *sim.Signal, conns []rpccore.Conn, calls [
 
 func TestPayloadLifetimeEchoTransports(t *testing.T) {
 	for _, tr := range transports() {
-		if tr.name != "scalerpc" && tr.name != "rawwrite" {
-			continue
-		}
 		tr := tr
 		t.Run(tr.name, func(t *testing.T) {
 			c := cluster.New(cluster.Default(2))
@@ -94,7 +91,7 @@ func TestPayloadLifetimeEchoTransports(t *testing.T) {
 			c.Hosts[1].Spawn("cli", func(th *host.Thread) {
 				fail = runLifetime(th, sig, []rpccore.Conn{conn}, calls)
 			})
-			c.Env.RunUntil(50 * sim.Millisecond)
+			runUntil(c, 50*sim.Millisecond, func() bool { return fail != "client did not finish" })
 			if fail != "" {
 				t.Fatal(fail)
 			}
@@ -152,9 +149,7 @@ func TestPayloadLifetimeRouter(t *testing.T) {
 		}
 		fail = runLifetime(th, r.Signal(), []rpccore.Conn{part}, calls)
 	})
-	for fail == "client did not finish" && c.Env.Now() < 200*sim.Millisecond {
-		c.Env.RunUntil(c.Env.Now() + 100*sim.Microsecond)
-	}
+	runUntil(c, 200*sim.Millisecond, func() bool { return fail != "client did not finish" })
 	if fail != "" {
 		t.Fatal(fail)
 	}

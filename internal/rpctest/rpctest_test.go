@@ -1,5 +1,5 @@
-// Package rpctest runs one conformance suite across all four RPC
-// transports (ScaleRPC, RawWrite, HERD, FaSST), checking that they behave
+// Package rpctest runs one conformance suite across all five RPC
+// transports (ScaleRPC, RawWrite, HERD, FaSST, selfRPC), checking that they behave
 // identically at the interface level: payload integrity, request/response
 // correlation, window limits, error propagation, and progress under load.
 package rpctest_test
@@ -10,10 +10,7 @@ import (
 	"fmt"
 	"testing"
 
-	"scalerpc/internal/baseline/fasstrpc"
-	"scalerpc/internal/baseline/herdrpc"
-	"scalerpc/internal/baseline/rawrpc"
-	"scalerpc/internal/baseline/selfrpc"
+	"scalerpc/internal/baseline/table2"
 	"scalerpc/internal/cluster"
 	"scalerpc/internal/host"
 	"scalerpc/internal/rpccore"
@@ -24,14 +21,15 @@ import (
 // transport abstracts server construction across implementations.
 type transport struct {
 	name string
-	// build creates a started server on h with the given worker count and
-	// returns a connect function.
-	build func(c *cluster.Cluster, workers int, reg func(rpccore.Server)) func(*host.Host, *sim.Signal) rpccore.Conn
+	// build creates a started server on the cluster's host 0 and returns a
+	// connect function. workers sizes ScaleRPC's thread pool; the Table 2
+	// baselines run at their defaults.
+	build func(c *cluster.Cluster, workers int, reg func(rpccore.Server)) table2.Connect
 }
 
 func transports() []transport {
-	return []transport{
-		{"scalerpc", func(c *cluster.Cluster, workers int, reg func(rpccore.Server)) func(*host.Host, *sim.Signal) rpccore.Conn {
+	ts := []transport{
+		{"scalerpc", func(c *cluster.Cluster, workers int, reg func(rpccore.Server)) table2.Connect {
 			cfg := scalerpc.DefaultServerConfig()
 			cfg.Workers = workers
 			cfg.GroupSize = 8
@@ -42,45 +40,25 @@ func transports() []transport {
 			s.Start()
 			return func(h *host.Host, sig *sim.Signal) rpccore.Conn { return s.Connect(h, sig) }
 		}},
-		{"rawwrite", func(c *cluster.Cluster, workers int, reg func(rpccore.Server)) func(*host.Host, *sim.Signal) rpccore.Conn {
-			cfg := rawrpc.DefaultServerConfig()
-			cfg.Workers = workers
-			cfg.MaxClients = 64
-			cfg.BlocksPerClient = 8
-			s := rawrpc.NewServer(c.Hosts[0], cfg)
-			reg(s)
-			s.Start()
-			return func(h *host.Host, sig *sim.Signal) rpccore.Conn { return s.Connect(h, sig) }
-		}},
-		{"herd", func(c *cluster.Cluster, workers int, reg func(rpccore.Server)) func(*host.Host, *sim.Signal) rpccore.Conn {
-			cfg := herdrpc.DefaultServerConfig()
-			cfg.Workers = workers
-			cfg.MaxClients = 64
-			cfg.BlocksPerClient = 8
-			s := herdrpc.NewServer(c.Hosts[0], cfg)
-			reg(s)
-			s.Start()
-			return func(h *host.Host, sig *sim.Signal) rpccore.Conn { return s.Connect(h, sig) }
-		}},
-		{"fasst", func(c *cluster.Cluster, workers int, reg func(rpccore.Server)) func(*host.Host, *sim.Signal) rpccore.Conn {
-			cfg := fasstrpc.DefaultServerConfig()
-			cfg.Workers = workers
-			cfg.ClientWindow = 8
-			s := fasstrpc.NewServer(c.Hosts[0], cfg)
-			reg(s)
-			s.Start()
-			return func(h *host.Host, sig *sim.Signal) rpccore.Conn { return s.Connect(h, sig) }
-		}},
-		{"selfrpc", func(c *cluster.Cluster, workers int, reg func(rpccore.Server)) func(*host.Host, *sim.Signal) rpccore.Conn {
-			cfg := selfrpc.DefaultServerConfig()
-			cfg.Workers = workers
-			cfg.MaxClients = 64
-			cfg.BlocksPerClient = 8
-			s := selfrpc.NewServer(c.Hosts[0], cfg)
-			reg(s)
-			s.Start()
-			return func(h *host.Host, sig *sim.Signal) rpccore.Conn { return s.Connect(h, sig) }
-		}},
+	}
+	for _, name := range []string{"rawwrite", "herd", "fasst", "selfrpc"} {
+		name := name
+		ts = append(ts, transport{name, func(c *cluster.Cluster, _ int, reg func(rpccore.Server)) table2.Connect {
+			connect, err := table2.Start(name, c.Hosts[0], reg)
+			if err != nil {
+				panic(err)
+			}
+			return connect
+		}})
+	}
+	return ts
+}
+
+// runUntil advances the cluster until done reports true or the limit
+// passes, so a finished case does not simulate idle server polling.
+func runUntil(c *cluster.Cluster, limit sim.Time, done func() bool) {
+	for !done() && c.Env.Now() < limit {
+		c.Env.RunUntil(c.Env.Now() + 100*sim.Microsecond)
 	}
 }
 
@@ -125,7 +103,7 @@ func TestEchoAllTransports(t *testing.T) {
 					}
 				}
 			})
-			c.Env.RunUntil(10 * sim.Millisecond)
+			runUntil(c, 10*sim.Millisecond, func() bool { return got != nil })
 			if !bytes.Equal(got, want) {
 				t.Fatalf("echo = %q, want %q", got, want)
 			}
@@ -160,7 +138,7 @@ func TestComputeHandlerAndClientID(t *testing.T) {
 					}
 				}
 			})
-			c.Env.RunUntil(10 * sim.Millisecond)
+			runUntil(c, 10*sim.Millisecond, func() bool { return done })
 			if !done || sq != 49 {
 				t.Fatalf("square(7) = %d (done=%v)", sq, done)
 			}
@@ -189,7 +167,7 @@ func TestUnknownHandlerErrorAllTransports(t *testing.T) {
 					}
 				}
 			})
-			c.Env.RunUntil(10 * sim.Millisecond)
+			runUntil(c, 10*sim.Millisecond, func() bool { return done })
 			if !done || !gotErr {
 				t.Fatalf("done=%v err=%v, want error response", done, gotErr)
 			}
@@ -204,7 +182,7 @@ func TestThroughputUnderLoadAllTransports(t *testing.T) {
 			c := cluster.New(cluster.Default(3))
 			defer c.Close()
 			connect := tr.build(c, 4, registerEcho)
-			horizon := 2 * sim.Millisecond
+			horizon := sim.Millisecond
 			var stats []*rpccore.DriverStats
 			for hi := 1; hi <= 2; hi++ {
 				for i := 0; i < 8; i++ {
@@ -228,8 +206,8 @@ func TestThroughputUnderLoadAllTransports(t *testing.T) {
 				}
 				total += st.Completed
 			}
-			if total < 500 {
-				t.Fatalf("only %d ops in 2 ms", total)
+			if total < 250 {
+				t.Fatalf("only %d ops in 1 ms", total)
 			}
 		})
 	}
@@ -246,7 +224,7 @@ func TestPayloadSizesAllTransports(t *testing.T) {
 			connect := tr.build(c, 2, registerEcho)
 			sig := sim.NewSignal(c.Env)
 			conn := connect(c.Hosts[1], sig)
-			fail := ""
+			fail, finished := "", false
 			c.Hosts[1].Spawn("cli", func(th *host.Thread) {
 				for i, sz := range sizes {
 					want := make([]byte, sz)
@@ -273,10 +251,11 @@ func TestPayloadSizesAllTransports(t *testing.T) {
 						}
 					}
 				}
+				finished = true
 			})
-			c.Env.RunUntil(50 * sim.Millisecond)
-			if fail != "" {
-				t.Fatal(fail)
+			runUntil(c, 50*sim.Millisecond, func() bool { return finished || fail != "" })
+			if fail != "" || !finished {
+				t.Fatalf("finished=%v %s", finished, fail)
 			}
 		})
 	}
