@@ -52,7 +52,7 @@ func (a *ctrlAdapter) PreAdmit(peer int, service string, payload []byte) error {
 	if s.gate == nil || len(payload) != joinReqSize {
 		return nil
 	}
-	if cs := s.findParked(payload); cs != nil && cs.counted {
+	if cs := s.findParked(peer, payload); cs != nil && cs.counted {
 		return nil
 	}
 	_, err := s.gate.AdmitConn(binary.LittleEndian.Uint16(payload[12:]), true)
@@ -68,7 +68,7 @@ func (a *ctrlAdapter) Accept(t *host.Thread, peer int, qp *nic.QP, payload []byt
 		return nil, 0, fmt.Errorf("rawrpc: join payload is %d bytes, want %d", len(payload), joinReqSize)
 	}
 	tenant := binary.LittleEndian.Uint16(payload[12:])
-	if cs := s.findParked(payload); cs != nil {
+	if cs := s.findParked(peer, payload); cs != nil {
 		// A reclaimed identity keeps its original tenant (and, if parked,
 		// its still-live zone charge); a different tenant presenting an
 		// aliased region must not inherit either.
@@ -103,7 +103,7 @@ func (a *ctrlAdapter) Accept(t *host.Thread, peer int, qp *nic.QP, payload []byt
 	if err != nil {
 		return nil, 0, err
 	}
-	cs := &clientState{id: id, qp: qp, resp: joinZone(payload), tenant: tenant}
+	cs := &clientState{id: id, qp: qp, peer: peer, resp: joinZone(payload), tenant: tenant}
 	if int(id) == len(s.clients) {
 		s.clients = append(s.clients, cs)
 	} else {
@@ -125,7 +125,7 @@ func (a *ctrlAdapter) Accept(t *host.Thread, peer int, qp *nic.QP, payload []byt
 // connection's new handle.
 func (a *ctrlAdapter) Resume(t *host.Thread, peer int, qp *nic.QP, payload []byte, handle uint64) ([]byte, uint64, error) {
 	s := a.s
-	cs := s.findParked(payload)
+	cs := s.findParked(peer, payload)
 	if cs == nil {
 		return nil, 0, errors.New("rawrpc: no parked client matches the resume payload")
 	}
@@ -260,17 +260,19 @@ func (s *Server) allocID() (uint16, error) {
 	return uint16(len(s.clients)), nil
 }
 
-// findParked returns the parked or quarantined client whose response
-// region matches the join payload, scanning in id order for determinism.
-// The region is the durable identity: a crash-recovered client dialing
-// cold presents the same region and reclaims its id (and dedup window).
-func (s *Server) findParked(payload []byte) *clientState {
+// findParked returns the parked or quarantined client whose peer and
+// response region match the dial, scanning in id order for determinism.
+// Peer and region together are the durable identity: a crash-recovered
+// client dialing cold presents the same region from the same host and
+// reclaims its id (and dedup window). The region alone is not enough —
+// every host's memory registry starts at the same address and key.
+func (s *Server) findParked(peer int, payload []byte) *clientState {
 	if len(payload) != joinReqSize {
 		return nil
 	}
 	zone := joinZone(payload)
 	for _, cs := range s.clients {
-		if cs != nil && (cs.parked || cs.limbo) && cs.resp == zone {
+		if cs != nil && (cs.parked || cs.limbo) && cs.peer == peer && cs.resp == zone {
 			return cs
 		}
 	}

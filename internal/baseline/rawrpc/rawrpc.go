@@ -73,6 +73,9 @@ type clientState struct {
 	id   uint16
 	qp   *nic.QP
 	resp baseline.RespZone
+	// peer is the host the client dialed from (membership.go); with resp it
+	// identifies a returning client.
+	peer int
 
 	// parked marks a control-plane client that gracefully left; the zone
 	// stays statically mapped (and swept) until the client is dropped.

@@ -101,7 +101,7 @@ func (a *ctrlAdapter) Accept(t *host.Thread, peer int, qp *nic.QP, payload []byt
 		}
 		pinReq = granted
 	}
-	if cs := s.findParked(payload); cs != nil {
+	if cs := s.findParked(peer, payload); cs != nil {
 		// The tenant and peer identity must be set before rebind places the
 		// client: class-pure grouping and suspect isolation both read the
 		// joining client's state at placement.
@@ -149,7 +149,7 @@ func (a *ctrlAdapter) Accept(t *host.Thread, peer int, qp *nic.QP, payload []byt
 // connection's new handle.
 func (a *ctrlAdapter) Resume(t *host.Thread, peer int, qp *nic.QP, payload []byte, handle uint64) ([]byte, uint64, error) {
 	s := a.s
-	cs := s.findParked(payload)
+	cs := s.findParked(peer, payload)
 	if cs == nil {
 		return nil, 0, errors.New("scalerpc: no parked client matches the resume payload")
 	}
@@ -208,14 +208,17 @@ func (a *ctrlAdapter) rebind(t *host.Thread, cs *clientState, qp *nic.QP, pinned
 }
 
 // findParked returns the parked or quarantined client whose registered
-// regions match the join payload, scanning in id order for determinism.
-// The regions are the durable identity: a crash-recovered client dialing
-// cold presents the same regions and reclaims its id (and dedup window).
+// peer and registered regions match the dial, scanning in id order for
+// determinism. Peer and regions together are the durable identity: a
+// crash-recovered client dialing cold presents the same regions from the
+// same host and reclaims its id (and dedup window). The regions alone are
+// not enough — every host's memory registry starts at the same address and
+// key, so clients on two hosts present identical tuples.
 // An *active* client whose QP has errored matches too: a client that
 // re-dials before the server's sweep notices the dead pair is the same
 // client, and handing it a fresh id would silently drop its dedup window
 // — the retried in-flight request would re-execute.
-func (s *Server) findParked(payload []byte) *clientState {
+func (s *Server) findParked(peer int, payload []byte) *clientState {
 	if len(payload) != joinReqSize {
 		return nil
 	}
@@ -224,7 +227,7 @@ func (s *Server) findParked(payload []byte) *clientState {
 	stageAddr := binary.LittleEndian.Uint64(payload[12:])
 	stageRKey := binary.LittleEndian.Uint32(payload[20:])
 	for _, cs := range s.clients {
-		if cs == nil || cs.respAddr != respAddr || cs.respRKey != respRKey ||
+		if cs == nil || cs.peerHost != peer || cs.respAddr != respAddr || cs.respRKey != respRKey ||
 			cs.stageAddr != stageAddr || cs.stageRKey != stageRKey {
 			continue
 		}
