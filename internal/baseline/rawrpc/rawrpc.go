@@ -54,41 +54,17 @@ type Server struct {
 	Req baseline.ReqPool
 
 	clients []*clientState
-
-	// freeIDs holds zones released by the control-plane adapter when a
-	// client is dropped (lease expiry, cache teardown).
-	freeIDs []uint16
-	// limbo is the FIFO of quarantined identities: ungracefully departed
-	// ids waiting for their client to dial back in, released for reuse
-	// when the quarantine overflows.
-	limbo []uint16
-
-	// gate, when set, charges every zone to a tenant (tenancy.go).
-	gate TenantGate
+	// roster owns the identities of control-plane clients and the tenant
+	// gate that charges every zone to a tenant (membership.go).
+	roster *ctrlplane.Roster
 }
 
 // clientState is the server-side view of one connected client; its zone
-// in the pool is its id.
+// in the pool is its id. A parked client's zone stays statically mapped
+// (and swept) until the roster drops the identity.
 type clientState struct {
-	id   uint16
-	qp   *nic.QP
+	ctrlplane.Member
 	resp baseline.RespZone
-	// peer is the host the client dialed from (membership.go); with resp it
-	// identifies a returning client.
-	peer int
-
-	// parked marks a control-plane client that gracefully left; the zone
-	// stays statically mapped (and swept) until the client is dropped.
-	parked bool
-	// limbo marks an identity quarantined after an ungraceful departure:
-	// the id (and with it the reply cache's dedup window) stays reserved
-	// for a crash-recovered client dialing back in with the same regions.
-	limbo bool
-
-	// tenant owns the zone; counted marks the charge as live with the
-	// tenant gate (tenancy.go).
-	tenant  uint16
-	counted bool
 }
 
 // NewServer allocates the pool and worker bookkeeping. The pool is fully
@@ -97,6 +73,7 @@ type clientState struct {
 func NewServer(h *host.Host, cfg ServerConfig) *Server {
 	s := &Server{Cfg: cfg, Host: h, Shell: baseline.NewShell(h, "rawrpc", cfg.BlockSize, cfg.BlocksPerClient)}
 	s.Req = s.NewReqPool(cfg.BlocksPerClient, cfg.MaxClients, cfg.ParseCost)
+	s.roster = ctrlplane.NewRoster("rawrpc", cfg.MaxClients, placement{s})
 	for i := 0; i < cfg.Workers; i++ {
 		h.NIC.WatchRegion(s.Req.RKey(), s.AddWorker().Sig)
 	}
@@ -133,8 +110,8 @@ func (s *Server) sweep(t *host.Thread, w *baseline.Worker) int {
 			if !ok {
 				continue
 			}
-			if w.Dispatch(t, cs.id, req) {
-				w.WriteResponse(t, cs.qp, cs.resp, b)
+			if w.Dispatch(t, cs.ID, req) {
+				w.WriteResponse(t, cs.QP, cs.resp, b)
 			}
 			s.Req.Release(t, z, b)
 			served++
@@ -151,12 +128,10 @@ type Conn struct {
 	resp baseline.RespPool
 	s    *Server
 
-	// Control-plane membership state (membership.go); nil/false for
-	// connections admitted through the legacy Connect backdoor.
-	mgr  *ctrlplane.Manager
-	cp   *ctrlplane.Conn
-	left bool
-	// joinTenant is stamped into every join payload (membership.go).
+	// membership is zero for connections admitted through the legacy
+	// Connect backdoor; joinTenant is stamped into every join payload
+	// (membership.go).
+	membership
 	joinTenant uint16
 }
 
@@ -187,18 +162,19 @@ func (s *Server) Connect(ch *host.Host, sig *sim.Signal) *Conn {
 	}
 	c := s.newConn(ch, sig)
 	c.req.QP, c.req.ID = cqp, uint16(len(s.clients))
-	s.clients = append(s.clients, &clientState{id: c.req.ID, qp: sqp, resp: c.resp.Zone()})
+	s.clients = append(s.clients, &clientState{
+		Member: ctrlplane.Member{ID: c.req.ID, QP: sqp, Peer: -1}, resp: c.resp.Zone()})
 	return c
 }
 
 // TrySend posts one request into a free slot of the client's server zone.
 func (c *Conn) TrySend(t *host.Thread, handler uint8, payload []byte, reqID uint64) bool {
-	return !c.left && c.req.Send(t, &c.Window, handler, payload, reqID)
+	return !c.Left() && c.req.Send(t, &c.Window, handler, payload, reqID)
 }
 
 // Poll scans this connection's in-flight response slots.
 func (c *Conn) Poll(t *host.Thread, fn func(rpccore.Response)) int {
-	if c.left {
+	if c.Left() {
 		return 0
 	}
 	return c.resp.Poll(t, &c.Window, fn)
@@ -209,7 +185,7 @@ func (c *Conn) Poll(t *host.Thread, fn func(rpccore.Response)) int {
 // behind Caller retries and hedges). Server-side dedup absorbs duplicate
 // deliveries.
 func (c *Conn) Resend(t *host.Thread, reqID uint64) bool {
-	if c.left || c.req.QP.Err() != nil {
+	if c.Left() || c.req.QP.Err() != nil {
 		return false
 	}
 	b := c.Find(reqID)

@@ -77,15 +77,14 @@ type Conn struct {
 	// pool 0, never context-switched.
 	pinned bool
 
-	// Control-plane membership state (membership.go). mgr/cp are nil for
-	// connections admitted through the legacy Connect backdoor. left is
-	// true between Leave and Rejoin: the QP is parked in the connection
-	// cache and TrySend/Poll are inert.
-	mgr        *ctrlplane.Manager
-	cp         *ctrlplane.Conn
+	// membership is the control-plane half (membership.go), zero for
+	// connections admitted through the legacy Connect backdoor. Between
+	// Leave and Rejoin the QP is parked in the connection cache and
+	// TrySend/Poll are inert. joinPinned and joinTenant are stamped into
+	// every join payload.
+	membership
 	joinPinned bool
 	joinTenant uint16
-	left       bool
 
 	// Named-API state (api.go).
 	nextHandle  uint64
@@ -101,6 +100,42 @@ type Conn struct {
 
 	// trace is the server registry's event sink (always non-nil).
 	trace *telemetry.Trace
+}
+
+// newConn registers a client endpoint's staging area, response pool and
+// endpoint-entry scratch on ch and builds the Conn around them; the caller
+// binds the QP and the id.
+func (s *Server) newConn(ch *host.Host, sig *sim.Signal) *Conn {
+	stage := ch.Mem.Register(s.Cfg.BlockSize*s.Cfg.BlocksPerClient, memory.PageSize2M,
+		memory.LocalWrite|memory.RemoteRead)
+	respReg := ch.Mem.Register(s.Cfg.BlockSize*(s.Cfg.BlocksPerClient+1), memory.PageSize2M,
+		memory.LocalWrite|memory.RemoteWrite)
+	ch.NIC.WatchRegion(respReg.RKey, sig)
+	return &Conn{
+		h:            ch,
+		s:            s,
+		sig:          sig,
+		stage:        stage,
+		entryScratch: ch.Mem.Register(64, memory.PageSize4K, memory.LocalWrite),
+		resp:         rpcwire.NewPool(respReg, s.Cfg.BlockSize, s.Cfg.BlocksPerClient+1, 1),
+		buf:          make([]byte, s.Cfg.BlockSize),
+		slots:        make([]connSlot, s.Cfg.BlocksPerClient),
+		zone:         -1,
+		poolIdx:      -1,
+		trace:        s.trace,
+	}
+}
+
+// adoptPlacement installs the server's placement decision. A pinned
+// connection is in PROCESS on its reserved zone from the start: it skips
+// warmup and sends in place.
+func (c *Conn) adoptPlacement(pinned bool, zone int) {
+	c.pinned = pinned
+	if pinned {
+		c.state = StateProcess
+		c.zone = zone
+		c.poolIdx = 0
+	}
 }
 
 // traceState emits a client_state transition event.
@@ -132,7 +167,7 @@ func (c *Conn) Outstanding() int { return c.outstanding }
 // it stages locally (step 1 of Figure 6) for the server to fetch; in
 // PROCESS it RDMA-writes directly into the processing pool.
 func (c *Conn) TrySend(t *host.Thread, handler uint8, payload []byte, reqID uint64) bool {
-	if c.left {
+	if c.Left() {
 		return false
 	}
 	// Batch the staging-area writes with the doorbell (direct sends) or the
@@ -268,7 +303,7 @@ func (c *Conn) flushEndpointEntry(t *host.Thread) {
 // Poll drains responses, advances the state machine, flushes any pending
 // endpoint-entry update, and — after a QP error — rebuilds the connection.
 func (c *Conn) Poll(t *host.Thread, fn func(rpccore.Response)) int {
-	if c.left {
+	if c.Left() {
 		return 0
 	}
 	if c.qp.Err() != nil {
@@ -431,11 +466,11 @@ func (c *Conn) reconnect(t *host.Thread) {
 	if d := c.s.Cfg.Failure.ReconnectBackoff; d > 0 {
 		t.P.Sleep(d)
 	}
-	if c.mgr != nil {
-		// Control-plane-admitted connections re-dial through the in-band
-		// handshake; on failure the next Poll retries (paced by the
-		// backoff above).
-		if err := c.Rejoin(t); err == nil {
+	// Control-plane-admitted connections re-dial through the in-band
+	// handshake; on failure the next Poll retries (paced by the backoff
+	// above). A backdoor connection's Rejoin does nothing but say so.
+	if err := c.Rejoin(t); err != ctrlplane.ErrNotManaged {
+		if err == nil {
 			c.Reconnects++
 		}
 		return
@@ -450,8 +485,8 @@ func (c *Conn) reconnect(t *host.Thread) {
 		c.state = StateProcess
 		c.zone = cs.zone
 		c.poolIdx = 0
-		c.pinned = cs.pinned
-		if cs.pinned {
+		c.pinned = cs.Pinned
+		if cs.Pinned {
 			return
 		}
 		// Reserved zones were exhausted on readmission; fall back to the
@@ -475,7 +510,7 @@ func (c *Conn) Reconnect(t *host.Thread) { c.reconnect(t) }
 // opening a fresh warmup round, which makes the scheduler re-fetch every
 // staged block. Server-side dedup absorbs any duplicate delivery.
 func (c *Conn) Resend(t *host.Thread, reqID uint64) bool {
-	if c.left || c.qp.Err() != nil {
+	if c.Left() || c.qp.Err() != nil {
 		return false
 	}
 	b := -1

@@ -16,13 +16,13 @@ package scalerpc
 // quarantined identities are left for the resume path to sort out.
 func (s *Server) DemotePeer(peer int) {
 	for _, cs := range s.clients {
-		if cs == nil || cs.peerHost != peer || cs.demoted || cs.parked || cs.limbo {
+		if cs == nil || cs.Peer != peer || cs.demoted || cs.Parked || cs.Limbo {
 			continue
 		}
 		cs.demoted = true
 		cs.missedSlices = 0
 		s.Stats.Demotes++
-		if cs.pinned || cs.group < 0 {
+		if cs.Pinned || cs.group < 0 {
 			continue
 		}
 		// Regrouping is deferred to the next context switch rather than done
@@ -42,13 +42,13 @@ func (s *Server) DemotePeer(peer int) {
 // the next context switch.
 func (s *Server) RestorePeer(peer int) {
 	for _, cs := range s.clients {
-		if cs == nil || cs.peerHost != peer || !cs.demoted {
+		if cs == nil || cs.Peer != peer || !cs.demoted {
 			continue
 		}
 		cs.demoted = false
 		cs.missedSlices = 0
 		s.Stats.Restores++
-		if cs.pinned || cs.parked || cs.limbo || cs.group < 0 {
+		if cs.Pinned || cs.Parked || cs.Limbo || cs.group < 0 {
 			continue
 		}
 		// Deferred for the same reason as DemotePeer: the switch-path

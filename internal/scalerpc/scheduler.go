@@ -1,9 +1,11 @@
 package scalerpc
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
+	"scalerpc/internal/ctrlplane"
 	"scalerpc/internal/host"
 	"scalerpc/internal/memory"
 	"scalerpc/internal/nic"
@@ -78,7 +80,7 @@ func (s *Server) sliceFor(g int) sim.Duration {
 			n++
 		}
 		for _, cs := range s.clients {
-			if cs != nil && !cs.parked && !cs.limbo {
+			if cs != nil && !cs.Parked && !cs.Limbo {
 				all += cs.priority
 				m++
 			}
@@ -113,15 +115,15 @@ func (s *Server) tenantWeightRatio(g int) float64 {
 	var n int
 	for _, cid := range s.groups[g] {
 		if cs := s.clients[cid]; cs != nil {
-			sum += s.tenantAuth.SliceWeight(cs.tenant)
+			sum += s.tenantAuth.SliceWeight(cs.Tenant)
 			n++
 		}
 	}
 	var all float64
 	var m int
 	for _, cs := range s.clients {
-		if cs != nil && !cs.parked && !cs.pinned && cs.group >= 0 {
-			all += s.tenantAuth.SliceWeight(cs.tenant)
+		if cs != nil && !cs.Parked && !cs.Pinned && cs.group >= 0 {
+			all += s.tenantAuth.SliceWeight(cs.Tenant)
 			m++
 		}
 	}
@@ -264,7 +266,7 @@ func (s *Server) fetchGroup(t *host.Thread, pool *rpcwire.Pool, g int, zoneOf fu
 				RKey:  cs.stageRKey,
 				RAddr: cs.stageAddr + uint64(cs.fetchedUpTo*s.Cfg.BlockSize),
 			}
-			if err := t.PostSend(cs.qp, wr); err == nil {
+			if err := t.PostSend(cs.QP, wr); err == nil {
 				cs.fetchedUpTo = count
 				s.Stats.WarmupReads++
 			}
@@ -282,7 +284,7 @@ func (s *Server) fetchGroup(t *host.Thread, pool *rpcwire.Pool, g int, zoneOf fu
 				RKey:  cs.stageRKey,
 				RAddr: cs.stageAddr + uint64(b*s.Cfg.BlockSize+off),
 			}
-			if err := t.PostSend(cs.qp, wr); err != nil {
+			if err := t.PostSend(cs.QP, wr); err != nil {
 				ok = false
 				break
 			}
@@ -435,7 +437,7 @@ func (s *Server) lateSweep(t *host.Thread, pool *rpcwire.Pool, owners []int) {
 // with the same dedup gate as the worker path: a request the workers
 // already executed before the switch is answered from cache, not re-run.
 func (s *Server) lateServe(t *host.Thread, cs *clientState, slot int, hdr rpcwire.Header, body []byte) {
-	if dup, rep, ready := s.replies.Admit(cs.id, hdr.ReqID); dup {
+	if dup, rep, ready := s.replies.Admit(cs.ID, hdr.ReqID); dup {
 		s.rel.DedupHits++
 		if ready {
 			flags := byte(rpcwire.FlagContextSwitch)
@@ -451,7 +453,7 @@ func (s *Server) lateServe(t *host.Thread, cs *clientState, slot int, hdr rpcwir
 	s.Stats.Served++
 	switch {
 	case s.handlers[hdr.Handler] == nil:
-		s.replies.Commit(cs.id, hdr.ReqID, nil, true)
+		s.replies.Commit(cs.ID, hdr.ReqID, nil, true)
 		s.respond(t, s.schedScratch, &s.schedScratchIdx, cs, slot, hdr, s.schedBuf, 0, rpcwire.FlagError|rpcwire.FlagContextSwitch)
 	case s.legacy[hdr.Handler]:
 		// Long-running call types go to the legacy thread, never onto the
@@ -460,8 +462,8 @@ func (s *Server) lateServe(t *host.Thread, cs *clientState, slot int, hdr rpcwir
 		s.legacyQ.Push(legacyJob{cs: cs, slot: slot, handler: hdr.Handler, reqID: hdr.ReqID,
 			body: append([]byte(nil), body...)})
 	default:
-		n := s.handlers[hdr.Handler](t, cs.id, body, s.schedBuf[rpcwire.HeaderSize:len(s.schedBuf)-rpcwire.TrailerSize])
-		s.replies.Commit(cs.id, hdr.ReqID, s.schedBuf[rpcwire.HeaderSize:rpcwire.HeaderSize+n], false)
+		n := s.handlers[hdr.Handler](t, cs.ID, body, s.schedBuf[rpcwire.HeaderSize:len(s.schedBuf)-rpcwire.TrailerSize])
+		s.replies.Commit(cs.ID, hdr.ReqID, s.schedBuf[rpcwire.HeaderSize:rpcwire.HeaderSize+n], false)
 		s.respond(t, s.schedScratch, &s.schedScratchIdx, cs, slot, hdr, s.schedBuf, n, rpcwire.FlagContextSwitch)
 	}
 }
@@ -494,7 +496,7 @@ func (s *Server) scanFailures(t *host.Thread, out []uint16) []uint16 {
 		if cs == nil {
 			continue
 		}
-		if cs.qp.Err() != nil {
+		if cs.QP.Err() != nil {
 			evict = append(evict, cid)
 			continue
 		}
@@ -505,7 +507,7 @@ func (s *Server) scanFailures(t *host.Thread, out []uint16) []uint16 {
 		cs.missedSlices++
 		if !cs.demoted && s.Cfg.Failure.ProbeSlices > 0 && cs.missedSlices >= s.Cfg.Failure.ProbeSlices {
 			s.Stats.Probes++
-			t.PostSend(cs.qp, nic.SendWR{Op: nic.OpWrite, RKey: cs.respRKey, RAddr: cs.respAddr})
+			t.PostSend(cs.QP, nic.SendWR{Op: nic.OpWrite, RKey: cs.respRKey, RAddr: cs.respAddr})
 		}
 	}
 	return evict
@@ -524,7 +526,7 @@ func (s *Server) settleSlice(group []uint16) {
 			continue
 		}
 		if s.tenantAuth != nil && (cs.served > 0 || cs.bytes > 0) {
-			s.tenantAuth.SliceAccount(cs.tenant, cs.served, cs.bytes)
+			s.tenantAuth.SliceAccount(cs.Tenant, cs.served, cs.bytes)
 		}
 		avgSize := 1.0
 		if cs.served > 0 {
@@ -556,8 +558,8 @@ func (s *Server) regroup() {
 		// Quarantined (limbo) identities are departed, not schedulable:
 		// sweeping one back into a group would hand a dead QP to the
 		// failure scanner and a zone to a client that cannot stage.
-		if cs != nil && !cs.pinned && !cs.parked && !cs.limbo && !inCur[cs.id] {
-			rest = append(rest, cs.id)
+		if cs != nil && !cs.Pinned && !cs.Parked && !cs.Limbo && !inCur[cs.ID] {
+			rest = append(rest, cs.ID)
 		}
 	}
 	if !s.Cfg.Dynamic && !s.sizeBoundsViolated() && s.tenantAuth == nil {
@@ -698,78 +700,67 @@ func (s *Server) connect(ch *host.Host, sig *sim.Signal, pinned bool, tenant uin
 	if err := nic.Connect(sqp, cqp); err != nil {
 		panic(err)
 	}
-	stage := ch.Mem.Register(s.Cfg.BlockSize*s.Cfg.BlocksPerClient, memory.PageSize2M,
-		memory.LocalWrite|memory.RemoteRead)
-	respReg := ch.Mem.Register(s.Cfg.BlockSize*(s.Cfg.BlocksPerClient+1), memory.PageSize2M,
-		memory.LocalWrite|memory.RemoteWrite)
-	cs := &clientState{
-		id:        id,
-		qp:        sqp,
-		respAddr:  respReg.Base,
-		respRKey:  respReg.RKey,
-		stageAddr: stage.Base,
-		stageRKey: stage.RKey,
-		zone:      -1,
-		warmZone:  -1,
-		pinned:    pinned,
-		tenant:    tenant,
-		peerHost:  -1,
+	conn := s.newConn(ch, sig)
+	conn.id, conn.qp = id, cqp
+	cs := s.newClient(ctrlplane.Member{ID: id, QP: sqp, Peer: -1, Tenant: tenant}, conn.joinPayload())
+	if !s.placeJoined(cs, pinned) {
+		s.clients = s.clients[:len(s.clients)-1]
+		s.Host.NIC.DestroyQP(sqp)
+		return nil
 	}
-	s.clients = append(s.clients, cs)
-	if pinned {
-		z := s.reservedZoneFor(cs)
-		if z < 0 {
-			s.clients = s.clients[:len(s.clients)-1]
-			s.Host.NIC.DestroyQP(sqp)
-			return nil
-		}
-		cs.zone = z
-		cs.group = -1
-	} else {
-		s.place(cs)
-	}
-
-	conn := &Conn{
-		id:           id,
-		h:            ch,
-		s:            s,
-		qp:           cqp,
-		sig:          sig,
-		stage:        stage,
-		entryScratch: ch.Mem.Register(64, memory.PageSize4K, memory.LocalWrite),
-		resp:         rpcwire.NewPool(respReg, s.Cfg.BlockSize, s.Cfg.BlocksPerClient+1, 1),
-		buf:          make([]byte, s.Cfg.BlockSize),
-		slots:        make([]connSlot, s.Cfg.BlocksPerClient),
-		zone:         -1,
-		poolIdx:      -1,
-	}
-	if pinned {
-		conn.pinned = true
-		conn.state = StateProcess
-		conn.zone = cs.zone
-		conn.poolIdx = 0
-	}
+	conn.adoptPlacement(cs.Pinned, cs.zone)
+	// Only backdoor clients get per-client telemetry: their ids are never
+	// reused, whereas a managed join may be handed a released id and the
+	// registry panics on a duplicate name.
 	cl := s.tel.Scope("client", fmt.Sprintf("%d", id))
 	cl.GaugeVar("priority", &cs.priority)
 	cl.CounterVar("retries", &conn.Retries)
 	cl.CounterVar("switches", &conn.Switches)
 	cl.CounterVar("reconnects", &conn.Reconnects)
-	conn.trace = s.trace
-	ch.NIC.WatchRegion(respReg.RKey, sig)
 	return conn
 }
 
-// reservedZoneFor claims a free reserved zone (in both ownership arrays,
-// which swap at every switch) or returns -1.
-func (s *Server) reservedZoneFor(cs *clientState) int {
+// newClient builds the server-side record of the client whose regions a
+// join payload names and stores it under m.ID — the next id, or one the
+// roster or an eviction emptied. The caller places it.
+func (s *Server) newClient(m ctrlplane.Member, payload []byte) *clientState {
+	cs := &clientState{
+		Member:    m,
+		respAddr:  binary.LittleEndian.Uint64(payload),
+		respRKey:  binary.LittleEndian.Uint32(payload[8:]),
+		stageAddr: binary.LittleEndian.Uint64(payload[12:]),
+		stageRKey: binary.LittleEndian.Uint32(payload[20:]),
+		group:     -1,
+		zone:      -1,
+		warmZone:  -1,
+	}
+	if int(m.ID) == len(s.clients) {
+		s.clients = append(s.clients, cs)
+	} else {
+		s.clients[m.ID] = cs
+	}
+	return cs
+}
+
+// placeJoined puts a client into service: on a reserved zone when pinned,
+// otherwise in a group. A pinned request with every reserved zone taken
+// places nothing and reports false; Connect refuses such a client, every
+// other admission path degrades it to the grouped path.
+func (s *Server) placeJoined(cs *clientState, pinned bool) bool {
+	cs.Pinned = pinned
+	if !pinned {
+		s.place(cs)
+		return true
+	}
 	for z := s.Cfg.maxZones(); z < s.Cfg.totalZones(); z++ {
+		// Both ownership arrays, which swap at every switch.
 		if s.zoneOwner[z] < 0 && s.warmOwner[z] < 0 {
-			s.zoneOwner[z] = int(cs.id)
-			s.warmOwner[z] = int(cs.id)
-			return z
+			s.zoneOwner[z], s.warmOwner[z] = int(cs.ID), int(cs.ID)
+			cs.zone, cs.group = z, -1
+			return true
 		}
 	}
-	return -1
+	return false
 }
 
 // place assigns a new client to a group: the last group if it is below the
@@ -783,25 +774,25 @@ func (s *Server) place(cs *clientState) {
 		if len(s.groups) > 0 {
 			last := len(s.groups) - 1
 			if len(s.groups[last]) < s.Cfg.GroupSize && s.groupDemoted(s.groups[last]) == cs.demoted {
-				s.groups[last] = append(s.groups[last], cs.id)
+				s.groups[last] = append(s.groups[last], cs.ID)
 				cs.group = last
 				return
 			}
 		}
 	} else {
-		class := s.tenantAuth.GroupClass(cs.tenant)
+		class := s.tenantAuth.GroupClass(cs.Tenant)
 		for i := len(s.groups) - 1; i >= 0; i-- {
 			grp := s.groups[i]
 			if len(grp) == 0 || len(grp) >= s.Cfg.GroupSize || s.tenantClassOf(grp[0]) != class ||
 				s.groupDemoted(grp) != cs.demoted {
 				continue
 			}
-			s.groups[i] = append(grp, cs.id)
+			s.groups[i] = append(grp, cs.ID)
 			cs.group = i
 			return
 		}
 	}
-	s.groups = append(s.groups, []uint16{cs.id})
+	s.groups = append(s.groups, []uint16{cs.ID})
 	cs.group = len(s.groups) - 1
 	s.Stats.Regroups++
 }
@@ -816,10 +807,10 @@ func (s *Server) Disconnect(id uint16) {
 	if cs == nil {
 		return
 	}
-	s.tenantClose(cs)
+	s.roster.Uncharge(&cs.Member)
 	s.unplace(cs)
 	s.clients[id] = nil
-	s.Host.NIC.DestroyQP(cs.qp)
+	s.Host.NIC.DestroyQP(cs.QP)
 }
 
 // unplace removes a client from its group and releases its zone claims in
@@ -829,7 +820,7 @@ func (s *Server) unplace(cs *clientState) {
 	if cs.group >= 0 {
 		grp := s.groups[cs.group]
 		for i, cid := range grp {
-			if cid == cs.id {
+			if cid == cs.ID {
 				s.groups[cs.group] = append(grp[:i], grp[i+1:]...)
 				break
 			}
@@ -855,7 +846,7 @@ func (s *Server) Reconnect(c *Conn) {
 	c.h.NIC.DestroyQP(c.qp)
 	cs := s.clients[c.id]
 	if cs != nil {
-		s.Host.NIC.DestroyQP(cs.qp)
+		s.Host.NIC.DestroyQP(cs.QP)
 	}
 	scq := s.Host.NIC.CreateCQ()
 	ccq := c.h.NIC.CreateCQ()
@@ -869,34 +860,13 @@ func (s *Server) Reconnect(c *Conn) {
 		// regions. The warmup round counter keeps increasing client-side,
 		// so the fresh clientState's round mismatch makes the first
 		// endpoint-entry fetch idempotent.
-		cs = &clientState{
-			id:        c.id,
-			qp:        sqp,
-			respAddr:  c.resp.Region.Base,
-			respRKey:  c.resp.Region.RKey,
-			stageAddr: c.stage.Base,
-			stageRKey: c.stage.RKey,
-			zone:      -1,
-			warmZone:  -1,
-			pinned:    c.pinned,
-			tenant:    c.joinTenant,
-			peerHost:  -1,
+		cs = s.newClient(ctrlplane.Member{ID: c.id, QP: sqp, Peer: -1, Tenant: c.joinTenant}, c.joinPayload())
+		if !s.placeJoined(cs, c.pinned) {
+			s.placeJoined(cs, false)
 		}
-		s.clients[c.id] = cs
-		if c.pinned {
-			if z := s.reservedZoneFor(cs); z >= 0 {
-				cs.zone = z
-				cs.group = -1
-			} else {
-				cs.pinned = false
-				s.place(cs)
-			}
-		} else {
-			s.place(cs)
-		}
-		s.tenantOpen(cs)
+		s.roster.Charge(&cs.Member)
 	} else {
-		cs.qp = sqp
+		cs.QP = sqp
 		cs.fetchedUpTo = 0
 		cs.missedSlices = 0
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"scalerpc/internal/ctrlplane"
 	"scalerpc/internal/host"
 	"scalerpc/internal/memory"
 	"scalerpc/internal/nic"
@@ -33,8 +34,14 @@ const zoneNone = uint16(0x7FFF)
 
 // clientState is the server-side record for one connected RPCClient.
 type clientState struct {
-	id uint16
-	qp *nic.QP
+	// Member is the roster's part of the record (membership.go): id, QP,
+	// dialing peer (DemotePeer and RestorePeer act on every client of a
+	// peer), tenant, and the Parked/Limbo flags — a parked or quarantined
+	// client keeps its id and regions but the scheduler skips it entirely
+	// until the control plane readmits it. Pinned marks a latency-sensitive
+	// client on a reserved zone: never grouped, never switched, always
+	// served from pool 0.
+	ctrlplane.Member
 
 	// Client-exported regions (exchanged at connect).
 	respAddr  uint64
@@ -57,12 +64,6 @@ type clientState struct {
 	bytes    uint64
 	priority float64
 
-	// tenant is the owning tenant id (0 = default tenant); counted marks
-	// that the TenantAuthority has been told this connection is open and
-	// must be told when it closes (whichever teardown path fires first).
-	tenant  uint16
-	counted bool
-
 	// notifiedEpoch is the last switch epoch whose context_switch_event
 	// reached this client piggybacked on a response.
 	notifiedEpoch uint64
@@ -72,33 +73,12 @@ type clientState struct {
 	// probe (see detectFailures).
 	missedSlices int
 
-	// peerHost is the client's host id as seen by the control plane, -1 for
-	// clients admitted through the legacy Connect backdoor. DemotePeer and
-	// RestorePeer act on every client of the named peer.
-	peerHost int
-
 	// demoted marks a client whose peer the failure detector has demoted:
 	// it keeps full service, but liveness probes are suppressed (a probe on
 	// a lossy link exhausts the RC retry budget and falsely evicts) and the
 	// scheduler isolates it into suspect-only groups so healthy clients
 	// never share a slice with it.
 	demoted bool
-
-	// pinned marks a latency-sensitive client on a reserved zone: it is
-	// never grouped, never switched, and always served from pool 0.
-	pinned bool
-
-	// parked marks a control-plane-admitted client that gracefully left
-	// (Conn.Leave): its QP sits in the connection cache and its id stays
-	// reserved so staged requests survive a Rejoin, but the scheduler
-	// skips it entirely until the control plane resumes it.
-	parked bool
-
-	// limbo marks an identity quarantined after an ungraceful departure
-	// (lease expiry, QP error, cache teardown): the id and its dedup
-	// window stay reserved so a crash-recovered client that dials back in
-	// resumes exactly-once, until the bounded quarantine releases it.
-	limbo bool
 }
 
 type worker struct {
@@ -145,14 +125,11 @@ type Server struct {
 	groups  [][]uint16
 	cur     int // index of the group being served
 
-	// freeIDs holds client ids released by the control-plane adapter
-	// (lease expiry, cache teardown) for reuse by later joins. Legacy
-	// Disconnect does not free ids: Reconnect may resurrect them.
-	freeIDs []uint16
-	// limbo is the FIFO of quarantined identities (see clientState.limbo):
-	// ungracefully departed ids waiting for their client to dial back in,
-	// released for reuse when the quarantine overflows.
-	limbo []uint16
+	// roster owns the identity lifecycle of control-plane clients and the
+	// tenant gate's open/close pairing; mgr is the manager the server is
+	// bound to (membership.go).
+	roster *ctrlplane.Roster
+	mgr    *ctrlplane.Manager
 
 	// zoneOwner maps processing-pool zones to client ids (the context
 	// metadata of §3.3); warmOwner is the same for the warmup pool.
@@ -229,6 +206,7 @@ func NewServer(h *host.Host, cfg ServerConfig) *Server {
 		resumeSig: sim.NewSignal(h.Env),
 		replies:   rpccore.NewReplyCache(cfg.BlocksPerClient),
 	}
+	s.roster = ctrlplane.NewRoster("scalerpc", cfg.MaxClients, placement{s})
 	s.rel = rpccore.SharedRel(h.Tel.Registry())
 	if reg := h.Tel.Registry(); reg != nil {
 		s.tel = reg.UniqueScope("scalerpc")
@@ -385,7 +363,7 @@ func (w *worker) sweep(t *host.Thread) int {
 				// the next switch.
 				continue
 			}
-			if cs.pinned {
+			if cs.Pinned {
 				pool = pinnedPool
 			} else {
 				pool = s.processingPool()
@@ -436,7 +414,7 @@ func (w *worker) sweep(t *host.Thread) int {
 // are answered from the reply cache without re-running the handler
 // (at-most-once execution, §3.5 upgraded to exactly-once results).
 func (s *Server) serve(t *host.Thread, w *worker, cs *clientState, slot int, hdr rpcwire.Header, body []byte) {
-	if dup, rep, ready := s.replies.Admit(cs.id, hdr.ReqID); dup {
+	if dup, rep, ready := s.replies.Admit(cs.ID, hdr.ReqID); dup {
 		s.rel.DedupHits++
 		if ready {
 			var flags byte
@@ -451,13 +429,13 @@ func (s *Server) serve(t *host.Thread, w *worker, cs *clientState, slot int, hdr
 		return
 	}
 	s.Stats.Served++
-	if cs.pinned {
+	if cs.Pinned {
 		s.Stats.PinnedServed++
 	}
 	cs.served++
 	cs.bytes += uint64(len(body))
 	if s.handlers[hdr.Handler] == nil {
-		s.replies.Commit(cs.id, hdr.ReqID, nil, true)
+		s.replies.Commit(cs.ID, hdr.ReqID, nil, true)
 		s.respond(t, w.scratch, &w.scratchIdx, cs, slot, hdr, w.buf, 0, rpcwire.FlagError)
 		return
 	}
@@ -476,7 +454,7 @@ func (s *Server) serve(t *host.Thread, w *worker, cs *clientState, slot int, hdr
 	// duration (which drives legacy-mode detection) reflects its own work.
 	t.FlushWork()
 	start := t.P.Now()
-	n := s.handlers[hdr.Handler](t, cs.id, body, w.buf[rpcwire.HeaderSize:len(w.buf)-rpcwire.TrailerSize])
+	n := s.handlers[hdr.Handler](t, cs.ID, body, w.buf[rpcwire.HeaderSize:len(w.buf)-rpcwire.TrailerSize])
 	t.FlushWork()
 	s.handlerNs.Observe(uint64(t.P.Now() - start))
 	if t.P.Now()-start > s.Cfg.LegacyThreshold && !s.legacy[hdr.Handler] {
@@ -485,7 +463,7 @@ func (s *Server) serve(t *host.Thread, w *worker, cs *clientState, slot int, hdr
 		s.legacy[hdr.Handler] = true
 		s.Stats.LegacyMarked++
 	}
-	s.replies.Commit(cs.id, hdr.ReqID, w.buf[rpcwire.HeaderSize:rpcwire.HeaderSize+n], false)
+	s.replies.Commit(cs.ID, hdr.ReqID, w.buf[rpcwire.HeaderSize:rpcwire.HeaderSize+n], false)
 	s.respond(t, w.scratch, &w.scratchIdx, cs, slot, hdr, w.buf, n, 0)
 }
 
@@ -497,9 +475,9 @@ func (s *Server) runLegacy(t *host.Thread) {
 	idx := 0
 	for {
 		job := s.legacyQ.Pop(t.P)
-		n := s.handlers[job.handler](t, job.cs.id, job.body, buf[rpcwire.HeaderSize:len(buf)-rpcwire.TrailerSize])
+		n := s.handlers[job.handler](t, job.cs.ID, job.body, buf[rpcwire.HeaderSize:len(buf)-rpcwire.TrailerSize])
 		hdr := rpcwire.Header{ReqID: job.reqID, Handler: job.handler}
-		s.replies.Commit(job.cs.id, job.reqID, buf[rpcwire.HeaderSize:rpcwire.HeaderSize+n], false)
+		s.replies.Commit(job.cs.ID, job.reqID, buf[rpcwire.HeaderSize:rpcwire.HeaderSize+n], false)
 		s.respond(t, scratch, &idx, job.cs, job.slot, hdr, buf, n, 0)
 	}
 }
@@ -517,12 +495,12 @@ func (s *Server) respond(t *host.Thread, scratch *memory.Region, idx *int, cs *c
 	zoneInfo := zoneNone
 	if cs.zone >= 0 {
 		zoneInfo = uint16(cs.zone)
-		if s.procIdx == 1 && !cs.pinned {
+		if s.procIdx == 1 && !cs.Pinned {
 			zoneInfo |= poolBit
 		}
 	}
 	// Pinned clients are never switched out, so they never see the event.
-	if s.draining && !cs.pinned {
+	if s.draining && !cs.Pinned {
 		flags |= rpcwire.FlagContextSwitch
 		if cs.notifiedEpoch != s.epoch {
 			cs.notifiedEpoch = s.epoch
@@ -550,7 +528,7 @@ func (s *Server) respond(t *host.Thread, scratch *memory.Region, idx *int, cs *c
 	if span <= s.Host.NIC.Cfg.MaxInline {
 		wr.Inline = true
 	}
-	t.PostSend(cs.qp, wr)
+	t.PostSend(cs.QP, wr)
 }
 
 // readEndpointEntry decodes client cid's endpoint entry from server memory.

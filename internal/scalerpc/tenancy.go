@@ -7,6 +7,7 @@
 package scalerpc
 
 import (
+	"scalerpc/internal/ctrlplane"
 	"scalerpc/internal/host"
 	"scalerpc/internal/sim"
 )
@@ -15,18 +16,11 @@ import (
 // run on server-host threads (manager or scheduler); implementations need
 // no locking. Tenant 0 is the default tenant for unmanaged clients.
 type TenantAuthority interface {
-	// AdmitConn decides whether one more connection from the tenant may be
-	// admitted, and whether a requested reserved (pinned) zone is within
-	// the tenant's zone quota. A nil error admits; ctrlplane.ErrAdmitQueue
-	// (possibly wrapped) parks the dial in the control plane's admission
-	// queue; any other error rejects with that reason. The call must be
-	// side-effect free: it runs once in the handshake's pre-admission gate
-	// and again in Accept/Resume.
-	AdmitConn(tenant uint16, pinned bool) (pinnedGranted bool, err error)
-	// ConnOpened/ConnClosed track the tenant's live connection count (and
-	// pinned-zone occupancy). The server guarantees they pair.
-	ConnOpened(tenant uint16, pinned bool)
-	ConnClosed(tenant uint16, pinned bool)
+	// Gate is the admission half: AdmitConn screens a dial against the
+	// tenant's connection and reserved-zone quotas, ConnOpened/ConnClosed
+	// track what is live. The server's roster calls it and guarantees the
+	// open/close pairing.
+	ctrlplane.Gate
 	// SliceWeight returns the tenant's fair-share weight (1 = neutral).
 	// The scheduler scales a group's time slice by the ratio of its mean
 	// member weight to the population mean, so shrinking a bulk tenant's
@@ -45,24 +39,9 @@ type TenantAuthority interface {
 // SetTenantAuthority installs the tenant manager. Must be called before
 // clients join; a nil authority disables all tenant machinery (the
 // default).
-func (s *Server) SetTenantAuthority(a TenantAuthority) { s.tenantAuth = a }
-
-// tenantOpen reports an admitted client to the authority, at most once per
-// open/close cycle.
-func (s *Server) tenantOpen(cs *clientState) {
-	if s.tenantAuth != nil && !cs.counted {
-		cs.counted = true
-		s.tenantAuth.ConnOpened(cs.tenant, cs.pinned)
-	}
-}
-
-// tenantClose reports a departed client to the authority; safe to call on
-// every teardown path (only the first after an open counts).
-func (s *Server) tenantClose(cs *clientState) {
-	if s.tenantAuth != nil && cs.counted {
-		cs.counted = false
-		s.tenantAuth.ConnClosed(cs.tenant, cs.pinned)
-	}
+func (s *Server) SetTenantAuthority(a TenantAuthority) {
+	s.tenantAuth = a
+	s.roster.SetGate(a)
 }
 
 // settlePinned closes the slice accounting window for reserved-zone
@@ -83,7 +62,7 @@ func (s *Server) settlePinned() {
 		}
 		cs := s.clients[owner]
 		if cs.served > 0 || cs.bytes > 0 {
-			s.tenantAuth.SliceAccount(cs.tenant, cs.served, cs.bytes)
+			s.tenantAuth.SliceAccount(cs.Tenant, cs.served, cs.bytes)
 			cs.served = 0
 			cs.bytes = 0
 		}
@@ -96,7 +75,7 @@ func (s *Server) tenantClassOf(cid uint16) int {
 	if cs == nil {
 		return 0
 	}
-	return s.tenantAuth.GroupClass(cs.tenant)
+	return s.tenantAuth.GroupClass(cs.Tenant)
 }
 
 // ConnectTenant is the backdoor counterpart of Connect for tests and
@@ -117,6 +96,6 @@ func (s *Server) ConnectTenant(ch *host.Host, sig *sim.Signal, tenant uint16, pi
 		return nil
 	}
 	c.joinTenant = tenant
-	s.tenantOpen(s.clients[c.id])
+	s.roster.Charge(&s.clients[c.id].Member)
 	return c
 }
