@@ -166,6 +166,9 @@ func (f *Fabric) Port(i int) *Port { return f.ports[i] }
 // NumPorts returns the number of ports.
 func (f *Fabric) NumPorts() int { return len(f.ports) }
 
+// BytesPerNs returns the per-direction port bandwidth.
+func (f *Fabric) BytesPerNs() float64 { return f.bytesPerNs }
+
 // wireTime returns serialization time for a message of size payload bytes.
 func (f *Fabric) wireTime(payload int) sim.Duration {
 	bytes := payload + f.cfg.WireOverheadBytes

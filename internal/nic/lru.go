@@ -56,16 +56,20 @@ func (c *lruCache) Access(key uint64) bool {
 		return true
 	}
 	c.misses++
+	var n *lruNode
 	if len(c.entries) >= c.capacity {
-		var victim *lruNode
+		// A full cache misses without allocating: the victim's node is
+		// relabelled for the key that displaced it.
 		if c.rng != nil {
-			victim = c.entries[c.keys[c.rng.Intn(len(c.keys))]]
+			n = c.entries[c.keys[c.rng.Intn(len(c.keys))]]
 		} else {
-			victim = c.tail
+			n = c.tail
 		}
-		c.remove(victim)
+		c.remove(n)
+		n.key = key
+	} else {
+		n = &lruNode{key: key}
 	}
-	n := &lruNode{key: key}
 	c.entries[key] = n
 	c.pushFront(n)
 	if c.rng != nil {

@@ -143,3 +143,32 @@ func TestPropertyCachesAgreeOnMembershipAfterAccess(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAllocBudgetLRUMiss pins the miss path of a full cache at zero
+// allocations under both replacement policies: the victim's node carries
+// the new key. A many-client server misses on every QPC and WQE lookup past
+// the cache's capacity, so a node per miss was the NIC model's largest
+// allocation site.
+func TestAllocBudgetLRUMiss(t *testing.T) {
+	for name, c := range map[string]*lruCache{
+		"lru":    newLRU(64),
+		"random": newRandomCache(64, stats.NewRNG(1)),
+	} {
+		key := uint64(0)
+		miss := func() {
+			key++
+			if c.Access(key) {
+				t.Fatalf("%s: key %d hit", name, key)
+			}
+		}
+		for i := 0; i < 1024; i++ {
+			miss()
+		}
+		if got := testing.AllocsPerRun(2000, miss); got != 0 {
+			t.Errorf("%s: %v allocs per miss on a full cache, want 0", name, got)
+		}
+		if c.Len() != 64 {
+			t.Errorf("%s: %d resident entries, want 64", name, c.Len())
+		}
+	}
+}

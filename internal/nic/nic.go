@@ -346,6 +346,15 @@ func (n *NIC) Reset() { n.Stats = Stats{} }
 // ID returns the NIC's fabric port id.
 func (n *NIC) ID() int { return n.id }
 
+// PortBytes returns the cumulative bytes the NIC's port has sent and
+// received, wire headers included; against LineRate it tells a quiet link
+// from a saturated one.
+func (n *NIC) PortBytes() (tx, rx uint64) { return n.port.Stats.TxBytes, n.port.Stats.RxBytes }
+
+// LineRate returns the port's bandwidth per direction, in bytes per
+// nanosecond.
+func (n *NIC) LineRate() float64 { return n.fab.BytesPerNs() }
+
 // Env returns the simulation environment.
 func (n *NIC) Env() *sim.Env { return n.env }
 

@@ -72,7 +72,10 @@ type ServerConfig struct {
 type FailureConfig struct {
 	// ProbeSlices is how many consecutive slices a client may go without a
 	// single served request before the scheduler posts a liveness probe (a
-	// 0-byte RC write) on its QP. A dead client's probe exhausts the RC
+	// 0-byte RC write) on its QP. A slice stands for one rotation of the
+	// clock-driven schedule: when slices end early a group comes round more
+	// often, and each of its turns counts for the share of such a rotation
+	// that it covered. A dead client's probe exhausts the RC
 	// retry budget and errors the QP, which evicts it at its group's next
 	// switch; an idle-but-alive client absorbs the probe invisibly.
 	// 0 disables probing (dead clients are then only caught when a
@@ -144,4 +147,9 @@ type Stats struct {
 	Joins        uint64 // control-plane admissions (cold joins and resumes)
 	Leaves       uint64 // graceful departures parked in the connection cache
 	Expires      uint64 // control-plane clients dropped by lease expiry
+
+	// EarlySwitches counts the context switches (included in Switches) that
+	// ended a slice before its budget because the server sat idle on the
+	// active group while the next one's requests waited (earlySwitch).
+	EarlySwitches uint64
 }

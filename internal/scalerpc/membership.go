@@ -97,7 +97,7 @@ func (p placement) Admit(t *host.Thread, m ctrlplane.Member, payload []byte, pin
 func (p placement) Readmit(t *host.Thread, m *ctrlplane.Member, pinned bool) {
 	cs := p.s.clients[m.ID]
 	cs.fetchedUpTo = 0
-	cs.missedSlices = 0
+	cs.missedSlices, cs.scannedAt = 0, 0
 	p.join(t, cs, pinned, "client_rejoin")
 }
 

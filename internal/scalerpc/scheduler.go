@@ -16,14 +16,26 @@ import (
 
 // runScheduler is the priority-based scheduler (§3.2): it times the slices,
 // warms the next group during each slice, and performs context switches.
+// sliceFor bounds a slice from above; a slice ends before that when the
+// server has sat idle on the active group while the next one's requests
+// wait in the warmup pool (earlySwitch).
 func (s *Server) runScheduler(t *host.Thread) {
+	// What the context switch that began the current slice took, drain to
+	// late sweep.
+	var switchCost sim.Duration
 	for {
-		sliceLen := s.sliceFor(s.cur) + s.phaseAdjust
-		if sliceLen < s.Cfg.TimeSlice/4 {
-			sliceLen = s.Cfg.TimeSlice / 4
+		planned := s.sliceFor(s.cur) + s.phaseAdjust
+		if planned < s.Cfg.TimeSlice/4 {
+			planned = s.Cfg.TimeSlice / 4
 		}
 		s.phaseAdjust = 0
-		s.nextSwitch = t.P.Now() + sliceLen
+		start := t.P.Now()
+		s.nextSwitch = start + planned
+		s.warmFetched = 0
+		s.sliceScale = 1
+		from := s.tickCounters(start)
+		r := tickReadings{workers: len(s.workers), lineRate: s.Host.NIC.LineRate(),
+			timeSlice: s.Cfg.TimeSlice, switchCost: switchCost, synced: s.synced}
 		for t.P.Now() < s.nextSwitch {
 			s.assignWarm(t)
 			s.fetchWarmups(t)
@@ -35,13 +47,192 @@ func (s *Server) runScheduler(t *host.Thread) {
 			if d > 0 {
 				t.P.Sleep(d)
 			}
+			now := t.P.Now()
+			if now >= s.nextSwitch {
+				break // the budget ran out; nothing left to decide
+			}
+			to := s.tickCounters(now)
+			r.read(from, to, s.warmFetched, now-start, len(s.groups))
+			from = to
+			if earlySwitch(r) {
+				s.endEarly(now, start, planned, r)
+				break
+			}
+			if r.quiet() {
+				r.quietBefore++
+			} else {
+				r.quietBefore = 0
+			}
 		}
+		ran := t.P.Now() - start
+		s.sliceNs.Observe(uint64(ran))
 		if len(s.groups) >= 2 {
 			s.contextSwitch(t)
+			switchCost = t.P.Now() - start - ran
 		} else if len(s.groups) == 1 {
 			s.soloScan(t)
 		}
 	}
+}
+
+// The early-switch rule's thresholds. Each conjunct is there because a
+// prototype without it broke a workload the rotation exists for (parent
+// 5b7171f, seed 1):
+//
+//   - earlyCPUFrac: ending a slice when the workers mostly sleep costs
+//     echo_closed_400 12 % (each pool write wakes all ten workers and nine
+//     find nothing), so idleness is parse + handler time, never sweeps;
+//   - earlyLinkFrac: CPU alone halves bulk_getput_120, which is link-bound
+//     at 0.99 utilisation with idle cores (2.48 -> 1.24 Mops/s);
+//   - served < warmFetched: CPU and link alone halve closed-loop batch 1
+//     (fig9 b1 7.47 -> 3.59, ext-latency 6.26 -> 2.47 Mops/s): that server
+//     is idle because it is waiting on round trips, and it answers more per
+//     tick than the warming group has queued;
+//   - earlyQuietTicks, earlyMinSliceDiv: one quiet tick is the gap between a
+//     drained backlog and the next burst; below TimeSlice/4 the switch
+//     overhead and QPC refill dominate (Fig 11(a): 9.3 Mops/s at 100 us
+//     falls to 6.6 at 30 us);
+//   - earlySwitchCosts: TimeSlice/4 is that floor for a switch of ~19 us
+//     (echo_open_256's median). Two groups of 70 thrash the 64-entry QPC
+//     cache, a switch takes 25-75 us, and the closed loop behind it is
+//     NIC-bound — cores, link and backlog all read idle. Without a floor
+//     that follows the measured cost fig11b's GroupSize 70 cell fell
+//     2.12 -> 1.47 Mops/s; with the slice held to twice the switch that
+//     began it, 2.03, and echo_open_256's p99 moves 498 -> 503 us.
+const (
+	earlyCPUFrac     = 0.25
+	earlyLinkFrac    = 0.25
+	earlyQuietTicks  = 2
+	earlyMinSliceDiv = 4
+	earlySwitchCosts = 2
+)
+
+// endEarly books a slice that earlySwitch ended at now, short of its
+// budget: what the slice served is scaled up to a full slice's worth when
+// it settles, and the time cut joins the total that failure detection
+// converts scans back into rotations with.
+func (s *Server) endEarly(now, start sim.Time, planned sim.Duration, r tickReadings) {
+	s.Stats.EarlySwitches++
+	s.sliceScale = float64(planned) / float64(now-start)
+	s.sliceCut += planned - (now - start)
+	if s.trace.Enabled {
+		s.trace.Emit(now, "early_switch",
+			telemetry.A("cpu_permille", int64(r.cpuUtil()*1000)),
+			telemetry.A("link_permille", int64(r.linkUtil()*1000)),
+			telemetry.A("served", int64(r.served)),
+			telemetry.A("warm_fetched", int64(r.warmFetched)))
+	}
+}
+
+// tickCounters is one reading of the cumulative counters a tick is the
+// difference of.
+type tickCounters struct {
+	at       sim.Time
+	usefulNs uint64
+	served   uint64
+	tx, rx   uint64
+}
+
+func (s *Server) tickCounters(now sim.Time) tickCounters {
+	tx, rx := s.Host.NIC.PortBytes()
+	return tickCounters{at: now, usefulNs: s.usefulNs, served: s.groupServed, tx: tx, rx: rx}
+}
+
+// tickReadings is what the scheduler knows at the end of one
+// WarmupPollInterval tick: enough to decide, as a pure function, whether the
+// slice should end now.
+type tickReadings struct {
+	tick        sim.Duration // length of the tick the readings cover
+	usefulNs    uint64       // parse + handler time of the requests served in it
+	workers     int
+	txBytes     uint64 // server port, wire headers included
+	rxBytes     uint64
+	lineRate    float64 // bytes per ns per direction
+	served      uint64  // requests served for the active group in the tick
+	warmFetched uint64  // requests fetched for the warming group this slice
+	quietBefore int     // consecutive quiet ticks before this one
+	sliceAge    sim.Duration
+	timeSlice   sim.Duration
+	switchCost  sim.Duration // what the switch that began the slice took
+	groups      int
+	synced      bool // the server is in a SyncGroup
+}
+
+func (r *tickReadings) read(from, to tickCounters, warmFetched uint64, age sim.Duration, groups int) {
+	r.tick = to.at - from.at
+	r.usefulNs = to.usefulNs - from.usefulNs
+	r.txBytes, r.rxBytes = to.tx-from.tx, to.rx-from.rx
+	r.served = to.served - from.served
+	r.warmFetched = warmFetched
+	r.sliceAge = age
+	r.groups = groups
+}
+
+// cpuUtil is the share of the workers' tick spent parsing and handling.
+func (r tickReadings) cpuUtil() float64 {
+	return float64(r.usefulNs) / (float64(r.workers) * float64(r.tick))
+}
+
+// linkUtil is the busier direction of the server port against line rate.
+func (r tickReadings) linkUtil() float64 {
+	b := r.txBytes
+	if r.rxBytes > b {
+		b = r.rxBytes
+	}
+	return float64(b) / (r.lineRate * float64(r.tick))
+}
+
+// quiet reports a tick in which the server sat idle on the active group —
+// cores and link both under a quarter used — while the warming group had
+// more fetched than the active group got served.
+func (r tickReadings) quiet() bool {
+	return r.tick > 0 && r.warmFetched > 0 && r.served < r.warmFetched &&
+		r.cpuUtil() < earlyCPUFrac && r.linkUtil() < earlyLinkFrac
+}
+
+// earlySwitch decides whether the slice ends at this tick: the rotation has
+// somewhere to go and no peer to keep pace with, the slice has run its
+// floor, and this tick and the one before it were quiet.
+func earlySwitch(r tickReadings) bool {
+	return r.groups >= 2 && !r.synced &&
+		r.sliceAge >= r.timeSlice/earlyMinSliceDiv && r.sliceAge >= earlySwitchCosts*r.switchCost &&
+		r.quietBefore+1 >= earlyQuietTicks && r.quiet()
+}
+
+// switchScratch is the working memory of the switch path. The scheduler is
+// one thread, so each buffer only has to survive that thread's own yields
+// within the one call that fills it; steady-state ticks and switches
+// allocate nothing.
+type switchScratch struct {
+	// members snapshots a group's membership across yields — for fetchGroup,
+	// or for the outgoing group of a switch; never both at once.
+	members []uint16
+	owners  []int    // the outgoing pool's zone map, until the late sweep
+	evict   []uint16 // scanFailures' verdicts, until they are disconnected
+	// regroup: the candidates in grouping order, the group list under
+	// construction (swapped with Server.groups) and the backing arrays the
+	// previous grouping retired.
+	order  regroupOrder
+	groups [][]uint16
+	free   [][]uint16
+}
+
+// regroupOrder sorts regroup's candidates by partition key and, under the
+// dynamic scheduler, by descending priority within a partition.
+type regroupOrder struct {
+	s          *Server
+	ids        []uint16
+	byPriority bool
+}
+
+func (o *regroupOrder) Len() int      { return len(o.ids) }
+func (o *regroupOrder) Swap(i, j int) { o.ids[i], o.ids[j] = o.ids[j], o.ids[i] }
+func (o *regroupOrder) Less(i, j int) bool {
+	a, b := o.ids[i], o.ids[j]
+	if ka, kb := o.s.partKey(a), o.s.partKey(b); ka != kb {
+		return ka < kb
+	}
+	return o.byPriority && o.s.clients[a].priority > o.s.clients[b].priority
 }
 
 // soloScan keeps failure detection alive when a single group means no
@@ -51,7 +242,8 @@ func (s *Server) runScheduler(t *host.Thread) {
 // switch — it used to reset served/bytes inline, which zeroed per-tenant
 // byte attribution before anything could sample it.
 func (s *Server) soloScan(t *host.Thread) {
-	out := append([]uint16(nil), s.groups[0]...)
+	out := append(s.scratch.members[:0], s.groups[0]...)
+	s.scratch.members = out
 	evict := s.scanFailures(t, out)
 	s.settleSlice(out)
 	for _, cid := range evict {
@@ -63,10 +255,11 @@ func (s *Server) soloScan(t *host.Thread) {
 	}
 }
 
-// sliceFor returns the slice length for group g. Under the priority
-// scheduler, groups whose clients post small requests frequently (high
-// P_i = T_i/S_i) receive a longer slice, squeezing shared time away from
-// idle clients (§3.2).
+// sliceFor returns the slice budget for group g: the longest its slice may
+// run (runScheduler ends it sooner when the server idles on it). Under the
+// priority scheduler, groups whose clients post small requests frequently
+// (high P_i = T_i/S_i) receive a longer slice, squeezing shared time away
+// from idle clients (§3.2).
 func (s *Server) sliceFor(g int) sim.Duration {
 	if g >= len(s.groups) || len(s.groups) < 2 {
 		return s.Cfg.TimeSlice
@@ -210,27 +403,36 @@ func (s *Server) fetchWarmups(t *host.Thread) {
 	if len(s.groups) == 0 {
 		return
 	}
-	s.fetchGroup(t, s.processingPool(), s.cur, func(cs *clientState) int { return cs.zone })
+	s.fetchGroup(t, s.cur, false)
 	if len(s.groups) >= 2 {
-		g := (s.cur + 1) % len(s.groups)
-		s.fetchGroup(t, s.warmupPool(), g, func(cs *clientState) int { return cs.warmZone })
+		s.fetchGroup(t, (s.cur+1)%len(s.groups), true)
 	}
 }
 
-// fetchGroup prefetches one group's staged requests into pool.
-func (s *Server) fetchGroup(t *host.Thread, pool *rpcwire.Pool, g int, zoneOf func(*clientState) int) {
+// fetchGroup prefetches group g's staged requests: the warming group's into
+// the warmup pool, the current group's into the processing pool.
+func (s *Server) fetchGroup(t *host.Thread, g int, warm bool) {
+	pool := s.processingPool()
+	if warm {
+		pool = s.warmupPool()
+	}
 	// Snapshot the membership: the READs below yield, and a client may
 	// disconnect (shrinking the live group slice in place) while this
 	// thread is blocked — iterating the live slice would then read a
 	// stale id past the new length. Members that depart mid-fetch show
-	// up as nil client states and are skipped.
-	grp := append([]uint16(nil), s.groups[g]...)
+	// up as nil client states and are skipped. The snapshot only has to
+	// outlive this call, so it lives in scheduler-owned scratch.
+	grp := append(s.scratch.members[:0], s.groups[g]...)
+	s.scratch.members = grp
 	for _, cid := range grp {
 		cs := s.clients[cid]
 		if cs == nil {
 			continue
 		}
-		zone := zoneOf(cs)
+		zone := cs.zone
+		if warm {
+			zone = cs.warmZone
+		}
 		if zone < 0 {
 			continue
 		}
@@ -269,6 +471,9 @@ func (s *Server) fetchGroup(t *host.Thread, pool *rpcwire.Pool, g int, zoneOf fu
 			if err := t.PostSend(cs.QP, wr); err == nil {
 				cs.fetchedUpTo = count
 				s.Stats.WarmupReads++
+				if warm {
+					s.warmFetched += uint64(n)
+				}
 			}
 			continue
 		}
@@ -289,6 +494,9 @@ func (s *Server) fetchGroup(t *host.Thread, pool *rpcwire.Pool, g int, zoneOf fu
 				break
 			}
 			s.Stats.WarmupReads++
+			if warm {
+				s.warmFetched++
+			}
 		}
 		if ok {
 			cs.fetchedUpTo = count
@@ -313,11 +521,13 @@ func (s *Server) contextSwitch(t *host.Thread) {
 	// Remember the outgoing pool's zone map: writes that raced the switch
 	// are answered from it by the late sweep below.
 	oldPool := s.processingPool()
-	oldOwners := append([]int(nil), s.zoneOwner[:s.Cfg.maxZones()]...)
+	oldOwners := append(s.scratch.owners[:0], s.zoneOwner[:s.Cfg.maxZones()]...)
+	s.scratch.owners = oldOwners
 
 	// Outgoing group: zones revoked; members whose drain responses did not
 	// carry the event get an explicit context_switch_event write.
-	out := append([]uint16(nil), s.groups[s.cur]...)
+	out := append(s.scratch.members[:0], s.groups[s.cur]...)
+	s.scratch.members = out
 	for _, cid := range out {
 		cs := s.clients[cid]
 		if cs == nil {
@@ -484,13 +694,24 @@ func (s *Server) notifyControl(t *host.Thread, cs *clientState) {
 // scanFailures inspects the outgoing group for dead clients: members whose
 // QP already sits in the error state (their NIC stopped acknowledging —
 // crashed node, downed link, invalidated response region) are returned for
-// eviction, and members who went Cfg.Failure.ProbeSlices consecutive slices without
-// a single served request get a liveness probe — a 0-byte unsignaled RC
-// write to the response region that either lands invisibly (the client is
-// merely idle) or exhausts the RC retry budget and errors the QP before the
-// group's next slice, so the eviction completes one rotation later.
+// eviction, and members who went Cfg.Failure.ProbeSlices slices of their own
+// without a single served request get a liveness probe — a 0-byte
+// unsignaled RC write to the response region that either lands invisibly
+// (the client is merely idle) or exhausts the RC retry budget and errors
+// the QP before the group's next slice, so the eviction completes one
+// rotation later.
+//
+// Silence is measured in rotations of the clock-driven schedule, not in
+// scans: a slice may end early, so a group can come round several times in
+// the span one rotation used to take, and an idle client must not be probed
+// that many times as often. A scan therefore counts for the share of a
+// full rotation it covers — the time since the client's previous scan over
+// that time plus whatever early switches cut from the slices in between
+// (exactly 1 when none did) — and a probe spends one rotation of the
+// silence built up.
 func (s *Server) scanFailures(t *host.Thread, out []uint16) []uint16 {
-	var evict []uint16
+	evict := s.scratch.evict[:0]
+	now := t.P.Now()
 	for _, cid := range out {
 		cs := s.clients[cid]
 		if cs == nil {
@@ -500,25 +721,34 @@ func (s *Server) scanFailures(t *host.Thread, out []uint16) []uint16 {
 			evict = append(evict, cid)
 			continue
 		}
+		// A client's first scan stands for the rotation it waited through.
+		share := 1.0
+		if ran := now - cs.scannedAt; cs.scannedAt > 0 && ran > 0 {
+			share = float64(ran) / float64(ran+s.sliceCut-cs.scannedCut)
+		}
+		cs.scannedAt, cs.scannedCut = now, s.sliceCut
 		if cs.served > 0 {
 			cs.missedSlices = 0
 			continue
 		}
-		cs.missedSlices++
-		if !cs.demoted && s.Cfg.Failure.ProbeSlices > 0 && cs.missedSlices >= s.Cfg.Failure.ProbeSlices {
+		cs.missedSlices += share
+		if n := s.Cfg.Failure.ProbeSlices; !cs.demoted && n > 0 && cs.missedSlices >= float64(n) {
+			cs.missedSlices--
 			s.Stats.Probes++
 			t.PostSend(cs.QP, nic.SendWR{Op: nic.OpWrite, RKey: cs.respRKey, RAddr: cs.respAddr})
 		}
 	}
+	s.scratch.evict = evict
 	return evict
 }
 
 // settleSlice closes one slice's accounting window for the given members:
 // per-tenant byte attribution is sampled first, then each outgoing
 // client's priority P_i = T_i / S_i folds in the observations (§3.2), and
-// only then does the window reset. Both switch paths (contextSwitch and
-// soloScan) must come through here — resetting served/bytes anywhere else
-// silently destroys the attribution the fair scheduler depends on.
+// only then does the window reset (sliceScale is 1, and the arithmetic
+// exact, for a slice that ran its budget). Both switch paths (contextSwitch
+// and soloScan) must come through here — resetting served/bytes anywhere
+// else silently destroys the attribution the fair scheduler depends on.
 func (s *Server) settleSlice(group []uint16) {
 	for _, cid := range group {
 		cs := s.clients[cid]
@@ -535,7 +765,9 @@ func (s *Server) settleSlice(group []uint16) {
 				avgSize = 1
 			}
 		}
-		inst := float64(cs.served) / avgSize
+		// The sample is a rate per full slice: what a slice that ended early
+		// served is scaled up to the length it was budgeted.
+		inst := float64(cs.served) / avgSize * s.sliceScale
 		cs.priority = 0.7*cs.priority + 0.3*inst
 		cs.served = 0
 		cs.bytes = 0
@@ -548,45 +780,45 @@ func (s *Server) settleSlice(group []uint16) {
 // are re-partitioned: by priority class under the dynamic scheduler, or
 // only when the lazy size bounds [G/2, 3G/2] are violated otherwise.
 func (s *Server) regroup() {
+	sc := &s.scratch
 	cur := s.groups[s.cur]
-	inCur := make(map[uint16]bool, len(cur))
-	for _, cid := range cur {
-		inCur[cid] = true
-	}
-	var rest []uint16
+	rest := sc.order.ids[:0]
 	for _, cs := range s.clients {
 		// Quarantined (limbo) identities are departed, not schedulable:
 		// sweeping one back into a group would hand a dead QP to the
 		// failure scanner and a zone to a client that cannot stage.
-		if cs != nil && !cs.Pinned && !cs.Parked && !cs.Limbo && !inCur[cs.ID] {
+		if cs != nil && !cs.Pinned && !cs.Parked && !cs.Limbo && cs.group != s.cur {
 			rest = append(rest, cs.ID)
 		}
 	}
+	sc.order.ids = rest
 	if !s.Cfg.Dynamic && !s.sizeBoundsViolated() && s.tenantAuth == nil {
 		return
 	}
-	if s.Cfg.Dynamic {
-		sort.SliceStable(rest, func(i, j int) bool {
-			return s.clients[rest[i]].priority > s.clients[rest[j]].priority
-		})
-	}
-	// Partition sort: a stable sort by the partition key keeps the priority
-	// order within each partition, and the chunking below never lets a
+	// One stable sort, partition key first: chunking below never lets a
 	// chunk span a partition boundary — so a bulk tenant can never ride in
 	// (and inflate) a latency-class group, and a demoted (suspect) client
-	// never shares a slice with healthy ones. With no tenant authority and
-	// no demotions every key is zero and the sort is a no-op.
-	sort.SliceStable(rest, func(i, j int) bool {
-		return s.partKey(rest[i]) < s.partKey(rest[j])
-	})
+	// never shares a slice with healthy ones — and within a partition the
+	// dynamic scheduler orders by priority. With no tenant authority and no
+	// demotions every key is zero.
+	sc.order.s, sc.order.byPriority = s, s.Cfg.Dynamic
+	sort.Stable(&sc.order)
 	g := s.Cfg.GroupSize
+	// Every group but the frozen one is rebuilt, so their backing arrays
+	// carry the next generation (rest is scratch and aliases none of them).
+	free := sc.free[:0]
+	for i, grp := range s.groups {
+		if i != s.cur || len(grp) == 0 {
+			free = append(free, grp[:0])
+		}
+	}
 	// The current group is frozen so a mid-rotation rebuild never disturbs
 	// the slice being served — but an emptied group (every member evicted
 	// or departed) earns no such protection. Keeping it would leave a
 	// zero-member group in rotation that regroup itself re-freezes each
 	// pass: the scheduler then burns entire slices serving nobody while
 	// the populated groups starve.
-	newGroups := [][]uint16{}
+	newGroups := sc.groups[:0]
 	if len(cur) > 0 {
 		newGroups = append(newGroups, cur)
 	}
@@ -609,7 +841,11 @@ func (s *Server) regroup() {
 			s.partKey(rest[len(rest)-1]) == s.partKey(rest[0]) {
 			n = len(rest)
 		}
-		newGroups = append(newGroups, append([]uint16(nil), rest[:n]...))
+		var buf []uint16
+		if k := len(free); k > 0 {
+			buf, free = free[k-1], free[:k-1]
+		}
+		newGroups = append(newGroups, append(buf, rest[:n]...))
 		rest = rest[n:]
 	}
 	// A runt at the very end (including a lone runt after the frozen
@@ -626,7 +862,9 @@ func (s *Server) regroup() {
 		}
 		newGroups[len(newGroups)-2] = append(prev, last...)
 		newGroups = newGroups[:len(newGroups)-1]
+		free = append(free, last[:0])
 	}
+	sc.free = free
 	changed := len(newGroups) != len(s.groups)
 	if !changed {
 		for i := range newGroups {
@@ -641,7 +879,7 @@ func (s *Server) regroup() {
 			s.clients[cid].group = i
 		}
 	}
-	s.groups = newGroups
+	sc.groups, s.groups = s.groups, newGroups
 	s.cur = 0
 	s.regroupDue = false
 	if changed || s.Cfg.Dynamic {
@@ -868,7 +1106,7 @@ func (s *Server) Reconnect(c *Conn) {
 	} else {
 		cs.QP = sqp
 		cs.fetchedUpTo = 0
-		cs.missedSlices = 0
+		cs.missedSlices, cs.scannedAt = 0, 0
 	}
 	c.qp = cqp
 	s.Stats.Readmits++

@@ -68,10 +68,14 @@ type clientState struct {
 	// reached this client piggybacked on a response.
 	notifiedEpoch uint64
 
-	// missedSlices counts consecutive slices in which this client had zero
-	// requests served; at Cfg.Failure.ProbeSlices the scheduler posts a liveness
-	// probe (see detectFailures).
-	missedSlices int
+	// missedSlices counts the consecutive slices of its own this client went
+	// without a served request, less one per liveness probe already spent on
+	// it. A slice counts for the share of a clock-driven rotation that
+	// passed since the failure scan before (scannedAt, and the server's
+	// sliceCut then): 1 unless slices ended early. See scanFailures.
+	missedSlices float64
+	scannedAt    sim.Time
+	scannedCut   sim.Duration
 
 	// demoted marks a client whose peer the failure detector has demoted:
 	// it keeps full service, but liveness probes are suppressed (a probe on
@@ -160,8 +164,29 @@ type Server struct {
 	resumeSig  *sim.Signal
 
 	// Global synchronization phase adjustment (applied to the next slice).
+	// synced marks a member of a SyncGroup: its slices end on the clock
+	// only, because an early switch would break the group's common pace.
 	phaseAdjust sim.Duration
 	nextSwitch  sim.Time
+	synced      bool
+
+	// What the scheduler's early-switch rule reads each tick: usefulNs is
+	// the cumulative parse + handler time of served requests (sweep polling
+	// is not work), groupServed the cumulative requests served for rotating
+	// (not pinned) clients, warmFetched the requests fetched into the warmup
+	// pool since the slice began. sliceScale is planned over actual length
+	// of the slice being settled, 1 unless it ended early.
+	usefulNs    uint64
+	groupServed uint64
+	warmFetched uint64
+	sliceScale  float64
+	// sliceCut is the cumulative time early switches have taken off their
+	// slices' budgets: what turns elapsed time back into rotations of the
+	// clock-driven schedule for everything that used to count slices.
+	sliceCut sim.Duration
+
+	// scratch is the switch path's working memory (scheduler.go).
+	scratch switchScratch
 
 	// Scheduler-owned response staging for explicit notifications.
 	schedScratch    *memory.Region
@@ -176,6 +201,7 @@ type Server struct {
 	tel       telemetry.Scope
 	trace     *telemetry.Trace
 	handlerNs *telemetry.Histogram
+	sliceNs   *telemetry.Histogram
 
 	// tenantAuth, when set, gates admission and shapes scheduling per
 	// tenant (see tenancy.go). Nil disables all tenant machinery.
@@ -214,6 +240,7 @@ func NewServer(h *host.Host, cfg ServerConfig) *Server {
 	s.trace = s.tel.Trace()
 	srv := s.tel.Scope("server")
 	srv.CounterVar("switches", &s.Stats.Switches)
+	srv.CounterVar("early_switches", &s.Stats.EarlySwitches)
 	srv.CounterVar("warmup_reads", &s.Stats.WarmupReads)
 	srv.CounterVar("notifies", &s.Stats.Notifies)
 	srv.CounterVar("piggybacked", &s.Stats.Piggybacked)
@@ -233,6 +260,7 @@ func NewServer(h *host.Host, cfg ServerConfig) *Server {
 	srv.CounterVar("leaves", &s.Stats.Leaves)
 	srv.CounterVar("expires", &s.Stats.Expires)
 	s.handlerNs = srv.Histogram("handler_ns")
+	s.sliceNs = srv.Histogram("slice_ns")
 	for i := range s.zoneOwner {
 		s.zoneOwner[i] = -1
 		s.warmOwner[i] = -1
@@ -434,6 +462,10 @@ func (s *Server) serve(t *host.Thread, w *worker, cs *clientState, slot int, hdr
 	}
 	cs.served++
 	cs.bytes += uint64(len(body))
+	if !cs.Pinned {
+		s.groupServed++
+	}
+	s.usefulNs += uint64(s.Cfg.ParseCost)
 	if s.handlers[hdr.Handler] == nil {
 		s.replies.Commit(cs.ID, hdr.ReqID, nil, true)
 		s.respond(t, w.scratch, &w.scratchIdx, cs, slot, hdr, w.buf, 0, rpcwire.FlagError)
@@ -456,8 +488,10 @@ func (s *Server) serve(t *host.Thread, w *worker, cs *clientState, slot int, hdr
 	start := t.P.Now()
 	n := s.handlers[hdr.Handler](t, cs.ID, body, w.buf[rpcwire.HeaderSize:len(w.buf)-rpcwire.TrailerSize])
 	t.FlushWork()
-	s.handlerNs.Observe(uint64(t.P.Now() - start))
-	if t.P.Now()-start > s.Cfg.LegacyThreshold && !s.legacy[hdr.Handler] {
+	ran := t.P.Now() - start
+	s.usefulNs += uint64(ran)
+	s.handlerNs.Observe(uint64(ran))
+	if ran > s.Cfg.LegacyThreshold && !s.legacy[hdr.Handler] {
 		// Record this call type (§3.5); subsequent requests run in legacy
 		// mode on a separate thread.
 		s.legacy[hdr.Handler] = true

@@ -47,6 +47,9 @@ func NewSyncGroup(servers []*Server) *SyncGroup {
 	if len(servers) < 2 {
 		return g
 	}
+	for _, srv := range servers {
+		srv.synced = true
+	}
 	ts := servers[0]
 	for i, follower := range servers[1:] {
 		i := i
