@@ -65,9 +65,7 @@ type Cache struct {
 	tags      []uint64 // tag+1; 0 means invalid
 	stamps    []uint64 // per-set LRU clock value at last touch
 	ddio      []bool   // allocated by DMA and not yet read by the CPU
-	// mru caches the last way touched per set (indexed by setBase, so the
-	// slice is sets×ways with only every ways-th entry used — trades a
-	// little memory for division-free indexing). Poll loops touch the same
+	// mru caches the last way touched per set. Poll loops touch the same
 	// handful of lines over and over; checking the hinted way first turns
 	// the common lookup into one compare instead of a full way scan. Purely
 	// an accelerator: hit/miss/eviction decisions are unchanged.
@@ -110,7 +108,7 @@ func New(cfg Config) *Cache {
 		tags:     make([]uint64, n),
 		stamps:   make([]uint64, n),
 		ddio:     make([]bool, n),
-		mru:      make([]int32, n),
+		mru:      make([]int32, sets),
 	}
 	if c.lineSize&(c.lineSize-1) == 0 {
 		c.linePow2 = true
@@ -132,22 +130,23 @@ func (c *Cache) lineNo(addr uint64) uint64 {
 	return addr / c.lineSize
 }
 
-// setOf maps a line number to its set's base index in the SoA arrays and
-// the line's tag (tag+1, so 0 stays "invalid").
-func (c *Cache) setOf(lineNo uint64) (setBase int, tag uint64) {
-	return int(lineNo&(c.sets-1)) * c.ways, lineNo>>c.setShift + 1
+// setOf maps a line number to its set and the line's tag (tag+1, so 0
+// stays "invalid"). The set's ways start at set*ways in the SoA arrays.
+func (c *Cache) setOf(lineNo uint64) (set int, tag uint64) {
+	return int(lineNo & (c.sets - 1)), lineNo>>c.setShift + 1
 }
 
 // lookup returns the way index holding tag in the set, or -1. The MRU hint
 // is checked first; on a full-scan hit the hint is refreshed.
-func (c *Cache) lookup(setBase int, tag uint64) int {
-	if m := c.mru[setBase]; c.tags[setBase+int(m)] == tag {
+func (c *Cache) lookup(set int, tag uint64) int {
+	setBase := set * c.ways
+	if m := c.mru[set]; c.tags[setBase+int(m)] == tag {
 		return int(m)
 	}
 	tags := c.tags[setBase : setBase+c.ways]
 	for w, t := range tags {
 		if t == tag {
-			c.mru[setBase] = int32(w)
+			c.mru[set] = int32(w)
 			return w
 		}
 	}
@@ -170,9 +169,10 @@ func (c *Cache) victim(setBase int) int {
 }
 
 // touchRead handles one line of a CPU read; reports whether it hit.
-func (c *Cache) touchRead(setBase int, tag uint64) bool {
+func (c *Cache) touchRead(set int, tag uint64) bool {
+	setBase := set * c.ways
 	c.clock++
-	if w := c.lookup(setBase, tag); w >= 0 {
+	if w := c.lookup(set, tag); w >= 0 {
 		i := setBase + w
 		c.stamps[i] = c.clock
 		c.ddio[i] = false // adopted by the CPU
@@ -180,12 +180,13 @@ func (c *Cache) touchRead(setBase int, tag uint64) bool {
 		return true
 	}
 	c.CPUReadMisses++
-	i := setBase + c.victim(setBase)
+	w := c.victim(setBase)
+	i := setBase + w
 	if c.tags[i] != 0 {
 		c.Evictions++
 	}
 	c.tags[i], c.stamps[i], c.ddio[i] = tag, c.clock, false
-	c.mru[setBase] = int32(i - setBase)
+	c.mru[set] = int32(w)
 	return false
 }
 
@@ -207,9 +208,10 @@ func (c *Cache) CPURead(addr, size uint64) (hits, misses int) {
 }
 
 // touchWrite handles one line of a CPU store; reports whether it hit.
-func (c *Cache) touchWrite(setBase int, tag uint64) bool {
+func (c *Cache) touchWrite(set int, tag uint64) bool {
+	setBase := set * c.ways
 	c.clock++
-	if w := c.lookup(setBase, tag); w >= 0 {
+	if w := c.lookup(set, tag); w >= 0 {
 		i := setBase + w
 		c.stamps[i] = c.clock
 		c.ddio[i] = false
@@ -217,12 +219,13 @@ func (c *Cache) touchWrite(setBase int, tag uint64) bool {
 		return true
 	}
 	c.CPUWriteMisses++
-	i := setBase + c.victim(setBase)
+	w := c.victim(setBase)
+	i := setBase + w
 	if c.tags[i] != 0 {
 		c.Evictions++
 	}
 	c.tags[i], c.stamps[i], c.ddio[i] = tag, c.clock, false
-	c.mru[setBase] = int32(i - setBase)
+	c.mru[set] = int32(w)
 	return false
 }
 
@@ -244,9 +247,10 @@ func (c *Cache) CPUWrite(addr, size uint64) (hits, misses int) {
 
 // touchDMA handles one line of a DDIO write; reports whether it updated in
 // place (versus write-allocated).
-func (c *Cache) touchDMA(setBase int, tag uint64) bool {
+func (c *Cache) touchDMA(set int, tag uint64) bool {
+	setBase := set * c.ways
 	c.clock++
-	if w := c.lookup(setBase, tag); w >= 0 {
+	if w := c.lookup(set, tag); w >= 0 {
 		// Write Update: in-place, keeps current DDIO status.
 		c.stamps[setBase+w] = c.clock
 		c.DMAUpdates++
@@ -287,7 +291,7 @@ func (c *Cache) touchDMA(setBase int, tag uint64) bool {
 	}
 	i := setBase + w
 	c.tags[i], c.stamps[i], c.ddio[i] = tag, c.clock, true
-	c.mru[setBase] = int32(i - setBase)
+	c.mru[set] = int32(w)
 	return false
 }
 
@@ -310,8 +314,8 @@ func (c *Cache) DMAWrite(addr, size uint64) (updates, allocs int) {
 
 // Contains reports whether the line holding addr is resident (no LRU touch).
 func (c *Cache) Contains(addr uint64) bool {
-	setBase, tag := c.setOf(c.lineNo(addr))
-	return c.lookup(setBase, tag) >= 0
+	set, tag := c.setOf(c.lineNo(addr))
+	return c.lookup(set, tag) >= 0
 }
 
 // Flush invalidates the whole cache but keeps statistics.

@@ -231,6 +231,143 @@ func TestPropertyResidencyNeverExceedsCapacity(t *testing.T) {
 	}
 }
 
+// TestMRUHintMatchesReferenceScan replays a seeded mixed CPU/DMA trace on
+// the hosts' default geometry (20 ways, 2 DDIO ways) through Cache and
+// through refCache, which states the same replacement policy with a full
+// way scan on every lookup and no MRU hint. The hint only accelerates
+// lookups, so every counter must agree.
+func TestMRUHintMatchesReferenceScan(t *testing.T) {
+	cfg := Config{SizeBytes: 30 << 20, Ways: 20, LineSize: 64, DDIOWays: 2}
+	c := New(cfg)
+	sets := uint64(c.SizeBytes() / (cfg.Ways * cfg.LineSize))
+	ref := newRefCache(int(sets), cfg.Ways, cfg.DDIOWays, cfg.LineSize)
+	q := NewRNGLike(7)
+	// Half the accesses go to a 256 KiB hot range that stays resident and
+	// hits through the hint; the rest crowd 256 tags into 64 sets, so those
+	// sets keep evicting and running out of DDIO ways.
+	for i := 0; i < 100_000; i++ {
+		r := q.next()
+		addr := r >> 8 % (256 << 10)
+		if r&1 == 1 {
+			addr = (r>>8%64+r>>20%256*sets)*64 + r>>32%64
+		}
+		size := 1 + r>>40%256
+		switch r >> 1 % 3 {
+		case 0:
+			c.CPURead(addr, size)
+			ref.access(refRead, addr, size)
+		case 1:
+			c.CPUWrite(addr, size)
+			ref.access(refWrite, addr, size)
+		default:
+			c.DMAWrite(addr, size)
+			ref.access(refDMA, addr, size)
+		}
+	}
+	if got := c.Snapshot(); got != ref.Stats {
+		t.Fatalf("hinted cache %+v\nreference scan %+v", got, ref.Stats)
+	}
+	if s := ref.Stats; s.CPUReadHits == 0 || s.DMAUpdates == 0 || s.DMAEvictions == 0 || s.Evictions == s.DMAEvictions {
+		t.Fatalf("trace did not exercise hits, updates and both eviction kinds: %+v", s)
+	}
+}
+
+type refOp int
+
+const (
+	refRead refOp = iota
+	refWrite
+	refDMA
+)
+
+type refLine struct {
+	tag, stamp  uint64
+	valid, ddio bool
+}
+
+// refCache is Cache's replacement policy written out plainly: a slice of
+// ways per set, searched in full on every access.
+type refCache struct {
+	Stats
+	ways, ddioWays int
+	lineSize       uint64
+	sets           [][]refLine
+	clock          uint64
+}
+
+func newRefCache(sets, ways, ddioWays, lineSize int) *refCache {
+	r := &refCache{ways: ways, ddioWays: ddioWays, lineSize: uint64(lineSize), sets: make([][]refLine, sets)}
+	for i := range r.sets {
+		r.sets[i] = make([]refLine, ways)
+	}
+	return r
+}
+
+func (r *refCache) access(op refOp, addr, size uint64) {
+	for line := addr / r.lineSize; line <= (addr+size-1)/r.lineSize; line++ {
+		r.clock++
+		set := r.sets[line%uint64(len(r.sets))]
+		tag := line / uint64(len(r.sets))
+		hit := -1
+		for w, l := range set {
+			if l.valid && l.tag == tag {
+				hit = w
+			}
+		}
+		if hit >= 0 {
+			set[hit].stamp = r.clock
+			switch op {
+			case refRead:
+				r.CPUReadHits++
+				set[hit].ddio = false
+			case refWrite:
+				r.CPUWriteHits++
+				set[hit].ddio = false
+			case refDMA:
+				r.DMAUpdates++
+			}
+			continue
+		}
+		// Victim: the first invalid way, else (for DMA with the set's DDIO
+		// ways used up) the oldest DDIO line, else the least recent line.
+		victim, lru, oldestDDIO, ddioLines := -1, 0, -1, 0
+		for w, l := range set {
+			switch {
+			case !l.valid:
+				if victim < 0 {
+					victim = w
+				}
+				continue
+			case l.stamp < set[lru].stamp || !set[lru].valid:
+				lru = w
+			}
+			if l.ddio {
+				ddioLines++
+				if oldestDDIO < 0 || l.stamp < set[oldestDDIO].stamp {
+					oldestDDIO = w
+				}
+			}
+		}
+		switch op {
+		case refRead:
+			r.CPUReadMisses++
+		case refWrite:
+			r.CPUWriteMisses++
+		case refDMA:
+			r.DMAAllocs++
+		}
+		if victim < 0 {
+			victim = lru
+			if op == refDMA && ddioLines >= r.ddioWays {
+				victim = oldestDDIO
+				r.DMAEvictions++
+			}
+			r.Evictions++
+		}
+		set[victim] = refLine{tag: tag, stamp: r.clock, valid: true, ddio: op == refDMA}
+	}
+}
+
 // NewRNGLike is a tiny local PRNG to avoid an import cycle with stats.
 type rngLike struct{ s uint64 }
 

@@ -1,10 +1,11 @@
 // Package memory models registered memory regions ("MRs") of a simulated
-// host. Each region is a flat byte arena placed in the host's virtual
-// address space; RDMA verbs address it with (rkey, virtual address) pairs,
-// exactly as ibverbs does. Registration records the page size, because the
-// number of page-table entries determines pressure on the NIC's MTT cache
-// (the paper notes FaRM's 2 GB pages and LITE's physical registration as
-// ways to shrink it; ScaleRPC registers 2 MB huge pages).
+// host. Each region is an address range in the host's virtual address
+// space whose bytes are allocated on first touch; RDMA verbs address it
+// with (rkey, virtual address) pairs, exactly as ibverbs does.
+// Registration records the page size, because the number of page-table
+// entries determines pressure on the NIC's MTT cache (the paper notes
+// FaRM's 2 GB pages and LITE's physical registration as ways to shrink
+// it; ScaleRPC registers 2 MB huge pages).
 package memory
 
 import (
@@ -43,19 +44,28 @@ type Region struct {
 	Base     uint64 // virtual base address
 	PageSize int
 	Flags    Access
-	buf      []byte
+	size     int
+	buf      []byte // nil until the first Bytes call
 }
 
 // Len returns the region length in bytes.
-func (r *Region) Len() int { return len(r.buf) }
+func (r *Region) Len() int { return r.size }
 
 // Bytes exposes the backing store. Local software uses this for direct
-// access; remote access must go through the verbs layer.
-func (r *Region) Bytes() []byte { return r.buf }
+// access; remote access must go through the verbs layer. The zeroed store
+// is allocated on the first call and kept for the region's lifetime, so a
+// region only addressed by the cache, PCIe and MTT models (a CQ ring, a
+// redo log nothing reads) costs no bytes.
+func (r *Region) Bytes() []byte {
+	if r.buf == nil {
+		r.buf = make([]byte, r.size)
+	}
+	return r.buf
+}
 
 // Pages returns the number of page-table entries the region occupies.
 func (r *Region) Pages() int {
-	return (len(r.buf) + r.PageSize - 1) / r.PageSize
+	return (r.size + r.PageSize - 1) / r.PageSize
 }
 
 // PageOf returns the index of the page containing virtual address addr,
@@ -66,11 +76,11 @@ func (r *Region) PageOf(addr uint64) int {
 
 // Slice returns the backing bytes for [addr, addr+size).
 func (r *Region) Slice(addr uint64, size int) ([]byte, error) {
-	if addr < r.Base || addr+uint64(size) > r.Base+uint64(len(r.buf)) {
-		return nil, fmt.Errorf("%w: [%#x,+%d) not in [%#x,+%d)", ErrOutOfband, addr, size, r.Base, len(r.buf))
+	if addr < r.Base || addr+uint64(size) > r.Base+uint64(r.size) {
+		return nil, fmt.Errorf("%w: [%#x,+%d) not in [%#x,+%d)", ErrOutOfband, addr, size, r.Base, r.size)
 	}
 	off := addr - r.Base
-	return r.buf[off : off+uint64(size)], nil
+	return r.Bytes()[off : off+uint64(size)], nil
 }
 
 // Registry is one host's MR table and virtual address allocator.
@@ -92,8 +102,9 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Register allocates and registers a region of size bytes with the given
-// page size and access flags, returning the region.
+// Register reserves and registers a region of size bytes with the given
+// page size and access flags, returning the region. Its bytes are
+// allocated by the first Bytes or Slice call.
 func (g *Registry) Register(size int, pageSize int, flags Access) *Region {
 	if size <= 0 {
 		panic("memory: non-positive region size")
@@ -107,7 +118,7 @@ func (g *Registry) Register(size int, pageSize int, flags Access) *Region {
 		Base:     g.nextAddr,
 		PageSize: pageSize,
 		Flags:    flags,
-		buf:      make([]byte, size),
+		size:     size,
 	}
 	g.nextKey++
 	// Keep regions page-aligned and well separated.

@@ -2,6 +2,7 @@ package memory
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 )
 
@@ -142,5 +143,95 @@ func TestTranslateLocal(t *testing.T) {
 	}
 	if _, _, err := g.TranslateLocal(12345, r.Base, 1); !errors.Is(err, ErrBadKey) {
 		t.Fatalf("err = %v, want ErrBadKey", err)
+	}
+}
+
+// TestAllocBudgetRegisterIsAddressOnly: registration reserves an address
+// range and keys; a region's bytes wait for its first Bytes or Slice call,
+// so a region only the cache, PCIe and MTT models address costs no memory.
+func TestAllocBudgetRegisterIsAddressOnly(t *testing.T) {
+	g := NewRegistry()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	r := g.Register(1<<30, PageSize2M, LocalWrite|RemoteRead|RemoteWrite)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(r)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 1<<20 {
+		t.Errorf("registering a 1 GiB region grew the heap by %d bytes, want < 1 MiB", grew)
+	}
+}
+
+// TestRegionGeometryWithoutBytes pins what registration promises before any
+// byte is touched: Len, Pages, the spacing of the next region's Base and
+// the out-of-band bounds, none of which allocates the region's bytes.
+func TestRegionGeometryWithoutBytes(t *testing.T) {
+	cases := []struct{ size, page int }{
+		{1, PageSize4K}, {PageSize4K, PageSize4K}, {3*PageSize4K + 1, PageSize4K},
+		{PageSize2M, PageSize2M}, {8<<20 + 1, PageSize2M}, {PageSize1G, PageSize1G},
+	}
+	for _, tc := range cases {
+		g := NewRegistry()
+		r := g.Register(tc.size, tc.page, RemoteRead|RemoteWrite)
+		next := g.Register(64, PageSize4K, RemoteRead)
+		if r.Len() != tc.size {
+			t.Errorf("%d B: Len = %d", tc.size, r.Len())
+		}
+		if want := (tc.size + tc.page - 1) / tc.page; r.Pages() != want {
+			t.Errorf("%d B on %d B pages: Pages = %d, want %d", tc.size, tc.page, r.Pages(), want)
+		}
+		if want := uint64(tc.size/tc.page+2) * uint64(tc.page); next.Base-r.Base != want {
+			t.Errorf("%d B on %d B pages: next Base %#x after, want %#x", tc.size, tc.page, next.Base-r.Base, want)
+		}
+		end := r.Base + uint64(tc.size)
+		for _, out := range []struct {
+			addr uint64
+			n    int
+		}{{r.Base - 1, 1}, {end, 1}, {end - 1, 2}} {
+			if _, err := r.Slice(out.addr, out.n); !errors.Is(err, ErrOutOfband) {
+				t.Errorf("%d B: Slice(%#x, %d) err = %v, want ErrOutOfband", tc.size, out.addr, out.n, err)
+			}
+		}
+		if r.buf != nil {
+			t.Errorf("%d B: geometry and bounds checks allocated the region's bytes", tc.size)
+		}
+		if tc.size > 8<<20+1 {
+			continue
+		}
+		if b, err := r.Slice(r.Base, tc.size); err != nil || len(b) != tc.size {
+			t.Errorf("%d B: whole-region Slice: %v, len %d", tc.size, err, len(b))
+		}
+		if b, err := r.Slice(end-1, 1); err != nil || len(b) != 1 {
+			t.Errorf("%d B: last-byte Slice: %v, len %d", tc.size, err, len(b))
+		}
+	}
+}
+
+// TestBytesAllocatedOnceOnFirstTouch: the first Bytes call returns a zeroed
+// store of the region's length, every later call the same backing array,
+// and Slice views alias it.
+func TestBytesAllocatedOnceOnFirstTouch(t *testing.T) {
+	g := NewRegistry()
+	r := g.Register(3*PageSize4K+5, PageSize4K, LocalWrite)
+	b := r.Bytes()
+	if len(b) != r.Len() {
+		t.Fatalf("len(Bytes) = %d, want %d", len(b), r.Len())
+	}
+	for i, v := range b {
+		if v != 0 {
+			t.Fatalf("first Bytes()[%d] = %d, want 0", i, v)
+		}
+	}
+	s, err := r.Slice(r.Base+100, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(s, "hello")
+	again := r.Bytes()
+	if &again[0] != &b[0] {
+		t.Fatal("a later Bytes call returned a different backing array")
+	}
+	if string(again[100:105]) != "hello" {
+		t.Fatal("a write through Slice is not visible through Bytes")
 	}
 }

@@ -1,6 +1,7 @@
 package nic_test
 
 import (
+	"runtime"
 	"testing"
 
 	"scalerpc/internal/nic"
@@ -44,4 +45,47 @@ func TestAllocBudgetWriteRoundTrip(t *testing.T) {
 	if got := testing.AllocsPerRun(50, round(true)); got > 2 {
 		t.Errorf("%v allocs per four signaled WRITE round trips and two CQ polls, want ≤ 2", got)
 	}
+}
+
+// TestAllocBudgetCQRing: a CQ's ring is an address range — the NIC charges
+// each CQE's DMA write at its slot and the host charges polls against the
+// ring — whose bytes nothing reads, so creating a thousand CQs and taking
+// 2×depth completions on one of them holds no ring memory (a 1024-deep
+// ring was 64 KB per CQ when registration allocated it).
+func TestAllocBudgetCQRing(t *testing.T) {
+	pe := newPair(t, nic.RC)
+	a := pe.c.Hosts[0]
+	wr := nic.SendWR{Op: nic.OpWrite, Signaled: true,
+		LKey: pe.cli.LKey, LAddr: pe.cli.Base, Len: 64,
+		RKey: pe.srv.RKey, RAddr: pe.srv.Base}
+	complete := func(n int) {
+		for done := 0; done < n; done += 64 {
+			for i := 0; i < 64; i++ {
+				if err := pe.qpA.PostSend(wr); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pe.c.Env.Run()
+			if got := len(pe.cqA.Poll(64)); got != 64 {
+				t.Fatalf("%d completions for 64 signaled WRITEs", got)
+			}
+		}
+	}
+	complete(64) // touch both regions, fill the packet and buffer pools
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	cqs := make([]*nic.CQ, 1000)
+	for i := range cqs {
+		cqs[i] = a.NIC.CreateCQ()
+	}
+	complete(2 * a.NIC.Cfg.CQDepth)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(cqs)
+	grew := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if grew >= 2<<20 {
+		t.Errorf("1000 CQs and %d completions grew the heap by %d bytes, want < 2 MiB", 2*a.NIC.Cfg.CQDepth, grew)
+	}
+	t.Logf("1000 CQs and %d completions: heap +%d bytes", 2*a.NIC.Cfg.CQDepth, grew)
 }

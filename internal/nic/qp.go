@@ -260,10 +260,6 @@ func (cq *CQ) Poll(max int) []CQE {
 // Len returns the number of pending completions.
 func (cq *CQ) Len() int { return len(cq.queue) - cq.head }
 
-// RingRKey exposes the ring region key (the host layer charges LLC reads
-// against it when polling).
-func (cq *CQ) RingRKey() uint32 { return cq.ring.RKey }
-
 // RingBase returns the ring's base address.
 func (cq *CQ) RingBase() uint64 { return cq.ring.Base }
 

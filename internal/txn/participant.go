@@ -106,6 +106,8 @@ func (p *Participant) handleValidate(t *host.Thread, clientID uint16, req, out [
 }
 
 // handleLog appends redo records to the participant log (§4.2 step 3a).
+// Nothing replays the log, so a record is only charged as CPU stores at
+// its ring address; the region's bytes are never touched.
 func (p *Participant) handleLog(t *host.Thread, clientID uint16, req, out []byte) int {
 	p.Stats.Logs++
 	_, kvs, err := DecodeWriteReq(req)
@@ -118,9 +120,6 @@ func (p *Participant) handleLog(t *host.Thread, clientID uint16, req, out []byte
 		if p.logOff+rec > logSize {
 			p.logOff = 0 // ring wrap
 		}
-		dst := p.log.Bytes()[p.logOff:]
-		copy(dst, kv.Key)
-		copy(dst[len(kv.Key):], kv.Value)
 		t.WriteMem(p.log.Base+uint64(p.logOff), rec)
 		p.logOff += rec
 	}
