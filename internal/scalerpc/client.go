@@ -138,6 +138,12 @@ func (c *Conn) adoptPlacement(pinned bool, zone int) {
 	}
 }
 
+// idle drops the connection to IDLE, holding no zone in either pool.
+func (c *Conn) idle() {
+	c.state, c.zone, c.poolIdx = StateIdle, -1, -1
+	c.traceState(StateIdle)
+}
+
 // traceState emits a client_state transition event.
 func (c *Conn) traceState(to ClientState) {
 	if c.trace.Enabled {
@@ -234,9 +240,17 @@ func (c *Conn) directSend(t *host.Thread, handler uint8, payload []byte, reqID u
 		return false
 	}
 	msgLen, ok := c.encodeInto(t, b, handler, payload, reqID)
-	if !ok {
+	if !ok || c.writeDirect(t, b, msgLen) != nil {
 		return false
 	}
+	c.slots[b] = connSlot{busy: true, reqID: reqID, staged: true, msgLen: msgLen}
+	c.outstanding++
+	return true
+}
+
+// writeDirect RDMA-writes the msgLen-byte request staged in block b to the
+// same block of the client's zone in the processing pool.
+func (c *Conn) writeDirect(t *host.Thread, b, msgLen int) error {
 	pool := c.s.pools[c.poolIdx]
 	off, span := rpcwire.EncodedSpan(c.s.Cfg.BlockSize, msgLen)
 	wr := nic.SendWR{
@@ -250,12 +264,7 @@ func (c *Conn) directSend(t *host.Thread, handler uint8, payload []byte, reqID u
 	if span <= c.h.NIC.Cfg.MaxInline {
 		wr.Inline = true
 	}
-	if err := t.PostSend(c.qp, wr); err != nil {
-		return false
-	}
-	c.slots[b] = connSlot{busy: true, reqID: reqID, staged: true, msgLen: msgLen}
-	c.outstanding++
-	return true
+	return t.PostSend(c.qp, wr)
 }
 
 // encodeInto builds the framed request in staging block b.
@@ -362,14 +371,12 @@ func (c *Conn) Poll(t *host.Thread, fn func(rpccore.Response)) int {
 		c.respBuf = append(c.respBuf[:0], payload...)
 		t.ReadMem(c.resp.BlockAddr(0, b), len(payload)+rpcwire.TrailerSize)
 		hdr, body, herr := rpcwire.ParseHeader(c.respBuf)
-		if herr != nil || hdr.ReqID != c.slots[b].reqID {
-			// A stale response from a previous occupant of this slot.
-			rpcwire.Clear(block)
-			t.WriteMem(c.resp.ValidAddr(0, b), 1)
-			continue
-		}
+		stale := herr != nil || hdr.ReqID != c.slots[b].reqID // for the slot's previous occupant
 		rpcwire.Clear(block)
 		t.WriteMem(c.resp.ValidAddr(0, b), 1)
+		if stale {
+			continue
+		}
 		// Invalidate the staged copy as well. Round bumps (retry resends,
 		// switch restages) make the server re-fetch every staging block up
 		// to the advertised count, holes included; a completed frame left
@@ -411,10 +418,7 @@ func (c *Conn) Poll(t *host.Thread, fn func(rpccore.Response)) int {
 // compacted to the front of the staging area and re-offered in a fresh
 // warmup round (the at-least-once retry covering the switch race).
 func (c *Conn) onContextSwitch(t *host.Thread) {
-	c.state = StateIdle
-	c.zone = -1
-	c.poolIdx = -1
-	c.traceState(StateIdle)
+	c.idle()
 	// Compact surviving requests to staging blocks 0..m-1.
 	m := 0
 	for b := range c.slots {
@@ -442,12 +446,7 @@ func (c *Conn) onContextSwitch(t *host.Thread) {
 	if m > 0 {
 		c.round++
 		c.stagedCount = m
-		c.stagedSpan = 0
-		for b := 0; b < m; b++ {
-			if sp := c.slots[b].msgLen + rpcwire.TrailerSize; sp > c.stagedSpan {
-				c.stagedSpan = sp
-			}
-		}
+		c.refreshStagedSpan()
 		c.state = StateWarmup
 		c.entryDirty = true
 		c.traceState(StateWarmup)
@@ -480,18 +479,12 @@ func (c *Conn) reconnect(t *host.Thread) {
 	c.traceState(StateIdle)
 	if c.pinned {
 		// Pinned clients skip warmup; pick up the (possibly new) reserved
-		// zone and resend in place.
+		// zone and resend in place. If reserved zones were exhausted on
+		// readmission, fall back to the grouped path below.
 		cs := c.s.clients[c.id]
-		c.state = StateProcess
-		c.zone = cs.zone
-		c.poolIdx = 0
-		c.pinned = cs.Pinned
-		if cs.Pinned {
+		if c.adoptPlacement(cs.Pinned, cs.zone); c.pinned {
 			return
 		}
-		// Reserved zones were exhausted on readmission; fall back to the
-		// grouped path below.
-		c.state = StateIdle
 	}
 	c.onContextSwitch(t)
 }
@@ -513,13 +506,7 @@ func (c *Conn) Resend(t *host.Thread, reqID uint64) bool {
 	if c.Left() || c.qp.Err() != nil {
 		return false
 	}
-	b := -1
-	for i := range c.slots {
-		if c.slots[i].busy && c.slots[i].reqID == reqID {
-			b = i
-			break
-		}
-	}
+	b := c.slotOf(reqID)
 	if b < 0 || !c.slots[b].staged {
 		return false
 	}
@@ -537,20 +524,7 @@ func (c *Conn) Resend(t *host.Thread, reqID uint64) bool {
 		c.flushEndpointEntry(t)
 		return true
 	}
-	pool := c.s.pools[c.poolIdx]
-	off, span := rpcwire.EncodedSpan(c.s.Cfg.BlockSize, c.slots[b].msgLen)
-	wr := nic.SendWR{
-		Op:    nic.OpWrite,
-		LKey:  c.stage.LKey,
-		LAddr: c.stage.Base + uint64(b*c.s.Cfg.BlockSize+off),
-		Len:   span,
-		RKey:  pool.RKey(),
-		RAddr: pool.BlockAddr(c.zone, b) + uint64(off),
-	}
-	if span <= c.h.NIC.Cfg.MaxInline {
-		wr.Inline = true
-	}
-	return t.PostSend(c.qp, wr) == nil
+	return c.writeDirect(t, b, c.slots[b].msgLen) == nil
 }
 
 // Cancel withdraws the in-flight request identified by reqID (the
@@ -562,13 +536,7 @@ func (c *Conn) Resend(t *host.Thread, reqID uint64) bool {
 // may still run once; cancellation only guarantees the request stops
 // being offered from here on.
 func (c *Conn) Cancel(t *host.Thread, reqID uint64) bool {
-	b := -1
-	for i := range c.slots {
-		if c.slots[i].busy && c.slots[i].reqID == reqID {
-			b = i
-			break
-		}
-	}
+	b := c.slotOf(reqID)
 	if b < 0 {
 		return false
 	}
@@ -580,6 +548,16 @@ func (c *Conn) Cancel(t *host.Thread, reqID uint64) bool {
 	c.outstanding--
 	c.entryDirty = true
 	return true
+}
+
+// slotOf returns the slot of the in-flight request reqID, or -1.
+func (c *Conn) slotOf(reqID uint64) int {
+	for i := range c.slots {
+		if c.slots[i].busy && c.slots[i].reqID == reqID {
+			return i
+		}
+	}
+	return -1
 }
 
 // slotSpanEnd returns one past the highest busy staged slot — the staged

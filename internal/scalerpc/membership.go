@@ -189,13 +189,9 @@ func (c *Conn) ID() uint16 { return c.id }
 // switch. Unanswered requests stay in the staging area; Rejoin re-offers
 // them. TrySend and Poll are inert until then.
 func (c *Conn) Leave(t *host.Thread) {
-	if !c.membership.Leave(t) {
-		return
+	if c.membership.Leave(t) {
+		c.idle()
 	}
-	c.state = StateIdle
-	c.zone = -1
-	c.poolIdx = -1
-	c.traceState(StateIdle)
 }
 
 // Rejoin re-admits a departed (or failed) connection through the control
@@ -217,9 +213,6 @@ func (c *Conn) Rejoin(t *host.Thread) error {
 		// Reserved-zone clients skip warmup and resend in place.
 		return nil
 	}
-	c.state = StateIdle
-	c.zone = -1
-	c.poolIdx = -1
 	c.onContextSwitch(t)
 	return nil
 }

@@ -442,18 +442,7 @@ func (w *worker) sweep(t *host.Thread) int {
 // are answered from the reply cache without re-running the handler
 // (at-most-once execution, §3.5 upgraded to exactly-once results).
 func (s *Server) serve(t *host.Thread, w *worker, cs *clientState, slot int, hdr rpcwire.Header, body []byte) {
-	if dup, rep, ready := s.replies.Admit(cs.ID, hdr.ReqID); dup {
-		s.rel.DedupHits++
-		if ready {
-			var flags byte
-			if rep.Err {
-				flags = rpcwire.FlagError
-			}
-			n := copy(w.buf[rpcwire.HeaderSize:len(w.buf)-rpcwire.TrailerSize], rep.Payload)
-			s.respond(t, w.scratch, &w.scratchIdx, cs, slot, hdr, w.buf, n, flags)
-		}
-		// !ready: the first copy is still executing (legacy thread); its
-		// response covers this duplicate too.
+	if s.replayed(t, w.scratch, &w.scratchIdx, w.buf, cs, slot, hdr, 0) {
 		return
 	}
 	s.Stats.Served++
@@ -499,6 +488,25 @@ func (s *Server) serve(t *host.Thread, w *worker, cs *clientState, slot int, hdr
 	}
 	s.replies.Commit(cs.ID, hdr.ReqID, w.buf[rpcwire.HeaderSize:rpcwire.HeaderSize+n], false)
 	s.respond(t, w.scratch, &w.scratchIdx, cs, slot, hdr, w.buf, n, 0)
+}
+
+// replayed reports whether the request is a duplicate, answering it from
+// the reply cache with flags if its first copy has committed. One still
+// executing (on the legacy thread) answers this duplicate too.
+func (s *Server) replayed(t *host.Thread, scratch *memory.Region, idx *int, buf []byte, cs *clientState, slot int, hdr rpcwire.Header, flags byte) bool {
+	dup, rep, ready := s.replies.Admit(cs.ID, hdr.ReqID)
+	if !dup {
+		return false
+	}
+	s.rel.DedupHits++
+	if ready {
+		if rep.Err {
+			flags |= rpcwire.FlagError
+		}
+		n := copy(buf[rpcwire.HeaderSize:len(buf)-rpcwire.TrailerSize], rep.Payload)
+		s.respond(t, scratch, idx, cs, slot, hdr, buf, n, flags)
+	}
+	return true
 }
 
 // runLegacy executes recorded long-running calls on a dedicated thread so

@@ -55,13 +55,7 @@ func NewSyncGroup(servers []*Server) *SyncGroup {
 		i := i
 		follower := follower
 		// A dedicated RC QP pair and mailbox regions per follower.
-		tsCQ := ts.Host.NIC.CreateCQ()
-		foCQ := follower.Host.NIC.CreateCQ()
-		tsQP := ts.Host.NIC.CreateQP(nic.RC, tsCQ, tsCQ)
-		foQP := follower.Host.NIC.CreateQP(nic.RC, foCQ, foCQ)
-		if err := nic.Connect(tsQP, foQP); err != nil {
-			panic(err)
-		}
+		tsQP, foQP := ts.dialRC(follower.Host)
 		tsBox := ts.Host.Mem.Register(syncMsgSize, memory.PageSize4K, memory.LocalWrite|memory.RemoteWrite)
 		foBox := follower.Host.Mem.Register(syncMsgSize, memory.PageSize4K, memory.LocalWrite|memory.RemoteWrite)
 		tsScratch := ts.Host.Mem.Register(syncMsgSize, memory.PageSize4K, memory.LocalWrite)

@@ -69,15 +69,6 @@ func (s *Server) settlePinned() {
 	}
 }
 
-// tenantClassOf returns the scheduling class for a grouped client.
-func (s *Server) tenantClassOf(cid uint16) int {
-	cs := s.clients[cid]
-	if cs == nil {
-		return 0
-	}
-	return s.tenantAuth.GroupClass(cs.Tenant)
-}
-
 // ConnectTenant is the backdoor counterpart of Connect for tests and
 // benchmarks that want tenant attribution without the control plane: the
 // authority's quota still gates admission (nil is returned when it
