@@ -10,11 +10,6 @@ func init() {
 	register("chaos", "Seeded chaos matrix: exactly-once, integrity and liveness invariants under faults", runChaos)
 }
 
-// chaosSeeds mirrors the acceptance matrix in internal/chaos's tests: 8
-// seeds per fault class, 32 runs total. Kept literal so a failing artifact
-// row can be replayed exactly (`chaos.Run(Config{Class, Seed})`).
-var chaosSeeds = []uint64{1, 2, 3, 5, 8, 13, 21, 34}
-
 // runChaos executes the full seeded chaos matrix — every fault class over
 // every seed, plus the drop class on the RawWrite baseline — and reports
 // the invariant verdicts alongside the reliability counters that show the
@@ -25,7 +20,9 @@ func runChaos(opts Options) *Result {
 		ID: "chaos", Title: "Seeded chaos-invariant matrix (8 clients x 60 calls per run)",
 		XLabel: "seed", YLabel: "violations (must be 0)",
 	}
-	seeds := chaosSeeds
+	// The acceptance matrix's seeds: a failing artifact row replays
+	// exactly as chaos.Run(chaos.Config{Class, Seed, Transport}).
+	seeds := chaos.MatrixSeeds
 	if opts.Quick {
 		seeds = seeds[:2]
 	}

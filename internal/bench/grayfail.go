@@ -10,11 +10,6 @@ func init() {
 	register("grayfail", "Gray-failure matrix: fixed-TTL lease vs adaptive phi-accrual ladder", runGrayFail)
 }
 
-// grayFailSeeds mirrors the acceptance matrix in internal/chaos's gray
-// tests. Kept literal so a failing artifact row can be replayed exactly
-// (`chaos.RunGray(GrayConfig{Class, Seed, Detector})`).
-var grayFailSeeds = []uint64{1, 2, 3, 5, 8}
-
 // runGrayFail executes every gray-failure schedule class over every seed,
 // once under the fixed-TTL lease baseline and once under the adaptive
 // phi-accrual detector, and reports the three numbers the ladder is built
@@ -26,7 +21,9 @@ func runGrayFail(opts Options) *Result {
 		ID: "grayfail", Title: "Gray-failure detection: fixed-TTL lease vs adaptive phi-accrual ladder",
 		XLabel: "seed", YLabel: "detection latency (us)",
 	}
-	seeds := grayFailSeeds
+	// The gray matrix's seeds: a failing artifact row replays exactly as
+	// chaos.RunGray(chaos.GrayConfig{Class, Seed, Detector}).
+	seeds := chaos.GraySeeds
 	if opts.Quick {
 		seeds = seeds[:2]
 	}

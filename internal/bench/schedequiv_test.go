@@ -77,7 +77,7 @@ func TestSchedulerEquivalence(t *testing.T) {
 		fp := schedFingerprint{name: sched}
 
 		for _, class := range chaos.Classes() {
-			res, err := chaos.Run(chaos.Config{Class: class, Seed: 5, Clients: 4, Calls: 20})
+			res, err := chaos.Run(chaos.Config{Class: class, Seed: 5})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", sched, class, err)
 			}

@@ -240,7 +240,8 @@ func runShardBench(opts Options) *Result {
 }
 
 // shardFailoverSeeds covers the acceptance matrix: 20 distinct crash
-// schedules (the crash point cycles over 8 offsets as seed%8).
+// schedules (the crash point cycles over 8 offsets as seed%8). Each row is
+// replayable as chaos.RunShard(seed).
 var shardFailoverSeeds = 20
 
 func runShardFailover(opts Options) *Result {
@@ -259,7 +260,7 @@ func runShardFailover(opts Options) *Result {
 	var results []*chaos.ShardResult
 	var violations int
 	for seed := uint64(0); seed < uint64(seeds); seed++ {
-		res, err := chaos.RunShard(chaos.ShardConfig{Seed: seed})
+		res, err := chaos.RunShard(seed)
 		if err != nil {
 			panic(err)
 		}

@@ -291,7 +291,7 @@ func runTenantMix(opts Options) *Result {
 }
 
 // tenantFaultSeeds mirrors the tenant-shed test matrix, extended for the
-// full run; each row is replayable as chaos.RunTenant(TenantConfig{Seed}).
+// full run; each row is replayable as chaos.RunTenant(seed).
 var tenantFaultSeeds = []uint64{1, 2, 3, 5, 7, 8}
 
 // runTenantFaults executes the tenant-shed chaos matrix: drop-class faults
@@ -314,7 +314,7 @@ func runTenantFaults(opts Options) *Result {
 		Header: []string{"seed", "acked", "retries", "dedup", "windows", "slo_viol", "ladder", "final_lvl", "shed_rej", "quota_rej", "violations"},
 	}
 	for _, seed := range seeds {
-		out, err := chaos.RunTenant(chaos.TenantConfig{Seed: seed})
+		out, err := chaos.RunTenant(seed)
 		if err != nil { // the fixed config is always valid
 			panic(err)
 		}

@@ -22,14 +22,11 @@ package chaos
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"scalerpc/internal/baseline/rawrpc"
-	"scalerpc/internal/cluster"
 	"scalerpc/internal/faults"
 	"scalerpc/internal/host"
 	"scalerpc/internal/rpccore"
-	"scalerpc/internal/scalerpc"
 	"scalerpc/internal/sim"
 )
 
@@ -55,8 +52,7 @@ const (
 // Classes lists every schedule family, in the order the matrix runs them.
 func Classes() []Class { return []Class{ClassDrop, ClassFlap, ClassCrash, ClassChurn} }
 
-// Config selects one chaos run. Class and Seed are required; everything
-// else defaults.
+// Config selects one chaos run. Class and Seed are required.
 type Config struct {
 	Class Class  `json:"class"`
 	Seed  uint64 `json:"seed"`
@@ -64,12 +60,21 @@ type Config struct {
 	// client-side reconnect, so it only supports ClassDrop (recoverable
 	// loss that never errors a QP).
 	Transport string `json:"transport,omitempty"`
-	Clients   int    `json:"clients,omitempty"` // measured clients, default 8
-	Calls     int    `json:"calls,omitempty"`   // per client, default 60
-	// Budget is the hard stop: every client must finish its calls by
-	// then or it is reported stuck. Default 40 ms of virtual time.
-	Budget sim.Duration `json:"budget_ns,omitempty"`
 }
+
+// MatrixSeeds are the per-class seeds of the acceptance matrix (4 classes
+// × 8 seeds) that TestChaosMatrix and scalebench chaos both run. Kept
+// literal so a failing run's schedule can be regenerated exactly from its
+// class and seed.
+var MatrixSeeds = []uint64{1, 2, 3, 5, 8, 13, 21, 34}
+
+const (
+	matrixClients = 8  // measured clients per run
+	matrixCalls   = 60 // per client
+	// budget is the hard stop of the echo harnesses: every client must
+	// finish its calls by then or it is reported stuck.
+	budget = 40 * sim.Millisecond
+)
 
 // Injected mirrors the fault plane's counters into the result artifact.
 type Injected struct {
@@ -137,15 +142,6 @@ func fillPayload(buf []byte, tok uint64) {
 
 func token(client, seq int) uint64 { return uint64(client)<<32 | uint64(seq) }
 
-// clientRun tracks one measured client's progress.
-type clientRun struct {
-	acked    []uint64 // tokens acknowledged without error, in completion order
-	timedOut uint64
-	errs     uint64 // transport-level errors (not timeouts, not mismatches)
-	mismatch uint64
-	done     bool
-}
-
 // callOpts returns the per-class deadline/retry policy. Timeouts sit well
 // above the healthy round trip but inside the fault windows, so outages
 // convert to retries and (eventually) TimedOut failures, never hangs.
@@ -165,9 +161,6 @@ func callOpts(class Class) rpccore.CallOpts {
 
 // Run executes one seeded chaos schedule and returns its Result.
 func Run(cfg Config) (*Result, error) {
-	if cfg.Class == "" {
-		return nil, fmt.Errorf("chaos: missing class")
-	}
 	if cfg.Transport == "" {
 		cfg.Transport = "ScaleRPC"
 	}
@@ -177,103 +170,52 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Transport != "ScaleRPC" && cfg.Transport != "RawWrite" {
 		return nil, fmt.Errorf("chaos: unknown transport %q", cfg.Transport)
 	}
-	if cfg.Clients <= 0 {
-		cfg.Clients = 8
-	}
-	if cfg.Calls <= 0 {
-		cfg.Calls = 60
-	}
-	if cfg.Budget <= 0 {
-		cfg.Budget = 40 * sim.Millisecond
-	}
-
-	scen := GenScenario(cfg.Class, cfg.Seed)
-	if err := scen.Validate(); err != nil {
+	scen, err := GenScenario(cfg.Class, cfg.Seed)
+	if err != nil {
 		return nil, err
 	}
 
-	ccfg := cluster.Default(3) // server + two client hosts
-	ccfg.Seed = cfg.Seed + 1   // nonzero even for seed 0
-	c := cluster.New(ccfg)
-	defer c.Close()
-	p := c.InstallFaults(scen)
+	r := newRun(3, cfg.Seed, budget) // server + two client hosts
+	defer r.c.Close()
+	p := r.c.InstallFaults(scen)
 
 	// Both transports share the cluster-wide reliability block; the
 	// servers and Callers below register against the same registry.
-	rel := rpccore.SharedRel(c.Telemetry)
-
-	execs := make(map[uint64]uint32)
-	handler := func(t *host.Thread, clientID uint16, req []byte, out []byte) int {
-		t.Work(100)
-		if len(req) >= 8 {
-			execs[binary.LittleEndian.Uint64(req)]++
-		}
-		return copy(out, req)
-	}
-
+	rel := rpccore.SharedRel(r.c.Telemetry)
+	ex := execs{}
 	var connect func(ch *host.Host, sig *sim.Signal) rpccore.Conn
-	var churnHooks func()
-	switch cfg.Transport {
-	case "ScaleRPC":
-		scfg := scalerpc.DefaultServerConfig()
-		scfg.Workers = 4
-		scfg.GroupSize = 8
-		scfg.TimeSlice = 50 * sim.Microsecond
-		scfg.BlocksPerClient = 8
-		scfg.MaxClients = 256
-		s := scalerpc.NewServer(c.Hosts[0], scfg)
-		s.Register(1, handler)
-		s.Start()
+	if cfg.Transport == "ScaleRPC" {
+		s := r.echoServer(ex, nil)
 		connect = func(ch *host.Host, sig *sim.Signal) rpccore.Conn { return s.Connect(ch, sig) }
 		if cfg.Class == ClassChurn {
-			churnHooks = func() { startChurn(c, s, cfg.Seed) }
+			startChurn(r.c, s, cfg.Seed)
 		}
-	case "RawWrite":
+	} else {
 		rcfg := rawrpc.DefaultServerConfig()
 		rcfg.Workers = 4
 		rcfg.BlocksPerClient = 8
 		rcfg.MaxClients = 64
-		s := rawrpc.NewServer(c.Hosts[0], rcfg)
-		s.Register(1, handler)
+		s := rawrpc.NewServer(r.c.Hosts[0], rcfg)
+		s.Register(1, ex.echo)
 		s.Start()
 		connect = func(ch *host.Host, sig *sim.Signal) rpccore.Conn { return s.Connect(ch, sig) }
 	}
 
-	if churnHooks != nil {
-		churnHooks()
-	}
-
 	opts := callOpts(cfg.Class)
-	runs := make([]*clientRun, cfg.Clients)
-	hardStop := c.Env.Now() + sim.Time(cfg.Budget)
-	for i := 0; i < cfg.Clients; i++ {
-		i := i
+	runs := make([]*clientRun, matrixClients)
+	for i := range runs {
 		cr := &clientRun{}
 		runs[i] = cr
-		ch := c.Hosts[1+i%2]
-		sig := sim.NewSignal(c.Env)
+		ch := r.c.Hosts[1+i%2]
+		sig := sim.NewSignal(r.c.Env)
 		conn := rpccore.NewCaller(connect(ch, sig), opts, rel)
 		ch.Spawn("chaos-client", func(th *host.Thread) {
-			driveClient(th, conn, sig, i, cfg.Calls, 0, hardStop, cr, nil)
+			driveClient(th, conn, sig, i, matrixCalls, 0, r.hardStop, cr, nil)
 		})
 	}
-
-	allDone := func() bool {
-		for _, cr := range runs {
-			if !cr.done {
-				return false
-			}
-		}
-		return true
-	}
-	for !allDone() && c.Env.Now() < hardStop {
-		c.Env.RunUntil(c.Env.Now() + 100*sim.Microsecond)
-	}
-	// Let in-flight completions and late responses settle so LateDrops
-	// and the exec map are final.
-	c.Env.RunUntil(c.Env.Now() + sim.Time(sim.Millisecond))
-
-	return assemble(cfg, scen, p, rel, runs, execs, int64(c.Env.Now())), nil
+	r.drive(100*sim.Microsecond, 0, func() bool { return allDone(runs) })
+	r.settle()
+	return assemble(r, cfg, matrixClients, matrixCalls, scen, p, rel, runs, ex), nil
 }
 
 // driveClient issues calls sequentially: send token (i, s), poll until the
@@ -345,11 +287,11 @@ func driveClient(th *host.Thread, conn *rpccore.Caller, sig *sim.Signal, idx, ca
 }
 
 // assemble computes the invariant verdicts from the raw run state.
-func assemble(cfg Config, scen *faults.Scenario, p *faults.Plane, rel *rpccore.RelStats,
-	runs []*clientRun, execs map[uint64]uint32, elapsed int64) *Result {
-	r := &Result{
+func assemble(r *run, cfg Config, clients, calls int, scen *faults.Scenario, p *faults.Plane,
+	rel *rpccore.RelStats, runs []*clientRun, ex execs) *Result {
+	res := &Result{
 		Class: string(cfg.Class), Seed: cfg.Seed, Transport: cfg.Transport,
-		Clients: cfg.Clients, Calls: cfg.Calls, Scenario: scen,
+		Clients: clients, Calls: calls, Scenario: scen, Issued: uint64(clients * calls),
 		Retries: rel.Retries, Hedges: rel.Hedges, DedupHits: rel.DedupHits,
 		DeadlineExceeded: rel.DeadlineExceeded, LateDrops: rel.LateDrops,
 		CRCDrops: rel.CRCDrops,
@@ -359,51 +301,21 @@ func assemble(cfg Config, scen *faults.Scenario, p *faults.Plane, rel *rpccore.R
 			LinkDownDrops: p.Stats.LinkDownDrops, Flaps: p.Stats.Flaps,
 			Crashes: p.Stats.Crashes,
 		},
-		ElapsedNs: elapsed,
+		ElapsedNs: int64(r.c.Env.Now()),
 	}
-	r.Issued = uint64(cfg.Clients * cfg.Calls)
-
-	violate := func(format string, args ...interface{}) {
-		if len(r.Violations) < 16 { // cap the list, keep the counts exact
-			r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
-		}
+	res.Executions = uint64(len(ex))
+	res.DuplicateExecutions = ex.atMostOnce(r)
+	for _, cr := range runs {
+		res.Acked += uint64(len(cr.acked))
+		res.TimedOut += cr.timedOut
+		res.Errors += cr.errs
+		res.EchoMismatches += cr.mismatch
 	}
-
-	// Invariant 1: at-most-once execution.
-	toks := make([]uint64, 0, len(execs))
-	for tok := range execs {
-		toks = append(toks, tok)
-	}
-	sort.Slice(toks, func(i, j int) bool { return toks[i] < toks[j] })
-	for _, tok := range toks {
-		r.Executions++
-		if n := execs[tok]; n > 1 {
-			r.DuplicateExecutions += uint64(n - 1)
-			violate("token (client %d, seq %d) executed %d times", tok>>32, tok&0xffffffff, n)
-		}
-	}
-
-	for i, cr := range runs {
-		r.Acked += uint64(len(cr.acked))
-		r.TimedOut += cr.timedOut
-		r.Errors += cr.errs
-		r.EchoMismatches += cr.mismatch
-		// Invariant 2: acknowledged ⇒ executed.
-		for _, tok := range cr.acked {
-			if execs[tok] == 0 {
-				violate("token (client %d, seq %d) acked but never executed", tok>>32, tok&0xffffffff)
-			}
-		}
-		// Invariant 4: liveness.
-		if !cr.done {
-			r.StuckClients++
-			violate("client %d stuck: %d/%d calls resolved within the budget",
-				i, len(cr.acked)+int(cr.timedOut)+int(cr.errs)+int(cr.mismatch), cfg.Calls)
-		}
-	}
+	res.StuckClients = r.checkClients("client", runs, ex)
 	// Invariant 3: integrity — zero delivered corruption.
-	if r.EchoMismatches > 0 {
-		violate("%d corrupted payloads delivered (CRC must turn corruption into loss)", r.EchoMismatches)
+	if res.EchoMismatches > 0 {
+		r.violate("%d corrupted payloads delivered (CRC must turn corruption into loss)", res.EchoMismatches)
 	}
-	return r
+	res.Violations = r.violations
+	return res
 }

@@ -6,11 +6,6 @@ import (
 	"testing"
 )
 
-// matrixSeeds are the per-class seeds of the 32-run acceptance matrix
-// (4 classes × 8 seeds). Kept literal so a failing run's schedule can be
-// regenerated exactly from the test name.
-var matrixSeeds = []uint64{1, 2, 3, 5, 8, 13, 21, 34}
-
 func runOne(t *testing.T, cfg Config) *Result {
 	t.Helper()
 	res, err := Run(cfg)
@@ -31,7 +26,7 @@ func runOne(t *testing.T, cfg Config) *Result {
 // schedules actually bite: faults were injected, corruption was detected
 // (never delivered), and the retry/dedup machinery fired.
 func TestChaosMatrix(t *testing.T) {
-	seeds := matrixSeeds
+	seeds := MatrixSeeds
 	if testing.Short() {
 		seeds = seeds[:2]
 	}
@@ -68,20 +63,68 @@ func TestChaosMatrix(t *testing.T) {
 	}
 }
 
-// TestChaosDeterministicPerSeed runs one seed of every class twice and
-// requires byte-identical Result JSON — the same bar the simulator's
-// metrics dumps are held to.
+// TestChaosDeterministicPerSeed runs every harness twice per seed and
+// requires byte-identical result JSON — the same bar the simulator's
+// metrics dumps are held to. One row per family: each plain class, the
+// gray classes under the adaptive detector, the rds queue, shard failover
+// and tenant shedding.
 func TestChaosDeterministicPerSeed(t *testing.T) {
+	type row struct {
+		name  string
+		seeds []uint64
+		run   func(t *testing.T, seed uint64) interface{}
+	}
+	var rows []row
 	for _, class := range Classes() {
-		class := class
-		t.Run(string(class), func(t *testing.T) {
-			cfg := Config{Class: class, Seed: 42}
-			a := runOne(t, cfg)
-			b := runOne(t, cfg)
-			aj, _ := json.Marshal(a)
-			bj, _ := json.Marshal(b)
-			if string(aj) != string(bj) {
-				t.Fatalf("same seed, different results:\n%s\n%s", aj, bj)
+		rows = append(rows, row{string(class), []uint64{42}, func(t *testing.T, seed uint64) interface{} {
+			return runOne(t, Config{Class: class, Seed: seed})
+		}})
+	}
+	rows = append(rows,
+		row{"gray", []uint64{13}, func(t *testing.T, seed uint64) interface{} {
+			var out []*GrayResult
+			for _, class := range GrayClasses() {
+				res, err := RunGray(GrayConfig{Class: class, Seed: seed, Detector: "adaptive"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, res)
+			}
+			return out
+		}},
+		row{"rds", []uint64{2, 7}, func(t *testing.T, seed uint64) interface{} {
+			res, err := RunRDS(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}},
+		row{"shard", []uint64{3, 11}, func(t *testing.T, seed uint64) interface{} {
+			res, err := RunShard(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}},
+		row{"tenant", []uint64{7}, func(t *testing.T, seed uint64) interface{} {
+			out, err := RunTenant(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(out.Actions) == 0 {
+				t.Fatal("run never tripped the controller; determinism check is vacuous")
+			}
+			return out
+		}},
+	)
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			for _, seed := range r.seeds {
+				a, _ := json.Marshal(r.run(t, seed))
+				b, _ := json.Marshal(r.run(t, seed))
+				if string(a) != string(b) {
+					t.Fatalf("seed %d: same seed, different results:\n%s\n%s", seed, a, b)
+				}
 			}
 		})
 	}
@@ -97,7 +140,8 @@ func TestChaosRawWriteDrop(t *testing.T) {
 	}
 }
 
-// TestChaosConfigRejectsUnsupported pins the validation paths.
+// TestChaosConfigRejectsUnsupported pins the validation paths. A class
+// with no schedule generator must be refused, not run fault-free.
 func TestChaosConfigRejectsUnsupported(t *testing.T) {
 	if _, err := Run(Config{Class: ClassCrash, Transport: "RawWrite", Seed: 1}); err == nil {
 		t.Fatal("RawWrite crash class must be rejected (no reconnect path)")
@@ -105,7 +149,13 @@ func TestChaosConfigRejectsUnsupported(t *testing.T) {
 	if _, err := Run(Config{Seed: 1}); err == nil {
 		t.Fatal("missing class must be rejected")
 	}
+	if _, err := Run(Config{Class: "bogus", Seed: 1}); err == nil {
+		t.Fatal("unknown class must be rejected")
+	}
 	if _, err := Run(Config{Class: ClassDrop, Transport: "bogus", Seed: 1}); err == nil {
 		t.Fatal("unknown transport must be rejected")
+	}
+	if _, err := RunGray(GrayConfig{Class: "bogus", Seed: 1}); err == nil {
+		t.Fatal("unknown gray class must be rejected")
 	}
 }

@@ -21,10 +21,8 @@
 package chaos
 
 import (
-	"encoding/binary"
 	"fmt"
 
-	"scalerpc/internal/cluster"
 	"scalerpc/internal/ctrlplane"
 	"scalerpc/internal/faults"
 	"scalerpc/internal/host"
@@ -64,13 +62,18 @@ func GrayClasses() []GrayClass {
 }
 
 // Per-class schedule salts (same trick as the plain matrix: independent
-// streams per class even at equal seeds).
-const (
-	saltGrayStraggler = 0xd1b54a32d192ed03
-	saltGrayOneWay    = 0x8cb92ba72f3d8dd7
-	saltGrayDegraded  = 0xaef17502108ef2d9
-	saltGrayKALoss    = 0x9e6c63d0876a9a47
-)
+// streams per class even at equal seeds). A class missing from the table
+// is rejected.
+var graySalts = map[GrayClass]uint64{
+	GrayStraggler: 0xd1b54a32d192ed03,
+	GrayOneWay:    0x8cb92ba72f3d8dd7,
+	GrayDegraded:  0xaef17502108ef2d9,
+	GrayKALoss:    0x9e6c63d0876a9a47,
+}
+
+// GraySeeds is the gray-matrix seed set that TestGrayMatrix and
+// scalebench grayfail both run, kept literal for exact replay.
+var GraySeeds = []uint64{1, 2, 3, 5, 8}
 
 // grayHost is the afflicted client host; victims run on the other client
 // hosts of the 4-host cluster (server = 0, gray = 1, victims = 2 and 3).
@@ -81,17 +84,10 @@ const grayHost = 1
 // the scenario pins its own plane seed for bit-identical injection replay.
 // The window always closes well before the run budget, so recovery (ladder
 // step-down, quarantine rejoin) is part of every run.
-func GenGrayScenario(class GrayClass, seed uint64) (sc *faults.Scenario, from, until int64) {
-	var salt uint64
-	switch class {
-	case GrayStraggler:
-		salt = saltGrayStraggler
-	case GrayOneWay:
-		salt = saltGrayOneWay
-	case GrayDegraded:
-		salt = saltGrayDegraded
-	case GrayKALoss:
-		salt = saltGrayKALoss
+func GenGrayScenario(class GrayClass, seed uint64) (sc *faults.Scenario, from, until int64, err error) {
+	salt, ok := graySalts[class]
+	if !ok {
+		return nil, 0, 0, fmt.Errorf("chaos: unknown gray class %q", class)
 	}
 	rng := stats.NewRNG(seed ^ salt)
 	sc = &faults.Scenario{
@@ -151,7 +147,7 @@ func GenGrayScenario(class GrayClass, seed uint64) (sc *faults.Scenario, from, u
 			DropRate: 0.7 + 0.1*rng.Float64(), Class: faults.ClassKeepalive,
 		}}
 	}
-	return sc, from, until
+	return sc, from, until, sc.Validate()
 }
 
 // GrayConfig selects one gray-failure run. Class and Seed are required.
@@ -161,15 +157,16 @@ type GrayConfig struct {
 	// Detector is "adaptive" (default: the phi-accrual ladder) or "fixed"
 	// (the lease-TTL baseline the ladder replaces).
 	Detector string `json:"detector,omitempty"`
-	// Victims is the measured population on the healthy hosts (default 6);
-	// Calls their per-client budget (default 40). GrayCalls is the budget
-	// of the single client on the gray host (default 30).
-	Victims   int `json:"victims,omitempty"`
-	Calls     int `json:"calls,omitempty"`
-	GrayCalls int `json:"gray_calls,omitempty"`
-	// Budget is the hard stop (default 40 ms of virtual time).
-	Budget sim.Duration `json:"budget_ns,omitempty"`
 }
+
+// A gray run measures grayVictims clients on the healthy hosts with
+// grayVictimCalls calls each, plus one client on the gray host with
+// grayCalls calls; the hard stop is the echo harnesses' budget.
+const (
+	grayVictims     = 6
+	grayVictimCalls = 40
+	grayCalls       = 30
+)
 
 // GrayResult is one run's outcome. Same GrayConfig ⇒ byte-identical JSON.
 type GrayResult struct {
@@ -249,13 +246,6 @@ func grayCallOpts(client int) rpccore.CallOpts {
 
 // RunGray executes one seeded gray-failure schedule and returns its result.
 func RunGray(cfg GrayConfig) (*GrayResult, error) {
-	switch cfg.Class {
-	case GrayStraggler, GrayOneWay, GrayDegraded, GrayKALoss:
-	case "":
-		return nil, fmt.Errorf("chaos: missing gray class")
-	default:
-		return nil, fmt.Errorf("chaos: unknown gray class %q", cfg.Class)
-	}
 	switch cfg.Detector {
 	case "":
 		cfg.Detector = "adaptive"
@@ -263,29 +253,14 @@ func RunGray(cfg GrayConfig) (*GrayResult, error) {
 	default:
 		return nil, fmt.Errorf("chaos: unknown detector %q (want adaptive or fixed)", cfg.Detector)
 	}
-	if cfg.Victims <= 0 {
-		cfg.Victims = 6
-	}
-	if cfg.Calls <= 0 {
-		cfg.Calls = 40
-	}
-	if cfg.GrayCalls <= 0 {
-		cfg.GrayCalls = 30
-	}
-	if cfg.Budget <= 0 {
-		cfg.Budget = 40 * sim.Millisecond
-	}
-
-	scen, grayFrom, grayUntil := GenGrayScenario(cfg.Class, cfg.Seed)
-	if err := scen.Validate(); err != nil {
+	scen, grayFrom, grayUntil, err := GenGrayScenario(cfg.Class, cfg.Seed)
+	if err != nil {
 		return nil, err
 	}
 
-	ccfg := cluster.Default(4) // server, gray client host, two victim hosts
-	ccfg.Seed = cfg.Seed + 1
-	c := cluster.New(ccfg)
-	defer c.Close()
-	c.InstallFaults(scen)
+	r := newRun(4, cfg.Seed, budget) // server, gray client host, two victim hosts
+	defer r.c.Close()
+	r.c.InstallFaults(scen)
 
 	// The control plane must be built with the detector choice before
 	// anything else touches it (first CtrlPlaneWith wins).
@@ -294,167 +269,88 @@ func RunGray(cfg GrayConfig) (*GrayResult, error) {
 		det := ctrlplane.DefaultDetectorConfig()
 		ctrlCfg.Detector = &det
 	}
-	dir := c.CtrlPlaneWith(ctrlCfg)
+	dir := r.c.CtrlPlaneWith(ctrlCfg)
 	mgr := dir.Manager(0)
 	// Every gray class keeps the node alive, so any eviction is false by
 	// ground truth — in both modes, which is what makes them comparable.
 	mgr.SetGroundTruth(func(int) bool { return false })
 
-	rel := rpccore.SharedRel(c.Telemetry)
-	execs := make(map[uint64]uint32)
-	handler := func(t *host.Thread, clientID uint16, req []byte, out []byte) int {
-		t.Work(100)
-		if len(req) >= 8 {
-			tok := binary.LittleEndian.Uint64(req)
-			execs[tok]++
-		}
-		return copy(out, req)
-	}
-
-	scfg := scalerpc.DefaultServerConfig()
-	scfg.Workers = 4
-	scfg.GroupSize = 8
-	scfg.TimeSlice = 50 * sim.Microsecond
-	scfg.BlocksPerClient = 8
-	scfg.MaxClients = 256
-	s := scalerpc.NewServer(c.Hosts[0], scfg)
-	s.Register(1, handler)
-	s.BindControlPlane(mgr)
-	s.Start()
-
-	hardStop := c.Env.Now() + sim.Time(cfg.Budget)
+	rel := rpccore.SharedRel(r.c.Telemetry)
+	ex := execs{}
+	s := r.echoServer(ex, func(s *scalerpc.Server) { s.BindControlPlane(mgr) })
 	victimHist := stats.NewHistogram()
 	rec := &latRecorder{hist: victimHist}
 
-	// Victims join through the control plane from the healthy hosts.
-	victims := make([]*clientRun, cfg.Victims)
-	for i := 0; i < cfg.Victims; i++ {
-		i := i
-		cr := &clientRun{}
-		victims[i] = cr
-		ch := c.Hosts[2+i%2]
-		sig := sim.NewSignal(c.Env)
-		ch.Spawn("gray-victim", func(th *host.Thread) {
+	// Every client joins through the control plane. A gray-host client's
+	// QP may error (one-way class); Poll then rejoins through the control
+	// plane — into the quarantine gate, if the detector evicted it.
+	spawn := func(h *host.Host, name string, idx, calls int, cr *clientRun, rec *latRecorder) {
+		sig := sim.NewSignal(r.c.Env)
+		h.Spawn(name, func(th *host.Thread) {
 			conn, err := s.Join(th, dir, sig, false)
 			if err != nil {
 				cr.errs++
 				cr.done = true
 				return
 			}
-			caller := rpccore.NewCaller(conn, grayCallOpts(i), rel)
-			driveClient(th, caller, sig, i, cfg.Calls, grayPace, hardStop, cr, rec)
+			caller := rpccore.NewCaller(conn, grayCallOpts(idx), rel)
+			driveClient(th, caller, sig, idx, calls, grayPace, r.hardStop, cr, rec)
 		})
 	}
-
-	// The single client on the gray host: best-effort through the episode.
-	// Its QP may error (one-way class); Poll then rejoins through the
-	// control plane — into the quarantine gate, if the detector evicted it.
+	// Victims run on the healthy hosts; the single client on the gray host
+	// is best-effort through the episode.
+	victims := make([]*clientRun, grayVictims)
+	for i := range victims {
+		victims[i] = &clientRun{}
+		spawn(r.c.Hosts[2+i%2], "gray-victim", i, grayVictimCalls, victims[i], rec)
+	}
 	grayRun := &clientRun{}
-	{
-		sig := sim.NewSignal(c.Env)
-		gh := c.Hosts[grayHost]
-		gh.Spawn("gray-client", func(th *host.Thread) {
-			conn, err := s.Join(th, dir, sig, false)
-			if err != nil {
-				grayRun.errs++
-				grayRun.done = true
-				return
-			}
-			caller := rpccore.NewCaller(conn, grayCallOpts(1000), rel)
-			driveClient(th, caller, sig, 1000, cfg.GrayCalls, grayPace, hardStop, grayRun, nil)
-		})
-	}
+	spawn(r.c.Hosts[grayHost], "gray-client", 1000, grayCalls, grayRun, nil)
 
-	victimsDone := func() bool {
-		for _, cr := range victims {
-			if !cr.done {
-				return false
-			}
-		}
-		return grayRun.done
-	}
 	// Hold the simulation open past the episode close even once every
 	// client has drained: ladder step-down (restore) and quarantine rejoin
 	// ride on keepalives, not on workload traffic.
 	settleUntil := sim.Time(grayUntil) + 4*sim.Millisecond
-	for (!victimsDone() || c.Env.Now() < settleUntil) && c.Env.Now() < hardStop {
-		c.Env.RunUntil(c.Env.Now() + 100*sim.Microsecond)
-	}
-	c.Env.RunUntil(c.Env.Now() + sim.Time(sim.Millisecond))
+	r.drive(100*sim.Microsecond, 0, func() bool {
+		return allDone(victims) && grayRun.done && r.c.Env.Now() >= settleUntil
+	})
+	r.settle()
 
-	return assembleGray(cfg, scen, grayFrom, grayUntil, mgr, s, rel, victims, grayRun, execs, victimHist, int64(c.Env.Now())), nil
-}
-
-// assembleGray computes the six invariant verdicts from the raw run state.
-func assembleGray(cfg GrayConfig, scen *faults.Scenario, grayFrom, grayUntil int64,
-	mgr *ctrlplane.Manager, s *scalerpc.Server, rel *rpccore.RelStats,
-	victims []*clientRun, grayRun *clientRun, execs map[uint64]uint32,
-	victimHist *stats.Histogram, elapsed int64) *GrayResult {
-
-	r := &GrayResult{
+	res := &GrayResult{
 		Class: string(cfg.Class), Seed: cfg.Seed, Detector: cfg.Detector,
 		Scenario: scen, GrayFromNs: grayFrom, GrayUntilNs: grayUntil,
-		Retries: rel.Retries, DedupHits: rel.DedupHits,
+		Executions: uint64(len(ex)), Retries: rel.Retries, DedupHits: rel.DedupHits,
 		Suspicions: mgr.Stats.DetectorSuspicions, Demotions: mgr.Stats.DetectorDemotions,
 		Evictions: mgr.Stats.DetectorEvictions, LeaseExpiries: mgr.Stats.LeaseExpiries,
 		FalseEvictions: mgr.Stats.FalseEvictions, Readmits: mgr.Stats.DetectorReadmits,
 		Probes:        mgr.Stats.DetectorProbes,
 		ServerDemotes: s.Stats.Demotes, ServerRestores: s.Stats.Restores,
-		DetectionNs: -1, ElapsedNs: elapsed,
+		DetectionNs: -1, ElapsedNs: int64(r.c.Env.Now()),
 	}
 	if victimHist.Count() > 0 {
-		r.VictimP99Ns = victimHist.Quantile(0.99)
+		res.VictimP99Ns = victimHist.Quantile(0.99)
 	}
-
-	violate := func(format string, args ...interface{}) {
-		if len(r.Violations) < 16 {
-			r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
-		}
+	// Invariant 1 (whole population), then 2 and 4 for the measured
+	// victims and 2 alone for the best-effort gray client.
+	res.DuplicateExecutions = ex.atMostOnce(r)
+	res.StuckVictims = r.checkClients("victim", victims, ex)
+	r.checkAcked("gray client", 0, grayRun, ex)
+	for _, cr := range victims {
+		res.VictimAcked += uint64(len(cr.acked))
+		res.VictimTimedOut += cr.timedOut
+		res.VictimErrors += cr.errs
+		res.EchoMismatches += cr.mismatch
 	}
-
-	// Invariant 1: at-most-once execution (whole population).
-	for _, n := range execs {
-		r.Executions++
-		if n > 1 {
-			r.DuplicateExecutions += uint64(n - 1)
-		}
-	}
-	if r.DuplicateExecutions > 0 {
-		violate("%d duplicate executions (at-most-once broken)", r.DuplicateExecutions)
-	}
-
-	checkAcked := func(cr *clientRun, who string) {
-		// Invariant 2: acknowledged ⇒ executed.
-		for _, tok := range cr.acked {
-			if execs[tok] == 0 {
-				violate("%s token (client %d, seq %d) acked but never executed", who, tok>>32, tok&0xffffffff)
-			}
-		}
-		r.EchoMismatches += cr.mismatch
-	}
-
-	for i, cr := range victims {
-		r.VictimIssued += uint64(cfg.Calls)
-		r.VictimAcked += uint64(len(cr.acked))
-		r.VictimTimedOut += cr.timedOut
-		r.VictimErrors += cr.errs
-		checkAcked(cr, "victim")
-		// Invariant 4 (liveness) for the measured population.
-		if !cr.done {
-			r.StuckVictims++
-			violate("victim %d stuck: %d/%d calls resolved within the budget",
-				i, len(cr.acked)+int(cr.timedOut)+int(cr.errs)+int(cr.mismatch), cfg.Calls)
-		}
-	}
-	r.GrayIssued = uint64(cfg.GrayCalls)
-	r.GrayAcked = uint64(len(grayRun.acked))
-	r.GrayTimedOut = grayRun.timedOut
-	r.GrayDone = grayRun.done
-	checkAcked(grayRun, "gray")
+	res.VictimIssued = grayVictims * grayVictimCalls
+	res.GrayIssued = grayCalls
+	res.GrayAcked = uint64(len(grayRun.acked))
+	res.GrayTimedOut = grayRun.timedOut
+	res.GrayDone = grayRun.done
+	res.EchoMismatches += grayRun.mismatch
 
 	// Invariant 3: integrity.
-	if r.EchoMismatches > 0 {
-		violate("%d corrupted payloads delivered", r.EchoMismatches)
+	if res.EchoMismatches > 0 {
+		r.violate("%d corrupted payloads delivered", res.EchoMismatches)
 	}
 
 	// Invariant 5: no eviction of a healthy node. Victim hosts are never
@@ -468,12 +364,12 @@ func assembleGray(cfg GrayConfig, scen *faults.Scenario, grayFrom, grayUntil int
 			continue
 		}
 		if e.Peer != grayHost {
-			r.VictimEvictions++
-			violate("victim host %d evicted at %d ns (%s)", e.Peer, e.At, e.Kind)
+			res.VictimEvictions++
+			r.violate("victim host %d evicted at %d ns (%s)", e.Peer, e.At, e.Kind)
 			continue
 		}
 		if cfg.Detector == "adaptive" && !grayEvictExempt {
-			violate("gray host evicted at %d ns under class %s — alive nodes must be demoted, not evicted",
+			r.violate("gray host evicted at %d ns under class %s — alive nodes must be demoted, not evicted",
 				e.At, cfg.Class)
 		}
 		// Fixed-TTL evictions of the gray host are the baseline misfire the
@@ -488,16 +384,17 @@ func assembleGray(cfg GrayConfig, scen *faults.Scenario, grayFrom, grayUntil int
 	}
 	for _, e := range mgr.Events {
 		if e.Kind == reactKind && e.Peer == grayHost && int64(e.At) >= grayFrom {
-			r.DetectionNs = int64(e.At) - grayFrom
+			res.DetectionNs = int64(e.At) - grayFrom
 			break
 		}
 	}
 
 	// Invariant 6: bounded disruption — victims drain their budgets nearly
 	// unscathed no matter how sick the gray node is.
-	if r.VictimAcked*10 < r.VictimIssued*9 {
-		violate("victim population acked %d/%d (< 90%%): the gray node's sickness leaked",
-			r.VictimAcked, r.VictimIssued)
+	if res.VictimAcked*10 < res.VictimIssued*9 {
+		r.violate("victim population acked %d/%d (< 90%%): the gray node's sickness leaked",
+			res.VictimAcked, res.VictimIssued)
 	}
-	return r
+	res.Violations = r.violations
+	return res, nil
 }

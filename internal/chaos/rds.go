@@ -19,15 +19,14 @@
 //     retransmit timer.
 //
 // One seed derives the fault rates, the cluster RNG and the workload
-// pacing, so the same RDSConfig produces a byte-identical RDSResult.
+// pacing, so the same seed produces a byte-identical RDSResult.
 package chaos
 
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
-	"scalerpc/internal/cluster"
 	"scalerpc/internal/faults"
 	"scalerpc/internal/host"
 	"scalerpc/internal/rds"
@@ -39,20 +38,17 @@ import (
 // chaos classes when the matrix reuses seeds.
 const saltRDS = 0xa0761d6478bd642f
 
-// RDSConfig selects one seeded rds-queue chaos run. Seed is required;
-// everything else defaults.
-type RDSConfig struct {
-	Seed uint64 `json:"seed"`
-	// Producers each enqueue Elems unique tokens (defaults 4 × 30).
-	Producers int `json:"producers,omitempty"`
-	Elems     int `json:"elems,omitempty"`
-	// Consumers split the total dequeue quota evenly (default 4).
-	Consumers int `json:"consumers,omitempty"`
-	// Budget is the hard stop (default 80 ms of virtual time).
-	Budget sim.Duration `json:"budget_ns,omitempty"`
-}
+// An rds run has rdsProducers producers each enqueue rdsElems unique
+// tokens, and rdsConsumers consumers split the total dequeue quota evenly,
+// to a hard stop rdsBudget away.
+const (
+	rdsProducers = 4
+	rdsElems     = 30
+	rdsConsumers = 4
+	rdsBudget    = 80 * sim.Millisecond
+)
 
-// RDSResult is one run's outcome. Same RDSConfig ⇒ byte-identical JSON.
+// RDSResult is one run's outcome. Same seed ⇒ byte-identical JSON.
 type RDSResult struct {
 	Seed      uint64  `json:"seed"`
 	Producers int     `json:"producers"`
@@ -85,22 +81,9 @@ func rdsToken(p, k int) uint64 { return uint64(p+1)<<32 | uint64(k+1) }
 
 // RunRDS executes one seeded drop+dup schedule against the one-sided
 // remote queue.
-func RunRDS(cfg RDSConfig) (*RDSResult, error) {
-	if cfg.Producers <= 0 {
-		cfg.Producers = 4
-	}
-	if cfg.Elems <= 0 {
-		cfg.Elems = 30
-	}
-	if cfg.Consumers <= 0 {
-		cfg.Consumers = 4
-	}
-	if cfg.Budget <= 0 {
-		cfg.Budget = 80 * sim.Millisecond
-	}
-	total := cfg.Producers * cfg.Elems
-
-	rng := stats.NewRNG(cfg.Seed ^ saltRDS)
+func RunRDS(seed uint64) (*RDSResult, error) {
+	const total = rdsProducers * rdsElems
+	rng := stats.NewRNG(seed ^ saltRDS)
 	// Duplication is the star of this schedule (it is what exercises the
 	// atomic replay cache), with a drop rate on top so retransmitted —
 	// not just duplicated — atomics are in play too. No payload
@@ -110,10 +93,9 @@ func RunRDS(cfg RDSConfig) (*RDSResult, error) {
 	dupRate := 0.030 + 0.030*rng.Float64()
 
 	// Topology: server 0, producer host 1, consumer host 2.
-	ccfg := cluster.Default(3)
-	ccfg.Seed = cfg.Seed + 1
-	c := cluster.New(ccfg)
-	defer c.Close()
+	r := newRun(3, seed, rdsBudget)
+	defer r.c.Close()
+	c := r.c
 
 	d := rds.Deploy(c, rds.Config{
 		ServerHost: 0,
@@ -123,7 +105,7 @@ func RunRDS(cfg RDSConfig) (*RDSResult, error) {
 	})
 
 	c.InstallFaults(&faults.Scenario{
-		Name: fmt.Sprintf("chaos-rds-%d", cfg.Seed),
+		Name: fmt.Sprintf("chaos-rds-%d", seed),
 		Seed: rng.Uint64() | 1,
 		Links: []faults.LinkFault{{
 			Src: -1, Dst: -1,
@@ -135,17 +117,16 @@ func RunRDS(cfg RDSConfig) (*RDSResult, error) {
 		NIC: faults.NICTuning{RetransmitTimeoutNs: 20_000, RetryCount: 7},
 	})
 
-	hardStop := c.Env.Now() + sim.Time(cfg.Budget)
-
-	prodDone := make([]bool, cfg.Producers)
-	for p := 0; p < cfg.Producers; p++ {
-		p := p
-		prng := stats.NewRNG(cfg.Seed ^ saltRDS ^ uint64(0x1000+p))
+	prods := make([]*clientRun, rdsProducers)
+	for p := range prods {
+		cr := &clientRun{}
+		prods[p] = cr
+		prng := stats.NewRNG(seed ^ saltRDS ^ uint64(0x1000+p))
 		cl := d.NewOneSided(c.Hosts[1])
 		c.Hosts[1].Spawn(fmt.Sprintf("rds-chaos-prod%d", p), func(th *host.Thread) {
 			buf := make([]byte, 8)
-			for k := 0; k < cfg.Elems; k++ {
-				if th.P.Now() >= hardStop {
+			for k := 0; k < rdsElems; k++ {
+				if th.P.Now() >= r.hardStop {
 					return
 				}
 				binary.LittleEndian.PutUint64(buf, rdsToken(p, k))
@@ -158,27 +139,28 @@ func RunRDS(cfg RDSConfig) (*RDSResult, error) {
 				// Jittered pacing interleaves producers' ticket claims.
 				th.P.Sleep(sim.Duration(5+prng.Intn(40)) * sim.Microsecond)
 			}
-			prodDone[p] = true
+			cr.done = true
 		})
 	}
 
 	// Fixed quotas: each consumer dequeues exactly its share of the total,
 	// so no consumer claims a head ticket that no producer will ever fill.
-	consDone := make([]bool, cfg.Consumers)
-	got := make([]map[uint64]int, cfg.Consumers)
-	for q := 0; q < cfg.Consumers; q++ {
-		q := q
-		quota := total / cfg.Consumers
-		if q < total%cfg.Consumers {
+	cons := make([]*clientRun, rdsConsumers)
+	got := make([]map[uint64]int, rdsConsumers)
+	for q := range cons {
+		cr := &clientRun{}
+		cons[q] = cr
+		quota := total / rdsConsumers
+		if q < total%rdsConsumers {
 			quota++
 		}
-		crng := stats.NewRNG(cfg.Seed ^ saltRDS ^ uint64(0x2000+q))
+		crng := stats.NewRNG(seed ^ saltRDS ^ uint64(0x2000+q))
 		cl := d.NewOneSided(c.Hosts[2])
 		got[q] = make(map[uint64]int)
 		c.Hosts[2].Spawn(fmt.Sprintf("rds-chaos-cons%d", q), func(th *host.Thread) {
 			buf := make([]byte, 16)
 			for k := 0; k < quota; k++ {
-				if th.P.Now() >= hardStop {
+				if th.P.Now() >= r.hardStop {
 					return
 				}
 				n, err := cl.Dequeue(th, buf)
@@ -192,58 +174,26 @@ func RunRDS(cfg RDSConfig) (*RDSResult, error) {
 				got[q][binary.LittleEndian.Uint64(buf)]++
 				th.P.Sleep(sim.Duration(5+crng.Intn(40)) * sim.Microsecond)
 			}
-			consDone[q] = true
+			cr.done = true
 		})
 	}
 
-	allDone := func() bool {
-		for _, ok := range prodDone {
-			if !ok {
-				return false
-			}
-		}
-		for _, ok := range consDone {
-			if !ok {
-				return false
-			}
-		}
-		return true
-	}
-	for !allDone() && c.Env.Now() < hardStop {
-		c.Env.RunUntil(c.Env.Now() + 200*sim.Microsecond)
-	}
+	r.drive(200*sim.Microsecond, 0, func() bool { return allDone(prods) && allDone(cons) })
 	// Let trailing completions (slot frees, retransmits in flight) settle.
-	c.Env.RunUntil(c.Env.Now() + sim.Time(sim.Millisecond))
+	r.settle()
 
 	srvNIC := c.Hosts[0].NIC
 	res := &RDSResult{
-		Seed: cfg.Seed, Producers: cfg.Producers, Elems: cfg.Elems,
-		Consumers: cfg.Consumers, DropRate: dropRate, DupRate: dupRate,
+		Seed: seed, Producers: rdsProducers, Elems: rdsElems,
+		Consumers: rdsConsumers, DropRate: dropRate, DupRate: dupRate,
 		QueueSpins:    d.Stats.QueueSpins,
 		AtomicOps:     srvNIC.Stats.AtomicOps,
 		AtomicReplays: srvNIC.Stats.AtomicReplays,
 		Retransmits:   c.Hosts[1].NIC.Stats.QPRetransmits + c.Hosts[2].NIC.Stats.QPRetransmits,
 		ElapsedNs:     int64(c.Env.Now()),
 	}
-	violate := func(format string, args ...interface{}) {
-		if len(res.Violations) < 16 {
-			res.Violations = append(res.Violations, fmt.Sprintf(format, args...))
-		}
-	}
-
 	// Invariant 3: liveness.
-	for p, ok := range prodDone {
-		if !ok {
-			res.StuckClients++
-			violate("producer %d stuck within the budget", p)
-		}
-	}
-	for q, ok := range consDone {
-		if !ok {
-			res.StuckClients++
-			violate("consumer %d stuck within the budget", q)
-		}
-	}
+	res.StuckClients = r.checkClients("producer", prods) + r.checkClients("consumer", cons)
 
 	// Invariants 1 and 2: exact multiset equality between the enqueued and
 	// dequeued token sets.
@@ -254,21 +204,21 @@ func RunRDS(cfg RDSConfig) (*RDSResult, error) {
 			res.Dequeued += uint64(n)
 		}
 	}
-	res.Enqueued = uint64(total)
+	res.Enqueued = total
 	expected := make([]uint64, 0, total)
-	for p := 0; p < cfg.Producers; p++ {
-		for k := 0; k < cfg.Elems; k++ {
+	for p := 0; p < rdsProducers; p++ {
+		for k := 0; k < rdsElems; k++ {
 			expected = append(expected, rdsToken(p, k))
 		}
 	}
-	sort.Slice(expected, func(i, j int) bool { return expected[i] < expected[j] })
+	slices.Sort(expected)
 	for _, tok := range expected {
 		switch counts[tok] {
 		case 1:
 		case 0:
-			violate("token %#x enqueued but never dequeued (lost element)", tok)
+			r.violate("token %#x enqueued but never dequeued (lost element)", tok)
 		default:
-			violate("token %#x dequeued %d times (double-applied)", tok, counts[tok])
+			r.violate("token %#x dequeued %d times (double-applied)", tok, counts[tok])
 		}
 		delete(counts, tok)
 	}
@@ -277,9 +227,10 @@ func RunRDS(cfg RDSConfig) (*RDSResult, error) {
 	for tok := range counts {
 		strays = append(strays, tok)
 	}
-	sort.Slice(strays, func(i, j int) bool { return strays[i] < strays[j] })
+	slices.Sort(strays)
 	for _, tok := range strays {
-		violate("token %#x dequeued %d times but never enqueued", tok, counts[tok])
+		r.violate("token %#x dequeued %d times but never enqueued", tok, counts[tok])
 	}
+	res.Violations = r.violations
 	return res, nil
 }

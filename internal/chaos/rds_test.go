@@ -1,10 +1,6 @@
 package chaos
 
-import (
-	"bytes"
-	"encoding/json"
-	"testing"
-)
+import "testing"
 
 // TestRDSQueueMatrix drives the seeded drop+dup schedule across 12 seeds:
 // no run may lose or double-apply an element, every worker must drain its
@@ -14,7 +10,7 @@ import (
 func TestRDSQueueMatrix(t *testing.T) {
 	var replays, ops uint64
 	for seed := uint64(0); seed < 12; seed++ {
-		res, err := RunRDS(RDSConfig{Seed: seed})
+		res, err := RunRDS(seed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -40,7 +36,7 @@ func TestRDSQueueMatrix(t *testing.T) {
 // and the multiset invariant proves no ticket was handed out twice.
 func TestRDSQueueReplayAbsorbed(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
-		res, err := RunRDS(RDSConfig{Seed: seed})
+		res, err := RunRDS(seed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -49,28 +45,6 @@ func TestRDSQueueReplayAbsorbed(t *testing.T) {
 		}
 		if res.AtomicReplays == 0 {
 			t.Errorf("seed %d: expected duplicated atomics absorbed by the replay cache, saw none", seed)
-		}
-	}
-}
-
-// TestRDSQueueDeterministic asserts byte-identical result JSON for the
-// same seed.
-func TestRDSQueueDeterministic(t *testing.T) {
-	for _, seed := range []uint64{2, 7} {
-		run := func() []byte {
-			res, err := RunRDS(RDSConfig{Seed: seed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := json.Marshal(res)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return b
-		}
-		a, b := run(), run()
-		if !bytes.Equal(a, b) {
-			t.Fatalf("seed %d: two identical runs produced different JSON:\n%s\nvs\n%s", seed, a, b)
 		}
 	}
 }

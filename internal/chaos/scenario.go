@@ -12,12 +12,13 @@ import (
 
 // Per-class RNG salts keep the four schedule generators statistically
 // independent even when the matrix reuses the same seed across classes.
-const (
-	saltDrop  = 0x9e3779b97f4a7c15
-	saltFlap  = 0xbf58476d1ce4e5b9
-	saltCrash = 0x94d049bb133111eb
-	saltChurn = 0xd6e8feb86659fd93
-)
+// A class missing from the table has no generator and is rejected.
+var salts = map[Class]uint64{
+	ClassDrop:  0x9e3779b97f4a7c15,
+	ClassFlap:  0xbf58476d1ce4e5b9,
+	ClassCrash: 0x94d049bb133111eb,
+	ClassChurn: 0xd6e8feb86659fd93,
+}
 
 func us(n int) int64 { return int64(n) * int64(sim.Microsecond) }
 
@@ -25,17 +26,10 @@ func us(n int) int64 { return int64(n) * int64(sim.Microsecond) }
 // rates, windows and restart delays are all drawn from one seeded RNG, and
 // the scenario pins its own plane seed so injection decisions replay
 // bit-for-bit.
-func GenScenario(class Class, seed uint64) *faults.Scenario {
-	var salt uint64
-	switch class {
-	case ClassDrop:
-		salt = saltDrop
-	case ClassFlap:
-		salt = saltFlap
-	case ClassCrash:
-		salt = saltCrash
-	case ClassChurn:
-		salt = saltChurn
+func GenScenario(class Class, seed uint64) (*faults.Scenario, error) {
+	salt, ok := salts[class]
+	if !ok {
+		return nil, fmt.Errorf("chaos: unknown class %q", class)
 	}
 	rng := stats.NewRNG(seed ^ salt)
 	sc := &faults.Scenario{
@@ -102,7 +96,7 @@ func GenScenario(class Class, seed uint64) *faults.Scenario {
 		}}
 		sc.NIC = faults.NICTuning{RetransmitTimeoutNs: 20_000, RetryCount: 7}
 	}
-	return sc
+	return sc, sc.Validate()
 }
 
 // startChurn connects a fodder population ahead of the measured clients
@@ -114,7 +108,7 @@ func startChurn(c *cluster.Cluster, s *scalerpc.Server, seed uint64) {
 	for i := 0; i < fodder; i++ {
 		s.Connect(c.Hosts[1+i%2], sig)
 	}
-	rng := stats.NewRNG(seed ^ saltChurn ^ 0xa5a5a5a5)
+	rng := stats.NewRNG(seed ^ salts[ClassChurn] ^ 0xa5a5a5a5)
 	c.Env.Spawn("chaos-churn", func(pr *sim.Proc) {
 		for k := 0; k < 24; k++ {
 			// Double-disconnects are no-ops, so random targets are fine.

@@ -16,14 +16,12 @@ package chaos
 //     drains its budget before the hard stop.
 //
 // One seed derives the crash schedule, the cluster RNG and the workload, so
-// the same ShardConfig produces a byte-identical ShardResult.
+// the same seed produces a byte-identical ShardResult.
 
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
-	"scalerpc/internal/cluster"
 	"scalerpc/internal/faults"
 	"scalerpc/internal/host"
 	"scalerpc/internal/mica"
@@ -38,23 +36,19 @@ func chaosShardStore() mica.Config {
 	return mica.Config{Buckets: 1 << 10, Items: 1 << 12, SlotSize: 128}
 }
 
-// ShardConfig selects one seeded shard-failover run. Seed is required;
-// everything else defaults.
-type ShardConfig struct {
-	Seed uint64 `json:"seed"`
-	// Clients is the number of tokened KV writers (default 4).
-	Clients int `json:"clients,omitempty"`
-	// Ops is the put/get pairs per KV client (default 40).
-	Ops int `json:"ops,omitempty"`
-	// Transfers is the cross-shard 2PC transfer budget (default 30).
-	Transfers int `json:"transfers,omitempty"`
-	// Partitions in the shard map (default 8).
-	Partitions int `json:"partitions,omitempty"`
-	// Budget is the hard stop (default 60 ms of virtual time).
-	Budget sim.Duration `json:"budget_ns,omitempty"`
-}
+// A shard-failover run drives shardClients tokened KV writers with
+// shardOps put/get pairs each and a cross-shard 2PC transfer budget of
+// shardTransfers, over shardPartitions partitions, to a hard stop
+// shardBudget away.
+const (
+	shardClients    = 4
+	shardOps        = 40
+	shardTransfers  = 30
+	shardPartitions = 8
+	shardBudget     = 60 * sim.Millisecond
+)
 
-// ShardResult is one run's outcome. Same ShardConfig ⇒ byte-identical JSON.
+// ShardResult is one run's outcome. Same seed ⇒ byte-identical JSON.
 type ShardResult struct {
 	Seed       uint64 `json:"seed"`
 	Clients    int    `json:"clients"`
@@ -88,16 +82,6 @@ type ShardResult struct {
 // Pass reports whether every invariant held.
 func (r *ShardResult) Pass() bool { return len(r.Violations) == 0 }
 
-// shardKVRun tracks one KV writer's progress.
-type shardKVRun struct {
-	acked     []uint64 // tokens acked, in completion order
-	putFails  uint64
-	gets      uint64
-	misses    uint64
-	badValues []string // delivered values matching no attempted put
-	done      bool
-}
-
 // shardKey gives client c's k-th key: distinct per writer so the integrity
 // check can compare against that writer's own attempted values.
 func shardKey(c, k int) []byte {
@@ -112,50 +96,32 @@ func shardValue(c, seq int) []byte {
 }
 
 // RunShard executes one seeded shard-failover schedule.
-func RunShard(cfg ShardConfig) (*ShardResult, error) {
-	if cfg.Clients <= 0 {
-		cfg.Clients = 4
-	}
-	if cfg.Ops <= 0 {
-		cfg.Ops = 40
-	}
-	if cfg.Transfers <= 0 {
-		cfg.Transfers = 30
-	}
-	if cfg.Partitions <= 0 {
-		cfg.Partitions = 8
-	}
-	if cfg.Budget <= 0 {
-		cfg.Budget = 60 * sim.Millisecond
-	}
-
+func RunShard(seed uint64) (*ShardResult, error) {
 	// Topology: shard hosts 0-3, director 4, clients 5-6.
-	ccfg := cluster.Default(7)
-	ccfg.Seed = cfg.Seed + 1
-	c := cluster.New(ccfg)
-	defer c.Close()
+	r := newRun(7, seed, shardBudget)
+	defer r.c.Close()
+	c := r.c
 
-	dcfg := shard.DefaultDeployConfig(cfg.Partitions, []int{0, 1, 2, 3}, 4,
+	dcfg := shard.DefaultDeployConfig(shardPartitions, []int{0, 1, 2, 3}, 4,
 		chaosShardStore())
 	d := shard.Deploy(c, dcfg)
 
 	// Crash partition 0's primary at a seeded point inside the workload
 	// window — mid-run, so in-flight puts and 2PC rounds straddle it.
 	crashHost := d.Map.Primary[0]
-	crashAt := int64(2*sim.Millisecond) + int64(cfg.Seed%8)*int64(250*sim.Microsecond)
+	crashAt := int64(2*sim.Millisecond) + int64(seed%8)*int64(250*sim.Microsecond)
 	c.InstallFaults(&faults.Scenario{
-		Name: "shard-crash", Seed: cfg.Seed,
+		Name: "shard-crash", Seed: seed,
 		Crashes: []faults.Crash{{Node: crashHost, At: crashAt}},
 	})
 
 	// Fresh-apply accounting for invariants 1 and 2: every node reports
 	// exec (client-path) and repl (backup-path) applies per token.
-	execs := make(map[uint64]uint32)
-	repls := make(map[uint64]uint32)
+	ex, repls := execs{}, execs{}
 	for _, n := range d.Nodes {
 		n.ApplyHook = func(token uint64, kind string) {
 			if kind == "exec" {
-				execs[token]++
+				ex[token]++
 			} else {
 				repls[token]++
 			}
@@ -180,32 +146,31 @@ func RunShard(cfg ShardConfig) (*ShardResult, error) {
 		}
 	}
 
-	hardStop := c.Env.Now() + sim.Time(cfg.Budget)
-	runs := make([]*shardKVRun, cfg.Clients)
-	for i := 0; i < cfg.Clients; i++ {
-		i := i
-		cr := &shardKVRun{}
+	var gets, misses uint64
+	runs := make([]*clientRun, shardClients)
+	for i := range runs {
+		cr := &clientRun{}
 		runs[i] = cr
 		ch := c.Hosts[5+i%2]
 		ch.Spawn("shard-chaos-kv", func(th *host.Thread) {
-			r := d.NewRouter(ch, rcfg)
-			kv := r.KVClient(uint16(i + 1))
+			kv := d.NewRouter(ch, rcfg).KVClient(uint16(i + 1))
 			attempted := make(map[string]bool)
-			for s := 0; s < cfg.Ops && th.P.Now() < hardStop; s++ {
+			for s := 0; s < shardOps && th.P.Now() < r.hardStop; s++ {
 				k := shardKey(i, s%8)
 				val := shardValue(i, s)
 				attempted[string(val)] = true
 				if tok, ok := kv.Put(th, k, val); ok {
 					cr.acked = append(cr.acked, tok)
 				} else {
-					cr.putFails++
+					cr.errs++
 				}
 				if got, found, ok := kv.Get(th, k); ok {
-					cr.gets++
+					gets++
 					if !found {
-						cr.misses++
+						misses++
 					} else if !attempted[string(got)] {
-						cr.badValues = append(cr.badValues, string(got))
+						// Invariant 3: delivered values are attempted fills.
+						r.violate("kv client %d read value %q matching no attempted put", i, got)
 					}
 				}
 				// Pace the workload so ops straddle the crash window and
@@ -219,15 +184,12 @@ func RunShard(cfg ShardConfig) (*ShardResult, error) {
 	// Cross-shard 2PC disturbance: transfers keep running through the
 	// crash, so prepares and commits are in flight when the primary dies.
 	var commits, aborts uint64
-	txnDone := false
+	xfer := &clientRun{}
 	c.Hosts[6].Spawn("shard-chaos-txn", func(th *host.Thread) {
-		r := d.NewRouter(c.Hosts[6], rcfg)
-		co := d.NewCoordinator(r, 99)
-		for i := 0; i < cfg.Transfers && th.P.Now() < hardStop; i++ {
+		co := d.NewCoordinator(d.NewRouter(c.Hosts[6], rcfg), 99)
+		for i := 0; i < shardTransfers && th.P.Now() < r.hardStop; i++ {
+			// from != to always: that needs 64 to divide 10i+5, which is odd.
 			from, to := acct(i%accounts), acct((i*11+5)%accounts)
-			if string(from) == string(to) {
-				continue
-			}
 			tx := &txn.Txn{
 				Writes: [][]byte{from, to},
 				Apply: func(rv, wv [][]byte) [][]byte {
@@ -236,7 +198,7 @@ func RunShard(cfg ShardConfig) (*ShardResult, error) {
 					return [][]byte{money(a - 1), money(b + 1)}
 				},
 			}
-			for th.P.Now() < hardStop {
+			for th.P.Now() < r.hardStop {
 				err := co.Run(th, tx)
 				if err == nil {
 					commits++
@@ -250,90 +212,42 @@ func RunShard(cfg ShardConfig) (*ShardResult, error) {
 			}
 			th.P.Sleep(120 * sim.Microsecond)
 		}
-		txnDone = true
+		xfer.done = true
 	})
 
-	allDone := func() bool {
-		if !txnDone {
-			return false
-		}
-		for _, cr := range runs {
-			if !cr.done {
-				return false
-			}
-		}
-		return true
-	}
-	for !allDone() && c.Env.Now() < hardStop {
-		c.Env.RunUntil(c.Env.Now() + 200*sim.Microsecond)
-	}
 	// Run past crash detection even if the workload drained early, so the
 	// failover (and its event log) is always part of the result, then let
 	// in-flight completions settle.
-	if settle := sim.Time(crashAt) + sim.Time(3*sim.Millisecond); c.Env.Now() < settle {
-		c.Env.RunUntil(settle)
-	}
-	c.Env.RunUntil(c.Env.Now() + sim.Time(sim.Millisecond))
+	r.drive(200*sim.Microsecond, sim.Time(crashAt)+3*sim.Millisecond,
+		func() bool { return xfer.done && allDone(runs) })
+	r.settle()
 
 	res := &ShardResult{
-		Seed: cfg.Seed, Clients: cfg.Clients, Ops: cfg.Ops,
-		Transfers: cfg.Transfers, Partitions: cfg.Partitions,
+		Seed: seed, Clients: shardClients, Ops: shardOps,
+		Transfers: shardTransfers, Partitions: shardPartitions,
 		CrashHost: crashHost, CrashAtNs: crashAt,
+		Gets: gets, GetMisses: misses,
 		TxnCommits: commits, TxnAborts: aborts,
 		Failovers: d.Stats.Failovers, FinalEpoch: d.LiveMap().Epoch,
 		Routed: d.Stats.Routed, Redirects: d.Stats.Redirects,
 		DedupHits: d.Stats.DedupHits,
 		ElapsedNs: int64(c.Env.Now()),
 	}
-	violate := func(format string, args ...interface{}) {
-		if len(res.Violations) < 16 {
-			res.Violations = append(res.Violations, fmt.Sprintf(format, args...))
-		}
-	}
-
 	// Invariant 1: at-most-once fresh client-path application.
-	toks := make([]uint64, 0, len(execs))
-	for tok := range execs {
-		toks = append(toks, tok)
-	}
-	sort.Slice(toks, func(i, j int) bool { return toks[i] < toks[j] })
-	for _, tok := range toks {
-		res.ExecApplies += uint64(execs[tok])
-		if execs[tok] > 1 {
-			violate("token %#x exec-applied %d times", tok, execs[tok])
-		}
-	}
+	res.ExecApplies = uint64(len(ex)) + ex.atMostOnce(r)
 	for _, n := range repls {
 		res.ReplApplies += uint64(n)
 	}
-
-	for i, cr := range runs {
+	for _, cr := range runs {
 		res.Acked += uint64(len(cr.acked))
-		res.PutFailures += cr.putFails
-		res.Gets += cr.gets
-		res.GetMisses += cr.misses
-		// Invariant 2: acked ⇒ applied somewhere.
-		for _, tok := range cr.acked {
-			if execs[tok] == 0 && repls[tok] == 0 {
-				violate("token %#x acked but never applied", tok)
-			}
-		}
-		// Invariant 3: delivered values are attempted fills.
-		for _, v := range cr.badValues {
-			violate("client %d read value %q matching no attempted put", i, v)
-		}
-		// Invariant 4: liveness.
-		if !cr.done {
-			res.StuckClients++
-			violate("kv client %d stuck within the budget", i)
-		}
+		res.PutFailures += cr.errs
 	}
-	if !txnDone {
-		res.StuckClients++
-		violate("transfer coordinator stuck within the budget")
-	}
+	// Invariants 2 (acked ⇒ applied somewhere) and 4 (liveness).
+	res.StuckClients = r.checkClients("kv client", runs, ex, repls) +
+		r.checkClients("transfer coordinator", []*clientRun{xfer})
 	if res.Failovers == 0 {
-		violate("crash at %d ns never produced a failover", crashAt)
+		r.violate("crash at %d ns never produced a failover", crashAt)
 	}
+	res.Violations = r.violations
 	return res, nil
 }

@@ -7,10 +7,8 @@
 package chaos
 
 import (
-	"encoding/binary"
 	"fmt"
 
-	"scalerpc/internal/cluster"
 	"scalerpc/internal/host"
 	"scalerpc/internal/loadgen"
 	"scalerpc/internal/rpccore"
@@ -20,26 +18,21 @@ import (
 	"scalerpc/internal/tenant"
 )
 
-// TenantConfig selects one tenant-shed chaos run. Seed is required.
-type TenantConfig struct {
-	Seed uint64 `json:"seed"`
-	// Clients is the measured latency-tenant population (default 4);
-	// Calls is the per-client budget (default 150).
-	Clients int `json:"clients,omitempty"`
-	Calls   int `json:"calls,omitempty"`
-	// Bulk is the steadily loaded bulk population (default 8); Churn is
-	// the additional bulk fodder the churn process connects and
-	// disconnects throughout the run (default 6), whose reconnects are
-	// what level-3 shedding refuses.
-	Bulk  int `json:"bulk,omitempty"`
-	Churn int `json:"churn,omitempty"`
-	// Budget is the hard stop (default 40 ms of virtual time).
-	Budget sim.Duration `json:"budget_ns,omitempty"`
-}
+// A tenant-shed run measures tenantClients latency-tenant clients with
+// tenantCalls calls each. tenantBulk is the steadily loaded bulk
+// population; tenantChurn is the additional bulk fodder the churn process
+// connects and disconnects throughout the run, whose reconnects are what
+// level-3 shedding refuses. The hard stop is the echo harnesses' budget.
+const (
+	tenantClients = 4
+	tenantCalls   = 150
+	tenantBulk    = 8
+	tenantChurn   = 6
+)
 
 // TenantOutcome is the run's artifact: the standard invariant Result plus
-// the controller's deterministic action log and shed counters. Same
-// TenantConfig ⇒ byte-identical JSON.
+// the controller's deterministic action log and shed counters. Same seed
+// ⇒ byte-identical JSON.
 type TenantOutcome struct {
 	Result *Result `json:"result"`
 	// Actions is the controller's ladder log; a run that never trips has
@@ -64,67 +57,30 @@ type latRecorder struct {
 }
 
 // RunTenant executes one seeded tenant-shed schedule.
-func RunTenant(cfg TenantConfig) (*TenantOutcome, error) {
-	if cfg.Clients <= 0 {
-		cfg.Clients = 4
-	}
-	if cfg.Calls <= 0 {
-		cfg.Calls = 150
-	}
-	if cfg.Bulk <= 0 {
-		cfg.Bulk = 8
-	}
-	if cfg.Churn <= 0 {
-		cfg.Churn = 6
-	}
-	if cfg.Budget <= 0 {
-		cfg.Budget = 40 * sim.Millisecond
-	}
-	scen := GenScenario(ClassDrop, cfg.Seed)
-	if err := scen.Validate(); err != nil {
+func RunTenant(seed uint64) (*TenantOutcome, error) {
+	scen, err := GenScenario(ClassDrop, seed)
+	if err != nil {
 		return nil, err
 	}
-
-	ccfg := cluster.Default(3)
-	ccfg.Seed = cfg.Seed + 1
-	c := cluster.New(ccfg)
-	defer c.Close()
+	r := newRun(3, seed, budget)
+	defer r.c.Close()
+	c := r.c
 	p := c.InstallFaults(scen)
 	rel := rpccore.SharedRel(c.Telemetry)
 
 	m := tenant.NewManager(c.Telemetry.Scope("qos"))
 	latID := m.Register(tenant.Spec{Name: "lat",
-		Quota: tenant.Quota{MaxConns: cfg.Clients + 2, Weight: 4, Class: tenant.ClassLatency}})
+		Quota: tenant.Quota{MaxConns: tenantClients + 2, Weight: 4, Class: tenant.ClassLatency}})
 	bulkID := m.Register(tenant.Spec{Name: "bulk",
-		Quota: tenant.Quota{MaxConns: cfg.Bulk + cfg.Churn + 2, Weight: 1, Class: tenant.ClassBulk}})
+		Quota: tenant.Quota{MaxConns: tenantBulk + tenantChurn + 2, Weight: 1, Class: tenant.ClassBulk}})
 
-	execs := make(map[uint64]uint32)
-	handler := func(t *host.Thread, clientID uint16, req []byte, out []byte) int {
-		t.Work(100)
-		if len(req) >= 8 {
-			execs[binary.LittleEndian.Uint64(req)]++
-		}
-		return copy(out, req)
-	}
-
-	scfg := scalerpc.DefaultServerConfig()
-	scfg.Workers = 4
-	scfg.GroupSize = 8
-	scfg.TimeSlice = 50 * sim.Microsecond
-	scfg.BlocksPerClient = 8
-	scfg.MaxClients = 256
-	s := scalerpc.NewServer(c.Hosts[0], scfg)
-	s.SetTenantAuthority(m)
-	s.Register(1, handler)
-	s.Start()
-
-	hardStop := c.Env.Now() + sim.Time(cfg.Budget)
+	ex := execs{}
+	s := r.echoServer(ex, func(s *scalerpc.Server) { s.SetTenantAuthority(m) })
 	opts := callOpts(ClassDrop)
 
 	// The steadily loaded bulk population: fire-and-forget echo traffic
 	// for the whole run, the noisy neighbor the controller squeezes.
-	for i := 0; i < cfg.Bulk; i++ {
-		i := i
+	for i := range tenantBulk {
 		ch := c.Hosts[1+i%2]
 		sig := sim.NewSignal(c.Env)
 		bc := s.ConnectTenant(ch, sig, bulkID, false)
@@ -134,7 +90,7 @@ func RunTenant(cfg TenantConfig) (*TenantOutcome, error) {
 		caller := rpccore.NewCaller(bc, opts, rel)
 		ch.Spawn("tenant-bulk", func(th *host.Thread) {
 			payload := make([]byte, payloadLen)
-			for seq := 0; th.P.Now() < hardStop; seq++ {
+			for seq := 0; th.P.Now() < r.hardStop; seq++ {
 				fillPayload(payload, token(1000+i, seq))
 				if !caller.TrySend(th, 1, payload, uint64(seq)) {
 					caller.Poll(th, func(rpccore.Response) {})
@@ -142,9 +98,9 @@ func RunTenant(cfg TenantConfig) (*TenantOutcome, error) {
 					continue
 				}
 				resolved := false
-				for !resolved && th.P.Now() < hardStop {
-					caller.Poll(th, func(r rpccore.Response) {
-						if r.ReqID == uint64(seq) {
+				for !resolved && th.P.Now() < r.hardStop {
+					caller.Poll(th, func(resp rpccore.Response) {
+						if resp.ReqID == uint64(seq) {
 							resolved = true
 						}
 					})
@@ -181,15 +137,15 @@ func RunTenant(cfg TenantConfig) (*TenantOutcome, error) {
 	out := &TenantOutcome{}
 	{
 		sig := sim.NewSignal(c.Env)
-		ids := make([]uint16, 0, cfg.Churn)
-		for i := 0; i < cfg.Churn; i++ {
+		ids := make([]uint16, 0, tenantChurn)
+		for i := range tenantChurn {
 			if bc := s.ConnectTenant(c.Hosts[1+i%2], sig, bulkID, false); bc != nil {
 				ids = append(ids, bc.ID())
 			}
 		}
-		rng := stats.NewRNG(cfg.Seed ^ saltChurn ^ 0x7e7e7e7e)
+		rng := stats.NewRNG(seed ^ salts[ClassChurn] ^ 0x7e7e7e7e)
 		c.Env.Spawn("tenant-churn", func(pr *sim.Proc) {
-			for k := 0; pr.Now() < hardStop; k++ {
+			for k := 0; pr.Now() < r.hardStop; k++ {
 				if len(ids) > 0 && rng.Float64() < 0.6 {
 					j := rng.Intn(len(ids))
 					s.Disconnect(ids[j])
@@ -208,9 +164,8 @@ func RunTenant(cfg TenantConfig) (*TenantOutcome, error) {
 		})
 	}
 
-	runs := make([]*clientRun, cfg.Clients)
-	for i := 0; i < cfg.Clients; i++ {
-		i := i
+	runs := make([]*clientRun, tenantClients)
+	for i := range runs {
 		cr := &clientRun{}
 		runs[i] = cr
 		ch := c.Hosts[1+i%2]
@@ -221,27 +176,15 @@ func RunTenant(cfg TenantConfig) (*TenantOutcome, error) {
 		}
 		caller := rpccore.NewCaller(lc, opts, rel)
 		ch.Spawn("tenant-lat", func(th *host.Thread) {
-			driveClient(th, caller, sig, i, cfg.Calls, 0, hardStop, cr, rec)
+			driveClient(th, caller, sig, i, tenantCalls, 0, r.hardStop, cr, rec)
 		})
 	}
-
-	allDone := func() bool {
-		for _, cr := range runs {
-			if !cr.done {
-				return false
-			}
-		}
-		return true
-	}
-	for !allDone() && c.Env.Now() < hardStop {
-		c.Env.RunUntil(c.Env.Now() + 100*sim.Microsecond)
-	}
+	r.drive(100*sim.Microsecond, 0, func() bool { return allDone(runs) })
 	ctl.Stop()
-	c.Env.RunUntil(c.Env.Now() + sim.Time(sim.Millisecond))
+	r.settle()
 
-	res := assemble(Config{Class: ClassDrop, Seed: cfg.Seed, Transport: "ScaleRPC",
-		Clients: cfg.Clients, Calls: cfg.Calls}, scen, p, rel, runs, execs, int64(c.Env.Now()))
-	out.Result = res
+	out.Result = assemble(r, Config{Class: ClassDrop, Seed: seed, Transport: "ScaleRPC"},
+		tenantClients, tenantCalls, scen, p, rel, runs, ex)
 	out.Actions = ctl.Actions
 	out.FinalLevel = ctl.Level()
 	out.Windows = ctl.Windows
