@@ -3,8 +3,7 @@
 //
 // Usage:
 //
-//	scalebench -list                # show experiment ids
-//	scalebench list                 # same, as a subcommand
+//	scalebench list                 # show experiment ids
 //	scalebench run fig8 [fig9 ...]  # run selected experiments
 //	scalebench all                  # run everything
 //
@@ -42,7 +41,6 @@ import (
 )
 
 func main() {
-	list := flag.Bool("list", false, "print registered experiments and exit")
 	quick := flag.Bool("quick", false, "shrunken sweeps (CI-sized)")
 	csvDir := flag.String("csv", "", "directory to write per-experiment CSV files")
 	seed := flag.Uint64("seed", 1, "simulation seed")
@@ -93,11 +91,6 @@ func main() {
 			f.Close()
 		}()
 	}
-	if *list {
-		listExperiments()
-		return
-	}
-
 	args := flag.Args()
 	if len(args) == 0 {
 		usage()
@@ -202,7 +195,7 @@ func listExperiments() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  scalebench -list | list
+  scalebench list
   scalebench run <id> [<id>...]
   scalebench all
   scalebench [-quick] [-csv DIR] [-seed N] [-duration MS] [-metrics FILE] [-faults FILE] [-artifacts DIR] <id>...

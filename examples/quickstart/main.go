@@ -69,7 +69,7 @@ func main() {
 	// Every component registered its counters into the cluster's telemetry
 	// registry at build time; dump a small end-of-run summary from it. (A
 	// full JSON dump — including sampled series and trace events when
-	// enabled — is one `c.Telemetry.WriteJSON(w)` call away.)
+	// enabled — is one `c.Telemetry.JSON()` call away.)
 	fmt.Println("\ntelemetry summary:")
 	for _, name := range []string{
 		"scalerpc.server.served",

@@ -18,18 +18,21 @@ import (
 	"scalerpc/internal/sim"
 )
 
+const (
+	// clientWindow is the per-client request window.
+	clientWindow = 16
+	// recvDepth is the number of posted receives per worker QP.
+	recvDepth = 512
+)
+
 // ServerConfig sizes a FaSST server.
 type ServerConfig struct {
-	Workers     int
-	BlockSize   int // ≤ UD MTU
-	RecvDepth   int // posted receives per worker QP
-	PollTimeout sim.Duration
-	ParseCost   sim.Duration
+	Workers   int
+	BlockSize int // ≤ UD MTU
+	ParseCost sim.Duration
 	// ClientOverhead is extra per-operation client CPU (recv reposting,
 	// CQ polling, doorbells — the UD client tax).
 	ClientOverhead sim.Duration
-	// ClientWindow is the per-client request window.
-	ClientWindow int
 }
 
 // DefaultServerConfig mirrors the paper's setup.
@@ -37,11 +40,8 @@ func DefaultServerConfig() ServerConfig {
 	return ServerConfig{
 		Workers:        10,
 		BlockSize:      4096,
-		RecvDepth:      512,
-		PollTimeout:    20 * sim.Microsecond,
 		ParseCost:      60,
 		ClientOverhead: baseline.UDClientOverhead,
-		ClientWindow:   16,
 	}
 }
 
@@ -66,15 +66,15 @@ type Server struct {
 // NewServer builds per-worker UD QPs and posts each one's recv ring with
 // one doorbell.
 func NewServer(h *host.Host, cfg ServerConfig) *Server {
-	s := &Server{Cfg: cfg, Host: h, Shell: baseline.NewShell(h, "fasstrpc", cfg.BlockSize, cfg.ClientWindow)}
+	s := &Server{Cfg: cfg, Host: h, Shell: baseline.NewShell(h, "fasstrpc", cfg.BlockSize, clientWindow)}
 	for i := 0; i < cfg.Workers; i++ {
 		cq := h.NIC.CreateCQ()
 		qp := h.NIC.CreateQP(nic.UD, cq, cq)
-		ring := &recvRing{reg: h.Mem.Register(cfg.BlockSize*cfg.RecvDepth, memory.PageSize2M, memory.LocalWrite)}
+		ring := &recvRing{reg: h.Mem.Register(cfg.BlockSize*recvDepth, memory.PageSize2M, memory.LocalWrite)}
 		s.rings = append(s.rings, ring)
 		w := s.AddWorker()
 		w.CQ, w.QP = cq, qp
-		wrs := make([]nic.RecvWR, cfg.RecvDepth)
+		wrs := make([]nic.RecvWR, recvDepth)
 		for r := range wrs {
 			wrs[r] = s.recvWR(ring, uint64(r))
 		}
@@ -97,7 +97,7 @@ func (s *Server) run(t *host.Thread, w *baseline.Worker) {
 		if len(cqes) == 0 {
 			// Batch-repost consumed receives before sleeping.
 			s.repost(t, w, ring)
-			w.CQ.Sig.WaitTimeout(t.P, s.Cfg.PollTimeout)
+			w.CQ.Sig.WaitTimeout(t.P, baseline.PollTimeout)
 			continue
 		}
 		for _, e := range cqes {
@@ -150,9 +150,8 @@ type Conn struct {
 // Connect admits a client (no connection state on the server: it only
 // assigns an id and a worker QP to address).
 func (s *Server) Connect(ch *host.Host, sig *sim.Signal) *Conn {
-	window := s.Cfg.ClientWindow
 	c := &Conn{
-		Window: baseline.NewWindow(window),
+		Window: baseline.NewWindow(clientWindow),
 		id:     s.nextCli,
 		h:      ch,
 		s:      s,
@@ -161,8 +160,8 @@ func (s *Server) Connect(ch *host.Host, sig *sim.Signal) *Conn {
 	}
 	s.nextCli++
 	c.resp = baseline.NewUDRecv(ch, sig, s.Cfg.ClientOverhead)
-	c.stage = ch.Mem.Register(s.Cfg.BlockSize*window, memory.PageSize2M, memory.LocalWrite)
-	c.resp.PostRing(ch, s.Cfg.BlockSize, window*2)
+	c.stage = ch.Mem.Register(s.Cfg.BlockSize*clientWindow, memory.PageSize2M, memory.LocalWrite)
+	c.resp.PostRing(ch, s.Cfg.BlockSize, clientWindow*2)
 	return c
 }
 

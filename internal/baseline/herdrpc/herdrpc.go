@@ -21,7 +21,6 @@ type ServerConfig struct {
 	BlockSize       int // ≤ 4 KB: responses must fit the UD MTU
 	BlocksPerClient int
 	MaxClients      int
-	PollTimeout     sim.Duration
 	ParseCost       sim.Duration
 	// ClientOverhead is extra per-operation client CPU (UD recv
 	// management, address handles, CQ doorbells) charged by Conn methods.
@@ -35,7 +34,6 @@ func DefaultServerConfig() ServerConfig {
 		BlockSize:       4096,
 		BlocksPerClient: 16,
 		MaxClients:      512,
-		PollTimeout:     20 * sim.Microsecond,
 		ParseCost:       60,
 		ClientOverhead:  baseline.UDClientOverhead,
 	}
@@ -99,7 +97,7 @@ func (s *Server) run(t *host.Thread, w *baseline.Worker) {
 			}
 		}
 		if served == 0 {
-			w.Sig.WaitTimeout(t.P, s.Cfg.PollTimeout)
+			w.Sig.WaitTimeout(t.P, baseline.PollTimeout)
 		}
 	}
 }

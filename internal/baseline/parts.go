@@ -37,6 +37,10 @@ import (
 // §3.6.2), the default of HERD's and FaSST's ClientOverhead.
 const UDClientOverhead sim.Duration = 350
 
+// PollTimeout bounds a baseline server worker's sleep while it finds no
+// request.
+const PollTimeout = 20 * sim.Microsecond
+
 // Slot is one entry of a client's request window.
 type Slot struct {
 	Busy  bool

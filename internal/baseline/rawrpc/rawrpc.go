@@ -25,8 +25,6 @@ type ServerConfig struct {
 	BlockSize       int
 	BlocksPerClient int
 	MaxClients      int
-	// PollTimeout bounds worker sleep when idle.
-	PollTimeout sim.Duration
 	// ParseCost is CPU time to parse/dispatch one request.
 	ParseCost sim.Duration
 }
@@ -39,7 +37,6 @@ func DefaultServerConfig() ServerConfig {
 		BlockSize:       4096,
 		BlocksPerClient: 16,
 		MaxClients:      512,
-		PollTimeout:     20 * sim.Microsecond,
 		ParseCost:       60,
 	}
 }
@@ -86,7 +83,7 @@ func (s *Server) Start() { s.Spawn("rawrpc", s.run) }
 func (s *Server) run(t *host.Thread, w *baseline.Worker) {
 	for {
 		if s.sweep(t, w) == 0 {
-			w.Sig.WaitTimeout(t.P, s.Cfg.PollTimeout)
+			w.Sig.WaitTimeout(t.P, baseline.PollTimeout)
 		}
 	}
 }

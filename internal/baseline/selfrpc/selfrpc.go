@@ -25,7 +25,6 @@ type ServerConfig struct {
 	BlockSize       int
 	BlocksPerClient int
 	MaxClients      int
-	PollTimeout     sim.Duration
 	ParseCost       sim.Duration
 }
 
@@ -36,7 +35,6 @@ func DefaultServerConfig() ServerConfig {
 		BlockSize:       4096,
 		BlocksPerClient: 16,
 		MaxClients:      512,
-		PollTimeout:     20 * sim.Microsecond,
 		ParseCost:       60,
 	}
 }
@@ -80,7 +78,7 @@ func (s *Server) run(t *host.Thread, w *baseline.Worker) {
 	for {
 		cqes := t.PollCQ(w.CQ, 16)
 		if len(cqes) == 0 {
-			w.CQ.Sig.WaitTimeout(t.P, s.Cfg.PollTimeout)
+			w.CQ.Sig.WaitTimeout(t.P, baseline.PollTimeout)
 			continue
 		}
 		for _, e := range cqes {

@@ -32,12 +32,7 @@ func churnPlane(c *cluster.Cluster) *ctrlplane.Directory {
 	cfg.DialRetries = 5
 	cfg.RecvDepth = 1024
 	cfg.LeaseTTL = 2 * sim.Millisecond
-	dir := ctrlplane.NewDirectory()
-	for _, h := range c.Hosts {
-		ctrlplane.NewManager(h, cfg, dir).Start()
-	}
-	c.Ctrl = dir
-	return dir
+	return c.CtrlPlaneWith(cfg)
 }
 
 // connsetupPoint is one cluster size's measurements for the artifact.

@@ -265,10 +265,7 @@ func RunGray(cfg GrayConfig) (*GrayResult, error) {
 	// The control plane must be built with the detector choice before
 	// anything else touches it (first CtrlPlaneWith wins).
 	ctrlCfg := ctrlplane.DefaultConfig()
-	if cfg.Detector == "adaptive" {
-		det := ctrlplane.DefaultDetectorConfig()
-		ctrlCfg.Detector = &det
-	}
+	ctrlCfg.Adaptive = cfg.Detector == "adaptive"
 	dir := r.c.CtrlPlaneWith(ctrlCfg)
 	mgr := dir.Manager(0)
 	// Every gray class keeps the node alive, so any eviction is false by

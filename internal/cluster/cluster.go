@@ -119,9 +119,10 @@ func (c *Cluster) CtrlPlane() *ctrlplane.Directory {
 }
 
 // CtrlPlaneWith is CtrlPlane with an explicit manager configuration — how
-// experiments enable the adaptive failure detector or sweep lease TTLs.
-// Only the first call's configuration takes effect; later calls return the
-// already-built directory.
+// the gray-failure runs enable the adaptive failure detector and the
+// connection experiments widen dial timeouts, the recv ring and the lease
+// TTL. Only the first call's configuration takes effect; later calls
+// return the already-built directory.
 func (c *Cluster) CtrlPlaneWith(cfg ctrlplane.Config) *ctrlplane.Directory {
 	if c.Ctrl == nil {
 		c.Ctrl = ctrlplane.NewDirectory()

@@ -33,14 +33,17 @@ import (
 	"scalerpc/internal/telemetry"
 )
 
+// Manager timing and buffer sizes no deployment varies.
+const (
+	slotBytes                  = 256     // per-message buffer size
+	sweepInterval sim.Duration = 25_000  // manager housekeeping period
+	leaseInterval sim.Duration = 100_000 // keepalive send period per peer
+)
+
 // Config holds the manager parameters.
 type Config struct {
-	RecvDepth int // bootstrap UD receive window
-	SlotBytes int // per-message buffer size
-
-	SweepInterval sim.Duration // manager housekeeping period
-	LeaseInterval sim.Duration // keepalive send period per peer
-	LeaseTTL      sim.Duration // silence after which a peer's conns expire
+	RecvDepth int          // bootstrap UD receive window
+	LeaseTTL  sim.Duration // silence after which a peer's conns expire
 
 	CacheCap    int          // max parked connections per side
 	IdleTimeout sim.Duration // parked connections older than this tear down
@@ -53,21 +56,17 @@ type Config struct {
 	// this age are rejected. Queued entries are re-examined every sweep.
 	AdmitQueueTimeout sim.Duration
 
-	// Detector, when non-nil, replaces fixed-TTL lease expiry with the
-	// adaptive phi-accrual detector and its degradation ladder (see
-	// detector.go). LeaseTTL stays as the safety net for peers without
-	// enough arrival history. Nil keeps the fixed-TTL behaviour
-	// byte-identical.
-	Detector *DetectorConfig
+	// Adaptive replaces fixed-TTL lease expiry with the phi-accrual
+	// detector and its degradation ladder (see detector.go). LeaseTTL
+	// stays as the safety net for peers without enough arrival history.
+	// False keeps the fixed-TTL behaviour byte-identical.
+	Adaptive bool
 }
 
 // DefaultConfig returns the standard control-plane timing parameters.
 func DefaultConfig() Config {
 	return Config{
 		RecvDepth:         128,
-		SlotBytes:         256,
-		SweepInterval:     25_000,
-		LeaseInterval:     100_000,
 		LeaseTTL:          400_000,
 		CacheCap:          256,
 		IdleTimeout:       5_000_000,
@@ -295,8 +294,8 @@ type Manager struct {
 	leases map[int]sim.Time // inbound: last keepalive per peer
 	lastKA map[int]sim.Time // outbound: last keepalive sent per peer
 
-	// Adaptive failure detection (nil maps/fields when Config.Detector is
-	// nil). det holds per-peer ladder state; detRNG jitters quarantine
+	// Adaptive failure detection (nil maps/fields when Config.Adaptive is
+	// false). det holds per-peer ladder state; detRNG jitters quarantine
 	// lockouts; groundTruth, when set by a harness, reports whether a peer
 	// is genuinely down (false-eviction accounting); onPeerState hooks let
 	// data planes react to ladder transitions.
@@ -329,8 +328,8 @@ func NewManager(h *host.Host, cfg Config, dir *Directory) *Manager {
 		dir:       dir,
 		udQP:      h.NIC.CreateQP(nic.UD, cq, cq),
 		cq:        cq,
-		recvReg:   h.Mem.Register(cfg.RecvDepth*cfg.SlotBytes, memory.PageSize2M, memory.LocalWrite),
-		sendReg:   h.Mem.Register(sendRing*cfg.SlotBytes, memory.PageSize2M, memory.LocalWrite),
+		recvReg:   h.Mem.Register(cfg.RecvDepth*slotBytes, memory.PageSize2M, memory.LocalWrite),
+		sendReg:   h.Mem.Register(sendRing*slotBytes, memory.PageSize2M, memory.LocalWrite),
 		services:  make(map[string]Service),
 		nextPSN:   uint64(h.ID)*1_000_000 + 1,
 		pending:   make(map[uint64]*dialWait),
@@ -346,7 +345,7 @@ func NewManager(h *host.Host, cfg Config, dir *Directory) *Manager {
 	for i := 0; i < cfg.RecvDepth; i++ {
 		m.udQP.PostRecv(nic.RecvWR{
 			WRID: uint64(i), LKey: m.recvReg.LKey,
-			LAddr: m.recvReg.Base + uint64(i*cfg.SlotBytes), Len: cfg.SlotBytes,
+			LAddr: m.recvReg.Base + uint64(i*slotBytes), Len: slotBytes,
 		})
 	}
 	sc := telemetry.Scope{}
@@ -383,7 +382,7 @@ func NewManager(h *host.Host, cfg Config, dir *Directory) *Manager {
 	m.coldHist = sc.Histogram("setup_cold_ns")
 	m.cachedHist = sc.Histogram("setup_cached_ns")
 	m.trace = sc.Trace()
-	if cfg.Detector != nil {
+	if cfg.Adaptive {
 		// The RNG split happens only on detector-enabled managers so
 		// existing fixed-TTL runs keep their exact RNG streams.
 		m.det = make(map[int]*peerDetector)
@@ -433,7 +432,7 @@ func (m *Manager) send(t *host.Thread, dst int, msg *wireMsg) {
 	if peer == nil {
 		return
 	}
-	off := m.sendIdx * m.cfg.SlotBytes
+	off := m.sendIdx * slotBytes
 	m.sendIdx = (m.sendIdx + 1) % sendRing
 	n := msg.encode(m.sendReg.Bytes()[off:])
 	t.WriteMem(m.sendReg.Base+uint64(off), n)
@@ -455,7 +454,7 @@ func (m *Manager) send(t *host.Thread, dst int, msg *wireMsg) {
 // run is the manager thread: drain handshake traffic, then sweep leases
 // and caches on the configured period.
 func (m *Manager) run(t *host.Thread) {
-	next := t.P.Now() + m.cfg.SweepInterval
+	next := t.P.Now() + sweepInterval
 	for {
 		wait := next - t.P.Now()
 		if wait < 1 {
@@ -466,22 +465,22 @@ func (m *Manager) run(t *host.Thread) {
 		}
 		if t.P.Now() >= next {
 			m.sweep(t)
-			next = t.P.Now() + m.cfg.SweepInterval
+			next = t.P.Now() + sweepInterval
 		}
 	}
 }
 
 func (m *Manager) handleCQE(t *host.Thread, e nic.CQE) {
 	slot := int(e.WRID)
-	addr := m.recvReg.Base + uint64(slot*m.cfg.SlotBytes)
+	addr := m.recvReg.Base + uint64(slot*slotBytes)
 	var msg wireMsg
 	var err error
 	if e.Status == nic.CQOK {
 		t.ReadMem(addr, e.ByteLen)
-		off := slot * m.cfg.SlotBytes
+		off := slot * slotBytes
 		msg, err = decodeMsg(m.recvReg.Bytes()[off : off+e.ByteLen])
 	}
-	m.udQP.PostRecv(nic.RecvWR{WRID: e.WRID, LKey: m.recvReg.LKey, LAddr: addr, Len: m.cfg.SlotBytes})
+	m.udQP.PostRecv(nic.RecvWR{WRID: e.WRID, LKey: m.recvReg.LKey, LAddr: addr, Len: slotBytes})
 	if e.Status != nic.CQOK || err != nil {
 		return
 	}
@@ -505,7 +504,7 @@ func (m *Manager) handleCQE(t *host.Thread, e nic.CQE) {
 		m.detArrival(e.SrcNIC, t.P.Now())
 	case kindPing:
 		// Failure-detector probe: answer immediately so the suspecting
-		// side gets a fresh arrival sample without waiting a LeaseInterval.
+		// side gets a fresh arrival sample without waiting a leaseInterval.
 		m.Stats.PingsRx++
 		m.Stats.KeepalivesTx++
 		m.send(t, e.SrcNIC, &wireMsg{kind: kindKeepalive})
@@ -778,13 +777,13 @@ func (m *Manager) sweep(t *host.Thread) {
 	now := t.P.Now()
 
 	// Aggregated keepalives: one per peer that has at least one active
-	// outbound connection, every LeaseInterval.
+	// outbound connection, every leaseInterval.
 	peerSet := map[int]bool{}
 	for _, c := range m.cliActive {
 		peerSet[c.peer] = true
 	}
 	for _, peer := range sortedPeers(peerSet) {
-		if now-m.lastKA[peer] >= m.cfg.LeaseInterval {
+		if now-m.lastKA[peer] >= leaseInterval {
 			m.lastKA[peer] = now
 			m.Stats.KeepalivesTx++
 			m.send(t, peer, &wireMsg{kind: kindKeepalive})
@@ -1137,18 +1136,6 @@ func (c *Conn) Close(t *host.Thread) {
 	for m.cliCached > m.cfg.CacheCap {
 		m.evictOldestCliEntry()
 	}
-}
-
-// Abort tears the connection down without caching (ungraceful close).
-func (c *Conn) Abort(t *host.Thread) {
-	if c.closed {
-		return
-	}
-	c.closed = true
-	m := c.mgr
-	delete(m.cliActive, c.QP.QPN)
-	m.send(t, c.peer, &wireMsg{kind: kindDisconnect, qpn: c.remoteQPN})
-	m.h.NIC.DestroyQP(c.QP)
 }
 
 // evictOldestCliEntry drops the LRU parked outbound connection

@@ -12,15 +12,15 @@
 // duration. The score drives a graceful-degradation ladder with
 // hysteresis:
 //
-//	Healthy → Suspect  (phi ≥ SuspectPhi; the manager starts probing)
-//	        → Demoted  (phi ≥ DemotePhi; data planes drain the peer)
-//	        → Evicted  (phi ≥ EvictPhi held for EvictHold; conns destroyed)
+//	Healthy → Suspect  (phi ≥ suspectPhi; the manager starts probing)
+//	        → Demoted  (phi ≥ demotePhi; data planes drain the peer)
+//	        → Evicted  (phi ≥ evictPhi held for evictHold; conns destroyed)
 //	        → Quarantined (rejoin rejected until a jittered backoff lapses)
 //	        → Healthy  (readmitted with a fresh window)
 //
-// Stepping down (Suspect/Demoted → Healthy) requires phi < ClearPhi for
-// ClearHold, and eviction requires phi ≥ EvictPhi continuously for
-// EvictHold. The eviction dwell is what makes lossy-but-alive links safe:
+// Stepping down (Suspect/Demoted → Healthy) requires phi < clearPhi for
+// clearHold, and eviction requires phi ≥ evictPhi continuously for
+// evictHold. The eviction dwell is what makes lossy-but-alive links safe:
 // at keepalive-loss onset a tightly learned distribution sends phi past
 // any threshold within a few hundred microseconds, but once the peer is
 // Suspect the manager pings it every sweep, and a peer that is alive at
@@ -64,59 +64,40 @@ func (s PeerState) String() string {
 	return "?"
 }
 
-// DetectorConfig parameterizes the adaptive detector. A nil
-// Config.Detector keeps the fixed-TTL behaviour byte-identical.
-type DetectorConfig struct {
-	// WindowSize is the inter-arrival sample window per peer; MinSamples
+// Detector parameters, tuned for the manager's 100 µs leaseInterval
+// keepalives and 25 µs sweepInterval sweeps: suspicion within ~1 sweep of
+// an anomalous gap, demotion a sweep later, eviction only after ~600 µs of
+// probed silence on top of a phi=8 (p < 1e-8) gap.
+const (
+	// detWindow is the inter-arrival sample window per peer; detMinSamples
 	// is how many samples must accrue before the detector judges a peer
 	// (below it the fixed LeaseTTL applies as a safety net).
-	WindowSize int
-	MinSamples int
-	// MinStdDev floors the window's standard deviation so a perfectly
+	detWindow     = 32
+	detMinSamples = 4
+	// detMinStdDev floors the window's standard deviation so a perfectly
 	// regular simulated peer doesn't make phi a step function.
-	MinStdDev sim.Duration
-	// PhiCap bounds the score (erfc underflows to 0 for large silences).
-	PhiCap float64
+	detMinStdDev sim.Duration = 20_000
+	// phiCap bounds the score (erfc underflows to 0 for large silences).
+	phiCap = 16
 
-	// Ladder thresholds. ClearPhi must sit below SuspectPhi (hysteresis).
-	SuspectPhi float64
-	DemotePhi  float64
-	EvictPhi   float64
-	ClearPhi   float64
+	// Ladder thresholds. clearPhi must sit below suspectPhi (hysteresis).
+	suspectPhi = 1
+	demotePhi  = 2
+	evictPhi   = 8
+	clearPhi   = 0.5
 
-	// ClearHold is how long phi must stay below ClearPhi before a
-	// Suspect/Demoted peer steps back to Healthy; EvictHold is how long
-	// phi must stay at or above EvictPhi before the peer is evicted.
-	ClearHold sim.Duration
-	EvictHold sim.Duration
+	// clearHold is how long phi must stay below clearPhi before a
+	// Suspect/Demoted peer steps back to Healthy; evictHold is how long
+	// phi must stay at or above evictPhi before the peer is evicted.
+	clearHold sim.Duration = 200_000
+	evictHold sim.Duration = 600_000
 
-	// Quarantine is the base rejoin lockout after an eviction; the actual
-	// lockout is Quarantine*(1 + QuarantineJitter*U[0,1)) with a seeded
+	// quarantine is the base rejoin lockout after an eviction; the actual
+	// lockout is quarantine*(1 + quarantineJitter*U[0,1)) with a seeded
 	// draw, so a herd of evicted peers doesn't redial in lockstep.
-	Quarantine       sim.Duration
-	QuarantineJitter float64
-}
-
-// DefaultDetectorConfig returns thresholds tuned for the default
-// control-plane timing (100 µs keepalives, 25 µs sweeps): suspicion within
-// ~1 sweep of an anomalous gap, demotion a sweep later, eviction only
-// after ~600 µs of probed silence on top of a phi=8 (p < 1e-8) gap.
-func DefaultDetectorConfig() DetectorConfig {
-	return DetectorConfig{
-		WindowSize:       32,
-		MinSamples:       4,
-		MinStdDev:        20_000,
-		PhiCap:           16,
-		SuspectPhi:       1,
-		DemotePhi:        2,
-		EvictPhi:         8,
-		ClearPhi:         0.5,
-		ClearHold:        200_000,
-		EvictHold:        600_000,
-		Quarantine:       2_000_000,
-		QuarantineJitter: 0.5,
-	}
-}
+	quarantine       sim.Duration = 2_000_000
+	quarantineJitter              = 0.5
+)
 
 // peerDetector is the per-peer detector state.
 type peerDetector struct {
@@ -129,13 +110,9 @@ type peerDetector struct {
 	state PeerState
 	phi   float64 // latest score, exported as a gauge
 
-	clearAt   sim.Time // start of the current phi<ClearPhi stretch (0 = none)
-	evictAt   sim.Time // start of the current phi>=EvictPhi stretch (0 = none)
+	clearAt   sim.Time // start of the current phi<clearPhi stretch (0 = none)
+	evictAt   sim.Time // start of the current phi>=evictPhi stretch (0 = none)
 	quarUntil sim.Time
-}
-
-func newPeerDetector(window int) *peerDetector {
-	return &peerDetector{win: make([]float64, window)}
 }
 
 // arrival records a liveness sample (keepalive, probe reply, handshake).
@@ -163,7 +140,7 @@ func (pd *peerDetector) reset() {
 
 // phiAt evaluates the suspicion score for the silence now-last against the
 // window's normal fit.
-func (pd *peerDetector) phiAt(now sim.Time, cfg *DetectorConfig) float64 {
+func (pd *peerDetector) phiAt(now sim.Time) float64 {
 	if !pd.seen || pd.n == 0 {
 		return 0
 	}
@@ -178,21 +155,21 @@ func (pd *peerDetector) phiAt(now sim.Time, cfg *DetectorConfig) float64 {
 		vsum += d * d
 	}
 	sd := math.Sqrt(vsum / float64(pd.n))
-	if floor := float64(cfg.MinStdDev); sd < floor {
+	if floor := float64(detMinStdDev); sd < floor {
 		sd = floor
 	}
 	elapsed := float64(now - pd.last)
 	// P(silence >= elapsed) under N(mean, sd).
 	p := 0.5 * math.Erfc((elapsed-mean)/(sd*math.Sqrt2))
 	if p <= 0 || math.IsNaN(p) {
-		return cfg.PhiCap
+		return phiCap
 	}
 	phi := -math.Log10(p)
 	if phi < 0 {
 		phi = 0
 	}
-	if phi > cfg.PhiCap {
-		phi = cfg.PhiCap
+	if phi > phiCap {
+		phi = phiCap
 	}
 	return phi
 }
@@ -220,17 +197,9 @@ func (m *Manager) PeerStateOf(peer int) PeerState {
 }
 
 // DetectorEnabled reports whether this manager runs the adaptive detector
-// (Config.Detector was set). Subsystems with their own fixed-TTL liveness
+// (Config.Adaptive was set). Subsystems with their own fixed-TTL liveness
 // checks (the shard director) defer to the ladder when it is on.
 func (m *Manager) DetectorEnabled() bool { return m.det != nil }
-
-// PeerPhi reports the peer's latest suspicion score (0 when unknown).
-func (m *Manager) PeerPhi(peer int) float64 {
-	if pd := m.det[peer]; pd != nil {
-		return pd.phi
-	}
-	return 0
-}
 
 // detArrival feeds a liveness sample into the peer's detector. No-op in
 // fixed-TTL mode.
@@ -240,7 +209,7 @@ func (m *Manager) detArrival(peer int, now sim.Time) {
 	}
 	pd := m.det[peer]
 	if pd == nil {
-		pd = newPeerDetector(m.cfg.Detector.WindowSize)
+		pd = &peerDetector{win: make([]float64, detWindow)}
 		m.det[peer] = pd
 		m.detScope.GaugeVar(fmt.Sprintf("phi.peer%d", peer), &pd.phi)
 	}
@@ -260,7 +229,7 @@ func (m *Manager) setPeerState(peer int, pd *peerDetector, to PeerState) {
 		m.event("suspect", peer, 0, 0)
 	case PeerDemoted:
 		if from == PeerHealthy {
-			// A gap violent enough to jump straight past SuspectPhi still
+			// A gap violent enough to jump straight past suspectPhi still
 			// counts as a suspicion.
 			m.Stats.DetectorSuspicions++
 		}
@@ -289,14 +258,13 @@ func (m *Manager) setPeerState(peer int, pd *peerDetector, to PeerState) {
 
 // detectorSweep advances every connected peer's ladder once per manager
 // sweep: score the current silence, escalate immediately, de-escalate only
-// after the ClearHold dwell, and probe Suspect/Demoted peers so an
+// after the clearHold dwell, and probe Suspect/Demoted peers so an
 // alive-but-lossy peer keeps feeding the window. Runs before the expiry
 // loop, which destroys the connections of peers marked PeerEvicted here.
 func (m *Manager) detectorSweep(t *host.Thread, now sim.Time) {
 	if m.det == nil {
 		return
 	}
-	cfg := m.cfg.Detector
 	peerSet := map[int]bool{}
 	for _, sc := range m.conns {
 		peerSet[sc.peer] = true
@@ -316,24 +284,24 @@ func (m *Manager) detectorSweep(t *host.Thread, now sim.Time) {
 	}
 	for _, peer := range sortedPeers(peerSet) {
 		pd := m.det[peer]
-		if pd == nil || pd.n < cfg.MinSamples {
+		if pd == nil || pd.n < detMinSamples {
 			continue // LeaseTTL safety net applies until history accrues
 		}
 		if pd.state == PeerEvicted || pd.state == PeerQuarantined {
 			continue
 		}
-		phi := pd.phiAt(now, cfg)
+		phi := pd.phiAt(now)
 		pd.phi = phi
 
-		// Eviction needs the score held at EvictPhi for the whole
-		// EvictHold dwell — the guard that keeps lossy-but-alive peers
+		// Eviction needs the score held at evictPhi for the whole
+		// evictHold dwell — the guard that keeps lossy-but-alive peers
 		// connected: once Suspect, probes below refresh the window, and
 		// any single arrival breaks the stretch.
-		if phi >= cfg.EvictPhi {
+		if phi >= evictPhi {
 			if pd.evictAt == 0 {
 				pd.evictAt = now
 			}
-			if now-pd.evictAt >= cfg.EvictHold {
+			if now-pd.evictAt >= evictHold {
 				m.setPeerState(peer, pd, PeerEvicted)
 				continue
 			}
@@ -341,19 +309,19 @@ func (m *Manager) detectorSweep(t *host.Thread, now sim.Time) {
 			pd.evictAt = 0
 		}
 
-		if phi >= cfg.DemotePhi {
+		if phi >= demotePhi {
 			if pd.state != PeerDemoted {
 				m.setPeerState(peer, pd, PeerDemoted)
 			}
-		} else if phi >= cfg.SuspectPhi && pd.state == PeerHealthy {
+		} else if phi >= suspectPhi && pd.state == PeerHealthy {
 			m.setPeerState(peer, pd, PeerSuspect)
 		}
 
-		if phi < cfg.ClearPhi {
+		if phi < clearPhi {
 			if pd.clearAt == 0 {
 				pd.clearAt = now
 			}
-			if now-pd.clearAt >= cfg.ClearHold && pd.state != PeerHealthy {
+			if now-pd.clearAt >= clearHold && pd.state != PeerHealthy {
 				m.setPeerState(peer, pd, PeerHealthy)
 			}
 		} else {
@@ -372,7 +340,7 @@ func (m *Manager) detectorSweep(t *host.Thread, now sim.Time) {
 // otherwise.
 func (m *Manager) peerExpired(peer int, now sim.Time) bool {
 	if m.det != nil {
-		if pd := m.det[peer]; pd != nil && pd.n >= m.cfg.Detector.MinSamples {
+		if pd := m.det[peer]; pd != nil && pd.n >= detMinSamples {
 			return pd.state == PeerEvicted
 		}
 	}
@@ -385,13 +353,12 @@ func (m *Manager) quarantineEvicted(now sim.Time) {
 	if m.det == nil {
 		return
 	}
-	cfg := m.cfg.Detector
 	for _, peer := range sortedDetPeers(m.det) {
 		pd := m.det[peer]
 		if pd.state != PeerEvicted {
 			continue
 		}
-		dur := float64(cfg.Quarantine) * (1 + cfg.QuarantineJitter*m.detRNG.Float64())
+		dur := float64(quarantine) * (1 + quarantineJitter*m.detRNG.Float64())
 		pd.quarUntil = now + sim.Duration(dur)
 		m.setPeerState(peer, pd, PeerQuarantined)
 	}

@@ -15,8 +15,7 @@ import (
 // detector switched on.
 func detConfig() ctrlplane.Config {
 	cfg := ctrlplane.DefaultConfig()
-	det := ctrlplane.DefaultDetectorConfig()
-	cfg.Detector = &det
+	cfg.Adaptive = true
 	return cfg
 }
 

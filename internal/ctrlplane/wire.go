@@ -20,7 +20,7 @@ const (
 	kindDisconnect
 	// kindPing is a failure-detector probe: the receiver answers with an
 	// immediate keepalive, giving the suspecting side a fresh arrival
-	// sample without waiting for the next LeaseInterval.
+	// sample without waiting for the next leaseInterval.
 	kindPing
 )
 

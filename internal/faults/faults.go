@@ -201,12 +201,6 @@ func (p *Plane) OnStragglerEnd(fn func(node int)) {
 	p.onStragglerEnd = append(p.onStragglerEnd, fn)
 }
 
-// NodeStraggling reports the node's active straggler episode, if any.
-func (p *Plane) NodeStraggling(node int) (Straggler, bool) {
-	st, ok := p.straggling[node]
-	return st, ok
-}
-
 // OnEvent binds behaviour to a named scenario event kind.
 func (p *Plane) OnEvent(kind string, fn func(Event)) {
 	p.onEvent[kind] = append(p.onEvent[kind], fn)

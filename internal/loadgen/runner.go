@@ -114,7 +114,7 @@ func NewRunner(w Workload, clients []Client, scope telemetry.Scope) *Runner {
 }
 
 // Start spawns one process per client on its host. Call once; then run the
-// simulation past the drain deadline (Horizon()+Drain) and collect Report.
+// simulation past the drain deadline (DrainDeadline()) and collect Report.
 func (r *Runner) Start(env *sim.Env) {
 	if r.started {
 		panic("loadgen: Runner started twice")
@@ -166,9 +166,6 @@ func (r *Runner) TenantSample(name string) (lat *stats.Histogram, offered, compl
 	}
 	return nil, 0, 0, false
 }
-
-// Horizon returns the virtual time at which arrivals stop.
-func (r *Runner) Horizon() sim.Time { return r.horizon }
 
 // DrainDeadline returns the virtual time by which every client has exited.
 func (r *Runner) DrainDeadline() sim.Time { return r.endAt }

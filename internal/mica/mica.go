@@ -108,10 +108,6 @@ func New(h *host.Host, cfg Config) *Store {
 // Region returns the backing registered region (for rkey exchange).
 func (s *Store) Region() *memory.Region { return s.reg }
 
-// MaxValueLen returns the largest value the slot size allows for keys of
-// the given length.
-func (s *Store) MaxValueLen(keyLen int) int { return s.cfg.SlotSize - OffKey - keyLen }
-
 func hash64(key []byte) uint64 {
 	// FNV-1a.
 	h := uint64(14695981039346656037)

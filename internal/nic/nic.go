@@ -104,11 +104,6 @@ type Config struct {
 	// CQRNRRetryExceeded. Zero means the default (7).
 	RNRRetryCount int
 
-	// StrictLRUCaches switches the on-NIC caches from randomized
-	// replacement (realistic gradual degradation; the default) to strict
-	// LRU (useful in tests asserting exact eviction behaviour).
-	StrictLRUCaches bool
-
 	// Control-plane verb latencies. CreateQP and each ModifyQP transition
 	// are command-queue round trips to NIC firmware — microseconds, orders
 	// of magnitude slower than a data-path doorbell (Swift measures this as
@@ -293,7 +288,10 @@ func New(cfg Config, d Deps) *NIC {
 		watches: make(map[uint32][]*sim.Signal),
 		trace:   telemetry.Scope{}.Trace(),
 	}
-	if cfg.StrictLRUCaches || d.RNG == nil {
+	// On-NIC caches use randomized replacement (realistic gradual
+	// degradation); a NIC built without an RNG, as unit tests build them,
+	// gets strict LRU so exact eviction behaviour can be asserted.
+	if d.RNG == nil {
 		n.qpcCache = newLRU(cfg.QPCCacheEntries)
 		n.wqeCache = newLRU(cfg.WQECacheEntries)
 		n.mttCache = newLRU(cfg.MTTCacheEntries)

@@ -446,9 +446,6 @@ func (qp *QP) Err() error { return qp.err }
 // State returns the QP's current state.
 func (qp *QP) State() QPState { return qp.state }
 
-// Remote returns the connected peer's (nic, qpn); valid only when connected.
-func (qp *QP) Remote() (int, uint32) { return qp.remoteNIC, qp.remoteQPN }
-
 // validate enforces the Table 1 verb/MTU support matrix.
 func (qp *QP) validate(wr *SendWR) error {
 	switch qp.Type {

@@ -157,8 +157,7 @@ func (c *Adaptive) Kind() Kind { return KindAdaptive }
 // (tests and the bench report inspect it).
 func (c *Adaptive) Preferred(k opKind) Kind { return c.pref[k] }
 
-// PreferredGet/PreferredPut are exported views for reports.
-func (c *Adaptive) PreferredGet() Kind { return c.pref[opGet] }
+// PreferredPut is the exported view of the put preference for reports.
 func (c *Adaptive) PreferredPut() Kind { return c.pref[opPut] }
 
 func newAdaptive(d *Deployment, one *OneSided, rpc *RPCClient, pol Policy) *Adaptive {

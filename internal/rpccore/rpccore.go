@@ -57,6 +57,13 @@ type Conn interface {
 // sleep instead of spin.
 type ActivitySignal = sim.Signal
 
+const (
+	// idlePoll bounds how long a driver thread sleeps when nothing is ready.
+	idlePoll = 5 * sim.Microsecond
+	// spinCost is the CPU charge per empty busy-poll pass.
+	spinCost sim.Duration = 100
+)
+
 // DriverConfig shapes a benchmark client thread.
 type DriverConfig struct {
 	// Batch is the number of requests each coroutine keeps outstanding
@@ -73,20 +80,14 @@ type DriverConfig struct {
 	// coroutine posts its next batch (used for the non-uniform workloads
 	// of Figure 12).
 	ThinkTime func(rng *stats.RNG) sim.Duration
-	// WarmupOps are completed before measurement starts.
-	WarmupOps int
 	// Seed drives the payload and think-time generators.
 	Seed uint64
-	// IdlePoll bounds how long the thread sleeps when nothing is ready.
-	IdlePoll sim.Duration
-	// BusyPoll makes the thread spin (holding a core, charging SpinCost
+	// BusyPoll makes the thread spin (holding a core, charging spinCost
 	// per idle pass) instead of blocking — how the paper's clients
 	// actually behave, and the reason UD RPC clients bottleneck on CPU
 	// (§3.6.2). Enable when modelling core contention; leave off for
 	// cheap functional tests.
 	BusyPoll bool
-	// SpinCost is the CPU charge per empty busy-poll pass.
-	SpinCost sim.Duration
 	// MeasureFrom, when nonzero, excludes completions and latencies
 	// recorded before that virtual time (time-based warmup).
 	MeasureFrom sim.Time
@@ -107,7 +108,6 @@ type coState struct {
 	conn       Conn
 	inFlight   int
 	batchStart sim.Time
-	warmupLeft int
 	nextReqID  uint64
 	thinkUntil sim.Time
 
@@ -123,10 +123,6 @@ type coState struct {
 // collect accounts one delivered response.
 func (co *coState) collect(r Response) {
 	co.inFlight--
-	if co.warmupLeft > 0 {
-		co.warmupLeft--
-		return
-	}
 	if co.t.P.Now() < co.cfg.MeasureFrom {
 		return
 	}
@@ -135,14 +131,11 @@ func (co *coState) collect(r Response) {
 }
 
 // RunDriver runs the benchmark loop over the given connections (coroutines)
-// on the calling thread until stop returns true. Measurement excludes each
-// coroutine's warmup operations.
+// on the calling thread until stop returns true. Measurement excludes
+// whatever completes before cfg.MeasureFrom.
 func RunDriver(t *host.Thread, conns []Conn, cfg DriverConfig, sig *sim.Signal, stop func() bool) DriverStats {
 	if cfg.Batch <= 0 {
 		cfg.Batch = 1
-	}
-	if cfg.IdlePoll <= 0 {
-		cfg.IdlePoll = 5 * sim.Microsecond
 	}
 	res := DriverStats{BatchLat: stats.NewHistogram()}
 	if cfg.StartDelay > 0 {
@@ -152,7 +145,7 @@ func RunDriver(t *host.Thread, conns []Conn, cfg DriverConfig, sig *sim.Signal, 
 	cos := make([]*coState, len(conns))
 	payload := make([]byte, 4096)
 	for i, c := range conns {
-		co := &coState{conn: c, warmupLeft: cfg.WarmupOps, t: t, cfg: &cfg, res: &res}
+		co := &coState{conn: c, t: t, cfg: &cfg, res: &res}
 		co.onResp = co.collect
 		cos[i] = co
 	}
@@ -173,7 +166,7 @@ func RunDriver(t *host.Thread, conns []Conn, cfg DriverConfig, sig *sim.Signal, 
 			}
 			// A batch completes when everything posted has returned.
 			if co.inFlight == 0 && co.batchStart != 0 {
-				if co.warmupLeft == 0 && t.P.Now() >= cfg.MeasureFrom && co.batchStart >= cfg.MeasureFrom {
+				if t.P.Now() >= cfg.MeasureFrom && co.batchStart >= cfg.MeasureFrom {
 					res.BatchLat.Record(int64(t.P.Now() - co.batchStart))
 				}
 				co.batchStart = 0
@@ -200,13 +193,9 @@ func RunDriver(t *host.Thread, conns []Conn, cfg DriverConfig, sig *sim.Signal, 
 		}
 		if !progress {
 			if cfg.BusyPoll {
-				spin := cfg.SpinCost
-				if spin <= 0 {
-					spin = 100
-				}
-				t.Work(spin)
+				t.Work(spinCost)
 			} else {
-				t.WaitSignal(sig, cfg.IdlePoll)
+				t.WaitSignal(sig, idlePoll)
 			}
 		}
 	}

@@ -52,7 +52,7 @@ func managedTransports() []managedTransport {
 			cfg.BlocksPerClient = 8
 			// No liveness probes: an idle client of a crashed host is given up
 			// by its lease alone, not by whichever of the two notices first.
-			cfg.Failure.ProbeSlices = 0
+			cfg.ProbeSlices = 0
 			s := scalerpc.NewServer(c.Hosts[0], cfg)
 			reg(s)
 			s.Start()

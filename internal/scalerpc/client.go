@@ -462,9 +462,7 @@ func (c *Conn) onContextSwitch(t *host.Thread) {
 // If the link is still down the new QP errors too and the next Poll retries,
 // so the backoff paces reconnect attempts through an outage.
 func (c *Conn) reconnect(t *host.Thread) {
-	if d := c.s.Cfg.Failure.ReconnectBackoff; d > 0 {
-		t.P.Sleep(d)
-	}
+	t.P.Sleep(reconnectBackoff)
 	// Control-plane-admitted connections re-dial through the in-band
 	// handshake; on failure the next Poll retries (paced by the backoff
 	// above). A backdoor connection's Rejoin does nothing but say so.

@@ -22,6 +22,18 @@ package scalerpc
 
 import "scalerpc/internal/sim"
 
+const (
+	// pollTimeout bounds worker sleep while its zones are quiet.
+	pollTimeout = 20 * sim.Microsecond
+	// switchGuard is the delay between a context switch and the reuse of
+	// the old processing pool for warmup fetches, covering in-flight
+	// writes from just-notified clients.
+	switchGuard = 3 * sim.Microsecond
+	// reconnectBackoff is how long a client waits after finding its QP in
+	// the error state before rebuilding the connection.
+	reconnectBackoff = 20 * sim.Microsecond
+)
+
 // ServerConfig holds every ScaleRPC tunable. Defaults follow the paper's
 // evaluation settings (§3.6.1): group size 40, time slice 100 µs, 4 KB
 // message blocks.
@@ -41,17 +53,11 @@ type ServerConfig struct {
 	// Dynamic enables the priority-based scheduler; when false the static
 	// grouping of the paper's "Static" comparison mode is used (Fig 12).
 	Dynamic bool
-	// PollTimeout bounds worker sleep while its zones are quiet.
-	PollTimeout sim.Duration
 	// ParseCost is CPU time to parse/dispatch one request.
 	ParseCost sim.Duration
 	// WarmupPollInterval is how often, within a slice, the scheduler
 	// re-scans endpoint entries of the warming group for late joiners.
 	WarmupPollInterval sim.Duration
-	// SwitchGuard is the delay between a context switch and the reuse of
-	// the old processing pool for warmup fetches, covering in-flight
-	// writes from just-notified clients.
-	SwitchGuard sim.Duration
 	// LegacyThreshold is the handler runtime beyond which a call type is
 	// recorded and executed in legacy mode thereafter (§3.5).
 	LegacyThreshold sim.Duration
@@ -63,13 +69,6 @@ type ServerConfig struct {
 	// direction): pinned clients are never context-switched out, trading
 	// a little NIC-cache headroom for RC-level tail latency.
 	ReservedZones int
-	// Failure groups the failure-detection knobs so experiments can sweep
-	// them independently of the scheduling parameters.
-	Failure FailureConfig
-}
-
-// FailureConfig holds ScaleRPC's failure-detection and recovery tunables.
-type FailureConfig struct {
 	// ProbeSlices is how many consecutive slices a client may go without a
 	// single served request before the scheduler posts a liveness probe (a
 	// 0-byte RC write) on its QP. A slice stands for one rotation of the
@@ -81,17 +80,6 @@ type FailureConfig struct {
 	// 0 disables probing (dead clients are then only caught when a
 	// response or warmup READ happens to fail).
 	ProbeSlices int
-	// ReconnectBackoff is how long a client waits after finding its QP in
-	// the error state before rebuilding the connection.
-	ReconnectBackoff sim.Duration
-}
-
-// DefaultFailureConfig returns the standard failure-detection parameters.
-func DefaultFailureConfig() FailureConfig {
-	return FailureConfig{
-		ProbeSlices:      1,
-		ReconnectBackoff: 20 * sim.Microsecond,
-	}
 }
 
 // DefaultServerConfig returns the paper's evaluation configuration.
@@ -104,14 +92,12 @@ func DefaultServerConfig() ServerConfig {
 		BlocksPerClient:    16,
 		MaxClients:         512,
 		Dynamic:            true,
-		PollTimeout:        20 * sim.Microsecond,
 		ParseCost:          60,
 		WarmupPollInterval: 20 * sim.Microsecond,
-		SwitchGuard:        3 * sim.Microsecond,
 		LegacyThreshold:    20 * sim.Microsecond,
 		SyncPeriod:         100 * sim.Millisecond,
 		ReservedZones:      4,
-		Failure:            DefaultFailureConfig(),
+		ProbeSlices:        1,
 	}
 }
 

@@ -517,9 +517,7 @@ func (s *Server) contextSwitch(t *host.Thread) {
 	// covers writes already in flight from just-notified clients. The late
 	// sweep then answers any such stragglers (with the switch event set),
 	// so clients almost never need the retry path.
-	if s.Cfg.SwitchGuard > 0 {
-		t.P.Sleep(s.Cfg.SwitchGuard)
-	}
+	t.P.Sleep(switchGuard)
 	s.lateSweep(t, oldPool, oldOwners)
 }
 
@@ -610,7 +608,7 @@ func (s *Server) schedStaging() *memory.Region {
 // scanFailures inspects the outgoing group for dead clients: members whose
 // QP already sits in the error state (their NIC stopped acknowledging —
 // crashed node, downed link, invalidated response region) are returned for
-// eviction, and members who went Cfg.Failure.ProbeSlices slices of their own
+// eviction, and members who went Cfg.ProbeSlices slices of their own
 // without a single served request get a liveness probe — a 0-byte
 // unsignaled RC write to the response region that either lands invisibly
 // (the client is merely idle) or exhausts the RC retry budget and errors
@@ -648,7 +646,7 @@ func (s *Server) scanFailures(t *host.Thread, out []uint16) []uint16 {
 			continue
 		}
 		cs.missedSlices += share
-		if n := s.Cfg.Failure.ProbeSlices; !cs.demoted && n > 0 && cs.missedSlices >= float64(n) {
+		if n := s.Cfg.ProbeSlices; !cs.demoted && n > 0 && cs.missedSlices >= float64(n) {
 			cs.missedSlices--
 			s.Stats.Probes++
 			t.PostSend(cs.QP, nic.SendWR{Op: nic.OpWrite, RKey: cs.respRKey, RAddr: cs.respAddr})

@@ -345,7 +345,7 @@ func (w *worker) run(t *host.Thread) {
 		}
 		if n == 0 {
 			w.Sleeps++
-			t.WaitSignal(w.sig, s.Cfg.PollTimeout)
+			t.WaitSignal(w.sig, pollTimeout)
 		}
 	}
 }

@@ -18,35 +18,24 @@ type DeployConfig struct {
 	Partitions   int
 	ShardHosts   []int
 	DirectorHost int
-	Node         NodeConfig
+	// Store sizes each partition's MICA store.
+	Store mica.Config
 	// Srv is the client-facing ScaleRPC server config per shard host.
 	Srv scalerpc.ServerConfig
-	// Repl is the dedicated replication-plane server config. It is a
-	// separate raw-write server so client-facing handlers that block on a
-	// synchronous forward can never starve the plane that acks it.
-	Repl rawrpc.ServerConfig
-	// Director holds the liveness tunables; the zero value means the
-	// defaults (ctrlplane LeaseTTL, 100 µs sweep).
-	Director DirectorConfig
 }
 
 // DefaultDeployConfig mirrors the multi-server ScaleRPC setup the txn
-// benchmarks use (static grouping + NTP-like sync) and a slim replication
-// plane.
+// benchmarks use (static grouping + NTP-like sync).
 func DefaultDeployConfig(partitions int, shardHosts []int, directorHost int, store mica.Config) DeployConfig {
 	srv := scalerpc.DefaultServerConfig()
 	srv.Dynamic = false
 	srv.SyncPeriod = 2 * sim.Millisecond
-	repl := rawrpc.DefaultServerConfig()
-	repl.Workers = 4
-	repl.MaxClients = 64
 	return DeployConfig{
 		Partitions:   partitions,
 		ShardHosts:   shardHosts,
 		DirectorHost: directorHost,
-		Node:         DefaultNodeConfig(store),
+		Store:        store,
 		Srv:          srv,
-		Repl:         repl,
 	}
 }
 
@@ -77,12 +66,18 @@ func Deploy(cl *cluster.Cluster, cfg DeployConfig) *Deployment {
 		ReplSrvs: make(map[int]*rawrpc.Server),
 		Stats:    SharedStats(cl.Telemetry),
 	}
+	// The replication plane is a slim raw-write server of its own, so
+	// client-facing handlers that block on a synchronous forward can never
+	// starve the plane that acks it.
+	repl := rawrpc.DefaultServerConfig()
+	repl.Workers = 4
+	repl.MaxClients = 64
 	var scaleSrvs []*scalerpc.Server
 	for _, hid := range cfg.ShardHosts {
 		h := cl.Hosts[hid]
-		n := NewNode(h, m, cfg.Node)
+		n := NewNode(h, m, cfg.Store)
 		srv := scalerpc.NewServer(h, cfg.Srv)
-		rsrv := rawrpc.NewServer(h, cfg.Repl)
+		rsrv := rawrpc.NewServer(h, repl)
 		n.RegisterOn(srv, rsrv)
 		srv.Start()
 		rsrv.Start()
@@ -107,7 +102,7 @@ func Deploy(cl *cluster.Cluster, cfg DeployConfig) *Deployment {
 			d.Nodes[a].AddReplLink(b, conn)
 		}
 	}
-	d.Director = NewDirectorWith(ctrl.Manager(cfg.DirectorHost), m, cfg.Director)
+	d.Director = NewDirector(ctrl.Manager(cfg.DirectorHost), m)
 	d.Director.Start()
 	return d
 }

@@ -26,25 +26,15 @@ type Event struct {
 	Epoch     uint32
 }
 
-// DirectorConfig holds the director's liveness tunables, extracted so
-// experiments can sweep them independently of the control-plane defaults.
-type DirectorConfig struct {
-	// FailTTL is the lease silence after which a node is declared dead in
-	// fixed-TTL mode; 0 means the manager default (ctrlplane LeaseTTL).
-	// Ignored when the manager runs the adaptive detector — eviction then
-	// comes from the ladder, not a fixed clock.
-	FailTTL sim.Duration
-	// Interval is the liveness sweep period; 0 means 100 µs.
-	Interval sim.Duration
-}
-
-// DefaultDirectorConfig mirrors the pre-extraction hardcoded values.
-func DefaultDirectorConfig() DirectorConfig {
-	return DirectorConfig{
-		FailTTL:  ctrlplane.DefaultConfig().LeaseTTL,
-		Interval: 100 * sim.Microsecond,
-	}
-}
+const (
+	// failTTL is the lease silence after which a node is declared dead in
+	// fixed-TTL mode: the control plane's default LeaseTTL. Ignored when
+	// the manager runs the adaptive detector — eviction then comes from the
+	// ladder, not a fixed clock.
+	failTTL = 400 * sim.Microsecond
+	// sweepInterval is the director's liveness sweep period.
+	sweepInterval = 100 * sim.Microsecond
+)
 
 // Director owns the authoritative shard map: it serves fetches, watches
 // node liveness through the control plane's lease stream, and on expiry
@@ -60,12 +50,6 @@ type Director struct {
 	nodeHosts []int
 	down      map[int]bool
 
-	// FailTTL is the lease silence after which a node is declared dead;
-	// defaults to the manager's LeaseTTL.
-	FailTTL sim.Duration
-	// Interval is the liveness sweep period.
-	Interval sim.Duration
-
 	// Ladder transitions queued by the manager's OnPeerState hook (which
 	// must not block) and drained by the sweep thread, which can dial.
 	pendFail    []int
@@ -78,31 +62,17 @@ type Director struct {
 }
 
 // NewDirector builds a director for m on the given control-plane manager
-// and registers its fetch and lease services.
+// and registers its fetch and lease services. When the manager runs the
+// adaptive failure detector, the director also subscribes to its ladder: a
+// demoted node host is marked degraded in an epoch-bumped map (routers then
+// steer its reads to backups), a restored one is cleared, and eviction
+// triggers the same failover the fixed TTL would.
 func NewDirector(mgr *ctrlplane.Manager, m *Map) *Director {
-	return NewDirectorWith(mgr, m, DefaultDirectorConfig())
-}
-
-// NewDirectorWith is NewDirector with explicit liveness tunables. When the
-// manager runs the adaptive failure detector, the director also subscribes
-// to its ladder: a demoted node host is marked degraded in an epoch-bumped
-// map (routers then steer its reads to backups), a restored one is
-// cleared, and eviction triggers the same failover the fixed TTL would.
-func NewDirectorWith(mgr *ctrlplane.Manager, m *Map, cfg DirectorConfig) *Director {
-	def := DefaultDirectorConfig()
-	if cfg.FailTTL <= 0 {
-		cfg.FailTTL = def.FailTTL
-	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = def.Interval
-	}
 	d := &Director{
 		mgr:       mgr,
 		cur:       m.Clone(),
 		nodeHosts: append([]int(nil), m.Hosts...),
 		down:      make(map[int]bool),
-		FailTTL:   cfg.FailTTL,
-		Interval:  cfg.Interval,
 		stats:     SharedStats(mgr.Host().Tel.Registry()),
 	}
 	mgr.RegisterService(SvcMap, mapSvc{d})
@@ -148,7 +118,7 @@ func (d *Director) Start() {
 
 func (d *Director) run(t *host.Thread) {
 	for {
-		t.P.Sleep(d.Interval)
+		t.P.Sleep(sweepInterval)
 		now := t.P.Now()
 		// Drain ladder transitions queued since the last sweep (adaptive
 		// mode): failovers first so a host that raced through
@@ -172,7 +142,7 @@ func (d *Director) run(t *host.Thread) {
 				continue
 			}
 			at, ok := d.mgr.PeerLease(h)
-			if ok && now-at > d.FailTTL {
+			if ok && now-at > failTTL {
 				d.failover(t, h)
 			}
 		}

@@ -145,9 +145,6 @@ func (m *Map) SetDegraded(host int, degraded bool) bool {
 // KV routing agree on ownership.
 func (m *Map) PartitionOf(key []byte) int { return txn.ShardKey(key, m.Partitions) }
 
-// PrimaryOf returns the host owning a key's partition.
-func (m *Map) PrimaryOf(key []byte) int { return m.Primary[m.PartitionOf(key)] }
-
 // Clone deep-copies the map.
 func (m *Map) Clone() *Map {
 	n := *m

@@ -20,32 +20,19 @@ type handlerTab map[uint8]rpccore.Handler
 func (h handlerTab) Register(id uint8, fn rpccore.Handler) { h[id] = fn }
 func (h handlerTab) Start()                                {}
 
-// NodeConfig shapes one shard server.
-type NodeConfig struct {
-	// StoreCfg sizes each partition's MICA store.
-	StoreCfg mica.Config
-	// ReplTimeout bounds one synchronous primary→backup forward; past it
+// Replication timing resolves well under the default fault schedules: a
+// forward retries twice inside a replTimeout envelope.
+const (
+	// replTimeout bounds one synchronous primary→backup forward; past it
 	// the primary answers the client RRetry (puts) or proceeds without the
 	// backup (2PC commits, which are already decided).
-	ReplTimeout sim.Duration
-	// ReplOpts are the exactly-once caller knobs on the replication link.
-	ReplOpts rpccore.CallOpts
-}
-
-// DefaultNodeConfig returns replication timing that resolves well under
-// the default fault schedules: a forward retries twice inside a 200 µs
-// envelope.
-func DefaultNodeConfig(store mica.Config) NodeConfig {
-	return NodeConfig{
-		StoreCfg:    store,
-		ReplTimeout: 200 * sim.Microsecond,
-		ReplOpts: rpccore.CallOpts{
-			Timeout:       60 * sim.Microsecond,
-			RetryInterval: 25 * sim.Microsecond,
-			MaxRetries:    2,
-		},
-	}
-}
+	replTimeout = 200 * sim.Microsecond
+	// replCallTimeout, replRetryInterval and replMaxRetries are the
+	// exactly-once caller knobs on the replication link.
+	replCallTimeout   = 60 * sim.Microsecond
+	replRetryInterval = 25 * sim.Microsecond
+	replMaxRetries    = 2
+)
 
 type txnTok struct {
 	id   uint64
@@ -63,7 +50,7 @@ type Node struct {
 	HostID int
 	Host   *host.Host
 
-	cfg   NodeConfig
+	store mica.Config // sizes each partition's MICA store
 	stats *Stats
 	cur   *Map
 
@@ -89,12 +76,13 @@ type Node struct {
 	pushHandle uint64
 }
 
-// NewNode builds a node serving its slice of m on host h.
-func NewNode(h *host.Host, m *Map, cfg NodeConfig) *Node {
+// NewNode builds a node serving its slice of m on host h, each partition
+// in a MICA store sized by store.
+func NewNode(h *host.Host, m *Map, store mica.Config) *Node {
 	n := &Node{
 		HostID:     h.ID,
 		Host:       h,
-		cfg:        cfg,
+		store:      store,
 		stats:      SharedStats(h.Tel.Registry()),
 		cur:        m.Clone(),
 		parts:      make(map[int]*txn.Participant),
@@ -128,7 +116,7 @@ func (n *Node) ensurePart(p int) {
 	if n.parts[p] != nil {
 		return
 	}
-	part := txn.NewParticipant(n.Host, n.cfg.StoreCfg)
+	part := txn.NewParticipant(n.Host, n.store)
 	tab := handlerTab{}
 	part.RegisterHandlers(tab)
 	n.parts[p] = part
@@ -152,10 +140,11 @@ func (n *Node) applyMap(m *Map) {
 
 // AddReplLink wires the outbound replication connection toward peer. conn
 // must terminate at peer's replication server; it is wrapped in the
-// exactly-once caller with the node's ReplOpts.
+// exactly-once caller with the replication link's retry policy.
 func (n *Node) AddReplLink(peer int, conn rpccore.Conn) {
+	opts := rpccore.CallOpts{Timeout: replCallTimeout, RetryInterval: replRetryInterval, MaxRetries: replMaxRetries}
 	n.links[peer] = &replLink{
-		caller:  rpccore.NewCaller(conn, n.cfg.ReplOpts, rpccore.SharedRel(n.Host.Tel.Registry())),
+		caller:  rpccore.NewCaller(conn, opts, rpccore.SharedRel(n.Host.Tel.Registry())),
 		sig:     n.replSig,
 		results: make(map[uint64]*replResult),
 	}
@@ -310,7 +299,7 @@ func (n *Node) replicate(t *host.Thread, part int, kind uint8, token uint64, kvs
 	m := EncodeRepl(buf, n.cur.Epoch, part, kind, token, kvs)
 	start := t.P.Now()
 	n.stats.ReplForwards++
-	status, ok := link.call(t, buf[:m], n.cfg.ReplTimeout)
+	status, ok := link.call(t, buf[:m], replTimeout)
 	if !ok || status != ROK {
 		n.stats.ReplFailures++
 		return false

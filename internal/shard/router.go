@@ -9,6 +9,12 @@ import (
 	"scalerpc/internal/sim"
 )
 
+// coalesceWindow bounds how old a leader may be before a duplicate read
+// stops joining it and goes to the wire itself: joining an attempt that is
+// already stalled (scheduler rotation, lost frame) would chain the follower
+// to the leader's retry latency.
+const coalesceWindow = 30 * sim.Microsecond
+
 // RouterConfig shapes a client-side router.
 type RouterConfig struct {
 	// Opts reuses the exactly-once caller's knobs: Timeout is the
@@ -22,11 +28,6 @@ type RouterConfig struct {
 	// Coalesce piggybacks identical in-flight hot-key reads on one wire
 	// request (KV endpoints only).
 	Coalesce bool
-	// CoalesceWindow bounds how old a leader may be before a duplicate read
-	// stops joining it and goes to the wire itself: joining an attempt that
-	// is already stalled (scheduler rotation, lost frame) would chain the
-	// follower to the leader's retry latency. Defaults to 30µs.
-	CoalesceWindow sim.Duration
 	// Window is each endpoint's outstanding-call cap.
 	Window int
 }
@@ -208,13 +209,9 @@ func (r *Router) submit(t *host.Thread, ep *endpoint, part int, inner uint8, bod
 	rc.ep, rc.origID, rc.part, rc.inner = ep, origID, part, inner
 	rc.body = append(rc.body, body...)
 	if r.cfg.Coalesce && inner == HKVGet && ep.part < 0 {
-		window := r.cfg.CoalesceWindow
-		if window <= 0 {
-			window = 30 * sim.Microsecond
-		}
 		ck := coKey{part, string(body)}
 		if leader := r.coal[ck]; leader != nil && !leader.done &&
-			leader.attempts == 0 && t.P.Now()-leader.postedAt <= window {
+			leader.attempts == 0 && t.P.Now()-leader.postedAt <= coalesceWindow {
 			leader.waiters = append(leader.waiters, rc)
 			r.stats.Coalesced++
 			ep.out++

@@ -115,9 +115,6 @@ func NewResource(e *Env, capacity int) *Resource {
 	return r
 }
 
-// Capacity returns the total number of units.
-func (r *Resource) Capacity() int { return r.capacity }
-
 // InUse returns the number of units currently held.
 func (r *Resource) InUse() int { return r.inUse }
 

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"encoding/json"
-	"io"
 	"sort"
 )
 
@@ -105,10 +104,4 @@ func (r *Registry) JSON() []byte {
 		panic(err)
 	}
 	return b
-}
-
-// WriteJSON writes the indented registry dump to w.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	_, err := w.Write(r.JSON())
-	return err
 }

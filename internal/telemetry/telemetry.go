@@ -34,15 +34,11 @@ package telemetry
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"strings"
 )
 
 // Counter is a monotonically increasing uint64 metric.
 type Counter struct{ v uint64 }
-
-// NewCounter returns a detached counter.
-func NewCounter() *Counter { return &Counter{} }
 
 // Inc adds 1.
 func (c *Counter) Inc() { c.v++ }
@@ -249,13 +245,6 @@ func (r *Registry) register(name string, e *entry) {
 	}
 	r.entries[name] = e
 	r.order = append(r.order, name)
-}
-
-// Names returns all registered metric names, sorted.
-func (r *Registry) Names() []string {
-	out := append([]string(nil), r.order...)
-	sort.Strings(out)
-	return out
 }
 
 // Value returns the current value of a registered metric and whether it
