@@ -6,6 +6,7 @@
 //	scalebench list                 # show experiment ids
 //	scalebench run fig8 [fig9 ...]  # run selected experiments
 //	scalebench all                  # run everything
+//	scalebench rawbench|txbench|mdtest [tool flags]  # one measurement
 //
 // Flags:
 //
@@ -19,6 +20,9 @@
 //	              every cluster the experiments build
 //	-artifacts DIR write every artifact an experiment emits (e.g. the
 //	              loadgen BENCH_loadgen_*.json reports) into DIR
+//
+// The three tools take their own flags (`scalebench txbench -h`) and
+// none of the ones above.
 //
 // scalebench runs on one P unless the GOMAXPROCS environment variable is
 // set: the simulator executes one goroutine at a time, and with more Ps
@@ -41,6 +45,16 @@ import (
 )
 
 func main() {
+	if os.Getenv("GOMAXPROCS") == "" {
+		runtime.GOMAXPROCS(1)
+	}
+	if len(os.Args) > 1 {
+		if tool, ok := tools[os.Args[1]]; ok {
+			tool(os.Args[2:])
+			return
+		}
+	}
+
 	quick := flag.Bool("quick", false, "shrunken sweeps (CI-sized)")
 	csvDir := flag.String("csv", "", "directory to write per-experiment CSV files")
 	seed := flag.Uint64("seed", 1, "simulation seed")
@@ -55,10 +69,6 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-
-	if os.Getenv("GOMAXPROCS") == "" {
-		runtime.GOMAXPROCS(1)
-	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -198,6 +208,7 @@ func usage() {
   scalebench list
   scalebench run <id> [<id>...]
   scalebench all
+  scalebench rawbench|txbench|mdtest [tool flags]
   scalebench [-quick] [-csv DIR] [-seed N] [-duration MS] [-metrics FILE] [-faults FILE] [-artifacts DIR] <id>...
 runs on one P (the simulator executes one goroutine at a time; ~1.5x faster,
 half the noise) unless the GOMAXPROCS environment variable is set`)

@@ -19,16 +19,16 @@ import (
 )
 
 const (
+	// workers is the number of server worker threads, one UD QP each.
+	workers = 10
 	// clientWindow is the per-client request window.
 	clientWindow = 16
 	// recvDepth is the number of posted receives per worker QP.
 	recvDepth = 512
 )
 
-// ServerConfig sizes a FaSST server.
+// ServerConfig holds a FaSST server's modelled costs.
 type ServerConfig struct {
-	Workers   int
-	BlockSize int // ≤ UD MTU
 	ParseCost sim.Duration
 	// ClientOverhead is extra per-operation client CPU (recv reposting,
 	// CQ polling, doorbells — the UD client tax).
@@ -38,8 +38,6 @@ type ServerConfig struct {
 // DefaultServerConfig mirrors the paper's setup.
 func DefaultServerConfig() ServerConfig {
 	return ServerConfig{
-		Workers:        10,
-		BlockSize:      4096,
 		ParseCost:      60,
 		ClientOverhead: baseline.UDClientOverhead,
 	}
@@ -66,11 +64,11 @@ type Server struct {
 // NewServer builds per-worker UD QPs and posts each one's recv ring with
 // one doorbell.
 func NewServer(h *host.Host, cfg ServerConfig) *Server {
-	s := &Server{Cfg: cfg, Host: h, Shell: baseline.NewShell(h, "fasstrpc", cfg.BlockSize, clientWindow)}
-	for i := 0; i < cfg.Workers; i++ {
+	s := &Server{Cfg: cfg, Host: h, Shell: baseline.NewShell(h, "fasstrpc", rpcwire.BlockSize, clientWindow)}
+	for i := 0; i < workers; i++ {
 		cq := h.NIC.CreateCQ()
 		qp := h.NIC.CreateQP(nic.UD, cq, cq)
-		ring := &recvRing{reg: h.Mem.Register(cfg.BlockSize*recvDepth, memory.PageSize2M, memory.LocalWrite)}
+		ring := &recvRing{reg: h.Mem.Register(rpcwire.BlockSize*recvDepth, memory.PageSize2M, memory.LocalWrite)}
 		s.rings = append(s.rings, ring)
 		w := s.AddWorker()
 		w.CQ, w.QP = cq, qp
@@ -87,7 +85,7 @@ func NewServer(h *host.Host, cfg ServerConfig) *Server {
 func (s *Server) Start() { s.Spawn("fasst", s.run) }
 
 func (s *Server) recvWR(ring *recvRing, r uint64) nic.RecvWR {
-	return nic.RecvWR{WRID: r, LKey: ring.reg.LKey, LAddr: ring.reg.Base + r*uint64(s.Cfg.BlockSize), Len: s.Cfg.BlockSize}
+	return nic.RecvWR{WRID: r, LKey: ring.reg.LKey, LAddr: ring.reg.Base + r*uint64(rpcwire.BlockSize), Len: rpcwire.BlockSize}
 }
 
 func (s *Server) run(t *host.Thread, w *baseline.Worker) {
@@ -106,7 +104,7 @@ func (s *Server) run(t *host.Thread, w *baseline.Worker) {
 			}
 			wr := s.recvWR(ring, e.WRID)
 			t.ReadMem(wr.LAddr, e.ByteLen)
-			off := e.WRID * uint64(s.Cfg.BlockSize)
+			off := e.WRID * uint64(rpcwire.BlockSize)
 			req := ring.reg.Bytes()[off : off+uint64(e.ByteLen)]
 			t.Work(s.Cfg.ParseCost)
 			// No per-client state on the server: the request names its
@@ -160,8 +158,8 @@ func (s *Server) Connect(ch *host.Host, sig *sim.Signal) *Conn {
 	}
 	s.nextCli++
 	c.resp = baseline.NewUDRecv(ch, sig, s.Cfg.ClientOverhead)
-	c.stage = ch.Mem.Register(s.Cfg.BlockSize*clientWindow, memory.PageSize2M, memory.LocalWrite)
-	c.resp.PostRing(ch, s.Cfg.BlockSize, clientWindow*2)
+	c.stage = ch.Mem.Register(rpcwire.BlockSize*clientWindow, memory.PageSize2M, memory.LocalWrite)
+	c.resp.PostRing(ch, rpcwire.BlockSize, clientWindow*2)
 	return c
 }
 
@@ -169,10 +167,10 @@ func (s *Server) Connect(ch *host.Host, sig *sim.Signal) *Conn {
 func (c *Conn) TrySend(t *host.Thread, handler uint8, payload []byte, reqID uint64) bool {
 	b := c.FreeSlot()
 	msgLen := rpcwire.HeaderSize + len(payload)
-	if b < 0 || msgLen > c.s.Cfg.BlockSize {
+	if b < 0 || msgLen > rpcwire.BlockSize {
 		return false
 	}
-	blockOff := b * c.s.Cfg.BlockSize
+	blockOff := b * rpcwire.BlockSize
 	buf := c.stage.Bytes()[blockOff:]
 	rpcwire.PutHeader(buf, rpcwire.Header{ReqID: reqID, Handler: handler, ClientID: c.id})
 	copy(buf[rpcwire.HeaderSize:], payload)

@@ -12,16 +12,20 @@ import (
 	"scalerpc/internal/host"
 	"scalerpc/internal/nic"
 	"scalerpc/internal/rpccore"
+	"scalerpc/internal/rpcwire"
 	"scalerpc/internal/sim"
 )
 
-// ServerConfig sizes a HERD server.
+// Server sizing: the paper's setup, which no deployment varies.
+const (
+	workers         = 10
+	blocksPerClient = 16
+	maxClients      = 512
+)
+
+// ServerConfig holds a HERD server's modelled costs.
 type ServerConfig struct {
-	Workers         int
-	BlockSize       int // ≤ 4 KB: responses must fit the UD MTU
-	BlocksPerClient int
-	MaxClients      int
-	ParseCost       sim.Duration
+	ParseCost sim.Duration
 	// ClientOverhead is extra per-operation client CPU (UD recv
 	// management, address handles, CQ doorbells) charged by Conn methods.
 	ClientOverhead sim.Duration
@@ -30,12 +34,8 @@ type ServerConfig struct {
 // DefaultServerConfig mirrors the paper's setup.
 func DefaultServerConfig() ServerConfig {
 	return ServerConfig{
-		Workers:         10,
-		BlockSize:       4096,
-		BlocksPerClient: 16,
-		MaxClients:      512,
-		ParseCost:       60,
-		ClientOverhead:  baseline.UDClientOverhead,
+		ParseCost:      60,
+		ClientOverhead: baseline.UDClientOverhead,
 	}
 }
 
@@ -62,9 +62,9 @@ type Server struct {
 
 // NewServer builds the statically mapped pool and the per-worker UD QPs.
 func NewServer(h *host.Host, cfg ServerConfig) *Server {
-	s := &Server{Cfg: cfg, Host: h, Shell: baseline.NewShell(h, "herdrpc", cfg.BlockSize, cfg.BlocksPerClient)}
-	s.Req = s.NewReqPool(cfg.BlocksPerClient, cfg.MaxClients, cfg.ParseCost)
-	for i := 0; i < cfg.Workers; i++ {
+	s := &Server{Cfg: cfg, Host: h, Shell: baseline.NewShell(h, "herdrpc", rpcwire.BlockSize, blocksPerClient)}
+	s.Req = s.NewReqPool(blocksPerClient, maxClients, cfg.ParseCost)
+	for i := 0; i < workers; i++ {
 		cq := h.NIC.CreateCQ()
 		qp := h.NIC.CreateQP(nic.UD, cq, cq)
 		w := s.AddWorker()
@@ -81,8 +81,8 @@ func (s *Server) run(t *host.Thread, w *baseline.Worker) {
 	for {
 		served := 0
 		// Block-major scan: responses to different clients interleave.
-		for b := 0; b < s.Cfg.BlocksPerClient; b++ {
-			for z := w.Idx; z < len(s.clients); z += s.Cfg.Workers {
+		for b := 0; b < blocksPerClient; b++ {
+			for z := w.Idx; z < len(s.clients); z += workers {
 				req, ok := s.Req.Sweep(t, w, z, b)
 				if !ok {
 					continue
@@ -112,7 +112,7 @@ type Conn struct {
 
 // Connect admits a client.
 func (s *Server) Connect(ch *host.Host, sig *sim.Signal) *Conn {
-	if len(s.clients) >= s.Cfg.MaxClients {
+	if len(s.clients) >= maxClients {
 		panic("herdrpc: server full")
 	}
 	// UC pair for the request path.
@@ -125,11 +125,11 @@ func (s *Server) Connect(ch *host.Host, sig *sim.Signal) *Conn {
 	}
 	// Client UD endpoint for the response path, then the staging blocks,
 	// then the receive ring.
-	c := &Conn{Window: baseline.NewWindow(s.Cfg.BlocksPerClient)}
+	c := &Conn{Window: baseline.NewWindow(blocksPerClient)}
 	c.resp = baseline.NewUDRecv(ch, sig, s.Cfg.ClientOverhead)
 	c.req = baseline.NewReqWriter(ch, s.Req.Pool, nic.OpWrite)
 	c.req.QP, c.req.ID = cqp, uint16(len(s.clients))
-	c.resp.PostRing(ch, s.Cfg.BlockSize, s.Cfg.BlocksPerClient*2)
+	c.resp.PostRing(ch, rpcwire.BlockSize, blocksPerClient*2)
 	s.clients = append(s.clients, &clientState{id: c.req.ID, dstNIC: ch.NIC.ID(), dstQPN: c.resp.QP.QPN})
 	return c
 }

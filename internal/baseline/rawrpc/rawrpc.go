@@ -16,25 +16,23 @@ import (
 	"scalerpc/internal/host"
 	"scalerpc/internal/nic"
 	"scalerpc/internal/rpccore"
+	"scalerpc/internal/rpcwire"
 	"scalerpc/internal/sim"
 )
 
 // ServerConfig sizes a RawWrite server.
 type ServerConfig struct {
 	Workers         int
-	BlockSize       int
 	BlocksPerClient int
 	MaxClients      int
 	// ParseCost is CPU time to parse/dispatch one request.
 	ParseCost sim.Duration
 }
 
-// DefaultServerConfig mirrors the paper's setup: 10 worker threads, 4 KB
-// message blocks.
+// DefaultServerConfig mirrors the paper's setup: 10 worker threads.
 func DefaultServerConfig() ServerConfig {
 	return ServerConfig{
 		Workers:         10,
-		BlockSize:       4096,
 		BlocksPerClient: 16,
 		MaxClients:      512,
 		ParseCost:       60,
@@ -68,7 +66,7 @@ type clientState struct {
 // formatted up front from MaxClients (static mapping, which is precisely
 // the design the paper criticizes).
 func NewServer(h *host.Host, cfg ServerConfig) *Server {
-	s := &Server{Cfg: cfg, Host: h, Shell: baseline.NewShell(h, "rawrpc", cfg.BlockSize, cfg.BlocksPerClient)}
+	s := &Server{Cfg: cfg, Host: h, Shell: baseline.NewShell(h, "rawrpc", rpcwire.BlockSize, cfg.BlocksPerClient)}
 	s.Req = s.NewReqPool(cfg.BlocksPerClient, cfg.MaxClients, cfg.ParseCost)
 	s.roster = ctrlplane.NewRoster("rawrpc", cfg.MaxClients, placement{s})
 	for i := 0; i < cfg.Workers; i++ {
@@ -138,7 +136,7 @@ func (s *Server) newConn(ch *host.Host, sig *sim.Signal) *Conn {
 	return &Conn{
 		Window: baseline.NewWindow(s.Cfg.BlocksPerClient),
 		req:    baseline.NewReqWriter(ch, s.Req.Pool, nic.OpWrite),
-		resp:   baseline.NewRespPool(ch, sig, s.Cfg.BlockSize, s.Cfg.BlocksPerClient, s.Rel),
+		resp:   baseline.NewRespPool(ch, sig, rpcwire.BlockSize, s.Cfg.BlocksPerClient, s.Rel),
 		s:      s,
 	}
 }

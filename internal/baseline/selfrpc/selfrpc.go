@@ -16,26 +16,26 @@ import (
 	"scalerpc/internal/host"
 	"scalerpc/internal/nic"
 	"scalerpc/internal/rpccore"
+	"scalerpc/internal/rpcwire"
 	"scalerpc/internal/sim"
 )
 
+// blocksPerClient is each client's request window.
+const blocksPerClient = 16
+
 // ServerConfig sizes a selfRPC server.
 type ServerConfig struct {
-	Workers         int
-	BlockSize       int
-	BlocksPerClient int
-	MaxClients      int
-	ParseCost       sim.Duration
+	Workers    int
+	MaxClients int
+	ParseCost  sim.Duration
 }
 
 // DefaultServerConfig mirrors the paper's DFS setup.
 func DefaultServerConfig() ServerConfig {
 	return ServerConfig{
-		Workers:         10,
-		BlockSize:       4096,
-		BlocksPerClient: 16,
-		MaxClients:      512,
-		ParseCost:       60,
+		Workers:    10,
+		MaxClients: 512,
+		ParseCost:  60,
 	}
 }
 
@@ -62,8 +62,8 @@ type Server struct {
 
 // NewServer builds the pool and per-worker completion queues.
 func NewServer(h *host.Host, cfg ServerConfig) *Server {
-	s := &Server{Cfg: cfg, Host: h, Shell: baseline.NewShell(h, "selfrpc", cfg.BlockSize, cfg.BlocksPerClient)}
-	s.Req = s.NewReqPool(cfg.BlocksPerClient, cfg.MaxClients, cfg.ParseCost)
+	s := &Server{Cfg: cfg, Host: h, Shell: baseline.NewShell(h, "selfrpc", rpcwire.BlockSize, blocksPerClient)}
+	s.Req = s.NewReqPool(blocksPerClient, cfg.MaxClients, cfg.ParseCost)
 	for i := 0; i < cfg.Workers; i++ {
 		cq := h.NIC.CreateCQ()
 		s.AddWorker().CQ = cq
@@ -87,7 +87,7 @@ func (s *Server) run(t *host.Thread, w *baseline.Worker) {
 			}
 			// Self-identification: the immediate names the exact block.
 			z, b := baseline.ImmBlock(e.Imm)
-			if z >= len(s.clients) || b >= s.Cfg.BlocksPerClient {
+			if z >= len(s.clients) || b >= blocksPerClient {
 				continue
 			}
 			cs := s.clients[z]
@@ -126,13 +126,13 @@ func (s *Server) Connect(ch *host.Host, sig *sim.Signal) *Conn {
 		panic(err)
 	}
 	// Pre-post recvs to absorb WRITE_IMM notifications.
-	for i := 0; i < s.Cfg.BlocksPerClient*2; i++ {
+	for i := 0; i < blocksPerClient*2; i++ {
 		sqp.PostRecv(nic.RecvWR{})
 	}
-	c := &Conn{Window: baseline.NewWindow(s.Cfg.BlocksPerClient)}
+	c := &Conn{Window: baseline.NewWindow(blocksPerClient)}
 	c.req = baseline.NewReqWriter(ch, s.Req.Pool, nic.OpWriteImm)
 	c.req.QP, c.req.ID = cqp, id
-	c.resp = baseline.NewRespPool(ch, sig, s.Cfg.BlockSize, s.Cfg.BlocksPerClient, s.Rel)
+	c.resp = baseline.NewRespPool(ch, sig, rpcwire.BlockSize, blocksPerClient, s.Rel)
 	s.clients = append(s.clients, &clientState{id: id, qp: sqp, resp: c.resp.Zone()})
 	return c
 }

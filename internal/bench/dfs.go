@@ -32,7 +32,7 @@ type DFSPoint struct {
 // MeasureDFS runs nClients mdtest clients, batch requests outstanding
 // each, over private preloaded directories of files entries against one
 // metadata server reached over selfRPC or ScaleRPC (case-insensitive) —
-// the data point behind Figures 1(a) and 13 and cmd/mdtest.
+// the data point behind Figures 1(a) and 13 and `scalebench mdtest`.
 func MeasureDFS(transport string, op mdtest.Op, nClients, files, batch int, opts Options) (DFSPoint, error) {
 	c := cluster.New(cluster.Default(12))
 	defer c.Close()

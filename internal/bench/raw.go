@@ -324,7 +324,7 @@ func runFig3b(opts Options) *Result {
 	return r
 }
 
-// Exported raw-verb measurement wrappers for cmd/rawbench.
+// Exported raw-verb measurement wrappers for `scalebench rawbench`.
 
 // MeasureOutboundWrite returns outbound RC write throughput (Mops/s) and
 // the server-side PCIe read rate (Mevents/s) for nClients connections.

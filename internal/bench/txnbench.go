@@ -107,7 +107,7 @@ func buildTxnDeployment(c *cluster.Cluster, system string, storeCfg mica.Config)
 
 // MeasureTxn runs nCoords coordinators of the given system over three
 // storage servers and reports what they committed in opts.Duration after
-// opts.Warmup (the data point behind Figure 16 and cmd/txbench).
+// opts.Warmup (the data point behind Figure 16 and `scalebench txbench`).
 func MeasureTxn(system string, nCoords int, storeCfg mica.Config, w TxnWorkload, opts Options) (TxnPoint, error) {
 	c := cluster.New(cluster.Default(12))
 	defer c.Close()

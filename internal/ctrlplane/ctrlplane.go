@@ -20,9 +20,10 @@
 package ctrlplane
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"scalerpc/internal/fabric"
 	"scalerpc/internal/host"
@@ -311,8 +312,8 @@ type Manager struct {
 	Stats       Stats
 	activeGauge float64
 	cachedGauge float64
-	coldHist    *telemetry.Histogram
-	cachedHist  *telemetry.Histogram
+	coldHist    *stats.Histogram
+	cachedHist  *stats.Histogram
 	trace       *telemetry.Trace
 
 	started bool
@@ -782,7 +783,7 @@ func (m *Manager) sweep(t *host.Thread) {
 	for _, c := range m.cliActive {
 		peerSet[c.peer] = true
 	}
-	for _, peer := range sortedPeers(peerSet) {
+	for _, peer := range sortedKeys(peerSet) {
 		if now-m.lastKA[peer] >= leaseInterval {
 			m.lastKA[peer] = now
 			m.Stats.KeepalivesTx++
@@ -798,7 +799,7 @@ func (m *Manager) sweep(t *host.Thread) {
 	// Inbound lease expiry and QP-error eviction. falseCounted dedups the
 	// per-peer false-eviction accounting across a peer's connections.
 	var falseCounted map[int]bool
-	for _, qpn := range sortedQPNs(m.conns) {
+	for _, qpn := range sortedKeys(m.conns) {
 		sc := m.conns[qpn]
 		var reason CloseReason
 		switch {
@@ -839,14 +840,14 @@ func (m *Manager) sweep(t *host.Thread) {
 
 	// Outbound connections whose QP errored: drop tracking (the owning
 	// data-plane endpoint observes the error through its own polling).
-	for _, qpn := range sortedConnQPNs(m.cliActive) {
+	for _, qpn := range sortedKeys(m.cliActive) {
 		if m.cliActive[qpn].QP.Err() != nil {
 			delete(m.cliActive, qpn)
 		}
 	}
 
 	// Cache aging, both sides.
-	for _, qpn := range sortedCacheQPNs(m.srvCache) {
+	for _, qpn := range sortedKeys(m.srvCache) {
 		ent := m.srvCache[qpn]
 		if now-ent.parkedAt > m.cfg.IdleTimeout || ent.qp.Err() != nil {
 			delete(m.srvCache, qpn)
@@ -885,52 +886,25 @@ func (m *Manager) sweep(t *host.Thread) {
 	m.cachedGauge = float64(len(m.srvCache) + m.cliCached)
 }
 
-func sortedPeers(set map[int]bool) []int {
-	out := make([]int, 0, len(set))
-	for p := range set {
-		out = append(out, p)
+// sortedKeys returns mp's keys in ascending order, so a map walk that logs
+// events or draws from an RNG runs the same way on every replay.
+func sortedKeys[K cmp.Ordered, V any](mp map[K]V) []K {
+	out := make([]K, 0, len(mp))
+	for k := range mp {
+		out = append(out, k)
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 
-func sortedQPNs(mp map[uint32]*serverConn) []uint32 {
-	out := make([]uint32, 0, len(mp))
-	for q := range mp {
-		out = append(out, q)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func sortedConnQPNs(mp map[uint32]*Conn) []uint32 {
-	out := make([]uint32, 0, len(mp))
-	for q := range mp {
-		out = append(out, q)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func sortedCacheQPNs(mp map[uint32]*srvCacheEntry) []uint32 {
-	out := make([]uint32, 0, len(mp))
-	for q := range mp {
-		out = append(out, q)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
+// sortedCacheKeys is sortedKeys for the client cache: by peer, then service.
 func sortedCacheKeys(mp map[cacheKey][]*cliCacheEntry) []cacheKey {
 	out := make([]cacheKey, 0, len(mp))
 	for k := range mp {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].peer != out[j].peer {
-			return out[i].peer < out[j].peer
-		}
-		return out[i].svc < out[j].svc
+	slices.SortFunc(out, func(a, b cacheKey) int {
+		return cmp.Or(cmp.Compare(a.peer, b.peer), cmp.Compare(a.svc, b.svc))
 	})
 	return out
 }
@@ -1006,7 +980,7 @@ func (m *Manager) Dial(t *host.Thread, peer int, service string, payload []byte)
 		}
 		m.Stats.CacheHits++
 		m.Stats.DialsCached++
-		m.cachedHist.Observe(uint64(t.P.Now() - start))
+		m.cachedHist.Record(int64(t.P.Now() - start))
 		return c, nil
 	}
 	m.Stats.CacheMisses++
@@ -1016,7 +990,7 @@ func (m *Manager) Dial(t *host.Thread, peer int, service string, payload []byte)
 		return nil, err
 	}
 	m.Stats.DialsCold++
-	m.coldHist.Observe(uint64(t.P.Now() - start))
+	m.coldHist.Record(int64(t.P.Now() - start))
 	return c, nil
 }
 

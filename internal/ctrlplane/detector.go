@@ -30,7 +30,6 @@ package ctrlplane
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"scalerpc/internal/host"
 	"scalerpc/internal/sim"
@@ -282,7 +281,7 @@ func (m *Manager) detectorSweep(t *host.Thread, now sim.Time) {
 			peerSet[peer] = true
 		}
 	}
-	for _, peer := range sortedPeers(peerSet) {
+	for _, peer := range sortedKeys(peerSet) {
 		pd := m.det[peer]
 		if pd == nil || pd.n < detMinSamples {
 			continue // LeaseTTL safety net applies until history accrues
@@ -353,7 +352,7 @@ func (m *Manager) quarantineEvicted(now sim.Time) {
 	if m.det == nil {
 		return
 	}
-	for _, peer := range sortedDetPeers(m.det) {
+	for _, peer := range sortedKeys(m.det) {
 		pd := m.det[peer]
 		if pd.state != PeerEvicted {
 			continue
@@ -381,13 +380,4 @@ func (m *Manager) quarantineReject(t *host.Thread, peer int, msg *wireMsg) bool 
 	}
 	m.reject(t, peer, msg, "quarantined")
 	return true
-}
-
-func sortedDetPeers(mp map[int]*peerDetector) []int {
-	out := make([]int, 0, len(mp))
-	for p := range mp {
-		out = append(out, p)
-	}
-	sort.Ints(out)
-	return out
 }

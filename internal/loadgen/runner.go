@@ -44,9 +44,6 @@ type tenantState struct {
 	lat    *stats.Histogram // completion - intended arrival (CO-free)
 	qdelay *stats.Histogram // transport accept - intended arrival
 
-	telLat *telemetry.Histogram
-	telQ   *telemetry.Histogram
-
 	backlog     float64 // current queued-but-unsent requests, all clients
 	backlogPeak uint64
 }
@@ -88,10 +85,8 @@ func NewRunner(w Workload, clients []Client, scope telemetry.Scope) *Runner {
 	r.endAt = r.horizon + w.Drain
 	for i, ts := range w.Tenants {
 		t := &tenantState{
-			spec:   ts,
-			share:  shares[i],
-			lat:    stats.NewHistogram(),
-			qdelay: stats.NewHistogram(),
+			spec:  ts,
+			share: shares[i],
 		}
 		sc := scope.Scope("tenant", ts.Name)
 		sc.CounterVar("offered", &t.offered)
@@ -100,8 +95,8 @@ func NewRunner(w Workload, clients []Client, scope telemetry.Scope) *Runner {
 		sc.CounterVar("errors", &t.errors)
 		sc.CounterVar("timeouts", &t.timeouts)
 		sc.GaugeVar("backlog", &t.backlog)
-		t.telLat = sc.Histogram("lat_ns")
-		t.telQ = sc.Histogram("queue_ns")
+		t.lat = sc.Histogram("lat_ns")
+		t.qdelay = sc.Histogram("queue_ns")
 		r.tenants = append(r.tenants, t)
 	}
 	for _, c := range clients {
@@ -215,9 +210,7 @@ func (cr *clientRun) run(t *host.Thread) {
 			return
 		}
 		cr.ts.completed++
-		l := int64(t.P.Now() - req.intended)
-		cr.ts.lat.Record(l)
-		cr.ts.telLat.Observe(uint64(l))
+		cr.ts.lat.Record(int64(t.P.Now() - req.intended))
 	}
 	for {
 		now := t.P.Now()
@@ -259,9 +252,7 @@ func (cr *clientRun) run(t *host.Thread) {
 			cr.backlog = cr.backlog[1:]
 			cr.ts.backlog--
 			if cr.inWindow(req.intended) {
-				q := int64(t.P.Now() - req.intended)
-				cr.ts.qdelay.Record(q)
-				cr.ts.telQ.Observe(uint64(q))
+				cr.ts.qdelay.Record(int64(t.P.Now() - req.intended))
 			}
 		}
 
@@ -358,7 +349,7 @@ func (r *Runner) Report() *Report {
 			BacklogPeak:  ts.backlogPeak,
 			SLO:          ts.spec.SLO,
 		}
-		tr.LatHist = histBuckets(ts.telLat)
+		tr.LatHist = histBuckets(ts.lat)
 		tr.SLOPass, tr.SLOFails = ts.spec.SLO.Evaluate(ts.lat, ts.offered, ts.completed)
 		if !tr.SLOPass {
 			rep.Pass = false
@@ -375,15 +366,15 @@ func (r *Runner) Report() *Report {
 	return rep
 }
 
-// histBuckets flattens a telemetry log2 histogram into bit-label → count,
-// with zero-padded labels so JSON key order equals bucket order.
-func histBuckets(h *telemetry.Histogram) map[string]uint64 {
+// histBuckets flattens a histogram's bit-length buckets into bit-label →
+// count, with zero-padded labels so JSON key order equals bucket order.
+func histBuckets(h *stats.Histogram) map[string]uint64 {
 	if h.Count() == 0 {
 		return nil
 	}
 	out := make(map[string]uint64)
-	for bit := 0; bit < 65; bit++ {
-		if n := h.Bucket(bit); n > 0 {
+	for bit, n := range h.BitLenBuckets() {
+		if n > 0 {
 			out[fmt.Sprintf("bit%02d", bit)] = n
 		}
 	}

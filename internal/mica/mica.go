@@ -123,9 +123,6 @@ func (s *Store) itemAddr(i uint32) uint64 {
 	return s.reg.Base + s.itemsOff + uint64(i)*uint64(s.cfg.SlotSize)
 }
 
-// ItemAddr exposes slot addressing for tests.
-func (s *Store) ItemAddr(i uint32) uint64 { return s.itemAddr(i) }
-
 func (s *Store) itemBytes(i uint32) []byte {
 	off := s.itemsOff + uint64(i)*uint64(s.cfg.SlotSize)
 	return s.reg.Bytes()[off : off+uint64(s.cfg.SlotSize)]

@@ -153,10 +153,6 @@ type Adaptive struct {
 // Kind implements Client.
 func (c *Adaptive) Kind() Kind { return KindAdaptive }
 
-// Preferred reports the current preferred backend for an op kind
-// (tests and the bench report inspect it).
-func (c *Adaptive) Preferred(k opKind) Kind { return c.pref[k] }
-
 // PreferredPut is the exported view of the put preference for reports.
 func (c *Adaptive) PreferredPut() Kind { return c.pref[opPut] }
 

@@ -48,6 +48,10 @@ const (
 
 const validMagic = 0xA5
 
+// BlockSize is the message block every transport in the tree uses: the
+// paper's 4 KB (§3.6.1), which also keeps a UD response inside one MTU.
+const BlockSize = 4096
+
 // Errors returned by Decode/Encode.
 var (
 	ErrTooLarge = errors.New("rpcwire: message does not fit in block")

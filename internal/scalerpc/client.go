@@ -106,9 +106,9 @@ type Conn struct {
 // endpoint-entry scratch on ch and builds the Conn around them; the caller
 // binds the QP and the id.
 func (s *Server) newConn(ch *host.Host, sig *sim.Signal) *Conn {
-	stage := ch.Mem.Register(s.Cfg.BlockSize*s.Cfg.BlocksPerClient, memory.PageSize2M,
+	stage := ch.Mem.Register(rpcwire.BlockSize*s.Cfg.BlocksPerClient, memory.PageSize2M,
 		memory.LocalWrite|memory.RemoteRead)
-	respReg := ch.Mem.Register(s.Cfg.BlockSize*(s.Cfg.BlocksPerClient+1), memory.PageSize2M,
+	respReg := ch.Mem.Register(rpcwire.BlockSize*(s.Cfg.BlocksPerClient+1), memory.PageSize2M,
 		memory.LocalWrite|memory.RemoteWrite)
 	ch.NIC.WatchRegion(respReg.RKey, sig)
 	return &Conn{
@@ -117,8 +117,8 @@ func (s *Server) newConn(ch *host.Host, sig *sim.Signal) *Conn {
 		sig:          sig,
 		stage:        stage,
 		entryScratch: ch.Mem.Register(64, memory.PageSize4K, memory.LocalWrite),
-		resp:         rpcwire.NewPool(respReg, s.Cfg.BlockSize, s.Cfg.BlocksPerClient+1, 1),
-		buf:          make([]byte, s.Cfg.BlockSize),
+		resp:         rpcwire.NewPool(respReg, rpcwire.BlockSize, s.Cfg.BlocksPerClient+1, 1),
+		buf:          make([]byte, rpcwire.BlockSize),
 		slots:        make([]connSlot, s.Cfg.BlocksPerClient),
 		zone:         -1,
 		poolIdx:      -1,
@@ -252,11 +252,11 @@ func (c *Conn) directSend(t *host.Thread, handler uint8, payload []byte, reqID u
 // same block of the client's zone in the processing pool.
 func (c *Conn) writeDirect(t *host.Thread, b, msgLen int) error {
 	pool := c.s.pools[c.poolIdx]
-	off, span := rpcwire.EncodedSpan(c.s.Cfg.BlockSize, msgLen)
+	off, span := rpcwire.EncodedSpan(rpcwire.BlockSize, msgLen)
 	wr := nic.SendWR{
 		Op:    nic.OpWrite,
 		LKey:  c.stage.LKey,
-		LAddr: c.stage.Base + uint64(b*c.s.Cfg.BlockSize+off),
+		LAddr: c.stage.Base + uint64(b*rpcwire.BlockSize+off),
 		Len:   span,
 		RKey:  pool.RKey(),
 		RAddr: pool.BlockAddr(c.zone, b) + uint64(off),
@@ -270,17 +270,17 @@ func (c *Conn) writeDirect(t *host.Thread, b, msgLen int) error {
 // encodeInto builds the framed request in staging block b.
 func (c *Conn) encodeInto(t *host.Thread, b int, handler uint8, payload []byte, reqID uint64) (int, bool) {
 	msgLen := rpcwire.HeaderSize + len(payload)
-	if msgLen > rpcwire.MaxPayload(c.s.Cfg.BlockSize) {
+	if msgLen > rpcwire.MaxPayload(rpcwire.BlockSize) {
 		return 0, false
 	}
-	blockOff := b * c.s.Cfg.BlockSize
-	block := c.stage.Bytes()[blockOff : blockOff+c.s.Cfg.BlockSize]
+	blockOff := b * rpcwire.BlockSize
+	block := c.stage.Bytes()[blockOff : blockOff+rpcwire.BlockSize]
 	rpcwire.PutHeader(c.buf, rpcwire.Header{ReqID: reqID, Handler: handler, ClientID: c.id})
 	copy(c.buf[rpcwire.HeaderSize:], payload)
 	if err := rpcwire.Encode(block, c.buf[:msgLen], 0); err != nil {
 		return 0, false
 	}
-	off, span := rpcwire.EncodedSpan(c.s.Cfg.BlockSize, msgLen)
+	off, span := rpcwire.EncodedSpan(rpcwire.BlockSize, msgLen)
 	t.WriteMem(c.stage.Base+uint64(blockOff+off), span)
 	return msgLen, true
 }
@@ -382,9 +382,9 @@ func (c *Conn) Poll(t *host.Thread, fn func(rpccore.Response)) int {
 		// to the advertised count, holes included; a completed frame left
 		// valid in its hole would be re-offered and — once the server's
 		// bounded dedup window rotates past it — re-executed.
-		stageOff := b * c.s.Cfg.BlockSize
-		rpcwire.Clear(c.stage.Bytes()[stageOff : stageOff+c.s.Cfg.BlockSize])
-		t.WriteMem(c.stage.Base+uint64(stageOff+rpcwire.ValidOffset(c.s.Cfg.BlockSize)), 1)
+		stageOff := b * rpcwire.BlockSize
+		rpcwire.Clear(c.stage.Bytes()[stageOff : stageOff+rpcwire.BlockSize])
+		t.WriteMem(c.stage.Base+uint64(stageOff+rpcwire.ValidOffset(rpcwire.BlockSize)), 1)
 		c.slots[b] = connSlot{}
 		c.outstanding--
 		got++
@@ -426,19 +426,19 @@ func (c *Conn) onContextSwitch(t *host.Thread) {
 			continue
 		}
 		if b != m {
-			src := c.stage.Bytes()[b*c.s.Cfg.BlockSize : (b+1)*c.s.Cfg.BlockSize]
-			dst := c.stage.Bytes()[m*c.s.Cfg.BlockSize : (m+1)*c.s.Cfg.BlockSize]
+			src := c.stage.Bytes()[b*rpcwire.BlockSize : (b+1)*rpcwire.BlockSize]
+			dst := c.stage.Bytes()[m*rpcwire.BlockSize : (m+1)*rpcwire.BlockSize]
 			copy(dst, src)
-			off, span := rpcwire.EncodedSpan(c.s.Cfg.BlockSize, c.slots[b].msgLen)
-			t.ReadMem(c.stage.Base+uint64(b*c.s.Cfg.BlockSize+off), span)
-			t.WriteMem(c.stage.Base+uint64(m*c.s.Cfg.BlockSize+off), span)
+			off, span := rpcwire.EncodedSpan(rpcwire.BlockSize, c.slots[b].msgLen)
+			t.ReadMem(c.stage.Base+uint64(b*rpcwire.BlockSize+off), span)
+			t.WriteMem(c.stage.Base+uint64(m*rpcwire.BlockSize+off), span)
 			c.slots[m] = c.slots[b]
 			c.slots[b] = connSlot{}
 			// The move leaves a byte-identical residue at the source block;
 			// invalidate it so a later round whose count spans this far
 			// cannot re-offer the frame a second time.
 			rpcwire.Clear(src)
-			t.WriteMem(c.stage.Base+uint64(b*c.s.Cfg.BlockSize+rpcwire.ValidOffset(c.s.Cfg.BlockSize)), 1)
+			t.WriteMem(c.stage.Base+uint64(b*rpcwire.BlockSize+rpcwire.ValidOffset(rpcwire.BlockSize)), 1)
 		}
 		c.Retries++
 		m++
@@ -538,10 +538,10 @@ func (c *Conn) Cancel(t *host.Thread, reqID uint64) bool {
 	if b < 0 {
 		return false
 	}
-	blockOff := b * c.s.Cfg.BlockSize
-	block := c.stage.Bytes()[blockOff : blockOff+c.s.Cfg.BlockSize]
+	blockOff := b * rpcwire.BlockSize
+	block := c.stage.Bytes()[blockOff : blockOff+rpcwire.BlockSize]
 	rpcwire.Clear(block)
-	t.WriteMem(c.stage.Base+uint64(blockOff+rpcwire.ValidOffset(c.s.Cfg.BlockSize)), 1)
+	t.WriteMem(c.stage.Base+uint64(blockOff+rpcwire.ValidOffset(rpcwire.BlockSize)), 1)
 	c.slots[b] = connSlot{}
 	c.outstanding--
 	c.entryDirty = true

@@ -35,8 +35,8 @@ const (
 )
 
 // ServerConfig holds every ScaleRPC tunable. Defaults follow the paper's
-// evaluation settings (§3.6.1): group size 40, time slice 100 µs, 4 KB
-// message blocks.
+// evaluation settings (§3.6.1): group size 40, time slice 100 µs; message
+// blocks are rpcwire.BlockSize.
 type ServerConfig struct {
 	// Workers is the number of server worker threads (paper: 10).
 	Workers int
@@ -44,8 +44,6 @@ type ServerConfig struct {
 	GroupSize int
 	// TimeSlice is the default per-group slice (paper: 100 µs).
 	TimeSlice sim.Duration
-	// BlockSize is the message block size (paper default: 4 KB).
-	BlockSize int
 	// BlocksPerClient is each client's request window (batching depth).
 	BlocksPerClient int
 	// MaxClients bounds the endpoint-entry table.
@@ -88,7 +86,6 @@ func DefaultServerConfig() ServerConfig {
 		Workers:            10,
 		GroupSize:          40,
 		TimeSlice:          100 * sim.Microsecond,
-		BlockSize:          4096,
 		BlocksPerClient:    16,
 		MaxClients:         512,
 		Dynamic:            true,

@@ -253,12 +253,12 @@ func (c *Conn) restampID(t *host.Thread) {
 		if !c.slots[b].busy || !c.slots[b].staged {
 			continue
 		}
-		off, _ := rpcwire.EncodedSpan(c.s.Cfg.BlockSize, c.slots[b].msgLen)
-		at := b*c.s.Cfg.BlockSize + off + 9
+		off, _ := rpcwire.EncodedSpan(rpcwire.BlockSize, c.slots[b].msgLen)
+		at := b*rpcwire.BlockSize + off + 9
 		binary.LittleEndian.PutUint16(c.stage.Bytes()[at:], c.id)
 		t.WriteMem(c.stage.Base+uint64(at), 2)
-		block := c.stage.Bytes()[b*c.s.Cfg.BlockSize : (b+1)*c.s.Cfg.BlockSize]
-		crcAt := b*c.s.Cfg.BlockSize + rpcwire.Reseal(block)
+		block := c.stage.Bytes()[b*rpcwire.BlockSize : (b+1)*rpcwire.BlockSize]
+		crcAt := b*rpcwire.BlockSize + rpcwire.Reseal(block)
 		t.WriteMem(c.stage.Base+uint64(crcAt), 4)
 	}
 }

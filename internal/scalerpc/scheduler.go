@@ -64,7 +64,7 @@ func (s *Server) runScheduler(t *host.Thread) {
 			}
 		}
 		ran := t.P.Now() - start
-		s.sliceNs.Observe(uint64(ran))
+		s.sliceNs.Record(int64(ran))
 		if len(s.groups) >= 2 {
 			s.contextSwitch(t)
 			switchCost = t.P.Now() - start - ran
@@ -388,8 +388,8 @@ func (s *Server) fetchGroup(t *host.Thread, g int, warm bool) {
 			continue
 		}
 		span := int(span32)
-		if span <= 0 || span > s.Cfg.BlockSize {
-			span = s.Cfg.BlockSize
+		if span <= 0 || span > rpcwire.BlockSize {
+			span = rpcwire.BlockSize
 		}
 		if s.trace.Enabled {
 			s.trace.Emit(t.P.Now(), "warmup_fetch",
@@ -397,10 +397,10 @@ func (s *Server) fetchGroup(t *host.Thread, g int, warm bool) {
 		}
 		// Small messages: one READ per block, of its right-aligned tail only.
 		// Large ones: one contiguous READ of whole blocks.
-		off, step := s.Cfg.BlockSize-span, 1
-		if span >= s.Cfg.BlockSize/2 {
+		off, step := rpcwire.BlockSize-span, 1
+		if span >= rpcwire.BlockSize/2 {
 			step = count - cs.fetchedUpTo
-			off, span = 0, step*s.Cfg.BlockSize
+			off, span = 0, step*rpcwire.BlockSize
 		}
 		ok := true
 		for b := cs.fetchedUpTo; b < count; b += step {
@@ -410,7 +410,7 @@ func (s *Server) fetchGroup(t *host.Thread, g int, warm bool) {
 				LAddr: pool.BlockAddr(zone, b) + uint64(off),
 				Len:   span,
 				RKey:  cs.stageRKey,
-				RAddr: cs.stageAddr + uint64(b*s.Cfg.BlockSize+off),
+				RAddr: cs.stageAddr + uint64(b*rpcwire.BlockSize+off),
 			}
 			if err := t.PostSend(cs.QP, wr); err != nil {
 				ok = false
@@ -599,8 +599,8 @@ func (s *Server) notifyControl(t *host.Thread, cs *clientState) {
 // registered after it to another address, and so to another LLC set.
 func (s *Server) schedStaging() *memory.Region {
 	if s.schedScratch == nil {
-		s.schedScratch = s.Host.Mem.Register(s.Cfg.BlockSize*scratchRing, memory.PageSize2M, memory.LocalWrite)
-		s.schedBuf = make([]byte, s.Cfg.BlockSize)
+		s.schedScratch = s.Host.Mem.Register(rpcwire.BlockSize*scratchRing, memory.PageSize2M, memory.LocalWrite)
+		s.schedBuf = make([]byte, rpcwire.BlockSize)
 	}
 	return s.schedScratch
 }

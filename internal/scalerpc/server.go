@@ -11,6 +11,7 @@ import (
 	"scalerpc/internal/rpccore"
 	"scalerpc/internal/rpcwire"
 	"scalerpc/internal/sim"
+	"scalerpc/internal/stats"
 	"scalerpc/internal/telemetry"
 )
 
@@ -200,8 +201,8 @@ type Server struct {
 	// for later instances on the same registry); trace is always non-nil.
 	tel       telemetry.Scope
 	trace     *telemetry.Trace
-	handlerNs *telemetry.Histogram
-	sliceNs   *telemetry.Histogram
+	handlerNs *stats.Histogram
+	sliceNs   *stats.Histogram
 
 	// tenantAuth, when set, gates admission and shapes scheduling per
 	// tenant (see tenancy.go). Nil disables all tenant machinery.
@@ -219,7 +220,7 @@ type Server struct {
 // NewServer allocates pools and bookkeeping on h.
 func NewServer(h *host.Host, cfg ServerConfig) *Server {
 	zones := cfg.totalZones()
-	poolBytes := cfg.BlockSize * cfg.BlocksPerClient * zones
+	poolBytes := rpcwire.BlockSize * cfg.BlocksPerClient * zones
 	s := &Server{
 		Cfg:       cfg,
 		Host:      h,
@@ -267,15 +268,15 @@ func NewServer(h *host.Host, cfg ServerConfig) *Server {
 	}
 	for p := 0; p < 2; p++ {
 		reg := h.Mem.Register(poolBytes, memory.PageSize2M, memory.LocalWrite|memory.RemoteWrite)
-		s.pools[p] = rpcwire.NewPool(reg, cfg.BlockSize, cfg.BlocksPerClient, zones)
+		s.pools[p] = rpcwire.NewPool(reg, rpcwire.BlockSize, cfg.BlocksPerClient, zones)
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		w := &worker{
 			s:       s,
 			idx:     i,
 			sig:     sim.NewSignal(h.Env),
-			scratch: h.Mem.Register(cfg.BlockSize*scratchRing, memory.PageSize2M, memory.LocalWrite),
-			buf:     make([]byte, cfg.BlockSize),
+			scratch: h.Mem.Register(rpcwire.BlockSize*scratchRing, memory.PageSize2M, memory.LocalWrite),
+			buf:     make([]byte, rpcwire.BlockSize),
 		}
 		// Workers wake on writes into either pool.
 		h.NIC.WatchRegion(s.pools[0].RKey(), w.sig)
@@ -415,7 +416,7 @@ func (w *worker) sweep(t *host.Thread) int {
 			// concurrent RDMA write (duplicate delivery, stale warmup
 			// fetch) may overwrite the pool block under us.
 			w.req = append(w.req[:0], payload...)
-			t.ReadMem(pool.BlockAddr(z, b)+uint64(s.Cfg.BlockSize-rpcwire.TrailerSize-len(payload)),
+			t.ReadMem(pool.BlockAddr(z, b)+uint64(rpcwire.BlockSize-rpcwire.TrailerSize-len(payload)),
 				len(payload)+rpcwire.TrailerSize)
 			t.Work(s.Cfg.ParseCost)
 			hdr, body, herr := rpcwire.ParseHeader(w.req)
@@ -479,7 +480,7 @@ func (s *Server) serve(t *host.Thread, w *worker, cs *clientState, slot int, hdr
 	t.FlushWork()
 	ran := t.P.Now() - start
 	s.usefulNs += uint64(ran)
-	s.handlerNs.Observe(uint64(ran))
+	s.handlerNs.Record(int64(ran))
 	if ran > s.Cfg.LegacyThreshold && !s.legacy[hdr.Handler] {
 		// Record this call type (§3.5); subsequent requests run in legacy
 		// mode on a separate thread.
@@ -512,8 +513,8 @@ func (s *Server) replayed(t *host.Thread, scratch *memory.Region, idx *int, buf 
 // runLegacy executes recorded long-running calls on a dedicated thread so
 // they never straddle a context switch (§3.5).
 func (s *Server) runLegacy(t *host.Thread) {
-	scratch := s.Host.Mem.Register(s.Cfg.BlockSize*scratchRing, memory.PageSize2M, memory.LocalWrite)
-	buf := make([]byte, s.Cfg.BlockSize)
+	scratch := s.Host.Mem.Register(rpcwire.BlockSize*scratchRing, memory.PageSize2M, memory.LocalWrite)
+	buf := make([]byte, rpcwire.BlockSize)
 	idx := 0
 	for {
 		job := s.legacyQ.Pop(t.P)
@@ -551,13 +552,13 @@ func (s *Server) respond(t *host.Thread, scratch *memory.Region, idx *int, cs *c
 	}
 	rpcwire.PutHeader(buf, rpcwire.Header{ReqID: req.ReqID, Handler: req.Handler, ClientID: zoneInfo})
 	msg := buf[:rpcwire.HeaderSize+bodyLen]
-	blockOff := *idx * s.Cfg.BlockSize
+	blockOff := *idx * rpcwire.BlockSize
 	*idx = (*idx + 1) % scratchRing
-	block := scratch.Bytes()[blockOff : blockOff+s.Cfg.BlockSize]
+	block := scratch.Bytes()[blockOff : blockOff+rpcwire.BlockSize]
 	if err := rpcwire.Encode(block, msg, flags); err != nil {
 		return
 	}
-	off, span := rpcwire.EncodedSpan(s.Cfg.BlockSize, len(msg))
+	off, span := rpcwire.EncodedSpan(rpcwire.BlockSize, len(msg))
 	t.WriteMem(scratch.Base+uint64(blockOff+off), span)
 	wr := nic.SendWR{
 		Op:    nic.OpWrite,
@@ -565,7 +566,7 @@ func (s *Server) respond(t *host.Thread, scratch *memory.Region, idx *int, cs *c
 		LAddr: scratch.Base + uint64(blockOff+off),
 		Len:   span,
 		RKey:  cs.respRKey,
-		RAddr: cs.respAddr + uint64(slot*s.Cfg.BlockSize+off),
+		RAddr: cs.respAddr + uint64(slot*rpcwire.BlockSize+off),
 	}
 	if span <= s.Host.NIC.Cfg.MaxInline {
 		wr.Inline = true

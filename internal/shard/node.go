@@ -304,7 +304,7 @@ func (n *Node) replicate(t *host.Thread, part int, kind uint8, token uint64, kvs
 		n.stats.ReplFailures++
 		return false
 	}
-	n.stats.ObserveReplLag(uint64(t.P.Now() - start))
+	n.stats.ObserveReplLag(int64(t.P.Now() - start))
 	return true
 }
 

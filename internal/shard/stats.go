@@ -1,6 +1,9 @@
 package shard
 
-import "scalerpc/internal/telemetry"
+import (
+	"scalerpc/internal/stats"
+	"scalerpc/internal/telemetry"
+)
 
 // Stats counts shard dataplane events. One block is shared per telemetry
 // registry (à la rpccore.SharedRel) so routers, nodes and the director on
@@ -43,13 +46,13 @@ type Stats struct {
 	// application after exhausting its attempt budget.
 	Timeouts uint64
 
-	replLag *telemetry.Histogram
+	replLag *stats.Histogram
 }
 
 // ObserveReplLag records one primary→backup forward round trip.
-func (s *Stats) ObserveReplLag(d uint64) {
+func (s *Stats) ObserveReplLag(d int64) {
 	if s.replLag != nil {
-		s.replLag.Observe(d)
+		s.replLag.Record(d)
 	}
 }
 

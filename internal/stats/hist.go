@@ -76,6 +76,23 @@ func (h *Histogram) Record(v int64) {
 // Count returns the number of samples.
 func (h *Histogram) Count() uint64 { return h.total }
 
+// Sum returns the sum of all samples.
+func (h *Histogram) Sum() float64 { return h.sum }
+
+// BitLenBuckets folds each octave's sub-buckets into one bucket per bit
+// length: out[b] counts the samples v with bits.Len64(v) == b, i.e.
+// 2^(b-1) ≤ v < 2^b. Samples ≤ 1 share bucket 0 and all count in out[1],
+// so out[0] stays 0. It is the one log2 encoding in the tree: loadgen's
+// lat_hist and the telemetry dump are both built from it.
+func (h *Histogram) BitLenBuckets() (out [64]uint64) {
+	for i, c := range h.counts {
+		if c > 0 {
+			out[i/bucketsPerOctave+1] += c
+		}
+	}
+	return out
+}
+
 // Mean returns the average sample, or 0 when empty.
 func (h *Histogram) Mean() float64 {
 	if h.total == 0 {

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -253,6 +254,35 @@ func TestHistogramMerge(t *testing.T) {
 	}
 	if a.Max() < 900 {
 		t.Fatalf("Max = %d, want ~1000", a.Max())
+	}
+}
+
+func TestHistogramBitLenBuckets(t *testing.T) {
+	// Each sample alone, then all of them merged, must fold into the bucket
+	// bits.Len64 names; samples ≤ 1 share bucket 1.
+	vals := []int64{0, 1, 2, 3}
+	for k := 2; k <= 62; k++ {
+		vals = append(vals, 1<<k-1, 1<<k, 1<<k+1)
+	}
+	var want [64]uint64
+	merged := NewHistogram()
+	for _, v := range vals {
+		bit := bits.Len64(uint64(v))
+		if v <= 1 {
+			bit = 1
+		}
+		var one [64]uint64
+		one[bit] = 1
+		h := NewHistogram()
+		h.Record(v)
+		if got := h.BitLenBuckets(); got != one {
+			t.Errorf("Record(%d): buckets %v, want 1 in bucket %d", v, got, bit)
+		}
+		want[bit]++
+		merged.Merge(h)
+	}
+	if got := merged.BitLenBuckets(); got != want {
+		t.Fatalf("merged buckets\n got %v\nwant %v", got, want)
 	}
 }
 

@@ -5,8 +5,9 @@ import (
 	"sort"
 )
 
-// jsonHistBucket is one non-empty log2 bucket: values v with
-// bits.Len64(v) == Bit, i.e. 2^(Bit-1) ≤ v < 2^Bit (Bit 0 holds v == 0).
+// jsonHistBucket is one non-empty bucket of stats.Histogram.BitLenBuckets:
+// values v with bits.Len64(v) == Bit, i.e. 2^(Bit-1) ≤ v < 2^Bit (Bit 1
+// holds every v ≤ 1).
 type jsonHistBucket struct {
 	Bit int    `json:"bit"`
 	N   uint64 `json:"n"`
@@ -60,8 +61,8 @@ func (r *Registry) dump() jsonDump {
 			if d.Histograms == nil {
 				d.Histograms = map[string]jsonHist{}
 			}
-			jh := jsonHist{Count: e.h.count, Sum: e.h.sum}
-			for bit, n := range e.h.buckets {
+			jh := jsonHist{Count: e.h.Count(), Sum: uint64(e.h.Sum())}
+			for bit, n := range e.h.BitLenBuckets() {
 				if n > 0 {
 					jh.Buckets = append(jh.Buckets, jsonHistBucket{Bit: bit, N: n})
 				}

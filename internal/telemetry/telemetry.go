@@ -1,8 +1,9 @@
 // Package telemetry is the unified instrumentation layer: one registry of
-// named counters, gauges and log-bucket histograms that every simulated
-// component (NIC, PCIe bus, LLC, host CPU accounting, the RPC transports)
-// registers into under a hierarchical component scope — `nic0.qpc.miss`,
-// `pcie.bus0.rdcur`, `llc0.cpu.read.miss`, `scalerpc.server.switches`,
+// named counters, gauges and latency histograms (stats.Histogram, dumped in
+// its bit-length buckets) that every simulated component (NIC, PCIe bus,
+// LLC, host CPU accounting, the RPC transports) registers into under a
+// hierarchical component scope — `nic0.qpc.miss`, `pcie.bus0.rdcur`,
+// `llc0.cpu.read.miss`, `scalerpc.server.switches`,
 // `scalerpc.client.17.retries`.
 //
 // Design constraints, in order:
@@ -33,8 +34,9 @@ package telemetry
 
 import (
 	"fmt"
-	"math/bits"
 	"strings"
+
+	"scalerpc/internal/stats"
 )
 
 // Counter is a monotonically increasing uint64 metric.
@@ -49,9 +51,6 @@ func (c *Counter) Add(n uint64) { c.v += n }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v }
 
-// Reset zeroes the counter (for measurement windowing).
-func (c *Counter) Reset() { c.v = 0 }
-
 // Gauge is a float64 metric that can move in both directions.
 type Gauge struct{ v float64 }
 
@@ -63,87 +62,6 @@ func (g *Gauge) Add(d float64) { g.v += d }
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return g.v }
-
-// histBuckets is one bucket per bit length of the observed value: bucket i
-// holds observations v with bits.Len64(v) == i, i.e. [2^(i-1), 2^i).
-const histBuckets = 65
-
-// Histogram is a log2-bucket histogram of uint64 observations (typically
-// virtual-time durations in ns).
-type Histogram struct {
-	count   uint64
-	sum     uint64
-	buckets [histBuckets]uint64
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v uint64) {
-	h.count++
-	h.sum += v
-	h.buckets[bits.Len64(v)]++
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Bucket returns the count in log2 bucket bit: observations v with
-// bits.Len64(v) == bit, i.e. 2^(bit-1) ≤ v < 2^bit (bit 0 holds v == 0).
-func (h *Histogram) Bucket(bit int) uint64 {
-	if bit < 0 || bit >= histBuckets {
-		return 0
-	}
-	return h.buckets[bit]
-}
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() uint64 { return h.sum }
-
-// Mean returns the mean observation, or 0 with no observations.
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
-
-// Quantile returns the approximate q-quantile (0 ≤ q ≤ 1) of the recorded
-// observations. The target rank selects a log2 bucket [2^(bit-1), 2^bit);
-// the rank's position among that bucket's observations then interpolates
-// linearly inside the bucket, so quantiles do not snap to powers of two.
-// Accuracy is bounded by the bucket width (a factor of two), adequate for
-// SLO-style latency thresholds; use stats.Histogram where ~4% relative
-// error matters.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * float64(h.count)
-	var cum uint64
-	for bit, c := range h.buckets {
-		if c == 0 {
-			continue
-		}
-		if float64(cum+c) >= target {
-			if bit == 0 {
-				return 0
-			}
-			lo := float64(uint64(1) << uint(bit-1))
-			frac := (target - float64(cum)) / float64(c)
-			return lo + frac*lo // bucket spans [lo, 2*lo)
-		}
-		cum += c
-	}
-	return 0
-}
-
-// Reset zeroes the histogram.
-func (h *Histogram) Reset() { *h = Histogram{} }
 
 // Kind discriminates metric types in the registry.
 type Kind uint8
@@ -172,7 +90,7 @@ type entry struct {
 	kind Kind
 	c    *uint64
 	g    *float64
-	h    *Histogram
+	h    *stats.Histogram
 }
 
 // value returns the entry's current value as a float64 (histograms report
@@ -184,7 +102,7 @@ func (e *entry) value() float64 {
 	case KindGauge:
 		return *e.g
 	case KindHistogram:
-		return float64(e.h.count)
+		return float64(e.h.Count())
 	}
 	return 0
 }
@@ -255,21 +173,6 @@ func (r *Registry) Value(name string) (float64, bool) {
 		return 0, false
 	}
 	return e.value(), true
-}
-
-// Reset zeroes every registered metric (counters, gauges, histograms) —
-// the registry-wide analogue of the per-component Reset methods.
-func (r *Registry) Reset() {
-	for _, e := range r.entries {
-		switch e.kind {
-		case KindCounter:
-			*e.c = 0
-		case KindGauge:
-			*e.g = 0
-		case KindHistogram:
-			e.h.Reset()
-		}
-	}
 }
 
 // Scope returns a child scope of the registry root. Multiple path segments
@@ -356,9 +259,9 @@ func (s Scope) GaugeVar(name string, v *float64) {
 	}
 }
 
-// Histogram creates and registers a log-bucket histogram.
-func (s Scope) Histogram(name string) *Histogram {
-	h := &Histogram{}
+// Histogram creates and registers a latency histogram.
+func (s Scope) Histogram(name string) *stats.Histogram {
+	h := stats.NewHistogram()
 	if s.reg != nil {
 		s.reg.register(s.full(name), &entry{kind: KindHistogram, h: h})
 	}

@@ -2,9 +2,12 @@ package main
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
+	"path"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -16,7 +19,9 @@ import (
 // modelled cost and geometry value from one place, so they are not folded
 // into constants. Nothing else may be listed here.
 var modelledCosts = map[string]bool{
-	"cluster.Config.PCIe": true,
+	"cluster.Config.PCIe":   true,
+	"cluster.Config.Fabric": true,
+	"host.Config.LLC":       true,
 
 	"host.Config.BaseOpCost":  true,
 	"host.Config.LLCHitCost":  true,
@@ -57,57 +62,31 @@ var modelledCosts = map[string]bool{
 // somewhere in the module outside a Default* function. Inside a Default*
 // function only a value taken straight from one of its parameters counts:
 // the caller chose it. A value nobody sets is a constant with extra steps.
+//
+// Writes are resolved with go/types to the field they set, so a field
+// shared by name across config types (HERD's and FaSST's Workers) is not
+// hidden by a caller that sets its namesake.
 func TestEveryKnobHasACaller(t *testing.T) {
-	fset := token.NewFileSet()
-	var files []*ast.File
-	var decls []*ast.File // non-test files under internal/
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		files = append(files, f)
-		if strings.HasPrefix(filepath.ToSlash(path), "internal/") && !strings.HasSuffix(path, "_test.go") {
-			decls = append(decls, f)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mod := checkModule(t)
 
-	knobs := map[string][]string{} // field name → "pkg.Type.Field" declarations
-	for _, f := range decls {
-		for _, d := range f.Decls {
-			gd, ok := d.(*ast.GenDecl)
-			if !ok || gd.Tok != token.TYPE {
+	knobs := map[token.Pos]string{} // field declaration → "pkg.Type.Field"
+	for _, p := range mod.pkgs {
+		if !strings.HasPrefix(p.path, "scalerpc/internal/") {
+			continue
+		}
+		sc := p.plain.Scope()
+		for _, name := range sc.Names() {
+			tn, ok := sc.Lookup(name).(*types.TypeName)
+			if !ok || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Opts") || strings.HasSuffix(name, "Options")) {
 				continue
 			}
-			for _, s := range gd.Specs {
-				ts := s.(*ast.TypeSpec)
-				st, ok := ts.Type.(*ast.StructType)
-				name := ts.Name.Name
-				if !ok || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Opts") || strings.HasSuffix(name, "Options")) {
-					continue
-				}
-				for _, fld := range st.Fields.List {
-					for _, id := range fld.Names {
-						if id.IsExported() {
-							knobs[id.Name] = append(knobs[id.Name], f.Name.Name+"."+name+"."+id.Name)
-						}
-					}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					knobs[f.Pos()] = p.plain.Name() + "." + name + "." + f.Name()
 				}
 			}
 		}
@@ -116,58 +95,69 @@ func TestEveryKnobHasACaller(t *testing.T) {
 		t.Fatal("found no config structs under internal/")
 	}
 
-	set := map[string]bool{}
-	for _, f := range files {
-		for _, d := range f.Decls {
-			// counts reports whether a write of value counts as a caller's:
-			// always, except in a Default* function, where the value must
-			// be one of the function's parameters.
-			counts := func(ast.Expr) bool { return true }
-			if fd, ok := d.(*ast.FuncDecl); ok && strings.HasPrefix(fd.Name.Name, "Default") {
-				params := map[string]bool{}
-				for _, p := range fd.Type.Params.List {
-					for _, id := range p.Names {
-						params[id.Name] = true
+	set := map[token.Pos]bool{}
+	for _, u := range mod.units {
+		for _, f := range u.files {
+			for _, d := range f.Decls {
+				// counts reports whether a write of value counts as a
+				// caller's: always, except in a Default* function, where the
+				// value must be one of the function's parameters.
+				counts := func(ast.Expr) bool { return true }
+				if fd, ok := d.(*ast.FuncDecl); ok && strings.HasPrefix(fd.Name.Name, "Default") {
+					params := map[string]bool{}
+					for _, p := range fd.Type.Params.List {
+						for _, id := range p.Names {
+							params[id.Name] = true
+						}
+					}
+					counts = func(v ast.Expr) bool {
+						id, ok := v.(*ast.Ident)
+						return ok && params[id.Name]
 					}
 				}
-				counts = func(v ast.Expr) bool {
-					id, ok := v.(*ast.Ident)
-					return ok && params[id.Name]
-				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.KeyValueExpr:
+						if id, ok := n.Key.(*ast.Ident); ok && counts(n.Value) {
+							if v, ok := u.info.Uses[id].(*types.Var); ok && v.IsField() {
+								set[v.Pos()] = true
+							}
+						}
+					case *ast.AssignStmt:
+						for i, lhs := range n.Lhs {
+							var v ast.Expr // nil when one call fills several values
+							if len(n.Rhs) == len(n.Lhs) {
+								v = n.Rhs[i]
+							}
+							if !counts(v) {
+								continue
+							}
+							// cfg.NIC.CQDepth = v sets CQDepth and turns
+							// the NIC knob too: mark every field on the path.
+							sel, ok := lhs.(*ast.SelectorExpr)
+							for ok {
+								if s := u.info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+									set[s.Obj().Pos()] = true
+								}
+								sel, ok = sel.X.(*ast.SelectorExpr)
+							}
+						}
+					}
+					return true
+				})
 			}
-			ast.Inspect(d, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.KeyValueExpr:
-					if id, ok := n.Key.(*ast.Ident); ok && counts(n.Value) {
-						set[id.Name] = true
-					}
-				case *ast.AssignStmt:
-					for i, lhs := range n.Lhs {
-						var v ast.Expr // nil when one call fills several values
-						if len(n.Rhs) == len(n.Lhs) {
-							v = n.Rhs[i]
-						}
-						if sel, ok := lhs.(*ast.SelectorExpr); ok && counts(v) {
-							set[sel.Sel.Name] = true
-						}
-					}
-				}
-				return true
-			})
 		}
 	}
 
 	var unset []string
 	flagged := map[string]bool{}
-	for field, where := range knobs {
-		if set[field] {
+	for pos, w := range knobs {
+		if set[pos] {
 			continue
 		}
-		for _, w := range where {
-			flagged[w] = true
-			if !modelledCosts[w] {
-				unset = append(unset, w)
-			}
+		flagged[w] = true
+		if !modelledCosts[w] {
+			unset = append(unset, w)
 		}
 	}
 	sort.Strings(unset)
@@ -180,3 +170,127 @@ func TestEveryKnobHasACaller(t *testing.T) {
 		}
 	}
 }
+
+// modPkg is one directory of the module: its import path, its files split
+// the way `go test` builds them, and the package as other packages import
+// it (non-test files only).
+type modPkg struct {
+	path                 string
+	files, tests, xtests []*ast.File
+	plain                *types.Package
+}
+
+// checkUnit is one type-checked set of files with the uses and selections
+// a write resolves through.
+type checkUnit struct {
+	files []*ast.File
+	info  *types.Info
+}
+
+type module struct {
+	pkgs  map[string]*modPkg
+	units []checkUnit
+}
+
+// checkModule parses every Go file in the module and type-checks each
+// directory as `go test` would see it: the package with its in-package
+// test files, and the external test package against that. The standard
+// library is type-checked from source, so nothing is built or fetched.
+func checkModule(t *testing.T) *module {
+	t.Helper()
+	fset := token.NewFileSet()
+	mod := &module{pkgs: map[string]*modPkg{}}
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, 0)
+		if err != nil {
+			return err
+		}
+		ip := path.Join("scalerpc", filepath.ToSlash(filepath.Dir(p)))
+		mp := mod.pkgs[ip]
+		if mp == nil {
+			mp = &modPkg{path: ip}
+			mod.pkgs[ip] = mp
+		}
+		switch {
+		case !strings.HasSuffix(p, "_test.go"):
+			mp.files = append(mp.files, f)
+		case strings.HasSuffix(f.Name.Name, "_test"):
+			mp.xtests = append(mp.xtests, f)
+		default:
+			mp.tests = append(mp.tests, f)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A package is checked twice when it has tests: as its importers see it,
+	// and with its test files. Packages its tests import still see the
+	// first, so the second reports type mismatches `go test` would not (it
+	// rebuilds them against the test variant). Those errors are dropped:
+	// both checks share one parse, so a field resolves to the same
+	// declaration position either way, and an unresolved write could only
+	// flag a knob, never hide one.
+	std := importer.ForCompiler(fset, "source", nil)
+	check := func(path string, files []*ast.File, info *types.Info, imp importerFunc, report func(error)) *types.Package {
+		conf := types.Config{Importer: imp, Error: report}
+		pkg, _ := conf.Check(path, fset, files, info)
+		return pkg
+	}
+	drop := func(error) {}
+	var plain importerFunc
+	plain = func(path string) (*types.Package, error) {
+		mp := mod.pkgs[path]
+		if mp == nil {
+			return std.Import(path)
+		}
+		if mp.plain == nil {
+			mp.plain = check(path, mp.files, nil, plain, func(err error) { t.Error(err) })
+		}
+		return mp.plain, nil
+	}
+	paths := make([]string, 0, len(mod.pkgs))
+	for p := range mod.pkgs {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	for _, p := range paths {
+		mp := mod.pkgs[p]
+		plain(p)
+		full := checkUnit{files: append(append([]*ast.File(nil), mp.files...), mp.tests...), info: newInfo()}
+		underTest := check(p, full.files, full.info, plain, drop)
+		mod.units = append(mod.units, full)
+		if len(mp.xtests) > 0 {
+			x := checkUnit{files: mp.xtests, info: newInfo()}
+			check(p+"_test", x.files, x.info, func(path string) (*types.Package, error) {
+				if path == p {
+					return underTest, nil
+				}
+				return plain(path)
+			}, drop)
+			mod.units = append(mod.units, x)
+		}
+	}
+	return mod
+}
+
+func newInfo() *types.Info {
+	return &types.Info{Uses: map[*ast.Ident]types.Object{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
