@@ -89,6 +89,7 @@ func TestNodeCrashEvictsAndRegroups(t *testing.T) {
 				sig, func() bool { return crashed || th.P.Now() >= horizon })
 		})
 	}
+	c.Env.RunUntil(0) // the first boundary places the joiners
 	groups := uint64(s.GroupCount())
 
 	for end := crashAt; s.Stats.Evictions == 0 && end < crashAt+2*sim.Time(sim.Millisecond); end += sim.Time(5 * sim.Microsecond) {

@@ -333,6 +333,8 @@ func TestSliceBudgetIgnoresPinnedClients(t *testing.T) {
 			t.Fatal("reserved zone refused")
 		}
 	}
+	s.Start()
+	c.Env.RunUntil(0) // the first boundary places the joiners
 	// Groups {0,1} and {2,3}: means 2 and 4 over a grouped mean of 3.
 	for id, p := range []float64{2, 2, 4, 4} {
 		s.clients[id].priority = p

@@ -5,8 +5,8 @@
 // parks in the connection cache, the id stays reserved), and Rejoin —
 // resuming from the cache when possible, falling back to a cold handshake
 // (with a fresh id and a ClientID restamp of staged requests) when the
-// cache evicted or the lease expired. Group membership regroups lazily at
-// the next context switch; in-flight slices are never disturbed.
+// cache evicted or the lease expired. Joins and departures reach the groups
+// at the next slice boundary; in-flight slices are never disturbed.
 package scalerpc
 
 import (
@@ -67,9 +67,9 @@ func (s *Server) BindControlPlane(m *ctrlplane.Manager) {
 // quarantine had aged it out. Active clients are untouched.
 func (s *Server) Forget(id uint16) { s.roster.Forget(id) }
 
-// placement is what the roster's decisions mean to a ScaleRPC server: a
-// group or a reserved zone for an admitted client, a regroup at the next
-// context switch for a departed one. In-flight slices are never disturbed.
+// placement is what the roster's decisions mean to a ScaleRPC server: an
+// admitted client gets a reserved zone at once or a group at the next slice
+// boundary, where a departed one leaves its group.
 type placement struct{ s *Server }
 
 func (p placement) Slots() int { return len(p.s.clients) }
@@ -118,9 +118,9 @@ func (p placement) join(t *host.Thread, cs *clientState, pinned bool, event stri
 	}
 }
 
-// Unplace drops the client out of its group, taking effect at the next
-// switch. A graceful leave also gives the tenant's connection back: unlike
-// RawWrite's static zone, a parked ScaleRPC client occupies nothing.
+// Unplace drops the client out of its group at the next slice boundary. A
+// graceful leave also gives the tenant's connection back: unlike RawWrite's
+// static zone, a parked ScaleRPC client occupies nothing.
 func (p placement) Unplace(m *ctrlplane.Member, why ctrlplane.CloseReason) {
 	s := p.s
 	switch why {
@@ -186,8 +186,8 @@ func (c *Conn) ID() uint16 { return c.id }
 
 // Leave departs gracefully: the QP pair parks in the connection cache on
 // both sides and the server drops this client from its group at the next
-// switch. Unanswered requests stay in the staging area; Rejoin re-offers
-// them. TrySend and Poll are inert until then.
+// slice boundary. Unanswered requests stay in the staging area; Rejoin
+// re-offers them. TrySend and Poll are inert until then.
 func (c *Conn) Leave(t *host.Thread) {
 	if c.membership.Leave(t) {
 		c.idle()

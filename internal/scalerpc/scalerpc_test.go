@@ -143,6 +143,7 @@ func TestVirtualizedMappingPoolFootprintConstant(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		s.Connect(c.Hosts[1], sig)
 	}
+	c.Env.RunUntil(0) // the first boundary places the joiners
 	if got := s.GroupCount(); got != 13 {
 		t.Fatalf("100 clients / group 8 → %d groups, want 13", got)
 	}
@@ -250,6 +251,7 @@ func TestGroupPlacementAndSizes(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		s.Connect(c.Hosts[1], sig)
 	}
+	c.Env.RunUntil(0) // the first boundary places the joiners
 	sizes := s.GroupSizes()
 	if len(sizes) != 3 || sizes[0] != 40 || sizes[1] != 40 || sizes[2] != 20 {
 		t.Fatalf("group sizes = %v, want [40 40 20]", sizes)
@@ -267,6 +269,7 @@ func TestDisconnectTriggersLazyMerge(t *testing.T) {
 	for i := range conns {
 		conns[i] = s.Connect(c.Hosts[1], sig)
 	}
+	c.Env.RunUntil(0) // the first boundary places the joiners
 	// Kill most of group 0 (ids 0..7): its size drops below G/2 = 4.
 	for id := uint16(0); id < 6; id++ {
 		s.Disconnect(id)

@@ -3,6 +3,7 @@ package scalerpc
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"scalerpc/internal/ctrlplane"
 	"scalerpc/internal/host"
@@ -17,11 +18,14 @@ import (
 // warms the next group during each slice, and performs context switches.
 // sliceFor bounds a slice from above; a slice ends before that when the
 // server has sat idle on the active group while the next one's requests
-// wait in the warmup pool (earlySwitch).
+// wait in the warmup pool (earlySwitch). The rotation changes only at slice
+// boundaries (applyPending): the first pass, every switch and solo scan,
+// and every tick while there is no group.
 func (s *Server) runScheduler(t *host.Thread) {
 	// What the context switch that began the current slice took, drain to
 	// late sweep.
 	var switchCost sim.Duration
+	s.applyPending(t, nil, false)
 	for {
 		planned := s.sliceFor(s.cur) + s.phaseAdjust
 		if planned < s.Cfg.TimeSlice/4 {
@@ -36,6 +40,9 @@ func (s *Server) runScheduler(t *host.Thread) {
 		r := tickReadings{workers: len(s.workers), lineRate: s.Host.NIC.LineRate(),
 			timeSlice: s.Cfg.TimeSlice, switchCost: switchCost, synced: s.synced}
 		for t.P.Now() < s.nextSwitch {
+			if len(s.groups) == 0 {
+				s.applyPending(t, nil, false)
+			}
 			s.assignWarm(t)
 			s.fetchWarmups(t)
 			remain := s.nextSwitch - t.P.Now()
@@ -203,17 +210,64 @@ func earlySwitch(r tickReadings) bool {
 // within the one call that fills it; steady-state ticks and switches
 // allocate nothing.
 type switchScratch struct {
-	// members snapshots a group's membership across yields — for fetchGroup,
-	// or for the outgoing group of a switch; never both at once.
-	members []uint16
-	owners  []int    // the outgoing pool's zone map, until the late sweep
-	evict   []uint16 // scanFailures' verdicts, until they are disconnected
+	owners []int    // the outgoing pool's zone map, until the late sweep
+	evict  []uint16 // scanFailures' verdicts, until they are disconnected
 	// The grouping policy's snapshot and plan, each acted on before the
-	// gathering thread yields, so admitting threads share them too.
+	// scheduler yields.
 	snap, plan rotation
 	// regroup's group list, swapped with Server.groups: each generation
 	// reuses the backing arrays of the one before last.
 	groups [][]uint16
+}
+
+// applyPending is the one place the rotation changes; between boundaries
+// s.groups and every cs.group are read-only, so a walk over a group may
+// yield without copying it. Departed clients leave the list, joiners are
+// placed in join order, the failure scan's verdicts are evicted, and the
+// policy plans, due when the rotation starts over, after an eviction or
+// after a partition changed.
+func (s *Server) applyPending(t *host.Thread, evict []uint16, rotationStart bool) {
+	s.dropDeparted()
+	for _, cs := range s.joins {
+		// A joiner that left again, rejoined pinned, or was placed by an
+		// earlier entry stays where it is.
+		if s.clients[cs.ID] == cs && cs.group < 0 && !cs.Pinned && !cs.Parked && !cs.Limbo {
+			s.place(cs)
+		}
+	}
+	s.joins = s.joins[:0]
+	for _, cid := range evict {
+		s.Stats.Evictions++
+		if s.trace.Enabled {
+			s.trace.Emit(t.P.Now(), "client_evicted", telemetry.A("client", int64(cid)))
+		}
+		s.Disconnect(cid)
+	}
+	s.dropDeparted()
+	due := rotationStart || len(evict) > 0 || s.parted
+	s.parted = false
+	if next, ok := s.policy().plan(s.snapshot(), s.cur, due, s.scratch.plan); ok {
+		s.regroup(next)
+	}
+}
+
+// dropDeparted takes the departed clients' ids out of the group list.
+func (s *Server) dropDeparted() {
+	for _, cs := range s.leaves {
+		i := slices.Index(s.groups[cs.group], cs.ID)
+		s.groups[cs.group] = slices.Delete(s.groups[cs.group], i, i+1)
+		cs.group, cs.departed = -1, false
+	}
+	s.leaves = s.leaves[:0]
+}
+
+// inGroup returns the client listed under cid in group g, or nil once it
+// has departed: its slot emptied, or its id reissued to a waiting joiner.
+func (s *Server) inGroup(g int, cid uint16) *clientState {
+	if cs := s.clients[cid]; cs != nil && cs.group == g && !cs.departed {
+		return cs
+	}
+	return nil
 }
 
 // soloScan keeps failure detection alive when a single group means no
@@ -223,22 +277,9 @@ type switchScratch struct {
 // switch — it used to reset served/bytes inline, which zeroed per-tenant
 // byte attribution before anything could sample it.
 func (s *Server) soloScan(t *host.Thread) {
-	out := append(s.scratch.members[:0], s.groups[0]...)
-	s.scratch.members = out
-	evict := s.scanFailures(t, out)
-	s.settleSlice(out)
-	s.evictClients(t, evict)
-}
-
-// evictClients disconnects the clients a failure scan found dead.
-func (s *Server) evictClients(t *host.Thread, ids []uint16) {
-	for _, cid := range ids {
-		s.Stats.Evictions++
-		if s.trace.Enabled {
-			s.trace.Emit(t.P.Now(), "client_evicted", telemetry.A("client", int64(cid)))
-		}
-		s.Disconnect(cid)
-	}
+	evict := s.scanFailures(t, 0)
+	s.settleSlice(0)
+	s.applyPending(t, evict, false)
 }
 
 // policy is this server's grouping policy (group.go).
@@ -251,9 +292,11 @@ func (s *Server) policy() policy {
 // sweep a departed identity (a dead QP) back into the rotation.
 func (s *Server) snapshot() rotation {
 	r := rotation{members: s.scratch.snap.members[:0], ends: s.scratch.snap.ends[:0]}
-	for _, grp := range s.groups {
+	for g, grp := range s.groups {
 		for _, cid := range grp {
-			r.members = append(r.members, s.member(s.clients[cid]))
+			if cs := s.inGroup(g, cid); cs != nil {
+				r.members = append(r.members, s.member(cs))
+			}
 		}
 		r.ends = append(r.ends, len(r.members))
 	}
@@ -286,8 +329,10 @@ func (s *Server) sliceFor(g int) sim.Duration {
 // this, so anything still valid in the zone was fetched for an earlier
 // occupant or an earlier round — and a frame that lingers past the reply
 // cache's dedup horizon (a pool dropping out of rotation when groups
-// collapse, a zone unbound by a mid-slice demotion) re-executes when the
-// zone rotates back in, breaking at-most-once.
+// collapse, a zone its departed owner left behind) re-executes when the
+// zone rotates back in, breaking at-most-once. Promotion undoes every warm
+// binding and the list holds still within a slice, so each member a switch
+// promotes was bound, its zone wiped, during the slice that switch ends.
 func (s *Server) assignWarm(t *host.Thread) {
 	if len(s.groups) == 0 {
 		return
@@ -297,8 +342,7 @@ func (s *Server) assignWarm(t *host.Thread) {
 		// (clients still bootstrap through WARMUP, there is just no
 		// switching), its zones assigned directly.
 		for i, cid := range s.groups[s.cur] {
-			cs := s.clients[cid]
-			if cs.zone != i {
+			if cs := s.inGroup(s.cur, cid); cs != nil && cs.zone != i {
 				cs.zone = i
 				s.zoneOwner[i] = int(cid)
 				s.wipeZone(t, s.processingPool(), i)
@@ -306,16 +350,13 @@ func (s *Server) assignWarm(t *host.Thread) {
 		}
 		return
 	}
-	for i, cid := range s.groups[(s.cur+1)%len(s.groups)] {
-		cs := s.clients[cid]
-		if cs.warmZone != i {
+	g := (s.cur + 1) % len(s.groups)
+	for i, cid := range s.groups[g] {
+		if cs := s.inGroup(g, cid); cs != nil && cs.warmZone != i {
 			cs.warmZone = i
 			s.warmOwner[i] = int(cid)
 			s.wipeZone(t, s.warmupPool(), i)
 		}
-		// Re-stamped every pass, not just on rebind: promotion trusts the
-		// zone only if this slice's scheduler loop asserted the binding.
-		s.warmEpoch[i] = s.epoch
 	}
 }
 
@@ -354,16 +395,10 @@ func (s *Server) fetchGroup(t *host.Thread, g int, warm bool) {
 	if warm {
 		pool = s.warmupPool()
 	}
-	// Snapshot the membership: the READs below yield, and a client may
-	// disconnect (shrinking the live group slice in place) while this
-	// thread is blocked — iterating the live slice would then read a
-	// stale id past the new length. Members that depart mid-fetch show
-	// up as nil client states and are skipped. The snapshot only has to
-	// outlive this call, so it lives in scheduler-owned scratch.
-	grp := append(s.scratch.members[:0], s.groups[g]...)
-	s.scratch.members = grp
-	for _, cid := range grp {
-		cs := s.clients[cid]
+	// The READs below yield; the group list holds still until the next
+	// boundary, and a member that departs meanwhile is skipped from then on.
+	for _, cid := range s.groups[g] {
+		cs := s.inGroup(g, cid)
 		if cs == nil {
 			continue
 		}
@@ -449,10 +484,8 @@ func (s *Server) contextSwitch(t *host.Thread) {
 
 	// Outgoing group: zones revoked; members whose drain responses did not
 	// carry the event get an explicit context_switch_event write.
-	out := append(s.scratch.members[:0], s.groups[s.cur]...)
-	s.scratch.members = out
-	for _, cid := range out {
-		cs := s.clients[cid]
+	for _, cid := range s.groups[s.cur] {
+		cs := s.inGroup(s.cur, cid)
 		if cs == nil {
 			continue
 		}
@@ -464,8 +497,8 @@ func (s *Server) contextSwitch(t *host.Thread) {
 	}
 	// Failure detection reads cs.served, so it must precede settleSlice
 	// (which samples tenant attribution and then zeroes the slice window).
-	evict := s.scanFailures(t, out)
-	s.settleSlice(out)
+	evict := s.scanFailures(t, s.cur)
+	s.settleSlice(s.cur)
 
 	// Promote the warmed group.
 	s.cur = (s.cur + 1) % len(s.groups)
@@ -476,20 +509,11 @@ func (s *Server) contextSwitch(t *host.Thread) {
 		s.warmOwner[i] = -1
 	}
 	for i, cid := range s.groups[s.cur] {
-		cs := s.clients[cid]
-		cs.zone = i
-		cs.warmZone = -1
-		s.zoneOwner[i] = int(cid)
-		// Trust the warmed frames only if the binding was asserted during
-		// the slice that just ended (epoch was incremented above). A pool
-		// that sat out of rotation — the cluster fell back to a single
-		// group, or this zone was simply never warmed — holds frames from
-		// retired rounds; serving those would duplicate executions the
-		// reply cache rotated out long ago.
-		if s.warmEpoch[i]+1 != s.epoch {
-			s.wipeZone(t, s.processingPool(), i)
+		if cs := s.inGroup(s.cur, cid); cs != nil {
+			cs.zone = i
+			cs.warmZone = -1
+			s.zoneOwner[i] = int(cid)
 		}
-		s.warmEpoch[i] = 0
 	}
 	s.Stats.Switches++
 	if s.trace.Enabled {
@@ -499,19 +523,9 @@ func (s *Server) contextSwitch(t *host.Thread) {
 	s.draining = false
 	s.resumeSig.Broadcast()
 
-	// Evictions happen after the promotion so group/zone bookkeeping is
-	// settled; a forced regroup then redistributes the survivors.
-	s.evictClients(t, evict)
-
-	// A rebuild is due once per full rotation (so every group is served each
-	// rotation regardless of priority), after an eviction, and after a
-	// demotion or restore moved clients between partitions; the policy also
-	// rebuilds whenever joins and leaves broke the lazy size bounds.
-	due := s.cur == 0 || len(evict) > 0 || s.regroupDue
-	s.regroupDue = false
-	if next, ok := s.policy().plan(s.snapshot(), s.cur, due, s.scratch.plan); ok {
-		s.regroup(next)
-	}
+	// The boundary, now the promotion has settled group/zone bookkeeping. A
+	// rebuild is due once per rotation, so every group is served in each.
+	s.applyPending(t, evict, s.cur == 0)
 
 	// Guard window before the old processing pool is reused for warmup:
 	// covers writes already in flight from just-notified clients. The late
@@ -623,11 +637,11 @@ func (s *Server) schedStaging() *memory.Region {
 // that time plus whatever early switches cut from the slices in between
 // (exactly 1 when none did) — and a probe spends one rotation of the
 // silence built up.
-func (s *Server) scanFailures(t *host.Thread, out []uint16) []uint16 {
+func (s *Server) scanFailures(t *host.Thread, g int) []uint16 {
 	evict := s.scratch.evict[:0]
 	now := t.P.Now()
-	for _, cid := range out {
-		cs := s.clients[cid]
+	for _, cid := range s.groups[g] {
+		cs := s.inGroup(g, cid)
 		if cs == nil {
 			continue
 		}
@@ -656,16 +670,16 @@ func (s *Server) scanFailures(t *host.Thread, out []uint16) []uint16 {
 	return evict
 }
 
-// settleSlice closes one slice's accounting window for the given members:
+// settleSlice closes one slice's accounting window for group g's members:
 // per-tenant byte attribution is sampled first, then each outgoing
 // client's priority P_i = T_i / S_i folds in the observations (§3.2), and
 // only then does the window reset (sliceScale is 1, and the arithmetic
 // exact, for a slice that ran its budget). Both switch paths (contextSwitch
 // and soloScan) must come through here — resetting served/bytes anywhere
 // else silently destroys the attribution the fair scheduler depends on.
-func (s *Server) settleSlice(group []uint16) {
-	for _, cid := range group {
-		cs := s.clients[cid]
+func (s *Server) settleSlice(g int) {
+	for _, cid := range s.groups[g] {
+		cs := s.inGroup(g, cid)
 		if cs == nil {
 			continue
 		}
@@ -730,11 +744,12 @@ func (s *Server) ConnectLatencySensitive(ch *host.Host, sig *sim.Signal) *Conn {
 	return s.connect(ch, sig, true, 0)
 }
 
-// connect builds the client's state and places it. The tenant must be
-// known here, before place(): class-pure grouping reads the joining
-// client's class, and a late tenant assignment would seed a mismatched
-// singleton group per join — with regroup only running at rotation start,
-// a large join wave would leave the rotation cycling one-member groups.
+// connect builds the client's state and admits it. The tenant must be
+// known here, before the boundary places it: class-pure grouping reads the
+// joining client's class, and a late tenant assignment would seed a
+// mismatched singleton group per join — with regroup only running at
+// rotation start, a large join wave would leave the rotation cycling
+// one-member groups.
 func (s *Server) connect(ch *host.Host, sig *sim.Signal, pinned bool, tenant uint16) *Conn {
 	if len(s.clients) >= s.Cfg.MaxClients {
 		panic("scalerpc: server full")
@@ -796,31 +811,30 @@ func (s *Server) newClient(m ctrlplane.Member, payload []byte) *clientState {
 	return cs
 }
 
-// placeJoined puts a client into service: on a reserved zone when pinned,
-// otherwise in a group. A pinned request with every reserved zone taken
-// places nothing and reports false; Connect refuses such a client, every
-// other admission path degrades it to the grouped path.
+// placeJoined puts a client into service: on a reserved zone at once when
+// pinned, otherwise in a group from the next slice boundary. A pinned
+// request with every reserved zone taken places nothing and reports false;
+// Connect refuses such a client, every other path degrades it to a group.
 func (s *Server) placeJoined(cs *clientState, pinned bool) bool {
 	cs.Pinned = pinned
 	if !pinned {
-		s.place(cs)
+		s.joins = append(s.joins, cs)
 		return true
 	}
 	for z := s.Cfg.maxZones(); z < s.Cfg.totalZones(); z++ {
 		// Both ownership arrays, which swap at every switch.
 		if s.zoneOwner[z] < 0 && s.warmOwner[z] < 0 {
 			s.zoneOwner[z], s.warmOwner[z] = int(cs.ID), int(cs.ID)
-			cs.zone, cs.group = z, -1
+			cs.zone = z
 			return true
 		}
 	}
 	return false
 }
 
-// place puts a new client into the group the policy picks, or a fresh
-// group at the rotation's end. It takes effect mid-slice: the client is
-// served once its group next warms, or at the next tick when it is the only
-// group.
+// place puts a joiner into the group the policy picks, or a fresh group at
+// the rotation's end. The client is served once its group next warms, or
+// from the next tick when it is the only group.
 func (s *Server) place(cs *clientState) {
 	if g := s.policy().place(s.snapshot(), s.member(cs)); g >= 0 {
 		s.groups[g] = append(s.groups[g], cs.ID)
@@ -832,8 +846,8 @@ func (s *Server) place(cs *clientState) {
 	s.Stats.Regroups++
 }
 
-// Disconnect removes a client (log-out); groups merge lazily at the next
-// switch if the departure violates the size bounds.
+// Disconnect removes a client (log-out); groups merge at the next slice
+// boundary if the departure broke the size bounds.
 func (s *Server) Disconnect(id uint16) {
 	if int(id) >= len(s.clients) {
 		return
@@ -848,19 +862,13 @@ func (s *Server) Disconnect(id uint16) {
 	s.Host.NIC.DestroyQP(cs.QP)
 }
 
-// unplace removes a client from its group and releases its zone claims in
-// both ownership arrays; in-flight slices are untouched (stale blocks from
-// the departed client are dropped by the zone-owner check).
+// unplace takes a departing client out of service. Its zone claims in both
+// ownership arrays go at once, so the zone-owner check drops its in-flight
+// frames; its id stays listed, skipped, until the next boundary drops it.
 func (s *Server) unplace(cs *clientState) {
-	if cs.group >= 0 {
-		grp := s.groups[cs.group]
-		for i, cid := range grp {
-			if cid == cs.ID {
-				s.groups[cs.group] = append(grp[:i], grp[i+1:]...)
-				break
-			}
-		}
-		cs.group = -1
+	if cs.group >= 0 && !cs.departed {
+		cs.departed = true
+		s.leaves = append(s.leaves, cs)
 	}
 	if cs.zone >= 0 {
 		s.zoneOwner[cs.zone] = -1
@@ -909,7 +917,7 @@ func (s *Server) Reconnect(c *Conn) {
 // GroupCount returns the number of connection groups.
 func (s *Server) GroupCount() int { return len(s.groups) }
 
-// GroupSizes returns the current group cardinalities.
+// GroupSizes returns the group cardinalities as of the last slice boundary.
 func (s *Server) GroupSizes() []int {
 	var out []int
 	for _, g := range s.groups {

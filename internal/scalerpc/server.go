@@ -50,15 +50,15 @@ type clientState struct {
 	stageAddr uint64
 	stageRKey uint32
 
-	// Group/zone placement.
-	group int
-	zone  int // zone in the current processing pool, -1 if not current
+	// Group/zone placement; group changes only at a slice boundary.
+	group    int
+	departed bool // left while listed in group: skipped until the boundary
+	zone     int  // zone in the current processing pool, -1 if not current
 
 	// Warmup bookkeeping.
-	lastRound    uint32
-	fetchedUpTo  int
-	warmZone     int // zone in the warmup pool, -1 if not warming
-	pendingFetch int // outstanding warmup READs
+	lastRound   uint32
+	fetchedUpTo int
+	warmZone    int // zone in the warmup pool, -1 if not warming
 
 	// Metrics for the priority scheduler (per current slice window).
 	served   uint64
@@ -129,6 +129,12 @@ type Server struct {
 	clients []*clientState
 	groups  [][]uint16
 	cur     int // index of the group being served
+	// What changed in the rotation since the last slice boundary, for
+	// applyPending to carry out at the next: joiners in join order, clients
+	// that departed while listed, and whether a demotion or restore moved a
+	// listed client between partitions. The buffers are reused.
+	joins, leaves []*clientState
+	parted        bool
 
 	// roster owns the identity lifecycle of control-plane clients and the
 	// tenant gate's open/close pairing; mgr is the manager the server is
@@ -140,22 +146,8 @@ type Server struct {
 	// metadata of §3.3); warmOwner is the same for the warmup pool.
 	zoneOwner []int // -1 = unowned
 	warmOwner []int
-	// warmEpoch stamps each warmup-pool zone with the switch epoch during
-	// which assignWarm last (re)asserted its binding. Promotion trusts a
-	// zone's resident frames only if it was warmed during the slice that
-	// just ended; anything older — a pool frozen out of rotation while the
-	// cluster ran single-group, a binding left over from before a regroup —
-	// is wiped before the zone is served, because its frames were fetched
-	// for a round the clients have long since retired.
-	warmEpoch []uint64
 
 	workers []*worker
-
-	// regroupDue forces a regroup at the next context switch — set when a
-	// demotion or restore changes the partition key of grouped clients, so
-	// the re-partition happens on the switch path (where departing groups
-	// are notified) instead of yanking zones mid-slice.
-	regroupDue bool
 
 	// Switch coordination.
 	epoch      uint64
@@ -228,7 +220,6 @@ func NewServer(h *host.Host, cfg ServerConfig) *Server {
 		legacyQ:   sim.NewQueue[legacyJob](h.Env),
 		zoneOwner: make([]int, zones),
 		warmOwner: make([]int, zones),
-		warmEpoch: make([]uint64, zones),
 		schedSig:  sim.NewSignal(h.Env),
 		resumeSig: sim.NewSignal(h.Env),
 		replies:   rpccore.NewReplyCache(cfg.BlocksPerClient),

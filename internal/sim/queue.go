@@ -4,7 +4,6 @@ package sim
 // callbacks. Pushes never block; Pop blocks the calling process until a
 // value is available. Pushing from callbacks is allowed.
 type Queue[T any] struct {
-	env   *Env
 	items []T
 	head  int
 	sig   *Signal
@@ -12,7 +11,7 @@ type Queue[T any] struct {
 
 // NewQueue returns an empty queue bound to e.
 func NewQueue[T any](e *Env) *Queue[T] {
-	return &Queue[T]{env: e, sig: NewSignal(e)}
+	return &Queue[T]{sig: NewSignal(e)}
 }
 
 // Len returns the number of queued values.
@@ -23,10 +22,7 @@ func (q *Queue[T]) Push(v T) {
 	q.items = append(q.items, v)
 	// Wake exactly one consumer (FIFO), not the whole herd: broadcasting
 	// costs a scheduler round trip per parked consumer only for all but one
-	// of them to find the queue empty and park again. The elected consumer's
-	// wake can go stale when its timeout fires first in the same instant; it
-	// then passes the baton (see PopTimeout), so a value is never stranded
-	// behind a parked consumer.
+	// of them to find the queue empty and park again.
 	q.sig.Wake(1)
 }
 
@@ -53,33 +49,6 @@ func (q *Queue[T]) Pop(p *Proc) T {
 			return v
 		}
 		q.sig.Wait(p)
-	}
-}
-
-// PopTimeout blocks p until a value is available or d elapses. ok reports
-// whether a value was returned.
-func (q *Queue[T]) PopTimeout(p *Proc, d Duration) (v T, ok bool) {
-	deadline := q.env.now + d
-	for {
-		if v, ok := q.TryPop(); ok {
-			return v, true
-		}
-		remain := deadline - q.env.now
-		if remain <= 0 {
-			var zero T
-			return zero, false
-		}
-		if q.sig.WaitTimeout(p, remain) {
-			// Timed out. A Push may have elected this consumer in the same
-			// instant the timer fired first — the wake went stale against
-			// this proc's new generation — so pass the baton to keep the
-			// value from being stranded behind another parked consumer.
-			if q.Len() > 0 {
-				q.sig.Wake(1)
-			}
-			var zero T
-			return zero, false
-		}
 	}
 }
 

@@ -15,10 +15,8 @@ func TestQueuePushWakesExactlyOne(t *testing.T) {
 	for i := 0; i < consumers; i++ {
 		i := i
 		e.Spawn("c", func(p *Proc) {
-			if v, ok := q.PopTimeout(p, 1_000_000); ok {
-				got = append(got, v)
-				order = append(order, i)
-			}
+			got = append(got, q.Pop(p))
+			order = append(order, i)
 		})
 	}
 	// Park everyone.
@@ -79,40 +77,5 @@ func TestUseAsyncDoesNotJumpAcquireQueue(t *testing.T) {
 	e.Run()
 	if acquiredAt != 100 {
 		t.Fatalf("queued waiter acquired at t=%d, want t=100 (queue was jumped)", acquiredAt)
-	}
-}
-
-// TestQueueBatonOnTimeoutRace covers the wake-one stranding hazard: a Push
-// elects consumer A in the same instant A's timeout timer fires first, so
-// the wake goes stale against A's new generation. A must pass the baton to
-// consumer B instead of letting the value sit behind B's park.
-func TestQueueBatonOnTimeoutRace(t *testing.T) {
-	e := NewEnv()
-	defer e.Close()
-	q := NewQueue[string](e)
-
-	// Scheduled before the consumers spawn, so at t=100 this callback's
-	// event precedes A's timeout timer (lower seq) and the Push's Wake(1)
-	// targets a consumer whose timer fires in the same instant.
-	e.At(100, func() { q.Push("x") })
-
-	var aOK, bOK bool
-	var bVal string
-	e.Spawn("a", func(p *Proc) {
-		_, aOK = q.PopTimeout(p, 100)
-	})
-	e.Spawn("b", func(p *Proc) {
-		bVal, bOK = q.PopTimeout(p, 1000)
-	})
-	e.Run()
-
-	if aOK {
-		t.Fatal("consumer A should have timed out")
-	}
-	if !bOK || bVal != "x" {
-		t.Fatalf("consumer B should receive the batoned value, got ok=%v v=%q", bOK, bVal)
-	}
-	if q.Len() != 0 {
-		t.Fatalf("value stranded in queue (len=%d)", q.Len())
 	}
 }

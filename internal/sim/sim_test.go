@@ -232,25 +232,6 @@ func TestQueuePushPop(t *testing.T) {
 	}
 }
 
-func TestQueuePopTimeout(t *testing.T) {
-	e := NewEnv()
-	q := NewQueue[string](e)
-	var ok1, ok2 bool
-	e.Spawn("c", func(p *Proc) {
-		_, ok1 = q.PopTimeout(p, 50)
-		v, ok := q.PopTimeout(p, 100)
-		ok2 = ok && v == "x"
-	})
-	e.At(100, func() { q.Push("x") })
-	e.Run()
-	if ok1 {
-		t.Fatal("first pop should time out")
-	}
-	if !ok2 {
-		t.Fatal("second pop should receive the value")
-	}
-}
-
 func TestQueueTryPop(t *testing.T) {
 	e := NewEnv()
 	q := NewQueue[int](e)
