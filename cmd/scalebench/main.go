@@ -12,7 +12,8 @@
 //
 //	-quick        shrunken sweeps (CI-sized)
 //	-csv DIR      also write <id>.csv files into DIR
-//	-seed N       simulation seed (default 1)
+//	-seed N       simulation seed (default 1): workloads, and the cluster
+//	              RNG (NIC-cache eviction) of every cluster
 //	-duration MS  measurement window per data point, in virtual ms
 //	-metrics FILE write a full telemetry dump (registry + sampled series +
 //	              trace events, per data point) as JSON to FILE
@@ -20,6 +21,9 @@
 //	              every cluster the experiments build
 //	-artifacts DIR write every artifact an experiment emits (e.g. the
 //	              loadgen BENCH_loadgen_*.json reports) into DIR
+//
+// -faults and -metrics reach every cluster: each data point gets its
+// cluster from one constructor that applies both.
 //
 // The three tools take their own flags (`scalebench txbench -h`) and
 // none of the ones above.

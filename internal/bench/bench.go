@@ -245,13 +245,11 @@ func Lookup(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// mops converts an operation count over a window to millions of ops/sec.
+// mops converts an operation (or event) count over a window to millions
+// per second.
 func mops(ops uint64, window sim.Duration) float64 {
 	if window <= 0 {
 		return 0
 	}
 	return float64(ops) / (float64(window) / 1e9) / 1e6
 }
-
-// rate converts an event count over a window to millions of events/sec.
-func rate(events uint64, window sim.Duration) float64 { return mops(events, window) }

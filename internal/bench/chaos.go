@@ -27,17 +27,14 @@ func runChaos(opts Options) *Result {
 		seeds = seeds[:2]
 	}
 
-	type run struct {
-		cfg chaos.Config
-	}
-	var runs []run
+	var runs []chaos.Config
 	for _, class := range chaos.Classes() {
 		for _, seed := range seeds {
-			runs = append(runs, run{chaos.Config{Class: class, Seed: seed}})
+			runs = append(runs, chaos.Config{Class: class, Seed: seed})
 		}
 	}
 	for _, seed := range seeds {
-		runs = append(runs, run{chaos.Config{Class: chaos.ClassDrop, Seed: seed, Transport: "RawWrite"}})
+		runs = append(runs, chaos.Config{Class: chaos.ClassDrop, Seed: seed, Transport: "RawWrite"})
 	}
 
 	var results []*chaos.Result
@@ -47,8 +44,8 @@ func runChaos(opts Options) *Result {
 		Title:  "per-run invariant verdicts and reliability counters",
 		Header: []string{"class", "transport", "seed", "acked", "retries", "dedup", "crc_drops", "echo_mism", "violations"},
 	}
-	for _, ru := range runs {
-		res, err := chaos.Run(ru.cfg)
+	for _, cfg := range runs {
+		res, err := chaos.Run(cfg)
 		if err != nil { // the matrix only uses supported (class, transport) pairs
 			panic(err)
 		}

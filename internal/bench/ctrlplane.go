@@ -82,9 +82,8 @@ func runConnSetup(opts Options) *Result {
 // service concurrently (cold), close — parking the pairs in both caches —
 // then immediately re-dial (cached resume).
 func connSetupPoint(opts Options, n int) connsetupPoint {
-	c := cluster.New(cluster.Default(1 + n))
+	c := opts.newCluster(1+n, 0)
 	defer c.Close()
-	opts.instrument(c)
 	dir := churnPlane(c)
 	dir.Manager(0).RegisterService("echo", ctrlplane.NewEchoService())
 
@@ -287,9 +286,8 @@ func runChurn(opts Options) *Result {
 // control plane (inside the simulation — dialing blocks), then drive the
 // loadgen workload with per-client Poisson leave/rejoin schedules.
 func churnCell(opts Options, transport string, rate float64) churnPoint {
-	c := cluster.New(cluster.Default(1 + churnClientHosts))
+	c := opts.newCluster(1+churnClientHosts, 0)
 	defer c.Close()
-	opts.instrument(c)
 	dir := churnPlane(c)
 	srv := c.Hosts[0]
 
@@ -376,12 +374,7 @@ func churnCell(opts Options, transport string, rate float64) churnPoint {
 		}
 	}
 
-	runner := loadgen.NewRunner(w, clients, c.Telemetry.UniqueScope("loadgen"))
-	runner.Start(c.Env)
-	c.Env.RunUntil(runner.DrainDeadline() + 100*sim.Microsecond)
-	opts.Metrics.Record(fmt.Sprintf("churn/%s/rate%g", transport, rate), c)
-
-	rep := runner.Report()
+	rep := runOpenLoop(c, opts, fmt.Sprintf("churn/%s/rate%g", transport, rate), w, clients)
 	p := churnPoint{
 		Transport: transport,
 		ChurnRate: rate,

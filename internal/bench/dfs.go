@@ -4,13 +4,9 @@ import (
 	"fmt"
 	"strings"
 
-	"scalerpc/internal/baseline/table2"
-	"scalerpc/internal/cluster"
-	"scalerpc/internal/host"
 	"scalerpc/internal/mdtest"
 	"scalerpc/internal/octofs"
 	"scalerpc/internal/rpccore"
-	"scalerpc/internal/scalerpc"
 	"scalerpc/internal/sim"
 )
 
@@ -34,51 +30,33 @@ type DFSPoint struct {
 // metadata server reached over selfRPC or ScaleRPC (case-insensitive) —
 // the data point behind Figures 1(a) and 13 and `scalebench mdtest`.
 func MeasureDFS(transport string, op mdtest.Op, nClients, files, batch int, opts Options) (DFSPoint, error) {
-	c := cluster.New(cluster.Default(12))
+	c := opts.newCluster(12, 0)
 	defer c.Close()
 	srv := c.Hosts[0]
 	mds := octofs.NewMDS(srv, octofs.DefaultConfig())
 	if !mds.Preload(nClients, files) {
 		return DFSPoint{}, fmt.Errorf("inode table too small for %d clients x %d files", nClients, files)
 	}
-
-	var connect table2.Connect
-	switch strings.ToLower(transport) {
-	case "selfrpc":
-		connect = startBaseline(transport, srv, mds.RegisterHandlers)
-	case "scalerpc":
-		s := scalerpc.NewServer(srv, scalerpc.DefaultServerConfig())
-		mds.RegisterHandlers(s)
-		s.Start()
-		connect = func(ch *host.Host, sig *sim.Signal) rpccore.Conn { return s.Connect(ch, sig) }
-	default:
+	name, ok := map[string]string{"selfrpc": "selfrpc", "scalerpc": "ScaleRPC"}[strings.ToLower(transport)]
+	if !ok {
 		return DFSPoint{}, fmt.Errorf("unknown DFS transport %q", transport)
 	}
+	connect, _, err := startTransport(name, srv, mds.RegisterHandlers, nil)
+	if err != nil {
+		return DFSPoint{}, err
+	}
 
-	horizon := opts.Warmup + opts.Duration
-	results := make([]*rpccore.DriverStats, nClients)
-	for i := 0; i < nClients; i++ {
-		i := i
+	sts := runDrivers(c, opts, nClients, func(i int) driverClient {
 		ch := c.Hosts[1+i%11]
 		sig := sim.NewSignal(c.Env)
 		conn := connect(ch, sig)
-		w := mdtest.NewWorkload(op, i, files, opts.Seed+uint64(i))
-		dcfg := w.DriverConfig(batch, opts.Seed+uint64(i))
-		dcfg.MeasureFrom = opts.Warmup
+		dcfg := mdtest.NewWorkload(op, i, files, opts.Seed+uint64(i)).DriverConfig(batch, opts.Seed+uint64(i))
 		dcfg.StartDelay = sim.Duration(i%64) * 311
-		ch.Spawn(fmt.Sprintf("md%d", i), func(t *host.Thread) {
-			st := rpccore.RunDriver(t, []rpccore.Conn{conn}, dcfg, sig,
-				func() bool { return t.P.Now() >= horizon })
-			results[i] = &st
-		})
-	}
-	c.Env.RunUntil(horizon + 200*sim.Microsecond)
+		return driverClient{host: ch, conns: []rpccore.Conn{conn}, sig: sig, cfg: dcfg}
+	}, nil)
+	opts.Metrics.Record(fmt.Sprintf("dfs/%s/%s/c%d", transport, op, nClients), c)
 	pt := DFSPoint{Server: mds.Stats}
-	for _, st := range results {
-		if st != nil {
-			pt.Completed += st.Completed
-		}
-	}
+	pt.Completed, _ = merged(sts)
 	pt.Kops = mops(pt.Completed, opts.Duration) * 1000
 	return pt, nil
 }

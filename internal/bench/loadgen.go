@@ -6,7 +6,6 @@ import (
 
 	"scalerpc/internal/cluster"
 	"scalerpc/internal/faults"
-	"scalerpc/internal/host"
 	"scalerpc/internal/loadgen"
 	"scalerpc/internal/rpccore"
 	"scalerpc/internal/scalerpc"
@@ -38,8 +37,8 @@ type loadRun struct {
 	tuneScale func(*scalerpc.ServerConfig)
 	// after, when non-nil, runs once the simulation has drained, before the
 	// cluster is torn down — the hook for snapshotting reliability counters
-	// and fault-plane stats into an experiment's artifact.
-	after func(c *cluster.Cluster, plane *faults.Plane)
+	// and fault-plane stats (c.Faults) into an experiment's artifact.
+	after func(c *cluster.Cluster)
 	opts  Options
 }
 
@@ -48,10 +47,8 @@ func runLoad(r loadRun) *loadgen.Report {
 	if r.clientHosts <= 0 {
 		r.clientHosts = 4
 	}
-	c := cluster.New(cluster.Default(1 + r.clientHosts))
+	c := r.opts.newCluster(1+r.clientHosts, 0)
 	defer c.Close()
-	plane := r.opts.instrument(c)
-	srv := c.Hosts[0]
 
 	w := r.w
 	if w.Warmup == 0 {
@@ -65,25 +62,7 @@ func runLoad(r loadRun) *loadgen.Report {
 	}
 	w.Handler = 1
 
-	connect := func(ch *host.Host, sig *sim.Signal) rpccore.Conn { return nil }
-	connectPinned := connect
-	if r.transport == "ScaleRPC" {
-		cfg := scalerpc.DefaultServerConfig()
-		if r.tuneScale != nil {
-			r.tuneScale(&cfg)
-		}
-		s := scalerpc.NewServer(srv, cfg)
-		s.Register(1, echoHandler)
-		s.Start()
-		connect = func(ch *host.Host, sig *sim.Signal) rpccore.Conn { return s.Connect(ch, sig) }
-		connectPinned = func(ch *host.Host, sig *sim.Signal) rpccore.Conn {
-			return s.ConnectLatencySensitive(ch, sig)
-		}
-	} else {
-		connect = startBaseline(r.transport, srv, registerEcho)
-		connectPinned = connect
-	}
-
+	connect, s := startEcho(r.transport, c.Hosts[0], r.tuneScale)
 	nt := len(w.Tenants)
 	if nt == 0 {
 		nt = 1
@@ -96,20 +75,19 @@ func runLoad(r loadRun) *loadgen.Report {
 		}
 		ch := c.Hosts[1+i%r.clientHosts]
 		sig := sim.NewSignal(c.Env)
-		cf := connect
-		if r.pinned != nil && r.pinned(tenant) {
-			cf = connectPinned
+		var conn rpccore.Conn
+		if s != nil && r.pinned != nil && r.pinned(tenant) {
+			conn = s.ConnectLatencySensitive(ch, sig)
+		} else {
+			conn = connect(ch, sig)
 		}
-		clients[i] = loadgen.Client{Host: ch, Conn: cf(ch, sig), Sig: sig, Tenant: tenant}
+		clients[i] = loadgen.Client{Host: ch, Conn: conn, Sig: sig, Tenant: tenant}
 	}
-	runner := loadgen.NewRunner(w, clients, c.Telemetry.UniqueScope("loadgen"))
-	runner.Start(c.Env)
-	c.Env.RunUntil(runner.DrainDeadline() + 100*sim.Microsecond)
-	r.opts.Metrics.Record(fmt.Sprintf("%s/c%d/rate%g", r.transport, r.clients, w.OfferedRate), c)
+	rep := runOpenLoop(c, r.opts, fmt.Sprintf("%s/c%d/rate%g", r.transport, r.clients, w.OfferedRate), w, clients)
 	if r.after != nil {
-		r.after(c, plane)
+		r.after(c)
 	}
-	return runner.Report()
+	return rep
 }
 
 // loadPoint pairs one run's inputs with its full report for the artifact.
@@ -360,10 +338,10 @@ func runLoadFaults(opts Options) *Result {
 					MaxRetries:    3,
 				},
 			},
-			after: func(c *cluster.Cluster, plane *faults.Plane) {
+			after: func(c *cluster.Cluster) {
 				rel = *rpccore.SharedRel(c.Telemetry)
-				if plane != nil {
-					injected = plane.Stats
+				if c.Faults != nil {
+					injected = c.Faults.Stats
 				}
 			},
 			opts: o,

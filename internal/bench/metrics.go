@@ -5,8 +5,6 @@ import (
 	"os"
 
 	"scalerpc/internal/cluster"
-	"scalerpc/internal/faults"
-	"scalerpc/internal/sim"
 )
 
 // MetricsRecorder collects full telemetry-registry dumps — counters, gauges,
@@ -68,35 +66,4 @@ func (m *MetricsRecorder) JSON() []byte {
 // WriteFile writes the recorder dump to path.
 func (m *MetricsRecorder) WriteFile(path string) error {
 	return os.WriteFile(path, m.JSON(), 0o644)
-}
-
-// instrument applies the fault scenario (if any) to a freshly built
-// cluster, and enables trace collection and interval sampling when metrics
-// are being recorded. Server-side (host 0) hardware metrics and every
-// RPC-transport scope are sampled; the horizon covers the warmup and
-// measurement windows. The installed fault plane (nil without a scenario)
-// is returned so experiments can report injected-fault counts.
-func (o Options) instrument(c *cluster.Cluster) *faults.Plane {
-	var plane *faults.Plane
-	if o.Faults != nil {
-		plane = c.InstallFaults(o.Faults)
-	}
-	if o.Metrics == nil {
-		return plane
-	}
-	c.Telemetry.EnableTrace()
-	// A full trace of a 400-client sweep point is megabytes of JSON; a few
-	// thousand events already show the slice/switch cadence.
-	c.Telemetry.Trace().Cap = 2048
-	horizon := o.Warmup + o.Duration + 200*sim.Microsecond
-	interval := (o.Warmup + o.Duration) / 24
-	if interval <= 0 {
-		interval = 1
-	}
-	// Server-scoped patterns only: per-client scopes (hundreds of series at
-	// paper scale) still appear in the final dump, just not as time series.
-	c.Telemetry.Sample(c.Env, interval, horizon,
-		"nic0.*", "pcie.bus0.*", "llc0.*", "faults.*", "scalerpc.server.*",
-		"rawrpc.server.*", "herdrpc.server.*", "fasstrpc.server.*", "selfrpc.server.*")
-	return plane
 }

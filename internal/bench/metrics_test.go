@@ -5,12 +5,15 @@ import (
 	"strings"
 	"testing"
 
-	"scalerpc/internal/cluster"
 	"scalerpc/internal/faults"
 	"scalerpc/internal/host"
+	"scalerpc/internal/loadgen"
+	"scalerpc/internal/mdtest"
 	"scalerpc/internal/memory"
+	"scalerpc/internal/mica"
 	"scalerpc/internal/nic"
 	"scalerpc/internal/sim"
+	"scalerpc/internal/smallbank"
 )
 
 // TestMeasureWindowExcludesWarmupEvents drives a continuous inbound-write
@@ -22,7 +25,7 @@ func TestMeasureWindowExcludesWarmupEvents(t *testing.T) {
 	rec := &MetricsRecorder{}
 	opts.Metrics = rec
 
-	c := cluster.New(cluster.Default(2))
+	c := opts.newCluster(2, 0)
 	defer c.Close()
 	srv := c.Hosts[0]
 	pool := srv.Mem.Register(4096, memory.PageSize2M, memory.LocalWrite|memory.RemoteWrite)
@@ -51,17 +54,17 @@ func TestMeasureWindowExcludesWarmupEvents(t *testing.T) {
 	})
 
 	delta := measureWindow(c, opts, "warmup-window")
-	total := snapshotRaw(srv)
+	total := srv.NIC.Stats.InMessages
 	if delta.inMsgs == 0 {
 		t.Fatal("no messages measured")
 	}
-	if delta.inMsgs >= total.inMsgs {
+	if delta.inMsgs >= total {
 		t.Fatalf("warmup events leaked into the window: delta %d >= total %d",
-			delta.inMsgs, total.inMsgs)
+			delta.inMsgs, total)
 	}
 	// The warmup and measurement windows see the same steady-state workload,
 	// so the delta should be roughly Duration/(Warmup+Duration) of the total.
-	frac := float64(delta.inMsgs) / float64(total.inMsgs)
+	frac := float64(delta.inMsgs) / float64(total)
 	want := float64(opts.Duration) / float64(opts.Warmup+opts.Duration)
 	if frac < want-0.15 || frac > want+0.15 {
 		t.Fatalf("window fraction = %.2f, want ≈ %.2f", frac, want)
@@ -156,5 +159,71 @@ func TestMetricsJSONDeterministicUnderFaults(t *testing.T) {
 		if !strings.Contains(dump, name) {
 			t.Fatalf("lossy dump missing %q", name)
 		}
+	}
+}
+
+// TestEveryPointRunnerHonoursFaultsAndMetrics pins that -faults and
+// -metrics reach every cluster the experiments build: each point runner,
+// run under a 1% drop plan with a recorder attached, records its point(s),
+// and every dump carries the installed fault plane's counters.
+func TestEveryPointRunnerHonoursFaultsAndMetrics(t *testing.T) {
+	small := mica.Config{Buckets: 1 << 10, Items: 1 << 12, SlotSize: 128}
+	bank := smallbank.DefaultConfig()
+	bank.Accounts = 1000
+	for _, tc := range []struct {
+		name   string
+		points int
+		run    func(Options) error
+	}{
+		{"runRPC", 1, func(o Options) error {
+			runRPC(rpcRun{transport: "ScaleRPC", threads: 8, batch: 1, payload: 32, opts: o})
+			return nil
+		}},
+		{"runLoad", 1, func(o Options) error {
+			runLoad(loadRun{transport: "ScaleRPC", clients: 8, opts: o, w: loadgen.Workload{
+				Name: "faults-metrics", OfferedRate: 100_000, Arrival: loadgen.ArrivalPoisson,
+				Tenants: []loadgen.TenantSpec{{Name: "all", Size: loadgen.FixedSize(32)}},
+			}})
+			return nil
+		}},
+		{"MeasureDFS", 1, func(o Options) error {
+			_, err := MeasureDFS("ScaleRPC", mdtest.Stat, 8, 16, 1, o)
+			return err
+		}},
+		{"MeasureTxn", 1, func(o Options) error {
+			_, err := MeasureTxn("ScaleTX", 4, small, SmallBankTxns(bank, o.Seed), o)
+			return err
+		}},
+		{"runInboundWrite", 1, func(o Options) error {
+			runInboundWrite(4, 64, false, o)
+			return nil
+		}},
+		{"runExtLatency", 1, func(o Options) error {
+			runExtLatency(o)
+			return nil
+		}},
+		{"runSec51", 2, func(o Options) error {
+			runSec51(o)
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := &MetricsRecorder{}
+			rec.Begin(tc.name)
+			opts := Options{Warmup: 50 * sim.Microsecond, Duration: 200 * sim.Microsecond, Seed: 1, Quick: true,
+				Metrics: rec, Faults: faults.DropAll("drop1pct", 0.01)}
+			if err := tc.run(opts); err != nil {
+				t.Fatal(err)
+			}
+			pts := rec.Experiments[0].Points
+			if len(pts) != tc.points {
+				t.Fatalf("recorded %d points, want %d", len(pts), tc.points)
+			}
+			for _, pt := range pts {
+				if !strings.Contains(string(pt.Metrics), "faults.injected.drops") {
+					t.Errorf("point %q: dump has no fault-plane counters", pt.Label)
+				}
+			}
+		})
 	}
 }

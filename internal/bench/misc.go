@@ -3,14 +3,12 @@ package bench
 import (
 	"fmt"
 
-	"scalerpc/internal/cluster"
 	"scalerpc/internal/host"
 	"scalerpc/internal/memory"
 	"scalerpc/internal/nic"
 	"scalerpc/internal/rpccore"
 	"scalerpc/internal/scalerpc"
 	"scalerpc/internal/sim"
-	"scalerpc/internal/stats"
 )
 
 func init() {
@@ -35,7 +33,7 @@ func runSec51(opts Options) *Result {
 
 	// RC: stream 1 MB writes back to back.
 	{
-		c := cluster.New(cluster.Default(2))
+		c := opts.newCluster(2, 0)
 		src := c.Hosts[0].Mem.Register(msg, memory.PageSize2M, memory.LocalWrite)
 		dst := c.Hosts[1].Mem.Register(msg, memory.PageSize2M, memory.LocalWrite|memory.RemoteWrite)
 		cq := c.Hosts[0].NIC.CreateCQ()
@@ -56,6 +54,7 @@ func runSec51(opts Options) *Result {
 			done = t.P.Now()
 		})
 		c.Env.RunUntil(sim.Second)
+		opts.Metrics.Record("sec51/rc", c)
 		c.Close()
 		gbps := float64(totalMB) / (float64(done) / 1e9) / 1024
 		r.AddPoint("RC-write", float64(totalMB), gbps)
@@ -64,7 +63,7 @@ func runSec51(opts Options) *Result {
 	// UD: 4 KB chunks, each acknowledged by the receiver before the next
 	// is sent (the ordered-transfer protocol §5.1 describes).
 	{
-		c := cluster.New(cluster.Default(2))
+		c := opts.newCluster(2, 0)
 		a, b := c.Hosts[0], c.Hosts[1]
 		const chunk = 4096
 		src := a.Mem.Register(chunk, memory.PageSize4K, memory.LocalWrite)
@@ -105,6 +104,7 @@ func runSec51(opts Options) *Result {
 			done = t.P.Now()
 		})
 		c.Env.RunUntil(10 * sim.Second)
+		opts.Metrics.Record("sec51/ud", c)
 		c.Close()
 		gbps := float64(totalMB) / (float64(done) / 1e9) / 1024
 		r.AddPoint("UD-4KB-acked", float64(totalMB), gbps)
@@ -160,63 +160,29 @@ func init() {
 // holds 10 contexts regardless of client count, but round-robin fan-out
 // reconnects on every message.
 func runDCTOutbound(nClients int, opts Options) (float64, float64) {
-	c := cluster.New(cluster.Default(12))
+	c := opts.newCluster(12, 0)
 	defer c.Close()
 	srv := c.Hosts[0]
 	src := srv.Mem.Register(64<<10, memory.PageSize2M, memory.LocalWrite)
-	type target struct {
-		qpn   uint32
-		nicID int
-		rkey  uint32
-		raddr uint64
-	}
-	const threads = 10
-	perThread := make([][]target, threads)
-	cqs := make([]*nic.CQ, threads)
-	inis := make([]*nic.QP, threads)
-	for i := 0; i < threads; i++ {
+	perThread := make([][]outTarget, outThreads)
+	cqs := make([]*nic.CQ, outThreads)
+	inis := make([]*nic.QP, outThreads)
+	for i := range cqs {
 		cqs[i] = srv.NIC.CreateCQ()
 		inis[i] = srv.NIC.CreateDCTInitiator(cqs[i], cqs[i])
 	}
 	sinks := make([]*memory.Region, 12)
 	for i := 0; i < nClients; i++ {
 		ch := c.Hosts[1+i%11]
-		if sinks[ch.ID] == nil {
-			sinks[ch.ID] = ch.Mem.Register(4096*((nClients/11)+2), memory.PageSize2M,
-				memory.LocalWrite|memory.RemoteWrite)
-		}
+		rkey, raddr := outSink(sinks, ch, i, nClients)
 		tcq := ch.NIC.CreateCQ()
 		tq := ch.NIC.CreateDCTTarget(tcq, tcq)
-		tid := i % threads
-		perThread[tid] = append(perThread[tid], target{
-			qpn: tq.QPN, nicID: ch.NIC.ID(),
-			rkey: sinks[ch.ID].RKey, raddr: sinks[ch.ID].Base + uint64((i/11)*4096),
+		tid := i % outThreads
+		perThread[tid] = append(perThread[tid], outTarget{
+			qp: inis[tid], dstNIC: ch.NIC.ID(), dstQPN: tq.QPN, rkey: rkey, raddr: raddr,
 		})
 	}
-	for tid := 0; tid < threads; tid++ {
-		tid := tid
-		if len(perThread[tid]) == 0 {
-			continue
-		}
-		srv.Spawn(fmt.Sprintf("dct-w%d", tid), func(t *host.Thread) {
-			const window = 64
-			outstanding, next := 0, 0
-			for {
-				tg := perThread[tid][next%len(perThread[tid])]
-				next++
-				t.PostSend(inis[tid], nic.SendWR{
-					Op: nic.OpWrite, Signaled: true,
-					LKey: src.LKey, LAddr: src.Base, Len: 32,
-					RKey: tg.rkey, RAddr: tg.raddr,
-					DstNIC: tg.nicID, DstQPN: tg.qpn,
-				})
-				outstanding++
-				for outstanding >= window {
-					outstanding -= len(t.WaitCQ(cqs[tid], window, 5*sim.Microsecond))
-				}
-			}
-		})
-	}
+	postOutbound(srv, "dct-w", src, cqs, perThread)
 	cnt := measureWindow(c, opts, fmt.Sprintf("dct-outbound/c%d", nClients))
 	packets := float64(c.Fabric.Port(0).Stats.TxMessages)
 	return mops(cnt.outWQEs, opts.Duration), packets / float64(cnt.outWQEs+1)
@@ -231,8 +197,8 @@ func runExtDCT(opts Options) *Result {
 		XLabel: "clients", YLabel: "Mops/s",
 	}
 	for _, n := range clientSweep(opts.Quick) {
-		rc := runOutboundWrite(n, opts)
-		r.AddPoint("RC", float64(n), mops(rc.outWQEs, opts.Duration))
+		rc, _ := MeasureOutboundWrite(n, opts)
+		r.AddPoint("RC", float64(n), rc)
 		dct, pktRatio := runDCTOutbound(n, opts)
 		r.AddPoint("DCT", float64(n), dct)
 		r.AddPoint("DCT-pkts-per-op", float64(n), pktRatio)
@@ -254,62 +220,36 @@ func runExtLatency(opts Options) *Result {
 		ID: "ext-latency", Title: "Pinned (latency-sensitive) vs rotating clients, 160-client background",
 		XLabel: "percentile", YLabel: "latency (us)",
 	}
-	c := cluster.New(cluster.Default(12))
+	c := opts.newCluster(12, 0)
 	defer c.Close()
-	cfg := scalerpc.DefaultServerConfig()
-	cfg.ReservedZones = 4
-	s := scalerpc.NewServer(c.Hosts[0], cfg)
-	s.Register(1, echoHandler)
-	s.Start()
+	_, s := startEcho("ScaleRPC", c.Hosts[0], func(cfg *scalerpc.ServerConfig) { cfg.ReservedZones = 4 })
 
-	horizon := opts.Warmup + opts.Duration
-	spawn := func(conn rpccore.Conn, sig *sim.Signal, hi, seed int, out *rpccore.DriverStats) {
-		c.Hosts[hi].Spawn("cli", func(t *host.Thread) {
-			*out = rpccore.RunDriver(t, []rpccore.Conn{conn}, rpccore.DriverConfig{
-				Batch: 1, Handler: 1, PayloadSize: 32, Seed: uint64(seed),
-				MeasureFrom: opts.Warmup, StartDelay: sim.Duration(seed%64) * 311,
-			}, sig, func() bool { return t.P.Now() >= horizon })
-		})
-	}
-	regular := make([]rpccore.DriverStats, 160)
-	for i := range regular {
+	// 160 regular clients rotate through groups; the last 4 are pinned.
+	const regular = 160
+	sts := runDrivers(c, opts, regular+4, func(i int) driverClient {
 		sig := sim.NewSignal(c.Env)
-		spawn(s.Connect(c.Hosts[1+i%11], sig), sig, 1+i%11, i, &regular[i])
-	}
-	pinned := make([]rpccore.DriverStats, 4)
-	for i := range pinned {
-		sig := sim.NewSignal(c.Env)
-		conn := s.ConnectLatencySensitive(c.Hosts[1+i], sig)
+		ch, seed, connect := c.Hosts[1+i%11], i, s.Connect
+		if i >= regular {
+			ch, seed, connect = c.Hosts[1+i-regular], 1000+i-regular, s.ConnectLatencySensitive
+		}
+		conn := connect(ch, sig)
 		if conn == nil {
 			panic("bench: reserved zones exhausted")
 		}
-		spawn(conn, sig, 1+i, 1000+i, &pinned[i])
-	}
-	c.Env.RunUntil(horizon + 200*sim.Microsecond)
+		return driverClient{host: ch, conns: []rpccore.Conn{conn}, sig: sig, cfg: rpccore.DriverConfig{
+			Batch: 1, Handler: 1, PayloadSize: 32, Seed: uint64(seed), StartDelay: sim.Duration(seed%64) * 311,
+		}}
+	}, nil)
+	opts.Metrics.Record("ext-latency", c)
 
-	regHist := stats.NewHistogram()
-	pinHist := stats.NewHistogram()
-	for i := range regular {
-		regHist.Merge(regular[i].BatchLat)
-	}
-	for i := range pinned {
-		pinHist.Merge(pinned[i].BatchLat)
-	}
+	regN, regHist := merged(sts[:regular])
+	pinN, pinHist := merged(sts[regular:])
 	for _, q := range []float64{0.5, 0.9, 0.99, 1.0} {
 		r.AddPoint("regular", q*100, float64(regHist.Quantile(q))/1000)
 		r.AddPoint("pinned", q*100, float64(pinHist.Quantile(q))/1000)
 	}
 	r.Notef("regular tput %.2f Mops/s over %d clients; pinned tput %.2f Mops/s over %d clients",
-		mops(sumCompleted(regular), opts.Duration), len(regular),
-		mops(sumCompleted(pinned), opts.Duration), len(pinned))
+		mops(regN, opts.Duration), regular, mops(pinN, opts.Duration), len(sts)-regular)
 	r.Note("expected: pinned tail latency stays near the RC round trip; regular tails stretch toward the rotation period")
 	return r
-}
-
-func sumCompleted(sts []rpccore.DriverStats) uint64 {
-	var n uint64
-	for i := range sts {
-		n += sts[i].Completed
-	}
-	return n
 }

@@ -16,7 +16,7 @@ func init() {
 	register("fig3b", "Inbound RC write throughput and cache behaviour vs message block size", runFig3b)
 }
 
-// rawCounters snapshots the server-side counters a raw experiment reports.
+// rawCounters are the server-side counter deltas a raw experiment reports.
 type rawCounters struct {
 	outWQEs    uint64
 	inMsgs     uint64
@@ -27,29 +27,12 @@ type rawCounters struct {
 	dmaAllocs  uint64
 }
 
-func snapshotRaw(h *host.Host) rawCounters {
-	llc := h.LLC.Snapshot()
-	return rawCounters{
-		outWQEs:    h.NIC.Stats.OutWQEs,
-		inMsgs:     h.NIC.Stats.InMessages,
-		rnrDrops:   h.NIC.Stats.RNRDrops,
-		pcieRdCur:  h.Bus.Snapshot().PCIeRdCur,
-		pcieItoM:   h.Bus.Snapshot().PCIeItoM,
-		dmaUpdates: llc.DMAUpdates,
-		dmaAllocs:  llc.DMAAllocs,
+// allocFrac is the fraction of DDIO writes that had to Write Allocate.
+func (a rawCounters) allocFrac() float64 {
+	if total := a.dmaUpdates + a.dmaAllocs; total > 0 {
+		return float64(a.dmaAllocs) / float64(total)
 	}
-}
-
-func (a rawCounters) sub(b rawCounters) rawCounters {
-	return rawCounters{
-		outWQEs:    a.outWQEs - b.outWQEs,
-		inMsgs:     a.inMsgs - b.inMsgs,
-		rnrDrops:   a.rnrDrops - b.rnrDrops,
-		pcieRdCur:  a.pcieRdCur - b.pcieRdCur,
-		pcieItoM:   a.pcieItoM - b.pcieItoM,
-		dmaUpdates: a.dmaUpdates - b.dmaUpdates,
-		dmaAllocs:  a.dmaAllocs - b.dmaAllocs,
-	}
+	return 0
 }
 
 // measureWindow runs warmup, snapshots, runs the measurement window, and
@@ -57,78 +40,117 @@ func (a rawCounters) sub(b rawCounters) rawCounters {
 // reach the reported rates. When metrics are being recorded the data
 // point's registry dump is captured under label.
 func measureWindow(c *cluster.Cluster, opts Options, label string) rawCounters {
-	opts.instrument(c)
+	srv := c.Hosts[0]
 	c.Env.RunUntil(opts.Warmup)
-	start := snapshotRaw(c.Hosts[0])
+	nic0, bus0, llc0 := srv.NIC.Stats, srv.Bus.Snapshot(), srv.LLC.Snapshot()
 	c.Env.RunUntil(opts.Warmup + opts.Duration)
-	out := snapshotRaw(c.Hosts[0]).sub(start)
+	nic1, bus, llc1 := srv.NIC.Stats, srv.Bus.Snapshot().Sub(bus0), srv.LLC.Snapshot()
 	opts.Metrics.Record(label, c)
-	return out
+	return rawCounters{
+		outWQEs:    nic1.OutWQEs - nic0.OutWQEs,
+		inMsgs:     nic1.InMessages - nic0.InMessages,
+		rnrDrops:   nic1.RNRDrops - nic0.RNRDrops,
+		pcieRdCur:  bus.PCIeRdCur,
+		pcieItoM:   bus.PCIeItoM,
+		dmaUpdates: llc1.DMAUpdates - llc0.DMAUpdates,
+		dmaAllocs:  llc1.DMAAllocs - llc0.DMAAllocs,
+	}
 }
 
 const rawMsgSize = 32
 
+// outThreads is the number of server threads posting outbound writes.
+const outThreads = 10
+
+// outTarget is one remote sink of the outbound poster: the QP to post on
+// (the shared initiator for DCT), the target's NIC and QPN for DCT, and
+// the client's 4 KB slot.
+type outTarget struct {
+	qp     *nic.QP
+	dstNIC int
+	dstQPN uint32
+	rkey   uint32
+	raddr  uint64
+}
+
+// outSink returns client i's slot on its host ch: one sink region per
+// client host, registered on first use, with a 4 KB slot per client.
+func outSink(sinks []*memory.Region, ch *host.Host, i, nClients int) (rkey uint32, raddr uint64) {
+	if sinks[ch.ID] == nil {
+		sinks[ch.ID] = ch.Mem.Register(4096*((nClients/11)+2), memory.PageSize2M,
+			memory.LocalWrite|memory.RemoteWrite)
+	}
+	return sinks[ch.ID].RKey, sinks[ch.ID].Base + uint64((i/11)*4096)
+}
+
+// postWindowed spawns a thread named name on h that posts next(seq) for
+// seq = 0, 1, 2, … on the QP next returns, keeping window signalled WRs in
+// flight on cq.
+func postWindowed(h *host.Host, name string, window int, cq *nic.CQ, next func(seq int) (*nic.QP, nic.SendWR)) {
+	h.Spawn(name, func(t *host.Thread) {
+		for seq, outstanding := 0, 0; ; seq++ {
+			qp, wr := next(seq)
+			t.PostSend(qp, wr)
+			outstanding++
+			for outstanding >= window {
+				outstanding -= len(t.WaitCQ(cq, window, 5*sim.Microsecond))
+			}
+		}
+	})
+}
+
+// write32 is a signalled 32 B RDMA WRITE from src to raddr under rkey.
+func write32(src *memory.Region, rkey uint32, raddr uint64) nic.SendWR {
+	return nic.SendWR{
+		Op: nic.OpWrite, Signaled: true,
+		LKey: src.LKey, LAddr: src.Base, Len: rawMsgSize,
+		RKey: rkey, RAddr: raddr,
+	}
+}
+
+// postOutbound gives every server thread with targets a poster named
+// name+tid that writes from src round-robin over its targets, 64 in flight
+// on its CQ.
+func postOutbound(srv *host.Host, name string, src *memory.Region, cqs []*nic.CQ, perThread [][]outTarget) {
+	for tid, tgs := range perThread {
+		if len(tgs) == 0 {
+			continue
+		}
+		postWindowed(srv, fmt.Sprintf("%s%d", name, tid), 64, cqs[tid], func(seq int) (*nic.QP, nic.SendWR) {
+			tg := tgs[seq%len(tgs)]
+			wr := write32(src, tg.rkey, tg.raddr)
+			wr.DstNIC, wr.DstQPN = tg.dstNIC, tg.dstQPN
+			return tg.qp, wr
+		})
+	}
+}
+
 // runOutboundWrite measures the server posting 32 B RC writes to nClients
 // remote QPs from 10 threads (the paper's outbound verb test).
 func runOutboundWrite(nClients int, opts Options) rawCounters {
-	c := cluster.New(cluster.Default(12))
+	c := opts.newCluster(12, 0)
 	defer c.Close()
 	srv := c.Hosts[0]
 	src := srv.Mem.Register(64<<10, memory.PageSize2M, memory.LocalWrite)
-
-	// One sink region per client host; each client gets a 4 KB slot.
 	sinks := make([]*memory.Region, 12)
-	type target struct {
-		qp    *nic.QP
-		rkey  uint32
-		raddr uint64
-	}
-	const threads = 10
-	perThread := make([][]target, threads)
-	cqs := make([]*nic.CQ, threads)
-	for i := 0; i < threads; i++ {
+	perThread := make([][]outTarget, outThreads)
+	cqs := make([]*nic.CQ, outThreads)
+	for i := range cqs {
 		cqs[i] = srv.NIC.CreateCQ()
 	}
 	for i := 0; i < nClients; i++ {
 		ch := c.Hosts[1+i%11]
-		if sinks[ch.ID] == nil {
-			sinks[ch.ID] = ch.Mem.Register(4096*((nClients/11)+2), memory.PageSize2M,
-				memory.LocalWrite|memory.RemoteWrite)
-		}
-		tid := i % threads
+		rkey, raddr := outSink(sinks, ch, i, nClients)
+		tid := i % outThreads
 		sqp := srv.NIC.CreateQP(nic.RC, cqs[tid], cqs[tid])
 		ccq := ch.NIC.CreateCQ()
 		cqp := ch.NIC.CreateQP(nic.RC, ccq, ccq)
 		if err := nic.Connect(sqp, cqp); err != nil {
 			panic(err)
 		}
-		perThread[tid] = append(perThread[tid], target{
-			qp: sqp, rkey: sinks[ch.ID].RKey, raddr: sinks[ch.ID].Base + uint64((i/11)*4096),
-		})
+		perThread[tid] = append(perThread[tid], outTarget{qp: sqp, rkey: rkey, raddr: raddr})
 	}
-	for tid := 0; tid < threads; tid++ {
-		tid := tid
-		if len(perThread[tid]) == 0 {
-			continue
-		}
-		srv.Spawn(fmt.Sprintf("out-w%d", tid), func(t *host.Thread) {
-			const window = 64
-			outstanding, next := 0, 0
-			for {
-				tg := perThread[tid][next%len(perThread[tid])]
-				next++
-				t.PostSend(tg.qp, nic.SendWR{
-					Op: nic.OpWrite, Signaled: true,
-					LKey: src.LKey, LAddr: src.Base, Len: rawMsgSize,
-					RKey: tg.rkey, RAddr: tg.raddr,
-				})
-				outstanding++
-				for outstanding >= window {
-					outstanding -= len(t.WaitCQ(cqs[tid], window, 5*sim.Microsecond))
-				}
-			}
-		})
-	}
+	postOutbound(srv, "out-w", src, cqs, perThread)
 	return measureWindow(c, opts, fmt.Sprintf("outbound-write/c%d", nClients))
 }
 
@@ -137,7 +159,7 @@ func runOutboundWrite(nClients int, opts Options) rawCounters {
 // blocks of blockSize bytes (the Figure 3(b) layout); otherwise each
 // client hammers a single fixed 64 B slot.
 func runInboundWrite(nClients int, blockSize int, rotate bool, opts Options) rawCounters {
-	c := cluster.New(cluster.Default(12))
+	c := opts.newCluster(12, 0)
 	defer c.Close()
 	srv := c.Hosts[0]
 	const blocksPerClient = 20
@@ -145,7 +167,6 @@ func runInboundWrite(nClients int, blockSize int, rotate bool, opts Options) raw
 	pool := srv.Mem.Register(span*nClients+4096, memory.PageSize2M,
 		memory.LocalWrite|memory.RemoteWrite)
 	for i := 0; i < nClients; i++ {
-		i := i
 		ch := c.Hosts[1+i%11]
 		src := ch.Mem.Register(4096, memory.PageSize4K, memory.LocalWrite)
 		ccq := ch.NIC.CreateCQ()
@@ -156,31 +177,15 @@ func runInboundWrite(nClients int, blockSize int, rotate bool, opts Options) raw
 			panic(err)
 		}
 		base := pool.Base + uint64(i*span)
-		ch.Spawn(fmt.Sprintf("in-c%d", i), func(t *host.Thread) {
-			const window = 8
-			outstanding, seq := 0, 0
-			msgsPerBlock := blockSize / 64
-			if msgsPerBlock < 1 {
-				msgsPerBlock = 1
+		msgsPerBlock := max(blockSize/64, 1)
+		postWindowed(ch, fmt.Sprintf("in-c%d", i), 8, ccq, func(seq int) (*nic.QP, nic.SendWR) {
+			addr := base
+			if rotate {
+				blk := seq % blocksPerClient
+				off := (seq / blocksPerClient % msgsPerBlock) * 64
+				addr = base + uint64(blk*blockSize+off)
 			}
-			for {
-				addr := base
-				if rotate {
-					blk := seq % blocksPerClient
-					off := (seq / blocksPerClient % msgsPerBlock) * 64
-					addr = base + uint64(blk*blockSize+off)
-				}
-				seq++
-				t.PostSend(cqp, nic.SendWR{
-					Op: nic.OpWrite, Signaled: true,
-					LKey: src.LKey, LAddr: src.Base, Len: rawMsgSize,
-					RKey: pool.RKey, RAddr: addr,
-				})
-				outstanding++
-				for outstanding >= window {
-					outstanding -= len(t.WaitCQ(ccq, window, 5*sim.Microsecond))
-				}
-			}
+			return cqp, write32(src, pool.RKey, addr)
 		})
 	}
 	return measureWindow(c, opts, fmt.Sprintf("inbound-write/c%d/bs%d", nClients, blockSize))
@@ -189,7 +194,7 @@ func runInboundWrite(nClients int, blockSize int, rotate bool, opts Options) raw
 // runInboundUDSend measures nClients UD-sending 32 B messages to 10 server
 // UD QPs whose recv rings are replenished by server threads.
 func runInboundUDSend(nClients int, opts Options) rawCounters {
-	c := cluster.New(cluster.Default(12))
+	c := opts.newCluster(12, 0)
 	defer c.Close()
 	srv := c.Hosts[0]
 	const threads = 10
@@ -231,27 +236,16 @@ func runInboundUDSend(nClients int, opts Options) rawCounters {
 		})
 	}
 	for i := 0; i < nClients; i++ {
-		i := i
 		ch := c.Hosts[1+i%11]
 		src := ch.Mem.Register(4096, memory.PageSize4K, memory.LocalWrite)
 		ccq := ch.NIC.CreateCQ()
 		cqp := ch.NIC.CreateQP(nic.UD, ccq, ccq)
-		dst := qpns[i%threads]
-		ch.Spawn(fmt.Sprintf("ud-c%d", i), func(t *host.Thread) {
-			const window = 8
-			outstanding := 0
-			for {
-				t.PostSend(cqp, nic.SendWR{
-					Op: nic.OpSend, Signaled: true,
-					LKey: src.LKey, LAddr: src.Base, Len: rawMsgSize,
-					DstNIC: 0, DstQPN: dst,
-				})
-				outstanding++
-				for outstanding >= window {
-					outstanding -= len(t.WaitCQ(ccq, window, 5*sim.Microsecond))
-				}
-			}
-		})
+		wr := nic.SendWR{
+			Op: nic.OpSend, Signaled: true,
+			LKey: src.LKey, LAddr: src.Base, Len: rawMsgSize,
+			DstQPN: qpns[i%threads],
+		}
+		postWindowed(ch, fmt.Sprintf("ud-c%d", i), 8, ccq, func(int) (*nic.QP, nic.SendWR) { return cqp, wr })
 	}
 	return measureWindow(c, opts, fmt.Sprintf("ud-send/c%d", nClients))
 }
@@ -269,12 +263,11 @@ func runFig1b(opts Options) *Result {
 		XLabel: "clients", YLabel: "Mops/s",
 	}
 	for _, n := range clientSweep(opts.Quick) {
-		out := runOutboundWrite(n, opts)
-		r.AddPoint("outbound-write", float64(n), mops(out.outWQEs, opts.Duration))
+		tput, _ := MeasureOutboundWrite(n, opts)
+		r.AddPoint("outbound-write", float64(n), tput)
 		in := runInboundWrite(n, 64, false, opts)
 		r.AddPoint("inbound-write", float64(n), mops(in.inMsgs, opts.Duration))
-		ud := runInboundUDSend(n, opts)
-		r.AddPoint("ud-send", float64(n), mops(ud.inMsgs-ud.rnrDrops, opts.Duration))
+		r.AddPoint("ud-send", float64(n), MeasureInboundUDSend(n, opts))
 	}
 	r.Note("paper: outbound write collapses ~20→2 Mops/s as clients grow 10→800; inbound write and UD send stay flat")
 	return r
@@ -286,12 +279,12 @@ func runFig3a(opts Options) *Result {
 		XLabel: "clients", YLabel: "Mops/s or Mevents/s",
 	}
 	for _, n := range clientSweep(opts.Quick) {
-		out := runOutboundWrite(n, opts)
-		r.AddPoint("outbound-write", float64(n), mops(out.outWQEs, opts.Duration))
-		r.AddPoint("outbound-PCIeRdCur", float64(n), rate(out.pcieRdCur, opts.Duration))
+		tput, rd := MeasureOutboundWrite(n, opts)
+		r.AddPoint("outbound-write", float64(n), tput)
+		r.AddPoint("outbound-PCIeRdCur", float64(n), rd)
 		in := runInboundWrite(n, 64, false, opts)
 		r.AddPoint("inbound-write", float64(n), mops(in.inMsgs, opts.Duration))
-		r.AddPoint("inbound-PCIeRdCur", float64(n), rate(in.pcieRdCur, opts.Duration))
+		r.AddPoint("inbound-PCIeRdCur", float64(n), mops(in.pcieRdCur, opts.Duration))
 	}
 	r.Note("paper: before the knee PCIe reads track outbound throughput (payload DMA); past it they exceed it (QPC/WQE refetches); inbound PCIe reads stay low")
 	return r
@@ -311,13 +304,8 @@ func runFig3b(opts Options) *Result {
 	for _, bs := range sizes {
 		in := runInboundWrite(nClients, bs, true, opts)
 		r.AddPoint("inbound-write", float64(bs), mops(in.inMsgs, opts.Duration))
-		total := in.dmaUpdates + in.dmaAllocs
-		missRate := 0.0
-		if total > 0 {
-			missRate = float64(in.dmaAllocs) / float64(total)
-		}
-		r.AddPoint("l3-miss-rate", float64(bs), missRate)
-		r.AddPoint("PCIeItoM", float64(bs), rate(in.pcieItoM, opts.Duration))
+		r.AddPoint("l3-miss-rate", float64(bs), in.allocFrac())
+		r.AddPoint("PCIeItoM", float64(bs), mops(in.pcieItoM, opts.Duration))
 	}
 	r.Note("paper: throughput drops ~35→<10 Mops/s once pool (block×400×20) outgrows the LLC; L3 miss rate rises accordingly")
 	r.Note("l3-miss-rate proxy: fraction of DDIO writes that had to Write Allocate")
@@ -330,7 +318,7 @@ func runFig3b(opts Options) *Result {
 // the server-side PCIe read rate (Mevents/s) for nClients connections.
 func MeasureOutboundWrite(nClients int, opts Options) (tput, pcieRd float64) {
 	c := runOutboundWrite(nClients, opts)
-	return mops(c.outWQEs, opts.Duration), rate(c.pcieRdCur, opts.Duration)
+	return mops(c.outWQEs, opts.Duration), mops(c.pcieRdCur, opts.Duration)
 }
 
 // MeasureInboundWrite returns inbound RC write throughput (Mops/s) and the
@@ -338,12 +326,7 @@ func MeasureOutboundWrite(nClients int, opts Options) (tput, pcieRd float64) {
 // blockSize bytes (rotated, as in Figure 3(b)).
 func MeasureInboundWrite(nClients, blockSize int, opts Options) (tput, allocFrac float64) {
 	c := runInboundWrite(nClients, blockSize, true, opts)
-	total := c.dmaUpdates + c.dmaAllocs
-	frac := 0.0
-	if total > 0 {
-		frac = float64(c.dmaAllocs) / float64(total)
-	}
-	return mops(c.inMsgs, opts.Duration), frac
+	return mops(c.inMsgs, opts.Duration), c.allocFrac()
 }
 
 // MeasureInboundUDSend returns inbound UD send throughput (Mops/s).

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"scalerpc/internal/cluster"
 	"scalerpc/internal/loadgen"
 	"scalerpc/internal/rds"
 	"scalerpc/internal/sim"
@@ -108,26 +107,19 @@ type rdsCrossArtifact struct {
 	Cells   []rdsCellRun `json:"cells"`
 	Regimes []rdsRegime  `json:"regimes"`
 
-	OneSidedWins     int  `json:"onesided_wins"`
-	RPCWins          int  `json:"rpc_wins"`
-	MinAdaptiveRatio f64s `json:"min_adaptive_ratio"`
-	AdaptiveWithin10 bool `json:"adaptive_within_10pct"`
+	OneSidedWins     int     `json:"onesided_wins"`
+	RPCWins          int     `json:"rpc_wins"`
+	MinAdaptiveRatio float64 `json:"min_adaptive_ratio"`
+	AdaptiveWithin10 bool    `json:"adaptive_within_10pct"`
 }
-
-// f64s renders with enough precision for the acceptance check without
-// drifting across encoders.
-type f64s = float64
 
 // rdsPoint runs one backend on one cell through loadgen's open-loop runner
 // and returns the populated cell record.
 func rdsPoint(kind rds.Kind, theta float64, valSize, clients int, opts Options) rdsCellRun {
-	ccfg := cluster.Default(1 + rdsClientHosts)
 	// One seed stream per cell shape, shared by the three backends so they
 	// face the identical arrival and key sequences.
-	ccfg.Seed = opts.Seed + uint64(valSize)*1000 + uint64(clients)*7 + uint64(theta*10)
-	c := cluster.New(ccfg)
+	c := opts.newCluster(1+rdsClientHosts, uint64(valSize)*1000+uint64(clients)*7+uint64(theta*10))
 	defer c.Close()
-	opts.instrument(c)
 
 	rcfg := rds.Config{ServerHost: 0, Layout: rdsLayout(valSize), ServerWork: rdsServerWork}
 	d := rds.Deploy(c, rcfg)
@@ -139,7 +131,7 @@ func rdsPoint(kind rds.Kind, theta float64, valSize, clients int, opts Options) 
 		Arrival:     loadgen.ArrivalPoisson,
 		Warmup:      opts.Warmup,
 		Duration:    opts.Duration,
-		Seed:        ccfg.Seed,
+		Seed:        c.Cfg.Seed,
 		Tenants: []loadgen.TenantSpec{{
 			Name: "rds", Keys: rdsKeys, KeySkew: theta,
 			Size: loadgen.FixedSize(valSize),
@@ -159,11 +151,7 @@ func rdsPoint(kind rds.Kind, theta float64, valSize, clients int, opts Options) 
 			Host: ch, Conn: d.NewLoadConn(ch, cl, sig, rdsPutFraction, 4), Sig: sig,
 		}
 	}
-	runner := loadgen.NewRunner(w, lclients, c.Telemetry.UniqueScope("loadgen"))
-	runner.Start(c.Env)
-	c.Env.RunUntil(runner.DrainDeadline() + 100*sim.Microsecond)
-	opts.Metrics.Record(fmt.Sprintf("rds/%s/t%.1f/v%d/c%d", kind, theta, valSize, clients), c)
-	rep := runner.Report()
+	rep := runOpenLoop(c, opts, fmt.Sprintf("rds/%s/t%.1f/v%d/c%d", kind, theta, valSize, clients), w, lclients)
 
 	cell := rdsCellRun{
 		Backend: kind.String(), Theta: theta, ValSize: valSize, Clients: clients,

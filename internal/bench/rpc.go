@@ -3,9 +3,8 @@ package bench
 import (
 	"fmt"
 
-	"scalerpc/internal/baseline/table2"
-	"scalerpc/internal/cluster"
 	"scalerpc/internal/host"
+	"scalerpc/internal/pcie"
 	"scalerpc/internal/rpccore"
 	"scalerpc/internal/scalerpc"
 	"scalerpc/internal/sim"
@@ -59,18 +58,6 @@ type rpcOut struct {
 	completed uint64
 }
 
-// startBaseline starts the named Table 2 baseline on h with its default
-// configuration and returns its connect function.
-func startBaseline(name string, h *host.Host, register func(rpccore.Server)) table2.Connect {
-	connect, err := table2.Start(name, h, register)
-	if err != nil {
-		panic("bench: " + err.Error())
-	}
-	return connect
-}
-
-func registerEcho(s rpccore.Server) { s.Register(1, echoHandler) }
-
 // runRPC executes one data point.
 func runRPC(r rpcRun) rpcOut {
 	if r.coroutines <= 0 {
@@ -79,30 +66,13 @@ func runRPC(r rpcRun) rpcOut {
 	if r.clientHosts <= 0 {
 		r.clientHosts = 11
 	}
-	c := cluster.New(cluster.Default(1 + r.clientHosts))
+	c := r.opts.newCluster(1+r.clientHosts, 0)
 	defer c.Close()
-	r.opts.instrument(c)
 	srv := c.Hosts[0]
+	connect, _ := startEcho(r.transport, srv, r.tuneScale)
 
-	var connect func(*host.Host, *sim.Signal) rpccore.Conn
-	if r.transport == "ScaleRPC" {
-		cfg := scalerpc.DefaultServerConfig()
-		if r.tuneScale != nil {
-			r.tuneScale(&cfg)
-		}
-		s := scalerpc.NewServer(srv, cfg)
-		s.Register(1, echoHandler)
-		s.Start()
-		connect = func(ch *host.Host, sig *sim.Signal) rpccore.Conn { return s.Connect(ch, sig) }
-	} else {
-		connect = startBaseline(r.transport, srv, registerEcho)
-	}
-
-	horizon := r.opts.Warmup + r.opts.Duration
-	results := make([]*rpccore.DriverStats, r.threads)
-	cid := 0
-	for ti := 0; ti < r.threads; ti++ {
-		ti := ti
+	var rdStart pcie.Counters
+	sts := runDrivers(c, r.opts, r.threads, func(ti int) driverClient {
 		ch := c.Hosts[1+ti%r.clientHosts]
 		sig := sim.NewSignal(c.Env)
 		conns := make([]rpccore.Conn, r.coroutines)
@@ -115,36 +85,21 @@ func runRPC(r rpcRun) rpcOut {
 			PayloadSize: r.payload,
 			Seed:        r.opts.Seed*7919 + uint64(ti),
 			BusyPoll:    r.busyPoll,
-			MeasureFrom: r.opts.Warmup,
 			StartDelay:  sim.Duration(ti%64) * 311,
 		}
 		if r.thinkFor != nil {
-			think := r.thinkFor(cid)
+			think := r.thinkFor(ti * r.coroutines)
 			dcfg.ThinkTime = func(*stats.RNG) sim.Duration { return think }
 		}
-		cid += r.coroutines
-		ch.Spawn(fmt.Sprintf("drv%d", ti), func(t *host.Thread) {
-			st := rpccore.RunDriver(t, conns, dcfg, sig, func() bool { return t.P.Now() >= horizon })
-			results[ti] = &st
-		})
-	}
-
-	c.Env.RunUntil(r.opts.Warmup)
-	rdStart := srv.Bus.Snapshot()
-	c.Env.RunUntil(horizon + 200*sim.Microsecond)
+		return driverClient{host: ch, conns: conns, sig: sig, cfg: dcfg}
+	}, func() { rdStart = srv.Bus.Snapshot() })
 	rdEnd := srv.Bus.Snapshot().Sub(rdStart)
 
-	out := rpcOut{lat: stats.NewHistogram()}
-	for _, st := range results {
-		if st == nil {
-			continue
-		}
-		out.completed += st.Completed
-		out.lat.Merge(st.BatchLat)
-	}
+	out := rpcOut{}
+	out.completed, out.lat = merged(sts)
 	out.tputMops = mops(out.completed, r.opts.Duration)
-	out.pcieRd = rate(rdEnd.PCIeRdCur, r.opts.Duration)
-	out.pcieItoM = rate(rdEnd.PCIeItoM, r.opts.Duration)
+	out.pcieRd = mops(rdEnd.PCIeRdCur, r.opts.Duration)
+	out.pcieItoM = mops(rdEnd.PCIeItoM, r.opts.Duration)
 	r.opts.Metrics.Record(fmt.Sprintf("%s/t%d/co%d/h%d/b%d/p%d",
 		r.transport, r.threads, r.coroutines, r.clientHosts, r.batch, r.payload), c)
 	return out

@@ -2,9 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
 
 	"scalerpc/internal/loadgen"
 	"scalerpc/internal/scalerpc"
@@ -71,7 +68,7 @@ func runScale10k(opts Options) *Result {
 			// ≥1.2 rotations measured so every group is served in-window;
 			// drain covers one more rotation so staged requests complete.
 			Warmup:   1 * sim.Millisecond,
-			Duration: maxDur(6*sim.Millisecond, rotation+rotation/5),
+			Duration: max(6*sim.Millisecond, rotation+rotation/5),
 			Drain:    rotation + 2*sim.Millisecond,
 			Tenants:  []loadgen.TenantSpec{{Name: "all", Size: loadgen.FixedSize(32)}},
 		}
@@ -112,32 +109,16 @@ func runScale10k(opts Options) *Result {
 type cdfPoint struct{ us, cdf float64 }
 
 func histCDF(h map[string]uint64) []cdfPoint {
-	if len(h) == 0 {
-		return nil
-	}
-	bits := make([]int, 0, len(h))
-	var total uint64
-	for k, c := range h {
-		b, err := strconv.Atoi(strings.TrimPrefix(k, "bit"))
-		if err != nil { // labels are "bit"+zero-padded bucket number
-			continue
-		}
-		bits = append(bits, b)
+	var total, cum uint64
+	for _, c := range h {
 		total += c
 	}
-	sort.Ints(bits)
-	out := make([]cdfPoint, 0, len(bits))
-	var cum uint64
-	for _, b := range bits {
-		cum += h[fmt.Sprintf("bit%02d", b)]
-		out = append(out, cdfPoint{us: float64(uint64(1)<<uint(b)) / 1000, cdf: float64(cum) / float64(total)})
+	var out []cdfPoint
+	for b := 0; b < 64; b++ {
+		if c, ok := h[fmt.Sprintf("bit%02d", b)]; ok {
+			cum += c
+			out = append(out, cdfPoint{us: float64(uint64(1)<<uint(b)) / 1000, cdf: float64(cum) / float64(total)})
+		}
 	}
 	return out
-}
-
-func maxDur(a, b sim.Duration) sim.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }

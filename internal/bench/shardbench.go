@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"scalerpc/internal/chaos"
-	"scalerpc/internal/cluster"
 	"scalerpc/internal/host"
 	"scalerpc/internal/mica"
 	"scalerpc/internal/shard"
@@ -38,61 +37,28 @@ func shardStoreCfg(quick bool) mica.Config {
 // deployment on shardN hosts and returns committed Mtxns/s.
 func shardSmallBankPoint(shardN, nCoords int, sbCfg smallbank.Config, opts Options) (float64, txn.CoordinatorStats) {
 	const clientHosts = 4
-	ccfg := cluster.Default(shardN + 1 + clientHosts)
-	ccfg.Seed = opts.Seed + uint64(shardN)
-	c := cluster.New(ccfg)
+	c := opts.newCluster(shardN+1+clientHosts, uint64(shardN))
 	defer c.Close()
 
 	hosts := make([]int, shardN)
 	for i := range hosts {
 		hosts[i] = i
 	}
-	opts.instrument(c)
 	dcfg := shard.DefaultDeployConfig(shardPartitions, hosts, shardN, shardStoreCfg(opts.Quick))
 	d := shard.Deploy(c, dcfg)
 	if err := smallbank.LoadWith(sbCfg, d.LoadKV); err != nil {
 		panic(err)
 	}
 
-	horizon := opts.Warmup + opts.Duration
-	commits := make([]uint64, nCoords)
-	coords := make([]*txn.Coordinator, nCoords)
-	for i := 0; i < nCoords; i++ {
-		i := i
+	// Routed coordinators never post one-sided verbs, so their summed
+	// OneSided* stats stay zero.
+	total, agg := runCoordinators(c, opts, nCoords, SmallBankTxns(sbCfg, opts.Seed).GenFor, func(i int, run func(*host.Thread, *txn.Coordinator)) {
 		ch := c.Hosts[shardN+1+i%clientHosts]
 		ch.Spawn("shard-sb-coord", func(t *host.Thread) {
-			r := d.NewRouter(ch, shard.DefaultRouterConfig())
-			co := d.NewCoordinator(r, uint64(i+1))
-			coords[i] = co
-			gen := smallbank.NewGen(sbCfg, opts.Seed*733+uint64(i))
-			t.P.Sleep(sim.Duration(i%64) * 311)
-			var measured uint64
-			started := false
-			txn.RunLoop(t, co, gen.Next, func() bool {
-				now := t.P.Now()
-				if !started && now >= opts.Warmup {
-					started = true
-					measured = co.Stats.Commits
-				}
-				return now >= horizon
-			})
-			if started {
-				commits[i] = co.Stats.Commits - measured
-			}
+			run(t, d.NewCoordinator(d.NewRouter(ch, shard.DefaultRouterConfig()), uint64(i+1)))
 		})
-	}
-	c.Env.RunUntil(horizon + 500*sim.Microsecond)
+	})
 	opts.Metrics.Record(fmt.Sprintf("smallbank/hosts%d", shardN), c)
-	var total uint64
-	var agg txn.CoordinatorStats
-	for i, co := range coords {
-		total += commits[i]
-		if co != nil {
-			agg.Commits += co.Stats.Commits
-			agg.LockAborts += co.Stats.LockAborts
-			agg.ValidationAborts += co.Stats.ValidationAborts
-		}
-	}
 	return mops(total, opts.Duration), agg
 }
 
@@ -109,11 +75,8 @@ func shardHotKeyPoint(coalesce bool, opts Options) (p50, p99 float64, coalesced 
 	if opts.Quick {
 		ops = 100
 	}
-	ccfg := cluster.Default(6) // 4 shard hosts + director + client
-	ccfg.Seed = opts.Seed + 100
-	c := cluster.New(ccfg)
+	c := opts.newCluster(6, 100) // 4 shard hosts + director + client
 	defer c.Close()
-	opts.instrument(c)
 	dcfg := shard.DefaultDeployConfig(shardPartitions, []int{0, 1, 2, 3}, 4, shardStoreCfg(true))
 	d := shard.Deploy(c, dcfg)
 

@@ -3,9 +3,7 @@ package bench
 import (
 	"time"
 
-	"scalerpc/internal/cluster"
 	"scalerpc/internal/loadgen"
-	"scalerpc/internal/scalerpc"
 	"scalerpc/internal/sim"
 )
 
@@ -33,14 +31,9 @@ func runSimSpeedMacroOnce(opts Options) (macroRun, *loadgen.Report) {
 	const clientHosts = 8
 	const offered = 2_000_000.0
 
-	c := cluster.New(cluster.Default(1 + clientHosts))
+	c := opts.newCluster(1+clientHosts, 0)
 	defer c.Close()
-	opts.instrument(c)
-	srv := c.Hosts[0]
-
-	s := scalerpc.NewServer(srv, scalerpc.DefaultServerConfig())
-	s.Register(1, echoHandler)
-	s.Start()
+	connect, _ := startEcho("ScaleRPC", c.Hosts[0], nil)
 
 	w := loadgen.Workload{
 		Name:        "simspeed",
@@ -56,7 +49,7 @@ func runSimSpeedMacroOnce(opts Options) (macroRun, *loadgen.Report) {
 	for i := range cl {
 		ch := c.Hosts[1+i%clientHosts]
 		sig := sim.NewSignal(c.Env)
-		cl[i] = loadgen.Client{Host: ch, Conn: s.Connect(ch, sig), Sig: sig}
+		cl[i] = loadgen.Client{Host: ch, Conn: connect(ch, sig), Sig: sig}
 	}
 	runner := loadgen.NewRunner(w, cl, c.Telemetry.UniqueScope("loadgen"))
 	runner.Start(c.Env)

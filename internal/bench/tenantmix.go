@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"scalerpc/internal/chaos"
-	"scalerpc/internal/cluster"
 	"scalerpc/internal/faults"
 	"scalerpc/internal/loadgen"
 	"scalerpc/internal/rpccore"
@@ -110,11 +109,8 @@ func runTenantMixArm(arm string, opts Options) tenantMixArm {
 		o.Faults = sc
 	}
 
-	ccfg := cluster.Default(1 + 4)
-	ccfg.Seed = o.Seed
-	c := cluster.New(ccfg)
+	c := o.newCluster(1+4, 0)
 	defer c.Close()
-	plane := o.instrument(c)
 
 	w := tenantMixWorkload(o)
 	w.Handler = 1
@@ -237,8 +233,8 @@ func runTenantMixArm(arm string, opts Options) tenantMixArm {
 		out.Violations = ctl.Violations
 	}
 	out.Rel = *rpccore.SharedRel(c.Telemetry)
-	if plane != nil {
-		out.Injected = plane.Stats
+	if c.Faults != nil {
+		out.Injected = c.Faults.Stats
 	}
 
 	rep := runner.Report()

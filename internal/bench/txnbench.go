@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"scalerpc/internal/baseline/table2"
-	"scalerpc/internal/cluster"
 	"scalerpc/internal/host"
 	"scalerpc/internal/mica"
 	"scalerpc/internal/objstore"
@@ -57,106 +56,58 @@ type TxnPoint struct {
 	Totals    txn.CoordinatorStats
 }
 
-// buildTxnDeployment builds participants on hosts[0:3] with the named
-// system (case-insensitive: a Table 2 baseline, ScaleTX-O or ScaleTX) and
-// returns a per-client connect function plus the participants.
-func buildTxnDeployment(c *cluster.Cluster, system string, storeCfg mica.Config) ([]*txn.Participant, func(ch *host.Host, sig *sim.Signal) []rpccore.Conn, bool, error) {
+// MeasureTxn runs nCoords coordinators of the given system
+// (case-insensitive: a Table 2 baseline, ScaleTX-O or ScaleTX) over three
+// storage servers and reports what they committed in opts.Duration after
+// opts.Warmup (the data point behind Figure 16 and `scalebench txbench`).
+func MeasureTxn(system string, nCoords int, storeCfg mica.Config, w TxnWorkload, opts Options) (TxnPoint, error) {
+	c := opts.newCluster(12, 0)
+	defer c.Close()
+	transport := strings.ToLower(system)
+	oneSided := transport == "scaletx"
+	if oneSided || transport == "scaletx-o" {
+		transport = "ScaleRPC"
+	}
 	parts := make([]*txn.Participant, txnParticipants)
-	system = strings.ToLower(system)
-	oneSided := system == "scaletx"
-	var connFns []table2.Connect
+	connects := make([]table2.Connect, txnParticipants)
 	var scaleSrvs []*scalerpc.Server
 	for i := range parts {
-		h := c.Hosts[i]
-		p := txn.NewParticipant(h, storeCfg)
-		parts[i] = p
-		if system != "scaletx" && system != "scaletx-o" {
-			connect, err := table2.Start(system, h, p.RegisterHandlers)
-			if err != nil {
-				return nil, nil, false, err
-			}
-			connFns = append(connFns, connect)
-			continue
+		parts[i] = txn.NewParticipant(c.Hosts[i], storeCfg)
+		// Multi-server deployments need identical group membership on every
+		// server, so the per-server dynamic scheduler is off and clients
+		// group statically by join order; the NTP-like sync keeps the switch
+		// phases aligned (§4.2).
+		connect, s, err := startTransport(transport, c.Hosts[i], parts[i].RegisterHandlers, func(cfg *scalerpc.ServerConfig) {
+			cfg.Dynamic = false
+			cfg.SyncPeriod = 2 * sim.Millisecond
+		})
+		if err != nil {
+			return TxnPoint{}, err
 		}
-		cfg := scalerpc.DefaultServerConfig()
-		// Multi-server deployments need identical group membership on
-		// every server, so the per-server dynamic scheduler is off and
-		// clients group statically by join order; the NTP-like sync
-		// keeps the switch phases aligned (§4.2).
-		cfg.Dynamic = false
-		cfg.SyncPeriod = 2 * sim.Millisecond
-		s := scalerpc.NewServer(h, cfg)
-		p.RegisterHandlers(s)
-		s.Start()
-		scaleSrvs = append(scaleSrvs, s)
-		connFns = append(connFns, func(ch *host.Host, sig *sim.Signal) rpccore.Conn { return s.Connect(ch, sig) })
+		if s != nil {
+			scaleSrvs = append(scaleSrvs, s)
+		}
+		connects[i] = connect
 	}
 	if len(scaleSrvs) > 1 {
 		// Multi-server ScaleRPC needs global synchronization (§4.2).
 		scalerpc.NewSyncGroup(scaleSrvs)
 	}
-	connect := func(ch *host.Host, sig *sim.Signal) []rpccore.Conn {
-		conns := make([]rpccore.Conn, txnParticipants)
-		for i, fn := range connFns {
-			conns[i] = fn(ch, sig)
-		}
-		return conns
-	}
-	return parts, connect, oneSided, nil
-}
-
-// MeasureTxn runs nCoords coordinators of the given system over three
-// storage servers and reports what they committed in opts.Duration after
-// opts.Warmup (the data point behind Figure 16 and `scalebench txbench`).
-func MeasureTxn(system string, nCoords int, storeCfg mica.Config, w TxnWorkload, opts Options) (TxnPoint, error) {
-	c := cluster.New(cluster.Default(12))
-	defer c.Close()
-	parts, connect, oneSided, err := buildTxnDeployment(c, system, storeCfg)
-	if err != nil {
-		return TxnPoint{}, err
-	}
 	if err := w.Load(parts); err != nil {
 		return TxnPoint{}, err
 	}
 
-	horizon := opts.Warmup + opts.Duration
-	commits := make([]uint64, nCoords)
-	coords := make([]*txn.Coordinator, nCoords)
-	clientHosts := 9 // hosts 3..11
-	for i := 0; i < nCoords; i++ {
-		i := i
-		ch := c.Hosts[txnParticipants+i%clientHosts]
-		sig := sim.NewSignal(c.Env)
-		co := txn.NewCoordinator(ch, uint64(i+1), parts, connect(ch, sig), oneSided, sig)
-		coords[i] = co
-		gen := w.GenFor(i)
-		co.Spawn(func(t *host.Thread, cc *txn.Coordinator) {
-			t.P.Sleep(sim.Duration(i%64) * 311)
-			var measured uint64
-			started := false
-			txn.RunLoop(t, cc, gen, func() bool {
-				now := t.P.Now()
-				if !started && now >= opts.Warmup {
-					started = true
-					measured = cc.Stats.Commits
-				}
-				return now >= horizon
-			})
-			if started {
-				commits[i] = cc.Stats.Commits - measured
-			}
-		})
-	}
-	c.Env.RunUntil(horizon + 500*sim.Microsecond)
 	var pt TxnPoint
-	for i, co := range coords {
-		pt.Committed += commits[i]
-		pt.Totals.Commits += co.Stats.Commits
-		pt.Totals.LockAborts += co.Stats.LockAborts
-		pt.Totals.ValidationAborts += co.Stats.ValidationAborts
-		pt.Totals.OneSidedReads += co.Stats.OneSidedReads
-		pt.Totals.OneSidedWrites += co.Stats.OneSidedWrites
-	}
+	pt.Committed, pt.Totals = runCoordinators(c, opts, nCoords, w.GenFor, func(i int, run func(*host.Thread, *txn.Coordinator)) {
+		ch := c.Hosts[txnParticipants+i%9] // client hosts 3..11
+		sig := sim.NewSignal(c.Env)
+		conns := make([]rpccore.Conn, txnParticipants)
+		for j, connect := range connects {
+			conns[j] = connect(ch, sig)
+		}
+		txn.NewCoordinator(ch, uint64(i+1), parts, conns, oneSided, sig).Spawn(run)
+	})
+	opts.Metrics.Record(fmt.Sprintf("txn/%s/c%d", system, nCoords), c)
 	pt.Mtxns = mops(pt.Committed, opts.Duration)
 	return pt, nil
 }

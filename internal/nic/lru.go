@@ -93,21 +93,12 @@ func (c *lruCache) remove(n *lruNode) {
 	}
 }
 
-// Contains reports residency without touching recency or counters.
-func (c *lruCache) Contains(key uint64) bool {
-	_, ok := c.entries[key]
-	return ok
-}
-
 // Invalidate removes key if present.
 func (c *lruCache) Invalidate(key uint64) {
 	if n, ok := c.entries[key]; ok {
 		c.remove(n)
 	}
 }
-
-// Len returns the number of resident entries.
-func (c *lruCache) Len() int { return len(c.entries) }
 
 // HitRate returns hits/(hits+misses), or 0 before any access.
 func (c *lruCache) HitRate() float64 {

@@ -17,10 +17,10 @@ func TestLRUHitMiss(t *testing.T) {
 	}
 	c.Access(2)
 	c.Access(3) // evicts 1 (LRU)
-	if c.Contains(1) {
+	if c.entries[1] != nil {
 		t.Fatal("LRU victim survived")
 	}
-	if !c.Contains(2) || !c.Contains(3) {
+	if c.entries[2] == nil || c.entries[3] == nil {
 		t.Fatal("recent entries evicted")
 	}
 }
@@ -31,10 +31,10 @@ func TestLRURecencyUpdate(t *testing.T) {
 	c.Access(2)
 	c.Access(1) // 2 becomes LRU
 	c.Access(3)
-	if c.Contains(2) {
+	if c.entries[2] != nil {
 		t.Fatal("LRU entry 2 survived")
 	}
-	if !c.Contains(1) {
+	if c.entries[1] == nil {
 		t.Fatal("MRU entry 1 evicted")
 	}
 }
@@ -43,12 +43,12 @@ func TestLRUInvalidate(t *testing.T) {
 	c := newLRU(4)
 	c.Access(7)
 	c.Invalidate(7)
-	if c.Contains(7) {
+	if c.entries[7] != nil {
 		t.Fatal("invalidate failed")
 	}
 	c.Invalidate(99) // absent: no-op
-	if c.Len() != 0 {
-		t.Fatalf("Len = %d", c.Len())
+	if len(c.entries) != 0 {
+		t.Fatalf("Len = %d", len(c.entries))
 	}
 }
 
@@ -71,12 +71,12 @@ func TestRandomCacheNeverExceedsCapacity(t *testing.T) {
 	for i := uint64(0); i < 10000; i++ {
 		c.Access(i % 97)
 	}
-	if c.Len() > 16 {
-		t.Fatalf("Len = %d > capacity", c.Len())
+	if len(c.entries) > 16 {
+		t.Fatalf("Len = %d > capacity", len(c.entries))
 	}
 	// Index structures stay consistent.
-	if len(c.keys) != c.Len() || len(c.keyPos) != c.Len() {
-		t.Fatalf("index desync: keys=%d pos=%d entries=%d", len(c.keys), len(c.keyPos), c.Len())
+	if len(c.keys) != len(c.entries) || len(c.keyPos) != len(c.entries) {
+		t.Fatalf("index desync: keys=%d pos=%d entries=%d", len(c.keys), len(c.keyPos), len(c.entries))
 	}
 }
 
@@ -113,8 +113,8 @@ func TestRandomCacheInvalidateKeepsIndex(t *testing.T) {
 	}
 	c.Invalidate(3)
 	c.Invalidate(0)
-	if c.Len() != 6 || len(c.keys) != 6 {
-		t.Fatalf("Len=%d keys=%d", c.Len(), len(c.keys))
+	if len(c.entries) != 6 || len(c.keys) != 6 {
+		t.Fatalf("Len=%d keys=%d", len(c.entries), len(c.keys))
 	}
 	// Every remaining key must be findable via the dense index.
 	for _, k := range c.keys {
@@ -133,11 +133,11 @@ func TestPropertyCachesAgreeOnMembershipAfterAccess(t *testing.T) {
 		for _, k := range keys {
 			c.Access(uint64(k))
 			l.Access(uint64(k))
-			if !c.Contains(uint64(k)) || !l.Contains(uint64(k)) {
+			if c.entries[uint64(k)] == nil || l.entries[uint64(k)] == nil {
 				return false
 			}
 		}
-		return c.Len() <= 4 && l.Len() <= 4
+		return len(c.entries) <= 4 && len(l.entries) <= 4
 	}, &quick.Config{MaxCount: 300})
 	if err != nil {
 		t.Fatal(err)
@@ -167,8 +167,8 @@ func TestAllocBudgetLRUMiss(t *testing.T) {
 		if got := testing.AllocsPerRun(2000, miss); got != 0 {
 			t.Errorf("%s: %v allocs per miss on a full cache, want 0", name, got)
 		}
-		if c.Len() != 64 {
-			t.Errorf("%s: %d resident entries, want 64", name, c.Len())
+		if len(c.entries) != 64 {
+			t.Errorf("%s: %d resident entries, want 64", name, len(c.entries))
 		}
 	}
 }
