@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sort"
 
 	"scalerpc/internal/fabric"
 	"scalerpc/internal/host"
@@ -149,10 +150,14 @@ type Gatekeeper interface {
 }
 
 // Event is one entry of the manager's connection event log. The log is the
-// determinism surface: a fixed seed must reproduce it exactly.
+// determinism surface: a fixed seed must reproduce it exactly. Kind is one
+// of accept, resume, reject, admit_queue, admit_release, leave, teardown,
+// cap_evict, expire, evict and idle_teardown from the connection
+// lifecycle, or suspect, demote, det_evict, quarantine, readmit and restore
+// from the adaptive detector's ladder.
 type Event struct {
 	At     sim.Time
-	Kind   string // accept, resume, leave, expire, evict, reject, idle_teardown, cap_evict
+	Kind   string
 	Peer   int
 	QPN    uint32
 	Handle uint64
@@ -171,7 +176,9 @@ func NewDirectory() *Directory { return &Directory{mgrs: map[int]*Manager{}} }
 // Manager returns the manager registered for the host, or nil.
 func (d *Directory) Manager(hostID int) *Manager { return d.mgrs[hostID] }
 
-// serverConn is an active inbound connection.
+// serverConn is an inbound connection. It is active while it sits in the
+// manager's conns map and parked — a graceful leave kept its still-paired
+// QP for a later resume — from parkedAt on, while it sits in parked.
 type serverConn struct {
 	peer      int
 	svc       string
@@ -179,33 +186,21 @@ type serverConn struct {
 	handle    uint64
 	clientQPN uint32
 	acceptMsg wireMsg // replayed on duplicate connect requests
-}
-
-// srvCacheEntry is a parked inbound connection.
-type srvCacheEntry struct {
-	peer      int
-	svc       string
-	qp        *nic.QP
-	handle    uint64
-	clientQPN uint32
 	parkedAt  sim.Time
-}
-
-// cliCacheEntry is a parked outbound connection.
-type cliCacheEntry struct {
-	qp        *nic.QP
-	remoteQPN uint32
-	parkedAt  sim.Time
-}
-
-type cacheKey struct {
-	peer int
-	svc  string
 }
 
 type dupKey struct {
 	peer      int
 	clientQPN uint32
+}
+
+// dialKey is a dial's dedup key: the peer and the client-side QPN — the
+// fresh QP of a connect, the parked one of a resume.
+func dialKey(peer int, msg *wireMsg) dupKey {
+	if msg.kind == kindResume {
+		return dupKey{peer, msg.qpn2}
+	}
+	return dupKey{peer, msg.qpn}
 }
 
 // dialWait parks a dialing thread until its handshake reply arrives.
@@ -260,6 +255,10 @@ type admitEntry struct {
 	at   sim.Time
 }
 
+// errAdmitTimeout is the reject reason of a dial that outwaited
+// AdmitQueueTimeout in the admission queue.
+var errAdmitTimeout = errors.New("admission queue timeout")
+
 const sendRing = 32
 
 // Manager is the per-host connection manager: it serves the handshake for
@@ -281,16 +280,19 @@ type Manager struct {
 	nextPSN uint64
 	pending map[uint64]*dialWait
 
-	conns    map[uint32]*serverConn // active inbound, by server QPN
-	dups     map[dupKey]uint32      // connect-request dedup → server QPN
-	srvCache map[uint32]*srvCacheEntry
+	conns  map[uint32]*serverConn // active inbound, by server QPN
+	parked map[uint32]*serverConn // parked inbound, by server QPN
+	dups   map[dupKey]uint32      // connect-request dedup → server QPN
 
 	admitQueue []admitEntry    // dials parked by a Gatekeeper, FIFO
 	admitKeys  map[dupKey]bool // dedup for queued dials (resends)
 
 	cliActive map[uint32]*Conn // active outbound, by client QPN
-	cliCache  map[cacheKey][]*cliCacheEntry
-	cliCached int
+	// cliParked holds the closed outbound connections whose QP stays
+	// paired, sorted by (peer, service) and in park order within each such
+	// run: Dial resumes the last of a run, and the slice order is the
+	// sweep's deterministic walk.
+	cliParked []*Conn
 
 	leases map[int]sim.Time // inbound: last keepalive per peer
 	lastKA map[int]sim.Time // outbound: last keepalive sent per peer
@@ -335,11 +337,10 @@ func NewManager(h *host.Host, cfg Config, dir *Directory) *Manager {
 		nextPSN:   uint64(h.ID)*1_000_000 + 1,
 		pending:   make(map[uint64]*dialWait),
 		conns:     make(map[uint32]*serverConn),
+		parked:    make(map[uint32]*serverConn),
 		dups:      make(map[dupKey]uint32),
-		srvCache:  make(map[uint32]*srvCacheEntry),
 		admitKeys: make(map[dupKey]bool),
 		cliActive: make(map[uint32]*Conn),
-		cliCache:  make(map[cacheKey][]*cliCacheEntry),
 		leases:    make(map[int]sim.Time),
 		lastKA:    make(map[int]sim.Time),
 	}
@@ -400,13 +401,13 @@ func (m *Manager) RegisterService(name string, svc Service) { m.services[name] =
 // Host returns the manager's host.
 func (m *Manager) Host() *host.Host { return m.h }
 
-// PeerLease reports when the last keepalive (or handshake) from peer was
-// observed, and whether one has been observed at all. Failure detectors
-// above the control plane (e.g. the shard director) compare the age against
-// Config.LeaseTTL instead of running their own heartbeat protocol.
-func (m *Manager) PeerLease(peer int) (sim.Time, bool) {
+// LeaseLapsed reports whether peer's lease has run out: a keepalive (or
+// handshake) from it was observed once, and none within Config.LeaseTTL
+// since. Failure detectors above the control plane (the shard director)
+// ask it instead of running their own heartbeat protocol.
+func (m *Manager) LeaseLapsed(peer int) bool {
 	at, ok := m.leases[peer]
-	return at, ok
+	return ok && m.h.Env.Now()-at > m.cfg.LeaseTTL
 }
 
 // Start launches the manager thread (handshake serving + sweeps).
@@ -487,10 +488,8 @@ func (m *Manager) handleCQE(t *host.Thread, e nic.CQE) {
 	}
 	t.Work(t.Host.Cfg.BaseOpCost)
 	switch msg.kind {
-	case kindConnReq:
-		m.onConnReq(t, e.SrcNIC, &msg)
-	case kindResume:
-		m.onResume(t, e.SrcNIC, &msg)
+	case kindConnReq, kindResume:
+		m.onDial(t, e.SrcNIC, &msg)
 	case kindAccept, kindReject:
 		if w := m.pending[msg.reqID]; w != nil && !w.done {
 			w.done = true
@@ -510,132 +509,136 @@ func (m *Manager) handleCQE(t *host.Thread, e nic.CQE) {
 		m.Stats.KeepalivesTx++
 		m.send(t, e.SrcNIC, &wireMsg{kind: kindKeepalive})
 	case kindDisconnect:
-		m.onDisconnect(t, e.SrcNIC, &msg)
+		if sc := m.conns[msg.qpn]; sc != nil && sc.peer == e.SrcNIC {
+			m.onDisconnect(sc, msg.flag == 1)
+		}
 	}
 }
 
-// onConnReq serves a cold connect: QP creation and the INIT/RTR/RTS walk
-// run serialized on this thread, so concurrent dials queue behind each
-// other — the Swift control-plane bottleneck, visible in the connsetup
-// experiment as cold latency growing with dial concurrency.
-func (m *Manager) onConnReq(t *host.Thread, peer int, msg *wireMsg) {
-	dk := dupKey{peer, msg.qpn}
-	if qpn, ok := m.dups[dk]; ok {
-		if sc := m.conns[qpn]; sc != nil {
-			// Duplicate of a request we already accepted (our accept was
-			// lost or slow): replay it.
-			replay := sc.acceptMsg
-			m.send(t, peer, &replay)
-		}
-		return
-	}
-	if m.admitKeys[dk] {
-		return // resend of a dial already parked in the admission queue
-	}
-	if m.quarantineReject(t, peer, msg) {
-		return
-	}
-	svc := m.services[msg.svc]
-	if svc == nil {
-		m.reject(t, peer, msg, "unknown service "+msg.svc)
-		return
-	}
-	if err := m.gateCheck(svc, peer, msg); err != nil {
-		if errors.Is(err, ErrAdmitQueue) {
-			m.enqueueAdmit(t, peer, msg, dk)
-		} else {
-			m.reject(t, peer, msg, err.Error())
-		}
-		return
-	}
-	m.acceptConn(t, peer, msg, svc)
-}
-
-// acceptConn runs the post-gate half of a cold connect: QP setup, service
-// admission, and the accept reply.
-func (m *Manager) acceptConn(t *host.Thread, peer int, msg *wireMsg, svc Service) {
-	dk := dupKey{peer, msg.qpn}
-	scq := m.h.NIC.CreateCQ()
-	sqp := t.CreateQP(nic.RC, scq, scq)
-	psn := m.allocPSN()
-	if err := m.walkToRTS(t, sqp, peer, msg.qpn, msg.psn, psn); err != nil {
-		m.h.NIC.DestroyQP(sqp)
-		m.reject(t, peer, msg, err.Error())
-		return
-	}
-	resp, handle, err := svc.Accept(t, peer, sqp, msg.payload)
-	if err != nil {
-		m.h.NIC.DestroyQP(sqp)
-		m.reject(t, peer, msg, err.Error())
-		return
-	}
-	sc := &serverConn{
-		peer: peer, svc: msg.svc, qp: sqp, handle: handle, clientQPN: msg.qpn,
-		acceptMsg: wireMsg{kind: kindAccept, reqID: msg.reqID, qpn: sqp.QPN, psn: psn, payload: resp},
-	}
-	m.conns[sqp.QPN] = sc
-	m.dups[dk] = sqp.QPN
-	m.leases[peer] = t.P.Now()
-	m.detArrival(peer, t.P.Now())
-	m.Stats.Accepts++
-	m.event("accept", peer, sqp.QPN, handle)
-	reply := sc.acceptMsg
-	m.send(t, peer, &reply)
-}
-
-// onResume reactivates a parked connection in one round trip: no QP work,
-// just service readmission.
-func (m *Manager) onResume(t *host.Thread, peer int, msg *wireMsg) {
-	if m.quarantineReject(t, peer, msg) {
-		return
-	}
-	if svc := m.services[msg.svc]; svc != nil {
-		dk := dupKey{peer, msg.qpn2}
-		if m.admitKeys[dk] {
-			return // resend of a resume already parked in the admission queue
-		}
-		if err := m.gateCheck(svc, peer, msg); err != nil {
-			if errors.Is(err, ErrAdmitQueue) {
-				m.enqueueAdmit(t, peer, msg, dk)
-			} else {
-				m.reject(t, peer, msg, err.Error())
+// onDial serves a connect or resume request off the wire. A connect that
+// repeats an accepted one is answered by replaying the accept, and a resend
+// of a dial waiting in the admission queue is dropped — a connect's before
+// the quarantine gate screens the peer, a resume's after it. Everything
+// else goes to admission.
+func (m *Manager) onDial(t *host.Thread, peer int, msg *wireMsg) {
+	dk := dialKey(peer, msg)
+	queued := m.admitKeys[dk]
+	if msg.kind == kindConnReq {
+		if qpn, ok := m.dups[dk]; ok {
+			if sc := m.conns[qpn]; sc != nil {
+				// Our accept was lost or slow: replay it.
+				replay := sc.acceptMsg
+				m.send(t, peer, &replay)
 			}
 			return
 		}
+		if queued {
+			return
+		}
 	}
-	m.resumeConn(t, peer, msg)
+	if m.quarantineReject(t, peer, msg) || queued {
+		return
+	}
+	m.admit(t, peer, msg, false, 0)
 }
 
-// resumeConn runs the post-gate half of a cached resume.
-func (m *Manager) resumeConn(t *host.Thread, peer int, msg *wireMsg) {
-	ent := m.srvCache[msg.qpn]
-	if ent == nil || ent.peer != peer || ent.svc != msg.svc ||
-		ent.clientQPN != msg.qpn2 || ent.qp.Err() != nil {
-		m.reject(t, peer, msg, "not cached")
-		return
-	}
+// admit is the one admission path of connects and resumes, fresh off the
+// wire or retried from the admission queue (retry, queued for age). The
+// service's Gatekeeper screens the dial first: ErrAdmitQueue parks a fresh
+// dial in the queue and keeps a retried one there until AdmitQueueTimeout,
+// any other error rejects, and a clear gate activates the connection.
+// admit reports whether the dial is (still) queued.
+func (m *Manager) admit(t *host.Thread, peer int, msg *wireMsg, retry bool, age sim.Duration) bool {
 	svc := m.services[msg.svc]
-	if svc == nil {
-		m.reject(t, peer, msg, "unknown service "+msg.svc)
-		return
+	var gate error
+	if gk, ok := svc.(Gatekeeper); ok {
+		gate = gk.PreAdmit(peer, msg.svc, msg.payload)
 	}
-	delete(m.srvCache, msg.qpn)
-	resp, handle, err := svc.Resume(t, peer, ent.qp, msg.payload, ent.handle)
+	dk := dialKey(peer, msg)
+	if errors.Is(gate, ErrAdmitQueue) {
+		if !retry {
+			m.admitKeys[dk] = true
+			m.admitQueue = append(m.admitQueue, admitEntry{peer: peer, msg: *msg, at: t.P.Now()})
+			m.Stats.AdmitQueued++
+			m.event("admit_queue", peer, msg.qpn, 0)
+			return true
+		}
+		if age <= m.cfg.AdmitQueueTimeout {
+			return true
+		}
+		m.Stats.AdmitTimeouts++
+		gate = errAdmitTimeout
+	}
+	delete(m.admitKeys, dk)
+	if gate != nil {
+		m.reject(t, peer, msg, gate.Error())
+		return false
+	}
+	if retry {
+		m.Stats.AdmitReleased++
+		m.event("admit_release", peer, msg.qpn, 0)
+	}
+	m.activate(t, peer, msg, svc)
+	return false
+}
+
+// activate turns an admitted dial into an active inbound connection. A
+// connect builds a fresh QP, climbs it to RTS against the client's QPN and
+// PSN and asks the service to Accept; a resume takes the parked pair it
+// names out of the cache and asks the service to Resume. A refusal destroys
+// the QP and rejects; success records the connection, renews the peer's
+// lease and sends the accept.
+func (m *Manager) activate(t *host.Thread, peer int, msg *wireMsg, svc Service) {
+	var (
+		sc   *serverConn
+		psn  uint64
+		resp []byte
+		err  error
+	)
+	resume := msg.kind == kindResume
+	if resume {
+		sc = m.parked[msg.qpn]
+		if sc == nil || sc.peer != peer || sc.svc != msg.svc ||
+			sc.clientQPN != msg.qpn2 || sc.qp.Err() != nil {
+			m.reject(t, peer, msg, "not cached")
+			return
+		}
+		delete(m.parked, msg.qpn)
+		resp, sc.handle, err = svc.Resume(t, peer, sc.qp, msg.payload, sc.handle)
+	} else {
+		if svc == nil {
+			m.reject(t, peer, msg, "unknown service "+msg.svc)
+			return
+		}
+		cq := m.h.NIC.CreateCQ()
+		sc = &serverConn{peer: peer, svc: msg.svc, qp: t.CreateQP(nic.RC, cq, cq), clientQPN: msg.qpn}
+		psn = m.allocPSN()
+		err = climb(t, sc.qp, nic.QPRTS, nic.ModifyAttr{
+			RemoteNIC: peer, RemoteQPN: msg.qpn, RemotePSN: msg.psn, LocalPSN: psn,
+		})
+		if err == nil {
+			resp, sc.handle, err = svc.Accept(t, peer, sc.qp, msg.payload)
+		}
+	}
 	if err != nil {
-		m.h.NIC.DestroyQP(ent.qp)
+		m.h.NIC.DestroyQP(sc.qp)
 		m.reject(t, peer, msg, err.Error())
 		return
 	}
-	sc := &serverConn{
-		peer: peer, svc: msg.svc, qp: ent.qp, handle: handle, clientQPN: ent.clientQPN,
-		acceptMsg: wireMsg{kind: kindAccept, reqID: msg.reqID, qpn: ent.qp.QPN, flag: 1, payload: resp},
+	sc.acceptMsg = wireMsg{kind: kindAccept, reqID: msg.reqID, qpn: sc.qp.QPN, psn: psn, payload: resp}
+	kind := "accept"
+	if resume {
+		sc.acceptMsg.flag = 1
+		kind = "resume"
+		m.Stats.Resumes++
+	} else {
+		m.Stats.Accepts++
 	}
-	m.conns[ent.qp.QPN] = sc
-	m.dups[dupKey{peer, ent.clientQPN}] = ent.qp.QPN
+	m.conns[sc.qp.QPN] = sc
+	m.dups[dupKey{peer, sc.clientQPN}] = sc.qp.QPN
 	m.leases[peer] = t.P.Now()
 	m.detArrival(peer, t.P.Now())
-	m.Stats.Resumes++
-	m.event("resume", peer, ent.qp.QPN, handle)
+	m.event(kind, peer, sc.qp.QPN, sc.handle)
 	reply := sc.acceptMsg
 	m.send(t, peer, &reply)
 }
@@ -646,134 +649,76 @@ func (m *Manager) reject(t *host.Thread, peer int, msg *wireMsg, reason string) 
 	m.send(t, peer, &wireMsg{kind: kindReject, reqID: msg.reqID, reason: reason})
 }
 
-// gateCheck consults the service's Gatekeeper, if it has one.
-func (m *Manager) gateCheck(svc Service, peer int, msg *wireMsg) error {
-	if gk, ok := svc.(Gatekeeper); ok {
-		return gk.PreAdmit(peer, msg.svc, msg.payload)
-	}
-	return nil
-}
-
-// enqueueAdmit parks a gated dial in the FIFO admission queue.
-func (m *Manager) enqueueAdmit(t *host.Thread, peer int, msg *wireMsg, dk dupKey) {
-	m.admitKeys[dk] = true
-	m.admitQueue = append(m.admitQueue, admitEntry{peer: peer, msg: *msg, at: t.P.Now()})
-	m.Stats.AdmitQueued++
-	m.event("admit_queue", peer, msg.qpn, 0)
-}
-
-// drainAdmitQueue retries parked dials in FIFO order: each entry's gate is
-// re-checked (an earlier release this pass consumes quota the next entry
-// sees), released entries run the normal accept/resume path, and entries
-// still gated past AdmitQueueTimeout are rejected.
+// drainAdmitQueue retries the queued dials in FIFO order through admit: a
+// release earlier in the pass consumes quota the next entry's gate sees,
+// and every entry's age is taken at the start of the pass.
 func (m *Manager) drainAdmitQueue(t *host.Thread) {
-	if len(m.admitQueue) == 0 {
-		return
-	}
 	now := t.P.Now()
 	kept := m.admitQueue[:0]
-	for i := range m.admitQueue {
-		e := m.admitQueue[i]
-		dk := dupKey{e.peer, e.msg.qpn}
-		if e.msg.kind == kindResume {
-			dk = dupKey{e.peer, e.msg.qpn2}
-		}
-		svc := m.services[e.msg.svc]
-		if svc == nil {
-			delete(m.admitKeys, dk)
-			m.reject(t, e.peer, &e.msg, "unknown service "+e.msg.svc)
-			continue
-		}
-		err := m.gateCheck(svc, e.peer, &e.msg)
-		switch {
-		case err == nil:
-			delete(m.admitKeys, dk)
-			m.Stats.AdmitReleased++
-			m.event("admit_release", e.peer, e.msg.qpn, 0)
-			if e.msg.kind == kindResume {
-				m.resumeConn(t, e.peer, &e.msg)
-			} else {
-				m.acceptConn(t, e.peer, &e.msg, svc)
-			}
-		case errors.Is(err, ErrAdmitQueue):
-			if now-e.at > m.cfg.AdmitQueueTimeout {
-				delete(m.admitKeys, dk)
-				m.Stats.AdmitTimeouts++
-				m.reject(t, e.peer, &e.msg, "admission queue timeout")
-			} else {
-				kept = append(kept, e)
-			}
-		default:
-			delete(m.admitKeys, dk)
-			m.reject(t, e.peer, &e.msg, err.Error())
+	for _, e := range m.admitQueue {
+		if m.admit(t, e.peer, &e.msg, true, now-e.at) {
+			kept = append(kept, e)
 		}
 	}
 	m.admitQueue = kept
 }
 
-// onDisconnect retires an active inbound connection: a graceful one parks
-// in the server cache (and may Resume), anything else tears down.
-func (m *Manager) onDisconnect(t *host.Thread, peer int, msg *wireMsg) {
-	sc := m.conns[msg.qpn]
-	if sc == nil || sc.peer != peer {
+// onDisconnect ends an active inbound connection: a graceful leave whose QP
+// is healthy parks it in the server cache (and may Resume), anything else
+// tears it down.
+func (m *Manager) onDisconnect(sc *serverConn, graceful bool) {
+	if !graceful || sc.qp.Err() != nil {
+		m.retire(sc, CloseTeardown, "teardown")
 		return
 	}
-	delete(m.conns, msg.qpn)
-	delete(m.dups, dupKey{sc.peer, sc.clientQPN})
-	svc := m.services[sc.svc]
-	if msg.flag == 1 && sc.qp.Err() == nil {
-		if svc != nil {
-			svc.Closed(peer, sc.handle, CloseLeave)
+	m.Stats.Leaves++
+	m.retire(sc, CloseLeave, "leave")
+	for len(m.parked) > m.cfg.CacheCap {
+		var victim *serverConn
+		for _, p := range m.parked {
+			if victim == nil || evictsBefore(p.parkedAt, p.qp.QPN, victim.parkedAt, victim.qp.QPN) {
+				victim = p
+			}
 		}
-		m.srvCache[sc.qp.QPN] = &srvCacheEntry{
-			peer: sc.peer, svc: sc.svc, qp: sc.qp, handle: sc.handle,
-			clientQPN: sc.clientQPN, parkedAt: t.P.Now(),
-		}
-		m.Stats.Leaves++
-		m.event("leave", peer, sc.qp.QPN, sc.handle)
-		m.enforceSrvCap()
-		return
-	}
-	if svc != nil {
-		svc.Closed(peer, sc.handle, CloseTeardown)
-	}
-	m.h.NIC.DestroyQP(sc.qp)
-	m.event("teardown", peer, sc.qp.QPN, sc.handle)
-}
-
-// enforceSrvCap LRU-evicts parked inbound connections beyond the cap.
-func (m *Manager) enforceSrvCap() {
-	for len(m.srvCache) > m.cfg.CacheCap {
-		qpn := m.oldestSrvEntry()
-		ent := m.srvCache[qpn]
-		delete(m.srvCache, qpn)
-		if svc := m.services[ent.svc]; svc != nil {
-			svc.Closed(ent.peer, ent.handle, CloseTeardown)
-		}
-		m.h.NIC.DestroyQP(ent.qp)
 		m.Stats.CapEvictions++
-		m.event("cap_evict", ent.peer, qpn, ent.handle)
+		m.retire(victim, CloseTeardown, "cap_evict")
 	}
 }
 
-// oldestSrvEntry picks the LRU victim deterministically (oldest parkedAt,
-// lowest QPN on ties).
-func (m *Manager) oldestSrvEntry() uint32 {
-	var victim uint32
-	first := true
-	for qpn, ent := range m.srvCache {
-		if first || ent.parkedAt < m.srvCache[victim].parkedAt ||
-			(ent.parkedAt == m.srvCache[victim].parkedAt && qpn < victim) {
-			victim = qpn
-			first = false
-		}
+// retire is the one exit of an inbound connection, active or parked: it
+// drops the manager's record of it, tells the service why, parks the
+// still-paired QP on CloseLeave and destroys it otherwise, and logs kind.
+func (m *Manager) retire(sc *serverConn, why CloseReason, kind string) {
+	delete(m.conns, sc.qp.QPN)
+	delete(m.parked, sc.qp.QPN)
+	delete(m.dups, dupKey{sc.peer, sc.clientQPN})
+	if svc := m.services[sc.svc]; svc != nil {
+		svc.Closed(sc.peer, sc.handle, why)
 	}
-	return victim
+	if why == CloseLeave {
+		sc.parkedAt = m.h.Env.Now()
+		m.parked[sc.qp.QPN] = sc
+	} else {
+		m.h.NIC.DestroyQP(sc.qp)
+	}
+	m.event(kind, sc.peer, sc.qp.QPN, sc.handle)
+}
+
+// evictsBefore is the LRU rule of both connection caches: the parked
+// connection with the least parkedAt goes first, the lower QPN on a tie.
+func evictsBefore(at sim.Time, qpn uint32, than sim.Time, thanQPN uint32) bool {
+	return at < than || at == than && qpn < thanQPN
+}
+
+// idle reports whether a parked QP is due for teardown: older than
+// IdleTimeout, or broken.
+func (m *Manager) idle(parkedAt sim.Time, qp *nic.QP, now sim.Time) bool {
+	return now-parkedAt > m.cfg.IdleTimeout || qp.Err() != nil
 }
 
 // sweep is the periodic housekeeping pass: keepalives out, lease expiry,
-// QP-error eviction, and cache aging. All map walks iterate in sorted key
-// order so the event log is deterministic.
+// QP-error eviction, and cache aging. Server-side walks go in QPN order and
+// client-side ones in cliParked order, so the event log is deterministic.
 func (m *Manager) sweep(t *host.Thread) {
 	now := t.P.Now()
 
@@ -801,13 +746,11 @@ func (m *Manager) sweep(t *host.Thread) {
 	var falseCounted map[int]bool
 	for _, qpn := range sortedKeys(m.conns) {
 		sc := m.conns[qpn]
-		var reason CloseReason
 		switch {
 		case sc.qp.Err() != nil:
-			reason = CloseError
 			m.Stats.Evictions++
+			m.retire(sc, CloseError, "evict")
 		case m.peerExpired(sc.peer, now):
-			reason = CloseExpired
 			m.Stats.LeaseExpiries++
 			if m.det == nil && m.groundTruth != nil && !m.groundTruth(sc.peer) && !falseCounted[sc.peer] {
 				// Fixed-TTL mode: the detector path counts its own false
@@ -818,19 +761,7 @@ func (m *Manager) sweep(t *host.Thread) {
 				falseCounted[sc.peer] = true
 				m.Stats.FalseEvictions++
 			}
-		default:
-			continue
-		}
-		delete(m.conns, qpn)
-		delete(m.dups, dupKey{sc.peer, sc.clientQPN})
-		if svc := m.services[sc.svc]; svc != nil {
-			svc.Closed(sc.peer, sc.handle, reason)
-		}
-		m.h.NIC.DestroyQP(sc.qp)
-		if reason == CloseError {
-			m.event("evict", sc.peer, qpn, sc.handle)
-		} else {
-			m.event("expire", sc.peer, qpn, sc.handle)
+			m.retire(sc, CloseExpired, "expire")
 		}
 	}
 
@@ -847,34 +778,18 @@ func (m *Manager) sweep(t *host.Thread) {
 	}
 
 	// Cache aging, both sides.
-	for _, qpn := range sortedKeys(m.srvCache) {
-		ent := m.srvCache[qpn]
-		if now-ent.parkedAt > m.cfg.IdleTimeout || ent.qp.Err() != nil {
-			delete(m.srvCache, qpn)
-			if svc := m.services[ent.svc]; svc != nil {
-				svc.Closed(ent.peer, ent.handle, CloseTeardown)
-			}
-			m.h.NIC.DestroyQP(ent.qp)
+	for _, qpn := range sortedKeys(m.parked) {
+		if sc := m.parked[qpn]; m.idle(sc.parkedAt, sc.qp, now) {
 			m.Stats.IdleTeardowns++
-			m.event("idle_teardown", ent.peer, qpn, ent.handle)
+			m.retire(sc, CloseTeardown, "idle_teardown")
 		}
 	}
-	for _, key := range sortedCacheKeys(m.cliCache) {
-		kept := m.cliCache[key][:0]
-		for _, ent := range m.cliCache[key] {
-			if now-ent.parkedAt > m.cfg.IdleTimeout || ent.qp.Err() != nil {
-				m.h.NIC.DestroyQP(ent.qp)
-				m.cliCached--
-				m.Stats.IdleTeardowns++
-				m.event("idle_teardown", key.peer, ent.qp.QPN, 0)
-			} else {
-				kept = append(kept, ent)
-			}
-		}
-		if len(kept) == 0 {
-			delete(m.cliCache, key)
+	for i := 0; i < len(m.cliParked); {
+		if c := m.cliParked[i]; m.idle(c.parkedAt, c.QP, now) {
+			m.Stats.IdleTeardowns++
+			m.dropParked(i, "idle_teardown")
 		} else {
-			m.cliCache[key] = kept
+			i++
 		}
 	}
 
@@ -883,7 +798,7 @@ func (m *Manager) sweep(t *host.Thread) {
 	m.drainAdmitQueue(t)
 
 	m.activeGauge = float64(len(m.conns) + len(m.cliActive))
-	m.cachedGauge = float64(len(m.srvCache) + m.cliCached)
+	m.cachedGauge = float64(len(m.parked) + len(m.cliParked))
 }
 
 // sortedKeys returns mp's keys in ascending order, so a map walk that logs
@@ -897,18 +812,6 @@ func sortedKeys[K cmp.Ordered, V any](mp map[K]V) []K {
 	return out
 }
 
-// sortedCacheKeys is sortedKeys for the client cache: by peer, then service.
-func sortedCacheKeys(mp map[cacheKey][]*cliCacheEntry) []cacheKey {
-	out := make([]cacheKey, 0, len(mp))
-	for k := range mp {
-		out = append(out, k)
-	}
-	slices.SortFunc(out, func(a, b cacheKey) int {
-		return cmp.Or(cmp.Compare(a.peer, b.peer), cmp.Compare(a.svc, b.svc))
-	})
-	return out
-}
-
 func (m *Manager) allocPSN() uint64 {
 	m.nextPSN++
 	return m.nextPSN
@@ -917,6 +820,19 @@ func (m *Manager) allocPSN() uint64 {
 func (m *Manager) allocReq() uint64 {
 	m.nextReq++
 	return uint64(m.h.ID)<<32 | m.nextReq
+}
+
+// climb walks qp up the RESET→INIT→RTR→RTS ladder from its current rung to
+// to, charging each ModifyQP verb on t — the one ladder both halves of a
+// cold connection climb. attr carries the RTR pairing and the RTS send PSN;
+// each rung reads only its own fields.
+func climb(t *host.Thread, qp *nic.QP, to nic.QPState, attr nic.ModifyAttr) error {
+	for s := qp.State() + 1; s <= to; s++ {
+		if err := t.ModifyQP(qp, s, attr); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Conn is the client-side handle of an established connection.
@@ -934,6 +850,7 @@ type Conn struct {
 	service   string
 	remoteQPN uint32
 	closed    bool
+	parkedAt  sim.Time // set when Close parks the pair in the client cache
 }
 
 // RemoteQPN returns the server-side QPN of the pair.
@@ -960,20 +877,18 @@ func (m *Manager) Dial(t *host.Thread, peer int, service string, payload []byte)
 		return nil, ErrNotStarted
 	}
 	start := t.P.Now()
-	key := cacheKey{peer, service}
-	for len(m.cliCache[key]) > 0 {
-		stack := m.cliCache[key]
-		ent := stack[len(stack)-1]
-		m.cliCache[key] = stack[:len(stack)-1]
-		if len(m.cliCache[key]) == 0 {
-			delete(m.cliCache, key)
+	for {
+		i := m.runEnd(peer, service) - 1
+		if i < 0 || m.cliParked[i].peer != peer || m.cliParked[i].service != service {
+			break
 		}
-		m.cliCached--
-		if ent.qp.Err() != nil {
-			m.h.NIC.DestroyQP(ent.qp)
+		parked := m.cliParked[i]
+		m.cliParked = slices.Delete(m.cliParked, i, i+1)
+		if parked.QP.Err() != nil {
+			m.h.NIC.DestroyQP(parked.QP)
 			continue
 		}
-		c, err := m.dialResume(t, peer, service, ent, payload)
+		c, err := m.dialResume(t, parked, payload)
 		if err != nil {
 			// The cached pair was stale (server side gone); fall back cold.
 			break
@@ -994,8 +909,8 @@ func (m *Manager) Dial(t *host.Thread, peer int, service string, payload []byte)
 	return c, nil
 }
 
-// awaitReply sends msg and waits for its accept/reject, retrying on
-// timeout.
+// awaitReply sends msg and waits for its accept, retrying on timeout. A
+// reject comes back as a RejectError.
 func (m *Manager) awaitReply(t *host.Thread, peer int, msg *wireMsg) (wireMsg, error) {
 	w := &dialWait{sig: sim.NewSignal(m.h.Env)}
 	m.pending[msg.reqID] = w
@@ -1007,83 +922,64 @@ func (m *Manager) awaitReply(t *host.Thread, peer int, msg *wireMsg) (wireMsg, e
 			w.sig.WaitTimeout(t.P, deadline-t.P.Now())
 		}
 		if w.done {
+			if w.resp.kind == kindReject {
+				return wireMsg{}, &RejectError{Reason: w.resp.reason}
+			}
 			return w.resp, nil
 		}
 	}
 	return wireMsg{}, ErrDialTimeout
 }
 
-func (m *Manager) dialResume(t *host.Thread, peer int, service string, ent *cliCacheEntry, payload []byte) (*Conn, error) {
-	msg := &wireMsg{
-		kind: kindResume, reqID: m.allocReq(), qpn: ent.remoteQPN, qpn2: ent.qp.QPN,
-		svc: service, payload: payload,
-	}
-	resp, err := m.awaitReply(t, peer, msg)
-	if err != nil {
-		m.h.NIC.DestroyQP(ent.qp)
-		return nil, err
-	}
-	if resp.kind == kindReject {
-		m.h.NIC.DestroyQP(ent.qp)
-		return nil, &RejectError{Reason: resp.reason}
-	}
-	c := &Conn{
-		QP: ent.qp, Payload: resp.payload, Cached: true,
-		mgr: m, peer: peer, service: service, remoteQPN: ent.remoteQPN,
-	}
-	m.cliActive[ent.qp.QPN] = c
-	return c, nil
+// dialResume asks the server to reactivate a parked pair: one round trip,
+// no QP work.
+func (m *Manager) dialResume(t *host.Thread, parked *Conn, payload []byte) (*Conn, error) {
+	resp, err := m.awaitReply(t, parked.peer, &wireMsg{
+		kind: kindResume, reqID: m.allocReq(), qpn: parked.remoteQPN, qpn2: parked.QP.QPN,
+		svc: parked.service, payload: payload,
+	})
+	return m.connected(parked.QP, parked.peer, parked.service, resp, err)
 }
 
+// dialCold runs the full handshake: a fresh QP climbs to INIT, the connect
+// request carries its QPN and PSN, and the accept's QPN and PSN take it
+// through RTR to RTS.
 func (m *Manager) dialCold(t *host.Thread, peer int, service string, payload []byte) (*Conn, error) {
-	ccq := m.h.NIC.CreateCQ()
-	qp := t.CreateQP(nic.RC, ccq, ccq)
-	if err := t.ModifyQP(qp, nic.QPInit, nic.ModifyAttr{}); err != nil {
-		m.h.NIC.DestroyQP(qp)
-		return nil, err
+	cq := m.h.NIC.CreateCQ()
+	qp := t.CreateQP(nic.RC, cq, cq)
+	var resp wireMsg
+	err := climb(t, qp, nic.QPInit, nic.ModifyAttr{})
+	if err == nil {
+		psn := m.allocPSN()
+		resp, err = m.awaitReply(t, peer, &wireMsg{
+			kind: kindConnReq, reqID: m.allocReq(), qpn: qp.QPN, psn: psn, svc: service, payload: payload,
+		})
+		if err == nil {
+			err = climb(t, qp, nic.QPRTS, nic.ModifyAttr{
+				RemoteNIC: peer, RemoteQPN: resp.qpn, RemotePSN: resp.psn, LocalPSN: psn,
+			})
+		}
+		if err == nil {
+			m.send(t, peer, &wireMsg{kind: kindReady, qpn: resp.qpn})
+		}
 	}
-	psn := m.allocPSN()
-	msg := &wireMsg{kind: kindConnReq, reqID: m.allocReq(), qpn: qp.QPN, psn: psn, svc: service, payload: payload}
-	resp, err := m.awaitReply(t, peer, msg)
+	return m.connected(qp, peer, service, resp, err)
+}
+
+// connected ends a dial attempt: a failed one destroys the client half, a
+// successful one becomes a tracked Conn (Cached when the accept says the
+// pair was resumed).
+func (m *Manager) connected(qp *nic.QP, peer int, service string, resp wireMsg, err error) (*Conn, error) {
 	if err != nil {
 		m.h.NIC.DestroyQP(qp)
 		return nil, err
 	}
-	if resp.kind == kindReject {
-		m.h.NIC.DestroyQP(qp)
-		return nil, &RejectError{Reason: resp.reason}
-	}
-	if err := t.ModifyQP(qp, nic.QPRTR, nic.ModifyAttr{
-		RemoteNIC: peer, RemoteQPN: resp.qpn, RemotePSN: resp.psn,
-	}); err != nil {
-		m.h.NIC.DestroyQP(qp)
-		return nil, err
-	}
-	if err := t.ModifyQP(qp, nic.QPRTS, nic.ModifyAttr{LocalPSN: psn}); err != nil {
-		m.h.NIC.DestroyQP(qp)
-		return nil, err
-	}
-	m.send(t, peer, &wireMsg{kind: kindReady, qpn: resp.qpn})
 	c := &Conn{
-		QP: qp, Payload: resp.payload,
+		QP: qp, Payload: resp.payload, Cached: resp.flag == 1,
 		mgr: m, peer: peer, service: service, remoteQPN: resp.qpn,
 	}
 	m.cliActive[qp.QPN] = c
 	return c, nil
-}
-
-// walkToRTS runs the server-side INIT/RTR/RTS transitions for an inbound
-// connect, charging each ModifyQP verb on the manager thread.
-func (m *Manager) walkToRTS(t *host.Thread, qp *nic.QP, peer int, remoteQPN uint32, remotePSN, localPSN uint64) error {
-	if err := t.ModifyQP(qp, nic.QPInit, nic.ModifyAttr{}); err != nil {
-		return err
-	}
-	if err := t.ModifyQP(qp, nic.QPRTR, nic.ModifyAttr{
-		RemoteNIC: peer, RemoteQPN: remoteQPN, RemotePSN: remotePSN,
-	}); err != nil {
-		return err
-	}
-	return t.ModifyQP(qp, nic.QPRTS, nic.ModifyAttr{LocalPSN: localPSN})
 }
 
 // Close gracefully leaves the connection: a disconnect notice parks the
@@ -1102,45 +998,34 @@ func (c *Conn) Close(t *host.Thread) {
 		m.h.NIC.DestroyQP(c.QP)
 		return
 	}
-	key := cacheKey{c.peer, c.service}
-	m.cliCache[key] = append(m.cliCache[key], &cliCacheEntry{
-		qp: c.QP, remoteQPN: c.remoteQPN, parkedAt: t.P.Now(),
-	})
-	m.cliCached++
-	for m.cliCached > m.cfg.CacheCap {
-		m.evictOldestCliEntry()
-	}
-}
-
-// evictOldestCliEntry drops the LRU parked outbound connection
-// (deterministic: oldest parkedAt, then lowest QPN).
-func (m *Manager) evictOldestCliEntry() {
-	var vKey cacheKey
-	vIdx := -1
-	for _, key := range sortedCacheKeys(m.cliCache) {
-		for i, ent := range m.cliCache[key] {
-			if vIdx < 0 || ent.parkedAt < m.cliCache[vKey][vIdx].parkedAt ||
-				(ent.parkedAt == m.cliCache[vKey][vIdx].parkedAt && ent.qp.QPN < m.cliCache[vKey][vIdx].qp.QPN) {
-				vKey, vIdx = key, i
+	c.parkedAt = t.P.Now()
+	m.cliParked = slices.Insert(m.cliParked, m.runEnd(c.peer, c.service), c)
+	for len(m.cliParked) > m.cfg.CacheCap {
+		victim := 0
+		for i, p := range m.cliParked {
+			if v := m.cliParked[victim]; evictsBefore(p.parkedAt, p.QP.QPN, v.parkedAt, v.QP.QPN) {
+				victim = i
 			}
 		}
+		m.Stats.CapEvictions++
+		m.dropParked(victim, "cap_evict")
 	}
-	if vIdx < 0 {
-		return
-	}
-	ent := m.cliCache[vKey][vIdx]
-	m.cliCache[vKey] = append(m.cliCache[vKey][:vIdx], m.cliCache[vKey][vIdx+1:]...)
-	if len(m.cliCache[vKey]) == 0 {
-		delete(m.cliCache, vKey)
-	}
-	m.cliCached--
-	m.h.NIC.DestroyQP(ent.qp)
-	m.Stats.CapEvictions++
-	m.event("cap_evict", vKey.peer, ent.qp.QPN, 0)
 }
 
-// ActiveConns returns the number of active inbound connections (tests).
-func (m *Manager) ActiveConns() int { return len(m.conns) }
+// runEnd returns the index just past the (peer, service) run of cliParked:
+// where that pair's next park goes, one past the park Dial resumes.
+func (m *Manager) runEnd(peer int, service string) int {
+	return sort.Search(len(m.cliParked), func(i int) bool {
+		c := m.cliParked[i]
+		return cmp.Or(cmp.Compare(c.peer, peer), cmp.Compare(c.service, service)) > 0
+	})
+}
 
-// CachedConns returns the number of parked inbound connections (tests).
-func (m *Manager) CachedConns() int { return len(m.srvCache) }
+// dropParked is the one exit of a parked outbound connection the cache
+// discards (idle timeout or capacity): the QP is destroyed and kind logged.
+func (m *Manager) dropParked(i int, kind string) {
+	c := m.cliParked[i]
+	m.cliParked = slices.Delete(m.cliParked, i, i+1)
+	m.h.NIC.DestroyQP(c.QP)
+	m.event(kind, c.peer, c.QP.QPN, 0)
+}

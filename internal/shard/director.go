@@ -26,15 +26,10 @@ type Event struct {
 	Epoch     uint32
 }
 
-const (
-	// failTTL is the lease silence after which a node is declared dead in
-	// fixed-TTL mode: the control plane's default LeaseTTL. Ignored when
-	// the manager runs the adaptive detector — eviction then comes from the
-	// ladder, not a fixed clock.
-	failTTL = 400 * sim.Microsecond
-	// sweepInterval is the director's liveness sweep period.
-	sweepInterval = 100 * sim.Microsecond
-)
+// sweepInterval is the director's liveness sweep period. In fixed-TTL mode
+// a node is declared dead once its manager lease lapses (Config.LeaseTTL);
+// under the adaptive detector eviction comes from the ladder instead.
+const sweepInterval = 100 * sim.Microsecond
 
 // Director owns the authoritative shard map: it serves fetches, watches
 // node liveness through the control plane's lease stream, and on expiry
@@ -119,7 +114,6 @@ func (d *Director) Start() {
 func (d *Director) run(t *host.Thread) {
 	for {
 		t.P.Sleep(sweepInterval)
-		now := t.P.Now()
 		// Drain ladder transitions queued since the last sweep (adaptive
 		// mode): failovers first so a host that raced through
 		// demote→evict is not pointlessly degraded after its death.
@@ -141,8 +135,7 @@ func (d *Director) run(t *host.Thread) {
 			if d.down[h] {
 				continue
 			}
-			at, ok := d.mgr.PeerLease(h)
-			if ok && now-at > failTTL {
+			if d.mgr.LeaseLapsed(h) {
 				d.failover(t, h)
 			}
 		}
