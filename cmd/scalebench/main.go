@@ -29,9 +29,9 @@
 // none of the ones above.
 //
 // scalebench runs on one P unless the GOMAXPROCS environment variable is
-// set: the simulator executes one goroutine at a time, and with more Ps
-// every scheduler↔process hand-off may cross OS threads (measured 1.55×
-// slower and twice as noisy, see benchmark/README.md).
+// set: the simulator switches between its processes as coroutines on one
+// thread, so a second P buys nothing (measured on a 2-vCPU VM: level on
+// fig8, 5–15 % slower on sub-second experiments).
 package main
 
 import (
@@ -214,6 +214,6 @@ func usage() {
   scalebench all
   scalebench rawbench|txbench|mdtest [tool flags]
   scalebench [-quick] [-csv DIR] [-seed N] [-duration MS] [-metrics FILE] [-faults FILE] [-artifacts DIR] <id>...
-runs on one P (the simulator executes one goroutine at a time; ~1.5x faster,
-half the noise) unless the GOMAXPROCS environment variable is set`)
+runs on one P (the simulator switches coroutines on one thread; a second P
+buys nothing) unless the GOMAXPROCS environment variable is set`)
 }

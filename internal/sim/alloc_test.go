@@ -34,6 +34,39 @@ func TestAllocBudgetAtArg(t *testing.T) {
 	}
 }
 
+// TestAllocBudgetProcWake: switching into a parked process and back
+// allocates nothing, whether a timer or a signal woke it.
+func TestAllocBudgetProcWake(t *testing.T) {
+	e := NewEnv()
+	defer e.Close()
+	s := NewSignal(e)
+	wakes := 0
+	e.Spawn("sleeper", func(p *Proc) {
+		for {
+			p.Sleep(1)
+			wakes++
+		}
+	})
+	e.Spawn("waiter", func(p *Proc) {
+		for {
+			s.Wait(p)
+			wakes++
+		}
+	})
+	round := func() {
+		s.Wake(1)
+		e.RunUntil(e.Now() + 1)
+	}
+	round() // start both and park them
+	wakes = 0
+	if got := testing.AllocsPerRun(100, round); got != 0 {
+		t.Errorf("%v allocs per timer wake plus signal wake, want 0", got)
+	}
+	if wakes != 2*101 { // AllocsPerRun's warm-up call plus 100
+		t.Errorf("%d wakes after 101 rounds, want %d", wakes, 2*101)
+	}
+}
+
 // TestAllocBudgetUseAsync: a callback-released CPU charge builds no closure.
 func TestAllocBudgetUseAsync(t *testing.T) {
 	e := NewEnv()

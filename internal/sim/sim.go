@@ -1,19 +1,26 @@
+// Processes are iter.Pull coroutines (Go 1.23). go.mod keeps go 1.22, the
+// version the benchmark module that requires this one declares, so this
+// build line raises the file's language version instead.
+
+//go:build go1.23
+
 // Package sim implements a deterministic discrete-event simulation kernel.
 //
 // The kernel advances a virtual clock measured in integer nanoseconds and
 // executes two kinds of work:
 //
-//   - Processes (Proc): goroutines that model threads of execution (client
+//   - Processes (Proc): coroutines that model threads of execution (client
 //     coroutines, server worker threads). A process runs exclusively — the
-//     scheduler hands control to exactly one process at a time and waits for
-//     it to block again — so process code needs no locking and the whole
-//     simulation is deterministic for a given seed and configuration.
+//     scheduler switches into exactly one process at a time and the process
+//     switches back when it blocks — so process code needs no locking and
+//     the whole simulation is deterministic for a given seed and
+//     configuration.
 //
 //   - Callbacks: plain functions scheduled with Env.At or Env.AtArg,
 //     executed inline by the scheduler. These are the cheap event-driven
-//     path used by hardware models (NIC engines, fabric links) where
-//     spawning a goroutine per event would dominate runtime. Callbacks must
-//     not block.
+//     path used by hardware models (NIC engines, fabric links) where a
+//     process switch per event would dominate runtime. Callbacks must not
+//     block.
 //
 // Determinism: events fire in (time, sequence) order; the sequence number is
 // assigned at scheduling time, so two events scheduled for the same instant
@@ -24,6 +31,8 @@ package sim
 
 import (
 	"fmt"
+	"iter"
+	"runtime/debug"
 )
 
 // Time is a point in virtual time, in nanoseconds since the start of the
@@ -44,8 +53,8 @@ const (
 // maxTime is the sentinel horizon used by Run.
 const maxTime Time = 1<<62 - 1
 
-// killed is the sentinel panic value used to unwind blocked processes when
-// the environment shuts down.
+// killedPanic is the sentinel panic value used to unwind blocked processes
+// when the environment shuts down.
 type killedPanic struct{}
 
 // event is a single entry in the scheduler queue. A callback event runs
@@ -135,7 +144,6 @@ type Env struct {
 	firedCB uint64
 	firedPr [tagCount]uint64
 	sched   scheduler
-	yield   chan struct{}
 	procs   map[*Proc]struct{}
 	closed  bool
 }
@@ -150,7 +158,6 @@ func NewEnv() *Env {
 	}
 	return &Env{
 		sched: s,
-		yield: make(chan struct{}, 1),
 		procs: make(map[*Proc]struct{}),
 	}
 }
@@ -197,15 +204,20 @@ func (e *Env) scheduleProc(p *Proc, delay Duration, tag int) {
 	e.sched.schedule(event{at: e.now + delay, seq: e.seq, arg: p, gen: p.gen, tag: tag})
 }
 
-// Proc is a simulated process. All methods that block (Sleep, Wait*) must be
-// called only from the process's own goroutine.
+// Proc is a simulated process. Its body runs as a coroutine (iter.Pull):
+// the scheduler switches into it for each wake-up and it switches back when
+// it blocks — a direct hand-off, with no channel and no trip through the Go
+// scheduler. All methods that block (Sleep, Wait*) must be called only from
+// the process's own body.
 type Proc struct {
-	Name   string
-	env    *Env
-	resume chan int // carries the wake tag
-	gen    uint64   // wake generation; bumping it cancels pending wake sources
-	done   bool
-	killed bool
+	Name  string
+	env   *Env
+	next  func() (struct{}, bool) // switch into the body; false once it has returned
+	stop  func()                  // unwind a parked body (Close)
+	yield func(struct{}) bool     // switch back to the scheduler; false once stopped
+	gen   uint64                  // wake generation; bumping it cancels pending wake sources
+	tag   int                     // wake tag of the event that resumed the process
+	done  bool
 }
 
 // Env returns the environment the process runs in.
@@ -222,46 +234,35 @@ func (e *Env) Spawn(name string, fn func(*Proc)) *Proc {
 }
 
 // SpawnAt creates a process executing fn, scheduled to start after delay.
-//
-// The handshake channels are buffered (capacity 1): the protocol is a strict
-// ping-pong — at most one resume token and one yield token are ever in
-// flight — so buffering never reorders anything, but it lets each side hand
-// off without a synchronous rendezvous, roughly halving the scheduler↔proc
-// context switches.
+// The body first runs when its start event fires; until then the coroutine
+// stays parked, so a process closed before it starts never runs.
 func (e *Env) SpawnAt(delay Duration, name string, fn func(*Proc)) *Proc {
 	if e.closed {
 		panic("sim: Spawn on closed Env")
 	}
-	p := &Proc{Name: name, env: e, resume: make(chan int, 1)}
-	e.procs[p] = struct{}{}
-	go func() {
-		defer func() {
-			p.done = true
-			delete(e.procs, p)
-			if r := recover(); r != nil {
-				if _, ok := r.(killedPanic); ok {
-					e.yield <- struct{}{}
-					return
-				}
-				// Re-panic in the scheduler's context would deadlock the
-				// handshake; annotate and crash this goroutine instead.
-				panic(fmt.Sprintf("sim: process %q panicked: %v", p.Name, r))
-			}
-			e.yield <- struct{}{}
-		}()
-		// Wait for the first schedule directly — without the yield half of
-		// the handshake, which belongs to the scheduler's resume cycle.
-		// (Spawn may be called from a running process; sending yield here
-		// would race with the scheduler's pending receive for that
-		// process.)
-		<-p.resume
-		if p.killed {
-			panic(killedPanic{})
-		}
+	p := &Proc{Name: name, env: e}
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer p.recoverBody()
 		fn(p)
-	}()
+	})
+	e.procs[p] = struct{}{}
 	e.scheduleProc(p, delay, tagStart)
 	return p
+}
+
+// recoverBody ends a process body. A kill (Close) unwinds quietly. Any other
+// panic is re-raised naming the process and carrying its stack: iter.Pull
+// re-panics in the caller of Run, where the body's frames are gone.
+func (p *Proc) recoverBody() {
+	r := recover()
+	if r == nil {
+		return
+	}
+	if _, ok := r.(killedPanic); ok {
+		return
+	}
+	panic(fmt.Sprintf("sim: process %q panicked: %v\n%s", p.Name, r, debug.Stack()))
 }
 
 // Wake tags reported to blocked processes.
@@ -274,15 +275,13 @@ const (
 	tagCount
 )
 
-// block yields control to the scheduler and waits to be resumed, returning
-// the tag of the wake source.
+// block switches back to the scheduler and, once resumed, returns the tag of
+// the wake source. A process stopped by Close unwinds from here instead.
 func (p *Proc) block() int {
-	p.env.yield <- struct{}{}
-	t := <-p.resume
-	if p.killed {
+	if !p.yield(struct{}{}) {
 		panic(killedPanic{})
 	}
-	return t
+	return p.tag
 }
 
 // Sleep suspends the process for d of virtual time.
@@ -323,8 +322,11 @@ func (e *Env) RunUntil(until Time) Time {
 		e.fired++
 		e.firedPr[ev.tag]++
 		p.gen++ // invalidate competing wake sources
-		p.resume <- ev.tag
-		<-e.yield
+		p.tag = ev.tag
+		if _, ok := p.next(); !ok {
+			p.done = true
+			delete(e.procs, p)
+		}
 	}
 	if e.now < until && until < maxTime {
 		e.now = until
@@ -344,7 +346,7 @@ func (e *Env) Fired() uint64 { return e.fired }
 // FiredBreakdown returns the dispatched-event mix: callbacks and process
 // resumes by wake source (start, timer, signal, queue, resource). The
 // breakdown shows what a macro benchmark is actually paying for — process
-// resumes cost a goroutine handshake, callbacks do not.
+// resumes cost two coroutine switches, callbacks do not.
 func (e *Env) FiredBreakdown() (callbacks uint64, procByTag [5]uint64) {
 	copy(procByTag[:], e.firedPr[:])
 	return e.firedCB, procByTag
@@ -356,22 +358,20 @@ func (e *Env) Idle() bool { return e.sched.pending() == 0 }
 // Pending returns the number of queued events (including stale ones).
 func (e *Env) Pending() int { return e.sched.pending() }
 
-// Close terminates every live process so no goroutines leak. The
-// environment must not be used afterwards.
+// Close terminates every live process so no coroutines leak: a parked body
+// unwinds from its blocking call, running its deferred calls, and a body
+// that never started never runs. The environment must not be used
+// afterwards.
 func (e *Env) Close() {
 	if e.closed {
 		return
 	}
 	e.closed = true
 	for p := range e.procs {
-		if p.done {
-			continue
-		}
-		p.killed = true
 		p.gen++
-		p.resume <- 0
-		<-e.yield
+		p.stop()
 	}
+	e.procs = nil
 	e.sched.clear()
 }
 

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -294,20 +296,64 @@ func TestResourceUse(t *testing.T) {
 	}
 }
 
+// TestCloseKillsBlockedProcs: Close unwinds a parked body through its
+// deferred calls without letting it continue, never starts a body whose
+// start event is still queued, and leaves no coroutine behind.
 func TestCloseKillsBlockedProcs(t *testing.T) {
+	before := runtime.NumGoroutine()
 	e := NewEnv()
 	s := NewSignal(e)
-	reached := false
+	var reached, unwound, started bool
 	e.Spawn("stuck", func(p *Proc) {
+		defer func() { unwound = true }()
 		s.Wait(p) // never woken
 		reached = true
 	})
-	e.Run()
+	e.SpawnAt(1000, "unstarted", func(p *Proc) { started = true })
+	e.RunUntil(10)
 	e.Close()
 	if reached {
-		t.Fatal("killed process must not continue past its blocking call")
+		t.Error("killed process must not continue past its blocking call")
+	}
+	if !unwound {
+		t.Error("Close did not run the killed process's deferred calls")
+	}
+	if started {
+		t.Error("a process closed before its start event ran")
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after Close, %d before", n, before)
 	}
 }
+
+// TestProcPanicReachesRun: a panic in a process body surfaces in the caller
+// of Run, naming the process and carrying the body's stack, and the
+// environment still closes.
+func TestProcPanicReachesRun(t *testing.T) {
+	e := NewEnv()
+	e.Spawn("bystander", func(p *Proc) { p.Sleep(1000) })
+	e.Spawn("boom", func(p *Proc) {
+		p.Sleep(10)
+		panicInBody()
+	})
+	var r any
+	func() {
+		defer func() { r = recover() }()
+		e.Run()
+	}()
+	msg, _ := r.(string)
+	for _, want := range []string{`process "boom" panicked: kaboom`, "panicInBody"} {
+		if !strings.Contains(msg, want) {
+			t.Fatalf("recovered %v, want it to contain %q", r, want)
+		}
+	}
+	if e.Now() != 10 {
+		t.Fatalf("panic surfaced at %d, want 10", e.Now())
+	}
+	e.Close()
+}
+
+func panicInBody() { panic("kaboom") }
 
 func TestSpawnFromProc(t *testing.T) {
 	e := NewEnv()
