@@ -95,7 +95,7 @@ func (s *Server) run(t *host.Thread, w *baseline.Worker) {
 		if len(cqes) == 0 {
 			// Batch-repost consumed receives before sleeping.
 			s.repost(t, w, ring)
-			w.CQ.Sig.WaitTimeout(t.P, baseline.PollTimeout)
+			t.WaitSignal(w.CQ.Sig, baseline.PollTimeout)
 			continue
 		}
 		for _, e := range cqes {

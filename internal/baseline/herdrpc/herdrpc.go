@@ -79,27 +79,35 @@ func (s *Server) Start() { s.Spawn("herd", s.run) }
 
 func (s *Server) run(t *host.Thread, w *baseline.Worker) {
 	for {
-		served := 0
-		// Block-major scan: responses to different clients interleave.
-		for b := 0; b < blocksPerClient; b++ {
-			for z := w.Idx; z < len(s.clients); z += workers {
-				req, ok := s.Req.Sweep(t, w, z, b)
-				if !ok {
-					continue
-				}
-				cs := s.clients[z]
-				if w.Dispatch(t, cs.id, req) {
-					w.SendResponse(t, w.QP, cs.dstNIC, cs.dstQPN)
-				}
-				s.Req.Release(t, z, b)
-				served++
-				w.Served++
-			}
-		}
-		if served == 0 {
-			w.Sig.WaitTimeout(t.P, baseline.PollTimeout)
+		if s.sweep(t, w) == 0 {
+			t.WaitSignal(w.Sig, baseline.PollTimeout)
 		}
 	}
+}
+
+// sweep scans this worker's zones once, serving every valid request.
+func (s *Server) sweep(t *host.Thread, w *baseline.Worker) int {
+	// Block-major scan: responses to different clients interleave. The pass
+	// is one deferred-charge region, settled blocking before run parks.
+	t.BeginWork()
+	defer t.EndWork()
+	served := 0
+	for b := 0; b < blocksPerClient; b++ {
+		for z := w.Idx; z < len(s.clients); z += workers {
+			req, ok := s.Req.Sweep(t, w, z, b)
+			if !ok {
+				continue
+			}
+			cs := s.clients[z]
+			if w.Dispatch(t, cs.id, req) {
+				w.SendResponse(t, w.QP, cs.dstNIC, cs.dstQPN)
+			}
+			s.Req.Release(t, z, b)
+			served++
+			w.Served++
+		}
+	}
+	return served
 }
 
 // Conn is a HERD client endpoint: a UC QP for requests plus a UD QP for

@@ -18,6 +18,15 @@
 // worker shell with its one dispatch (Shell, Worker.Dispatch). The parts
 // are concrete types: no interface and no per-operation closure sits on
 // the request path.
+//
+// CPU time is charged the way ScaleRPC charges it (host.Thread.BeginWork):
+// a scan's probes accumulate in one deferred-charge region and land as one
+// core charge, not one scheduler wake per slot. A client's RespPool.Poll
+// closes its region lazily, so the residue — at most one window of probes —
+// is absorbed into the caller's WaitSignal park. A server's sweep closes
+// its region with a blocking EndWork before the worker parks: a worker
+// woken while its residue still ran on a core would hold two cores at
+// once. ReqWriter.Send pays its staging write with the doorbell.
 package baseline
 
 import (
@@ -148,8 +157,13 @@ func (rw *ReqWriter) Send(t *host.Thread, win *Window, handler uint8, payload []
 	if err := rpcwire.Encode(block, msg, 0); err != nil {
 		return false
 	}
+	// The staging write is paid together with the doorbell: PostSend
+	// settles the region in one core charge.
+	t.BeginWork()
 	t.WriteMem(rw.stage.Base+uint64(b*bs+off), span)
-	if !rw.Post(t, b, msgLen) {
+	posted := rw.Post(t, b, msgLen)
+	t.EndWork()
+	if !posted {
 		return false
 	}
 	win.Take(b, reqID, msgLen)
@@ -198,7 +212,8 @@ func (sh *Shell) NewReqPool(blocksPerClient, maxClients int, parseCost sim.Durat
 }
 
 // Sweep is a polling server's probe of block (z, b): read the Valid byte,
-// and Take the request if one is there.
+// and Take the request if one is there. The caller holds a deferred-charge
+// region open over the whole pass (see the package comment).
 func (p *ReqPool) Sweep(t *host.Thread, w *Worker, z, b int) ([]byte, bool) {
 	t.ReadMem(p.ValidAddr(z, b), 1)
 	return p.Take(t, w, z, b)
@@ -250,8 +265,9 @@ type RespPool struct {
 	*rpcwire.Pool
 	rel *rpccore.RelStats
 	// buf holds a stable snapshot of the frame being delivered: the block
-	// is live RDMA-writable memory, and the charges in Poll yield virtual
-	// time during which a late duplicate response may overwrite it.
+	// is live RDMA-writable memory, and a late duplicate response may
+	// overwrite it as soon as virtual time moves — in the callback, or when
+	// Poll's charges settle.
 	buf []byte
 }
 
@@ -266,8 +282,12 @@ func NewRespPool(ch *host.Host, sig *sim.Signal, blockSize, window int, rel *rpc
 // Zone returns the address the server writes responses to.
 func (r *RespPool) Zone() RespZone { return RespZone{Addr: r.Region.Base, RKey: r.Region.RKey} }
 
-// Poll scans the response blocks of the in-flight slots.
+// Poll scans the response blocks of the in-flight slots. The scan is one
+// deferred-charge region closed lazily: an empty poll's residue is absorbed
+// into the caller's WaitSignal park.
 func (r *RespPool) Poll(t *host.Thread, win *Window, fn func(rpccore.Response)) int {
+	t.BeginWork()
+	defer t.EndWorkLazy()
 	got := 0
 	for b := range win.Slots {
 		if !win.Slots[b].Busy {

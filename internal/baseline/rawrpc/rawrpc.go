@@ -81,7 +81,7 @@ func (s *Server) Start() { s.Spawn("rawrpc", s.run) }
 func (s *Server) run(t *host.Thread, w *baseline.Worker) {
 	for {
 		if s.sweep(t, w) == 0 {
-			w.Sig.WaitTimeout(t.P, baseline.PollTimeout)
+			t.WaitSignal(w.Sig, baseline.PollTimeout)
 		}
 	}
 }
@@ -93,7 +93,10 @@ func (s *Server) sweep(t *host.Thread, w *baseline.Worker) int {
 	// clients' slot 0, then slot 1, ...) so responses to different clients
 	// interleave — the order a fair scanner produces, and the reason
 	// RawWrite's response path cannot hide its QP-cache misses behind
-	// per-client response bursts.
+	// per-client response bursts. The pass is one deferred-charge region,
+	// settled blocking before run parks.
+	t.BeginWork()
+	defer t.EndWork()
 	served := 0
 	for b := 0; b < s.Cfg.BlocksPerClient; b++ {
 		for z := w.Idx; z < len(s.clients); z += s.Cfg.Workers {

@@ -78,7 +78,7 @@ func (s *Server) run(t *host.Thread, w *baseline.Worker) {
 	for {
 		cqes := t.PollCQ(w.CQ, 16)
 		if len(cqes) == 0 {
-			w.CQ.Sig.WaitTimeout(t.P, baseline.PollTimeout)
+			t.WaitSignal(w.CQ.Sig, baseline.PollTimeout)
 			continue
 		}
 		for _, e := range cqes {

@@ -11,6 +11,7 @@ import (
 	"scalerpc/internal/baseline/selfrpc"
 	"scalerpc/internal/baseline/table2"
 	"scalerpc/internal/cluster"
+	"scalerpc/internal/faults"
 	"scalerpc/internal/host"
 	"scalerpc/internal/nic"
 	"scalerpc/internal/rpccore"
@@ -22,6 +23,19 @@ func echo(cost sim.Duration, runs *int) rpccore.Handler {
 	return func(th *host.Thread, _ uint16, req, out []byte) int {
 		*runs++
 		th.Work(cost)
+		return copy(out, req)
+	}
+}
+
+// slowEcho is echo whose work is settled inside the handler: a sweeping
+// worker defers its charges over the whole pass, so only the flush makes
+// virtual time pass — and live pool memory change — while the handler
+// still holds its request.
+func slowEcho(cost sim.Duration, runs *int) rpccore.Handler {
+	return func(th *host.Thread, _ uint16, req, out []byte) int {
+		*runs++
+		th.Work(cost)
+		th.FlushWork()
 		return copy(out, req)
 	}
 }
@@ -155,7 +169,7 @@ func TestServeSnapshotSurvivesOverwrite(t *testing.T) {
 			runs := 0
 			// A deliberately slow echo: the 200 µs of handler work is the
 			// yield window the overwrite below lands in.
-			connect, pool := tr.build(c.Hosts[0], func(s rpccore.Server) { s.Register(1, echo(200*sim.Microsecond, &runs)) })
+			connect, pool := tr.build(c.Hosts[0], func(s rpccore.Server) { s.Register(1, slowEcho(200*sim.Microsecond, &runs)) })
 			sig := sim.NewSignal(c.Env)
 			conn := connect(c.Hosts[1], sig)
 
@@ -190,9 +204,10 @@ func TestServeSnapshotSurvivesOverwrite(t *testing.T) {
 	}
 }
 
-// TestCorruptRequestCountedNotServed flips one payload byte of a request
-// in the server's pool block the instant it lands, before the worker reads
-// it: the frame's CRC no longer matches, so it must be counted in
+// TestCorruptRequestCountedNotServed corrupts the one request's payload
+// past the ICRC on its way to the server (a fault rule on the client→server
+// link, open only while the request is on the wire): the frame lands with
+// Valid set but a CRC that no longer matches, so it must be counted in
 // wire.crc_drops and treated as loss — the handler does not run and
 // nothing is answered.
 func TestCorruptRequestCountedNotServed(t *testing.T) {
@@ -201,26 +216,22 @@ func TestCorruptRequestCountedNotServed(t *testing.T) {
 		t.Run(tr.name, func(t *testing.T) {
 			c := cluster.New(cluster.Default(2))
 			defer c.Close()
+			plane := c.InstallFaults(&faults.Scenario{Name: "corrupt-request", Links: []faults.LinkFault{
+				{Src: 1, Dst: 0, Until: int64(20 * sim.Microsecond), PayloadCorruptRate: 1},
+			}})
 			runs := 0
-			connect, pool := tr.build(c.Hosts[0], func(s rpccore.Server) { s.Register(1, echo(100, &runs)) })
+			connect, _ := tr.build(c.Hosts[0], func(s rpccore.Server) { s.Register(1, echo(100, &runs)) })
 			rel := rpccore.SharedRel(c.Telemetry)
 			sig := sim.NewSignal(c.Env)
 			conn := connect(c.Hosts[1], sig)
-
-			// Woken by the NIC's write into the pool, at the same instant
-			// as the worker — whose first act is a charged read.
-			landed := sim.NewSignal(c.Env)
-			c.Hosts[0].NIC.WatchRegion(pool.RKey(), landed)
-			c.Hosts[0].Spawn("corrupter", func(th *host.Thread) {
-				landed.WaitTimeout(th.P, 2*sim.Millisecond)
-				block := pool.Block(0, 0)
-				block[len(block)-rpcwire.TrailerSize-1] ^= 0xFF
-			})
 			var got []byte
 			c.Hosts[1].Spawn("client", func(th *host.Thread) {
 				got = call(th, sig, conn, bytes.Repeat([]byte{0x33}, 24), 9, 2*sim.Millisecond)
 			})
 			c.Env.RunUntil(3 * sim.Millisecond)
+			if plane.Stats.PayloadCorrupts != 1 {
+				t.Fatalf("%d messages corrupted, want the one request", plane.Stats.PayloadCorrupts)
+			}
 			if rel.CRCDrops != 1 || runs != 0 || got != nil {
 				t.Fatalf("crc_drops=%d handler runs=%d response=%x, want 1 drop, no run, no response", rel.CRCDrops, runs, got)
 			}

@@ -72,6 +72,11 @@ type Host struct {
 	// CPU time accounting across all of the host's threads, in virtual ns.
 	CPUWorkNs  uint64 // time charged against the core pool
 	CPUSleepNs uint64 // time blocked waiting for completions
+	// CPUOverlapNs is deferred charge a WaitSignal park handed to a core
+	// (UseAsync) that was still running when the parked thread woke: time
+	// in which one thread held two cores. Zero when every park outlasts
+	// its residue.
+	CPUOverlapNs uint64
 
 	// cpuScale multiplies every Work charge when > 1 — a straggling host
 	// whose cores run below nominal speed (thermal throttling, a noisy
@@ -111,6 +116,7 @@ func New(env *sim.Env, id int, cfg Config, nicCfg nic.Config, cost pcie.CostMode
 		cpu := h.Tel.Scope("cpu")
 		cpu.CounterVar("work_ns", &h.CPUWorkNs)
 		cpu.CounterVar("sleep_ns", &h.CPUSleepNs)
+		cpu.CounterVar("overlap_ns", &h.CPUOverlapNs)
 	}
 	return h
 }
@@ -171,18 +177,25 @@ func (t *Thread) EndWorkLazy() {
 // busy, or acquirers already queued for a freed one — it falls back to the
 // blocking flush first so FIFO admission is preserved. The
 // thread becomes signal-responsive at the park time rather than after the
-// charge — an overlap of at most the deferred tens of nanoseconds, well
-// under every poll interval in the model. Reports whether the wait timed
-// out.
+// charge: woken before the charge has run out, it holds a second core
+// until it does, and Host.CPUOverlapNs counts that time. A sweep whose
+// residue is large therefore settles it with EndWork before it parks.
+// Reports whether the wait timed out.
 func (t *Thread) WaitSignal(sig *sim.Signal, d sim.Duration) (timedOut bool) {
+	var busyUntil sim.Time
 	if w := t.deferred; w > 0 {
 		if t.Host.Cores.UseAsync(w) {
 			t.deferred = 0
+			busyUntil = t.P.Now() + w
 		} else {
 			t.FlushWork()
 		}
 	}
-	return sig.WaitTimeout(t.P, d)
+	timedOut = sig.WaitTimeout(t.P, d)
+	if now := t.P.Now(); busyUntil > now {
+		t.Host.CPUOverlapNs += uint64(busyUntil - now)
+	}
+	return timedOut
 }
 
 // FlushWork settles any accumulated deferred cost now (one Cores.Use).

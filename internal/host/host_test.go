@@ -137,3 +137,44 @@ func TestPostRecvBatchSingleDoorbell(t *testing.T) {
 		t.Fatalf("RecvQueueLen = %d", qp.RecvQueueLen())
 	}
 }
+
+// TestWaitSignalCountsOverlap: a park absorbs the deferred residue on a
+// core (UseAsync); when the thread is woken before that charge has run
+// out, the remainder is one thread holding two cores, and cpu.overlap_ns
+// records it. Counting moves no virtual time and allocates nothing.
+func TestWaitSignalCountsOverlap(t *testing.T) {
+	c, h := newHost(t)
+	sig := sim.NewSignal(c.Env)
+	wake := sig.Broadcast
+	var woke []sim.Time
+	var allocs float64
+	h.Spawn("w", func(th *host.Thread) {
+		park := func() {
+			th.BeginWork()
+			th.Work(1000)
+			th.EndWorkLazy()
+			th.WaitSignal(sig, sim.Millisecond)
+		}
+		c.Env.At(300, wake)
+		park() // woken 300 ns into its 1000 ns residue: 700 ns overlap
+		woke = append(woke, th.P.Now())
+		park() // times out long after its residue ran out: none
+		woke = append(woke, th.P.Now())
+		// AllocsPerRun parks twice (a warm-up and the measured run), each
+		// woken 10 ns into 1000 ns of residue.
+		allocs = testing.AllocsPerRun(1, func() {
+			c.Env.At(10, wake)
+			park()
+		})
+	})
+	c.Env.Run()
+	if want := []sim.Time{300, 300 + sim.Millisecond}; len(woke) != 2 || woke[0] != want[0] || woke[1] != want[1] {
+		t.Fatalf("woke at %v, want %v", woke, want)
+	}
+	if want := uint64(700 + 2*990); h.CPUOverlapNs != want {
+		t.Fatalf("overlap_ns = %d, want %d", h.CPUOverlapNs, want)
+	}
+	if allocs != 0 {
+		t.Fatalf("%v allocs per park, want 0", allocs)
+	}
+}
