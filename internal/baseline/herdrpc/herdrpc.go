@@ -69,6 +69,7 @@ func NewServer(h *host.Host, cfg ServerConfig) *Server {
 		qp := h.NIC.CreateQP(nic.UD, cq, cq)
 		w := s.AddWorker()
 		w.CQ, w.QP = cq, qp
+		// Every write wakes every worker; striping (nic.WatchZones) waits on ROADMAP 21.
 		h.NIC.WatchRegion(s.Req.RKey(), w.Sig)
 	}
 	return s

@@ -70,6 +70,7 @@ func NewServer(h *host.Host, cfg ServerConfig) *Server {
 	s.Req = s.NewReqPool(cfg.BlocksPerClient, cfg.MaxClients, cfg.ParseCost)
 	s.roster = ctrlplane.NewRoster("rawrpc", cfg.MaxClients, placement{s})
 	for i := 0; i < cfg.Workers; i++ {
+		// Every write wakes every worker; striping (nic.WatchZones) waits on ROADMAP 21.
 		h.NIC.WatchRegion(s.Req.RKey(), s.AddWorker().Sig)
 	}
 	return s

@@ -479,6 +479,7 @@ type inAct struct {
 	kind   inKind
 	qp     *QP
 	rkey   uint32       // region whose watchers the commit wakes
+	off    uint64       // region offset of the bytes the commit lands
 	mem    []byte       // translated host memory the commit reads or writes
 	wrID   uint64       // inSend, inSendError: the consumed recv WQE
 	status CQEStatus    // inSendError
@@ -525,7 +526,7 @@ func (n *NIC) processIn(pkt *packet) (occ sim.Duration, act inAct) {
 		_, allocs := n.llc.DMAWrite(pkt.raddr, uint64(len(pkt.data)))
 		n.bus.RecordDeviceWrite(pkt.raddr, uint64(len(pkt.data)), n.llc.LineSize(), allocs)
 		occ += allocStall(allocs, n.cost.WriteAllocatePenalty)
-		return occ, inAct{kind: inWrite, qp: qp, rkey: reg.RKey, mem: dst}
+		return occ, inAct{kind: inWrite, qp: qp, rkey: reg.RKey, off: pkt.raddr - reg.Base, mem: dst}
 
 	case pktSend:
 		occ = n.Cfg.InboundSendCost
@@ -567,7 +568,7 @@ func (n *NIC) processIn(pkt *packet) (occ sim.Duration, act inAct) {
 		_, allocs := n.llc.DMAWrite(rwr.LAddr, uint64(len(pkt.data)))
 		n.bus.RecordDeviceWrite(rwr.LAddr, uint64(len(pkt.data)), n.llc.LineSize(), allocs)
 		occ += allocStall(allocs, n.cost.WriteAllocatePenalty)
-		return occ, inAct{kind: inSend, qp: qp, rkey: reg.RKey, mem: dst, wrID: rwr.WRID}
+		return occ, inAct{kind: inSend, qp: qp, rkey: reg.RKey, off: rwr.LAddr - reg.Base, mem: dst, wrID: rwr.WRID}
 
 	case pktReadReq:
 		occ = n.Cfg.InboundReadCost
@@ -616,7 +617,7 @@ func (n *NIC) processIn(pkt *packet) (occ sim.Duration, act inAct) {
 		occ += n.chargeMTT(reg, pkt.raddr, 8)
 		n.bus.RecordDMARead(1)
 		n.Stats.AtomicOps++
-		return occ, inAct{kind: inAtomic, qp: qp, rkey: reg.RKey, mem: buf}
+		return occ, inAct{kind: inAtomic, qp: qp, rkey: reg.RKey, off: pkt.raddr - reg.Base, mem: buf}
 
 	case pktAck, pktNak, pktRnrNak:
 		occ = n.Cfg.InboundAckCost
@@ -643,7 +644,7 @@ func (n *NIC) processIn(pkt *packet) (occ sim.Duration, act inAct) {
 					_, allocs := n.llc.DMAWrite(wr.LAddr, uint64(len(pkt.data)))
 					n.bus.RecordDeviceWrite(wr.LAddr, uint64(len(pkt.data)), n.llc.LineSize(), allocs)
 					occ += allocStall(allocs, n.cost.WriteAllocatePenalty)
-					act.kind, act.rkey, act.mem = inRespData, reg.RKey, dst
+					act.kind, act.rkey, act.off, act.mem = inRespData, reg.RKey, wr.LAddr-reg.Base, dst
 				}
 			}
 		}
@@ -666,18 +667,18 @@ func (n *NIC) commitIn(pkt *packet, a *inAct) {
 			// pkt.data, so the packet must not re-enter the pool when this
 			// commit returns.
 			pkt.noRecycle = true
-			dst, rkey := a.mem, a.rkey
+			dst, rkey, off := a.mem, a.rkey, a.off
 			last := len(pkt.data) - 1
 			copy(dst[:last], pkt.data[:last])
-			n.wakeWatches(rkey) // pollers may observe the partial state
+			n.wakeWatches(rkey, off, last) // pollers may observe the partial state
 			n.env.At(n.Cfg.TornWriteDelay, func() {
 				dst[last] = pkt.data[last]
-				n.finishWrite(pkt, qp, rkey)
+				n.finishWrite(pkt, qp, rkey, off)
 			})
 			return
 		}
 		copy(a.mem, pkt.data)
-		n.finishWrite(pkt, qp, a.rkey)
+		n.finishWrite(pkt, qp, a.rkey, a.off)
 
 	case inSendError:
 		qp.RecvCQ.push(CQE{WRID: a.wrID, QPN: qp.QPN, Op: OpSend, Status: a.status,
@@ -690,7 +691,7 @@ func (n *NIC) commitIn(pkt *packet, a *inAct) {
 			ByteLen: len(pkt.data), Imm: pkt.imm, ImmValid: pkt.immValid,
 			SrcNIC: pkt.srcNIC, SrcQPN: pkt.srcQPN,
 		})
-		n.wakeWatches(a.rkey)
+		n.wakeWatches(a.rkey, a.off, len(a.mem))
 		n.ackData(pkt)
 
 	case inReadReq:
@@ -718,7 +719,7 @@ func (n *NIC) commitIn(pkt *packet, a *inAct) {
 		}
 		_, allocs := n.llc.DMAWrite(pkt.raddr, 8)
 		n.bus.RecordDeviceWrite(pkt.raddr, 8, n.llc.LineSize(), allocs)
-		n.wakeWatches(a.rkey)
+		n.wakeWatches(a.rkey, a.off, len(buf))
 		if pkt.transport == RC {
 			qp.rememberAtomic(pkt.psn, old)
 		}
@@ -736,7 +737,7 @@ func (n *NIC) commitIn(pkt *packet, a *inAct) {
 
 	case inRespData:
 		copy(a.mem, pkt.data)
-		n.wakeWatches(a.rkey)
+		n.wakeWatches(a.rkey, a.off, len(a.mem))
 		qp.handleResp(pkt)
 	case inResp:
 		qp.handleResp(pkt)
@@ -745,7 +746,7 @@ func (n *NIC) commitIn(pkt *packet, a *inAct) {
 
 // finishWrite completes an inbound WRITE once its last byte has landed:
 // the immediate's recv completion, the pollers' wake-up and the ACK.
-func (n *NIC) finishWrite(pkt *packet, qp *QP, rkey uint32) {
+func (n *NIC) finishWrite(pkt *packet, qp *QP, rkey uint32, off uint64) {
 	if pkt.op == pktWriteImm {
 		if wr, ok := qp.popRecv(); ok {
 			qp.RecvCQ.push(CQE{
@@ -757,7 +758,7 @@ func (n *NIC) finishWrite(pkt *packet, qp *QP, rkey uint32) {
 			n.Stats.RNRDrops++
 		}
 	}
-	n.wakeWatches(rkey)
+	n.wakeWatches(rkey, off, len(pkt.data))
 	n.ackData(pkt)
 }
 

@@ -29,6 +29,7 @@ package nic
 
 import (
 	"fmt"
+	"math"
 
 	"scalerpc/internal/cachesim"
 	"scalerpc/internal/fabric"
@@ -240,7 +241,7 @@ type NIC struct {
 	outStepFn, inStepFn, inDoneFn func()
 	xmitFn, sendRespFn            func(any)
 
-	watches map[uint32][]*sim.Signal // rkey → signals woken on DMA write
+	watches map[uint32][]watch // rkey → registrations woken on DMA write
 
 	// pool recycles packets, fabric messages and payload buffers
 	// (see pool.go for the ownership contract).
@@ -285,7 +286,7 @@ func New(cfg Config, d Deps) *NIC {
 		rng:     d.RNG,
 		qps:     make(map[uint32]*QP),
 		nextQPN: 1,
-		watches: make(map[uint32][]*sim.Signal),
+		watches: make(map[uint32][]watch),
 		trace:   telemetry.Scope{}.Trace(),
 	}
 	// On-NIC caches use randomized replacement (realistic gradual
@@ -359,13 +360,34 @@ func (n *NIC) Env() *sim.Env { return n.env }
 // Mem returns the host memory registry this NIC translates against.
 func (n *NIC) Mem() *memory.Registry { return n.mem }
 
+// watch is one DMA-write registration on a region: a write touching zone
+// z — zoneBytes wide, counted from the region base — wakes
+// sigs[z%len(sigs)].
+type watch struct {
+	zoneBytes uint64
+	sigs      []*sim.Signal
+}
+
 // WatchRegion registers sig to be woken whenever the NIC DMA-writes into
-// the region identified by rkey. This stands in for the cache-coherent
-// memory polling a real server does in a tight loop: the simulated poller
-// still pays the modelled scan cost, but does not burn simulator events
-// while the region is quiet.
+// the region identified by rkey: WatchZones with one signal and the whole
+// region as one zone. This stands in for the cache-coherent memory
+// polling a real server does in a tight loop: the simulated poller still
+// pays the modelled scan cost, but does not burn simulator events while
+// the region is quiet.
 func (n *NIC) WatchRegion(rkey uint32, sig *sim.Signal) {
-	n.watches[rkey] = append(n.watches[rkey], sig)
+	n.watches[rkey] = append(n.watches[rkey], watch{math.MaxUint64, []*sim.Signal{sig}})
+}
+
+// WatchZones registers pollers that each own a stripe of the region
+// identified by rkey. The region is cut into zoneBytes-wide zones from its
+// base; a DMA write wakes sigs[z%len(sigs)] for every zone z the written
+// range touches, so a poller that sweeps zones i, i+len(sigs), … is woken
+// only by writes into its own stripe.
+func (n *NIC) WatchZones(rkey uint32, zoneBytes int, sigs []*sim.Signal) {
+	if zoneBytes <= 0 || len(sigs) == 0 {
+		panic("nic: WatchZones needs a positive zone size and at least one signal")
+	}
+	n.watches[rkey] = append(n.watches[rkey], watch{uint64(zoneBytes), sigs})
 }
 
 // DropNextDataPackets arranges for the next k incoming RC data packets to
@@ -419,9 +441,17 @@ func (n *NIC) chargeMTT(r *memory.Region, addr uint64, size int) sim.Duration {
 	return extra
 }
 
-func (n *NIC) wakeWatches(rkey uint32) {
-	for _, s := range n.watches[rkey] {
-		s.Broadcast()
+// wakeWatches wakes the owners of the zones that size bytes written at
+// region offset off touch (a zero-length write touches the zone at off).
+func (n *NIC) wakeWatches(rkey uint32, off uint64, size int) {
+	for _, w := range n.watches[rkey] {
+		first, last := off/w.zoneBytes, off/w.zoneBytes
+		if size > 0 {
+			last = (off + uint64(size) - 1) / w.zoneBytes
+		}
+		for z := first; z <= last; z++ {
+			w.sigs[z%uint64(len(w.sigs))].Broadcast()
+		}
 	}
 }
 

@@ -164,10 +164,12 @@ func TestEarlySwitchCutsOpenLoopTail(t *testing.T) {
 
 // TestClosedLoopsTakeNoEarlySwitch: the three prototypes the rule's
 // conjuncts answer. Each closed loop keeps its server's cores, its link or
-// its round trips busy for the whole slice, so no slice is cut and the run
-// is the parent build's to the request (served counts taken on 5b7171f).
-// Drivers start after the first slice, which serves nobody — group 0 was
-// never warmed — and so would rightly be cut.
+// its round trips busy for the whole slice, so no slice is cut. The served
+// counts are exact, and were re-recorded when pool writes began waking only
+// the worker whose stripe they land in (nic.WatchZones): the rotation is
+// unchanged, but the workers' wake order moved the trajectories. Drivers
+// start after the first slice, which serves nobody — group 0 was never
+// warmed — and so would rightly be cut.
 func TestClosedLoopsTakeNoEarlySwitch(t *testing.T) {
 	const horizon = 3 * sim.Millisecond
 	for _, tc := range []struct {
@@ -179,14 +181,14 @@ func TestClosedLoopsTakeNoEarlySwitch(t *testing.T) {
 		payload    func(h uint8) int
 		wantServed uint64
 	}{
-		{"saturated: 120 clients, batch 8", 120, 40, 8, []uint8{1}, func(uint8) int { return 32 }, 30181},
+		{"saturated: 120 clients, batch 8", 120, 40, 8, []uint8{1}, func(uint8) int { return 32 }, 31770},
 		{"link-bound: 2 KB gets beside 2 KB puts", 80, 40, 4, []uint8{2, 3}, func(h uint8) int {
 			if h == 3 {
 				return 2048
 			}
 			return 16
-		}, 13422},
-		{"latency-bound: batch 1", 80, 40, 1, []uint8{1}, func(uint8) int { return 32 }, 25905},
+		}, 13344},
+		{"latency-bound: batch 1", 80, 40, 1, []uint8{1}, func(uint8) int { return 32 }, 26076},
 	} {
 		c, s := rotationServer(6, tc.groupSize, 1, false)
 		for i := 0; i < tc.clients; i++ {
@@ -205,7 +207,7 @@ func TestClosedLoopsTakeNoEarlySwitch(t *testing.T) {
 			t.Errorf("%s: %d early switches of %d", tc.name, s.Stats.EarlySwitches, s.Stats.Switches)
 		}
 		if s.Stats.Served != tc.wantServed {
-			t.Errorf("%s: served %d over %d switches, the parent build served %d", tc.name, s.Stats.Served, s.Stats.Switches, tc.wantServed)
+			t.Errorf("%s: served %d over %d switches, want %d", tc.name, s.Stats.Served, s.Stats.Switches, tc.wantServed)
 		}
 		c.Close()
 	}

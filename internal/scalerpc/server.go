@@ -261,6 +261,7 @@ func NewServer(h *host.Host, cfg ServerConfig) *Server {
 		reg := h.Mem.Register(poolBytes, memory.PageSize2M, memory.LocalWrite|memory.RemoteWrite)
 		s.pools[p] = rpcwire.NewPool(reg, rpcwire.BlockSize, cfg.BlocksPerClient, zones)
 	}
+	var sigs []*sim.Signal
 	for i := 0; i < cfg.Workers; i++ {
 		w := &worker{
 			s:       s,
@@ -269,14 +270,17 @@ func NewServer(h *host.Host, cfg ServerConfig) *Server {
 			scratch: h.Mem.Register(rpcwire.BlockSize*scratchRing, memory.PageSize2M, memory.LocalWrite),
 			buf:     make([]byte, rpcwire.BlockSize),
 		}
-		// Workers wake on writes into either pool.
-		h.NIC.WatchRegion(s.pools[0].RKey(), w.sig)
-		h.NIC.WatchRegion(s.pools[1].RKey(), w.sig)
 		ws := srv.Scope(fmt.Sprintf("w%d", i))
 		ws.CounterVar("sweeps", &w.Sweeps)
 		ws.CounterVar("sleeps", &w.Sleeps)
 		ws.CounterVar("served", &w.Served)
 		s.workers = append(s.workers, w)
+		sigs = append(sigs, w.sig)
+	}
+	// A write into zone z of either pool wakes only worker z mod Workers,
+	// the one whose sweep covers that zone.
+	for _, pool := range s.pools {
+		h.NIC.WatchZones(pool.RKey(), rpcwire.BlockSize*cfg.BlocksPerClient, sigs)
 	}
 	return s
 }
