@@ -19,6 +19,7 @@ package cachesim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"scalerpc/internal/telemetry"
@@ -45,12 +46,49 @@ func (s Stats) MissRate() float64 {
 	return float64(s.CPUReadMisses) / float64(total)
 }
 
+// MaxWays is the largest associativity a set record holds; New panics past
+// it.
+const MaxWays = 20
+
+// chunkSets set records are allocated together, on the first touch of any
+// of them.
+const (
+	chunkShift = 4
+	chunkSets  = 1 << chunkShift
+)
+
+// set is one cache set. Only Flush invalidates, and it drops whole records,
+// so the valid ways are always the prefix [0, valid) and a miss with room
+// takes way valid. The record is 256 bytes, so a chunk fills its 4 KB size
+// class and each record starts on a host cache line; the fields an MRU hit
+// reads come first. A per-way owner tag for miss attribution would take
+// the padding and grow the record.
+type set struct {
+	// mru is the last way touched. Poll loops touch the same handful of
+	// lines over and over; checking the hinted way first turns the common
+	// lookup into one compare instead of a way scan. Purely an
+	// accelerator: hit/miss/eviction decisions are unchanged.
+	mru    uint8
+	valid  uint8           // number of valid ways
+	ddio   uint32          // bit w: way w was allocated by DMA and not yet touched by the CPU
+	tags   [MaxWays]uint32 // tag+1; 0 means invalid
+	stamps [MaxWays]uint64 // clock value at each way's last touch
+	_      [8]byte
+}
+
+type chunk [chunkSets]set
+
 // Cache is a set-associative LRU cache. It is not safe for concurrent use;
 // in the simulator all accesses happen on the single scheduler goroutine.
 //
-// Line state is stored structure-of-arrays: tag lookups — the hot operation
-// of every simulated memory touch — scan a contiguous run of 8-byte tags
-// instead of striding over a struct array.
+// Each set is one record (tags, stamps, DDIO bits, valid count, MRU way),
+// so a touch reads one record. Records live in chunks of chunkSets
+// allocated on first touch: a run touches a small fraction of a host's
+// sets, and untouched ones hold no memory.
+//
+// Replacement is LRU by a global clock that stamps every touch. A hit only
+// restamps its way, so it stays O(1) beyond the tag lookup; per-set recency
+// ranks would make every non-MRU hit re-rank the set.
 type Cache struct {
 	Stats
 	lineSize uint64
@@ -62,21 +100,15 @@ type Cache struct {
 	linePow2  bool
 	lineShift uint
 	setShift  uint
-	tags      []uint64 // tag+1; 0 means invalid
-	stamps    []uint64 // per-set LRU clock value at last touch
-	ddio      []bool   // allocated by DMA and not yet read by the CPU
-	// mru caches the last way touched per set. Poll loops touch the same
-	// handful of lines over and over; checking the hinted way first turns
-	// the common lookup into one compare instead of a full way scan. Purely
-	// an accelerator: hit/miss/eviction decisions are unchanged.
-	mru   []int32
-	clock uint64
+	allWays   uint32   // mask of ways [0, ways)
+	chunks    []*chunk // nil until one of the chunk's sets is touched
+	clock     uint64
 }
 
 // Config describes a cache geometry.
 type Config struct {
 	SizeBytes int // total capacity
-	Ways      int // associativity
+	Ways      int // associativity, at most MaxWays
 	LineSize  int // bytes per line (typically 64)
 	DDIOWays  int // max ways per set occupied by unread DMA data
 }
@@ -86,6 +118,9 @@ type Config struct {
 func New(cfg Config) *Cache {
 	if cfg.LineSize <= 0 || cfg.Ways <= 0 || cfg.SizeBytes <= 0 {
 		panic("cachesim: invalid config")
+	}
+	if cfg.Ways > MaxWays {
+		panic(fmt.Sprintf("cachesim: %d ways exceed MaxWays (%d)", cfg.Ways, MaxWays))
 	}
 	if cfg.DDIOWays <= 0 || cfg.DDIOWays > cfg.Ways {
 		panic(fmt.Sprintf("cachesim: DDIOWays %d out of range (ways=%d)", cfg.DDIOWays, cfg.Ways))
@@ -98,17 +133,14 @@ func New(cfg Config) *Cache {
 	for sets&(sets-1) != 0 {
 		sets &= sets - 1
 	}
-	n := int(sets) * cfg.Ways
 	c := &Cache{
 		lineSize: uint64(cfg.LineSize),
 		sets:     sets,
 		ways:     cfg.Ways,
 		ddioWays: cfg.DDIOWays,
 		setShift: uint(bits.TrailingZeros64(sets)),
-		tags:     make([]uint64, n),
-		stamps:   make([]uint64, n),
-		ddio:     make([]bool, n),
-		mru:      make([]int32, sets),
+		allWays:  1<<cfg.Ways - 1,
+		chunks:   make([]*chunk, (sets+chunkSets-1)>>chunkShift),
 	}
 	if c.lineSize&(c.lineSize-1) == 0 {
 		c.linePow2 = true
@@ -130,169 +162,125 @@ func (c *Cache) lineNo(addr uint64) uint64 {
 	return addr / c.lineSize
 }
 
-// setOf maps a line number to its set and the line's tag (tag+1, so 0
-// stays "invalid"). The set's ways start at set*ways in the SoA arrays.
-func (c *Cache) setOf(lineNo uint64) (set int, tag uint64) {
-	return int(lineNo & (c.sets - 1)), lineNo>>c.setShift + 1
+// checkTag panics if lineNo's tag does not fit in 32 bits, rather than
+// alias another line. Tags grow with the line number, so checking an
+// access's last line covers all of it.
+func (c *Cache) checkTag(lineNo uint64) {
+	if lineNo>>c.setShift >= math.MaxUint32 {
+		tagOverflow(lineNo)
+	}
 }
 
-// lookup returns the way index holding tag in the set, or -1. The MRU hint
-// is checked first; on a full-scan hit the hint is refreshed.
-func (c *Cache) lookup(set int, tag uint64) int {
-	setBase := set * c.ways
-	if m := c.mru[set]; c.tags[setBase+int(m)] == tag {
+// tagOverflow is checkTag's panic, kept out of line so checkTag inlines.
+//
+//go:noinline
+func tagOverflow(lineNo uint64) {
+	panic(fmt.Sprintf("cachesim: line %#x is past the 32-bit tag range", lineNo))
+}
+
+// setOf returns the record of lineNo's set, allocating its chunk on first
+// touch, and the line's tag (tag+1, so 0 stays "invalid").
+func (c *Cache) setOf(lineNo uint64) (*set, uint32) {
+	idx := lineNo & (c.sets - 1)
+	ch := c.chunks[idx>>chunkShift]
+	if ch == nil {
+		ch = new(chunk)
+		c.chunks[idx>>chunkShift] = ch
+	}
+	return &ch[idx&(chunkSets-1)], uint32(lineNo>>c.setShift + 1)
+}
+
+// lookup returns the way holding tag, or -1. The MRU hint is checked
+// first; on a scan hit the hint is refreshed.
+func (s *set) lookup(tag uint32) int {
+	if m := s.mru; s.tags[m] == tag {
 		return int(m)
 	}
-	tags := c.tags[setBase : setBase+c.ways]
-	for w, t := range tags {
+	for w, t := range s.tags[:s.valid] {
 		if t == tag {
-			c.mru[set] = int32(w)
+			s.mru = uint8(w)
 			return w
 		}
 	}
 	return -1
 }
 
-// victim returns the way to replace for a CPU allocation: an invalid way if
-// any, else the LRU way.
-func (c *Cache) victim(setBase int) int {
+// oldest returns the way with the smallest stamp among the ways in mask.
+// Stamps are unique, so there are no ties.
+func (s *set) oldest(mask uint32) int {
 	best, bestStamp := 0, ^uint64(0)
-	for w := 0; w < c.ways; w++ {
-		if c.tags[setBase+w] == 0 {
-			return w
-		}
-		if s := c.stamps[setBase+w]; s < bestStamp {
-			best, bestStamp = w, s
+	for ; mask != 0; mask &= mask - 1 {
+		w := bits.TrailingZeros32(mask)
+		if st := s.stamps[w]; st < bestStamp {
+			best, bestStamp = w, st
 		}
 	}
 	return best
 }
 
-// touchRead handles one line of a CPU read; reports whether it hit.
-func (c *Cache) touchRead(set int, tag uint64) bool {
-	setBase := set * c.ways
-	c.clock++
-	if w := c.lookup(set, tag); w >= 0 {
-		i := setBase + w
-		c.stamps[i] = c.clock
-		c.ddio[i] = false // adopted by the CPU
-		c.CPUReadHits++
-		return true
-	}
-	c.CPUReadMisses++
-	w := c.victim(setBase)
-	i := setBase + w
-	if c.tags[i] != 0 {
+// miss installs tag in s at the current clock. It takes the lowest invalid
+// way; else, for a DDIO write (Write Allocate) whose set already holds
+// DDIOWays DMA lines, the oldest of those; else the set's LRU way.
+func (c *Cache) miss(s *set, tag uint32, dma bool) {
+	var w int
+	switch {
+	case int(s.valid) < c.ways:
+		w = int(s.valid)
+		s.valid++
+	case dma && bits.OnesCount32(s.ddio) >= c.ddioWays:
+		w = s.oldest(s.ddio)
+		c.DMAEvictions++
+		c.Evictions++
+	default:
+		w = s.oldest(c.allWays)
 		c.Evictions++
 	}
-	c.tags[i], c.stamps[i], c.ddio[i] = tag, c.clock, false
-	c.mru[set] = int32(w)
-	return false
+	s.tags[w], s.stamps[w], s.mru = tag, c.clock, uint8(w)
+	if dma {
+		s.ddio |= 1 << w
+	} else {
+		s.ddio &^= 1 << w
+	}
+}
+
+// cpu touches every line of [addr, addr+size) as CPU loads or stores. A hit
+// restamps its way and adopts a DDIO line as ordinary data.
+func (c *Cache) cpu(addr, size uint64) (hits, misses int) {
+	if size == 0 {
+		return
+	}
+	first, last := c.lineNo(addr), c.lineNo(addr+size-1)
+	c.checkTag(last)
+	for lineNo := first; lineNo <= last; lineNo++ {
+		s, tag := c.setOf(lineNo)
+		c.clock++
+		if w := s.lookup(tag); w >= 0 {
+			s.stamps[w] = c.clock
+			s.ddio &^= 1 << w
+			hits++
+			continue
+		}
+		c.miss(s, tag, false)
+		misses++
+	}
+	return hits, misses
 }
 
 // CPURead touches [addr, addr+size) as CPU loads and returns the number of
 // lines that hit and missed.
 func (c *Cache) CPURead(addr, size uint64) (hits, misses int) {
-	if size == 0 {
-		return
-	}
-	first, last := c.lineNo(addr), c.lineNo(addr+size-1)
-	for lineNo := first; lineNo <= last; lineNo++ {
-		if c.touchRead(c.setOf(lineNo)) {
-			hits++
-		} else {
-			misses++
-		}
-	}
+	hits, misses = c.cpu(addr, size)
+	c.CPUReadHits += uint64(hits)
+	c.CPUReadMisses += uint64(misses)
 	return hits, misses
-}
-
-// touchWrite handles one line of a CPU store; reports whether it hit.
-func (c *Cache) touchWrite(set int, tag uint64) bool {
-	setBase := set * c.ways
-	c.clock++
-	if w := c.lookup(set, tag); w >= 0 {
-		i := setBase + w
-		c.stamps[i] = c.clock
-		c.ddio[i] = false
-		c.CPUWriteHits++
-		return true
-	}
-	c.CPUWriteMisses++
-	w := c.victim(setBase)
-	i := setBase + w
-	if c.tags[i] != 0 {
-		c.Evictions++
-	}
-	c.tags[i], c.stamps[i], c.ddio[i] = tag, c.clock, false
-	c.mru[set] = int32(w)
-	return false
 }
 
 // CPUWrite touches [addr, addr+size) as CPU stores (write-allocate policy).
 func (c *Cache) CPUWrite(addr, size uint64) (hits, misses int) {
-	if size == 0 {
-		return
-	}
-	first, last := c.lineNo(addr), c.lineNo(addr+size-1)
-	for lineNo := first; lineNo <= last; lineNo++ {
-		if c.touchWrite(c.setOf(lineNo)) {
-			hits++
-		} else {
-			misses++
-		}
-	}
+	hits, misses = c.cpu(addr, size)
+	c.CPUWriteHits += uint64(hits)
+	c.CPUWriteMisses += uint64(misses)
 	return hits, misses
-}
-
-// touchDMA handles one line of a DDIO write; reports whether it updated in
-// place (versus write-allocated).
-func (c *Cache) touchDMA(set int, tag uint64) bool {
-	setBase := set * c.ways
-	c.clock++
-	if w := c.lookup(set, tag); w >= 0 {
-		// Write Update: in-place, keeps current DDIO status.
-		c.stamps[setBase+w] = c.clock
-		c.DMAUpdates++
-		return true
-	}
-	c.DMAAllocs++
-	// Write Allocate, restricted to the DDIO way budget: prefer an
-	// invalid way; otherwise, if the set already holds DDIOWays dma
-	// lines, replace the oldest of those; otherwise replace global LRU.
-	invalid, oldestDDIO, ddioCount := -1, -1, 0
-	var oldestDDIOStamp uint64 = ^uint64(0)
-	for w := 0; w < c.ways; w++ {
-		i := setBase + w
-		if c.tags[i] == 0 {
-			if invalid < 0 {
-				invalid = w
-			}
-			continue
-		}
-		if c.ddio[i] {
-			ddioCount++
-			if s := c.stamps[i]; s < oldestDDIOStamp {
-				oldestDDIO, oldestDDIOStamp = w, s
-			}
-		}
-	}
-	var w int
-	switch {
-	case invalid >= 0:
-		w = invalid
-	case ddioCount >= c.ddioWays:
-		w = oldestDDIO
-		c.DMAEvictions++
-		c.Evictions++
-	default:
-		w = c.victim(setBase)
-		c.Evictions++
-	}
-	i := setBase + w
-	c.tags[i], c.stamps[i], c.ddio[i] = tag, c.clock, true
-	c.mru[set] = int32(w)
-	return false
 }
 
 // DMAWrite performs a DDIO write of [addr, addr+size) and returns how many
@@ -302,28 +290,39 @@ func (c *Cache) DMAWrite(addr, size uint64) (updates, allocs int) {
 		return
 	}
 	first, last := c.lineNo(addr), c.lineNo(addr+size-1)
+	c.checkTag(last)
 	for lineNo := first; lineNo <= last; lineNo++ {
-		if c.touchDMA(c.setOf(lineNo)) {
+		s, tag := c.setOf(lineNo)
+		c.clock++
+		if w := s.lookup(tag); w >= 0 {
+			// Write Update: in-place, keeps current DDIO status.
+			s.stamps[w] = c.clock
 			updates++
-		} else {
-			allocs++
+			continue
 		}
+		c.miss(s, tag, true)
+		allocs++
 	}
+	c.DMAUpdates += uint64(updates)
+	c.DMAAllocs += uint64(allocs)
 	return updates, allocs
 }
 
 // Contains reports whether the line holding addr is resident (no LRU touch).
+// An untouched set stays unallocated.
 func (c *Cache) Contains(addr uint64) bool {
-	set, tag := c.setOf(c.lineNo(addr))
-	return c.lookup(set, tag) >= 0
+	lineNo := c.lineNo(addr)
+	if lineNo>>c.setShift >= math.MaxUint32 {
+		return false // never touched: checkTag would have panicked
+	}
+	idx := lineNo & (c.sets - 1)
+	ch := c.chunks[idx>>chunkShift]
+	return ch != nil && ch[idx&(chunkSets-1)].lookup(uint32(lineNo>>c.setShift+1)) >= 0
 }
 
-// Flush invalidates the whole cache but keeps statistics.
-func (c *Cache) Flush() {
-	for i := range c.tags {
-		c.tags[i], c.stamps[i], c.ddio[i] = 0, 0, false
-	}
-}
+// Flush invalidates the whole cache but keeps statistics. It drops every
+// set record; the next touch of a set allocates a fresh one.
+func (c *Cache) Flush() { clear(c.chunks) }
 
 // Reset zeroes the counters.
 func (c *Cache) Reset() { c.Stats = Stats{} }

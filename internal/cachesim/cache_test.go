@@ -1,6 +1,9 @@
 package cachesim
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -231,44 +234,201 @@ func TestPropertyResidencyNeverExceedsCapacity(t *testing.T) {
 	}
 }
 
-// TestMRUHintMatchesReferenceScan replays a seeded mixed CPU/DMA trace on
-// the hosts' default geometry (20 ways, 2 DDIO ways) through Cache and
-// through refCache, which states the same replacement policy with a full
-// way scan on every lookup and no MRU hint. The hint only accelerates
-// lookups, so every counter must agree.
+// TestMRUHintMatchesReferenceScan replays a seeded mixed CPU/DMA trace
+// through Cache and through refCache, which states the same replacement
+// policy with a full way scan on every lookup, no MRU hint and no packed set
+// records. Each geometry (ways/DDIO ways) must agree with the reference on
+// every call's return, on every counter, and on the residency of every
+// touched line, across a Flush in the middle of the trace.
 func TestMRUHintMatchesReferenceScan(t *testing.T) {
-	cfg := Config{SizeBytes: 30 << 20, Ways: 20, LineSize: 64, DDIOWays: 2}
-	c := New(cfg)
-	sets := uint64(c.SizeBytes() / (cfg.Ways * cfg.LineSize))
-	ref := newRefCache(int(sets), cfg.Ways, cfg.DDIOWays, cfg.LineSize)
-	q := NewRNGLike(7)
-	// Half the accesses go to a 256 KiB hot range that stays resident and
-	// hits through the hint; the rest crowd 256 tags into 64 sets, so those
-	// sets keep evicting and running out of DDIO ways.
-	for i := 0; i < 100_000; i++ {
-		r := q.next()
-		addr := r >> 8 % (256 << 10)
-		if r&1 == 1 {
-			addr = (r>>8%64+r>>20%256*sets)*64 + r>>32%64
-		}
-		size := 1 + r>>40%256
-		switch r >> 1 % 3 {
-		case 0:
-			c.CPURead(addr, size)
-			ref.access(refRead, addr, size)
-		case 1:
-			c.CPUWrite(addr, size)
-			ref.access(refWrite, addr, size)
-		default:
-			c.DMAWrite(addr, size)
-			ref.access(refDMA, addr, size)
+	for _, tc := range []struct {
+		size, ways, ddioWays int
+	}{
+		{64 << 10, 4, 1},
+		{256 << 10, 8, 2},
+		{1 << 20, 16, 2},
+		{30 << 20, 20, 2},               // the hosts' default geometry
+		{1 << 20, MaxWays, MaxWays / 2}, // the way cap, half of it DDIO
+	} {
+		t.Run(fmt.Sprintf("%dways_%dddio", tc.ways, tc.ddioWays), func(t *testing.T) {
+			cfg := Config{SizeBytes: tc.size, Ways: tc.ways, LineSize: 64, DDIOWays: tc.ddioWays}
+			c := New(cfg)
+			sets := uint64(c.SizeBytes() / (cfg.Ways * cfg.LineSize))
+			ref := newRefCache(int(sets), cfg.Ways, cfg.DDIOWays, cfg.LineSize)
+			touched := map[uint64]bool{}
+			hot := uint64(c.SizeBytes() / 80)
+			q := NewRNGLike(7)
+			// Half the accesses go to a hot range an eightieth of the cache
+			// that stays resident and hits through the hint; the rest crowd
+			// 256 tags into 64 sets at registry-like addresses (from 64 GB),
+			// so those sets keep evicting and running out of DDIO ways.
+			const n = 100_000
+			for i := 0; i < n; i++ {
+				if i == n/2 {
+					c.Flush()
+					refFlush(ref)
+					for line := range touched {
+						if c.Contains(line * 64) {
+							t.Fatalf("line %#x survived Flush", line*64)
+						}
+					}
+				}
+				r := q.next()
+				addr := r >> 8 % hot
+				if r&1 == 1 {
+					addr = 64<<30 + (r>>8%64+r>>20%256*sets)*64 + r>>32%64
+				}
+				size := 1 + r>>40%256
+				for line := addr / 64; line <= (addr+size-1)/64; line++ {
+					touched[line] = true
+				}
+				before := ref.Stats
+				var got, want [2]int
+				switch r >> 1 % 3 {
+				case 0:
+					got[0], got[1] = c.CPURead(addr, size)
+					ref.access(refRead, addr, size)
+					want = [2]int{int(ref.CPUReadHits - before.CPUReadHits), int(ref.CPUReadMisses - before.CPUReadMisses)}
+				case 1:
+					got[0], got[1] = c.CPUWrite(addr, size)
+					ref.access(refWrite, addr, size)
+					want = [2]int{int(ref.CPUWriteHits - before.CPUWriteHits), int(ref.CPUWriteMisses - before.CPUWriteMisses)}
+				default:
+					got[0], got[1] = c.DMAWrite(addr, size)
+					ref.access(refDMA, addr, size)
+					want = [2]int{int(ref.DMAUpdates - before.DMAUpdates), int(ref.DMAAllocs - before.DMAAllocs)}
+				}
+				if got != want {
+					t.Fatalf("access %d (op %d, addr %#x, size %d) returned %v, reference %v", i, r>>1%3, addr, size, got, want)
+				}
+			}
+			if got := c.Snapshot(); got != ref.Stats {
+				t.Fatalf("hinted cache %+v\nreference scan %+v", got, ref.Stats)
+			}
+			for line := range touched {
+				if got, want := c.Contains(line*64), refContains(ref, line); got != want {
+					t.Fatalf("line %#x resident %v, reference %v", line*64, got, want)
+				}
+			}
+			if s := ref.Stats; s.CPUReadHits == 0 || s.DMAUpdates == 0 || s.DMAEvictions == 0 || s.Evictions == s.DMAEvictions {
+				t.Fatalf("trace did not exercise hits, updates and both eviction kinds: %+v", s)
+			}
+		})
+	}
+}
+
+// refContains reports whether refCache holds line.
+func refContains(r *refCache, line uint64) bool {
+	tag := line / uint64(len(r.sets))
+	for _, l := range r.sets[line%uint64(len(r.sets))] {
+		if l.valid && l.tag == tag {
+			return true
 		}
 	}
-	if got := c.Snapshot(); got != ref.Stats {
-		t.Fatalf("hinted cache %+v\nreference scan %+v", got, ref.Stats)
+	return false
+}
+
+// refFlush invalidates every line of r, as Cache.Flush does.
+func refFlush(r *refCache) {
+	for _, set := range r.sets {
+		clear(set)
 	}
-	if s := ref.Stats; s.CPUReadHits == 0 || s.DMAUpdates == 0 || s.DMAEvictions == 0 || s.Evictions == s.DMAEvictions {
-		t.Fatalf("trace did not exercise hits, updates and both eviction kinds: %+v", s)
+}
+
+func TestNewPanicsPastMaxWays(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "MaxWays") {
+			t.Fatalf("New with %d ways: recovered %v, want a panic naming MaxWays", MaxWays+1, r)
+		}
+	}()
+	New(Config{SizeBytes: 1 << 20, Ways: MaxWays + 1, LineSize: 64, DDIOWays: 2})
+}
+
+// TestTagPastThirtyTwoBitsPanics: tags are stored in 32 bits, so a line
+// whose tag does not fit must panic instead of aliasing another line.
+func TestTagPastThirtyTwoBitsPanics(t *testing.T) {
+	// One set: a line's tag is its line number + 1.
+	cfg := Config{SizeBytes: 64, Ways: 1, LineSize: 64, DDIOWays: 1}
+	lastOK := uint64(math.MaxUint32-1) * 64
+	for _, op := range []struct {
+		name  string
+		touch func(c *Cache, addr, size uint64)
+	}{
+		{"CPURead", func(c *Cache, a, n uint64) { c.CPURead(a, n) }},
+		{"CPUWrite", func(c *Cache, a, n uint64) { c.CPUWrite(a, n) }},
+		{"DMAWrite", func(c *Cache, a, n uint64) { c.DMAWrite(a, n) }},
+	} {
+		c := New(cfg)
+		op.touch(c, lastOK, 64)
+		if !c.Contains(lastOK) {
+			t.Fatalf("%s: highest 32-bit tag not resident", op.name)
+		}
+		for _, a := range []struct{ addr, size uint64 }{{lastOK + 64, 1}, {lastOK, 65}, {1 << 40, 64}} {
+			func() {
+				defer func() {
+					if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "32-bit tag range") {
+						t.Fatalf("%s(%#x, %d): recovered %v, want a 32-bit tag panic", op.name, a.addr, a.size, r)
+					}
+				}()
+				op.touch(c, a.addr, a.size)
+			}()
+			if c.Contains(a.addr + a.size - 1) {
+				t.Fatalf("%s: line past the tag range reads resident", op.name)
+			}
+		}
+		if !c.Contains(lastOK) {
+			t.Fatalf("%s: a rejected touch evicted the resident line", op.name)
+		}
+	}
+}
+
+// TestAllocBudgetCacheTouch: set records are allocated one chunk at a time
+// on first touch, so a touch into a touched chunk allocates nothing, a new
+// chunk's first touch allocates once, and looking up an untouched set never
+// allocates.
+func TestAllocBudgetCacheTouch(t *testing.T) {
+	c := New(Config{SizeBytes: 30 << 20, Ways: 20, LineSize: 64, DDIOWays: 2})
+	const chunkBytes = chunkSets * 64
+	if a := testing.AllocsPerRun(100, func() {
+		c.Contains(5 * chunkBytes)
+	}); a != 0 {
+		t.Fatalf("Contains on an untouched set: %v allocs, want 0", a)
+	}
+	for i, ch := range c.chunks {
+		if ch != nil {
+			t.Fatalf("Contains allocated chunk %d", i)
+		}
+	}
+	c.CPURead(0, chunkBytes)
+	var i uint64
+	if a := testing.AllocsPerRun(100, func() {
+		i++
+		c.CPURead(i%chunkSets*64, 64)
+		c.CPUWrite((i+1)%chunkSets*64, 64)
+		c.DMAWrite((i+2)%chunkSets*64, 128)
+		c.CPURead(uint64(c.SizeBytes())/20*i, 64) // same set 0, new tags: misses and evictions
+	}); a != 0 {
+		t.Fatalf("touches into a touched chunk: %v allocs, want 0", a)
+	}
+	next := uint64(1)
+	for _, op := range []func(addr uint64){
+		func(a uint64) { c.CPURead(a, 64) },
+		func(a uint64) { c.CPUWrite(a, 64) },
+		func(a uint64) { c.DMAWrite(a, 64) },
+		func(a uint64) { c.DMAWrite(a, chunkBytes) }, // every set of the chunk
+	} {
+		if a := testing.AllocsPerRun(100, func() {
+			op(next * chunkBytes)
+			next++
+		}); a != 1 {
+			t.Fatalf("first touch of a chunk: %v allocs, want 1", a)
+		}
+	}
+	c.Flush()
+	for i, ch := range c.chunks {
+		if ch != nil {
+			t.Fatalf("Flush kept chunk %d", i)
+		}
 	}
 }
 
