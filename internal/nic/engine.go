@@ -329,11 +329,6 @@ func (n *NIC) deliver(msg *fabric.Message) {
 		pkt = cp
 		n.Stats.PayloadMangles++
 	}
-	if pkt.transport == UD && n.Cfg.UDLossRate > 0 && n.rng != nil && n.rng.Float64() < n.Cfg.UDLossRate {
-		n.Stats.UDDrops++
-		n.freePacket(pkt)
-		return
-	}
 	if n.dropNextData > 0 && pkt.transport == RC && pkt.op.isData() {
 		n.dropNextData--
 		n.freePacket(pkt)

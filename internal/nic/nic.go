@@ -68,10 +68,6 @@ type Config struct {
 	UDMTU     int // UD payload limit (4 KB per Table 1)
 	MaxMsg    int // RC/UC payload limit (2 GB per Table 1)
 
-	// UDLossRate drops incoming UD packets with this probability
-	// (unreliable datagram; default 0 — IB fabrics are lossless).
-	UDLossRate float64
-
 	// TornWriteDelay, when positive, commits inbound RDMA writes in two
 	// steps: every byte except the last lands first, and the final
 	// (highest-address) byte lands TornWriteDelay later. RDMA only
@@ -187,7 +183,6 @@ type Stats struct {
 	QPCTouchHits   uint64
 	QPCTouchMisses uint64
 	RNRDrops       uint64 // sends arriving with no posted recv (UD/UC drop; RC NAKs instead)
-	UDDrops        uint64 // injected unreliable-datagram losses
 	Retransmits    uint64 // retransmitted WQEs, any cause (NAK, timeout, RNR)
 	NAKs           uint64 // sequence-gap NAKs sent (responder side)
 	DCTConnects    uint64 // DCT context switches (connect packets sent)
@@ -216,7 +211,6 @@ type NIC struct {
 	bus  *pcie.Bus
 	llc  *cachesim.Cache
 	cost pcie.CostModel
-	rng  *stats.RNG
 
 	qps     map[uint32]*QP
 	nextQPN uint32
@@ -283,7 +277,6 @@ func New(cfg Config, d Deps) *NIC {
 		bus:     d.Bus,
 		llc:     d.LLC,
 		cost:    d.Cost,
-		rng:     d.RNG,
 		qps:     make(map[uint32]*QP),
 		nextQPN: 1,
 		watches: make(map[uint32][]watch),
@@ -323,7 +316,6 @@ func (n *NIC) Register(sc telemetry.Scope) {
 	sc.CounterVar("qpc.touch.hit", &n.Stats.QPCTouchHits)
 	sc.CounterVar("qpc.touch.miss", &n.Stats.QPCTouchMisses)
 	sc.CounterVar("rnr.drops", &n.Stats.RNRDrops)
-	sc.CounterVar("ud.drops", &n.Stats.UDDrops)
 	sc.CounterVar("retransmits", &n.Stats.Retransmits)
 	sc.CounterVar("naks", &n.Stats.NAKs)
 	sc.CounterVar("dct.connects", &n.Stats.DCTConnects)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"scalerpc/internal/cluster"
+	"scalerpc/internal/faults"
 	"scalerpc/internal/memory"
 	"scalerpc/internal/nic"
 	"scalerpc/internal/rpcwire"
@@ -410,10 +411,9 @@ func TestRCRetransmitAfterDrop(t *testing.T) {
 }
 
 func TestUDLossDropsSilently(t *testing.T) {
-	cfg := cluster.Default(2)
-	cfg.NIC.UDLossRate = 1.0 // drop everything
-	c := cluster.New(cfg)
+	c := cluster.New(cluster.Default(2))
 	defer c.Close()
+	plane := c.InstallFaults(faults.DropAll("ud-loss", 1.0)) // drop everything
 	a, b := c.Hosts[0], c.Hosts[1]
 	cqA, cqB := a.NIC.CreateCQ(), b.NIC.CreateCQ()
 	qa := a.NIC.CreateQP(nic.UD, cqA, cqA)
@@ -424,8 +424,8 @@ func TestUDLossDropsSilently(t *testing.T) {
 	qa.PostSend(nic.SendWR{Op: nic.OpSend, LKey: buf.LKey, LAddr: buf.Base, Len: 8,
 		DstNIC: 1, DstQPN: qb.QPN})
 	c.Env.Run()
-	if b.NIC.Stats.UDDrops != 1 {
-		t.Fatalf("UDDrops = %d, want 1", b.NIC.Stats.UDDrops)
+	if plane.Stats.Drops != 1 {
+		t.Fatalf("fault-plane drops = %d, want 1", plane.Stats.Drops)
 	}
 	if cqB.Len() != 0 {
 		t.Fatal("dropped datagram produced a completion")

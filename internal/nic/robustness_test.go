@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"scalerpc/internal/cluster"
+	"scalerpc/internal/faults"
 	"scalerpc/internal/memory"
 	"scalerpc/internal/nic"
 	"scalerpc/internal/sim"
@@ -129,10 +130,9 @@ func TestRepeatedLossEpisodes(t *testing.T) {
 }
 
 func TestHighUDLossStillDeliversSome(t *testing.T) {
-	cfg := cluster.Default(2)
-	cfg.NIC.UDLossRate = 0.5
-	c := cluster.New(cfg)
+	c := cluster.New(cluster.Default(2))
 	defer c.Close()
+	plane := c.InstallFaults(faults.DropAll("ud-loss", 0.5))
 	a, b := c.Hosts[0], c.Hosts[1]
 	cqA, cqB := a.NIC.CreateCQ(), b.NIC.CreateCQ()
 	qa := a.NIC.CreateQP(nic.UD, cqA, cqA)
@@ -149,7 +149,7 @@ func TestHighUDLossStillDeliversSome(t *testing.T) {
 	}
 	c.Env.Run()
 	delivered := cqB.Len()
-	dropped := int(b.NIC.Stats.UDDrops)
+	dropped := int(plane.Stats.Drops)
 	if delivered+dropped != 200 {
 		t.Fatalf("delivered %d + dropped %d != 200", delivered, dropped)
 	}

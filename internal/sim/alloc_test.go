@@ -8,29 +8,24 @@ import "testing"
 // workload but cannot gate a change.
 
 // TestAllocBudgetAtArg: scheduling and dispatching closure-free events
-// allocates nothing once the queue's slot arrays have been built, on either
-// scheduler.
+// allocates nothing once the wheel's slot arrays have been built.
 func TestAllocBudgetAtArg(t *testing.T) {
-	for _, sched := range []string{"wheel", "heap"} {
-		prev := SetDefaultScheduler(sched)
-		e := NewEnv()
-		SetDefaultScheduler(prev)
-		fired := 0
-		count := func(arg any) { *arg.(*int)++ }
-		round := func() {
-			for i := 0; i < 64; i++ {
-				e.AtArg(Duration(i*i%700), count, &fired) // ties, several wheel levels
-			}
-			e.Run()
+	e := NewEnv()
+	defer e.Close()
+	fired := 0
+	count := func(arg any) { *arg.(*int)++ }
+	round := func() {
+		for i := 0; i < 64; i++ {
+			e.AtArg(Duration(i*i%700), count, &fired) // ties, several wheel levels
 		}
-		round() // grow the queue
-		if got := testing.AllocsPerRun(50, round); got != 0 {
-			t.Errorf("%s: %v allocs per 64 AtArg events, want 0", sched, got)
-		}
-		if fired != 64*52 {
-			t.Errorf("%s: fired %d events, want %d", sched, fired, 64*52)
-		}
-		e.Close()
+		e.Run()
+	}
+	round() // grow the queue
+	if got := testing.AllocsPerRun(50, round); got != 0 {
+		t.Errorf("%v allocs per 64 AtArg events, want 0", got)
+	}
+	if fired != 64*52 {
+		t.Errorf("fired %d events, want %d", fired, 64*52)
 	}
 }
 

@@ -1,4 +1,4 @@
-package bench
+package sim_test
 
 import (
 	"bytes"
@@ -7,6 +7,10 @@ import (
 	"testing"
 
 	"scalerpc/internal/chaos"
+	"scalerpc/internal/cluster"
+	"scalerpc/internal/host"
+	"scalerpc/internal/loadgen"
+	"scalerpc/internal/scalerpc"
 	"scalerpc/internal/sim"
 )
 
@@ -17,15 +21,55 @@ import (
 // chaos.Result and loadgen.Report contain no wall-clock measurements — so
 // byte equality across schedulers is a sound assertion.
 type schedFingerprint struct {
-	name      string
 	chaosJSON [][]byte
 	macroJSON []byte
 	events    uint64
-	virtualNs int64
+	virtualNs sim.Time
 	// kernelOrder is the dispatch order of a scenario that interleaves all
 	// three event forms — At closures, closure-free AtArg and process
 	// wake-ups — at colliding instants (see eventFormOrder).
 	kernelOrder []int
+}
+
+// openLoopMacro runs the macro scenario — 256 open-loop Poisson clients
+// offering 2 Mops/s of 32 B echoes to one ScaleRPC server over 8 client
+// hosts, the ledger's echo_open_256 shape — for 200 µs of warmup and 1 ms
+// of measurement on seed 7. It returns the loadgen report, the number of
+// dispatched events and the final virtual clock.
+func openLoopMacro() (*loadgen.Report, uint64, sim.Time) {
+	const clients = 256
+	const clientHosts = 8
+	cfg := cluster.Default(1 + clientHosts)
+	cfg.Seed = 7
+	c := cluster.New(cfg)
+	defer c.Close()
+	s := scalerpc.NewServer(c.Hosts[0], scalerpc.DefaultServerConfig())
+	s.Register(1, func(t *host.Thread, _ uint16, req, out []byte) int {
+		t.Work(400)
+		return copy(out, req)
+	})
+	s.Start()
+
+	w := loadgen.Workload{
+		Name:        "macro",
+		OfferedRate: 2_000_000,
+		Arrival:     loadgen.ArrivalPoisson,
+		Warmup:      200 * sim.Microsecond,
+		Duration:    1 * sim.Millisecond,
+		Seed:        7,
+		Handler:     1,
+		Tenants:     []loadgen.TenantSpec{{Name: "all", Size: loadgen.FixedSize(32)}},
+	}
+	cl := make([]loadgen.Client, clients)
+	for i := range cl {
+		ch := c.Hosts[1+i%clientHosts]
+		sig := sim.NewSignal(c.Env)
+		cl[i] = loadgen.Client{Host: ch, Conn: s.Connect(ch, sig), Sig: sig}
+	}
+	runner := loadgen.NewRunner(w, cl, c.Telemetry.UniqueScope("loadgen"))
+	runner.Start(c.Env)
+	end := c.Env.RunUntil(runner.DrainDeadline() + 100*sim.Microsecond)
+	return runner.Report(), c.Env.Fired(), end
 }
 
 // eventFormOrder schedules At, AtArg and process events over a handful of
@@ -66,20 +110,18 @@ func eventFormOrder() []int {
 }
 
 // TestSchedulerEquivalence pins that the hierarchical timing wheel and the
-// binary-heap scheduler produce byte-identical simulations. The wheel must
+// reference binary heap produce byte-identical simulations. The wheel must
 // be a pure performance substitution: same (at, seq) dispatch order, same
-// event counts, same artifacts. It runs every chaos fault class plus the
-// loadgen macro scenario under each scheduler and compares fingerprints.
+// event counts, same artifacts. It runs every chaos fault class, the
+// open-loop macro scenario and eventFormOrder under each scheduler and
+// compares fingerprints.
 func TestSchedulerEquivalence(t *testing.T) {
-	run := func(sched string) schedFingerprint {
-		prev := sim.SetDefaultScheduler(sched)
-		defer sim.SetDefaultScheduler(prev)
-		fp := schedFingerprint{name: sched}
-
+	run := func(name string) schedFingerprint {
+		var fp schedFingerprint
 		for _, class := range chaos.Classes() {
 			res, err := chaos.Run(chaos.Config{Class: class, Seed: 5})
 			if err != nil {
-				t.Fatalf("%s/%s: %v", sched, class, err)
+				t.Fatalf("%s/%s: %v", name, class, err)
 			}
 			b, err := json.Marshal(res)
 			if err != nil {
@@ -87,16 +129,18 @@ func TestSchedulerEquivalence(t *testing.T) {
 			}
 			fp.chaosJSON = append(fp.chaosJSON, b)
 		}
-
-		m, rep := runSimSpeedMacroOnce(Options{Warmup: 200 * sim.Microsecond, Duration: 1 * sim.Millisecond, Seed: 7})
+		rep, events, end := openLoopMacro()
 		fp.macroJSON = rep.JSON()
-		fp.events = m.Events
-		fp.virtualNs = m.VirtualNs
+		fp.events = events
+		fp.virtualNs = end
 		fp.kernelOrder = eventFormOrder()
 		return fp
 	}
 
-	heap := run("heap")
+	heap := func() schedFingerprint {
+		defer sim.UseHeapScheduler()()
+		return run("heap")
+	}()
 	wheel := run("wheel")
 
 	for i, class := range chaos.Classes() {

@@ -25,8 +25,8 @@
 // Determinism: events fire in (time, sequence) order; the sequence number is
 // assigned at scheduling time, so two events scheduled for the same instant
 // fire in the order they were created. The event queue is a hierarchical
-// timing wheel (see wheel.go); the original binary heap is retained behind
-// SetDefaultScheduler for the equivalence tests.
+// timing wheel (see wheel.go); the package's tests keep a binary heap as
+// its reference implementation.
 package sim
 
 import (
@@ -73,68 +73,6 @@ type event struct {
 	arg any
 }
 
-// eventHeap is the binary-heap event store behind heapSched. The sift
-// routines are inlined here (rather than going through container/heap) so
-// events are never boxed through interface{}; extraction order is identical
-// because (at, seq) is a strict total order.
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-func (h eventHeap) down(i int) {
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		j := l
-		if r := l + 1; r < n && h.less(r, l) {
-			j = r
-		}
-		if !h.less(j, i) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
-}
-
-// defaultScheduler selects the queue implementation NewEnv builds.
-var defaultScheduler = "wheel"
-
-// SetDefaultScheduler selects the event-queue implementation used by
-// subsequently created environments: "wheel" (the default hierarchical
-// timing wheel) or "heap" (the pre-refactor binary heap, retained as a
-// test-only shim for the scheduler-equivalence tests). It returns the
-// previous setting so tests can restore it.
-func SetDefaultScheduler(name string) string {
-	switch name {
-	case "wheel", "heap":
-	default:
-		panic("sim: unknown scheduler " + name)
-	}
-	prev := defaultScheduler
-	defaultScheduler = name
-	return prev
-}
-
 // Env is a simulation environment: a virtual clock plus an event queue.
 // The zero value is not usable; create environments with NewEnv.
 type Env struct {
@@ -148,26 +86,20 @@ type Env struct {
 	closed  bool
 }
 
+// newScheduler builds the event queue of each new environment. Only the
+// package's tests replace it, to replay runs on the reference heap.
+var newScheduler = func() scheduler { return newTimingWheel() }
+
 // NewEnv returns a fresh environment with the clock at zero.
 func NewEnv() *Env {
-	var s scheduler
-	if defaultScheduler == "heap" {
-		s = &heapSched{}
-	} else {
-		s = newTimingWheel()
-	}
 	return &Env{
-		sched: s,
+		sched: newScheduler(),
 		procs: make(map[*Proc]struct{}),
 	}
 }
 
 // Now returns the current virtual time.
 func (e *Env) Now() Time { return e.now }
-
-// SchedulerName identifies the event-queue implementation backing this
-// environment ("wheel" or "heap").
-func (e *Env) SchedulerName() string { return e.sched.name() }
 
 // At schedules fn to run after delay. fn executes inline in the scheduler
 // and must not block; it may schedule further events, push to queues, wake
@@ -333,10 +265,6 @@ func (e *Env) RunUntil(until Time) Time {
 	}
 	return e.now
 }
-
-// SchedulerName identifies the default event-queue implementation new
-// environments will use.
-func SchedulerName() string { return defaultScheduler }
 
 // Fired returns the number of events dispatched so far (callbacks run plus
 // process resumes; stale wake-ups that were dropped do not count). It is the

@@ -2,10 +2,10 @@ package sim
 
 import "math/bits"
 
-// scheduler is the event-queue abstraction behind Env. Two implementations
-// exist: the hierarchical timing wheel (default) and the original binary
-// heap, retained so the scheduler-equivalence tests can replay the same
-// seeded experiments on both and assert identical event order.
+// scheduler is the event-queue abstraction behind Env. The hierarchical
+// timing wheel is the one implementation; the package's tests add the
+// original binary heap as a reference and replay seeded runs on both to
+// assert identical event order.
 type scheduler interface {
 	// schedule enqueues ev. ev.at must be ≥ the timestamp of the last event
 	// the caller *dispatched* (Env schedules at now+delay). It may lie behind
@@ -20,8 +20,6 @@ type scheduler interface {
 	pending() int
 	// clear drops every queued event.
 	clear()
-	// name identifies the implementation ("wheel" or "heap").
-	name() string
 }
 
 // Timing-wheel geometry: 8 levels of 256 slots each cover the full 64-bit
@@ -69,7 +67,6 @@ type timingWheel struct {
 
 func newTimingWheel() *timingWheel { return &timingWheel{} }
 
-func (w *timingWheel) name() string { return "wheel" }
 func (w *timingWheel) pending() int { return w.count }
 
 func (w *timingWheel) clear() {
@@ -228,29 +225,4 @@ func (w *timingWheel) advance(u uint64) bool {
 		return true
 	}
 	return false
-}
-
-// heapSched is the pre-refactor binary-heap scheduler, kept for the
-// scheduler-equivalence tests (see SetDefaultScheduler).
-type heapSched struct{ h eventHeap }
-
-func (s *heapSched) name() string { return "heap" }
-func (s *heapSched) pending() int { return len(s.h) }
-func (s *heapSched) clear()       { s.h = nil }
-func (s *heapSched) schedule(ev event) {
-	s.h = append(s.h, ev)
-	s.h.up(len(s.h) - 1)
-}
-
-func (s *heapSched) next(until Time) (event, bool) {
-	if len(s.h) == 0 || s.h[0].at > until {
-		return event{}, false
-	}
-	ev := s.h[0]
-	n := len(s.h) - 1
-	s.h[0] = s.h[n]
-	s.h[n] = event{}
-	s.h = s.h[:n]
-	s.h.down(0)
-	return ev, true
 }

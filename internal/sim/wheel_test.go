@@ -220,28 +220,6 @@ func TestWheelBehindCursorMatchesHeap(t *testing.T) {
 	}
 }
 
-// TestHeapSchedulerShim verifies the retained heap implementation still
-// drives an Env end to end.
-func TestHeapSchedulerShim(t *testing.T) {
-	prev := SetDefaultScheduler("heap")
-	defer SetDefaultScheduler(prev)
-	e := NewEnv()
-	if e.SchedulerName() != "heap" {
-		t.Fatalf("SchedulerName = %q, want heap", e.SchedulerName())
-	}
-	var order []int
-	e.At(30, func() { order = append(order, 3) })
-	e.At(10, func() { order = append(order, 1) })
-	e.Spawn("p", func(p *Proc) {
-		p.Sleep(20)
-		order = append(order, 2)
-	})
-	e.Run()
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Fatalf("order = %v, want [1 2 3]", order)
-	}
-}
-
 func BenchmarkWheelScheduleFire(b *testing.B) {
 	// Uniform random horizons across four decades: the classic calendar
 	// queue hold pattern.
