@@ -202,8 +202,9 @@ func runShardBench(opts Options) *Result {
 	return r
 }
 
-// shardFailoverSeeds covers the acceptance matrix: 20 distinct crash
-// schedules (the crash point cycles over 8 offsets as seed%8). Each row is
+// shardFailoverSeeds covers the acceptance matrix: 20 seeds, but only 8
+// distinct runs. The crash point cycles over 8 offsets as seed%8, and rows
+// repeat byte for byte for seeds that are equal mod 8. Each row is
 // replayable as chaos.RunShard(seed).
 var shardFailoverSeeds = 20
 

@@ -12,8 +12,8 @@ package chaos
 //  3. Integrity: every value a read delivers is the deterministic fill of
 //     some put the workload actually attempted — nothing invented, nothing
 //     corrupted.
-//  4. Liveness: every client (KV writers and the transfer coordinator)
-//     drains its budget before the hard stop.
+//  4. Liveness: every KV writer drains its budget, and the transfer
+//     coordinator commits its whole budget, before the hard stop.
 //
 // One seed derives the crash schedule, the cluster RNG and the workload, so
 // the same seed produces a byte-identical ShardResult.
@@ -212,7 +212,9 @@ func RunShard(seed uint64) (*ShardResult, error) {
 			}
 			th.P.Sleep(120 * sim.Microsecond)
 		}
-		xfer.done = true
+		// A coordinator that aborted until the hard stop, or gave up on an
+		// error, did not drain its budget: it is stuck, not done.
+		xfer.done = commits == shardTransfers
 	})
 
 	// Run past crash detection even if the workload drained early, so the

@@ -333,3 +333,81 @@ func TestReissuedIDWaitsForTheBoundary(t *testing.T) {
 		t.Error("the departed client's fetched frame was executed after its id was reissued")
 	}
 }
+
+// TestSingleGroupKeepsZonesAcrossADrop: on a one-group server a member
+// leaves and a newcomer joins within one slice. With a single group no
+// context_switch_event ever tells a client to restage, so a member that
+// writes its zone in place must keep that zone across the boundary that
+// drops the departed id, and the newcomer must be bound to a free zone.
+// Every request a client staged is then executed once and answered with its
+// own bytes, the shifted-down member's included.
+func TestSingleGroupKeepsZonesAcrossADrop(t *testing.T) {
+	r := newBoundaryRig()
+	defer r.c.Close()
+	r.populate(t, 0, nil)
+	if len(r.s.groups) != 1 {
+		t.Fatalf("population formed groups %v, want one", r.s.GroupSizes())
+	}
+	leaver, stayer := r.managed[0], r.managed[1]
+	var sent []string
+	answers := map[string]string{}
+	done := false
+	r.c.Hosts[2].Spawn("shift", func(th *host.Thread) {
+		defer func() { done = true }()
+		// call stages one request on c and waits for its answer.
+		call := func(c *Conn, body string) {
+			if !c.TrySend(th, 1, []byte(body), uint64(len(sent)+1)) {
+				t.Errorf("%s: could not stage the request", body)
+				return
+			}
+			sent = append(sent, body)
+			for deadline := th.P.Now() + 5*sim.Millisecond; answers[body] == "" && th.P.Now() < deadline; {
+				c.Poll(th, func(resp rpccore.Response) { answers[body] = string(resp.Payload) })
+				th.WaitSignal(c.sig, 10*sim.Microsecond)
+			}
+		}
+		// The stayer, listed after the leaver, writes its zone in place.
+		call(stayer, "stayer-before")
+		if stayer.State() != StateProcess {
+			t.Errorf("stayer in state %v after its first answer, want PROCESS", stayer.State())
+		}
+		zone := r.s.clients[stayer.ID()].zone
+		r.nextBoundary(th)
+		slice := r.boundaries()
+		leaver.Leave(th)
+		newcomer, err := r.s.Join(th, r.dir, sim.NewSignal(r.c.Env), false)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if r.boundaries() != slice {
+			t.Error("the leave and the join spanned a boundary; the rig's slice is too short")
+			return
+		}
+		r.nextBoundary(th)
+		th.P.Sleep(2 * r.s.Cfg.WarmupPollInterval) // the zones are bound
+		if got := r.s.clients[stayer.ID()].zone; got != zone {
+			t.Errorf("the stayer's zone went %d -> %d across the drop", zone, got)
+		}
+		if got := r.s.clients[newcomer.ID()].zone; got < 0 || got == zone {
+			t.Errorf("the newcomer was bound to zone %d, want a free one (the stayer holds %d)", got, zone)
+		}
+		call(stayer, "stayer-after")
+		call(newcomer, "newcomer")
+	})
+	r.runUntil(t, 40*sim.Millisecond, func() bool { return done })
+	for _, body := range sent {
+		if answers[body] != body {
+			t.Errorf("request %q was answered %q", body, answers[body])
+		}
+		execs := 0
+		for _, e := range r.execs {
+			if e == body {
+				execs++
+			}
+		}
+		if execs != 1 {
+			t.Errorf("request %q executed %d times, want once", body, execs)
+		}
+	}
+}

@@ -340,13 +340,22 @@ func (s *Server) assignWarm(t *host.Thread) {
 	if len(s.groups) < 2 {
 		// Single group: the processing pool doubles as the warmup target
 		// (clients still bootstrap through WARMUP, there is just no
-		// switching), its zones assigned directly.
-		for i, cid := range s.groups[s.cur] {
-			if cs := s.inGroup(s.cur, cid); cs != nil && cs.zone != i {
-				cs.zone = i
-				s.zoneOwner[i] = int(cid)
-				s.wipeZone(t, s.processingPool(), i)
+		// switching), its zones assigned directly. No switch ever tells a
+		// client to restage, so a member keeps its zone for as long as it
+		// is listed, and a joiner takes the lowest free zone: with no
+		// departures, zone = join order.
+		free := 0
+		for _, cid := range s.groups[s.cur] {
+			cs := s.inGroup(s.cur, cid)
+			if cs == nil || cs.zone >= 0 {
+				continue
 			}
+			for s.zoneOwner[free] >= 0 {
+				free++
+			}
+			cs.zone = free
+			s.zoneOwner[free] = int(cid)
+			s.wipeZone(t, s.processingPool(), free)
 		}
 		return
 	}

@@ -361,8 +361,15 @@ func (r *Router) onWire(t *host.Thread, resp rpccore.Response) {
 			r.fail(rc)
 			return
 		}
+		// Retarget only against a map newer than the one this attempt
+		// carried. The refetch is rate-limited, and bouncing on the same
+		// map would spend the redirect budget inside one fetch window.
 		r.refetch(t)
-		r.retarget(t, rc)
+		if r.cur.Epoch > rc.epoch {
+			r.retarget(t, rc)
+		} else {
+			r.backoff(t, rc)
+		}
 	case RWrongShard:
 		rc.redirects++
 		r.stats.Redirects++
@@ -376,14 +383,20 @@ func (r *Router) onWire(t *host.Thread, resp rpccore.Response) {
 		rc.deadline = t.P.Now() + r.cfg.Opts.Timeout
 		r.post(t, rc)
 	case RRetry:
-		backoff := r.cfg.Opts.RetryInterval
-		if backoff <= 0 {
-			backoff = 20 * sim.Microsecond
-		}
-		rc.deadline = t.P.Now() + backoff
+		r.backoff(t, rc)
 	default:
 		r.fail(rc)
 	}
+}
+
+// backoff re-arms rc to be retried against the then-current map after the
+// retry interval.
+func (r *Router) backoff(t *host.Thread, rc *rcall) {
+	d := r.cfg.Opts.RetryInterval
+	if d <= 0 {
+		d = 20 * sim.Microsecond
+	}
+	rc.deadline = t.P.Now() + d
 }
 
 // retarget re-stamps rc against the current map and re-sends.

@@ -283,9 +283,6 @@ func (e *Env) FiredBreakdown() (callbacks uint64, procByTag [5]uint64) {
 // Idle reports whether no events remain.
 func (e *Env) Idle() bool { return e.sched.pending() == 0 }
 
-// Pending returns the number of queued events (including stale ones).
-func (e *Env) Pending() int { return e.sched.pending() }
-
 // Close terminates every live process so no coroutines leak: a parked body
 // unwinds from its blocking call, running its deferred calls, and a body
 // that never started never runs. The environment must not be used

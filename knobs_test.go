@@ -188,6 +188,7 @@ type checkUnit struct {
 }
 
 type module struct {
+	fset  *token.FileSet
 	pkgs  map[string]*modPkg
 	units []checkUnit
 }
@@ -199,7 +200,7 @@ type module struct {
 func checkModule(t *testing.T) *module {
 	t.Helper()
 	fset := token.NewFileSet()
-	mod := &module{pkgs: map[string]*modPkg{}}
+	mod := &module{fset: fset, pkgs: map[string]*modPkg{}}
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
