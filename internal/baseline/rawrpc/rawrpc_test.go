@@ -188,8 +188,9 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 // TestAllocBudgetRawWriteRoundTrip pins what one request→response costs in
 // allocations on a warm connection, whole process (client thread, server
 // worker, both NICs). The client's post is allocation-free — the request
-// is framed straight into its staging block — and what is left is the
-// server's reply-cache entry and its copy of the response.
+// is framed straight into its staging block — and the server's reply cache
+// reuses its ring slots, payload buffers included, so nothing per request
+// is left.
 func TestAllocBudgetRawWriteRoundTrip(t *testing.T) {
 	c := cluster.New(cluster.Default(2))
 	defer c.Close()
@@ -228,8 +229,9 @@ func TestAllocBudgetRawWriteRoundTrip(t *testing.T) {
 	if trips != warm+measured {
 		t.Fatalf("%d round trips completed, want %d", trips, warm+measured)
 	}
-	// Measured 2.06; one more allocation per operation reads ≥ 3.
-	if got := float64(after.Mallocs-before.Mallocs) / measured; got > 2.5 {
-		t.Errorf("%.2f allocs per RawWrite round trip, want ≤ 2.5", got)
+	// Measured 0.03 (the runtime's own, amortized); one allocation per
+	// operation reads ≥ 1, so the bound leaves half of one as margin.
+	if got := float64(after.Mallocs-before.Mallocs) / measured; got > 0.5 {
+		t.Errorf("%.2f allocs per RawWrite round trip, want ≤ 0.5", got)
 	}
 }

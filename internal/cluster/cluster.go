@@ -67,8 +67,9 @@ func New(cfg Config) *Cluster {
 	fab := fabric.New(env, cfg.Fabric, cfg.Hosts)
 	rng := stats.NewRNG(cfg.Seed)
 	c := &Cluster{Cfg: cfg, Env: env, Fabric: fab, RNG: rng, Telemetry: telemetry.NewRegistry()}
+	arena := new(nic.Arena)
 	for i := 0; i < cfg.Hosts; i++ {
-		c.Hosts = append(c.Hosts, host.New(env, i, cfg.Host, cfg.NIC, cfg.PCIe, fab, rng.Split(), c.Telemetry))
+		c.Hosts = append(c.Hosts, host.New(env, i, cfg.Host, cfg.NIC, cfg.PCIe, fab, arena, rng.Split(), c.Telemetry))
 	}
 	return c
 }

@@ -84,10 +84,12 @@ type Host struct {
 	cpuScale float64
 }
 
-// New assembles a host attached to fabric port id. reg may be nil; the host
-// then runs with detached telemetry at no cost. With a registry, the host
-// claims the scopes nic<id>, pcie.bus<id>, llc<id> and host<id>.
-func New(env *sim.Env, id int, cfg Config, nicCfg nic.Config, cost pcie.CostModel, fab *fabric.Fabric, rng *stats.RNG, reg *telemetry.Registry) *Host {
+// New assembles a host attached to fabric port id. Its NIC recycles
+// packets and payloads through arena, which the cluster's NICs share (nil
+// gives the NIC its own). reg may be nil; the host then runs with detached
+// telemetry at no cost. With a registry, the host claims the scopes
+// nic<id>, pcie.bus<id>, llc<id> and host<id>.
+func New(env *sim.Env, id int, cfg Config, nicCfg nic.Config, cost pcie.CostModel, fab *fabric.Fabric, arena *nic.Arena, rng *stats.RNG, reg *telemetry.Registry) *Host {
 	h := &Host{
 		ID:    id,
 		Env:   env,
@@ -99,14 +101,15 @@ func New(env *sim.Env, id int, cfg Config, nicCfg nic.Config, cost pcie.CostMode
 		RNG:   rng,
 	}
 	h.NIC = nic.New(nicCfg, nic.Deps{
-		Env:  env,
-		Port: fab.Port(id),
-		Fab:  fab,
-		Mem:  h.Mem,
-		Bus:  h.Bus,
-		LLC:  h.LLC,
-		Cost: cost,
-		RNG:  rng.Split(),
+		Env:   env,
+		Port:  fab.Port(id),
+		Fab:   fab,
+		Mem:   h.Mem,
+		Bus:   h.Bus,
+		LLC:   h.LLC,
+		Cost:  cost,
+		RNG:   rng.Split(),
+		Arena: arena,
 	})
 	if reg != nil {
 		h.Tel = reg.Scope(fmt.Sprintf("host%d", id))

@@ -10,10 +10,9 @@ import (
 // TestAllocBudgetWriteRoundTrip pins the per-packet path closure-free: an RC
 // WRITE from doorbell to ACK — outbound engine, fabric, inbound engine,
 // commit, ACK back, completion — allocates nothing in steady state, with a
-// DMA-gathered payload and with an inline one. Each round writes in both
-// directions, as a request and its response do: a gathered payload's buffer
-// is recycled into the receiving NIC's pool, so one-way traffic would drain
-// the sender's. Reading the completions costs the slice CQ.Poll returns.
+// DMA-gathered payload and with an inline one, in both directions as a
+// request and its response go. Reading the completions costs the slice
+// CQ.Poll returns.
 func TestAllocBudgetWriteRoundTrip(t *testing.T) {
 	pe := newPair(t, nic.RC)
 	round := func(signaled bool) func() {
@@ -44,6 +43,28 @@ func TestAllocBudgetWriteRoundTrip(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(50, round(true)); got > 2 {
 		t.Errorf("%v allocs per four signaled WRITE round trips and two CQ polls, want ≤ 2", got)
+	}
+}
+
+// TestAllocBudgetOneWayWrites: a gathered payload's buffer is taken by the
+// sender and freed by the receiver. The NICs of a cluster share one arena,
+// so a one-way stream of gathered WRITEs recycles its buffers instead of
+// filling the receiver's free lists while the sender allocates fresh ones.
+func TestAllocBudgetOneWayWrites(t *testing.T) {
+	pe := newPair(t, nic.RC)
+	burst := func() {
+		for i := 0; i < 8; i++ {
+			if err := pe.qpA.PostSend(nic.SendWR{Op: nic.OpWrite,
+				LKey: pe.cli.LKey, LAddr: pe.cli.Base, Len: 2048,
+				RKey: pe.srv.RKey, RAddr: pe.srv.Base + uint64(i)*2048}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pe.c.Env.Run()
+	}
+	burst() // touch both regions, fill the arena
+	if got := testing.AllocsPerRun(50, burst); got != 0 {
+		t.Errorf("%v allocs per eight one-way gathered WRITEs, want 0", got)
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 )
 
 // These tests pin the arena ownership contract (see pool.go): packets,
-// fabric messages and payload buffers are recycled through per-NIC free
-// lists, so every aliasing hazard the fault plane can create — duplicated
+// fabric messages and payload buffers are recycled through the cluster's
+// shared free lists, so every aliasing hazard the fault plane can create — duplicated
 // deliveries, torn writes held past commit, mangled per-delivery copies,
 // retransmissions replaying inline buffers — must survive heavy pool churn
 // without a recycled buffer's next tenant bleeding into committed data.

@@ -72,9 +72,10 @@ type packet struct {
 	noRecycle bool
 
 	// Departure state: between the engine pass that built the packet and
-	// its pipelined departure (xmit; sendResp for a READ response waiting
-	// out its DMA gather) the packet itself carries what a closure would
-	// have captured. srcQP also takes an unreliable transport's completion.
+	// its pipelined departure (xmit; sendResp for a response sendCtl
+	// deferred) the packet itself carries what a closure would have
+	// captured. srcQP is the QP whose departure order the packet keeps; it
+	// also takes an unreliable transport's completion.
 	srcQP     *QP
 	dstNIC    int
 	wireBytes int
@@ -265,7 +266,17 @@ func (n *NIC) processOut(job outJob) (occ sim.Duration) {
 	}
 
 	pkt.wireBytes = wireBytes
-	n.env.AtArg(occ+extraLat, n.xmitFn, pkt)
+	// The send queue is processed in order, so a WQE leaves no earlier than
+	// its predecessor on the same QP even when its own pipelined latency is
+	// shorter (a cache hit behind a miss, a short gather behind a long one).
+	// Departures at one instant fire in scheduling order. Other QPs keep
+	// overlapping.
+	depart := n.env.Now() + occ + extraLat
+	if depart < qp.lastDepart {
+		depart = qp.lastDepart
+	}
+	qp.lastDepart = depart
+	n.env.AtArg(depart-n.env.Now(), n.xmitFn, pkt)
 	return occ
 }
 
@@ -404,11 +415,38 @@ func allocStall(allocs int, penalty sim.Duration) sim.Duration {
 	return sim.Duration(allocs) * penalty
 }
 
-// sendCtl transmits a small control packet (ACK/NAK/responses) directly,
-// bypassing the outbound engine: responders generate these in dedicated
-// hardware datapaths.
-func (n *NIC) sendCtl(dstNIC int, pkt *packet, wireBytes int) {
+// sendCtl transmits a responder-generated packet (ACK, NAK, READ or atomic
+// response) on qp to dstNIC after lat, bypassing the outbound engine:
+// responders generate these in dedicated hardware datapaths. Responses leave
+// in the order their requests arrived: while an earlier response on qp is
+// still deferred (READ data waiting out its gather), a later one waits
+// behind it, so a short READ cannot answer before a long one ahead of it,
+// nor an ACK or atomic before either.
+func (n *NIC) sendCtl(qp *QP, dstNIC int, pkt *packet, wireBytes int, lat sim.Duration) {
 	pkt.srcNIC = n.id
+	if lat == 0 && qp.respPending == 0 {
+		n.sendNow(dstNIC, pkt, wireBytes)
+		return
+	}
+	at := n.env.Now() + lat
+	if at < qp.respDepart {
+		at = qp.respDepart
+	}
+	qp.respDepart = at
+	qp.respPending++
+	pkt.srcQP, pkt.dstNIC, pkt.wireBytes = qp, dstNIC, wireBytes
+	n.env.AtArg(at-n.env.Now(), n.sendRespFn, pkt)
+}
+
+// sendResp transmits a response sendCtl deferred; arg is the response
+// *packet, which carries its QP, destination and wire size.
+func (n *NIC) sendResp(arg any) {
+	resp := arg.(*packet)
+	resp.srcQP.respPending--
+	n.sendNow(resp.dstNIC, resp, resp.wireBytes)
+}
+
+func (n *NIC) sendNow(dstNIC int, pkt *packet, wireBytes int) {
 	m := n.getMsg()
 	m.Src, m.Dst, m.Bytes, m.Payload = n.id, dstNIC, wireBytes, pkt
 	n.fab.Send(m)
@@ -437,7 +475,7 @@ func (n *NIC) rcCheck(qp *QP, pkt *packet) int {
 		if !qp.nakSent {
 			qp.nakSent = true
 			n.Stats.NAKs++
-			n.sendCtl(pkt.srcNIC, n.ctl(pktNak, RC, pkt.srcQPN, qp.expectPSN), 0)
+			n.sendCtl(qp, pkt.srcNIC, n.ctl(pktNak, RC, pkt.srcQPN, qp.expectPSN), 0, 0)
 		}
 		return rcGap
 	}
@@ -447,7 +485,7 @@ func (n *NIC) rcCheck(qp *QP, pkt *packet) int {
 // reAck acknowledges a duplicate of an already-delivered packet so the
 // requester (whose ACK was lost) can advance its inflight window.
 func (n *NIC) reAck(qp *QP, pkt *packet) {
-	n.sendCtl(pkt.srcNIC, n.ctl(pktAck, RC, pkt.srcQPN, pkt.psn), 0)
+	n.sendCtl(qp, pkt.srcNIC, n.ctl(pktAck, RC, pkt.srcQPN, pkt.psn), 0, 0)
 }
 
 // inKind selects what commitIn does for a processed packet.
@@ -515,7 +553,7 @@ func (n *NIC) processIn(pkt *packet) (occ sim.Duration, act inAct) {
 		}
 		reg, dst, err := n.mem.TranslateRemote(pkt.rkey, pkt.raddr, len(pkt.data), true)
 		if err != nil {
-			return occ, inAct{kind: inRemoteError}
+			return occ, inAct{kind: inRemoteError, qp: qp}
 		}
 		occ += n.chargeMTT(reg, pkt.raddr, len(pkt.data))
 		_, allocs := n.llc.DMAWrite(pkt.raddr, uint64(len(pkt.data)))
@@ -534,7 +572,7 @@ func (n *NIC) processIn(pkt *packet) (occ sim.Duration, act inAct) {
 				// NAK so the requester backs off and retransmits (real RC
 				// never discards an in-sequence send silently).
 				n.Stats.RNRDrops++
-				n.sendCtl(pkt.srcNIC, n.ctl(pktRnrNak, RC, pkt.srcQPN, pkt.psn), 0)
+				n.sendCtl(qp, pkt.srcNIC, n.ctl(pktRnrNak, RC, pkt.srcQPN, pkt.psn), 0, 0)
 				return occ, act
 			}
 			switch n.rcCheck(qp, pkt) {
@@ -579,12 +617,12 @@ func (n *NIC) processIn(pkt *packet) (occ sim.Duration, act inAct) {
 		}
 		reg, src, err := n.mem.TranslateRemote(pkt.rkey, pkt.raddr, pkt.size, false)
 		if err != nil {
-			return occ, inAct{kind: inRemoteError}
+			return occ, inAct{kind: inRemoteError, qp: qp}
 		}
 		occ += n.chargeMTT(reg, pkt.raddr, pkt.size)
 		lines := (pkt.size + n.llc.LineSize() - 1) / n.llc.LineSize()
 		n.bus.RecordDMARead(lines)
-		return occ, inAct{kind: inReadReq, mem: src, dmaLat: n.cost.DMARead(pkt.size, n.llc.LineSize())}
+		return occ, inAct{kind: inReadReq, qp: qp, mem: src, dmaLat: n.cost.DMARead(pkt.size, n.llc.LineSize())}
 
 	case pktAtomicReq:
 		occ = n.Cfg.InboundReadCost + n.Cfg.AtomicCost
@@ -600,14 +638,14 @@ func (n *NIC) processIn(pkt *packet) (occ sim.Duration, act inAct) {
 				// instead of re-executing.
 				if old, ok := qp.replayAtomic(pkt.psn); ok {
 					n.Stats.AtomicReplays++
-					return occ, inAct{kind: inAtomicReplay, old: old}
+					return occ, inAct{kind: inAtomicReplay, qp: qp, old: old}
 				}
 				return occ, act
 			}
 		}
 		reg, buf, err := n.mem.TranslateRemoteOp(pkt.rkey, pkt.raddr, 8, memory.RemoteOpAtomic)
 		if err != nil {
-			return occ, inAct{kind: inRemoteError}
+			return occ, inAct{kind: inRemoteError, qp: qp}
 		}
 		occ += n.chargeMTT(reg, pkt.raddr, 8)
 		n.bus.RecordDMARead(1)
@@ -653,7 +691,7 @@ func (n *NIC) commitIn(pkt *packet, a *inAct) {
 	qp := a.qp
 	switch a.kind {
 	case inRemoteError:
-		n.remoteError(pkt)
+		n.remoteError(qp, pkt)
 
 	case inWrite:
 		if n.Cfg.TornWriteDelay > 0 && len(pkt.data) > 1 {
@@ -687,7 +725,7 @@ func (n *NIC) commitIn(pkt *packet, a *inAct) {
 			SrcNIC: pkt.srcNIC, SrcQPN: pkt.srcQPN,
 		})
 		n.wakeWatches(a.rkey, a.off, len(a.mem))
-		n.ackData(pkt)
+		n.ackData(qp, pkt)
 
 	case inReadReq:
 		resp := n.ctl(pktReadResp, pkt.transport, pkt.srcQPN, pkt.psn)
@@ -695,11 +733,10 @@ func (n *NIC) commitIn(pkt *packet, a *inAct) {
 		copy(resp.data, a.mem)
 		resp.ownsData = true
 		resp.wrID, resp.signaled = pkt.wrID, pkt.signaled
-		resp.dstNIC = pkt.srcNIC
-		n.env.AtArg(a.dmaLat, n.sendRespFn, resp)
+		n.sendCtl(qp, pkt.srcNIC, resp, len(resp.data), a.dmaLat)
 
 	case inAtomicReplay:
-		n.atomicResp(pkt, a.old)
+		n.atomicResp(qp, pkt, a.old)
 
 	case inAtomic:
 		buf := a.mem
@@ -718,7 +755,7 @@ func (n *NIC) commitIn(pkt *packet, a *inAct) {
 		if pkt.transport == RC {
 			qp.rememberAtomic(pkt.psn, old)
 		}
-		n.atomicResp(pkt, old)
+		n.atomicResp(qp, pkt, old)
 
 	case inAckNak:
 		switch pkt.op {
@@ -754,39 +791,32 @@ func (n *NIC) finishWrite(pkt *packet, qp *QP, rkey uint32, off uint64) {
 		}
 	}
 	n.wakeWatches(rkey, off, len(pkt.data))
-	n.ackData(pkt)
+	n.ackData(qp, pkt)
 }
 
 // ackData acknowledges a committed data packet on the reliable transports.
-func (n *NIC) ackData(pkt *packet) {
+func (n *NIC) ackData(qp *QP, pkt *packet) {
 	if pkt.transport == RC || pkt.transport == DCT {
-		n.sendCtl(pkt.srcNIC, n.ctl(pktAck, pkt.transport, pkt.srcQPN, pkt.psn), 0)
+		n.sendCtl(qp, pkt.srcNIC, n.ctl(pktAck, pkt.transport, pkt.srcQPN, pkt.psn), 0, 0)
 	}
 }
 
 // atomicResp returns an atomic's prior value to the requester.
-func (n *NIC) atomicResp(pkt *packet, old uint64) {
+func (n *NIC) atomicResp(qp *QP, pkt *packet, old uint64) {
 	resp := n.ctl(pktAtomicResp, pkt.transport, pkt.srcQPN, pkt.psn)
 	resp.wrID, resp.signaled, resp.compare = pkt.wrID, pkt.signaled, old
-	n.sendCtl(pkt.srcNIC, resp, 8)
-}
-
-// sendResp transmits a READ response once its DMA gather has elapsed; arg
-// is the response *packet, which carries its own destination.
-func (n *NIC) sendResp(arg any) {
-	resp := arg.(*packet)
-	n.sendCtl(resp.dstNIC, resp, len(resp.data))
+	n.sendCtl(qp, pkt.srcNIC, resp, 8, 0)
 }
 
 // remoteError reports a remote access violation back to an RC requester
 // (UC violations are silently dropped — no reverse channel).
-func (n *NIC) remoteError(pkt *packet) {
+func (n *NIC) remoteError(qp *QP, pkt *packet) {
 	if pkt.transport != RC {
 		return
 	}
 	resp := n.ctl(pktAck, RC, pkt.srcQPN, pkt.psn)
 	resp.status = CQRemoteAccessError
-	n.sendCtl(pkt.srcNIC, resp, 0)
+	n.sendCtl(qp, pkt.srcNIC, resp, 0, 0)
 }
 
 // handleAck completes inflight WQEs with psn ≤ acked psn.

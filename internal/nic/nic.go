@@ -237,9 +237,10 @@ type NIC struct {
 
 	watches map[uint32][]watch // rkey → registrations woken on DMA write
 
-	// pool recycles packets, fabric messages and payload buffers
-	// (see pool.go for the ownership contract).
-	pool pktPool
+	// arena recycles packets, fabric messages and payload buffers; it is
+	// shared by every NIC of the cluster (see pool.go for the ownership
+	// contract).
+	arena *Arena
 	// retransScratch is reused by retransmitFrom's go-back-N splice.
 	retransScratch []outJob
 
@@ -262,6 +263,9 @@ type Deps struct {
 	LLC  *cachesim.Cache
 	Cost pcie.CostModel
 	RNG  *stats.RNG
+	// Arena is the packet, message and payload pool the NIC shares with
+	// the rest of its cluster; nil gives the NIC one of its own.
+	Arena *Arena
 }
 
 // New creates a NIC with the given config attached to the supplied host
@@ -281,6 +285,10 @@ func New(cfg Config, d Deps) *NIC {
 		nextQPN: 1,
 		watches: make(map[uint32][]watch),
 		trace:   telemetry.Scope{}.Trace(),
+		arena:   d.Arena,
+	}
+	if n.arena == nil {
+		n.arena = new(Arena)
 	}
 	// On-NIC caches use randomized replacement (realistic gradual
 	// degradation); a NIC built without an RNG, as unit tests build them,

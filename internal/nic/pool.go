@@ -9,13 +9,23 @@ import (
 // Arena pooling for the NIC hot path. Packets, fabric messages and payload
 // copies are the dominant steady-state allocations of a busy simulation, and
 // all of them have fully tractable lifetimes, so they are recycled through
-// per-NIC free lists instead of the garbage collector.
+// free lists instead of the garbage collector.
+//
+// One Arena serves every NIC of a cluster (cluster.New hands it to each host
+// through Deps.Arena). Most pooled objects are taken by one NIC and freed by
+// another — a packet and its gathered payload by the sender and the
+// receiver, a fabric message by whichever side sent it and the side it
+// reached — so per-NIC free lists would fill on the receivers while the
+// senders kept allocating. A NIC built without an arena, as unit tests build
+// them, gets one of its own. The simulation is single-threaded, so the arena
+// needs no locking; it must not be shared across clusters that run
+// concurrently. The zero Arena is empty and ready to use.
 //
 // Ownership rules (the arena contract — see also TestArenaAliasing):
 //
 //   - A packet travels sender → fabric → receiver; the RECEIVING NIC owns it
-//     once processIn's commit action has run and recycles it then, unless
-//     noRecycle is set.
+//     once processIn's commit action has run and returns it to the arena
+//     then, unless noRecycle is set.
 //   - pkt.data is recycled together with the packet only when pkt.ownsData:
 //     payload copies the engine made itself (DMA gathers, READ responses).
 //     Inline RC/DCT sends alias the inflight entry's buffer instead
@@ -28,7 +38,7 @@ import (
 //     writes hold pkt.data beyond the commit action. Those packets (and the
 //     inflight buffers of QPs that die in the error state) are left to the
 //     GC — correctness first, the pool is only an optimization.
-type pktPool struct {
+type Arena struct {
 	pkts []*packet
 	msgs []*fabric.Message
 	// bufs holds payload backing arrays in power-of-two size classes
@@ -45,9 +55,9 @@ const (
 )
 
 func (n *NIC) getPacket() *packet {
-	if k := len(n.pool.pkts); k > 0 {
-		p := n.pool.pkts[k-1]
-		n.pool.pkts = n.pool.pkts[:k-1]
+	if k := len(n.arena.pkts); k > 0 {
+		p := n.arena.pkts[k-1]
+		n.arena.pkts = n.arena.pkts[:k-1]
 		return p
 	}
 	return &packet{}
@@ -63,15 +73,15 @@ func (n *NIC) freePacket(p *packet) {
 		n.putBuf(p.data)
 	}
 	*p = packet{}
-	if len(n.pool.pkts) < pktPoolCap {
-		n.pool.pkts = append(n.pool.pkts, p)
+	if len(n.arena.pkts) < pktPoolCap {
+		n.arena.pkts = append(n.arena.pkts, p)
 	}
 }
 
 func (n *NIC) getMsg() *fabric.Message {
-	if k := len(n.pool.msgs); k > 0 {
-		m := n.pool.msgs[k-1]
-		n.pool.msgs = n.pool.msgs[:k-1]
+	if k := len(n.arena.msgs); k > 0 {
+		m := n.arena.msgs[k-1]
+		n.arena.msgs = n.arena.msgs[:k-1]
 		return m
 	}
 	return &fabric.Message{}
@@ -79,8 +89,8 @@ func (n *NIC) getMsg() *fabric.Message {
 
 func (n *NIC) putMsg(m *fabric.Message) {
 	*m = fabric.Message{}
-	if len(n.pool.msgs) < msgPoolCap {
-		n.pool.msgs = append(n.pool.msgs, m)
+	if len(n.arena.msgs) < msgPoolCap {
+		n.arena.msgs = append(n.arena.msgs, m)
 	}
 }
 
@@ -93,7 +103,7 @@ func (n *NIC) getBuf(size int) []byte {
 		return make([]byte, size)
 	}
 	c := bufClass(size)
-	fl := &n.pool.bufs[c]
+	fl := &n.arena.bufs[c]
 	if k := len(*fl); k > 0 {
 		b := (*fl)[k-1]
 		*fl = (*fl)[:k-1]
@@ -111,7 +121,7 @@ func (n *NIC) putBuf(b []byte) {
 		return
 	}
 	cls := bits.Len(uint(c)) - 1 // floor log2
-	fl := &n.pool.bufs[cls]
+	fl := &n.arena.bufs[cls]
 	if len(*fl) < bufPoolCap {
 		*fl = append(*fl, b[:0])
 	}

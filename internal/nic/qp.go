@@ -313,6 +313,15 @@ type QP struct {
 	inflight  []inflightWR
 	nakSent   bool
 
+	// Departure order. lastDepart is when the QP's latest WQE leaves the
+	// outbound engine. respDepart is when its latest deferred response (READ
+	// data waiting out its gather, or a response queued behind one) leaves
+	// the responder, and respPending counts those not yet sent. Neither
+	// stream lets a later packet overtake an earlier one.
+	lastDepart  sim.Time
+	respDepart  sim.Time
+	respPending int
+
 	// Requester-side retry machinery (active when Config.RetransmitTimeout
 	// is positive). timerGen invalidates scheduled timer callbacks: any
 	// progress bumps it, so a stale timeout finds gen mismatched and does

@@ -6,17 +6,32 @@ type CachedReply struct {
 	Err     bool
 }
 
-type cacheEntry struct {
-	reqID uint64
-	ready bool
-	rep   CachedReply
+// replySlot is one admitted request. payload keeps its backing array across
+// reuses of the slot, so a steady-state Commit copies without allocating.
+type replySlot struct {
+	reqID   uint64
+	ready   bool
+	err     bool
+	payload []byte
 }
 
-// clientCache is one client's dedup window: entries by reqID plus admit
-// order for FIFO eviction. Lookup-only maps keep determinism.
+// clientCache is one client's dedup window: a ring of slots in admit order,
+// oldest at head, looked up by scan (the window is a handful of entries).
 type clientCache struct {
-	entries map[uint64]*cacheEntry
-	order   []uint64
+	slots []replySlot
+	head  int
+	n     int
+}
+
+// find returns the live slot holding reqID, or nil.
+func (cc *clientCache) find(reqID uint64) *replySlot {
+	for i := 0; i < cc.n; i++ {
+		s := &cc.slots[(cc.head+i)%len(cc.slots)]
+		if s.reqID == reqID {
+			return s
+		}
+	}
+	return nil
 }
 
 // ReplyCache is the server-side exactly-once filter: a bounded
@@ -54,40 +69,41 @@ func NewReplyCache(window int) *ReplyCache {
 // ready is true and rep holds the response to replay. dup && !ready means
 // the original is still executing (a legacy-mode handler in progress) —
 // the caller drops the duplicate silently; the in-flight execution's
-// response is on its way.
+// response is on its way. rep.Payload aliases the cache's own buffer: copy
+// it before the next Admit or Commit for the same client.
 func (rc *ReplyCache) Admit(client uint16, reqID uint64) (dup bool, rep CachedReply, ready bool) {
 	cc := rc.clients[client]
 	if cc == nil {
-		cc = &clientCache{entries: make(map[uint64]*cacheEntry)}
+		cc = &clientCache{slots: make([]replySlot, rc.perClient)}
 		rc.clients[client] = cc
 	}
-	if e, ok := cc.entries[reqID]; ok {
-		return true, e.rep, e.ready
+	if s := cc.find(reqID); s != nil {
+		return true, CachedReply{Payload: s.payload, Err: s.err}, s.ready
 	}
-	if len(cc.order) >= rc.perClient {
-		oldest := cc.order[0]
-		cc.order = cc.order[1:]
-		delete(cc.entries, oldest)
+	if cc.n == len(cc.slots) { // FIFO eviction of the oldest admit
+		cc.head = (cc.head + 1) % len(cc.slots)
+		cc.n--
 	}
-	cc.entries[reqID] = &cacheEntry{reqID: reqID}
-	cc.order = append(cc.order, reqID)
+	s := &cc.slots[(cc.head+cc.n)%len(cc.slots)]
+	cc.n++
+	s.reqID, s.ready, s.err, s.payload = reqID, false, false, s.payload[:0]
 	return false, CachedReply{}, false
 }
 
 // Commit stores the executed response for (client, reqID), copying the
-// payload (the caller's buffer is reused per request). A commit for an
-// entry the window already evicted is dropped.
+// payload into the request's slot (the caller's buffer is reused per
+// request). A commit for an entry the window already evicted is dropped.
 func (rc *ReplyCache) Commit(client uint16, reqID uint64, payload []byte, errFlag bool) {
 	cc := rc.clients[client]
 	if cc == nil {
 		return
 	}
-	e, ok := cc.entries[reqID]
-	if !ok {
+	s := cc.find(reqID)
+	if s == nil {
 		return
 	}
-	e.ready = true
-	e.rep = CachedReply{Payload: append([]byte(nil), payload...), Err: errFlag}
+	s.ready, s.err = true, errFlag
+	s.payload = append(s.payload[:0], payload...)
 }
 
 // Drop forgets everything recorded for a client id. Call when the id is

@@ -167,7 +167,9 @@ func TestEarlySwitchCutsOpenLoopTail(t *testing.T) {
 // its round trips busy for the whole slice, so no slice is cut. The served
 // counts are exact, and were re-recorded when pool writes began waking only
 // the worker whose stripe they land in (nic.WatchZones): the rotation is
-// unchanged, but the workers' wake order moved the trajectories. Drivers
+// unchanged, but the workers' wake order moved the trajectories. They were
+// re-recorded again when each QP's work requests began leaving the NIC in
+// post order: the spurious go-back-N retransmissions are gone. Drivers
 // start after the first slice, which serves nobody — group 0 was never
 // warmed — and so would rightly be cut.
 func TestClosedLoopsTakeNoEarlySwitch(t *testing.T) {
@@ -181,13 +183,13 @@ func TestClosedLoopsTakeNoEarlySwitch(t *testing.T) {
 		payload    func(h uint8) int
 		wantServed uint64
 	}{
-		{"saturated: 120 clients, batch 8", 120, 40, 8, []uint8{1}, func(uint8) int { return 32 }, 31770},
+		{"saturated: 120 clients, batch 8", 120, 40, 8, []uint8{1}, func(uint8) int { return 32 }, 33438},
 		{"link-bound: 2 KB gets beside 2 KB puts", 80, 40, 4, []uint8{2, 3}, func(h uint8) int {
 			if h == 3 {
 				return 2048
 			}
 			return 16
-		}, 13344},
+		}, 13722},
 		{"latency-bound: batch 1", 80, 40, 1, []uint8{1}, func(uint8) int { return 32 }, 26076},
 	} {
 		c, s := rotationServer(6, tc.groupSize, 1, false)
