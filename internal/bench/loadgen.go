@@ -221,7 +221,7 @@ func runLoadKnee(opts Options) *Result {
 		outs = append(outs, kneeOut{Transport: tr, Result: res})
 	}
 	r.AddArtifact("BENCH_loadgen_knee.json", marshalArtifact(outs))
-	r.Note("the knee is the highest offered rate whose open-loop run still meets the SLO (saturated=true: the highest rate searched passed, so the knee lies at or above it); RawWrite is capacity-bound (~3.3 Mops/s achievable, backlog divergence beyond), while what limits ScaleRPC is its rotation tail against the p99 bound, not its capacity")
+	r.Note("the knee is the highest offered rate whose open-loop run still meets the SLO (saturated=true: the highest rate searched passed, so the knee lies at or above it); RawWrite is capacity-bound (~3.3 Mops/s achievable, backlog divergence beyond); a transport that passes the highest rate searched has its knee at or above that rate, and what would limit it is not observed")
 	return r
 }
 

@@ -85,10 +85,10 @@ type Host struct {
 }
 
 // New assembles a host attached to fabric port id. Its NIC recycles
-// packets and payloads through arena, which the cluster's NICs share (nil
-// gives the NIC its own). reg may be nil; the host then runs with detached
-// telemetry at no cost. With a registry, the host claims the scopes
-// nic<id>, pcie.bus<id>, llc<id> and host<id>.
+// packets and payloads through arena, which the cluster's NICs share.
+// reg may be nil; the host then runs with detached telemetry at no cost.
+// With a registry, the host claims the scopes nic<id>, pcie.bus<id>,
+// llc<id> and host<id>.
 func New(env *sim.Env, id int, cfg Config, nicCfg nic.Config, cost pcie.CostModel, fab *fabric.Fabric, arena *nic.Arena, rng *stats.RNG, reg *telemetry.Registry) *Host {
 	h := &Host{
 		ID:    id,

@@ -74,8 +74,8 @@ type packet struct {
 	// Departure state: between the engine pass that built the packet and
 	// its pipelined departure (xmit; sendResp for a response sendCtl
 	// deferred) the packet itself carries what a closure would have
-	// captured. srcQP is the QP whose departure order the packet keeps; it
-	// also takes an unreliable transport's completion.
+	// captured. srcQP is the QP an xmit departs on; it also takes an
+	// unreliable transport's completion.
 	srcQP     *QP
 	dstNIC    int
 	wireBytes int
@@ -424,7 +424,7 @@ func allocStall(allocs int, penalty sim.Duration) sim.Duration {
 // nor an ACK or atomic before either.
 func (n *NIC) sendCtl(qp *QP, dstNIC int, pkt *packet, wireBytes int, lat sim.Duration) {
 	pkt.srcNIC = n.id
-	if lat == 0 && qp.respPending == 0 {
+	if lat == 0 && qp.respDepart < n.env.Now() {
 		n.sendNow(dstNIC, pkt, wireBytes)
 		return
 	}
@@ -433,16 +433,14 @@ func (n *NIC) sendCtl(qp *QP, dstNIC int, pkt *packet, wireBytes int, lat sim.Du
 		at = qp.respDepart
 	}
 	qp.respDepart = at
-	qp.respPending++
-	pkt.srcQP, pkt.dstNIC, pkt.wireBytes = qp, dstNIC, wireBytes
+	pkt.dstNIC, pkt.wireBytes = dstNIC, wireBytes
 	n.env.AtArg(at-n.env.Now(), n.sendRespFn, pkt)
 }
 
 // sendResp transmits a response sendCtl deferred; arg is the response
-// *packet, which carries its QP, destination and wire size.
+// *packet, which carries its destination and wire size.
 func (n *NIC) sendResp(arg any) {
 	resp := arg.(*packet)
-	resp.srcQP.respPending--
 	n.sendNow(resp.dstNIC, resp, resp.wireBytes)
 }
 

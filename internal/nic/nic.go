@@ -264,7 +264,7 @@ type Deps struct {
 	Cost pcie.CostModel
 	RNG  *stats.RNG
 	// Arena is the packet, message and payload pool the NIC shares with
-	// the rest of its cluster; nil gives the NIC one of its own.
+	// the rest of its cluster; required.
 	Arena *Arena
 }
 
@@ -286,9 +286,6 @@ func New(cfg Config, d Deps) *NIC {
 		watches: make(map[uint32][]watch),
 		trace:   telemetry.Scope{}.Trace(),
 		arena:   d.Arena,
-	}
-	if n.arena == nil {
-		n.arena = new(Arena)
 	}
 	// On-NIC caches use randomized replacement (realistic gradual
 	// degradation); a NIC built without an RNG, as unit tests build them,

@@ -16,10 +16,11 @@ import (
 // another — a packet and its gathered payload by the sender and the
 // receiver, a fabric message by whichever side sent it and the side it
 // reached — so per-NIC free lists would fill on the receivers while the
-// senders kept allocating. A NIC built without an arena, as unit tests build
-// them, gets one of its own. The simulation is single-threaded, so the arena
+// senders kept allocating. The simulation is single-threaded, so the arena
 // needs no locking; it must not be shared across clusters that run
-// concurrently. The zero Arena is empty and ready to use.
+// concurrently. The zero Arena is empty and ready to use. Its caps below
+// bound the whole cluster's free lists, not one NIC's; no free in full-mode
+// scale10k, tenantmix, fig12 or sec51 reaches one.
 //
 // Ownership rules (the arena contract — see also TestArenaAliasing):
 //

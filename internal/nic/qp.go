@@ -316,11 +316,10 @@ type QP struct {
 	// Departure order. lastDepart is when the QP's latest WQE leaves the
 	// outbound engine. respDepart is when its latest deferred response (READ
 	// data waiting out its gather, or a response queued behind one) leaves
-	// the responder, and respPending counts those not yet sent. Neither
+	// the responder; every deferred response leaves at or before it. Neither
 	// stream lets a later packet overtake an earlier one.
-	lastDepart  sim.Time
-	respDepart  sim.Time
-	respPending int
+	lastDepart sim.Time
+	respDepart sim.Time
 
 	// Requester-side retry machinery (active when Config.RetransmitTimeout
 	// is positive). timerGen invalidates scheduled timer callbacks: any
