@@ -35,11 +35,14 @@ func (s ClientState) String() string {
 	return "?"
 }
 
+// connSlot is one request window slot. A busy slot's encoded request sits
+// in the staging block of the same index until its response arrives, so it
+// can be re-offered or re-sent in place.
 type connSlot struct {
-	busy   bool
-	reqID  uint64
-	staged bool // encoded request sits in the staging block (re-sendable)
-	msgLen int  // encoded message length, for re-compaction
+	busy      bool
+	reqID     uint64
+	msgLen    int  // encoded message length
+	reoffered bool // a context switch re-offered it unanswered
 }
 
 // Conn is a ScaleRPC RPCClient endpoint. It is driven by a single client
@@ -97,6 +100,11 @@ type Conn struct {
 	Switches uint64
 	// Reconnects counts connection rebuilds after a QP error.
 	Reconnects uint64
+	// LateCompletions counts re-offered requests answered by a response the
+	// drain or late sweep sent before the re-offer reached the server: the
+	// response lands on the slot it was sent for, and the re-offered copy
+	// the server may still fetch is answered from its reply cache.
+	LateCompletions uint64
 
 	// trace is the server registry's event sink (always non-nil).
 	trace *telemetry.Trace
@@ -216,7 +224,7 @@ func (c *Conn) stageRequest(t *host.Thread, handler uint8, payload []byte, reqID
 	if !ok {
 		return false
 	}
-	c.slots[b] = connSlot{busy: true, reqID: reqID, staged: true, msgLen: msgLen}
+	c.slots[b] = connSlot{busy: true, reqID: reqID, msgLen: msgLen}
 	c.stagedCount++
 	if sp := msgLen + rpcwire.TrailerSize; sp > c.stagedSpan {
 		c.stagedSpan = sp
@@ -243,7 +251,7 @@ func (c *Conn) directSend(t *host.Thread, handler uint8, payload []byte, reqID u
 	if !ok || c.writeDirect(t, b, msgLen) != nil {
 		return false
 	}
-	c.slots[b] = connSlot{busy: true, reqID: reqID, staged: true, msgLen: msgLen}
+	c.slots[b] = connSlot{busy: true, reqID: reqID, msgLen: msgLen}
 	c.outstanding++
 	return true
 }
@@ -385,6 +393,9 @@ func (c *Conn) Poll(t *host.Thread, fn func(rpccore.Response)) int {
 		stageOff := b * rpcwire.BlockSize
 		rpcwire.Clear(c.stage.Bytes()[stageOff : stageOff+rpcwire.BlockSize])
 		t.WriteMem(c.stage.Base+uint64(stageOff+rpcwire.ValidOffset(rpcwire.BlockSize)), 1)
+		if c.slots[b].reoffered && flags&rpcwire.FlagContextSwitch != 0 {
+			c.LateCompletions++
+		}
 		c.slots[b] = connSlot{}
 		c.outstanding--
 		got++
@@ -401,6 +412,11 @@ func (c *Conn) Poll(t *host.Thread, fn func(rpccore.Response)) int {
 				c.traceState(StateProcess)
 			}
 		}
+		if c.state == StateWarmup {
+			// Still waiting to be fetched: stop advertising what is answered.
+			c.advertiseSlots()
+			c.entryDirty = true
+		}
 		if flags&rpcwire.FlagContextSwitch != 0 {
 			switched = true
 		}
@@ -414,42 +430,21 @@ func (c *Conn) Poll(t *host.Thread, fn func(rpccore.Response)) int {
 	return got
 }
 
-// onContextSwitch moves PROCESS/WARMUP → IDLE; unanswered requests are
-// compacted to the front of the staging area and re-offered in a fresh
-// warmup round (the at-least-once retry covering the switch race).
+// onContextSwitch moves PROCESS/WARMUP → IDLE; unanswered requests keep
+// their slots and are re-offered in a fresh warmup round (the at-least-once
+// retry covering the switch race), so a response still in flight completes
+// the slot it was sent for.
 func (c *Conn) onContextSwitch(t *host.Thread) {
 	c.idle()
-	// Compact surviving requests to staging blocks 0..m-1.
-	m := 0
 	for b := range c.slots {
-		if !c.slots[b].busy {
-			continue
+		if c.slots[b].busy {
+			c.slots[b].reoffered = true
+			c.Retries++
 		}
-		if b != m {
-			src := c.stage.Bytes()[b*rpcwire.BlockSize : (b+1)*rpcwire.BlockSize]
-			dst := c.stage.Bytes()[m*rpcwire.BlockSize : (m+1)*rpcwire.BlockSize]
-			copy(dst, src)
-			off, span := rpcwire.EncodedSpan(rpcwire.BlockSize, c.slots[b].msgLen)
-			t.ReadMem(c.stage.Base+uint64(b*rpcwire.BlockSize+off), span)
-			t.WriteMem(c.stage.Base+uint64(m*rpcwire.BlockSize+off), span)
-			c.slots[m] = c.slots[b]
-			c.slots[b] = connSlot{}
-			// The move leaves a byte-identical residue at the source block;
-			// invalidate it so a later round whose count spans this far
-			// cannot re-offer the frame a second time.
-			rpcwire.Clear(src)
-			t.WriteMem(c.stage.Base+uint64(b*rpcwire.BlockSize+rpcwire.ValidOffset(rpcwire.BlockSize)), 1)
-		}
-		c.Retries++
-		m++
 	}
-	if m > 0 {
-		c.round++
-		c.stagedCount = m
-		c.refreshStagedSpan()
-		c.state = StateWarmup
-		c.entryDirty = true
-		c.traceState(StateWarmup)
+	if c.outstanding > 0 {
+		c.beginWarmup()
+		c.advertiseSlots()
 		c.flushEndpointEntry(t)
 	}
 }
@@ -505,7 +500,7 @@ func (c *Conn) Resend(t *host.Thread, reqID uint64) bool {
 		return false
 	}
 	b := c.slotOf(reqID)
-	if b < 0 || !c.slots[b].staged {
+	if b < 0 {
 		return false
 	}
 	if c.state != StateProcess {
@@ -513,8 +508,7 @@ func (c *Conn) Resend(t *host.Thread, reqID uint64) bool {
 		// round so the server's warmup fetch re-reads the staging area.
 		if c.state == StateIdle {
 			c.beginWarmup()
-			c.stagedCount = c.slotSpanEnd()
-			c.refreshStagedSpan()
+			c.advertiseSlots()
 		} else {
 			c.round++
 			c.entryDirty = true
@@ -558,27 +552,15 @@ func (c *Conn) slotOf(reqID uint64) int {
 	return -1
 }
 
-// slotSpanEnd returns one past the highest busy staged slot — the staged
-// count a fresh warmup round must advertise to cover every survivor.
-func (c *Conn) slotSpanEnd() int {
-	end := 0
+// advertiseSlots sets the staged count and span a warmup round advertises
+// to cover every unanswered request in the slot it already holds: one past
+// the highest busy slot, and the largest encoded span among them.
+func (c *Conn) advertiseSlots() {
+	c.stagedCount, c.stagedSpan = 0, 0
 	for i := range c.slots {
-		if c.slots[i].busy && c.slots[i].staged {
-			end = i + 1
-		}
-	}
-	return end
-}
-
-// refreshStagedSpan recomputes the max encoded span over staged slots.
-func (c *Conn) refreshStagedSpan() {
-	c.stagedSpan = 0
-	for i := range c.slots {
-		if !c.slots[i].busy || !c.slots[i].staged {
-			continue
-		}
-		if sp := c.slots[i].msgLen + rpcwire.TrailerSize; sp > c.stagedSpan {
-			c.stagedSpan = sp
+		if c.slots[i].busy {
+			c.stagedCount = i + 1
+			c.stagedSpan = max(c.stagedSpan, c.slots[i].msgLen+rpcwire.TrailerSize)
 		}
 	}
 }

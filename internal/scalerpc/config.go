@@ -113,6 +113,7 @@ func (c ServerConfig) totalZones() int {
 type Stats struct {
 	Switches     uint64 // context switches performed
 	WarmupReads  uint64 // RDMA READs issued to prefetch staged requests
+	WarmupBytes  uint64 // bytes those READs fetched
 	Notifies     uint64 // explicit context_switch_event writes
 	Piggybacked  uint64 // context_switch_events piggybacked on responses
 	StaleDrops   uint64 // stale blocks dropped by zone-owner check

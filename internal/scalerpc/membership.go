@@ -250,7 +250,7 @@ func (c *Conn) adoptDial(cp *ctrlplane.Conn) error {
 // CRC-covered bytes, so the frame is resealed and the CRC word flushed too.
 func (c *Conn) restampID(t *host.Thread) {
 	for b := range c.slots {
-		if !c.slots[b].busy || !c.slots[b].staged {
+		if !c.slots[b].busy {
 			continue
 		}
 		off, _ := rpcwire.EncodedSpan(rpcwire.BlockSize, c.slots[b].msgLen)

@@ -169,7 +169,11 @@ func TestEarlySwitchCutsOpenLoopTail(t *testing.T) {
 // the worker whose stripe they land in (nic.WatchZones): the rotation is
 // unchanged, but the workers' wake order moved the trajectories. They were
 // re-recorded again when each QP's work requests began leaving the NIC in
-// post order: the spurious go-back-N retransmissions are gone. Drivers
+// post order: the spurious go-back-N retransmissions are gone. And again
+// when warm-up fetches began reading only message tails at every size and
+// a context switch stopped moving unanswered requests to other slots: each
+// request crosses the server's receive link once, so more are served in the
+// same time. Drivers
 // start after the first slice, which serves nobody — group 0 was never
 // warmed — and so would rightly be cut.
 func TestClosedLoopsTakeNoEarlySwitch(t *testing.T) {
@@ -183,13 +187,13 @@ func TestClosedLoopsTakeNoEarlySwitch(t *testing.T) {
 		payload    func(h uint8) int
 		wantServed uint64
 	}{
-		{"saturated: 120 clients, batch 8", 120, 40, 8, []uint8{1}, func(uint8) int { return 32 }, 33438},
+		{"saturated: 120 clients, batch 8", 120, 40, 8, []uint8{1}, func(uint8) int { return 32 }, 35319},
 		{"link-bound: 2 KB gets beside 2 KB puts", 80, 40, 4, []uint8{2, 3}, func(h uint8) int {
 			if h == 3 {
 				return 2048
 			}
 			return 16
-		}, 13722},
+		}, 15129},
 		{"latency-bound: batch 1", 80, 40, 1, []uint8{1}, func(uint8) int { return 32 }, 26076},
 	} {
 		c, s := rotationServer(6, tc.groupSize, 1, false)

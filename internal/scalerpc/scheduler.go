@@ -428,6 +428,9 @@ func (s *Server) fetchGroup(t *host.Thread, g int, warm bool) {
 			cs.lastRound = round
 			cs.fetchedUpTo = 0
 		}
+		// A completion in WARMUP lowers the count within a round; whatever
+		// the client stages next above it is new.
+		cs.fetchedUpTo = min(cs.fetchedUpTo, count)
 		if count <= cs.fetchedUpTo {
 			continue
 		}
@@ -439,15 +442,10 @@ func (s *Server) fetchGroup(t *host.Thread, g int, warm bool) {
 			s.trace.Emit(t.P.Now(), "warmup_fetch",
 				telemetry.A("client", int64(cid)), telemetry.A("blocks", int64(count-cs.fetchedUpTo)))
 		}
-		// Small messages: one READ per block, of its right-aligned tail only.
-		// Large ones: one contiguous READ of whole blocks.
-		off, step := rpcwire.BlockSize-span, 1
-		if span >= rpcwire.BlockSize/2 {
-			step = count - cs.fetchedUpTo
-			off, span = 0, step*rpcwire.BlockSize
-		}
+		// One READ per block, of its right-aligned tail only, at every size.
+		off := rpcwire.BlockSize - span
 		ok := true
-		for b := cs.fetchedUpTo; b < count; b += step {
+		for b := cs.fetchedUpTo; b < count; b++ {
 			wr := nic.SendWR{
 				Op:    nic.OpRead,
 				LKey:  pool.Region.LKey,
@@ -461,8 +459,9 @@ func (s *Server) fetchGroup(t *host.Thread, g int, warm bool) {
 				break
 			}
 			s.Stats.WarmupReads++
+			s.Stats.WarmupBytes += uint64(span)
 			if warm {
-				s.warmFetched += uint64(step)
+				s.warmFetched++
 			}
 		}
 		if ok {
@@ -782,6 +781,7 @@ func (s *Server) connect(ch *host.Host, sig *sim.Signal, pinned bool, tenant uin
 	cl.CounterVar("retries", &conn.Retries)
 	cl.CounterVar("switches", &conn.Switches)
 	cl.CounterVar("reconnects", &conn.Reconnects)
+	cl.CounterVar("late_completions", &conn.LateCompletions)
 	return conn
 }
 

@@ -234,6 +234,7 @@ func NewServer(h *host.Host, cfg ServerConfig) *Server {
 	srv.CounterVar("switches", &s.Stats.Switches)
 	srv.CounterVar("early_switches", &s.Stats.EarlySwitches)
 	srv.CounterVar("warmup_reads", &s.Stats.WarmupReads)
+	srv.CounterVar("warmup_bytes", &s.Stats.WarmupBytes)
 	srv.CounterVar("notifies", &s.Stats.Notifies)
 	srv.CounterVar("piggybacked", &s.Stats.Piggybacked)
 	srv.CounterVar("stale_drops", &s.Stats.StaleDrops)
