@@ -379,11 +379,22 @@ func (c *Conn) Poll(t *host.Thread, fn func(rpccore.Response)) int {
 		c.respBuf = append(c.respBuf[:0], payload...)
 		t.ReadMem(c.resp.BlockAddr(0, b), len(payload)+rpcwire.TrailerSize)
 		hdr, body, herr := rpcwire.ParseHeader(c.respBuf)
-		stale := herr != nil || hdr.ReqID != c.slots[b].reqID // for the slot's previous occupant
 		rpcwire.Clear(block)
 		t.WriteMem(c.resp.ValidAddr(0, b), 1)
-		if stale {
+		if herr != nil {
 			continue
+		}
+		// A switch flag on a response that carries a zone comes from the
+		// drain. A late-swept response carries none: the late sweep posts
+		// after its switch's drain responses and notifications on the same
+		// RC QP, so the client has already acted on that switch, and acting
+		// again would re-offer, and the server fetch twice, what it re-offered
+		// then.
+		if flags&rpcwire.FlagContextSwitch != 0 && hdr.ClientID&^poolBit != zoneNone {
+			switched = true
+		}
+		if hdr.ReqID != c.slots[b].reqID {
+			continue // for the slot's previous occupant
 		}
 		// Invalidate the staged copy as well. Round bumps (retry resends,
 		// switch restages) make the server re-fetch every staging block up
@@ -416,9 +427,6 @@ func (c *Conn) Poll(t *host.Thread, fn func(rpccore.Response)) int {
 			// Still waiting to be fetched: stop advertising what is answered.
 			c.advertiseSlots()
 			c.entryDirty = true
-		}
-		if flags&rpcwire.FlagContextSwitch != 0 {
-			switched = true
 		}
 		fn(rpccore.Response{ReqID: hdr.ReqID, Payload: body, Err: flags&rpcwire.FlagError != 0})
 	}

@@ -12,26 +12,26 @@ import (
 	"scalerpc/internal/stats"
 )
 
-// TestShortSliceGetPutStaysRight is the bulk get/put closed loop at a
-// 30 µs slice, a point of Fig 11(a)'s sweep: 120 clients keep four 2 KB
-// puts (8 B replies) and 16 B gets (2 KB replies) outstanding each, and
-// every reply is checked against its request. A work request that left the
-// NIC ahead of its predecessor on the same QP drew a NAK on this lossless
-// fabric, and the go-back-N resend re-gathered a response from a scratch
-// block the worker had already reused, so a client was answered with
-// another's reply. No NIC may retransmit, and no reply may be wrong.
-func TestShortSliceGetPutStaysRight(t *testing.T) {
+// getPutResult is what one bulk get/put closed loop measured.
+type getPutResult struct {
+	sent, answered, wrong uint64
+	conns                 []*scalerpc.Conn
+}
+
+// runGetPut is the bulk get/put closed loop: 120 clients on eleven hosts
+// keep four 2 KB puts (8 B replies) and 16 B gets (2 KB replies)
+// outstanding each until horizon, then drain for up to 2 ms, and every
+// reply is checked against its request.
+func runGetPut(timeSlice sim.Duration, horizon sim.Time) (*cluster.Cluster, *scalerpc.Server, getPutResult) {
 	const (
-		clients  = 120
-		window   = 4
-		bulk     = 2048
-		horizon  = 6 * sim.Millisecond
-		deadline = horizon + 2*sim.Millisecond
+		clients = 120
+		window  = 4
+		bulk    = 2048
 	)
+	deadline := horizon + 2*sim.Millisecond
 	c := cluster.New(cluster.Default(12))
-	defer c.Close()
 	cfg := scalerpc.DefaultServerConfig()
-	cfg.TimeSlice = 30 * sim.Microsecond
+	cfg.TimeSlice = timeSlice
 	s := scalerpc.NewServer(c.Hosts[0], cfg)
 	// A put (2 KB request) answers with its first word; a get (16 B)
 	// answers with 2 KB that carry the request at the head and its first
@@ -47,31 +47,32 @@ func TestShortSliceGetPutStaysRight(t *testing.T) {
 	})
 	s.Start()
 
-	var sent, answered, wrong uint64
+	var r getPutResult
 	for i := 0; i < clients; i++ {
 		i := i
 		h := c.Hosts[1+i%11]
 		sig := sim.NewSignal(c.Env)
 		conn := s.Connect(h, sig)
+		r.conns = append(r.conns, conn)
 		h.Spawn("getput", func(th *host.Thread) {
 			rng := stats.NewRNG(uint64(i) + 1)
 			th.P.Sleep(sim.Duration(i%64) * 311)
 			reqs := map[uint64][]byte{}
 			var id uint64
-			check := func(r rpccore.Response) {
-				req, ok := reqs[r.ReqID]
-				delete(reqs, r.ReqID)
-				answered++
+			check := func(resp rpccore.Response) {
+				req, ok := reqs[resp.ReqID]
+				delete(reqs, resp.ReqID)
+				r.answered++
 				switch {
-				case !ok || r.Err:
-					wrong++
+				case !ok || resp.Err:
+					r.wrong++
 				case len(req) == bulk:
-					if string(r.Payload) != string(req[:8]) {
-						wrong++
+					if string(resp.Payload) != string(req[:8]) {
+						r.wrong++
 					}
-				case len(r.Payload) != bulk || string(r.Payload[:16]) != string(req) ||
-					string(r.Payload[bulk-8:]) != string(req[:8]):
-					wrong++
+				case len(resp.Payload) != bulk || string(resp.Payload[:16]) != string(req) ||
+					string(resp.Payload[bulk-8:]) != string(req[:8]):
+					r.wrong++
 				}
 			}
 			for th.P.Now() < deadline && (th.P.Now() < horizon || len(reqs) > 0) {
@@ -89,7 +90,7 @@ func TestShortSliceGetPutStaysRight(t *testing.T) {
 					}
 					id++
 					reqs[id] = req
-					sent++
+					r.sent++
 				}
 				if conn.Poll(th, check) == 0 {
 					th.WaitSignal(sig, 5*sim.Microsecond)
@@ -98,17 +99,59 @@ func TestShortSliceGetPutStaysRight(t *testing.T) {
 		})
 	}
 	c.Env.RunUntil(deadline)
+	return c, s, r
+}
 
+// TestShortSliceGetPutStaysRight is the bulk get/put closed loop at a
+// 30 µs slice, a point of Fig 11(a)'s sweep. A work request that left the
+// NIC ahead of its predecessor on the same QP drew a NAK on this lossless
+// fabric, and the go-back-N resend re-gathered a response from a scratch
+// block the worker had already reused, so a client was answered with
+// another's reply. No NIC may retransmit, and no reply may be wrong.
+func TestShortSliceGetPutStaysRight(t *testing.T) {
+	c, s, r := runGetPut(30*sim.Microsecond, 6*sim.Millisecond)
+	defer c.Close()
 	var retransmits uint64
 	for _, h := range c.Hosts {
 		retransmits += h.NIC.Stats.Retransmits
 	}
-	if wrong != 0 || retransmits != 0 || answered != sent {
+	if r.wrong != 0 || retransmits != 0 || r.answered != r.sent {
 		t.Errorf("sent %d, answered %d, wrong %d, NIC retransmits %d; want every reply right and none resent",
-			sent, answered, wrong, retransmits)
+			r.sent, r.answered, r.wrong, retransmits)
 	}
-	if sent < 8000 {
-		t.Errorf("%d requests: the loop did not run", sent)
+	if r.sent < 8000 {
+		t.Errorf("%d requests: the loop did not run", r.sent)
 	}
-	t.Logf("sent %d over %d switches", sent, s.Stats.Switches)
+	t.Logf("sent %d over %d switches", r.sent, s.Stats.Switches)
+}
+
+// TestSwitchRaceRunsEachRequestOnce is the bulk get/put closed loop at the
+// default slice, across a dozen context switches. A drain or late-sweep
+// response that lands after the client took the switch flag must complete
+// the slot it was sent for: unanswered requests keep their slots when the
+// switch re-offers them. When a switch moved them to other slots, such a
+// response was dropped as stale, and the re-offered copy ran a second time
+// from the server's reply cache. Every reply must be right, and no request
+// may reach the reply cache twice.
+func TestSwitchRaceRunsEachRequestOnce(t *testing.T) {
+	c, s, r := runGetPut(scalerpc.DefaultServerConfig().TimeSlice, 3*sim.Millisecond)
+	defer c.Close()
+	var late, retries uint64
+	for _, conn := range r.conns {
+		late += conn.LateCompletions
+		retries += conn.Retries
+	}
+	dedup := rpccore.SharedRel(c.Telemetry).DedupHits
+	t.Logf("sent %d over %d switches: %d re-offered, %d completed late, %d dedup hits",
+		r.sent, s.Stats.Switches, retries, late, dedup)
+	if r.wrong != 0 || r.answered != r.sent {
+		t.Errorf("sent %d, answered %d, wrong %d; want every reply right", r.sent, r.answered, r.wrong)
+	}
+	if dedup != 0 {
+		t.Errorf("%d requests reached the reply cache twice, want 0", dedup)
+	}
+	if s.Stats.Switches < 10 || late == 0 || late > retries {
+		t.Errorf("%d switches, %d of %d re-offered requests completed late: the run did not race the switch",
+			s.Stats.Switches, late, retries)
+	}
 }
