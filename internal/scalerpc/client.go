@@ -70,8 +70,12 @@ type Conn struct {
 	poolIdx     int
 	stagedCount int
 	stagedSpan  int // max encoded span among staged requests this round
-	round       uint32
-	entryDirty  bool
+	// roundHigh is the highest count flushed this round: the server may have
+	// fetched every block below it, so a request staged below it needs a new
+	// round.
+	roundHigh  int
+	round      uint32
+	entryDirty bool
 
 	slots       []connSlot
 	outstanding int
@@ -204,8 +208,7 @@ func (c *Conn) TrySend(t *host.Thread, handler uint8, payload []byte, reqID uint
 // beginWarmup opens a new warmup round (IDLE → WARMUP).
 func (c *Conn) beginWarmup() {
 	c.round++
-	c.stagedCount = 0
-	c.stagedSpan = 0
+	c.stagedCount, c.stagedSpan, c.roundHigh = 0, 0, 0
 	c.state = StateWarmup
 	c.entryDirty = true
 	c.traceState(StateWarmup)
@@ -213,10 +216,14 @@ func (c *Conn) beginWarmup() {
 
 // stageRequest encodes the request into the next contiguous staging block.
 func (c *Conn) stageRequest(t *host.Thread, handler uint8, payload []byte, reqID uint64) bool {
-	if c.stagedCount >= len(c.slots) {
+	b := c.stagedCount
+	if b >= len(c.slots) {
 		return false
 	}
-	b := c.stagedCount
+	if b < c.roundHigh {
+		c.round++
+		c.roundHigh = 0
+	}
 	if c.slots[b].busy {
 		return false // occupied by an unanswered request awaiting its turn
 	}
@@ -300,6 +307,7 @@ func (c *Conn) flushEndpointEntry(t *host.Thread) {
 		return
 	}
 	c.entryDirty = false
+	c.roundHigh = max(c.roundHigh, c.stagedCount)
 	b := c.entryScratch.Bytes()
 	binary.LittleEndian.PutUint32(b, uint32(c.stagedCount))
 	binary.LittleEndian.PutUint32(b[4:], c.round)

@@ -193,7 +193,7 @@ func TestClosedLoopsTakeNoEarlySwitch(t *testing.T) {
 				return 2048
 			}
 			return 16
-		}, 15222},
+		}, 15129},
 		{"latency-bound: batch 1", 80, 40, 1, []uint8{1}, func(uint8) int { return 32 }, 26076},
 	} {
 		c, s := rotationServer(6, tc.groupSize, 1, false)

@@ -428,9 +428,6 @@ func (s *Server) fetchGroup(t *host.Thread, g int, warm bool) {
 			cs.lastRound = round
 			cs.fetchedUpTo = 0
 		}
-		// A completion in WARMUP lowers the count within a round; whatever
-		// the client stages next above it is new.
-		cs.fetchedUpTo = min(cs.fetchedUpTo, count)
 		if count <= cs.fetchedUpTo {
 			continue
 		}
