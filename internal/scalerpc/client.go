@@ -385,7 +385,8 @@ func (c *Conn) Poll(t *host.Thread, fn func(rpccore.Response)) int {
 		// the Clear/WriteMem below advance virtual time, and a late
 		// duplicate response write may overwrite the block under us.
 		c.respBuf = append(c.respBuf[:0], payload...)
-		t.ReadMem(c.resp.BlockAddr(0, b), len(payload)+rpcwire.TrailerSize)
+		off, span := rpcwire.EncodedSpan(rpcwire.BlockSize, len(payload))
+		t.ReadMem(c.resp.BlockAddr(0, b)+uint64(off), span)
 		hdr, body, herr := rpcwire.ParseHeader(c.respBuf)
 		rpcwire.Clear(block)
 		t.WriteMem(c.resp.ValidAddr(0, b), 1)

@@ -563,7 +563,8 @@ func (s *Server) lateSweep(t *host.Thread, pool *rpcwire.Pool, owners []int) {
 				// in-flight write overwrite the pool block.
 				s.schedReq = append(s.schedReq[:0], payload...)
 				if hdr, body, herr := rpcwire.ParseHeader(s.schedReq); herr == nil && int(hdr.ClientID) == owner {
-					t.ReadMem(pool.BlockAddr(z, b), len(payload)+rpcwire.TrailerSize)
+					off, span := rpcwire.EncodedSpan(rpcwire.BlockSize, len(payload))
+					t.ReadMem(pool.BlockAddr(z, b)+uint64(off), span)
 					s.lateServe(t, cs, b, hdr, body)
 				} else {
 					s.Stats.StaleDrops++

@@ -412,8 +412,8 @@ func (w *worker) sweep(t *host.Thread) int {
 			// concurrent RDMA write (duplicate delivery, stale warmup
 			// fetch) may overwrite the pool block under us.
 			w.req = append(w.req[:0], payload...)
-			t.ReadMem(pool.BlockAddr(z, b)+uint64(rpcwire.BlockSize-rpcwire.TrailerSize-len(payload)),
-				len(payload)+rpcwire.TrailerSize)
+			off, span := rpcwire.EncodedSpan(rpcwire.BlockSize, len(payload))
+			t.ReadMem(pool.BlockAddr(z, b)+uint64(off), span)
 			t.Work(s.Cfg.ParseCost)
 			hdr, body, herr := rpcwire.ParseHeader(w.req)
 			if herr != nil || int(hdr.ClientID) != owner {
