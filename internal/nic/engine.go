@@ -261,7 +261,12 @@ func (n *NIC) processOut(job outJob) (occ sim.Duration) {
 			qp.sendPSN++
 			needResp := wr.Op == OpRead || wr.Op == OpCompSwap || wr.Op == OpFetchAdd
 			qp.inflight = append(qp.inflight, inflightWR{psn: pkt.psn, wr: wr, needResp: needResp, inline: job.inlineData})
-			n.armTimer(qp)
+			// The timeout runs from the oldest unacknowledged WQE: a later
+			// post must not push it back, or a QP that keeps posting never
+			// resends a packet whose NAK was lost.
+			if len(qp.inflight) == 1 {
+				n.armTimer(qp)
+			}
 		}
 	}
 

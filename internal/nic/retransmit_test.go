@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"scalerpc/internal/cluster"
+	"scalerpc/internal/faults"
 	"scalerpc/internal/memory"
 	"scalerpc/internal/nic"
 	"scalerpc/internal/sim"
@@ -170,5 +171,42 @@ func TestNakRetransmitStillWorksWithTimerArmed(t *testing.T) {
 	}
 	if pe.qpA.Err() != nil {
 		t.Fatal("QP errored during ordinary NAK recovery")
+	}
+}
+
+// TestTimerRunsFromOldestUnackedWQE: the retransmit timeout counts from the
+// oldest unacknowledged WQE, so a QP that keeps posting still recovers. The
+// first WRITE is lost, and so is the NAK the second one draws; the responder
+// NAKs a gap once, so only the requester's timer can resend. A timer that
+// every new post pushed back would wait until the posts stop.
+func TestTimerRunsFromOldestUnackedWQE(t *testing.T) {
+	const rto = 20 * sim.Microsecond
+	pe := newPair(t, nic.RC)
+	pe.c.Hosts[0].NIC.Cfg.RetransmitTimeout = rto
+	pe.c.Hosts[1].NIC.DropNextDataPackets(1)
+	pe.c.InstallFaults(&faults.Scenario{Name: "lost-nak",
+		Links: []faults.LinkFault{faults.OneWayPartition(1, 0, 0, int64(rto*3/4))}})
+	const posts = 20
+	pe.c.Env.Spawn("poster", func(p *sim.Proc) {
+		for i := 0; i < posts; i++ {
+			pe.cli.Bytes()[i] = byte(i + 1)
+			pe.qpA.PostSend(nic.SendWR{WRID: uint64(i), Op: nic.OpWrite, Signaled: true,
+				LKey: pe.cli.LKey, LAddr: pe.cli.Base + uint64(i), Len: 1,
+				RKey: pe.srv.RKey, RAddr: pe.srv.Base + uint64(i)})
+			p.Sleep(rto / 2)
+		}
+	})
+	pe.c.Env.RunUntil(sim.Time(3 * rto))
+	if got := pe.srv.Bytes()[0]; got != 1 {
+		t.Fatalf("first WRITE not recovered by %d ns (posting goes on until %d ns)", 3*rto, posts*rto/2)
+	}
+	pe.c.Env.Run()
+	for i := 0; i < posts; i++ {
+		if pe.srv.Bytes()[i] != byte(i+1) {
+			t.Fatalf("slot %d = %d after recovery", i, pe.srv.Bytes()[i])
+		}
+	}
+	if got := pe.cqA.Len(); got != posts || pe.qpA.Err() != nil {
+		t.Fatalf("completions = %d, QP error %v; want %d and none", got, pe.qpA.Err(), posts)
 	}
 }
