@@ -104,10 +104,10 @@ type Conn struct {
 	Switches uint64
 	// Reconnects counts connection rebuilds after a QP error.
 	Reconnects uint64
-	// LateCompletions counts re-offered requests answered by a response the
-	// drain or late sweep sent before the re-offer reached the server: the
-	// response lands on the slot it was sent for, and the re-offered copy
-	// the server may still fetch is answered from its reply cache.
+	// LateCompletions counts requests a context switch re-offered that were
+	// then answered by a drain or late-sweep response (one carrying the
+	// switch flag): unanswered requests keep their slots across a switch,
+	// so such a response completes the slot it was sent for.
 	LateCompletions uint64
 
 	// trace is the server registry's event sink (always non-nil).
@@ -395,11 +395,12 @@ func (c *Conn) Poll(t *host.Thread, fn func(rpccore.Response)) int {
 		}
 		// A switch flag on a response that carries a zone comes from the
 		// drain. A late-swept response carries none: the late sweep posts
-		// after its switch's drain responses and notifications on the same
-		// RC QP, so the client has already acted on that switch, and acting
-		// again would re-offer, and the server fetch twice, what it re-offered
-		// then.
-		if flags&rpcwire.FlagContextSwitch != 0 && hdr.ClientID&^poolBit != zoneNone {
+		// after its switch's drain responses and notification on the same RC
+		// QP, so a client out of PROCESS has already acted on that switch,
+		// and acting again would re-offer, and the server fetch twice, what
+		// it re-offered then. A client still in PROCESS lost the notification
+		// (a corrupted frame) and acts now.
+		if flags&rpcwire.FlagContextSwitch != 0 && (hdr.ClientID&^poolBit != zoneNone || c.state == StateProcess) {
 			switched = true
 		}
 		if hdr.ReqID != c.slots[b].reqID {
