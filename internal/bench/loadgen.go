@@ -298,6 +298,7 @@ func runLoadFaults(opts Options) *Result {
 	}
 	var points []faultsPoint
 	var totalCRC, totalDedup uint64
+	var verdict string // where the SLO verdict first fails, if it does
 	for _, dr := range rates {
 		o := opts
 		if dr > 0 {
@@ -349,6 +350,8 @@ func runLoadFaults(opts Options) *Result {
 		pass := 0.0
 		if rep.Pass {
 			pass = 1.0
+		} else if verdict == "" {
+			verdict = fmt.Sprintf("the SLO verdict flips at %g%% loss", dr*100)
 		}
 		totalCRC += rel.CRCDrops
 		totalDedup += rel.DedupHits
@@ -361,7 +364,10 @@ func runLoadFaults(opts Options) *Result {
 		points = append(points, faultsPoint{Transport: "ScaleRPC", Rate: dr, Rel: rel, Injected: injected, Report: rep.JSON()})
 	}
 	r.AddArtifact("BENCH_loadgen_faults.json", marshalArtifact(points))
-	r.Note("a fixed sub-knee offered rate isolates the fault cost: each tail-packet drop stalls its requester for a full retransmit timeout, inflating the p99 and stranding repeat victims past the drain — the SLO verdict flips on the completion floor once loss passes ~0.5%")
+	if verdict == "" {
+		verdict = "the SLO holds at every loss rate swept"
+	}
+	r.Notef("a fixed sub-knee offered rate isolates the fault cost: each tail-packet drop stalls its requester for a full retransmit timeout, inflating the p99; %s", verdict)
 	r.Notef("corruption past the ICRC is 100%% detected: %d frames failed the wire CRC and were retried; zero corrupted payloads were delivered (the loadgen clients would count them as errors)", totalCRC)
 	r.Notef("deadline-driven resends produced %d duplicate deliveries, every one absorbed by the reply cache instead of re-executing", totalDedup)
 	return r

@@ -217,25 +217,20 @@ func (c *Conn) beginWarmup() {
 // stageRequest encodes the request into the next contiguous staging block.
 func (c *Conn) stageRequest(t *host.Thread, handler uint8, payload []byte, reqID uint64) bool {
 	b := c.stagedCount
-	if b >= len(c.slots) {
-		return false
-	}
-	if b < c.roundHigh {
-		c.round++
-		c.roundHigh = 0
-	}
-	if c.slots[b].busy {
-		return false // occupied by an unanswered request awaiting its turn
+	if b >= len(c.slots) || c.slots[b].busy {
+		return false // the window is full, or b awaits its turn unanswered
 	}
 	msgLen, ok := c.encodeInto(t, b, handler, payload, reqID)
 	if !ok {
 		return false
 	}
+	if b < c.roundHigh {
+		c.round++ // the server may have fetched block b this round
+		c.roundHigh = 0
+	}
 	c.slots[b] = connSlot{busy: true, reqID: reqID, msgLen: msgLen}
 	c.stagedCount++
-	if sp := msgLen + rpcwire.TrailerSize; sp > c.stagedSpan {
-		c.stagedSpan = sp
-	}
+	c.stagedSpan = max(c.stagedSpan, msgLen+rpcwire.TrailerSize)
 	c.outstanding++
 	c.entryDirty = true
 	return true
