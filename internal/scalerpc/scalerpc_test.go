@@ -8,6 +8,7 @@ import (
 	"scalerpc/internal/cluster"
 	"scalerpc/internal/host"
 	"scalerpc/internal/rpccore"
+	"scalerpc/internal/rpcwire"
 	"scalerpc/internal/scalerpc"
 	"scalerpc/internal/sim"
 	"scalerpc/internal/stats"
@@ -529,10 +530,11 @@ func TestLateSweepAnswersSwitchRacers(t *testing.T) {
 	}
 }
 
-func TestWarmupLargeMessagesUseContiguousFetch(t *testing.T) {
-	// Payloads whose encoded span exceeds half the block trigger the
-	// whole-block contiguous warmup READ path; they must still round-trip
-	// intact through staging, fetch, and response.
+func TestWarmupLargeMessagesFetchOnlyTheirTail(t *testing.T) {
+	// A payload whose encoded span exceeds half the block is fetched like
+	// any other: one warm-up READ of the right-aligned tail the endpoint
+	// entry advertises, never the whole block. It must round-trip intact
+	// through staging, fetch, and response.
 	c, s := buildServer(2, nil)
 	defer c.Close()
 	sig := sim.NewSignal(c.Env)
@@ -553,6 +555,11 @@ func TestWarmupLargeMessagesUseContiguousFetch(t *testing.T) {
 	c.Env.RunUntil(50 * sim.Millisecond)
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("large warmup payload corrupted (%d bytes back)", len(got))
+	}
+	_, span := rpcwire.EncodedSpan(rpcwire.BlockSize, rpcwire.HeaderSize+len(payload))
+	if s.Stats.WarmupReads != 1 || s.Stats.WarmupBytes != uint64(span) {
+		t.Fatalf("%d warm-up READs moved %d bytes, want one of the %d-byte frame span",
+			s.Stats.WarmupReads, s.Stats.WarmupBytes, span)
 	}
 }
 
