@@ -267,13 +267,22 @@ func (t *Thread) WriteMem(addr uint64, size int) {
 }
 
 // PostSend charges the CPU cost of assembling and doorbelling one work
-// request (MMIO write) and posts it. Any deferred charges are settled
+// request (MMIO write) and posts it: the one-WR case of PostSendBatch.
+// Any deferred charges are settled
 // first: the doorbell must ring at the virtual time all preceding CPU work
 // has been paid for.
 func (t *Thread) PostSend(qp *nic.QP, wr nic.SendWR) error {
-	t.Work(t.Host.Cfg.BaseOpCost + 100) // WQE build + MMIO
+	_, err := t.PostSendBatch(qp, []nic.SendWR{wr})
+	return err
+}
+
+// PostSendBatch posts a chain of work requests behind one doorbell,
+// charging a WQE build per WR and one MMIO, as PostRecvBatch does. It
+// returns how many WRs were posted (see nic.QP.PostSendBatch).
+func (t *Thread) PostSendBatch(qp *nic.QP, wrs []nic.SendWR) (int, error) {
+	t.Work(t.Host.Cfg.BaseOpCost*sim.Duration(len(wrs)) + 100) // WQE builds + MMIO
 	t.FlushWork()
-	return qp.PostSend(wr)
+	return qp.PostSendBatch(wrs)
 }
 
 // CreateQP allocates a queue pair, charging the modeled QP-creation

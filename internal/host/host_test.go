@@ -1,6 +1,7 @@
 package host_test
 
 import (
+	"errors"
 	"testing"
 
 	"scalerpc/internal/cluster"
@@ -135,6 +136,83 @@ func TestPostRecvBatchSingleDoorbell(t *testing.T) {
 	}
 	if qp.RecvQueueLen() != 16 {
 		t.Fatalf("RecvQueueLen = %d", qp.RecvQueueLen())
+	}
+}
+
+// TestPostSendBatchSingleDoorbell: a chain of send WRs rings one doorbell
+// and costs a WQE build per WR plus one MMIO; a chain stops at its first
+// invalid WR and queues nothing from there on; PostSend is the one-WR case
+// at its old price.
+func TestPostSendBatchSingleDoorbell(t *testing.T) {
+	c, h := newHost(t)
+	peer := c.Hosts[1]
+	qp := h.NIC.CreateQP(nic.RC, h.NIC.CreateCQ(), h.NIC.CreateCQ())
+	pqp := peer.NIC.CreateQP(nic.RC, peer.NIC.CreateCQ(), peer.NIC.CreateCQ())
+	if err := nic.Connect(qp, pqp); err != nil {
+		t.Fatal(err)
+	}
+	src := h.Mem.Register(4096, memory.PageSize4K, memory.LocalWrite)
+	dst := peer.Mem.Register(4096, memory.PageSize4K, memory.LocalWrite|memory.RemoteWrite)
+	copy(src.Bytes(), "abcdefgh")
+	write := func(i int) nic.SendWR {
+		return nic.SendWR{Op: nic.OpWrite, Inline: true, LKey: src.LKey, LAddr: src.Base, Len: 8,
+			RKey: dst.RKey, RAddr: dst.Base + uint64(i*64)}
+	}
+	// post runs one poster on a fresh thread and reports the doorbells it
+	// rang, the CPU it charged and the WQEs the NIC sent.
+	post := func(fn func(th *host.Thread)) (mmio uint64, cpu sim.Duration, wqes uint64) {
+		mmio0, wqes0 := h.Bus.Snapshot().MMIOWr, h.NIC.Stats.OutWQEs
+		var start, end sim.Time
+		h.Spawn("post", func(th *host.Thread) {
+			start = th.P.Now()
+			fn(th)
+			end = th.P.Now()
+		})
+		c.Env.Run()
+		return h.Bus.Snapshot().MMIOWr - mmio0, end - start, h.NIC.Stats.OutWQEs - wqes0
+	}
+	base := h.Cfg.BaseOpCost
+
+	const n = 5
+	mmio, cpu, wqes := post(func(th *host.Thread) {
+		var wrs []nic.SendWR
+		for i := 0; i < n; i++ {
+			wrs = append(wrs, write(i))
+		}
+		if posted, err := th.PostSendBatch(qp, wrs); posted != n || err != nil {
+			t.Errorf("chain: posted %d, err %v", posted, err)
+		}
+	})
+	if mmio != 1 || cpu != base*n+100 || wqes != n {
+		t.Errorf("chain of %d: %d doorbells, %d ns, %d WQEs sent; want 1, %d, %d", n, mmio, cpu, wqes, base*n+100, n)
+	}
+
+	clear(dst.Bytes())
+	bad := write(2)
+	bad.Len = h.NIC.Cfg.MaxInline + 1
+	mmio, _, wqes = post(func(th *host.Thread) {
+		wrs := []nic.SendWR{write(0), write(1), bad, write(3)}
+		if posted, err := th.PostSendBatch(qp, wrs); posted != 2 || !errors.Is(err, nic.ErrInlineTooLarge) {
+			t.Errorf("chain with a bad third WR: posted %d, err %v; want 2, %v", posted, err, nic.ErrInlineTooLarge)
+		}
+	})
+	if mmio != 1 || wqes != 2 {
+		t.Errorf("chain with a bad third WR: %d doorbells, %d WQEs sent; want 1, 2", mmio, wqes)
+	}
+	zero := string(make([]byte, 8))
+	for i, want := range []string{"abcdefgh", "abcdefgh", zero, zero} {
+		if got := string(dst.Bytes()[i*64 : i*64+8]); got != want {
+			t.Errorf("after the bad chain, slot %d holds %q, want %q", i, got, want)
+		}
+	}
+
+	mmio, cpu, wqes = post(func(th *host.Thread) {
+		if err := th.PostSend(qp, write(0)); err != nil {
+			t.Error(err)
+		}
+	})
+	if mmio != 1 || cpu != base+100 || wqes != 1 {
+		t.Errorf("PostSend: %d doorbells, %d ns, %d WQEs sent; want 1, %d, 1", mmio, cpu, wqes, base+100)
 	}
 }
 

@@ -503,18 +503,44 @@ func (qp *QP) validate(wr *SendWR) error {
 	return nil
 }
 
-// PostSend posts a send work request. The MMIO doorbell is accounted here;
-// the caller charges its own CPU time through the host layer.
+// PostSend posts a send work request: the one-WR case of PostSendBatch.
+// The caller charges its own CPU time through the host layer.
 func (qp *QP) PostSend(wr SendWR) error {
+	_, err := qp.PostSendBatch([]SendWR{wr})
+	return err
+}
+
+// PostSendBatch posts a chain of send work requests behind one MMIO
+// doorbell, as one ibv_post_send with a WR list does. The WRs are validated
+// and queued in order; the chain stops at the first that fails, which is
+// not queued (ibv_post_send's bad_wr), and posted says how many were. No
+// doorbell rings when none was.
+func (qp *QP) PostSendBatch(wrs []SendWR) (posted int, err error) {
 	if qp.err != nil {
-		return qp.err
+		return 0, qp.err
 	}
-	if err := qp.validate(&wr); err != nil {
+	n := qp.nic
+	for i := range wrs {
+		if err = qp.enqueue(&wrs[i]); err != nil {
+			break
+		}
+		posted++
+	}
+	if posted > 0 {
+		n.bus.RecordMMIO()
+		n.outKick()
+	}
+	return posted, err
+}
+
+// enqueue validates one WR and appends it to the outbound engine's queue,
+// capturing an inline payload now.
+func (qp *QP) enqueue(wr *SendWR) error {
+	if err := qp.validate(wr); err != nil {
 		return err
 	}
 	n := qp.nic
-	n.bus.RecordMMIO()
-	job := outJob{qp: qp, wr: wr}
+	job := outJob{qp: qp, wr: *wr}
 	if wr.Inline && wr.Len > 0 {
 		_, src, err := n.mem.TranslateLocal(wr.LKey, wr.LAddr, wr.Len)
 		if err != nil {
@@ -527,7 +553,6 @@ func (qp *QP) PostSend(wr SendWR) error {
 		copy(job.inlineData, src)
 	}
 	n.outQ = append(n.outQ, job)
-	n.outKick()
 	return nil
 }
 
