@@ -102,14 +102,21 @@ func (n *NIC) outKick() {
 
 func (n *NIC) outStep() {
 	if n.outHead >= len(n.outQ) {
-		n.outQ = n.outQ[:0]
-		n.outHead = 0
 		n.outBusy = false
 		return
 	}
 	job := n.outQ[n.outHead]
 	n.outQ[n.outHead] = outJob{}
 	n.outHead++
+	if n.outHead*2 > len(n.outQ) {
+		// Compact once the head has passed half the queue, so an engine that
+		// never drains does not keep every job queued since it last did.
+		// Each compaction copies fewer jobs than were popped since the last.
+		live := copy(n.outQ, n.outQ[n.outHead:])
+		clear(n.outQ[live:])
+		n.outQ = n.outQ[:live]
+		n.outHead = 0
+	}
 	occ := n.processOut(job)
 	n.env.At(occ, n.outStepFn)
 }
