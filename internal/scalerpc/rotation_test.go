@@ -175,8 +175,12 @@ func TestEarlySwitchCutsOpenLoopTail(t *testing.T) {
 // request crosses the server's receive link once, so more are served in the
 // same time. And again when the response poll and the late sweep began
 // charging their frame reads at the block's tail, where the right-aligned
-// frame sits, instead of at its head: other cache lines are touched. Drivers
-// start after the first slice, which serves nobody — group 0 was never
+// frame sits, instead of at its head: other cache lines are touched. And
+// again when the server began posting each client's responses and warm-up
+// READs as one chain behind one doorbell, with the worker sweep serving one
+// client's requests before the next client's: the saturated loop's batch of
+// 8 completes in one stretch, so it issues its next batch sooner, and the
+// other two loops' responses leave in another order. Drivers start after the first slice, which serves nobody — group 0 was never
 // warmed — and so would rightly be cut.
 func TestClosedLoopsTakeNoEarlySwitch(t *testing.T) {
 	const horizon = 3 * sim.Millisecond
@@ -189,14 +193,14 @@ func TestClosedLoopsTakeNoEarlySwitch(t *testing.T) {
 		payload    func(h uint8) int
 		wantServed uint64
 	}{
-		{"saturated: 120 clients, batch 8", 120, 40, 8, []uint8{1}, func(uint8) int { return 32 }, 35884},
+		{"saturated: 120 clients, batch 8", 120, 40, 8, []uint8{1}, func(uint8) int { return 32 }, 38266},
 		{"link-bound: 2 KB gets beside 2 KB puts", 80, 40, 4, []uint8{2, 3}, func(h uint8) int {
 			if h == 3 {
 				return 2048
 			}
 			return 16
-		}, 15050},
-		{"latency-bound: batch 1", 80, 40, 1, []uint8{1}, func(uint8) int { return 32 }, 26265},
+		}, 14761},
+		{"latency-bound: batch 1", 80, 40, 1, []uint8{1}, func(uint8) int { return 32 }, 25668},
 	} {
 		c, s := rotationServer(6, tc.groupSize, 1, false)
 		for i := 0; i < tc.clients; i++ {

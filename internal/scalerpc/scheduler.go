@@ -7,7 +7,6 @@ import (
 
 	"scalerpc/internal/ctrlplane"
 	"scalerpc/internal/host"
-	"scalerpc/internal/memory"
 	"scalerpc/internal/nic"
 	"scalerpc/internal/rpcwire"
 	"scalerpc/internal/sim"
@@ -439,29 +438,28 @@ func (s *Server) fetchGroup(t *host.Thread, g int, warm bool) {
 			s.trace.Emit(t.P.Now(), "warmup_fetch",
 				telemetry.A("client", int64(cid)), telemetry.A("blocks", int64(count-cs.fetchedUpTo)))
 		}
-		// One READ per block, of its right-aligned tail only, at every size.
+		// One READ per block, of its right-aligned tail only, at every size;
+		// the client's READs go out as one chain behind one doorbell.
 		off := rpcwire.BlockSize - span
-		ok := true
+		wrs := s.fetchWRs[:0]
 		for b := cs.fetchedUpTo; b < count; b++ {
-			wr := nic.SendWR{
+			wrs = append(wrs, nic.SendWR{
 				Op:    nic.OpRead,
 				LKey:  pool.Region.LKey,
 				LAddr: pool.BlockAddr(zone, b) + uint64(off),
 				Len:   span,
 				RKey:  cs.stageRKey,
 				RAddr: cs.stageAddr + uint64(b*rpcwire.BlockSize+off),
-			}
-			if err := t.PostSend(cs.QP, wr); err != nil {
-				ok = false
-				break
-			}
-			s.Stats.WarmupReads++
-			s.Stats.WarmupBytes += uint64(span)
-			if warm {
-				s.warmFetched++
-			}
+			})
 		}
-		if ok {
+		s.fetchWRs = wrs
+		posted, err := t.PostSendBatch(cs.QP, wrs)
+		s.Stats.WarmupReads += uint64(posted)
+		s.Stats.WarmupBytes += uint64(posted * span)
+		if warm {
+			s.warmFetched += uint64(posted)
+		}
+		if err == nil {
 			cs.fetchedUpTo = count
 		}
 	}
@@ -537,14 +535,16 @@ func (s *Server) contextSwitch(t *host.Thread) {
 	// sweep then answers any such stragglers (with the switch event set),
 	// so clients almost never need the retry path.
 	t.P.Sleep(switchGuard)
+	start := t.P.Now()
 	s.lateSweep(t, oldPool, oldOwners)
+	s.Stats.LateSweepNs += uint64(t.P.Now() - start)
 }
 
 // lateSweep serves requests that landed in the outgoing pool between the
 // workers' drain and the clients' receipt of the context_switch_event
 // ("process and clear the suspended requests", §3.3).
 func (s *Server) lateSweep(t *host.Thread, pool *rpcwire.Pool, owners []int) {
-	s.schedStaging()
+	out := s.schedOutbox()
 	for z, owner := range owners {
 		if owner < 0 || s.clients[owner] == nil {
 			continue
@@ -565,7 +565,7 @@ func (s *Server) lateSweep(t *host.Thread, pool *rpcwire.Pool, owners []int) {
 				if hdr, body, herr := rpcwire.ParseHeader(s.schedReq); herr == nil && int(hdr.ClientID) == owner {
 					off, span := rpcwire.EncodedSpan(rpcwire.BlockSize, len(payload))
 					t.ReadMem(pool.BlockAddr(z, b)+uint64(off), span)
-					s.lateServe(t, cs, b, hdr, body)
+					s.lateServe(t, out, cs, b, hdr, body)
 				} else {
 					s.Stats.StaleDrops++
 				}
@@ -575,14 +575,16 @@ func (s *Server) lateSweep(t *host.Thread, pool *rpcwire.Pool, owners []int) {
 			rpcwire.Clear(block)
 			t.WriteMem(pool.ValidAddr(z, b), 1)
 		}
+		// The zone's responses leave as one chain, as in the worker sweep.
+		out.post(t)
 	}
 }
 
 // lateServe executes one late-swept request on the scheduler thread,
 // with the same dedup gate as the worker path: a request the workers
 // already executed before the switch is answered from cache, not re-run.
-func (s *Server) lateServe(t *host.Thread, cs *clientState, slot int, hdr rpcwire.Header, body []byte) {
-	if s.replayed(t, s.schedScratch, &s.schedScratchIdx, s.schedBuf, cs, slot, hdr, rpcwire.FlagContextSwitch) {
+func (s *Server) lateServe(t *host.Thread, out *outbox, cs *clientState, slot int, hdr rpcwire.Header, body []byte) {
+	if s.replayed(t, out, cs, slot, hdr, rpcwire.FlagContextSwitch) {
 		return
 	}
 	s.Stats.LateServed++
@@ -590,7 +592,7 @@ func (s *Server) lateServe(t *host.Thread, cs *clientState, slot int, hdr rpcwir
 	switch {
 	case s.handlers[hdr.Handler] == nil:
 		s.replies.Commit(cs.ID, hdr.ReqID, nil, true)
-		s.respond(t, s.schedScratch, &s.schedScratchIdx, cs, slot, hdr, s.schedBuf, 0, rpcwire.FlagError|rpcwire.FlagContextSwitch)
+		s.respond(t, out, cs, slot, hdr, 0, rpcwire.FlagError|rpcwire.FlagContextSwitch)
 	case s.legacy[hdr.Handler]:
 		// Long-running call types go to the legacy thread, never onto the
 		// scheduler's critical path (the cache entry commits there).
@@ -598,9 +600,10 @@ func (s *Server) lateServe(t *host.Thread, cs *clientState, slot int, hdr rpcwir
 		s.legacyQ.Push(legacyJob{cs: cs, slot: slot, handler: hdr.Handler, reqID: hdr.ReqID,
 			body: append([]byte(nil), body...)})
 	default:
-		n := s.handlers[hdr.Handler](t, cs.ID, body, s.schedBuf[rpcwire.HeaderSize:len(s.schedBuf)-rpcwire.TrailerSize])
-		s.replies.Commit(cs.ID, hdr.ReqID, s.schedBuf[rpcwire.HeaderSize:rpcwire.HeaderSize+n], false)
-		s.respond(t, s.schedScratch, &s.schedScratchIdx, cs, slot, hdr, s.schedBuf, n, rpcwire.FlagContextSwitch)
+		buf := out.buf
+		n := s.handlers[hdr.Handler](t, cs.ID, body, buf[rpcwire.HeaderSize:len(buf)-rpcwire.TrailerSize])
+		s.replies.Commit(cs.ID, hdr.ReqID, buf[rpcwire.HeaderSize:rpcwire.HeaderSize+n], false)
+		s.respond(t, out, cs, slot, hdr, n, rpcwire.FlagContextSwitch)
 	}
 }
 
@@ -608,21 +611,21 @@ func (s *Server) lateServe(t *host.Thread, cs *clientState, slot int, hdr rpcwir
 // in-flight responses to piggyback on: a small RDMA write into the client's
 // control block (§3.3).
 func (s *Server) notifyControl(t *host.Thread, cs *clientState) {
-	staging := s.schedStaging() // before s.schedBuf is read
+	out := s.schedOutbox()
 	hdr := rpcwire.Header{ReqID: ^uint64(0), Handler: 0}
-	s.respond(t, staging, &s.schedScratchIdx, cs, s.Cfg.BlocksPerClient, hdr, s.schedBuf, 0, rpcwire.FlagContextSwitch)
+	s.respond(t, out, cs, s.Cfg.BlocksPerClient, hdr, 0, rpcwire.FlagContextSwitch)
+	out.post(t)
 	cs.notifiedEpoch = s.epoch
 }
 
-// schedStaging returns the scheduler's response staging ring, registering
-// it on first use. Registering it any earlier would move every region
-// registered after it to another address, and so to another LLC set.
-func (s *Server) schedStaging() *memory.Region {
-	if s.schedScratch == nil {
-		s.schedScratch = s.Host.Mem.Register(rpcwire.BlockSize*scratchRing, memory.PageSize2M, memory.LocalWrite)
-		s.schedBuf = make([]byte, rpcwire.BlockSize)
+// schedOutbox returns the scheduler's response outbox, registering its
+// staging ring on first use. Registering it any earlier would move every
+// region registered after it to another address, and so to another LLC set.
+func (s *Server) schedOutbox() *outbox {
+	if s.schedOut.ring == nil {
+		s.schedOut = newOutbox(s.Host)
 	}
-	return s.schedScratch
+	return &s.schedOut
 }
 
 // scanFailures inspects the outgoing group for dead clients: members whose

@@ -22,7 +22,9 @@ import (
 // blocks, keeping warmup traffic proportional to message size.
 const endpointEntrySize = 12
 
-// scratchRing is the per-worker response staging depth.
+// scratchRing is the depth of each response staging ring (outbox). A
+// zone's responses stay staged until its chain is posted, so no client may
+// have more blocks than a ring.
 const scratchRing = 64
 
 // poolBit marks which physical pool a zone assignment refers to, packed
@@ -86,13 +88,42 @@ type clientState struct {
 	demoted bool
 }
 
+// outbox is a response staging ring — each response is encoded into the
+// next of its blocks and RDMA-written from there — with the chain of those
+// WRITEs not yet posted, all for one client's QP. buf assembles the
+// response; handlers write their output into it.
+type outbox struct {
+	ring  *memory.Region
+	idx   int
+	buf   []byte
+	qp    *nic.QP
+	chain []nic.SendWR
+}
+
+func newOutbox(h *host.Host) outbox {
+	return outbox{
+		ring: h.Mem.Register(rpcwire.BlockSize*scratchRing, memory.PageSize2M, memory.LocalWrite),
+		buf:  make([]byte, rpcwire.BlockSize),
+	}
+}
+
+// post rings one doorbell for the staged chain. A failed post is the
+// client's loss to recover from, as for any response.
+func (o *outbox) post(t *host.Thread) {
+	if len(o.chain) == 0 {
+		return
+	}
+	t.PostSendBatch(o.qp, o.chain)
+	o.chain = o.chain[:0]
+}
+
 type worker struct {
-	s          *Server
-	idx        int
-	sig        *sim.Signal
-	scratch    *memory.Region
-	scratchIdx int
-	buf        []byte
+	s   *Server
+	idx int
+	sig *sim.Signal
+	// out stages the responses of the zone being swept; sweep posts them
+	// as one chain when it leaves the zone.
+	out outbox
 	// req holds a stable snapshot of the frame being served: the pool
 	// block is live RDMA-writable memory, and the serve path yields
 	// virtual time (ReadMem, ParseCost, the handler's own Work), during
@@ -181,10 +212,10 @@ type Server struct {
 	// scratch is the switch path's working memory (scheduler.go).
 	scratch switchScratch
 
-	// Scheduler-owned response staging for explicit notifications.
-	schedScratch    *memory.Region
-	schedScratchIdx int
-	schedBuf        []byte
+	// Scheduler-owned response staging for the late sweep and explicit
+	// notifications (schedOutbox); fetchWRs is fetchGroup's READ chain.
+	schedOut outbox
+	fetchWRs []nic.SendWR
 	// schedReq is the late sweep's stable request snapshot (same aliasing
 	// hazard as worker.req).
 	schedReq []byte
@@ -211,6 +242,9 @@ type Server struct {
 
 // NewServer allocates pools and bookkeeping on h.
 func NewServer(h *host.Host, cfg ServerConfig) *Server {
+	if cfg.BlocksPerClient > scratchRing {
+		panic(fmt.Sprintf("scalerpc: BlocksPerClient %d exceeds the %d-block response staging ring", cfg.BlocksPerClient, scratchRing))
+	}
 	zones := cfg.totalZones()
 	poolBytes := rpcwire.BlockSize * cfg.BlocksPerClient * zones
 	s := &Server{
@@ -244,6 +278,7 @@ func NewServer(h *host.Host, cfg ServerConfig) *Server {
 	srv.CounterVar("served", &s.Stats.Served)
 	srv.CounterVar("pinned_served", &s.Stats.PinnedServed)
 	srv.CounterVar("late_served", &s.Stats.LateServed)
+	srv.CounterVar("late_sweep_ns", &s.Stats.LateSweepNs)
 	srv.CounterVar("probes", &s.Stats.Probes)
 	srv.CounterVar("demotes", &s.Stats.Demotes)
 	srv.CounterVar("restores", &s.Stats.Restores)
@@ -264,13 +299,7 @@ func NewServer(h *host.Host, cfg ServerConfig) *Server {
 	}
 	var sigs []*sim.Signal
 	for i := 0; i < cfg.Workers; i++ {
-		w := &worker{
-			s:       s,
-			idx:     i,
-			sig:     sim.NewSignal(h.Env),
-			scratch: h.Mem.Register(rpcwire.BlockSize*scratchRing, memory.PageSize2M, memory.LocalWrite),
-			buf:     make([]byte, rpcwire.BlockSize),
-		}
+		w := &worker{s: s, idx: i, sig: sim.NewSignal(h.Env), out: newOutbox(h)}
 		ws := srv.Scope(fmt.Sprintf("w%d", i))
 		ws.CounterVar("sweeps", &w.Sweeps)
 		ws.CounterVar("sleeps", &w.Sleeps)
@@ -363,7 +392,6 @@ func (w *worker) sweep(t *host.Thread) int {
 	// group's load evenly.
 	s := w.s
 	w.Sweeps++
-	pool := s.processingPool()
 	served := 0
 	// The scan touches one valid byte per owned slot; charging each touch
 	// individually would cost a scheduler round trip per slot. Defer the
@@ -372,27 +400,28 @@ func (w *worker) sweep(t *host.Thread) int {
 	// lazy close leaves the residue pending for run's WaitSignal).
 	t.BeginWork()
 	defer t.EndWorkLazy()
-	// Block-major scan, symmetric with the baselines (ScaleRPC's per-slice
-	// QP set fits the NIC caches either way). Reserved (pinned) zones sit
-	// past maxZones and always live in pool 0.
-	pinnedPool := s.pools[0]
-	for b := 0; b < s.Cfg.BlocksPerClient; b++ {
-		for z := w.idx; z < s.Cfg.totalZones(); z += s.Cfg.Workers {
-			owner := s.zoneOwner[z]
-			if owner < 0 {
-				continue
-			}
-			cs := s.clients[owner]
-			if cs == nil {
-				// The owner was evicted mid-slice; the zone is reassigned at
-				// the next switch.
-				continue
-			}
-			if cs.Pinned {
-				pool = pinnedPool
-			} else {
-				pool = s.processingPool()
-			}
+	// Zone-major scan: all of one client's pending requests are served, and
+	// their responses posted as one chain behind one doorbell, before the
+	// next client's. Reserved (pinned) zones sit past maxZones and always
+	// live in pool 0.
+	for z := w.idx; z < s.Cfg.totalZones(); z += s.Cfg.Workers {
+		owner := s.zoneOwner[z]
+		if owner < 0 {
+			continue
+		}
+		cs := s.clients[owner]
+		if cs == nil {
+			// The owner was evicted mid-slice; the zone is reassigned at
+			// the next switch.
+			continue
+		}
+		pool := s.processingPool()
+		if cs.Pinned {
+			pool = s.pools[0]
+		}
+		// The handler yields: a client evicted, or a zone handed over,
+		// meanwhile is not served further.
+		for b := 0; b < s.Cfg.BlocksPerClient && s.zoneOwner[z] == owner && s.clients[owner] == cs; b++ {
 			t.ReadMem(pool.ValidAddr(z, b), 1)
 			block := pool.Block(z, b)
 			if !rpcwire.Valid(block) {
@@ -430,6 +459,10 @@ func (w *worker) sweep(t *host.Thread) int {
 			served++
 			w.Served++
 		}
+		// Leaving the zone posts its chain, so every response is on the
+		// wire before sweep returns: the drain, notifiedEpoch and the switch
+		// flags keep their order on the client's QP.
+		w.out.post(t)
 	}
 	return served
 }
@@ -439,7 +472,7 @@ func (w *worker) sweep(t *host.Thread) int {
 // are answered from the reply cache without re-running the handler
 // (at-most-once execution, §3.5 upgraded to exactly-once results).
 func (s *Server) serve(t *host.Thread, w *worker, cs *clientState, slot int, hdr rpcwire.Header, body []byte) {
-	if s.replayed(t, w.scratch, &w.scratchIdx, w.buf, cs, slot, hdr, 0) {
+	if s.replayed(t, &w.out, cs, slot, hdr, 0) {
 		return
 	}
 	s.Stats.Served++
@@ -454,7 +487,7 @@ func (s *Server) serve(t *host.Thread, w *worker, cs *clientState, slot int, hdr
 	s.usefulNs += uint64(s.Cfg.ParseCost)
 	if s.handlers[hdr.Handler] == nil {
 		s.replies.Commit(cs.ID, hdr.ReqID, nil, true)
-		s.respond(t, w.scratch, &w.scratchIdx, cs, slot, hdr, w.buf, 0, rpcwire.FlagError)
+		s.respond(t, &w.out, cs, slot, hdr, 0, rpcwire.FlagError)
 		return
 	}
 	if s.legacy[hdr.Handler] {
@@ -472,7 +505,8 @@ func (s *Server) serve(t *host.Thread, w *worker, cs *clientState, slot int, hdr
 	// duration (which drives legacy-mode detection) reflects its own work.
 	t.FlushWork()
 	start := t.P.Now()
-	n := s.handlers[hdr.Handler](t, cs.ID, body, w.buf[rpcwire.HeaderSize:len(w.buf)-rpcwire.TrailerSize])
+	buf := w.out.buf
+	n := s.handlers[hdr.Handler](t, cs.ID, body, buf[rpcwire.HeaderSize:len(buf)-rpcwire.TrailerSize])
 	t.FlushWork()
 	ran := t.P.Now() - start
 	s.usefulNs += uint64(ran)
@@ -483,14 +517,14 @@ func (s *Server) serve(t *host.Thread, w *worker, cs *clientState, slot int, hdr
 		s.legacy[hdr.Handler] = true
 		s.Stats.LegacyMarked++
 	}
-	s.replies.Commit(cs.ID, hdr.ReqID, w.buf[rpcwire.HeaderSize:rpcwire.HeaderSize+n], false)
-	s.respond(t, w.scratch, &w.scratchIdx, cs, slot, hdr, w.buf, n, 0)
+	s.replies.Commit(cs.ID, hdr.ReqID, buf[rpcwire.HeaderSize:rpcwire.HeaderSize+n], false)
+	s.respond(t, &w.out, cs, slot, hdr, n, 0)
 }
 
 // replayed reports whether the request is a duplicate, answering it from
 // the reply cache with flags if its first copy has committed. One still
 // executing (on the legacy thread) answers this duplicate too.
-func (s *Server) replayed(t *host.Thread, scratch *memory.Region, idx *int, buf []byte, cs *clientState, slot int, hdr rpcwire.Header, flags byte) bool {
+func (s *Server) replayed(t *host.Thread, out *outbox, cs *clientState, slot int, hdr rpcwire.Header, flags byte) bool {
 	dup, rep, ready := s.replies.Admit(cs.ID, hdr.ReqID)
 	if !dup {
 		return false
@@ -500,8 +534,8 @@ func (s *Server) replayed(t *host.Thread, scratch *memory.Region, idx *int, buf 
 		if rep.Err {
 			flags |= rpcwire.FlagError
 		}
-		n := copy(buf[rpcwire.HeaderSize:len(buf)-rpcwire.TrailerSize], rep.Payload)
-		s.respond(t, scratch, idx, cs, slot, hdr, buf, n, flags)
+		n := copy(out.buf[rpcwire.HeaderSize:len(out.buf)-rpcwire.TrailerSize], rep.Payload)
+		s.respond(t, out, cs, slot, hdr, n, flags)
 	}
 	return true
 }
@@ -509,25 +543,26 @@ func (s *Server) replayed(t *host.Thread, scratch *memory.Region, idx *int, buf 
 // runLegacy executes recorded long-running calls on a dedicated thread so
 // they never straddle a context switch (§3.5).
 func (s *Server) runLegacy(t *host.Thread) {
-	scratch := s.Host.Mem.Register(rpcwire.BlockSize*scratchRing, memory.PageSize2M, memory.LocalWrite)
-	buf := make([]byte, rpcwire.BlockSize)
-	idx := 0
+	out := newOutbox(s.Host)
+	buf := out.buf
 	for {
 		job := s.legacyQ.Pop(t.P)
 		n := s.handlers[job.handler](t, job.cs.ID, job.body, buf[rpcwire.HeaderSize:len(buf)-rpcwire.TrailerSize])
 		hdr := rpcwire.Header{ReqID: job.reqID, Handler: job.handler}
 		s.replies.Commit(job.cs.ID, job.reqID, buf[rpcwire.HeaderSize:rpcwire.HeaderSize+n], false)
-		s.respond(t, scratch, &idx, job.cs, job.slot, hdr, buf, n, 0)
+		s.respond(t, &out, job.cs, job.slot, hdr, n, 0)
+		out.post(t)
 	}
 }
 
-// respond assembles a response in buf (whose first HeaderSize bytes it
-// overwrites), encodes it into the caller's scratch ring, and RDMA-writes
-// it to the client's response slot. The header's ClientID field carries the
-// client's current zone and pool assignment — how a WARMUP client learns
-// where to write directly — and during a drain the context_switch_event is
+// respond assembles a response in out.buf (whose first HeaderSize bytes it
+// overwrites, after bodyLen bytes of body), encodes it into out's staging
+// ring, and chains the RDMA WRITE to the client's response slot; the
+// caller posts the chain. The header's ClientID field carries the client's
+// current zone and pool assignment — how a WARMUP client learns where to
+// write directly — and during a drain the context_switch_event is
 // piggybacked on every response (§3.3).
-func (s *Server) respond(t *host.Thread, scratch *memory.Region, idx *int, cs *clientState, slot int, req rpcwire.Header, buf []byte, bodyLen int, flags byte) {
+func (s *Server) respond(t *host.Thread, out *outbox, cs *clientState, slot int, req rpcwire.Header, bodyLen int, flags byte) {
 	// zoneNone tells the client this response carries no (valid) zone
 	// assignment — e.g. a late-swept request answered after its group was
 	// switched out.
@@ -546,10 +581,16 @@ func (s *Server) respond(t *host.Thread, scratch *memory.Region, idx *int, cs *c
 			s.Stats.Piggybacked++
 		}
 	}
-	rpcwire.PutHeader(buf, rpcwire.Header{ReqID: req.ReqID, Handler: req.Handler, ClientID: zoneInfo})
-	msg := buf[:rpcwire.HeaderSize+bodyLen]
-	blockOff := *idx * rpcwire.BlockSize
-	*idx = (*idx + 1) % scratchRing
+	if out.qp != cs.QP {
+		// A chain holds one QP's WRs.
+		out.post(t)
+		out.qp = cs.QP
+	}
+	rpcwire.PutHeader(out.buf, rpcwire.Header{ReqID: req.ReqID, Handler: req.Handler, ClientID: zoneInfo})
+	msg := out.buf[:rpcwire.HeaderSize+bodyLen]
+	scratch := out.ring
+	blockOff := out.idx * rpcwire.BlockSize
+	out.idx = (out.idx + 1) % scratchRing
 	block := scratch.Bytes()[blockOff : blockOff+rpcwire.BlockSize]
 	if err := rpcwire.Encode(block, msg, flags); err != nil {
 		return
@@ -567,7 +608,7 @@ func (s *Server) respond(t *host.Thread, scratch *memory.Region, idx *int, cs *c
 	if span <= s.Host.NIC.Cfg.MaxInline {
 		wr.Inline = true
 	}
-	t.PostSend(cs.QP, wr)
+	out.chain = append(out.chain, wr)
 }
 
 // readEndpointEntry decodes client cid's endpoint entry from server memory.
