@@ -576,7 +576,7 @@ func (s *Server) lateSweep(t *host.Thread, pool *rpcwire.Pool, owners []int) {
 			t.WriteMem(pool.ValidAddr(z, b), 1)
 		}
 		// The zone's responses leave as one chain, as in the worker sweep.
-		out.post(t)
+		out.post(t, cs.QP)
 	}
 }
 
@@ -614,7 +614,7 @@ func (s *Server) notifyControl(t *host.Thread, cs *clientState) {
 	out := s.schedOutbox()
 	hdr := rpcwire.Header{ReqID: ^uint64(0), Handler: 0}
 	s.respond(t, out, cs, s.Cfg.BlocksPerClient, hdr, 0, rpcwire.FlagContextSwitch)
-	out.post(t)
+	out.post(t, cs.QP)
 	cs.notifiedEpoch = s.epoch
 }
 

@@ -90,13 +90,12 @@ type clientState struct {
 
 // outbox is a response staging ring — each response is encoded into the
 // next of its blocks and RDMA-written from there — with the chain of those
-// WRITEs not yet posted, all for one client's QP. buf assembles the
-// response; handlers write their output into it.
+// WRITEs not yet posted. buf assembles the response; handlers write their
+// output into it.
 type outbox struct {
 	ring  *memory.Region
 	idx   int
 	buf   []byte
-	qp    *nic.QP
 	chain []nic.SendWR
 }
 
@@ -107,13 +106,14 @@ func newOutbox(h *host.Host) outbox {
 	}
 }
 
-// post rings one doorbell for the staged chain. A failed post is the
-// client's loss to recover from, as for any response.
-func (o *outbox) post(t *host.Thread) {
+// post sends the staged chain on qp behind one doorbell. Every WR in it
+// answers the client on qp: callers post before they respond to another.
+// A failed post is the client's loss to recover from, as for any response.
+func (o *outbox) post(t *host.Thread, qp *nic.QP) {
 	if len(o.chain) == 0 {
 		return
 	}
-	t.PostSendBatch(o.qp, o.chain)
+	t.PostSendBatch(qp, o.chain)
 	o.chain = o.chain[:0]
 }
 
@@ -462,7 +462,7 @@ func (w *worker) sweep(t *host.Thread) int {
 		// Leaving the zone posts its chain, so every response is on the
 		// wire before sweep returns: the drain, notifiedEpoch and the switch
 		// flags keep their order on the client's QP.
-		w.out.post(t)
+		w.out.post(t, cs.QP)
 	}
 	return served
 }
@@ -551,7 +551,7 @@ func (s *Server) runLegacy(t *host.Thread) {
 		hdr := rpcwire.Header{ReqID: job.reqID, Handler: job.handler}
 		s.replies.Commit(job.cs.ID, job.reqID, buf[rpcwire.HeaderSize:rpcwire.HeaderSize+n], false)
 		s.respond(t, &out, job.cs, job.slot, hdr, n, 0)
-		out.post(t)
+		out.post(t, job.cs.QP)
 	}
 }
 
@@ -581,26 +581,20 @@ func (s *Server) respond(t *host.Thread, out *outbox, cs *clientState, slot int,
 			s.Stats.Piggybacked++
 		}
 	}
-	if out.qp != cs.QP {
-		// A chain holds one QP's WRs.
-		out.post(t)
-		out.qp = cs.QP
-	}
 	rpcwire.PutHeader(out.buf, rpcwire.Header{ReqID: req.ReqID, Handler: req.Handler, ClientID: zoneInfo})
 	msg := out.buf[:rpcwire.HeaderSize+bodyLen]
-	scratch := out.ring
 	blockOff := out.idx * rpcwire.BlockSize
 	out.idx = (out.idx + 1) % scratchRing
-	block := scratch.Bytes()[blockOff : blockOff+rpcwire.BlockSize]
+	block := out.ring.Bytes()[blockOff : blockOff+rpcwire.BlockSize]
 	if err := rpcwire.Encode(block, msg, flags); err != nil {
 		return
 	}
 	off, span := rpcwire.EncodedSpan(rpcwire.BlockSize, len(msg))
-	t.WriteMem(scratch.Base+uint64(blockOff+off), span)
+	t.WriteMem(out.ring.Base+uint64(blockOff+off), span)
 	wr := nic.SendWR{
 		Op:    nic.OpWrite,
-		LKey:  scratch.LKey,
-		LAddr: scratch.Base + uint64(blockOff+off),
+		LKey:  out.ring.LKey,
+		LAddr: out.ring.Base + uint64(blockOff+off),
 		Len:   span,
 		RKey:  cs.respRKey,
 		RAddr: cs.respAddr + uint64(slot*rpcwire.BlockSize+off),
