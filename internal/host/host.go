@@ -268,9 +268,8 @@ func (t *Thread) WriteMem(addr uint64, size int) {
 
 // PostSend charges the CPU cost of assembling and doorbelling one work
 // request (MMIO write) and posts it: the one-WR case of PostSendBatch.
-// Any deferred charges are settled
-// first: the doorbell must ring at the virtual time all preceding CPU work
-// has been paid for.
+// Any deferred charges are settled first: the doorbell must ring at the
+// virtual time all preceding CPU work has been paid for.
 func (t *Thread) PostSend(qp *nic.QP, wr nic.SendWR) error {
 	_, err := t.PostSendBatch(qp, []nic.SendWR{wr})
 	return err
