@@ -134,7 +134,7 @@ func (s *Server) repost(t *host.Thread, w *baseline.Worker, ring *recvRing) {
 
 // Conn is a FaSST client endpoint: one UD QP, a recv ring, a send window.
 type Conn struct {
-	baseline.Window
+	rpccore.Window
 	resp  baseline.UDRecv
 	id    uint16
 	h     *host.Host
@@ -149,7 +149,7 @@ type Conn struct {
 // assigns an id and a worker QP to address).
 func (s *Server) Connect(ch *host.Host, sig *sim.Signal) *Conn {
 	c := &Conn{
-		Window: baseline.NewWindow(clientWindow),
+		Window: rpccore.NewWindow(clientWindow),
 		id:     s.nextCli,
 		h:      ch,
 		s:      s,

@@ -55,7 +55,7 @@ type Server struct {
 	Host *host.Host
 	*baseline.Shell
 	// Req is the request pool, one zone per client id.
-	Req baseline.ReqPool
+	Req rpccore.ReqPool
 
 	clients []*clientState
 }
@@ -63,7 +63,7 @@ type Server struct {
 // NewServer builds the statically mapped pool and the per-worker UD QPs.
 func NewServer(h *host.Host, cfg ServerConfig) *Server {
 	s := &Server{Cfg: cfg, Host: h, Shell: baseline.NewShell(h, "herdrpc", rpcwire.BlockSize, blocksPerClient)}
-	s.Req = s.NewReqPool(blocksPerClient, maxClients, cfg.ParseCost)
+	s.Req = rpccore.NewReqPool(h, blocksPerClient, maxClients, cfg.ParseCost, s.Rel)
 	for i := 0; i < workers; i++ {
 		cq := h.NIC.CreateCQ()
 		qp := h.NIC.CreateQP(nic.UD, cq, cq)
@@ -95,7 +95,7 @@ func (s *Server) sweep(t *host.Thread, w *baseline.Worker) int {
 	served := 0
 	for b := 0; b < blocksPerClient; b++ {
 		for z := w.Idx; z < len(s.clients); z += workers {
-			req, ok := s.Req.Sweep(t, w, z, b)
+			req, ok := s.Req.Sweep(t, &w.Req, z, b)
 			if !ok {
 				continue
 			}
@@ -114,8 +114,10 @@ func (s *Server) sweep(t *host.Thread, w *baseline.Worker) int {
 // Conn is a HERD client endpoint: a UC QP for requests plus a UD QP for
 // responses.
 type Conn struct {
-	baseline.Window
-	req  baseline.ReqWriter
+	rpccore.Window
+	req rpccore.ReqWriter
+	// pool is the server's request pool; the client's zone in it is its id.
+	pool *rpcwire.Pool
 	resp baseline.UDRecv
 }
 
@@ -134,9 +136,9 @@ func (s *Server) Connect(ch *host.Host, sig *sim.Signal) *Conn {
 	}
 	// Client UD endpoint for the response path, then the staging blocks,
 	// then the receive ring.
-	c := &Conn{Window: baseline.NewWindow(blocksPerClient)}
+	c := &Conn{Window: rpccore.NewWindow(blocksPerClient), pool: s.Req.Pool}
 	c.resp = baseline.NewUDRecv(ch, sig, s.Cfg.ClientOverhead)
-	c.req = baseline.NewReqWriter(ch, s.Req.Pool, nic.OpWrite)
+	c.req = rpccore.NewReqWriter(ch, blocksPerClient, nic.OpWrite)
 	c.req.QP, c.req.ID = cqp, uint16(len(s.clients))
 	c.resp.PostRing(ch, rpcwire.BlockSize, blocksPerClient*2)
 	s.clients = append(s.clients, &clientState{id: c.req.ID, dstNIC: ch.NIC.ID(), dstQPN: c.resp.QP.QPN})
@@ -145,7 +147,7 @@ func (s *Server) Connect(ch *host.Host, sig *sim.Signal) *Conn {
 
 // TrySend UC-writes a request into the client's static server zone.
 func (c *Conn) TrySend(t *host.Thread, handler uint8, payload []byte, reqID uint64) bool {
-	return c.req.Send(t, &c.Window, handler, payload, reqID)
+	return c.req.Send(t, &c.Window, c.pool, handler, payload, reqID)
 }
 
 // Poll drains the UD response CQ, reposting consumed receives.

@@ -34,7 +34,7 @@ func emptySweep(t *testing.T, n int, perProbe bool) (wakes, workNs uint64) {
 		if perProbe {
 			for b := 0; b < blocksPerClient; b++ {
 				for z := w.Idx; z < n; z += workers {
-					s.Req.Sweep(th, w, z, b)
+					s.Req.Sweep(th, &w.Req, z, b)
 				}
 			}
 		} else if s.sweep(th, w) != 0 {

@@ -12,9 +12,9 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"scalerpc/internal/baseline"
 	"scalerpc/internal/ctrlplane"
 	"scalerpc/internal/host"
+	"scalerpc/internal/rpccore"
 	"scalerpc/internal/rpcwire"
 	"scalerpc/internal/sim"
 )
@@ -86,7 +86,7 @@ func (p placement) Parse(payload []byte) ([]byte, uint16, bool, error) {
 func (p placement) Admit(t *host.Thread, m ctrlplane.Member, payload []byte, pinned bool) *ctrlplane.Member {
 	s := p.s
 	m.Pinned = true
-	cs := &clientState{Member: m, resp: baseline.RespZone{
+	cs := &clientState{Member: m, resp: rpccore.RespZone{
 		Addr: binary.LittleEndian.Uint64(payload),
 		RKey: binary.LittleEndian.Uint32(payload[8:]),
 	}}
@@ -191,7 +191,7 @@ func (c *Conn) adoptDial(cp *ctrlplane.Conn) error {
 func (c *Conn) repostStaged(t *host.Thread) {
 	for b := range c.Slots {
 		if c.Slots[b].Busy {
-			c.req.Post(t, b, c.Slots[b].MsgLen)
+			c.req.Post(t, c.s.Req.Pool, int(c.req.ID), b, c.Slots[b].MsgLen)
 		}
 	}
 }

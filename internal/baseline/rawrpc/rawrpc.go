@@ -46,7 +46,7 @@ type Server struct {
 	Host *host.Host
 	*baseline.Shell
 	// Req is the request pool, one zone per client id.
-	Req baseline.ReqPool
+	Req rpccore.ReqPool
 
 	clients []*clientState
 	// roster owns the identities of control-plane clients and the tenant
@@ -59,7 +59,7 @@ type Server struct {
 // (and swept) until the roster drops the identity.
 type clientState struct {
 	ctrlplane.Member
-	resp baseline.RespZone
+	resp rpccore.RespZone
 }
 
 // NewServer allocates the pool and worker bookkeeping. The pool is fully
@@ -67,7 +67,7 @@ type clientState struct {
 // the design the paper criticizes).
 func NewServer(h *host.Host, cfg ServerConfig) *Server {
 	s := &Server{Cfg: cfg, Host: h, Shell: baseline.NewShell(h, "rawrpc", rpcwire.BlockSize, cfg.BlocksPerClient)}
-	s.Req = s.NewReqPool(cfg.BlocksPerClient, cfg.MaxClients, cfg.ParseCost)
+	s.Req = rpccore.NewReqPool(h, cfg.BlocksPerClient, cfg.MaxClients, cfg.ParseCost, s.Rel)
 	s.roster = ctrlplane.NewRoster("rawrpc", cfg.MaxClients, placement{s})
 	for i := 0; i < cfg.Workers; i++ {
 		// Every write wakes every worker; striping (nic.WatchZones) waits on ROADMAP 21.
@@ -105,7 +105,7 @@ func (s *Server) sweep(t *host.Thread, w *baseline.Worker) int {
 			if cs == nil {
 				continue
 			}
-			req, ok := s.Req.Sweep(t, w, z, b)
+			req, ok := s.Req.Sweep(t, &w.Req, z, b)
 			if !ok {
 				continue
 			}
@@ -122,9 +122,9 @@ func (s *Server) sweep(t *host.Thread, w *baseline.Worker) int {
 
 // Conn is a RawWrite client endpoint.
 type Conn struct {
-	baseline.Window
-	req  baseline.ReqWriter
-	resp baseline.RespPool
+	rpccore.Window
+	req  rpccore.ReqWriter
+	resp rpccore.RespPool
 	s    *Server
 
 	// membership is zero for connections admitted through the legacy
@@ -138,9 +138,9 @@ type Conn struct {
 // binds the QP and the id.
 func (s *Server) newConn(ch *host.Host, sig *sim.Signal) *Conn {
 	return &Conn{
-		Window: baseline.NewWindow(s.Cfg.BlocksPerClient),
-		req:    baseline.NewReqWriter(ch, s.Req.Pool, nic.OpWrite),
-		resp:   baseline.NewRespPool(ch, sig, rpcwire.BlockSize, s.Cfg.BlocksPerClient, s.Rel),
+		Window: rpccore.NewWindow(s.Cfg.BlocksPerClient),
+		req:    rpccore.NewReqWriter(ch, s.Cfg.BlocksPerClient, nic.OpWrite),
+		resp:   rpccore.NewRespPool(ch, sig, s.Cfg.BlocksPerClient, s.Rel),
 		s:      s,
 	}
 }
@@ -168,7 +168,7 @@ func (s *Server) Connect(ch *host.Host, sig *sim.Signal) *Conn {
 
 // TrySend posts one request into a free slot of the client's server zone.
 func (c *Conn) TrySend(t *host.Thread, handler uint8, payload []byte, reqID uint64) bool {
-	return !c.Left() && c.req.Send(t, &c.Window, handler, payload, reqID)
+	return !c.Left() && c.req.Send(t, &c.Window, c.s.Req.Pool, handler, payload, reqID)
 }
 
 // Poll scans this connection's in-flight response slots.
@@ -188,7 +188,7 @@ func (c *Conn) Resend(t *host.Thread, reqID uint64) bool {
 		return false
 	}
 	b := c.Find(reqID)
-	return b >= 0 && c.req.Post(t, b, c.Slots[b].MsgLen)
+	return b >= 0 && c.req.Post(t, c.s.Req.Pool, int(c.req.ID), b, c.Slots[b].MsgLen)
 }
 
 var _ rpccore.Server = (*Server)(nil)

@@ -39,7 +39,7 @@ func emptySweep(t *testing.T, n int, perProbe bool) (wakes, workNs uint64) {
 		if perProbe {
 			for b := 0; b < cfg.BlocksPerClient; b++ {
 				for z := 0; z < n; z++ {
-					s.Req.Sweep(th, w, z, b)
+					s.Req.Sweep(th, &w.Req, z, b)
 				}
 			}
 		} else if s.sweep(th, w) != 0 {

@@ -44,7 +44,7 @@ func DefaultServerConfig() ServerConfig {
 type clientState struct {
 	id   uint16
 	qp   *nic.QP
-	resp baseline.RespZone
+	resp rpccore.RespZone
 }
 
 // Server is a selfRPC server: requests arrive by RC WRITE_WITH_IMM into a
@@ -55,7 +55,7 @@ type Server struct {
 	Host *host.Host
 	*baseline.Shell
 	// Req is the request pool, one zone per client id.
-	Req baseline.ReqPool
+	Req rpccore.ReqPool
 
 	clients []*clientState
 }
@@ -63,7 +63,7 @@ type Server struct {
 // NewServer builds the pool and per-worker completion queues.
 func NewServer(h *host.Host, cfg ServerConfig) *Server {
 	s := &Server{Cfg: cfg, Host: h, Shell: baseline.NewShell(h, "selfrpc", rpcwire.BlockSize, blocksPerClient)}
-	s.Req = s.NewReqPool(blocksPerClient, cfg.MaxClients, cfg.ParseCost)
+	s.Req = rpccore.NewReqPool(h, blocksPerClient, cfg.MaxClients, cfg.ParseCost, s.Rel)
 	for i := 0; i < cfg.Workers; i++ {
 		cq := h.NIC.CreateCQ()
 		s.AddWorker().CQ = cq
@@ -86,12 +86,12 @@ func (s *Server) run(t *host.Thread, w *baseline.Worker) {
 				continue
 			}
 			// Self-identification: the immediate names the exact block.
-			z, b := baseline.ImmBlock(e.Imm)
+			z, b := rpccore.ImmBlock(e.Imm)
 			if z >= len(s.clients) || b >= blocksPerClient {
 				continue
 			}
 			cs := s.clients[z]
-			if req, ok := s.Req.Take(t, w, z, b); ok {
+			if req, ok := s.Req.Take(t, &w.Req, z, b); ok {
 				if w.Dispatch(t, cs.id, req) {
 					w.WriteResponse(t, cs.qp, cs.resp, b)
 				}
@@ -106,9 +106,11 @@ func (s *Server) run(t *host.Thread, w *baseline.Worker) {
 
 // Conn is a selfRPC client endpoint.
 type Conn struct {
-	baseline.Window
-	req  baseline.ReqWriter
-	resp baseline.RespPool
+	rpccore.Window
+	req rpccore.ReqWriter
+	// pool is the server's request pool; the client's zone in it is its id.
+	pool *rpcwire.Pool
+	resp rpccore.RespPool
 }
 
 // Connect admits a client: an RC QP pair whose server side delivers
@@ -129,17 +131,17 @@ func (s *Server) Connect(ch *host.Host, sig *sim.Signal) *Conn {
 	for i := 0; i < blocksPerClient*2; i++ {
 		sqp.PostRecv(nic.RecvWR{})
 	}
-	c := &Conn{Window: baseline.NewWindow(blocksPerClient)}
-	c.req = baseline.NewReqWriter(ch, s.Req.Pool, nic.OpWriteImm)
+	c := &Conn{Window: rpccore.NewWindow(blocksPerClient), pool: s.Req.Pool}
+	c.req = rpccore.NewReqWriter(ch, blocksPerClient, nic.OpWriteImm)
 	c.req.QP, c.req.ID = cqp, id
-	c.resp = baseline.NewRespPool(ch, sig, rpcwire.BlockSize, blocksPerClient, s.Rel)
+	c.resp = rpccore.NewRespPool(ch, sig, blocksPerClient, s.Rel)
 	s.clients = append(s.clients, &clientState{id: id, qp: sqp, resp: c.resp.Zone()})
 	return c
 }
 
 // TrySend posts one WRITE_IMM request.
 func (c *Conn) TrySend(t *host.Thread, handler uint8, payload []byte, reqID uint64) bool {
-	return c.req.Send(t, &c.Window, handler, payload, reqID)
+	return c.req.Send(t, &c.Window, c.pool, handler, payload, reqID)
 }
 
 // Poll scans in-flight response slots (clients still poll memory; only the

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"scalerpc/internal/baseline"
 	"scalerpc/internal/baseline/herdrpc"
 	"scalerpc/internal/baseline/rawrpc"
 	"scalerpc/internal/baseline/selfrpc"
@@ -126,24 +125,24 @@ func TestTable2Verbs(t *testing.T) {
 // statically mapped server pool, and exposes that pool.
 type poolTransport struct {
 	name  string
-	build func(h *host.Host, reg func(rpccore.Server)) (table2.Connect, baseline.ReqPool)
+	build func(h *host.Host, reg func(rpccore.Server)) (table2.Connect, rpccore.ReqPool)
 }
 
 func poolTransports() []poolTransport {
 	return []poolTransport{
-		{"rawwrite", func(h *host.Host, reg func(rpccore.Server)) (table2.Connect, baseline.ReqPool) {
+		{"rawwrite", func(h *host.Host, reg func(rpccore.Server)) (table2.Connect, rpccore.ReqPool) {
 			s := rawrpc.NewServer(h, rawrpc.DefaultServerConfig())
 			reg(s)
 			s.Start()
 			return func(ch *host.Host, sig *sim.Signal) rpccore.Conn { return s.Connect(ch, sig) }, s.Req
 		}},
-		{"herd", func(h *host.Host, reg func(rpccore.Server)) (table2.Connect, baseline.ReqPool) {
+		{"herd", func(h *host.Host, reg func(rpccore.Server)) (table2.Connect, rpccore.ReqPool) {
 			s := herdrpc.NewServer(h, herdrpc.DefaultServerConfig())
 			reg(s)
 			s.Start()
 			return func(ch *host.Host, sig *sim.Signal) rpccore.Conn { return s.Connect(ch, sig) }, s.Req
 		}},
-		{"selfrpc", func(h *host.Host, reg func(rpccore.Server)) (table2.Connect, baseline.ReqPool) {
+		{"selfrpc", func(h *host.Host, reg func(rpccore.Server)) (table2.Connect, rpccore.ReqPool) {
 			s := selfrpc.NewServer(h, selfrpc.DefaultServerConfig())
 			reg(s)
 			s.Start()

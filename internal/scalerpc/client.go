@@ -48,21 +48,20 @@ type connSlot struct {
 // Conn is a ScaleRPC RPCClient endpoint. It is driven by a single client
 // thread; Poll advances the state machine.
 type Conn struct {
-	id  uint16
 	h   *host.Host
 	s   *Server
-	qp  *nic.QP
 	sig *sim.Signal
 
-	stage *memory.Region
+	// req stages requests and WRITEs them into the processing pool; its QP
+	// and ID are the connection's identity.
+	req rpccore.ReqWriter
 	// entryScratch is a tiny staging area for the endpoint-entry tuple.
 	entryScratch *memory.Region
-	resp         *rpcwire.Pool
-	buf          []byte // request assembly buffer (no memory-model cost)
+	// resp takes the responses, one block per slot, and the control block
+	// past them.
+	resp rpccore.RespPool
 	// respBuf holds a stable snapshot of the response frame being
-	// delivered: the response block is live RDMA-writable memory, and
-	// ReadMem/WriteMem below yield virtual time during which a late
-	// duplicate response may overwrite the slot in place.
+	// delivered (rpccore.ReadSlot).
 	respBuf []byte
 
 	state       ClientState
@@ -118,19 +117,13 @@ type Conn struct {
 // endpoint-entry scratch on ch and builds the Conn around them; the caller
 // binds the QP and the id.
 func (s *Server) newConn(ch *host.Host, sig *sim.Signal) *Conn {
-	stage := ch.Mem.Register(rpcwire.BlockSize*s.Cfg.BlocksPerClient, memory.PageSize2M,
-		memory.LocalWrite|memory.RemoteRead)
-	respReg := ch.Mem.Register(rpcwire.BlockSize*(s.Cfg.BlocksPerClient+1), memory.PageSize2M,
-		memory.LocalWrite|memory.RemoteWrite)
-	ch.NIC.WatchRegion(respReg.RKey, sig)
 	return &Conn{
 		h:            ch,
 		s:            s,
 		sig:          sig,
-		stage:        stage,
+		req:          rpccore.NewReqWriter(ch, s.Cfg.BlocksPerClient, nic.OpWrite),
+		resp:         rpccore.NewRespPool(ch, sig, s.Cfg.BlocksPerClient, s.rel),
 		entryScratch: ch.Mem.Register(64, memory.PageSize4K, memory.LocalWrite),
-		resp:         rpcwire.NewPool(respReg, rpcwire.BlockSize, s.Cfg.BlocksPerClient+1, 1),
-		buf:          make([]byte, rpcwire.BlockSize),
 		slots:        make([]connSlot, s.Cfg.BlocksPerClient),
 		zone:         -1,
 		poolIdx:      -1,
@@ -160,7 +153,7 @@ func (c *Conn) idle() {
 func (c *Conn) traceState(to ClientState) {
 	if c.trace.Enabled {
 		c.trace.Emit(c.h.Env.Now(), "client_state",
-			telemetry.A("client", int64(c.id)), telemetry.A("state", int64(to)))
+			telemetry.A("client", int64(c.req.ID)), telemetry.A("state", int64(to)))
 	}
 }
 
@@ -220,7 +213,7 @@ func (c *Conn) stageRequest(t *host.Thread, handler uint8, payload []byte, reqID
 	if b >= len(c.slots) || c.slots[b].busy {
 		return false // the window is full, or b awaits its turn unanswered
 	}
-	msgLen, ok := c.encodeInto(t, b, handler, payload, reqID)
+	msgLen, ok := c.req.Stage(t, b, handler, payload, reqID)
 	if !ok {
 		return false
 	}
@@ -249,50 +242,13 @@ func (c *Conn) directSend(t *host.Thread, handler uint8, payload []byte, reqID u
 	if b < 0 {
 		return false
 	}
-	msgLen, ok := c.encodeInto(t, b, handler, payload, reqID)
-	if !ok || c.writeDirect(t, b, msgLen) != nil {
+	msgLen, ok := c.req.Stage(t, b, handler, payload, reqID)
+	if !ok || !c.req.Post(t, c.s.pools[c.poolIdx].Pool, c.zone, b, msgLen) {
 		return false
 	}
 	c.slots[b] = connSlot{busy: true, reqID: reqID, msgLen: msgLen}
 	c.outstanding++
 	return true
-}
-
-// writeDirect RDMA-writes the msgLen-byte request staged in block b to the
-// same block of the client's zone in the processing pool.
-func (c *Conn) writeDirect(t *host.Thread, b, msgLen int) error {
-	pool := c.s.pools[c.poolIdx]
-	off, span := rpcwire.EncodedSpan(rpcwire.BlockSize, msgLen)
-	wr := nic.SendWR{
-		Op:    nic.OpWrite,
-		LKey:  c.stage.LKey,
-		LAddr: c.stage.Base + uint64(b*rpcwire.BlockSize+off),
-		Len:   span,
-		RKey:  pool.RKey(),
-		RAddr: pool.BlockAddr(c.zone, b) + uint64(off),
-	}
-	if span <= c.h.NIC.Cfg.MaxInline {
-		wr.Inline = true
-	}
-	return t.PostSend(c.qp, wr)
-}
-
-// encodeInto builds the framed request in staging block b.
-func (c *Conn) encodeInto(t *host.Thread, b int, handler uint8, payload []byte, reqID uint64) (int, bool) {
-	msgLen := rpcwire.HeaderSize + len(payload)
-	if msgLen > rpcwire.MaxPayload(rpcwire.BlockSize) {
-		return 0, false
-	}
-	blockOff := b * rpcwire.BlockSize
-	block := c.stage.Bytes()[blockOff : blockOff+rpcwire.BlockSize]
-	rpcwire.PutHeader(c.buf, rpcwire.Header{ReqID: reqID, Handler: handler, ClientID: c.id})
-	copy(c.buf[rpcwire.HeaderSize:], payload)
-	if err := rpcwire.Encode(block, c.buf[:msgLen], 0); err != nil {
-		return 0, false
-	}
-	off, span := rpcwire.EncodedSpan(rpcwire.BlockSize, msgLen)
-	t.WriteMem(c.stage.Base+uint64(blockOff+off), span)
-	return msgLen, true
 }
 
 // flushEndpointEntry RDMA-writes the <staged count, round> tuple to the
@@ -314,10 +270,10 @@ func (c *Conn) flushEndpointEntry(t *host.Thread) {
 		LAddr:  c.entryScratch.Base,
 		Len:    endpointEntrySize,
 		RKey:   c.s.EndpointRKey(),
-		RAddr:  c.s.EndpointEntryAddr(c.id),
+		RAddr:  c.s.EndpointEntryAddr(c.req.ID),
 		Inline: true,
 	}
-	t.PostSend(c.qp, wr)
+	t.PostSend(c.req.QP, wr)
 }
 
 // Poll drains responses, advances the state machine, flushes any pending
@@ -326,7 +282,7 @@ func (c *Conn) Poll(t *host.Thread, fn func(rpccore.Response)) int {
 	if c.Left() {
 		return 0
 	}
-	if c.qp.Err() != nil {
+	if c.req.QP.Err() != nil {
 		c.reconnect(t)
 		return 0
 	}
@@ -343,48 +299,31 @@ func (c *Conn) Poll(t *host.Thread, fn func(rpccore.Response)) int {
 	got := 0
 	switched := false
 
-	// Control block: explicit context_switch_event.
-	ctrl := c.resp.Block(0, c.s.Cfg.BlocksPerClient)
-	t.ReadMem(c.resp.ValidAddr(0, c.s.Cfg.BlocksPerClient), 1)
-	if rpcwire.Valid(ctrl) {
-		if _, flags, err := rpcwire.Decode(ctrl); err == nil {
-			if flags&rpcwire.FlagContextSwitch != 0 {
-				switched = true
-			}
-		} else {
-			c.s.rel.CRCDrops++
+	// Control block: explicit context_switch_event. A corrupted one reads
+	// as absent; a response carrying the switch flag, or the next switch,
+	// still moves the client.
+	ctrl := c.s.Cfg.BlocksPerClient
+	if _, flags, ok := rpccore.ReadSlot(t, c.resp.Pool, c.s.rel, 0, ctrl, true, &c.respBuf); ok {
+		if flags&rpcwire.FlagContextSwitch != 0 {
+			switched = true
 		}
-		rpcwire.Clear(ctrl)
-		t.WriteMem(c.resp.ValidAddr(0, c.s.Cfg.BlocksPerClient), 1)
+		c.resp.Release(t, ctrl)
 	}
 
 	for b := range c.slots {
 		if !c.slots[b].busy {
 			continue
 		}
-		t.ReadMem(c.resp.ValidAddr(0, b), 1)
-		block := c.resp.Block(0, b)
-		if !rpcwire.Valid(block) {
+		// A corrupted response reads as absent: the deadline/retry layer
+		// (or the context-switch re-stage) recovers the call.
+		msg, flags, ok := rpccore.ReadSlot(t, c.resp.Pool, c.s.rel, 0, b, true, &c.respBuf)
+		if !ok {
 			continue
 		}
-		payload, flags, err := rpcwire.Decode(block)
-		if err != nil {
-			// A corrupted response: treat as loss; the deadline/retry layer
-			// (or the context-switch re-stage) recovers the call.
-			c.s.rel.CRCDrops++
-			rpcwire.Clear(block)
-			t.WriteMem(c.resp.ValidAddr(0, b), 1)
-			continue
-		}
-		// Snapshot the CRC-validated frame before yielding: ReadMem and
-		// the Clear/WriteMem below advance virtual time, and a late
-		// duplicate response write may overwrite the block under us.
-		c.respBuf = append(c.respBuf[:0], payload...)
-		off, span := rpcwire.EncodedSpan(rpcwire.BlockSize, len(payload))
+		off, span := rpcwire.EncodedSpan(rpcwire.BlockSize, len(msg))
 		t.ReadMem(c.resp.BlockAddr(0, b)+uint64(off), span)
-		hdr, body, herr := rpcwire.ParseHeader(c.respBuf)
-		rpcwire.Clear(block)
-		t.WriteMem(c.resp.ValidAddr(0, b), 1)
+		hdr, body, herr := rpcwire.ParseHeader(msg)
+		c.resp.Release(t, b)
 		if herr != nil {
 			continue
 		}
@@ -406,9 +345,7 @@ func (c *Conn) Poll(t *host.Thread, fn func(rpccore.Response)) int {
 		// to the advertised count, holes included; a completed frame left
 		// valid in its hole would be re-offered and — once the server's
 		// bounded dedup window rotates past it — re-executed.
-		stageOff := b * rpcwire.BlockSize
-		rpcwire.Clear(c.stage.Bytes()[stageOff : stageOff+rpcwire.BlockSize])
-		t.WriteMem(c.stage.Base+uint64(stageOff+rpcwire.ValidOffset(rpcwire.BlockSize)), 1)
+		c.clearStaged(t, b)
 		if c.slots[b].reoffered && flags&rpcwire.FlagContextSwitch != 0 {
 			c.LateCompletions++
 		}
@@ -487,7 +424,7 @@ func (c *Conn) reconnect(t *host.Thread) {
 		// Pinned clients skip warmup; pick up the (possibly new) reserved
 		// zone and resend in place. If reserved zones were exhausted on
 		// readmission, fall back to the grouped path below.
-		cs := c.s.clients[c.id]
+		cs := c.s.clients[c.req.ID]
 		if c.adoptPlacement(cs.Pinned, cs.zone); c.pinned {
 			return
 		}
@@ -509,7 +446,7 @@ func (c *Conn) Reconnect(t *host.Thread) { c.reconnect(t) }
 // opening a fresh warmup round, which makes the scheduler re-fetch every
 // staged block. Server-side dedup absorbs any duplicate delivery.
 func (c *Conn) Resend(t *host.Thread, reqID uint64) bool {
-	if c.Left() || c.qp.Err() != nil {
+	if c.Left() || c.req.QP.Err() != nil {
 		return false
 	}
 	b := c.slotOf(reqID)
@@ -529,7 +466,7 @@ func (c *Conn) Resend(t *host.Thread, reqID uint64) bool {
 		c.flushEndpointEntry(t)
 		return true
 	}
-	return c.writeDirect(t, b, c.slots[b].msgLen) == nil
+	return c.req.Post(t, c.s.pools[c.poolIdx].Pool, c.zone, b, c.slots[b].msgLen)
 }
 
 // Cancel withdraws the in-flight request identified by reqID (the
@@ -545,14 +482,19 @@ func (c *Conn) Cancel(t *host.Thread, reqID uint64) bool {
 	if b < 0 {
 		return false
 	}
-	blockOff := b * rpcwire.BlockSize
-	block := c.stage.Bytes()[blockOff : blockOff+rpcwire.BlockSize]
-	rpcwire.Clear(block)
-	t.WriteMem(c.stage.Base+uint64(blockOff+rpcwire.ValidOffset(rpcwire.BlockSize)), 1)
+	c.clearStaged(t, b)
 	c.slots[b] = connSlot{}
 	c.outstanding--
 	c.entryDirty = true
 	return true
+}
+
+// clearStaged invalidates the frame staged in block b, so no later warmup
+// round offers it again.
+func (c *Conn) clearStaged(t *host.Thread, b int) {
+	stageOff := b * rpcwire.BlockSize
+	rpcwire.Clear(c.req.Region.Bytes()[stageOff : stageOff+rpcwire.BlockSize])
+	t.WriteMem(c.req.Region.Base+uint64(stageOff+rpcwire.ValidOffset(rpcwire.BlockSize)), 1)
 }
 
 // slotOf returns the slot of the in-flight request reqID, or -1.

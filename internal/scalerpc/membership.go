@@ -172,7 +172,7 @@ func (s *Server) JoinTenant(t *host.Thread, dir *ctrlplane.Directory, sig *sim.S
 	}
 	c := s.newConn(t.Host, sig)
 	c.membership, c.joinPinned, c.joinTenant = ms, pinned, tenant
-	if _, err := c.membership.Rejoin(t, c.qp, c.joinPayload(), c.adoptDial); err != nil {
+	if _, err := c.membership.Rejoin(t, c.req.QP, c.joinPayload(), c.adoptDial); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -182,7 +182,7 @@ func (s *Server) JoinTenant(t *host.Thread, dir *ctrlplane.Directory, sig *sim.S
 func (c *Conn) Pinned() bool { return c.pinned }
 
 // ID returns the server-assigned client id.
-func (c *Conn) ID() uint16 { return c.id }
+func (c *Conn) ID() uint16 { return c.req.ID }
 
 // Leave departs gracefully: the QP pair parks in the connection cache on
 // both sides and the server drops this client from its group at the next
@@ -201,12 +201,12 @@ func (c *Conn) Leave(t *host.Thread) {
 // restamped before they go back out. Surviving requests re-offer through
 // a fresh warmup round, same as the context-switch race.
 func (c *Conn) Rejoin(t *host.Thread) error {
-	oldID := c.id
-	dialed, err := c.membership.Rejoin(t, c.qp, c.joinPayload(), c.adoptDial)
+	oldID := c.req.ID
+	dialed, err := c.membership.Rejoin(t, c.req.QP, c.joinPayload(), c.adoptDial)
 	if !dialed {
 		return err
 	}
-	if c.id != oldID {
+	if c.req.ID != oldID {
 		c.restampID(t)
 	}
 	if c.pinned {
@@ -222,8 +222,8 @@ func (c *Conn) joinPayload() []byte {
 	p := make([]byte, joinReqSize)
 	binary.LittleEndian.PutUint64(p, c.resp.Region.Base)
 	binary.LittleEndian.PutUint32(p[8:], c.resp.Region.RKey)
-	binary.LittleEndian.PutUint64(p[12:], c.stage.Base)
-	binary.LittleEndian.PutUint32(p[20:], c.stage.RKey)
+	binary.LittleEndian.PutUint64(p[12:], c.req.Region.Base)
+	binary.LittleEndian.PutUint32(p[20:], c.req.Region.RKey)
 	if c.joinPinned {
 		p[joinIdentitySize] = 1
 	}
@@ -237,8 +237,8 @@ func (c *Conn) adoptDial(cp *ctrlplane.Conn) error {
 	if len(cp.Payload) != joinRespSize {
 		return fmt.Errorf("scalerpc: join response is %d bytes, want %d", len(cp.Payload), joinRespSize)
 	}
-	c.qp = cp.QP
-	c.id = binary.LittleEndian.Uint16(cp.Payload)
+	c.req.QP = cp.QP
+	c.req.ID = binary.LittleEndian.Uint16(cp.Payload)
 	c.adoptPlacement(cp.Payload[2] != 0, int(int16(binary.LittleEndian.Uint16(cp.Payload[3:]))))
 	return nil
 }
@@ -255,10 +255,10 @@ func (c *Conn) restampID(t *host.Thread) {
 		}
 		off, _ := rpcwire.EncodedSpan(rpcwire.BlockSize, c.slots[b].msgLen)
 		at := b*rpcwire.BlockSize + off + 9
-		binary.LittleEndian.PutUint16(c.stage.Bytes()[at:], c.id)
-		t.WriteMem(c.stage.Base+uint64(at), 2)
-		block := c.stage.Bytes()[b*rpcwire.BlockSize : (b+1)*rpcwire.BlockSize]
+		binary.LittleEndian.PutUint16(c.req.Region.Bytes()[at:], c.req.ID)
+		t.WriteMem(c.req.Region.Base+uint64(at), 2)
+		block := c.req.Region.Bytes()[b*rpcwire.BlockSize : (b+1)*rpcwire.BlockSize]
 		crcAt := b*rpcwire.BlockSize + rpcwire.Reseal(block)
-		t.WriteMem(c.stage.Base+uint64(crcAt), 4)
+		t.WriteMem(c.req.Region.Base+uint64(crcAt), 4)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"scalerpc/internal/ctrlplane"
 	"scalerpc/internal/host"
 	"scalerpc/internal/nic"
+	"scalerpc/internal/rpccore"
 	"scalerpc/internal/rpcwire"
 	"scalerpc/internal/sim"
 	"scalerpc/internal/telemetry"
@@ -370,12 +371,10 @@ func (s *Server) assignWarm(t *host.Thread) {
 
 // wipeZone invalidates every block of one pool zone (stale frames from a
 // previous binding; see assignWarm).
-func (s *Server) wipeZone(t *host.Thread, pool *rpcwire.Pool, z int) {
+func (s *Server) wipeZone(t *host.Thread, pool *rpccore.ReqPool, z int) {
 	for b := 0; b < s.Cfg.BlocksPerClient; b++ {
-		block := pool.Block(z, b)
-		if rpcwire.Valid(block) {
-			rpcwire.Clear(block)
-			t.WriteMem(pool.ValidAddr(z, b), 1)
+		if rpcwire.Valid(pool.Block(z, b)) {
+			pool.Release(t, z, b)
 		}
 	}
 }
@@ -543,7 +542,7 @@ func (s *Server) contextSwitch(t *host.Thread) {
 // lateSweep serves requests that landed in the outgoing pool between the
 // workers' drain and the clients' receipt of the context_switch_event
 // ("process and clear the suspended requests", §3.3).
-func (s *Server) lateSweep(t *host.Thread, pool *rpcwire.Pool, owners []int) {
+func (s *Server) lateSweep(t *host.Thread, pool *rpccore.ReqPool, owners []int) {
 	out := s.schedOutbox()
 	for z, owner := range owners {
 		if owner < 0 || s.clients[owner] == nil {
@@ -551,39 +550,28 @@ func (s *Server) lateSweep(t *host.Thread, pool *rpcwire.Pool, owners []int) {
 		}
 		cs := s.clients[owner]
 		for b := 0; b < s.Cfg.BlocksPerClient; b++ {
-			t.ReadMem(pool.ValidAddr(z, b), 1)
-			block := pool.Block(z, b)
-			if !rpcwire.Valid(block) {
+			req, _, ok := rpccore.ReadSlot(t, pool.Pool, s.rel, z, b, true, &s.schedReq)
+			if !ok {
 				continue
 			}
-			payload, _, err := rpcwire.Decode(block)
-			if err == nil {
-				// Same aliasing hazard as the worker sweep: snapshot the
-				// validated frame before ReadMem/handler yields let an
-				// in-flight write overwrite the pool block.
-				s.schedReq = append(s.schedReq[:0], payload...)
-				if hdr, body, herr := rpcwire.ParseHeader(s.schedReq); herr == nil && int(hdr.ClientID) == owner {
-					off, span := rpcwire.EncodedSpan(rpcwire.BlockSize, len(payload))
-					t.ReadMem(pool.BlockAddr(z, b)+uint64(off), span)
-					s.lateServe(t, out, cs, b, hdr, body)
-				} else {
-					s.Stats.StaleDrops++
-				}
+			if hdr, body, herr := rpcwire.ParseHeader(req); herr == nil && int(hdr.ClientID) == owner {
+				off, span := rpcwire.EncodedSpan(rpcwire.BlockSize, len(req))
+				t.ReadMem(pool.BlockAddr(z, b)+uint64(off), span)
+				s.lateServe(t, out, cs, b, hdr, body)
 			} else {
-				s.rel.CRCDrops++
+				s.Stats.StaleDrops++
 			}
-			rpcwire.Clear(block)
-			t.WriteMem(pool.ValidAddr(z, b), 1)
+			pool.Release(t, z, b)
 		}
 		// The zone's responses leave as one chain, as in the worker sweep.
-		out.post(t, cs.QP)
+		out.Post(t, cs.QP)
 	}
 }
 
 // lateServe executes one late-swept request on the scheduler thread,
 // with the same dedup gate as the worker path: a request the workers
 // already executed before the switch is answered from cache, not re-run.
-func (s *Server) lateServe(t *host.Thread, out *outbox, cs *clientState, slot int, hdr rpcwire.Header, body []byte) {
+func (s *Server) lateServe(t *host.Thread, out *rpccore.Outbox, cs *clientState, slot int, hdr rpcwire.Header, body []byte) {
 	if s.replayed(t, out, cs, slot, hdr, rpcwire.FlagContextSwitch) {
 		return
 	}
@@ -600,7 +588,7 @@ func (s *Server) lateServe(t *host.Thread, out *outbox, cs *clientState, slot in
 		s.legacyQ.Push(legacyJob{cs: cs, slot: slot, handler: hdr.Handler, reqID: hdr.ReqID,
 			body: append([]byte(nil), body...)})
 	default:
-		buf := out.buf
+		buf := out.Buf
 		n := s.handlers[hdr.Handler](t, cs.ID, body, buf[rpcwire.HeaderSize:len(buf)-rpcwire.TrailerSize])
 		s.replies.Commit(cs.ID, hdr.ReqID, buf[rpcwire.HeaderSize:rpcwire.HeaderSize+n], false)
 		s.respond(t, out, cs, slot, hdr, n, rpcwire.FlagContextSwitch)
@@ -614,16 +602,16 @@ func (s *Server) notifyControl(t *host.Thread, cs *clientState) {
 	out := s.schedOutbox()
 	hdr := rpcwire.Header{ReqID: ^uint64(0), Handler: 0}
 	s.respond(t, out, cs, s.Cfg.BlocksPerClient, hdr, 0, rpcwire.FlagContextSwitch)
-	out.post(t, cs.QP)
+	out.Post(t, cs.QP)
 	cs.notifiedEpoch = s.epoch
 }
 
 // schedOutbox returns the scheduler's response outbox, registering its
 // staging ring on first use. Registering it any earlier would move every
 // region registered after it to another address, and so to another LLC set.
-func (s *Server) schedOutbox() *outbox {
-	if s.schedOut.ring == nil {
-		s.schedOut = newOutbox(s.Host)
+func (s *Server) schedOutbox() *rpccore.Outbox {
+	if s.schedOut.Buf == nil {
+		s.schedOut = rpccore.NewOutbox(s.Host)
 	}
 	return &s.schedOut
 }
@@ -672,7 +660,7 @@ func (s *Server) scanFailures(t *host.Thread, g int) []uint16 {
 		if n := s.Cfg.ProbeSlices; !cs.demoted && n > 0 && cs.missedSlices >= float64(n) {
 			cs.missedSlices--
 			s.Stats.Probes++
-			t.PostSend(cs.QP, nic.SendWR{Op: nic.OpWrite, RKey: cs.respRKey, RAddr: cs.respAddr})
+			t.PostSend(cs.QP, nic.SendWR{Op: nic.OpWrite, RKey: cs.resp.RKey, RAddr: cs.resp.Addr})
 		}
 	}
 	s.scratch.evict = evict
@@ -766,7 +754,7 @@ func (s *Server) connect(ch *host.Host, sig *sim.Signal, pinned bool, tenant uin
 	id := uint16(len(s.clients))
 	sqp, cqp := s.dialRC(ch)
 	conn := s.newConn(ch, sig)
-	conn.id, conn.qp = id, cqp
+	conn.req.ID, conn.req.QP = id, cqp
 	cs := s.newClient(ctrlplane.Member{ID: id, QP: sqp, Peer: -1, Tenant: tenant}, conn.joinPayload())
 	if !s.placeJoined(cs, pinned) {
 		s.clients = s.clients[:len(s.clients)-1]
@@ -804,9 +792,11 @@ func (s *Server) dialRC(ch *host.Host) (sqp, cqp *nic.QP) {
 // roster or an eviction emptied. The caller places it.
 func (s *Server) newClient(m ctrlplane.Member, payload []byte) *clientState {
 	cs := &clientState{
-		Member:    m,
-		respAddr:  binary.LittleEndian.Uint64(payload),
-		respRKey:  binary.LittleEndian.Uint32(payload[8:]),
+		Member: m,
+		resp: rpccore.RespZone{
+			Addr: binary.LittleEndian.Uint64(payload),
+			RKey: binary.LittleEndian.Uint32(payload[8:]),
+		},
 		stageAddr: binary.LittleEndian.Uint64(payload[12:]),
 		stageRKey: binary.LittleEndian.Uint32(payload[20:]),
 		group:     -1,
@@ -896,8 +886,8 @@ func (s *Server) unplace(cs *clientState) {
 // and its staging/response regions, so requests still held in the staging
 // area survive the reconnect and go back out through a fresh warmup round.
 func (s *Server) Reconnect(c *Conn) {
-	c.h.NIC.DestroyQP(c.qp)
-	cs := s.clients[c.id]
+	c.h.NIC.DestroyQP(c.req.QP)
+	cs := s.clients[c.req.ID]
 	if cs != nil {
 		s.Host.NIC.DestroyQP(cs.QP)
 	}
@@ -907,7 +897,7 @@ func (s *Server) Reconnect(c *Conn) {
 		// regions. The warmup round counter keeps increasing client-side,
 		// so the fresh clientState's round mismatch makes the first
 		// endpoint-entry fetch idempotent.
-		cs = s.newClient(ctrlplane.Member{ID: c.id, QP: sqp, Peer: -1, Tenant: c.joinTenant}, c.joinPayload())
+		cs = s.newClient(ctrlplane.Member{ID: c.req.ID, QP: sqp, Peer: -1, Tenant: c.joinTenant}, c.joinPayload())
 		if !s.placeJoined(cs, c.pinned) {
 			s.placeJoined(cs, false)
 		}
@@ -917,10 +907,10 @@ func (s *Server) Reconnect(c *Conn) {
 		cs.fetchedUpTo = 0
 		cs.missedSlices, cs.scannedAt = 0, 0
 	}
-	c.qp = cqp
+	c.req.QP = cqp
 	s.Stats.Readmits++
 	if s.trace.Enabled {
-		s.trace.Emit(c.h.Env.Now(), "client_readmit", telemetry.A("client", int64(c.id)))
+		s.trace.Emit(c.h.Env.Now(), "client_readmit", telemetry.A("client", int64(c.req.ID)))
 	}
 }
 

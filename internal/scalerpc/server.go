@@ -22,11 +22,6 @@ import (
 // blocks, keeping warmup traffic proportional to message size.
 const endpointEntrySize = 12
 
-// scratchRing is the depth of each response staging ring (outbox). A
-// zone's responses stay staged until its chain is posted, so no client may
-// have more blocks than a ring.
-const scratchRing = 64
-
 // poolBit marks which physical pool a zone assignment refers to, packed
 // into the response header's ClientID field alongside the zone index.
 const poolBit = 1 << 15
@@ -47,8 +42,7 @@ type clientState struct {
 	ctrlplane.Member
 
 	// Client-exported regions (exchanged at connect).
-	respAddr  uint64
-	respRKey  uint32
+	resp      rpccore.RespZone
 	stageAddr uint64
 	stageRKey uint32
 
@@ -88,46 +82,15 @@ type clientState struct {
 	demoted bool
 }
 
-// outbox is a response staging ring — each response is encoded into the
-// next of its blocks and RDMA-written from there — with the chain of those
-// WRITEs not yet posted. buf assembles the response; handlers write their
-// output into it.
-type outbox struct {
-	ring  *memory.Region
-	idx   int
-	buf   []byte
-	chain []nic.SendWR
-}
-
-func newOutbox(h *host.Host) outbox {
-	return outbox{
-		ring: h.Mem.Register(rpcwire.BlockSize*scratchRing, memory.PageSize2M, memory.LocalWrite),
-		buf:  make([]byte, rpcwire.BlockSize),
-	}
-}
-
-// post sends the staged chain on qp behind one doorbell. Every WR in it
-// answers the client on qp: callers post before they respond to another.
-// A failed post is the client's loss to recover from, as for any response.
-func (o *outbox) post(t *host.Thread, qp *nic.QP) {
-	if len(o.chain) == 0 {
-		return
-	}
-	t.PostSendBatch(qp, o.chain)
-	o.chain = o.chain[:0]
-}
-
 type worker struct {
 	s   *Server
 	idx int
 	sig *sim.Signal
 	// out stages the responses of the zone being swept; sweep posts them
 	// as one chain when it leaves the zone.
-	out outbox
-	// req holds a stable snapshot of the frame being served: the pool
-	// block is live RDMA-writable memory, and the serve path yields
-	// virtual time (ReadMem, ParseCost, the handler's own Work), during
-	// which an in-flight write may overwrite the block in place.
+	out rpccore.Outbox
+	// req holds a stable snapshot of the frame being served
+	// (rpccore.ReadSlot).
 	req      []byte
 	drainAck uint64
 	Served   uint64
@@ -149,7 +112,7 @@ type Server struct {
 	Host  *host.Host
 	Stats Stats
 
-	pools    [2]*rpcwire.Pool
+	pools    [2]rpccore.ReqPool
 	procIdx  int // pools[procIdx] is the processing pool
 	endpoint *memory.Region
 
@@ -214,10 +177,9 @@ type Server struct {
 
 	// Scheduler-owned response staging for the late sweep and explicit
 	// notifications (schedOutbox); fetchWRs is fetchGroup's READ chain.
-	schedOut outbox
+	schedOut rpccore.Outbox
 	fetchWRs []nic.SendWR
-	// schedReq is the late sweep's stable request snapshot (same aliasing
-	// hazard as worker.req).
+	// schedReq is the late sweep's stable request snapshot (as worker.req).
 	schedReq []byte
 
 	// Telemetry: tel is this server's scope ("scalerpc", or "scalerpc#N"
@@ -242,11 +204,10 @@ type Server struct {
 
 // NewServer allocates pools and bookkeeping on h.
 func NewServer(h *host.Host, cfg ServerConfig) *Server {
-	if cfg.BlocksPerClient > scratchRing {
-		panic(fmt.Sprintf("scalerpc: BlocksPerClient %d exceeds the %d-block response staging ring", cfg.BlocksPerClient, scratchRing))
+	if cfg.BlocksPerClient > rpccore.ScratchRing {
+		panic(fmt.Sprintf("scalerpc: BlocksPerClient %d exceeds the %d-block response staging ring", cfg.BlocksPerClient, rpccore.ScratchRing))
 	}
 	zones := cfg.totalZones()
-	poolBytes := rpcwire.BlockSize * cfg.BlocksPerClient * zones
 	s := &Server{
 		Cfg:       cfg,
 		Host:      h,
@@ -293,13 +254,12 @@ func NewServer(h *host.Host, cfg ServerConfig) *Server {
 		s.zoneOwner[i] = -1
 		s.warmOwner[i] = -1
 	}
-	for p := 0; p < 2; p++ {
-		reg := h.Mem.Register(poolBytes, memory.PageSize2M, memory.LocalWrite|memory.RemoteWrite)
-		s.pools[p] = rpcwire.NewPool(reg, rpcwire.BlockSize, cfg.BlocksPerClient, zones)
+	for p := range s.pools {
+		s.pools[p] = rpccore.NewReqPool(h, cfg.BlocksPerClient, zones, cfg.ParseCost, s.rel)
 	}
 	var sigs []*sim.Signal
 	for i := 0; i < cfg.Workers; i++ {
-		w := &worker{s: s, idx: i, sig: sim.NewSignal(h.Env), out: newOutbox(h)}
+		w := &worker{s: s, idx: i, sig: sim.NewSignal(h.Env), out: rpccore.NewOutbox(h)}
 		ws := srv.Scope(fmt.Sprintf("w%d", i))
 		ws.CounterVar("sweeps", &w.Sweeps)
 		ws.CounterVar("sleeps", &w.Sleeps)
@@ -346,10 +306,10 @@ func (s *Server) Start() {
 }
 
 // processingPool returns the pool currently being served.
-func (s *Server) processingPool() *rpcwire.Pool { return s.pools[s.procIdx] }
+func (s *Server) processingPool() *rpccore.ReqPool { return &s.pools[s.procIdx] }
 
 // warmupPool returns the pool being pre-filled for the next group.
-func (s *Server) warmupPool() *rpcwire.Pool { return s.pools[s.procIdx^1] }
+func (s *Server) warmupPool() *rpccore.ReqPool { return &s.pools[s.procIdx^1] }
 
 func (w *worker) run(t *host.Thread) {
 	s := w.s
@@ -417,52 +377,32 @@ func (w *worker) sweep(t *host.Thread) int {
 		}
 		pool := s.processingPool()
 		if cs.Pinned {
-			pool = s.pools[0]
+			pool = &s.pools[0]
 		}
 		// The handler yields: a client evicted, or a zone handed over,
 		// meanwhile is not served further.
 		for b := 0; b < s.Cfg.BlocksPerClient && s.zoneOwner[z] == owner && s.clients[owner] == cs; b++ {
-			t.ReadMem(pool.ValidAddr(z, b), 1)
-			block := pool.Block(z, b)
-			if !rpcwire.Valid(block) {
+			req, ok := pool.Sweep(t, &w.req, z, b)
+			if !ok {
 				continue
 			}
-			payload, _, err := rpcwire.Decode(block)
-			if err != nil {
-				// Valid landed but the frame failed its CRC: corruption past
-				// the NIC. Treat as loss — the client's retry re-delivers.
-				s.rel.CRCDrops++
-				rpcwire.Clear(block)
-				t.WriteMem(pool.ValidAddr(z, b), 1)
-				continue
-			}
-			// Snapshot the CRC-validated frame before yielding: ReadMem,
-			// ParseCost and the handler all advance virtual time, and a
-			// concurrent RDMA write (duplicate delivery, stale warmup
-			// fetch) may overwrite the pool block under us.
-			w.req = append(w.req[:0], payload...)
-			off, span := rpcwire.EncodedSpan(rpcwire.BlockSize, len(payload))
-			t.ReadMem(pool.BlockAddr(z, b)+uint64(off), span)
-			t.Work(s.Cfg.ParseCost)
-			hdr, body, herr := rpcwire.ParseHeader(w.req)
+			hdr, body, herr := rpcwire.ParseHeader(req)
 			if herr != nil || int(hdr.ClientID) != owner {
 				// A late write from a previous occupant of this zone: the
 				// sender will retry after its context_switch_event.
 				s.Stats.StaleDrops++
-				rpcwire.Clear(block)
-				t.WriteMem(pool.ValidAddr(z, b), 1)
+				pool.Release(t, z, b)
 				continue
 			}
 			s.serve(t, w, cs, b, hdr, body)
-			rpcwire.Clear(block)
-			t.WriteMem(pool.ValidAddr(z, b), 1)
+			pool.Release(t, z, b)
 			served++
 			w.Served++
 		}
 		// Leaving the zone posts its chain, so every response is on the
 		// wire before sweep returns: the drain, notifiedEpoch and the switch
 		// flags keep their order on the client's QP.
-		w.out.post(t, cs.QP)
+		w.out.Post(t, cs.QP)
 	}
 	return served
 }
@@ -505,7 +445,7 @@ func (s *Server) serve(t *host.Thread, w *worker, cs *clientState, slot int, hdr
 	// duration (which drives legacy-mode detection) reflects its own work.
 	t.FlushWork()
 	start := t.P.Now()
-	buf := w.out.buf
+	buf := w.out.Buf
 	n := s.handlers[hdr.Handler](t, cs.ID, body, buf[rpcwire.HeaderSize:len(buf)-rpcwire.TrailerSize])
 	t.FlushWork()
 	ran := t.P.Now() - start
@@ -524,7 +464,7 @@ func (s *Server) serve(t *host.Thread, w *worker, cs *clientState, slot int, hdr
 // replayed reports whether the request is a duplicate, answering it from
 // the reply cache with flags if its first copy has committed. One still
 // executing (on the legacy thread) answers this duplicate too.
-func (s *Server) replayed(t *host.Thread, out *outbox, cs *clientState, slot int, hdr rpcwire.Header, flags byte) bool {
+func (s *Server) replayed(t *host.Thread, out *rpccore.Outbox, cs *clientState, slot int, hdr rpcwire.Header, flags byte) bool {
 	dup, rep, ready := s.replies.Admit(cs.ID, hdr.ReqID)
 	if !dup {
 		return false
@@ -534,7 +474,7 @@ func (s *Server) replayed(t *host.Thread, out *outbox, cs *clientState, slot int
 		if rep.Err {
 			flags |= rpcwire.FlagError
 		}
-		n := copy(out.buf[rpcwire.HeaderSize:len(out.buf)-rpcwire.TrailerSize], rep.Payload)
+		n := copy(out.Buf[rpcwire.HeaderSize:len(out.Buf)-rpcwire.TrailerSize], rep.Payload)
 		s.respond(t, out, cs, slot, hdr, n, flags)
 	}
 	return true
@@ -543,26 +483,25 @@ func (s *Server) replayed(t *host.Thread, out *outbox, cs *clientState, slot int
 // runLegacy executes recorded long-running calls on a dedicated thread so
 // they never straddle a context switch (§3.5).
 func (s *Server) runLegacy(t *host.Thread) {
-	out := newOutbox(s.Host)
-	buf := out.buf
+	out := rpccore.NewOutbox(s.Host)
+	buf := out.Buf
 	for {
 		job := s.legacyQ.Pop(t.P)
 		n := s.handlers[job.handler](t, job.cs.ID, job.body, buf[rpcwire.HeaderSize:len(buf)-rpcwire.TrailerSize])
 		hdr := rpcwire.Header{ReqID: job.reqID, Handler: job.handler}
 		s.replies.Commit(job.cs.ID, job.reqID, buf[rpcwire.HeaderSize:rpcwire.HeaderSize+n], false)
 		s.respond(t, &out, job.cs, job.slot, hdr, n, 0)
-		out.post(t, job.cs.QP)
+		out.Post(t, job.cs.QP)
 	}
 }
 
-// respond assembles a response in out.buf (whose first HeaderSize bytes it
-// overwrites, after bodyLen bytes of body), encodes it into out's staging
-// ring, and chains the RDMA WRITE to the client's response slot; the
-// caller posts the chain. The header's ClientID field carries the client's
+// respond assembles a response in out.Buf (whose first HeaderSize bytes it
+// overwrites, after bodyLen bytes of body) and chains its RDMA WRITE to the
+// client's response slot; the caller posts the chain. The header's ClientID field carries the client's
 // current zone and pool assignment — how a WARMUP client learns where to
 // write directly — and during a drain the context_switch_event is
 // piggybacked on every response (§3.3).
-func (s *Server) respond(t *host.Thread, out *outbox, cs *clientState, slot int, req rpcwire.Header, bodyLen int, flags byte) {
+func (s *Server) respond(t *host.Thread, out *rpccore.Outbox, cs *clientState, slot int, req rpcwire.Header, bodyLen int, flags byte) {
 	// zoneNone tells the client this response carries no (valid) zone
 	// assignment — e.g. a late-swept request answered after its group was
 	// switched out.
@@ -581,28 +520,8 @@ func (s *Server) respond(t *host.Thread, out *outbox, cs *clientState, slot int,
 			s.Stats.Piggybacked++
 		}
 	}
-	rpcwire.PutHeader(out.buf, rpcwire.Header{ReqID: req.ReqID, Handler: req.Handler, ClientID: zoneInfo})
-	msg := out.buf[:rpcwire.HeaderSize+bodyLen]
-	blockOff := out.idx * rpcwire.BlockSize
-	out.idx = (out.idx + 1) % scratchRing
-	block := out.ring.Bytes()[blockOff : blockOff+rpcwire.BlockSize]
-	if err := rpcwire.Encode(block, msg, flags); err != nil {
-		return
-	}
-	off, span := rpcwire.EncodedSpan(rpcwire.BlockSize, len(msg))
-	t.WriteMem(out.ring.Base+uint64(blockOff+off), span)
-	wr := nic.SendWR{
-		Op:    nic.OpWrite,
-		LKey:  out.ring.LKey,
-		LAddr: out.ring.Base + uint64(blockOff+off),
-		Len:   span,
-		RKey:  cs.respRKey,
-		RAddr: cs.respAddr + uint64(slot*rpcwire.BlockSize+off),
-	}
-	if span <= s.Host.NIC.Cfg.MaxInline {
-		wr.Inline = true
-	}
-	out.chain = append(out.chain, wr)
+	rpcwire.PutHeader(out.Buf, rpcwire.Header{ReqID: req.ReqID, Handler: req.Handler, ClientID: zoneInfo})
+	out.Write(t, rpcwire.HeaderSize+bodyLen, flags, cs.resp, slot)
 }
 
 // readEndpointEntry decodes client cid's endpoint entry from server memory.

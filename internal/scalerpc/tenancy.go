@@ -87,6 +87,6 @@ func (s *Server) ConnectTenant(ch *host.Host, sig *sim.Signal, tenant uint16, pi
 		return nil
 	}
 	c.joinTenant = tenant
-	s.roster.Charge(&s.clients[c.id].Member)
+	s.roster.Charge(&s.clients[c.req.ID].Member)
 	return c
 }
