@@ -64,7 +64,7 @@ type Server struct {
 // NewServer builds per-worker UD QPs and posts each one's recv ring with
 // one doorbell.
 func NewServer(h *host.Host, cfg ServerConfig) *Server {
-	s := &Server{Cfg: cfg, Host: h, Shell: baseline.NewShell(h, "fasstrpc", rpcwire.BlockSize, clientWindow)}
+	s := &Server{Cfg: cfg, Host: h, Shell: baseline.NewShell(h, "fasstrpc", clientWindow)}
 	for i := 0; i < workers; i++ {
 		cq := h.NIC.CreateCQ()
 		qp := h.NIC.CreateQP(nic.UD, cq, cq)
@@ -159,7 +159,7 @@ func (s *Server) Connect(ch *host.Host, sig *sim.Signal) *Conn {
 	s.nextCli++
 	c.resp = baseline.NewUDRecv(ch, sig, s.Cfg.ClientOverhead)
 	c.stage = ch.Mem.Register(rpcwire.BlockSize*clientWindow, memory.PageSize2M, memory.LocalWrite)
-	c.resp.PostRing(ch, rpcwire.BlockSize, clientWindow*2)
+	c.resp.PostRing(ch, clientWindow*2)
 	return c
 }
 

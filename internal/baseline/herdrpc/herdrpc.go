@@ -62,7 +62,7 @@ type Server struct {
 
 // NewServer builds the statically mapped pool and the per-worker UD QPs.
 func NewServer(h *host.Host, cfg ServerConfig) *Server {
-	s := &Server{Cfg: cfg, Host: h, Shell: baseline.NewShell(h, "herdrpc", rpcwire.BlockSize, blocksPerClient)}
+	s := &Server{Cfg: cfg, Host: h, Shell: baseline.NewShell(h, "herdrpc", blocksPerClient)}
 	s.Req = rpccore.NewReqPool(h, blocksPerClient, maxClients, cfg.ParseCost, s.Rel)
 	for i := 0; i < workers; i++ {
 		cq := h.NIC.CreateCQ()
@@ -140,7 +140,7 @@ func (s *Server) Connect(ch *host.Host, sig *sim.Signal) *Conn {
 	c.resp = baseline.NewUDRecv(ch, sig, s.Cfg.ClientOverhead)
 	c.req = rpccore.NewReqWriter(ch, blocksPerClient, nic.OpWrite)
 	c.req.QP, c.req.ID = cqp, uint16(len(s.clients))
-	c.resp.PostRing(ch, rpcwire.BlockSize, blocksPerClient*2)
+	c.resp.PostRing(ch, blocksPerClient*2)
 	s.clients = append(s.clients, &clientState{id: c.req.ID, dstNIC: ch.NIC.ID(), dstQPN: c.resp.QP.QPN})
 	return c
 }

@@ -11,16 +11,11 @@
 //	FaSST       UD SEND (own)         UD SEND            UD recv ring
 //	selfRPC     pool write, RC W_IMM  write, RC WRITE    CQ immediate
 //
-// The pool data path is ScaleRPC's own, in rpccore (parts.go there): the
-// client's slot window (Window), the pool-write request half (ReqWriter on
-// the client, ReqPool on the server), the write response half's client
-// side (RespPool), the one read of a pool slot (ReadSlot) and the response
-// staging ring (Outbox) — which is what makes RawWrite "ScaleRPC with every
-// optimization disabled". This package adds, once each, what only the
-// baselines need: the UD response half (Worker.SendResponse, UDRecv) and
-// the server's worker shell with its one dispatch (Shell, Worker.Dispatch,
-// Worker.WriteResponse). The parts are concrete types: no interface and no
-// per-operation closure sits on the request path.
+// The pool-write request half and the write response half are ScaleRPC's
+// own parts, in rpccore — which is what makes RawWrite "ScaleRPC with every
+// optimization disabled". This package adds what only the baselines need:
+// the UD response half (Worker.SendResponse, UDRecv) and the server's
+// worker shell with its one dispatch (Shell, Worker.Dispatch).
 //
 // CPU time is charged the way ScaleRPC charges it (host.Thread.BeginWork):
 // a scan's probes accumulate in one deferred-charge region and land as one
@@ -58,10 +53,9 @@ const PollTimeout = 20 * sim.Microsecond
 type UDRecv struct {
 	QP *nic.QP
 
-	cq        *nic.CQ
-	ring      *memory.Region
-	blockSize int
-	overhead  sim.Duration
+	cq       *nic.CQ
+	ring     *memory.Region
+	overhead sim.Duration
 	// buf snapshots the response being delivered: its receive block is
 	// re-posted (and may be refilled) before the callback runs.
 	buf []byte
@@ -76,16 +70,15 @@ func NewUDRecv(ch *host.Host, sig *sim.Signal, overhead sim.Duration) UDRecv {
 }
 
 // PostRing registers and pre-posts depth receive blocks.
-func (u *UDRecv) PostRing(ch *host.Host, blockSize, depth int) {
-	u.blockSize = blockSize
-	u.ring = ch.Mem.Register(blockSize*depth, memory.PageSize2M, memory.LocalWrite)
+func (u *UDRecv) PostRing(ch *host.Host, depth int) {
+	u.ring = ch.Mem.Register(rpcwire.BlockSize*depth, memory.PageSize2M, memory.LocalWrite)
 	for i := 0; i < depth; i++ {
 		u.QP.PostRecv(u.recvWR(uint64(i)))
 	}
 }
 
 func (u *UDRecv) recvWR(i uint64) nic.RecvWR {
-	return nic.RecvWR{WRID: i, LKey: u.ring.LKey, LAddr: u.ring.Base + i*uint64(u.blockSize), Len: u.blockSize}
+	return nic.RecvWR{WRID: i, LKey: u.ring.LKey, LAddr: u.ring.Base + i*rpcwire.BlockSize, Len: rpcwire.BlockSize}
 }
 
 // Poll drains the response CQ, re-posting each consumed receive, and
@@ -99,7 +92,7 @@ func (u *UDRecv) Poll(t *host.Thread, win *rpccore.Window, fn func(rpccore.Respo
 		}
 		wr := u.recvWR(e.WRID)
 		t.ReadMem(wr.LAddr, e.ByteLen)
-		off := e.WRID * uint64(u.blockSize)
+		off := e.WRID * rpcwire.BlockSize
 		u.buf = append(u.buf[:0], u.ring.Bytes()[off:off+uint64(e.ByteLen)]...)
 		t.PostRecv(u.QP, wr)
 		hdr, body, err := rpcwire.ParseHeader(u.buf)
@@ -151,21 +144,19 @@ type Shell struct {
 	Rel     *rpccore.RelStats
 	Replies *rpccore.ReplyCache
 
-	h         *host.Host
-	blockSize int
-	handlers  [256]rpccore.Handler
-	tel       telemetry.Scope
-	started   bool
+	h        *host.Host
+	handlers [256]rpccore.Handler
+	tel      telemetry.Scope
+	started  bool
 }
 
 // NewShell starts a server on h under the given telemetry scope. window is
 // the per-client request window the reply cache is sized for.
-func NewShell(h *host.Host, scope string, blockSize, window int) *Shell {
+func NewShell(h *host.Host, scope string, window int) *Shell {
 	sh := &Shell{
-		Rel:       rpccore.SharedRel(h.Tel.Registry()),
-		Replies:   rpccore.NewReplyCache(window),
-		h:         h,
-		blockSize: blockSize,
+		Rel:     rpccore.SharedRel(h.Tel.Registry()),
+		Replies: rpccore.NewReplyCache(window),
+		h:       h,
 	}
 	if reg := h.Tel.Registry(); reg != nil {
 		sh.tel = reg.UniqueScope(scope)

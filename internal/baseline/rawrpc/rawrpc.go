@@ -16,7 +16,6 @@ import (
 	"scalerpc/internal/host"
 	"scalerpc/internal/nic"
 	"scalerpc/internal/rpccore"
-	"scalerpc/internal/rpcwire"
 	"scalerpc/internal/sim"
 )
 
@@ -66,7 +65,7 @@ type clientState struct {
 // formatted up front from MaxClients (static mapping, which is precisely
 // the design the paper criticizes).
 func NewServer(h *host.Host, cfg ServerConfig) *Server {
-	s := &Server{Cfg: cfg, Host: h, Shell: baseline.NewShell(h, "rawrpc", rpcwire.BlockSize, cfg.BlocksPerClient)}
+	s := &Server{Cfg: cfg, Host: h, Shell: baseline.NewShell(h, "rawrpc", cfg.BlocksPerClient)}
 	s.Req = rpccore.NewReqPool(h, cfg.BlocksPerClient, cfg.MaxClients, cfg.ParseCost, s.Rel)
 	s.roster = ctrlplane.NewRoster("rawrpc", cfg.MaxClients, placement{s})
 	for i := 0; i < cfg.Workers; i++ {

@@ -62,7 +62,7 @@ type Server struct {
 
 // NewServer builds the pool and per-worker completion queues.
 func NewServer(h *host.Host, cfg ServerConfig) *Server {
-	s := &Server{Cfg: cfg, Host: h, Shell: baseline.NewShell(h, "selfrpc", rpcwire.BlockSize, blocksPerClient)}
+	s := &Server{Cfg: cfg, Host: h, Shell: baseline.NewShell(h, "selfrpc", blocksPerClient)}
 	s.Req = rpccore.NewReqPool(h, blocksPerClient, cfg.MaxClients, cfg.ParseCost, s.Rel)
 	for i := 0; i < cfg.Workers; i++ {
 		cq := h.NIC.CreateCQ()

@@ -177,7 +177,6 @@ func runTenantMixArm(arm string, opts Options) tenantMixArm {
 			TripWindows:  2,
 			ClearWindows: 5,
 			MinSamples:   8,
-			WeightFactor: 0.25,
 		})
 		ctl.Start(c.Env)
 	}

@@ -123,7 +123,6 @@ func RunTenant(seed uint64) (*TenantOutcome, error) {
 		TripWindows:  1,
 		ClearWindows: 4,
 		MinSamples:   4,
-		WeightFactor: 0.25,
 	}
 	ctl := m.NewController(latID, slo, func() (*stats.Histogram, uint64, uint64) {
 		return rec.hist, rec.offered, rec.completed

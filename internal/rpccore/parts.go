@@ -1,13 +1,3 @@
-// The pool data path every pool transport is built from (DESIGN, Table 2):
-// the client's request writer (ReqWriter) and slot window (Window), the
-// server's request pool (ReqPool), the client's response pool (RespPool),
-// the one read of a pool slot they all go through (ReadSlot), and the
-// response staging ring a server answers from (Outbox). ScaleRPC and the
-// RawWrite, HERD and selfRPC baselines share them; what distinguishes a
-// transport — ScaleRPC's grouping and warm-up fetch, a baseline's verbs —
-// stays in its own package. The parts are concrete types: no interface and
-// no per-operation closure sits on the request path.
-
 package rpccore
 
 import (

@@ -4,6 +4,11 @@
 // paper's methodology (§3.6.1): client threads schedule coroutines round
 // robin; each coroutine posts a batch of asynchronous requests, yields,
 // and collects its responses before posting the next batch.
+//
+// It also holds, once each, the parts every pool transport — ScaleRPC and
+// the RawWrite, HERD and selfRPC baselines — builds its data path from
+// (parts.go): the request writer, the request and response pools, the one
+// read of a pool slot (ReadSlot) and the response staging ring (Outbox).
 package rpccore
 
 import (

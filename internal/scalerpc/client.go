@@ -300,8 +300,7 @@ func (c *Conn) Poll(t *host.Thread, fn func(rpccore.Response)) int {
 	switched := false
 
 	// Control block: explicit context_switch_event. A corrupted one reads
-	// as absent; a response carrying the switch flag, or the next switch,
-	// still moves the client.
+	// as absent (see the switch flag on responses below).
 	ctrl := c.s.Cfg.BlocksPerClient
 	if _, flags, ok := rpccore.ReadSlot(t, c.resp.Pool, c.s.rel, 0, ctrl, true, &c.respBuf); ok {
 		if flags&rpcwire.FlagContextSwitch != 0 {

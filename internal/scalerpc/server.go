@@ -386,18 +386,16 @@ func (w *worker) sweep(t *host.Thread) int {
 			if !ok {
 				continue
 			}
-			hdr, body, herr := rpcwire.ParseHeader(req)
-			if herr != nil || int(hdr.ClientID) != owner {
+			if hdr, body, herr := rpcwire.ParseHeader(req); herr == nil && int(hdr.ClientID) == owner {
+				s.serve(t, w, cs, b, hdr, body)
+				served++
+				w.Served++
+			} else {
 				// A late write from a previous occupant of this zone: the
 				// sender will retry after its context_switch_event.
 				s.Stats.StaleDrops++
-				pool.Release(t, z, b)
-				continue
 			}
-			s.serve(t, w, cs, b, hdr, body)
 			pool.Release(t, z, b)
-			served++
-			w.Served++
 		}
 		// Leaving the zone posts its chain, so every response is on the
 		// wire before sweep returns: the drain, notifiedEpoch and the switch

@@ -28,9 +28,10 @@ type RouterConfig struct {
 	// Coalesce piggybacks identical in-flight hot-key reads on one wire
 	// request (KV endpoints only).
 	Coalesce bool
-	// Window is each endpoint's outstanding-call cap.
-	Window int
 }
+
+// routerWindow is each endpoint's outstanding-call cap.
+const routerWindow = 64
 
 // DefaultRouterConfig returns deadlines wide enough for loaded ScaleRPC
 // rotations while still riding through a failover within a few attempts.
@@ -42,7 +43,6 @@ func DefaultRouterConfig() RouterConfig {
 			MaxRetries:    6,
 		},
 		MaxRedirects: 5,
-		Window:       64,
 	}
 }
 
@@ -128,7 +128,7 @@ type Router struct {
 	pollT    *host.Thread
 	onWireFn func(rpccore.Response)
 
-	// free recycles finished rcalls (at most Window of them); envBuf is
+	// free recycles finished rcalls (at most routerWindow of them); envBuf is
 	// post's envelope scratch, used under the wire lock only.
 	free   []*rcall
 	envBuf []byte
@@ -137,9 +137,6 @@ type Router struct {
 // NewRouter builds a router over per-host wire connections (each created
 // with sig so arrivals wake blocked callers). m is the bootstrap map.
 func NewRouter(h *host.Host, m *Map, conns map[int]rpccore.Conn, sig *sim.Signal, cfg RouterConfig, fetch func(t *host.Thread) *Map) *Router {
-	if cfg.Window <= 0 {
-		cfg.Window = 64
-	}
 	r := &Router{
 		cfg:   cfg,
 		h:     h,
@@ -202,7 +199,7 @@ func (r *Router) release() {
 
 // submit accepts one call from an endpoint. body is copied.
 func (r *Router) submit(t *host.Thread, ep *endpoint, part int, inner uint8, body []byte, origID uint64) bool {
-	if ep.out >= r.cfg.Window {
+	if ep.out >= routerWindow {
 		return false
 	}
 	rc := r.newCall()
@@ -249,7 +246,7 @@ func (r *Router) newCall() *rcall {
 // recycle returns rc to the free list once neither the sweep order nor a
 // pending delivery refers to it.
 func (r *Router) recycle(rc *rcall) {
-	if rc.inOrder || !rc.delivered || len(r.free) >= r.cfg.Window {
+	if rc.inOrder || !rc.delivered || len(r.free) >= routerWindow {
 		return
 	}
 	*rc = rcall{body: rc.body[:0], resp: rc.resp[:0], wireIDs: rc.wireIDs[:0], waiters: rc.waiters[:0]}
@@ -524,7 +521,7 @@ func (e *endpoint) Poll(t *host.Thread, fn func(rpccore.Response)) int {
 }
 
 func (e *endpoint) Outstanding() int { return e.out }
-func (e *endpoint) SlotCount() int   { return e.r.cfg.Window }
+func (e *endpoint) SlotCount() int   { return routerWindow }
 
 var _ rpccore.Conn = (*endpoint)(nil)
 

@@ -10,7 +10,7 @@ import (
 // Handler ids on the two shard planes. HShard is the single client-facing
 // entry on each node's ScaleRPC server; HRepl is the primary→backup
 // forward on the dedicated replication server. Inner ids below HShard
-// share the request's envelope: the txn handlers (txn.HExec…txn.HGet)
+// share the request's envelope: the txn handlers (txn.HExec…txn.HUnlock)
 // pass through to the partition's participant, the HKV ops are the plain
 // KV surface.
 const (

@@ -34,10 +34,11 @@ type ControllerConfig struct {
 	// MinSamples ignores windows with fewer completions (no evidence
 	// either way — streaks are left untouched).
 	MinSamples uint64
-	// WeightFactor is the level-1 slice-weight multiplier applied to the
-	// shedding targets.
-	WeightFactor float64
 }
+
+// weightFactor is the level-1 slice-weight multiplier applied to the
+// shedding targets.
+const weightFactor = 0.25
 
 // DefaultControllerConfig samples every 200µs and needs two bad windows
 // to escalate, four good ones to recover.
@@ -47,7 +48,6 @@ func DefaultControllerConfig() ControllerConfig {
 		TripWindows:  2,
 		ClearWindows: 4,
 		MinSamples:   16,
-		WeightFactor: 0.25,
 	}
 }
 
@@ -65,7 +65,7 @@ type Action struct {
 // tenants. Ladder levels, cumulative:
 //
 //	0: hands off (declared weights and classes, admissions open)
-//	1: shrink the targets' slice weights by WeightFactor
+//	1: shrink the targets' slice weights by weightFactor
 //	2: demote the targets to ClassBestEffort
 //	3: shed the targets' new admissions (queued or rejected per quota)
 //
@@ -100,9 +100,6 @@ type Controller struct {
 func (m *Manager) NewController(protected uint16, slo loadgen.SLO, src Sample, cfg ControllerConfig) *Controller {
 	if cfg.Interval <= 0 {
 		cfg = DefaultControllerConfig()
-	}
-	if cfg.WeightFactor <= 0 {
-		cfg.WeightFactor = 0.25
 	}
 	if cfg.TripWindows <= 0 {
 		cfg.TripWindows = 1
@@ -178,7 +175,7 @@ func (c *Controller) setLevel(now sim.Time, level int) {
 	for _, id := range c.targets {
 		st := c.M.state(id)
 		if level >= 1 {
-			c.M.setWeightScale(id, c.Cfg.WeightFactor)
+			c.M.setWeightScale(id, weightFactor)
 		} else {
 			c.M.setWeightScale(id, 1)
 		}

@@ -49,7 +49,6 @@ func (p *Participant) RegisterHandlers(s rpccore.Server) {
 	s.Register(HLog, p.handleLog)
 	s.Register(HCommit, p.handleCommit)
 	s.Register(HUnlock, p.handleUnlock)
-	s.Register(HGet, p.handleGet)
 }
 
 // handleExec reads R∪W items, locking W (§4.2 step 1). On a lock conflict
@@ -158,16 +157,4 @@ func (p *Participant) handleUnlock(t *host.Thread, clientID uint16, req, out []b
 	}
 	out[0] = 1
 	return 1
-}
-
-// handleGet is a plain non-transactional read (used by examples).
-func (p *Participant) handleGet(t *host.Thread, clientID uint16, req, out []byte) int {
-	it, err := p.Store.Get(t, req)
-	if err != nil {
-		out[0] = 0
-		return 1
-	}
-	out[0] = 1
-	copy(out[1:], it.Value)
-	return 1 + len(it.Value)
 }

@@ -27,7 +27,6 @@ const (
 	HLog      = 12
 	HCommit   = 13
 	HUnlock   = 14
-	HGet      = 15
 )
 
 // Exec response status codes.
