@@ -111,7 +111,7 @@ func (rw *ReqWriter) Send(t *host.Thread, win *Window, pool *rpcwire.Pool, handl
 	// The staging write is paid together with the doorbell: PostSend
 	// settles the region in one core charge.
 	t.BeginWork()
-	msgLen, _ := rw.Stage(t, b, handler, payload, reqID)
+	msgLen, _ := rw.Stage(t, b, handler, payload, reqID) // fits: checked above
 	posted := rw.Post(t, pool, int(rw.ID), b, msgLen)
 	t.EndWork()
 	if !posted {
@@ -134,9 +134,9 @@ func (rw *ReqWriter) Stage(t *host.Thread, b int, handler uint8, payload []byte,
 	msg := block[off : off+msgLen]
 	rpcwire.PutHeader(msg, rpcwire.Header{ReqID: reqID, Handler: handler, ClientID: rw.ID})
 	copy(msg[rpcwire.HeaderSize:], payload)
-	// msg already sits right-aligned where Encode puts it, and fits: this
-	// seals the trailer in place.
-	rpcwire.Encode(block, msg, 0)
+	// msg already sits right-aligned where Encode puts it: this seals the
+	// trailer in place, and cannot fail on a message that fits.
+	_ = rpcwire.Encode(block, msg, 0)
 	t.WriteMem(rw.Region.Base+uint64(b*rpcwire.BlockSize+off), span)
 	return msgLen, true
 }
