@@ -163,29 +163,30 @@ func ImmBlock(imm uint32) (zone, b int) { return int(imm >> 8), int(imm & 0xFF) 
 
 // ReadSlot is the one read of a pool slot: probe the Valid byte (unless a
 // completion already named the block), verify the frame, and copy its
-// message into *buf. A frame whose CRC fails — corruption past the NIC —
-// is counted in rel and cleared, and reads as absent: loss, which the
-// sender's retry recovers. The copy is taken before anything yields,
-// because the block is live RDMA-writable memory that a late or duplicate
-// write may overwrite as soon as virtual time moves. The caller charges
-// its read of the message and clears the block.
-func ReadSlot(t *host.Thread, pool *rpcwire.Pool, rel *RelStats, z, b int, probe bool, buf *[]byte) (msg []byte, flags byte, ok bool) {
+// message into *buf. valid reports whether the Valid byte was set. A frame
+// whose CRC fails — corruption past the NIC — is counted in rel and
+// cleared, and reads as valid but not ok: loss, which the sender's retry
+// recovers. The copy is taken before anything yields, because the block is
+// live RDMA-writable memory that a late or duplicate write may overwrite as
+// soon as virtual time moves. The caller charges its read of the message
+// and clears the block.
+func ReadSlot(t *host.Thread, pool *rpcwire.Pool, rel *RelStats, z, b int, probe bool, buf *[]byte) (msg []byte, flags byte, valid, ok bool) {
 	if probe {
 		t.ReadMem(pool.ValidAddr(z, b), 1)
 	}
 	block := pool.Block(z, b)
 	if !rpcwire.Valid(block) {
-		return nil, 0, false
+		return nil, 0, false, false
 	}
 	msg, flags, err := rpcwire.Decode(block)
 	if err != nil {
 		rel.CRCDrops++
 		rpcwire.Clear(block)
 		t.WriteMem(pool.ValidAddr(z, b), 1)
-		return nil, 0, false
+		return nil, 0, true, false
 	}
 	*buf = append((*buf)[:0], msg...)
-	return *buf, flags, true
+	return *buf, flags, true, true
 }
 
 // ReqPool is the server side of the pool-write request half: one zone of
@@ -226,14 +227,20 @@ func (p *ReqPool) Take(t *host.Thread, buf *[]byte, z, b int) ([]byte, bool) {
 // the right-aligned message and the parse. The caller answers it and then
 // calls Release.
 func (p *ReqPool) take(t *host.Thread, buf *[]byte, z, b int, probe bool) ([]byte, bool) {
-	req, _, ok := ReadSlot(t, p.Pool, p.rel, z, b, probe, buf)
+	req, _, _, ok := ReadSlot(t, p.Pool, p.rel, z, b, probe, buf)
 	if !ok {
 		return nil, false
 	}
+	p.Parse(t, z, b, req)
+	return req, true
+}
+
+// Parse charges the read of request req, as ReadSlot took it from block
+// (z, b) — its right-aligned encoded span — and its parse and dispatch.
+func (p *ReqPool) Parse(t *host.Thread, z, b int, req []byte) {
 	off, span := rpcwire.EncodedSpan(rpcwire.BlockSize, len(req))
 	t.ReadMem(p.BlockAddr(z, b)+uint64(off), span)
 	t.Work(p.parseCost)
-	return req, true
 }
 
 // Release marks block (z, b) consumed.
@@ -284,7 +291,7 @@ func (r *RespPool) Poll(t *host.Thread, win *Window, fn func(Response)) int {
 		}
 		// A corrupted response reads as absent and keeps its slot in
 		// flight: the deadline/retry layer recovers the call.
-		msg, flags, ok := ReadSlot(t, r.Pool, r.rel, 0, b, true, &r.buf)
+		msg, flags, _, ok := ReadSlot(t, r.Pool, r.rel, 0, b, true, &r.buf)
 		if !ok {
 			continue
 		}

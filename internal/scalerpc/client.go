@@ -302,7 +302,7 @@ func (c *Conn) Poll(t *host.Thread, fn func(rpccore.Response)) int {
 	// Control block: explicit context_switch_event. A corrupted one reads
 	// as absent (see the switch flag on responses below).
 	ctrl := c.s.Cfg.BlocksPerClient
-	if _, flags, ok := rpccore.ReadSlot(t, c.resp.Pool, c.s.rel, 0, ctrl, true, &c.respBuf); ok {
+	if _, flags, _, ok := rpccore.ReadSlot(t, c.resp.Pool, c.s.rel, 0, ctrl, true, &c.respBuf); ok {
 		if flags&rpcwire.FlagContextSwitch != 0 {
 			switched = true
 		}
@@ -315,7 +315,7 @@ func (c *Conn) Poll(t *host.Thread, fn func(rpccore.Response)) int {
 		}
 		// A corrupted response reads as absent: the deadline/retry layer
 		// (or the context-switch re-stage) recovers the call.
-		msg, flags, ok := rpccore.ReadSlot(t, c.resp.Pool, c.s.rel, 0, b, true, &c.respBuf)
+		msg, flags, _, ok := rpccore.ReadSlot(t, c.resp.Pool, c.s.rel, 0, b, true, &c.respBuf)
 		if !ok {
 			continue
 		}

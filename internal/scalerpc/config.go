@@ -124,6 +124,7 @@ type Stats struct {
 	PinnedServed uint64 // requests answered on reserved (latency-sensitive) zones
 	LateServed   uint64 // switch-racing requests answered by the late sweep
 	LateSweepNs  uint64 // scheduler time spent in late sweeps (ns)
+	SweepProbes  uint64 // Valid bytes the worker and late sweeps probed
 	Probes       uint64 // liveness probes posted to silent clients
 	Demotes      uint64 // clients isolated into suspect groups (gray peer demoted)
 	Restores     uint64 // demoted clients re-placed after their peer recovered

@@ -180,8 +180,14 @@ func TestEarlySwitchCutsOpenLoopTail(t *testing.T) {
 // READs as one chain behind one doorbell, with the worker sweep serving one
 // client's requests before the next client's: the saturated loop's batch of
 // 8 completes in one stretch, so it issues its next batch sooner, and the
-// other two loops' responses leave in another order. Drivers start after the first slice, which serves nobody — group 0 was never
-// warmed — and so would rightly be cut.
+// other two loops' responses leave in another order. And again when the
+// worker and late sweeps began stopping each zone's scan at its client's
+// live edge instead of probing every block: fewer probes shorten each
+// sweep and each late sweep, so the batch-1 loop's round trips, bound by
+// the sweep ahead of them, complete sooner, and the slices of the other two
+// start earlier after each switch. Drivers start after the first slice,
+// which serves nobody — group 0 was never warmed — and so would rightly be
+// cut.
 func TestClosedLoopsTakeNoEarlySwitch(t *testing.T) {
 	const horizon = 3 * sim.Millisecond
 	for _, tc := range []struct {
@@ -193,14 +199,14 @@ func TestClosedLoopsTakeNoEarlySwitch(t *testing.T) {
 		payload    func(h uint8) int
 		wantServed uint64
 	}{
-		{"saturated: 120 clients, batch 8", 120, 40, 8, []uint8{1}, func(uint8) int { return 32 }, 38266},
+		{"saturated: 120 clients, batch 8", 120, 40, 8, []uint8{1}, func(uint8) int { return 32 }, 38373},
 		{"link-bound: 2 KB gets beside 2 KB puts", 80, 40, 4, []uint8{2, 3}, func(h uint8) int {
 			if h == 3 {
 				return 2048
 			}
 			return 16
-		}, 14761},
-		{"latency-bound: batch 1", 80, 40, 1, []uint8{1}, func(uint8) int { return 32 }, 25668},
+		}, 14407},
+		{"latency-bound: batch 1", 80, 40, 1, []uint8{1}, func(uint8) int { return 32 }, 30492},
 	} {
 		c, s := rotationServer(6, tc.groupSize, 1, false)
 		for i := 0; i < tc.clients; i++ {

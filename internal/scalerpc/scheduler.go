@@ -425,7 +425,9 @@ func (s *Server) fetchGroup(t *host.Thread, g int, warm bool) {
 		if round != cs.lastRound {
 			cs.lastRound = round
 			cs.fetchedUpTo = 0
+			cs.seen = 0
 		}
+		cs.advertised = count
 		if count <= cs.fetchedUpTo {
 			continue
 		}
@@ -545,26 +547,9 @@ func (s *Server) contextSwitch(t *host.Thread) {
 func (s *Server) lateSweep(t *host.Thread, pool *rpccore.ReqPool, owners []int) {
 	out := s.schedOutbox()
 	for z, owner := range owners {
-		if owner < 0 || s.clients[owner] == nil {
-			continue
+		if owner >= 0 && s.clients[owner] != nil {
+			s.scanZone(t, pool, z, s.clients[owner], out, &s.schedReq, true)
 		}
-		cs := s.clients[owner]
-		for b := 0; b < s.Cfg.BlocksPerClient; b++ {
-			req, _, ok := rpccore.ReadSlot(t, pool.Pool, s.rel, z, b, true, &s.schedReq)
-			if !ok {
-				continue
-			}
-			if hdr, body, herr := rpcwire.ParseHeader(req); herr == nil && int(hdr.ClientID) == owner {
-				off, span := rpcwire.EncodedSpan(rpcwire.BlockSize, len(req))
-				t.ReadMem(pool.BlockAddr(z, b)+uint64(off), span)
-				s.lateServe(t, out, cs, b, hdr, body)
-			} else {
-				s.Stats.StaleDrops++
-			}
-			pool.Release(t, z, b)
-		}
-		// The zone's responses leave as one chain, as in the worker sweep.
-		out.Post(t, cs.QP)
 	}
 }
 

@@ -56,6 +56,12 @@ type clientState struct {
 	fetchedUpTo int
 	warmZone    int // zone in the warmup pool, -1 if not warming
 
+	// The live edge of the client's zone (scanZone): advertised is the
+	// staged count fetchGroup last read from its endpoint entry, seen one
+	// past the highest block a sweep found valid since fetchGroup observed
+	// the client's current round.
+	advertised, seen int
+
 	// Metrics for the priority scheduler (per current slice window).
 	served   uint64
 	bytes    uint64
@@ -240,6 +246,7 @@ func NewServer(h *host.Host, cfg ServerConfig) *Server {
 	srv.CounterVar("pinned_served", &s.Stats.PinnedServed)
 	srv.CounterVar("late_served", &s.Stats.LateServed)
 	srv.CounterVar("late_sweep_ns", &s.Stats.LateSweepNs)
+	srv.CounterVar("sweep_probes", &s.Stats.SweepProbes)
 	srv.CounterVar("probes", &s.Stats.Probes)
 	srv.CounterVar("demotes", &s.Stats.Demotes)
 	srv.CounterVar("restores", &s.Stats.Restores)
@@ -353,17 +360,14 @@ func (w *worker) sweep(t *host.Thread) int {
 	s := w.s
 	w.Sweeps++
 	served := 0
-	// The scan touches one valid byte per owned slot; charging each touch
+	// The scan touches one valid byte per probed slot; charging each touch
 	// individually would cost a scheduler round trip per slot. Defer the
 	// charges and settle them in bulk — at the doorbell when a request is
 	// found, or absorbed into the worker's idle park for an empty sweep (the
 	// lazy close leaves the residue pending for run's WaitSignal).
 	t.BeginWork()
 	defer t.EndWorkLazy()
-	// Zone-major scan: all of one client's pending requests are served, and
-	// their responses posted as one chain behind one doorbell, before the
-	// next client's. Reserved (pinned) zones sit past maxZones and always
-	// live in pool 0.
+	// Reserved (pinned) zones sit past maxZones and always live in pool 0.
 	for z := w.idx; z < s.Cfg.totalZones(); z += s.Cfg.Workers {
 		owner := s.zoneOwner[z]
 		if owner < 0 {
@@ -379,29 +383,91 @@ func (w *worker) sweep(t *host.Thread) int {
 		if cs.Pinned {
 			pool = &s.pools[0]
 		}
-		// The handler yields: a client evicted, or a zone handed over,
-		// meanwhile is not served further.
-		for b := 0; b < s.Cfg.BlocksPerClient && s.zoneOwner[z] == owner && s.clients[owner] == cs; b++ {
-			req, ok := pool.Sweep(t, &w.req, z, b)
-			if !ok {
-				continue
-			}
-			if hdr, body, herr := rpcwire.ParseHeader(req); herr == nil && int(hdr.ClientID) == owner {
-				s.serve(t, w, cs, b, hdr, body)
-				served++
-				w.Served++
-			} else {
-				// A late write from a previous occupant of this zone: the
-				// sender will retry after its context_switch_event.
-				s.Stats.StaleDrops++
-			}
-			pool.Release(t, z, b)
-		}
-		// Leaving the zone posts its chain, so every response is on the
-		// wire before sweep returns: the drain, notifiedEpoch and the switch
-		// flags keep their order on the client's QP.
-		w.out.Post(t, cs.QP)
+		served += s.scanZone(t, pool, z, cs, &w.out, &w.req, false)
 	}
+	w.Served += uint64(served)
+	return served
+}
+
+// scanZone is the one scan of a client's zone, for a worker sweeping the
+// processing pool and for the late sweep answering the outgoing one (late):
+// zone-major, so all of the client's pending requests are served, and their
+// responses posted as one chain behind one doorbell, before the next
+// client's. Posting the chain before returning puts every response on the
+// wire before the sweep ends: the drain, notifiedEpoch and the switch flags
+// keep their order on the client's QP. It returns how many of the client's
+// own requests it served.
+//
+// The scan probes from block 0 up and stops at the client's live edge: below
+// end = max(advertised, seen) it probes every block; at or past end it goes
+// on while blocks are valid and stops at the first empty one. That is sound
+// because a client fills its zone from the bottom and its writes land in
+// order. stageRequest stages contiguous blocks from 0, and advertiseSlots
+// advertises one past the highest busy slot at every restage, so every
+// fetched block lies below a count the scheduler reads before it posts the
+// READ (a completion that lowers the count later leaves above it only
+// frames already answered). directSend takes the lowest free slot, so when it writes block b
+// every slot below b is busy: each of those requests was fetched (below
+// advertised), or was written directly before b — and one client's RC
+// WRITEs land in post order, so it has landed too, and is still valid or
+// was consumed (below seen). A request that has landed past end thus sits
+// only behind other requests that have also landed. A CRC-dropped frame had
+// its Valid byte set and counts as seen, so a request behind it is served
+// in the same scan. Bounding a zone by its own history (the blocks fetched
+// into it since its last wipe) is not sound: a warm-up READ posted before a
+// wipe may land after it, and a scan that stops at the empty block 0 leaves
+// the client's requests for the next rotation, every rotation.
+//
+// Pinned zones are scanned whole: a pinned client never stages, so there is
+// no advertised count, and after a readmission its retry layer re-posts
+// busy slots in place into a fresh reserved zone, above empty blocks.
+func (s *Server) scanZone(t *host.Thread, pool *rpccore.ReqPool, z int, cs *clientState, out *rpccore.Outbox, buf *[]byte, late bool) int {
+	owner := int(cs.ID)
+	end := max(cs.advertised, cs.seen)
+	if cs.Pinned {
+		end = s.Cfg.BlocksPerClient
+	}
+	served := 0
+	for b := 0; b < s.Cfg.BlocksPerClient; b++ {
+		// A worker's handler yields: a client evicted, or a zone handed
+		// over, meanwhile is not served further.
+		if !late && (s.zoneOwner[z] != owner || s.clients[owner] != cs) {
+			break
+		}
+		s.Stats.SweepProbes++
+		req, _, valid, ok := rpccore.ReadSlot(t, pool.Pool, s.rel, z, b, true, buf)
+		if !valid {
+			if b >= end {
+				break
+			}
+			continue
+		}
+		cs.seen = max(cs.seen, b+1)
+		if !ok {
+			continue // counted and cleared as a CRC drop
+		}
+		// A worker charges the read and parse of every frame it takes; the
+		// late sweep charges the read of its client's own frames only.
+		if !late {
+			pool.Parse(t, z, b, req)
+		}
+		hdr, body, herr := rpcwire.ParseHeader(req)
+		switch {
+		case herr != nil || int(hdr.ClientID) != owner:
+			// A late write from a previous occupant of this zone: the sender
+			// will retry after its context_switch_event.
+			s.Stats.StaleDrops++
+		case late:
+			off, span := rpcwire.EncodedSpan(rpcwire.BlockSize, len(req))
+			t.ReadMem(pool.BlockAddr(z, b)+uint64(off), span)
+			s.lateServe(t, out, cs, b, hdr, body)
+		default:
+			s.serve(t, out, cs, b, hdr, body)
+			served++
+		}
+		pool.Release(t, z, b)
+	}
+	out.Post(t, cs.QP)
 	return served
 }
 
@@ -409,8 +475,8 @@ func (w *worker) sweep(t *host.Thread) int {
 // Duplicates — retries after a switch race, a timeout, or a reconnect —
 // are answered from the reply cache without re-running the handler
 // (at-most-once execution, §3.5 upgraded to exactly-once results).
-func (s *Server) serve(t *host.Thread, w *worker, cs *clientState, slot int, hdr rpcwire.Header, body []byte) {
-	if s.replayed(t, &w.out, cs, slot, hdr, 0) {
+func (s *Server) serve(t *host.Thread, out *rpccore.Outbox, cs *clientState, slot int, hdr rpcwire.Header, body []byte) {
+	if s.replayed(t, out, cs, slot, hdr, 0) {
 		return
 	}
 	s.Stats.Served++
@@ -425,7 +491,7 @@ func (s *Server) serve(t *host.Thread, w *worker, cs *clientState, slot int, hdr
 	s.usefulNs += uint64(s.Cfg.ParseCost)
 	if s.handlers[hdr.Handler] == nil {
 		s.replies.Commit(cs.ID, hdr.ReqID, nil, true)
-		s.respond(t, &w.out, cs, slot, hdr, 0, rpcwire.FlagError)
+		s.respond(t, out, cs, slot, hdr, 0, rpcwire.FlagError)
 		return
 	}
 	if s.legacy[hdr.Handler] {
@@ -443,7 +509,7 @@ func (s *Server) serve(t *host.Thread, w *worker, cs *clientState, slot int, hdr
 	// duration (which drives legacy-mode detection) reflects its own work.
 	t.FlushWork()
 	start := t.P.Now()
-	buf := w.out.Buf
+	buf := out.Buf
 	n := s.handlers[hdr.Handler](t, cs.ID, body, buf[rpcwire.HeaderSize:len(buf)-rpcwire.TrailerSize])
 	t.FlushWork()
 	ran := t.P.Now() - start
@@ -456,7 +522,7 @@ func (s *Server) serve(t *host.Thread, w *worker, cs *clientState, slot int, hdr
 		s.Stats.LegacyMarked++
 	}
 	s.replies.Commit(cs.ID, hdr.ReqID, buf[rpcwire.HeaderSize:rpcwire.HeaderSize+n], false)
-	s.respond(t, &w.out, cs, slot, hdr, n, 0)
+	s.respond(t, out, cs, slot, hdr, n, 0)
 }
 
 // replayed reports whether the request is a duplicate, answering it from
