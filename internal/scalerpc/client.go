@@ -55,7 +55,7 @@ type Conn struct {
 	// req stages requests and WRITEs them into the processing pool; its QP
 	// and ID are the connection's identity.
 	req rpccore.ReqWriter
-	// entryScratch is a tiny staging area for the endpoint-entry tuple.
+	// entryScratch is the staging area of the endpoint entry.
 	entryScratch *memory.Region
 	// resp takes the responses, one block per slot, and the control block
 	// past them.
@@ -68,7 +68,6 @@ type Conn struct {
 	zone        int
 	poolIdx     int
 	stagedCount int
-	stagedSpan  int // max encoded span among staged requests this round
 	// roundHigh is the highest count flushed this round: the server may have
 	// fetched every block below it, so a request staged below it needs a new
 	// round.
@@ -123,7 +122,7 @@ func (s *Server) newConn(ch *host.Host, sig *sim.Signal) *Conn {
 		sig:          sig,
 		req:          rpccore.NewReqWriter(ch, s.Cfg.BlocksPerClient, nic.OpWrite),
 		resp:         rpccore.NewRespPool(ch, sig, s.Cfg.BlocksPerClient, s.rel),
-		entryScratch: ch.Mem.Register(64, memory.PageSize4K, memory.LocalWrite),
+		entryScratch: ch.Mem.Register(entrySize(s.Cfg.BlocksPerClient), memory.PageSize4K, memory.LocalWrite),
 		slots:        make([]connSlot, s.Cfg.BlocksPerClient),
 		zone:         -1,
 		poolIdx:      -1,
@@ -201,7 +200,7 @@ func (c *Conn) TrySend(t *host.Thread, handler uint8, payload []byte, reqID uint
 // beginWarmup opens a new warmup round (IDLE → WARMUP).
 func (c *Conn) beginWarmup() {
 	c.round++
-	c.stagedCount, c.stagedSpan, c.roundHigh = 0, 0, 0
+	c.stagedCount, c.roundHigh = 0, 0
 	c.state = StateWarmup
 	c.entryDirty = true
 	c.traceState(StateWarmup)
@@ -223,7 +222,6 @@ func (c *Conn) stageRequest(t *host.Thread, handler uint8, payload []byte, reqID
 	}
 	c.slots[b] = connSlot{busy: true, reqID: reqID, msgLen: msgLen}
 	c.stagedCount++
-	c.stagedSpan = max(c.stagedSpan, msgLen+rpcwire.TrailerSize)
 	c.outstanding++
 	c.entryDirty = true
 	return true
@@ -251,8 +249,11 @@ func (c *Conn) directSend(t *host.Thread, handler uint8, payload []byte, reqID u
 	return true
 }
 
-// flushEndpointEntry RDMA-writes the <staged count, round> tuple to the
-// server's endpoint entry (Figure 6 step 2). Inline: 8 bytes.
+// flushEndpointEntry RDMA-writes the endpoint entry to the server (Figure 6
+// step 2): the staged count and round, then every block's exact encoded
+// span, 0 for a slot answered or withdrawn. In WARMUP every busy slot lies
+// below the staged count. Inline: 8 bytes plus 2 per block, 40 at the
+// default 16 blocks.
 func (c *Conn) flushEndpointEntry(t *host.Thread) {
 	if !c.entryDirty || c.state != StateWarmup {
 		return
@@ -262,13 +263,20 @@ func (c *Conn) flushEndpointEntry(t *host.Thread) {
 	b := c.entryScratch.Bytes()
 	binary.LittleEndian.PutUint32(b, uint32(c.stagedCount))
 	binary.LittleEndian.PutUint32(b[4:], c.round)
-	binary.LittleEndian.PutUint32(b[8:], uint32(c.stagedSpan))
-	t.WriteMem(c.entryScratch.Base, endpointEntrySize)
+	for i, sl := range c.slots {
+		span := 0
+		if sl.busy {
+			span = sl.msgLen + rpcwire.TrailerSize
+		}
+		binary.LittleEndian.PutUint16(b[entryHeader+2*i:], uint16(span))
+	}
+	n := entrySize(len(c.slots))
+	t.WriteMem(c.entryScratch.Base, n)
 	wr := nic.SendWR{
 		Op:     nic.OpWrite,
 		LKey:   c.entryScratch.LKey,
 		LAddr:  c.entryScratch.Base,
-		Len:    endpointEntrySize,
+		Len:    n,
 		RKey:   c.s.EndpointRKey(),
 		RAddr:  c.s.EndpointEntryAddr(c.req.ID),
 		Inline: true,
@@ -340,10 +348,11 @@ func (c *Conn) Poll(t *host.Thread, fn func(rpccore.Response)) int {
 			continue // for the slot's previous occupant
 		}
 		// Invalidate the staged copy as well. Round bumps (retry resends,
-		// switch restages) make the server re-fetch every staging block up
-		// to the advertised count, holes included; a completed frame left
-		// valid in its hole would be re-offered and — once the server's
-		// bounded dedup window rotates past it — re-executed.
+		// switch restages) make the server re-fetch every block the entry
+		// it last read names, and one flushed before this answer still
+		// names this block; a completed frame left valid there would be
+		// re-offered and — once the server's bounded dedup window rotates
+		// past it — re-executed.
 		c.clearStaged(t, b)
 		if c.slots[b].reoffered && flags&rpcwire.FlagContextSwitch != 0 {
 			c.LateCompletions++
@@ -506,15 +515,14 @@ func (c *Conn) slotOf(reqID uint64) int {
 	return -1
 }
 
-// advertiseSlots sets the staged count and span a warmup round advertises
-// to cover every unanswered request in the slot it already holds: one past
-// the highest busy slot, and the largest encoded span among them.
+// advertiseSlots sets the staged count a warmup round advertises to cover
+// every unanswered request in the slot it already holds: one past the
+// highest busy slot.
 func (c *Conn) advertiseSlots() {
-	c.stagedCount, c.stagedSpan = 0, 0
+	c.stagedCount = 0
 	for i := range c.slots {
 		if c.slots[i].busy {
 			c.stagedCount = i + 1
-			c.stagedSpan = max(c.stagedSpan, c.slots[i].msgLen+rpcwire.TrailerSize)
 		}
 	}
 }

@@ -416,12 +416,9 @@ func (s *Server) fetchGroup(t *host.Thread, g int, warm bool) {
 		if zone < 0 {
 			continue
 		}
-		t.ReadMem(s.EndpointEntryAddr(cid), endpointEntrySize)
-		count32, round, span32 := s.readEndpointEntry(cid)
-		count := int(count32)
-		if count > s.Cfg.BlocksPerClient {
-			count = s.Cfg.BlocksPerClient
-		}
+		t.ReadMem(s.EndpointEntryAddr(cid), entrySize(s.Cfg.BlocksPerClient))
+		count32, round, spans := s.readEndpointEntry(cid)
+		count := min(int(count32), s.Cfg.BlocksPerClient)
 		if round != cs.lastRound {
 			cs.lastRound = round
 			cs.fetchedUpTo = 0
@@ -431,19 +428,17 @@ func (s *Server) fetchGroup(t *host.Thread, g int, warm bool) {
 		if count <= cs.fetchedUpTo {
 			continue
 		}
-		span := int(span32)
-		if span <= 0 || span > rpcwire.BlockSize {
-			span = rpcwire.BlockSize
-		}
-		if s.trace.Enabled {
-			s.trace.Emit(t.P.Now(), "warmup_fetch",
-				telemetry.A("client", int64(cid)), telemetry.A("blocks", int64(count-cs.fetchedUpTo)))
-		}
-		// One READ per block, of its right-aligned tail only, at every size;
-		// the client's READs go out as one chain behind one doorbell.
-		off := rpcwire.BlockSize - span
+		// One READ per staged block, of the right-aligned tail its entry
+		// span names, at every size; a block of span 0 holds no unanswered
+		// request and is skipped. The client's READs go out as one chain
+		// behind one doorbell.
 		wrs := s.fetchWRs[:0]
 		for b := cs.fetchedUpTo; b < count; b++ {
+			span := min(int(binary.LittleEndian.Uint16(spans[2*b:])), rpcwire.BlockSize)
+			if span == 0 {
+				continue
+			}
+			off := rpcwire.BlockSize - span
 			wrs = append(wrs, nic.SendWR{
 				Op:    nic.OpRead,
 				LKey:  pool.Region.LKey,
@@ -454,11 +449,22 @@ func (s *Server) fetchGroup(t *host.Thread, g int, warm bool) {
 			})
 		}
 		s.fetchWRs = wrs
-		posted, err := t.PostSendBatch(cs.QP, wrs)
+		var posted int
+		var err error
+		if len(wrs) > 0 {
+			posted, err = t.PostSendBatch(cs.QP, wrs)
+		}
+		// A chain stops at its first bad WR: only its posted prefix counts.
+		for _, wr := range wrs[:posted] {
+			s.Stats.WarmupBytes += uint64(wr.Len)
+		}
 		s.Stats.WarmupReads += uint64(posted)
-		s.Stats.WarmupBytes += uint64(posted * span)
 		if warm {
 			s.warmFetched += uint64(posted)
+		}
+		if s.trace.Enabled && len(wrs) > 0 {
+			s.trace.Emit(t.P.Now(), "warmup_fetch",
+				telemetry.A("client", int64(cid)), telemetry.A("blocks", int64(posted)))
 		}
 		if err == nil {
 			cs.fetchedUpTo = count

@@ -15,12 +15,26 @@ import (
 	"scalerpc/internal/telemetry"
 )
 
-// endpointEntrySize is the per-client endpoint entry: staged-request
-// count, warmup round number, and the largest encoded span staged —
-// RDMA-written by clients (§3.3, Figure 6). The span lets the scheduler
-// fetch only the right-aligned tail of each staged block instead of whole
-// blocks, keeping warmup traffic proportional to message size.
-const endpointEntrySize = 12
+// The endpoint entry is what a client in WARMUP RDMA-writes to the server
+// (§3.3, Figure 6 step 2): its staged-request count and warmup round, then
+// one uint16 per block holding that block's exact encoded span, 0 for a
+// block whose request is answered or withdrawn. The scheduler READs the
+// right-aligned tail of each non-zero span below the count (fetchGroup), so
+// warmup traffic stays proportional to each message's size and answered
+// holes are never fetched. Entries sit on a cache-line stride: at the
+// default 16 blocks one client's entry is one line of the scheduler's
+// per-tick read.
+const (
+	entryHeader = 8 // count, round
+	entryLine   = 64
+)
+
+// entrySize is the endpoint entry of a client with blocks request blocks:
+// 136 bytes at rpccore.ScratchRing blocks, under the NIC's inline limit.
+func entrySize(blocks int) int { return entryHeader + 2*blocks }
+
+// entryStride is entrySize rounded up to whole cache lines.
+func entryStride(blocks int) int { return (entrySize(blocks) + entryLine - 1) / entryLine * entryLine }
 
 // poolBit marks which physical pool a zone assignment refers to, packed
 // into the response header's ClientID field alongside the zone index.
@@ -217,7 +231,7 @@ func NewServer(h *host.Host, cfg ServerConfig) *Server {
 	s := &Server{
 		Cfg:       cfg,
 		Host:      h,
-		endpoint:  h.Mem.Register(endpointEntrySize*cfg.MaxClients, memory.PageSize2M, memory.LocalWrite|memory.RemoteWrite),
+		endpoint:  h.Mem.Register(entryStride(cfg.BlocksPerClient)*cfg.MaxClients, memory.PageSize2M, memory.LocalWrite|memory.RemoteWrite),
 		legacyQ:   sim.NewQueue[legacyJob](h.Env),
 		zoneOwner: make([]int, zones),
 		warmOwner: make([]int, zones),
@@ -588,16 +602,17 @@ func (s *Server) respond(t *host.Thread, out *rpccore.Outbox, cs *clientState, s
 	out.Write(t, rpcwire.HeaderSize+bodyLen, flags, cs.resp, slot)
 }
 
-// readEndpointEntry decodes client cid's endpoint entry from server memory.
-func (s *Server) readEndpointEntry(cid uint16) (count, round, span uint32) {
-	b := s.endpoint.Bytes()[int(cid)*endpointEntrySize:]
-	return binary.LittleEndian.Uint32(b), binary.LittleEndian.Uint32(b[4:]), binary.LittleEndian.Uint32(b[8:])
+// readEndpointEntry decodes client cid's endpoint entry from server memory:
+// spans holds one little-endian uint16 per block.
+func (s *Server) readEndpointEntry(cid uint16) (count, round uint32, spans []byte) {
+	b := s.endpoint.Bytes()[int(cid)*entryStride(s.Cfg.BlocksPerClient):][:entrySize(s.Cfg.BlocksPerClient)]
+	return binary.LittleEndian.Uint32(b), binary.LittleEndian.Uint32(b[4:]), b[entryHeader:]
 }
 
-// EndpointEntryAddr returns the address a client RDMA-writes its warmup
-// tuple to.
+// EndpointEntryAddr returns the address a client RDMA-writes its endpoint
+// entry to.
 func (s *Server) EndpointEntryAddr(cid uint16) uint64 {
-	return s.endpoint.Base + uint64(cid)*endpointEntrySize
+	return s.endpoint.Base + uint64(cid)*uint64(entryStride(s.Cfg.BlocksPerClient))
 }
 
 // EndpointRKey returns the endpoint table's rkey.
