@@ -147,7 +147,7 @@ func (s *Server) Connect(ch *host.Host, sig *sim.Signal) *Conn {
 
 // TrySend UC-writes a request into the client's static server zone.
 func (c *Conn) TrySend(t *host.Thread, handler uint8, payload []byte, reqID uint64) bool {
-	return c.req.Send(t, &c.Window, c.pool, handler, payload, reqID)
+	return c.req.Send(t, &c.Window, c.pool, int(c.req.ID), handler, payload, reqID)
 }
 
 // Poll drains the UD response CQ, reposting consumed receives.

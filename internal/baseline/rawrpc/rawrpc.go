@@ -167,7 +167,7 @@ func (s *Server) Connect(ch *host.Host, sig *sim.Signal) *Conn {
 
 // TrySend posts one request into a free slot of the client's server zone.
 func (c *Conn) TrySend(t *host.Thread, handler uint8, payload []byte, reqID uint64) bool {
-	return !c.Left() && c.req.Send(t, &c.Window, c.s.Req.Pool, handler, payload, reqID)
+	return !c.Left() && c.req.Send(t, &c.Window, c.s.Req.Pool, int(c.req.ID), handler, payload, reqID)
 }
 
 // Poll scans this connection's in-flight response slots.

@@ -141,7 +141,7 @@ func (s *Server) Connect(ch *host.Host, sig *sim.Signal) *Conn {
 
 // TrySend posts one WRITE_IMM request.
 func (c *Conn) TrySend(t *host.Thread, handler uint8, payload []byte, reqID uint64) bool {
-	return c.req.Send(t, &c.Window, c.pool, handler, payload, reqID)
+	return c.req.Send(t, &c.Window, c.pool, int(c.req.ID), handler, payload, reqID)
 }
 
 // Poll scans in-flight response slots (clients still poll memory; only the

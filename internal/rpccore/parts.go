@@ -102,8 +102,9 @@ func NewReqWriter(ch *host.Host, window int, op nic.Op) ReqWriter {
 }
 
 // Send frames one request in the staging block of win's first free slot
-// and posts it into that block of the client's own zone of pool.
-func (rw *ReqWriter) Send(t *host.Thread, win *Window, pool *rpcwire.Pool, handler uint8, payload []byte, reqID uint64) bool {
+// and posts it into that block of zone of pool: the baselines' own zone
+// (their client id), ScaleRPC's zone of its processing pool.
+func (rw *ReqWriter) Send(t *host.Thread, win *Window, pool *rpcwire.Pool, zone int, handler uint8, payload []byte, reqID uint64) bool {
 	b := win.FreeSlot()
 	if b < 0 || rpcwire.HeaderSize+len(payload) > rpcwire.MaxPayload(rpcwire.BlockSize) {
 		return false
@@ -112,7 +113,7 @@ func (rw *ReqWriter) Send(t *host.Thread, win *Window, pool *rpcwire.Pool, handl
 	// settles the region in one core charge.
 	t.BeginWork()
 	msgLen, _ := rw.Stage(t, b, handler, payload, reqID) // fits: checked above
-	posted := rw.Post(t, pool, int(rw.ID), b, msgLen)
+	posted := rw.Post(t, pool, zone, b, msgLen)
 	t.EndWork()
 	if !posted {
 		return false
@@ -298,10 +299,14 @@ func (r *RespPool) Poll(t *host.Thread, win *Window, fn func(Response)) int {
 		t.ReadMem(r.BlockAddr(0, b), len(msg)+rpcwire.TrailerSize)
 		hdr, body, herr := rpcwire.ParseHeader(msg)
 		r.Release(t, b)
-		if herr != nil || hdr.ReqID != win.Slots[b].ReqID {
+		if herr != nil {
+			continue
+		}
+		if hdr.ReqID != win.Slots[b].ReqID {
 			// A stale response from a previous occupant of this slot (a
 			// zone reused across rejoin, or a late duplicate): the slot's
 			// own response is still outstanding, so keep it busy.
+			r.rel.StaleResponses++
 			continue
 		}
 		win.Release(b)

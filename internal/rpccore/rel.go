@@ -7,8 +7,9 @@ package rpccore
 import "scalerpc/internal/telemetry"
 
 // RelStats counts end-to-end reliability events: client-side retries,
-// hedges and deadline expiries, server-side dedup hits, and frames
-// discarded by the wire CRC on either side.
+// hedges and deadline expiries, server-side dedup hits, frames discarded
+// by the wire CRC on either side, and responses that reached a slot its
+// request no longer holds.
 type RelStats struct {
 	// Retries counts requests re-sent by the Caller after a timeout.
 	Retries uint64
@@ -27,6 +28,10 @@ type RelStats struct {
 	// LateDrops counts responses that arrived for a call the Caller had
 	// already failed or completed (a retry racing its original).
 	LateDrops uint64
+	// StaleResponses counts responses a client found in a busy slot's
+	// response block carrying another request's id (a previous occupant's
+	// late or duplicate answer): discarded, the slot kept busy.
+	StaleResponses uint64
 }
 
 const relAuxKey = "rpccore.rel"
@@ -47,6 +52,7 @@ func SharedRel(reg *telemetry.Registry) *RelStats {
 		rpc.CounterVar("dedup_hits", &rs.DedupHits)
 		rpc.CounterVar("deadline_exceeded", &rs.DeadlineExceeded)
 		rpc.CounterVar("late_drops", &rs.LateDrops)
+		rpc.CounterVar("stale_responses", &rs.StaleResponses)
 		reg.Scope("wire").CounterVar("crc_drops", &rs.CRCDrops)
 		return rs
 	}).(*RelStats)

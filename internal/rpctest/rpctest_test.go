@@ -260,3 +260,90 @@ func TestPayloadSizesAllTransports(t *testing.T) {
 		})
 	}
 }
+
+// TestWindowAccountingAllTransports: a window filled to SlotCount refuses
+// the next send; Resend and Cancel of an id not in flight are refused
+// wherever the transport implements them; and once every call is answered
+// nothing is outstanding. ScaleRPC warms up with one call first, so it
+// fills its window with direct pool WRITEs in PROCESS.
+func TestWindowAccountingAllTransports(t *testing.T) {
+	for _, tr := range transports() {
+		tr := tr
+		t.Run(tr.name, func(t *testing.T) {
+			c := cluster.New(cluster.Default(2))
+			defer c.Close()
+			connect := tr.build(c, 2, registerEcho)
+			sig := sim.NewSignal(c.Env)
+			conn := connect(c.Hosts[1], sig)
+			fail, finished := "", false
+			c.Hosts[1].Spawn("cli", func(th *host.Thread) {
+				defer func() { finished = true }()
+				answered := 0
+				collect := func(rpccore.Response) { answered++ }
+				// awaitAnswers polls until want calls are answered, then
+				// reports whether the window reads empty.
+				awaitAnswers := func(want int) bool {
+					for answered < want && th.P.Now() < 5*sim.Millisecond {
+						if conn.Poll(th, collect) == 0 {
+							sig.WaitTimeout(th.P, 10*sim.Microsecond)
+						}
+					}
+					if answered != want || conn.Outstanding() != 0 {
+						fail = fmt.Sprintf("%d of %d calls answered, %d outstanding; want all, 0", answered, want, conn.Outstanding())
+						return false
+					}
+					return true
+				}
+				// refusesUnknown checks that Resend and Cancel refuse id.
+				refusesUnknown := func(id uint64) bool {
+					if rs, ok := conn.(rpccore.Resender); ok && rs.Resend(th, id) {
+						fail = fmt.Sprintf("resend of id %d accepted", id)
+						return false
+					}
+					if cn, ok := conn.(rpccore.Canceler); ok && cn.Cancel(th, id) {
+						fail = fmt.Sprintf("cancel of id %d accepted", id)
+						return false
+					}
+					return true
+				}
+
+				if !conn.TrySend(th, 1, []byte("warm"), 0) {
+					fail = "warm-up send refused"
+					return
+				}
+				if !awaitAnswers(1) {
+					return
+				}
+				if sc, ok := conn.(*scalerpc.Conn); ok && sc.State() != scalerpc.StateProcess {
+					fail = fmt.Sprintf("after the warm-up call: %v, want PROCESS", sc.State())
+					return
+				}
+				n := conn.SlotCount()
+				for id := 1; id <= n; id++ {
+					if !conn.TrySend(th, 1, []byte("fill"), uint64(id)) {
+						fail = fmt.Sprintf("send %d of a %d-slot window refused", id, n)
+						return
+					}
+				}
+				if conn.TrySend(th, 1, []byte("over"), uint64(n+1)) {
+					fail = fmt.Sprintf("send %d into a full %d-slot window accepted", n+1, n)
+					return
+				}
+				if !refusesUnknown(uint64(n+1)) || !refusesUnknown(0) {
+					return
+				}
+				if conn.Outstanding() != n {
+					fail = fmt.Sprintf("%d outstanding in a full %d-slot window", conn.Outstanding(), n)
+					return
+				}
+				if awaitAnswers(n + 1) {
+					refusesUnknown(1)
+				}
+			})
+			runUntil(c, 10*sim.Millisecond, func() bool { return finished })
+			if fail != "" || !finished {
+				t.Fatalf("finished=%v %s", finished, fail)
+			}
+		})
+	}
+}

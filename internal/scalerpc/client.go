@@ -35,16 +35,6 @@ func (s ClientState) String() string {
 	return "?"
 }
 
-// connSlot is one request window slot. A busy slot's encoded request sits
-// in the staging block of the same index until its response arrives, so it
-// can be re-offered or re-sent in place.
-type connSlot struct {
-	busy      bool
-	reqID     uint64
-	msgLen    int  // encoded message length
-	reoffered bool // a context switch re-offered it unanswered
-}
-
 // Conn is a ScaleRPC RPCClient endpoint. It is driven by a single client
 // thread; Poll advances the state machine.
 type Conn struct {
@@ -64,10 +54,9 @@ type Conn struct {
 	// delivered (rpccore.ReadSlot).
 	respBuf []byte
 
-	state       ClientState
-	zone        int
-	poolIdx     int
-	stagedCount int
+	state   ClientState
+	zone    int
+	poolIdx int
 	// roundHigh is the highest count flushed this round: the server may have
 	// fetched every block below it, so a request staged below it needs a new
 	// round.
@@ -75,8 +64,13 @@ type Conn struct {
 	round      uint32
 	entryDirty bool
 
-	slots       []connSlot
-	outstanding int
+	// win is the request window: a busy slot's encoded request sits in the
+	// staging block of the same index until its response arrives, so it can
+	// be re-offered or re-sent in place. reoffered marks the busy slots a
+	// context switch re-offered unanswered (the window is at most
+	// rpccore.ScratchRing slots).
+	win       rpccore.Window
+	reoffered uint64
 
 	// pinned marks a latency-sensitive connection: always PROCESS, always
 	// pool 0, never context-switched.
@@ -123,7 +117,7 @@ func (s *Server) newConn(ch *host.Host, sig *sim.Signal) *Conn {
 		req:          rpccore.NewReqWriter(ch, s.Cfg.BlocksPerClient, nic.OpWrite),
 		resp:         rpccore.NewRespPool(ch, sig, s.Cfg.BlocksPerClient, s.rel),
 		entryScratch: ch.Mem.Register(entrySize(s.Cfg.BlocksPerClient), memory.PageSize4K, memory.LocalWrite),
-		slots:        make([]connSlot, s.Cfg.BlocksPerClient),
+		win:          rpccore.NewWindow(s.Cfg.BlocksPerClient),
 		zone:         -1,
 		poolIdx:      -1,
 		trace:        s.trace,
@@ -168,10 +162,10 @@ func (c *Conn) Zone() int {
 }
 
 // SlotCount returns the request window size.
-func (c *Conn) SlotCount() int { return len(c.slots) }
+func (c *Conn) SlotCount() int { return c.win.SlotCount() }
 
 // Outstanding returns the number of in-flight requests.
-func (c *Conn) Outstanding() int { return c.outstanding }
+func (c *Conn) Outstanding() int { return c.win.Outstanding() }
 
 // TrySend posts one request. In IDLE it opens a new warmup round; in WARMUP
 // it stages locally (step 1 of Figure 6) for the server to fetch; in
@@ -192,7 +186,7 @@ func (c *Conn) TrySend(t *host.Thread, handler uint8, payload []byte, reqID uint
 	case StateWarmup:
 		return c.stageRequest(t, handler, payload, reqID)
 	case StateProcess:
-		return c.directSend(t, handler, payload, reqID)
+		return c.req.Send(t, &c.win, c.s.pools[c.poolIdx].Pool, c.zone, handler, payload, reqID)
 	}
 	return false
 }
@@ -200,17 +194,29 @@ func (c *Conn) TrySend(t *host.Thread, handler uint8, payload []byte, reqID uint
 // beginWarmup opens a new warmup round (IDLE → WARMUP).
 func (c *Conn) beginWarmup() {
 	c.round++
-	c.stagedCount, c.roundHigh = 0, 0
+	c.roundHigh = 0
 	c.state = StateWarmup
 	c.entryDirty = true
 	c.traceState(StateWarmup)
 }
 
-// stageRequest encodes the request into the next contiguous staging block.
+// staged is the count a warmup round advertises: one past the highest busy
+// slot, so it covers every unanswered request in the slot it holds.
+func (c *Conn) staged() int {
+	for b := c.win.SlotCount(); b > 0; b-- {
+		if c.win.Slots[b-1].Busy {
+			return b
+		}
+	}
+	return 0
+}
+
+// stageRequest encodes the request into the staging block just past the
+// highest busy slot, so a round's requests stay contiguous from block 0.
 func (c *Conn) stageRequest(t *host.Thread, handler uint8, payload []byte, reqID uint64) bool {
-	b := c.stagedCount
-	if b >= len(c.slots) || c.slots[b].busy {
-		return false // the window is full, or b awaits its turn unanswered
+	b := c.staged()
+	if b >= c.win.SlotCount() {
+		return false // the window is full, or its top slot awaits its turn
 	}
 	msgLen, ok := c.req.Stage(t, b, handler, payload, reqID)
 	if !ok {
@@ -220,57 +226,33 @@ func (c *Conn) stageRequest(t *host.Thread, handler uint8, payload []byte, reqID
 		c.round++ // the server may have fetched block b this round
 		c.roundHigh = 0
 	}
-	c.slots[b] = connSlot{busy: true, reqID: reqID, msgLen: msgLen}
-	c.stagedCount++
-	c.outstanding++
+	c.win.Take(b, reqID, msgLen)
 	c.entryDirty = true
-	return true
-}
-
-// directSend writes the request straight into the client's zone of the
-// processing pool (PROCESS state).
-func (c *Conn) directSend(t *host.Thread, handler uint8, payload []byte, reqID uint64) bool {
-	b := -1
-	for i := range c.slots {
-		if !c.slots[i].busy {
-			b = i
-			break
-		}
-	}
-	if b < 0 {
-		return false
-	}
-	msgLen, ok := c.req.Stage(t, b, handler, payload, reqID)
-	if !ok || !c.req.Post(t, c.s.pools[c.poolIdx].Pool, c.zone, b, msgLen) {
-		return false
-	}
-	c.slots[b] = connSlot{busy: true, reqID: reqID, msgLen: msgLen}
-	c.outstanding++
 	return true
 }
 
 // flushEndpointEntry RDMA-writes the endpoint entry to the server (Figure 6
 // step 2): the staged count and round, then every block's exact encoded
-// span, 0 for a slot answered or withdrawn. In WARMUP every busy slot lies
-// below the staged count. Inline: 8 bytes plus 2 per block, 40 at the
-// default 16 blocks.
+// span, 0 for a slot answered or withdrawn. Inline: 8 bytes plus 2 per
+// block, 40 at the default 16 blocks.
 func (c *Conn) flushEndpointEntry(t *host.Thread) {
 	if !c.entryDirty || c.state != StateWarmup {
 		return
 	}
 	c.entryDirty = false
-	c.roundHigh = max(c.roundHigh, c.stagedCount)
+	staged := c.staged()
+	c.roundHigh = max(c.roundHigh, staged)
 	b := c.entryScratch.Bytes()
-	binary.LittleEndian.PutUint32(b, uint32(c.stagedCount))
+	binary.LittleEndian.PutUint32(b, uint32(staged))
 	binary.LittleEndian.PutUint32(b[4:], c.round)
-	for i, sl := range c.slots {
+	for i, sl := range c.win.Slots {
 		span := 0
-		if sl.busy {
-			span = sl.msgLen + rpcwire.TrailerSize
+		if sl.Busy {
+			span = sl.MsgLen + rpcwire.TrailerSize
 		}
 		binary.LittleEndian.PutUint16(b[entryHeader+2*i:], uint16(span))
 	}
-	n := entrySize(len(c.slots))
+	n := entrySize(c.win.SlotCount())
 	t.WriteMem(c.entryScratch.Base, n)
 	wr := nic.SendWR{
 		Op:     nic.OpWrite,
@@ -317,8 +299,8 @@ func (c *Conn) Poll(t *host.Thread, fn func(rpccore.Response)) int {
 		c.resp.Release(t, ctrl)
 	}
 
-	for b := range c.slots {
-		if !c.slots[b].busy {
+	for b := range c.win.Slots {
+		if !c.win.Slots[b].Busy {
 			continue
 		}
 		// A corrupted response reads as absent: the deadline/retry layer
@@ -344,8 +326,9 @@ func (c *Conn) Poll(t *host.Thread, fn func(rpccore.Response)) int {
 		if flags&rpcwire.FlagContextSwitch != 0 && (hdr.ClientID&^poolBit != zoneNone || c.state == StateProcess) {
 			switched = true
 		}
-		if hdr.ReqID != c.slots[b].reqID {
-			continue // for the slot's previous occupant
+		if hdr.ReqID != c.win.Slots[b].ReqID {
+			c.s.rel.StaleResponses++ // for the slot's previous occupant
+			continue
 		}
 		// Invalidate the staged copy as well. Round bumps (retry resends,
 		// switch restages) make the server re-fetch every block the entry
@@ -354,11 +337,10 @@ func (c *Conn) Poll(t *host.Thread, fn func(rpccore.Response)) int {
 		// re-offered and — once the server's bounded dedup window rotates
 		// past it — re-executed.
 		c.clearStaged(t, b)
-		if c.slots[b].reoffered && flags&rpcwire.FlagContextSwitch != 0 {
+		if c.reoffered&(1<<b) != 0 && flags&rpcwire.FlagContextSwitch != 0 {
 			c.LateCompletions++
 		}
-		c.slots[b] = connSlot{}
-		c.outstanding--
+		c.release(b)
 		got++
 		// Zone/pool assignment rides on responses (WARMUP → PROCESS);
 		// late-swept responses carry no assignment.
@@ -375,7 +357,6 @@ func (c *Conn) Poll(t *host.Thread, fn func(rpccore.Response)) int {
 		}
 		if c.state == StateWarmup {
 			// Still waiting to be fetched: stop advertising what is answered.
-			c.advertiseSlots()
 			c.entryDirty = true
 		}
 		fn(rpccore.Response{ReqID: hdr.ReqID, Payload: body, Err: flags&rpcwire.FlagError != 0})
@@ -394,15 +375,14 @@ func (c *Conn) Poll(t *host.Thread, fn func(rpccore.Response)) int {
 // the slot it was sent for.
 func (c *Conn) onContextSwitch(t *host.Thread) {
 	c.idle()
-	for b := range c.slots {
-		if c.slots[b].busy {
-			c.slots[b].reoffered = true
+	for b := range c.win.Slots {
+		if c.win.Slots[b].Busy {
+			c.reoffered |= 1 << b
 			c.Retries++
 		}
 	}
-	if c.outstanding > 0 {
+	if c.win.Outstanding() > 0 {
 		c.beginWarmup()
-		c.advertiseSlots()
 		c.flushEndpointEntry(t)
 	}
 }
@@ -457,7 +437,7 @@ func (c *Conn) Resend(t *host.Thread, reqID uint64) bool {
 	if c.Left() || c.req.QP.Err() != nil {
 		return false
 	}
-	b := c.slotOf(reqID)
+	b := c.win.Find(reqID)
 	if b < 0 {
 		return false
 	}
@@ -466,7 +446,6 @@ func (c *Conn) Resend(t *host.Thread, reqID uint64) bool {
 		// round so the server's warmup fetch re-reads the staging area.
 		if c.state == StateIdle {
 			c.beginWarmup()
-			c.advertiseSlots()
 		} else {
 			c.round++
 			c.entryDirty = true
@@ -474,7 +453,7 @@ func (c *Conn) Resend(t *host.Thread, reqID uint64) bool {
 		c.flushEndpointEntry(t)
 		return true
 	}
-	return c.req.Post(t, c.s.pools[c.poolIdx].Pool, c.zone, b, c.slots[b].msgLen)
+	return c.req.Post(t, c.s.pools[c.poolIdx].Pool, c.zone, b, c.win.Slots[b].MsgLen)
 }
 
 // Cancel withdraws the in-flight request identified by reqID (the
@@ -486,15 +465,20 @@ func (c *Conn) Resend(t *host.Thread, reqID uint64) bool {
 // may still run once; cancellation only guarantees the request stops
 // being offered from here on.
 func (c *Conn) Cancel(t *host.Thread, reqID uint64) bool {
-	b := c.slotOf(reqID)
+	b := c.win.Find(reqID)
 	if b < 0 {
 		return false
 	}
 	c.clearStaged(t, b)
-	c.slots[b] = connSlot{}
-	c.outstanding--
+	c.release(b)
 	c.entryDirty = true
 	return true
+}
+
+// release frees slot b.
+func (c *Conn) release(b int) {
+	c.win.Release(b)
+	c.reoffered &^= 1 << b
 }
 
 // clearStaged invalidates the frame staged in block b, so no later warmup
@@ -503,28 +487,6 @@ func (c *Conn) clearStaged(t *host.Thread, b int) {
 	stageOff := b * rpcwire.BlockSize
 	rpcwire.Clear(c.req.Region.Bytes()[stageOff : stageOff+rpcwire.BlockSize])
 	t.WriteMem(c.req.Region.Base+uint64(stageOff+rpcwire.ValidOffset(rpcwire.BlockSize)), 1)
-}
-
-// slotOf returns the slot of the in-flight request reqID, or -1.
-func (c *Conn) slotOf(reqID uint64) int {
-	for i := range c.slots {
-		if c.slots[i].busy && c.slots[i].reqID == reqID {
-			return i
-		}
-	}
-	return -1
-}
-
-// advertiseSlots sets the staged count a warmup round advertises to cover
-// every unanswered request in the slot it already holds: one past the
-// highest busy slot.
-func (c *Conn) advertiseSlots() {
-	c.stagedCount = 0
-	for i := range c.slots {
-		if c.slots[i].busy {
-			c.stagedCount = i + 1
-		}
-	}
 }
 
 var _ rpccore.Conn = (*Conn)(nil)

@@ -158,9 +158,8 @@ func TestRestagedRoundSkipsAnsweredHole(t *testing.T) {
 }
 
 // TestAnsweredRoundPostsNoRead: once the last busy slot of the restaged
-// round is withdrawn too (a caller's deadline), the entry still advertises
-// two blocks but names no span, and the fetch posts nothing and rings no
-// doorbell.
+// round is withdrawn too (a caller's deadline), the entry advertises no
+// block, and the fetch posts nothing and rings no doorbell.
 func TestAnsweredRoundPostsNoRead(t *testing.T) {
 	r := newFetchRig()
 	defer r.c.Close()
@@ -174,7 +173,28 @@ func TestAnsweredRoundPostsNoRead(t *testing.T) {
 	if reads, moved, doorbells := r.fetch(); reads != 0 || moved != 0 || doorbells != 0 {
 		t.Fatalf("%d READs moved %d bytes behind %d doorbells, want none", reads, moved, doorbells)
 	}
-	if r.cs.advertised != 2 {
-		t.Fatalf("advertised %d, want 2: the test no longer covers a round of holes", r.cs.advertised)
+	if r.cs.advertised != 0 {
+		t.Fatalf("advertised %d, want 0: nothing is left unanswered", r.cs.advertised)
+	}
+}
+
+// TestCancelLowersAdvertisedCount: withdrawing the top busy slot of a
+// warm-up round lowers the count the next endpoint entry advertises, so the
+// server's scan edge does not stay above a block nothing will fill.
+func TestCancelLowersAdvertisedCount(t *testing.T) {
+	r := newFetchRig()
+	defer r.c.Close()
+	r.stage(t, 16, 16, 16)
+	r.client(func(th *host.Thread) {
+		if !r.conn.Cancel(th, 3) {
+			t.Error("cancel refused")
+		}
+	})
+	r.poll()
+	if count, _, _ := r.s.readEndpointEntry(r.conn.ID()); count != 2 {
+		t.Fatalf("the entry advertises %d blocks, want 2", count)
+	}
+	if reads, _, _ := r.fetch(); reads != 2 || r.cs.advertised != 2 {
+		t.Fatalf("%d READs, advertised %d; want 2 and 2", reads, r.cs.advertised)
 	}
 }

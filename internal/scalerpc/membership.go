@@ -249,11 +249,11 @@ func (c *Conn) adoptDial(cp *ctrlplane.Conn) error {
 // message offset 9 (after ReqID u64 and Handler u8). The rewrite changes
 // CRC-covered bytes, so the frame is resealed and the CRC word flushed too.
 func (c *Conn) restampID(t *host.Thread) {
-	for b := range c.slots {
-		if !c.slots[b].busy {
+	for b := range c.win.Slots {
+		if !c.win.Slots[b].Busy {
 			continue
 		}
-		off, _ := rpcwire.EncodedSpan(rpcwire.BlockSize, c.slots[b].msgLen)
+		off, _ := rpcwire.EncodedSpan(rpcwire.BlockSize, c.win.Slots[b].MsgLen)
 		at := b*rpcwire.BlockSize + off + 9
 		binary.LittleEndian.PutUint16(c.req.Region.Bytes()[at:], c.req.ID)
 		t.WriteMem(c.req.Region.Base+uint64(at), 2)

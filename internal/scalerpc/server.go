@@ -416,15 +416,15 @@ func (w *worker) sweep(t *host.Thread) int {
 // end = max(advertised, seen) it probes every block; at or past end it goes
 // on while blocks are valid and stops at the first empty one. That is sound
 // because a client fills its zone from the bottom and its writes land in
-// order. stageRequest stages contiguous blocks from 0, and advertiseSlots
-// advertises one past the highest busy slot at every restage, so every
-// fetched block lies below a count the scheduler reads before it posts the
-// READ (a completion that lowers the count later leaves above it only
-// frames already answered). directSend takes the lowest free slot, so when it writes block b
-// every slot below b is busy: each of those requests was fetched (below
-// advertised), or was written directly before b — and one client's RC
-// WRITEs land in post order, so it has landed too, and is still valid or
-// was consumed (below seen). A request that has landed past end thus sits
+// order. stageRequest stages contiguous blocks from 0, and every endpoint
+// entry advertises one past the highest busy slot, so every fetched block
+// lies below a count the scheduler reads before it posts the READ (a
+// completion or Cancel that lowers the count later leaves above it only
+// frames already answered or withdrawn). A PROCESS send takes the lowest
+// free slot, so when it writes block b every slot below b is busy: each of
+// those requests was fetched (below advertised), or was written directly
+// before b — and one client's RC WRITEs land in post order, so it has
+// landed too, and is still valid or was consumed (below seen). A request that has landed past end thus sits
 // only behind other requests that have also landed. A CRC-dropped frame had
 // its Valid byte set and counts as seen, so a request behind it is served
 // in the same scan. Bounding a zone by its own history (the blocks fetched
