@@ -41,7 +41,7 @@ func main() {
 	}
 	scalerpc.NewSyncGroup(servers)
 
-	sbCfg := smallbank.Config{Accounts: 5000, InitialBalance: 1000, HotFraction: 0.04, HotProbability: 0.6}
+	sbCfg := smallbank.Config{Accounts: 5000, InitialBalance: 1000}
 	if err := smallbank.Load(parts, sbCfg); err != nil {
 		panic(err)
 	}

@@ -20,23 +20,21 @@ import (
 	"scalerpc/internal/sim"
 )
 
-// blocksPerClient is each client's request window.
-const blocksPerClient = 16
+// Server sizing: the paper's DFS setup, which no deployment varies.
+const (
+	workers         = 10
+	blocksPerClient = 16
+	maxClients      = 512
+)
 
-// ServerConfig sizes a selfRPC server.
+// ServerConfig holds a selfRPC server's modelled cost.
 type ServerConfig struct {
-	Workers    int
-	MaxClients int
-	ParseCost  sim.Duration
+	ParseCost sim.Duration
 }
 
 // DefaultServerConfig mirrors the paper's DFS setup.
 func DefaultServerConfig() ServerConfig {
-	return ServerConfig{
-		Workers:    10,
-		MaxClients: 512,
-		ParseCost:  60,
-	}
+	return ServerConfig{ParseCost: 60}
 }
 
 // clientState is the server-side view of one client; its zone in the pool
@@ -63,8 +61,8 @@ type Server struct {
 // NewServer builds the pool and per-worker completion queues.
 func NewServer(h *host.Host, cfg ServerConfig) *Server {
 	s := &Server{Cfg: cfg, Host: h, Shell: baseline.NewShell(h, "selfrpc", blocksPerClient)}
-	s.Req = rpccore.NewReqPool(h, blocksPerClient, cfg.MaxClients, cfg.ParseCost, s.Rel)
-	for i := 0; i < cfg.Workers; i++ {
+	s.Req = rpccore.NewReqPool(h, blocksPerClient, maxClients, cfg.ParseCost, s.Rel)
+	for i := 0; i < workers; i++ {
 		cq := h.NIC.CreateCQ()
 		s.AddWorker().CQ = cq
 	}
@@ -116,7 +114,7 @@ type Conn struct {
 // Connect admits a client: an RC QP pair whose server side delivers
 // WRITE_IMM completions to one worker's CQ (round-robin assignment).
 func (s *Server) Connect(ch *host.Host, sig *sim.Signal) *Conn {
-	if len(s.clients) >= s.Cfg.MaxClients {
+	if len(s.clients) >= maxClients {
 		panic("selfrpc: server full")
 	}
 	id := uint16(len(s.clients))

@@ -76,17 +76,6 @@ const (
 	budget = 40 * sim.Millisecond
 )
 
-// Injected mirrors the fault plane's counters into the result artifact.
-type Injected struct {
-	Drops           uint64 `json:"drops"`
-	Corrupts        uint64 `json:"corrupts"`
-	PayloadCorrupts uint64 `json:"payload_corrupts"`
-	Dups            uint64 `json:"dups"`
-	LinkDownDrops   uint64 `json:"link_down_drops"`
-	Flaps           uint64 `json:"flaps"`
-	Crashes         uint64 `json:"crashes"`
-}
-
 // Result is one run's outcome: workload totals, reliability counters, the
 // generated schedule, and the list of invariant violations (empty on a
 // healthy run). Same Config ⇒ byte-identical JSON.
@@ -120,9 +109,9 @@ type Result struct {
 	LateDrops        uint64 `json:"late_drops"`
 	CRCDrops         uint64 `json:"crc_drops"`
 
-	Injected   Injected `json:"injected"`
-	Violations []string `json:"violations,omitempty"`
-	ElapsedNs  int64    `json:"elapsed_ns"`
+	Injected   faults.PlaneStats `json:"injected"`
+	Violations []string          `json:"violations,omitempty"`
+	ElapsedNs  int64             `json:"elapsed_ns"`
 }
 
 // Pass reports whether every invariant held.
@@ -294,13 +283,8 @@ func assemble(r *run, cfg Config, clients, calls int, scen *faults.Scenario, p *
 		Clients: clients, Calls: calls, Scenario: scen, Issued: uint64(clients * calls),
 		Retries: rel.Retries, Hedges: rel.Hedges, DedupHits: rel.DedupHits,
 		DeadlineExceeded: rel.DeadlineExceeded, LateDrops: rel.LateDrops,
-		CRCDrops: rel.CRCDrops,
-		Injected: Injected{
-			Drops: p.Stats.Drops, Corrupts: p.Stats.Corrupts,
-			PayloadCorrupts: p.Stats.PayloadCorrupts, Dups: p.Stats.Dups,
-			LinkDownDrops: p.Stats.LinkDownDrops, Flaps: p.Stats.Flaps,
-			Crashes: p.Stats.Crashes,
-		},
+		CRCDrops:  rel.CRCDrops,
+		Injected:  p.Stats,
 		ElapsedNs: int64(r.c.Env.Now()),
 	}
 	res.Executions = uint64(len(ex))

@@ -40,6 +40,14 @@ const (
 	slotBytes                  = 256     // per-message buffer size
 	sweepInterval sim.Duration = 25_000  // manager housekeeping period
 	leaseInterval sim.Duration = 100_000 // keepalive send period per peer
+
+	cacheCap                 = 256       // max parked connections per side
+	idleTimeout sim.Duration = 5_000_000 // parked connections older than this tear down
+
+	// admitQueueTimeout bounds how long a dial parked by a Gatekeeper's
+	// ErrAdmitQueue may wait for quota; entries still over quota after
+	// this age are rejected. Queued entries are re-examined every sweep.
+	admitQueueTimeout sim.Duration = 400_000
 )
 
 // Config holds the manager parameters.
@@ -47,16 +55,8 @@ type Config struct {
 	RecvDepth int          // bootstrap UD receive window
 	LeaseTTL  sim.Duration // silence after which a peer's conns expire
 
-	CacheCap    int          // max parked connections per side
-	IdleTimeout sim.Duration // parked connections older than this tear down
-
 	DialTimeout sim.Duration // per-attempt handshake reply timeout
 	DialRetries int          // resends before a dial fails
-
-	// AdmitQueueTimeout bounds how long a dial parked by a Gatekeeper's
-	// ErrAdmitQueue may wait for quota; entries still over quota after
-	// this age are rejected. Queued entries are re-examined every sweep.
-	AdmitQueueTimeout sim.Duration
 
 	// Adaptive replaces fixed-TTL lease expiry with the phi-accrual
 	// detector and its degradation ladder (see detector.go). LeaseTTL
@@ -68,13 +68,10 @@ type Config struct {
 // DefaultConfig returns the standard control-plane timing parameters.
 func DefaultConfig() Config {
 	return Config{
-		RecvDepth:         128,
-		LeaseTTL:          400_000,
-		CacheCap:          256,
-		IdleTimeout:       5_000_000,
-		DialTimeout:       200_000,
-		DialRetries:       3,
-		AdmitQueueTimeout: 400_000,
+		RecvDepth:   128,
+		LeaseTTL:    400_000,
+		DialTimeout: 200_000,
+		DialRetries: 3,
 	}
 }
 
@@ -135,7 +132,7 @@ type Service interface {
 // ErrAdmitQueue is the sentinel a Gatekeeper returns to park a dial in the
 // manager's admission queue instead of rejecting it outright: the request
 // is retried every sweep until the gate clears, then accepted, or until
-// AdmitQueueTimeout lapses, then rejected.
+// admitQueueTimeout lapses, then rejected.
 var ErrAdmitQueue = errors.New("ctrlplane: admission queued")
 
 // Gatekeeper is an optional extension a Service implements to screen dials
@@ -213,24 +210,24 @@ type dialWait struct {
 // Stats are the manager's telemetry counters (registered under
 // ctrlplane<host>.*).
 type Stats struct {
-	DialsCold     uint64
-	DialsCached   uint64
-	DialsFailed   uint64
-	Accepts       uint64
-	Resumes       uint64
-	Rejects       uint64
-	Leaves        uint64
-	LeaseExpiries uint64
-	Evictions     uint64 // QP-error evictions
-	CacheHits     uint64
-	CacheMisses   uint64
-	IdleTeardowns uint64
-	CapEvictions  uint64
-	KeepalivesTx  uint64
-	KeepalivesRx  uint64
-	AdmitQueued   uint64 // dials parked by a Gatekeeper
-	AdmitReleased uint64 // parked dials later admitted
-	AdmitTimeouts uint64 // parked dials rejected at AdmitQueueTimeout
+	DialsCold     uint64 `json:"dials_cold"`
+	DialsCached   uint64 `json:"dials_cached"`
+	DialsFailed   uint64 `json:"dials_failed"`
+	Accepts       uint64 `json:"accepts"`
+	Resumes       uint64 `json:"resumes"`
+	Rejects       uint64 `json:"rejects"`
+	Leaves        uint64 `json:"leaves"`
+	LeaseExpiries uint64 `json:"lease_expiries"`
+	Evictions     uint64 `json:"evictions"` // QP-error evictions
+	CacheHits     uint64 `json:"cache_hits"`
+	CacheMisses   uint64 `json:"cache_misses"`
+	IdleTeardowns uint64 `json:"idle_teardowns"`
+	CapEvictions  uint64 `json:"cap_evictions"`
+	KeepalivesTx  uint64 `json:"keepalives_tx"`
+	KeepalivesRx  uint64 `json:"keepalives_rx"`
+	AdmitQueued   uint64 `json:"admit_queued"`   // dials parked by a Gatekeeper
+	AdmitReleased uint64 `json:"admit_released"` // parked dials later admitted
+	AdmitTimeouts uint64 `json:"admit_timeouts"` // parked dials rejected at admitQueueTimeout
 
 	// Failure-detector counters (detector.*). Suspicions/Demotions count
 	// ladder escalations; DetectorEvictions counts peers the adaptive
@@ -239,13 +236,13 @@ type Stats struct {
 	// (counted in fixed-TTL mode too, so the two modes are comparable);
 	// Readmits counts quarantined peers admitted back; Probes and PingsRx
 	// count detector pings sent and received.
-	DetectorSuspicions uint64
-	DetectorDemotions  uint64
-	DetectorEvictions  uint64
-	FalseEvictions     uint64
-	DetectorReadmits   uint64
-	DetectorProbes     uint64
-	PingsRx            uint64
+	DetectorSuspicions uint64 `json:"detector_suspicions"`
+	DetectorDemotions  uint64 `json:"detector_demotions"`
+	DetectorEvictions  uint64 `json:"detector_evictions"`
+	FalseEvictions     uint64 `json:"false_evictions"`
+	DetectorReadmits   uint64 `json:"detector_readmits"`
+	DetectorProbes     uint64 `json:"detector_probes"`
+	PingsRx            uint64 `json:"pings_rx"`
 }
 
 // admitEntry is one dial parked in the admission queue (FIFO).
@@ -256,7 +253,7 @@ type admitEntry struct {
 }
 
 // errAdmitTimeout is the reject reason of a dial that outwaited
-// AdmitQueueTimeout in the admission queue.
+// admitQueueTimeout in the admission queue.
 var errAdmitTimeout = errors.New("admission queue timeout")
 
 const sendRing = 32
@@ -267,6 +264,10 @@ type Manager struct {
 	h   *host.Host
 	cfg Config
 	dir *Directory
+	// The connection-cache bounds: cacheCap and idleTimeout, except where
+	// a test shrinks them (export_test.go).
+	cacheCap    int
+	idleTimeout sim.Duration
 
 	udQP    *nic.QP
 	cq      *nic.CQ
@@ -326,23 +327,25 @@ type Manager struct {
 func NewManager(h *host.Host, cfg Config, dir *Directory) *Manager {
 	cq := h.NIC.CreateCQ()
 	m := &Manager{
-		h:         h,
-		cfg:       cfg,
-		dir:       dir,
-		udQP:      h.NIC.CreateQP(nic.UD, cq, cq),
-		cq:        cq,
-		recvReg:   h.Mem.Register(cfg.RecvDepth*slotBytes, memory.PageSize2M, memory.LocalWrite),
-		sendReg:   h.Mem.Register(sendRing*slotBytes, memory.PageSize2M, memory.LocalWrite),
-		services:  make(map[string]Service),
-		nextPSN:   uint64(h.ID)*1_000_000 + 1,
-		pending:   make(map[uint64]*dialWait),
-		conns:     make(map[uint32]*serverConn),
-		parked:    make(map[uint32]*serverConn),
-		dups:      make(map[dupKey]uint32),
-		admitKeys: make(map[dupKey]bool),
-		cliActive: make(map[uint32]*Conn),
-		leases:    make(map[int]sim.Time),
-		lastKA:    make(map[int]sim.Time),
+		h:           h,
+		cfg:         cfg,
+		dir:         dir,
+		cacheCap:    cacheCap,
+		idleTimeout: idleTimeout,
+		udQP:        h.NIC.CreateQP(nic.UD, cq, cq),
+		cq:          cq,
+		recvReg:     h.Mem.Register(cfg.RecvDepth*slotBytes, memory.PageSize2M, memory.LocalWrite),
+		sendReg:     h.Mem.Register(sendRing*slotBytes, memory.PageSize2M, memory.LocalWrite),
+		services:    make(map[string]Service),
+		nextPSN:     uint64(h.ID)*1_000_000 + 1,
+		pending:     make(map[uint64]*dialWait),
+		conns:       make(map[uint32]*serverConn),
+		parked:      make(map[uint32]*serverConn),
+		dups:        make(map[dupKey]uint32),
+		admitKeys:   make(map[dupKey]bool),
+		cliActive:   make(map[uint32]*Conn),
+		leases:      make(map[int]sim.Time),
+		lastKA:      make(map[int]sim.Time),
 	}
 	for i := 0; i < cfg.RecvDepth; i++ {
 		m.udQP.PostRecv(nic.RecvWR{
@@ -545,7 +548,7 @@ func (m *Manager) onDial(t *host.Thread, peer int, msg *wireMsg) {
 // admit is the one admission path of connects and resumes, fresh off the
 // wire or retried from the admission queue (retry, queued for age). The
 // service's Gatekeeper screens the dial first: ErrAdmitQueue parks a fresh
-// dial in the queue and keeps a retried one there until AdmitQueueTimeout,
+// dial in the queue and keeps a retried one there until admitQueueTimeout,
 // any other error rejects, and a clear gate activates the connection.
 // admit reports whether the dial is (still) queued.
 func (m *Manager) admit(t *host.Thread, peer int, msg *wireMsg, retry bool, age sim.Duration) bool {
@@ -563,7 +566,7 @@ func (m *Manager) admit(t *host.Thread, peer int, msg *wireMsg, retry bool, age 
 			m.event("admit_queue", peer, msg.qpn, 0)
 			return true
 		}
-		if age <= m.cfg.AdmitQueueTimeout {
+		if age <= admitQueueTimeout {
 			return true
 		}
 		m.Stats.AdmitTimeouts++
@@ -673,7 +676,7 @@ func (m *Manager) onDisconnect(sc *serverConn, graceful bool) {
 	}
 	m.Stats.Leaves++
 	m.retire(sc, CloseLeave, "leave")
-	for len(m.parked) > m.cfg.CacheCap {
+	for len(m.parked) > m.cacheCap {
 		var victim *serverConn
 		for _, p := range m.parked {
 			if victim == nil || evictsBefore(p.parkedAt, p.qp.QPN, victim.parkedAt, victim.qp.QPN) {
@@ -711,9 +714,9 @@ func evictsBefore(at sim.Time, qpn uint32, than sim.Time, thanQPN uint32) bool {
 }
 
 // idle reports whether a parked QP is due for teardown: older than
-// IdleTimeout, or broken.
+// the idle timeout, or broken.
 func (m *Manager) idle(parkedAt sim.Time, qp *nic.QP, now sim.Time) bool {
-	return now-parkedAt > m.cfg.IdleTimeout || qp.Err() != nil
+	return now-parkedAt > m.idleTimeout || qp.Err() != nil
 }
 
 // sweep is the periodic housekeeping pass: keepalives out, lease expiry,
@@ -1000,7 +1003,7 @@ func (c *Conn) Close(t *host.Thread) {
 	}
 	c.parkedAt = t.P.Now()
 	m.cliParked = slices.Insert(m.cliParked, m.runEnd(c.peer, c.service), c)
-	for len(m.cliParked) > m.cfg.CacheCap {
+	for len(m.cliParked) > m.cacheCap {
 		victim := 0
 		for i, p := range m.cliParked {
 			if v := m.cliParked[victim]; evictsBefore(p.parkedAt, p.QP.QPN, v.parkedAt, v.QP.QPN) {

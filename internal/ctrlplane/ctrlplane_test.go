@@ -203,10 +203,11 @@ func TestLeaseExpiryOnCrash(t *testing.T) {
 
 // TestIdleTeardownAndCapEviction exercises both cache-bounding mechanisms.
 func TestIdleTeardownAndCapEviction(t *testing.T) {
-	cfg := ctrlplane.DefaultConfig()
-	cfg.CacheCap = 2
-	cfg.IdleTimeout = 300_000
-	c, dir, svc := testPlane(t, 2, cfg)
+	const cacheCap, idleTimeout = 2, 300_000
+	c, dir, svc := testPlane(t, 2, ctrlplane.DefaultConfig())
+	for i := range c.Hosts {
+		dir.Manager(i).SetCacheBounds(cacheCap, idleTimeout)
+	}
 	srv := dir.Manager(0)
 
 	done := false
@@ -229,12 +230,12 @@ func TestIdleTeardownAndCapEviction(t *testing.T) {
 		done = true
 	})
 	step(t, c, 10_000_000, func() bool { return done })
-	step(t, c, 1_000_000, func() bool { return srv.CachedConns() <= cfg.CacheCap })
+	step(t, c, 1_000_000, func() bool { return srv.CachedConns() <= cacheCap })
 	if srv.Stats.CapEvictions < 2 {
 		t.Fatalf("cap evictions = %d, want >= 2", srv.Stats.CapEvictions)
 	}
 	// The survivors age out via the idle timeout.
-	step(t, c, 20*cfg.IdleTimeout, func() bool { return srv.CachedConns() == 0 })
+	step(t, c, 20*idleTimeout, func() bool { return srv.CachedConns() == 0 })
 	if srv.Stats.IdleTeardowns == 0 {
 		t.Fatal("no idle teardowns recorded")
 	}
@@ -305,11 +306,10 @@ func TestAdmitQueueReleasesWhenQuotaFrees(t *testing.T) {
 }
 
 // TestAdmitQueueTimeoutRejects keeps the gate closed: the parked dial must
-// be rejected with a reason once AdmitQueueTimeout lapses, and a
+// be rejected with a reason once the admission queue timeout lapses, and a
 // hard-error gate must reject immediately without queueing.
 func TestAdmitQueueTimeoutRejects(t *testing.T) {
 	cfg := ctrlplane.DefaultConfig()
-	cfg.AdmitQueueTimeout = 50_000
 	c := cluster.New(cluster.Default(2))
 	t.Cleanup(c.Close)
 	dir := ctrlplane.NewDirectory()
@@ -423,19 +423,15 @@ func TestManagerLifecycleLog(t *testing.T) {
 		Crashes: []faults.Crash{{Node: 2, At: 6_000_000}},
 	})
 
-	srvCfg := ctrlplane.DefaultConfig()
-	srvCfg.CacheCap = 3
-	srvCfg.IdleTimeout = 3_009_092
-	cliCfg := ctrlplane.DefaultConfig()
-	cliCfg.CacheCap = 2
-	cliCfg.IdleTimeout = 4_017_670
 	dir := ctrlplane.NewDirectory()
 	for i, h := range c.Hosts {
-		cfg := cliCfg
+		m := ctrlplane.NewManager(h, ctrlplane.DefaultConfig(), dir)
 		if i == 0 {
-			cfg = srvCfg
+			m.SetCacheBounds(3, 3_009_092)
+		} else {
+			m.SetCacheBounds(2, 4_017_670)
 		}
-		ctrlplane.NewManager(h, cfg, dir).Start()
+		m.Start()
 	}
 
 	var log []string

@@ -23,29 +23,29 @@ import (
 // PlaneStats counts injected faults (not their downstream effects — those
 // show up in the NIC and transport counters).
 type PlaneStats struct {
-	Drops    uint64 // messages dropped by link-fault rules
-	Corrupts uint64
-	Dups     uint64
-	Delays   uint64
+	Drops    uint64 `json:"drops"` // messages dropped by link-fault rules
+	Corrupts uint64 `json:"corrupts"`
+	Dups     uint64 `json:"dups"`
+	Delays   uint64 `json:"delays"`
 	// PayloadCorrupts counts past-ICRC corruption injections: the message
 	// is delivered with flipped payload bits instead of being discarded.
-	PayloadCorrupts uint64
+	PayloadCorrupts uint64 `json:"payload_corrupts"`
 
 	// Jitters counts messages that received a random link-jitter delay;
 	// Throttles counts messages whose serialization time was stretched by
 	// a WireTimeScale rule.
-	Jitters   uint64
-	Throttles uint64
+	Jitters   uint64 `json:"jitters"`
+	Throttles uint64 `json:"throttles"`
 
-	LinkDownDrops uint64 // messages dropped because an endpoint was down
-	Flaps         uint64
-	Crashes       uint64
-	Restarts      uint64
-	Events        uint64
+	LinkDownDrops uint64 `json:"link_down_drops"` // messages dropped because an endpoint was down
+	Flaps         uint64 `json:"flaps"`
+	Crashes       uint64 `json:"crashes"`
+	Restarts      uint64 `json:"restarts"`
+	Events        uint64 `json:"events"`
 	// Stragglers counts straggler episode starts; StragglerDelays counts
 	// messages delayed because an endpoint was straggling.
-	Stragglers      uint64
-	StragglerDelays uint64
+	Stragglers      uint64 `json:"stragglers"`
+	StragglerDelays uint64 `json:"straggler_delays"`
 }
 
 // Plane executes one Scenario against one cluster.

@@ -56,11 +56,6 @@ type Config struct {
 	SlotSize int // bytes per item slot (header + key + value)
 }
 
-// DefaultConfig holds 2 M items of ≤ 104 payload bytes.
-func DefaultConfig() Config {
-	return Config{Buckets: 1 << 18, Items: 2 << 20, SlotSize: 128}
-}
-
 // bucketEntry is one index slot: a 16-bit tag plus the item slot number
 // (+1; 0 = empty), packed in 8 bytes.
 const bucketEntrySize = 8

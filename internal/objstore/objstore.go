@@ -20,11 +20,6 @@ type Config struct {
 	WriteSet  int // w
 }
 
-// DefaultConfig is the (3,1) mix over 1 M objects with 40-byte values.
-func DefaultConfig() Config {
-	return Config{Keys: 1 << 20, ValueSize: 40, ReadSet: 3, WriteSet: 1}
-}
-
 // Key returns the i-th object key.
 func Key(i int) []byte { return []byte(fmt.Sprintf("obj%012d", i)) }
 

@@ -122,10 +122,7 @@ func TestPreloadAndMdtestPhases(t *testing.T) {
 	if mds.Len() != 4+400 {
 		t.Fatalf("Len = %d", mds.Len())
 	}
-	cfg := selfrpc.DefaultServerConfig()
-	cfg.Workers = 2
-	cfg.MaxClients = 8
-	srv := selfrpc.NewServer(c.Hosts[0], cfg)
+	srv := selfrpc.NewServer(c.Hosts[0], selfrpc.DefaultServerConfig())
 	mds.RegisterHandlers(srv)
 	srv.Start()
 

@@ -7,108 +7,63 @@ import (
 	"scalerpc/internal/sim"
 )
 
-// Policy tunes the adaptive backend's selection machinery. The zero value
-// is replaced by DefaultPolicy.
-type Policy struct {
-	// Window is the virtual-time EWMA horizon: a sample's weight decays to
-	// 1/e after Window of inactivity, so stale observations fade even when
-	// an op kind goes quiet.
-	Window sim.Duration
-	// ProbeEvery issues every Nth op of a kind on the non-preferred
+// The adaptive backend's selection tuning.
+const (
+	// ewmaWindow is the virtual-time EWMA horizon: a sample's weight decays
+	// to 1/e after ewmaWindow of inactivity, so stale observations fade
+	// even when an op kind goes quiet.
+	ewmaWindow = 200 * sim.Microsecond
+	// probeEvery issues every Nth op of a kind on the non-preferred
 	// backend, keeping its EWMA warm so the policy can switch back under
-	// quiescence. 0 disables probing.
-	ProbeEvery int
-	// Hysteresis is the fractional latency advantage the non-preferred
+	// quiescence.
+	probeEvery = 32
+	// hysteresis is the fractional latency advantage the non-preferred
 	// backend must show before the policy flips, damping oscillation.
-	Hysteresis float64
-	// CASTrip is the CAS+torn retry rate (retries per op, EWMA) above
+	hysteresis = 0.10
+	// casTrip is the CAS+torn retry rate (retries per op, EWMA) above
 	// which writes trip straight to RPC regardless of latency — the
 	// one-sided path is burning round trips losing lock races.
-	CASTrip float64
-	// LargeVal is the value size at which the cold-start prior picks RPC:
+	casTrip = 1.5
+	// largeVal is the value size at which the cold-start prior picks RPC:
 	// a one-sided get READs the whole bucket (SlotsPerBucket × value), so
 	// large values amplify one-sided bytes-per-op well past the RPC
 	// response size.
-	LargeVal int
-	// NsPerByte prices an op's wire footprint on the shared server link
-	// (default: 56 Gbps line rate). The score charges it scaled by the
-	// observed queueing ratio (EWMA latency over the latency floor): on an
-	// idle link bytes are nearly free and raw latency decides, but once a
+	largeVal = 512
+	// nsPerByte prices an op's wire footprint on the shared server link
+	// (56 Gbps line rate). The score charges it scaled by the observed
+	// queueing ratio (EWMA latency over the latency floor): on an idle
+	// link bytes are nearly free and raw latency decides, but once a
 	// path's latency inflates over its own floor the link is the
 	// bottleneck and the byte-heavy backend loses even when per-op
 	// latencies look alike — a latency-greedy policy alone cannot see that
 	// a 4 KB bucket READ costs the fleet four 1 KB RPC responses.
-	NsPerByte float64
-	// BWTripNs and QueueTrip form the bandwidth analog of CASTrip: an op
+	nsPerByte = 1.0 / 7.0
+	// bwTripNs and queueTrip form the bandwidth analog of casTrip: an op
 	// whose one-sided wire footprint exceeds its RPC footprint by more
-	// than BWTripNs (at line rate — i.e. only byte-amplifying large-value
+	// than bwTripNs (at line rate — i.e. only byte-amplifying large-value
 	// ops qualify) trips to RPC while the one-sided latency EWMA sits more
-	// than QueueTrip× above its observed floor. Per-op latency cannot
+	// than queueTrip× above its observed floor. Per-op latency cannot
 	// price the shared-link externality — each client's 4 KB READ queues
 	// everyone — so under visible congestion the byte-heavy path yields.
-	BWTripNs  float64
-	QueueTrip float64
-}
-
-// DefaultPolicy returns the tuning used by the benchmarks.
-func DefaultPolicy() Policy {
-	return Policy{
-		Window:     200 * sim.Microsecond,
-		ProbeEvery: 32,
-		Hysteresis: 0.10,
-		CASTrip:    1.5,
-		LargeVal:   512,
-		NsPerByte:  1.0 / 7.0, // 56 Gbps
-		BWTripNs:   250,
-		QueueTrip:  3,
-	}
-}
-
-// withDefaults fills zero fields.
-func (p Policy) withDefaults() Policy {
-	d := DefaultPolicy()
-	if p.Window <= 0 {
-		p.Window = d.Window
-	}
-	if p.ProbeEvery == 0 {
-		p.ProbeEvery = d.ProbeEvery
-	}
-	if p.Hysteresis <= 0 {
-		p.Hysteresis = d.Hysteresis
-	}
-	if p.CASTrip <= 0 {
-		p.CASTrip = d.CASTrip
-	}
-	if p.LargeVal <= 0 {
-		p.LargeVal = d.LargeVal
-	}
-	if p.NsPerByte <= 0 {
-		p.NsPerByte = d.NsPerByte
-	}
-	if p.BWTripNs <= 0 {
-		p.BWTripNs = d.BWTripNs
-	}
-	if p.QueueTrip <= 0 {
-		p.QueueTrip = d.QueueTrip
-	}
-	return p
-}
+	bwTripNs  = 250
+	queueTrip = 3
+)
 
 // ewma is a virtual-time exponentially weighted moving average: the blend
 // weight of each new sample grows with the gap since the previous one
-// (1 - e^(-dt/Window)), floored so back-to-back samples still move it.
+// (1 - e^(-dt/ewmaWindow)), floored so back-to-back samples still move it.
 type ewma struct {
 	v    float64
 	last sim.Time
 	set  bool
 }
 
-func (e *ewma) observe(now sim.Time, x float64, window sim.Duration) {
+func (e *ewma) observe(now sim.Time, x float64) {
 	if !e.set {
 		e.v, e.last, e.set = x, now, true
 		return
 	}
-	a := 1 - math.Exp(-float64(now-e.last)/float64(window))
+	a := 1 - math.Exp(-float64(now-e.last)/float64(ewmaWindow))
 	if a < 0.05 {
 		a = 0.05
 	}
@@ -135,7 +90,6 @@ type Adaptive struct {
 	d   *Deployment
 	one *OneSided
 	rpc *RPCClient
-	pol Policy
 
 	n    [opKinds]uint64 // ops issued per kind (drives the probe cadence)
 	pref [opKinds]Kind   // current preferred backend per kind
@@ -156,12 +110,12 @@ func (c *Adaptive) Kind() Kind { return KindAdaptive }
 // PreferredPut is the exported view of the put preference for reports.
 func (c *Adaptive) PreferredPut() Kind { return c.pref[opPut] }
 
-func newAdaptive(d *Deployment, one *OneSided, rpc *RPCClient, pol Policy) *Adaptive {
-	c := &Adaptive{d: d, one: one, rpc: rpc, pol: pol.withDefaults()}
+func newAdaptive(d *Deployment, one *OneSided, rpc *RPCClient) *Adaptive {
+	c := &Adaptive{d: d, one: one, rpc: rpc}
 	// Cold-start prior: large values amplify one-sided bucket READs, so
 	// start them on RPC; small ops start one-sided (fewer server cycles).
 	prior := KindOneSided
-	if d.Srv.Lay.ValSize >= c.pol.LargeVal {
+	if d.Srv.Lay.ValSize >= largeVal {
 		prior = KindRPC
 	}
 	for k := range c.pref {
@@ -181,7 +135,7 @@ func newAdaptive(d *Deployment, one *OneSided, rpc *RPCClient, pol Policy) *Adap
 	}
 	for k := range bytes {
 		for b := range bytes[k] {
-			c.byteNs[k][b] = bytes[k][b] * c.pol.NsPerByte
+			c.byteNs[k][b] = bytes[k][b] * nsPerByte
 		}
 	}
 	return c
@@ -189,7 +143,7 @@ func newAdaptive(d *Deployment, one *OneSided, rpc *RPCClient, pol Policy) *Adap
 
 // score is the comparable cost of a backend for op kind k: the latency
 // EWMA plus the op's wire footprint priced at line rate and scaled by the
-// observed queueing ratio (see Policy.NsPerByte).
+// observed queueing ratio (see nsPerByte).
 func (c *Adaptive) score(k opKind, b Kind) float64 {
 	e := &c.lat[k][b]
 	if !e.set {
@@ -209,18 +163,18 @@ func (c *Adaptive) choose(k opKind) Kind {
 	// Contention trip: writes abandon one-sided while lock races burn
 	// round trips. (Gets keep their latency-driven choice — torn reads
 	// surface there as inflated latency.)
-	if (k == opPut) && pick == KindOneSided && c.retries.set && c.retries.v > c.pol.CASTrip {
+	if (k == opPut) && pick == KindOneSided && c.retries.set && c.retries.v > casTrip {
 		return KindRPC
 	}
 	// Bandwidth trip: byte-amplifying ops yield the congested link.
-	if pick == KindOneSided && c.byteNs[k][KindOneSided]-c.byteNs[k][KindRPC] > c.pol.BWTripNs {
+	if pick == KindOneSided && c.byteNs[k][KindOneSided]-c.byteNs[k][KindRPC] > bwTripNs {
 		if e := &c.lat[k][KindOneSided]; e.set {
-			if m := c.latMin[k][KindOneSided]; m > 0 && e.v > c.pol.QueueTrip*m {
+			if m := c.latMin[k][KindOneSided]; m > 0 && e.v > queueTrip*m {
 				return KindRPC
 			}
 		}
 	}
-	if c.pol.ProbeEvery > 0 && c.n[k]%uint64(c.pol.ProbeEvery) == 0 {
+	if c.n[k]%probeEvery == 0 {
 		c.d.Stats.Probes++
 		if pick == KindOneSided {
 			return KindRPC
@@ -234,19 +188,19 @@ func (c *Adaptive) choose(k opKind) Kind {
 // preference with hysteresis.
 func (c *Adaptive) record(t *host.Thread, k opKind, used Kind, elapsed sim.Duration, osRetries uint64) {
 	now := t.P.Now()
-	c.lat[k][used].observe(now, float64(elapsed), c.pol.Window)
+	c.lat[k][used].observe(now, float64(elapsed))
 	if m := c.latMin[k][used]; m == 0 || float64(elapsed) < m {
 		c.latMin[k][used] = float64(elapsed)
 	}
 	if used == KindOneSided {
-		c.retries.observe(now, float64(osRetries), c.pol.Window)
+		c.retries.observe(now, float64(osRetries))
 	}
 	cur, other := c.pref[k], KindOneSided
 	if cur == KindOneSided {
 		other = KindRPC
 	}
 	sc, so := c.score(k, cur), c.score(k, other)
-	if sc < math.MaxFloat64 && so < sc*(1-c.pol.Hysteresis) {
+	if sc < math.MaxFloat64 && so < sc*(1-hysteresis) {
 		c.pref[k] = other
 		c.d.Stats.Switches++
 	}

@@ -4,7 +4,6 @@ import (
 	"scalerpc/internal/cluster"
 	"scalerpc/internal/host"
 	"scalerpc/internal/memory"
-	"scalerpc/internal/scalerpc"
 	"scalerpc/internal/sim"
 )
 
@@ -12,11 +11,8 @@ import (
 type Config struct {
 	// ServerHost is the index of the host that owns the structures.
 	ServerHost int
-	// Layout fixes the region geometry; the zero value uses DefaultLayout.
+	// Layout fixes the region geometry.
 	Layout Layout
-	// RPC tunes the ScaleRPC server the rpc backend calls into; the zero
-	// value uses scalerpc.DefaultServerConfig.
-	RPC scalerpc.ServerConfig
 	// ServerWork is the CPU charge per RPC-handled op (default 100 ns).
 	ServerWork sim.Duration
 }
@@ -36,17 +32,11 @@ type Deployment struct {
 // Deploy builds the server on cfg.ServerHost, starts its ScaleRPC side,
 // and registers the subsystem's telemetry.
 func Deploy(c *cluster.Cluster, cfg Config) *Deployment {
-	if cfg.Layout == (Layout{}) {
-		cfg.Layout = DefaultLayout()
-	}
-	if cfg.RPC.Workers == 0 {
-		cfg.RPC = scalerpc.DefaultServerConfig()
-	}
 	if cfg.ServerWork <= 0 {
 		cfg.ServerWork = 100 * sim.Nanosecond
 	}
 	d := &Deployment{C: c, Cfg: cfg}
-	d.Srv = newServer(c.Hosts[cfg.ServerHost], cfg.Layout, cfg.RPC, cfg.ServerWork)
+	d.Srv = newServer(c.Hosts[cfg.ServerHost], cfg.Layout, cfg.ServerWork)
 	d.Srv.RPC.Start()
 	sc := c.Telemetry.UniqueScope("rds")
 	sc.CounterVar("ops", &d.Stats.Ops)
@@ -85,12 +75,11 @@ func (d *Deployment) NewRPC(ch *host.Host, sig *sim.Signal) *RPCClient {
 
 // NewAdaptive builds the hybrid client: one endpoint of each backend plus
 // the selection state.
-func (d *Deployment) NewAdaptive(ch *host.Host, sig *sim.Signal, pol Policy) *Adaptive {
-	return newAdaptive(d, d.NewOneSided(ch), d.NewRPC(ch, sig), pol)
+func (d *Deployment) NewAdaptive(ch *host.Host, sig *sim.Signal) *Adaptive {
+	return newAdaptive(d, d.NewOneSided(ch), d.NewRPC(ch, sig))
 }
 
-// NewClient builds a client of the given kind (adaptive uses the default
-// policy).
+// NewClient builds a client of the given kind.
 func (d *Deployment) NewClient(kind Kind, ch *host.Host, sig *sim.Signal) Client {
 	switch kind {
 	case KindOneSided:
@@ -98,6 +87,6 @@ func (d *Deployment) NewClient(kind Kind, ch *host.Host, sig *sim.Signal) Client
 	case KindRPC:
 		return d.NewRPC(ch, sig)
 	default:
-		return d.NewAdaptive(ch, sig, Policy{})
+		return d.NewAdaptive(ch, sig)
 	}
 }

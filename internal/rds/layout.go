@@ -36,11 +36,6 @@ type Layout struct {
 	QueueCap       int // power of two ring slots
 }
 
-// DefaultLayout is a small table suitable for tests and demos.
-func DefaultLayout() Layout {
-	return Layout{Buckets: 256, SlotsPerBucket: 4, ValSize: 64, QueueCap: 1024}
-}
-
 // check panics on an unusable geometry.
 func (l Layout) check() {
 	if l.Buckets <= 0 || l.Buckets&(l.Buckets-1) != 0 {

@@ -9,20 +9,8 @@ import (
 	"scalerpc/internal/cluster"
 	"scalerpc/internal/host"
 	"scalerpc/internal/rds"
-	"scalerpc/internal/scalerpc"
 	"scalerpc/internal/sim"
 )
-
-// testRPCConfig shrinks the ScaleRPC server for fast tests.
-func testRPCConfig() scalerpc.ServerConfig {
-	cfg := scalerpc.DefaultServerConfig()
-	cfg.Workers = 4
-	cfg.GroupSize = 8
-	cfg.TimeSlice = 50 * sim.Microsecond
-	cfg.BlocksPerClient = 8
-	cfg.MaxClients = 256
-	return cfg
-}
 
 // deployTest builds a cluster and deployment with a small layout.
 func deployTest(hosts int, mutate func(*cluster.Config)) (*cluster.Cluster, *rds.Deployment) {
@@ -33,7 +21,6 @@ func deployTest(hosts int, mutate func(*cluster.Config)) (*cluster.Cluster, *rds
 	c := cluster.New(ccfg)
 	d := rds.Deploy(c, rds.Config{
 		Layout: rds.Layout{Buckets: 64, SlotsPerBucket: 4, ValSize: 32, QueueCap: 64},
-		RPC:    testRPCConfig(),
 	})
 	return c, d
 }
@@ -86,7 +73,7 @@ func TestBackendInterop(t *testing.T) {
 	sig := sim.NewSignal(c.Env)
 	one := d.NewOneSided(c.Hosts[1])
 	rpc := d.NewRPC(c.Hosts[1], sig)
-	ada := d.NewAdaptive(c.Hosts[2], sim.NewSignal(c.Env), rds.Policy{})
+	ada := d.NewAdaptive(c.Hosts[2], sim.NewSignal(c.Env))
 	clients := []rds.Client{one, rpc, ada}
 
 	done := false
@@ -152,7 +139,6 @@ func TestOneSidedOverwriteAndFull(t *testing.T) {
 	// Single bucket so every key collides.
 	d := rds.Deploy(c, rds.Config{
 		Layout: rds.Layout{Buckets: 1, SlotsPerBucket: 2, ValSize: 16, QueueCap: 4},
-		RPC:    testRPCConfig(),
 	})
 	one := d.NewOneSided(c.Hosts[1])
 	done := false
@@ -335,7 +321,6 @@ func TestAdaptiveFallsBackUnderContention(t *testing.T) {
 	// storms cost far more than 5 µs.
 	d := rds.Deploy(c, rds.Config{
 		Layout:     rds.Layout{Buckets: 64, SlotsPerBucket: 4, ValSize: 32, QueueCap: 64},
-		RPC:        testRPCConfig(),
 		ServerWork: 5 * sim.Microsecond,
 	})
 	const hotKeys = 2
@@ -359,9 +344,7 @@ func TestAdaptiveFallsBackUnderContention(t *testing.T) {
 		})
 	}
 
-	ada := d.NewAdaptive(c.Hosts[2], sim.NewSignal(c.Env), rds.Policy{
-		Window: 100 * sim.Microsecond, ProbeEvery: 16, CASTrip: 1.0,
-	})
+	ada := d.NewAdaptive(c.Hosts[2], sim.NewSignal(c.Env))
 	if ada.PreferredPut() != rds.KindOneSided {
 		t.Fatalf("cold-start prior for 32-byte values = %v, want onesided", ada.PreferredPut())
 	}

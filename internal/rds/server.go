@@ -43,15 +43,15 @@ type Server struct {
 }
 
 // newServer registers the region, stamps the ring's initial sequence
-// numbers, and installs the RPC handlers (the caller starts the ScaleRPC
-// server).
-func newServer(h *host.Host, lay Layout, rpcCfg scalerpc.ServerConfig, work sim.Duration) *Server {
+// numbers, and installs the RPC handlers on a ScaleRPC server at the
+// paper's configuration (the caller starts it).
+func newServer(h *host.Host, lay Layout, work sim.Duration) *Server {
 	lay.check()
 	s := &Server{H: h, Lay: lay, Work: work}
 	s.Reg = h.Mem.Register(lay.Bytes(), memory.PageSize2M,
 		memory.LocalWrite|memory.RemoteRead|memory.RemoteWrite|memory.RemoteAtomic)
 	lay.initQueue(s.Reg.Bytes())
-	s.RPC = scalerpc.NewServer(h, rpcCfg)
+	s.RPC = scalerpc.NewServer(h, scalerpc.DefaultServerConfig())
 	s.RPC.Register(HandlerGet, s.handleGet)
 	s.RPC.Register(HandlerPut, s.handlePut)
 	s.RPC.Register(HandlerEnq, s.handleEnq)

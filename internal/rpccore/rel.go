@@ -12,26 +12,26 @@ import "scalerpc/internal/telemetry"
 // request no longer holds.
 type RelStats struct {
 	// Retries counts requests re-sent by the Caller after a timeout.
-	Retries uint64
+	Retries uint64 `json:"retries"`
 	// Hedges counts speculative duplicate sends issued before the deadline.
-	Hedges uint64
+	Hedges uint64 `json:"hedges"`
 	// DedupHits counts requests a server recognized as already executed
 	// (or executing) and answered from the reply cache instead of
 	// re-running the handler.
-	DedupHits uint64
+	DedupHits uint64 `json:"dedup_hits"`
 	// DeadlineExceeded counts calls that exhausted their deadline and
 	// retry budget and were failed back to the application.
-	DeadlineExceeded uint64
+	DeadlineExceeded uint64 `json:"deadline_exceeded"`
 	// CRCDrops counts frames whose trailer CRC failed verification and
 	// were treated as loss (cleared, never delivered).
-	CRCDrops uint64
+	CRCDrops uint64 `json:"crc_drops"`
 	// LateDrops counts responses that arrived for a call the Caller had
 	// already failed or completed (a retry racing its original).
-	LateDrops uint64
+	LateDrops uint64 `json:"late_drops"`
 	// StaleResponses counts responses a client found in a busy slot's
 	// response block carrying another request's id (a previous occupant's
 	// late or duplicate answer): discarded, the slot kept busy.
-	StaleResponses uint64
+	StaleResponses uint64 `json:"stale_responses"`
 }
 
 const relAuxKey = "rpccore.rel"

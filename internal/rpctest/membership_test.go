@@ -210,8 +210,12 @@ func TestIdentityIsPerHost(t *testing.T) {
 	}
 }
 
-// limboCap is the roster's quarantine bound (unexported in ctrlplane).
-const limboCap = 64
+// limboCap is the roster's quarantine bound and idleTimeout how long a
+// parked connection is kept (both unexported in ctrlplane).
+const (
+	limboCap    = 64
+	idleTimeout = 5 * sim.Millisecond
+)
 
 // pairGate admits everyone and counts the open/close pairing.
 type pairGate struct{ opened, closed int }
@@ -235,9 +239,7 @@ func TestMembershipLifecycle(t *testing.T) {
 			c := cluster.New(cluster.Default(3))
 			defer c.Close()
 			faultPlane := c.InstallFaults(&faults.Scenario{Name: "lifecycle"})
-			cfg := ctrlplane.DefaultConfig()
-			cfg.IdleTimeout = 200 * sim.Microsecond
-			dir := plane(c, cfg)
+			dir := plane(c, ctrlplane.DefaultConfig())
 			mgr := dir.Manager(0)
 
 			// Handler 1 echoes and counts executions per request payload.
@@ -364,7 +366,7 @@ func TestMembershipLifecycle(t *testing.T) {
 				}
 				th.P.Sleep(5 * sim.Millisecond)
 				x.Leave(th)
-				th.P.Sleep(10 * cfg.IdleTimeout)
+				th.P.Sleep(10 * idleTimeout)
 				if mgr.Stats.IdleTeardowns == 0 {
 					t.Error("parked pair was never idle-torn-down")
 				}

@@ -57,7 +57,7 @@ func FuzzDecode(f *testing.F) {
 func FuzzDecodeBitFlip(f *testing.F) {
 	f.Add([]byte("hello rpc"), byte(0), uint32(7))
 	f.Add([]byte{}, byte(FlagError), uint32(fuzzBlockSize*8-1))
-	f.Add(bytes.Repeat([]byte{0xa5}, MaxPayload(fuzzBlockSize)), byte(FlagWarmupAck), uint32(300))
+	f.Add(bytes.Repeat([]byte{0xa5}, MaxPayload(fuzzBlockSize)), byte(FlagError), uint32(300))
 
 	f.Fuzz(func(t *testing.T, payload []byte, flags byte, bitPos uint32) {
 		if len(payload) > MaxPayload(fuzzBlockSize) {

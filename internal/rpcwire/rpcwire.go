@@ -40,8 +40,6 @@ const (
 	// FlagContextSwitch tells a ScaleRPC client its group's time slice
 	// ended (context_switch_event, §3.3).
 	FlagContextSwitch = 1 << 0
-	// FlagWarmupAck tells a client its warmup batch was accepted.
-	FlagWarmupAck = 1 << 1
 	// FlagError marks a response carrying an application error payload.
 	FlagError = 1 << 2
 )
@@ -149,14 +147,19 @@ type Header struct {
 	ClientID uint16
 }
 
-// HeaderSize is the encoded size of Header.
-const HeaderSize = 8 + 1 + 2
+const (
+	// ClientIDOffset is where ClientID sits in an encoded Header, after
+	// ReqID and Handler.
+	ClientIDOffset = 8 + 1
+	// HeaderSize is the encoded size of Header.
+	HeaderSize = ClientIDOffset + 2
+)
 
 // PutHeader encodes h at the front of buf and returns HeaderSize.
 func PutHeader(buf []byte, h Header) int {
 	binary.LittleEndian.PutUint64(buf, h.ReqID)
 	buf[8] = h.Handler
-	binary.LittleEndian.PutUint16(buf[9:], h.ClientID)
+	binary.LittleEndian.PutUint16(buf[ClientIDOffset:], h.ClientID)
 	return HeaderSize
 }
 
@@ -168,7 +171,7 @@ func ParseHeader(buf []byte) (Header, []byte, error) {
 	h := Header{
 		ReqID:    binary.LittleEndian.Uint64(buf),
 		Handler:  buf[8],
-		ClientID: binary.LittleEndian.Uint16(buf[9:]),
+		ClientID: binary.LittleEndian.Uint16(buf[ClientIDOffset:]),
 	}
 	return h, buf[HeaderSize:], nil
 }

@@ -12,7 +12,7 @@ import (
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	block := make([]byte, 128)
 	msg := []byte("the quick brown fox")
-	if err := Encode(block, msg, FlagWarmupAck); err != nil {
+	if err := Encode(block, msg, FlagError); err != nil {
 		t.Fatal(err)
 	}
 	if !Valid(block) {
@@ -25,7 +25,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, msg) {
 		t.Fatalf("payload = %q", got)
 	}
-	if flags != FlagWarmupAck {
+	if flags != FlagError {
 		t.Fatalf("flags = %#x", flags)
 	}
 }

@@ -245,8 +245,7 @@ func (c *Conn) adoptDial(cp *ctrlplane.Conn) error {
 
 // restampID rewrites the ClientID field of every staged, unanswered
 // request after a cold rejoin handed out a new id. The header sits at the
-// front of the right-aligned encoded message; ClientID is 2 bytes at
-// message offset 9 (after ReqID u64 and Handler u8). The rewrite changes
+// front of the right-aligned encoded message. The rewrite changes
 // CRC-covered bytes, so the frame is resealed and the CRC word flushed too.
 func (c *Conn) restampID(t *host.Thread) {
 	for b := range c.win.Slots {
@@ -254,7 +253,7 @@ func (c *Conn) restampID(t *host.Thread) {
 			continue
 		}
 		off, _ := rpcwire.EncodedSpan(rpcwire.BlockSize, c.win.Slots[b].MsgLen)
-		at := b*rpcwire.BlockSize + off + 9
+		at := b*rpcwire.BlockSize + off + rpcwire.ClientIDOffset
 		binary.LittleEndian.PutUint16(c.req.Region.Bytes()[at:], c.req.ID)
 		t.WriteMem(c.req.Region.Base+uint64(at), 2)
 		block := c.req.Region.Bytes()[b*rpcwire.BlockSize : (b+1)*rpcwire.BlockSize]

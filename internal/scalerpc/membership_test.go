@@ -55,6 +55,10 @@ func echoOnce(t *testing.T, th *host.Thread, conn *scalerpc.Conn, sig *sim.Signa
 
 // bindPlane installs control-plane managers with cfg on every host and
 // binds the server on host 0.
+// idleTimeout is how long the control plane keeps a parked connection
+// (unexported in ctrlplane).
+const idleTimeout = 5 * sim.Millisecond
+
 func bindPlane(c *cluster.Cluster, s *scalerpc.Server, cfg ctrlplane.Config) *ctrlplane.Directory {
 	dir := ctrlplane.NewDirectory()
 	for _, h := range c.Hosts {
@@ -132,9 +136,7 @@ func TestJoinLeaveRejoinResume(t *testing.T) {
 func TestColdRejoinRestampsStagedRequests(t *testing.T) {
 	c, s := buildServer(2, nil)
 	defer c.Close()
-	cfg := ctrlplane.DefaultConfig()
-	cfg.IdleTimeout = 200 * sim.Microsecond
-	dir := bindPlane(c, s, cfg)
+	dir := bindPlane(c, s, ctrlplane.DefaultConfig())
 
 	sig := sim.NewSignal(c.Env)
 	phase := 0
@@ -158,7 +160,7 @@ func TestColdRejoinRestampsStagedRequests(t *testing.T) {
 		// Wait out the idle teardown: the parked pair is destroyed and
 		// the identity moves to quarantine. Forget releases it so the id
 		// returns to the free list.
-		th.P.Sleep(10 * cfg.IdleTimeout)
+		th.P.Sleep(10 * idleTimeout)
 		s.Forget(oldID)
 		// A second client takes the freed id.
 		b, err := s.Join(th, dir, sim.NewSignal(c.Env), false)
@@ -225,9 +227,7 @@ func TestQuarantineReclaimKeepsIdentity(t *testing.T) {
 		th.Work(100)
 		return copy(out, req)
 	})
-	cfg := ctrlplane.DefaultConfig()
-	cfg.IdleTimeout = 200 * sim.Microsecond
-	dir := bindPlane(c, s, cfg)
+	dir := bindPlane(c, s, ctrlplane.DefaultConfig())
 
 	sig := sim.NewSignal(c.Env)
 	phase := 0
@@ -251,7 +251,7 @@ func TestQuarantineReclaimKeepsIdentity(t *testing.T) {
 		a.Leave(th)
 		// Idle teardown destroys the parked pair; the identity moves to
 		// quarantine with its id and dedup window intact.
-		th.P.Sleep(10 * cfg.IdleTimeout)
+		th.P.Sleep(10 * idleTimeout)
 		if err := a.Rejoin(th); err != nil {
 			t.Error(err)
 			phase = -1
@@ -297,9 +297,7 @@ func TestChurnEventLogDeterministic(t *testing.T) {
 	run := func() []ctrlplane.Event {
 		c, s := buildServer(3, nil)
 		defer c.Close()
-		cfg := ctrlplane.DefaultConfig()
-		cfg.IdleTimeout = 400 * sim.Microsecond
-		dir := bindPlane(c, s, cfg)
+		dir := bindPlane(c, s, ctrlplane.DefaultConfig())
 
 		rng := stats.NewRNG(42)
 		for i := 0; i < 6; i++ {

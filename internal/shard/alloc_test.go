@@ -23,7 +23,7 @@ func TestAllocBudgetRouted(t *testing.T) {
 	runtime.MemProfileRate = 1 // allocsUnder needs every allocation recorded
 	c, d, ch := buildDeployment(t, 16)
 	defer c.Close()
-	sbCfg := smallbank.Config{Accounts: 2000, InitialBalance: 1000, HotFraction: 0.04, HotProbability: 0.6}
+	sbCfg := smallbank.Config{Accounts: 2000, InitialBalance: 1000}
 	if err := smallbank.LoadWith(sbCfg, d.LoadKV); err != nil {
 		t.Fatal(err)
 	}

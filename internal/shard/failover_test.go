@@ -206,9 +206,7 @@ func TestRedirectLoopCapped(t *testing.T) {
 		conns[hid] = d.Servers[hid].Connect(ch, sig)
 	}
 	ch.Spawn("client", func(th *host.Thread) {
-		rcfg := DefaultRouterConfig()
-		rcfg.MaxRedirects = 3
-		r := NewRouter(ch, wrong, conns, sig, rcfg, nil)
+		r := NewRouter(ch, wrong, conns, sig, DefaultRouterConfig(), nil)
 		kv := r.KVClient(9)
 		_, found, ok := kv.Get(th, key8(5))
 		if ok && found {

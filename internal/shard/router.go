@@ -22,16 +22,18 @@ type RouterConfig struct {
 	// against the then-current map), RetryInterval the backoff after a
 	// node answered RRetry.
 	Opts rpccore.CallOpts
-	// MaxRedirects caps wrong-shard/stale bounces per call before the
-	// router fails it back to the application.
-	MaxRedirects int
 	// Coalesce piggybacks identical in-flight hot-key reads on one wire
 	// request (KV endpoints only).
 	Coalesce bool
 }
 
-// routerWindow is each endpoint's outstanding-call cap.
-const routerWindow = 64
+const (
+	// routerWindow is each endpoint's outstanding-call cap.
+	routerWindow = 64
+	// maxRedirects caps wrong-shard/stale bounces per call before the
+	// router fails it back to the application.
+	maxRedirects = 5
+)
 
 // DefaultRouterConfig returns deadlines wide enough for loaded ScaleRPC
 // rotations while still riding through a failover within a few attempts.
@@ -42,7 +44,6 @@ func DefaultRouterConfig() RouterConfig {
 			RetryInterval: 30 * sim.Microsecond,
 			MaxRetries:    6,
 		},
-		MaxRedirects: 5,
 	}
 }
 
@@ -354,7 +355,7 @@ func (r *Router) onWire(t *host.Thread, resp rpccore.Response) {
 		r.complete(rc, resp.Payload[1:], false, false)
 	case RStale:
 		rc.redirects++
-		if rc.redirects > r.cfg.MaxRedirects {
+		if rc.redirects > maxRedirects {
 			r.fail(rc)
 			return
 		}
@@ -370,7 +371,7 @@ func (r *Router) onWire(t *host.Thread, resp rpccore.Response) {
 	case RWrongShard:
 		rc.redirects++
 		r.stats.Redirects++
-		if rc.redirects > r.cfg.MaxRedirects || len(resp.Payload) < 7 {
+		if rc.redirects > maxRedirects || len(resp.Payload) < 7 {
 			r.fail(rc)
 			return
 		}

@@ -13,24 +13,25 @@ import (
 	"scalerpc/internal/txn"
 )
 
+// The hotspot: hotFraction of accounts receive hotProbability of the
+// accesses (paper: 4% of accounts, 60% of transactions).
+const (
+	hotFraction    = 0.04
+	hotProbability = 0.60
+)
+
 // Config shapes the benchmark.
 type Config struct {
 	Accounts       int
 	InitialBalance int64
-	// HotFraction of accounts receive HotProbability of the accesses
-	// (paper: 4% of accounts, 60% of transactions).
-	HotFraction    float64
-	HotProbability float64
 }
 
-// DefaultConfig matches the paper: 1,000,000 accounts per server, 4%/60%
-// hotspot. (Callers typically scale Accounts by the participant count.)
+// DefaultConfig matches the paper: 1,000,000 accounts per server.
+// (Callers typically scale Accounts by the participant count.)
 func DefaultConfig() Config {
 	return Config{
 		Accounts:       1_000_000,
 		InitialBalance: 10_000,
-		HotFraction:    0.04,
-		HotProbability: 0.60,
 	}
 }
 
@@ -174,16 +175,16 @@ type Gen struct {
 
 // NewGen returns a generator with its own random stream.
 func NewGen(cfg Config, seed uint64) *Gen {
-	hotN := int(float64(cfg.Accounts) * cfg.HotFraction)
+	hotN := int(float64(cfg.Accounts) * hotFraction)
 	if hotN < 1 {
 		hotN = 1
 	}
 	return &Gen{cfg: cfg, rng: stats.NewRNG(seed), hotN: hotN}
 }
 
-// pickAccount draws from the hot set with HotProbability.
+// pickAccount draws from the hot set with hotProbability.
 func (g *Gen) pickAccount() int {
-	if g.rng.Float64() < g.cfg.HotProbability {
+	if g.rng.Float64() < hotProbability {
 		return g.rng.Intn(g.hotN)
 	}
 	return g.rng.Intn(g.cfg.Accounts)

@@ -14,7 +14,7 @@ import (
 )
 
 func smallCfg() smallbank.Config {
-	return smallbank.Config{Accounts: 500, InitialBalance: 1000, HotFraction: 0.04, HotProbability: 0.6}
+	return smallbank.Config{Accounts: 500, InitialBalance: 1000}
 }
 
 func TestMixDistribution(t *testing.T) {
@@ -36,7 +36,7 @@ func TestMixDistribution(t *testing.T) {
 func TestHotspotSkew(t *testing.T) {
 	cfg := smallCfg()
 	g := smallbank.NewGen(cfg, 7)
-	hotN := int(float64(cfg.Accounts) * cfg.HotFraction)
+	hotN := int(float64(cfg.Accounts) * smallbank.HotFraction)
 	hot := 0
 	const n = 20000
 	for i := 0; i < n; i++ {

@@ -186,9 +186,7 @@ func TestScaleRPCAdmissionRejectAndDegrade(t *testing.T) {
 func TestScaleRPCAdmissionQueue(t *testing.T) {
 	m := tenant.NewManager(telemetry.Scope{})
 	bulk := m.Register(tenant.Spec{Name: "bulk", Quota: tenant.Quota{MaxConns: 1, QueueOverQuota: true}})
-	cfg := ctrlplane.DefaultConfig()
-	cfg.AdmitQueueTimeout = 2 * sim.Millisecond
-	c, s, dir := planeServer(t, m, cfg)
+	c, s, dir := planeServer(t, m, ctrlplane.DefaultConfig())
 	defer c.Close()
 
 	holder, waiter := 0, 0

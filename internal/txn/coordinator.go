@@ -72,12 +72,12 @@ func (ref *PartRef) match(r rpccore.Response) {
 
 // CoordinatorStats counts transaction outcomes.
 type CoordinatorStats struct {
-	Commits          uint64
-	LockAborts       uint64
-	ValidationAborts uint64
-	NotFoundAborts   uint64
-	OneSidedReads    uint64
-	OneSidedWrites   uint64
+	Commits          uint64 `json:"commits"`
+	LockAborts       uint64 `json:"lock_aborts"`
+	ValidationAborts uint64 `json:"validation_aborts"`
+	NotFoundAborts   uint64 `json:"not_found_aborts"`
+	OneSidedReads    uint64 `json:"one_sided_reads"`
+	OneSidedWrites   uint64 `json:"one_sided_writes"`
 }
 
 // Coordinator drives transactions from a client host (§4.2). With OneSided
