@@ -44,7 +44,7 @@ func runBackend(kind rds.Kind) {
 
 	d := rds.Deploy(c, rds.Config{
 		ServerHost: 0,
-		Layout:     rds.Layout{Buckets: 256, SlotsPerBucket: 4, ValSize: valSize, QueueCap: 64},
+		Layout:     rds.Layout{Buckets: 256, SlotsPerBucket: 4, ValSize: valSize},
 		ServerWork: 2 * sim.Microsecond,
 	})
 	d.Srv.Prepopulate(keys, 0xcd)

@@ -44,7 +44,7 @@ func rdsRatePerClient(valSize int) float64 {
 
 // rdsLayout fixes the table geometry for a value size.
 func rdsLayout(valSize int) rds.Layout {
-	return rds.Layout{Buckets: 1024, SlotsPerBucket: 4, ValSize: valSize, QueueCap: 64}
+	return rds.Layout{Buckets: 1024, SlotsPerBucket: 4, ValSize: valSize}
 }
 
 // rdsCellRun is one (backend, theta, valSize, clients) measurement.

@@ -66,8 +66,8 @@ func TestChaosMatrix(t *testing.T) {
 // TestChaosDeterministicPerSeed runs every harness twice per seed and
 // requires byte-identical result JSON — the same bar the simulator's
 // metrics dumps are held to. One row per family: each plain class, the
-// gray classes under the adaptive detector, the rds queue, shard failover
-// and tenant shedding.
+// gray classes under the adaptive detector, shard failover and tenant
+// shedding.
 func TestChaosDeterministicPerSeed(t *testing.T) {
 	type row struct {
 		name  string
@@ -91,13 +91,6 @@ func TestChaosDeterministicPerSeed(t *testing.T) {
 				out = append(out, res)
 			}
 			return out
-		}},
-		row{"rds", []uint64{2, 7}, func(t *testing.T, seed uint64) interface{} {
-			res, err := RunRDS(seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res
 		}},
 		row{"shard", []uint64{3, 11}, func(t *testing.T, seed uint64) interface{} {
 			res, err := RunShard(seed)

@@ -77,8 +77,6 @@ type opKind int
 const (
 	opGet opKind = iota
 	opPut
-	opEnq
-	opDeq
 	opKinds
 )
 
@@ -104,9 +102,6 @@ type Adaptive struct {
 	retries ewma
 }
 
-// Kind implements Client.
-func (c *Adaptive) Kind() Kind { return KindAdaptive }
-
 // PreferredPut is the exported view of the put preference for reports.
 func (c *Adaptive) PreferredPut() Kind { return c.pref[opPut] }
 
@@ -122,16 +117,13 @@ func newAdaptive(d *Deployment, one *OneSided, rpc *RPCClient) *Adaptive {
 		c.pref[k] = prior
 	}
 	// Wire bytes each op moves through the server NIC, per backend. The
-	// one-sided figures count the dominant transfers (bucket/slot payloads
-	// plus the 16-byte atomic exchanges); the RPC figures count request +
-	// response.
+	// one-sided figures count the dominant transfers (bucket payloads plus
+	// the 16-byte CAS exchange); the RPC figures count request + response.
 	lay := d.Srv.Lay
-	bkt, slot, val := float64(lay.BucketBytes()), float64(lay.SlotBytes()), float64(lay.ValSize)
+	bkt, val := float64(lay.BucketBytes()), float64(lay.ValSize)
 	bytes := [opKinds][2]float64{
 		opGet: {KindOneSided: bkt, KindRPC: 8 + 1 + val},
 		opPut: {KindOneSided: 2*bkt + 16, KindRPC: 8 + val + 1},
-		opEnq: {KindOneSided: 16 + 8 + slot, KindRPC: val + 1},
-		opDeq: {KindOneSided: 16 + slot + 8, KindRPC: 5 + val},
 	}
 	for k := range bytes {
 		for b := range bytes[k] {
@@ -238,28 +230,12 @@ func (c *Adaptive) run(t *host.Thread, k opKind, fn func(Client) error) error {
 	return err
 }
 
-// Get implements HashClient.
+// Get implements Client.
 func (c *Adaptive) Get(t *host.Thread, key uint64, val []byte) error {
 	return c.run(t, opGet, func(cl Client) error { return cl.Get(t, key, val) })
 }
 
-// Put implements HashClient.
+// Put implements Client.
 func (c *Adaptive) Put(t *host.Thread, key uint64, val []byte) error {
 	return c.run(t, opPut, func(cl Client) error { return cl.Put(t, key, val) })
-}
-
-// Enqueue implements QueueClient.
-func (c *Adaptive) Enqueue(t *host.Thread, data []byte) error {
-	return c.run(t, opEnq, func(cl Client) error { return cl.Enqueue(t, data) })
-}
-
-// Dequeue implements QueueClient.
-func (c *Adaptive) Dequeue(t *host.Thread, buf []byte) (int, error) {
-	var n int
-	err := c.run(t, opDeq, func(cl Client) error {
-		var e error
-		n, e = cl.Dequeue(t, buf)
-		return e
-	})
-	return n, err
 }

@@ -13,7 +13,7 @@ type Config struct {
 	ServerHost int
 	// Layout fixes the region geometry.
 	Layout Layout
-	// ServerWork is the CPU charge per RPC-handled op (default 100 ns).
+	// ServerWork is the CPU charge per RPC-handled op.
 	ServerWork sim.Duration
 }
 
@@ -32,9 +32,6 @@ type Deployment struct {
 // Deploy builds the server on cfg.ServerHost, starts its ScaleRPC side,
 // and registers the subsystem's telemetry.
 func Deploy(c *cluster.Cluster, cfg Config) *Deployment {
-	if cfg.ServerWork <= 0 {
-		cfg.ServerWork = 100 * sim.Nanosecond
-	}
 	d := &Deployment{C: c, Cfg: cfg}
 	d.Srv = newServer(c.Hosts[cfg.ServerHost], cfg.Layout, cfg.ServerWork)
 	d.Srv.RPC.Start()
@@ -44,7 +41,6 @@ func Deploy(c *cluster.Cluster, cfg Config) *Deployment {
 	sc.CounterVar("rpc.ops", &d.Stats.RPCOps)
 	sc.CounterVar("cas_retries", &d.Stats.CASRetries)
 	sc.CounterVar("torn_retries", &d.Stats.TornRetries)
-	sc.CounterVar("queue_spins", &d.Stats.QueueSpins)
 	sc.CounterVar("adaptive.switches", &d.Stats.Switches)
 	sc.CounterVar("adaptive.probes", &d.Stats.Probes)
 	return d
@@ -60,15 +56,15 @@ func (d *Deployment) NewOneSided(ch *host.Host) *OneSided {
 	c.cq = ch.NIC.CreateCQ()
 	scq := d.Srv.H.NIC.CreateCQ()
 	c.qp, _ = d.C.ConnectRC(ch, d.Srv.H, c.cq, c.cq, scq, scq)
-	c.scratch = ch.Mem.Register(2*c.readSpan+64, memory.PageSize4K, memory.LocalWrite)
+	c.scratch = ch.Mem.Register(2*c.readSpan, memory.PageSize4K, memory.LocalWrite)
 	return c
 }
 
 // NewRPC connects a two-sided client on host ch through the server's
 // ScaleRPC endpoint. sig is the client thread's activity signal.
 func (d *Deployment) NewRPC(ch *host.Host, sig *sim.Signal) *RPCClient {
-	c := &RPCClient{d: d, id: d.clients, req: make([]byte, 8+d.Srv.Lay.ValSize)}
-	d.clients++
+	c := &RPCClient{d: d, req: make([]byte, 8+d.Srv.Lay.ValSize)}
+	d.clients++ // every client takes an index; one-sided ones salt their backoff with it
 	c.conn = d.Srv.RPC.Connect(ch, sig)
 	return c
 }

@@ -11,14 +11,13 @@ import (
 )
 
 // OneSided is the pure one-sided backend: every operation is a sequence of
-// READ/WRITE/CAS/FetchAdd work requests against the server's registered
-// region, with no server CPU involvement.
+// READ/WRITE/CAS work requests against the server's registered region,
+// with no server CPU involvement.
 //
 // Scratch-region map (client-local, LocalWrite only):
 //
-//	[0, readSpan)               READ landing area (bucket or ring slot)
+//	[0, readSpan)               READ landing area (one bucket)
 //	[readSpan, 2·readSpan)      WRITE staging area
-//	[2·readSpan, +8)            8-byte staging word (version publishes)
 type OneSided struct {
 	d       *Deployment
 	id      int // client index, salts retry backoff
@@ -44,24 +43,14 @@ func (c *OneSided) maxTries() int {
 	return maxAttempts
 }
 
-// Kind implements Client.
-func (c *OneSided) Kind() Kind { return KindOneSided }
+// span returns the scratch granule: one bucket, the largest single
+// transfer any op performs, rounded to 64 so the areas sit on distinct
+// cache lines.
+func span(l Layout) int { return (l.BucketBytes() + 63) &^ 63 }
 
-// span returns the scratch granule: the largest single transfer any op
-// performs.
-func span(l Layout) int {
-	s := l.BucketBytes()
-	if sb := l.SlotBytes(); sb > s {
-		s = sb
-	}
-	// Round to 64 so the three areas sit on distinct cache lines.
-	return (s + 63) &^ 63
-}
-
-// readOff/stageOff/wordOff locate the scratch areas.
+// readOff/stageOff locate the scratch areas.
 func (c *OneSided) readOff() uint64  { return c.scratch.Base }
 func (c *OneSided) stageOff() uint64 { return c.scratch.Base + uint64(c.readSpan) }
-func (c *OneSided) wordOff() uint64  { return c.scratch.Base + uint64(2*c.readSpan) }
 
 // post issues one signaled work request and blocks until its completion.
 func (c *OneSided) post(t *host.Thread, wr nic.SendWR) (nic.CQE, error) {
@@ -107,18 +96,6 @@ func (c *OneSided) cas(t *host.Thread, off int, compare, swap uint64) (uint64, e
 		RKey:    c.d.Srv.Reg.RKey,
 		RAddr:   c.d.Srv.Base() + uint64(off),
 		Compare: compare, Swap: swap,
-	})
-	return e.AtomicOld, err
-}
-
-// fetchAdd atomically adds to the 8-byte word at remote offset off,
-// returning the pre-add value (the ticket).
-func (c *OneSided) fetchAdd(t *host.Thread, off int, add uint64) (uint64, error) {
-	e, err := c.post(t, nic.SendWR{
-		Op:    nic.OpFetchAdd,
-		RKey:  c.d.Srv.Reg.RKey,
-		RAddr: c.d.Srv.Base() + uint64(off),
-		Add:   add,
 	})
 	return e.AtomicOld, err
 }
@@ -229,92 +206,4 @@ func (c *OneSided) Put(t *host.Thread, key uint64, val []byte) error {
 		return nil
 	}
 	return ErrContended
-}
-
-// Enqueue claims a tail ticket with FetchAdd, waits for its slot to free
-// (previous lap consumed), and writes length+element+commit word in a
-// single WRITE — the commit word lands last in address order, so a torn
-// delivery can never expose a committed-but-unwritten element.
-func (c *OneSided) Enqueue(t *host.Thread, data []byte) error {
-	lay := c.d.Srv.Lay
-	if len(data) > lay.ValSize {
-		return fmt.Errorf("%w: element %d > %d", ErrRemote, len(data), lay.ValSize)
-	}
-	ticket, err := c.fetchAdd(t, lay.TailOff(), 1)
-	if err != nil {
-		return err
-	}
-	slot := int(ticket) & (lay.QueueCap - 1)
-	// Wait for the slot's previous lap to be consumed.
-	for attempt := 0; ; attempt++ {
-		b, err := c.read(t, lay.SeqOff(slot), 8)
-		if err != nil {
-			return err
-		}
-		if binary.LittleEndian.Uint64(b) == ticket {
-			break
-		}
-		c.d.Stats.QueueSpins++
-		t.P.Sleep(backoff(attempt, c.id))
-	}
-	stage := c.scratch.Bytes()[c.readSpan : c.readSpan+lay.SlotBytes()]
-	binary.LittleEndian.PutUint32(stage, uint32(len(data)))
-	n := copy(stage[4:4+lay.ValSize], data)
-	for i := 4 + n; i < 4+lay.ValSize; i++ {
-		stage[i] = 0
-	}
-	binary.LittleEndian.PutUint64(stage[4+lay.ValSize:], ticket+1)
-	t.WriteMem(c.stageOff(), lay.SlotBytes())
-	if _, err := c.post(t, nic.SendWR{
-		Op:   nic.OpWrite,
-		LKey: c.scratch.LKey, LAddr: c.stageOff(), Len: lay.SlotBytes(),
-		RKey: c.d.Srv.Reg.RKey, RAddr: c.d.Srv.Base() + uint64(lay.SlotOff(slot)),
-	}); err != nil {
-		return err
-	}
-	c.d.Stats.Ops++
-	c.d.Stats.OneSidedOps++
-	return nil
-}
-
-// Dequeue claims a head ticket with FetchAdd and polls the slot until its
-// producer commits, then frees the slot for the next lap.
-func (c *OneSided) Dequeue(t *host.Thread, buf []byte) (int, error) {
-	lay := c.d.Srv.Lay
-	ticket, err := c.fetchAdd(t, lay.HeadOff(), 1)
-	if err != nil {
-		return 0, err
-	}
-	slot := int(ticket) & (lay.QueueCap - 1)
-	var n int
-	for attempt := 0; ; attempt++ {
-		b, err := c.read(t, lay.SlotOff(slot), lay.SlotBytes())
-		if err != nil {
-			return 0, err
-		}
-		if binary.LittleEndian.Uint64(b[4+lay.ValSize:]) == ticket+1 {
-			n = int(binary.LittleEndian.Uint32(b))
-			if n > lay.ValSize {
-				n = lay.ValSize
-			}
-			n = copy(buf, b[4:4+n])
-			break
-		}
-		c.d.Stats.QueueSpins++
-		t.P.Sleep(backoff(attempt, c.id))
-	}
-	// Free the slot for lap+1.
-	word := c.scratch.Bytes()[2*c.readSpan : 2*c.readSpan+8]
-	binary.LittleEndian.PutUint64(word, ticket+uint64(lay.QueueCap))
-	t.WriteMem(c.wordOff(), 8)
-	if _, err := c.post(t, nic.SendWR{
-		Op:   nic.OpWrite,
-		LKey: c.scratch.LKey, LAddr: c.wordOff(), Len: 8,
-		RKey: c.d.Srv.Reg.RKey, RAddr: c.d.Srv.Base() + uint64(lay.SeqOff(slot)),
-	}); err != nil {
-		return 0, err
-	}
-	c.d.Stats.Ops++
-	c.d.Stats.OneSidedOps++
-	return n, nil
 }

@@ -1,12 +1,11 @@
-// Package rds provides remote data structures — a fixed-bucket hash table
-// and an MPMC queue — hosted in one server's registered memory and reachable
-// through three interchangeable backends:
+// Package rds provides a remote fixed-bucket hash table hosted in one
+// server's registered memory and reachable through three interchangeable
+// backends:
 //
 //   - one-sided: clients operate directly on server memory with READ,
-//     WRITE, CAS and FetchAdd work requests. Buckets carry a seqlock-style
-//     version word (even = stable, odd = locked) so torn reads are detected
-//     and retried; the queue is a Vyukov-style ring whose head/tail tickets
-//     are claimed with FetchAdd. The server CPU never touches these ops.
+//     WRITE and CAS work requests. Buckets carry a seqlock-style version
+//     word (even = stable, odd = locked) so torn reads are detected and
+//     retried. The server CPU never touches these ops.
 //   - rpc: the same operations shipped as ScaleRPC handlers and executed
 //     server-side against the same memory layout. One round trip per op,
 //     but each op consumes server CPU and a scheduler slot.
@@ -16,10 +15,9 @@
 //     returning under quiescence (Brock et al., "RDMA vs. RPC for
 //     Implementing Distributed Data Structures").
 //
-// All three backends interoperate on the same live structure: the RPC
-// handlers honor the version words and ring sequence numbers, so a
-// one-sided CAS and a server-side handler never corrupt a bucket between
-// them.
+// All three backends interoperate on the same live table: the RPC
+// handlers honor the version words, so a one-sided CAS and a server-side
+// handler never corrupt a bucket between them.
 package rds
 
 import (
@@ -33,34 +31,16 @@ import (
 var (
 	ErrNotFound  = errors.New("rds: key not found")
 	ErrFull      = errors.New("rds: bucket full")
-	ErrQueueFull = errors.New("rds: queue full")
 	ErrContended = errors.New("rds: too many retries")
 	ErrRemote    = errors.New("rds: remote/transport error")
 )
 
-// HashClient is the hash-table face of a backend. Values are fixed-size
-// (Layout.ValSize); Get copies the value into val and Put stores exactly
-// ValSize bytes (shorter inputs are zero-padded).
-type HashClient interface {
+// Client is one backend endpoint bound to a client host. Values are
+// fixed-size (Layout.ValSize); Get copies the value into val and Put
+// stores exactly ValSize bytes (shorter inputs are zero-padded).
+type Client interface {
 	Get(t *host.Thread, key uint64, val []byte) error
 	Put(t *host.Thread, key uint64, val []byte) error
-}
-
-// QueueClient is the MPMC-queue face of a backend. Enqueue blocks while
-// the ring is full; Dequeue blocks until an element is available. Both are
-// linearizable across backends: a ticket claimed (by FetchAdd or by the
-// server handler) is always eventually consumed exactly once.
-type QueueClient interface {
-	Enqueue(t *host.Thread, data []byte) error
-	Dequeue(t *host.Thread, buf []byte) (int, error)
-}
-
-// Client is one backend endpoint bound to a client host.
-type Client interface {
-	HashClient
-	QueueClient
-	// Kind reports which backend this client is.
-	Kind() Kind
 }
 
 // Kind names a backend.
@@ -95,7 +75,6 @@ type Stats struct {
 	RPCOps      uint64 // ops executed on the RPC path
 	CASRetries  uint64 // one-sided lock CAS attempts that lost the race
 	TornRetries uint64 // one-sided bucket reads discarded (odd version)
-	QueueSpins  uint64 // one-sided ring re-reads while a slot was in flight
 	Switches    uint64 // adaptive preferred-backend flips
 	Probes      uint64 // adaptive deterministic probes of the non-preferred backend
 }

@@ -20,7 +20,8 @@ func deployTest(hosts int, mutate func(*cluster.Config)) (*cluster.Cluster, *rds
 	}
 	c := cluster.New(ccfg)
 	d := rds.Deploy(c, rds.Config{
-		Layout: rds.Layout{Buckets: 64, SlotsPerBucket: 4, ValSize: 32, QueueCap: 64},
+		Layout:     rds.Layout{Buckets: 64, SlotsPerBucket: 4, ValSize: 32},
+		ServerWork: 100 * sim.Nanosecond,
 	})
 	return c, d
 }
@@ -34,24 +35,15 @@ func fill(val []byte, k uint64, w byte) {
 }
 
 func TestLayoutGeometry(t *testing.T) {
-	l := rds.Layout{Buckets: 8, SlotsPerBucket: 3, ValSize: 16, QueueCap: 4}
+	l := rds.Layout{Buckets: 8, SlotsPerBucket: 3, ValSize: 16}
 	if l.BucketBytes() != 8+3*24 {
 		t.Fatalf("BucketBytes = %d", l.BucketBytes())
 	}
 	if l.VerOff() != 3*24 {
 		t.Fatalf("VerOff = %d", l.VerOff())
 	}
-	if l.SlotBytes() != 12+16 {
-		t.Fatalf("SlotBytes = %d", l.SlotBytes())
-	}
-	if l.HeadOff() != l.TailOff()+64 || l.RingOff() != l.TailOff()+128 {
-		t.Fatal("queue control words misplaced")
-	}
-	if l.Bytes() != l.RingOff()+4*l.SlotBytes() {
-		t.Fatalf("Bytes = %d", l.Bytes())
-	}
-	if l.SeqOff(1) != l.SlotOff(1)+4+16 {
-		t.Fatal("SeqOff misplaced")
+	if l.BucketOff(5) != 5*l.BucketBytes() || l.Bytes() != 8*l.BucketBytes() {
+		t.Fatalf("BucketOff(5) = %d, Bytes = %d", l.BucketOff(5), l.Bytes())
 	}
 	// Buckets must scatter: all 8 buckets hit over a small key range.
 	seen := map[int]bool{}
@@ -75,6 +67,7 @@ func TestBackendInterop(t *testing.T) {
 	rpc := d.NewRPC(c.Hosts[1], sig)
 	ada := d.NewAdaptive(c.Hosts[2], sim.NewSignal(c.Env))
 	clients := []rds.Client{one, rpc, ada}
+	names := []string{"onesided", "rpc", "adaptive"}
 
 	done := false
 	c.Hosts[1].Spawn("interop", func(th *host.Thread) {
@@ -86,41 +79,26 @@ func TestBackendInterop(t *testing.T) {
 				key := uint64(wi*100) + k
 				fill(val, key, byte(wi+1))
 				if err := w.Put(th, key, val); err != nil {
-					t.Errorf("%v put %d: %v", w.Kind(), key, err)
+					t.Errorf("%s put %d: %v", names[wi], key, err)
 				}
 			}
 		}
-		for _, r := range clients {
+		for ri, r := range clients {
 			for wi := range clients {
 				for k := uint64(1); k <= 5; k++ {
 					key := uint64(wi*100) + k
 					fill(val, key, byte(wi+1))
 					if err := r.Get(th, key, got); err != nil {
-						t.Errorf("%v get %d: %v", r.Kind(), key, err)
+						t.Errorf("%s get %d: %v", names[ri], key, err)
 						continue
 					}
 					if !bytes.Equal(got, val) {
-						t.Errorf("%v get %d: value mismatch", r.Kind(), key)
+						t.Errorf("%s get %d: value mismatch", names[ri], key)
 					}
 				}
 			}
 			if err := r.Get(th, 9999, got); err != rds.ErrNotFound {
-				t.Errorf("%v get missing: %v, want ErrNotFound", r.Kind(), err)
-			}
-		}
-		// Queue interop: each backend enqueues, the next backend dequeues.
-		msg := []byte("hello from the ring")
-		buf := make([]byte, 32)
-		for i, w := range clients {
-			if err := w.Enqueue(th, msg); err != nil {
-				t.Errorf("%v enqueue: %v", w.Kind(), err)
-			}
-			rd := clients[(i+1)%len(clients)]
-			n, err := rd.Dequeue(th, buf)
-			if err != nil {
-				t.Errorf("%v dequeue: %v", rd.Kind(), err)
-			} else if !bytes.Equal(buf[:n], msg) {
-				t.Errorf("%v dequeue: got %q", rd.Kind(), buf[:n])
+				t.Errorf("%s get missing: %v, want ErrNotFound", names[ri], err)
 			}
 		}
 		done = true
@@ -138,7 +116,8 @@ func TestOneSidedOverwriteAndFull(t *testing.T) {
 	defer c.Close()
 	// Single bucket so every key collides.
 	d := rds.Deploy(c, rds.Config{
-		Layout: rds.Layout{Buckets: 1, SlotsPerBucket: 2, ValSize: 16, QueueCap: 4},
+		Layout:     rds.Layout{Buckets: 1, SlotsPerBucket: 2, ValSize: 16},
+		ServerWork: 100 * sim.Nanosecond,
 	})
 	one := d.NewOneSided(c.Hosts[1])
 	done := false
@@ -246,68 +225,6 @@ func TestCASContentionConsistency(t *testing.T) {
 		writes, reads, d.Stats.CASRetries, d.Stats.TornRetries)
 }
 
-// TestQueueMPMCAcrossBackends runs producers and consumers split across
-// backends and checks exact multiset delivery: every enqueued token is
-// dequeued exactly once.
-func TestQueueMPMCAcrossBackends(t *testing.T) {
-	c, d := deployTest(3, nil)
-	defer c.Close()
-	const producers = 4
-	const perProducer = 40
-	const consumers = 4
-	const total = producers * perProducer
-
-	mkClient := func(i int, h *host.Host) rds.Client {
-		if i%2 == 0 {
-			return d.NewOneSided(h)
-		}
-		return d.NewRPC(h, sim.NewSignal(c.Env))
-	}
-	for p := 0; p < producers; p++ {
-		p := p
-		cl := mkClient(p, c.Hosts[1])
-		c.Hosts[1].Spawn(fmt.Sprintf("prod%d", p), func(th *host.Thread) {
-			tok := make([]byte, 8)
-			for i := 0; i < perProducer; i++ {
-				binary.LittleEndian.PutUint64(tok, uint64(p*1000+i))
-				if err := cl.Enqueue(th, tok); err != nil {
-					t.Errorf("prod%d: %v", p, err)
-					return
-				}
-			}
-		})
-	}
-	got := make(map[uint64]int)
-	for cn := 0; cn < consumers; cn++ {
-		cn := cn
-		cl := mkClient(cn+1, c.Hosts[2])
-		c.Hosts[2].Spawn(fmt.Sprintf("cons%d", cn), func(th *host.Thread) {
-			buf := make([]byte, 32)
-			for i := 0; i < total/consumers; i++ {
-				n, err := cl.Dequeue(th, buf)
-				if err != nil {
-					t.Errorf("cons%d: %v", cn, err)
-					return
-				}
-				if n != 8 {
-					t.Errorf("cons%d: element len %d", cn, n)
-					return
-				}
-				got[binary.LittleEndian.Uint64(buf)]++
-			}
-		})
-	}
-	c.Env.RunUntil(200 * sim.Millisecond)
-	if len(got) != total {
-		t.Fatalf("dequeued %d distinct tokens, want %d", len(got), total)
-	}
-	for tok, n := range got {
-		if n != 1 {
-			t.Fatalf("token %d delivered %d times", tok, n)
-		}
-	}
-}
-
 // TestAdaptiveFallsBackUnderContention drives an adaptive client whose
 // one-sided path is made hostile (many one-sided writers hammering the
 // same keys) and checks the policy trips to RPC for puts; when the
@@ -320,7 +237,7 @@ func TestAdaptiveFallsBackUnderContention(t *testing.T) {
 	// beat it — while contention still inverts the ranking: CAS-retry
 	// storms cost far more than 5 µs.
 	d := rds.Deploy(c, rds.Config{
-		Layout:     rds.Layout{Buckets: 64, SlotsPerBucket: 4, ValSize: 32, QueueCap: 64},
+		Layout:     rds.Layout{Buckets: 64, SlotsPerBucket: 4, ValSize: 32},
 		ServerWork: 5 * sim.Microsecond,
 	})
 	const hotKeys = 2

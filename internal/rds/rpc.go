@@ -15,16 +15,9 @@ import (
 // slot per op.
 type RPCClient struct {
 	d    *Deployment
-	id   int
 	conn *scalerpc.Conn
 	req  []byte
 }
-
-// Kind implements Client.
-func (c *RPCClient) Kind() Kind { return KindRPC }
-
-// Conn exposes the underlying ScaleRPC connection (tests drain it).
-func (c *RPCClient) Conn() *scalerpc.Conn { return c.conn }
 
 // call runs one synchronous op and validates the status byte.
 func (c *RPCClient) call(t *host.Thread, h uint8, req []byte) ([]byte, error) {
@@ -78,56 +71,4 @@ func (c *RPCClient) Put(t *host.Thread, key uint64, val []byte) error {
 		return ErrFull
 	}
 	return fmt.Errorf("%w: status %d", ErrRemote, resp[0])
-}
-
-// Enqueue appends an element, retrying while the ring is full so the
-// blocking semantics match the one-sided backend.
-func (c *RPCClient) Enqueue(t *host.Thread, data []byte) error {
-	if len(data) > c.d.Srv.Lay.ValSize {
-		return fmt.Errorf("%w: element %d > %d", ErrRemote, len(data), c.d.Srv.Lay.ValSize)
-	}
-	for attempt := 0; ; attempt++ {
-		resp, err := c.call(t, HandlerEnq, data)
-		if err != nil {
-			return err
-		}
-		switch resp[0] {
-		case stOK:
-			c.d.Stats.Ops++
-			c.d.Stats.RPCOps++
-			return nil
-		case stFull:
-			t.P.Sleep(backoff(attempt, c.id))
-			continue
-		}
-		return fmt.Errorf("%w: status %d", ErrRemote, resp[0])
-	}
-}
-
-// Dequeue removes the oldest element, polling while the ring is empty so
-// the blocking semantics match the one-sided backend.
-func (c *RPCClient) Dequeue(t *host.Thread, buf []byte) (int, error) {
-	for attempt := 0; ; attempt++ {
-		resp, err := c.call(t, HandlerDeq, nil)
-		if err != nil {
-			return 0, err
-		}
-		switch resp[0] {
-		case stOK:
-			if len(resp) < 5 {
-				return 0, fmt.Errorf("%w: short dequeue response", ErrRemote)
-			}
-			n := int(binary.LittleEndian.Uint32(resp[1:]))
-			if n > len(resp)-5 {
-				n = len(resp) - 5
-			}
-			c.d.Stats.Ops++
-			c.d.Stats.RPCOps++
-			return copy(buf, resp[5:5+n]), nil
-		case stEmpty:
-			t.P.Sleep(backoff(attempt, c.id))
-			continue
-		}
-		return 0, fmt.Errorf("%w: status %d", ErrRemote, resp[0])
-	}
 }

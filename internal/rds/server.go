@@ -13,8 +13,6 @@ import (
 const (
 	HandlerGet uint8 = iota + 1
 	HandlerPut
-	HandlerEnq
-	HandlerDeq
 )
 
 // Response status bytes.
@@ -22,15 +20,14 @@ const (
 	stOK byte = iota
 	stNotFound
 	stFull
-	stEmpty
 	stErr
 )
 
-// Server hosts the data structures: one registered region holding the
-// hash table and ring, plus a ScaleRPC server whose handlers execute the
-// same protocol server-side. The region is registered with RemoteAtomic in
-// addition to RemoteRead/RemoteWrite — without it every one-sided CAS and
-// FetchAdd would complete with a remote access error.
+// Server hosts the hash table: one registered region holding its buckets,
+// plus a ScaleRPC server whose handlers execute the same protocol
+// server-side. The region is registered with RemoteAtomic in addition to
+// RemoteRead/RemoteWrite — without it every one-sided CAS would complete
+// with a remote access error.
 type Server struct {
 	H   *host.Host
 	Lay Layout
@@ -42,20 +39,16 @@ type Server struct {
 	Work sim.Duration
 }
 
-// newServer registers the region, stamps the ring's initial sequence
-// numbers, and installs the RPC handlers on a ScaleRPC server at the
-// paper's configuration (the caller starts it).
+// newServer registers the region and installs the RPC handlers on a
+// ScaleRPC server at the paper's configuration (the caller starts it).
 func newServer(h *host.Host, lay Layout, work sim.Duration) *Server {
 	lay.check()
 	s := &Server{H: h, Lay: lay, Work: work}
 	s.Reg = h.Mem.Register(lay.Bytes(), memory.PageSize2M,
 		memory.LocalWrite|memory.RemoteRead|memory.RemoteWrite|memory.RemoteAtomic)
-	lay.initQueue(s.Reg.Bytes())
 	s.RPC = scalerpc.NewServer(h, scalerpc.DefaultServerConfig())
 	s.RPC.Register(HandlerGet, s.handleGet)
 	s.RPC.Register(HandlerPut, s.handlePut)
-	s.RPC.Register(HandlerEnq, s.handleEnq)
-	s.RPC.Register(HandlerDeq, s.handleDeq)
 	return s
 }
 
@@ -178,68 +171,6 @@ func (s *Server) handlePut(t *host.Thread, clientID uint16, req []byte, out []by
 	t.WriteMem(s.Reg.Base+uint64(boff+lay.KeyOff(free)), 8+lay.ValSize)
 	out[0] = stOK
 	return 1
-}
-
-// handleEnq: req = [element bytes] → resp [status]. The server claims a
-// ticket only when the target slot is free for this lap, so — unlike the
-// one-sided producer — a full ring is reported instead of blocked on.
-func (s *Server) handleEnq(t *host.Thread, clientID uint16, req []byte, out []byte) int {
-	lay := s.Lay
-	if len(req) > lay.ValSize {
-		out[0] = stErr
-		return 1
-	}
-	buf := s.Reg.Bytes()
-	t.Work(s.Work)
-	// Ticket claim: read tail and slot seq, then advance tail — no yield
-	// in between, so concurrent one-sided FetchAdds serialize around it.
-	ticket := binary.LittleEndian.Uint64(buf[lay.TailOff():])
-	slot := int(ticket) & (lay.QueueCap - 1)
-	seq := binary.LittleEndian.Uint64(buf[lay.SeqOff(slot):])
-	if seq != ticket {
-		out[0] = stFull
-		return 1
-	}
-	binary.LittleEndian.PutUint64(buf[lay.TailOff():], ticket+1)
-	soff := lay.SlotOff(slot)
-	binary.LittleEndian.PutUint32(buf[soff:], uint32(len(req)))
-	dst := buf[soff+4 : soff+4+lay.ValSize]
-	n := copy(dst, req)
-	for i := n; i < lay.ValSize; i++ {
-		dst[i] = 0
-	}
-	t.WriteMem(s.Reg.Base+uint64(soff), lay.SlotBytes())
-	// Commit last, after the element bytes.
-	binary.LittleEndian.PutUint64(buf[lay.SeqOff(slot):], ticket+1)
-	out[0] = stOK
-	return 1
-}
-
-// handleDeq: req = [] → resp [status][4B len][element bytes].
-func (s *Server) handleDeq(t *host.Thread, clientID uint16, req []byte, out []byte) int {
-	lay := s.Lay
-	buf := s.Reg.Bytes()
-	t.Work(s.Work)
-	ticket := binary.LittleEndian.Uint64(buf[lay.HeadOff():])
-	slot := int(ticket) & (lay.QueueCap - 1)
-	seq := binary.LittleEndian.Uint64(buf[lay.SeqOff(slot):])
-	if seq != ticket+1 {
-		out[0] = stEmpty
-		return 1
-	}
-	binary.LittleEndian.PutUint64(buf[lay.HeadOff():], ticket+1)
-	soff := lay.SlotOff(slot)
-	n := int(binary.LittleEndian.Uint32(buf[soff:]))
-	if n > lay.ValSize {
-		n = lay.ValSize
-	}
-	t.ReadMem(s.Reg.Base+uint64(soff), lay.SlotBytes())
-	out[0] = stOK
-	binary.LittleEndian.PutUint32(out[1:], uint32(n))
-	copy(out[5:5+n], buf[soff+4:soff+4+n])
-	// Free the slot for lap+1.
-	binary.LittleEndian.PutUint64(buf[lay.SeqOff(slot):], ticket+uint64(lay.QueueCap))
-	return 5 + n
 }
 
 // Prepopulate stores keys 1..n with a fill pattern directly (no simulated

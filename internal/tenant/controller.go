@@ -40,25 +40,14 @@ type ControllerConfig struct {
 // shedding targets.
 const weightFactor = 0.25
 
-// DefaultControllerConfig samples every 200µs and needs two bad windows
-// to escalate, four good ones to recover.
-func DefaultControllerConfig() ControllerConfig {
-	return ControllerConfig{
-		Interval:     200 * sim.Microsecond,
-		TripWindows:  2,
-		ClearWindows: 4,
-		MinSamples:   16,
-	}
-}
-
 // maxLevel is the top of the escalation ladder.
 const maxLevel = 3
 
 // Action is one ladder move, logged for attribution and testing.
 type Action struct {
-	At    sim.Time
-	Level int // ladder level after the move
-	What  string
+	At    sim.Time `json:"at"`
+	Level int      `json:"level"` // ladder level after the move
+	What  string   `json:"what"`
 }
 
 // Controller protects one latency tenant's SLO by shedding the bulk
@@ -98,14 +87,8 @@ type Controller struct {
 // every registered tenant of ClassBulk or below (by declared class). Call
 // after all tenants are registered.
 func (m *Manager) NewController(protected uint16, slo loadgen.SLO, src Sample, cfg ControllerConfig) *Controller {
-	if cfg.Interval <= 0 {
-		cfg = DefaultControllerConfig()
-	}
-	if cfg.TripWindows <= 0 {
-		cfg.TripWindows = 1
-	}
-	if cfg.ClearWindows <= 0 {
-		cfg.ClearWindows = 1
+	if cfg.Interval <= 0 || cfg.TripWindows <= 0 || cfg.ClearWindows <= 0 {
+		panic("tenant: ControllerConfig needs a positive Interval, TripWindows and ClearWindows")
 	}
 	c := &Controller{
 		M:         m,

@@ -54,10 +54,7 @@ func (r *ladderRig) window(n int, latUs int64) {
 // violation and back down under sustained relief, checking every lever at
 // every level.
 func TestControllerEscalationLadder(t *testing.T) {
-	cfg := tenant.DefaultControllerConfig()
-	cfg.TripWindows = 2
-	cfg.ClearWindows = 3
-	cfg.MinSamples = 10
+	cfg := tenant.ControllerConfig{Interval: 200 * sim.Microsecond, TripWindows: 2, ClearWindows: 3, MinSamples: 10}
 	r := newLadderRig(t, cfg)
 
 	check := func(level int, weight float64, class tenant.Class, shed bool) {
@@ -137,10 +134,7 @@ func TestControllerEscalationLadder(t *testing.T) {
 // TestControllerHysteresisAndMinSamples checks that alternating windows
 // never trip the ladder and that thin windows are ignored entirely.
 func TestControllerHysteresisAndMinSamples(t *testing.T) {
-	cfg := tenant.DefaultControllerConfig()
-	cfg.TripWindows = 2
-	cfg.ClearWindows = 2
-	cfg.MinSamples = 50
+	cfg := tenant.ControllerConfig{Interval: 200 * sim.Microsecond, TripWindows: 2, ClearWindows: 2, MinSamples: 50}
 	r := newLadderRig(t, cfg)
 
 	// Alternating good/bad: the fail streak never reaches 2.
@@ -179,10 +173,7 @@ func TestControllerHysteresisAndMinSamples(t *testing.T) {
 // histogram would dilute it away) and the controller recovers once the
 // burst passes.
 func TestControllerTransientViolationDetectedThenClears(t *testing.T) {
-	cfg := tenant.DefaultControllerConfig()
-	cfg.TripWindows = 1
-	cfg.ClearWindows = 2
-	cfg.MinSamples = 10
+	cfg := tenant.ControllerConfig{Interval: 200 * sim.Microsecond, TripWindows: 1, ClearWindows: 2, MinSamples: 10}
 	r := newLadderRig(t, cfg)
 
 	// A long healthy prefix.

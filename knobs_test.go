@@ -103,6 +103,10 @@ var keptKnobs = map[string]string{
 // test that needs another value sets an unexported one through its
 // package's export_test.go.
 //
+// A zero-value fill in the struct's own package (`if cfg.X <= 0 { cfg.X =
+// … }` in its constructor) is not a caller either: it runs only when no
+// caller set the field, so it would hide a knob that only tests set.
+//
 // Writes are resolved with go/types to the field they set, so a field
 // shared by name across config types (HERD's and FaSST's Workers) is not
 // hidden by a caller that sets its namesake.
@@ -138,9 +142,11 @@ func TestEveryKnobHasACaller(t *testing.T) {
 	set := map[token.Pos]bool{}
 	for _, u := range mod.units {
 		for _, f := range u.files {
-			if name := mod.fset.Position(f.Pos()).Filename; strings.HasSuffix(name, "_test.go") || strings.HasPrefix(filepath.ToSlash(name), "examples/") {
+			name := mod.fset.Position(f.Pos()).Filename
+			if strings.HasSuffix(name, "_test.go") || strings.HasPrefix(filepath.ToSlash(name), "examples/") {
 				continue
 			}
+			pkgPath := path.Join("scalerpc", filepath.ToSlash(filepath.Dir(name)))
 			for _, d := range f.Decls {
 				// counts reports whether a write of value counts as a
 				// caller's: always, except in a Default* function, where the
@@ -158,8 +164,13 @@ func TestEveryKnobHasACaller(t *testing.T) {
 						return ok && params[id.Name]
 					}
 				}
+				fills := map[ast.Expr]bool{} // left-hand sides of zero-value fills
 				ast.Inspect(d, func(n ast.Node) bool {
 					switch n := n.(type) {
+					case *ast.IfStmt:
+						for _, lhs := range zeroFills(n, u.info, pkgPath) {
+							fills[lhs] = true
+						}
 					case *ast.KeyValueExpr:
 						if id, ok := n.Key.(*ast.Ident); ok && counts(n.Value) {
 							if v, ok := u.info.Uses[id].(*types.Var); ok && v.IsField() {
@@ -172,7 +183,7 @@ func TestEveryKnobHasACaller(t *testing.T) {
 							if len(n.Rhs) == len(n.Lhs) {
 								v = n.Rhs[i]
 							}
-							if !counts(v) {
+							if !counts(v) || fills[lhs] {
 								continue
 							}
 							// cfg.NIC.CQDepth = v sets CQDepth and turns
@@ -218,6 +229,52 @@ func TestEveryKnobHasACaller(t *testing.T) {
 			t.Errorf("%s: kept for a test but set by a caller or gone; drop it from keptKnobs", w)
 		}
 	}
+}
+
+// zeroFills returns the left-hand sides of the assignments in ifs's body
+// that write a field its condition tests against zero (==, < or <= 0, "" or
+// nil), when the field is declared in package pkgPath: the constructor's
+// own defaults.
+func zeroFills(ifs *ast.IfStmt, info *types.Info, pkgPath string) []ast.Expr {
+	field := func(e ast.Expr) *types.Var {
+		sel, ok := e.(*ast.SelectorExpr)
+		if !ok {
+			return nil
+		}
+		if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal && s.Obj().Pkg().Path() == pkgPath {
+			return s.Obj().(*types.Var)
+		}
+		return nil
+	}
+	tested := map[*types.Var]bool{}
+	ast.Inspect(ifs.Cond, func(n ast.Node) bool {
+		b, ok := n.(*ast.BinaryExpr)
+		if !ok || (b.Op != token.EQL && b.Op != token.LSS && b.Op != token.LEQ) {
+			return true
+		}
+		zero := false
+		switch y := b.Y.(type) {
+		case *ast.BasicLit:
+			zero = y.Value == "0" || y.Value == `""`
+		case *ast.Ident:
+			zero = y.Name == "nil"
+		}
+		if f := field(b.X); f != nil && zero {
+			tested[f] = true
+		}
+		return true
+	})
+	var lhss []ast.Expr
+	for _, st := range ifs.Body.List {
+		if as, ok := st.(*ast.AssignStmt); ok {
+			for _, lhs := range as.Lhs {
+				if f := field(lhs); f != nil && tested[f] {
+					lhss = append(lhss, lhs)
+				}
+			}
+		}
+	}
+	return lhss
 }
 
 // modPkg is one directory of the module: its import path, its files split
