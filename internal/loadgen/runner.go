@@ -167,16 +167,33 @@ func (r *Runner) DrainDeadline() sim.Time { return r.endAt }
 
 // clientRun is one client's loop state.
 type clientRun struct {
-	r       *Runner
-	c       Client
-	ts      *tenantState
-	rng     *stats.RNG
-	arr     *arrivalStream
-	keys    *stats.Zipf
+	r    *Runner
+	c    Client
+	ts   *tenantState
+	rng  *stats.RNG
+	arr  *arrivalStream
+	keys *stats.Zipf
+	// backlog[head:] are the generated requests not yet sent, oldest
+	// first. pop slides them back to the front once the sent prefix is as
+	// long as what remains, so arrivals reuse the array instead of
+	// re-allocating it.
 	backlog []pendingReq
+	head    int
 	pending map[uint64]pendingReq // reqID → request (intended time et al.)
 	seq     uint64
 	payload []byte
+}
+
+// queued returns the unsent requests, oldest first.
+func (cr *clientRun) queued() []pendingReq { return cr.backlog[cr.head:] }
+
+// pop drops the oldest unsent request.
+func (cr *clientRun) pop() {
+	cr.head++
+	if 2*cr.head >= len(cr.backlog) {
+		cr.backlog = cr.backlog[:copy(cr.backlog, cr.backlog[cr.head:])]
+		cr.head = 0
+	}
 }
 
 // inWindow reports whether an intended arrival time is measured.
@@ -242,14 +259,14 @@ func (cr *clientRun) run(t *host.Thread) {
 		// Push the backlog; TrySend refuses when the window is full or the
 		// transport is mid-context-switch, and the queueing delay keeps
 		// accruing against the intended arrival time.
-		for len(cr.backlog) > 0 {
-			req := cr.backlog[0]
+		for len(cr.queued()) > 0 {
+			req := cr.queued()[0]
 			if !cr.c.Conn.TrySend(t, r.w.Handler, cr.buildPayload(req), cr.seq) {
 				break
 			}
 			cr.pending[cr.seq] = req
 			cr.seq++
-			cr.backlog = cr.backlog[1:]
+			cr.pop()
 			cr.ts.backlog--
 			if cr.inWindow(req.intended) {
 				cr.ts.qdelay.Record(int64(t.P.Now() - req.intended))
@@ -260,14 +277,14 @@ func (cr *clientRun) run(t *host.Thread) {
 		// drain deadline passed; whatever measured work remains unanswered
 		// is abandoned (and fails any completion-floor SLO).
 		if now >= r.horizon {
-			drained := len(cr.backlog) == 0 && len(cr.pending) == 0
+			drained := len(cr.queued()) == 0 && len(cr.pending) == 0
 			if drained || now >= r.endAt {
-				for _, req := range cr.backlog {
+				for _, req := range cr.queued() {
 					if cr.inWindow(req.intended) {
 						cr.ts.abandoned++
 					}
 				}
-				cr.ts.backlog -= float64(len(cr.backlog))
+				cr.ts.backlog -= float64(len(cr.queued()))
 				for _, req := range cr.pending {
 					if cr.inWindow(req.intended) {
 						cr.ts.abandoned++
@@ -284,7 +301,7 @@ func (cr *clientRun) run(t *host.Thread) {
 			wake = next
 		}
 		d := wake - now
-		if len(cr.backlog) > 0 || len(cr.pending) > 0 {
+		if len(cr.queued()) > 0 || len(cr.pending) > 0 {
 			// Work in flight: poll at least every PollInterval even if the
 			// signal stays quiet (e.g. completions recorded before we
 			// registered interest).

@@ -2,6 +2,7 @@ package rpccore
 
 import (
 	"scalerpc/internal/host"
+	"scalerpc/internal/recycle"
 	"scalerpc/internal/sim"
 )
 
@@ -90,11 +91,31 @@ type pendingCall struct {
 	done      bool
 }
 
+// poison overwrites a released call with the poison pattern.
+func (pc *pendingCall) poison() {
+	w := poisonInt()
+	*pc = pendingCall{reqID: recycle.Word, deadline: sim.Time(w), nextRetry: sim.Time(w),
+		interval: sim.Duration(w), retries: w, hedgeAt: sim.Time(w), done: true}
+}
+
+// poisonInt is recycle.Word as a (negative) int.
+func poisonInt() int {
+	w := recycle.Word
+	return int(w)
+}
+
 // Caller wraps a Conn with per-call deadlines, retry/backoff and hedging.
 // It implements Conn itself, so drivers and the loadgen runner can slot it
 // in transparently: Poll delivers normal responses for calls still
 // pending, synthesizes TimedOut failures for expired ones, and silently
 // drops responses for calls already completed or failed (retry races).
+//
+// Several threads may share one Caller (a shard node's handler threads
+// share its replication links), and the timer sweep yields inside Cancel
+// and Resend, so a sweep can be suspended holding a pendingCall while
+// another thread sends and polls. pendingCalls are therefore recycled only
+// at order compaction, and compaction runs only while no sweep is in
+// flight: a call a sweep read before a yield is still that call after it.
 type Caller struct {
 	Conn Conn
 	Opts CallOpts
@@ -104,6 +125,38 @@ type Caller struct {
 	// order preserves insertion order for the timer sweep — iterating the
 	// map would break run determinism.
 	order []*pendingCall
+	// sweeping counts timer sweeps in flight (suspended in a yield or
+	// running); compaction waits for zero.
+	sweeping int
+
+	calls  recycle.List[pendingCall]
+	frames recycle.List[pollFrame]
+}
+
+// pollFrame is one Poll's delivery state. Its deliver method value is
+// bound once, when the frame is made, so a poll builds no closure; each
+// concurrent Poll takes its own frame.
+type pollFrame struct {
+	c         *Caller
+	fn        func(Response)
+	delivered int
+	onResp    func(Response)
+}
+
+// deliver hands one response from the wrapped Conn to the pending call it
+// answers, or counts it as a late drop.
+func (f *pollFrame) deliver(r Response) {
+	c := f.c
+	pc, ok := c.pending[r.ReqID]
+	if !ok || pc.done {
+		// A late response: its call completed via an earlier copy or
+		// already timed out.
+		c.Rel.LateDrops++
+		return
+	}
+	c.complete(pc)
+	f.delivered++
+	f.fn(r)
 }
 
 // NewCaller wraps conn. rel may be nil (detached counters).
@@ -121,7 +174,8 @@ func (c *Caller) TrySend(t *host.Thread, handler uint8, payload []byte, reqID ui
 		return false
 	}
 	now := t.P.Now()
-	pc := &pendingCall{reqID: reqID, interval: c.Opts.RetryInterval}
+	pc := c.calls.Get()
+	*pc = pendingCall{reqID: reqID, interval: c.Opts.RetryInterval}
 	if c.Opts.Timeout > 0 {
 		pc.deadline = now + c.Opts.Timeout
 	}
@@ -143,29 +197,36 @@ func (c *Caller) TrySend(t *host.Thread, handler uint8, payload []byte, reqID ui
 // counting the rest as late drops, then sweeps the timers: expired calls
 // fail with TimedOut, due retries and hedges re-send in place.
 func (c *Caller) Poll(t *host.Thread, fn func(Response)) int {
-	delivered := 0
-	c.Conn.Poll(t, func(r Response) {
-		pc, ok := c.pending[r.ReqID]
-		if !ok || pc.done {
-			// A late response: its call completed via an earlier copy or
-			// already timed out.
-			c.Rel.LateDrops++
-			return
-		}
-		c.complete(pc)
-		delivered++
-		fn(r)
-	})
+	f := c.frames.Get()
+	if f.onResp == nil {
+		f.c, f.onResp = c, f.deliver
+	}
+	f.fn, f.delivered = fn, 0
+	c.Conn.Poll(t, f.onResp)
+	delivered := f.delivered
+	f.fn, f.delivered = nil, 0
+	if recycle.Poison {
+		f.delivered = poisonInt()
+	}
+	c.frames.Put(f)
 
-	if len(c.order) > 2*(len(c.pending)+1) {
+	if c.sweeping == 0 && len(c.order) > 2*(len(c.pending)+1) {
 		keep := c.order[:0]
 		for _, pc := range c.order {
 			if !pc.done {
 				keep = append(keep, pc)
+				continue
 			}
+			if recycle.Poison {
+				pc.poison()
+			}
+			c.calls.Put(pc)
 		}
+		clear(c.order[len(keep):])
 		c.order = keep
 	}
+	c.sweeping++
+	defer func() { c.sweeping-- }() // also when a yield unwinds the thread
 	now := t.P.Now()
 	for i := 0; i < len(c.order); i++ {
 		pc := c.order[i]
@@ -175,7 +236,7 @@ func (c *Caller) Poll(t *host.Thread, fn func(Response)) int {
 		if c.Opts.Timeout > 0 && now >= pc.deadline {
 			c.complete(pc)
 			if cn, ok := c.Conn.(Canceler); ok {
-				cn.Cancel(t, pc.reqID)
+				cn.Cancel(t, pc.reqID) // may yield: pc stays this call's (see Caller)
 			}
 			c.Rel.DeadlineExceeded++
 			delivered++

@@ -23,6 +23,22 @@ type clientCache struct {
 	n     int
 }
 
+// slotBytes is each slot's share of its client's backing array: enough for
+// the small replies most handlers return. A larger payload grows a buffer
+// of its own.
+const slotBytes = 64
+
+// newClientCache makes a window of n slots whose payload buffers are cut
+// from one backing array, so no slot allocates on its first commit.
+func newClientCache(n int) *clientCache {
+	cc := &clientCache{slots: make([]replySlot, n)}
+	buf := make([]byte, n*slotBytes)
+	for i := range cc.slots {
+		cc.slots[i].payload = buf[i*slotBytes : i*slotBytes : (i+1)*slotBytes]
+	}
+	return cc
+}
+
 // find returns the live slot holding reqID, or nil.
 func (cc *clientCache) find(reqID uint64) *replySlot {
 	for i := 0; i < cc.n; i++ {
@@ -74,7 +90,7 @@ func NewReplyCache(window int) *ReplyCache {
 func (rc *ReplyCache) Admit(client uint16, reqID uint64) (dup bool, rep CachedReply, ready bool) {
 	cc := rc.clients[client]
 	if cc == nil {
-		cc = &clientCache{slots: make([]replySlot, rc.perClient)}
+		cc = newClientCache(rc.perClient)
 		rc.clients[client] = cc
 	}
 	if s := cc.find(reqID); s != nil {

@@ -577,7 +577,7 @@ func (s *Server) lateServe(t *host.Thread, out *rpccore.Outbox, cs *clientState,
 		// scheduler's critical path (the cache entry commits there).
 		s.Stats.LegacyCalls++
 		s.legacyQ.Push(legacyJob{cs: cs, slot: slot, handler: hdr.Handler, reqID: hdr.ReqID,
-			body: append([]byte(nil), body...)})
+			body: s.bodies.Clone(body)})
 	default:
 		buf := out.Buf
 		n := s.handlers[hdr.Handler](t, cs.ID, body, buf[rpcwire.HeaderSize:len(buf)-rpcwire.TrailerSize])

@@ -8,6 +8,7 @@ import (
 	"scalerpc/internal/host"
 	"scalerpc/internal/memory"
 	"scalerpc/internal/nic"
+	"scalerpc/internal/recycle"
 	"scalerpc/internal/rpccore"
 	"scalerpc/internal/rpcwire"
 	"scalerpc/internal/sim"
@@ -139,6 +140,9 @@ type Server struct {
 	handlers [256]rpccore.Handler
 	legacy   [256]bool
 	legacyQ  *sim.Queue[legacyJob]
+	// bodies holds the legacy jobs' request copies: taken at the hand-off,
+	// returned by the legacy thread once the handler and Commit are done.
+	bodies recycle.Bufs
 
 	clients []*clientState
 	groups  [][]uint16
@@ -516,7 +520,7 @@ func (s *Server) serve(t *host.Thread, out *rpccore.Outbox, cs *clientState, slo
 		// at the virtual time the request was actually parsed.
 		t.FlushWork()
 		s.legacyQ.Push(legacyJob{cs: cs, slot: slot, handler: hdr.Handler, reqID: hdr.ReqID,
-			body: append([]byte(nil), body...)})
+			body: s.bodies.Clone(body)})
 		return
 	}
 	// Settle deferred sweep charges around the handler so its measured
@@ -568,6 +572,7 @@ func (s *Server) runLegacy(t *host.Thread) {
 		n := s.handlers[job.handler](t, job.cs.ID, job.body, buf[rpcwire.HeaderSize:len(buf)-rpcwire.TrailerSize])
 		hdr := rpcwire.Header{ReqID: job.reqID, Handler: job.handler}
 		s.replies.Commit(job.cs.ID, job.reqID, buf[rpcwire.HeaderSize:rpcwire.HeaderSize+n], false)
+		s.bodies.Put(job.body)
 		s.respond(t, &out, job.cs, job.slot, hdr, n, 0)
 		out.Post(t, job.cs.QP)
 	}

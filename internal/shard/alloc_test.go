@@ -5,9 +5,11 @@ import (
 	"strings"
 	"testing"
 
+	"scalerpc/internal/cluster"
 	"scalerpc/internal/host"
 	"scalerpc/internal/sim"
 	"scalerpc/internal/smallbank"
+	"scalerpc/internal/txn"
 )
 
 // TestAllocBudgetRouted pins the routed-2PC client path on a 4-host, 16-
@@ -15,9 +17,10 @@ import (
 // conns, the deadline sweep) allocates nothing, and one committed two-
 // partition SmallBank payment — Coordinator.Run over the router, the wire
 // conns and the doorbells, everything the coordinator's thread does until
-// the commit returns — stays under a fixed ceiling (today: the two slices
-// SmallBank's Apply returns). It was ~2000 when every poll pass built 80
-// closures. The shard servers' side of the transaction is not counted.
+// the commit returns — stays under a fixed ceiling. It was ~2000 when
+// every poll pass built 80 closures, and 2 while SmallBank's Apply built
+// its result per call; it reads 0.06 now. The shard servers' side of the
+// transaction is not counted here (TestAllocBudgetShardServers counts it).
 func TestAllocBudgetRouted(t *testing.T) {
 	defer func(r int) { runtime.MemProfileRate = r }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1 // allocsUnder needs every allocation recorded
@@ -28,7 +31,7 @@ func TestAllocBudgetRouted(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const txnCeiling = 8
+	const txnCeiling = 1
 	var idle, perTxn float64
 	done := false
 	ch.Spawn("coord", func(th *host.Thread) {
@@ -102,4 +105,109 @@ func allocsUnder(fn string) int64 {
 		}
 	}
 	return total
+}
+
+// smallBankRun is what runSmallBank measured.
+type smallBankRun struct {
+	c        *cluster.Cluster
+	d        *Deployment
+	commits  uint64 // committed in the measured span
+	mallocs  uint64 // heap allocations, whole process, in the measured span
+	notFound uint64 // aborts on a missing row, whole run
+	legacy   uint64 // requests the shard servers ran on their legacy threads
+}
+
+// runSmallBank runs the SmallBank mix on buildDeployment's 4-host,
+// 16-partition deployment with backups: eight routed coordinators on hosts
+// 5 and 6 through 1 ms of warm-up (connections reach PROCESS, free lists
+// and scratch fill) and then a measured span of span. onLegacy puts every
+// routed request on the shard servers' legacy threads (the threshold is
+// crossed by the first one), copying each into a legacy body; otherwise
+// every handler runs inline on the worker threads, which then share each
+// replication link. The caller closes run.c.
+func runSmallBank(t *testing.T, onLegacy bool, span sim.Duration) smallBankRun {
+	t.Helper()
+	c, d, _ := buildDeploymentWith(t, 16, func(cfg *DeployConfig) {
+		cfg.Srv.LegacyThreshold = sim.Second
+		if onLegacy {
+			cfg.Srv.LegacyThreshold = 0
+		}
+	})
+	sbCfg := smallbank.Config{Accounts: 2000, InitialBalance: 1000}
+	if err := smallbank.LoadWith(sbCfg, d.LoadKV); err != nil {
+		c.Close()
+		t.Fatal(err)
+	}
+	const coords = 8
+	warm := sim.Millisecond
+	horizon := warm + span
+	cos := make([]*txn.Coordinator, coords)
+	for i := range cos {
+		ch := c.Hosts[5+i%2]
+		ch.Spawn("sb-coord", func(th *host.Thread) {
+			co := d.NewCoordinator(d.NewRouter(ch, DefaultRouterConfig()), uint64(i+1))
+			cos[i] = co
+			gen := smallbank.NewGen(sbCfg, uint64(i)*977+3)
+			txn.RunLoop(th, co, gen.Next, func() bool { return th.P.Now() >= horizon })
+		})
+	}
+	commits := func() uint64 {
+		var n uint64
+		for _, co := range cos {
+			if co != nil {
+				n += co.Stats.Commits
+			}
+		}
+		return n
+	}
+	var before, after runtime.MemStats
+	c.Env.RunUntil(warm)
+	runtime.ReadMemStats(&before)
+	start := commits()
+	c.Env.RunUntil(horizon)
+	runtime.ReadMemStats(&after)
+	run := smallBankRun{c: c, d: d, commits: commits() - start, mallocs: after.Mallocs - before.Mallocs}
+	c.Env.RunUntil(horizon + sim.Millisecond) // let the last transactions settle
+	for _, co := range cos {
+		run.notFound += co.Stats.NotFoundAborts
+	}
+	for _, srv := range d.Servers {
+		run.legacy += srv.Stats.LegacyCalls
+	}
+	if (run.legacy > 0) != onLegacy {
+		c.Close()
+		t.Fatalf("legacy calls = %d with onLegacy %v", run.legacy, onLegacy)
+	}
+	if run.commits < 200 {
+		c.Close()
+		t.Fatalf("only %d transactions committed in the measured span", run.commits)
+	}
+	return run
+}
+
+// TestAllocBudgetShardServers pins the whole process's heap allocations per
+// committed SmallBank transaction, runtime.MemStats.Mallocs over a measured
+// span: the coordinators, the shard servers' handlers on every thread,
+// their replication forwards, the backups' applies and the legacy hand-off
+// all count (TestAllocBudgetRouted counts the coordinator's thread only).
+// Both handler placements are run: all on the legacy thread, and all
+// inline on the workers. The code before the servers recycled their
+// per-call objects read 33.7 (legacy) and 30.6 (inline) here; now 1.2
+// and 1.0.
+func TestAllocBudgetShardServers(t *testing.T) {
+	const ceiling = 4.0
+	for _, tc := range []struct {
+		name     string
+		onLegacy bool
+	}{{"legacy", true}, {"inline", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := runSmallBank(t, tc.onLegacy, 4*sim.Millisecond)
+			defer run.c.Close()
+			per := float64(run.mallocs) / float64(run.commits)
+			t.Logf("%d commits, %.2f allocs per committed transaction (ceiling %v)", run.commits, per, ceiling)
+			if per > ceiling {
+				t.Errorf("%.2f allocs per committed transaction, ceiling %v", per, ceiling)
+			}
+		})
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"scalerpc/internal/host"
 	"scalerpc/internal/mica"
 	"scalerpc/internal/nic"
+	"scalerpc/internal/recycle"
 	"scalerpc/internal/rpccore"
 	"scalerpc/internal/sim"
 	"scalerpc/internal/txn"
@@ -67,6 +68,12 @@ type Node struct {
 
 	links   map[int]*replLink
 	replSig *sim.Signal
+
+	// scratch and recs are the handlers' per-invocation working memory:
+	// decoded write sets and encoded replication records. Each handler
+	// thread takes its own and returns it before it answers.
+	scratch txn.ScratchPool
+	recs    recycle.Bufs
 
 	// ApplyHook observes fresh write applies for invariant accounting:
 	// kind is "exec" on the primary client path, "repl" on the backup
@@ -142,12 +149,7 @@ func (n *Node) applyMap(m *Map) {
 // must terminate at peer's replication server; it is wrapped in the
 // exactly-once caller with the replication link's retry policy.
 func (n *Node) AddReplLink(peer int, conn rpccore.Conn) {
-	opts := rpccore.CallOpts{Timeout: replCallTimeout, RetryInterval: replRetryInterval, MaxRetries: replMaxRetries}
-	n.links[peer] = &replLink{
-		caller:  rpccore.NewCaller(conn, opts, rpccore.SharedRel(n.Host.Tel.Registry())),
-		sig:     n.replSig,
-		results: make(map[uint64]*replResult),
-	}
+	n.links[peer] = newReplLink(conn, rpccore.SharedRel(n.Host.Tel.Registry()), n.replSig)
 }
 
 // ReplSignal is the activity signal replication connections must be
@@ -230,8 +232,11 @@ func (n *Node) handleShard(t *host.Thread, clientID uint16, req, out []byte) int
 			n.stats.DedupHits++
 			return copy(out, rep)
 		}
-		kvs := []txn.KV{{Key: key, Value: value}}
-		if !n.replicate(t, part, ReplKV, token, kvs) {
+		s := n.scratch.Get()
+		s.KVs = append(s.KVs, txn.KV{Key: key, Value: value})
+		ok := n.replicate(t, part, ReplKV, token, s.KVs)
+		n.scratch.Put(s)
+		if !ok {
 			out[0] = RRetry
 			return 1
 		}
@@ -247,13 +252,17 @@ func (n *Node) handleShard(t *host.Thread, clientID uint16, req, out []byte) int
 		return 1
 
 	case txn.HCommit:
-		txnID, kvs, err := txn.DecodeWriteReq(body)
+		s := n.scratch.Get()
+		txnID, kvs, err := txn.DecodeWriteReq(s.KVs, body)
+		s.KVs = kvs
 		if err != nil {
+			n.scratch.Put(s)
 			out[0] = RRetry
 			return 1
 		}
 		key := txnTok{txnID, part}
 		if n.appliedTxn[key] {
+			n.scratch.Put(s)
 			n.stats.DedupHits++
 			out[0], out[1] = ROK, 1
 			return 2
@@ -261,7 +270,8 @@ func (n *Node) handleShard(t *host.Thread, clientID uint16, req, out []byte) int
 		// The commit is already decided (logged everywhere), so a backup
 		// that cannot be reached must not block it: forward best-effort
 		// and apply regardless.
-		n.replicate(t, part, ReplTxn, txnID, kvs)
+		n.replicate(t, part, ReplTxn, txnID, s.KVs)
+		n.scratch.Put(s)
 		m := n.tabs[part][txn.HCommit](t, clientID, body, out[1:])
 		n.appliedTxn[key] = true
 		out[0] = ROK
@@ -295,11 +305,16 @@ func (n *Node) replicate(t *host.Thread, part int, kind uint8, token uint64, kvs
 	for _, kv := range kvs {
 		size += 3 + len(kv.Key) + len(kv.Value)
 	}
-	buf := make([]byte, size)
+	// The record goes back to the free list as soon as call returns: the
+	// link's Conn copies the payload into its own staging block at
+	// TrySend, and a retry re-posts from that block, so nothing reads buf
+	// afterwards.
+	buf := n.recs.Get(size)
 	m := EncodeRepl(buf, n.cur.Epoch, part, kind, token, kvs)
 	start := t.P.Now()
 	n.stats.ReplForwards++
 	status, ok := link.call(t, buf[:m], replTimeout)
+	n.recs.Put(buf)
 	if !ok || status != ROK {
 		n.stats.ReplFailures++
 		return false
@@ -310,7 +325,10 @@ func (n *Node) replicate(t *host.Thread, part int, kind uint8, token uint64, kvs
 
 // handleRepl applies one forwarded write set on the backup role's plane.
 func (n *Node) handleRepl(t *host.Thread, clientID uint16, req, out []byte) int {
-	epoch, part, kind, token, kvs, err := DecodeRepl(req)
+	s := n.scratch.Get()
+	defer n.scratch.Put(s)
+	epoch, part, kind, token, kvs, err := DecodeRepl(s.KVs, req)
+	s.KVs = kvs
 	if err != nil {
 		out[0] = RRetry
 		return 1
@@ -350,8 +368,11 @@ func (n *Node) handleRepl(t *host.Thread, clientID uint16, req, out []byte) int 
 	return 1
 }
 
-// replResult is one forward's completion state.
-type replResult struct {
+// replSlot is one forward's completion state. It lives by value in its
+// link's slots and is reused once its call returns.
+type replSlot struct {
+	reqID  uint64
+	busy   bool
 	done   bool
 	err    bool
 	status uint8
@@ -359,12 +380,23 @@ type replResult struct {
 
 // replLink is one node→peer replication connection: an exactly-once
 // caller over the raw-write plane, shared by every handler thread on the
-// node (each call matches its own request id out of the demux table).
+// node (each call matches its own request id out of the slots).
 type replLink struct {
 	caller  *rpccore.Caller
 	sig     *sim.Signal
 	nextReq uint64
-	results map[uint64]*replResult
+	slots   []replSlot
+	// onResp is deliver, bound once: a poll builds no closure.
+	onResp func(rpccore.Response)
+}
+
+// newReplLink wraps conn in the exactly-once caller with the replication
+// link's retry policy; sig is the signal conn's responses raise.
+func newReplLink(conn rpccore.Conn, rel *rpccore.RelStats, sig *sim.Signal) *replLink {
+	opts := rpccore.CallOpts{Timeout: replCallTimeout, RetryInterval: replRetryInterval, MaxRetries: replMaxRetries}
+	l := &replLink{caller: rpccore.NewCaller(conn, opts, rel), sig: sig}
+	l.onResp = l.deliver
+	return l
 }
 
 // call sends one replication record and blocks until its ack, a caller
@@ -372,24 +404,24 @@ type replLink struct {
 func (l *replLink) call(t *host.Thread, payload []byte, timeout sim.Duration) (uint8, bool) {
 	l.nextReq++
 	reqID := l.nextReq
-	res := &replResult{}
-	l.results[reqID] = res
+	// The slot is named by index: slots may grow while this call waits.
+	i := l.take(reqID)
 	deadline := t.P.Now() + timeout
 	posted := false
 	for {
 		if !posted {
 			posted = l.caller.TrySend(t, HRepl, payload, reqID)
 		}
-		l.poll(t)
-		if res.done {
-			delete(l.results, reqID)
-			if res.err {
+		l.caller.Poll(t, l.onResp)
+		if s := l.slots[i]; s.done {
+			l.release(i)
+			if s.err {
 				return 0, false
 			}
-			return res.status, true
+			return s.status, true
 		}
 		if t.P.Now() >= deadline {
-			delete(l.results, reqID)
+			l.release(i)
 			return 0, false
 		}
 		wait := deadline - t.P.Now()
@@ -400,19 +432,47 @@ func (l *replLink) call(t *host.Thread, payload []byte, timeout sim.Duration) (u
 	}
 }
 
-func (l *replLink) poll(t *host.Thread) {
-	l.caller.Poll(t, func(r rpccore.Response) {
-		res := l.results[r.ReqID]
-		if res == nil || res.done {
+// take claims a free slot for reqID and returns its index.
+func (l *replLink) take(reqID uint64) int {
+	i := 0
+	for i < len(l.slots) && l.slots[i].busy {
+		i++
+	}
+	if i == len(l.slots) {
+		l.slots = append(l.slots, replSlot{})
+	}
+	l.slots[i] = replSlot{reqID: reqID, busy: true}
+	return i
+}
+
+// release frees slot i, poisoning it under recycle.Poison.
+func (l *replLink) release(i int) {
+	if recycle.Poison {
+		l.slots[i] = replSlot{reqID: recycle.Word, done: true, status: recycle.Byte}
+		return
+	}
+	l.slots[i] = replSlot{}
+}
+
+// deliver records a response against the call it answers; one for a call
+// that already returned finds no busy slot and is dropped.
+func (l *replLink) deliver(r rpccore.Response) {
+	for i := range l.slots {
+		s := &l.slots[i]
+		if !s.busy || s.reqID != r.ReqID {
+			continue
+		}
+		if s.done {
 			return
 		}
-		res.done = true
+		s.done = true
 		if r.Err || r.TimedOut || len(r.Payload) < 1 {
-			res.err = true
+			s.err = true
 			return
 		}
-		res.status = r.Payload[0]
-	})
+		s.status = r.Payload[0]
+		return
+	}
 }
 
 // nodePushSvc receives map versions the director pushes.

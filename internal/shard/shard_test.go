@@ -95,9 +95,19 @@ func TestMapFailoverPromotesBackups(t *testing.T) {
 // buildDeployment stands up a 4-shard-host deployment with a director and
 // returns it plus a client host.
 func buildDeployment(t *testing.T, partitions int) (*cluster.Cluster, *Deployment, *host.Host) {
+	return buildDeploymentWith(t, partitions, nil)
+}
+
+// buildDeploymentWith is buildDeployment with edit applied to the
+// deployment config first (nil leaves it alone). Hosts 5 and 6 are free
+// for clients.
+func buildDeploymentWith(t *testing.T, partitions int, edit func(*DeployConfig)) (*cluster.Cluster, *Deployment, *host.Host) {
 	t.Helper()
 	c := cluster.New(cluster.Default(7))
 	cfg := DefaultDeployConfig(partitions, []int{0, 1, 2, 3}, 4, testStoreCfg())
+	if edit != nil {
+		edit(&cfg)
+	}
 	d := Deploy(c, cfg)
 	return c, d, c.Hosts[5]
 }

@@ -92,14 +92,15 @@ func EncodeRepl(buf []byte, epoch uint32, part int, kind uint8, token uint64, kv
 	return 7 + txn.EncodeWriteReq(buf[7:], token, kvs)
 }
 
-// DecodeRepl parses an HRepl request.
-func DecodeRepl(buf []byte) (epoch uint32, part int, kind uint8, token uint64, kvs []txn.KV, err error) {
+// DecodeRepl parses an HRepl request, appending its write set to kvs
+// (pass nil, or a slice to reuse). Keys and values alias buf.
+func DecodeRepl(kvs []txn.KV, buf []byte) (epoch uint32, part int, kind uint8, token uint64, _ []txn.KV, err error) {
 	if len(buf) < 7 {
-		return 0, 0, 0, 0, nil, fmt.Errorf("shard: short repl request")
+		return 0, 0, 0, 0, kvs, fmt.Errorf("shard: short repl request")
 	}
 	epoch = binary.LittleEndian.Uint32(buf)
 	part = int(binary.LittleEndian.Uint16(buf[4:]))
 	kind = buf[6]
-	token, kvs, err = txn.DecodeWriteReq(buf[7:])
+	token, kvs, err = txn.DecodeWriteReq(kvs, buf[7:])
 	return epoch, part, kind, token, kvs, err
 }

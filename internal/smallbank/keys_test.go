@@ -27,7 +27,7 @@ func TestKeysMatchSprintf(t *testing.T) {
 		if got := appendMoney(nil, int64(id)-7); !bytes.Equal(got, want) {
 			t.Errorf("appendMoney(%d) = %x, want %x", id-7, got, want)
 		}
-		if got := moneys(1, int64(id)-7); !bytes.Equal(got[1], want) || amount(got[0]) != 1 {
+		if got := (&Gen{}).moneys(1, int64(id)-7); !bytes.Equal(got[1], want) || amount(got[0]) != 1 {
 			t.Errorf("moneys(1, %d) = %x", id-7, got)
 		}
 	}

@@ -91,18 +91,6 @@ func appendMoney(buf []byte, v int64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, uint64(v))
 }
 
-// moneys builds an Apply result: one row value per balance, cut from a
-// single backing array.
-func moneys(vs ...int64) [][]byte {
-	out := make([][]byte, len(vs))
-	buf := make([]byte, 0, 8*len(vs))
-	for i, v := range vs {
-		buf = appendMoney(buf, v)
-		out[i] = buf[8*i : 8*i+8 : 8*i+8]
-	}
-	return out
-}
-
 func amount(b []byte) int64 { return int64(binary.LittleEndian.Uint64(b)) }
 
 // Amount decodes a row value to its balance (for TotalBalanceWith callers).
@@ -171,6 +159,13 @@ type Gen struct {
 	OnlyPayments bool
 	// Counts tallies generated transactions by type.
 	Counts [numTypes]uint64
+
+	// tx is the one transaction Next rebuilds; apply holds each type's
+	// Apply, bound once; vals and out back what an Apply returns.
+	tx    genTxn
+	apply [numTypes]func(rv, wv [][]byte) [][]byte
+	vals  [3 * 8]byte
+	out   [3][]byte
 }
 
 // NewGen returns a generator with its own random stream.
@@ -179,7 +174,15 @@ func NewGen(cfg Config, seed uint64) *Gen {
 	if hotN < 1 {
 		hotN = 1
 	}
-	return &Gen{cfg: cfg, rng: stats.NewRNG(seed), hotN: hotN}
+	g := &Gen{cfg: cfg, rng: stats.NewRNG(seed), hotN: hotN}
+	g.apply = [numTypes]func(rv, wv [][]byte) [][]byte{
+		Amalgamate:      g.amalgamate,
+		DepositChecking: g.depositChecking,
+		SendPayment:     g.sendPayment,
+		TransactSavings: g.transactSavings,
+		WriteCheck:      g.writeCheck,
+	}
+	return g
 }
 
 // pickAccount draws from the hot set with hotProbability.
@@ -215,8 +218,7 @@ func (g *Gen) pickType() TxnType {
 	return WriteCheck
 }
 
-// genTxn is one generated transaction with its key storage, so that Next
-// costs one allocation however many rows the transaction names.
+// genTxn is one generated transaction with its key storage.
 type genTxn struct {
 	txn.Txn
 	keys [3][]byte
@@ -229,11 +231,15 @@ func (g *genTxn) key(n int, row string, acct int) {
 	g.keys[n] = appendKey(g.buf[start:start:start+keyLen], row, acct)
 }
 
-// Next builds one transaction.
+// Next builds one transaction. The generator owns what it returns: the
+// *txn.Txn and its keys are valid until the next call to Next, and what
+// its Apply returns until Apply's next call, which is all txn.RunLoop and
+// a coordinator, running one transaction at a time, need.
 func (g *Gen) Next() *txn.Txn {
 	typ := g.pickType()
 	g.Counts[typ]++
-	t := &genTxn{}
+	t := &g.tx
+	t.Txn = txn.Txn{Apply: g.apply[typ]}
 	switch typ {
 	case Amalgamate:
 		a, b := g.pickTwo()
@@ -242,10 +248,6 @@ func (g *Gen) Next() *txn.Txn {
 		t.key(1, ck, a)
 		t.key(2, ck, b)
 		t.Writes = t.keys[:3]
-		t.Apply = func(rv, wv [][]byte) [][]byte {
-			total := amount(wv[0]) + amount(wv[1])
-			return moneys(0, 0, amount(wv[2])+total)
-		}
 	case Balance:
 		a := g.pickAccount()
 		t.key(0, sv, a)
@@ -254,35 +256,56 @@ func (g *Gen) Next() *txn.Txn {
 	case DepositChecking:
 		t.key(0, ck, g.pickAccount())
 		t.Writes = t.keys[:1]
-		t.Apply = func(rv, wv [][]byte) [][]byte {
-			return moneys(amount(wv[0]) + 130)
-		}
 	case SendPayment:
 		a, b := g.pickTwo()
 		t.key(0, ck, a)
 		t.key(1, ck, b)
 		t.Writes = t.keys[:2]
-		t.Apply = func(rv, wv [][]byte) [][]byte {
-			return moneys(amount(wv[0])-5, amount(wv[1])+5)
-		}
 	case TransactSavings:
 		t.key(0, sv, g.pickAccount())
 		t.Writes = t.keys[:1]
-		t.Apply = func(rv, wv [][]byte) [][]byte {
-			return moneys(amount(wv[0]) + 20)
-		}
 	default: // WriteCheck
 		a := g.pickAccount()
 		t.key(0, sv, a)
 		t.key(1, ck, a)
 		t.Reads, t.Writes = t.keys[:1], t.keys[1:2]
-		t.Apply = func(rv, wv [][]byte) [][]byte {
-			check := int64(18)
-			if amount(rv[0])+amount(wv[0]) < check {
-				check++ // overdraft penalty
-			}
-			return moneys(amount(wv[0]) - check)
-		}
 	}
 	return &t.Txn
+}
+
+// The Apply of each updating type.
+
+func (g *Gen) amalgamate(rv, wv [][]byte) [][]byte {
+	total := amount(wv[0]) + amount(wv[1])
+	return g.moneys(0, 0, amount(wv[2])+total)
+}
+
+func (g *Gen) depositChecking(rv, wv [][]byte) [][]byte {
+	return g.moneys(amount(wv[0]) + 130)
+}
+
+func (g *Gen) sendPayment(rv, wv [][]byte) [][]byte {
+	return g.moneys(amount(wv[0])-5, amount(wv[1])+5)
+}
+
+func (g *Gen) transactSavings(rv, wv [][]byte) [][]byte {
+	return g.moneys(amount(wv[0]) + 20)
+}
+
+func (g *Gen) writeCheck(rv, wv [][]byte) [][]byte {
+	check := int64(18)
+	if amount(rv[0])+amount(wv[0]) < check {
+		check++ // overdraft penalty
+	}
+	return g.moneys(amount(wv[0]) - check)
+}
+
+// moneys builds an Apply result, one row value per balance, in the
+// generator's own storage: valid until the next Apply.
+func (g *Gen) moneys(vs ...int64) [][]byte {
+	out := g.out[:len(vs)]
+	for i, v := range vs {
+		out[i] = appendMoney(g.vals[8*i:8*i:8*i+8], v)
+	}
+	return out
 }

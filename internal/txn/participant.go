@@ -6,6 +6,7 @@ import (
 	"scalerpc/internal/host"
 	"scalerpc/internal/memory"
 	"scalerpc/internal/mica"
+	"scalerpc/internal/recycle"
 	"scalerpc/internal/rpccore"
 )
 
@@ -28,6 +29,11 @@ type Participant struct {
 
 	log    *memory.Region
 	logOff int
+	// scratch is the handlers' per-invocation working memory: every
+	// handler takes its own, so one that yields mid-way (a store access, a
+	// replication forward in the shard layer) never shares lists with
+	// another running on a different thread.
+	scratch ScratchPool
 }
 
 // logSize is the per-participant redo-log ring capacity.
@@ -55,25 +61,27 @@ func (p *Participant) RegisterHandlers(s rpccore.Server) {
 // everything locked so far is rolled back and StLockConflict returned.
 func (p *Participant) handleExec(t *host.Thread, clientID uint16, req, out []byte) int {
 	p.Stats.Execs++
-	txnID, reads, writes, err := DecodeExecReq(req)
+	s := p.scratch.Get()
+	defer p.scratch.Put(s)
+	var txnID uint64
+	var err error
+	txnID, s.Reads, s.Writes, err = DecodeExecReq(s.Reads, s.Writes, req)
 	if err != nil {
 		return EncodeExecResp(out, StNotFound, nil)
 	}
-	items := make([]ItemResult, 0, len(reads)+len(writes))
-	for _, k := range reads {
+	for _, k := range s.Reads {
 		it, err := p.Store.Get(t, k)
 		if err != nil {
-			items = append(items, ItemResult{Found: false})
+			s.Items = append(s.Items, ItemResult{Found: false})
 			continue
 		}
-		items = append(items, ItemResult{Found: true, Version: it.Version, Addr: it.Addr, Value: it.Value})
+		s.Items = append(s.Items, ItemResult{Found: true, Version: it.Version, Addr: it.Addr, Value: it.Value})
 	}
-	locked := make([][]byte, 0, len(writes))
-	for _, k := range writes {
+	for _, k := range s.Writes {
 		it, err := p.Store.TryLock(t, k, txnID)
 		if err != nil {
 			// Roll back locks taken by this request.
-			for _, lk := range locked {
+			for _, lk := range s.Locked {
 				p.Store.Unlock(t, lk, txnID)
 			}
 			if errors.Is(err, mica.ErrLocked) {
@@ -82,26 +90,29 @@ func (p *Participant) handleExec(t *host.Thread, clientID uint16, req, out []byt
 			}
 			return EncodeExecResp(out, StNotFound, nil)
 		}
-		locked = append(locked, k)
-		items = append(items, ItemResult{Found: true, Version: it.Version, Addr: it.Addr, Value: it.Value})
+		s.Locked = append(s.Locked, k)
+		s.Items = append(s.Items, ItemResult{Found: true, Version: it.Version, Addr: it.Addr, Value: it.Value})
 	}
-	return EncodeExecResp(out, StOK, items)
+	return EncodeExecResp(out, StOK, s.Items)
 }
 
 // handleValidate re-reads versions (the ScaleTX-O validation path).
 func (p *Participant) handleValidate(t *host.Thread, clientID uint16, req, out []byte) int {
 	p.Stats.Validates++
-	_, keys, err := DecodeKeysReq(req)
-	if err != nil {
+	s := p.scratch.Get()
+	defer p.scratch.Put(s)
+	var err error
+	if _, s.Reads, err = DecodeKeysReq(s.Reads, req); err != nil {
 		return EncodeVersionsResp(out, nil)
 	}
-	versions := make([]uint64, len(keys))
-	for i, k := range keys {
+	for _, k := range s.Reads {
+		var v uint64
 		if it, err := p.Store.Get(t, k); err == nil {
-			versions[i] = it.Version
+			v = it.Version
 		}
+		s.Versions = append(s.Versions, v)
 	}
-	return EncodeVersionsResp(out, versions)
+	return EncodeVersionsResp(out, s.Versions)
 }
 
 // handleLog appends redo records to the participant log (§4.2 step 3a).
@@ -109,12 +120,14 @@ func (p *Participant) handleValidate(t *host.Thread, clientID uint16, req, out [
 // its ring address; the region's bytes are never touched.
 func (p *Participant) handleLog(t *host.Thread, clientID uint16, req, out []byte) int {
 	p.Stats.Logs++
-	_, kvs, err := DecodeWriteReq(req)
-	if err != nil {
+	s := p.scratch.Get()
+	defer p.scratch.Put(s)
+	var err error
+	if _, s.KVs, err = DecodeWriteReq(s.KVs, req); err != nil {
 		out[0] = 0
 		return 1
 	}
-	for _, kv := range kvs {
+	for _, kv := range s.KVs {
 		rec := 16 + len(kv.Key) + len(kv.Value)
 		if p.logOff+rec > logSize {
 			p.logOff = 0 // ring wrap
@@ -129,13 +142,16 @@ func (p *Participant) handleLog(t *host.Thread, clientID uint16, req, out []byte
 // handleCommit applies writes and releases locks via RPC (ScaleTX-O).
 func (p *Participant) handleCommit(t *host.Thread, clientID uint16, req, out []byte) int {
 	p.Stats.CommitsRPC++
-	txnID, kvs, err := DecodeWriteReq(req)
-	if err != nil {
+	s := p.scratch.Get()
+	defer p.scratch.Put(s)
+	var txnID uint64
+	var err error
+	if txnID, s.KVs, err = DecodeWriteReq(s.KVs, req); err != nil {
 		out[0] = 0
 		return 1
 	}
 	ok := byte(1)
-	for _, kv := range kvs {
+	for _, kv := range s.KVs {
 		if err := p.Store.CommitWrite(t, kv.Key, kv.Value, txnID); err != nil {
 			ok = 0
 		}
@@ -147,14 +163,69 @@ func (p *Participant) handleCommit(t *host.Thread, clientID uint16, req, out []b
 // handleUnlock releases W locks on abort.
 func (p *Participant) handleUnlock(t *host.Thread, clientID uint16, req, out []byte) int {
 	p.Stats.Unlocks++
-	txnID, keys, err := DecodeKeysReq(req)
-	if err != nil {
+	s := p.scratch.Get()
+	defer p.scratch.Put(s)
+	var txnID uint64
+	var err error
+	if txnID, s.Writes, err = DecodeKeysReq(s.Writes, req); err != nil {
 		out[0] = 0
 		return 1
 	}
-	for _, k := range keys {
+	for _, k := range s.Writes {
 		p.Store.Unlock(t, k, txnID)
 	}
 	out[0] = 1
 	return 1
+}
+
+// Scratch is one handler invocation's working memory: the keys or write
+// set it decoded, the items it read, the locks it took and the versions it
+// re-read. What it holds aliases the request being served and the store,
+// so it lives exactly as long as the invocation: the handler takes one
+// from a ScratchPool on entry and puts it back on every exit path.
+type Scratch struct {
+	Reads, Writes [][]byte
+	KVs           []KV
+	Items         []ItemResult
+	Locked        [][]byte
+	Versions      []uint64
+}
+
+// ScratchPool is a free list of Scratch. Concurrent invocations get
+// distinct ones.
+type ScratchPool struct {
+	l   recycle.List[Scratch]
+	bad [8]byte // what a poisoned Scratch's keys and values read
+}
+
+// Get takes an empty Scratch.
+func (p *ScratchPool) Get() *Scratch { return p.l.Get() }
+
+// Put empties s, keeping its backing arrays, and returns it. The vacated
+// elements are cleared so nothing stays reachable past len, or poisoned
+// under recycle.Poison so a holder that kept a slice header sees garbage.
+func (p *ScratchPool) Put(s *Scratch) {
+	var bad []byte
+	var word uint64
+	if recycle.Poison {
+		recycle.PoisonBytes(p.bad[:])
+		bad, word = p.bad[:], recycle.Word
+	}
+	for _, keys := range [...][][]byte{s.Reads, s.Writes, s.Locked} {
+		for i := range keys {
+			keys[i] = bad
+		}
+	}
+	for i := range s.KVs {
+		s.KVs[i] = KV{Key: bad, Value: bad}
+	}
+	for i := range s.Items {
+		s.Items[i] = ItemResult{Found: recycle.Poison, Version: word, Addr: word, Value: bad}
+	}
+	for i := range s.Versions {
+		s.Versions[i] = word
+	}
+	s.Reads, s.Writes, s.Locked = s.Reads[:0], s.Writes[:0], s.Locked[:0]
+	s.KVs, s.Items, s.Versions = s.KVs[:0], s.Items[:0], s.Versions[:0]
+	p.l.Put(s)
 }

@@ -84,10 +84,12 @@ func EncodeExecReq(buf []byte, txnID uint64, reads, writes [][]byte) int {
 	return n
 }
 
-// DecodeExecReq parses an execution-phase request.
-func DecodeExecReq(buf []byte) (txnID uint64, reads, writes [][]byte, err error) {
+// DecodeExecReq parses an execution-phase request, appending its read and
+// write keys to reads and writes (pass nil, or slices to reuse). The keys
+// alias buf.
+func DecodeExecReq(reads, writes [][]byte, buf []byte) (txnID uint64, _, _ [][]byte, err error) {
 	if len(buf) < 10 {
-		return 0, nil, nil, fmt.Errorf("txn: short exec request")
+		return 0, reads, writes, fmt.Errorf("txn: short exec request")
 	}
 	txnID = binary.LittleEndian.Uint64(buf)
 	nR, nW := int(buf[8]), int(buf[9])
@@ -95,7 +97,7 @@ func DecodeExecReq(buf []byte) (txnID uint64, reads, writes [][]byte, err error)
 	for i := 0; i < nR+nW; i++ {
 		k, adv, e := getKey(buf[n:])
 		if e != nil {
-			return 0, nil, nil, e
+			return 0, reads, writes, e
 		}
 		n += adv
 		if i < nR {
@@ -169,17 +171,18 @@ func EncodeKeysReq(buf []byte, txnID uint64, keys [][]byte) int {
 	return n
 }
 
-// DecodeKeysReq parses a validate/unlock request.
-func DecodeKeysReq(buf []byte) (txnID uint64, keys [][]byte, err error) {
+// DecodeKeysReq parses a validate/unlock request, appending its keys to
+// keys (pass nil, or a slice to reuse). The keys alias buf.
+func DecodeKeysReq(keys [][]byte, buf []byte) (txnID uint64, _ [][]byte, err error) {
 	if len(buf) < 9 {
-		return 0, nil, fmt.Errorf("txn: short keys request")
+		return 0, keys, fmt.Errorf("txn: short keys request")
 	}
 	txnID = binary.LittleEndian.Uint64(buf)
 	n := 9
 	for i := 0; i < int(buf[8]); i++ {
 		k, adv, e := getKey(buf[n:])
 		if e != nil {
-			return 0, nil, e
+			return 0, keys, e
 		}
 		n += adv
 		keys = append(keys, k)
@@ -228,25 +231,26 @@ func EncodeWriteReq(buf []byte, txnID uint64, kvs []KV) int {
 	return n
 }
 
-// DecodeWriteReq parses a log/commit request.
-func DecodeWriteReq(buf []byte) (txnID uint64, kvs []KV, err error) {
+// DecodeWriteReq parses a log/commit request, appending its key/value
+// pairs to kvs (pass nil, or a slice to reuse). Keys and values alias buf.
+func DecodeWriteReq(kvs []KV, buf []byte) (txnID uint64, _ []KV, err error) {
 	if len(buf) < 9 {
-		return 0, nil, fmt.Errorf("txn: short write request")
+		return 0, kvs, fmt.Errorf("txn: short write request")
 	}
 	txnID = binary.LittleEndian.Uint64(buf)
 	n := 9
 	for i := 0; i < int(buf[8]); i++ {
 		k, adv, e := getKey(buf[n:])
 		if e != nil {
-			return 0, nil, e
+			return 0, kvs, e
 		}
 		n += adv
 		if len(buf) < n+2 {
-			return 0, nil, fmt.Errorf("txn: truncated write value length")
+			return 0, kvs, fmt.Errorf("txn: truncated write value length")
 		}
 		vl := int(binary.LittleEndian.Uint16(buf[n:]))
 		if len(buf) < n+2+vl {
-			return 0, nil, fmt.Errorf("txn: truncated write value")
+			return 0, kvs, fmt.Errorf("txn: truncated write value")
 		}
 		kvs = append(kvs, KV{Key: k, Value: buf[n+2 : n+2+vl]})
 		n += 2 + vl

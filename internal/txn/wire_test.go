@@ -29,7 +29,7 @@ func TestExecReqRoundTrip(t *testing.T) {
 		writes := clampKeys(rawW, 8)
 		buf := make([]byte, 4096)
 		n := EncodeExecReq(buf, id, reads, writes)
-		gotID, gotR, gotW, err := DecodeExecReq(buf[:n])
+		gotID, gotR, gotW, err := DecodeExecReq(nil, nil, buf[:n])
 		if err != nil || gotID != id || len(gotR) != len(reads) || len(gotW) != len(writes) {
 			return false
 		}
@@ -95,7 +95,7 @@ func TestKeysReqRoundTrip(t *testing.T) {
 		keys := clampKeys(raw, 12)
 		buf := make([]byte, 4096)
 		n := EncodeKeysReq(buf, id, keys)
-		gotID, got, err := DecodeKeysReq(buf[:n])
+		gotID, got, err := DecodeKeysReq(nil, buf[:n])
 		if err != nil || gotID != id || len(got) != len(keys) {
 			return false
 		}
@@ -145,7 +145,7 @@ func TestWriteReqRoundTrip(t *testing.T) {
 		}
 		buf := make([]byte, 8192)
 		n := EncodeWriteReq(buf, id, kvs)
-		gotID, got, err := DecodeWriteReq(buf[:n])
+		gotID, got, err := DecodeWriteReq(nil, buf[:n])
 		if err != nil || gotID != id || len(got) != len(kvs) {
 			return false
 		}
@@ -164,9 +164,9 @@ func TestWriteReqRoundTrip(t *testing.T) {
 func TestDecodersRejectGarbage(t *testing.T) {
 	garbage := [][]byte{nil, {}, {1}, {1, 2, 3}, bytes.Repeat([]byte{0xFF}, 9)}
 	for _, g := range garbage {
-		DecodeExecReq(g)
-		DecodeKeysReq(g)
-		DecodeWriteReq(g)
+		DecodeExecReq(nil, nil, g)
+		DecodeKeysReq(nil, g)
+		DecodeWriteReq(nil, g)
 		DecodeVersionsResp(nil, g)
 		DecodeExecResp(nil, g, 3)
 	}
