@@ -104,8 +104,7 @@ func (s *Server) run(t *host.Thread, w *baseline.Worker) {
 			}
 			wr := s.recvWR(ring, e.WRID)
 			t.ReadMem(wr.LAddr, e.ByteLen)
-			off := e.WRID * uint64(rpcwire.BlockSize)
-			req := ring.reg.Bytes()[off : off+uint64(e.ByteLen)]
+			req := ring.reg.ReadView(int(e.WRID)*rpcwire.BlockSize, e.ByteLen)
 			t.Work(s.Cfg.ParseCost)
 			// No per-client state on the server: the request names its
 			// client, and the response returns to the QP it came from. (A
@@ -171,7 +170,7 @@ func (c *Conn) TrySend(t *host.Thread, handler uint8, payload []byte, reqID uint
 		return false
 	}
 	blockOff := b * rpcwire.BlockSize
-	buf := c.stage.Bytes()[blockOff:]
+	buf := c.stage.WriteView(blockOff, rpcwire.BlockSize)
 	rpcwire.PutHeader(buf, rpcwire.Header{ReqID: reqID, Handler: handler, ClientID: c.id})
 	copy(buf[rpcwire.HeaderSize:], payload)
 	t.WriteMem(c.stage.Base+uint64(blockOff), msgLen)

@@ -92,8 +92,7 @@ func (u *UDRecv) Poll(t *host.Thread, win *rpccore.Window, fn func(rpccore.Respo
 		}
 		wr := u.recvWR(e.WRID)
 		t.ReadMem(wr.LAddr, e.ByteLen)
-		off := e.WRID * rpcwire.BlockSize
-		u.buf = append(u.buf[:0], u.ring.Bytes()[off:off+uint64(e.ByteLen)]...)
+		u.buf = append(u.buf[:0], u.ring.ReadView(int(e.WRID)*rpcwire.BlockSize, e.ByteLen)...)
 		t.PostRecv(u.QP, wr)
 		hdr, body, err := rpcwire.ParseHeader(u.buf)
 		if err != nil {

@@ -15,7 +15,6 @@ import (
 	"scalerpc/internal/ctrlplane"
 	"scalerpc/internal/host"
 	"scalerpc/internal/rpccore"
-	"scalerpc/internal/rpcwire"
 	"scalerpc/internal/sim"
 )
 
@@ -97,7 +96,7 @@ func (p placement) Admit(t *host.Thread, m ctrlplane.Member, payload []byte, pin
 		// occupant; clear them so the sweep doesn't serve ghosts, and
 		// drop any dedup state left under the reused id.
 		for b := 0; b < s.Cfg.BlocksPerClient; b++ {
-			rpcwire.Clear(s.Req.Block(int(m.ID), b))
+			s.Req.Clear(int(m.ID), b)
 		}
 		s.Replies.Drop(m.ID)
 		s.clients[m.ID] = cs

@@ -35,7 +35,7 @@ func TestStaleResponseCounted(t *testing.T) {
 	stale, staleGot, staleOutstanding := ^uint64(0), -1, -1
 	c.Hosts[1].Spawn("client", func(th *host.Thread) {
 		conn.TrySend(th, 1, []byte("old"), 1)
-		block := conn.resp.Block(0, 0)
+		block := conn.resp.WriteBlock(0, 0)
 		for !rpcwire.Valid(block) {
 			sig.WaitTimeout(th.P, 10*sim.Microsecond)
 		}

@@ -56,15 +56,15 @@ func TestConnectHelpersProduceWorkingPairs(t *testing.T) {
 	qa, _ := c.ConnectRC(a, b, cqA, cqA, cqB, cqB)
 	src := a.Mem.Register(64, memory.PageSize4K, memory.LocalWrite)
 	dst := b.Mem.Register(64, memory.PageSize4K, memory.LocalWrite|memory.RemoteWrite)
-	copy(src.Bytes(), "via-helper")
+	copy(src.WriteView(0, 10), "via-helper")
 	a.Spawn("w", func(th *host.Thread) {
 		th.PostSend(qa, nic.SendWR{Op: nic.OpWrite,
 			LKey: src.LKey, LAddr: src.Base, Len: 10,
 			RKey: dst.RKey, RAddr: dst.Base})
 	})
 	c.Env.RunUntil(sim.Millisecond)
-	if string(dst.Bytes()[:10]) != "via-helper" {
-		t.Fatalf("dst = %q", dst.Bytes()[:10])
+	if string(dst.WriteView(0, 10)) != "via-helper" {
+		t.Fatalf("dst = %q", dst.WriteView(0, 10))
 	}
 
 	ua, _ := c.ConnectUC(a, b, cqA, cqA, cqB, cqB)

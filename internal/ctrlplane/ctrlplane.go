@@ -439,7 +439,7 @@ func (m *Manager) send(t *host.Thread, dst int, msg *wireMsg) {
 	}
 	off := m.sendIdx * slotBytes
 	m.sendIdx = (m.sendIdx + 1) % sendRing
-	n := msg.encode(m.sendReg.Bytes()[off:])
+	n := msg.encode(m.sendReg.WriteView(off, slotBytes))
 	t.WriteMem(m.sendReg.Base+uint64(off), n)
 	wr := nic.SendWR{
 		Op:   nic.OpSend,
@@ -483,7 +483,7 @@ func (m *Manager) handleCQE(t *host.Thread, e nic.CQE) {
 	if e.Status == nic.CQOK {
 		t.ReadMem(addr, e.ByteLen)
 		off := slot * slotBytes
-		msg, err = decodeMsg(m.recvReg.Bytes()[off : off+e.ByteLen])
+		msg, err = decodeMsg(m.recvReg.ReadView(off, e.ByteLen))
 	}
 	m.udQP.PostRecv(nic.RecvWR{WRID: e.WRID, LKey: m.recvReg.LKey, LAddr: addr, Len: slotBytes})
 	if e.Status != nic.CQOK || err != nil {

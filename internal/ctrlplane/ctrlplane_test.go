@@ -103,7 +103,7 @@ func TestDialedPairCarriesData(t *testing.T) {
 	dst := c.Hosts[0].Mem.Register(4096, memory.PageSize4K,
 		memory.LocalWrite|memory.RemoteWrite)
 	src := c.Hosts[1].Mem.Register(4096, memory.PageSize4K, memory.LocalWrite)
-	copy(src.Bytes(), "in-band!")
+	copy(src.WriteView(0, 8), "in-band!")
 
 	done := false
 	c.Hosts[1].Spawn("writer", func(th *host.Thread) {
@@ -123,7 +123,7 @@ func TestDialedPairCarriesData(t *testing.T) {
 		})
 		done = true
 	})
-	step(t, c, 5_000_000, func() bool { return done && string(dst.Bytes()[:8]) == "in-band!" })
+	step(t, c, 5_000_000, func() bool { return done && string(dst.WriteView(0, 8)) == "in-band!" })
 }
 
 func TestDialUnknownServiceRejected(t *testing.T) {

@@ -153,7 +153,7 @@ func TestPostSendBatchSingleDoorbell(t *testing.T) {
 	}
 	src := h.Mem.Register(4096, memory.PageSize4K, memory.LocalWrite)
 	dst := peer.Mem.Register(4096, memory.PageSize4K, memory.LocalWrite|memory.RemoteWrite)
-	copy(src.Bytes(), "abcdefgh")
+	copy(src.WriteView(0, 8), "abcdefgh")
 	write := func(i int) nic.SendWR {
 		return nic.SendWR{Op: nic.OpWrite, Inline: true, LKey: src.LKey, LAddr: src.Base, Len: 8,
 			RKey: dst.RKey, RAddr: dst.Base + uint64(i*64)}
@@ -187,7 +187,7 @@ func TestPostSendBatchSingleDoorbell(t *testing.T) {
 		t.Errorf("chain of %d: %d doorbells, %d ns, %d WQEs sent; want 1, %d, %d", n, mmio, cpu, wqes, base*n+100, n)
 	}
 
-	clear(dst.Bytes())
+	dst.WriteAt(make([]byte, dst.Len()), 0)
 	bad := write(2)
 	bad.Len = h.NIC.Cfg.MaxInline + 1
 	mmio, _, wqes = post(func(th *host.Thread) {
@@ -201,7 +201,7 @@ func TestPostSendBatchSingleDoorbell(t *testing.T) {
 	}
 	zero := string(make([]byte, 8))
 	for i, want := range []string{"abcdefgh", "abcdefgh", zero, zero} {
-		if got := string(dst.Bytes()[i*64 : i*64+8]); got != want {
+		if got := string(dst.WriteView(i*64, 8)); got != want {
 			t.Errorf("after the bad chain, slot %d holds %q, want %q", i, got, want)
 		}
 	}

@@ -20,7 +20,7 @@ func TestRegisterAndTranslate(t *testing.T) {
 		t.Fatal(err)
 	}
 	copy(b, []byte("hello"))
-	if string(r.Bytes()[100:105]) != "hello" {
+	if string(r.ReadView(100, 5)) != "hello" {
 		t.Fatal("translated slice does not alias the region")
 	}
 }
@@ -188,50 +188,59 @@ func TestRegionGeometryWithoutBytes(t *testing.T) {
 			addr uint64
 			n    int
 		}{{r.Base - 1, 1}, {end, 1}, {end - 1, 2}} {
-			if _, err := r.Slice(out.addr, out.n); !errors.Is(err, ErrOutOfband) {
-				t.Errorf("%d B: Slice(%#x, %d) err = %v, want ErrOutOfband", tc.size, out.addr, out.n, err)
+			if _, err := r.ReadAt(make([]byte, out.n), int64(out.addr-r.Base)); !errors.Is(err, ErrOutOfband) {
+				t.Errorf("%d B: ReadAt(%#x, %d) err = %v, want ErrOutOfband", tc.size, out.addr, out.n, err)
 			}
 		}
-		if r.buf != nil {
+		if r.pages != nil {
 			t.Errorf("%d B: geometry and bounds checks allocated the region's bytes", tc.size)
 		}
 		if tc.size > 8<<20+1 {
 			continue
 		}
-		if b, err := r.Slice(r.Base, tc.size); err != nil || len(b) != tc.size {
-			t.Errorf("%d B: whole-region Slice: %v, len %d", tc.size, err, len(b))
+		if n, err := r.ReadAt(make([]byte, tc.size), 0); err != nil || n != tc.size {
+			t.Errorf("%d B: whole-region ReadAt: %v, len %d", tc.size, err, n)
 		}
-		if b, err := r.Slice(end-1, 1); err != nil || len(b) != 1 {
-			t.Errorf("%d B: last-byte Slice: %v, len %d", tc.size, err, len(b))
+		if n, err := r.ReadAt(make([]byte, 1), int64(end-1-r.Base)); err != nil || n != 1 {
+			t.Errorf("%d B: last-byte ReadAt: %v, len %d", tc.size, err, n)
 		}
 	}
 }
 
-// TestBytesAllocatedOnceOnFirstTouch: the first Bytes call returns a zeroed
-// store of the region's length, every later call the same backing array,
-// and Slice views alias it.
-func TestBytesAllocatedOnceOnFirstTouch(t *testing.T) {
+// TestPageAllocatedOnceOnFirstWrite: a page reads as zeros until a write
+// reaches it; the first write allocates a zeroed page, every later view of
+// it is the same backing array, and views, ReadAt and WriteAt all see the
+// same bytes.
+func TestPageAllocatedOnceOnFirstWrite(t *testing.T) {
 	g := NewRegistry()
 	r := g.Register(3*PageSize4K+5, PageSize4K, LocalWrite)
-	b := r.Bytes()
-	if len(b) != r.Len() {
-		t.Fatalf("len(Bytes) = %d, want %d", len(b), r.Len())
-	}
-	for i, v := range b {
-		if v != 0 {
-			t.Fatalf("first Bytes()[%d] = %d, want 0", i, v)
-		}
-	}
-	s, err := r.Slice(r.Base+100, 5)
-	if err != nil {
+	all := make([]byte, r.Len())
+	if _, err := r.ReadAt(all, 0); err != nil {
 		t.Fatal(err)
 	}
-	copy(s, "hello")
-	again := r.Bytes()
-	if &again[0] != &b[0] {
-		t.Fatal("a later Bytes call returned a different backing array")
+	for i, v := range all {
+		if v != 0 {
+			t.Fatalf("unwritten byte %d = %d, want 0", i, v)
+		}
 	}
-	if string(again[100:105]) != "hello" {
-		t.Fatal("a write through Slice is not visible through Bytes")
+	if resident(r) != 0 {
+		t.Fatalf("reads allocated %d bytes", resident(r))
+	}
+	w := r.WriteView(100, 5)
+	copy(w, "hello")
+	if &r.WriteView(100, 1)[0] != &w[0] || &r.ReadView(100, 1)[0] != &w[0] {
+		t.Fatal("a later view of the written page is a different backing array")
+	}
+	if string(r.ReadView(100, 5)) != "hello" {
+		t.Fatal("a write through WriteView is not visible through ReadView")
+	}
+	if _, err := r.WriteAt([]byte("world"), 200); err != nil {
+		t.Fatal(err)
+	}
+	if string(w) != "hello" || string(r.ReadView(200, 5)) != "world" {
+		t.Fatal("WriteAt did not land in the same page")
+	}
+	if resident(r) != hostPage {
+		t.Fatalf("resident = %d bytes, want one %d-byte page", resident(r), hostPage)
 	}
 }

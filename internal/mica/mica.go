@@ -83,6 +83,12 @@ func New(h *host.Host, cfg Config) *Store {
 		b = 1
 	}
 	indexBytes := b * slotsPerBucket * bucketEntrySize
+	// The store views each bucket and item in place, and a view lies inside
+	// one 4 KB backing page (memory.Region.ReadView): a slot is a power of
+	// two no larger than that, and the index ends on a slot boundary.
+	if cfg.SlotSize <= 0 || cfg.SlotSize&(cfg.SlotSize-1) != 0 || cfg.SlotSize > 4<<10 || indexBytes%uint64(cfg.SlotSize) != 0 {
+		panic(fmt.Sprintf("mica: slot size %d with a %d-byte index puts items across 4 KB pages", cfg.SlotSize, indexBytes))
+	}
 	total := int(indexBytes) + cfg.Items*cfg.SlotSize
 	reg := h.Mem.Register(total, memory.PageSize2M,
 		memory.LocalWrite|memory.RemoteRead|memory.RemoteWrite|memory.RemoteAtomic)
@@ -118,14 +124,31 @@ func (s *Store) itemAddr(i uint32) uint64 {
 	return s.reg.Base + s.itemsOff + uint64(i)*uint64(s.cfg.SlotSize)
 }
 
+// itemBytes views item slot i for reading; itemWrite for writing.
 func (s *Store) itemBytes(i uint32) []byte {
-	off := s.itemsOff + uint64(i)*uint64(s.cfg.SlotSize)
-	return s.reg.Bytes()[off : off+uint64(s.cfg.SlotSize)]
+	return s.reg.ReadView(s.itemOff(i), s.cfg.SlotSize)
 }
 
+func (s *Store) itemWrite(i uint32) []byte {
+	return s.reg.WriteView(s.itemOff(i), s.cfg.SlotSize)
+}
+
+func (s *Store) itemOff(i uint32) int {
+	return int(s.itemsOff + uint64(i)*uint64(s.cfg.SlotSize))
+}
+
+// bucketBytes views bucket b for reading; bucketWrite for writing. An
+// index page no insert reached stays unallocated.
 func (s *Store) bucketBytes(b uint64) []byte {
-	off := s.indexOff + b*slotsPerBucket*bucketEntrySize
-	return s.reg.Bytes()[off : off+slotsPerBucket*bucketEntrySize]
+	return s.reg.ReadView(s.bucketOff(b), slotsPerBucket*bucketEntrySize)
+}
+
+func (s *Store) bucketWrite(b uint64) []byte {
+	return s.reg.WriteView(s.bucketOff(b), slotsPerBucket*bucketEntrySize)
+}
+
+func (s *Store) bucketOff(b uint64) int {
+	return int(s.indexOff + b*slotsPerBucket*bucketEntrySize)
 }
 
 func (s *Store) bucketAddr(b uint64) uint64 {
@@ -224,7 +247,7 @@ func (s *Store) Put(t *host.Thread, key, value []byte) (Item, error) {
 	}
 	b, _, slot, ok := s.lookup(t, key)
 	if ok {
-		item := s.itemBytes(slot)
+		item := s.itemWrite(slot)
 		binary.LittleEndian.PutUint64(item[OffVersion:], binary.LittleEndian.Uint64(item[OffVersion:])+1)
 		binary.LittleEndian.PutUint32(item[OffLens+4:], uint32(len(value)))
 		copy(item[OffKey+len(key):], value)
@@ -237,7 +260,6 @@ func (s *Store) Put(t *host.Thread, key, value []byte) (Item, error) {
 		return Item{}, ErrFull
 	}
 	entry := -1
-	var bb []byte
 	for p := uint64(0); p < probeDepth && entry < 0; p++ {
 		cand := (b + p) & (s.buckets - 1)
 		cb := s.bucketBytes(cand)
@@ -245,7 +267,6 @@ func (s *Store) Put(t *host.Thread, key, value []byte) (Item, error) {
 			if binary.LittleEndian.Uint64(cb[e*bucketEntrySize:]) == 0 {
 				entry = e
 				b = cand
-				bb = cb
 				break
 			}
 		}
@@ -255,7 +276,7 @@ func (s *Store) Put(t *host.Thread, key, value []byte) (Item, error) {
 	}
 	slot = s.freeList[len(s.freeList)-1]
 	s.freeList = s.freeList[:len(s.freeList)-1]
-	item := s.itemBytes(slot)
+	item := s.itemWrite(slot)
 	for i := range item[:OffKey] {
 		item[i] = 0
 	}
@@ -265,7 +286,7 @@ func (s *Store) Put(t *host.Thread, key, value []byte) (Item, error) {
 	copy(item[OffKey+len(key):], value)
 	binary.LittleEndian.PutUint64(item[OffVersion:], 1)
 	tag := hash64(key) >> 48
-	binary.LittleEndian.PutUint64(bb[entry*bucketEntrySize:], tag<<48|uint64(slot+1))
+	binary.LittleEndian.PutUint64(s.bucketWrite(b)[entry*bucketEntrySize:], tag<<48|uint64(slot+1))
 	charge(t, s.itemAddr(slot), OffKey+len(key)+len(value), true)
 	charge(t, s.bucketAddr(b)+uint64(entry*bucketEntrySize), bucketEntrySize, true)
 	return s.itemView(nil, slot), nil
@@ -277,7 +298,7 @@ func (s *Store) Delete(t *host.Thread, key []byte) error {
 	if !ok {
 		return ErrNotFound
 	}
-	bb := s.bucketBytes(b)
+	bb := s.bucketWrite(b)
 	binary.LittleEndian.PutUint64(bb[e*bucketEntrySize:], 0)
 	charge(t, s.bucketAddr(b)+uint64(e*bucketEntrySize), bucketEntrySize, true)
 	s.freeList = append(s.freeList, slot)
@@ -294,7 +315,7 @@ func (s *Store) TryLock(t *host.Thread, key []byte, owner uint64) (Item, error) 
 	if !ok {
 		return Item{}, ErrNotFound
 	}
-	item := s.itemBytes(slot)
+	item := s.itemWrite(slot)
 	cur := binary.LittleEndian.Uint64(item[OffLock:])
 	if cur != 0 && cur != owner {
 		return Item{}, ErrLocked
@@ -310,7 +331,7 @@ func (s *Store) Unlock(t *host.Thread, key []byte, owner uint64) error {
 	if !ok {
 		return ErrNotFound
 	}
-	item := s.itemBytes(slot)
+	item := s.itemWrite(slot)
 	if binary.LittleEndian.Uint64(item[OffLock:]) != owner {
 		return ErrLocked
 	}
@@ -326,7 +347,7 @@ func (s *Store) CommitWrite(t *host.Thread, key, value []byte, owner uint64) err
 	if !ok {
 		return ErrNotFound
 	}
-	item := s.itemBytes(slot)
+	item := s.itemWrite(slot)
 	if binary.LittleEndian.Uint64(item[OffLock:]) != owner {
 		return ErrLocked
 	}

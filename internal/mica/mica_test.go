@@ -158,11 +158,11 @@ func TestItemAddressesExposeFields(t *testing.T) {
 	reg := s.Region()
 	// Version field via address arithmetic.
 	off := it.VersionAddr() - reg.Base
-	if binary.LittleEndian.Uint64(reg.Bytes()[off:]) != it.Version {
+	if binary.LittleEndian.Uint64(reg.ReadView(int(off), 8)) != it.Version {
 		t.Fatal("VersionAddr does not point at the version")
 	}
 	voff := it.ValueAddr() - reg.Base
-	if string(reg.Bytes()[voff:voff+6]) != "abcdef" {
+	if string(reg.ReadView(int(voff), 6)) != "abcdef" {
 		t.Fatal("ValueAddr does not point at the value")
 	}
 }

@@ -40,7 +40,7 @@ func TestArenaAliasingDuplicateDelivery(t *testing.T) {
 	const sz = 128
 	want := make([]byte, sz)
 	for op := 0; op < ops; op++ {
-		fill(pe.cli.Bytes()[:sz], op)
+		fill(pe.cli.WriteView(0, sz), op)
 		if err := pe.qpA.PostSend(nic.SendWR{WRID: uint64(op), Op: nic.OpWrite, Signaled: true,
 			LKey: pe.cli.LKey, LAddr: pe.cli.Base, Len: sz,
 			RKey: pe.srv.RKey, RAddr: pe.srv.Base + uint64(op*sz)}); err != nil {
@@ -48,7 +48,7 @@ func TestArenaAliasingDuplicateDelivery(t *testing.T) {
 		}
 		pe.c.Env.Run()
 		fill(want, op)
-		if got := pe.srv.Bytes()[op*sz : (op+1)*sz]; !bytes.Equal(got, want) {
+		if got := peek(pe.srv, op*sz, sz); !bytes.Equal(got, want) {
 			t.Fatalf("op %d: committed %x..., want %x... — duplicate delivery read a recycled buffer", op, got[:8], want[:8])
 		}
 	}
@@ -70,7 +70,7 @@ func TestArenaAliasingTornWrite(t *testing.T) {
 	for op := 0; op < ops; op++ {
 		// Distinct source offsets: the NIC gathers a write's payload at
 		// process time, so sources must stay stable while ops stream.
-		fill(pe.cli.Bytes()[op*sz:(op+1)*sz], op)
+		fill(pe.cli.WriteView(op*sz, sz), op)
 		if err := pe.qpA.PostSend(nic.SendWR{WRID: uint64(op), Op: nic.OpWrite, Signaled: true,
 			LKey: pe.cli.LKey, LAddr: pe.cli.Base + uint64(op*sz), Len: sz,
 			RKey: pe.srv.RKey, RAddr: pe.srv.Base + uint64(op*sz)}); err != nil {
@@ -83,7 +83,7 @@ func TestArenaAliasingTornWrite(t *testing.T) {
 	want := make([]byte, sz)
 	for op := 0; op < ops; op++ {
 		fill(want, op)
-		if got := pe.srv.Bytes()[op*sz : (op+1)*sz]; !bytes.Equal(got, want) {
+		if got := peek(pe.srv, op*sz, sz); !bytes.Equal(got, want) {
 			t.Fatalf("op %d: committed %x (tail %x), want %x (tail %x) — torn write read a recycled buffer",
 				op, got[:4], got[sz-1], want[:4], want[sz-1])
 		}
@@ -105,19 +105,19 @@ func TestArenaAliasingMangledCopy(t *testing.T) {
 		return fabric.Verdict{}
 	})
 	const sz = 64
-	fill(pe.cli.Bytes()[:sz], 1)
-	src := append([]byte(nil), pe.cli.Bytes()[:sz]...)
+	fill(pe.cli.WriteView(0, sz), 1)
+	src := append([]byte(nil), pe.cli.WriteView(0, sz)...)
 	pe.qpA.PostSend(nic.SendWR{WRID: 1, Op: nic.OpWrite, Signaled: true,
 		LKey: pe.cli.LKey, LAddr: pe.cli.Base, Len: sz,
 		RKey: pe.srv.RKey, RAddr: pe.srv.Base})
 	pe.c.Env.Run()
 
-	if !bytes.Equal(pe.cli.Bytes()[:sz], src) {
+	if !bytes.Equal(pe.cli.WriteView(0, sz), src) {
 		t.Fatal("sender's source buffer changed — the mangled copy aliased it")
 	}
 	diff := 0
 	for i := 0; i < sz; i++ {
-		for b := pe.srv.Bytes()[i] ^ src[i]; b != 0; b &= b - 1 {
+		for b := pe.srv.WriteView(i, 1)[0] ^ src[i]; b != 0; b &= b - 1 {
 			diff++
 		}
 	}
@@ -130,12 +130,12 @@ func TestArenaAliasingMangledCopy(t *testing.T) {
 
 	// A later clean write into the same region must land exact: the mangled
 	// copy's pooled buffer gets reused here.
-	fill(pe.cli.Bytes()[:sz], 2)
+	fill(pe.cli.WriteView(0, sz), 2)
 	pe.qpA.PostSend(nic.SendWR{WRID: 2, Op: nic.OpWrite, Signaled: true,
 		LKey: pe.cli.LKey, LAddr: pe.cli.Base, Len: sz,
 		RKey: pe.srv.RKey, RAddr: pe.srv.Base})
 	pe.c.Env.Run()
-	if !bytes.Equal(pe.srv.Bytes()[:sz], pe.cli.Bytes()[:sz]) {
+	if !bytes.Equal(pe.srv.WriteView(0, sz), pe.cli.WriteView(0, sz)) {
 		t.Fatal("clean write after mangled delivery did not land exact")
 	}
 }
@@ -155,9 +155,9 @@ func TestArenaAliasingInlineRetransmit(t *testing.T) {
 		if op%3 == 0 {
 			pe.c.Hosts[1].NIC.DropNextDataPackets(1)
 		}
-		fill(pe.cli.Bytes()[:sz], op)
+		fill(pe.cli.WriteView(0, sz), op)
 		dst := pe.c.Hosts[1].Mem.Register(4096, memory.PageSize4K, memory.LocalWrite)
-		bufs[op] = dst.Bytes()
+		bufs[op] = dst.WriteView(0, 4096)
 		if err := pe.qpB.PostRecv(nic.RecvWR{WRID: uint64(op), LKey: dst.LKey, LAddr: dst.Base, Len: 4096}); err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func TestArenaAliasingInlineRetransmit(t *testing.T) {
 		}
 		// Immediately dirty the source region: an inline post must have
 		// captured the payload at post time into its own buffer.
-		fill(pe.cli.Bytes()[:sz], 999)
+		fill(pe.cli.WriteView(0, sz), 999)
 		pe.c.Env.Run()
 	}
 	want := make([]byte, sz)
@@ -197,7 +197,7 @@ func TestArenaAliasingDuplicateOfMangled(t *testing.T) {
 		return fabric.Verdict{}
 	})
 	const sz = 64
-	fill(pe.cli.Bytes()[:sz], 7)
+	fill(pe.cli.WriteView(0, sz), 7)
 	pe.qpA.PostSend(nic.SendWR{WRID: 1, Op: nic.OpWrite, Signaled: true,
 		LKey: pe.cli.LKey, LAddr: pe.cli.Base, Len: sz,
 		RKey: pe.srv.RKey, RAddr: pe.srv.Base})
@@ -207,7 +207,7 @@ func TestArenaAliasingDuplicateOfMangled(t *testing.T) {
 	// and crucially no recycled-buffer garbage.
 	diff := 0
 	for i := 0; i < sz; i++ {
-		for b := pe.srv.Bytes()[i] ^ pe.cli.Bytes()[i]; b != 0; b &= b - 1 {
+		for b := pe.srv.WriteView(i, 1)[0] ^ pe.cli.WriteView(i, 1)[0]; b != 0; b &= b - 1 {
 			diff++
 		}
 	}
@@ -216,14 +216,14 @@ func TestArenaAliasingDuplicateOfMangled(t *testing.T) {
 	}
 	// Follow-on traffic over the reused arenas stays exact.
 	for op := 0; op < 20; op++ {
-		fill(pe.cli.Bytes()[:sz], 100+op)
+		fill(pe.cli.WriteView(0, sz), 100+op)
 		if err := pe.qpA.PostSend(nic.SendWR{WRID: uint64(2 + op), Op: nic.OpWrite, Signaled: true,
 			LKey: pe.cli.LKey, LAddr: pe.cli.Base, Len: sz,
 			RKey: pe.srv.RKey, RAddr: pe.srv.Base + uint64(sz)}); err != nil {
 			t.Fatal(err)
 		}
 		pe.c.Env.Run()
-		if !bytes.Equal(pe.srv.Bytes()[sz:2*sz], pe.cli.Bytes()[:sz]) {
+		if !bytes.Equal(pe.srv.WriteView(sz, sz), pe.cli.WriteView(0, sz)) {
 			t.Fatalf("follow-on op %d corrupted", op)
 		}
 	}

@@ -186,7 +186,7 @@ func (n *NIC) processOut(job outJob) (occ sim.Duration) {
 			data = job.inlineData
 			ownsData = qp.Type == UD || qp.Type == UC
 		} else {
-			reg, src, err := n.mem.TranslateLocal(wr.LKey, wr.LAddr, wr.Len)
+			reg, err := n.mem.LocalRegion(wr.LKey, wr.LAddr, wr.Len)
 			if err != nil {
 				n.env.At(occ, func() { qp.completeLocalError(wr, err) })
 				return occ
@@ -196,7 +196,7 @@ func (n *NIC) processOut(job outJob) (occ sim.Duration) {
 			n.bus.RecordDMARead(lines)
 			extraLat += n.cost.DMARead(wr.Len, n.llc.LineSize())
 			data = n.getBuf(wr.Len)
-			copy(data, src)
+			_, _ = reg.ReadAt(data, int64(wr.LAddr-reg.Base)) // LocalRegion checked the span
 			ownsData = true
 		}
 	}
@@ -521,13 +521,12 @@ const (
 type inAct struct {
 	kind   inKind
 	qp     *QP
-	rkey   uint32       // region whose watchers the commit wakes
-	off    uint64       // region offset of the bytes the commit lands
-	mem    []byte       // translated host memory the commit reads or writes
-	wrID   uint64       // inSend, inSendError: the consumed recv WQE
-	status CQEStatus    // inSendError
-	old    uint64       // inAtomicReplay: the cached result
-	dmaLat sim.Duration // inReadReq: gather latency before the response leaves
+	mem    *memory.Region // region the commit reads or writes, whose watchers it wakes
+	off    uint64         // region offset of the bytes the commit lands or reads
+	wrID   uint64         // inSend, inSendError: the consumed recv WQE
+	status CQEStatus      // inSendError
+	old    uint64         // inAtomicReplay: the cached result
+	dmaLat sim.Duration   // inReadReq: gather latency before the response leaves
 }
 
 // processIn handles one arrived packet, returning engine occupancy and the
@@ -561,7 +560,7 @@ func (n *NIC) processIn(pkt *packet) (occ sim.Duration, act inAct) {
 				return occ, act
 			}
 		}
-		reg, dst, err := n.mem.TranslateRemote(pkt.rkey, pkt.raddr, len(pkt.data), true)
+		reg, err := n.mem.RemoteRegion(pkt.rkey, pkt.raddr, len(pkt.data), memory.RemoteOpWrite)
 		if err != nil {
 			return occ, inAct{kind: inRemoteError, qp: qp}
 		}
@@ -569,7 +568,7 @@ func (n *NIC) processIn(pkt *packet) (occ sim.Duration, act inAct) {
 		_, allocs := n.llc.DMAWrite(pkt.raddr, uint64(len(pkt.data)))
 		n.bus.RecordDeviceWrite(pkt.raddr, uint64(len(pkt.data)), n.llc.LineSize(), allocs)
 		occ += allocStall(allocs, n.cost.WriteAllocatePenalty)
-		return occ, inAct{kind: inWrite, qp: qp, rkey: reg.RKey, off: pkt.raddr - reg.Base, mem: dst}
+		return occ, inAct{kind: inWrite, qp: qp, mem: reg, off: pkt.raddr - reg.Base}
 
 	case pktSend:
 		occ = n.Cfg.InboundSendCost
@@ -603,7 +602,7 @@ func (n *NIC) processIn(pkt *packet) (occ sim.Duration, act inAct) {
 		if len(pkt.data) > rwr.Len {
 			return occ, inAct{kind: inSendError, qp: qp, wrID: rwr.WRID, status: CQLengthError}
 		}
-		reg, dst, err := n.mem.TranslateLocal(rwr.LKey, rwr.LAddr, len(pkt.data))
+		reg, err := n.mem.LocalRegion(rwr.LKey, rwr.LAddr, len(pkt.data))
 		if err != nil {
 			return occ, inAct{kind: inSendError, qp: qp, wrID: rwr.WRID, status: CQLocalError}
 		}
@@ -611,7 +610,7 @@ func (n *NIC) processIn(pkt *packet) (occ sim.Duration, act inAct) {
 		_, allocs := n.llc.DMAWrite(rwr.LAddr, uint64(len(pkt.data)))
 		n.bus.RecordDeviceWrite(rwr.LAddr, uint64(len(pkt.data)), n.llc.LineSize(), allocs)
 		occ += allocStall(allocs, n.cost.WriteAllocatePenalty)
-		return occ, inAct{kind: inSend, qp: qp, rkey: reg.RKey, off: rwr.LAddr - reg.Base, mem: dst, wrID: rwr.WRID}
+		return occ, inAct{kind: inSend, qp: qp, mem: reg, off: rwr.LAddr - reg.Base, wrID: rwr.WRID}
 
 	case pktReadReq:
 		occ = n.Cfg.InboundReadCost
@@ -625,14 +624,14 @@ func (n *NIC) processIn(pkt *packet) (occ sim.Duration, act inAct) {
 				return occ, act
 			}
 		}
-		reg, src, err := n.mem.TranslateRemote(pkt.rkey, pkt.raddr, pkt.size, false)
+		reg, err := n.mem.RemoteRegion(pkt.rkey, pkt.raddr, pkt.size, memory.RemoteOpRead)
 		if err != nil {
 			return occ, inAct{kind: inRemoteError, qp: qp}
 		}
 		occ += n.chargeMTT(reg, pkt.raddr, pkt.size)
 		lines := (pkt.size + n.llc.LineSize() - 1) / n.llc.LineSize()
 		n.bus.RecordDMARead(lines)
-		return occ, inAct{kind: inReadReq, qp: qp, mem: src, dmaLat: n.cost.DMARead(pkt.size, n.llc.LineSize())}
+		return occ, inAct{kind: inReadReq, qp: qp, mem: reg, off: pkt.raddr - reg.Base, dmaLat: n.cost.DMARead(pkt.size, n.llc.LineSize())}
 
 	case pktAtomicReq:
 		occ = n.Cfg.InboundReadCost + n.Cfg.AtomicCost
@@ -653,14 +652,14 @@ func (n *NIC) processIn(pkt *packet) (occ sim.Duration, act inAct) {
 				return occ, act
 			}
 		}
-		reg, buf, err := n.mem.TranslateRemoteOp(pkt.rkey, pkt.raddr, 8, memory.RemoteOpAtomic)
+		reg, err := n.mem.RemoteRegion(pkt.rkey, pkt.raddr, 8, memory.RemoteOpAtomic)
 		if err != nil {
 			return occ, inAct{kind: inRemoteError, qp: qp}
 		}
 		occ += n.chargeMTT(reg, pkt.raddr, 8)
 		n.bus.RecordDMARead(1)
 		n.Stats.AtomicOps++
-		return occ, inAct{kind: inAtomic, qp: qp, rkey: reg.RKey, off: pkt.raddr - reg.Base, mem: buf}
+		return occ, inAct{kind: inAtomic, qp: qp, mem: reg, off: pkt.raddr - reg.Base}
 
 	case pktAck, pktNak, pktRnrNak:
 		occ = n.Cfg.InboundAckCost
@@ -681,13 +680,13 @@ func (n *NIC) processIn(pkt *packet) (occ sim.Duration, act inAct) {
 		if idx := qp.findInflight(pkt.psn); idx >= 0 {
 			wr := qp.inflight[idx].wr
 			if pkt.op == pktReadResp && wr.Len > 0 {
-				reg, dst, err := n.mem.TranslateLocal(wr.LKey, wr.LAddr, len(pkt.data))
+				reg, err := n.mem.LocalRegion(wr.LKey, wr.LAddr, len(pkt.data))
 				if err == nil {
 					occ += n.chargeMTT(reg, wr.LAddr, len(pkt.data))
 					_, allocs := n.llc.DMAWrite(wr.LAddr, uint64(len(pkt.data)))
 					n.bus.RecordDeviceWrite(wr.LAddr, uint64(len(pkt.data)), n.llc.LineSize(), allocs)
 					occ += allocStall(allocs, n.cost.WriteAllocatePenalty)
-					act.kind, act.rkey, act.off, act.mem = inRespData, reg.RKey, wr.LAddr-reg.Base, dst
+					act.kind, act.mem, act.off = inRespData, reg, wr.LAddr-reg.Base
 				}
 			}
 		}
@@ -696,7 +695,9 @@ func (n *NIC) processIn(pkt *packet) (occ sim.Duration, act inAct) {
 	return 1, act
 }
 
-// commitIn applies a processed packet's effects.
+// commitIn applies a processed packet's effects. processIn bounds-checked
+// the span a commit reads or writes when it resolved the region, so the
+// region's ReadAt and WriteAt cannot fail here.
 func (n *NIC) commitIn(pkt *packet, a *inAct) {
 	qp := a.qp
 	switch a.kind {
@@ -710,37 +711,37 @@ func (n *NIC) commitIn(pkt *packet, a *inAct) {
 			// pkt.data, so the packet must not re-enter the pool when this
 			// commit returns.
 			pkt.noRecycle = true
-			dst, rkey, off := a.mem, a.rkey, a.off
+			dst, rkey, off := a.mem, a.mem.RKey, a.off
 			last := len(pkt.data) - 1
-			copy(dst[:last], pkt.data[:last])
+			_, _ = dst.WriteAt(pkt.data[:last], int64(off))
 			n.wakeWatches(rkey, off, last) // pollers may observe the partial state
 			n.env.At(n.Cfg.TornWriteDelay, func() {
-				dst[last] = pkt.data[last]
+				_, _ = dst.WriteAt(pkt.data[last:], int64(off)+int64(last))
 				n.finishWrite(pkt, qp, rkey, off)
 			})
 			return
 		}
-		copy(a.mem, pkt.data)
-		n.finishWrite(pkt, qp, a.rkey, a.off)
+		_, _ = a.mem.WriteAt(pkt.data, int64(a.off))
+		n.finishWrite(pkt, qp, a.mem.RKey, a.off)
 
 	case inSendError:
 		qp.RecvCQ.push(CQE{WRID: a.wrID, QPN: qp.QPN, Op: OpSend, Status: a.status,
 			SrcNIC: pkt.srcNIC, SrcQPN: pkt.srcQPN})
 
 	case inSend:
-		copy(a.mem, pkt.data)
+		_, _ = a.mem.WriteAt(pkt.data, int64(a.off))
 		qp.RecvCQ.push(CQE{
 			WRID: a.wrID, QPN: qp.QPN, Op: OpSend, Status: CQOK,
 			ByteLen: len(pkt.data), Imm: pkt.imm, ImmValid: pkt.immValid,
 			SrcNIC: pkt.srcNIC, SrcQPN: pkt.srcQPN,
 		})
-		n.wakeWatches(a.rkey, a.off, len(a.mem))
+		n.wakeWatches(a.mem.RKey, a.off, len(pkt.data))
 		n.ackData(qp, pkt)
 
 	case inReadReq:
 		resp := n.ctl(pktReadResp, pkt.transport, pkt.srcQPN, pkt.psn)
-		resp.data = n.getBuf(len(a.mem))
-		copy(resp.data, a.mem)
+		resp.data = n.getBuf(pkt.size)
+		_, _ = a.mem.ReadAt(resp.data, int64(a.off))
 		resp.ownsData = true
 		resp.wrID, resp.signaled = pkt.wrID, pkt.signaled
 		n.sendCtl(qp, pkt.srcNIC, resp, len(resp.data), a.dmaLat)
@@ -749,19 +750,22 @@ func (n *NIC) commitIn(pkt *packet, a *inAct) {
 		n.atomicResp(qp, pkt, a.old)
 
 	case inAtomic:
-		buf := a.mem
-		old := binary.LittleEndian.Uint64(buf)
+		var word [8]byte
+		_, _ = a.mem.ReadAt(word[:], int64(a.off))
+		old := binary.LittleEndian.Uint64(word[:])
 		switch pkt.atomicOp {
 		case OpCompSwap:
 			if old == pkt.compare {
-				binary.LittleEndian.PutUint64(buf, pkt.swap)
+				binary.LittleEndian.PutUint64(word[:], pkt.swap)
+				_, _ = a.mem.WriteAt(word[:], int64(a.off))
 			}
 		case OpFetchAdd:
-			binary.LittleEndian.PutUint64(buf, old+pkt.add)
+			binary.LittleEndian.PutUint64(word[:], old+pkt.add)
+			_, _ = a.mem.WriteAt(word[:], int64(a.off))
 		}
 		_, allocs := n.llc.DMAWrite(pkt.raddr, 8)
 		n.bus.RecordDeviceWrite(pkt.raddr, 8, n.llc.LineSize(), allocs)
-		n.wakeWatches(a.rkey, a.off, len(buf))
+		n.wakeWatches(a.mem.RKey, a.off, len(word))
 		if pkt.transport == RC {
 			qp.rememberAtomic(pkt.psn, old)
 		}
@@ -778,8 +782,8 @@ func (n *NIC) commitIn(pkt *packet, a *inAct) {
 		}
 
 	case inRespData:
-		copy(a.mem, pkt.data)
-		n.wakeWatches(a.rkey, a.off, len(a.mem))
+		_, _ = a.mem.WriteAt(pkt.data, int64(a.off))
+		n.wakeWatches(a.mem.RKey, a.off, len(pkt.data))
 		qp.handleResp(pkt)
 	case inResp:
 		qp.handleResp(pkt)

@@ -39,7 +39,9 @@ func TestRCWritesLeaveInPostOrder(t *testing.T) {
 				a.Cfg.RetransmitTimeout = rto
 				off := 0
 				for i, size := range tc.sizes {
-					fillPattern(pe.cli.Bytes()[off:off+size], i)
+					b := make([]byte, size)
+					fillPattern(b, i)
+					poke(pe.cli, off, b)
 					if err := pe.qpA.PostSend(nic.SendWR{WRID: uint64(i + 1), Op: nic.OpWrite, Signaled: true,
 						LKey: pe.cli.LKey, LAddr: pe.cli.Base + uint64(off), Len: size,
 						RKey: pe.srv.RKey, RAddr: pe.srv.Base + uint64(off)}); err != nil {
@@ -57,7 +59,7 @@ func TestRCWritesLeaveInPostOrder(t *testing.T) {
 						t.Errorf("cqe %d = %+v, want WRID %d CQOK", i, e, i+1)
 					}
 				}
-				if !bytes.Equal(pe.srv.Bytes()[:off], pe.cli.Bytes()[:off]) {
+				if !bytes.Equal(peek(pe.srv, 0, off), peek(pe.cli, 0, off)) {
 					t.Error("responder memory does not hold both payloads")
 				}
 				if b.Stats.NAKs != 0 || a.Stats.Retransmits != 0 {
@@ -79,7 +81,9 @@ func TestRCReadResponsesLeaveInPSNOrder(t *testing.T) {
 	sizes := []int{64 << 10, 8}
 	off := 0
 	for i, size := range sizes {
-		fillPattern(pe.srv.Bytes()[off:off+size], i)
+		b := make([]byte, size)
+		fillPattern(b, i)
+		poke(pe.srv, off, b)
 		if err := pe.qpA.PostSend(nic.SendWR{WRID: uint64(i + 1), Op: nic.OpRead, Signaled: true,
 			LKey: pe.cli.LKey, LAddr: pe.cli.Base + uint64(off), Len: size,
 			RKey: pe.srv.RKey, RAddr: pe.srv.Base + uint64(off)}); err != nil {
@@ -87,7 +91,7 @@ func TestRCReadResponsesLeaveInPSNOrder(t *testing.T) {
 		}
 		off += size
 	}
-	counter := pe.srv.Bytes()[off : off+8]
+	counter := pe.srv.WriteView(off, 8)
 	binary.LittleEndian.PutUint64(counter, 40)
 	if err := pe.qpA.PostSend(nic.SendWR{WRID: 3, Op: nic.OpFetchAdd, Signaled: true, Add: 2,
 		LKey: pe.cli.LKey, LAddr: pe.cli.Base + uint64(off), Len: 8,
@@ -107,7 +111,7 @@ func TestRCReadResponsesLeaveInPSNOrder(t *testing.T) {
 	if e := cqes[2]; e.WRID != 3 || e.Status != nic.CQOK || e.AtomicOld != 40 {
 		t.Errorf("atomic cqe = %+v, want WRID 3 CQOK with old value 40", e)
 	}
-	if !bytes.Equal(pe.cli.Bytes()[:off], pe.srv.Bytes()[:off]) {
+	if !bytes.Equal(peek(pe.cli, 0, off), peek(pe.srv, 0, off)) {
 		t.Error("requester memory does not hold both READs' data")
 	}
 	if got := binary.LittleEndian.Uint64(counter); got != 42 {

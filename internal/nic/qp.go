@@ -542,7 +542,7 @@ func (qp *QP) enqueue(wr *SendWR) error {
 	n := qp.nic
 	job := outJob{qp: qp, wr: *wr}
 	if wr.Inline && wr.Len > 0 {
-		_, src, err := n.mem.TranslateLocal(wr.LKey, wr.LAddr, wr.Len)
+		reg, err := n.mem.LocalRegion(wr.LKey, wr.LAddr, wr.Len)
 		if err != nil {
 			return err
 		}
@@ -550,7 +550,7 @@ func (qp *QP) enqueue(wr *SendWR) error {
 		// and retires at ACK time; for UD/UC ownership transfers to the
 		// packet in processOut (see pool.go).
 		job.inlineData = n.getBuf(wr.Len)
-		copy(job.inlineData, src)
+		_, _ = reg.ReadAt(job.inlineData, int64(wr.LAddr-reg.Base)) // LocalRegion checked the span
 	}
 	n.outQ = append(n.outQ, job)
 	return nil

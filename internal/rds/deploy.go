@@ -57,6 +57,7 @@ func (d *Deployment) NewOneSided(ch *host.Host) *OneSided {
 	scq := d.Srv.H.NIC.CreateCQ()
 	c.qp, _ = d.C.ConnectRC(ch, d.Srv.H, c.cq, c.cq, scq, scq)
 	c.scratch = ch.Mem.Register(2*c.readSpan, memory.PageSize4K, memory.LocalWrite)
+	c.buf = make([]byte, 2*c.readSpan)
 	return c
 }
 

@@ -24,6 +24,7 @@ type OneSided struct {
 	qp      *nic.QP
 	cq      *nic.CQ
 	scratch *memory.Region
+	buf     []byte // the client's copy of the scratch region's two areas
 
 	readSpan int
 	wrid     uint64
@@ -74,7 +75,7 @@ func (c *OneSided) post(t *host.Thread, wr nic.SendWR) (nic.CQE, error) {
 }
 
 // read READs size bytes at remote offset off into the scratch landing
-// area and returns the aliased bytes.
+// area and returns a copy of them, valid until the next read.
 func (c *OneSided) read(t *host.Thread, off, size int) ([]byte, error) {
 	_, err := c.post(t, nic.SendWR{
 		Op:   nic.OpRead,
@@ -85,7 +86,9 @@ func (c *OneSided) read(t *host.Thread, off, size int) ([]byte, error) {
 		return nil, err
 	}
 	t.ReadMem(c.readOff(), size)
-	return c.scratch.Bytes()[:size], nil
+	b := c.buf[:size]
+	_, _ = c.scratch.ReadAt(b, 0) // size ≤ readSpan, the landing area
+	return b, nil
 }
 
 // cas issues a compare-and-swap on the 8-byte word at remote offset off,
@@ -185,7 +188,7 @@ func (c *OneSided) Put(t *host.Thread, key uint64, val []byte) error {
 		// Bucket locked. Stage [slot .. version word]: new slot bytes,
 		// trailing slots from the certified snapshot, version v+2 last.
 		off := lay.KeyOff(slot)
-		stage := c.scratch.Bytes()[c.readSpan : c.readSpan+lay.BucketBytes()-off]
+		stage := c.buf[c.readSpan : c.readSpan+lay.BucketBytes()-off]
 		copy(stage, b[off:lay.BucketBytes()])
 		binary.LittleEndian.PutUint64(stage, key)
 		n := copy(stage[8:8+lay.ValSize], val)
@@ -193,6 +196,7 @@ func (c *OneSided) Put(t *host.Thread, key uint64, val []byte) error {
 			stage[i] = 0
 		}
 		binary.LittleEndian.PutUint64(stage[voff-off:], v+2)
+		_, _ = c.scratch.WriteAt(stage, int64(c.readSpan)) // a bucket fits the staging area
 		t.WriteMem(c.stageOff(), len(stage))
 		if _, err := c.post(t, nic.SendWR{
 			Op:   nic.OpWrite,

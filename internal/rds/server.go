@@ -37,13 +37,15 @@ type Server struct {
 	// Work is the CPU charge per RPC-handled op, on top of the modeled
 	// memory traffic.
 	Work sim.Duration
+
+	val []byte // a value being stored, padded to ValSize
 }
 
 // newServer registers the region and installs the RPC handlers on a
 // ScaleRPC server at the paper's configuration (the caller starts it).
 func newServer(h *host.Host, lay Layout, work sim.Duration) *Server {
 	lay.check()
-	s := &Server{H: h, Lay: lay, Work: work}
+	s := &Server{H: h, Lay: lay, Work: work, val: make([]byte, lay.ValSize)}
 	s.Reg = h.Mem.Register(lay.Bytes(), memory.PageSize2M,
 		memory.LocalWrite|memory.RemoteRead|memory.RemoteWrite|memory.RemoteAtomic)
 	s.RPC = scalerpc.NewServer(h, scalerpc.DefaultServerConfig())
@@ -55,6 +57,29 @@ func newServer(h *host.Host, lay Layout, work sim.Duration) *Server {
 // Base returns the region's virtual base address.
 func (s *Server) Base() uint64 { return s.Reg.Base }
 
+// word reads the 8-byte word at region offset off; putWord writes it.
+// Buckets need not sit inside one backing page, so the table is read and
+// written through ReadAt/WriteAt, whose errors are dropped: every offset
+// here comes from the layout the region was sized for.
+func (s *Server) word(off int) uint64 {
+	var b [8]byte
+	_, _ = s.Reg.ReadAt(b[:], int64(off))
+	return binary.LittleEndian.Uint64(b[:])
+}
+
+func (s *Server) putWord(off int, v uint64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	_, _ = s.Reg.WriteAt(b[:], int64(off))
+}
+
+// putVal stores val, zero-padded to ValSize, at region offset off.
+func (s *Server) putVal(off int, val []byte) {
+	n := copy(s.val, val)
+	clear(s.val[n:])
+	_, _ = s.Reg.WriteAt(s.val, int64(off))
+}
+
 // lockBucket claims bucket boff's version word server-side. The read and
 // the odd-write happen back to back with no intervening charge or yield,
 // so within the cooperative simulator the claim is atomic with respect to
@@ -63,19 +88,18 @@ func (s *Server) Base() uint64 { return s.Reg.Base }
 // the odd version and fails. Returns the pre-lock version and false if the
 // bucket was already locked.
 func (s *Server) lockBucket(boff int) (uint64, bool) {
-	buf := s.Reg.Bytes()
 	voff := boff + s.Lay.VerOff()
-	v := binary.LittleEndian.Uint64(buf[voff:])
+	v := s.word(voff)
 	if v&1 != 0 {
 		return v, false
 	}
-	binary.LittleEndian.PutUint64(buf[voff:], v+1)
+	s.putWord(voff, v+1)
 	return v, true
 }
 
 // unlockBucket publishes the new even version.
 func (s *Server) unlockBucket(boff int, v uint64) {
-	binary.LittleEndian.PutUint64(s.Reg.Bytes()[boff+s.Lay.VerOff():], v+2)
+	s.putWord(boff+s.Lay.VerOff(), v+2)
 }
 
 // handleGet: req = [8B key] → resp [status][ValSize value].
@@ -89,11 +113,10 @@ func (s *Server) handleGet(t *host.Thread, clientID uint16, req []byte, out []by
 	key := binary.LittleEndian.Uint64(req)
 	lay := s.Lay
 	boff := lay.BucketOff(lay.BucketOf(key))
-	buf := s.Reg.Bytes()
 	t.Work(s.Work)
 	t.ReadMem(s.Reg.Base+uint64(boff), lay.BucketBytes())
 	for spin := 0; ; spin++ {
-		v := binary.LittleEndian.Uint64(buf[boff+lay.VerOff():])
+		v := s.word(boff + lay.VerOff())
 		if v&1 != 0 {
 			// Locked by a one-sided writer mid-update: wait it out. Sleep,
 			// not Work — worker CPU charges are batched, so only a real
@@ -108,10 +131,9 @@ func (s *Server) handleGet(t *host.Thread, clientID uint16, req []byte, out []by
 		// The scan below runs without yielding, so no writer can slip in
 		// between the version check and the slot reads.
 		for i := 0; i < lay.SlotsPerBucket; i++ {
-			k := binary.LittleEndian.Uint64(buf[boff+lay.KeyOff(i):])
-			if k == key {
+			if s.word(boff+lay.KeyOff(i)) == key {
 				out[0] = stOK
-				copy(out[1:1+lay.ValSize], buf[boff+lay.ValOff(i):])
+				_, _ = s.Reg.ReadAt(out[1:1+lay.ValSize], int64(boff+lay.ValOff(i))) // in the layout
 				return 1 + lay.ValSize
 			}
 		}
@@ -130,7 +152,6 @@ func (s *Server) handlePut(t *host.Thread, clientID uint16, req []byte, out []by
 	val := req[8:]
 	lay := s.Lay
 	boff := lay.BucketOff(lay.BucketOf(key))
-	buf := s.Reg.Bytes()
 	t.Work(s.Work)
 	t.ReadMem(s.Reg.Base+uint64(boff), lay.BucketBytes())
 	var v uint64
@@ -149,7 +170,7 @@ func (s *Server) handlePut(t *host.Thread, clientID uint16, req []byte, out []by
 	defer s.unlockBucket(boff, v)
 	free := -1
 	for i := 0; i < lay.SlotsPerBucket; i++ {
-		k := binary.LittleEndian.Uint64(buf[boff+lay.KeyOff(i):])
+		k := s.word(boff + lay.KeyOff(i))
 		if k == key {
 			free = i
 			break
@@ -162,12 +183,8 @@ func (s *Server) handlePut(t *host.Thread, clientID uint16, req []byte, out []by
 		out[0] = stFull
 		return 1
 	}
-	binary.LittleEndian.PutUint64(buf[boff+lay.KeyOff(free):], key)
-	dst := buf[boff+lay.ValOff(free) : boff+lay.ValOff(free)+lay.ValSize]
-	n := copy(dst, val)
-	for i := n; i < lay.ValSize; i++ {
-		dst[i] = 0
-	}
+	s.putWord(boff+lay.KeyOff(free), key)
+	s.putVal(boff+lay.ValOff(free), val)
 	t.WriteMem(s.Reg.Base+uint64(boff+lay.KeyOff(free)), 8+lay.ValSize)
 	out[0] = stOK
 	return 1
@@ -177,7 +194,6 @@ func (s *Server) handlePut(t *host.Thread, clientID uint16, req []byte, out []by
 // cost) so read-heavy workloads start from a warm table.
 func (s *Server) Prepopulate(n uint64, fill byte) {
 	lay := s.Lay
-	buf := s.Reg.Bytes()
 	val := make([]byte, lay.ValSize)
 	for i := range val {
 		val[i] = fill
@@ -185,13 +201,13 @@ func (s *Server) Prepopulate(n uint64, fill byte) {
 	for key := uint64(1); key <= n; key++ {
 		boff := lay.BucketOff(lay.BucketOf(key))
 		for i := 0; i < lay.SlotsPerBucket; i++ {
-			k := binary.LittleEndian.Uint64(buf[boff+lay.KeyOff(i):])
+			k := s.word(boff + lay.KeyOff(i))
 			if k == key {
 				break
 			}
 			if k == 0 {
-				binary.LittleEndian.PutUint64(buf[boff+lay.KeyOff(i):], key)
-				copy(buf[boff+lay.ValOff(i):], val)
+				s.putWord(boff+lay.KeyOff(i), key)
+				s.putVal(boff+lay.ValOff(i), val)
 				break
 			}
 		}

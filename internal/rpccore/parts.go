@@ -131,7 +131,7 @@ func (rw *ReqWriter) Stage(t *host.Thread, b int, handler uint8, payload []byte,
 		return 0, false
 	}
 	off, span := rpcwire.EncodedSpan(rpcwire.BlockSize, msgLen)
-	block := rw.Region.Bytes()[b*rpcwire.BlockSize : (b+1)*rpcwire.BlockSize]
+	block := rw.Region.WriteView(b*rpcwire.BlockSize, rpcwire.BlockSize)
 	msg := block[off : off+msgLen]
 	rpcwire.PutHeader(msg, rpcwire.Header{ReqID: reqID, Handler: handler, ClientID: rw.ID})
 	copy(msg[rpcwire.HeaderSize:], payload)
@@ -175,14 +175,13 @@ func ReadSlot(t *host.Thread, pool *rpcwire.Pool, rel *RelStats, z, b int, probe
 	if probe {
 		t.ReadMem(pool.ValidAddr(z, b), 1)
 	}
-	block := pool.Block(z, b)
-	if !rpcwire.Valid(block) {
+	if !pool.Valid(z, b) {
 		return nil, 0, false, false
 	}
-	msg, flags, err := rpcwire.Decode(block)
+	msg, flags, err := rpcwire.Decode(pool.Block(z, b))
 	if err != nil {
 		rel.CRCDrops++
-		rpcwire.Clear(block)
+		pool.Clear(z, b)
 		t.WriteMem(pool.ValidAddr(z, b), 1)
 		return nil, 0, true, false
 	}
@@ -246,7 +245,7 @@ func (p *ReqPool) Parse(t *host.Thread, z, b int, req []byte) {
 
 // Release marks block (z, b) consumed.
 func (p *ReqPool) Release(t *host.Thread, z, b int) {
-	rpcwire.Clear(p.Block(z, b))
+	p.Clear(z, b)
 	t.WriteMem(p.ValidAddr(z, b), 1)
 }
 
@@ -318,7 +317,7 @@ func (r *RespPool) Poll(t *host.Thread, win *Window, fn func(Response)) int {
 
 // Release marks response block b consumed.
 func (r *RespPool) Release(t *host.Thread, b int) {
-	rpcwire.Clear(r.Block(0, b))
+	r.Clear(0, b)
 	t.WriteMem(r.ValidAddr(0, b), 1)
 }
 
@@ -356,7 +355,7 @@ func (o *Outbox) next() int {
 // the client's response zone.
 func (o *Outbox) Write(t *host.Thread, n int, flags byte, zone RespZone, slot int) {
 	blockOff := o.next()
-	if err := rpcwire.Encode(o.ring.Bytes()[blockOff:blockOff+rpcwire.BlockSize], o.Buf[:n], flags); err != nil {
+	if err := rpcwire.Encode(o.ring.WriteView(blockOff, rpcwire.BlockSize), o.Buf[:n], flags); err != nil {
 		return
 	}
 	off, span := rpcwire.EncodedSpan(rpcwire.BlockSize, n)
@@ -377,7 +376,7 @@ func (o *Outbox) Write(t *host.Thread, n int, flags byte, zone RespZone, slot in
 // NIC dstNIC.
 func (o *Outbox) Send(t *host.Thread, n int, imm uint32, dstNIC int, dstQPN uint32) {
 	blockOff := o.next()
-	copy(o.ring.Bytes()[blockOff:], o.Buf[:n])
+	_, _ = o.ring.WriteAt(o.Buf[:n], int64(blockOff)) // n fits the block: Buf is one block
 	t.WriteMem(o.ring.Base+uint64(blockOff), n)
 	o.chain = append(o.chain, nic.SendWR{
 		Op:     nic.OpSend,

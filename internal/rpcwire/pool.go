@@ -49,11 +49,33 @@ func (p *Pool) ValidAddr(z, b int) uint64 {
 	return p.BlockAddr(z, b) + uint64(ValidOffset(p.BlockSize))
 }
 
-// Block returns the backing bytes of block (z, b).
+// Block returns block (z, b) for reading: a view of its page, or of the
+// shared zero page while nothing has written the block's page (see
+// memory.Region.ReadView). Write a block with Clear or WriteBlock.
 func (p *Pool) Block(z, b int) []byte {
-	off := int(p.BlockAddr(z, b) - p.Region.Base)
-	return p.Region.Bytes()[off : off+p.BlockSize]
+	return p.Region.ReadView(p.blockOff(z, b), p.BlockSize)
 }
+
+// WriteBlock returns block (z, b) for writing, allocating its page: a live
+// view that later writes into the block also reach.
+func (p *Pool) WriteBlock(z, b int) []byte {
+	return p.Region.WriteView(p.blockOff(z, b), p.BlockSize)
+}
+
+// Valid reports whether block (z, b) holds a frame: its Valid byte, the
+// one byte a polling thread reads.
+func (p *Pool) Valid(z, b int) bool {
+	return p.Region.ByteAt(p.blockOff(z, b)+ValidOffset(p.BlockSize)) == validMagic
+}
+
+// Clear invalidates block (z, b) by zeroing its Valid byte, leaving a
+// block whose page nothing has written unallocated.
+func (p *Pool) Clear(z, b int) {
+	var zero [1]byte
+	_, _ = p.Region.WriteAt(zero[:], int64(p.blockOff(z, b)+ValidOffset(p.BlockSize))) // NewPool sized the region
+}
+
+func (p *Pool) blockOff(z, b int) int { return int(p.BlockAddr(z, b) - p.Region.Base) }
 
 // RKey returns the region key remote writers target.
 func (p *Pool) RKey() uint32 { return p.Region.RKey }

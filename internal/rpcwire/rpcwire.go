@@ -114,10 +114,6 @@ func Decode(block []byte) (payload []byte, flags byte, err error) {
 	return block[dataEnd-msgLen : dataEnd], block[dataEnd+lenSize], nil
 }
 
-// Clear marks the block consumed (the server's per-message cleanup; a
-// single local byte store).
-func Clear(block []byte) { block[len(block)-1] = 0 }
-
 // Reseal recomputes the trailer CRC of an encoded block after an in-place
 // rewrite of its data (e.g. the membership ClientID restamp on cold
 // rejoin). It returns the offset of the CRC word so callers can flush

@@ -64,17 +64,17 @@ func TestDecodeInvalidBlock(t *testing.T) {
 }
 
 func TestClearInvalidates(t *testing.T) {
-	block := make([]byte, 64)
-	Encode(block, []byte("x"), 0)
-	Clear(block)
-	if Valid(block) {
+	p := NewPool(memory.NewRegistry().Register(4*64, memory.PageSize4K, memory.LocalWrite), 64, 4, 1)
+	Encode(p.WriteBlock(0, 2), []byte("x"), 0)
+	p.Clear(0, 2)
+	if p.Valid(0, 2) || Valid(p.Block(0, 2)) {
 		t.Fatal("cleared block still valid")
 	}
 	// Re-encode works after clear (stateless pool reuse).
-	if err := Encode(block, []byte("y"), 0); err != nil {
+	if err := Encode(p.WriteBlock(0, 2), []byte("y"), 0); err != nil {
 		t.Fatal(err)
 	}
-	got, _, _ := Decode(block)
+	got, _, _ := Decode(p.Block(0, 2))
 	if string(got) != "y" {
 		t.Fatalf("got %q", got)
 	}
@@ -154,11 +154,11 @@ func TestPoolLayout(t *testing.T) {
 func TestPoolBlockAliasesRegion(t *testing.T) {
 	reg := memory.NewRegistry().Register(1<<16, memory.PageSize4K, memory.LocalWrite)
 	p := NewPool(reg, 256, 4, 8)
-	b := p.Block(2, 3)
+	b := p.WriteBlock(2, 3)
 	Encode(b, []byte("zz"), 0)
 	addr := p.BlockAddr(2, 3)
 	off := int(addr - reg.Base)
-	if !Valid(reg.Bytes()[off : off+256]) {
+	if !Valid(reg.ReadView(off, 256)) {
 		t.Fatal("block does not alias region memory")
 	}
 }
@@ -181,16 +181,16 @@ func TestPropertyEncodeNeverTouchesOtherBlocks(t *testing.T) {
 		if len(data) > MaxPayload(64) {
 			data = data[:MaxPayload(64)]
 		}
-		for i := range reg.Bytes() {
-			reg.Bytes()[i] = 0
-		}
-		if err := Encode(p.Block(z, b), data, 0); err != nil {
+		reg.WriteAt(make([]byte, reg.Len()), 0)
+		if err := Encode(p.WriteBlock(z, b), data, 0); err != nil {
 			return false
 		}
 		// Every byte outside the target block must still be zero.
 		lo := z*4*64 + b*64
 		hi := lo + 64
-		for i, v := range reg.Bytes() {
+		all := make([]byte, reg.Len())
+		reg.ReadAt(all, 0)
+		for i, v := range all {
 			if (i < lo || i >= hi) && v != 0 {
 				return false
 			}

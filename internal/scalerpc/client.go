@@ -242,7 +242,7 @@ func (c *Conn) flushEndpointEntry(t *host.Thread) {
 	c.entryDirty = false
 	staged := c.staged()
 	c.roundHigh = max(c.roundHigh, staged)
-	b := c.entryScratch.Bytes()
+	b := c.entryScratch.WriteView(0, c.entryScratch.Len())
 	binary.LittleEndian.PutUint32(b, uint32(staged))
 	binary.LittleEndian.PutUint32(b[4:], c.round)
 	for i, sl := range c.win.Slots {
@@ -485,7 +485,8 @@ func (c *Conn) release(b int) {
 // round offers it again.
 func (c *Conn) clearStaged(t *host.Thread, b int) {
 	stageOff := b * rpcwire.BlockSize
-	rpcwire.Clear(c.req.Region.Bytes()[stageOff : stageOff+rpcwire.BlockSize])
+	var zero [1]byte
+	_, _ = c.req.Region.WriteAt(zero[:], int64(stageOff+rpcwire.ValidOffset(rpcwire.BlockSize))) // b is a window slot
 	t.WriteMem(c.req.Region.Base+uint64(stageOff+rpcwire.ValidOffset(rpcwire.BlockSize)), 1)
 }
 

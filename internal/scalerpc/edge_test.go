@@ -185,14 +185,14 @@ func TestCorruptFrameAtTheEdgeIsPassed(t *testing.T) {
 		msg := make([]byte, rpcwire.HeaderSize+8)
 		rpcwire.PutHeader(msg, rpcwire.Header{ReqID: reqID, Handler: 1, ClientID: cs.ID})
 		binary.LittleEndian.PutUint64(msg[rpcwire.HeaderSize:], reqID)
-		if err := rpcwire.Encode(pool.Block(z, b), msg, 0); err != nil {
+		if err := rpcwire.Encode(pool.WriteBlock(z, b), msg, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	put(edge, 1)
 	put(edge+1, 2)
 	off, _ := rpcwire.EncodedSpan(rpcwire.BlockSize, rpcwire.HeaderSize+8)
-	pool.Block(z, edge)[off+rpcwire.HeaderSize] ^= 0xFF // past the NIC's ICRC
+	pool.WriteBlock(z, edge)[off+rpcwire.HeaderSize] ^= 0xFF // past the NIC's ICRC
 	rel := rpccore.SharedRel(c.Telemetry)
 	served := -1
 	c.Hosts[0].Spawn("sweep", func(th *host.Thread) {

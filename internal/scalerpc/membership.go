@@ -254,9 +254,9 @@ func (c *Conn) restampID(t *host.Thread) {
 		}
 		off, _ := rpcwire.EncodedSpan(rpcwire.BlockSize, c.win.Slots[b].MsgLen)
 		at := b*rpcwire.BlockSize + off + rpcwire.ClientIDOffset
-		binary.LittleEndian.PutUint16(c.req.Region.Bytes()[at:], c.req.ID)
+		block := c.req.Region.WriteView(b*rpcwire.BlockSize, rpcwire.BlockSize)
+		binary.LittleEndian.PutUint16(block[off+rpcwire.ClientIDOffset:], c.req.ID)
 		t.WriteMem(c.req.Region.Base+uint64(at), 2)
-		block := c.req.Region.Bytes()[b*rpcwire.BlockSize : (b+1)*rpcwire.BlockSize]
 		crcAt := b*rpcwire.BlockSize + rpcwire.Reseal(block)
 		t.WriteMem(c.req.Region.Base+uint64(crcAt), 4)
 	}

@@ -373,7 +373,7 @@ func (s *Server) assignWarm(t *host.Thread) {
 // previous binding; see assignWarm).
 func (s *Server) wipeZone(t *host.Thread, pool *rpccore.ReqPool, z int) {
 	for b := 0; b < s.Cfg.BlocksPerClient; b++ {
-		if rpcwire.Valid(pool.Block(z, b)) {
+		if pool.Valid(z, b) {
 			pool.Release(t, z, b)
 		}
 	}

@@ -136,6 +136,7 @@ type Server struct {
 	pools    [2]rpccore.ReqPool
 	procIdx  int // pools[procIdx] is the processing pool
 	endpoint *memory.Region
+	entryBuf []byte // readEndpointEntry's copy of one entry
 
 	handlers [256]rpccore.Handler
 	legacy   [256]bool
@@ -236,6 +237,7 @@ func NewServer(h *host.Host, cfg ServerConfig) *Server {
 		Cfg:       cfg,
 		Host:      h,
 		endpoint:  h.Mem.Register(entryStride(cfg.BlocksPerClient)*cfg.MaxClients, memory.PageSize2M, memory.LocalWrite|memory.RemoteWrite),
+		entryBuf:  make([]byte, entrySize(cfg.BlocksPerClient)),
 		legacyQ:   sim.NewQueue[legacyJob](h.Env),
 		zoneOwner: make([]int, zones),
 		warmOwner: make([]int, zones),
@@ -608,9 +610,11 @@ func (s *Server) respond(t *host.Thread, out *rpccore.Outbox, cs *clientState, s
 }
 
 // readEndpointEntry decodes client cid's endpoint entry from server memory:
-// spans holds one little-endian uint16 per block.
+// spans holds one little-endian uint16 per block, valid until the next
+// call. An entry may straddle a backing page, so it is copied out.
 func (s *Server) readEndpointEntry(cid uint16) (count, round uint32, spans []byte) {
-	b := s.endpoint.Bytes()[int(cid)*entryStride(s.Cfg.BlocksPerClient):][:entrySize(s.Cfg.BlocksPerClient)]
+	b := s.entryBuf
+	_, _ = s.endpoint.ReadAt(b, int64(int(cid)*entryStride(s.Cfg.BlocksPerClient))) // cid < MaxClients
 	return binary.LittleEndian.Uint32(b), binary.LittleEndian.Uint32(b[4:]), b[entryHeader:]
 }
 

@@ -70,18 +70,18 @@ func NewSyncGroup(servers []*Server) *SyncGroup {
 		// scheduler phase.
 		ts.Host.Spawn("sync-ts", func(t *host.Thread) {
 			for {
-				if tsBox.Bytes()[0] != syncReq {
+				if tsBox.ReadView(0, 1)[0] != syncReq {
 					tsSig.WaitTimeout(t.P, 50*sim.Microsecond)
 					continue
 				}
 				t.ReadMem(tsBox.Base, syncMsgSize)
 				t2 := t.P.Now()
-				req := tsBox.Bytes()
+				req := tsBox.WriteView(0, syncMsgSize)
 				t1 := binary.LittleEndian.Uint64(req[1:])
-				tsBox.Bytes()[0] = 0
+				req[0] = 0
 				t.Work(100) // request handling
 				t3 := t.P.Now()
-				resp := tsScratch.Bytes()
+				resp := tsScratch.WriteView(0, syncMsgSize)
 				resp[0] = syncResp
 				binary.LittleEndian.PutUint64(resp[1:], t1)
 				binary.LittleEndian.PutUint64(resp[9:], uint64(t2))
@@ -101,7 +101,7 @@ func NewSyncGroup(servers []*Server) *SyncGroup {
 			for {
 				t.P.Sleep(follower.Cfg.SyncPeriod)
 				t1 := t.P.Now()
-				req := foScratch.Bytes()
+				req := foScratch.WriteView(0, syncMsgSize)
 				req[0] = syncReq
 				binary.LittleEndian.PutUint64(req[1:], uint64(t1))
 				t.WriteMem(foScratch.Base, syncMsgSize)
@@ -110,14 +110,14 @@ func NewSyncGroup(servers []*Server) *SyncGroup {
 					Len: syncMsgSize, RKey: tsBox.RKey, RAddr: tsBox.Base, Inline: true,
 				})
 				// Await the response.
-				for foBox.Bytes()[0] != syncResp {
+				for foBox.ReadView(0, 1)[0] != syncResp {
 					foSig.WaitTimeout(t.P, 50*sim.Microsecond)
 				}
 				t.ReadMem(foBox.Base, syncMsgSize)
-				resp := foBox.Bytes()
+				resp := foBox.WriteView(0, syncMsgSize)
 				deltaT := sim.Duration(binary.LittleEndian.Uint64(resp[25:]))
 				tsPhase := sim.Time(binary.LittleEndian.Uint64(resp[33:]))
-				foBox.Bytes()[0] = 0
+				resp[0] = 0
 				t4 := t.P.Now()
 
 				// D_i = D − (T4 − T1 − ΔT)/2: shorten the next slice by the

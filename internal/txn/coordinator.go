@@ -475,7 +475,7 @@ func (c *Coordinator) Run(t *host.Thread, txn *Txn) error {
 		// lock, with no response to wait for (§4.2's key optimization).
 		for gi := range txn.Writes {
 			pi := c.Place(txn.Writes[gi])
-			img := c.scratch.Bytes()[4096+gi*256:]
+			img := c.scratch.WriteView(4096+gi*256, 256)
 			n := mica.BuildCommitImage(img, txn.Writes[gi], newVals[gi], writeVers[gi]+1)
 			t.WriteMem(c.scratch.Base+uint64(4096+gi*256), n)
 			wr := nic.SendWR{
@@ -525,7 +525,7 @@ func (c *Coordinator) validateOneSided(t *host.Thread, addrs []uint64, vers []ui
 	}
 	for i := range addrs {
 		t.ReadMem(c.scratch.Base+uint64(i*8), 8)
-		if mica.ParseVersion(c.scratch.Bytes()[i*8:]) != vers[i] {
+		if mica.ParseVersion(c.scratch.ReadView(i*8, 8)) != vers[i] {
 			return false
 		}
 	}
