@@ -9,6 +9,8 @@
 package fasstrpc
 
 import (
+	"slices"
+
 	"scalerpc/internal/baseline"
 	"scalerpc/internal/host"
 	"scalerpc/internal/memory"
@@ -104,7 +106,9 @@ func (s *Server) run(t *host.Thread, w *baseline.Worker) {
 			}
 			wr := s.recvWR(ring, e.WRID)
 			t.ReadMem(wr.LAddr, e.ByteLen)
-			req := ring.reg.ReadView(int(e.WRID)*rpcwire.BlockSize, e.ByteLen)
+			w.Req = slices.Grow(w.Req[:0], e.ByteLen)[:e.ByteLen]
+			_, _ = ring.reg.ReadAt(w.Req, int64(e.WRID)*rpcwire.BlockSize) // a landed SEND fits its block
+			req := w.Req
 			t.Work(s.Cfg.ParseCost)
 			// No per-client state on the server: the request names its
 			// client, and the response returns to the QP it came from. (A
@@ -170,9 +174,10 @@ func (c *Conn) TrySend(t *host.Thread, handler uint8, payload []byte, reqID uint
 		return false
 	}
 	blockOff := b * rpcwire.BlockSize
-	buf := c.stage.WriteView(blockOff, rpcwire.BlockSize)
-	rpcwire.PutHeader(buf, rpcwire.Header{ReqID: reqID, Handler: handler, ClientID: c.id})
-	copy(buf[rpcwire.HeaderSize:], payload)
+	var hdr [rpcwire.HeaderSize]byte
+	rpcwire.PutHeader(hdr[:], rpcwire.Header{ReqID: reqID, Handler: handler, ClientID: c.id})
+	_, _ = c.stage.WriteAt(hdr[:], int64(blockOff)) // fits: checked above
+	_, _ = c.stage.WriteAt(payload, int64(blockOff+rpcwire.HeaderSize))
 	t.WriteMem(c.stage.Base+uint64(blockOff), msgLen)
 	t.Work(c.s.Cfg.ClientOverhead)
 	err := t.PostSend(c.resp.QP, nic.SendWR{

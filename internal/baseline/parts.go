@@ -29,6 +29,7 @@ package baseline
 
 import (
 	"fmt"
+	"slices"
 
 	"scalerpc/internal/host"
 	"scalerpc/internal/memory"
@@ -92,7 +93,8 @@ func (u *UDRecv) Poll(t *host.Thread, win *rpccore.Window, fn func(rpccore.Respo
 		}
 		wr := u.recvWR(e.WRID)
 		t.ReadMem(wr.LAddr, e.ByteLen)
-		u.buf = append(u.buf[:0], u.ring.ReadView(int(e.WRID)*rpcwire.BlockSize, e.ByteLen)...)
+		u.buf = slices.Grow(u.buf[:0], e.ByteLen)[:e.ByteLen]
+		_, _ = u.ring.ReadAt(u.buf, int64(e.WRID)*rpcwire.BlockSize) // a landed SEND fits its block
 		t.PostRecv(u.QP, wr)
 		hdr, body, err := rpcwire.ParseHeader(u.buf)
 		if err != nil {

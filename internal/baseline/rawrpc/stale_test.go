@@ -35,17 +35,17 @@ func TestStaleResponseCounted(t *testing.T) {
 	stale, staleGot, staleOutstanding := ^uint64(0), -1, -1
 	c.Hosts[1].Spawn("client", func(th *host.Thread) {
 		conn.TrySend(th, 1, []byte("old"), 1)
-		block := conn.resp.WriteBlock(0, 0)
-		for !rpcwire.Valid(block) {
+		for !conn.resp.Valid(0, 0) {
 			sig.WaitTimeout(th.P, 10*sim.Microsecond)
 		}
-		old := append([]byte(nil), block...)
+		old := make([]byte, rpcwire.BlockSize)
+		conn.resp.Region.ReadAt(old, 0)
 		conn.Poll(th, collect)
 		if !conn.TrySend(th, 2, []byte("new"), 2) { // slot 0 again
 			t.Error("second send refused")
 			return
 		}
-		copy(block, old)
+		conn.resp.Region.WriteAt(old, 0)
 		staleGot = conn.Poll(th, collect)
 		stale, staleOutstanding = s.Rel.StaleResponses, conn.Outstanding()
 		for conn.Outstanding() > 0 {

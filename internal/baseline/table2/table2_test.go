@@ -171,7 +171,7 @@ func writePool(pool rpccore.ReqPool) overwrite {
 		msg := make([]byte, rpcwire.HeaderSize+len(p))
 		rpcwire.PutHeader(msg, rpcwire.Header{ReqID: 6, Handler: 1})
 		copy(msg[rpcwire.HeaderSize:], p)
-		return rpcwire.Encode(pool.WriteBlock(0, 0), msg, 0)
+		return pool.WriteFrame(0, 0, msg, 0)
 	}
 }
 

@@ -7,9 +7,10 @@
 // to shrink it; ScaleRPC registers 2 MB huge pages).
 //
 // The bytes behind a region are a separate matter: the simulator's own
-// heap backs them in 4 KB host pages, allocated on the first write that
-// reaches each one (see Region). The model's registration page size never
-// changes what is backed, and the backing never changes an address.
+// heap backs them in 256-byte units, or in whole 4 KB host pages once a
+// page is viewed, allocated on the first write that reaches each one (see
+// Region). The model's registration page size never changes what is
+// backed, and the backing never changes an address.
 package memory
 
 import (
@@ -43,18 +44,35 @@ const (
 	RemoteAtomic
 )
 
-// Host backing: a region's bytes live in hostPage-sized pages, carved
-// slabPages at a time from one slab per Registry, and its page table is
-// carved from a slab of tableSlab entries unless it needs more than a
-// quarter of one.
+// Host backing: a region's bytes live in hostPage-sized pages, each backed
+// in unitSize units until something takes a view of it and whole after
+// that. Pages, units and the pages' unit tables are carved from per-Registry
+// slabs; a region's page table is carved from a slab of slabEntries entries
+// unless it needs more than a quarter of one.
 const (
-	pageShift = 12
-	hostPage  = 1 << pageShift
-	slabPages = 64
-	tableSlab = 4096
+	pageShift   = 12
+	hostPage    = 1 << pageShift
+	unitShift   = 8
+	unitSize    = 1 << unitShift
+	pageUnits   = hostPage / unitSize
+	slabPages   = 64
+	slabUnits   = 256
+	slabTables  = 256
+	slabEntries = 4096
 )
 
-type page [hostPage]byte
+type (
+	page      [hostPage]byte
+	unit      [unitSize]byte
+	unitTable [pageUnits]*unit
+)
+
+// backing is one page-table entry: both nil for a page nothing has written,
+// units for a page backed in units, page for a page backed whole.
+type backing struct {
+	page  *page
+	units *unitTable
+}
 
 // zeroPage backs every read view of a page nothing has written. Nothing
 // may write to it; Guard checks that against zeroRef, which nothing views.
@@ -68,14 +86,19 @@ var Guard bool
 
 // Region is a registered memory region.
 //
-// Its bytes live in 4 KB host pages. A page is allocated on the first
-// write of a non-zero byte to it and then stays where it is until the
-// region is deregistered, so a view into a written page (WriteView, or
-// ReadView of a written page) stays valid, and sees later writes, for the
-// region's lifetime. A read of a page nothing has written sees zeros and
-// allocates nothing: ReadView hands out the shared zero page, a snapshot
-// that later writes do not reach. Views cover one host page each;
-// ReadAt and WriteAt carry spans that cross pages.
+// Its bytes live in 4 KB host pages, and a page in 256-byte units until
+// something views it. A unit is allocated on the first write of a non-zero
+// byte to it, so a pool block that only ever holds a short frame costs the
+// units the frame touched. The first ReadView or WriteView of a written
+// page moves it to one whole page for good, and the first WriteView of an
+// unwritten one allocates it whole. A whole page stays where it is until
+// the region is deregistered, so a view into a written page stays valid,
+// and sees later writes, for the region's lifetime. A read of a page
+// nothing has written sees zeros and allocates nothing: ReadView hands out
+// the shared zero page, a snapshot that later writes do not reach. Views
+// cover one host page each; ByteAt, ReadAt and WriteAt read and write
+// either form without changing it, and ReadAt and WriteAt carry spans that
+// cross pages.
 type Region struct {
 	LKey     uint32
 	RKey     uint32
@@ -84,7 +107,7 @@ type Region struct {
 	Flags    Access
 	size     int
 	host     *Registry
-	pages    []*page // nil until the first write; a nil entry is an unwritten page
+	pages    []backing // nil until the first write
 }
 
 // Len returns the region length in bytes.
@@ -128,14 +151,20 @@ func badView(off, n, size int) {
 }
 
 // ByteAt returns the region's byte at offset off: what a poller reads
-// when it probes a flag. An unwritten page reads zero.
+// when it probes a flag. An unwritten unit or page reads zero.
 func (r *Region) ByteAt(off int) byte {
 	if uint(off) >= uint(r.size) {
 		panic(ErrOutOfband)
 	}
 	if i := off >> pageShift; i < len(r.pages) {
-		if p := r.pages[i]; p != nil {
-			return p[off&(hostPage-1)]
+		e := &r.pages[i]
+		if e.page != nil {
+			return e.page[off&(hostPage-1)]
+		}
+		if e.units != nil {
+			if u := e.units[off>>unitShift&(pageUnits-1)]; u != nil {
+				return u[off&(unitSize-1)]
+			}
 		}
 	}
 	return 0
@@ -143,17 +172,20 @@ func (r *Region) ByteAt(off int) byte {
 
 // ReadView returns the bytes [off, off+n) of the region for reading. The
 // span must lie inside one 4 KB host page (offsets are region-relative,
-// and regions start page-aligned). A written page is viewed in place; an
-// unwritten one through the shared zero page, which must never be written
-// — take a WriteView, or call WriteAt, to write.
+// and regions start page-aligned). A written page is backed whole, if it
+// is not already, and viewed in place; an unwritten one through the shared
+// zero page, which must never be written — take a WriteView, or call
+// WriteAt, to write.
 func (r *Region) ReadView(off, n int) []byte {
 	i, o := r.inPage(off, n)
 	if n == 0 {
 		return nil
 	}
 	if i < len(r.pages) {
-		if p := r.pages[i]; p != nil {
-			return p[o : o+n : o+n]
+		if e := r.pages[i]; e.page != nil {
+			return e.page[o : o+n : o+n]
+		} else if e.units != nil {
+			return r.whole(i)[o : o+n : o+n]
 		}
 	}
 	if Guard && !bytes.Equal(zeroPage[o:o+n], zeroRef[o:o+n]) {
@@ -163,72 +195,129 @@ func (r *Region) ReadView(off, n int) []byte {
 }
 
 // WriteView returns the bytes [off, off+n) of the region for reading and
-// writing, allocating their page if nothing has written it yet. The span
-// must lie inside one 4 KB host page.
+// writing, backing their page whole if it is not already. The span must
+// lie inside one 4 KB host page.
 func (r *Region) WriteView(off, n int) []byte {
 	i, o := r.inPage(off, n)
 	if n == 0 {
 		return nil
 	}
-	p := r.page(i)
+	p := r.whole(i)
 	return p[o : o+n : o+n]
 }
 
-// page returns host page i of the region, allocating it (and the region's
-// page table) on first use.
-func (r *Region) page(i int) *page {
+// table returns the region's page table, allocating it on first use.
+func (r *Region) table() []backing {
 	if r.pages == nil {
 		r.pages = r.host.newTable((r.size + hostPage - 1) / hostPage)
 	}
-	p := r.pages[i]
-	if p == nil {
-		p = r.host.newPage()
-		r.pages[i] = p
-	}
-	return p
+	return r.pages
 }
 
-// ReadAt copies the region's bytes at offset off into p. Unwritten pages
-// read as zeros and stay unallocated. A span outside the region copies
-// nothing and returns ErrOutOfband.
+// whole returns host page i of the region backed whole: allocated on first
+// use, with the units that backed it so far copied in and returned.
+func (r *Region) whole(i int) *page {
+	e := &r.table()[i]
+	if e.page != nil {
+		return e.page
+	}
+	g := r.host
+	e.page = g.pages.get()
+	if t := e.units; t != nil {
+		for k, u := range t {
+			if u != nil {
+				copy(e.page[k<<unitShift:], u[:])
+				clear(u[:])
+				g.units.put(u)
+			}
+		}
+		*t = unitTable{}
+		g.tables.put(t)
+		e.units = nil
+	}
+	return e.page
+}
+
+// unit returns unit k of host page i, which is not backed whole,
+// allocating it (and the page's unit table) on first use.
+func (r *Region) unit(i, k int) *unit {
+	e := &r.table()[i]
+	if e.units == nil {
+		e.units = r.host.tables.get()
+	}
+	u := e.units[k]
+	if u == nil {
+		u = r.host.units.get()
+		e.units[k] = u
+	}
+	return u
+}
+
+// ReadAt copies the region's bytes at offset off into p. Unwritten units
+// and pages read as zeros and stay unallocated. A span outside the region
+// copies nothing and returns ErrOutOfband.
 func (r *Region) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 || off+int64(len(p)) > int64(r.size) {
 		return 0, fmt.Errorf("%w: read [%d,+%d) of a %d-byte region", ErrOutOfband, off, len(p), r.size)
 	}
-	o := int(off)
-	for done := 0; done < len(p); {
-		i, po := o/hostPage, o%hostPage
-		chunk := p[done:min(len(p), done+hostPage-po)]
-		if r.pages != nil && r.pages[i] != nil {
-			copy(chunk, r.pages[i][po:])
-		} else {
+	for o, rest := int(off), p; len(rest) > 0; {
+		i, po := o>>pageShift, o&(hostPage-1)
+		chunk := rest[:min(len(rest), hostPage-po)]
+		var e backing
+		if i < len(r.pages) {
+			e = r.pages[i]
+		}
+		switch {
+		case e.page != nil:
+			copy(chunk, e.page[po:])
+		case e.units != nil:
+			for c, uo := chunk, po; len(c) > 0; {
+				n := min(len(c), unitSize-uo&(unitSize-1))
+				if u := e.units[uo>>unitShift]; u != nil {
+					copy(c[:n], u[uo&(unitSize-1):])
+				} else {
+					clear(c[:n])
+				}
+				c, uo = c[n:], uo+n
+			}
+		default:
 			clear(chunk)
 		}
-		done += len(chunk)
-		o += len(chunk)
+		rest, o = rest[len(chunk):], o+len(chunk)
 	}
 	return len(p), nil
 }
 
-// WriteAt copies p into the region at offset off. A page is allocated
+// WriteAt copies p into the region at offset off. A unit is allocated
 // only when a non-zero byte lands in it: writing zeros to an unwritten
-// page leaves it unwritten, which is what it already reads as. A span
+// unit leaves it unwritten, which is what it already reads as. A span
 // outside the region writes nothing and returns ErrOutOfband.
 func (r *Region) WriteAt(p []byte, off int64) (int, error) {
 	if off < 0 || off+int64(len(p)) > int64(r.size) {
 		return 0, fmt.Errorf("%w: write [%d,+%d) of a %d-byte region", ErrOutOfband, off, len(p), r.size)
 	}
-	o := int(off)
-	for done := 0; done < len(p); {
-		i, po := o/hostPage, o%hostPage
-		chunk := p[done:min(len(p), done+hostPage-po)]
-		if r.pages != nil && r.pages[i] != nil {
-			copy(r.pages[i][po:], chunk)
-		} else if !allZero(chunk) {
-			copy(r.page(i)[po:], chunk)
+	for o, rest := int(off), p; len(rest) > 0; {
+		i, po := o>>pageShift, o&(hostPage-1)
+		chunk := rest[:min(len(rest), hostPage-po)]
+		if i < len(r.pages) && r.pages[i].page != nil {
+			copy(r.pages[i].page[po:], chunk)
+		} else {
+			for c, uo := chunk, po; len(c) > 0; {
+				k, n := uo>>unitShift, min(len(c), unitSize-uo&(unitSize-1))
+				var u *unit
+				if i < len(r.pages) && r.pages[i].units != nil {
+					u = r.pages[i].units[k]
+				}
+				if u == nil && !allZero(c[:n]) {
+					u = r.unit(i, k)
+				}
+				if u != nil {
+					copy(u[uo&(unitSize-1):], c[:n])
+				}
+				c, uo = c[n:], uo+n
+			}
 		}
-		done += len(chunk)
-		o += len(chunk)
+		rest, o = rest[len(chunk):], o+len(chunk)
 	}
 	return len(p), nil
 }
@@ -242,17 +331,45 @@ func allZero(b []byte) bool {
 	return true
 }
 
+// slab hands out zeroed Ts: returned ones first, then the next of its
+// current chunk, whose malloc covers n of them.
+type slab[T any] struct {
+	n      int
+	chunk  []T
+	free   []*T // zeroed by whoever returned them
+	chunks int  // chunks allocated
+}
+
+func (s *slab[T]) get() *T {
+	if k := len(s.free); k > 0 {
+		p := s.free[k-1]
+		s.free[k-1] = nil
+		s.free = s.free[:k-1]
+		return p
+	}
+	if len(s.chunk) == 0 {
+		s.chunk = make([]T, s.n)
+		s.chunks++
+	}
+	p := &s.chunk[0]
+	s.chunk = s.chunk[1:]
+	return p
+}
+
+// put takes back a zeroed T.
+func (s *slab[T]) put(p *T) { s.free = append(s.free, p) }
+
 // Registry is one host's MR table, virtual address allocator and backing
-// page allocator.
+// allocator.
 type Registry struct {
 	nextKey  uint32
 	nextAddr uint64
 	byRKey   map[uint32]*Region
 	byLKey   map[uint32]*Region
-	slab     []page  // the current slab's pages not yet handed out
-	free     []*page // zeroed pages returned by Deregister
-	slabs    int     // slabs allocated
-	tables   []*page // the current table slab's entries not yet handed out
+	pages    slab[page]
+	units    slab[unit]
+	tables   slab[unitTable]
+	entries  []backing // the current page-table slab's entries not yet handed out
 }
 
 // NewRegistry returns an empty registry. Virtual addresses start high so
@@ -263,69 +380,85 @@ func NewRegistry() *Registry {
 		nextAddr: 0x10_0000_0000,
 		byRKey:   make(map[uint32]*Region),
 		byLKey:   make(map[uint32]*Region),
+		pages:    slab[page]{n: slabPages},
+		units:    slab[unit]{n: slabUnits},
+		tables:   slab[unitTable]{n: slabTables},
 	}
-}
-
-// newPage returns a zeroed host page: a deregistered region's, or the
-// next of the current slab, whose malloc covers slabPages pages.
-func (g *Registry) newPage() *page {
-	if n := len(g.free); n > 0 {
-		p := g.free[n-1]
-		g.free[n-1] = nil
-		g.free = g.free[:n-1]
-		return p
-	}
-	if len(g.slab) == 0 {
-		g.slab = make([]page, slabPages)
-		g.slabs++
-	}
-	p := &g.slab[0]
-	g.slab = g.slab[1:]
-	return p
 }
 
 // Census is what a registry's regions hold: the bytes registered in live
-// regions, the bytes of their resident (written) pages, the bytes of
-// resident pages that read all zeros, and the page bytes the host holds in
-// all — resident pages, the free list and the current slab's rest.
+// regions; the bytes of their resident units and of their pages backed
+// whole; the resident bytes, of either, in units or pages that read all
+// zeros; and the unit and page bytes the host holds in all — resident ones,
+// the free lists and the current slabs' rest.
 type Census struct {
-	Registered, Resident, ZeroResident, Held int
+	Registered, Units, Pages, ZeroResident, Held int
 }
 
-// Census scans the live regions' pages.
+// Resident returns the bytes of the live regions' resident units and
+// whole pages.
+func (c Census) Resident() int { return c.Units + c.Pages }
+
+// Census scans the live regions' page tables.
 func (g *Registry) Census() Census {
-	c := Census{Held: g.slabs * slabPages * hostPage}
+	c := Census{Held: g.pages.chunks*slabPages*hostPage + g.units.chunks*slabUnits*unitSize}
 	for _, r := range g.byRKey {
-		c.Registered += r.size
-		for _, p := range r.pages {
-			if p == nil {
-				continue
-			}
-			c.Resident += hostPage
-			if *p == zeroRef {
+		c.Add(r.Census())
+	}
+	return c
+}
+
+// Census returns what the region holds; Held is left zero.
+func (r *Region) Census() Census {
+	c := Census{Registered: r.size}
+	for _, e := range r.pages {
+		if e.page != nil {
+			c.Pages += hostPage
+			if *e.page == zeroRef {
 				c.ZeroResident += hostPage
+			}
+			continue
+		}
+		if e.units == nil {
+			continue
+		}
+		for _, u := range e.units {
+			if u != nil {
+				c.Units += unitSize
+				if *u == (unit{}) {
+					c.ZeroResident += unitSize
+				}
 			}
 		}
 	}
 	return c
 }
 
+// Add adds d's counts to c.
+func (c *Census) Add(d Census) {
+	c.Registered += d.Registered
+	c.Units += d.Units
+	c.Pages += d.Pages
+	c.ZeroResident += d.ZeroResident
+	c.Held += d.Held
+}
+
 // newTable returns a page table of n entries.
-func (g *Registry) newTable(n int) []*page {
-	if n > tableSlab/4 {
-		return make([]*page, n)
+func (g *Registry) newTable(n int) []backing {
+	if n > slabEntries/4 {
+		return make([]backing, n)
 	}
-	if len(g.tables) < n {
-		g.tables = make([]*page, tableSlab)
+	if len(g.entries) < n {
+		g.entries = make([]backing, slabEntries)
 	}
-	t := g.tables[:n:n]
-	g.tables = g.tables[n:]
+	t := g.entries[:n:n]
+	g.entries = g.entries[n:]
 	return t
 }
 
 // Register reserves and registers a region of size bytes with the given
 // page size and access flags, returning the region. It allocates no bytes:
-// each host page is allocated by the first write that reaches it.
+// each unit or page is allocated by the first write that reaches it.
 func (g *Registry) Register(size int, pageSize int, flags Access) *Region {
 	if size <= 0 {
 		panic("memory: non-positive region size")
@@ -351,17 +484,27 @@ func (g *Registry) Register(size int, pageSize int, flags Access) *Region {
 	return r
 }
 
-// Deregister removes a region and returns its pages, zeroed, to the
-// host's free list. Outstanding accesses to it will fail, and no view of
-// it may be used afterwards: its pages back the next regions written.
+// Deregister removes a region and returns its units, pages and unit
+// tables, zeroed, to the host's free lists. Outstanding accesses to it will
+// fail, and no view of it may be used afterwards: its pages back the next
+// regions written.
 func (g *Registry) Deregister(r *Region) {
 	delete(g.byRKey, r.RKey)
 	delete(g.byLKey, r.LKey)
-	for i, p := range r.pages {
-		if p != nil {
-			clear(p[:])
-			g.free = append(g.free, p)
-			r.pages[i] = nil
+	for _, e := range r.pages {
+		if e.page != nil {
+			clear(e.page[:])
+			g.pages.put(e.page)
+		}
+		if t := e.units; t != nil {
+			for _, u := range t {
+				if u != nil {
+					clear(u[:])
+					g.units.put(u)
+				}
+			}
+			*t = unitTable{}
+			g.tables.put(t)
 		}
 	}
 	r.pages = nil

@@ -12,8 +12,9 @@ import (
 	"scalerpc/internal/sim"
 )
 
-// These tests move data across the 4 KB host pages that back a registered
-// region, each byte-exact against a contiguous reference of the region.
+// These tests move data across the 256-byte units and 4 KB host pages that
+// back a registered region, each byte-exact against a contiguous reference
+// of the region.
 
 // pattern returns n bytes that differ from their neighbours and from any
 // other seed's.
@@ -25,8 +26,12 @@ func pattern(n, seed int) []byte {
 	return b
 }
 
-// resident returns the bytes of written pages in host h's regions.
-func resident(pe *pairEnv, h int) int { return pe.c.Hosts[h].Mem.Census().Resident }
+// unit is the size of the units that back a region's bytes.
+const unit = 256
+
+// resident returns the bytes of written units and pages in host h's
+// regions.
+func resident(pe *pairEnv, h int) int { return pe.c.Hosts[h].Mem.Census().Resident() }
 
 // post posts one signaled work request on the pair's requester QP and
 // runs the cluster until it completes.
@@ -58,8 +63,8 @@ func TestCrossPage64KWriteAndRead(t *testing.T) {
 	if !bytes.Equal(peek(pe.srv, 0, len(ref)), ref) {
 		t.Fatal("the 64 KB WRITE did not land byte-exact")
 	}
-	if got := resident(pe, 1) - srv0; got != 17*4096 {
-		t.Errorf("the WRITE made %d bytes resident on the responder, want its 17 pages", got)
+	if got := resident(pe, 1) - srv0; got != (dst+n+unit-1)/unit*unit {
+		t.Errorf("the WRITE made %d bytes resident on the responder, want its %d units", got, (dst+n+unit-1)/unit)
 	}
 	post(t, pe, nic.SendWR{Op: nic.OpRead, LKey: pe.cli.LKey, LAddr: pe.cli.Base + back, Len: n,
 		RKey: pe.srv.RKey, RAddr: pe.srv.Base + dst})
@@ -83,8 +88,8 @@ func TestCrossPageUnalignedWrite(t *testing.T) {
 		if !bytes.Equal(peek(pe.srv, 0, len(ref)), ref) {
 			t.Fatalf("inline %v: the WRITE across a page boundary did not land byte-exact", inline)
 		}
-		if got := resident(pe, 1); got != 2*4096 {
-			t.Errorf("inline %v: %d bytes resident on the responder, want the two pages written", inline, got)
+		if got := resident(pe, 1); got != 2*unit {
+			t.Errorf("inline %v: %d bytes resident on the responder, want the two units written", inline, got)
 		}
 	}
 }
@@ -119,7 +124,7 @@ func TestCrossPageTornWrite(t *testing.T) {
 }
 
 // TestFetchAddOnUnwrittenPage: an atomic on a page nothing wrote reads
-// zero, and its result lands in a page of its own.
+// zero, and its result lands in a unit of its own.
 func TestFetchAddOnUnwrittenPage(t *testing.T) {
 	pe := newPair(t, nic.RC)
 	const at = 5*4096 + 8
@@ -130,30 +135,32 @@ func TestFetchAddOnUnwrittenPage(t *testing.T) {
 	if !bytes.Equal(peek(pe.srv, 0, len(ref)), ref) {
 		t.Fatal("FETCH_ADD on an unwritten page did not leave exactly 5 at its word")
 	}
-	if got := resident(pe, 1); got != 4096 {
-		t.Errorf("%d bytes resident on the responder, want the one page the atomic wrote", got)
+	if got := resident(pe, 1); got != unit {
+		t.Errorf("%d bytes resident on the responder, want the one unit the atomic wrote", got)
 	}
 	post(t, pe, nic.SendWR{Op: nic.OpFetchAdd, Add: 0, LKey: pe.cli.LKey, LAddr: pe.cli.Base, Len: 8,
 		RKey: pe.srv.RKey, RAddr: pe.srv.Base + 6*4096})
-	if got := resident(pe, 1); got != 4096 {
-		t.Errorf("adding 0 to an unwritten word made a page resident: %d bytes, want 4096", got)
+	if got := resident(pe, 1); got != unit {
+		t.Errorf("adding 0 to an unwritten word made a unit resident: %d bytes, want %d", got, unit)
 	}
 }
 
 // TestAllocBudgetRegionPages: a pool nobody wrote costs nothing to probe,
-// decode or clear, nor do a READ of unwritten memory into unwritten memory
-// and a WRITE of zeros; N WRITEs into N fresh pages cost at most ⌈N/64⌉
-// page mallocs, one per slab.
+// read a frame from or clear, nor do a READ of unwritten memory into
+// unwritten memory and a WRITE of zeros; N WRITEs into N fresh pages cost
+// at most ⌈N/256⌉ unit mallocs and ⌈N/256⌉ unit-table mallocs, one per
+// slab of each.
 func TestAllocBudgetRegionPages(t *testing.T) {
 	pe := newPair(t, nic.RC)
 	pool := rpcwire.NewPool(pe.srv, rpcwire.BlockSize, 8, 16)
+	buf := make([]byte, 0, rpcwire.BlockSize)
 	scan := func() {
 		for z := 0; z < pool.Zones; z++ {
 			for b := 0; b < pool.BlocksPerZone; b++ {
 				if pool.Valid(z, b) {
 					t.Fatal("an unwritten block reads valid")
 				}
-				if _, _, err := rpcwire.Decode(pool.Block(z, b)); err == nil {
+				if _, _, err := pool.ReadFrame(z, b, &buf); err == nil {
 					t.Fatal("an unwritten block decodes")
 				}
 				pool.Clear(z, b)
@@ -193,24 +200,27 @@ func TestAllocBudgetRegionPages(t *testing.T) {
 	}
 	poke(pe.cli, 0, []byte{1})
 	defer func(r int) { runtime.MemProfileRate = r }(runtime.MemProfileRate)
-	runtime.MemProfileRate = 1 // pageAllocs needs every allocation recorded
-	stream(1)                  // the responder's page table and first pages
-	before := pageAllocs()
+	runtime.MemProfileRate = 1 // slabMallocs needs every allocation recorded
+	stream(1)                  // the responder's page table and first units
+	before := slabMallocs()
 	stream(1 + n)
-	want := int64((n + 63) / 64)
-	if got := pageAllocs() - before; got > want {
-		t.Errorf("%d page mallocs for %d WRITEs into fresh pages, want at most %d", got, n, want)
+	got, want := slabMallocs()-before, int64((n+255)/256)
+	if got > 2*want {
+		t.Errorf("%d unit and unit-table mallocs for %d WRITEs into fresh pages, want at most %d", got, n, 2*want)
 	}
-	if got := resident(pe, 1); got != 2*n*4096 {
-		t.Errorf("%d bytes resident on the responder, want the %d pages written", got, 2*n)
+	if got := resident(pe, 1); got != 2*n*unit {
+		t.Errorf("%d bytes resident on the responder, want the %d units written", got, 2*n)
+	}
+	if c := pe.c.Hosts[1].Mem.Census(); c.Pages != 0 {
+		t.Errorf("census %+v: the WRITEs backed a page whole", c)
 	}
 }
 
-// pageAllocs returns how many objects have been allocated so far by call
-// stacks through memory.Region's page allocation. It reads the runtime's
+// slabMallocs returns how many objects have been allocated so far by call
+// stacks through memory.Registry's backing slabs. It reads the runtime's
 // allocation profile (MemProfileRate must be 1), which leaves out what the
 // event queue and the packet pools allocate around the WRITEs.
-func pageAllocs() int64 {
+func slabMallocs() int64 {
 	runtime.GC() // the profile trails by up to two collection cycles
 	runtime.GC()
 	var recs []runtime.MemProfileRecord
@@ -224,7 +234,7 @@ func pageAllocs() int64 {
 		frames := runtime.CallersFrames(r.Stack())
 		for {
 			f, more := frames.Next()
-			if strings.HasSuffix(f.Function, "memory.(*Region).page") {
+			if strings.Contains(f.Function, "memory.(*slab[") {
 				total += r.AllocObjects
 				break
 			}

@@ -130,14 +130,10 @@ func (rw *ReqWriter) Stage(t *host.Thread, b int, handler uint8, payload []byte,
 	if msgLen > rpcwire.MaxPayload(rpcwire.BlockSize) {
 		return 0, false
 	}
+	var hdr [rpcwire.HeaderSize]byte
+	rpcwire.PutHeader(hdr[:], rpcwire.Header{ReqID: reqID, Handler: handler, ClientID: rw.ID})
+	_ = rpcwire.WriteFrame(rw.Region, b*rpcwire.BlockSize, rpcwire.BlockSize, hdr[:], payload, 0) // fits: checked above
 	off, span := rpcwire.EncodedSpan(rpcwire.BlockSize, msgLen)
-	block := rw.Region.WriteView(b*rpcwire.BlockSize, rpcwire.BlockSize)
-	msg := block[off : off+msgLen]
-	rpcwire.PutHeader(msg, rpcwire.Header{ReqID: reqID, Handler: handler, ClientID: rw.ID})
-	copy(msg[rpcwire.HeaderSize:], payload)
-	// msg already sits right-aligned where Encode puts it: this seals the
-	// trailer in place, and cannot fail on a message that fits.
-	_ = rpcwire.Encode(block, msg, 0)
 	t.WriteMem(rw.Region.Base+uint64(b*rpcwire.BlockSize+off), span)
 	return msgLen, true
 }
@@ -167,10 +163,11 @@ func ImmBlock(imm uint32) (zone, b int) { return int(imm >> 8), int(imm & 0xFF) 
 // message into *buf. valid reports whether the Valid byte was set. A frame
 // whose CRC fails — corruption past the NIC — is counted in rel and
 // cleared, and reads as valid but not ok: loss, which the sender's retry
-// recovers. The copy is taken before anything yields, because the block is
+// recovers. The frame is read out of the block — its trailer, then the
+// span the trailer names — before anything yields, because the block is
 // live RDMA-writable memory that a late or duplicate write may overwrite as
-// soon as virtual time moves. The caller charges its read of the message
-// and clears the block.
+// soon as virtual time moves; the message aliases *buf, never the block.
+// The caller charges its read of the message and clears the block.
 func ReadSlot(t *host.Thread, pool *rpcwire.Pool, rel *RelStats, z, b int, probe bool, buf *[]byte) (msg []byte, flags byte, valid, ok bool) {
 	if probe {
 		t.ReadMem(pool.ValidAddr(z, b), 1)
@@ -178,15 +175,14 @@ func ReadSlot(t *host.Thread, pool *rpcwire.Pool, rel *RelStats, z, b int, probe
 	if !pool.Valid(z, b) {
 		return nil, 0, false, false
 	}
-	msg, flags, err := rpcwire.Decode(pool.Block(z, b))
+	msg, flags, err := pool.ReadFrame(z, b, buf)
 	if err != nil {
 		rel.CRCDrops++
 		pool.Clear(z, b)
 		t.WriteMem(pool.ValidAddr(z, b), 1)
 		return nil, 0, true, false
 	}
-	*buf = append((*buf)[:0], msg...)
-	return *buf, flags, true, true
+	return msg, flags, true, true
 }
 
 // ReqPool is the server side of the pool-write request half: one zone of
@@ -355,7 +351,7 @@ func (o *Outbox) next() int {
 // the client's response zone.
 func (o *Outbox) Write(t *host.Thread, n int, flags byte, zone RespZone, slot int) {
 	blockOff := o.next()
-	if err := rpcwire.Encode(o.ring.WriteView(blockOff, rpcwire.BlockSize), o.Buf[:n], flags); err != nil {
+	if err := rpcwire.WriteFrame(o.ring, blockOff, rpcwire.BlockSize, nil, o.Buf[:n], flags); err != nil {
 		return
 	}
 	off, span := rpcwire.EncodedSpan(rpcwire.BlockSize, n)

@@ -1,7 +1,10 @@
 package rpcwire
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"slices"
 
 	"scalerpc/internal/memory"
 )
@@ -49,17 +52,16 @@ func (p *Pool) ValidAddr(z, b int) uint64 {
 	return p.BlockAddr(z, b) + uint64(ValidOffset(p.BlockSize))
 }
 
-// Block returns block (z, b) for reading: a view of its page, or of the
-// shared zero page while nothing has written the block's page (see
-// memory.Region.ReadView). Write a block with Clear or WriteBlock.
-func (p *Pool) Block(z, b int) []byte {
-	return p.Region.ReadView(p.blockOff(z, b), p.BlockSize)
+// ReadFrame reads the frame in block (z, b) into *buf and verifies it
+// (see the function ReadFrame).
+func (p *Pool) ReadFrame(z, b int, buf *[]byte) (msg []byte, flags byte, err error) {
+	return ReadFrame(p.Region, p.blockOff(z, b), p.BlockSize, buf)
 }
 
-// WriteBlock returns block (z, b) for writing, allocating its page: a live
-// view that later writes into the block also reach.
-func (p *Pool) WriteBlock(z, b int) []byte {
-	return p.Region.WriteView(p.blockOff(z, b), p.BlockSize)
+// WriteFrame encodes payload with flags into block (z, b) (see the
+// function WriteFrame).
+func (p *Pool) WriteFrame(z, b int, payload []byte, flags byte) error {
+	return WriteFrame(p.Region, p.blockOff(z, b), p.BlockSize, nil, payload, flags)
 }
 
 // Valid reports whether block (z, b) holds a frame: its Valid byte, the
@@ -79,3 +81,71 @@ func (p *Pool) blockOff(z, b int) int { return int(p.BlockAddr(z, b) - p.Region.
 
 // RKey returns the region key remote writers target.
 func (p *Pool) RKey() uint32 { return p.Region.RKey }
+
+// ReadFrame reads the frame of the blockSize-byte block at offset off of
+// reg into *buf and verifies it with Decode: first the trailer, then the
+// encoded span its MsgLen names — message and trailer, never the rest of
+// the block. It returns ErrNotValid for a block whose Valid byte is clear
+// and an error wrapping ErrCRC for a corrupt frame. The message aliases
+// *buf, which ReadFrame grows as needed: a snapshot that later writes into
+// the block do not reach.
+func ReadFrame(reg *memory.Region, off, blockSize int, buf *[]byte) (msg []byte, flags byte, err error) {
+	var tr [TrailerSize]byte
+	dataEnd := off + blockSize - TrailerSize
+	if _, err := reg.ReadAt(tr[:], int64(dataEnd)); err != nil {
+		return nil, 0, err
+	}
+	if !Valid(tr[:]) {
+		return nil, 0, ErrNotValid
+	}
+	msgLen := int(binary.LittleEndian.Uint32(tr[:]))
+	if msgLen > MaxPayload(blockSize) {
+		return nil, 0, fmt.Errorf("%w: corrupt MsgLen %d in %d-byte block", ErrCRC, msgLen, blockSize)
+	}
+	span := msgLen + TrailerSize
+	*buf = slices.Grow((*buf)[:0], span)[:span]
+	if _, err := reg.ReadAt(*buf, int64(dataEnd-msgLen)); err != nil {
+		return nil, 0, err
+	}
+	return Decode(*buf)
+}
+
+// WriteFrame encodes head followed by body, with flags, right-aligned in
+// the blockSize-byte block at offset off of reg and marks it valid, as
+// Encode does to a block in memory. It writes only the encoded span, so
+// the rest of the block is left as it was, and computes the CRC over the
+// pieces as it writes them.
+func WriteFrame(reg *memory.Region, off, blockSize int, head, body []byte, flags byte) error {
+	msgLen := len(head) + len(body)
+	if msgLen > MaxPayload(blockSize) {
+		return fmt.Errorf("%w: %d > %d", ErrTooLarge, msgLen, MaxPayload(blockSize))
+	}
+	dataEnd := off + blockSize - TrailerSize
+	at := int64(dataEnd - msgLen)
+	if _, err := reg.WriteAt(head, at); err != nil {
+		return err
+	}
+	if _, err := reg.WriteAt(body, at+int64(len(head))); err != nil {
+		return err
+	}
+	var tr [TrailerSize]byte
+	binary.LittleEndian.PutUint32(tr[:], uint32(msgLen))
+	tr[lenSize] = flags
+	sum := crc32.Update(crcShort(0, head), crc32.IEEETable, body)
+	sum = crcShort(sum, tr[:lenSize+flagsSize+seqSize])
+	binary.LittleEndian.PutUint32(tr[lenSize+flagsSize+seqSize:], sum)
+	tr[TrailerSize-1] = validMagic
+	_, err := reg.WriteAt(tr[:], int64(dataEnd))
+	return err
+}
+
+// crcShort is crc32.Update over the IEEE table for a few bytes, byte by
+// byte. Unlike crc32.Update, which reaches its implementation through a
+// function variable, it lets p stay on its caller's stack.
+func crcShort(crc uint32, p []byte) uint32 {
+	crc = ^crc
+	for _, v := range p {
+		crc = crc32.IEEETable[byte(crc)^v] ^ crc>>8
+	}
+	return ^crc
+}

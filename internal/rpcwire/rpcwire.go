@@ -97,7 +97,8 @@ func ValidOffset(blockSize int) int { return blockSize - 1 }
 // Decode returns the payload and flags of a valid block, verifying the
 // trailer CRC. A frame that fails the check returns an error wrapping
 // ErrCRC; receivers count it and treat it as loss. The returned slice
-// aliases the block; callers must copy if they retain it past Clear.
+// aliases block. A block need not be a whole message block: the encoded
+// span alone (EncodedSpan), as ReadFrame reads it, decodes the same.
 func Decode(block []byte) (payload []byte, flags byte, err error) {
 	if !Valid(block) {
 		return nil, 0, ErrNotValid

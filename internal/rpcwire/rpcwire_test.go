@@ -65,16 +65,17 @@ func TestDecodeInvalidBlock(t *testing.T) {
 
 func TestClearInvalidates(t *testing.T) {
 	p := NewPool(memory.NewRegistry().Register(4*64, memory.PageSize4K, memory.LocalWrite), 64, 4, 1)
-	Encode(p.WriteBlock(0, 2), []byte("x"), 0)
+	p.WriteFrame(0, 2, []byte("x"), 0)
 	p.Clear(0, 2)
-	if p.Valid(0, 2) || Valid(p.Block(0, 2)) {
+	var buf []byte
+	if _, _, err := p.ReadFrame(0, 2, &buf); p.Valid(0, 2) || !errors.Is(err, ErrNotValid) {
 		t.Fatal("cleared block still valid")
 	}
 	// Re-encode works after clear (stateless pool reuse).
-	if err := Encode(p.WriteBlock(0, 2), []byte("y"), 0); err != nil {
+	if err := p.WriteFrame(0, 2, []byte("y"), 0); err != nil {
 		t.Fatal(err)
 	}
-	got, _, _ := Decode(p.Block(0, 2))
+	got, _, _ := p.ReadFrame(0, 2, &buf)
 	if string(got) != "y" {
 		t.Fatalf("got %q", got)
 	}
@@ -154,8 +155,7 @@ func TestPoolLayout(t *testing.T) {
 func TestPoolBlockAliasesRegion(t *testing.T) {
 	reg := memory.NewRegistry().Register(1<<16, memory.PageSize4K, memory.LocalWrite)
 	p := NewPool(reg, 256, 4, 8)
-	b := p.WriteBlock(2, 3)
-	Encode(b, []byte("zz"), 0)
+	p.WriteFrame(2, 3, []byte("zz"), 0)
 	addr := p.BlockAddr(2, 3)
 	off := int(addr - reg.Base)
 	if !Valid(reg.ReadView(off, 256)) {
@@ -182,7 +182,7 @@ func TestPropertyEncodeNeverTouchesOtherBlocks(t *testing.T) {
 			data = data[:MaxPayload(64)]
 		}
 		reg.WriteAt(make([]byte, reg.Len()), 0)
-		if err := Encode(p.WriteBlock(z, b), data, 0); err != nil {
+		if err := p.WriteFrame(z, b, data, 0); err != nil {
 			return false
 		}
 		// Every byte outside the target block must still be zero.

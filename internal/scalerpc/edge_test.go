@@ -185,14 +185,15 @@ func TestCorruptFrameAtTheEdgeIsPassed(t *testing.T) {
 		msg := make([]byte, rpcwire.HeaderSize+8)
 		rpcwire.PutHeader(msg, rpcwire.Header{ReqID: reqID, Handler: 1, ClientID: cs.ID})
 		binary.LittleEndian.PutUint64(msg[rpcwire.HeaderSize:], reqID)
-		if err := rpcwire.Encode(pool.WriteBlock(z, b), msg, 0); err != nil {
+		if err := pool.WriteFrame(z, b, msg, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	put(edge, 1)
 	put(edge+1, 2)
 	off, _ := rpcwire.EncodedSpan(rpcwire.BlockSize, rpcwire.HeaderSize+8)
-	pool.WriteBlock(z, edge)[off+rpcwire.HeaderSize] ^= 0xFF // past the NIC's ICRC
+	at := int(pool.BlockAddr(z, edge)-pool.Region.Base) + off + rpcwire.HeaderSize
+	pool.Region.WriteAt([]byte{pool.Region.ByteAt(at) ^ 0xFF}, int64(at)) // past the NIC's ICRC
 	rel := rpccore.SharedRel(c.Telemetry)
 	served := -1
 	c.Hosts[0].Spawn("sweep", func(th *host.Thread) {
@@ -212,10 +213,11 @@ func TestCorruptFrameAtTheEdgeIsPassed(t *testing.T) {
 	}
 	// The request behind the dropped frame was answered into its own
 	// response block; nothing answers the dropped one.
-	if rpcwire.Valid(conn.resp.Block(0, edge)) {
+	if conn.resp.Valid(0, edge) {
 		t.Error("the dropped frame's slot got a response")
 	}
-	msg, _, err := rpcwire.Decode(conn.resp.Block(0, edge+1))
+	var buf []byte
+	msg, _, err := conn.resp.ReadFrame(0, edge+1, &buf)
 	if hdr, _, herr := rpcwire.ParseHeader(msg); err != nil || herr != nil || hdr.ReqID != 2 {
 		t.Errorf("response block %d: %v, %v, header %+v; want request 2's answer", edge+1, err, herr, hdr)
 	}

@@ -65,7 +65,8 @@ func (r *fetchRig) fetch() (reads, moved, doorbells uint64) {
 // fetched decodes the request the fetch left in block b of the client's zone.
 func (r *fetchRig) fetched(t *testing.T, b int) (rpcwire.Header, []byte) {
 	t.Helper()
-	msg, _, err := rpcwire.Decode(r.s.processingPool().Block(r.cs.zone, b))
+	var buf []byte
+	msg, _, err := r.s.processingPool().ReadFrame(r.cs.zone, b, &buf)
 	if err != nil {
 		t.Fatalf("block %d: %v", b, err)
 	}

@@ -247,17 +247,21 @@ func (c *Conn) adoptDial(cp *ctrlplane.Conn) error {
 // request after a cold rejoin handed out a new id. The header sits at the
 // front of the right-aligned encoded message. The rewrite changes
 // CRC-covered bytes, so the frame is resealed and the CRC word flushed too.
+// The frame's span is read out, rewritten and written back.
 func (c *Conn) restampID(t *host.Thread) {
+	frame := make([]byte, rpcwire.BlockSize)
 	for b := range c.win.Slots {
 		if !c.win.Slots[b].Busy {
 			continue
 		}
-		off, _ := rpcwire.EncodedSpan(rpcwire.BlockSize, c.win.Slots[b].MsgLen)
-		at := b*rpcwire.BlockSize + off + rpcwire.ClientIDOffset
-		block := c.req.Region.WriteView(b*rpcwire.BlockSize, rpcwire.BlockSize)
-		binary.LittleEndian.PutUint16(block[off+rpcwire.ClientIDOffset:], c.req.ID)
-		t.WriteMem(c.req.Region.Base+uint64(at), 2)
-		crcAt := b*rpcwire.BlockSize + rpcwire.Reseal(block)
+		off, n := rpcwire.EncodedSpan(rpcwire.BlockSize, c.win.Slots[b].MsgLen)
+		at := int64(b*rpcwire.BlockSize + off)
+		span := frame[:n]
+		_, _ = c.req.Region.ReadAt(span, at) // b is a window slot
+		binary.LittleEndian.PutUint16(span[rpcwire.ClientIDOffset:], c.req.ID)
+		crcAt := at + int64(rpcwire.Reseal(span))
+		_, _ = c.req.Region.WriteAt(span, at)
+		t.WriteMem(c.req.Region.Base+uint64(at)+rpcwire.ClientIDOffset, 2)
 		t.WriteMem(c.req.Region.Base+uint64(crcAt), 4)
 	}
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"testing"
 
+	"scalerpc/internal/baseline/rawrpc"
 	"scalerpc/internal/cluster"
 	"scalerpc/internal/host"
 	"scalerpc/internal/memory"
@@ -11,15 +12,15 @@ import (
 	"scalerpc/internal/sim"
 )
 
-// TestResidentPagesTrackWrites: registered regions hold host pages only
+// TestResidentPagesTrackWrites: registered regions hold host memory only
 // where a write reached. After a short ScaleRPC echo run and a SmallBank
-// run on buildDeployment, every resident page but a handful holds a
-// written byte, each host holds less than one slab beyond its resident
-// pages, and the resident bytes are at most 55 % of the registered ones.
-// Allocating a region's pages at Register, or on a read, fails it.
+// run on buildDeployment, no resident unit or page reads all zeros, each
+// host holds less than one page slab and one unit slab beyond what is
+// resident, and the resident bytes are at most 55 % of the registered
+// ones. Allocating a region's bytes at Register, or on a read, fails it.
 func TestResidentPagesTrackWrites(t *testing.T) {
 	t.Run("scalerpc-echo", func(t *testing.T) {
-		c := echoRun(t)
+		c, _ := echoRun(t, scalerpcEcho)
 		defer c.Close()
 		checkResidency(t, c)
 	})
@@ -30,24 +31,79 @@ func TestResidentPagesTrackWrites(t *testing.T) {
 	})
 }
 
-// echoRun drives 80 closed-loop ScaleRPC echo clients in two groups, batch
-// 4, for 1 ms.
-func echoRun(t *testing.T) *cluster.Cluster {
-	c := cluster.New(cluster.Default(5))
+// TestPoolsStayInUnits: message pools, request staging blocks and response
+// outboxes are read and written through ReadAt and WriteAt, never viewed,
+// so none of them holds a page backed whole. After a ScaleRPC and a
+// RawWrite echo run the only whole pages are the ScaleRPC clients'
+// endpoint-entry scratch, one page each (the server hosts hold none),
+// and the resident unit bytes are under a tenth of what 4 KB pages would
+// hold.
+func TestPoolsStayInUnits(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		connect   echoServer
+		wholePage int // whole pages per client
+	}{
+		{"scalerpc", scalerpcEcho, 1},
+		{"rawwrite", rawwriteEcho, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, perHost := echoRun(t, tc.connect)
+			defer c.Close()
+			var units int
+			for _, h := range c.Hosts {
+				cs := h.Mem.Census()
+				if want := perHost[h.ID] * tc.wholePage * 4096; cs.Pages != want {
+					t.Errorf("host %d: %d bytes in whole pages for %d clients, want %d", h.ID, cs.Pages, perHost[h.ID], want)
+				}
+				units += cs.Units
+			}
+			if units == 0 {
+				t.Fatal("no resident unit after the run")
+			}
+			t.Logf("%.2f MB in units", float64(units)/(1<<20))
+		})
+	}
+}
+
+// echoServer starts an echo server on h and returns its connect function.
+type echoServer func(h *host.Host) func(*host.Host, *sim.Signal) rpccore.Conn
+
+func scalerpcEcho(h *host.Host) func(*host.Host, *sim.Signal) rpccore.Conn {
 	cfg := scalerpc.DefaultServerConfig()
 	cfg.GroupSize = 40
-	s := scalerpc.NewServer(c.Hosts[0], cfg)
-	s.Register(1, func(t *host.Thread, _ uint16, req, out []byte) int {
-		t.Work(400)
-		return copy(out, req)
-	})
+	s := scalerpc.NewServer(h, cfg)
+	s.Register(1, echo)
 	s.Start()
+	return func(ch *host.Host, sig *sim.Signal) rpccore.Conn { return s.Connect(ch, sig) }
+}
+
+func rawwriteEcho(h *host.Host) func(*host.Host, *sim.Signal) rpccore.Conn {
+	s := rawrpc.NewServer(h, rawrpc.DefaultServerConfig())
+	s.Register(1, echo)
+	s.Start()
+	return func(ch *host.Host, sig *sim.Signal) rpccore.Conn { return s.Connect(ch, sig) }
+}
+
+func echo(t *host.Thread, _ uint16, req, out []byte) int {
+	t.Work(400)
+	return copy(out, req)
+}
+
+// echoRun drives 80 closed-loop echo clients, batch 4, for 1 ms against
+// the server start builds on host 0 (ScaleRPC's in two groups). It
+// returns the cluster and the number of clients on each host.
+func echoRun(t *testing.T, start echoServer) (*cluster.Cluster, map[int]int) {
+	c := cluster.New(cluster.Default(5))
+	connect := start(c.Hosts[0])
 	const horizon = sim.Millisecond
 	var answered int
+	perHost := map[int]int{}
 	for i := 0; i < 80; i++ {
 		h := c.Hosts[1+i%4]
+		perHost[h.ID]++
 		sig := sim.NewSignal(c.Env)
-		conn := s.Connect(h, sig)
+		conn := connect(h, sig)
 		h.Spawn("echo", func(th *host.Thread) {
 			req := []byte("resident pages track writes")
 			var id uint64
@@ -67,31 +123,29 @@ func echoRun(t *testing.T) *cluster.Cluster {
 		c.Close()
 		t.Fatalf("only %d echoes answered", answered)
 	}
-	return c
+	return c, perHost
 }
 
 // checkResidency sums every host's census and checks it.
 func checkResidency(t *testing.T, c *cluster.Cluster) {
 	t.Helper()
-	const page, slab = 4 << 10, 64 * 4 << 10
+	const slack = 64*4<<10 + 256*256 // one page slab and one unit slab
 	var sum memory.Census
 	for _, h := range c.Hosts {
 		cs := h.Mem.Census()
-		if slack := cs.Held - cs.Resident; slack < 0 || slack >= slab {
-			t.Errorf("host %d holds %d page bytes for %d resident, want less than one %d-byte slab more", h.ID, cs.Held, cs.Resident, slab)
+		if extra := cs.Held - cs.Resident(); extra < 0 || extra >= slack {
+			t.Errorf("host %d holds %d bytes for %d resident, want less than %d bytes more", h.ID, cs.Held, cs.Resident(), slack)
 		}
-		sum.Registered += cs.Registered
-		sum.Resident += cs.Resident
-		sum.ZeroResident += cs.ZeroResident
-		sum.Held += cs.Held
+		sum.Add(cs)
 	}
-	t.Logf("%d hosts: %.1f MB registered, %.1f MB resident (%.1f %%), %d resident pages all zero, %.1f MB held",
-		len(c.Hosts), float64(sum.Registered)/(1<<20), float64(sum.Resident)/(1<<20),
-		100*float64(sum.Resident)/float64(sum.Registered), sum.ZeroResident/page, float64(sum.Held)/(1<<20))
-	if sum.ZeroResident > sum.Resident/100 {
-		t.Errorf("%d of %d resident pages hold no written byte, want at most 1 %%", sum.ZeroResident/page, sum.Resident/page)
+	t.Logf("%d hosts: %.1f MB registered, %.1f MB resident (%.1f %%: %.1f MB in units, %.1f MB in whole pages), %d resident bytes all zero, %.1f MB held",
+		len(c.Hosts), float64(sum.Registered)/(1<<20), float64(sum.Resident())/(1<<20),
+		100*float64(sum.Resident())/float64(sum.Registered), float64(sum.Units)/(1<<20), float64(sum.Pages)/(1<<20),
+		sum.ZeroResident, float64(sum.Held)/(1<<20))
+	if sum.ZeroResident != 0 {
+		t.Errorf("%d resident bytes are in units or pages that hold no written byte, want 0", sum.ZeroResident)
 	}
-	if sum.Resident*100 > sum.Registered*55 {
-		t.Errorf("%d resident bytes of %d registered, want at most 55 %%", sum.Resident, sum.Registered)
+	if sum.Resident()*100 > sum.Registered*55 {
+		t.Errorf("%d resident bytes of %d registered, want at most 55 %%", sum.Resident(), sum.Registered)
 	}
 }
