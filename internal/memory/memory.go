@@ -17,6 +17,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"unsafe"
 )
 
 // Page sizes supported by registration.
@@ -47,8 +48,9 @@ const (
 // Host backing: a region's bytes live in hostPage-sized pages, each backed
 // in unitSize units until something takes a view of it and whole after
 // that. Pages, units and the pages' unit tables are carved from per-Registry
-// slabs; a region's page table is carved from a slab of slabEntries entries
-// unless it needs more than a quarter of one.
+// slabs; a region's table of whole pages and its table of unit tables are
+// each carved from a slab of slabEntries entries unless one needs more
+// than a quarter of it.
 const (
 	pageShift   = 12
 	hostPage    = 1 << pageShift
@@ -66,13 +68,6 @@ type (
 	unit      [unitSize]byte
 	unitTable [pageUnits]*unit
 )
-
-// backing is one page-table entry: both nil for a page nothing has written,
-// units for a page backed in units, page for a page backed whole.
-type backing struct {
-	page  *page
-	units *unitTable
-}
 
 // zeroPage backs every read view of a page nothing has written. Nothing
 // may write to it; Guard checks that against zeroRef, which nothing views.
@@ -107,7 +102,12 @@ type Region struct {
 	Flags    Access
 	size     int
 	host     *Registry
-	pages    []backing // nil until the first write
+	// Page i of the region is backed whole at pages[i], in units through
+	// units[i], or, nothing having written it, by neither; never by both.
+	// Each table is nil until its first entry, so a region that only ever
+	// holds units, or only whole pages, pays for one table.
+	pages []*page
+	units []*unitTable
 }
 
 // Len returns the region length in bytes.
@@ -151,23 +151,32 @@ func badView(off, n, size int) {
 }
 
 // ByteAt returns the region's byte at offset off: what a poller reads
-// when it probes a flag. An unwritten unit or page reads zero.
+// when it probes a flag. An unwritten unit or page reads zero. It is
+// written to fit the inliner's budget, so a pool's Valid probe inlines it.
 func (r *Region) ByteAt(off int) byte {
 	if uint(off) >= uint(r.size) {
 		panic(ErrOutOfband)
 	}
-	if i := off >> pageShift; i < len(r.pages) {
-		e := &r.pages[i]
-		if e.page != nil {
-			return e.page[off&(hostPage-1)]
+	if i := off >> pageShift; i < len(r.units) && r.units[i] != nil {
+		if u := r.units[i][off>>unitShift&(pageUnits-1)]; u != nil {
+			return u[uint8(off)] // off&(unitSize-1), unitSize being 256
 		}
-		if e.units != nil {
-			if u := e.units[off>>unitShift&(pageUnits-1)]; u != nil {
-				return u[off&(unitSize-1)]
-			}
-		}
+	} else if i < len(r.pages) && r.pages[i] != nil {
+		return r.pages[i][off&(hostPage-1)]
 	}
 	return 0
+}
+
+// backing returns host page i's whole page, or else its unit table: both
+// nil for a page nothing has written.
+func (r *Region) backing(i int) (*page, *unitTable) {
+	if i < len(r.pages) && r.pages[i] != nil {
+		return r.pages[i], nil
+	}
+	if i < len(r.units) {
+		return nil, r.units[i]
+	}
+	return nil, nil
 }
 
 // ReadView returns the bytes [off, off+n) of the region for reading. The
@@ -181,12 +190,10 @@ func (r *Region) ReadView(off, n int) []byte {
 	if n == 0 {
 		return nil
 	}
-	if i < len(r.pages) {
-		if e := r.pages[i]; e.page != nil {
-			return e.page[o : o+n : o+n]
-		} else if e.units != nil {
-			return r.whole(i)[o : o+n : o+n]
-		}
+	if p, t := r.backing(i); p != nil {
+		return p[o : o+n : o+n]
+	} else if t != nil {
+		return r.whole(i)[o : o+n : o+n]
 	}
 	if Guard && !bytes.Equal(zeroPage[o:o+n], zeroRef[o:o+n]) {
 		panic("memory: a write went through a read view of an unwritten page")
@@ -206,49 +213,54 @@ func (r *Region) WriteView(off, n int) []byte {
 	return p[o : o+n : o+n]
 }
 
-// table returns the region's page table, allocating it on first use.
-func (r *Region) table() []backing {
-	if r.pages == nil {
-		r.pages = r.host.newTable((r.size + hostPage - 1) / hostPage)
-	}
-	return r.pages
-}
+// tableLen is the number of entries in each of the region's tables: one
+// per host page.
+func (r *Region) tableLen() int { return (r.size + hostPage - 1) / hostPage }
 
 // whole returns host page i of the region backed whole: allocated on first
 // use, with the units that backed it so far copied in and returned.
 func (r *Region) whole(i int) *page {
-	e := &r.table()[i]
-	if e.page != nil {
-		return e.page
-	}
 	g := r.host
-	e.page = g.pages.get()
-	if t := e.units; t != nil {
+	if r.pages == nil {
+		r.pages = carve(&g.pageEntries, r.tableLen())
+	}
+	if p := r.pages[i]; p != nil {
+		return p
+	}
+	p := g.pages.get()
+	if i < len(r.units) && r.units[i] != nil {
+		t := r.units[i]
 		for k, u := range t {
 			if u != nil {
-				copy(e.page[k<<unitShift:], u[:])
+				copy(p[k<<unitShift:], u[:])
 				clear(u[:])
 				g.units.put(u)
 			}
 		}
 		*t = unitTable{}
 		g.tables.put(t)
-		e.units = nil
+		r.units[i] = nil
 	}
-	return e.page
+	r.pages[i] = p
+	return p
 }
 
 // unit returns unit k of host page i, which is not backed whole,
 // allocating it (and the page's unit table) on first use.
 func (r *Region) unit(i, k int) *unit {
-	e := &r.table()[i]
-	if e.units == nil {
-		e.units = r.host.tables.get()
+	g := r.host
+	if r.units == nil {
+		r.units = carve(&g.unitEntries, r.tableLen())
 	}
-	u := e.units[k]
+	t := r.units[i]
+	if t == nil {
+		t = g.tables.get()
+		r.units[i] = t
+	}
+	u := t[k]
 	if u == nil {
-		u = r.host.units.get()
-		e.units[k] = u
+		u = g.units.get()
+		t[k] = u
 	}
 	return u
 }
@@ -263,17 +275,13 @@ func (r *Region) ReadAt(p []byte, off int64) (int, error) {
 	for o, rest := int(off), p; len(rest) > 0; {
 		i, po := o>>pageShift, o&(hostPage-1)
 		chunk := rest[:min(len(rest), hostPage-po)]
-		var e backing
-		if i < len(r.pages) {
-			e = r.pages[i]
-		}
-		switch {
-		case e.page != nil:
-			copy(chunk, e.page[po:])
-		case e.units != nil:
+		switch pg, t := r.backing(i); {
+		case pg != nil:
+			copy(chunk, pg[po:])
+		case t != nil:
 			for c, uo := chunk, po; len(c) > 0; {
 				n := min(len(c), unitSize-uo&(unitSize-1))
-				if u := e.units[uo>>unitShift]; u != nil {
+				if u := t[uo>>unitShift]; u != nil {
 					copy(c[:n], u[uo&(unitSize-1):])
 				} else {
 					clear(c[:n])
@@ -299,17 +307,18 @@ func (r *Region) WriteAt(p []byte, off int64) (int, error) {
 	for o, rest := int(off), p; len(rest) > 0; {
 		i, po := o>>pageShift, o&(hostPage-1)
 		chunk := rest[:min(len(rest), hostPage-po)]
-		if i < len(r.pages) && r.pages[i].page != nil {
-			copy(r.pages[i].page[po:], chunk)
+		if pg, t := r.backing(i); pg != nil {
+			copy(pg[po:], chunk)
 		} else {
 			for c, uo := chunk, po; len(c) > 0; {
 				k, n := uo>>unitShift, min(len(c), unitSize-uo&(unitSize-1))
 				var u *unit
-				if i < len(r.pages) && r.pages[i].units != nil {
-					u = r.pages[i].units[k]
+				if t != nil {
+					u = t[k]
 				}
 				if u == nil && !allZero(c[:n]) {
 					u = r.unit(i, k)
+					t = r.units[i]
 				}
 				if u != nil {
 					copy(u[uo&(unitSize-1):], c[:n])
@@ -322,11 +331,17 @@ func (r *Region) WriteAt(p []byte, off int64) (int, error) {
 	return len(p), nil
 }
 
+// allZero reports whether b holds only zeros. It compares a page at a
+// time against zeroRef, which nothing views, with the runtime's vector
+// memequal: a bulk frame's zero-filled span would otherwise be scanned a
+// byte at a time on every write that lands on unwritten units.
 func allZero(b []byte) bool {
-	for _, c := range b {
-		if c != 0 {
+	for len(b) > 0 {
+		n := min(len(b), hostPage)
+		if !bytes.Equal(b[:n], zeroRef[:n]) {
 			return false
 		}
+		b = b[n:]
 	}
 	return true
 }
@@ -369,7 +384,9 @@ type Registry struct {
 	pages    slab[page]
 	units    slab[unit]
 	tables   slab[unitTable]
-	entries  []backing // the current page-table slab's entries not yet handed out
+	// The current table slabs' entries not yet handed out.
+	pageEntries []*page
+	unitEntries []*unitTable
 }
 
 // NewRegistry returns an empty registry. Virtual addresses start high so
@@ -387,42 +404,46 @@ func NewRegistry() *Registry {
 }
 
 // Census is what a registry's regions hold: the bytes registered in live
-// regions; the bytes of their resident units and of their pages backed
-// whole; the resident bytes, of either, in units or pages that read all
-// zeros; and the unit and page bytes the host holds in all — resident ones,
-// the free lists and the current slabs' rest.
+// regions; the bytes of their resident units, of their pages backed whole
+// and of the unit tables their unit-backed pages use; the resident bytes,
+// of units or pages, that read all zeros; and the unit, page and unit-table
+// bytes the host holds in all — those in use, the free lists and the
+// current slabs' rest.
 type Census struct {
-	Registered, Units, Pages, ZeroResident, Held int
+	Registered, Units, Pages, Tables, ZeroResident, Held int
 }
 
 // Resident returns the bytes of the live regions' resident units and
 // whole pages.
 func (c Census) Resident() int { return c.Units + c.Pages }
 
-// Census scans the live regions' page tables.
+// Census scans the live regions' tables.
 func (g *Registry) Census() Census {
-	c := Census{Held: g.pages.chunks*slabPages*hostPage + g.units.chunks*slabUnits*unitSize}
+	c := Census{Held: g.pages.chunks*slabPages*hostPage + g.units.chunks*slabUnits*unitSize +
+		g.tables.chunks*slabTables*int(unsafe.Sizeof(unitTable{}))}
 	for _, r := range g.byRKey {
-		c.Add(r.Census())
+		r.census(&c)
 	}
 	return c
 }
 
-// Census returns what the region holds; Held is left zero.
-func (r *Region) Census() Census {
-	c := Census{Registered: r.size}
-	for _, e := range r.pages {
-		if e.page != nil {
+// census adds what the region holds to c.
+func (r *Region) census(c *Census) {
+	c.Registered += r.size
+	for _, p := range r.pages {
+		if p != nil {
 			c.Pages += hostPage
-			if *e.page == zeroRef {
+			if *p == zeroRef {
 				c.ZeroResident += hostPage
 			}
+		}
+	}
+	for _, t := range r.units {
+		if t == nil {
 			continue
 		}
-		if e.units == nil {
-			continue
-		}
-		for _, u := range e.units {
+		c.Tables += int(unsafe.Sizeof(*t))
+		for _, u := range t {
 			if u != nil {
 				c.Units += unitSize
 				if *u == (unit{}) {
@@ -431,28 +452,20 @@ func (r *Region) Census() Census {
 			}
 		}
 	}
-	return c
 }
 
-// Add adds d's counts to c.
-func (c *Census) Add(d Census) {
-	c.Registered += d.Registered
-	c.Units += d.Units
-	c.Pages += d.Pages
-	c.ZeroResident += d.ZeroResident
-	c.Held += d.Held
-}
-
-// newTable returns a page table of n entries.
-func (g *Registry) newTable(n int) []backing {
+// carve returns a table of n nil entries cut from *rest, refilling *rest
+// with a fresh slab of slabEntries entries when it is short. A table of
+// more than a quarter of a slab is allocated on its own.
+func carve[T any](rest *[]*T, n int) []*T {
 	if n > slabEntries/4 {
-		return make([]backing, n)
+		return make([]*T, n)
 	}
-	if len(g.entries) < n {
-		g.entries = make([]backing, slabEntries)
+	if len(*rest) < n {
+		*rest = make([]*T, slabEntries)
 	}
-	t := g.entries[:n:n]
-	g.entries = g.entries[n:]
+	t := (*rest)[:n:n]
+	*rest = (*rest)[n:]
 	return t
 }
 
@@ -491,23 +504,26 @@ func (g *Registry) Register(size int, pageSize int, flags Access) *Region {
 func (g *Registry) Deregister(r *Region) {
 	delete(g.byRKey, r.RKey)
 	delete(g.byLKey, r.LKey)
-	for _, e := range r.pages {
-		if e.page != nil {
-			clear(e.page[:])
-			g.pages.put(e.page)
-		}
-		if t := e.units; t != nil {
-			for _, u := range t {
-				if u != nil {
-					clear(u[:])
-					g.units.put(u)
-				}
-			}
-			*t = unitTable{}
-			g.tables.put(t)
+	for _, p := range r.pages {
+		if p != nil {
+			clear(p[:])
+			g.pages.put(p)
 		}
 	}
-	r.pages = nil
+	for _, t := range r.units {
+		if t == nil {
+			continue
+		}
+		for _, u := range t {
+			if u != nil {
+				clear(u[:])
+				g.units.put(u)
+			}
+		}
+		*t = unitTable{}
+		g.tables.put(t)
+	}
+	r.pages, r.units = nil, nil
 }
 
 // RemoteOp classifies a remote access for permission checking. Atomics

@@ -5,10 +5,18 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
+// census returns what r holds; Held is left zero.
+func census(r *Region) Census {
+	var c Census
+	r.census(&c)
+	return c
+}
+
 // resident returns the bytes of r's resident units and whole pages.
-func resident(r *Region) int { return r.Census().Resident() }
+func resident(r *Region) int { return census(r).Resident() }
 
 // TestAllocBudgetRegionPages: probing, reading, decoding and zeroing units
 // nothing wrote allocates nothing and leaves them unwritten — what a
@@ -26,7 +34,7 @@ func TestAllocBudgetRegionPages(t *testing.T) {
 	zero := make([]byte, 64)
 	probe := func() {
 		for off := 0; off+len(buf) < r.Len(); off += hostPage {
-			if r.ByteAt(off+hostPage-1) != 0 || r.ByteAt(off+7) != 0 {
+			if r.ReadView(off+hostPage-1, 1)[0] != 0 || r.ByteAt(off+hostPage-1) != 0 || r.ByteAt(off+7) != 0 {
 				t.Fatal("an unwritten byte reads non-zero")
 			}
 			r.ReadAt(buf[:], int64(off))
@@ -37,8 +45,8 @@ func TestAllocBudgetRegionPages(t *testing.T) {
 	if got := testing.AllocsPerRun(10, probe); got != 0 {
 		t.Errorf("%v allocs per pass of probes, reads and zero writes over unwritten units, want 0", got)
 	}
-	if n := resident(r); n != unitSize {
-		t.Errorf("reads and zero writes made %d bytes resident, want the one %d-byte unit written", n, unitSize)
+	if c := census(r); c.Units != unitSize || c.Pages != 0 {
+		t.Errorf("views, reads and zero writes left census %+v, want the one %d-byte unit written and no whole page", c, unitSize)
 	}
 
 	for _, n := range []int{1, 255, 256, 257, 600} {
@@ -68,7 +76,7 @@ func TestAllocBudgetRegionPages(t *testing.T) {
 		if pg := got[slabPages*hostPage] - before[slabPages*hostPage]; pg != 0 {
 			t.Errorf("writing %d fresh units allocated %d page slabs, want 0", n, pg)
 		}
-		if c := r.Census(); c.Units != (2*n+1)*unitSize || c.Pages != 0 {
+		if c := census(r); c.Units != (2*n+1)*unitSize || c.Pages != 0 {
 			t.Errorf("after %d fresh units twice: census %+v, want %d unit bytes and no whole page", n, c, (2*n+1)*unitSize)
 		}
 	}
@@ -108,8 +116,7 @@ func TestReadAtWriteAtCrossPages(t *testing.T) {
 					data[i] = byte(rnd(4)) // zeros are frequent: zero chunks must land too
 				}
 			}
-			if allZero(data) && n > 0 && off>>pageShift < len(r.pages) && r.pages[off>>pageShift].units != nil &&
-				r.pages[off>>pageShift].units[off&(hostPage-1)>>unitShift] == nil {
+			if _, tb := r.backing(off >> pageShift); allZero(data) && n > 0 && tb != nil && tb[off&(hostPage-1)>>unitShift] == nil {
 				zeroOnUnwritten++
 			}
 			if _, err := r.WriteAt(data, int64(off)); err != nil {
@@ -130,7 +137,7 @@ func TestReadAtWriteAtCrossPages(t *testing.T) {
 			}
 		default: // a view of up to a page, read or written
 			n := rnd(min(size-off, hostPage-off%hostPage)) + 1
-			if e := r.backingOf(off); e.units != nil && unitsIn(e.units) > 1 {
+			if _, tb := r.backing(off >> pageShift); tb != nil && unitsIn(tb) > 1 {
 				promoted++
 			}
 			if op < 98 {
@@ -155,20 +162,12 @@ func TestReadAtWriteAtCrossPages(t *testing.T) {
 	if !bytes.Equal(all, ref) {
 		t.Fatal("the region diverges from the reference")
 	}
-	if c := r.Census(); c.ZeroResident != 0 {
+	if c := census(r); c.ZeroResident != 0 {
 		t.Errorf("census %+v: resident bytes that read all zeros", c)
 	}
 	if _, err := r.WriteAt(make([]byte, 2), size-1); err == nil {
 		t.Fatal("WriteAt past the end succeeded")
 	}
-}
-
-// backingOf returns the page-table entry of the page holding off.
-func (r *Region) backingOf(off int) backing {
-	if i := off >> pageShift; i < len(r.pages) {
-		return r.pages[i]
-	}
-	return backing{}
 }
 
 func unitsIn(t *unitTable) int {
@@ -184,15 +183,20 @@ func unitsIn(t *unitTable) int {
 // TestUnitsThenWholePage: a short write costs one unit, a zero write to an
 // unwritten unit costs nothing, and the first view of the page moves its
 // units into one whole page and returns them; a view taken then stays live
-// and sees later WriteAts.
+// and sees later WriteAts. A region makes its table of whole pages only
+// when it first backs a page whole, and its table of unit tables only when
+// it first writes a unit.
 func TestUnitsThenWholePage(t *testing.T) {
 	g := NewRegistry()
 	r := g.Register(2*hostPage, PageSize4K, LocalWrite)
 	r.WriteAt([]byte("tail"), hostPage-4)
 	r.WriteAt([]byte("head"), 300)
 	r.WriteAt(make([]byte, 100), 700) // zeros into an unwritten unit
-	if c := r.Census(); c.Units != 2*unitSize || c.Pages != 0 {
-		t.Fatalf("census %+v, want two units and no whole page", c)
+	if c := census(r); c.Units != 2*unitSize || c.Pages != 0 || c.Tables != int(unsafe.Sizeof(unitTable{})) {
+		t.Fatalf("census %+v, want two units in one unit table and no whole page", c)
+	}
+	if r.pages != nil {
+		t.Fatal("a region holding only units has a table of whole pages")
 	}
 	if r.ByteAt(300) != 'h' || r.ByteAt(hostPage-1) != 'l' || r.ByteAt(0) != 0 {
 		t.Fatal("ByteAt misreads a unit-backed page")
@@ -201,8 +205,8 @@ func TestUnitsThenWholePage(t *testing.T) {
 	if string(v[100:104]) != "head" {
 		t.Fatalf("the view reads %q, want the unit's bytes", v[100:104])
 	}
-	if c := r.Census(); c.Units != 0 || c.Pages != hostPage {
-		t.Fatalf("census %+v after the view, want one whole page and no unit", c)
+	if c := census(r); c.Units != 0 || c.Pages != hostPage || c.Tables != 0 {
+		t.Fatalf("census %+v after the view, want one whole page and no unit or unit table", c)
 	}
 	if len(g.units.free) != 2 || len(g.tables.free) != 1 {
 		t.Fatalf("%d units and %d unit tables returned, want 2 and 1", len(g.units.free), len(g.tables.free))
@@ -227,8 +231,13 @@ func TestUnitsThenWholePage(t *testing.T) {
 	if &r.WriteView(300, 1)[0] != &v[100] {
 		t.Fatal("a later view of the promoted page is a different backing array")
 	}
+	w := g.Register(hostPage, PageSize4K, LocalWrite)
+	w.WriteView(0, 1)[0] = 1
+	if w.units != nil {
+		t.Fatal("a region holding only a whole page has a table of unit tables")
+	}
 	r.WriteAt([]byte{9}, hostPage+5) // the next page stays in units
-	if c := r.Census(); c.Units != unitSize || c.Pages != hostPage {
+	if c := census(r); c.Units != unitSize || c.Pages != hostPage {
 		t.Fatalf("census %+v, want one unit beside the whole page", c)
 	}
 }
@@ -263,12 +272,12 @@ func TestDeregisterRecyclesZeroedPages(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		a.WriteAt(bytes.Repeat([]byte{0xEE}, hostPage), int64(i*hostPage))
 		a.WriteView(i*hostPage, 1)
-		oldPages[a.pages[i].page] = true
+		oldPages[a.pages[i]] = true
 	}
 	for i := 4; i < 8; i++ {
 		a.WriteAt([]byte{0xEE, 0xEE}, int64(i*hostPage+unitSize-1)) // two units
-		oldTables[a.pages[i].units] = true
-		for _, u := range a.pages[i].units {
+		oldTables[a.units[i]] = true
+		for _, u := range a.units[i] {
 			if u != nil {
 				oldUnits[u] = true
 			}
@@ -299,23 +308,23 @@ func TestDeregisterRecyclesZeroedPages(t *testing.T) {
 		if v := b.WriteView(i*hostPage, hostPage); !bytes.Equal(v, zeroRef[:]) {
 			t.Fatalf("recycled page %d is not zeroed", i)
 		}
-		if !oldPages[b.pages[i].page] {
+		if !oldPages[b.pages[i]] {
 			t.Errorf("page %d of the new region is not one the deregistered region returned", i)
 		}
 	}
 	for i := 4; i < 8; i++ {
 		b.WriteAt([]byte{1, 1}, int64(i*hostPage+unitSize-1))
-		if !oldTables[b.pages[i].units] {
+		if !oldTables[b.units[i]] {
 			t.Errorf("page %d's unit table is not one the deregistered region returned", i)
 		}
-		for k, u := range b.pages[i].units {
+		for k, u := range b.units[i] {
 			if u != nil && !oldUnits[u] {
 				t.Errorf("unit %d of page %d is not one the deregistered region returned", k, i)
 			}
 		}
 	}
-	if c := g.Census(); c.Held != held || c.Pages != 4*hostPage || c.Units != 8*unitSize {
-		t.Errorf("census %+v, want %d bytes held, four pages and eight units resident", c, held)
+	if c := g.Census(); c.Held != held || c.Pages != 4*hostPage || c.Units != 8*unitSize || c.Tables != 4*int(unsafe.Sizeof(unitTable{})) {
+		t.Errorf("census %+v, want %d bytes held, four pages and eight units in four unit tables resident", c, held)
 	}
 }
 

@@ -146,7 +146,7 @@ func TestFetchAddOnUnwrittenPage(t *testing.T) {
 }
 
 // TestAllocBudgetRegionPages: a pool nobody wrote costs nothing to probe,
-// read a frame from or clear, nor do a READ of unwritten memory into
+// read a frame from, view and decode, or clear, nor do a READ of unwritten memory into
 // unwritten memory and a WRITE of zeros; N WRITEs into N fresh pages cost
 // at most ⌈N/256⌉ unit mallocs and ⌈N/256⌉ unit-table mallocs, one per
 // slab of each.
@@ -162,6 +162,9 @@ func TestAllocBudgetRegionPages(t *testing.T) {
 				}
 				if _, _, err := pool.ReadFrame(z, b, &buf); err == nil {
 					t.Fatal("an unwritten block decodes")
+				}
+				if _, _, err := rpcwire.Decode(pe.srv.ReadView(int(pool.BlockAddr(z, b)-pe.srv.Base), pool.BlockSize)); err == nil {
+					t.Fatal("a view of an unwritten block decodes")
 				}
 				pool.Clear(z, b)
 			}

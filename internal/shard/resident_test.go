@@ -15,8 +15,9 @@ import (
 // TestResidentPagesTrackWrites: registered regions hold host memory only
 // where a write reached. After a short ScaleRPC echo run and a SmallBank
 // run on buildDeployment, no resident unit or page reads all zeros, each
-// host holds less than one page slab and one unit slab beyond what is
-// resident, and the resident bytes are at most 55 % of the registered
+// host holds less than one page slab, one unit slab and one unit-table
+// slab beyond its resident units and pages and the unit tables they use,
+// and the resident bytes are at most 55 % of the registered
 // ones. Allocating a region's bytes at Register, or on a read, fails it.
 func TestResidentPagesTrackWrites(t *testing.T) {
 	t.Run("scalerpc-echo", func(t *testing.T) {
@@ -129,19 +130,25 @@ func echoRun(t *testing.T, start echoServer) (*cluster.Cluster, map[int]int) {
 // checkResidency sums every host's census and checks it.
 func checkResidency(t *testing.T, c *cluster.Cluster) {
 	t.Helper()
-	const slack = 64*4<<10 + 256*256 // one page slab and one unit slab
+	const slack = 64*4<<10 + 256*256 + 256*128 // one page slab, one unit slab and one unit-table slab
 	var sum memory.Census
 	for _, h := range c.Hosts {
 		cs := h.Mem.Census()
-		if extra := cs.Held - cs.Resident(); extra < 0 || extra >= slack {
-			t.Errorf("host %d holds %d bytes for %d resident, want less than %d bytes more", h.ID, cs.Held, cs.Resident(), slack)
+		if extra := cs.Held - cs.Resident() - cs.Tables; extra < 0 || extra >= slack {
+			t.Errorf("host %d holds %d bytes for %d resident and %d in unit tables, want less than %d bytes more",
+				h.ID, cs.Held, cs.Resident(), cs.Tables, slack)
 		}
-		sum.Add(cs)
+		sum.Registered += cs.Registered
+		sum.Units += cs.Units
+		sum.Pages += cs.Pages
+		sum.Tables += cs.Tables
+		sum.ZeroResident += cs.ZeroResident
+		sum.Held += cs.Held
 	}
-	t.Logf("%d hosts: %.1f MB registered, %.1f MB resident (%.1f %%: %.1f MB in units, %.1f MB in whole pages), %d resident bytes all zero, %.1f MB held",
+	t.Logf("%d hosts: %.1f MB registered, %.1f MB resident (%.1f %%: %.1f MB in units, %.1f MB in whole pages), %.2f MB of unit tables, %d resident bytes all zero, %.1f MB held",
 		len(c.Hosts), float64(sum.Registered)/(1<<20), float64(sum.Resident())/(1<<20),
 		100*float64(sum.Resident())/float64(sum.Registered), float64(sum.Units)/(1<<20), float64(sum.Pages)/(1<<20),
-		sum.ZeroResident, float64(sum.Held)/(1<<20))
+		float64(sum.Tables)/(1<<20), sum.ZeroResident, float64(sum.Held)/(1<<20))
 	if sum.ZeroResident != 0 {
 		t.Errorf("%d resident bytes are in units or pages that hold no written byte, want 0", sum.ZeroResident)
 	}
