@@ -439,7 +439,9 @@ func (m *Manager) send(t *host.Thread, dst int, msg *wireMsg) {
 	}
 	off := m.sendIdx * slotBytes
 	m.sendIdx = (m.sendIdx + 1) % sendRing
-	n := msg.encode(m.sendReg.WriteView(off, slotBytes))
+	var buf [slotBytes]byte
+	n := msg.encode(buf[:])
+	_, _ = m.sendReg.WriteAt(buf[:n], int64(off)) // a slot of the send ring
 	t.WriteMem(m.sendReg.Base+uint64(off), n)
 	wr := nic.SendWR{
 		Op:   nic.OpSend,
@@ -482,8 +484,9 @@ func (m *Manager) handleCQE(t *host.Thread, e nic.CQE) {
 	var err error
 	if e.Status == nic.CQOK {
 		t.ReadMem(addr, e.ByteLen)
-		off := slot * slotBytes
-		msg, err = decodeMsg(m.recvReg.ReadView(off, e.ByteLen))
+		var buf [slotBytes]byte
+		_, _ = m.recvReg.ReadAt(buf[:e.ByteLen], int64(slot*slotBytes)) // the SEND fit its slot
+		msg, err = decodeMsg(buf[:e.ByteLen])
 	}
 	m.udQP.PostRecv(nic.RecvWR{WRID: e.WRID, LKey: m.recvReg.LKey, LAddr: addr, Len: slotBytes})
 	if e.Status != nic.CQOK || err != nil {

@@ -10,7 +10,9 @@
 // heap backs them in 256-byte units, or in whole 4 KB host pages once a
 // page is viewed, allocated on the first write that reaches each one (see
 // Region). The model's registration page size never changes what is
-// backed, and the backing never changes an address.
+// backed, and the backing never changes an address. Only the store that
+// keeps records in place (internal/mica) takes views; everything else
+// moves bytes with ByteAt, ReadAt and WriteAt.
 package memory
 
 import (
@@ -48,9 +50,10 @@ const (
 // Host backing: a region's bytes live in hostPage-sized pages, each backed
 // in unitSize units until something takes a view of it and whole after
 // that. Pages, units and the pages' unit tables are carved from per-Registry
-// slabs; a region's table of whole pages and its table of unit tables are
-// each carved from a slab of slabEntries entries unless one needs more
-// than a quarter of it.
+// slabs, and promotion to a whole page returns the units and unit table it
+// replaced for reuse; a region's table of whole pages and its table of
+// unit tables are each carved from a slab of slabEntries entries unless
+// one needs more than a quarter of it.
 const (
 	pageShift   = 12
 	hostPage    = 1 << pageShift
@@ -69,15 +72,8 @@ type (
 	unitTable [pageUnits]*unit
 )
 
-// zeroPage backs every read view of a page nothing has written. Nothing
-// may write to it; Guard checks that against zeroRef, which nothing views.
-var zeroPage, zeroRef page
-
-// Guard makes ReadView check the span of the shared zero page it hands
-// out, so a write through a read view of an unwritten page panics when the
-// written bytes are next viewed instead of showing up as stray bytes in
-// another region. Tests set it; nothing else does.
-var Guard bool
+// zeroRef is a page of zeros that allZero and census compare against.
+var zeroRef page
 
 // Region is a registered memory region.
 //
@@ -86,14 +82,13 @@ var Guard bool
 // byte to it, so a pool block that only ever holds a short frame costs the
 // units the frame touched. The first ReadView or WriteView of a written
 // page moves it to one whole page for good, and the first WriteView of an
-// unwritten one allocates it whole. A whole page stays where it is until
-// the region is deregistered, so a view into a written page stays valid,
-// and sees later writes, for the region's lifetime. A read of a page
-// nothing has written sees zeros and allocates nothing: ReadView hands out
-// the shared zero page, a snapshot that later writes do not reach. Views
-// cover one host page each; ByteAt, ReadAt and WriteAt read and write
-// either form without changing it, and ReadAt and WriteAt carry spans that
-// cross pages.
+// unwritten one allocates it whole; ReadView of a page nothing has written
+// returns nil and allocates nothing. A whole page is never handed to
+// another region, not even after Deregister, so every view is live: it
+// sees every later write to its bytes for as long as anything holds it.
+// Views cover one host page each; ByteAt, ReadAt and WriteAt read and
+// write either form without changing it, and ReadAt and WriteAt carry
+// spans that cross pages.
 type Region struct {
 	LKey     uint32
 	RKey     uint32
@@ -179,12 +174,11 @@ func (r *Region) backing(i int) (*page, *unitTable) {
 	return nil, nil
 }
 
-// ReadView returns the bytes [off, off+n) of the region for reading. The
-// span must lie inside one 4 KB host page (offsets are region-relative,
-// and regions start page-aligned). A written page is backed whole, if it
-// is not already, and viewed in place; an unwritten one through the shared
-// zero page, which must never be written — take a WriteView, or call
-// WriteAt, to write.
+// ReadView returns the bytes [off, off+n) of the region in place, or nil
+// if nothing has written their page, whose bytes all read zero. The span
+// must lie inside one 4 KB host page (offsets are region-relative, and
+// regions start page-aligned). A written page is backed whole, if it is
+// not already, so the view is live.
 func (r *Region) ReadView(off, n int) []byte {
 	i, o := r.inPage(off, n)
 	if n == 0 {
@@ -195,10 +189,7 @@ func (r *Region) ReadView(off, n int) []byte {
 	} else if t != nil {
 		return r.whole(i)[o : o+n : o+n]
 	}
-	if Guard && !bytes.Equal(zeroPage[o:o+n], zeroRef[o:o+n]) {
-		panic("memory: a write went through a read view of an unwritten page")
-	}
-	return zeroPage[o : o+n : o+n]
+	return nil
 }
 
 // WriteView returns the bytes [off, off+n) of the region for reading and
@@ -407,8 +398,9 @@ func NewRegistry() *Registry {
 // regions; the bytes of their resident units, of their pages backed whole
 // and of the unit tables their unit-backed pages use; the resident bytes,
 // of units or pages, that read all zeros; and the unit, page and unit-table
-// bytes the host holds in all — those in use, the free lists and the
-// current slabs' rest.
+// bytes the host holds in all — those in use, those deregistered regions
+// kept, the units and unit tables promotion returned and the current
+// slabs' rest.
 type Census struct {
 	Registered, Units, Pages, Tables, ZeroResident, Held int
 }
@@ -497,33 +489,12 @@ func (g *Registry) Register(size int, pageSize int, flags Access) *Region {
 	return r
 }
 
-// Deregister removes a region and returns its units, pages and unit
-// tables, zeroed, to the host's free lists. Outstanding accesses to it will
-// fail, and no view of it may be used afterwards: its pages back the next
-// regions written.
+// Deregister removes a region's keys, so outstanding and later accesses
+// through them fail. Its bytes are not recycled: a view of it keeps them
+// for as long as anything holds it.
 func (g *Registry) Deregister(r *Region) {
 	delete(g.byRKey, r.RKey)
 	delete(g.byLKey, r.LKey)
-	for _, p := range r.pages {
-		if p != nil {
-			clear(p[:])
-			g.pages.put(p)
-		}
-	}
-	for _, t := range r.units {
-		if t == nil {
-			continue
-		}
-		for _, u := range t {
-			if u != nil {
-				clear(u[:])
-				g.units.put(u)
-			}
-		}
-		*t = unitTable{}
-		g.tables.put(t)
-	}
-	r.pages, r.units = nil, nil
 }
 
 // RemoteOp classifies a remote access for permission checking. Atomics
@@ -594,58 +565,24 @@ func (g *Registry) LocalRegion(lkey uint32, addr uint64, size int) (*Region, err
 	return r, nil
 }
 
-// TranslateRemote resolves an (rkey, addr, size) triple for a remote
-// read or write, enforcing permissions, and returns a view of the span:
-// a WriteView for a write, a ReadView for a read. The span must lie
-// inside one host page (ErrCrossPage otherwise). CAS/FetchAdd targets go
-// through TranslateRemoteOp with RemoteOpAtomic instead — atomics do not
-// ride the write permission.
+// TranslateRemote is RemoteRegion for a READ or a WRITE followed by a
+// view of the span, which must lie inside one host page (ErrCrossPage
+// otherwise): a WriteView for a write, a ReadView for a read.
 func (g *Registry) TranslateRemote(rkey uint32, addr uint64, size int, write bool) (*Region, []byte, error) {
 	op := RemoteOpRead
 	if write {
 		op = RemoteOpWrite
 	}
-	return g.TranslateRemoteOp(rkey, addr, size, op)
-}
-
-// TranslateRemoteOp is RemoteRegion followed by a view of the span, which
-// must lie inside one host page: a ReadView for a READ, a WriteView
-// otherwise.
-func (g *Registry) TranslateRemoteOp(rkey uint32, addr uint64, size int, op RemoteOp) (*Region, []byte, error) {
 	r, err := g.RemoteRegion(rkey, addr, size, op)
 	if err != nil {
 		return nil, nil, err
 	}
-	b, err := r.view(addr, size, op != RemoteOpRead)
-	if err != nil {
-		return nil, nil, err
-	}
-	return r, b, nil
-}
-
-// TranslateLocal is LocalRegion followed by a WriteView of the span, which
-// must lie inside one host page.
-func (g *Registry) TranslateLocal(lkey uint32, addr uint64, size int) (*Region, []byte, error) {
-	r, err := g.LocalRegion(lkey, addr, size)
-	if err != nil {
-		return nil, nil, err
-	}
-	b, err := r.view(addr, size, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	return r, b, nil
-}
-
-// view returns a view of the in-bounds span [addr, addr+size), or
-// ErrCrossPage.
-func (r *Region) view(addr uint64, size int, write bool) ([]byte, error) {
 	off := int(addr - r.Base)
 	if off%hostPage+size > hostPage {
-		return nil, fmt.Errorf("%w: [%#x,+%d)", ErrCrossPage, addr, size)
+		return nil, nil, fmt.Errorf("%w: [%#x,+%d)", ErrCrossPage, addr, size)
 	}
 	if write {
-		return r.WriteView(off, size), nil
+		return r, r.WriteView(off, size), nil
 	}
-	return r.ReadView(off, size), nil
+	return r, r.ReadView(off, size), nil
 }

@@ -78,7 +78,7 @@ func TestRemoteOpPermissions(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			r := g.Register(64, PageSize4K, tc.flags)
-			_, _, err := g.TranslateRemoteOp(r.RKey, r.Base, 8, tc.op)
+			_, err := g.RemoteRegion(r.RKey, r.Base, 8, tc.op)
 			if tc.ok && err != nil {
 				t.Fatalf("%s on %v region: unexpected error %v", tc.op, tc.flags, err)
 			}
@@ -134,15 +134,17 @@ func TestRegionsDontOverlap(t *testing.T) {
 	}
 }
 
-func TestTranslateLocal(t *testing.T) {
+func TestLocalRegion(t *testing.T) {
 	g := NewRegistry()
 	r := g.Register(256, PageSize4K, LocalWrite)
-	_, b, err := g.TranslateLocal(r.LKey, r.Base+10, 5)
-	if err != nil || len(b) != 5 {
-		t.Fatalf("TranslateLocal: %v len=%d", err, len(b))
+	if got, err := g.LocalRegion(r.LKey, r.Base+10, 5); err != nil || got != r {
+		t.Fatalf("LocalRegion: %v, region %p, want %p", err, got, r)
 	}
-	if _, _, err := g.TranslateLocal(12345, r.Base, 1); !errors.Is(err, ErrBadKey) {
+	if _, err := g.LocalRegion(12345, r.Base, 1); !errors.Is(err, ErrBadKey) {
 		t.Fatalf("err = %v, want ErrBadKey", err)
+	}
+	if _, err := g.LocalRegion(r.LKey, r.Base+250, 8); !errors.Is(err, ErrOutOfband) {
+		t.Fatalf("err = %v, want ErrOutOfband", err)
 	}
 }
 

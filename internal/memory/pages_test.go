@@ -2,6 +2,7 @@ package memory
 
 import (
 	"bytes"
+	"errors"
 	"runtime"
 	"strings"
 	"testing"
@@ -34,7 +35,10 @@ func TestAllocBudgetRegionPages(t *testing.T) {
 	zero := make([]byte, 64)
 	probe := func() {
 		for off := 0; off+len(buf) < r.Len(); off += hostPage {
-			if r.ReadView(off+hostPage-1, 1)[0] != 0 || r.ByteAt(off+hostPage-1) != 0 || r.ByteAt(off+7) != 0 {
+			if r.ReadView(off+hostPage-1, 1) != nil {
+				t.Fatal("a view of an unwritten page is not nil")
+			}
+			if r.ByteAt(off+hostPage-1) != 0 || r.ByteAt(off+7) != 0 {
 				t.Fatal("an unwritten byte reads non-zero")
 			}
 			r.ReadAt(buf[:], int64(off))
@@ -84,11 +88,12 @@ func TestAllocBudgetRegionPages(t *testing.T) {
 
 // TestReadAtWriteAtCrossPages interleaves ReadAt, WriteAt, ByteAt,
 // ReadView and WriteView at every alignment and length around unit and page
-// boundaries, byte-exact against a contiguous reference of the region.
-// Zeros are frequent, so zero writes land on unwritten units, and views are
-// rare, so pages holding several units get promoted. The region is
-// deregistered and registered anew now and then, so the trace runs on
-// recycled units and pages too.
+// boundaries, byte-exact against a contiguous reference of the region;
+// ReadView may be nil only for a page the trace never wrote a non-zero
+// byte to nor viewed for writing. Zeros are frequent, so zero writes land
+// on unwritten units, and views are rare, so pages holding several units
+// get promoted. The trace moves to a new region now and then, so it runs
+// on the units and unit tables promotion returned too.
 func TestReadAtWriteAtCrossPages(t *testing.T) {
 	g := NewRegistry()
 	const size = 9*hostPage + 123
@@ -99,12 +104,13 @@ func TestReadAtWriteAtCrossPages(t *testing.T) {
 		seed = seed*1664525 + 1013904223
 		return int(seed>>8) % n
 	}
-	var promoted, zeroOnUnwritten int
+	var promoted, zeroOnUnwritten, nilViews int
+	var written [size/hostPage + 1]bool
 	for step := 0; step < 6000; step++ {
-		if step%400 == 399 { // start over on recycled backing
-			g.Deregister(r)
+		if step%400 == 399 { // start over on recycled units and unit tables
 			r = g.Register(size, PageSize4K, LocalWrite)
 			clear(ref)
+			written = [len(written)]bool{}
 		}
 		off := rnd(size)
 		switch op := rnd(100); {
@@ -123,6 +129,11 @@ func TestReadAtWriteAtCrossPages(t *testing.T) {
 				t.Fatal(err)
 			}
 			copy(ref[off:], data)
+			for i, b := range data {
+				if b != 0 {
+					written[(off+i)/hostPage] = true
+				}
+			}
 		case op < 80: // ReadAt
 			got := make([]byte, rnd(size-off))
 			if _, err := r.ReadAt(got, int64(off)); err != nil {
@@ -141,10 +152,16 @@ func TestReadAtWriteAtCrossPages(t *testing.T) {
 				promoted++
 			}
 			if op < 98 {
-				if !bytes.Equal(r.ReadView(off, n), ref[off:off+n]) {
+				v := r.ReadView(off, n)
+				if v == nil && !written[off/hostPage] {
+					nilViews++
+					v = make([]byte, n)
+				}
+				if !bytes.Equal(v, ref[off:off+n]) {
 					t.Fatalf("step %d: ReadView(%d, %d) diverges from the reference", step, off, n)
 				}
 			} else {
+				written[off/hostPage] = true
 				v := r.WriteView(off, n)
 				if !bytes.Equal(v, ref[off:off+n]) {
 					t.Fatalf("step %d: WriteView(%d, %d) diverges from the reference", step, off, n)
@@ -154,8 +171,8 @@ func TestReadAtWriteAtCrossPages(t *testing.T) {
 			}
 		}
 	}
-	if promoted == 0 || zeroOnUnwritten == 0 {
-		t.Fatalf("the trace promoted %d multi-unit pages and wrote zeros to %d unwritten units, want both > 0", promoted, zeroOnUnwritten)
+	if promoted == 0 || zeroOnUnwritten == 0 || nilViews == 0 {
+		t.Fatalf("the trace promoted %d multi-unit pages, wrote zeros to %d unwritten units and took %d nil views of unwritten pages, want all > 0", promoted, zeroOnUnwritten, nilViews)
 	}
 	all := make([]byte, size)
 	r.ReadAt(all, 0)
@@ -246,7 +263,7 @@ func TestUnitsThenWholePage(t *testing.T) {
 // that does panics rather than returning bytes from two unrelated pages.
 func TestViewsStayInOnePage(t *testing.T) {
 	g := NewRegistry()
-	r := g.Register(2*hostPage, PageSize4K, LocalWrite)
+	r := g.Register(2*hostPage, PageSize4K, LocalWrite|RemoteWrite)
 	for _, view := range []func(int, int) []byte{r.ReadView, r.WriteView} {
 		func() {
 			defer func() {
@@ -257,99 +274,78 @@ func TestViewsStayInOnePage(t *testing.T) {
 			view(hostPage-4, 8)
 		}()
 	}
-	if _, _, err := g.TranslateLocal(r.LKey, r.Base+hostPage-4, 8); err == nil {
-		t.Error("TranslateLocal across a page boundary succeeded")
+	if _, _, err := g.TranslateRemote(r.RKey, r.Base+hostPage-4, 8, true); !errors.Is(err, ErrCrossPage) {
+		t.Errorf("TranslateRemote across a page boundary: err = %v, want ErrCrossPage", err)
 	}
 }
 
-// TestDeregisterRecyclesZeroedPages: a deregistered region's units, unit tables
-// and pages go back to the host zeroed, and the next region written takes
-// them instead of new ones.
-func TestDeregisterRecyclesZeroedPages(t *testing.T) {
+// TestViewsAreLive: every view ReadView or WriteView hands out is the
+// region's bytes in place, so it sees a later WriteAt. ReadView of a page
+// nothing has written — here one no write reached and one only zeros
+// reached — is nil rather than a copy of zeros.
+func TestViewsAreLive(t *testing.T) {
 	g := NewRegistry()
-	a := g.Register(8*hostPage, PageSize4K, LocalWrite)
-	oldPages, oldUnits, oldTables := map[*page]bool{}, map[*unit]bool{}, map[*unitTable]bool{}
-	for i := 0; i < 4; i++ {
-		a.WriteAt(bytes.Repeat([]byte{0xEE}, hostPage), int64(i*hostPage))
-		a.WriteView(i*hostPage, 1)
-		oldPages[a.pages[i]] = true
+	r := g.Register(4*hostPage, PageSize4K, LocalWrite)
+	r.WriteAt([]byte{7}, hostPage+10)       // page 1 in units
+	r.WriteView(2*hostPage, 1)              // page 2 whole
+	r.WriteAt(make([]byte, 64), 3*hostPage) // page 3 still unwritten
+	type view struct {
+		b   []byte
+		off int
 	}
-	for i := 4; i < 8; i++ {
-		a.WriteAt([]byte{0xEE, 0xEE}, int64(i*hostPage+unitSize-1)) // two units
-		oldTables[a.units[i]] = true
-		for _, u := range a.units[i] {
-			if u != nil {
-				oldUnits[u] = true
-			}
+	var views []view
+	take := func(v []byte, off int) {
+		if v != nil {
+			views = append(views, view{v, off})
 		}
 	}
-	held := g.Census().Held
+	var isNil [4]bool
+	for i := range isNil {
+		v := r.ReadView(i*hostPage+100, 8)
+		isNil[i] = v == nil
+		take(v, i*hostPage+100)
+	}
+	for i := 0; i < 4; i++ {
+		take(r.WriteView(i*hostPage+200, 8), i*hostPage+200)
+		take(r.ReadView(i*hostPage+300, 8), i*hostPage+300)
+	}
+	data := make([]byte, r.Len())
+	for i := range data {
+		data[i] = byte(i*7 + 1)
+	}
+	r.WriteAt(data, 0)
+	for _, v := range views {
+		if !bytes.Equal(v.b, data[v.off:v.off+len(v.b)]) {
+			t.Fatalf("the view at %d reads %v after WriteAt, want %v", v.off, v.b, data[v.off:v.off+len(v.b)])
+		}
+	}
+	if isNil != [4]bool{true, false, false, true} {
+		t.Fatalf("ReadView of each page before any view backed it: nil = %v, want only the unwritten pages 0 and 3", isNil)
+	}
+}
+
+// TestDeregisteredViewKeepsItsBytes: Deregister drops a region's keys but
+// hands none of its bytes to another region, so a view taken before it
+// still reads them after a new region is registered and written.
+func TestDeregisteredViewKeepsItsBytes(t *testing.T) {
+	g := NewRegistry()
+	a := g.Register(2*hostPage, PageSize4K, LocalWrite|RemoteRead)
+	a.WriteAt(bytes.Repeat([]byte{0xEE}, 2*hostPage), 0)
+	va, wa := a.ReadView(8, 64), a.WriteView(hostPage, hostPage)
 	g.Deregister(a)
-	if c := g.Census(); c.Resident() != 0 || c.Held != held {
-		t.Fatalf("census %+v after deregistering, want nothing resident and %d bytes still held", c, held)
+	if _, err := g.RemoteRegion(a.RKey, a.Base, 8, RemoteOpRead); !errors.Is(err, ErrBadKey) {
+		t.Fatalf("err = %v, want ErrBadKey after Deregister", err)
 	}
-	for _, p := range g.pages.free {
-		if *p != zeroRef {
-			t.Fatal("a returned page is not zeroed")
-		}
+	b := g.Register(2*hostPage, PageSize4K, LocalWrite)
+	b.WriteView(0, 1)
+	b.WriteAt(bytes.Repeat([]byte{0x11}, 2*hostPage), 0)
+	b.ReadView(hostPage, 1)
+	if !bytes.Equal(va, bytes.Repeat([]byte{0xEE}, len(va))) || !bytes.Equal(wa, bytes.Repeat([]byte{0xEE}, len(wa))) {
+		t.Fatal("a view of the deregistered region lost its bytes to the next region written")
 	}
-	for _, u := range g.units.free {
-		if *u != (unit{}) {
-			t.Fatal("a returned unit is not zeroed")
-		}
+	if &b.ReadView(8, 1)[0] == &va[0] || &b.ReadView(hostPage, 1)[0] == &wa[0] {
+		t.Fatal("the next region shares a page with the deregistered one")
 	}
-	for _, tb := range g.tables.free {
-		if *tb != (unitTable{}) {
-			t.Fatal("a returned unit table is not cleared")
-		}
-	}
-	b := g.Register(8*hostPage, PageSize4K, LocalWrite)
-	for i := 0; i < 4; i++ {
-		if v := b.WriteView(i*hostPage, hostPage); !bytes.Equal(v, zeroRef[:]) {
-			t.Fatalf("recycled page %d is not zeroed", i)
-		}
-		if !oldPages[b.pages[i]] {
-			t.Errorf("page %d of the new region is not one the deregistered region returned", i)
-		}
-	}
-	for i := 4; i < 8; i++ {
-		b.WriteAt([]byte{1, 1}, int64(i*hostPage+unitSize-1))
-		if !oldTables[b.units[i]] {
-			t.Errorf("page %d's unit table is not one the deregistered region returned", i)
-		}
-		for k, u := range b.units[i] {
-			if u != nil && !oldUnits[u] {
-				t.Errorf("unit %d of page %d is not one the deregistered region returned", k, i)
-			}
-		}
-	}
-	if c := g.Census(); c.Held != held || c.Pages != 4*hostPage || c.Units != 8*unitSize || c.Tables != 4*int(unsafe.Sizeof(unitTable{})) {
-		t.Errorf("census %+v, want %d bytes held, four pages and eight units in four unit tables resident", c, held)
-	}
-}
-
-// TestGuardCatchesWriteThroughZeroView: a read view of an unwritten page
-// is the shared zero page. With Guard on, a write through it panics when
-// those bytes are next viewed — here from another region, which would
-// otherwise read the stray byte.
-func TestGuardCatchesWriteThroughZeroView(t *testing.T) {
-	defer func(was bool) { Guard = was }(Guard)
-	Guard = true
-	g := NewRegistry()
-	a := g.Register(hostPage, PageSize4K, LocalWrite)
-	b := g.Register(hostPage, PageSize4K, LocalWrite)
-	v := a.ReadView(64, 8)
-	if &v[0] != &zeroPage[64] {
-		t.Fatal("a read view of an unwritten page is not the shared zero page")
-	}
-	v[3] = 0x5A // the bug: writing through a read view
-	defer func() { zeroPage[64+3] = 0 }()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Guard did not catch the write through the shared zero page")
-		}
-	}()
-	b.ReadView(60, 16)
 }
 
 // tableChunk is the size of one unit-table slab malloc.

@@ -83,9 +83,11 @@ func New(h *host.Host, cfg Config) *Store {
 		b = 1
 	}
 	indexBytes := b * slotsPerBucket * bucketEntrySize
-	// The store views each bucket and item in place, and a view lies inside
-	// one 4 KB backing page (memory.Region.ReadView): a slot is a power of
-	// two no larger than that, and the index ends on a slot boundary.
+	// The store keeps its records in place and views them — no other
+	// package views region bytes — and a view lies inside one 4 KB backing
+	// page (memory.Region.ReadView): a slot is a power of two no larger than
+	// that, and the index ends on a slot boundary. A bucket on an index page
+	// nothing has written views as nil, which reads as empty.
 	if cfg.SlotSize <= 0 || cfg.SlotSize&(cfg.SlotSize-1) != 0 || cfg.SlotSize > 4<<10 || indexBytes%uint64(cfg.SlotSize) != 0 {
 		panic(fmt.Sprintf("mica: slot size %d with a %d-byte index puts items across 4 KB pages", cfg.SlotSize, indexBytes))
 	}
@@ -124,12 +126,9 @@ func (s *Store) itemAddr(i uint32) uint64 {
 	return s.reg.Base + s.itemsOff + uint64(i)*uint64(s.cfg.SlotSize)
 }
 
-// itemBytes views item slot i for reading; itemWrite for writing.
+// itemBytes views item slot i for reading and writing. A slot is read
+// only after it has been written.
 func (s *Store) itemBytes(i uint32) []byte {
-	return s.reg.ReadView(s.itemOff(i), s.cfg.SlotSize)
-}
-
-func (s *Store) itemWrite(i uint32) []byte {
 	return s.reg.WriteView(s.itemOff(i), s.cfg.SlotSize)
 }
 
@@ -137,8 +136,8 @@ func (s *Store) itemOff(i uint32) int {
 	return int(s.itemsOff + uint64(i)*uint64(s.cfg.SlotSize))
 }
 
-// bucketBytes views bucket b for reading; bucketWrite for writing. An
-// index page no insert reached stays unallocated.
+// bucketBytes views bucket b for reading, nil while no insert has reached
+// its index page, which stays unallocated; bucketWrite for writing.
 func (s *Store) bucketBytes(b uint64) []byte {
 	return s.reg.ReadView(s.bucketOff(b), slotsPerBucket*bucketEntrySize)
 }
@@ -177,6 +176,9 @@ func (s *Store) lookup(t *host.Thread, key []byte) (uint64, int, uint32, bool) {
 		b := (home + p) & (s.buckets - 1)
 		bb := s.bucketBytes(b)
 		charge(t, s.bucketAddr(b), slotsPerBucket*bucketEntrySize, false)
+		if bb == nil {
+			continue
+		}
 		for e := 0; e < slotsPerBucket; e++ {
 			ent := binary.LittleEndian.Uint64(bb[e*bucketEntrySize:])
 			if ent == 0 {
@@ -247,7 +249,7 @@ func (s *Store) Put(t *host.Thread, key, value []byte) (Item, error) {
 	}
 	b, _, slot, ok := s.lookup(t, key)
 	if ok {
-		item := s.itemWrite(slot)
+		item := s.itemBytes(slot)
 		binary.LittleEndian.PutUint64(item[OffVersion:], binary.LittleEndian.Uint64(item[OffVersion:])+1)
 		binary.LittleEndian.PutUint32(item[OffLens+4:], uint32(len(value)))
 		copy(item[OffKey+len(key):], value)
@@ -264,7 +266,7 @@ func (s *Store) Put(t *host.Thread, key, value []byte) (Item, error) {
 		cand := (b + p) & (s.buckets - 1)
 		cb := s.bucketBytes(cand)
 		for e := 0; e < slotsPerBucket; e++ {
-			if binary.LittleEndian.Uint64(cb[e*bucketEntrySize:]) == 0 {
+			if cb == nil || binary.LittleEndian.Uint64(cb[e*bucketEntrySize:]) == 0 {
 				entry = e
 				b = cand
 				break
@@ -276,7 +278,7 @@ func (s *Store) Put(t *host.Thread, key, value []byte) (Item, error) {
 	}
 	slot = s.freeList[len(s.freeList)-1]
 	s.freeList = s.freeList[:len(s.freeList)-1]
-	item := s.itemWrite(slot)
+	item := s.itemBytes(slot)
 	for i := range item[:OffKey] {
 		item[i] = 0
 	}
@@ -315,7 +317,7 @@ func (s *Store) TryLock(t *host.Thread, key []byte, owner uint64) (Item, error) 
 	if !ok {
 		return Item{}, ErrNotFound
 	}
-	item := s.itemWrite(slot)
+	item := s.itemBytes(slot)
 	cur := binary.LittleEndian.Uint64(item[OffLock:])
 	if cur != 0 && cur != owner {
 		return Item{}, ErrLocked
@@ -331,7 +333,7 @@ func (s *Store) Unlock(t *host.Thread, key []byte, owner uint64) error {
 	if !ok {
 		return ErrNotFound
 	}
-	item := s.itemWrite(slot)
+	item := s.itemBytes(slot)
 	if binary.LittleEndian.Uint64(item[OffLock:]) != owner {
 		return ErrLocked
 	}
@@ -347,7 +349,7 @@ func (s *Store) CommitWrite(t *host.Thread, key, value []byte, owner uint64) err
 	if !ok {
 		return ErrNotFound
 	}
-	item := s.itemWrite(slot)
+	item := s.itemBytes(slot)
 	if binary.LittleEndian.Uint64(item[OffLock:]) != owner {
 		return ErrLocked
 	}

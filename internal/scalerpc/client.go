@@ -242,8 +242,8 @@ func (c *Conn) flushEndpointEntry(t *host.Thread) {
 	c.entryDirty = false
 	staged := c.staged()
 	c.roundHigh = max(c.roundHigh, staged)
-	b := c.entryScratch.WriteView(0, c.entryScratch.Len())
-	binary.LittleEndian.PutUint32(b, uint32(staged))
+	var b [entryHeader + 2*rpccore.ScratchRing]byte
+	binary.LittleEndian.PutUint32(b[:], uint32(staged))
 	binary.LittleEndian.PutUint32(b[4:], c.round)
 	for i, sl := range c.win.Slots {
 		span := 0
@@ -253,6 +253,7 @@ func (c *Conn) flushEndpointEntry(t *host.Thread) {
 		binary.LittleEndian.PutUint16(b[entryHeader+2*i:], uint16(span))
 	}
 	n := entrySize(c.win.SlotCount())
+	_, _ = c.entryScratch.WriteAt(b[:n], 0) // the scratch holds a full window's entry
 	t.WriteMem(c.entryScratch.Base, n)
 	wr := nic.SendWR{
 		Op:     nic.OpWrite,

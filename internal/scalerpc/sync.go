@@ -70,24 +70,25 @@ func NewSyncGroup(servers []*Server) *SyncGroup {
 		// scheduler phase.
 		ts.Host.Spawn("sync-ts", func(t *host.Thread) {
 			for {
-				if tsBox.ReadView(0, 1)[0] != syncReq {
+				if tsBox.ByteAt(0) != syncReq {
 					tsSig.WaitTimeout(t.P, 50*sim.Microsecond)
 					continue
 				}
 				t.ReadMem(tsBox.Base, syncMsgSize)
 				t2 := t.P.Now()
-				req := tsBox.WriteView(0, syncMsgSize)
+				var req, resp [syncMsgSize]byte
+				_, _ = tsBox.ReadAt(req[:], 0) // every access here is inside a box or scratch
 				t1 := binary.LittleEndian.Uint64(req[1:])
-				req[0] = 0
+				_, _ = tsBox.WriteAt([]byte{0}, 0)
 				t.Work(100) // request handling
 				t3 := t.P.Now()
-				resp := tsScratch.WriteView(0, syncMsgSize)
 				resp[0] = syncResp
 				binary.LittleEndian.PutUint64(resp[1:], t1)
 				binary.LittleEndian.PutUint64(resp[9:], uint64(t2))
 				binary.LittleEndian.PutUint64(resp[17:], uint64(t3))
 				binary.LittleEndian.PutUint64(resp[25:], uint64(t3-t2))
 				binary.LittleEndian.PutUint64(resp[33:], uint64(ts.NextSwitchAt()))
+				_, _ = tsScratch.WriteAt(resp[:], 0)
 				t.WriteMem(tsScratch.Base, syncMsgSize)
 				t.PostSend(tsQP, nic.SendWR{
 					Op: nic.OpWrite, LKey: tsScratch.LKey, LAddr: tsScratch.Base,
@@ -101,23 +102,24 @@ func NewSyncGroup(servers []*Server) *SyncGroup {
 			for {
 				t.P.Sleep(follower.Cfg.SyncPeriod)
 				t1 := t.P.Now()
-				req := foScratch.WriteView(0, syncMsgSize)
+				var req, resp [syncMsgSize]byte
 				req[0] = syncReq
 				binary.LittleEndian.PutUint64(req[1:], uint64(t1))
+				_, _ = foScratch.WriteAt(req[:], 0) // every access here is inside a box or scratch
 				t.WriteMem(foScratch.Base, syncMsgSize)
 				t.PostSend(foQP, nic.SendWR{
 					Op: nic.OpWrite, LKey: foScratch.LKey, LAddr: foScratch.Base,
 					Len: syncMsgSize, RKey: tsBox.RKey, RAddr: tsBox.Base, Inline: true,
 				})
 				// Await the response.
-				for foBox.ReadView(0, 1)[0] != syncResp {
+				for foBox.ByteAt(0) != syncResp {
 					foSig.WaitTimeout(t.P, 50*sim.Microsecond)
 				}
 				t.ReadMem(foBox.Base, syncMsgSize)
-				resp := foBox.WriteView(0, syncMsgSize)
+				_, _ = foBox.ReadAt(resp[:], 0)
 				deltaT := sim.Duration(binary.LittleEndian.Uint64(resp[25:]))
 				tsPhase := sim.Time(binary.LittleEndian.Uint64(resp[33:]))
-				resp[0] = 0
+				_, _ = foBox.WriteAt([]byte{0}, 0)
 				t4 := t.P.Now()
 
 				// D_i = D − (T4 − T1 − ΔT)/2: shorten the next slice by the

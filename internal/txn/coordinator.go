@@ -475,8 +475,9 @@ func (c *Coordinator) Run(t *host.Thread, txn *Txn) error {
 		// lock, with no response to wait for (§4.2's key optimization).
 		for gi := range txn.Writes {
 			pi := c.Place(txn.Writes[gi])
-			img := c.scratch.WriteView(4096+gi*256, 256)
-			n := mica.BuildCommitImage(img, txn.Writes[gi], newVals[gi], writeVers[gi]+1)
+			var img [256]byte
+			n := mica.BuildCommitImage(img[:], txn.Writes[gi], newVals[gi], writeVers[gi]+1)
+			_, _ = c.scratch.WriteAt(img[:n], int64(4096+gi*256)) // image gi's 256 B slot, past the version words
 			t.WriteMem(c.scratch.Base+uint64(4096+gi*256), n)
 			wr := nic.SendWR{
 				Op:    nic.OpWrite,
@@ -525,7 +526,9 @@ func (c *Coordinator) validateOneSided(t *host.Thread, addrs []uint64, vers []ui
 	}
 	for i := range addrs {
 		t.ReadMem(c.scratch.Base+uint64(i*8), 8)
-		if mica.ParseVersion(c.scratch.ReadView(i*8, 8)) != vers[i] {
+		var v [8]byte
+		_, _ = c.scratch.ReadAt(v[:], int64(i*8)) // where READ i landed
+		if mica.ParseVersion(v[:]) != vers[i] {
 			return false
 		}
 	}
