@@ -103,7 +103,19 @@ type Region struct {
 	// holds units, or only whole pages, pays for one table.
 	pages []*page
 	units []*unitTable
+	// gen is the region's write generation (see Gen).
+	gen uint64
 }
+
+// Gen returns the region's write generation. Every WriteAt and every
+// WriteView moves it, and every write the NIC commits goes through WriteAt
+// (torn writes, atomics and zero writes onto unwritten units included), so
+// a byte read at one generation still holds while Gen returns the same
+// value. A write through a view taken earlier does not move it: that is
+// sound only because no region a poller reads is ever written through a
+// view — only internal/mica takes views, of the regions that hold its
+// records.
+func (r *Region) Gen() uint64 { return r.gen }
 
 // Len returns the region length in bytes.
 func (r *Region) Len() int { return r.size }
@@ -197,6 +209,7 @@ func (r *Region) ReadView(off, n int) []byte {
 // lie inside one 4 KB host page.
 func (r *Region) WriteView(off, n int) []byte {
 	i, o := r.inPage(off, n)
+	r.gen++
 	if n == 0 {
 		return nil
 	}
@@ -295,6 +308,7 @@ func (r *Region) WriteAt(p []byte, off int64) (int, error) {
 	if off < 0 || off+int64(len(p)) > int64(r.size) {
 		return 0, fmt.Errorf("%w: write [%d,+%d) of a %d-byte region", ErrOutOfband, off, len(p), r.size)
 	}
+	r.gen++
 	for o, rest := int(off), p; len(rest) > 0; {
 		i, po := o>>pageShift, o&(hostPage-1)
 		chunk := rest[:min(len(rest), hostPage-po)]

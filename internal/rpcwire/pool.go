@@ -18,6 +18,10 @@ type Pool struct {
 	BlockSize     int
 	BlocksPerZone int
 	Zones         int
+	// clearAt[i] is one more than the Region.Gen at which block i's Valid
+	// byte last read clear, 0 before that: while the generation holds,
+	// the byte still reads clear and Valid need not read it again.
+	clearAt []uint64
 }
 
 // NewPool formats a pool over reg. It panics if the region is too small —
@@ -30,7 +34,8 @@ func NewPool(reg *memory.Region, blockSize, blocksPerZone, zones int) *Pool {
 	if need > reg.Len() {
 		panic(fmt.Sprintf("rpcwire: pool needs %d bytes, region has %d", need, reg.Len()))
 	}
-	return &Pool{Region: reg, BlockSize: blockSize, BlocksPerZone: blocksPerZone, Zones: zones}
+	return &Pool{Region: reg, BlockSize: blockSize, BlocksPerZone: blocksPerZone, Zones: zones,
+		clearAt: make([]uint64, blocksPerZone*zones)}
 }
 
 // Size returns the pool footprint in bytes.
@@ -65,9 +70,20 @@ func (p *Pool) WriteFrame(z, b int, payload []byte, flags byte) error {
 }
 
 // Valid reports whether block (z, b) holds a frame: its Valid byte, the
-// one byte a polling thread reads.
+// one byte a polling thread reads. A byte that read clear is not read
+// again until something writes the region (see memory.Region.Gen), which
+// is what keeps a parked poller's re-probes off the region's backing; the
+// caller charges the modelled read either way.
 func (p *Pool) Valid(z, b int) bool {
-	return p.Region.ByteAt(p.blockOff(z, b)+ValidOffset(p.BlockSize)) == validMagic
+	i, gen := z*p.BlocksPerZone+b, p.Region.Gen()+1
+	if p.clearAt[i] == gen {
+		return false
+	}
+	if p.Region.ByteAt(p.blockOff(z, b)+ValidOffset(p.BlockSize)) == validMagic {
+		return true
+	}
+	p.clearAt[i] = gen
+	return false
 }
 
 // Clear invalidates block (z, b) by zeroing its Valid byte, leaving a

@@ -62,6 +62,33 @@ func TestAllocBudgetProcWake(t *testing.T) {
 	}
 }
 
+// TestAllocBudgetTimedOutWait: a WaitTimeout that times out on a signal
+// nobody wakes allocates nothing once warm: its entry leaves the signal, so
+// the waiter list does not grow. Each round is 10 000 timeouts, enough that
+// a list growing by appends reallocates more than once a round.
+func TestAllocBudgetTimedOutWait(t *testing.T) {
+	e := NewEnv()
+	defer e.Close()
+	s := NewSignal(e)
+	timeouts := 0
+	e.Spawn("poller", func(p *Proc) {
+		for {
+			if s.WaitTimeout(p, 1) {
+				timeouts++
+			}
+		}
+	})
+	round := func() { e.RunUntil(e.Now() + 10000) }
+	round()
+	timeouts = 0
+	if got := testing.AllocsPerRun(5, round); got != 0 {
+		t.Errorf("%v allocs per 10 000 timed-out waits, want 0", got)
+	}
+	if timeouts != 6*10000 || len(s.waiters) != 1 { // the poller's current wait
+		t.Errorf("%d timeouts, %d entries after 6 rounds, want %d and 1", timeouts, len(s.waiters), 6*10000)
+	}
+}
+
 // TestAllocBudgetUseAsync: a callback-released CPU charge builds no closure.
 func TestAllocBudgetUseAsync(t *testing.T) {
 	e := NewEnv()

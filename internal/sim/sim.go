@@ -302,6 +302,11 @@ func (e *Env) Close() {
 
 // Signal is a broadcast/wake-one condition variable for processes. Waiters
 // are woken in FIFO order at the current instant.
+//
+// A waiter's entry leaves the list when Wake picks it, or, for a
+// WaitTimeout whose timer fires first, when the process resumes from the
+// timeout and removes it. The only stale entries that can remain are those
+// of processes Close unwound while parked; Wake skips and drops them.
 type Signal struct {
 	env     *Env
 	waiters []waiter
@@ -324,16 +329,45 @@ func (s *Signal) Wait(p *Proc) {
 // WaitTimeout blocks until the signal is woken or d elapses. It reports
 // whether the wait timed out.
 func (s *Signal) WaitTimeout(p *Proc, d Duration) (timedOut bool) {
-	s.waiters = append(s.waiters, waiter{p, p.gen})
+	w := waiter{p, p.gen}
+	s.waiters = append(s.waiters, w)
 	p.env.scheduleProc(p, d, tagTimer)
-	return p.block() == tagTimer
+	if p.block() != tagTimer {
+		return false
+	}
+	s.remove(w)
+	return true
 }
 
-// Waiting returns the number of registered waiters (including stale ones).
-func (s *Signal) Waiting() int { return len(s.waiters) }
+// remove deletes w's entry, if Wake has not already taken it, keeping the
+// rest in FIFO order. A poller that times out is usually the latest to
+// park, so the scan runs from the end.
+func (s *Signal) remove(w waiter) {
+	for i := len(s.waiters) - 1; i >= 0; i-- {
+		if s.waiters[i] == w {
+			last := len(s.waiters) - 1
+			copy(s.waiters[i:], s.waiters[i+1:])
+			s.waiters[last] = waiter{}
+			s.waiters = s.waiters[:last]
+			return
+		}
+	}
+}
+
+// Waiting returns the number of processes parked on the signal that no
+// Wake has picked yet.
+func (s *Signal) Waiting() int {
+	n := 0
+	for _, w := range s.waiters {
+		if !w.proc.done && w.proc.gen == w.gen {
+			n++
+		}
+	}
+	return n
+}
 
 // Wake resumes up to n waiting processes (all of them if n < 0). Waiters
-// whose wake generation has moved on (e.g. they timed out) are skipped.
+// whose wake generation has moved on (Close unwound them) are skipped.
 func (s *Signal) Wake(n int) int {
 	woken := 0
 	rest := s.waiters[:0]

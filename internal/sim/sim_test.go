@@ -2,6 +2,7 @@ package sim
 
 import (
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -215,6 +216,82 @@ func TestStaleWakeAfterTimeout(t *testing.T) {
 	if e.Now() != 1010 {
 		t.Fatalf("Now() = %d, want 1010 (stale broadcast must not shorten the sleep)", e.Now())
 	}
+}
+
+// TestTimedOutWaiterLeavesSignal: a WaitTimeout that times out takes its
+// entry off the signal, so a poller parked on a signal nobody wakes leaves
+// nothing behind, and the procs still parked keep their FIFO order.
+func TestTimedOutWaiterLeavesSignal(t *testing.T) {
+	t.Run("nobody wakes", func(t *testing.T) {
+		e := NewEnv()
+		defer e.Close()
+		s := NewSignal(e)
+		timeouts := 0
+		e.Spawn("poller", func(p *Proc) {
+			for i := 0; i < 10000; i++ {
+				if s.WaitTimeout(p, 5) {
+					timeouts++
+				}
+			}
+		})
+		e.Run()
+		if timeouts != 10000 {
+			t.Fatalf("%d timeouts, want 10000", timeouts)
+		}
+		if s.Waiting() != 0 || len(s.waiters) != 0 {
+			t.Fatalf("Waiting()=%d, %d entries after 10000 timeouts, want 0 and 0", s.Waiting(), len(s.waiters))
+		}
+	})
+	t.Run("two pollers in turn", func(t *testing.T) {
+		e := NewEnv()
+		defer e.Close()
+		s := NewSignal(e)
+		peak := 0
+		for _, d := range []Duration{3, 5} {
+			e.Spawn("poller", func(p *Proc) {
+				for i := 0; i < 1000; i++ {
+					s.WaitTimeout(p, d)
+					peak = max(peak, len(s.waiters))
+				}
+			})
+		}
+		e.Run()
+		// Each resumes with the other's entry at the front or the back.
+		if peak > 1 || len(s.waiters) != 0 || cap(s.waiters) > 2 {
+			t.Fatalf("peak %d entries seen by a resumed poller, %d left, cap %d; want ≤ 1, 0, ≤ 2", peak, len(s.waiters), cap(s.waiters))
+		}
+	})
+	t.Run("wake keeps FIFO", func(t *testing.T) {
+		e := NewEnv()
+		defer e.Close()
+		s := NewSignal(e)
+		var order []int
+		for i := 0; i < 4; i++ {
+			e.SpawnAt(Duration(i*10), "parked", func(p *Proc) {
+				if s.WaitTimeout(p, Second) {
+					t.Errorf("parked proc %d timed out", i)
+				}
+				order = append(order, i)
+			})
+		}
+		// A poller that parks and times out between them, until t=60.
+		e.SpawnAt(5, "poller", func(p *Proc) {
+			for p.Now() < 60 {
+				s.WaitTimeout(p, 7)
+			}
+		})
+		e.RunUntil(100)
+		if s.Waiting() != 4 || len(s.waiters) != 4 {
+			t.Fatalf("Waiting()=%d, %d entries at t=100, want 4 and 4", s.Waiting(), len(s.waiters))
+		}
+		for i := 0; i < 4; i++ {
+			e.At(Duration(i), func() { s.Wake(1) })
+		}
+		e.RunUntil(200)
+		if !slices.Equal(order, []int{0, 1, 2, 3}) {
+			t.Fatalf("resume order %v, want [0 1 2 3]", order)
+		}
+	})
 }
 
 func TestQueuePushPop(t *testing.T) {

@@ -13,7 +13,10 @@ import (
 // view is the region's bytes in place, live for as long as it is held, so
 // it belongs only to the store that keeps records in place; code that
 // builds or parses a message moves its bytes with ByteAt, ReadAt and
-// WriteAt instead.
+// WriteAt instead. And a write through a held view does not move the
+// region's write generation (Region.Gen), which rpcwire.Pool.Valid trusts
+// to skip re-reading a Valid byte that read clear. TranslateRemote with
+// write=true is a WriteView; its only caller is benchmark/probes.go.
 func TestOnlyMicaViewsRegions(t *testing.T) {
 	mod := checkModule(t)
 	tests := map[*ast.File]bool{}
@@ -41,7 +44,7 @@ func TestOnlyMicaViewsRegions(t *testing.T) {
 				seen++
 				at := mod.fset.Position(sel.Pos())
 				if !tests[f] && !allowed[filepath.Dir(at.Filename)] {
-					t.Errorf("%s: %s views region bytes outside internal/mica; use ByteAt, ReadAt or WriteAt", at, types.ExprString(sel))
+					t.Errorf("%s: %s views region bytes outside internal/mica: a view is live for as long as it is held, and a write through it does not move Region.Gen, which pool probes trust; use ByteAt, ReadAt or WriteAt", at, types.ExprString(sel))
 				}
 				return true
 			})
