@@ -59,10 +59,10 @@ const (
 
 // set is one cache set. Only Flush invalidates, and it drops whole records,
 // so the valid ways are always the prefix [0, valid) and a miss with room
-// takes way valid. The record is 256 bytes, so a chunk fills its 4 KB size
+// takes way valid. The record is 128 bytes, so a chunk fills its 2 KB size
 // class and each record starts on a host cache line; the fields an MRU hit
-// reads come first. A per-way owner tag for miss attribution would take
-// the padding and grow the record.
+// reads come first. A per-way owner tag for miss attribution would grow the
+// record past 128 bytes.
 type set struct {
 	// mru is the last way touched. Poll loops touch the same handful of
 	// lines over and over; checking the hinted way first turns the common
@@ -70,10 +70,10 @@ type set struct {
 	// accelerator: hit/miss/eviction decisions are unchanged.
 	mru    uint8
 	valid  uint8           // number of valid ways
+	clock  uint16          // the set's last stamp; see stamp
 	ddio   uint32          // bit w: way w was allocated by DMA and not yet touched by the CPU
 	tags   [MaxWays]uint32 // tag+1; 0 means invalid
-	stamps [MaxWays]uint64 // clock value at each way's last touch
-	_      [8]byte
+	stamps [MaxWays]uint16 // the set's clock at each way's last touch
 }
 
 type chunk [chunkSets]set
@@ -81,14 +81,16 @@ type chunk [chunkSets]set
 // Cache is a set-associative LRU cache. It is not safe for concurrent use;
 // in the simulator all accesses happen on the single scheduler goroutine.
 //
-// Each set is one record (tags, stamps, DDIO bits, valid count, MRU way),
-// so a touch reads one record. Records live in chunks of chunkSets
+// Each set is one record (tags, stamps, clock, DDIO bits, valid count, MRU
+// way), so a touch reads one record. Records live in chunks of chunkSets
 // allocated on first touch: a run touches a small fraction of a host's
 // sets, and untouched ones hold no memory.
 //
-// Replacement is LRU by a global clock that stamps every touch. A hit only
-// restamps its way, so it stays O(1) beyond the tag lookup; per-set recency
-// ranks would make every non-MRU hit re-rank the set.
+// Replacement is LRU by a 16-bit clock per set that stamps every touch of
+// the set. Stamps are only compared within their set, so the set's own
+// clock orders them as a cache-wide one would. A hit only restamps its way,
+// so it stays O(1) beyond the tag lookup; per-set recency ranks would make
+// every non-MRU hit re-rank the set.
 type Cache struct {
 	Stats
 	lineSize uint64
@@ -102,7 +104,6 @@ type Cache struct {
 	setShift  uint
 	allWays   uint32   // mask of ways [0, ways)
 	chunks    []*chunk // nil until one of the chunk's sets is touched
-	clock     uint64
 }
 
 // Config describes a cache geometry.
@@ -205,10 +206,43 @@ func (s *set) lookup(tag uint32) int {
 	return -1
 }
 
+// stamp advances the set's clock and returns it, renumbering the set first
+// if the clock is about to wrap.
+func (s *set) stamp() uint16 {
+	if s.clock == math.MaxUint16 {
+		s.renumber()
+	}
+	s.clock++
+	return s.clock
+}
+
+// renumber restamps the valid ways 1..valid in their current order and sets
+// the clock to valid, so the next stamp is above every way's. The ways past
+// valid have never been stamped and are left alone. It runs once every
+// ~65 500 touches of a set, so the quadratic ranking costs nothing; it is
+// kept out of line so stamp inlines.
+//
+//go:noinline
+func (s *set) renumber() {
+	old := s.stamps
+	for w, st := range old[:s.valid] {
+		rank := uint16(1)
+		for _, o := range old[:s.valid] {
+			if o < st {
+				rank++
+			}
+		}
+		s.stamps[w] = rank
+	}
+	s.clock = uint16(s.valid)
+}
+
 // oldest returns the way with the smallest stamp among the ways in mask.
-// Stamps are unique, so there are no ties.
+// Stamps are unique within a set, so there are no ties, and all are below
+// MaxUint16 here: a set whose clock reached it renumbers in stamp before its
+// miss looks for a victim.
 func (s *set) oldest(mask uint32) int {
-	best, bestStamp := 0, ^uint64(0)
+	best, bestStamp := 0, uint16(math.MaxUint16)
 	for ; mask != 0; mask &= mask - 1 {
 		w := bits.TrailingZeros32(mask)
 		if st := s.stamps[w]; st < bestStamp {
@@ -218,10 +252,10 @@ func (s *set) oldest(mask uint32) int {
 	return best
 }
 
-// miss installs tag in s at the current clock. It takes the lowest invalid
+// miss installs tag in s with stamp st. It takes the lowest invalid
 // way; else, for a DDIO write (Write Allocate) whose set already holds
 // DDIOWays DMA lines, the oldest of those; else the set's LRU way.
-func (c *Cache) miss(s *set, tag uint32, dma bool) {
+func (c *Cache) miss(s *set, tag uint32, st uint16, dma bool) {
 	var w int
 	switch {
 	case int(s.valid) < c.ways:
@@ -235,7 +269,7 @@ func (c *Cache) miss(s *set, tag uint32, dma bool) {
 		w = s.oldest(c.allWays)
 		c.Evictions++
 	}
-	s.tags[w], s.stamps[w], s.mru = tag, c.clock, uint8(w)
+	s.tags[w], s.stamps[w], s.mru = tag, st, uint8(w)
 	if dma {
 		s.ddio |= 1 << w
 	} else {
@@ -253,14 +287,14 @@ func (c *Cache) cpu(addr, size uint64) (hits, misses int) {
 	c.checkTag(last)
 	for lineNo := first; lineNo <= last; lineNo++ {
 		s, tag := c.setOf(lineNo)
-		c.clock++
+		st := s.stamp()
 		if w := s.lookup(tag); w >= 0 {
-			s.stamps[w] = c.clock
+			s.stamps[w] = st
 			s.ddio &^= 1 << w
 			hits++
 			continue
 		}
-		c.miss(s, tag, false)
+		c.miss(s, tag, st, false)
 		misses++
 	}
 	return hits, misses
@@ -293,14 +327,14 @@ func (c *Cache) DMAWrite(addr, size uint64) (updates, allocs int) {
 	c.checkTag(last)
 	for lineNo := first; lineNo <= last; lineNo++ {
 		s, tag := c.setOf(lineNo)
-		c.clock++
+		st := s.stamp()
 		if w := s.lookup(tag); w >= 0 {
 			// Write Update: in-place, keeps current DDIO status.
-			s.stamps[w] = c.clock
+			s.stamps[w] = st
 			updates++
 			continue
 		}
-		c.miss(s, tag, true)
+		c.miss(s, tag, st, true)
 		allocs++
 	}
 	c.DMAUpdates += uint64(updates)

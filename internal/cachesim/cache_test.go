@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func small() *Cache {
@@ -282,23 +283,7 @@ func TestMRUHintMatchesReferenceScan(t *testing.T) {
 				for line := addr / 64; line <= (addr+size-1)/64; line++ {
 					touched[line] = true
 				}
-				before := ref.Stats
-				var got, want [2]int
-				switch r >> 1 % 3 {
-				case 0:
-					got[0], got[1] = c.CPURead(addr, size)
-					ref.access(refRead, addr, size)
-					want = [2]int{int(ref.CPUReadHits - before.CPUReadHits), int(ref.CPUReadMisses - before.CPUReadMisses)}
-				case 1:
-					got[0], got[1] = c.CPUWrite(addr, size)
-					ref.access(refWrite, addr, size)
-					want = [2]int{int(ref.CPUWriteHits - before.CPUWriteHits), int(ref.CPUWriteMisses - before.CPUWriteMisses)}
-				default:
-					got[0], got[1] = c.DMAWrite(addr, size)
-					ref.access(refDMA, addr, size)
-					want = [2]int{int(ref.DMAUpdates - before.DMAUpdates), int(ref.DMAAllocs - before.DMAAllocs)}
-				}
-				if got != want {
+				if got, want := touchBoth(c, ref, refOp(r>>1%3), addr, size); got != want {
 					t.Fatalf("access %d (op %d, addr %#x, size %d) returned %v, reference %v", i, r>>1%3, addr, size, got, want)
 				}
 			}
@@ -315,6 +300,114 @@ func TestMRUHintMatchesReferenceScan(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSetClockWrapMatchesReference drives a few sets of each geometry past
+// three wraps of their 16-bit clock and checks every call's return, every
+// counter and the final residency against refCache, whose 64-bit clock never
+// wraps. Each set's first wrap comes while it holds fewer lines than it has
+// ways, so a renumbering that ranked the unstamped ways would show; from it
+// on every set runs a mix of CPU hits, DMA updates, misses and DDIO evictions
+// over up to twice its ways, so a wrap that loses the order misses or evicts
+// the wrong line.
+func TestSetClockWrapMatchesReference(t *testing.T) {
+	const touches = 3*math.MaxUint16 + 2000 // per driven set
+	for _, tc := range []struct {
+		size, ways, ddioWays int
+	}{
+		{1024, 4, 1},                    // 4 sets
+		{30 << 20, 20, 2},               // the hosts' default geometry
+		{1 << 20, MaxWays, MaxWays / 2}, // the way cap, half of it DDIO
+	} {
+		t.Run(fmt.Sprintf("%dways_%dddio", tc.ways, tc.ddioWays), func(t *testing.T) {
+			cfg := Config{SizeBytes: tc.size, Ways: tc.ways, LineSize: 64, DDIOWays: tc.ddioWays}
+			c := New(cfg)
+			sets := uint64(c.SizeBytes() / (cfg.Ways * cfg.LineSize))
+			ref := newRefCache(int(sets), cfg.Ways, cfg.DDIOWays, cfg.LineSize)
+			driven := []uint64{0, 1, sets / 2, sets - 1}
+			const tagBase = 1 << 12
+			n := make([]int, len(driven))       // touches so far
+			pool := make([]uint64, len(driven)) // tags in play: tagBase + [0, pool)
+			q := NewRNGLike(11)
+			for done := 0; done < len(driven); {
+				r := q.next()
+				i := int(r % uint64(len(driven)))
+				if n[i] == touches {
+					continue
+				}
+				if n[i]%256 == 0 {
+					// A new phase of 256 touches. Until the first wrap, at
+					// touch 1<<16, set i holds at most 1 + i(ways-2)/3
+					// lines, from one line up to ways-1; the phase right
+					// after it spans twice the ways, so the first evictions
+					// follow the wrap at once.
+					switch {
+					case n[i] < 1<<16:
+						pool[i] = 1 + r>>8%uint64(1+i*(cfg.Ways-2)/3)
+					case n[i] == 1<<16:
+						pool[i] = uint64(2 * cfg.Ways)
+					default:
+						pool[i] = 1 + r>>8%uint64(2*cfg.Ways)
+					}
+				}
+				n[i]++
+				if n[i] == touches {
+					done++
+				}
+				line := (tagBase+r>>16%pool[i])*sets + driven[i]
+				off := r >> 24 % 64
+				addr, size := line*64+off, 1+r>>32%(64-off)
+				if got, want := touchBoth(c, ref, refOp(r>>40%3), addr, size); got != want {
+					t.Fatalf("set %d touch %d (addr %#x, size %d) returned %v, reference %v", driven[i], n[i], addr, size, got, want)
+				}
+			}
+			if got := c.Snapshot(); got != ref.Stats {
+				t.Fatalf("cache %+v\nreference %+v", got, ref.Stats)
+			}
+			for _, idx := range driven {
+				for tag := uint64(0); tag < uint64(2*cfg.Ways); tag++ {
+					line := (tagBase+tag)*sets + idx
+					if got, want := c.Contains(line*64), refContains(ref, line); got != want {
+						t.Fatalf("line %#x resident %v, reference %v", line*64, got, want)
+					}
+				}
+			}
+			if s := ref.Stats; s.CPUReadHits == 0 || s.DMAUpdates == 0 || s.DMAEvictions == 0 || s.Evictions == s.DMAEvictions {
+				t.Fatalf("trace did not exercise hits, updates and both eviction kinds: %+v", s)
+			}
+		})
+	}
+}
+
+// TestSetRecordLayout pins the record size the chunking relies on: a set is
+// 128 bytes, so a 16-set chunk is 2 KB, a size class whose objects start on
+// 128-byte boundaries, and every record sits on host cache lines of its own.
+func TestSetRecordLayout(t *testing.T) {
+	if got := unsafe.Sizeof(set{}); got != 128 {
+		t.Fatalf("set record is %d bytes, want 128", got)
+	}
+	if got := unsafe.Sizeof(chunk{}); got != 2048 {
+		t.Fatalf("chunk is %d bytes, want 2048", got)
+	}
+}
+
+// touchBoth applies op to c and to ref and returns the pair c's call
+// returned and the pair by which the reference's counters moved.
+func touchBoth(c *Cache, ref *refCache, op refOp, addr, size uint64) (got, want [2]int) {
+	before := ref.Stats
+	ref.access(op, addr, size)
+	switch op {
+	case refRead:
+		got[0], got[1] = c.CPURead(addr, size)
+		want = [2]int{int(ref.CPUReadHits - before.CPUReadHits), int(ref.CPUReadMisses - before.CPUReadMisses)}
+	case refWrite:
+		got[0], got[1] = c.CPUWrite(addr, size)
+		want = [2]int{int(ref.CPUWriteHits - before.CPUWriteHits), int(ref.CPUWriteMisses - before.CPUWriteMisses)}
+	default:
+		got[0], got[1] = c.DMAWrite(addr, size)
+		want = [2]int{int(ref.DMAUpdates - before.DMAUpdates), int(ref.DMAAllocs - before.DMAAllocs)}
+	}
+	return got, want
 }
 
 // refContains reports whether refCache holds line.
