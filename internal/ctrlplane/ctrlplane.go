@@ -406,8 +406,9 @@ func (m *Manager) Host() *host.Host { return m.h }
 
 // LeaseLapsed reports whether peer's lease has run out: a keepalive (or
 // handshake) from it was observed once, and none within Config.LeaseTTL
-// since. Failure detectors above the control plane (the shard director)
-// ask it instead of running their own heartbeat protocol.
+// since. Every keepalive refreshes the lease whatever the detector mode, so
+// a subsystem above the control plane can ask it instead of running its
+// own heartbeat protocol.
 func (m *Manager) LeaseLapsed(peer int) bool {
 	at, ok := m.leases[peer]
 	return ok && m.h.Env.Now()-at > m.cfg.LeaseTTL

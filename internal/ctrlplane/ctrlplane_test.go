@@ -201,6 +201,72 @@ func TestLeaseExpiryOnCrash(t *testing.T) {
 	}
 }
 
+// TestLeaseLapsed reads the lease predicate in both detector modes: false
+// before the peer's first keepalive, false while keepalives arrive, and
+// true once LeaseTTL has passed since the last one. Keepalives refresh the
+// lease whatever the mode, so a caller can rely on it in either.
+func TestLeaseLapsed(t *testing.T) {
+	for _, adaptive := range []bool{false, true} {
+		t.Run(fmt.Sprintf("adaptive=%v", adaptive), func(t *testing.T) {
+			cfg := ctrlplane.DefaultConfig()
+			cfg.Adaptive = adaptive
+			c := cluster.New(cluster.Default(2))
+			t.Cleanup(c.Close)
+			plane := c.InstallFaults(&faults.Scenario{Name: "crash-client"})
+			dir := ctrlplane.NewDirectory()
+			for _, h := range c.Hosts {
+				ctrlplane.NewManager(h, cfg, dir).Start()
+			}
+			srv := dir.Manager(0)
+			srv.RegisterService("echo", ctrlplane.NewEchoService())
+
+			// No keepalive yet: a peer never heard from has no lease to lapse.
+			c.Env.RunUntil(2 * cfg.LeaseTTL)
+			if srv.LeaseLapsed(1) {
+				t.Fatal("lease lapsed before the peer was ever heard from")
+			}
+			c.Hosts[1].Spawn("dialer", func(th *host.Thread) {
+				if _, err := dir.Manager(1).Dial(th, 0, "echo", nil); err != nil {
+					t.Error(err)
+				}
+			})
+
+			// Step 1 µs at a time, tracking each keepalive arrival to
+			// within its step: (before, at] brackets the last one.
+			const tick = 1_000
+			var before, at sim.Time
+			seen := srv.Stats.KeepalivesRx
+			advance := func() {
+				now := c.Env.Now()
+				c.Env.RunUntil(now + tick)
+				if srv.Stats.KeepalivesRx != seen {
+					seen, before, at = srv.Stats.KeepalivesRx, now, c.Env.Now()
+				}
+			}
+			for end := c.Env.Now() + 4*cfg.LeaseTTL; c.Env.Now() < end; {
+				advance()
+				if srv.LeaseLapsed(1) {
+					t.Fatalf("lease lapsed at %d with keepalives arriving (last in (%d, %d])", c.Env.Now(), before, at)
+				}
+			}
+			if seen < 3 {
+				t.Fatalf("%d keepalives received, want a steady stream", seen)
+			}
+
+			plane.CrashNode(1)
+			for !srv.LeaseLapsed(1) {
+				if c.Env.Now() > at+2*cfg.LeaseTTL {
+					t.Fatalf("lease still held %d ns after the last keepalive", c.Env.Now()-at)
+				}
+				advance()
+			}
+			if now := c.Env.Now(); now <= before+cfg.LeaseTTL || now > at+cfg.LeaseTTL+tick {
+				t.Fatalf("lease lapsed at %d, want just past LeaseTTL after the last keepalive in (%d, %d]", now, before, at)
+			}
+		})
+	}
+}
+
 // TestIdleTeardownAndCapEviction exercises both cache-bounding mechanisms.
 func TestIdleTeardownAndCapEviction(t *testing.T) {
 	const cacheCap, idleTimeout = 2, 300_000

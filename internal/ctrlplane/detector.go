@@ -174,7 +174,7 @@ func (pd *peerDetector) phiAt(now sim.Time) float64 {
 }
 
 // OnPeerState registers a hook fired on every ladder transition — how the
-// ScaleRPC server and the shard director learn to drain or restore a peer.
+// ScaleRPC server learns to drain or restore a peer.
 // Hooks run on the manager thread; they must not block.
 func (m *Manager) OnPeerState(fn func(peer int, old, new PeerState)) {
 	m.onPeerState = append(m.onPeerState, fn)
@@ -194,11 +194,6 @@ func (m *Manager) PeerStateOf(peer int) PeerState {
 	}
 	return PeerHealthy
 }
-
-// DetectorEnabled reports whether this manager runs the adaptive detector
-// (Config.Adaptive was set). Subsystems with their own fixed-TTL liveness
-// checks (the shard director) defer to the ladder when it is on.
-func (m *Manager) DetectorEnabled() bool { return m.det != nil }
 
 // detArrival feeds a liveness sample into the peer's detector. No-op in
 // fixed-TTL mode.

@@ -20,15 +20,15 @@ const (
 // Event is one entry in the director's deterministic decision log.
 type Event struct {
 	At        sim.Time
-	Kind      string // failover, promote, degrade, restore, push, publish
+	Kind      string // failover, promote, push, publish
 	Host      int
 	Partition int
 	Epoch     uint32
 }
 
-// sweepInterval is the director's liveness sweep period. In fixed-TTL mode
-// a node is declared dead once its manager lease lapses (Config.LeaseTTL);
-// under the adaptive detector eviction comes from the ladder instead.
+// sweepInterval is the director's liveness sweep period: a node is
+// declared dead once its manager lease lapses (Config.LeaseTTL), whatever
+// the manager's detector mode.
 const sweepInterval = 100 * sim.Microsecond
 
 // Director owns the authoritative shard map: it serves fetches, watches
@@ -45,23 +45,13 @@ type Director struct {
 	nodeHosts []int
 	down      map[int]bool
 
-	// Ladder transitions queued by the manager's OnPeerState hook (which
-	// must not block) and drained by the sweep thread, which can dial.
-	pendFail    []int
-	pendDegrade []int
-	pendRestore []int
-
 	stats     *Stats
 	started   bool
 	svcHandle uint64
 }
 
 // NewDirector builds a director for m on the given control-plane manager
-// and registers its fetch and lease services. When the manager runs the
-// adaptive failure detector, the director also subscribes to its ladder: a
-// demoted node host is marked degraded in an epoch-bumped map (routers then
-// steer its reads to backups), a restored one is cleared, and eviction
-// triggers the same failover the fixed TTL would.
+// and registers its fetch and lease services.
 func NewDirector(mgr *ctrlplane.Manager, m *Map) *Director {
 	d := &Director{
 		mgr:       mgr,
@@ -72,31 +62,7 @@ func NewDirector(mgr *ctrlplane.Manager, m *Map) *Director {
 	}
 	mgr.RegisterService(SvcMap, mapSvc{d})
 	mgr.RegisterService(SvcLease, leaseSvc{d})
-	if mgr.DetectorEnabled() {
-		mgr.OnPeerState(func(peer int, old, new ctrlplane.PeerState) {
-			if !d.isNodeHost(peer) {
-				return
-			}
-			switch new {
-			case ctrlplane.PeerDemoted:
-				d.pendDegrade = append(d.pendDegrade, peer)
-			case ctrlplane.PeerHealthy:
-				d.pendRestore = append(d.pendRestore, peer)
-			case ctrlplane.PeerEvicted:
-				d.pendFail = append(d.pendFail, peer)
-			}
-		})
-	}
 	return d
-}
-
-func (d *Director) isNodeHost(h int) bool {
-	for _, n := range d.nodeHosts {
-		if n == h {
-			return true
-		}
-	}
-	return false
 }
 
 // Map returns the published map.
@@ -114,64 +80,12 @@ func (d *Director) Start() {
 func (d *Director) run(t *host.Thread) {
 	for {
 		t.P.Sleep(sweepInterval)
-		// Drain ladder transitions queued since the last sweep (adaptive
-		// mode): failovers first so a host that raced through
-		// demote→evict is not pointlessly degraded after its death.
-		for _, h := range takeInts(&d.pendFail) {
-			if !d.down[h] {
-				d.failover(t, h)
-			}
-		}
-		for _, h := range takeInts(&d.pendDegrade) {
-			d.setDegraded(t, h, true)
-		}
-		for _, h := range takeInts(&d.pendRestore) {
-			d.setDegraded(t, h, false)
-		}
-		if d.mgr.DetectorEnabled() {
-			continue // eviction comes from the ladder, not the fixed TTL
-		}
 		for _, h := range d.nodeHosts {
-			if d.down[h] {
-				continue
-			}
-			if d.mgr.LeaseLapsed(h) {
+			if !d.down[h] && d.mgr.LeaseLapsed(h) {
 				d.failover(t, h)
 			}
 		}
 	}
-}
-
-func takeInts(p *[]int) []int {
-	out := *p
-	*p = nil
-	return out
-}
-
-// setDegraded flips a host's degraded mark and distributes the new map
-// version (push-before-publish, same as failover). No-op when the mark
-// already matches or the host is down.
-func (d *Director) setDegraded(t *host.Thread, h int, degraded bool) {
-	if d.down[h] {
-		return
-	}
-	next := d.cur.Clone()
-	if !next.SetDegraded(h, degraded) {
-		return
-	}
-	kind := "degrade"
-	if !degraded {
-		kind = "restore"
-	}
-	d.event(kind, h, -1, next.Epoch)
-	d.distribute(t, next)
-	d.cur = next
-	if degraded {
-		d.stats.Degrades++
-	} else {
-		d.stats.Restores++
-	}
-	d.event("publish", h, -1, next.Epoch)
 }
 
 // failover promotes around a dead host and distributes the new map.

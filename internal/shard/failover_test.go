@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"scalerpc/internal/host"
 	"scalerpc/internal/rpccore"
 	"scalerpc/internal/sim"
+	"scalerpc/internal/txn"
 )
 
 // runFailoverScenario stands up a 4-host deployment, crashes partition 0's
@@ -217,5 +219,102 @@ func TestRedirectLoopCapped(t *testing.T) {
 	c.Env.RunUntil(100 * sim.Millisecond)
 	if !finished {
 		t.Fatal("client never finished — redirect loop not capped")
+	}
+}
+
+// TestOnlyThePrimaryServes sends every client-facing inner op, stamped at
+// the current epoch, to a partition's backup and then to its primary. The
+// backup answers each with RWrongShard naming its epoch and the primary,
+// and its store is left as it was: a backup applies only the replication
+// stream. The primary serves every op.
+func TestOnlyThePrimaryServes(t *testing.T) {
+	c, d, _ := buildDeployment(t, 8)
+	defer c.Close()
+
+	row := key8(0)
+	if err := d.LoadKV(row, []byte("loaded")); err != nil {
+		t.Fatal(err)
+	}
+	p := d.Map.PartitionOf(row)
+	fresh := key8(1) // a key of p's that no store holds yet
+	for i := uint64(2); d.Map.PartitionOf(fresh) != p; i++ {
+		fresh = key8(i)
+	}
+	prim, back := d.Nodes[d.Map.Primary[p]], d.Nodes[d.Map.Backup[p]]
+
+	const txnID = 77
+	buf := make([]byte, 256)
+	body := func(n int) []byte { return append([]byte(nil), buf[:n]...) }
+	kvs := []txn.KV{{Key: row, Value: []byte("changed")}}
+	ops := []struct {
+		name  string
+		inner uint8
+		body  []byte
+		check func(out []byte) bool // the primary's inner answer
+	}{
+		{"get", HKVGet, row, func(out []byte) bool { return out[1] == 1 }},
+		{"put", HKVPut, body(EncodeKVPut(buf, 5, fresh, []byte("v"))), nil},
+		{"exec", txn.HExec, body(txn.EncodeExecReq(buf, txnID, nil, [][]byte{row})),
+			func(out []byte) bool { return out[1] == txn.StOK }},
+		{"validate", txn.HValidate, body(txn.EncodeKeysReq(buf, txnID, [][]byte{row})), nil},
+		{"log", txn.HLog, body(txn.EncodeWriteReq(buf, txnID, kvs)), func(out []byte) bool { return out[1] == 1 }},
+		{"commit", txn.HCommit, body(txn.EncodeWriteReq(buf, txnID, kvs)), func(out []byte) bool { return out[1] == 1 }},
+		{"unlock", txn.HUnlock, body(txn.EncodeKeysReq(buf, txnID, [][]byte{row})), nil},
+	}
+
+	// slot snapshots the row's whole slot (lock word, version, value).
+	slot := func(n *Node) []byte {
+		st := n.Store(p)
+		it, err := st.Get(nil, row)
+		if err != nil {
+			t.Fatalf("row missing on host %d: %v", n.HostID, err)
+		}
+		raw := make([]byte, testStoreCfg().SlotSize)
+		st.Region().ReadAt(raw, int64(it.Addr-st.Region().Base))
+		return raw
+	}
+	send := func(th *host.Thread, n *Node, inner uint8, body, out []byte) int {
+		req := make([]byte, envSize+len(body))
+		EncodeEnv(req, n.cur.Epoch, p, inner, body)
+		return n.handleShard(th, 1, req, out)
+	}
+
+	lenBefore, rowBefore := back.Store(p).Len(), slot(back)
+	finished := false
+	back.Host.Spawn("to-backup", func(th *host.Thread) {
+		for _, op := range ops {
+			out := make([]byte, 4096)
+			m := send(th, back, op.inner, op.body, out)
+			if m != 7 || out[0] != RWrongShard ||
+				binary.LittleEndian.Uint32(out[1:]) != back.cur.Epoch ||
+				int(binary.LittleEndian.Uint16(out[5:])) != prim.HostID {
+				t.Errorf("%s on the backup: answer %v, want RWrongShard at epoch %d naming host %d",
+					op.name, out[:m], back.cur.Epoch, prim.HostID)
+			}
+		}
+		if got := back.Store(p).Len(); got != lenBefore {
+			t.Errorf("backup store holds %d rows, want %d", got, lenBefore)
+		}
+		if got := slot(back); !bytes.Equal(got, rowBefore) {
+			t.Errorf("backup row changed:\n got %x\nwant %x", got, rowBefore)
+		}
+
+		prim.Host.Spawn("to-primary", func(th *host.Thread) {
+			for _, op := range ops {
+				out := make([]byte, 4096)
+				m := send(th, prim, op.inner, op.body, out)
+				if m < 1 || out[0] != ROK || (op.check != nil && !op.check(out)) {
+					t.Errorf("%s on the primary: answer %v, want ROK", op.name, out[:m])
+				}
+			}
+			finished = true
+		})
+	})
+	c.Env.RunUntil(20 * sim.Millisecond)
+	if !finished {
+		t.Fatal("ops never finished")
+	}
+	if it, err := prim.Store(p).Get(nil, row); err != nil || string(it.Value) != "changed" || it.Version != 2 {
+		t.Fatalf("primary row after commit: %+v err=%v, want value \"changed\" at version 2", it, err)
 	}
 }

@@ -2,9 +2,11 @@
 // store, the ScaleTX 2PC participants and the exactly-once RPC machinery —
 // into a distributed store over ScaleRPC: a versioned shard map places
 // MICA partitions on server hosts, a client-side router stamps requests
-// with the map epoch and follows redirects, primaries replicate writes
-// synchronously to a backup, and a director drives lease-expiry failover
-// through the connection control plane.
+// with the map epoch and follows redirects, primaries forward each put to
+// a backup before applying it (2PC commits are forwarded best-effort), and
+// a director drives lease-expiry failover through the connection control
+// plane. Only a partition's primary answers client ops; a backup applies
+// nothing but the replication stream.
 package shard
 
 import (
@@ -28,13 +30,6 @@ type Map struct {
 	Primary    []int // per-partition primary host
 	Backup     []int // per-partition backup host, NoHost if none
 	Down       []int // hosts declared failed (sorted)
-
-	// Degraded lists hosts the failure detector has demoted but not
-	// evicted (sorted): they still own their partitions and serve writes —
-	// a gray node is usually still doing useful work — but routers steer
-	// reads of their partitions to the backup, which synchronous
-	// replication keeps current for every acked write.
-	Degraded []int
 }
 
 // NewMap places partitions across hosts by rendezvous hashing: each
@@ -108,38 +103,6 @@ func (m *Map) isDown(host int) bool {
 	return false
 }
 
-// IsDegraded reports whether the detector has demoted a host in this map
-// version.
-func (m *Map) IsDegraded(host int) bool {
-	for _, d := range m.Degraded {
-		if d == host {
-			return true
-		}
-	}
-	return false
-}
-
-// SetDegraded adds or removes a host from the degraded set, bumping the
-// epoch when the set changed. Returns whether anything changed.
-func (m *Map) SetDegraded(host int, degraded bool) bool {
-	if degraded == m.IsDegraded(host) {
-		return false
-	}
-	if degraded {
-		m.Degraded = append(m.Degraded, host)
-		sort.Ints(m.Degraded)
-	} else {
-		for i, d := range m.Degraded {
-			if d == host {
-				m.Degraded = append(m.Degraded[:i], m.Degraded[i+1:]...)
-				break
-			}
-		}
-	}
-	m.Epoch++
-	return true
-}
-
 // PartitionOf maps a key to its partition using the same placement
 // function ScaleTX coordinators use (txn.ShardKey), so transactional and
 // KV routing agree on ownership.
@@ -152,29 +115,21 @@ func (m *Map) Clone() *Map {
 	n.Primary = append([]int(nil), m.Primary...)
 	n.Backup = append([]int(nil), m.Backup...)
 	n.Down = append([]int(nil), m.Down...)
-	n.Degraded = append([]int(nil), m.Degraded...)
 	return &n
 }
 
 // Failover marks dead as failed and reassigns every partition that used it:
 // a dead primary's backup is promoted, and a fresh backup is drafted from
 // the remaining live hosts by rendezvous rank (it starts empty — it only
-// catches writes from its promotion onward, which is safe because backups
-// never serve reads). Returns the partitions whose primary moved; the
-// epoch bumps once if anything changed.
+// catches writes from its drafting onward, which is harmless until it is
+// promoted because a backup answers no client op). Returns the partitions
+// whose primary moved; the epoch bumps once if anything changed.
 func (m *Map) Failover(dead int) (promoted []int) {
 	if m.isDown(dead) {
 		return nil
 	}
 	m.Down = append(m.Down, dead)
 	sort.Ints(m.Down)
-	// Down supersedes degraded: a failed host leaves the degraded set.
-	for i, d := range m.Degraded {
-		if d == dead {
-			m.Degraded = append(m.Degraded[:i], m.Degraded[i+1:]...)
-			break
-		}
-	}
 	changed := false
 	for p := 0; p < m.Partitions; p++ {
 		if m.Primary[p] == dead {
@@ -224,7 +179,7 @@ func (m *Map) HostPartitions(host int) (primary, backup []int) {
 
 // Encode serializes the map for control-plane distribution.
 func (m *Map) Encode() []byte {
-	buf := make([]byte, 0, 14+2*len(m.Hosts)+4*m.Partitions+2*len(m.Down)+2*len(m.Degraded))
+	buf := make([]byte, 0, 10+2*len(m.Hosts)+4*m.Partitions+2*len(m.Down))
 	var w [4]byte
 	binary.LittleEndian.PutUint32(w[:], m.Epoch)
 	buf = append(buf, w[:4]...)
@@ -234,8 +189,6 @@ func (m *Map) Encode() []byte {
 	buf = append(buf, w[:2]...)
 	binary.LittleEndian.PutUint16(w[:], uint16(len(m.Down)))
 	buf = append(buf, w[:2]...)
-	binary.LittleEndian.PutUint16(w[:], uint16(len(m.Degraded)))
-	buf = append(buf, w[:2]...)
 	put16 := func(v int) {
 		binary.LittleEndian.PutUint16(w[:], uint16(v))
 		buf = append(buf, w[:2]...)
@@ -244,9 +197,6 @@ func (m *Map) Encode() []byte {
 		put16(h)
 	}
 	for _, d := range m.Down {
-		put16(d)
-	}
-	for _, d := range m.Degraded {
 		put16(d)
 	}
 	for p := 0; p < m.Partitions; p++ {
@@ -262,7 +212,7 @@ func (m *Map) Encode() []byte {
 
 // DecodeMap parses an encoded map.
 func DecodeMap(buf []byte) (*Map, error) {
-	if len(buf) < 12 {
+	if len(buf) < 10 {
 		return nil, fmt.Errorf("shard: short map")
 	}
 	m := &Map{
@@ -271,12 +221,11 @@ func DecodeMap(buf []byte) (*Map, error) {
 	}
 	nHosts := int(binary.LittleEndian.Uint16(buf[6:]))
 	nDown := int(binary.LittleEndian.Uint16(buf[8:]))
-	nDegraded := int(binary.LittleEndian.Uint16(buf[10:]))
-	need := 12 + 2*nHosts + 2*nDown + 2*nDegraded + 4*m.Partitions
+	need := 10 + 2*nHosts + 2*nDown + 4*m.Partitions
 	if len(buf) < need {
 		return nil, fmt.Errorf("shard: truncated map (%d < %d)", len(buf), need)
 	}
-	off := 12
+	off := 10
 	get16 := func() int {
 		v := int(binary.LittleEndian.Uint16(buf[off:]))
 		off += 2
@@ -287,9 +236,6 @@ func DecodeMap(buf []byte) (*Map, error) {
 	}
 	for i := 0; i < nDown; i++ {
 		m.Down = append(m.Down, get16())
-	}
-	for i := 0; i < nDegraded; i++ {
-		m.Degraded = append(m.Degraded, get16())
 	}
 	for p := 0; p < m.Partitions; p++ {
 		m.Primary = append(m.Primary, get16())

@@ -43,10 +43,12 @@ type txnTok struct {
 // Node is one shard server: MICA partitions with their ScaleTX
 // participants (primary or backup role per the installed map), the routed
 // request handler for its ScaleRPC server, and the replication handler for
-// its dedicated raw-write replication server. Primaries forward every
-// write synchronously to the partition's backup before applying, so the
-// backup always holds a token before the client can see its ack — the
-// property that keeps the exactly-once invariants across a failover.
+// its dedicated raw-write replication server. A primary forwards each put
+// to the partition's backup before applying it, so the backup holds the
+// put's token before the client can see its ack — the property that keeps
+// the exactly-once invariants across a failover; 2PC commits are already
+// decided and are forwarded best-effort. Only the primary serves client
+// ops.
 type Node struct {
 	HostID int
 	Host   *host.Host
@@ -105,12 +107,6 @@ func NewNode(h *host.Host, m *Map, store mica.Config) *Node {
 	}
 	return n
 }
-
-// Epoch returns the installed map epoch.
-func (n *Node) Epoch() uint32 { return n.cur.Epoch }
-
-// Map returns the installed map (read-only).
-func (n *Node) Map() *Map { return n.cur }
 
 // Store returns the partition's store, creating it if the node was just
 // assigned the partition (deploy-time loading and replica audits).
@@ -198,17 +194,12 @@ func (n *Node) handleShard(t *host.Thread, clientID uint16, req, out []byte) int
 		return 5
 	}
 	if n.cur.Primary[part] != n.HostID {
-		// A backup answers reads for a partition whose primary the map
-		// marks degraded (the router's steering target); everything else
-		// bounces to the owner.
-		steered := inner == HKVGet && n.cur.Backup[part] == n.HostID &&
-			n.cur.IsDegraded(n.cur.Primary[part])
-		if !steered {
-			out[0] = RWrongShard
-			binary.LittleEndian.PutUint32(out[1:], n.cur.Epoch)
-			binary.LittleEndian.PutUint16(out[5:], uint16(n.cur.Primary[part]))
-			return 7
-		}
+		// Only the primary serves client ops; a backup applies nothing but
+		// the replication stream, so it bounces everything to the owner.
+		out[0] = RWrongShard
+		binary.LittleEndian.PutUint32(out[1:], n.cur.Epoch)
+		binary.LittleEndian.PutUint16(out[5:], uint16(n.cur.Primary[part]))
+		return 7
 	}
 
 	switch inner {

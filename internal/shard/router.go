@@ -222,12 +222,9 @@ func (r *Router) submit(t *host.Thread, ep *endpoint, part int, inner uint8, bod
 	r.stats.Routed++
 	ep.out++
 	r.acquire(t)
-	rc.target = r.targetFor(part, inner)
-	rc.epoch = r.cur.Epoch
-	rc.deadline = t.P.Now() + r.cfg.Opts.Timeout
 	rc.inOrder = true
 	r.order = append(r.order, rc)
-	r.post(t, rc)
+	r.retarget(t, rc)
 	r.release()
 	return true
 }
@@ -397,31 +394,13 @@ func (r *Router) backoff(t *host.Thread, rc *rcall) {
 	rc.deadline = t.P.Now() + d
 }
 
-// retarget re-stamps rc against the current map and re-sends.
+// retarget stamps rc against the current map and sends it to the
+// partition's primary: a call's first send and every re-send.
 func (r *Router) retarget(t *host.Thread, rc *rcall) {
-	rc.target = r.targetFor(rc.part, rc.inner)
+	rc.target = r.cur.Primary[rc.part]
 	rc.epoch = r.cur.Epoch
 	rc.deadline = t.P.Now() + r.cfg.Opts.Timeout
 	r.post(t, rc)
-}
-
-// targetFor picks a call's destination: the partition's primary, except
-// reads of a degraded primary, which steer to the backup — synchronous
-// replication keeps it current for every acked write, so a gray primary
-// (straggling CPU, lossy link) stops sitting on the read path while it
-// still absorbs writes. Writes always go to the primary: the replication
-// topology is unchanged by a demotion.
-func (r *Router) targetFor(part int, inner uint8) int {
-	p := r.cur.Primary[part]
-	if inner != HKVGet || !r.cur.IsDegraded(p) {
-		return p
-	}
-	b := r.cur.Backup[part]
-	if b == NoHost || b == p || r.cur.IsDegraded(b) || r.conns[b] == nil {
-		return p
-	}
-	r.stats.SteeredReads++
-	return b
 }
 
 // refetch pulls a fresh map from the director, rate-limited so a burst of

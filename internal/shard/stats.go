@@ -24,13 +24,6 @@ type Stats struct {
 	MapPushes uint64
 	// Failovers counts primary promotions driven by lease expiry.
 	Failovers uint64
-	// Degrades counts hosts the director marked degraded on a detector
-	// demotion; Restores counts the marks cleared on recovery.
-	Degrades uint64
-	Restores uint64
-	// SteeredReads counts reads the router sent to a backup because the
-	// partition's primary was degraded.
-	SteeredReads uint64
 	// ReplForwards counts synchronous primary→backup forwards.
 	ReplForwards uint64
 	// ReplFailures counts forwards that exhausted the replication caller's
@@ -74,9 +67,6 @@ func SharedStats(reg *telemetry.Registry) *Stats {
 		sc.CounterVar("map_fetches", &s.MapFetches)
 		sc.CounterVar("map_pushes", &s.MapPushes)
 		sc.CounterVar("failovers", &s.Failovers)
-		sc.CounterVar("degrades", &s.Degrades)
-		sc.CounterVar("restores", &s.Restores)
-		sc.CounterVar("steered_reads", &s.SteeredReads)
 		sc.CounterVar("repl_forwards", &s.ReplForwards)
 		sc.CounterVar("repl_failures", &s.ReplFailures)
 		sc.CounterVar("dedup_hits", &s.DedupHits)

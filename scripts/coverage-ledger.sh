@@ -34,8 +34,9 @@ go test -count=1 -coverpkg=./internal/... -coverprofile="$work/tests.out" ./... 
 	echo "note: go test failed; the ledger counts what ran" >&2
 
 # One line per block: "file:span statements count". A block is reached when
-# any line for it in a profile has a non-zero count.
-awk -v merged="$work/merged.out" '
+# any line for it in a profile has a non-zero count. Per-file sums go to
+# files.txt as "file test-only none total".
+awk -v merged="$work/merged.out" -v files="$work/files.txt" '
 	FNR == 1 { next }
 	{ stmts[$1] = $2 }
 	FILENAME == ARGV[1] && $3 > 0 { prod[$1] = 1 }
@@ -45,13 +46,21 @@ awk -v merged="$work/merged.out" '
 		for (b in stmts) {
 			print b, stmts[b], (prod[b] || test[b]) ? 1 : 0 > merged
 			if (b !~ /^scalerpc\/internal\//) continue
+			f = substr(b, 1, index(b, ":") - 1)
+			sub(/^scalerpc\/internal\//, "", f)
 			all += stmts[b]
-			if (!prod[b] && test[b]) tonly += stmts[b]
-			if (!prod[b] && !test[b]) none += stmts[b]
+			ftotal[f] += stmts[b]
+			if (!prod[b] && test[b]) { tonly += stmts[b]; ftonly[f] += stmts[b] }
+			if (!prod[b] && !test[b]) { none += stmts[b]; fnone[f] += stmts[b] }
 		}
 		printf "statements under internal/: %d\n", all
 		printf "reached only by tests:      %d\n", tonly
 		printf "reached by nothing:         %d\n", none
+		for (f in ftotal) print f, ftonly[f] + 0, fnone[f] + 0, ftotal[f] > files
 	}' "$work/product.out" "$work/tests.out"
+echo "files under internal/ with >= 15 statements reached only by tests or by nothing:"
+printf "  %-36s %9s %5s %6s\n" file test-only none total
+awk '$2 + $3 >= 15' "$work/files.txt" | sort -k2,2nr -k3,3nr -k1,1 |
+	awk '{ printf "  %-36s %9d %5d %6d\n", $1, $2, $3, $4 }'
 echo "functions under internal/ reached by nothing:"
 go tool cover -func="$work/merged.out" | awk '$1 ~ /^scalerpc\/internal\// && $NF == "0.0%" { print "  " $1, $2 }'
