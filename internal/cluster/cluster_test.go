@@ -56,15 +56,15 @@ func TestConnectHelpersProduceWorkingPairs(t *testing.T) {
 	qa, _ := c.ConnectRC(a, b, cqA, cqA, cqB, cqB)
 	src := a.Mem.Register(64, memory.PageSize4K, memory.LocalWrite)
 	dst := b.Mem.Register(64, memory.PageSize4K, memory.LocalWrite|memory.RemoteWrite)
-	copy(src.WriteView(0, 10), "via-helper")
+	src.WriteAt([]byte("via-helper"), 0)
 	a.Spawn("w", func(th *host.Thread) {
 		th.PostSend(qa, nic.SendWR{Op: nic.OpWrite,
 			LKey: src.LKey, LAddr: src.Base, Len: 10,
 			RKey: dst.RKey, RAddr: dst.Base})
 	})
 	c.Env.RunUntil(sim.Millisecond)
-	if string(dst.WriteView(0, 10)) != "via-helper" {
-		t.Fatalf("dst = %q", dst.WriteView(0, 10))
+	if string(bytesAt(dst, 0, 10)) != "via-helper" {
+		t.Fatalf("dst = %q", bytesAt(dst, 0, 10))
 	}
 
 	ua, _ := c.ConnectUC(a, b, cqA, cqA, cqB, cqB)
@@ -91,4 +91,11 @@ func TestSeedIsolation(t *testing.T) {
 	if x == z {
 		t.Fatal("different seeds produced identical streams")
 	}
+}
+
+// bytesAt returns a copy of region r's bytes [off, off+n).
+func bytesAt(r *memory.Region, off, n int) []byte {
+	b := make([]byte, n)
+	r.ReadAt(b, int64(off))
+	return b
 }

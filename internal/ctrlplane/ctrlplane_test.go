@@ -103,7 +103,7 @@ func TestDialedPairCarriesData(t *testing.T) {
 	dst := c.Hosts[0].Mem.Register(4096, memory.PageSize4K,
 		memory.LocalWrite|memory.RemoteWrite)
 	src := c.Hosts[1].Mem.Register(4096, memory.PageSize4K, memory.LocalWrite)
-	copy(src.WriteView(0, 8), "in-band!")
+	src.WriteAt([]byte("in-band!"), 0)
 
 	done := false
 	c.Hosts[1].Spawn("writer", func(th *host.Thread) {
@@ -123,7 +123,7 @@ func TestDialedPairCarriesData(t *testing.T) {
 		})
 		done = true
 	})
-	step(t, c, 5_000_000, func() bool { return done && string(dst.WriteView(0, 8)) == "in-band!" })
+	step(t, c, 5_000_000, func() bool { return done && string(bytesAt(dst, 0, 8)) == "in-band!" })
 }
 
 func TestDialUnknownServiceRejected(t *testing.T) {
@@ -746,3 +746,10 @@ h3 event 6586545 idle_teardown peer=0 qpn=2 handle=0
 h3 event 6611570 idle_teardown peer=0 qpn=3 handle=0
 h3 stats {DialsCold:3 DialsCached:0 DialsFailed:0 Accepts:0 Resumes:0 Rejects:0 Leaves:0 LeaseExpiries:0 Evictions:0 CacheHits:0 CacheMisses:3 IdleTeardowns:2 CapEvictions:0 KeepalivesTx:98 KeepalivesRx:0 AdmitQueued:0 AdmitReleased:0 AdmitTimeouts:0 DetectorSuspicions:0 DetectorDemotions:0 DetectorEvictions:0 FalseEvictions:0 DetectorReadmits:0 DetectorProbes:0 PingsRx:0}
 `
+
+// bytesAt returns a copy of region r's bytes [off, off+n).
+func bytesAt(r *memory.Region, off, n int) []byte {
+	b := make([]byte, n)
+	r.ReadAt(b, int64(off))
+	return b
+}

@@ -153,7 +153,7 @@ func TestPostSendBatchSingleDoorbell(t *testing.T) {
 	}
 	src := h.Mem.Register(4096, memory.PageSize4K, memory.LocalWrite)
 	dst := peer.Mem.Register(4096, memory.PageSize4K, memory.LocalWrite|memory.RemoteWrite)
-	copy(src.WriteView(0, 8), "abcdefgh")
+	src.WriteAt([]byte("abcdefgh"), 0)
 	write := func(i int) nic.SendWR {
 		return nic.SendWR{Op: nic.OpWrite, Inline: true, LKey: src.LKey, LAddr: src.Base, Len: 8,
 			RKey: dst.RKey, RAddr: dst.Base + uint64(i*64)}
@@ -201,7 +201,7 @@ func TestPostSendBatchSingleDoorbell(t *testing.T) {
 	}
 	zero := string(make([]byte, 8))
 	for i, want := range []string{"abcdefgh", "abcdefgh", zero, zero} {
-		if got := string(dst.WriteView(i*64, 8)); got != want {
+		if got := string(bytesAt(dst, i*64, 8)); got != want {
 			t.Errorf("after the bad chain, slot %d holds %q, want %q", i, got, want)
 		}
 	}
@@ -255,4 +255,11 @@ func TestWaitSignalCountsOverlap(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("%v allocs per park, want 0", allocs)
 	}
+}
+
+// bytesAt returns a copy of region r's bytes [off, off+n).
+func bytesAt(r *memory.Region, off, n int) []byte {
+	b := make([]byte, n)
+	r.ReadAt(b, int64(off))
+	return b
 }

@@ -7,12 +7,10 @@
 // to shrink it; ScaleRPC registers 2 MB huge pages).
 //
 // The bytes behind a region are a separate matter: the simulator's own
-// heap backs them in 256-byte units, or in whole 4 KB host pages once a
-// page is viewed, allocated on the first write that reaches each one (see
-// Region). The model's registration page size never changes what is
-// backed, and the backing never changes an address. Only the store that
-// keeps records in place (internal/mica) takes views; everything else
-// moves bytes with ByteAt, ReadAt and WriteAt.
+// heap backs them in 256-byte units, each allocated on the first write of
+// a non-zero byte to it (see Region). The model's registration page size
+// never changes what is backed, and the backing never changes an address.
+// Every user moves bytes with ByteAt, ReadAt and WriteAt.
 package memory
 
 import (
@@ -34,7 +32,7 @@ var (
 	ErrBadKey    = errors.New("memory: unknown protection key")
 	ErrOutOfband = errors.New("memory: access outside registered region")
 	ErrPerm      = errors.New("memory: access violates region permissions")
-	ErrCrossPage = errors.New("memory: view crosses a host backing page")
+	ErrCrossUnit = errors.New("memory: view crosses a backing unit")
 )
 
 // Access flags for registered regions.
@@ -47,48 +45,33 @@ const (
 	RemoteAtomic
 )
 
-// Host backing: a region's bytes live in hostPage-sized pages, each backed
-// in unitSize units until something takes a view of it and whole after
-// that. Pages, units and the pages' unit tables are carved from per-Registry
-// slabs, and promotion to a whole page returns the units and unit table it
-// replaced for reuse; a region's table of whole pages and its table of
-// unit tables are each carved from a slab of slabEntries entries unless
-// one needs more than a quarter of it.
+// Host backing: a region's bytes live in unitSize units, found through one
+// unit table per hostPage of the region. Units and unit tables are carved
+// from per-Registry slabs, and a region's table of unit tables from a slab
+// of slabEntries entries unless it needs more than a quarter of it.
 const (
 	pageShift   = 12
 	hostPage    = 1 << pageShift
 	unitShift   = 8
 	unitSize    = 1 << unitShift
 	pageUnits   = hostPage / unitSize
-	slabPages   = 64
 	slabUnits   = 256
 	slabTables  = 256
 	slabEntries = 4096
 )
 
 type (
-	page      [hostPage]byte
 	unit      [unitSize]byte
 	unitTable [pageUnits]*unit
 )
 
-// zeroRef is a page of zeros that allZero and census compare against.
-var zeroRef page
-
 // Region is a registered memory region.
 //
-// Its bytes live in 4 KB host pages, and a page in 256-byte units until
-// something views it. A unit is allocated on the first write of a non-zero
-// byte to it, so a pool block that only ever holds a short frame costs the
-// units the frame touched. The first ReadView or WriteView of a written
-// page moves it to one whole page for good, and the first WriteView of an
-// unwritten one allocates it whole; ReadView of a page nothing has written
-// returns nil and allocates nothing. A whole page is never handed to
-// another region, not even after Deregister, so every view is live: it
-// sees every later write to its bytes for as long as anything holds it.
-// Views cover one host page each; ByteAt, ReadAt and WriteAt read and
-// write either form without changing it, and ReadAt and WriteAt carry
-// spans that cross pages.
+// Its bytes live in 256-byte units. A unit is allocated on the first write
+// of a non-zero byte to it, so a pool block that only ever holds a short
+// frame costs the units the frame touched, and a unit is never handed to
+// another region, not even after Deregister. ByteAt, ReadAt and WriteAt are
+// the only ways in; TranslateRemote's view of one unit is for probes.
 type Region struct {
 	LKey     uint32
 	RKey     uint32
@@ -97,24 +80,17 @@ type Region struct {
 	Flags    Access
 	size     int
 	host     *Registry
-	// Page i of the region is backed whole at pages[i], in units through
-	// units[i], or, nothing having written it, by neither; never by both.
-	// Each table is nil until its first entry, so a region that only ever
-	// holds units, or only whole pages, pays for one table.
-	pages []*page
+	// units[i] is the unit table of host page i, nil until a write reaches
+	// the page; units itself is nil until the region's first write.
 	units []*unitTable
 	// gen is the region's write generation (see Gen).
 	gen uint64
 }
 
-// Gen returns the region's write generation. Every WriteAt and every
-// WriteView moves it, and every write the NIC commits goes through WriteAt
-// (torn writes, atomics and zero writes onto unwritten units included), so
-// a byte read at one generation still holds while Gen returns the same
-// value. A write through a view taken earlier does not move it: that is
-// sound only because no region a poller reads is ever written through a
-// view — only internal/mica takes views, of the regions that hold its
-// records.
+// Gen returns the region's write generation. Every WriteAt moves it, and
+// every write the NIC commits goes through WriteAt (torn writes, atomics
+// and zero writes onto unwritten units included), so a byte read at one
+// generation still holds while Gen returns the same value.
 func (r *Region) Gen() uint64 { return r.gen }
 
 // Len returns the region length in bytes.
@@ -139,122 +115,42 @@ func (r *Region) check(addr uint64, size int) error {
 	return nil
 }
 
-// inPage panics unless [off, off+n) lies inside the region and inside one
-// host page, and returns the page index and the offset within it.
-func (r *Region) inPage(off, n int) (int, int) {
-	o := off & (hostPage - 1)
-	if off < 0 || n < 0 || off+n > r.size || o+n > hostPage {
-		badView(off, n, r.size)
-	}
-	return off >> pageShift, o
-}
-
-//go:noinline
-func badView(off, n, size int) {
-	if off < 0 || n < 0 || off+n > size {
-		panic(fmt.Sprintf("memory: view [%d,+%d) outside a %d-byte region", off, n, size))
-	}
-	panic(fmt.Sprintf("memory: view [%d,+%d) crosses a %d-byte host page; use ReadAt/WriteAt", off, n, hostPage))
-}
-
-// ByteAt returns the region's byte at offset off: what a poller reads
-// when it probes a flag. An unwritten unit or page reads zero. It is
-// written to fit the inliner's budget, so a pool's Valid probe inlines it.
-func (r *Region) ByteAt(off int) byte {
-	if uint(off) >= uint(r.size) {
-		panic(ErrOutOfband)
-	}
-	if i := off >> pageShift; i < len(r.units) && r.units[i] != nil {
-		if u := r.units[i][off>>unitShift&(pageUnits-1)]; u != nil {
-			return u[uint8(off)] // off&(unitSize-1), unitSize being 256
-		}
-	} else if i < len(r.pages) && r.pages[i] != nil {
-		return r.pages[i][off&(hostPage-1)]
-	}
-	return 0
-}
-
-// backing returns host page i's whole page, or else its unit table: both
-// nil for a page nothing has written.
-func (r *Region) backing(i int) (*page, *unitTable) {
-	if i < len(r.pages) && r.pages[i] != nil {
-		return r.pages[i], nil
-	}
+// table returns host page i's unit table, nil for a page nothing has
+// written.
+func (r *Region) table(i int) *unitTable {
 	if i < len(r.units) {
-		return nil, r.units[i]
-	}
-	return nil, nil
-}
-
-// ReadView returns the bytes [off, off+n) of the region in place, or nil
-// if nothing has written their page, whose bytes all read zero. The span
-// must lie inside one 4 KB host page (offsets are region-relative, and
-// regions start page-aligned). A written page is backed whole, if it is
-// not already, so the view is live.
-func (r *Region) ReadView(off, n int) []byte {
-	i, o := r.inPage(off, n)
-	if n == 0 {
-		return nil
-	}
-	if p, t := r.backing(i); p != nil {
-		return p[o : o+n : o+n]
-	} else if t != nil {
-		return r.whole(i)[o : o+n : o+n]
+		return r.units[i]
 	}
 	return nil
 }
 
-// WriteView returns the bytes [off, off+n) of the region for reading and
-// writing, backing their page whole if it is not already. The span must
-// lie inside one 4 KB host page.
-func (r *Region) WriteView(off, n int) []byte {
-	i, o := r.inPage(off, n)
-	r.gen++
-	if n == 0 {
-		return nil
+// unitAt returns the unit holding offset off, nil while it is unwritten.
+func (r *Region) unitAt(off int) *unit {
+	if t := r.table(off >> pageShift); t != nil {
+		return t[off>>unitShift&(pageUnits-1)]
 	}
-	p := r.whole(i)
-	return p[o : o+n : o+n]
+	return nil
 }
 
-// tableLen is the number of entries in each of the region's tables: one
-// per host page.
-func (r *Region) tableLen() int { return (r.size + hostPage - 1) / hostPage }
-
-// whole returns host page i of the region backed whole: allocated on first
-// use, with the units that backed it so far copied in and returned.
-func (r *Region) whole(i int) *page {
-	g := r.host
-	if r.pages == nil {
-		r.pages = carve(&g.pageEntries, r.tableLen())
+// ByteAt returns the region's byte at offset off: what a poller reads
+// when it probes a flag. An unwritten unit reads zero. It is written to
+// fit the inliner's budget, so a pool's Valid probe inlines it.
+func (r *Region) ByteAt(off int) byte {
+	if uint(off) >= uint(r.size) {
+		panic(ErrOutOfband)
 	}
-	if p := r.pages[i]; p != nil {
-		return p
+	if u := r.unitAt(off); u != nil {
+		return u[uint8(off)] // off&(unitSize-1), unitSize being 256
 	}
-	p := g.pages.get()
-	if i < len(r.units) && r.units[i] != nil {
-		t := r.units[i]
-		for k, u := range t {
-			if u != nil {
-				copy(p[k<<unitShift:], u[:])
-				clear(u[:])
-				g.units.put(u)
-			}
-		}
-		*t = unitTable{}
-		g.tables.put(t)
-		r.units[i] = nil
-	}
-	r.pages[i] = p
-	return p
+	return 0
 }
 
-// unit returns unit k of host page i, which is not backed whole,
-// allocating it (and the page's unit table) on first use.
+// unit returns unit k of host page i, allocating it (and the page's unit
+// table) on first use.
 func (r *Region) unit(i, k int) *unit {
 	g := r.host
 	if r.units == nil {
-		r.units = carve(&g.unitEntries, r.tableLen())
+		r.units = g.carve((r.size + hostPage - 1) / hostPage)
 	}
 	t := r.units[i]
 	if t == nil {
@@ -270,32 +166,28 @@ func (r *Region) unit(i, k int) *unit {
 }
 
 // ReadAt copies the region's bytes at offset off into p. Unwritten units
-// and pages read as zeros and stay unallocated. A span outside the region
-// copies nothing and returns ErrOutOfband.
+// read as zeros and stay unallocated; a page nothing has written is
+// cleared in one step. A span outside the region copies nothing and
+// returns ErrOutOfband.
 func (r *Region) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 || off+int64(len(p)) > int64(r.size) {
 		return 0, fmt.Errorf("%w: read [%d,+%d) of a %d-byte region", ErrOutOfband, off, len(p), r.size)
 	}
 	for o, rest := int(off), p; len(rest) > 0; {
-		i, po := o>>pageShift, o&(hostPage-1)
-		chunk := rest[:min(len(rest), hostPage-po)]
-		switch pg, t := r.backing(i); {
-		case pg != nil:
-			copy(chunk, pg[po:])
-		case t != nil:
-			for c, uo := chunk, po; len(c) > 0; {
-				n := min(len(c), unitSize-uo&(unitSize-1))
-				if u := t[uo>>unitShift]; u != nil {
-					copy(c[:n], u[uo&(unitSize-1):])
-				} else {
-					clear(c[:n])
-				}
-				c, uo = c[n:], uo+n
-			}
-		default:
-			clear(chunk)
+		t := r.table(o >> pageShift)
+		if t == nil {
+			n := min(len(rest), hostPage-o&(hostPage-1))
+			clear(rest[:n])
+			rest, o = rest[n:], o+n
+			continue
 		}
-		rest, o = rest[len(chunk):], o+len(chunk)
+		n := min(len(rest), unitSize-o&(unitSize-1))
+		if u := t[o>>unitShift&(pageUnits-1)]; u != nil {
+			copy(rest[:n], u[o&(unitSize-1):])
+		} else {
+			clear(rest[:n])
+		}
+		rest, o = rest[n:], o+n
 	}
 	return len(p), nil
 }
@@ -310,40 +202,30 @@ func (r *Region) WriteAt(p []byte, off int64) (int, error) {
 	}
 	r.gen++
 	for o, rest := int(off), p; len(rest) > 0; {
-		i, po := o>>pageShift, o&(hostPage-1)
-		chunk := rest[:min(len(rest), hostPage-po)]
-		if pg, t := r.backing(i); pg != nil {
-			copy(pg[po:], chunk)
-		} else {
-			for c, uo := chunk, po; len(c) > 0; {
-				k, n := uo>>unitShift, min(len(c), unitSize-uo&(unitSize-1))
-				var u *unit
-				if t != nil {
-					u = t[k]
-				}
-				if u == nil && !allZero(c[:n]) {
-					u = r.unit(i, k)
-					t = r.units[i]
-				}
-				if u != nil {
-					copy(u[uo&(unitSize-1):], c[:n])
-				}
-				c, uo = c[n:], uo+n
-			}
+		n := min(len(rest), unitSize-o&(unitSize-1))
+		u := r.unitAt(o)
+		if u == nil && !allZero(rest[:n]) {
+			u = r.unit(o>>pageShift, o>>unitShift&(pageUnits-1))
 		}
-		rest, o = rest[len(chunk):], o+len(chunk)
+		if u != nil {
+			copy(u[o&(unitSize-1):], rest[:n])
+		}
+		rest, o = rest[n:], o+n
 	}
 	return len(p), nil
 }
 
-// allZero reports whether b holds only zeros. It compares a page at a
-// time against zeroRef, which nothing views, with the runtime's vector
-// memequal: a bulk frame's zero-filled span would otherwise be scanned a
-// byte at a time on every write that lands on unwritten units.
+// zeroUnit is what allZero and census compare against.
+var zeroUnit unit
+
+// allZero reports whether b holds only zeros. It compares a unit at a
+// time against zeroUnit with the runtime's vector memequal: a bulk frame's
+// zero-filled span would otherwise be scanned a byte at a time on every
+// write that lands on unwritten units.
 func allZero(b []byte) bool {
 	for len(b) > 0 {
-		n := min(len(b), hostPage)
-		if !bytes.Equal(b[:n], zeroRef[:n]) {
+		n := min(len(b), unitSize)
+		if !bytes.Equal(b[:n], zeroUnit[:n]) {
 			return false
 		}
 		b = b[n:]
@@ -351,22 +233,15 @@ func allZero(b []byte) bool {
 	return true
 }
 
-// slab hands out zeroed Ts: returned ones first, then the next of its
-// current chunk, whose malloc covers n of them.
+// slab hands out zeroed Ts, the next of its current chunk, whose malloc
+// covers n of them.
 type slab[T any] struct {
 	n      int
 	chunk  []T
-	free   []*T // zeroed by whoever returned them
-	chunks int  // chunks allocated
+	chunks int // chunks allocated
 }
 
 func (s *slab[T]) get() *T {
-	if k := len(s.free); k > 0 {
-		p := s.free[k-1]
-		s.free[k-1] = nil
-		s.free = s.free[:k-1]
-		return p
-	}
 	if len(s.chunk) == 0 {
 		s.chunk = make([]T, s.n)
 		s.chunks++
@@ -376,9 +251,6 @@ func (s *slab[T]) get() *T {
 	return p
 }
 
-// put takes back a zeroed T.
-func (s *slab[T]) put(p *T) { s.free = append(s.free, p) }
-
 // Registry is one host's MR table, virtual address allocator and backing
 // allocator.
 type Registry struct {
@@ -386,12 +258,10 @@ type Registry struct {
 	nextAddr uint64
 	byRKey   map[uint32]*Region
 	byLKey   map[uint32]*Region
-	pages    slab[page]
 	units    slab[unit]
 	tables   slab[unitTable]
-	// The current table slabs' entries not yet handed out.
-	pageEntries []*page
-	unitEntries []*unitTable
+	// entries is the current slab of table entries not yet handed out.
+	entries []*unitTable
 }
 
 // NewRegistry returns an empty registry. Virtual addresses start high so
@@ -402,30 +272,23 @@ func NewRegistry() *Registry {
 		nextAddr: 0x10_0000_0000,
 		byRKey:   make(map[uint32]*Region),
 		byLKey:   make(map[uint32]*Region),
-		pages:    slab[page]{n: slabPages},
 		units:    slab[unit]{n: slabUnits},
 		tables:   slab[unitTable]{n: slabTables},
 	}
 }
 
 // Census is what a registry's regions hold: the bytes registered in live
-// regions; the bytes of their resident units, of their pages backed whole
-// and of the unit tables their unit-backed pages use; the resident bytes,
-// of units or pages, that read all zeros; and the unit, page and unit-table
-// bytes the host holds in all — those in use, those deregistered regions
-// kept, the units and unit tables promotion returned and the current
-// slabs' rest.
+// regions; the bytes of their resident units and of the unit tables their
+// written pages use; the resident unit bytes that read all zeros; and the
+// unit and unit-table bytes the host holds in all — those in use, those
+// deregistered regions kept and the current slabs' rest.
 type Census struct {
-	Registered, Units, Pages, Tables, ZeroResident, Held int
+	Registered, Units, Tables, ZeroResident, Held int
 }
-
-// Resident returns the bytes of the live regions' resident units and
-// whole pages.
-func (c Census) Resident() int { return c.Units + c.Pages }
 
 // Census scans the live regions' tables.
 func (g *Registry) Census() Census {
-	c := Census{Held: g.pages.chunks*slabPages*hostPage + g.units.chunks*slabUnits*unitSize +
+	c := Census{Held: g.units.chunks*slabUnits*unitSize +
 		g.tables.chunks*slabTables*int(unsafe.Sizeof(unitTable{}))}
 	for _, r := range g.byRKey {
 		r.census(&c)
@@ -436,14 +299,6 @@ func (g *Registry) Census() Census {
 // census adds what the region holds to c.
 func (r *Region) census(c *Census) {
 	c.Registered += r.size
-	for _, p := range r.pages {
-		if p != nil {
-			c.Pages += hostPage
-			if *p == zeroRef {
-				c.ZeroResident += hostPage
-			}
-		}
-	}
 	for _, t := range r.units {
 		if t == nil {
 			continue
@@ -452,7 +307,7 @@ func (r *Region) census(c *Census) {
 		for _, u := range t {
 			if u != nil {
 				c.Units += unitSize
-				if *u == (unit{}) {
+				if *u == zeroUnit {
 					c.ZeroResident += unitSize
 				}
 			}
@@ -460,24 +315,24 @@ func (r *Region) census(c *Census) {
 	}
 }
 
-// carve returns a table of n nil entries cut from *rest, refilling *rest
-// with a fresh slab of slabEntries entries when it is short. A table of
-// more than a quarter of a slab is allocated on its own.
-func carve[T any](rest *[]*T, n int) []*T {
+// carve returns a table of n nil entries cut from the current entry slab,
+// refilling it with a fresh one of slabEntries entries when it is short. A
+// table of more than a quarter of a slab is allocated on its own.
+func (g *Registry) carve(n int) []*unitTable {
 	if n > slabEntries/4 {
-		return make([]*T, n)
+		return make([]*unitTable, n)
 	}
-	if len(*rest) < n {
-		*rest = make([]*T, slabEntries)
+	if len(g.entries) < n {
+		g.entries = make([]*unitTable, slabEntries)
 	}
-	t := (*rest)[:n:n]
-	*rest = (*rest)[n:]
+	t := g.entries[:n:n]
+	g.entries = g.entries[n:]
 	return t
 }
 
 // Register reserves and registers a region of size bytes with the given
 // page size and access flags, returning the region. It allocates no bytes:
-// each unit or page is allocated by the first write that reaches it.
+// each unit is allocated by the first write that reaches it.
 func (g *Registry) Register(size int, pageSize int, flags Access) *Region {
 	if size <= 0 {
 		panic("memory: non-positive region size")
@@ -504,8 +359,7 @@ func (g *Registry) Register(size int, pageSize int, flags Access) *Region {
 }
 
 // Deregister removes a region's keys, so outstanding and later accesses
-// through them fail. Its bytes are not recycled: a view of it keeps them
-// for as long as anything holds it.
+// through them fail. Its units stay with it.
 func (g *Registry) Deregister(r *Region) {
 	delete(g.byRKey, r.RKey)
 	delete(g.byLKey, r.LKey)
@@ -580,8 +434,11 @@ func (g *Registry) LocalRegion(lkey uint32, addr uint64, size int) (*Region, err
 }
 
 // TranslateRemote is RemoteRegion for a READ or a WRITE followed by a
-// view of the span, which must lie inside one host page (ErrCrossPage
-// otherwise): a WriteView for a write, a ReadView for a read.
+// view of the span in place, which must lie inside one 256-byte unit
+// (ErrCrossUnit otherwise). Either view may be written through, so taking
+// one allocates its unit and moves the region's generation; a write
+// through it later moves nothing, so nothing but a probe of the
+// translation cost uses it.
 func (g *Registry) TranslateRemote(rkey uint32, addr uint64, size int, write bool) (*Region, []byte, error) {
 	op := RemoteOpRead
 	if write {
@@ -592,11 +449,11 @@ func (g *Registry) TranslateRemote(rkey uint32, addr uint64, size int, write boo
 		return nil, nil, err
 	}
 	off := int(addr - r.Base)
-	if off%hostPage+size > hostPage {
-		return nil, nil, fmt.Errorf("%w: [%#x,+%d)", ErrCrossPage, addr, size)
+	o := off & (unitSize - 1)
+	if o+size > unitSize {
+		return nil, nil, fmt.Errorf("%w: [%#x,+%d)", ErrCrossUnit, addr, size)
 	}
-	if write {
-		return r, r.WriteView(off, size), nil
-	}
-	return r, r.ReadView(off, size), nil
+	r.gen++
+	u := r.unit(off>>pageShift, off>>unitShift&(pageUnits-1))
+	return r, u[o : o+size : o+size], nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"runtime"
 	"testing"
+	"unsafe"
 )
 
 func TestRegisterAndTranslate(t *testing.T) {
@@ -20,7 +21,9 @@ func TestRegisterAndTranslate(t *testing.T) {
 		t.Fatal(err)
 	}
 	copy(b, []byte("hello"))
-	if string(r.ReadView(100, 5)) != "hello" {
+	got := make([]byte, 5)
+	r.ReadAt(got, 100)
+	if string(got) != "hello" {
 		t.Fatal("translated slice does not alias the region")
 	}
 }
@@ -194,7 +197,7 @@ func TestRegionGeometryWithoutBytes(t *testing.T) {
 				t.Errorf("%d B: ReadAt(%#x, %d) err = %v, want ErrOutOfband", tc.size, out.addr, out.n, err)
 			}
 		}
-		if r.pages != nil {
+		if r.units != nil {
 			t.Errorf("%d B: geometry and bounds checks allocated the region's bytes", tc.size)
 		}
 		if tc.size > 8<<20+1 {
@@ -210,9 +213,10 @@ func TestRegionGeometryWithoutBytes(t *testing.T) {
 }
 
 // TestPageAllocatedOnceOnFirstWrite: a page reads as zeros until a write
-// reaches it; the first write allocates a zeroed page, every later view of
-// it is the same backing array, and views, ReadAt and WriteAt all see the
-// same bytes.
+// of a non-zero byte reaches it. A short write costs its page one unit
+// table and one unit, a zero write to an unwritten unit costs nothing, and
+// a later write into a written unit lands in the same unit. A region makes
+// its table of unit tables only on its first write.
 func TestPageAllocatedOnceOnFirstWrite(t *testing.T) {
 	g := NewRegistry()
 	r := g.Register(3*PageSize4K+5, PageSize4K, LocalWrite)
@@ -225,24 +229,23 @@ func TestPageAllocatedOnceOnFirstWrite(t *testing.T) {
 			t.Fatalf("unwritten byte %d = %d, want 0", i, v)
 		}
 	}
-	if resident(r) != 0 {
-		t.Fatalf("reads allocated %d bytes", resident(r))
+	r.WriteAt(make([]byte, 100), 700) // zeros into an unwritten unit
+	if r.units != nil {
+		t.Fatal("reads and a zero write made the region's table of unit tables")
 	}
-	w := r.WriteView(100, 5)
-	copy(w, "hello")
-	if &r.WriteView(100, 1)[0] != &w[0] || &r.ReadView(100, 1)[0] != &w[0] {
-		t.Fatal("a later view of the written page is a different backing array")
+	r.WriteAt([]byte("tail"), hostPage-4)
+	r.WriteAt([]byte("head"), 300)
+	u := r.unitAt(300)
+	r.WriteAt([]byte("world"), 310)
+	if c := census(r); c.Units != 2*unitSize || c.Tables != int(unsafe.Sizeof(unitTable{})) {
+		t.Fatalf("census %+v, want two units in one unit table", c)
 	}
-	if string(r.ReadView(100, 5)) != "hello" {
-		t.Fatal("a write through WriteView is not visible through ReadView")
+	if r.unitAt(310) != u {
+		t.Fatal("a later write into a written unit landed in a different unit")
 	}
-	if _, err := r.WriteAt([]byte("world"), 200); err != nil {
-		t.Fatal(err)
-	}
-	if string(w) != "hello" || string(r.ReadView(200, 5)) != "world" {
-		t.Fatal("WriteAt did not land in the same page")
-	}
-	if resident(r) != hostPage {
-		t.Fatalf("resident = %d bytes, want one %d-byte page", resident(r), hostPage)
+	got := make([]byte, 16)
+	r.ReadAt(got, 300)
+	if string(got) != "head\x00\x00\x00\x00\x00\x00world\x00" || r.ByteAt(hostPage-1) != 'l' || r.ByteAt(0) != 0 {
+		t.Fatalf("the page reads %q at 300, want the writes' bytes", got)
 	}
 }

@@ -4,7 +4,9 @@
 // each item carrying a co-located lock word and version number.
 //
 // The whole store lives inside a single registered memory region, so
-// remote coordinators can operate on items with one-sided verbs:
+// remote coordinators can operate on items with one-sided verbs, and the
+// store itself reads and writes it with ReadAt and WriteAt like any other
+// user of a region, so no record bytes alias store memory past a call:
 //
 //	item+0:  lock    (8 B)  — zeroed by the commit-time RDMA write
 //	item+8:  version (8 B)  — RDMA-read during validation
@@ -21,6 +23,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"scalerpc/internal/host"
 	"scalerpc/internal/memory"
@@ -60,6 +63,9 @@ type Config struct {
 // (+1; 0 = empty), packed in 8 bytes.
 const bucketEntrySize = 8
 
+// bucketSize is the bytes of one bucket: one cache line of entries.
+const bucketSize = slotsPerBucket * bucketEntrySize
+
 // Store is a MICA-layout KV store inside a registered region.
 type Store struct {
 	cfg     Config
@@ -68,12 +74,17 @@ type Store struct {
 	// Layout offsets within the region.
 	indexOff uint64
 	itemsOff uint64
-	freeList []uint32
+	// Slots are handed out in order from next, the first never used, after
+	// the deleted ones in freed, the last deleted first.
+	next  uint32
+	freed []uint32
 	// Counters.
 	Gets, Puts, Hits uint64
 }
 
-// New allocates and formats a store on host h.
+// New allocates and formats a store on host h. The index and the items
+// may lie anywhere in the region: the store moves their bytes with
+// ReadAt and WriteAt, which carry spans across backing pages.
 func New(h *host.Host, cfg Config) *Store {
 	b := uint64(cfg.Buckets)
 	for b&(b-1) != 0 {
@@ -82,30 +93,17 @@ func New(h *host.Host, cfg Config) *Store {
 	if b == 0 {
 		b = 1
 	}
-	indexBytes := b * slotsPerBucket * bucketEntrySize
-	// The store keeps its records in place and views them — no other
-	// package views region bytes — and a view lies inside one 4 KB backing
-	// page (memory.Region.ReadView): a slot is a power of two no larger than
-	// that, and the index ends on a slot boundary. A bucket on an index page
-	// nothing has written views as nil, which reads as empty.
-	if cfg.SlotSize <= 0 || cfg.SlotSize&(cfg.SlotSize-1) != 0 || cfg.SlotSize > 4<<10 || indexBytes%uint64(cfg.SlotSize) != 0 {
-		panic(fmt.Sprintf("mica: slot size %d with a %d-byte index puts items across 4 KB pages", cfg.SlotSize, indexBytes))
-	}
+	indexBytes := b * bucketSize
 	total := int(indexBytes) + cfg.Items*cfg.SlotSize
 	reg := h.Mem.Register(total, memory.PageSize2M,
 		memory.LocalWrite|memory.RemoteRead|memory.RemoteWrite|memory.RemoteAtomic)
-	s := &Store{
+	return &Store{
 		cfg:      cfg,
 		reg:      reg,
 		buckets:  b,
 		indexOff: 0,
 		itemsOff: indexBytes,
 	}
-	s.freeList = make([]uint32, 0, cfg.Items)
-	for i := cfg.Items - 1; i >= 0; i-- {
-		s.freeList = append(s.freeList, uint32(i))
-	}
-	return s
 }
 
 // Region returns the backing registered region (for rkey exchange).
@@ -126,32 +124,51 @@ func (s *Store) itemAddr(i uint32) uint64 {
 	return s.reg.Base + s.itemsOff + uint64(i)*uint64(s.cfg.SlotSize)
 }
 
-// itemBytes views item slot i for reading and writing. A slot is read
-// only after it has been written.
-func (s *Store) itemBytes(i uint32) []byte {
-	return s.reg.WriteView(s.itemOff(i), s.cfg.SlotSize)
+func (s *Store) itemOff(i uint32) int64 {
+	return int64(s.itemsOff + uint64(i)*uint64(s.cfg.SlotSize))
 }
 
-func (s *Store) itemOff(i uint32) int {
-	return int(s.itemsOff + uint64(i)*uint64(s.cfg.SlotSize))
-}
-
-// bucketBytes views bucket b for reading, nil while no insert has reached
-// its index page, which stays unallocated; bucketWrite for writing.
-func (s *Store) bucketBytes(b uint64) []byte {
-	return s.reg.ReadView(s.bucketOff(b), slotsPerBucket*bucketEntrySize)
-}
-
-func (s *Store) bucketWrite(b uint64) []byte {
-	return s.reg.WriteView(s.bucketOff(b), slotsPerBucket*bucketEntrySize)
-}
-
-func (s *Store) bucketOff(b uint64) int {
-	return int(s.indexOff + b*slotsPerBucket*bucketEntrySize)
+func (s *Store) bucketOff(b uint64) int64 {
+	return int64(s.indexOff + b*bucketSize)
 }
 
 func (s *Store) bucketAddr(b uint64) uint64 {
-	return s.reg.Base + s.indexOff + b*slotsPerBucket*bucketEntrySize
+	return s.reg.Base + s.indexOff + b*bucketSize
+}
+
+// header reads item slot i's fixed fields: lock, version and lengths.
+func (s *Store) header(i uint32) (h [OffKey]byte) {
+	s.reg.ReadAt(h[:], s.itemOff(i))
+	return h
+}
+
+// word reads the 8-byte field at region offset off.
+func (s *Store) word(off int64) uint64 {
+	var w [8]byte
+	s.reg.ReadAt(w[:], off)
+	return binary.LittleEndian.Uint64(w[:])
+}
+
+// putWord writes v into the 8-byte field at region offset off.
+func (s *Store) putWord(off int64, v uint64) {
+	var w [8]byte
+	binary.LittleEndian.PutUint64(w[:], v)
+	s.reg.WriteAt(w[:], off)
+}
+
+// keyIs reports whether item slot i's key bytes equal key, whose length
+// the slot's key length matches.
+func (s *Store) keyIs(i uint32, key []byte) bool {
+	var buf [64]byte
+	for off := s.itemOff(i) + OffKey; len(key) > 0; {
+		n := min(len(key), len(buf))
+		s.reg.ReadAt(buf[:n], off)
+		if !bytes.Equal(buf[:n], key[:n]) {
+			return false
+		}
+		key, off = key[n:], off+int64(n)
+	}
+	return true
 }
 
 // charge models a CPU access when t is non-nil.
@@ -168,30 +185,26 @@ func charge(t *host.Thread, addr uint64, size int, write bool) {
 
 // lookup finds the item slot holding key, probing up to probeDepth
 // consecutive buckets, returning (bucket, entry index, slot, true) on hit.
+// Each bucket is read once its cache line is charged; an item's key
+// length before its key is charged, and its key after.
 func (s *Store) lookup(t *host.Thread, key []byte) (uint64, int, uint32, bool) {
 	h := hash64(key)
 	home := h & (s.buckets - 1)
 	tag := uint16(h >> 48)
 	for p := uint64(0); p < probeDepth; p++ {
 		b := (home + p) & (s.buckets - 1)
-		bb := s.bucketBytes(b)
-		charge(t, s.bucketAddr(b), slotsPerBucket*bucketEntrySize, false)
-		if bb == nil {
-			continue
-		}
+		charge(t, s.bucketAddr(b), bucketSize, false)
+		var bb [bucketSize]byte
+		s.reg.ReadAt(bb[:], s.bucketOff(b))
 		for e := 0; e < slotsPerBucket; e++ {
 			ent := binary.LittleEndian.Uint64(bb[e*bucketEntrySize:])
-			if ent == 0 {
-				continue
-			}
-			if uint16(ent>>48) != tag {
+			if ent == 0 || uint16(ent>>48) != tag {
 				continue
 			}
 			slot := uint32(ent) - 1
-			item := s.itemBytes(slot)
-			keyLen := int(binary.LittleEndian.Uint32(item[OffLens:]))
+			keyLen := int(uint32(s.word(s.itemOff(slot) + OffLens)))
 			charge(t, s.itemAddr(slot), OffKey+keyLen, false)
-			if keyLen == len(key) && bytes.Equal(item[OffKey:OffKey+keyLen], key) {
+			if keyLen == len(key) && s.keyIs(slot, key) {
 				return b, e, slot, true
 			}
 		}
@@ -205,7 +218,7 @@ type Item struct {
 	Slot    uint32
 	Addr    uint64 // virtual address of the slot (lock word)
 	Version uint64
-	Value   []byte // aliases store memory; copy to retain
+	Value   []byte // the caller's buffer with the value appended; nil from Get
 	KeyLen  int
 }
 
@@ -215,33 +228,48 @@ func (it Item) VersionAddr() uint64 { return it.Addr + OffVersion }
 // ValueAddr returns the address of the value bytes.
 func (it Item) ValueAddr() uint64 { return it.Addr + OffKey + uint64(it.KeyLen) }
 
-// Get returns the item for key.
+// Get returns the item for key without its value.
 func (s *Store) Get(t *host.Thread, key []byte) (Item, error) {
+	return s.get(t, key, nil, false)
+}
+
+// GetValue is Get that also reads the value: it appends the value to buf,
+// as append does, and returns the result as Item.Value. A caller reuses
+// its buffer by passing buf[:0], or reads in place by passing a slice of
+// it with room to spare.
+func (s *Store) GetValue(t *host.Thread, key, buf []byte) (Item, error) {
+	return s.get(t, key, buf, true)
+}
+
+func (s *Store) get(t *host.Thread, key, buf []byte, value bool) (Item, error) {
 	s.Gets++
 	_, _, slot, ok := s.lookup(t, key)
 	if !ok {
 		return Item{}, ErrNotFound
 	}
 	s.Hits++
-	return s.itemView(t, slot), nil
+	return s.item(t, slot, buf, value), nil
 }
 
-func (s *Store) itemView(t *host.Thread, slot uint32) Item {
-	item := s.itemBytes(slot)
-	keyLen := int(binary.LittleEndian.Uint32(item[OffLens:]))
-	valLen := int(binary.LittleEndian.Uint32(item[OffLens+4:]))
+// item reads slot's item: its lengths, then, once the header, key and value
+// are charged, its version and, if value is set, its value appended to buf.
+func (s *Store) item(t *host.Thread, slot uint32, buf []byte, value bool) Item {
+	off := s.itemOff(slot)
+	lens := s.word(off + OffLens)
+	keyLen, valLen := int(uint32(lens)), int(lens>>32)
 	charge(t, s.itemAddr(slot), OffKey+keyLen+valLen, false)
-	return Item{
-		Slot:    slot,
-		Addr:    s.itemAddr(slot),
-		Version: binary.LittleEndian.Uint64(item[OffVersion:]),
-		Value:   item[OffKey+keyLen : OffKey+keyLen+valLen],
-		KeyLen:  keyLen,
+	it := Item{Slot: slot, Addr: s.itemAddr(slot), Version: s.word(off + OffVersion), KeyLen: keyLen}
+	if value {
+		n := len(buf)
+		it.Value = slices.Grow(buf, valLen)[:n+valLen]
+		s.reg.ReadAt(it.Value[n:], off+OffKey+int64(keyLen))
 	}
+	return it
 }
 
 // Put inserts or updates key (unversioned fast path for loading and for
-// non-transactional use). It bumps the version on update.
+// non-transactional use). It bumps the version on update. The Item holds
+// what Put wrote: the slot, its address, version and key length.
 func (s *Store) Put(t *host.Thread, key, value []byte) (Item, error) {
 	s.Puts++
 	if OffKey+len(key)+len(value) > s.cfg.SlotSize {
@@ -249,24 +277,28 @@ func (s *Store) Put(t *host.Thread, key, value []byte) (Item, error) {
 	}
 	b, _, slot, ok := s.lookup(t, key)
 	if ok {
-		item := s.itemBytes(slot)
-		binary.LittleEndian.PutUint64(item[OffVersion:], binary.LittleEndian.Uint64(item[OffVersion:])+1)
-		binary.LittleEndian.PutUint32(item[OffLens+4:], uint32(len(value)))
-		copy(item[OffKey+len(key):], value)
+		off := s.itemOff(slot)
+		h := s.header(slot)
+		version := binary.LittleEndian.Uint64(h[OffVersion:]) + 1
+		binary.LittleEndian.PutUint64(h[OffVersion:], version)
+		binary.LittleEndian.PutUint32(h[OffLens+4:], uint32(len(value)))
+		s.reg.WriteAt(h[:], off)
+		s.reg.WriteAt(value, off+OffKey+int64(len(key)))
 		charge(t, s.itemAddr(slot), OffKey+len(key)+len(value), true)
-		return s.itemView(nil, slot), nil
+		return Item{Slot: slot, Addr: s.itemAddr(slot), Version: version, KeyLen: len(key)}, nil
 	}
 	// Insert: grab a free slot and an empty entry in the home bucket or,
 	// if it is full, in one of the probe buckets.
-	if len(s.freeList) == 0 {
+	if int(s.next) == s.cfg.Items && len(s.freed) == 0 {
 		return Item{}, ErrFull
 	}
 	entry := -1
 	for p := uint64(0); p < probeDepth && entry < 0; p++ {
 		cand := (b + p) & (s.buckets - 1)
-		cb := s.bucketBytes(cand)
+		var cb [bucketSize]byte
+		s.reg.ReadAt(cb[:], s.bucketOff(cand))
 		for e := 0; e < slotsPerBucket; e++ {
-			if cb == nil || binary.LittleEndian.Uint64(cb[e*bucketEntrySize:]) == 0 {
+			if binary.LittleEndian.Uint64(cb[e*bucketEntrySize:]) == 0 {
 				entry = e
 				b = cand
 				break
@@ -276,22 +308,25 @@ func (s *Store) Put(t *host.Thread, key, value []byte) (Item, error) {
 	if entry < 0 {
 		return Item{}, fmt.Errorf("%w: bucket overflow", ErrFull)
 	}
-	slot = s.freeList[len(s.freeList)-1]
-	s.freeList = s.freeList[:len(s.freeList)-1]
-	item := s.itemBytes(slot)
-	for i := range item[:OffKey] {
-		item[i] = 0
+	if k := len(s.freed); k > 0 {
+		slot, s.freed = s.freed[k-1], s.freed[:k-1]
+	} else {
+		slot = s.next
+		s.next++
 	}
-	binary.LittleEndian.PutUint32(item[OffLens:], uint32(len(key)))
-	binary.LittleEndian.PutUint32(item[OffLens+4:], uint32(len(value)))
-	copy(item[OffKey:], key)
-	copy(item[OffKey+len(key):], value)
-	binary.LittleEndian.PutUint64(item[OffVersion:], 1)
+	off := s.itemOff(slot)
+	var h [OffKey]byte
+	binary.LittleEndian.PutUint64(h[OffVersion:], 1)
+	binary.LittleEndian.PutUint32(h[OffLens:], uint32(len(key)))
+	binary.LittleEndian.PutUint32(h[OffLens+4:], uint32(len(value)))
+	s.reg.WriteAt(h[:], off)
+	s.reg.WriteAt(key, off+OffKey)
+	s.reg.WriteAt(value, off+OffKey+int64(len(key)))
 	tag := hash64(key) >> 48
-	binary.LittleEndian.PutUint64(s.bucketWrite(b)[entry*bucketEntrySize:], tag<<48|uint64(slot+1))
+	s.putWord(s.bucketOff(b)+int64(entry*bucketEntrySize), tag<<48|uint64(slot+1))
 	charge(t, s.itemAddr(slot), OffKey+len(key)+len(value), true)
 	charge(t, s.bucketAddr(b)+uint64(entry*bucketEntrySize), bucketEntrySize, true)
-	return s.itemView(nil, slot), nil
+	return Item{Slot: slot, Addr: s.itemAddr(slot), Version: 1, KeyLen: len(key)}, nil
 }
 
 // Delete removes key.
@@ -300,16 +335,16 @@ func (s *Store) Delete(t *host.Thread, key []byte) error {
 	if !ok {
 		return ErrNotFound
 	}
-	bb := s.bucketWrite(b)
-	binary.LittleEndian.PutUint64(bb[e*bucketEntrySize:], 0)
+	s.putWord(s.bucketOff(b)+int64(e*bucketEntrySize), 0)
 	charge(t, s.bucketAddr(b)+uint64(e*bucketEntrySize), bucketEntrySize, true)
-	s.freeList = append(s.freeList, slot)
+	s.freed = append(s.freed, slot)
 	return nil
 }
 
-// TryLock locks the item for transaction owner (nonzero). It fails with
+// TryLock locks the item for transaction owner (nonzero) and returns it
+// with its value appended to buf, as GetValue does. It fails with
 // ErrLocked if another owner holds it.
-func (s *Store) TryLock(t *host.Thread, key []byte, owner uint64) (Item, error) {
+func (s *Store) TryLock(t *host.Thread, key []byte, owner uint64, buf []byte) (Item, error) {
 	if owner == 0 {
 		panic("mica: zero lock owner")
 	}
@@ -317,14 +352,12 @@ func (s *Store) TryLock(t *host.Thread, key []byte, owner uint64) (Item, error) 
 	if !ok {
 		return Item{}, ErrNotFound
 	}
-	item := s.itemBytes(slot)
-	cur := binary.LittleEndian.Uint64(item[OffLock:])
-	if cur != 0 && cur != owner {
+	if cur := s.word(s.itemOff(slot) + OffLock); cur != 0 && cur != owner {
 		return Item{}, ErrLocked
 	}
-	binary.LittleEndian.PutUint64(item[OffLock:], owner)
+	s.putWord(s.itemOff(slot)+OffLock, owner)
 	charge(t, s.itemAddr(slot), 8, true)
-	return s.itemView(t, slot), nil
+	return s.item(t, slot, buf, true), nil
 }
 
 // Unlock releases the item if owner holds it.
@@ -333,11 +366,10 @@ func (s *Store) Unlock(t *host.Thread, key []byte, owner uint64) error {
 	if !ok {
 		return ErrNotFound
 	}
-	item := s.itemBytes(slot)
-	if binary.LittleEndian.Uint64(item[OffLock:]) != owner {
+	if s.word(s.itemOff(slot)+OffLock) != owner {
 		return ErrLocked
 	}
-	binary.LittleEndian.PutUint64(item[OffLock:], 0)
+	s.putWord(s.itemOff(slot)+OffLock, 0)
 	charge(t, s.itemAddr(slot), 8, true)
 	return nil
 }
@@ -349,18 +381,20 @@ func (s *Store) CommitWrite(t *host.Thread, key, value []byte, owner uint64) err
 	if !ok {
 		return ErrNotFound
 	}
-	item := s.itemBytes(slot)
-	if binary.LittleEndian.Uint64(item[OffLock:]) != owner {
+	h := s.header(slot)
+	if binary.LittleEndian.Uint64(h[OffLock:]) != owner {
 		return ErrLocked
 	}
-	keyLen := int(binary.LittleEndian.Uint32(item[OffLens:]))
+	keyLen := int(binary.LittleEndian.Uint32(h[OffLens:]))
 	if OffKey+keyLen+len(value) > s.cfg.SlotSize {
 		return ErrTooBig
 	}
-	binary.LittleEndian.PutUint64(item[OffVersion:], binary.LittleEndian.Uint64(item[OffVersion:])+1)
-	binary.LittleEndian.PutUint32(item[OffLens+4:], uint32(len(value)))
-	copy(item[OffKey+keyLen:], value)
-	binary.LittleEndian.PutUint64(item[OffLock:], 0)
+	off := s.itemOff(slot)
+	binary.LittleEndian.PutUint64(h[OffLock:], 0)
+	binary.LittleEndian.PutUint64(h[OffVersion:], binary.LittleEndian.Uint64(h[OffVersion:])+1)
+	binary.LittleEndian.PutUint32(h[OffLens+4:], uint32(len(value)))
+	s.reg.WriteAt(h[:], off)
+	s.reg.WriteAt(value, off+OffKey+int64(keyLen))
 	charge(t, s.itemAddr(slot), OffKey+keyLen+len(value), true)
 	return nil
 }
@@ -386,4 +420,4 @@ func BuildCommitImage(buf []byte, key, value []byte, newVersion uint64) int {
 func ParseVersion(b []byte) uint64 { return binary.LittleEndian.Uint64(b) }
 
 // Len returns the number of live items.
-func (s *Store) Len() int { return s.cfg.Items - len(s.freeList) }
+func (s *Store) Len() int { return int(s.next) - len(s.freed) }

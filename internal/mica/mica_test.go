@@ -10,6 +10,8 @@ import (
 
 	"scalerpc/internal/cluster"
 	"scalerpc/internal/host"
+	"scalerpc/internal/memory"
+	"scalerpc/internal/nic"
 )
 
 func newStore(t *testing.T, cfg Config) *Store {
@@ -34,7 +36,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 		}
 	}
 	for i := 0; i < 100; i++ {
-		it, err := s.Get(nil, key(i))
+		it, err := s.GetValue(nil, key(i), nil)
 		if err != nil {
 			t.Fatalf("Get(%d): %v", i, err)
 		}
@@ -61,7 +63,7 @@ func TestUpdateBumpsVersion(t *testing.T) {
 	s := small(t)
 	s.Put(nil, key(1), val(1))
 	s.Put(nil, key(1), []byte("updated"))
-	it, _ := s.Get(nil, key(1))
+	it, _ := s.GetValue(nil, key(1), nil)
 	if string(it.Value) != "updated" || it.Version != 2 {
 		t.Fatalf("item = %q v%d", it.Value, it.Version)
 	}
@@ -88,14 +90,14 @@ func TestDelete(t *testing.T) {
 func TestLockConflict(t *testing.T) {
 	s := small(t)
 	s.Put(nil, key(1), val(1))
-	if _, err := s.TryLock(nil, key(1), 100); err != nil {
+	if _, err := s.TryLock(nil, key(1), 100, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.TryLock(nil, key(1), 200); !errors.Is(err, ErrLocked) {
+	if _, err := s.TryLock(nil, key(1), 200, nil); !errors.Is(err, ErrLocked) {
 		t.Fatalf("conflicting lock: err = %v", err)
 	}
 	// Re-entrant for the same owner.
-	if _, err := s.TryLock(nil, key(1), 100); err != nil {
+	if _, err := s.TryLock(nil, key(1), 100, nil); err != nil {
 		t.Fatalf("re-lock by owner: %v", err)
 	}
 	if err := s.Unlock(nil, key(1), 200); !errors.Is(err, ErrLocked) {
@@ -104,7 +106,7 @@ func TestLockConflict(t *testing.T) {
 	if err := s.Unlock(nil, key(1), 100); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.TryLock(nil, key(1), 200); err != nil {
+	if _, err := s.TryLock(nil, key(1), 200, nil); err != nil {
 		t.Fatalf("lock after unlock: %v", err)
 	}
 }
@@ -112,11 +114,11 @@ func TestLockConflict(t *testing.T) {
 func TestCommitWrite(t *testing.T) {
 	s := small(t)
 	s.Put(nil, key(1), val(1))
-	it, _ := s.TryLock(nil, key(1), 7)
+	it, _ := s.TryLock(nil, key(1), 7, nil)
 	if err := s.CommitWrite(nil, key(1), []byte("committed"), 7); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := s.Get(nil, key(1))
+	got, _ := s.GetValue(nil, key(1), nil)
 	if string(got.Value) != "committed" {
 		t.Fatalf("value = %q", got.Value)
 	}
@@ -124,7 +126,7 @@ func TestCommitWrite(t *testing.T) {
 		t.Fatalf("version = %d, want %d", got.Version, it.Version+1)
 	}
 	// Lock released.
-	if _, err := s.TryLock(nil, key(1), 9); err != nil {
+	if _, err := s.TryLock(nil, key(1), 9, nil); err != nil {
 		t.Fatalf("lock after commit: %v", err)
 	}
 }
@@ -134,19 +136,21 @@ func TestCommitImageMatchesLocalCommit(t *testing.T) {
 	// must leave the slot byte-identical to the RPC commit path.
 	s := small(t)
 	s.Put(nil, key(1), val(1))
-	it, _ := s.TryLock(nil, key(1), 7)
+	it, _ := s.TryLock(nil, key(1), 7, nil)
 
 	// One-sided image, applied by hand to a copy of the slot.
 	img := make([]byte, 128)
 	n := BuildCommitImage(img, key(1), []byte("newvalue"), it.Version+1)
-	slot := s.itemBytes(it.Slot)
-	oneSided := append([]byte(nil), slot...)
+	oneSided := make([]byte, 128)
+	s.Region().ReadAt(oneSided, s.itemOff(it.Slot))
 	copy(oneSided[:n], img[:n])
 
 	// RPC path on the real slot.
 	if err := s.CommitWrite(nil, key(1), []byte("newvalue"), 7); err != nil {
 		t.Fatal(err)
 	}
+	slot := make([]byte, 128)
+	s.Region().ReadAt(slot, s.itemOff(it.Slot))
 	if !bytes.Equal(oneSided, slot) {
 		t.Fatal("one-sided commit image diverges from RPC commit")
 	}
@@ -157,12 +161,13 @@ func TestItemAddressesExposeFields(t *testing.T) {
 	it, _ := s.Put(nil, key(3), []byte("abcdef"))
 	reg := s.Region()
 	// Version field via address arithmetic.
-	off := it.VersionAddr() - reg.Base
-	if binary.LittleEndian.Uint64(reg.ReadView(int(off), 8)) != it.Version {
+	b := make([]byte, 8)
+	reg.ReadAt(b, int64(it.VersionAddr()-reg.Base))
+	if binary.LittleEndian.Uint64(b) != it.Version {
 		t.Fatal("VersionAddr does not point at the version")
 	}
-	voff := it.ValueAddr() - reg.Base
-	if string(reg.ReadView(int(voff), 6)) != "abcdef" {
+	reg.ReadAt(b[:6], int64(it.ValueAddr()-reg.Base))
+	if string(b[:6]) != "abcdef" {
 		t.Fatal("ValueAddr does not point at the value")
 	}
 }
@@ -200,7 +205,7 @@ func TestPropertyPutGetAny(t *testing.T) {
 			// Bucket overflow is legal behaviour, not a correctness bug.
 			return errors.Is(err, ErrFull)
 		}
-		it, err := s.Get(nil, k)
+		it, err := s.GetValue(nil, k, nil)
 		return err == nil && bytes.Equal(it.Value, v)
 	}, &quick.Config{MaxCount: 2000})
 	if err != nil {
@@ -227,5 +232,84 @@ func TestChargesCPUWhenThreadGiven(t *testing.T) {
 	// consume simulated time; cold misses make it at least ~100ns each.
 	if end < 5000 {
 		t.Fatalf("100 charged gets took only %d ns", end)
+	}
+}
+
+// TestItemsAcrossPages: with 96-byte slots after a 4 KB index, items
+// straddle 256-byte units and 4 KB pages. Put, GetValue, TryLock and
+// CommitWrite round-trip every item, and a one-sided RDMA READ of an
+// item's version through the NIC returns what GetValue reports.
+func TestItemsAcrossPages(t *testing.T) {
+	c := cluster.New(cluster.Default(2))
+	defer c.Close()
+	s := New(c.Hosts[1], Config{Buckets: 64, Items: 200, SlotSize: 96})
+	value := func(i, round int) []byte { return []byte(fmt.Sprintf("%02d-%036d", round, i)) }
+	crossing := 0
+	for i := 0; i < 200; i++ {
+		it, err := s.Put(nil, key(i), value(i, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if off := it.Addr - s.Region().Base; off/4096 != (off+95)/4096 {
+			crossing++
+		}
+	}
+	if crossing == 0 {
+		t.Fatal("no item crosses a 4 KB page")
+	}
+	for i := 0; i < 200; i++ {
+		owner := uint64(i + 1)
+		it, err := s.TryLock(nil, key(i), owner, nil)
+		if err != nil || !bytes.Equal(it.Value, value(i, 0)) || it.Version != 1 {
+			t.Fatalf("TryLock(%d): %q v%d, %v", i, it.Value, it.Version, err)
+		}
+		if err := s.CommitWrite(nil, key(i), value(i, 1), owner); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	a := c.Hosts[0]
+	cq := a.NIC.CreateCQ()
+	qa := a.NIC.CreateQP(nic.RC, cq, cq)
+	qb := c.Hosts[1].NIC.CreateQP(nic.RC, c.Hosts[1].NIC.CreateCQ(), c.Hosts[1].NIC.CreateCQ())
+	if err := nic.Connect(qa, qb); err != nil {
+		t.Fatal(err)
+	}
+	dst := a.Mem.Register(4096, memory.PageSize4K, memory.LocalWrite)
+	buf := make([]byte, 0, 64)
+	for i := 0; i < 200; i++ {
+		it, err := s.GetValue(nil, key(i), buf[:0])
+		if err != nil || !bytes.Equal(it.Value, value(i, 1)) || it.Version != 2 {
+			t.Fatalf("GetValue(%d) after commit: %q v%d, %v", i, it.Value, it.Version, err)
+		}
+		if err := qa.PostSend(nic.SendWR{WRID: uint64(i), Op: nic.OpRead, Signaled: true,
+			LKey: dst.LKey, LAddr: dst.Base, Len: 8,
+			RKey: s.Region().RKey, RAddr: it.VersionAddr()}); err != nil {
+			t.Fatal(err)
+		}
+		c.Env.Run()
+		if cqes := cq.Poll(1); len(cqes) != 1 || cqes[0].Status != nic.CQOK {
+			t.Fatalf("READ of item %d's version: %+v", i, cqes)
+		}
+		v := make([]byte, 8)
+		dst.ReadAt(v, 0)
+		if ParseVersion(v) != it.Version {
+			t.Fatalf("item %d: RDMA READ returns version %d, GetValue %d", i, ParseVersion(v), it.Version)
+		}
+	}
+}
+
+// TestGetValueAppends: GetValue appends the value to the caller's buffer
+// in place when it has room, and Get reads no value.
+func TestGetValueAppends(t *testing.T) {
+	s := small(t)
+	s.Put(nil, key(1), []byte("value"))
+	buf := make([]byte, 2, 16)
+	it, err := s.GetValue(nil, key(1), buf)
+	if err != nil || string(it.Value[2:]) != "value" || &it.Value[0] != &buf[0] {
+		t.Fatalf("GetValue into a buffer with room: %q, %v; want the value appended in place", it.Value, err)
+	}
+	if it, _ := s.Get(nil, key(1)); it.Value != nil || it.Version != 1 {
+		t.Fatalf("Get: value %q, version %d; want no value and version 1", it.Value, it.Version)
 	}
 }

@@ -26,6 +26,13 @@ func fill(b []byte, op int) {
 	}
 }
 
+// fillAt writes op's pattern into region r's bytes [off, off+n).
+func fillAt(r *memory.Region, off, n, op int) {
+	b := make([]byte, n)
+	fill(b, op)
+	poke(r, off, b)
+}
+
 // TestArenaAliasingDuplicateDelivery duplicates every data packet at the
 // switch while a stream of writes churns the pools. The duplicated message
 // and payload are pinned (Message.NoRecycle); if they were recycled after
@@ -40,7 +47,7 @@ func TestArenaAliasingDuplicateDelivery(t *testing.T) {
 	const sz = 128
 	want := make([]byte, sz)
 	for op := 0; op < ops; op++ {
-		fill(pe.cli.WriteView(0, sz), op)
+		fillAt(pe.cli, 0, sz, op)
 		if err := pe.qpA.PostSend(nic.SendWR{WRID: uint64(op), Op: nic.OpWrite, Signaled: true,
 			LKey: pe.cli.LKey, LAddr: pe.cli.Base, Len: sz,
 			RKey: pe.srv.RKey, RAddr: pe.srv.Base + uint64(op*sz)}); err != nil {
@@ -70,7 +77,7 @@ func TestArenaAliasingTornWrite(t *testing.T) {
 	for op := 0; op < ops; op++ {
 		// Distinct source offsets: the NIC gathers a write's payload at
 		// process time, so sources must stay stable while ops stream.
-		fill(pe.cli.WriteView(op*sz, sz), op)
+		fillAt(pe.cli, op*sz, sz, op)
 		if err := pe.qpA.PostSend(nic.SendWR{WRID: uint64(op), Op: nic.OpWrite, Signaled: true,
 			LKey: pe.cli.LKey, LAddr: pe.cli.Base + uint64(op*sz), Len: sz,
 			RKey: pe.srv.RKey, RAddr: pe.srv.Base + uint64(op*sz)}); err != nil {
@@ -105,19 +112,19 @@ func TestArenaAliasingMangledCopy(t *testing.T) {
 		return fabric.Verdict{}
 	})
 	const sz = 64
-	fill(pe.cli.WriteView(0, sz), 1)
-	src := append([]byte(nil), pe.cli.WriteView(0, sz)...)
+	fillAt(pe.cli, 0, sz, 1)
+	src := append([]byte(nil), peek(pe.cli, 0, sz)...)
 	pe.qpA.PostSend(nic.SendWR{WRID: 1, Op: nic.OpWrite, Signaled: true,
 		LKey: pe.cli.LKey, LAddr: pe.cli.Base, Len: sz,
 		RKey: pe.srv.RKey, RAddr: pe.srv.Base})
 	pe.c.Env.Run()
 
-	if !bytes.Equal(pe.cli.WriteView(0, sz), src) {
+	if !bytes.Equal(peek(pe.cli, 0, sz), src) {
 		t.Fatal("sender's source buffer changed — the mangled copy aliased it")
 	}
 	diff := 0
 	for i := 0; i < sz; i++ {
-		for b := pe.srv.WriteView(i, 1)[0] ^ src[i]; b != 0; b &= b - 1 {
+		for b := pe.srv.ByteAt(i) ^ src[i]; b != 0; b &= b - 1 {
 			diff++
 		}
 	}
@@ -130,12 +137,12 @@ func TestArenaAliasingMangledCopy(t *testing.T) {
 
 	// A later clean write into the same region must land exact: the mangled
 	// copy's pooled buffer gets reused here.
-	fill(pe.cli.WriteView(0, sz), 2)
+	fillAt(pe.cli, 0, sz, 2)
 	pe.qpA.PostSend(nic.SendWR{WRID: 2, Op: nic.OpWrite, Signaled: true,
 		LKey: pe.cli.LKey, LAddr: pe.cli.Base, Len: sz,
 		RKey: pe.srv.RKey, RAddr: pe.srv.Base})
 	pe.c.Env.Run()
-	if !bytes.Equal(pe.srv.WriteView(0, sz), pe.cli.WriteView(0, sz)) {
+	if !bytes.Equal(peek(pe.srv, 0, sz), peek(pe.cli, 0, sz)) {
 		t.Fatal("clean write after mangled delivery did not land exact")
 	}
 }
@@ -150,14 +157,14 @@ func TestArenaAliasingInlineRetransmit(t *testing.T) {
 	pe.c.Hosts[0].NIC.Cfg.RetransmitTimeout = 5 * sim.Microsecond
 	const ops = 30
 	const sz = 48
-	bufs := make([][]byte, ops)
+	dsts := make([]*memory.Region, ops)
 	for op := 0; op < ops; op++ {
 		if op%3 == 0 {
 			pe.c.Hosts[1].NIC.DropNextDataPackets(1)
 		}
-		fill(pe.cli.WriteView(0, sz), op)
+		fillAt(pe.cli, 0, sz, op)
 		dst := pe.c.Hosts[1].Mem.Register(4096, memory.PageSize4K, memory.LocalWrite)
-		bufs[op] = dst.WriteView(0, 4096)
+		dsts[op] = dst
 		if err := pe.qpB.PostRecv(nic.RecvWR{WRID: uint64(op), LKey: dst.LKey, LAddr: dst.Base, Len: 4096}); err != nil {
 			t.Fatal(err)
 		}
@@ -167,14 +174,14 @@ func TestArenaAliasingInlineRetransmit(t *testing.T) {
 		}
 		// Immediately dirty the source region: an inline post must have
 		// captured the payload at post time into its own buffer.
-		fill(pe.cli.WriteView(0, sz), 999)
+		fillAt(pe.cli, 0, sz, 999)
 		pe.c.Env.Run()
 	}
 	want := make([]byte, sz)
 	for op := 0; op < ops; op++ {
 		fill(want, op)
-		if !bytes.Equal(bufs[op][:sz], want) {
-			t.Fatalf("op %d: received %x..., want %x... — inline buffer retired or reused too early", op, bufs[op][:8], want[:8])
+		if got := peek(dsts[op], 0, sz); !bytes.Equal(got, want) {
+			t.Fatalf("op %d: received %x..., want %x... — inline buffer retired or reused too early", op, got[:8], want[:8])
 		}
 	}
 	if pe.c.Hosts[0].NIC.Stats.QPRetransmits == 0 {
@@ -197,7 +204,7 @@ func TestArenaAliasingDuplicateOfMangled(t *testing.T) {
 		return fabric.Verdict{}
 	})
 	const sz = 64
-	fill(pe.cli.WriteView(0, sz), 7)
+	fillAt(pe.cli, 0, sz, 7)
 	pe.qpA.PostSend(nic.SendWR{WRID: 1, Op: nic.OpWrite, Signaled: true,
 		LKey: pe.cli.LKey, LAddr: pe.cli.Base, Len: sz,
 		RKey: pe.srv.RKey, RAddr: pe.srv.Base})
@@ -207,7 +214,7 @@ func TestArenaAliasingDuplicateOfMangled(t *testing.T) {
 	// and crucially no recycled-buffer garbage.
 	diff := 0
 	for i := 0; i < sz; i++ {
-		for b := pe.srv.WriteView(i, 1)[0] ^ pe.cli.WriteView(i, 1)[0]; b != 0; b &= b - 1 {
+		for b := pe.srv.ByteAt(i) ^ pe.cli.ByteAt(i); b != 0; b &= b - 1 {
 			diff++
 		}
 	}
@@ -216,14 +223,14 @@ func TestArenaAliasingDuplicateOfMangled(t *testing.T) {
 	}
 	// Follow-on traffic over the reused arenas stays exact.
 	for op := 0; op < 20; op++ {
-		fill(pe.cli.WriteView(0, sz), 100+op)
+		fillAt(pe.cli, 0, sz, 100+op)
 		if err := pe.qpA.PostSend(nic.SendWR{WRID: uint64(2 + op), Op: nic.OpWrite, Signaled: true,
 			LKey: pe.cli.LKey, LAddr: pe.cli.Base, Len: sz,
 			RKey: pe.srv.RKey, RAddr: pe.srv.Base + uint64(sz)}); err != nil {
 			t.Fatal(err)
 		}
 		pe.c.Env.Run()
-		if !bytes.Equal(pe.srv.WriteView(sz, sz), pe.cli.WriteView(0, sz)) {
+		if !bytes.Equal(peek(pe.srv, sz, sz), peek(pe.cli, 0, sz)) {
 			t.Fatalf("follow-on op %d corrupted", op)
 		}
 	}

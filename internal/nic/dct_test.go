@@ -41,7 +41,7 @@ func newDCT(t *testing.T) *dctEnv {
 
 func TestDCTWriteToMultipleTargetsWithOneQP(t *testing.T) {
 	e := newDCT(t)
-	copy(e.src.WriteView(0, 8), "dct-data")
+	poke(e.src, 0, []byte("dct-data"))
 	for i := 0; i < 2; i++ {
 		err := e.ini.PostSend(nic.SendWR{
 			WRID: uint64(i), Op: nic.OpWrite, Signaled: true,
@@ -55,7 +55,7 @@ func TestDCTWriteToMultipleTargetsWithOneQP(t *testing.T) {
 	}
 	e.c.Env.Run()
 	for i := 0; i < 2; i++ {
-		if string(e.rgn[i].WriteView(0, 8)) != "dct-data" {
+		if string(peek(e.rgn[i], 0, 8)) != "dct-data" {
 			t.Fatalf("target %d did not receive data", i)
 		}
 	}
@@ -99,7 +99,7 @@ func TestDCTAlternatingTargetsReconnectsEveryTime(t *testing.T) {
 
 func TestDCTRead(t *testing.T) {
 	e := newDCT(t)
-	copy(e.rgn[1].WriteView(0, 12), "remote-bytes")
+	poke(e.rgn[1], 0, []byte("remote-bytes"))
 	err := e.ini.PostSend(nic.SendWR{
 		WRID: 7, Op: nic.OpRead, Signaled: true,
 		LKey: e.src.LKey, LAddr: e.src.Base + 100, Len: 12,
@@ -110,8 +110,8 @@ func TestDCTRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.c.Env.Run()
-	if string(e.src.WriteView(100, 12)) != "remote-bytes" {
-		t.Fatalf("read returned %q", e.src.WriteView(100, 12))
+	if string(peek(e.src, 100, 12)) != "remote-bytes" {
+		t.Fatalf("read returned %q", peek(e.src, 100, 12))
 	}
 }
 
@@ -194,7 +194,7 @@ func TestDCTSendRecv(t *testing.T) {
 	e := newDCT(t)
 	rbuf := e.c.Hosts[1].Mem.Register(4096, memory.PageSize4K, memory.LocalWrite)
 	e.tgt[0].PostRecv(nic.RecvWR{WRID: 5, LKey: rbuf.LKey, LAddr: rbuf.Base, Len: 4096})
-	copy(e.src.WriteView(0, 8), "dct-send")
+	poke(e.src, 0, []byte("dct-send"))
 	err := e.ini.PostSend(nic.SendWR{WRID: 1, Op: nic.OpSend, Signaled: true,
 		LKey: e.src.LKey, LAddr: e.src.Base, Len: 8,
 		DstNIC: 1, DstQPN: e.tgt[0].QPN})
@@ -202,8 +202,8 @@ func TestDCTSendRecv(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.c.Env.Run()
-	if string(rbuf.WriteView(0, 8)) != "dct-send" {
-		t.Fatalf("recv buffer = %q", rbuf.WriteView(0, 8))
+	if string(peek(rbuf, 0, 8)) != "dct-send" {
+		t.Fatalf("recv buffer = %q", peek(rbuf, 0, 8))
 	}
 	// Reliable: the sender must get an acked completion.
 	if e.cq.Len() != 1 {

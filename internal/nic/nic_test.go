@@ -1,6 +1,7 @@
 package nic_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"testing"
@@ -50,7 +51,7 @@ func newPair(t *testing.T, typ nic.QPType) *pairEnv {
 
 func TestRCWriteDeliversDataAndCompletion(t *testing.T) {
 	pe := newPair(t, nic.RC)
-	copy(pe.cli.WriteView(0, 10), "hello rdma")
+	poke(pe.cli, 0, []byte("hello rdma"))
 	err := pe.qpA.PostSend(nic.SendWR{
 		WRID: 7, Op: nic.OpWrite, Signaled: true,
 		LKey: pe.cli.LKey, LAddr: pe.cli.Base, Len: 10,
@@ -60,7 +61,7 @@ func TestRCWriteDeliversDataAndCompletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	pe.c.Env.Run()
-	if got := string(pe.srv.WriteView(64, 10)); got != "hello rdma" {
+	if got := string(peek(pe.srv, 64, 10)); got != "hello rdma" {
 		t.Fatalf("server memory = %q", got)
 	}
 	cqes := pe.cqA.Poll(10)
@@ -99,7 +100,7 @@ func TestUnsignaledWriteNoCompletion(t *testing.T) {
 func TestRCWriteImmConsumesRecvAndDeliversImm(t *testing.T) {
 	pe := newPair(t, nic.RC)
 	pe.qpB.PostRecv(nic.RecvWR{WRID: 42})
-	copy(pe.cli.WriteView(0, 3), "imm")
+	poke(pe.cli, 0, []byte("imm"))
 	pe.qpA.PostSend(nic.SendWR{Op: nic.OpWriteImm, Imm: 0xdead,
 		LKey: pe.cli.LKey, LAddr: pe.cli.Base, Len: 3,
 		RKey: pe.srv.RKey, RAddr: pe.srv.Base})
@@ -112,7 +113,7 @@ func TestRCWriteImmConsumesRecvAndDeliversImm(t *testing.T) {
 	if e.WRID != 42 || !e.ImmValid || e.Imm != 0xdead || e.ByteLen != 3 {
 		t.Fatalf("cqe = %+v", e)
 	}
-	if string(pe.srv.WriteView(0, 3)) != "imm" {
+	if string(peek(pe.srv, 0, 3)) != "imm" {
 		t.Fatal("payload not written")
 	}
 }
@@ -121,11 +122,11 @@ func TestRCSendRecv(t *testing.T) {
 	pe := newPair(t, nic.RC)
 	recvBuf := pe.c.Hosts[1].Mem.Register(4096, memory.PageSize4K, memory.LocalWrite)
 	pe.qpB.PostRecv(nic.RecvWR{WRID: 1, LKey: recvBuf.LKey, LAddr: recvBuf.Base, Len: 4096})
-	copy(pe.cli.WriteView(0, 9), "two-sided")
+	poke(pe.cli, 0, []byte("two-sided"))
 	pe.qpA.PostSend(nic.SendWR{WRID: 2, Op: nic.OpSend, Signaled: true,
 		LKey: pe.cli.LKey, LAddr: pe.cli.Base, Len: 9})
 	pe.c.Env.Run()
-	if got := string(recvBuf.WriteView(0, 9)); got != "two-sided" {
+	if got := string(peek(recvBuf, 0, 9)); got != "two-sided" {
 		t.Fatalf("recv buffer = %q", got)
 	}
 	if n := pe.rcqB.Len(); n != 1 {
@@ -138,12 +139,12 @@ func TestRCSendRecv(t *testing.T) {
 
 func TestRCRead(t *testing.T) {
 	pe := newPair(t, nic.RC)
-	copy(pe.srv.WriteView(128, 11), "remote-data")
+	poke(pe.srv, 128, []byte("remote-data"))
 	pe.qpA.PostSend(nic.SendWR{WRID: 9, Op: nic.OpRead, Signaled: true,
 		LKey: pe.cli.LKey, LAddr: pe.cli.Base + 512, Len: 11,
 		RKey: pe.srv.RKey, RAddr: pe.srv.Base + 128})
 	pe.c.Env.Run()
-	if got := string(pe.cli.WriteView(512, 11)); got != "remote-data" {
+	if got := string(peek(pe.cli, 512, 11)); got != "remote-data" {
 		t.Fatalf("read returned %q", got)
 	}
 	cqes := pe.cqA.Poll(10)
@@ -154,11 +155,11 @@ func TestRCRead(t *testing.T) {
 
 func TestAtomicCompareSwap(t *testing.T) {
 	pe := newPair(t, nic.RC)
-	binary.LittleEndian.PutUint64(pe.srv.WriteView(0, 8), 100)
+	poke(pe.srv, 0, binary.LittleEndian.AppendUint64(nil, 100))
 	pe.qpA.PostSend(nic.SendWR{WRID: 1, Op: nic.OpCompSwap, Signaled: true,
 		RKey: pe.srv.RKey, RAddr: pe.srv.Base, Compare: 100, Swap: 777})
 	pe.c.Env.Run()
-	if v := binary.LittleEndian.Uint64(pe.srv.WriteView(0, 8)); v != 777 {
+	if v := binary.LittleEndian.Uint64(peek(pe.srv, 0, 8)); v != 777 {
 		t.Fatalf("CAS result = %d, want 777", v)
 	}
 	cqes := pe.cqA.Poll(1)
@@ -169,7 +170,7 @@ func TestAtomicCompareSwap(t *testing.T) {
 	pe.qpA.PostSend(nic.SendWR{WRID: 2, Op: nic.OpCompSwap, Signaled: true,
 		RKey: pe.srv.RKey, RAddr: pe.srv.Base, Compare: 100, Swap: 1})
 	pe.c.Env.Run()
-	if v := binary.LittleEndian.Uint64(pe.srv.WriteView(0, 8)); v != 777 {
+	if v := binary.LittleEndian.Uint64(peek(pe.srv, 0, 8)); v != 777 {
 		t.Fatalf("failed CAS modified memory: %d", v)
 	}
 	cqes = pe.cqA.Poll(1)
@@ -180,13 +181,13 @@ func TestAtomicCompareSwap(t *testing.T) {
 
 func TestAtomicFetchAdd(t *testing.T) {
 	pe := newPair(t, nic.RC)
-	binary.LittleEndian.PutUint64(pe.srv.WriteView(0, 8), 5)
+	poke(pe.srv, 0, binary.LittleEndian.AppendUint64(nil, 5))
 	for i := 0; i < 3; i++ {
 		pe.qpA.PostSend(nic.SendWR{Op: nic.OpFetchAdd, Signaled: true,
 			RKey: pe.srv.RKey, RAddr: pe.srv.Base, Add: 10})
 	}
 	pe.c.Env.Run()
-	if v := binary.LittleEndian.Uint64(pe.srv.WriteView(0, 8)); v != 35 {
+	if v := binary.LittleEndian.Uint64(peek(pe.srv, 0, 8)); v != 35 {
 		t.Fatalf("FAA result = %d, want 35", v)
 	}
 	cqes := pe.cqA.Poll(10)
@@ -202,7 +203,7 @@ func TestUDSendRecv(t *testing.T) {
 	pe := newPair(t, nic.UD)
 	recvBuf := pe.c.Hosts[1].Mem.Register(4096, memory.PageSize4K, memory.LocalWrite)
 	pe.qpB.PostRecv(nic.RecvWR{WRID: 1, LKey: recvBuf.LKey, LAddr: recvBuf.Base, Len: 4096})
-	copy(pe.cli.WriteView(0, 8), "datagram")
+	poke(pe.cli, 0, []byte("datagram"))
 	err := pe.qpA.PostSend(nic.SendWR{Op: nic.OpSend, Signaled: true,
 		LKey: pe.cli.LKey, LAddr: pe.cli.Base, Len: 8,
 		DstNIC: 1, DstQPN: pe.qpB.QPN})
@@ -210,7 +211,7 @@ func TestUDSendRecv(t *testing.T) {
 		t.Fatal(err)
 	}
 	pe.c.Env.Run()
-	if got := string(recvBuf.WriteView(0, 8)); got != "datagram" {
+	if got := string(peek(recvBuf, 0, 8)); got != "datagram" {
 		t.Fatalf("recv = %q", got)
 	}
 	cqes := pe.rcqB.Poll(1)
@@ -311,15 +312,15 @@ func TestInlineTooLargeRejected(t *testing.T) {
 
 func TestInlineCapturesAtPostTime(t *testing.T) {
 	pe := newPair(t, nic.RC)
-	copy(pe.cli.WriteView(0, 4), "AAAA")
+	poke(pe.cli, 0, []byte("AAAA"))
 	pe.qpA.PostSend(nic.SendWR{Op: nic.OpWrite, Inline: true, Len: 4,
 		LKey: pe.cli.LKey, LAddr: pe.cli.Base,
 		RKey: pe.srv.RKey, RAddr: pe.srv.Base})
 	// Scribble over the source immediately after posting: the inline copy
 	// must not see it.
-	copy(pe.cli.WriteView(0, 4), "BBBB")
+	poke(pe.cli, 0, []byte("BBBB"))
 	pe.c.Env.Run()
-	if got := string(pe.srv.WriteView(0, 4)); got != "AAAA" {
+	if got := string(peek(pe.srv, 0, 4)); got != "AAAA" {
 		t.Fatalf("inline payload = %q, want AAAA (captured at post)", got)
 	}
 }
@@ -359,15 +360,15 @@ func TestRCOrderingManyWrites(t *testing.T) {
 	// 100 writes to consecutive slots; all must land, last-writer-wins per
 	// slot, and completions arrive in post order.
 	for i := 0; i < 100; i++ {
-		pe.cli.WriteView(i, 1)[0] = byte(i + 1)
+		poke(pe.cli, i, []byte{byte(i + 1)})
 		pe.qpA.PostSend(nic.SendWR{WRID: uint64(i), Op: nic.OpWrite, Signaled: true,
 			LKey: pe.cli.LKey, LAddr: pe.cli.Base + uint64(i), Len: 1,
 			RKey: pe.srv.RKey, RAddr: pe.srv.Base + uint64(i)})
 	}
 	pe.c.Env.Run()
 	for i := 0; i < 100; i++ {
-		if pe.srv.WriteView(i, 1)[0] != byte(i+1) {
-			t.Fatalf("slot %d = %d", i, pe.srv.WriteView(i, 1)[0])
+		if pe.srv.ByteAt(i) != byte(i+1) {
+			t.Fatalf("slot %d = %d", i, pe.srv.ByteAt(i))
 		}
 	}
 	cqes := pe.cqA.Poll(200)
@@ -387,15 +388,15 @@ func TestRCRetransmitAfterDrop(t *testing.T) {
 	// must recover and preserve ordering.
 	pe.c.Hosts[1].NIC.DropNextDataPackets(1)
 	for i := 0; i < 10; i++ {
-		pe.cli.WriteView(i, 1)[0] = byte(0x40 + i)
+		poke(pe.cli, i, []byte{byte(0x40 + i)})
 		pe.qpA.PostSend(nic.SendWR{WRID: uint64(i), Op: nic.OpWrite, Signaled: true,
 			LKey: pe.cli.LKey, LAddr: pe.cli.Base + uint64(i), Len: 1,
 			RKey: pe.srv.RKey, RAddr: pe.srv.Base + uint64(i)})
 	}
 	pe.c.Env.Run()
 	for i := 0; i < 10; i++ {
-		if pe.srv.WriteView(i, 1)[0] != byte(0x40+i) {
-			t.Fatalf("slot %d = %#x after retransmit", i, pe.srv.WriteView(i, 1)[0])
+		if pe.srv.ByteAt(i) != byte(0x40+i) {
+			t.Fatalf("slot %d = %#x after retransmit", i, pe.srv.ByteAt(i))
 		}
 	}
 	if pe.cqA.Len() != 10 {
@@ -517,11 +518,11 @@ func TestWatchRegionWakesOnDMAWrite(t *testing.T) {
 		sig.Wait(p)
 		woken = true
 		// Data must be visible when the watch fires.
-		if pe.srv.WriteView(0, 1)[0] != 'X' {
+		if pe.srv.ByteAt(0) != 'X' {
 			t.Error("watch fired before data visible")
 		}
 	})
-	pe.cli.WriteView(0, 1)[0] = 'X'
+	poke(pe.cli, 0, []byte{'X'})
 	pe.qpA.PostSend(nic.SendWR{Op: nic.OpWrite,
 		LKey: pe.cli.LKey, LAddr: pe.cli.Base, Len: 1,
 		RKey: pe.srv.RKey, RAddr: pe.srv.Base})
@@ -590,9 +591,7 @@ func TestTornWriteValidByteCommitsLast(t *testing.T) {
 	nic.Connect(qa, qb)
 	src := a.Mem.Register(64, memory.PageSize4K, memory.LocalWrite)
 	dst := b.Mem.Register(64, memory.PageSize4K, memory.LocalWrite|memory.RemoteWrite)
-	for i := range src.WriteView(0, 16) {
-		src.WriteView(i, 1)[0] = 0xAA
-	}
+	poke(src, 0, bytes.Repeat([]byte{0xAA}, 16))
 	qa.PostSend(nic.SendWR{Op: nic.OpWrite,
 		LKey: src.LKey, LAddr: src.Base, Len: 16,
 		RKey: dst.RKey, RAddr: dst.Base})
@@ -603,7 +602,7 @@ func TestTornWriteValidByteCommitsLast(t *testing.T) {
 	sawPartial := false
 	c.Env.Spawn("observer", func(p *sim.Proc) {
 		sig.Wait(p)
-		if dst.WriteView(0, 1)[0] == 0xAA && dst.WriteView(15, 1)[0] != 0xAA {
+		if dst.ByteAt(0) == 0xAA && dst.ByteAt(15) != 0xAA {
 			sawPartial = true
 		}
 	})
@@ -611,7 +610,7 @@ func TestTornWriteValidByteCommitsLast(t *testing.T) {
 	if !sawPartial {
 		t.Fatal("observer never saw the torn intermediate state")
 	}
-	if dst.WriteView(15, 1)[0] != 0xAA {
+	if dst.ByteAt(15) != 0xAA {
 		t.Fatal("final byte never committed")
 	}
 }
@@ -636,10 +635,11 @@ func TestTornWritesDoNotBreakRightAlignedProtocol(t *testing.T) {
 	dst := b.Mem.Register(4096, memory.PageSize4K, memory.LocalWrite|memory.RemoteWrite)
 
 	// Encode a right-aligned message client-side and write it.
-	block := src.WriteView(0, 256)
+	block := make([]byte, 256)
 	if err := rpcwire.Encode(block, []byte("torn-but-safe"), 0); err != nil {
 		t.Fatal(err)
 	}
+	poke(src, 0, block)
 	qa.PostSend(nic.SendWR{Op: nic.OpWrite,
 		LKey: src.LKey, LAddr: src.Base, Len: 256,
 		RKey: dst.RKey, RAddr: dst.Base})
@@ -652,7 +652,7 @@ func TestTornWritesDoNotBreakRightAlignedProtocol(t *testing.T) {
 	decodes := 0
 	c.Env.Spawn("poller", func(p *sim.Proc) {
 		for got == nil {
-			blk := dst.WriteView(0, 256)
+			blk := peek(dst, 0, 256)
 			if rpcwire.Valid(blk) {
 				payload, _, err := rpcwire.Decode(blk)
 				if err != nil {

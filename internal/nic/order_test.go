@@ -91,8 +91,7 @@ func TestRCReadResponsesLeaveInPSNOrder(t *testing.T) {
 		}
 		off += size
 	}
-	counter := pe.srv.WriteView(off, 8)
-	binary.LittleEndian.PutUint64(counter, 40)
+	poke(pe.srv, off, binary.LittleEndian.AppendUint64(nil, 40))
 	if err := pe.qpA.PostSend(nic.SendWR{WRID: 3, Op: nic.OpFetchAdd, Signaled: true, Add: 2,
 		LKey: pe.cli.LKey, LAddr: pe.cli.Base + uint64(off), Len: 8,
 		RKey: pe.srv.RKey, RAddr: pe.srv.Base + uint64(off)}); err != nil {
@@ -114,7 +113,7 @@ func TestRCReadResponsesLeaveInPSNOrder(t *testing.T) {
 	if !bytes.Equal(peek(pe.cli, 0, off), peek(pe.srv, 0, off)) {
 		t.Error("requester memory does not hold both READs' data")
 	}
-	if got := binary.LittleEndian.Uint64(counter); got != 42 {
+	if got := binary.LittleEndian.Uint64(peek(pe.srv, off, 8)); got != 42 {
 		t.Errorf("counter = %d after FETCH_ADD 2, want 42", got)
 	}
 }

@@ -85,7 +85,7 @@ func TestAtomicsExactlyOnceUnderDupAndDrop(t *testing.T) {
 					t.Fatalf("sorted old values diverge at %d: got %d (an atomic ran twice or was lost)", k, old)
 				}
 			}
-			if final := binary.LittleEndian.Uint64(word.WriteView(0, 8)); len(olds) != 2*perClient || final != 2*perClient {
+			if final := binary.LittleEndian.Uint64(peek(word, 0, 8)); len(olds) != 2*perClient || final != 2*perClient {
 				t.Fatalf("%d effective atomics, final word %d; want %d of each", len(olds), final, 2*perClient)
 			}
 			st := srv.NIC.Stats

@@ -19,14 +19,14 @@ func TestTimeoutRecoversFinalPacketLoss(t *testing.T) {
 	a := pe.c.Hosts[0].NIC
 	a.Cfg.RetransmitTimeout = 5 * sim.Microsecond
 	pe.c.Hosts[1].NIC.DropNextDataPackets(1)
-	copy(pe.cli.WriteView(0, 10), "lost+found")
+	poke(pe.cli, 0, []byte("lost+found"))
 	if err := pe.qpA.PostSend(nic.SendWR{WRID: 1, Op: nic.OpWrite, Signaled: true,
 		LKey: pe.cli.LKey, LAddr: pe.cli.Base, Len: 10,
 		RKey: pe.srv.RKey, RAddr: pe.srv.Base}); err != nil {
 		t.Fatal(err)
 	}
 	end := pe.c.Env.Run()
-	if got := string(pe.srv.WriteView(0, 10)); got != "lost+found" {
+	if got := string(peek(pe.srv, 0, 10)); got != "lost+found" {
 		t.Fatalf("server memory = %q after timeout recovery", got)
 	}
 	cqes := pe.cqA.Poll(4)
@@ -89,7 +89,7 @@ func TestRetryExhaustionErrorsQP(t *testing.T) {
 func TestRnrNakBackoffAndRecovery(t *testing.T) {
 	pe := newPair(t, nic.RC)
 	a := pe.c.Hosts[0].NIC
-	copy(pe.cli.WriteView(0, 8), "patience")
+	poke(pe.cli, 0, []byte("patience"))
 	if err := pe.qpA.PostSend(nic.SendWR{WRID: 2, Op: nic.OpSend, Signaled: true,
 		LKey: pe.cli.LKey, LAddr: pe.cli.Base, Len: 8}); err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestRnrNakBackoffAndRecovery(t *testing.T) {
 	if len(recv) != 1 || recv[0].WRID != 9 || recv[0].Status != nic.CQOK {
 		t.Fatalf("recv cqes = %+v, want one CQOK for WRID 9", recv)
 	}
-	if got := string(pe.srv.WriteView(0, 8)); got != "patience" {
+	if got := string(peek(pe.srv, 0, 8)); got != "patience" {
 		t.Fatalf("payload = %q after RNR replay", got)
 	}
 	send := pe.cqA.Poll(4)
@@ -155,15 +155,15 @@ func TestNakRetransmitStillWorksWithTimerArmed(t *testing.T) {
 	pe.c.Hosts[0].NIC.Cfg.RetransmitTimeout = 20 * sim.Microsecond
 	pe.c.Hosts[1].NIC.DropNextDataPackets(3)
 	for i := 0; i < 12; i++ {
-		pe.cli.WriteView(i, 1)[0] = byte(i + 1)
+		poke(pe.cli, i, []byte{byte(i + 1)})
 		pe.qpA.PostSend(nic.SendWR{WRID: uint64(i), Op: nic.OpWrite, Signaled: true,
 			LKey: pe.cli.LKey, LAddr: pe.cli.Base + uint64(i), Len: 1,
 			RKey: pe.srv.RKey, RAddr: pe.srv.Base + uint64(i)})
 	}
 	pe.c.Env.Run()
 	for i := 0; i < 12; i++ {
-		if pe.srv.WriteView(i, 1)[0] != byte(i+1) {
-			t.Fatalf("slot %d = %d after NAK recovery", i, pe.srv.WriteView(i, 1)[0])
+		if pe.srv.ByteAt(i) != byte(i+1) {
+			t.Fatalf("slot %d = %d after NAK recovery", i, pe.srv.ByteAt(i))
 		}
 	}
 	if got := pe.cqA.Len(); got != 12 {
@@ -189,7 +189,7 @@ func TestTimerRunsFromOldestUnackedWQE(t *testing.T) {
 	const posts = 20
 	pe.c.Env.Spawn("poster", func(p *sim.Proc) {
 		for i := 0; i < posts; i++ {
-			pe.cli.WriteView(i, 1)[0] = byte(i + 1)
+			poke(pe.cli, i, []byte{byte(i + 1)})
 			pe.qpA.PostSend(nic.SendWR{WRID: uint64(i), Op: nic.OpWrite, Signaled: true,
 				LKey: pe.cli.LKey, LAddr: pe.cli.Base + uint64(i), Len: 1,
 				RKey: pe.srv.RKey, RAddr: pe.srv.Base + uint64(i)})
@@ -197,13 +197,13 @@ func TestTimerRunsFromOldestUnackedWQE(t *testing.T) {
 		}
 	})
 	pe.c.Env.RunUntil(sim.Time(3 * rto))
-	if got := pe.srv.WriteView(0, 1)[0]; got != 1 {
+	if got := pe.srv.ByteAt(0); got != 1 {
 		t.Fatalf("first WRITE not recovered by %d ns (posting goes on until %d ns)", 3*rto, posts*rto/2)
 	}
 	pe.c.Env.Run()
 	for i := 0; i < posts; i++ {
-		if pe.srv.WriteView(i, 1)[0] != byte(i+1) {
-			t.Fatalf("slot %d = %d after recovery", i, pe.srv.WriteView(i, 1)[0])
+		if pe.srv.ByteAt(i) != byte(i+1) {
+			t.Fatalf("slot %d = %d after recovery", i, pe.srv.ByteAt(i))
 		}
 	}
 	if got := pe.cqA.Len(); got != posts || pe.qpA.Err() != nil {

@@ -52,12 +52,12 @@ func TestDestroyQPDropsTraffic(t *testing.T) {
 	// Destroy the destination QP, then write into the void: nothing may
 	// crash, data must not land, no completion may arrive (no ack).
 	b.NIC.DestroyQP(qb)
-	copy(src.WriteView(0, 5), "ghost")
+	poke(src, 0, []byte("ghost"))
 	qa.PostSend(nic.SendWR{Op: nic.OpWrite, Signaled: true,
 		LKey: src.LKey, LAddr: src.Base, Len: 5,
 		RKey: dst.RKey, RAddr: dst.Base})
 	c.Env.Run()
-	if string(dst.WriteView(0, 5)) == "ghost" {
+	if string(peek(dst, 0, 5)) == "ghost" {
 		t.Fatal("write landed on a destroyed QP")
 	}
 	if cqA.Len() != 0 {
@@ -84,15 +84,15 @@ func TestRetransmitBurstLoss(t *testing.T) {
 	pe := newPair(t, nic.RC)
 	pe.c.Hosts[1].NIC.DropNextDataPackets(5)
 	for i := 0; i < 20; i++ {
-		pe.cli.WriteView(i, 1)[0] = byte(i + 1)
+		poke(pe.cli, i, []byte{byte(i + 1)})
 		pe.qpA.PostSend(nic.SendWR{WRID: uint64(i), Op: nic.OpWrite, Signaled: true,
 			LKey: pe.cli.LKey, LAddr: pe.cli.Base + uint64(i), Len: 1,
 			RKey: pe.srv.RKey, RAddr: pe.srv.Base + uint64(i)})
 	}
 	pe.c.Env.Run()
 	for i := 0; i < 20; i++ {
-		if pe.srv.WriteView(i, 1)[0] != byte(i+1) {
-			t.Fatalf("slot %d = %d after burst loss", i, pe.srv.WriteView(i, 1)[0])
+		if pe.srv.ByteAt(i) != byte(i+1) {
+			t.Fatalf("slot %d = %d after burst loss", i, pe.srv.ByteAt(i))
 		}
 	}
 	if got := pe.cqA.Len(); got != 20 {
@@ -111,7 +111,7 @@ func TestRepeatedLossEpisodes(t *testing.T) {
 		pe.c.Hosts[1].NIC.DropNextDataPackets(2)
 		base := uint64(round * 32)
 		for i := uint64(0); i < 8; i++ {
-			pe.cli.WriteView(int(base+i), 1)[0] = byte(0x10*round + int(i) + 1)
+			poke(pe.cli, int(base+i), []byte{byte(0x10*round + int(i) + 1)})
 			pe.qpA.PostSend(nic.SendWR{Op: nic.OpWrite, Signaled: true,
 				LKey: pe.cli.LKey, LAddr: pe.cli.Base + base + i, Len: 1,
 				RKey: pe.srv.RKey, RAddr: pe.srv.Base + base + i})
@@ -122,8 +122,8 @@ func TestRepeatedLossEpisodes(t *testing.T) {
 		base := round * 32
 		for i := 0; i < 8; i++ {
 			want := byte(0x10*round + i + 1)
-			if pe.srv.WriteView(base+i, 1)[0] != want {
-				t.Fatalf("round %d slot %d = %#x, want %#x", round, i, pe.srv.WriteView(base+i, 1)[0], want)
+			if pe.srv.ByteAt(base+i) != want {
+				t.Fatalf("round %d slot %d = %#x, want %#x", round, i, pe.srv.ByteAt(base+i), want)
 			}
 		}
 	}
@@ -177,7 +177,7 @@ func TestWatchSurvivesManyWriters(t *testing.T) {
 		scq := srv.NIC.CreateCQ()
 		sqp := srv.NIC.CreateQP(nic.RC, scq, scq)
 		nic.Connect(qp, sqp)
-		src.WriteView(0, 1)[0] = byte(w + 1)
+		poke(src, 0, []byte{byte(w + 1)})
 		c.Env.SpawnAt(sim.Duration(w)*500, "writer", func(p *sim.Proc) {
 			qp.PostSend(nic.SendWR{Op: nic.OpWrite,
 				LKey: src.LKey, LAddr: src.Base, Len: 1,
@@ -189,7 +189,7 @@ func TestWatchSurvivesManyWriters(t *testing.T) {
 		for seen < writers {
 			n := 0
 			for w := 0; w < writers; w++ {
-				if reg.WriteView(w, 1)[0] == byte(w+1) {
+				if reg.ByteAt(w) == byte(w+1) {
 					n++
 				}
 			}

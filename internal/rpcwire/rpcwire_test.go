@@ -157,8 +157,9 @@ func TestPoolBlockAliasesRegion(t *testing.T) {
 	p := NewPool(reg, 256, 4, 8)
 	p.WriteFrame(2, 3, []byte("zz"), 0)
 	addr := p.BlockAddr(2, 3)
-	off := int(addr - reg.Base)
-	if !Valid(reg.ReadView(off, 256)) {
+	block := make([]byte, 256)
+	reg.ReadAt(block, int64(addr-reg.Base))
+	if !Valid(block) {
 		t.Fatal("block does not alias region memory")
 	}
 }

@@ -51,6 +51,8 @@ type Deployment struct {
 	ReplSrvs map[int]*rawrpc.Server
 	Director *Director
 	Stats    *Stats
+
+	readBuf []byte // ReadKV's value buffer
 }
 
 // Deploy builds and starts a sharded store on cl.
@@ -173,13 +175,15 @@ func (d *Deployment) LiveMap() *Map {
 }
 
 // ReadKV reads a row directly from its current primary store (audits and
-// balance sweeps, bypassing the wire).
+// balance sweeps, bypassing the wire). The value is read into a buffer the
+// next ReadKV reuses: copy it to retain it.
 func (d *Deployment) ReadKV(key []byte) ([]byte, error) {
 	m := d.LiveMap()
 	p := m.PartitionOf(key)
-	it, err := d.Nodes[m.Primary[p]].Store(p).Get(nil, key)
+	it, err := d.Nodes[m.Primary[p]].Store(p).GetValue(nil, key, d.readBuf[:0])
 	if err != nil {
 		return nil, err
 	}
+	d.readBuf = it.Value
 	return it.Value, nil
 }

@@ -314,7 +314,7 @@ func TestOnlyThePrimaryServes(t *testing.T) {
 	if !finished {
 		t.Fatal("ops never finished")
 	}
-	if it, err := prim.Store(p).Get(nil, row); err != nil || string(it.Value) != "changed" || it.Version != 2 {
+	if it, err := prim.Store(p).GetValue(nil, row, nil); err != nil || string(it.Value) != "changed" || it.Version != 2 {
 		t.Fatalf("primary row after commit: %+v err=%v, want value \"changed\" at version 2", it, err)
 	}
 }

@@ -204,7 +204,9 @@ func (n *Node) handleShard(t *host.Thread, clientID uint16, req, out []byte) int
 
 	switch inner {
 	case HKVGet:
-		it, err := n.parts[part].Store.Get(t, body)
+		// A value that fits is read in place; a longer one is read into a
+		// buffer of its own and cut to out's length.
+		it, err := n.parts[part].Store.GetValue(t, body, out[2:2:len(out)])
 		out[0] = ROK
 		if err != nil {
 			out[1] = 0

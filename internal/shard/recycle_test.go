@@ -180,18 +180,18 @@ func TestRecycledStateOnTheShardServers(t *testing.T) {
 				for _, key := range [][]byte{smallbank.SavingsKey(a), smallbank.CheckingKey(a)} {
 					p := m.PartitionOf(key)
 					store := run.d.Nodes[m.Primary[p]].Store(p)
-					prim, err := store.Get(nil, key)
+					prim, err := store.GetValue(nil, key, nil)
 					if err != nil {
 						t.Fatalf("row %s on its primary: %v", key, err)
 					}
-					back, err := run.d.Nodes[m.Backup[p]].Store(p).Get(nil, key)
+					back, err := run.d.Nodes[m.Backup[p]].Store(p).GetValue(nil, key, nil)
 					if err != nil {
 						t.Fatalf("row %s on its backup: %v", key, err)
 					}
 					if !bytes.Equal(prim.Value, back.Value) {
 						differ++
 					}
-					if _, err := store.TryLock(nil, key, 31337); err != nil {
+					if _, err := store.TryLock(nil, key, 31337, nil); err != nil {
 						t.Errorf("row %s left locked: %v", key, err)
 					} else {
 						store.Unlock(nil, key, 31337)

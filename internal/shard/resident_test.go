@@ -3,7 +3,6 @@ package shard
 import (
 	"testing"
 
-	"scalerpc/internal/baseline/rawrpc"
 	"scalerpc/internal/cluster"
 	"scalerpc/internal/host"
 	"scalerpc/internal/memory"
@@ -14,14 +13,14 @@ import (
 
 // TestResidentPagesTrackWrites: registered regions hold host memory only
 // where a write reached. After a short ScaleRPC echo run and a SmallBank
-// run on buildDeployment, no resident unit or page reads all zeros, each
-// host holds less than one page slab, one unit slab and one unit-table
-// slab beyond its resident units and pages and the unit tables they use,
-// and the resident bytes are at most 55 % of the registered
-// ones. Allocating a region's bytes at Register, or on a read, fails it.
+// run on buildDeployment, no resident unit reads all zeros, each host
+// holds less than one unit slab and one unit-table slab beyond its
+// resident units and the unit tables they use, and the resident bytes are
+// at most 55 % of the registered ones. Allocating a region's bytes at
+// Register, or on a read, fails it.
 func TestResidentPagesTrackWrites(t *testing.T) {
 	t.Run("scalerpc-echo", func(t *testing.T) {
-		c := echoRun(t, scalerpcEcho)
+		c := echoRun(t)
 		defer c.Close()
 		checkResidency(t, c)
 	})
@@ -32,51 +31,12 @@ func TestResidentPagesTrackWrites(t *testing.T) {
 	})
 }
 
-// TestPoolsStayInUnits: message pools, request staging blocks, response
-// outboxes and endpoint entries are read and written through ReadAt and
-// WriteAt, never viewed, so none of them holds a page backed whole: after a
-// ScaleRPC and a RawWrite echo run no host holds a whole page.
-func TestPoolsStayInUnits(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		connect echoServer
-	}{
-		{"scalerpc", scalerpcEcho},
-		{"rawwrite", rawwriteEcho},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			c := echoRun(t, tc.connect)
-			defer c.Close()
-			var units int
-			for _, h := range c.Hosts {
-				cs := h.Mem.Census()
-				if cs.Pages != 0 {
-					t.Errorf("host %d: %d bytes in whole pages, want 0", h.ID, cs.Pages)
-				}
-				units += cs.Units
-			}
-			if units == 0 {
-				t.Fatal("no resident unit after the run")
-			}
-			t.Logf("%.2f MB in units", float64(units)/(1<<20))
-		})
-	}
-}
-
-// echoServer starts an echo server on h and returns its connect function.
-type echoServer func(h *host.Host) func(*host.Host, *sim.Signal) rpccore.Conn
-
+// scalerpcEcho starts a ScaleRPC echo server on h, in groups of 40, and
+// returns its connect function.
 func scalerpcEcho(h *host.Host) func(*host.Host, *sim.Signal) rpccore.Conn {
 	cfg := scalerpc.DefaultServerConfig()
 	cfg.GroupSize = 40
 	s := scalerpc.NewServer(h, cfg)
-	s.Register(1, echo)
-	s.Start()
-	return func(ch *host.Host, sig *sim.Signal) rpccore.Conn { return s.Connect(ch, sig) }
-}
-
-func rawwriteEcho(h *host.Host) func(*host.Host, *sim.Signal) rpccore.Conn {
-	s := rawrpc.NewServer(h, rawrpc.DefaultServerConfig())
 	s.Register(1, echo)
 	s.Start()
 	return func(ch *host.Host, sig *sim.Signal) rpccore.Conn { return s.Connect(ch, sig) }
@@ -88,11 +48,11 @@ func echo(t *host.Thread, _ uint16, req, out []byte) int {
 }
 
 // echoRun drives 80 closed-loop echo clients, batch 4, for 1 ms against
-// the server start builds on host 0 (ScaleRPC's in two groups), and
-// returns the cluster.
-func echoRun(t *testing.T, start echoServer) *cluster.Cluster {
+// a ScaleRPC echo server on host 0, in two groups, and returns the
+// cluster.
+func echoRun(t *testing.T) *cluster.Cluster {
 	c := cluster.New(cluster.Default(5))
-	connect := start(c.Hosts[0])
+	connect := scalerpcEcho(c.Hosts[0])
 	const horizon = sim.Millisecond
 	var answered int
 	for i := 0; i < 80; i++ {
@@ -124,29 +84,27 @@ func echoRun(t *testing.T, start echoServer) *cluster.Cluster {
 // checkResidency sums every host's census and checks it.
 func checkResidency(t *testing.T, c *cluster.Cluster) {
 	t.Helper()
-	const slack = 64*4<<10 + 256*256 + 256*128 // one page slab, one unit slab and one unit-table slab
+	const slack = 256*256 + 256*128 // one unit slab and one unit-table slab
 	var sum memory.Census
 	for _, h := range c.Hosts {
 		cs := h.Mem.Census()
-		if extra := cs.Held - cs.Resident() - cs.Tables; extra < 0 || extra >= slack {
-			t.Errorf("host %d holds %d bytes for %d resident and %d in unit tables, want less than %d bytes more",
-				h.ID, cs.Held, cs.Resident(), cs.Tables, slack)
+		if extra := cs.Held - cs.Units - cs.Tables; extra < 0 || extra >= slack {
+			t.Errorf("host %d holds %d bytes for %d in units and %d in unit tables, want less than %d bytes more",
+				h.ID, cs.Held, cs.Units, cs.Tables, slack)
 		}
 		sum.Registered += cs.Registered
 		sum.Units += cs.Units
-		sum.Pages += cs.Pages
 		sum.Tables += cs.Tables
 		sum.ZeroResident += cs.ZeroResident
 		sum.Held += cs.Held
 	}
-	t.Logf("%d hosts: %.1f MB registered, %.1f MB resident (%.1f %%: %.1f MB in units, %.1f MB in whole pages), %.2f MB of unit tables, %d resident bytes all zero, %.1f MB held",
-		len(c.Hosts), float64(sum.Registered)/(1<<20), float64(sum.Resident())/(1<<20),
-		100*float64(sum.Resident())/float64(sum.Registered), float64(sum.Units)/(1<<20), float64(sum.Pages)/(1<<20),
-		float64(sum.Tables)/(1<<20), sum.ZeroResident, float64(sum.Held)/(1<<20))
+	t.Logf("%d hosts: %.1f MB registered, %.1f MB resident in units (%.1f %%), %.2f MB of unit tables, %d resident bytes all zero, %.1f MB held",
+		len(c.Hosts), float64(sum.Registered)/(1<<20), float64(sum.Units)/(1<<20),
+		100*float64(sum.Units)/float64(sum.Registered), float64(sum.Tables)/(1<<20), sum.ZeroResident, float64(sum.Held)/(1<<20))
 	if sum.ZeroResident != 0 {
-		t.Errorf("%d resident bytes are in units or pages that hold no written byte, want 0", sum.ZeroResident)
+		t.Errorf("%d resident bytes are in units that hold no written byte, want 0", sum.ZeroResident)
 	}
-	if sum.Resident()*100 > sum.Registered*55 {
-		t.Errorf("%d resident bytes of %d registered, want at most 55 %%", sum.Resident(), sum.Registered)
+	if sum.Units*100 > sum.Registered*55 {
+		t.Errorf("%d resident bytes of %d registered, want at most 55 %%", sum.Units, sum.Registered)
 	}
 }

@@ -150,7 +150,7 @@ func TestKVPutGetThroughRouter(t *testing.T) {
 		k := key8(i)
 		p := d.Map.PartitionOf(k)
 		b := d.Map.Backup[p]
-		it, err := d.Nodes[b].Store(p).Get(nil, k)
+		it, err := d.Nodes[b].Store(p).GetValue(nil, k, nil)
 		if err != nil {
 			t.Fatalf("key %d missing on backup host %d: %v", i, b, err)
 		}
@@ -225,5 +225,39 @@ func TestCrossShardTransactions(t *testing.T) {
 	}
 	if total != accounts*1000 {
 		t.Fatalf("conservation broken: total=%d want %d (commits=%d)", total, accounts*1000, commits)
+	}
+}
+
+// TestGetReplyStaysInItsBuffer reads a value longer than the reply buffer
+// whose backing array runs on past it, as a worker's reply slice runs on
+// into its frame's trailer: the answer is cut to the buffer's length and
+// nothing past it is written.
+func TestGetReplyStaysInItsBuffer(t *testing.T) {
+	c, d, _ := buildDeployment(t, 8)
+	defer c.Close()
+	row, val := key8(0), bytes.Repeat([]byte{'v'}, 40)
+	if err := d.LoadKV(row, val); err != nil {
+		t.Fatal(err)
+	}
+	p := d.Map.PartitionOf(row)
+	n := d.Nodes[d.Map.Primary[p]]
+	req := make([]byte, envSize+len(row))
+	EncodeEnv(req, n.cur.Epoch, p, HKVGet, row)
+	done := false
+	n.Host.Spawn("get", func(th *host.Thread) {
+		buf := bytes.Repeat([]byte{0xee}, 64)
+		out := buf[:16]
+		m := n.handleShard(th, 1, req, out)
+		if m != len(out) || out[0] != ROK || out[1] != 1 || !bytes.Equal(out[2:], val[:len(out)-2]) {
+			t.Errorf("reply %d bytes %q, want %d bytes: ROK, found, the value's first %d", m, out, len(out), len(out)-2)
+		}
+		if !bytes.Equal(buf[len(out):], bytes.Repeat([]byte{0xee}, len(buf)-len(out))) {
+			t.Errorf("bytes past the reply buffer changed: %x", buf[len(out):])
+		}
+		done = true
+	})
+	c.Env.RunUntil(sim.Millisecond)
+	if !done {
+		t.Fatal("the get never finished")
 	}
 }

@@ -139,13 +139,15 @@ func TotalBalanceWith(cfg Config, get func(key []byte) int64) int64 {
 
 // TotalBalance sums every row across participants placed by ShardKey.
 func TotalBalance(parts []*txn.Participant, cfg Config) int64 {
+	var val []byte
 	return TotalBalanceWith(cfg, func(k []byte) int64 {
 		p := parts[txn.ShardKey(k, len(parts))]
-		it, err := p.Store.Get(nil, k)
+		it, err := p.Store.GetValue(nil, k, val[:0])
 		if err != nil {
 			panic(err)
 		}
-		return amount(it.Value)
+		val = it.Value
+		return amount(val)
 	})
 }
 

@@ -137,7 +137,7 @@ func TestFullMixRunsAndBalancesAccountable(t *testing.T) {
 	for a := 0; a < cfg.Accounts; a++ {
 		for _, k := range [][]byte{smallbank.SavingsKey(a), smallbank.CheckingKey(a)} {
 			p := parts[txn.ShardKey(k, len(parts))]
-			if _, err := p.Store.TryLock(nil, k, 31337); err != nil {
+			if _, err := p.Store.TryLock(nil, k, 31337, nil); err != nil {
 				t.Fatalf("row %s left locked: %v", k, err)
 			}
 			p.Store.Unlock(nil, k, 31337)

@@ -69,16 +69,20 @@ func (p *Participant) handleExec(t *host.Thread, clientID uint16, req, out []byt
 	if err != nil {
 		return EncodeExecResp(out, StNotFound, nil)
 	}
+	// Each value is copied into s.Vals beside the version it was read
+	// with: a later lookup's charge yields, and a commit landing then must
+	// not change a value already paired with its old version.
 	for _, k := range s.Reads {
-		it, err := p.Store.Get(t, k)
+		it, err := p.Store.GetValue(t, k, s.Vals)
 		if err != nil {
 			s.Items = append(s.Items, ItemResult{Found: false})
 			continue
 		}
-		s.Items = append(s.Items, ItemResult{Found: true, Version: it.Version, Addr: it.Addr, Value: it.Value})
+		s.Items = append(s.Items, ItemResult{Found: true, Version: it.Version, Addr: it.Addr, Value: it.Value[len(s.Vals):]})
+		s.Vals = it.Value
 	}
 	for _, k := range s.Writes {
-		it, err := p.Store.TryLock(t, k, txnID)
+		it, err := p.Store.TryLock(t, k, txnID, s.Vals)
 		if err != nil {
 			// Roll back locks taken by this request.
 			for _, lk := range s.Locked {
@@ -91,7 +95,8 @@ func (p *Participant) handleExec(t *host.Thread, clientID uint16, req, out []byt
 			return EncodeExecResp(out, StNotFound, nil)
 		}
 		s.Locked = append(s.Locked, k)
-		s.Items = append(s.Items, ItemResult{Found: true, Version: it.Version, Addr: it.Addr, Value: it.Value})
+		s.Items = append(s.Items, ItemResult{Found: true, Version: it.Version, Addr: it.Addr, Value: it.Value[len(s.Vals):]})
+		s.Vals = it.Value
 	}
 	return EncodeExecResp(out, StOK, s.Items)
 }
@@ -179,16 +184,18 @@ func (p *Participant) handleUnlock(t *host.Thread, clientID uint16, req, out []b
 }
 
 // Scratch is one handler invocation's working memory: the keys or write
-// set it decoded, the items it read, the locks it took and the versions it
-// re-read. What it holds aliases the request being served and the store,
-// so it lives exactly as long as the invocation: the handler takes one
-// from a ScratchPool on entry and puts it back on every exit path.
+// set it decoded, the items it read with their values copied into Vals,
+// the locks it took and the versions it re-read. What it holds aliases the
+// request being served, so it lives exactly as long as the invocation: the
+// handler takes one from a ScratchPool on entry and puts it back on every
+// exit path.
 type Scratch struct {
 	Reads, Writes [][]byte
 	KVs           []KV
 	Items         []ItemResult
 	Locked        [][]byte
 	Versions      []uint64
+	Vals          []byte
 }
 
 // ScratchPool is a free list of Scratch. Concurrent invocations get
@@ -225,7 +232,10 @@ func (p *ScratchPool) Put(s *Scratch) {
 	for i := range s.Versions {
 		s.Versions[i] = word
 	}
+	if recycle.Poison {
+		recycle.PoisonBytes(s.Vals)
+	}
 	s.Reads, s.Writes, s.Locked = s.Reads[:0], s.Writes[:0], s.Locked[:0]
-	s.KVs, s.Items, s.Versions = s.KVs[:0], s.Items[:0], s.Versions[:0]
+	s.KVs, s.Items, s.Versions, s.Vals = s.KVs[:0], s.Items[:0], s.Versions[:0], s.Vals[:0]
 	p.l.Put(s)
 }

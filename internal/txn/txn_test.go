@@ -74,7 +74,7 @@ func (r *testRig) totalBalance(accounts int) uint64 {
 	for i := 0; i < accounts; i++ {
 		k := acctKey(i)
 		p := r.parts[txn.ShardKey(k, len(r.parts))]
-		it, err := p.Store.Get(nil, k)
+		it, err := p.Store.GetValue(nil, k, nil)
 		if err != nil {
 			panic(err)
 		}
@@ -160,7 +160,7 @@ func TestTransferPreservesTotalBalance(t *testing.T) {
 			for i := 0; i < accounts; i++ {
 				k := acctKey(i)
 				p := rig.parts[txn.ShardKey(k, len(rig.parts))]
-				if _, err := p.Store.TryLock(nil, k, 999999); err != nil {
+				if _, err := p.Store.TryLock(nil, k, 999999, nil); err != nil {
 					t.Fatalf("account %d still locked after run: %v", i, err)
 				}
 				p.Store.Unlock(nil, k, 999999)
@@ -175,7 +175,7 @@ func TestLockConflictAborts(t *testing.T) {
 	// Pre-lock an account directly so the coordinator's exec must abort.
 	k := acctKey(1)
 	p := rig.parts[txn.ShardKey(k, len(rig.parts))]
-	p.Store.TryLock(nil, k, 4242)
+	p.Store.TryLock(nil, k, 4242, nil)
 	var err error
 	done := false
 	rig.coords[0].Spawn(func(th *host.Thread, co *txn.Coordinator) {
@@ -192,7 +192,7 @@ func TestLockConflictAborts(t *testing.T) {
 	// The other account of the pair must not be left locked.
 	k2 := acctKey(2)
 	p2 := rig.parts[txn.ShardKey(k2, len(rig.parts))]
-	if _, lerr := p2.Store.TryLock(nil, k2, 777); lerr != nil {
+	if _, lerr := p2.Store.TryLock(nil, k2, 777, nil); lerr != nil {
 		t.Fatalf("partner account left locked: %v", lerr)
 	}
 }
