@@ -16,8 +16,8 @@ func init() {
 // largest population its testbed could drive. This experiment replays the
 // same shape at populations the hardware could not reach, topping out at
 // 10,000 clients on one server. It exists because of the kernel-speed
-// refactor: before the timing wheel, batched charging and arena pooling,
-// a 10k-client run did not finish in a CI budget.
+// refactor: before batched charging, arena pooling and a queue without
+// per-event boxing, a 10k-client run did not finish in a CI budget.
 //
 // The windows are fixed per point (not Options-scaled): at GroupSize 40 /
 // TimeSlice 100 µs, N clients form ceil(N/40) groups and a full rotation

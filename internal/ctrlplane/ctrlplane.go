@@ -43,11 +43,6 @@ const (
 
 	cacheCap                 = 256       // max parked connections per side
 	idleTimeout sim.Duration = 5_000_000 // parked connections older than this tear down
-
-	// admitQueueTimeout bounds how long a dial parked by a Gatekeeper's
-	// ErrAdmitQueue may wait for quota; entries still over quota after
-	// this age are rejected. Queued entries are re-examined every sweep.
-	admitQueueTimeout sim.Duration = 400_000
 )
 
 // Config holds the manager parameters.
@@ -129,18 +124,10 @@ type Service interface {
 	Closed(peer int, handle uint64, reason CloseReason)
 }
 
-// ErrAdmitQueue is the sentinel a Gatekeeper returns to park a dial in the
-// manager's admission queue instead of rejecting it outright: the request
-// is retried every sweep until the gate clears, then accepted, or until
-// admitQueueTimeout lapses, then rejected.
-var ErrAdmitQueue = errors.New("ctrlplane: admission queued")
-
 // Gatekeeper is an optional extension a Service implements to screen dials
 // before any QP is created: admission control. PreAdmit sees the connect
-// (or resume) request's opaque payload and returns nil to proceed,
-// ErrAdmitQueue (possibly wrapped) to park the dial in the admission
-// queue, or any other error to reject with that reason. PreAdmit must be
-// side-effect free — the manager calls it again on every queue retry, and
+// (or resume) request's opaque payload and returns nil to proceed or an
+// error to reject with that reason. PreAdmit must be side-effect free —
 // Accept/Resume still runs afterwards as the authoritative admission.
 type Gatekeeper interface {
 	PreAdmit(peer int, service string, payload []byte) error
@@ -148,7 +135,7 @@ type Gatekeeper interface {
 
 // Event is one entry of the manager's connection event log. The log is the
 // determinism surface: a fixed seed must reproduce it exactly. Kind is one
-// of accept, resume, reject, admit_queue, admit_release, leave, teardown,
+// of accept, resume, reject, leave, teardown,
 // cap_evict, expire, evict and idle_teardown from the connection
 // lifecycle, or suspect, demote, det_evict, quarantine, readmit and restore
 // from the adaptive detector's ladder.
@@ -191,15 +178,6 @@ type dupKey struct {
 	clientQPN uint32
 }
 
-// dialKey is a dial's dedup key: the peer and the client-side QPN — the
-// fresh QP of a connect, the parked one of a resume.
-func dialKey(peer int, msg *wireMsg) dupKey {
-	if msg.kind == kindResume {
-		return dupKey{peer, msg.qpn2}
-	}
-	return dupKey{peer, msg.qpn}
-}
-
 // dialWait parks a dialing thread until its handshake reply arrives.
 type dialWait struct {
 	sig  *sim.Signal
@@ -225,9 +203,6 @@ type Stats struct {
 	CapEvictions  uint64 `json:"cap_evictions"`
 	KeepalivesTx  uint64 `json:"keepalives_tx"`
 	KeepalivesRx  uint64 `json:"keepalives_rx"`
-	AdmitQueued   uint64 `json:"admit_queued"`   // dials parked by a Gatekeeper
-	AdmitReleased uint64 `json:"admit_released"` // parked dials later admitted
-	AdmitTimeouts uint64 `json:"admit_timeouts"` // parked dials rejected at admitQueueTimeout
 
 	// Failure-detector counters (detector.*). Suspicions/Demotions count
 	// ladder escalations; DetectorEvictions counts peers the adaptive
@@ -244,17 +219,6 @@ type Stats struct {
 	DetectorProbes     uint64 `json:"detector_probes"`
 	PingsRx            uint64 `json:"pings_rx"`
 }
-
-// admitEntry is one dial parked in the admission queue (FIFO).
-type admitEntry struct {
-	peer int
-	msg  wireMsg
-	at   sim.Time
-}
-
-// errAdmitTimeout is the reject reason of a dial that outwaited
-// admitQueueTimeout in the admission queue.
-var errAdmitTimeout = errors.New("admission queue timeout")
 
 const sendRing = 32
 
@@ -284,9 +248,6 @@ type Manager struct {
 	conns  map[uint32]*serverConn // active inbound, by server QPN
 	parked map[uint32]*serverConn // parked inbound, by server QPN
 	dups   map[dupKey]uint32      // connect-request dedup → server QPN
-
-	admitQueue []admitEntry    // dials parked by a Gatekeeper, FIFO
-	admitKeys  map[dupKey]bool // dedup for queued dials (resends)
 
 	cliActive map[uint32]*Conn // active outbound, by client QPN
 	// cliParked holds the closed outbound connections whose QP stays
@@ -342,7 +303,6 @@ func NewManager(h *host.Host, cfg Config, dir *Directory) *Manager {
 		conns:       make(map[uint32]*serverConn),
 		parked:      make(map[uint32]*serverConn),
 		dups:        make(map[dupKey]uint32),
-		admitKeys:   make(map[dupKey]bool),
 		cliActive:   make(map[uint32]*Conn),
 		leases:      make(map[int]sim.Time),
 		lastKA:      make(map[int]sim.Time),
@@ -372,9 +332,6 @@ func NewManager(h *host.Host, cfg Config, dir *Directory) *Manager {
 	sc.CounterVar("cap_evictions", &m.Stats.CapEvictions)
 	sc.CounterVar("keepalives_tx", &m.Stats.KeepalivesTx)
 	sc.CounterVar("keepalives_rx", &m.Stats.KeepalivesRx)
-	sc.CounterVar("admit_queued", &m.Stats.AdmitQueued)
-	sc.CounterVar("admit_released", &m.Stats.AdmitReleased)
-	sc.CounterVar("admit_timeouts", &m.Stats.AdmitTimeouts)
 	sc.CounterVar("detector.suspicions", &m.Stats.DetectorSuspicions)
 	sc.CounterVar("detector.demotions", &m.Stats.DetectorDemotions)
 	sc.CounterVar("detector.evictions", &m.Stats.DetectorEvictions)
@@ -523,15 +480,13 @@ func (m *Manager) handleCQE(t *host.Thread, e nic.CQE) {
 }
 
 // onDial serves a connect or resume request off the wire. A connect that
-// repeats an accepted one is answered by replaying the accept, and a resend
-// of a dial waiting in the admission queue is dropped — a connect's before
-// the quarantine gate screens the peer, a resume's after it. Everything
-// else goes to admission.
+// repeats an accepted one is answered by replaying the accept. Everything
+// else passes the quarantine gate, then the service's Gatekeeper, if it has
+// one: an error rejects the dial, and a clear gate activates the
+// connection.
 func (m *Manager) onDial(t *host.Thread, peer int, msg *wireMsg) {
-	dk := dialKey(peer, msg)
-	queued := m.admitKeys[dk]
 	if msg.kind == kindConnReq {
-		if qpn, ok := m.dups[dk]; ok {
+		if qpn, ok := m.dups[dupKey{peer, msg.qpn}]; ok {
 			if sc := m.conns[qpn]; sc != nil {
 				// Our accept was lost or slow: replay it.
 				replay := sc.acceptMsg
@@ -539,54 +494,18 @@ func (m *Manager) onDial(t *host.Thread, peer int, msg *wireMsg) {
 			}
 			return
 		}
-		if queued {
+	}
+	if m.quarantineReject(t, peer, msg) {
+		return
+	}
+	svc := m.services[msg.svc]
+	if gk, ok := svc.(Gatekeeper); ok {
+		if err := gk.PreAdmit(peer, msg.svc, msg.payload); err != nil {
+			m.reject(t, peer, msg, err.Error())
 			return
 		}
 	}
-	if m.quarantineReject(t, peer, msg) || queued {
-		return
-	}
-	m.admit(t, peer, msg, false, 0)
-}
-
-// admit is the one admission path of connects and resumes, fresh off the
-// wire or retried from the admission queue (retry, queued for age). The
-// service's Gatekeeper screens the dial first: ErrAdmitQueue parks a fresh
-// dial in the queue and keeps a retried one there until admitQueueTimeout,
-// any other error rejects, and a clear gate activates the connection.
-// admit reports whether the dial is (still) queued.
-func (m *Manager) admit(t *host.Thread, peer int, msg *wireMsg, retry bool, age sim.Duration) bool {
-	svc := m.services[msg.svc]
-	var gate error
-	if gk, ok := svc.(Gatekeeper); ok {
-		gate = gk.PreAdmit(peer, msg.svc, msg.payload)
-	}
-	dk := dialKey(peer, msg)
-	if errors.Is(gate, ErrAdmitQueue) {
-		if !retry {
-			m.admitKeys[dk] = true
-			m.admitQueue = append(m.admitQueue, admitEntry{peer: peer, msg: *msg, at: t.P.Now()})
-			m.Stats.AdmitQueued++
-			m.event("admit_queue", peer, msg.qpn, 0)
-			return true
-		}
-		if age <= admitQueueTimeout {
-			return true
-		}
-		m.Stats.AdmitTimeouts++
-		gate = errAdmitTimeout
-	}
-	delete(m.admitKeys, dk)
-	if gate != nil {
-		m.reject(t, peer, msg, gate.Error())
-		return false
-	}
-	if retry {
-		m.Stats.AdmitReleased++
-		m.event("admit_release", peer, msg.qpn, 0)
-	}
 	m.activate(t, peer, msg, svc)
-	return false
 }
 
 // activate turns an admitted dial into an active inbound connection. A
@@ -654,20 +573,6 @@ func (m *Manager) reject(t *host.Thread, peer int, msg *wireMsg, reason string) 
 	m.Stats.Rejects++
 	m.event("reject", peer, msg.qpn, 0)
 	m.send(t, peer, &wireMsg{kind: kindReject, reqID: msg.reqID, reason: reason})
-}
-
-// drainAdmitQueue retries the queued dials in FIFO order through admit: a
-// release earlier in the pass consumes quota the next entry's gate sees,
-// and every entry's age is taken at the start of the pass.
-func (m *Manager) drainAdmitQueue(t *host.Thread) {
-	now := t.P.Now()
-	kept := m.admitQueue[:0]
-	for _, e := range m.admitQueue {
-		if m.admit(t, e.peer, &e.msg, true, now-e.at) {
-			kept = append(kept, e)
-		}
-	}
-	m.admitQueue = kept
 }
 
 // onDisconnect ends an active inbound connection: a graceful leave whose QP
@@ -799,10 +704,6 @@ func (m *Manager) sweep(t *host.Thread) {
 			i++
 		}
 	}
-
-	// Admission-queue retries run after expiry/aging so quota freed this
-	// sweep is immediately available to parked dials.
-	m.drainAdmitQueue(t)
 
 	m.activeGauge = float64(len(m.conns) + len(m.cliActive))
 	m.cachedGauge = float64(len(m.parked) + len(m.cliParked))

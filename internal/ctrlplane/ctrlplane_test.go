@@ -310,110 +310,6 @@ func TestIdleTeardownAndCapEviction(t *testing.T) {
 	}
 }
 
-// gatedEcho wraps EchoService with a Gatekeeper whose policy the test
-// controls.
-type gatedEcho struct {
-	*ctrlplane.EchoService
-	admit func() error
-}
-
-func (g *gatedEcho) PreAdmit(peer int, svc string, payload []byte) error { return g.admit() }
-
-// TestAdmitQueueReleasesWhenQuotaFrees parks an over-quota dial in the
-// admission queue and checks it is admitted once the first connection
-// leaves — no client-side retry logic involved, the server re-examines the
-// queue on its sweep.
-func TestAdmitQueueReleasesWhenQuotaFrees(t *testing.T) {
-	cfg := ctrlplane.DefaultConfig()
-	c := cluster.New(cluster.Default(3))
-	t.Cleanup(c.Close)
-	dir := ctrlplane.NewDirectory()
-	for _, h := range c.Hosts {
-		ctrlplane.NewManager(h, cfg, dir).Start()
-	}
-	svc := &gatedEcho{EchoService: ctrlplane.NewEchoService()}
-	svc.admit = func() error {
-		if len(svc.Live) >= 1 {
-			return ctrlplane.ErrAdmitQueue
-		}
-		return nil
-	}
-	dir.Manager(0).RegisterService("echo", svc)
-
-	var connA, connB *ctrlplane.Conn
-	var errA, errB error
-	stage := 0
-	c.Hosts[1].Spawn("dialerA", func(th *host.Thread) {
-		connA, errA = dir.Manager(1).Dial(th, 0, "echo", nil)
-		stage = 1
-		// Hold the only slot until well after B has queued, then leave.
-		th.P.Sleep(150_000)
-		connA.Close(th)
-	})
-	c.Hosts[2].Spawn("dialerB", func(th *host.Thread) {
-		for stage == 0 {
-			th.P.Sleep(5_000)
-		}
-		connB, errB = dir.Manager(2).Dial(th, 0, "echo", nil)
-		stage = 2
-	})
-	step(t, c, 5_000_000, func() bool { return stage == 2 })
-	if errA != nil || errB != nil {
-		t.Fatalf("dials failed: A=%v B=%v", errA, errB)
-	}
-	if connB == nil || connB.Cached {
-		t.Fatal("B should hold a cold connection admitted from the queue")
-	}
-	st := dir.Manager(0).Stats
-	if st.AdmitQueued != 1 || st.AdmitReleased != 1 || st.AdmitTimeouts != 0 {
-		t.Fatalf("admission stats = queued %d released %d timeouts %d, want 1/1/0",
-			st.AdmitQueued, st.AdmitReleased, st.AdmitTimeouts)
-	}
-}
-
-// TestAdmitQueueTimeoutRejects keeps the gate closed: the parked dial must
-// be rejected with a reason once the admission queue timeout lapses, and a
-// hard-error gate must reject immediately without queueing.
-func TestAdmitQueueTimeoutRejects(t *testing.T) {
-	cfg := ctrlplane.DefaultConfig()
-	c := cluster.New(cluster.Default(2))
-	t.Cleanup(c.Close)
-	dir := ctrlplane.NewDirectory()
-	for _, h := range c.Hosts {
-		ctrlplane.NewManager(h, cfg, dir).Start()
-	}
-	svc := &gatedEcho{EchoService: ctrlplane.NewEchoService()}
-	svc.admit = func() error { return ctrlplane.ErrAdmitQueue }
-	dir.Manager(0).RegisterService("echo", svc)
-
-	var err error
-	done := false
-	c.Hosts[1].Spawn("dialer", func(th *host.Thread) {
-		_, err = dir.Manager(1).Dial(th, 0, "echo", nil)
-		done = true
-	})
-	step(t, c, 5_000_000, func() bool { return done })
-	var rej *ctrlplane.RejectError
-	if !errorsAs(err, &rej) {
-		t.Fatalf("err = %v, want RejectError after queue timeout", err)
-	}
-	if dir.Manager(0).Stats.AdmitTimeouts != 1 {
-		t.Fatalf("AdmitTimeouts = %d, want 1", dir.Manager(0).Stats.AdmitTimeouts)
-	}
-
-	// A hard gate error skips the queue entirely.
-	svc.admit = func() error { return errors.New("tenant quota exceeded") }
-	done = false
-	c.Hosts[1].Spawn("dialer2", func(th *host.Thread) {
-		_, err = dir.Manager(1).Dial(th, 0, "echo", nil)
-		done = true
-	})
-	step(t, c, 5_000_000, func() bool { return done })
-	if !errorsAs(err, &rej) || rej.Reason != "tenant quota exceeded" {
-		t.Fatalf("err = %v, want immediate reject with gate reason", err)
-	}
-}
-
 // lifecycleSvc is an EchoService that logs every admission and departure
 // into a shared transcript, refuses payload "refuse" on both Accept and
 // Resume, and remembers each connection's server-side QP by dial payload
@@ -474,9 +370,8 @@ func (g *gatedLifecycleSvc) PreAdmit(peer int, svc string, payload []byte) error
 // back to a cold dial, client cap eviction on a parkedAt tie, server cap
 // eviction, a stale cached pair falling back cold, an errored parked QP
 // skipped by Dial, duplicate-connect replay, QP-error eviction, ungraceful
-// teardown, lease expiry after a crash, admission-queue release (connect
-// and resume), admission-queue timeout with dedup of resends, a hard gate
-// reject, and idle teardown on both sides.
+// teardown, lease expiry after a crash, a connect and a resume through an
+// open Gatekeeper, a Gatekeeper reject, and idle teardown on both sides.
 func TestManagerLifecycleLog(t *testing.T) {
 	c := cluster.New(cluster.Default(4))
 	t.Cleanup(c.Close)
@@ -572,18 +467,8 @@ func TestManagerLifecycleLog(t *testing.T) {
 		s.Close(th)
 		c2.Close(th)
 
-		// Admission queue: a queued connect and a queued resume released,
-		// a queued connect timing out, a hard gate reject.
+		// The Gatekeeper admits a connect and a resume, then rejects.
 		at(th, 7_000_000)
-		gated.gate = ctrlplane.ErrAdmitQueue
-		c.Hosts[1].Spawn("opener", func(th *host.Thread) {
-			at(th, 7_100_000)
-			gated.gate = nil
-			at(th, 7_400_000)
-			gated.gate = ctrlplane.ErrAdmitQueue
-			at(th, 7_500_000)
-			gated.gate = nil
-		})
 		q1 := dial(th, "gate", "q1")
 		at(th, 7_300_000)
 		q1.Close(th)
@@ -591,10 +476,8 @@ func TestManagerLifecycleLog(t *testing.T) {
 		q2 := dial(th, "gate", "q2")
 		at(th, 7_700_000)
 		q2.Close(th)
-		gated.gate = ctrlplane.ErrAdmitQueue
-		dial(th, "gate", "q3")
 		gated.gate = errors.New("gate says no")
-		dial(th, "gate", "q4")
+		dial(th, "gate", "q3")
 		done = true
 	})
 	c.Hosts[2].Spawn("victim", func(th *host.Thread) {
@@ -677,16 +560,15 @@ const lifecycleGolden = `31000 svc echo accept peer=1 qpn=2 handle=1
 5581780 svc echo closed peer=3 handle=6 teardown
 5606805 svc echo2 closed peer=3 handle=2 teardown
 6407605 svc echo closed peer=2 handle=3 expired
-7130405 svc gate accept peer=1 qpn=15 handle=1
-7146465 h1 dial gate "q1": qpn=12 remote=15 cached=false
+7029880 svc gate accept peer=1 qpn=15 handle=1
+7045940 h1 dial gate "q1": qpn=12 remote=15 cached=false
 7300728 svc gate closed peer=1 handle=1 leave
-7505990 svc gate resume peer=1 qpn=15 handle=1
-7506860 h1 dial gate "q2": qpn=12 remote=15 cached=true
+7400730 svc gate resume peer=1 qpn=15 handle=1
+7401600 h1 dial gate "q2": qpn=12 remote=15 cached=true
 7700728 svc gate closed peer=1 handle=1 leave
-8232135 svc echo2 closed peer=1 handle=3 teardown
-8533311 h1 dial gate "q3": ctrlplane: rejected: admission queue timeout
-8541963 h1 dial gate "q4": ctrlplane: rejected: gate says no
-10734845 svc gate closed peer=1 handle=1 teardown
+7710394 h1 dial gate "q3": ctrlplane: rejected: gate says no
+8231290 svc echo2 closed peer=1 handle=3 teardown
+10733790 svc gate closed peer=1 handle=1 teardown
 h0 event 31000 accept peer=1 qpn=2 handle=1
 h0 event 56030 reject peer=1 qpn=3 handle=0
 h0 event 86926 reject peer=1 qpn=4 handle=0
@@ -722,29 +604,22 @@ h0 event 5200868 cap_evict peer=1 qpn=9 handle=1
 h0 event 5581780 idle_teardown peer=3 qpn=10 handle=6
 h0 event 5606805 idle_teardown peer=3 qpn=11 handle=2
 h0 event 6407605 expire peer=2 qpn=5 handle=3
-h0 event 7007780 admit_queue peer=1 qpn=12 handle=0
-h0 event 7108305 admit_release peer=1 qpn=12 handle=0
-h0 event 7130405 accept peer=1 qpn=15 handle=1
+h0 event 7029880 accept peer=1 qpn=15 handle=1
 h0 event 7300728 leave peer=1 qpn=15 handle=1
-h0 event 7400730 admit_queue peer=1 qpn=15 handle=0
-h0 event 7505990 admit_release peer=1 qpn=15 handle=0
-h0 event 7505990 resume peer=1 qpn=15 handle=1
+h0 event 7400730 resume peer=1 qpn=15 handle=1
 h0 event 7700728 leave peer=1 qpn=15 handle=1
-h0 event 7700870 admit_queue peer=1 qpn=15 handle=0
-h0 event 8106800 reject peer=1 qpn=15 handle=0
-h0 event 8115456 admit_queue peer=1 qpn=13 handle=0
-h0 event 8232135 idle_teardown peer=1 qpn=13 handle=3
-h0 event 8532435 reject peer=1 qpn=13 handle=0
-h0 event 8541091 reject peer=1 qpn=14 handle=0
-h0 event 10734845 idle_teardown peer=1 qpn=15 handle=1
-h0 stats {DialsCold:0 DialsCached:0 DialsFailed:0 Accepts:12 Resumes:3 Rejects:8 Leaves:11 LeaseExpiries:1 Evictions:1 CacheHits:0 CacheMisses:0 IdleTeardowns:4 CapEvictions:3 KeepalivesTx:0 KeepalivesRx:212 AdmitQueued:4 AdmitReleased:2 AdmitTimeouts:2 DetectorSuspicions:0 DetectorDemotions:0 DetectorEvictions:0 FalseEvictions:0 DetectorReadmits:0 DetectorProbes:0 PingsRx:0}
+h0 event 7700870 reject peer=1 qpn=15 handle=0
+h0 event 7709522 reject peer=1 qpn=13 handle=0
+h0 event 8231290 idle_teardown peer=1 qpn=13 handle=3
+h0 event 10733790 idle_teardown peer=1 qpn=15 handle=1
+h0 stats {DialsCold:0 DialsCached:0 DialsFailed:0 Accepts:12 Resumes:3 Rejects:7 Leaves:11 LeaseExpiries:1 Evictions:1 CacheHits:0 CacheMisses:0 IdleTeardowns:4 CapEvictions:3 KeepalivesTx:0 KeepalivesRx:214 DetectorSuspicions:0 DetectorDemotions:0 DetectorEvictions:0 FalseEvictions:0 DetectorReadmits:0 DetectorProbes:0 PingsRx:0}
 h1 event 2246150 cap_evict peer=0 qpn=7 handle=0
-h1 event 9242975 idle_teardown peer=0 qpn=11 handle=0
-h1 stats {DialsCold:8 DialsCached:3 DialsFailed:5 Accepts:0 Resumes:0 Rejects:0 Leaves:0 LeaseExpiries:0 Evictions:0 CacheHits:3 CacheMisses:13 IdleTeardowns:1 CapEvictions:1 KeepalivesTx:55 KeepalivesRx:0 AdmitQueued:0 AdmitReleased:0 AdmitTimeouts:0 DetectorSuspicions:0 DetectorDemotions:0 DetectorEvictions:0 FalseEvictions:0 DetectorReadmits:0 DetectorProbes:0 PingsRx:0}
-h2 stats {DialsCold:1 DialsCached:0 DialsFailed:0 Accepts:0 Resumes:0 Rejects:0 Leaves:0 LeaseExpiries:0 Evictions:0 CacheHits:0 CacheMisses:1 IdleTeardowns:0 CapEvictions:0 KeepalivesTx:138 KeepalivesRx:0 AdmitQueued:0 AdmitReleased:0 AdmitTimeouts:0 DetectorSuspicions:0 DetectorDemotions:0 DetectorEvictions:0 FalseEvictions:0 DetectorReadmits:0 DetectorProbes:0 PingsRx:0}
+h1 event 9218230 idle_teardown peer=0 qpn=11 handle=0
+h1 stats {DialsCold:8 DialsCached:3 DialsFailed:4 Accepts:0 Resumes:0 Rejects:0 Leaves:0 LeaseExpiries:0 Evictions:0 CacheHits:3 CacheMisses:12 IdleTeardowns:1 CapEvictions:1 KeepalivesTx:57 KeepalivesRx:0 DetectorSuspicions:0 DetectorDemotions:0 DetectorEvictions:0 FalseEvictions:0 DetectorReadmits:0 DetectorProbes:0 PingsRx:0}
+h2 stats {DialsCold:1 DialsCached:0 DialsFailed:0 Accepts:0 Resumes:0 Rejects:0 Leaves:0 LeaseExpiries:0 Evictions:0 CacheHits:0 CacheMisses:1 IdleTeardowns:0 CapEvictions:0 KeepalivesTx:138 KeepalivesRx:0 DetectorSuspicions:0 DetectorDemotions:0 DetectorEvictions:0 FalseEvictions:0 DetectorReadmits:0 DetectorProbes:0 PingsRx:0}
 h3 event 6586545 idle_teardown peer=0 qpn=2 handle=0
 h3 event 6611570 idle_teardown peer=0 qpn=3 handle=0
-h3 stats {DialsCold:3 DialsCached:0 DialsFailed:0 Accepts:0 Resumes:0 Rejects:0 Leaves:0 LeaseExpiries:0 Evictions:0 CacheHits:0 CacheMisses:3 IdleTeardowns:2 CapEvictions:0 KeepalivesTx:98 KeepalivesRx:0 AdmitQueued:0 AdmitReleased:0 AdmitTimeouts:0 DetectorSuspicions:0 DetectorDemotions:0 DetectorEvictions:0 FalseEvictions:0 DetectorReadmits:0 DetectorProbes:0 PingsRx:0}
+h3 stats {DialsCold:3 DialsCached:0 DialsFailed:0 Accepts:0 Resumes:0 Rejects:0 Leaves:0 LeaseExpiries:0 Evictions:0 CacheHits:0 CacheMisses:3 IdleTeardowns:2 CapEvictions:0 KeepalivesTx:98 KeepalivesRx:0 DetectorSuspicions:0 DetectorDemotions:0 DetectorEvictions:0 FalseEvictions:0 DetectorReadmits:0 DetectorProbes:0 PingsRx:0}
 `
 
 // bytesAt returns a copy of region r's bytes [off, off+n).

@@ -66,11 +66,9 @@ type Member struct {
 type Gate interface {
 	// AdmitConn decides whether one more connection from the tenant may be
 	// admitted, and whether a requested reserved (pinned) zone is within
-	// the tenant's zone quota. A nil error admits; ErrAdmitQueue (possibly
-	// wrapped) parks the dial in the manager's admission queue; any other
-	// error rejects with that reason. The call must be side-effect free: it
-	// runs in the pre-admission gate, on every queue retry, and again in
-	// Accept/Resume.
+	// the tenant's zone quota. A nil error admits; an error rejects with
+	// that reason. The call must be side-effect free: it runs in the
+	// pre-admission gate and again in Accept/Resume.
 	AdmitConn(tenant uint16, pinned bool) (pinnedGranted bool, err error)
 	// ConnOpened/ConnClosed track the tenant's live connection count (and
 	// pinned-zone occupancy). The roster guarantees they pair.
@@ -166,7 +164,7 @@ func (r *Roster) admit(m *Member, tenant uint16, pinned bool) (bool, error) {
 }
 
 // PreAdmit implements Gatekeeper: the gate's verdict before the manager
-// builds any QP state, so an over-quota dial is queued or rejected before
+// builds any QP state, so an over-quota dial is rejected before
 // the handshake spends a single ModifyQP. Side-effect free; Accept and
 // Resume decide again, authoritatively.
 func (r *Roster) PreAdmit(peer int, service string, payload []byte) error {

@@ -8,7 +8,7 @@ import "testing"
 // workload but cannot gate a change.
 
 // TestAllocBudgetAtArg: scheduling and dispatching closure-free events
-// allocates nothing once the wheel's slot arrays have been built.
+// allocates nothing once the queue has grown.
 func TestAllocBudgetAtArg(t *testing.T) {
 	e := NewEnv()
 	defer e.Close()
@@ -16,7 +16,7 @@ func TestAllocBudgetAtArg(t *testing.T) {
 	count := func(arg any) { *arg.(*int)++ }
 	round := func() {
 		for i := 0; i < 64; i++ {
-			e.AtArg(Duration(i*i%700), count, &fired) // ties, several wheel levels
+			e.AtArg(Duration(i*i%700), count, &fired) // ties and spread instants
 		}
 		e.Run()
 	}

@@ -1,7 +1,7 @@
 package sim
 
 // UseHeapScheduler makes NewEnv build the reference binary heap instead of
-// the timing wheel until the returned function restores the previous
+// the event queue until the returned function restores the previous
 // constructor. Tests that call it must not run in parallel with tests that
 // create environments.
 func UseHeapScheduler() (restore func()) {

@@ -1,13 +1,12 @@
 package sim
 
-// heapSched is the binary-heap scheduler the timing wheel replaced. It stays
-// here as the reference implementation: the wheel tests dequeue identical
-// streams from both, and TestSchedulerEquivalence replays whole seeded runs
-// on it (see UseHeapScheduler).
+// heapSched is the binary-heap scheduler that was once the product queue. It
+// stays here as the reference implementation: the event-queue tests dequeue
+// identical streams from both, and TestSchedulerEquivalence replays whole
+// seeded runs on it (see UseHeapScheduler).
 type heapSched struct{ h eventHeap }
 
-func (s *heapSched) pending() int { return len(s.h) }
-func (s *heapSched) clear()       { s.h = nil }
+func (s *heapSched) clear() { s.h = nil }
 func (s *heapSched) schedule(ev event) {
 	s.h = append(s.h, ev)
 	s.h.up(len(s.h) - 1)

@@ -91,7 +91,7 @@ func eventFormOrder() []int {
 	}
 	for i := 0; i < 300; i++ {
 		i := i
-		at := sim.Duration((i * 37) % 50 * 100) // many ties, spanning wheel slots
+		at := sim.Duration((i * 37) % 50 * 100) // many ties across 50 instants
 		switch i % 3 {
 		case 0:
 			env.At(at, func() { order = append(order, i) })
@@ -109,11 +109,10 @@ func eventFormOrder() []int {
 	return order
 }
 
-// TestSchedulerEquivalence pins that the hierarchical timing wheel and the
-// reference binary heap produce byte-identical simulations. The wheel must
-// be a pure performance substitution: same (at, seq) dispatch order, same
-// event counts, same artifacts. It runs every chaos fault class, the
-// open-loop macro scenario and eventFormOrder under each scheduler and
+// TestSchedulerEquivalence pins that the 4-ary event queue and the reference
+// binary heap produce byte-identical simulations: same (at, seq) dispatch
+// order, same event counts, same artifacts. It runs every chaos fault class,
+// the open-loop macro scenario and eventFormOrder under each scheduler and
 // compares fingerprints.
 func TestSchedulerEquivalence(t *testing.T) {
 	run := func(name string) schedFingerprint {
@@ -141,26 +140,26 @@ func TestSchedulerEquivalence(t *testing.T) {
 		defer sim.UseHeapScheduler()()
 		return run("heap")
 	}()
-	wheel := run("wheel")
+	queue := run("queue")
 
 	for i, class := range chaos.Classes() {
-		if !bytes.Equal(heap.chaosJSON[i], wheel.chaosJSON[i]) {
-			t.Errorf("chaos class %q: result JSON differs between heap and wheel schedulers\nheap:  %s\nwheel: %s",
-				class, heap.chaosJSON[i], wheel.chaosJSON[i])
+		if !bytes.Equal(heap.chaosJSON[i], queue.chaosJSON[i]) {
+			t.Errorf("chaos class %q: result JSON differs between heap and queue schedulers\nheap:  %s\nqueue: %s",
+				class, heap.chaosJSON[i], queue.chaosJSON[i])
 		}
 	}
-	if !bytes.Equal(heap.macroJSON, wheel.macroJSON) {
-		t.Errorf("loadgen macro report differs between heap and wheel schedulers\nheap:  %s\nwheel: %s",
-			heap.macroJSON, wheel.macroJSON)
+	if !bytes.Equal(heap.macroJSON, queue.macroJSON) {
+		t.Errorf("loadgen macro report differs between heap and queue schedulers\nheap:  %s\nqueue: %s",
+			heap.macroJSON, queue.macroJSON)
 	}
-	if heap.events != wheel.events {
-		t.Errorf("macro dispatched events: heap=%d wheel=%d — schedulers disagree on event count", heap.events, wheel.events)
+	if heap.events != queue.events {
+		t.Errorf("macro dispatched events: heap=%d queue=%d — schedulers disagree on event count", heap.events, queue.events)
 	}
-	if heap.virtualNs != wheel.virtualNs {
-		t.Errorf("macro final virtual clock: heap=%d wheel=%d", heap.virtualNs, wheel.virtualNs)
+	if heap.virtualNs != queue.virtualNs {
+		t.Errorf("macro final virtual clock: heap=%d queue=%d", heap.virtualNs, queue.virtualNs)
 	}
-	if len(heap.kernelOrder) < 400 || !slices.Equal(heap.kernelOrder, wheel.kernelOrder) {
-		t.Errorf("At/AtArg/process dispatch order differs between heap and wheel schedulers\nheap:  %v\nwheel: %v",
-			heap.kernelOrder, wheel.kernelOrder)
+	if len(heap.kernelOrder) < 400 || !slices.Equal(heap.kernelOrder, queue.kernelOrder) {
+		t.Errorf("At/AtArg/process dispatch order differs between heap and queue schedulers\nheap:  %v\nqueue: %v",
+			heap.kernelOrder, queue.kernelOrder)
 	}
 }

@@ -24,9 +24,9 @@
 //
 // Determinism: events fire in (time, sequence) order; the sequence number is
 // assigned at scheduling time, so two events scheduled for the same instant
-// fire in the order they were created. The event queue is a hierarchical
-// timing wheel (see wheel.go); the package's tests keep a binary heap as
-// its reference implementation.
+// fire in the order they were created. The event queue is a 4-ary heap
+// (see eventq.go); the package's tests keep a binary heap as its reference
+// implementation.
 package sim
 
 import (
@@ -60,7 +60,7 @@ type killedPanic struct{}
 // event is a single entry in the scheduler queue. A callback event runs
 // fn(arg): carrying the argument in the event is what lets hot paths
 // schedule a continuation without building a closure (see AtArg). A process
-// wake-up has a nil fn and the *Proc in arg: the queues copy events on every
+// wake-up has a nil fn and the *Proc in arg: the queue copies events on every
 // move, and sharing the slot keeps them at 56 bytes. It carries the wake
 // generation it was scheduled against; if the process has been woken by a
 // different source in the meantime the event is stale and is dropped.
@@ -88,7 +88,7 @@ type Env struct {
 
 // newScheduler builds the event queue of each new environment. Only the
 // package's tests replace it, to replay runs on the reference heap.
-var newScheduler = func() scheduler { return newTimingWheel() }
+var newScheduler = func() scheduler { return newEventQueue() }
 
 // NewEnv returns a fresh environment with the clock at zero.
 func NewEnv() *Env {
@@ -279,9 +279,6 @@ func (e *Env) FiredBreakdown() (callbacks uint64, procByTag [5]uint64) {
 	copy(procByTag[:], e.firedPr[:])
 	return e.firedCB, procByTag
 }
-
-// Idle reports whether no events remain.
-func (e *Env) Idle() bool { return e.sched.pending() == 0 }
 
 // Close terminates every live process so no coroutines leak: a parked body
 // unwinds from its blocking call, running its deferred calls, and a body

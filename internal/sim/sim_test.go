@@ -527,7 +527,8 @@ func TestPropertyTimeNeverRegresses(t *testing.T) {
 		}
 		schedule(0)
 		e.Run()
-		return e.Idle()
+		_, left := e.sched.next(maxTime)
+		return !left
 	}, 50)
 	if err != nil {
 		t.Fatal(err)

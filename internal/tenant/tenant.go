@@ -8,7 +8,7 @@
 // structurally — both packages declare their own interface, so neither
 // depends on this one. Admission decisions are a pure function (Decide)
 // over the tenant's quota and live usage, which keeps the control plane's
-// repeated gate checks (pre-admit, queue retries, Accept/Resume) free of
+// repeated gate checks (pre-admit, Accept/Resume) free of
 // side effects and makes the decision table directly testable.
 //
 // The online SLO controller lives in controller.go.
@@ -17,7 +17,6 @@ package tenant
 import (
 	"fmt"
 
-	"scalerpc/internal/ctrlplane"
 	"scalerpc/internal/telemetry"
 )
 
@@ -68,10 +67,6 @@ type Quota struct {
 	Weight float64
 	// Class is the tenant's scheduling class.
 	Class Class
-	// QueueOverQuota parks over-quota dials in the control plane's
-	// admission queue (released when quota frees, rejected on timeout)
-	// instead of rejecting them immediately.
-	QueueOverQuota bool
 }
 
 // Spec names a tenant and its quota.
@@ -89,8 +84,6 @@ const (
 	// AdmitUnpinned lets the connection in but denies its reserved-zone
 	// request (degraded to the shared rotation).
 	AdmitUnpinned
-	// Queue parks the dial in the control plane's admission queue.
-	Queue
 	// Reject refuses the dial outright.
 	Reject
 )
@@ -101,8 +94,6 @@ func (d Decision) String() string {
 		return "admit"
 	case AdmitUnpinned:
 		return "admit-unpinned"
-	case Queue:
-		return "queue"
 	case Reject:
 		return "reject"
 	}
@@ -113,21 +104,11 @@ func (d Decision) String() string {
 // usage (connections, pinned zones held), whether the dial requests a
 // pinned zone, and whether the controller is shedding the tenant, it
 // returns the decision and whether a pinned request is granted.
-// Shedding and connection overflow refuse the dial (queued or rejected
-// per QueueOverQuota); a pinned request beyond the zone quota merely
-// degrades to unpinned.
+// Shedding and connection overflow reject the dial; a pinned request beyond
+// the zone quota merely degrades to unpinned.
 func Decide(q Quota, live, pinnedLive int, pinned, shed bool) (Decision, bool) {
-	refuse := func() (Decision, bool) {
-		if q.QueueOverQuota {
-			return Queue, false
-		}
+	if shed || q.MaxConns > 0 && live >= q.MaxConns {
 		return Reject, false
-	}
-	if shed {
-		return refuse()
-	}
-	if q.MaxConns > 0 && live >= q.MaxConns {
-		return refuse()
 	}
 	if pinned {
 		if pinnedLive >= q.ReservedZones {
@@ -232,15 +213,11 @@ func (m *Manager) state(tenant uint16) *state {
 
 // AdmitConn implements the admission gate (scalerpc.TenantAuthority,
 // rawrpc.TenantGate). Side-effect free: the control plane calls it in the
-// pre-admission gate, on every admission-queue retry, and again in
-// Accept/Resume.
+// pre-admission gate and again in Accept/Resume.
 func (m *Manager) AdmitConn(tenant uint16, pinned bool) (bool, error) {
 	st := m.state(tenant)
 	d, granted := Decide(st.spec.Quota, st.live, st.pinnedLive, pinned, st.shed)
-	switch d {
-	case Queue:
-		return false, fmt.Errorf("tenant %s over quota: %w", st.spec.Name, ctrlplane.ErrAdmitQueue)
-	case Reject:
+	if d == Reject {
 		if st.shed {
 			return false, fmt.Errorf("tenant %s: shed by SLO controller", st.spec.Name)
 		}

@@ -21,7 +21,7 @@ var (
 )
 
 // TestDecideTable pins the pure admission rule across the quota/usage
-// space: admit, degrade (pinned denied), queue and reject.
+// space: admit, degrade (pinned denied) and reject.
 func TestDecideTable(t *testing.T) {
 	cases := []struct {
 		name             string
@@ -34,15 +34,12 @@ func TestDecideTable(t *testing.T) {
 		{name: "unlimited admits", q: tenant.Quota{}, live: 1000, want: tenant.Admit},
 		{name: "under conn quota", q: tenant.Quota{MaxConns: 4}, live: 3, want: tenant.Admit},
 		{name: "at conn quota rejects", q: tenant.Quota{MaxConns: 4}, live: 4, want: tenant.Reject},
-		{name: "at conn quota queues", q: tenant.Quota{MaxConns: 4, QueueOverQuota: true}, live: 4, want: tenant.Queue},
 		{name: "pinned granted under zone quota", q: tenant.Quota{ReservedZones: 2}, pinnedLive: 1, pinned: true,
 			want: tenant.Admit, wantGrant: true},
 		{name: "pinned degrades at zone quota", q: tenant.Quota{ReservedZones: 2}, pinnedLive: 2, pinned: true,
 			want: tenant.AdmitUnpinned},
 		{name: "pinned degrades with no zone quota", q: tenant.Quota{}, pinned: true, want: tenant.AdmitUnpinned},
 		{name: "shed rejects under quota", q: tenant.Quota{MaxConns: 8}, live: 0, shed: true, want: tenant.Reject},
-		{name: "shed queues when queueing", q: tenant.Quota{MaxConns: 8, QueueOverQuota: true}, shed: true,
-			want: tenant.Queue},
 		{name: "conn quota beats pinned grant", q: tenant.Quota{MaxConns: 1, ReservedZones: 4}, live: 1, pinned: true,
 			want: tenant.Reject},
 	}
@@ -55,29 +52,22 @@ func TestDecideTable(t *testing.T) {
 }
 
 // TestManagerAdmitConnMapping checks the decision→error mapping the
-// control plane keys on: queueing tenants wrap ErrAdmitQueue, rejecting
-// tenants return a plain reason, and usage from ConnOpened/ConnClosed
-// moves the decision.
+// control plane keys on: an over-quota tenant gets a reason, and usage from
+// ConnOpened/ConnClosed moves the decision.
 func TestManagerAdmitConnMapping(t *testing.T) {
 	m := tenant.NewManager(telemetry.Scope{})
 	rej := m.Register(tenant.Spec{Name: "rej", Quota: tenant.Quota{MaxConns: 1}})
-	qu := m.Register(tenant.Spec{Name: "qu", Quota: tenant.Quota{MaxConns: 1, QueueOverQuota: true}})
 
 	if _, err := m.AdmitConn(rej, false); err != nil {
 		t.Fatalf("under-quota admit: %v", err)
 	}
 	m.ConnOpened(rej, false)
-	if _, err := m.AdmitConn(rej, false); err == nil || errors.Is(err, ctrlplane.ErrAdmitQueue) {
-		t.Fatalf("over-quota rejecting tenant: err = %v, want plain reject", err)
+	if _, err := m.AdmitConn(rej, false); err == nil {
+		t.Fatal("over-quota tenant admitted")
 	}
 	m.ConnClosed(rej, false)
 	if _, err := m.AdmitConn(rej, false); err != nil {
 		t.Fatalf("admit after close: %v", err)
-	}
-
-	m.ConnOpened(qu, false)
-	if _, err := m.AdmitConn(qu, false); !errors.Is(err, ctrlplane.ErrAdmitQueue) {
-		t.Fatalf("over-quota queueing tenant: err = %v, want ErrAdmitQueue", err)
 	}
 
 	// Unknown ids clamp to the unlimited default tenant.
@@ -178,46 +168,6 @@ func TestScaleRPCAdmissionRejectAndDegrade(t *testing.T) {
 		done = 1
 	})
 	stepUntil(t, c.Env, 50*sim.Millisecond, func() bool { return done != 0 })
-}
-
-// TestScaleRPCAdmissionQueue parks an over-quota dial of a queueing
-// tenant in the control plane's admission queue and releases it when the
-// first connection leaves.
-func TestScaleRPCAdmissionQueue(t *testing.T) {
-	m := tenant.NewManager(telemetry.Scope{})
-	bulk := m.Register(tenant.Spec{Name: "bulk", Quota: tenant.Quota{MaxConns: 1, QueueOverQuota: true}})
-	c, s, dir := planeServer(t, m, ctrlplane.DefaultConfig())
-	defer c.Close()
-
-	holder, waiter := 0, 0
-	c.Hosts[1].Spawn("holder", func(th *host.Thread) {
-		sig := sim.NewSignal(c.Env)
-		conn, err := s.JoinTenant(th, dir, sig, false, bulk)
-		if err != nil {
-			t.Errorf("holder join: %v", err)
-			holder = -1
-			return
-		}
-		th.P.Sleep(300 * sim.Microsecond)
-		conn.Leave(th)
-		holder = 1
-	})
-	c.Hosts[2].Spawn("waiter", func(th *host.Thread) {
-		th.P.Sleep(50 * sim.Microsecond) // let the holder win the slot
-		sig := sim.NewSignal(c.Env)
-		if _, err := s.JoinTenant(th, dir, sig, false, bulk); err != nil {
-			t.Errorf("queued join: %v", err)
-			waiter = -1
-			return
-		}
-		waiter = 1
-	})
-	stepUntil(t, c.Env, 50*sim.Millisecond, func() bool { return holder != 0 && waiter != 0 })
-	mgr := dir.Manager(0)
-	if mgr.Stats.AdmitQueued == 0 || mgr.Stats.AdmitReleased == 0 {
-		t.Fatalf("admit queue stats = %d queued / %d released, want both > 0",
-			mgr.Stats.AdmitQueued, mgr.Stats.AdmitReleased)
-	}
 }
 
 // TestRawWriteZoneQuotaPersistsAcrossLeave pins RawWrite's tenant

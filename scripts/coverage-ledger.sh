@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Coverage ledger: which statements under internal/ the product reaches
 # (`scalebench -quick all` and every examples/* main), which only tests
-# reach, and which nothing reaches. Informational: it prints what it finds
-# and fails on nothing but a broken build.
+# reach, and which nothing reaches, by statement and by function.
+# Informational: it prints what it finds and fails on nothing but a broken
+# build.
 #
 #   bash scripts/coverage-ledger.sh [WORKDIR]
 #
@@ -62,5 +63,12 @@ echo "files under internal/ with >= 15 statements reached only by tests or by no
 printf "  %-36s %9s %5s %6s\n" file test-only none total
 awk '$2 + $3 >= 15' "$work/files.txt" | sort -k2,2nr -k3,3nr -k1,1 |
 	awk '{ printf "  %-36s %9d %5d %6d\n", $1, $2, $3, $4 }'
+# A function is "reached only by tests" when no product run enters it and
+# some test does.
+unentered() { go tool cover -func="$1" | awk '$1 ~ /^scalerpc\/internal\// && $NF == "0.0%" { print $1, $2 }' | sort; }
+unentered "$work/product.out" >"$work/product-none.txt"
+unentered "$work/tests.out" >"$work/tests-none.txt"
+echo "functions under internal/ reached only by tests:"
+comm -23 "$work/product-none.txt" "$work/tests-none.txt" | sed 's/^/  /'
 echo "functions under internal/ reached by nothing:"
-go tool cover -func="$work/merged.out" | awk '$1 ~ /^scalerpc\/internal\// && $NF == "0.0%" { print "  " $1, $2 }'
+unentered "$work/merged.out" | sed 's/^/  /'
