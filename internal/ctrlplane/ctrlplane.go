@@ -135,10 +135,10 @@ type Gatekeeper interface {
 
 // Event is one entry of the manager's connection event log. The log is the
 // determinism surface: a fixed seed must reproduce it exactly. Kind is one
-// of accept, resume, reject, leave, teardown,
-// cap_evict, expire, evict and idle_teardown from the connection
-// lifecycle, or suspect, demote, det_evict, quarantine, readmit and restore
-// from the adaptive detector's ladder.
+// of accept, resume, reject, leave, teardown, cap_evict, expire, evict and
+// idle_teardown from the connection lifecycle, or suspect, demote,
+// det_evict, quarantine, readmit and restore from the adaptive detector's
+// ladder.
 type Event struct {
 	At     sim.Time
 	Kind   string

@@ -1,9 +1,9 @@
 package sim
 
-// heapSched is the binary-heap scheduler that was once the product queue. It
-// stays here as the reference implementation: the event-queue tests dequeue
-// identical streams from both, and TestSchedulerEquivalence replays whole
-// seeded runs on it (see UseHeapScheduler).
+// heapSched is a binary-heap scheduler kept as the reference implementation:
+// the event-queue tests dequeue identical streams from both, and
+// TestSchedulerEquivalence replays whole seeded runs on it (see
+// UseHeapScheduler).
 type heapSched struct{ h eventHeap }
 
 func (s *heapSched) clear() { s.h = nil }
