@@ -8,15 +8,17 @@
 //
 // The bytes behind a region are a separate matter: the simulator's own
 // heap backs them in 256-byte units, each allocated on the first write of
-// a non-zero byte to it (see Region). The model's registration page size
-// never changes what is backed, and the backing never changes an address.
-// Every user moves bytes with ByteAt, ReadAt and WriteAt.
+// a non-zero byte to it (see Region). A region may also read another
+// region's units copy-on-write (see Share). The model's registration page
+// size never changes what is backed, and the backing never changes an
+// address. Every user moves bytes with ByteAt, ReadAt and WriteAt.
 package memory
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"unsafe"
 )
 
@@ -70,21 +72,29 @@ type (
 // Its bytes live in 256-byte units. A unit is allocated on the first write
 // of a non-zero byte to it, so a pool block that only ever holds a short
 // frame costs the units the frame touched, and a unit is never handed to
-// another region, not even after Deregister. ByteAt, ReadAt and WriteAt are
-// the only ways in; TranslateRemote's view of one unit is for probes.
+// another region, not even after Deregister, except as Share lends it.
+// ByteAt, ReadAt and WriteAt are the only ways in; TranslateRemote's view
+// of one unit is for probes.
 type Region struct {
 	LKey     uint32
 	RKey     uint32
 	Base     uint64 // virtual base address
 	PageSize int
 	Flags    Access
-	size     int
-	host     *Registry
+	// borrows reports whether r is the side of a Share that called it:
+	// the side that takes the copy when either twin writes a shared unit.
+	borrows bool
+	// size is the region length, at most 4 GB: a region record fits an
+	// 80-byte size class.
+	size uint32
+	host *Registry
 	// units[i] is the unit table of host page i, nil until a write reaches
 	// the page; units itself is nil until the region's first write.
 	units []*unitTable
 	// gen is the region's write generation (see Gen).
 	gen uint64
+	// twin is the region r shares units with since a Share, nil if none.
+	twin *Region
 }
 
 // Gen returns the region's write generation. Every WriteAt moves it, and
@@ -94,11 +104,11 @@ type Region struct {
 func (r *Region) Gen() uint64 { return r.gen }
 
 // Len returns the region length in bytes.
-func (r *Region) Len() int { return r.size }
+func (r *Region) Len() int { return int(r.size) }
 
 // Pages returns the number of page-table entries the region occupies.
 func (r *Region) Pages() int {
-	return (r.size + r.PageSize - 1) / r.PageSize
+	return (r.Len() + r.PageSize - 1) / r.PageSize
 }
 
 // PageOf returns the index of the page containing virtual address addr,
@@ -145,12 +155,15 @@ func (r *Region) ByteAt(off int) byte {
 	return 0
 }
 
-// unit returns unit k of host page i, allocating it (and the page's unit
-// table) on first use.
+// unit returns unit k of host page i for writing: allocated (with the
+// page's unit table) on first use, and shared with no other region.
 func (r *Region) unit(i, k int) *unit {
+	if r.twin != nil {
+		r.unshare(i, k)
+	}
 	g := r.host
 	if r.units == nil {
-		r.units = g.carve((r.size + hostPage - 1) / hostPage)
+		r.units = g.carve((r.Len() + hostPage - 1) / hostPage)
 	}
 	t := r.units[i]
 	if t == nil {
@@ -173,7 +186,16 @@ func (r *Region) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 || off+int64(len(p)) > int64(r.size) {
 		return 0, fmt.Errorf("%w: read [%d,+%d) of a %d-byte region", ErrOutOfband, off, len(p), r.size)
 	}
-	for o, rest := int(off), p; len(rest) > 0; {
+	o := int(off)
+	if o&(unitSize-1)+len(p) <= unitSize { // one unit: look it up once
+		if u := r.unitAt(o); u != nil {
+			copy(p, u[o&(unitSize-1):])
+		} else {
+			clear(p)
+		}
+		return len(p), nil
+	}
+	for rest := p; len(rest) > 0; {
 		t := r.table(o >> pageShift)
 		if t == nil {
 			n := min(len(rest), hostPage-o&(hostPage-1))
@@ -201,18 +223,81 @@ func (r *Region) WriteAt(p []byte, off int64) (int, error) {
 		return 0, fmt.Errorf("%w: write [%d,+%d) of a %d-byte region", ErrOutOfband, off, len(p), r.size)
 	}
 	r.gen++
-	for o, rest := int(off), p; len(rest) > 0; {
+	o := int(off)
+	if o&(unitSize-1)+len(p) <= unitSize { // one unit: look it up once
+		// A unit the twin does not hold is r's alone, and so is its table.
+		if u := r.unitAt(o); u != nil && (r.twin == nil || r.twin.unitAt(o) != u) {
+			copy(u[o&(unitSize-1):], p)
+		} else {
+			r.writeUnit(p, o)
+		}
+		return len(p), nil
+	}
+	for rest := p; len(rest) > 0; {
 		n := min(len(rest), unitSize-o&(unitSize-1))
-		u := r.unitAt(o)
-		if u == nil && !allZero(rest[:n]) {
-			u = r.unit(o>>pageShift, o>>unitShift&(pageUnits-1))
-		}
-		if u != nil {
-			copy(u[o&(unitSize-1):], rest[:n])
-		}
+		r.writeUnit(rest[:n], o)
 		rest, o = rest[n:], o+n
 	}
 	return len(p), nil
+}
+
+// writeUnit copies b, which lies inside one unit, into the region at
+// offset o. A unit still shared with a twin is made r's own first, even
+// for zeros; an unwritten one is allocated only for a non-zero byte.
+func (r *Region) writeUnit(b []byte, o int) {
+	u := r.unitAt(o)
+	if u == nil && !allZero(b) || u != nil && r.twin != nil {
+		u = r.unit(o>>pageShift, o>>unitShift&(pageUnits-1))
+	}
+	if u != nil {
+		copy(u[o&(unitSize-1):], b)
+	}
+}
+
+// Share makes r, an unwritten region of src's size, read src's units:
+// r's unit tables become src's, so it reads what src holds now. It moves
+// r's generation. From then on the two are twins, and the first write
+// through either of them (WriteAt, a NIC write or atomic, a view) to a
+// unit they share gives r its own copy of that unit and of its page's
+// unit table before the write lands, so neither ever sees the other's
+// writes. src keeps the originals. A region has at most one twin, for
+// good; Share panics if either already has one.
+func (r *Region) Share(src *Region) {
+	if r.units != nil || r.size != src.size || r.twin != nil || src.twin != nil || r == src {
+		panic("memory: Share needs an unwritten region of the source's size, neither with a twin")
+	}
+	r.gen++
+	if src.units == nil {
+		return // nothing to read: r already reads src's zeros
+	}
+	r.units = r.host.carve(len(src.units))
+	copy(r.units, src.units)
+	r.twin, r.borrows = src, true
+	src.twin = r
+}
+
+// unshare stops unit k of host page i, and the page's unit table, being
+// shared between r and its twin, ahead of a write by either: the side
+// that borrowed them takes copies, and the lender keeps the originals.
+func (r *Region) unshare(i, k int) {
+	b, l := r, r.twin // borrower, lender
+	if !r.borrows {
+		b, l = l, b
+	}
+	bt, lt := b.table(i), l.table(i)
+	if bt == nil || lt == nil {
+		return
+	}
+	if bt == lt {
+		bt = b.host.tables.get()
+		*bt = *lt
+		b.units[i] = bt
+	}
+	if u := bt[k]; u != nil && u == lt[k] {
+		c := b.host.units.get()
+		*c = *u
+		bt[k] = c
+	}
 }
 
 // zeroUnit is what allZero and census compare against.
@@ -279,11 +364,14 @@ func NewRegistry() *Registry {
 
 // Census is what a registry's regions hold: the bytes registered in live
 // regions; the bytes of their resident units and of the unit tables their
-// written pages use; the resident unit bytes that read all zeros; and the
-// unit and unit-table bytes the host holds in all — those in use, those
-// deregistered regions kept and the current slabs' rest.
+// written pages use; of those unit bytes, the ones twins share (see
+// Share); the resident unit bytes that read all zeros; and the unit and
+// unit-table bytes the host holds in all — those in use, those
+// deregistered regions kept and the current slabs' rest. A unit or unit
+// table two twins share is counted once, with the twin that lent it,
+// whose host's slabs hold it.
 type Census struct {
-	Registered, Units, Tables, ZeroResident, Held int
+	Registered, Units, Tables, Shared, ZeroResident, Held int
 }
 
 // Census scans the live regions' tables.
@@ -296,20 +384,43 @@ func (g *Registry) Census() Census {
 	return c
 }
 
-// census adds what the region holds to c.
+// Census returns what the region holds, counted as Registry.Census
+// counts it; Held is left zero.
+func (r *Region) Census() Census {
+	var c Census
+	r.census(&c)
+	return c
+}
+
+// census adds what the region holds to c. A borrower skips what it still
+// shares with its twin; the lender counts it, and in Shared too.
 func (r *Region) census(c *Census) {
-	c.Registered += r.size
-	for _, t := range r.units {
+	c.Registered += r.Len()
+	for i, t := range r.units {
 		if t == nil {
 			continue
 		}
-		c.Tables += int(unsafe.Sizeof(*t))
-		for _, u := range t {
-			if u != nil {
-				c.Units += unitSize
-				if *u == zeroUnit {
-					c.ZeroResident += unitSize
-				}
+		var tt *unitTable // the twin's table of page i
+		if r.twin != nil {
+			tt = r.twin.table(i)
+		}
+		if t != tt || !r.borrows {
+			c.Tables += int(unsafe.Sizeof(*t))
+		}
+		for k, u := range t {
+			if u == nil {
+				continue
+			}
+			shared := tt != nil && tt[k] == u
+			if shared && r.borrows {
+				continue
+			}
+			if shared {
+				c.Shared += unitSize
+			}
+			c.Units += unitSize
+			if *u == zeroUnit {
+				c.ZeroResident += unitSize
 			}
 		}
 	}
@@ -334,8 +445,8 @@ func (g *Registry) carve(n int) []*unitTable {
 // page size and access flags, returning the region. It allocates no bytes:
 // each unit is allocated by the first write that reaches it.
 func (g *Registry) Register(size int, pageSize int, flags Access) *Region {
-	if size <= 0 {
-		panic("memory: non-positive region size")
+	if size <= 0 || size > math.MaxUint32 {
+		panic(fmt.Sprintf("memory: region size %d not in (0, 4 GB]", size))
 	}
 	if pageSize != PageSize4K && pageSize != PageSize2M && pageSize != PageSize1G {
 		panic(fmt.Sprintf("memory: unsupported page size %d", pageSize))
@@ -346,7 +457,7 @@ func (g *Registry) Register(size int, pageSize int, flags Access) *Region {
 		Base:     g.nextAddr,
 		PageSize: pageSize,
 		Flags:    flags,
-		size:     size,
+		size:     uint32(size),
 		host:     g,
 	}
 	g.nextKey++

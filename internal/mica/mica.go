@@ -14,8 +14,10 @@
 //	item+24: key bytes, then value bytes
 //
 // All methods take an optional *host.Thread; when non-nil, index and item
-// accesses are charged through the host's LLC model (pass nil during bulk
-// preload).
+// accesses are charged through the host's LLC model. A Put with a nil
+// thread is a preload: it charges nothing, and it is the one call a store
+// that follows this one (a replica loaded with the same rows, see Follow)
+// mirrors without holding bytes of its own. Pass nil during bulk preload.
 package mica
 
 import (
@@ -80,6 +82,12 @@ type Store struct {
 	freed []uint32
 	// Counters.
 	Gets, Puts, Hits uint64
+	// twin is the other store of a pair that has not split yet (see
+	// Follow), nil otherwise; follows reports whether s is the follower.
+	twin    *Store
+	follows bool
+	// loadGen is the leader's region generation after its last preload.
+	loadGen uint64
 }
 
 // New allocates and formats a store on host h. The index and the items
@@ -106,8 +114,68 @@ func New(h *host.Host, cfg Config) *Store {
 	}
 }
 
-// Region returns the backing registered region (for rkey exchange).
-func (s *Store) Region() *memory.Region { return s.reg }
+// Region returns the backing registered region (for rkey exchange),
+// splitting s's pair first (see Follow).
+func (s *Store) Region() *memory.Region {
+	s.Split()
+	return s.reg
+}
+
+// Follow makes s follow leader, a store of the same config: s holds every
+// row leader's preloads (Puts with a nil thread) write, without writing or
+// holding any bytes itself, until the pair splits. Any other call on
+// either store splits it first — a call with a thread, a read, a delete,
+// a lock, Region or Len, and every call on s — as does Split. At the split
+// s's region shares leader's units copy-on-write (memory.Region.Share) and
+// s takes leader's slot state, so from then on each store is what it
+// would be had every preload that succeeded been made on both. A store's
+// region written other than through a preload while the pair stands
+// panics the split.
+//
+// Follow reports whether s follows leader. It refuses, changing nothing,
+// unless both are unwritten and in no other pair; it is true again for a
+// pair that has not split.
+func (s *Store) Follow(leader *Store) bool {
+	if s.twin == leader && s.follows {
+		return true
+	}
+	if s.twin != nil || leader.twin != nil || s == leader || s.cfg != leader.cfg ||
+		s.reg.Gen() != 0 || leader.reg.Gen() != 0 {
+		return false
+	}
+	s.twin, s.follows = leader, true
+	leader.twin, leader.follows = s, false
+	leader.loadGen = 0
+	return true
+}
+
+// Split ends s's pair, if s is in one (see Follow).
+func (s *Store) Split() {
+	if s.twin != nil {
+		s.split()
+	}
+}
+
+func (s *Store) split() {
+	f, l := s, s.twin // follower, leader
+	if !s.follows {
+		f, l = l, f
+	}
+	l.checkPair()
+	f.reg.Share(l.reg)
+	f.next = l.next
+	f.freed = append(f.freed[:0], l.freed...)
+	f.twin, l.twin = nil, nil
+}
+
+// checkPair panics unless the leader s's region moved only through its
+// preloads and its follower's not at all.
+func (s *Store) checkPair() {
+	if s.reg.Gen() != s.loadGen || s.twin.reg.Gen() != 0 {
+		panic(fmt.Sprintf("mica: a store of a pair was written outside a preload (leader generation %d, want %d; follower %d, want 0)",
+			s.reg.Gen(), s.loadGen, s.twin.reg.Gen()))
+	}
+}
 
 func hash64(key []byte) uint64 {
 	// FNV-1a.
@@ -242,6 +310,7 @@ func (s *Store) GetValue(t *host.Thread, key, buf []byte) (Item, error) {
 }
 
 func (s *Store) get(t *host.Thread, key, buf []byte, value bool) (Item, error) {
+	s.Split()
 	s.Gets++
 	_, _, slot, ok := s.lookup(t, key)
 	if !ok {
@@ -269,8 +338,26 @@ func (s *Store) item(t *host.Thread, slot uint32, buf []byte, value bool) Item {
 
 // Put inserts or updates key (unversioned fast path for loading and for
 // non-transactional use). It bumps the version on update. The Item holds
-// what Put wrote: the slot, its address, version and key length.
+// what Put wrote: the slot, its address, version and key length. With a
+// nil thread it is a preload, which a follower mirrors (see Follow).
 func (s *Store) Put(t *host.Thread, key, value []byte) (Item, error) {
+	if s.twin == nil {
+		return s.put(t, key, value)
+	}
+	if t != nil || s.follows {
+		s.split()
+		return s.put(t, key, value)
+	}
+	s.checkPair()
+	it, err := s.put(nil, key, value)
+	s.loadGen = s.reg.Gen()
+	if err == nil {
+		s.twin.Puts++
+	}
+	return it, err
+}
+
+func (s *Store) put(t *host.Thread, key, value []byte) (Item, error) {
 	s.Puts++
 	if OffKey+len(key)+len(value) > s.cfg.SlotSize {
 		return Item{}, fmt.Errorf("%w: %d+%d", ErrTooBig, len(key), len(value))
@@ -331,6 +418,7 @@ func (s *Store) Put(t *host.Thread, key, value []byte) (Item, error) {
 
 // Delete removes key.
 func (s *Store) Delete(t *host.Thread, key []byte) error {
+	s.Split()
 	b, e, slot, ok := s.lookup(t, key)
 	if !ok {
 		return ErrNotFound
@@ -345,6 +433,7 @@ func (s *Store) Delete(t *host.Thread, key []byte) error {
 // with its value appended to buf, as GetValue does. It fails with
 // ErrLocked if another owner holds it.
 func (s *Store) TryLock(t *host.Thread, key []byte, owner uint64, buf []byte) (Item, error) {
+	s.Split()
 	if owner == 0 {
 		panic("mica: zero lock owner")
 	}
@@ -362,6 +451,7 @@ func (s *Store) TryLock(t *host.Thread, key []byte, owner uint64, buf []byte) (I
 
 // Unlock releases the item if owner holds it.
 func (s *Store) Unlock(t *host.Thread, key []byte, owner uint64) error {
+	s.Split()
 	_, _, slot, ok := s.lookup(t, key)
 	if !ok {
 		return ErrNotFound
@@ -377,6 +467,7 @@ func (s *Store) Unlock(t *host.Thread, key []byte, owner uint64) error {
 // CommitWrite applies a transactional update locally (the RPC commit path
 // of ScaleTX-O): new value, version+1, lock released.
 func (s *Store) CommitWrite(t *host.Thread, key, value []byte, owner uint64) error {
+	s.Split()
 	_, _, slot, ok := s.lookup(t, key)
 	if !ok {
 		return ErrNotFound
@@ -419,5 +510,8 @@ func BuildCommitImage(buf []byte, key, value []byte, newVersion uint64) int {
 // ParseVersion reads a version number from an 8-byte RDMA-read result.
 func ParseVersion(b []byte) uint64 { return binary.LittleEndian.Uint64(b) }
 
-// Len returns the number of live items.
-func (s *Store) Len() int { return int(s.next) - len(s.freed) }
+// Len returns the number of live items, splitting s's pair first.
+func (s *Store) Len() int {
+	s.Split()
+	return int(s.next) - len(s.freed)
+}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"scalerpc/internal/memory"
 	"scalerpc/internal/nic"
 	"scalerpc/internal/rpcwire"
 	"scalerpc/internal/sim"
@@ -240,4 +241,60 @@ func slabMallocs() int64 {
 		}
 	}
 	return total
+}
+
+// TestTwinsNeverSeeEachOthersWrites: a region that shares another's units
+// (memory.Region.Share) and the region it shares them with take RDMA
+// WRITEs, a COMPARE_SWAP and a FETCH_ADD on units they share, and each
+// lands in its target only: the other twin reads what it read before.
+func TestTwinsNeverSeeEachOthersWrites(t *testing.T) {
+	pe := newPair(t, nic.RC)
+	const n = 6 * 4096
+	loaded := pattern(n, 5)
+	poke(pe.srv, 0, loaded)
+	twin := pe.c.Hosts[1].Mem.Register(pe.srv.Len(), memory.PageSize2M,
+		memory.LocalWrite|memory.RemoteRead|memory.RemoteWrite|memory.RemoteAtomic)
+	twin.Share(pe.srv)
+	refs := map[*memory.Region][]byte{pe.srv: append([]byte(nil), loaded...), twin: append([]byte(nil), loaded...)}
+	poke(pe.cli, 0, pattern(300, 6))
+	for i, op := range []struct {
+		to   *memory.Region
+		at   int
+		wr   nic.SendWR
+		land []byte
+	}{
+		{pe.srv, 4096 - 100, nic.SendWR{Op: nic.OpWrite, Len: 300}, pattern(300, 6)},
+		{twin, 2*4096 + 8, nic.SendWR{Op: nic.OpWrite, Len: 200}, pattern(200, 6)},
+		{twin, 3*4096 + 64, nic.SendWR{Op: nic.OpFetchAdd, Len: 8, Add: 9}, nil},
+		{pe.srv, 5*4096 + 16, nic.SendWR{Op: nic.OpCompSwap, Len: 8, Swap: 0xabcd}, nil},
+	} {
+		wr := op.wr
+		wr.LKey, wr.LAddr = pe.cli.LKey, pe.cli.Base+1024
+		if wr.Op == nic.OpWrite {
+			wr.LAddr = pe.cli.Base
+		}
+		wr.RKey, wr.RAddr = op.to.RKey, op.to.Base+uint64(op.at)
+		ref := refs[op.to]
+		switch wr.Op {
+		case nic.OpFetchAdd:
+			op.land = binary.LittleEndian.AppendUint64(nil, binary.LittleEndian.Uint64(ref[op.at:])+wr.Add)
+		case nic.OpCompSwap:
+			wr.Compare = binary.LittleEndian.Uint64(ref[op.at:])
+			op.land = binary.LittleEndian.AppendUint64(nil, wr.Swap)
+		}
+		post(t, pe, wr)
+		copy(ref[op.at:], op.land)
+		for r, want := range refs {
+			if !bytes.Equal(peek(r, 0, n), want[:n]) {
+				t.Fatalf("op %d (%v on the %s): the %s reads wrong", i, wr.Op, name(op.to, twin), name(r, twin))
+			}
+		}
+	}
+}
+
+func name(r, twin *memory.Region) string {
+	if r == twin {
+		return "borrower"
+	}
+	return "lender"
 }

@@ -127,6 +127,12 @@ type smallBankRun struct {
 // replication link. The caller closes run.c.
 func runSmallBank(t *testing.T, onLegacy bool, span sim.Duration) smallBankRun {
 	t.Helper()
+	return runSmallBankLoaded(t, onLegacy, span, (*Deployment).LoadKV)
+}
+
+// runSmallBankLoaded is runSmallBank with the rows loaded through load.
+func runSmallBankLoaded(t *testing.T, onLegacy bool, span sim.Duration, load func(d *Deployment, key, value []byte) error) smallBankRun {
+	t.Helper()
 	c, d, _ := buildDeploymentWith(t, 16, func(cfg *DeployConfig) {
 		cfg.Srv.LegacyThreshold = sim.Second
 		if onLegacy {
@@ -134,7 +140,7 @@ func runSmallBank(t *testing.T, onLegacy bool, span sim.Duration) smallBankRun {
 		}
 	})
 	sbCfg := smallbank.Config{Accounts: 2000, InitialBalance: 1000}
-	if err := smallbank.LoadWith(sbCfg, d.LoadKV); err != nil {
+	if err := smallbank.LoadWith(sbCfg, func(k, v []byte) error { return load(d, k, v) }); err != nil {
 		c.Close()
 		t.Fatal(err)
 	}

@@ -53,6 +53,9 @@ type Deployment struct {
 	Stats    *Stats
 
 	readBuf []byte // ReadKV's value buffer
+	// splitQueued is set once LoadKV has queued the split of every
+	// partition's store pair for the first simulated event.
+	splitQueued bool
 }
 
 // Deploy builds and starts a sharded store on cl.
@@ -147,23 +150,47 @@ func (d *Deployment) NewCoordinator(r *Router, id uint64) *txn.Coordinator {
 	return txn.NewRoutedCoordinator(r.Host(), id, conns, place, r.Signal())
 }
 
-// LoadKV writes one row directly into the primary and backup stores
-// (deploy-time bulk loading, bypassing the wire).
+// LoadKV writes one row into a partition's primary store, and so into its
+// backup (deploy-time bulk loading, bypassing the wire). The backup store
+// follows the primary's (mica.Store.Follow): it holds the row without a
+// copy of its own until the pair splits, at the first call on either store
+// that is not a load, at a Node.Store of either, or before the first
+// simulated event, whichever comes first. From then on the backup's region
+// shares the primary's loaded units copy-on-write. A row loaded after the
+// split, or once an event has fired, is written to both stores.
 func (d *Deployment) LoadKV(key, value []byte) error {
 	p := d.Map.PartitionOf(key)
 	prim := d.Nodes[d.Map.Primary[p]]
 	if prim == nil {
 		return fmt.Errorf("shard: partition %d primary host %d has no node", p, d.Map.Primary[p])
 	}
-	if _, err := prim.Store(p).Put(nil, key, value); err != nil {
-		return err
-	}
+	ps := prim.loadStore(p)
+	var bs *mica.Store // a backup that does not follow ps
 	if b := d.Map.Backup[p]; b != NoHost {
-		if _, err := d.Nodes[b].Store(p).Put(nil, key, value); err != nil {
-			return err
+		bs = d.Nodes[b].loadStore(p)
+		if d.Cluster.Env.Fired() == 0 && bs.Follow(ps) {
+			bs = nil
+			if !d.splitQueued {
+				d.splitQueued = true
+				d.Cluster.Env.BeforeRun(d.splitLoaded)
+			}
 		}
 	}
-	return nil
+	if _, err := ps.Put(nil, key, value); err != nil || bs == nil {
+		return err
+	}
+	_, err := bs.Put(nil, key, value)
+	return err
+}
+
+// splitLoaded splits every partition's store pair LoadKV made.
+func (d *Deployment) splitLoaded() {
+	d.splitQueued = false
+	for p, b := range d.Map.Backup {
+		if b != NoHost {
+			d.Nodes[b].loadStore(p).Split()
+		}
+	}
 }
 
 // LiveMap returns the director's current (post-failover) map.

@@ -109,8 +109,16 @@ func NewNode(h *host.Host, m *Map, store mica.Config) *Node {
 }
 
 // Store returns the partition's store, creating it if the node was just
-// assigned the partition (deploy-time loading and replica audits).
+// assigned the partition (replica audits), and split from the store it
+// follows or that follows it (see Deployment.LoadKV).
 func (n *Node) Store(part int) *mica.Store {
+	s := n.loadStore(part)
+	s.Split()
+	return s
+}
+
+// loadStore is Store without the split, for loading.
+func (n *Node) loadStore(part int) *mica.Store {
 	n.ensurePart(part)
 	return n.parts[part].Store
 }

@@ -84,6 +84,8 @@ type Env struct {
 	sched   scheduler
 	procs   map[*Proc]struct{}
 	closed  bool
+	// beforeRun holds what BeforeRun queued, for the next RunUntil.
+	beforeRun []func()
 }
 
 // newScheduler builds the event queue of each new environment. Only the
@@ -230,10 +232,20 @@ func (p *Proc) Yield() { p.Sleep(0) }
 // clock value.
 func (e *Env) Run() Time { return e.RunUntil(maxTime) }
 
+// BeforeRun queues fn to run once, at the start of the next RunUntil (or
+// Run), before it dispatches any event. It is for set-up that must end
+// before simulated time starts, and it schedules and fires no event.
+func (e *Env) BeforeRun(fn func()) { e.beforeRun = append(e.beforeRun, fn) }
+
 // RunUntil processes events with timestamps ≤ until, then sets the clock to
 // until (if it advanced that far) and returns it. Events beyond the horizon
 // stay queued; RunUntil may be called repeatedly.
 func (e *Env) RunUntil(until Time) Time {
+	for len(e.beforeRun) > 0 {
+		fn := e.beforeRun[0]
+		e.beforeRun = e.beforeRun[1:]
+		fn()
+	}
 	for {
 		ev, ok := e.sched.next(until)
 		if !ok {

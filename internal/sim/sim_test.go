@@ -29,6 +29,31 @@ func TestAtRunsCallbacksInOrder(t *testing.T) {
 	}
 }
 
+// TestBeforeRunRunsOnceFirst: what BeforeRun queued runs once, in order,
+// before the next RunUntil's first event and at the clock it was queued
+// at, and neither counts as nor schedules an event.
+func TestBeforeRunRunsOnceFirst(t *testing.T) {
+	e := NewEnv()
+	var order []string
+	e.At(0, func() { order = append(order, "event") })
+	e.BeforeRun(func() { order = append(order, "first") })
+	e.BeforeRun(func() {
+		order = append(order, "second")
+		e.BeforeRun(func() { order = append(order, "queued by second") })
+	})
+	e.RunUntil(10)
+	e.BeforeRun(func() { order = append(order, "at 10") })
+	e.RunUntil(20)
+	e.RunUntil(30)
+	want := []string{"first", "second", "queued by second", "event", "at 10"}
+	if !slices.Equal(order, want) {
+		t.Fatalf("order %q, want %q", order, want)
+	}
+	if e.Fired() != 1 {
+		t.Fatalf("%d events fired, want the one At", e.Fired())
+	}
+}
+
 func TestSameInstantFIFO(t *testing.T) {
 	e := NewEnv()
 	var order []int
