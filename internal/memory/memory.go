@@ -186,16 +186,7 @@ func (r *Region) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 || off+int64(len(p)) > int64(r.size) {
 		return 0, fmt.Errorf("%w: read [%d,+%d) of a %d-byte region", ErrOutOfband, off, len(p), r.size)
 	}
-	o := int(off)
-	if o&(unitSize-1)+len(p) <= unitSize { // one unit: look it up once
-		if u := r.unitAt(o); u != nil {
-			copy(p, u[o&(unitSize-1):])
-		} else {
-			clear(p)
-		}
-		return len(p), nil
-	}
-	for rest := p; len(rest) > 0; {
+	for o, rest := int(off), p; len(rest) > 0; {
 		t := r.table(o >> pageShift)
 		if t == nil {
 			n := min(len(rest), hostPage-o&(hostPage-1))
@@ -216,42 +207,29 @@ func (r *Region) ReadAt(p []byte, off int64) (int, error) {
 
 // WriteAt copies p into the region at offset off. A unit is allocated
 // only when a non-zero byte lands in it: writing zeros to an unwritten
-// unit leaves it unwritten, which is what it already reads as. A span
-// outside the region writes nothing and returns ErrOutOfband.
+// unit leaves it unwritten, which is what it already reads as. A unit
+// still shared with a twin is made r's own first, even for zeros; one the
+// twin does not hold at the same offset is r's alone, and so is its table
+// (a shared table holds the same units for both), so it is written in
+// place. A span outside the region writes nothing and returns
+// ErrOutOfband.
 func (r *Region) WriteAt(p []byte, off int64) (int, error) {
 	if off < 0 || off+int64(len(p)) > int64(r.size) {
 		return 0, fmt.Errorf("%w: write [%d,+%d) of a %d-byte region", ErrOutOfband, off, len(p), r.size)
 	}
 	r.gen++
-	o := int(off)
-	if o&(unitSize-1)+len(p) <= unitSize { // one unit: look it up once
-		// A unit the twin does not hold is r's alone, and so is its table.
-		if u := r.unitAt(o); u != nil && (r.twin == nil || r.twin.unitAt(o) != u) {
-			copy(u[o&(unitSize-1):], p)
-		} else {
-			r.writeUnit(p, o)
-		}
-		return len(p), nil
-	}
-	for rest := p; len(rest) > 0; {
+	for o, rest := int(off), p; len(rest) > 0; {
 		n := min(len(rest), unitSize-o&(unitSize-1))
-		r.writeUnit(rest[:n], o)
+		u := r.unitAt(o)
+		if u == nil && !allZero(rest[:n]) || u != nil && r.twin != nil && r.twin.unitAt(o) == u {
+			u = r.unit(o>>pageShift, o>>unitShift&(pageUnits-1))
+		}
+		if u != nil {
+			copy(u[o&(unitSize-1):], rest[:n])
+		}
 		rest, o = rest[n:], o+n
 	}
 	return len(p), nil
-}
-
-// writeUnit copies b, which lies inside one unit, into the region at
-// offset o. A unit still shared with a twin is made r's own first, even
-// for zeros; an unwritten one is allocated only for a non-zero byte.
-func (r *Region) writeUnit(b []byte, o int) {
-	u := r.unitAt(o)
-	if u == nil && !allZero(b) || u != nil && r.twin != nil {
-		u = r.unit(o>>pageShift, o>>unitShift&(pageUnits-1))
-	}
-	if u != nil {
-		copy(u[o&(unitSize-1):], b)
-	}
 }
 
 // Share makes r, an unwritten region of src's size, read src's units:
@@ -381,14 +359,6 @@ func (g *Registry) Census() Census {
 	for _, r := range g.byRKey {
 		r.census(&c)
 	}
-	return c
-}
-
-// Census returns what the region holds, counted as Registry.Census
-// counts it; Held is left zero.
-func (r *Region) Census() Census {
-	var c Census
-	r.census(&c)
 	return c
 }
 

@@ -237,7 +237,7 @@ func TestPageAllocatedOnceOnFirstWrite(t *testing.T) {
 	r.WriteAt([]byte("head"), 300)
 	u := r.unitAt(300)
 	r.WriteAt([]byte("world"), 310)
-	if c := r.Census(); c.Units != 2*unitSize || c.Tables != int(unsafe.Sizeof(unitTable{})) {
+	if c := census(r); c.Units != 2*unitSize || c.Tables != int(unsafe.Sizeof(unitTable{})) {
 		t.Fatalf("census %+v, want two units in one unit table", c)
 	}
 	if r.unitAt(310) != u {

@@ -8,6 +8,13 @@ import (
 	"testing"
 )
 
+// census returns what r holds; Held is left zero.
+func census(r *Region) Census {
+	var c Census
+	r.census(&c)
+	return c
+}
+
 // TestAllocBudgetRegionPages: probing, reading, decoding and zeroing units
 // nothing wrote allocates nothing and leaves them unwritten — what a
 // server's Valid probes, an empty poll and rpcwire.Pool.Clear do to a pool
@@ -35,7 +42,7 @@ func TestAllocBudgetRegionPages(t *testing.T) {
 	if got := testing.AllocsPerRun(10, probe); got != 0 {
 		t.Errorf("%v allocs per pass of probes, reads and zero writes over unwritten units, want 0", got)
 	}
-	if c := r.Census(); c.Units != unitSize {
+	if c := census(r); c.Units != unitSize {
 		t.Errorf("probes, reads and zero writes left census %+v, want the one %d-byte unit written", c, unitSize)
 	}
 
@@ -63,7 +70,7 @@ func TestAllocBudgetRegionPages(t *testing.T) {
 		if tables, want := got[tableChunk]-before[tableChunk], int64((pages+slabTables-1)/slabTables); tables > want {
 			t.Errorf("%d fresh pages: %d unit-table mallocs, want at most %d", pages, tables, want)
 		}
-		if c := r.Census(); c.Units != (2*n+1)*unitSize {
+		if c := census(r); c.Units != (2*n+1)*unitSize {
 			t.Errorf("after %d fresh units twice: census %+v, want %d unit bytes", n, c, (2*n+1)*unitSize)
 		}
 	}
@@ -129,7 +136,7 @@ func TestReadAtWriteAtCrossPages(t *testing.T) {
 	if !bytes.Equal(all, ref) {
 		t.Fatal("the region diverges from the reference")
 	}
-	if c := r.Census(); c.ZeroResident != 0 {
+	if c := census(r); c.ZeroResident != 0 {
 		t.Errorf("census %+v: resident bytes that read all zeros", c)
 	}
 	if _, err := r.WriteAt(make([]byte, 2), size-1); err == nil {
@@ -152,8 +159,8 @@ func TestViewsStayInOnePage(t *testing.T) {
 	for i, write := range []bool{false, true} {
 		gen := r.Gen()
 		_, v, err := g.TranslateRemote(r.RKey, r.Base+uint64(64+i*unitSize), 64, write)
-		if err != nil || len(v) != 64 || r.Gen() == gen || r.Census().Units != (i+1)*unitSize {
-			t.Fatalf("view (write %v): %d bytes, %v, gen %d → %d, census %+v; want 64 bytes of one new unit and a new generation", write, len(v), err, gen, r.Gen(), r.Census())
+		if err != nil || len(v) != 64 || r.Gen() == gen || census(r).Units != (i+1)*unitSize {
+			t.Fatalf("view (write %v): %d bytes, %v, gen %d → %d, census %+v; want 64 bytes of one new unit and a new generation", write, len(v), err, gen, r.Gen(), census(r))
 		}
 		copy(v, "in place")
 		if r.ByteAt(64+i*unitSize) != 'i' {

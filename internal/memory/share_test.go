@@ -42,7 +42,7 @@ func TestShareCopiesOnWrite(t *testing.T) {
 			src.WriteAt(data, int64(off))
 			copy(refs[0][off:], data)
 		}
-		loaded := src.Census()
+		loaded := census(src)
 		dst := h.Register(size, PageSize4K, LocalWrite|RemoteWrite)
 		gen := dst.Gen()
 		dst.Share(src)
@@ -50,10 +50,10 @@ func TestShareCopiesOnWrite(t *testing.T) {
 		if dst.Gen() == gen {
 			t.Fatal("Share did not move the borrower's generation")
 		}
-		if c := dst.Census(); c.Units != 0 || c.Tables != 0 || c.Shared != 0 {
+		if c := census(dst); c.Units != 0 || c.Tables != 0 || c.Shared != 0 {
 			t.Fatalf("the borrower's census right after Share is %+v, want nothing of its own", c)
 		}
-		if c := src.Census(); c.Units != loaded.Units || c.Tables != loaded.Tables || c.Shared != loaded.Units {
+		if c := census(src); c.Units != loaded.Units || c.Tables != loaded.Tables || c.Shared != loaded.Units {
 			t.Fatalf("the lender's census after Share is %+v, want %+v with every unit shared", c, loaded)
 		}
 		if sameHost {
@@ -121,7 +121,7 @@ func TestShareCopiesOnWrite(t *testing.T) {
 				t.Fatalf("same host %v: twin %d diverges from its reference", sameHost, i)
 			}
 		}
-		b, l := dst.Census(), src.Census()
+		b, l := census(dst), census(src)
 		if b.Units > len(written)*unitSize {
 			t.Errorf("same host %v: the borrower holds %d units of its own, more than the %d units written", sameHost, b.Units/unitSize, len(written))
 		}
