@@ -336,9 +336,6 @@ func (n *NIC) Register(sc telemetry.Scope) {
 // Snapshot returns a copy of the counters.
 func (n *NIC) Snapshot() Stats { return n.Stats }
 
-// Reset zeroes the counters.
-func (n *NIC) Reset() { n.Stats = Stats{} }
-
 // ID returns the NIC's fabric port id.
 func (n *NIC) ID() int { return n.id }
 
@@ -350,12 +347,6 @@ func (n *NIC) PortBytes() (tx, rx uint64) { return n.port.Stats.TxBytes, n.port.
 // LineRate returns the port's bandwidth per direction, in bytes per
 // nanosecond.
 func (n *NIC) LineRate() float64 { return n.fab.BytesPerNs() }
-
-// Env returns the simulation environment.
-func (n *NIC) Env() *sim.Env { return n.env }
-
-// Mem returns the host memory registry this NIC translates against.
-func (n *NIC) Mem() *memory.Registry { return n.mem }
 
 // watch is one DMA-write registration on a region: a write touching zone
 // z — zoneBytes wide, counted from the region base — wakes

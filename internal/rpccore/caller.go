@@ -273,9 +273,6 @@ func (c *Caller) resend(t *host.Thread, reqID uint64) bool {
 	return false
 }
 
-// Pending returns the number of calls awaiting a response or deadline.
-func (c *Caller) Pending() int { return len(c.pending) }
-
 // Outstanding forwards the wrapped Conn's slot usage. After a timeout this
 // can exceed Pending: the slot stays occupied until a (late) response or a
 // reconnect reclaims it.

@@ -42,10 +42,7 @@ func (c *Conn) AsyncCall(t *host.Thread, handler uint8, req []byte) uint64 {
 // Returned payloads are copies and remain valid.
 func (c *Conn) PollCompletion(t *host.Thread, max int) []Completion {
 	c.pollIntoCompletions(t)
-	n := len(c.completions)
-	if n > max {
-		n = max
-	}
+	n := min(len(c.completions), max)
 	out := c.completions[:n:n]
 	c.completions = append([]Completion(nil), c.completions[n:]...)
 	return out
@@ -74,10 +71,7 @@ func (c *Conn) SyncCall(t *host.Thread, handler uint8, req []byte, timeout sim.D
 		if remain <= 0 {
 			return nil, ErrTimeout
 		}
-		if remain > 5*sim.Microsecond {
-			remain = 5 * sim.Microsecond
-		}
-		t.WaitSignal(c.sig, remain)
+		t.WaitSignal(c.sig, min(remain, 5*sim.Microsecond))
 	}
 }
 

@@ -120,7 +120,7 @@ type rotationState struct {
 }
 
 func (r *boundaryRig) state() rotationState {
-	return rotationState{r.boundaries(), r.s.Stats.Regroups, r.s.GroupSizes()}
+	return rotationState{r.boundaries(), r.s.Stats.Regroups, r.s.groupSizes()}
 }
 
 // grew is the effect of a change that adds n to the rotation's population.
@@ -185,7 +185,7 @@ func TestRotationChangesOnlyAtBoundaries(t *testing.T) {
 		// An eviction is a Disconnect by the failure scan.
 		{"Reconnect after an eviction", 1, func(r *boundaryRig, th *host.Thread) { r.s.Disconnect(backdoor(r, 2).ID()) },
 			func(r *boundaryRig, th *host.Thread) error {
-				backdoor(r, 2).Reconnect(th)
+				backdoor(r, 2).reconnect(th)
 				return nil
 			}, grew(1)},
 		{"DemotePeer", 2, nil, func(r *boundaryRig, th *host.Thread) error {
@@ -207,7 +207,7 @@ func TestRotationChangesOnlyAtBoundaries(t *testing.T) {
 				// A demotion on the two-group server isolates the suspects
 				// into a group of their own.
 				if n := len(r.s.groups); n != groups && (groups == 1 || n < 2) {
-					t.Fatalf("population formed groups %v, want %d", r.s.GroupSizes(), groups)
+					t.Fatalf("population formed groups %v, want %d", r.s.groupSizes(), groups)
 				}
 				prev := r.state()
 				r.c.Env.Spawn("sampler", func(p *sim.Proc) {
@@ -305,8 +305,8 @@ func TestReissuedIDWaitsForTheBoundary(t *testing.T) {
 		}
 		b.Poll(th, func(rpccore.Response) {})
 		th.P.Sleep(2 * r.s.Cfg.WarmupPollInterval)
-		if cs.zone != -1 || cs.warmZone != -1 {
-			t.Errorf("mid-slice: the newcomer holds zone %d, warm zone %d in the departed client's group", cs.zone, cs.warmZone)
+		if cs.zones != [2]int{-1, -1} {
+			t.Errorf("mid-slice: the newcomer holds zone %d, warm zone %d in the departed client's group", cs.zones[processing], cs.zones[warming])
 		}
 		r.nextBoundary(th)
 		listed := 0
@@ -346,7 +346,7 @@ func TestSingleGroupKeepsZonesAcrossADrop(t *testing.T) {
 	defer r.c.Close()
 	r.populate(t, 0, nil)
 	if len(r.s.groups) != 1 {
-		t.Fatalf("population formed groups %v, want one", r.s.GroupSizes())
+		t.Fatalf("population formed groups %v, want one", r.s.groupSizes())
 	}
 	leaver, stayer := r.managed[0], r.managed[1]
 	var sent []string
@@ -371,7 +371,7 @@ func TestSingleGroupKeepsZonesAcrossADrop(t *testing.T) {
 		if stayer.State() != StateProcess {
 			t.Errorf("stayer in state %v after its first answer, want PROCESS", stayer.State())
 		}
-		zone := r.s.clients[stayer.ID()].zone
+		zone := r.s.clients[stayer.ID()].zones[processing]
 		r.nextBoundary(th)
 		slice := r.boundaries()
 		leaver.Leave(th)
@@ -386,10 +386,10 @@ func TestSingleGroupKeepsZonesAcrossADrop(t *testing.T) {
 		}
 		r.nextBoundary(th)
 		th.P.Sleep(2 * r.s.Cfg.WarmupPollInterval) // the zones are bound
-		if got := r.s.clients[stayer.ID()].zone; got != zone {
+		if got := r.s.clients[stayer.ID()].zones[processing]; got != zone {
 			t.Errorf("the stayer's zone went %d -> %d across the drop", zone, got)
 		}
-		if got := r.s.clients[newcomer.ID()].zone; got < 0 || got == zone {
+		if got := r.s.clients[newcomer.ID()].zones[processing]; got < 0 || got == zone {
 			t.Errorf("the newcomer was bound to zone %d, want a free one (the stayer holds %d)", got, zone)
 		}
 		call(stayer, "stayer-after")

@@ -24,16 +24,13 @@ const (
 )
 
 func (s ClientState) String() string {
-	switch s {
-	case StateIdle:
-		return "IDLE"
-	case StateWarmup:
-		return "WARMUP"
-	case StateProcess:
-		return "PROCESS"
+	if s < 0 || int(s) >= len(stateNames) {
+		return "?"
 	}
-	return "?"
+	return stateNames[s]
 }
+
+var stateNames = [...]string{"IDLE", "WARMUP", "PROCESS"}
 
 // Conn is a ScaleRPC RPCClient endpoint. It is driven by a single client
 // thread; Poll advances the state machine.
@@ -54,15 +51,8 @@ type Conn struct {
 	// delivered (rpccore.ReadSlot).
 	respBuf []byte
 
-	state   ClientState
-	zone    int
-	poolIdx int
-	// roundHigh is the highest count flushed this round: the server may have
-	// fetched every block below it, so a request staged below it needs a new
-	// round.
-	roundHigh  int
-	round      uint32
-	entryDirty bool
+	// fig7 is the protocol state; only its transitions change it.
+	fig7
 
 	// win is the request window: a busy slot's encoded request sits in the
 	// staging block of the same index until its response arrives, so it can
@@ -118,8 +108,7 @@ func (s *Server) newConn(ch *host.Host, sig *sim.Signal) *Conn {
 		resp:         rpccore.NewRespPool(ch, sig, s.Cfg.BlocksPerClient, s.rel),
 		entryScratch: ch.Mem.Register(entrySize(s.Cfg.BlocksPerClient), memory.PageSize4K, memory.LocalWrite),
 		win:          rpccore.NewWindow(s.Cfg.BlocksPerClient),
-		zone:         -1,
-		poolIdx:      -1,
+		fig7:         fig7{}.idle(),
 		trace:        s.trace,
 	}
 }
@@ -130,16 +119,16 @@ func (s *Server) newConn(ch *host.Host, sig *sim.Signal) *Conn {
 func (c *Conn) adoptPlacement(pinned bool, zone int) {
 	c.pinned = pinned
 	if pinned {
-		c.state = StateProcess
-		c.zone = zone
-		c.poolIdx = 0
+		c.fig7 = c.fig7.pin(zone)
 	}
 }
 
-// idle drops the connection to IDLE, holding no zone in either pool.
-func (c *Conn) idle() {
-	c.state, c.zone, c.poolIdx = StateIdle, -1, -1
-	c.traceState(StateIdle)
+// enter installs the state a transition returned, tracing a change of state.
+func (c *Conn) enter(next fig7) {
+	if next.state != c.state {
+		c.traceState(next.state)
+	}
+	c.fig7 = next
 }
 
 // traceState emits a client_state transition event.
@@ -153,8 +142,9 @@ func (c *Conn) traceState(to ClientState) {
 // State returns the connection's Figure 7 state.
 func (c *Conn) State() ClientState { return c.state }
 
-// Zone returns the current zone assignment (-1 when not in PROCESS).
-func (c *Conn) Zone() int {
+// processZone returns the zone the connection writes directly into, -1 when
+// not in PROCESS.
+func (c *Conn) processZone() int {
 	if c.state != StateProcess {
 		return -1
 	}
@@ -179,42 +169,18 @@ func (c *Conn) TrySend(t *host.Thread, handler uint8, payload []byte, reqID uint
 	// close leaves any residue to be absorbed into the caller's next park.
 	t.BeginWork()
 	defer t.EndWorkLazy()
-	switch c.state {
-	case StateIdle:
-		c.beginWarmup()
-		return c.stageRequest(t, handler, payload, reqID)
-	case StateWarmup:
-		return c.stageRequest(t, handler, payload, reqID)
-	case StateProcess:
+	next, direct := c.fig7.send(false)
+	if direct {
 		return c.req.Send(t, &c.win, c.s.pools[c.poolIdx].Pool, c.zone, handler, payload, reqID)
 	}
-	return false
-}
-
-// beginWarmup opens a new warmup round (IDLE → WARMUP).
-func (c *Conn) beginWarmup() {
-	c.round++
-	c.roundHigh = 0
-	c.state = StateWarmup
-	c.entryDirty = true
-	c.traceState(StateWarmup)
-}
-
-// staged is the count a warmup round advertises: one past the highest busy
-// slot, so it covers every unanswered request in the slot it holds.
-func (c *Conn) staged() int {
-	for b := c.win.SlotCount(); b > 0; b-- {
-		if c.win.Slots[b-1].Busy {
-			return b
-		}
-	}
-	return 0
+	c.enter(next)
+	return c.stageRequest(t, handler, payload, reqID)
 }
 
 // stageRequest encodes the request into the staging block just past the
 // highest busy slot, so a round's requests stay contiguous from block 0.
 func (c *Conn) stageRequest(t *host.Thread, handler uint8, payload []byte, reqID uint64) bool {
-	b := c.staged()
+	b := staged(&c.win)
 	if b >= c.win.SlotCount() {
 		return false // the window is full, or its top slot awaits its turn
 	}
@@ -222,12 +188,8 @@ func (c *Conn) stageRequest(t *host.Thread, handler uint8, payload []byte, reqID
 	if !ok {
 		return false
 	}
-	if b < c.roundHigh {
-		c.round++ // the server may have fetched block b this round
-		c.roundHigh = 0
-	}
+	c.fig7 = c.fig7.stage(b)
 	c.win.Take(b, reqID, msgLen)
-	c.entryDirty = true
 	return true
 }
 
@@ -236,35 +198,26 @@ func (c *Conn) stageRequest(t *host.Thread, handler uint8, payload []byte, reqID
 // span, 0 for a slot answered or withdrawn. Inline: 8 bytes plus 2 per
 // block, 40 at the default 16 blocks.
 func (c *Conn) flushEndpointEntry(t *host.Thread) {
-	if !c.entryDirty || c.state != StateWarmup {
+	next, staged, ok := c.fig7.flush(&c.win)
+	if !ok {
 		return
 	}
-	c.entryDirty = false
-	staged := c.staged()
-	c.roundHigh = max(c.roundHigh, staged)
+	c.fig7 = next
 	var b [entryHeader + 2*rpccore.ScratchRing]byte
 	binary.LittleEndian.PutUint32(b[:], uint32(staged))
 	binary.LittleEndian.PutUint32(b[4:], c.round)
 	for i, sl := range c.win.Slots {
-		span := 0
 		if sl.Busy {
-			span = sl.MsgLen + rpcwire.TrailerSize
+			binary.LittleEndian.PutUint16(b[entryHeader+2*i:], uint16(sl.MsgLen+rpcwire.TrailerSize))
 		}
-		binary.LittleEndian.PutUint16(b[entryHeader+2*i:], uint16(span))
 	}
 	n := entrySize(c.win.SlotCount())
 	_, _ = c.entryScratch.WriteAt(b[:n], 0) // the scratch holds a full window's entry
 	t.WriteMem(c.entryScratch.Base, n)
-	wr := nic.SendWR{
-		Op:     nic.OpWrite,
-		LKey:   c.entryScratch.LKey,
-		LAddr:  c.entryScratch.Base,
-		Len:    n,
-		RKey:   c.s.EndpointRKey(),
-		RAddr:  c.s.EndpointEntryAddr(c.req.ID),
-		Inline: true,
-	}
-	t.PostSend(c.req.QP, wr)
+	t.PostSend(c.req.QP, nic.SendWR{
+		Op: nic.OpWrite, LKey: c.entryScratch.LKey, LAddr: c.entryScratch.Base,
+		Len: n, RKey: c.s.endpoint.RKey, RAddr: c.s.entryAddr(c.req.ID), Inline: true,
+	})
 }
 
 // Poll drains responses, advances the state machine, flushes any pending
@@ -294,9 +247,7 @@ func (c *Conn) Poll(t *host.Thread, fn func(rpccore.Response)) int {
 	// as absent (see the switch flag on responses below).
 	ctrl := c.s.Cfg.BlocksPerClient
 	if _, flags, _, ok := rpccore.ReadSlot(t, c.resp.Pool, c.s.rel, 0, ctrl, true, &c.respBuf); ok {
-		if flags&rpcwire.FlagContextSwitch != 0 {
-			switched = true
-		}
+		switched = flags&rpcwire.FlagContextSwitch != 0
 		c.resp.Release(t, ctrl)
 	}
 
@@ -317,16 +268,7 @@ func (c *Conn) Poll(t *host.Thread, fn func(rpccore.Response)) int {
 		if herr != nil {
 			continue
 		}
-		// A switch flag on a response that carries a zone comes from the
-		// drain. A late-swept response carries none: the late sweep posts
-		// after its switch's drain responses and notification on the same RC
-		// QP, so a client out of PROCESS has already acted on that switch,
-		// and acting again would re-offer, and the server fetch twice, what
-		// it re-offered then. A client still in PROCESS lost the notification
-		// (a corrupted frame) and acts now.
-		if flags&rpcwire.FlagContextSwitch != 0 && (hdr.ClientID&^poolBit != zoneNone || c.state == StateProcess) {
-			switched = true
-		}
+		switched = c.fig7.switches(hdr.ClientID, flags&rpcwire.FlagContextSwitch != 0) || switched
 		if hdr.ReqID != c.win.Slots[b].ReqID {
 			c.s.rel.StaleResponses++ // for the slot's previous occupant
 			continue
@@ -343,23 +285,7 @@ func (c *Conn) Poll(t *host.Thread, fn func(rpccore.Response)) int {
 		}
 		c.release(b)
 		got++
-		// Zone/pool assignment rides on responses (WARMUP → PROCESS);
-		// late-swept responses carry no assignment.
-		if hdr.ClientID&^poolBit != zoneNone {
-			c.zone = int(hdr.ClientID &^ poolBit)
-			c.poolIdx = 0
-			if hdr.ClientID&poolBit != 0 {
-				c.poolIdx = 1
-			}
-			if c.state == StateWarmup {
-				c.state = StateProcess
-				c.traceState(StateProcess)
-			}
-		}
-		if c.state == StateWarmup {
-			// Still waiting to be fetched: stop advertising what is answered.
-			c.entryDirty = true
-		}
+		c.enter(c.fig7.released(hdr.ClientID))
 		fn(rpccore.Response{ReqID: hdr.ReqID, Payload: body, Err: flags&rpcwire.FlagError != 0})
 	}
 
@@ -370,20 +296,20 @@ func (c *Conn) Poll(t *host.Thread, fn func(rpccore.Response)) int {
 	return got
 }
 
-// onContextSwitch moves PROCESS/WARMUP → IDLE; unanswered requests keep
-// their slots and are re-offered in a fresh warmup round (the at-least-once
-// retry covering the switch race), so a response still in flight completes
-// the slot it was sent for.
+// onContextSwitch takes the switched edge (fig7.switched). Unanswered
+// requests keep their slots, so a response still in flight completes the
+// slot it was sent for.
 func (c *Conn) onContextSwitch(t *host.Thread) {
-	c.idle()
+	c.fig7 = c.fig7.switched(c.win.Outstanding() > 0)
+	c.traceState(StateIdle)
 	for b := range c.win.Slots {
 		if c.win.Slots[b].Busy {
 			c.reoffered |= 1 << b
 			c.Retries++
 		}
 	}
-	if c.win.Outstanding() > 0 {
-		c.beginWarmup()
+	if c.state == StateWarmup {
+		c.traceState(StateWarmup)
 		c.flushEndpointEntry(t)
 	}
 }
@@ -409,24 +335,20 @@ func (c *Conn) reconnect(t *host.Thread) {
 	c.s.Reconnect(c)
 	c.Reconnects++
 	c.traceState(StateIdle)
-	if c.pinned {
-		// Pinned clients skip warmup; pick up the (possibly new) reserved
-		// zone and resend in place. If reserved zones were exhausted on
-		// readmission, fall back to the grouped path below.
-		cs := c.s.clients[c.req.ID]
-		if c.adoptPlacement(cs.Pinned, cs.zone); c.pinned {
-			return
-		}
-	}
-	c.onContextSwitch(t)
+	// A pinned client picks up its (possibly new) reserved zone, or the
+	// grouped path when reserved zones were exhausted on readmission.
+	cs := c.s.clients[c.req.ID]
+	c.adoptPlacement(cs.Pinned, cs.zones[processing])
+	c.resume(t)
 }
 
-// Reconnect forces a teardown and readmission even if the QP has not errored
-// yet. Poll calls the same path automatically after a QP error; consumers
-// that learn of a failure out of band (an application-level timeout, a
-// cluster-membership notification) use this instead of waiting for Poll to
-// notice.
-func (c *Conn) Reconnect(t *host.Thread) { c.reconnect(t) }
+// resume puts a readmitted connection back to work: a pinned one resends in
+// place, any other takes the switched edge, re-offering what is unanswered.
+func (c *Conn) resume(t *host.Thread) {
+	if !c.pinned {
+		c.onContextSwitch(t)
+	}
+}
 
 // Resend re-issues the in-flight request identified by reqID without
 // consuming a new slot (the rpccore.Resender hook behind Caller retries
@@ -442,19 +364,13 @@ func (c *Conn) Resend(t *host.Thread, reqID uint64) bool {
 	if b < 0 {
 		return false
 	}
-	if c.state != StateProcess {
-		// Staged but not yet (or no longer) deliverable directly: bump the
-		// round so the server's warmup fetch re-reads the staging area.
-		if c.state == StateIdle {
-			c.beginWarmup()
-		} else {
-			c.round++
-			c.entryDirty = true
-		}
-		c.flushEndpointEntry(t)
-		return true
+	next, direct := c.fig7.send(true)
+	if direct {
+		return c.req.Post(t, c.s.pools[c.poolIdx].Pool, c.zone, b, c.win.Slots[b].MsgLen)
 	}
-	return c.req.Post(t, c.s.pools[c.poolIdx].Pool, c.zone, b, c.win.Slots[b].MsgLen)
+	c.enter(next)
+	c.flushEndpointEntry(t)
+	return true
 }
 
 // Cancel withdraws the in-flight request identified by reqID (the
@@ -472,7 +388,7 @@ func (c *Conn) Cancel(t *host.Thread, reqID uint64) bool {
 	}
 	c.clearStaged(t, b)
 	c.release(b)
-	c.entryDirty = true
+	c.fig7 = c.fig7.released(zoneNone)
 	return true
 }
 
@@ -493,3 +409,141 @@ func (c *Conn) clearStaged(t *host.Thread, b int) {
 
 var _ rpccore.Conn = (*Conn)(nil)
 var _ rpccore.Resender = (*Conn)(nil)
+
+// fig7 is a client's Figure 7 state: what the protocol's decisions read and
+// change. The decisions are its methods, pure as group.go's plan is: each
+// takes the state by value and returns the next, and the Conn that applies
+// one keeps every memory access, post and charge it implies at the call
+// site.
+type fig7 struct {
+	state   ClientState
+	zone    int // the zone PROCESS writes directly into, in pool poolIdx
+	poolIdx int
+	// roundHigh is the highest count flushed this round: the server may have
+	// fetched every block below it, so a request staged below it needs a new
+	// round.
+	roundHigh  int
+	round      uint32
+	entryDirty bool // the endpoint entry has changed since its last flush
+}
+
+// pin is a latency-sensitive client's state: PROCESS on its reserved zone
+// in pool 0 from admission on. It skips warmup and is never switched.
+func (f fig7) pin(zone int) fig7 {
+	f.state, f.zone, f.poolIdx = StateProcess, zone, 0
+	return f
+}
+
+// idle is IDLE, holding no zone in either pool.
+func (f fig7) idle() fig7 {
+	f.state, f.zone, f.poolIdx = StateIdle, -1, -1
+	return f
+}
+
+// warmup opens a new warmup round (→ WARMUP): the scheduler fetches the
+// round's staged blocks afresh.
+func (f fig7) warmup() fig7 {
+	f.round++
+	f.roundHigh = 0
+	f.state = StateWarmup
+	f.entryDirty = true
+	return f
+}
+
+// send decides how a request goes out, or a busy slot's goes out again
+// (again, Resend). PROCESS writes it directly into the client's zone;
+// otherwise it is staged for the scheduler to fetch (Figure 6 step 1), and
+// in IDLE a warmup round opens first. A resend in WARMUP moves to a new
+// round, so the scheduler re-fetches every staged block.
+func (f fig7) send(again bool) (next fig7, direct bool) {
+	switch {
+	case f.state == StateProcess:
+		return f, true
+	case f.state == StateIdle:
+		return f.warmup(), false
+	case again:
+		f.round++
+		f.entryDirty = true
+	}
+	return f, false
+}
+
+// stage is the state after a request is staged in block b. The server may
+// have fetched a block below roundHigh this round, so b opens a new round.
+func (f fig7) stage(b int) fig7 {
+	if b < f.roundHigh {
+		f.round++
+		f.roundHigh = 0
+	}
+	f.entryDirty = true
+	return f
+}
+
+// flush decides whether the endpoint entry goes out (Figure 6 step 2): only
+// in WARMUP, and only when it changed. It advertises count, the staged count
+// of win.
+func (f fig7) flush(win *rpccore.Window) (next fig7, count int, ok bool) {
+	if !f.entryDirty || f.state != StateWarmup {
+		return f, 0, false
+	}
+	count = staged(win)
+	f.entryDirty = false
+	f.roundHigh = max(f.roundHigh, count)
+	return f, count, true
+}
+
+// staged is the count a warmup round advertises: one past the highest busy
+// slot, so it covers every unanswered request in the slot it holds.
+func staged(win *rpccore.Window) int {
+	for b := win.SlotCount(); b > 0; b-- {
+		if win.Slots[b-1].Busy {
+			return b
+		}
+	}
+	return 0
+}
+
+// switches decides whether a response whose header carries zoneWord, with
+// the switch flag set when flag, takes the client to IDLE. A flag on a
+// response that carries a zone comes from the drain. A late-swept response
+// carries none: the late sweep posts after its switch's drain responses and
+// notification on the same RC QP, so a client out of PROCESS has already
+// acted on that switch, and acting again would re-offer, and the server
+// fetch twice, what it re-offered then. A client still in PROCESS lost the
+// notification (a corrupted frame) and acts now.
+func (f fig7) switches(zoneWord uint16, flag bool) bool {
+	return flag && (zoneWord&^poolBit != zoneNone || f.state == StateProcess)
+}
+
+// released is the state after a busy slot is freed: by a response whose
+// header carries zoneWord, or by a cancel (zoneNone). The zone word, when
+// there is one, is the client's zone and pool, and takes WARMUP to PROCESS.
+// A client still in WARMUP waits to be fetched and stops advertising the
+// slot; out of WARMUP the entry is not flushed, and warmup marks it changed
+// on the way back in.
+func (f fig7) released(zoneWord uint16) fig7 {
+	if zoneWord&^poolBit != zoneNone {
+		f.zone = int(zoneWord &^ poolBit)
+		f.poolIdx = int(zoneWord / poolBit)
+		if f.state == StateWarmup {
+			f.state = StateProcess
+		}
+	}
+	if f.state == StateWarmup {
+		f.entryDirty = true
+	}
+	return f
+}
+
+// switched is the → IDLE edge of a context switch, or of a reconnect or a
+// rejoin, which are treated like one: the client gives up its zone, and
+// with requests outstanding it opens a fresh warmup round at once, which
+// re-offers every one of them (the at-least-once retry covering the switch
+// race).
+func (f fig7) switched(outstanding bool) fig7 {
+	f = f.idle()
+	if outstanding {
+		f = f.warmup()
+	}
+	return f
+}

@@ -1,4 +1,4 @@
-package scalerpc_test
+package scalerpc
 
 import (
 	"encoding/binary"
@@ -8,7 +8,6 @@ import (
 	"scalerpc/internal/cluster"
 	"scalerpc/internal/host"
 	"scalerpc/internal/rpccore"
-	"scalerpc/internal/scalerpc"
 	"scalerpc/internal/sim"
 	"scalerpc/internal/stats"
 )
@@ -93,9 +92,9 @@ func TestClosedLoopChainsEachClientsResponses(t *testing.T) {
 func TestServerRejectsWindowPastStagingRing(t *testing.T) {
 	c := cluster.New(cluster.Default(1))
 	defer c.Close()
-	cfg := scalerpc.DefaultServerConfig()
+	cfg := DefaultServerConfig()
 	cfg.BlocksPerClient = 64
-	scalerpc.NewServer(c.Hosts[0], cfg) // the ring's depth is allowed
+	NewServer(c.Hosts[0], cfg) // the ring's depth is allowed
 	cfg.BlocksPerClient = 65
 	defer func() {
 		r := recover()
@@ -103,5 +102,5 @@ func TestServerRejectsWindowPastStagingRing(t *testing.T) {
 			t.Fatalf("NewServer with 65 blocks per client: recovered %v, want a BlocksPerClient panic", r)
 		}
 	}()
-	scalerpc.NewServer(c.Hosts[0], cfg)
+	NewServer(c.Hosts[0], cfg)
 }

@@ -178,7 +178,7 @@ func TestCorruptFrameAtTheEdgeIsPassed(t *testing.T) {
 	conn := s.Connect(c.Hosts[1], sim.NewSignal(c.Env))
 	cs := s.clients[conn.ID()]
 	const z, edge = 0, 3
-	s.zoneOwner[z], cs.zone = int(cs.ID), z
+	s.bind(cs, z, processing)
 	cs.advertised, cs.seen = 2, edge // blocks 0-2 were served
 	pool := s.processingPool()
 	put := func(b int, reqID uint64) {
@@ -200,7 +200,7 @@ func TestCorruptFrameAtTheEdgeIsPassed(t *testing.T) {
 		out := rpccore.NewOutbox(s.Host)
 		var buf []byte
 		th.BeginWork()
-		served = s.scanZone(th, pool, z, cs, &out, &buf, false)
+		served = s.scanZone(th, pool, z, cs, &out, &buf, byWorker)
 		th.EndWork()
 	})
 	c.Env.RunUntil(100 * sim.Microsecond)

@@ -1,4 +1,4 @@
-package scalerpc_test
+package scalerpc
 
 import (
 	"encoding/binary"

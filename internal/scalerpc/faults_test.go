@@ -1,4 +1,4 @@
-package scalerpc_test
+package scalerpc
 
 import (
 	"testing"
@@ -6,7 +6,6 @@ import (
 	"scalerpc/internal/faults"
 	"scalerpc/internal/host"
 	"scalerpc/internal/rpccore"
-	"scalerpc/internal/scalerpc"
 	"scalerpc/internal/sim"
 )
 
@@ -90,7 +89,7 @@ func TestNodeCrashEvictsAndRegroups(t *testing.T) {
 		})
 	}
 	c.Env.RunUntil(0) // the first boundary places the joiners
-	groups := uint64(s.GroupCount())
+	groups := uint64(s.groupCount())
 
 	for end := crashAt; s.Stats.Evictions == 0 && end < crashAt+2*sim.Time(sim.Millisecond); end += sim.Time(5 * sim.Microsecond) {
 		c.Env.RunUntil(end)
@@ -113,7 +112,7 @@ func TestNodeCrashEvictsAndRegroups(t *testing.T) {
 		t.Fatal("no regroup after evictions")
 	}
 	sum := 0
-	for _, sz := range s.GroupSizes() {
+	for _, sz := range s.groupSizes() {
 		sum += sz
 	}
 	if sum != 8 {
@@ -193,7 +192,7 @@ func TestChurnStormKeepsGroupInvariants(t *testing.T) {
 	if s.Stats.Regroups == 0 {
 		t.Fatal("churn never forced a regroup")
 	}
-	sizes := s.GroupSizes()
+	sizes := s.groupSizes()
 	sum := 0
 	for _, sz := range sizes {
 		if sz < 4 && len(sizes) > 1 {
@@ -230,7 +229,7 @@ func TestDisconnectUnknownAndDoubleDisconnect(t *testing.T) {
 	})
 	c.Env.RunUntil(horizon + sim.Millisecond)
 	sum := 0
-	for _, sz := range s.GroupSizes() {
+	for _, sz := range s.groupSizes() {
 		sum += sz
 	}
 	if sum != 7 {
@@ -245,7 +244,7 @@ func TestDisconnectUnknownAndDoubleDisconnect(t *testing.T) {
 // come back still pinned to a reserved zone (or gracefully fall back to the
 // rotation if the zones are gone).
 func TestReconnectKeepsPinnedZone(t *testing.T) {
-	c, s := buildServer(2, func(cfg *scalerpc.ServerConfig) { cfg.ReservedZones = 2 })
+	c, s := buildServer(2, func(cfg *ServerConfig) { cfg.ReservedZones = 2 })
 	defer c.Close()
 	sig := sim.NewSignal(c.Env)
 	pin := s.ConnectLatencySensitive(c.Hosts[1], sig)
@@ -258,8 +257,8 @@ func TestReconnectKeepsPinnedZone(t *testing.T) {
 			t.Errorf("pre-reconnect call: %v", err)
 			return
 		}
-		pin.Reconnect(th)
-		if pin.State() != scalerpc.StateProcess {
+		pin.reconnect(th)
+		if pin.State() != StateProcess {
 			t.Errorf("state after pinned reconnect = %v, want PROCESS", pin.State())
 		}
 		if _, err := pin.SyncCall(th, 1, []byte("after"), 0); err != nil {

@@ -57,7 +57,7 @@ func (r *fetchRig) poll() {
 // it posted, the bytes they moved and the doorbells the server rang.
 func (r *fetchRig) fetch() (reads, moved, doorbells uint64) {
 	st, mmio := r.s.Stats, r.s.Host.Bus.Snapshot().MMIOWr
-	r.server(func(th *host.Thread) { r.s.fetchGroup(th, 0, false) })
+	r.server(func(th *host.Thread) { r.s.fetchGroup(th, 0, processing) })
 	return r.s.Stats.WarmupReads - st.WarmupReads, r.s.Stats.WarmupBytes - st.WarmupBytes,
 		r.s.Host.Bus.Snapshot().MMIOWr - mmio
 }
@@ -66,7 +66,7 @@ func (r *fetchRig) fetch() (reads, moved, doorbells uint64) {
 func (r *fetchRig) fetched(t *testing.T, b int) (rpcwire.Header, []byte) {
 	t.Helper()
 	var buf []byte
-	msg, _, err := r.s.processingPool().ReadFrame(r.cs.zone, b, &buf)
+	msg, _, err := r.s.processingPool().ReadFrame(r.cs.zones[processing], b, &buf)
 	if err != nil {
 		t.Fatalf("block %d: %v", b, err)
 	}
@@ -127,12 +127,12 @@ func restageAndAnswerFirst(t *testing.T, r *fetchRig) {
 	r.server(func(th *host.Thread) {
 		// The switch took the client out of the pool; the next rotation
 		// hands its zone back.
-		zone := r.cs.zone
-		r.cs.zone = -1
+		zone := r.cs.zones[processing]
+		r.s.unbind(r.cs, -1, processing)
 		out := r.s.schedOutbox()
-		r.s.lateServe(th, out, r.cs, 0, hdr, body)
+		r.s.execute(th, out, r.cs, 0, hdr, body, byLateSweep)
 		out.Post(th, r.cs.QP)
-		r.cs.zone = zone
+		r.s.bind(r.cs, zone, processing)
 	})
 	r.poll()
 	if r.conn.State() != StateWarmup || r.conn.LateCompletions != 1 || r.conn.Outstanding() != 1 {

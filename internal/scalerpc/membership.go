@@ -96,8 +96,7 @@ func (p placement) Admit(t *host.Thread, m ctrlplane.Member, payload []byte, pin
 
 func (p placement) Readmit(t *host.Thread, m *ctrlplane.Member, pinned bool) {
 	cs := p.s.clients[m.ID]
-	cs.fetchedUpTo = 0
-	cs.missedSlices, cs.scannedAt = 0, 0
+	cs.fetchedUpTo, cs.missedSlices, cs.scannedAt = 0, 0, 0
 	p.join(t, cs, pinned, "client_rejoin")
 }
 
@@ -109,9 +108,7 @@ func (p placement) Readmit(t *host.Thread, m *ctrlplane.Member, pinned bool) {
 func (p placement) join(t *host.Thread, cs *clientState, pinned bool, event string) {
 	s := p.s
 	cs.demoted = s.mgr.PeerStateOf(cs.Peer) == ctrlplane.PeerDemoted
-	if !s.placeJoined(cs, pinned) {
-		s.placeJoined(cs, false)
-	}
+	s.placeJoined(cs, s.reserved(pinned))
 	s.Stats.Joins++
 	if s.trace.Enabled {
 		s.trace.Emit(t.P.Now(), event, telemetry.A("client", int64(cs.ID)))
@@ -146,7 +143,7 @@ func (p placement) Response(m *ctrlplane.Member) []byte {
 	if m.Pinned {
 		resp[2] = 1
 	}
-	binary.LittleEndian.PutUint16(resp[3:], uint16(int16(p.s.clients[m.ID].zone)))
+	binary.LittleEndian.PutUint16(resp[3:], uint16(int16(p.s.clients[m.ID].zones[processing])))
 	return resp
 }
 
@@ -155,7 +152,7 @@ func (p placement) Response(m *ctrlplane.Member) []byte {
 // handshake with modeled QP-setup latency, or a cached resume), and build
 // a Conn on the dialed QP. t must run on the client host. pinned requests
 // a reserved zone; like ConnectLatencySensitive it degrades to the grouped
-// path when none is free (check Conn.Pinned for the outcome).
+// path when none is free.
 func (s *Server) Join(t *host.Thread, dir *ctrlplane.Directory, sig *sim.Signal, pinned bool) (*Conn, error) {
 	return s.JoinTenant(t, dir, sig, pinned, 0)
 }
@@ -178,9 +175,6 @@ func (s *Server) JoinTenant(t *host.Thread, dir *ctrlplane.Directory, sig *sim.S
 	return c, nil
 }
 
-// Pinned reports whether the connection holds a reserved zone.
-func (c *Conn) Pinned() bool { return c.pinned }
-
 // ID returns the server-assigned client id.
 func (c *Conn) ID() uint16 { return c.req.ID }
 
@@ -190,7 +184,8 @@ func (c *Conn) ID() uint16 { return c.req.ID }
 // re-offers them. TrySend and Poll are inert until then.
 func (c *Conn) Leave(t *host.Thread) {
 	if c.membership.Leave(t) {
-		c.idle()
+		c.fig7 = c.fig7.idle()
+		c.traceState(StateIdle)
 	}
 }
 
@@ -209,11 +204,7 @@ func (c *Conn) Rejoin(t *host.Thread) error {
 	if c.req.ID != oldID {
 		c.restampID(t)
 	}
-	if c.pinned {
-		// Reserved-zone clients skip warmup and resend in place.
-		return nil
-	}
-	c.onContextSwitch(t)
+	c.resume(t)
 	return nil
 }
 

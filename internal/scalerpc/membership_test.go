@@ -1,4 +1,4 @@
-package scalerpc_test
+package scalerpc
 
 import (
 	"testing"
@@ -7,7 +7,6 @@ import (
 	"scalerpc/internal/ctrlplane"
 	"scalerpc/internal/host"
 	"scalerpc/internal/rpccore"
-	"scalerpc/internal/scalerpc"
 	"scalerpc/internal/sim"
 	"scalerpc/internal/stats"
 )
@@ -26,7 +25,7 @@ func stepUntil(t *testing.T, c *cluster.Cluster, limit sim.Duration, cond func()
 }
 
 // echoOnce sends one echo request and polls until its response arrives.
-func echoOnce(t *testing.T, th *host.Thread, conn *scalerpc.Conn, sig *sim.Signal, payload string, reqID uint64) string {
+func echoOnce(t *testing.T, th *host.Thread, conn *Conn, sig *sim.Signal, payload string, reqID uint64) string {
 	t.Helper()
 	deadline := th.P.Now() + 20*sim.Millisecond
 	for !conn.TrySend(th, 1, []byte(payload), reqID) {
@@ -59,7 +58,7 @@ func echoOnce(t *testing.T, th *host.Thread, conn *scalerpc.Conn, sig *sim.Signa
 // (unexported in ctrlplane).
 const idleTimeout = 5 * sim.Millisecond
 
-func bindPlane(c *cluster.Cluster, s *scalerpc.Server, cfg ctrlplane.Config) *ctrlplane.Directory {
+func bindPlane(c *cluster.Cluster, s *Server, cfg ctrlplane.Config) *ctrlplane.Directory {
 	dir := ctrlplane.NewDirectory()
 	for _, h := range c.Hosts {
 		ctrlplane.NewManager(h, cfg, dir).Start()

@@ -1,4 +1,4 @@
-package scalerpc_test
+package scalerpc
 
 import (
 	"encoding/binary"
@@ -7,7 +7,6 @@ import (
 	"scalerpc/internal/cluster"
 	"scalerpc/internal/host"
 	"scalerpc/internal/rpccore"
-	"scalerpc/internal/scalerpc"
 	"scalerpc/internal/sim"
 	"scalerpc/internal/stats"
 )
@@ -15,14 +14,14 @@ import (
 // getPutResult is what one bulk get/put closed loop measured.
 type getPutResult struct {
 	sent, answered, wrong uint64
-	conns                 []*scalerpc.Conn
+	conns                 []*Conn
 }
 
 // runGetPut is the bulk get/put closed loop: 120 clients on eleven hosts
 // keep four 2 KB puts (8 B replies) and 16 B gets (2 KB replies)
 // outstanding each until horizon, then drain for up to 2 ms, and every
 // reply is checked against its request.
-func runGetPut(timeSlice sim.Duration, horizon sim.Time) (*cluster.Cluster, *scalerpc.Server, getPutResult) {
+func runGetPut(timeSlice sim.Duration, horizon sim.Time) (*cluster.Cluster, *Server, getPutResult) {
 	const (
 		clients = 120
 		window  = 4
@@ -30,9 +29,9 @@ func runGetPut(timeSlice sim.Duration, horizon sim.Time) (*cluster.Cluster, *sca
 	)
 	deadline := horizon + 2*sim.Millisecond
 	c := cluster.New(cluster.Default(12))
-	cfg := scalerpc.DefaultServerConfig()
+	cfg := DefaultServerConfig()
 	cfg.TimeSlice = timeSlice
-	s := scalerpc.NewServer(c.Hosts[0], cfg)
+	s := NewServer(c.Hosts[0], cfg)
 	// A put (2 KB request) answers with its first word; a get (16 B)
 	// answers with 2 KB that carry the request at the head and its first
 	// word at the tail.
@@ -134,7 +133,7 @@ func TestShortSliceGetPutStaysRight(t *testing.T) {
 // from the server's reply cache. Every reply must be right, and no request
 // may reach the reply cache twice.
 func TestSwitchRaceRunsEachRequestOnce(t *testing.T) {
-	c, s, r := runGetPut(scalerpc.DefaultServerConfig().TimeSlice, 3*sim.Millisecond)
+	c, s, r := runGetPut(DefaultServerConfig().TimeSlice, 3*sim.Millisecond)
 	defer c.Close()
 	var late, retries uint64
 	for _, conn := range r.conns {

@@ -1,11 +1,10 @@
-package scalerpc_test
+package scalerpc
 
 import (
 	"testing"
 
 	"scalerpc/internal/host"
 	"scalerpc/internal/loadgen"
-	"scalerpc/internal/scalerpc"
 	"scalerpc/internal/sim"
 )
 
@@ -15,7 +14,7 @@ import (
 // group sizes drift outside the lazy [G/2, 3G/2] bounds or starve the
 // low-priority tenant entirely.
 func TestRegroupUnderOpenLoopOverload(t *testing.T) {
-	c, s := buildServer(4, func(cfg *scalerpc.ServerConfig) {
+	c, s := buildServer(4, func(cfg *ServerConfig) {
 		cfg.Dynamic = true
 	})
 	defer c.Close()
@@ -81,7 +80,7 @@ func TestRegroupUnderOpenLoopOverload(t *testing.T) {
 		t.Fatal("dynamic scheduler never regrouped under sustained load")
 	}
 	g := s.Cfg.GroupSize
-	sizes := s.GroupSizes()
+	sizes := s.groupSizes()
 	total := 0
 	for i, n := range sizes {
 		total += n

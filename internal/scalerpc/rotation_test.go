@@ -1,4 +1,4 @@
-package scalerpc_test
+package scalerpc
 
 import (
 	"encoding/binary"
@@ -8,7 +8,6 @@ import (
 	"scalerpc/internal/faults"
 	"scalerpc/internal/host"
 	"scalerpc/internal/rpccore"
-	"scalerpc/internal/scalerpc"
 	"scalerpc/internal/sim"
 	"scalerpc/internal/stats"
 )
@@ -24,13 +23,13 @@ import (
 // in a SyncGroup with an idle second server on the last host, which is how
 // a deployment gets the clock-driven rotation: the reference the early
 // switch is compared against.
-func rotationServer(hosts, groupSize int, seed uint64, clockOnly bool) (*cluster.Cluster, *scalerpc.Server) {
+func rotationServer(hosts, groupSize int, seed uint64, clockOnly bool) (*cluster.Cluster, *Server) {
 	ccfg := cluster.Default(hosts)
 	ccfg.Seed = seed
 	c := cluster.New(ccfg)
-	cfg := scalerpc.DefaultServerConfig()
+	cfg := DefaultServerConfig()
 	cfg.GroupSize = groupSize
-	s := scalerpc.NewServer(c.Hosts[0], cfg)
+	s := NewServer(c.Hosts[0], cfg)
 	s.Register(1, func(t *host.Thread, _ uint16, req, out []byte) int {
 		t.Work(400)
 		return copy(out, req)
@@ -46,9 +45,9 @@ func rotationServer(hosts, groupSize int, seed uint64, clockOnly bool) (*cluster
 	})
 	s.Start()
 	if clockOnly {
-		peer := scalerpc.NewServer(c.Hosts[hosts-1], cfg)
+		peer := NewServer(c.Hosts[hosts-1], cfg)
 		peer.Start()
-		scalerpc.NewSyncGroup([]*scalerpc.Server{s, peer})
+		NewSyncGroup([]*Server{s, peer})
 	}
 	return c, s
 }
@@ -63,7 +62,7 @@ type openLoopResult struct {
 // rate requests per second in total until horizon, then drains. Every
 // payload is a function of (client, request id) and every reply is compared
 // with it byte for byte.
-func runOpenLoop(c *cluster.Cluster, s *scalerpc.Server, clients, clientHosts, size int, rate float64, seed uint64, horizon sim.Time) openLoopResult {
+func runOpenLoop(c *cluster.Cluster, s *Server, clients, clientHosts, size int, rate float64, seed uint64, horizon sim.Time) openLoopResult {
 	res := openLoopResult{lat: stats.NewHistogram()}
 	fill := func(buf []byte, client int, id uint64) {
 		rng := stats.NewRNG(uint64(client)<<32 ^ id ^ seed<<48)
@@ -134,7 +133,7 @@ func runOpenLoop(c *cluster.Cluster, s *scalerpc.Server, clients, clientHosts, s
 // tick; the clock-driven rotation then holds the other group's requests in
 // the warmup pool for the rest of the 100 µs.
 func TestEarlySwitchCutsOpenLoopTail(t *testing.T) {
-	run := func(clockOnly bool) (openLoopResult, scalerpc.Stats) {
+	run := func(clockOnly bool) (openLoopResult, Stats) {
 		c, s := rotationServer(6, 32, 1, clockOnly)
 		defer c.Close()
 		r := runOpenLoop(c, s, 64, 4, 32, 2e6, 1, 4*sim.Millisecond)
@@ -263,7 +262,7 @@ func TestEarlySwitchKeepsRepliesRight(t *testing.T) {
 // rate all the same, and once their host dies be evicted about as soon.
 func TestFailureDetectionKeepsItsPace(t *testing.T) {
 	const crashAt = 5 * sim.Millisecond
-	run := func(clockOnly bool) (probeRate float64, detect sim.Duration, st scalerpc.Stats) {
+	run := func(clockOnly bool) (probeRate float64, detect sim.Duration, st Stats) {
 		c, s := rotationServer(7, 8, 1, clockOnly)
 		defer c.Close()
 		plane := c.InstallFaults(&faults.Scenario{

@@ -1,4 +1,4 @@
-package scalerpc_test
+package scalerpc
 
 import (
 	"bytes"
@@ -9,7 +9,6 @@ import (
 	"scalerpc/internal/host"
 	"scalerpc/internal/rpccore"
 	"scalerpc/internal/rpcwire"
-	"scalerpc/internal/scalerpc"
 	"scalerpc/internal/sim"
 	"scalerpc/internal/stats"
 )
@@ -20,9 +19,9 @@ func echoHandler(t *host.Thread, clientID uint16, req []byte, out []byte) int {
 }
 
 // buildServer creates a ScaleRPC server on host 0 of a fresh cluster.
-func buildServer(hosts int, mutate func(*scalerpc.ServerConfig)) (*cluster.Cluster, *scalerpc.Server) {
+func buildServer(hosts int, mutate func(*ServerConfig)) (*cluster.Cluster, *Server) {
 	c := cluster.New(cluster.Default(hosts))
-	cfg := scalerpc.DefaultServerConfig()
+	cfg := DefaultServerConfig()
 	cfg.Workers = 4
 	cfg.GroupSize = 8
 	cfg.TimeSlice = 50 * sim.Microsecond
@@ -31,14 +30,14 @@ func buildServer(hosts int, mutate func(*scalerpc.ServerConfig)) (*cluster.Clust
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	s := scalerpc.NewServer(c.Hosts[0], cfg)
+	s := NewServer(c.Hosts[0], cfg)
 	s.Register(1, echoHandler)
 	s.Start()
 	return c, s
 }
 
 // spawnClients launches n driver threads of m conns each on host hi.
-func spawnClients(c *cluster.Cluster, s *scalerpc.Server, hi, n int, dcfg rpccore.DriverConfig, horizon sim.Time) []*rpccore.DriverStats {
+func spawnClients(c *cluster.Cluster, s *Server, hi, n int, dcfg rpccore.DriverConfig, horizon sim.Time) []*rpccore.DriverStats {
 	out := make([]*rpccore.DriverStats, n)
 	for i := 0; i < n; i++ {
 		i := i
@@ -62,14 +61,14 @@ func TestSingleGroupEchoRoundTrip(t *testing.T) {
 
 	var got []byte
 	c.Hosts[1].Spawn("client", func(th *host.Thread) {
-		if conn.State() != scalerpc.StateIdle {
+		if conn.State() != StateIdle {
 			t.Error("new conn must be IDLE")
 		}
 		if !conn.TrySend(th, 1, []byte("warm me up"), 5) {
 			t.Error("TrySend failed")
 			return
 		}
-		if conn.State() != scalerpc.StateWarmup {
+		if conn.State() != StateWarmup {
 			t.Errorf("state after first send = %v, want WARMUP", conn.State())
 		}
 		for got == nil {
@@ -80,7 +79,7 @@ func TestSingleGroupEchoRoundTrip(t *testing.T) {
 				sig.WaitTimeout(th.P, 10*sim.Microsecond)
 			}
 		}
-		if conn.State() != scalerpc.StateProcess {
+		if conn.State() != StateProcess {
 			t.Errorf("state after first response = %v, want PROCESS", conn.State())
 		}
 		// Second call goes direct (PROCESS path).
@@ -104,8 +103,8 @@ func TestMultiGroupAllClientsProgress(t *testing.T) {
 	res2 := spawnClients(c, s, 2, 12, rpccore.DriverConfig{Batch: 4, Handler: 1, PayloadSize: 32, Seed: 2}, horizon)
 	c.Env.RunUntil(horizon + sim.Millisecond)
 
-	if s.GroupCount() < 3 {
-		t.Fatalf("groups = %d, want ≥3", s.GroupCount())
+	if s.groupCount() < 3 {
+		t.Fatalf("groups = %d, want ≥3", s.groupCount())
 	}
 	if s.Stats.Switches == 0 {
 		t.Fatal("no context switches with 3 groups")
@@ -132,7 +131,7 @@ func TestVirtualizedMappingPoolFootprintConstant(t *testing.T) {
 	// The whole point of virtualized mapping: pool bytes depend on group
 	// size, not client count.
 	_, s8 := buildServer(2, nil)
-	poolZones := func(s *scalerpc.Server) int { return s.Cfg.GroupSize*3/2 + 1 }
+	poolZones := func(s *Server) int { return s.Cfg.GroupSize*3/2 + 1 }
 	if poolZones(s8) != 13 {
 		t.Fatalf("zones = %d", poolZones(s8))
 	}
@@ -145,7 +144,7 @@ func TestVirtualizedMappingPoolFootprintConstant(t *testing.T) {
 		s.Connect(c.Hosts[1], sig)
 	}
 	c.Env.RunUntil(0) // the first boundary places the joiners
-	if got := s.GroupCount(); got != 13 {
+	if got := s.groupCount(); got != 13 {
 		t.Fatalf("100 clients / group 8 → %d groups, want 13", got)
 	}
 }
@@ -176,7 +175,7 @@ func TestClientStateMachineSwitchCycle(t *testing.T) {
 	horizon := 1 * sim.Millisecond
 	sig := sim.NewSignal(c.Env)
 	// Enough clients for 2 groups.
-	conns := make([]*scalerpc.Conn, 16)
+	conns := make([]*Conn, 16)
 	for i := range conns {
 		conns[i] = s.Connect(c.Hosts[1], sig)
 	}
@@ -203,7 +202,7 @@ func TestClientStateMachineSwitchCycle(t *testing.T) {
 }
 
 func TestLegacyModeMarksAndExecutesLongCalls(t *testing.T) {
-	c, s := buildServer(2, func(cfg *scalerpc.ServerConfig) {
+	c, s := buildServer(2, func(cfg *ServerConfig) {
 		cfg.LegacyThreshold = 5 * sim.Microsecond
 	})
 	defer c.Close()
@@ -246,27 +245,27 @@ func TestLegacyModeMarksAndExecutesLongCalls(t *testing.T) {
 }
 
 func TestGroupPlacementAndSizes(t *testing.T) {
-	c, s := buildServer(2, func(cfg *scalerpc.ServerConfig) { cfg.GroupSize = 40 })
+	c, s := buildServer(2, func(cfg *ServerConfig) { cfg.GroupSize = 40 })
 	defer c.Close()
 	sig := sim.NewSignal(c.Env)
 	for i := 0; i < 100; i++ {
 		s.Connect(c.Hosts[1], sig)
 	}
 	c.Env.RunUntil(0) // the first boundary places the joiners
-	sizes := s.GroupSizes()
+	sizes := s.groupSizes()
 	if len(sizes) != 3 || sizes[0] != 40 || sizes[1] != 40 || sizes[2] != 20 {
 		t.Fatalf("group sizes = %v, want [40 40 20]", sizes)
 	}
 }
 
 func TestDisconnectTriggersLazyMerge(t *testing.T) {
-	c, s := buildServer(2, func(cfg *scalerpc.ServerConfig) {
+	c, s := buildServer(2, func(cfg *ServerConfig) {
 		cfg.GroupSize = 8
 		cfg.Dynamic = false
 	})
 	defer c.Close()
 	sig := sim.NewSignal(c.Env)
-	conns := make([]*scalerpc.Conn, 16)
+	conns := make([]*Conn, 16)
 	for i := range conns {
 		conns[i] = s.Connect(c.Hosts[1], sig)
 	}
@@ -286,9 +285,9 @@ func TestDisconnectTriggersLazyMerge(t *testing.T) {
 			sig, func() bool { return th.P.Now() >= horizon })
 	})
 	c.Env.RunUntil(horizon + sim.Millisecond)
-	for _, sz := range s.GroupSizes() {
-		if sz < 4 && s.GroupCount() > 1 {
-			t.Fatalf("undersized group survived merges: %v", s.GroupSizes())
+	for _, sz := range s.groupSizes() {
+		if sz < 4 && s.groupCount() > 1 {
+			t.Fatalf("undersized group survived merges: %v", s.groupSizes())
 		}
 	}
 	if s.Stats.Regroups == 0 {
@@ -299,19 +298,19 @@ func TestDisconnectTriggersLazyMerge(t *testing.T) {
 func TestGlobalSyncAlignsSwitchPhases(t *testing.T) {
 	c := cluster.New(cluster.Default(4))
 	defer c.Close()
-	cfg := scalerpc.DefaultServerConfig()
+	cfg := DefaultServerConfig()
 	cfg.Workers = 2
 	cfg.GroupSize = 4
 	cfg.TimeSlice = 100 * sim.Microsecond
 	cfg.SyncPeriod = 2 * sim.Millisecond
-	var servers []*scalerpc.Server
+	var servers []*Server
 	for i := 0; i < 2; i++ {
-		s := scalerpc.NewServer(c.Hosts[i], cfg)
+		s := NewServer(c.Hosts[i], cfg)
 		s.Register(1, echoHandler)
 		s.Start()
 		servers = append(servers, s)
 	}
-	g := scalerpc.NewSyncGroup(servers)
+	g := NewSyncGroup(servers)
 	// Both servers need ≥2 groups so they actually switch.
 	for i, s := range servers {
 		horizon := 20 * sim.Millisecond
@@ -366,7 +365,7 @@ func TestDeterministicRuns(t *testing.T) {
 }
 
 func TestLatencySensitiveClientBypassesRotation(t *testing.T) {
-	c, s := buildServer(3, func(cfg *scalerpc.ServerConfig) {
+	c, s := buildServer(3, func(cfg *ServerConfig) {
 		cfg.ReservedZones = 2
 	})
 	defer c.Close()
@@ -381,7 +380,7 @@ func TestLatencySensitiveClientBypassesRotation(t *testing.T) {
 	if pin == nil {
 		t.Fatal("no reserved zone available")
 	}
-	if pin.State() != scalerpc.StateProcess {
+	if pin.State() != StateProcess {
 		t.Fatalf("pinned conn state = %v, want PROCESS", pin.State())
 	}
 	var pinStats rpccore.DriverStats
@@ -422,7 +421,7 @@ func TestLatencySensitiveClientBypassesRotation(t *testing.T) {
 }
 
 func TestReservedZonesExhaust(t *testing.T) {
-	c, s := buildServer(2, func(cfg *scalerpc.ServerConfig) {
+	c, s := buildServer(2, func(cfg *ServerConfig) {
 		cfg.ReservedZones = 1
 	})
 	defer c.Close()
@@ -486,7 +485,7 @@ func TestSyncAndAsyncCallAPI(t *testing.T) {
 }
 
 func TestSyncCallTimeout(t *testing.T) {
-	c, s := buildServer(2, func(cfg *scalerpc.ServerConfig) {
+	c, s := buildServer(2, func(cfg *ServerConfig) {
 		cfg.LegacyThreshold = sim.Second // keep the slow handler inline
 	})
 	defer c.Close()
@@ -501,7 +500,7 @@ func TestSyncCallTimeout(t *testing.T) {
 		_, err = conn.SyncCall(th, 3, []byte("slow"), 200*sim.Microsecond)
 	})
 	c.Env.RunUntil(20 * sim.Millisecond)
-	if err != scalerpc.ErrTimeout {
+	if err != ErrTimeout {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
 }
@@ -573,8 +572,8 @@ func TestVirtualizedMappingBoundsDDIOAllocs(t *testing.T) {
 		defer c.Close()
 		var connect func(i int, sig *sim.Signal) rpccore.Conn
 		if scale {
-			cfg := scalerpc.DefaultServerConfig()
-			srv := scalerpc.NewServer(c.Hosts[0], cfg)
+			cfg := DefaultServerConfig()
+			srv := NewServer(c.Hosts[0], cfg)
 			srv.Register(1, echoHandler)
 			srv.Start()
 			connect = func(i int, sig *sim.Signal) rpccore.Conn { return srv.Connect(c.Hosts[1+i%11], sig) }

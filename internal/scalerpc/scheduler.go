@@ -27,10 +27,7 @@ func (s *Server) runScheduler(t *host.Thread) {
 	var switchCost sim.Duration
 	s.applyPending(t, nil, false)
 	for {
-		planned := s.sliceFor(s.cur) + s.phaseAdjust
-		if planned < s.Cfg.TimeSlice/4 {
-			planned = s.Cfg.TimeSlice / 4
-		}
+		planned := max(s.sliceFor(s.cur)+s.phaseAdjust, s.Cfg.TimeSlice/4)
 		s.phaseAdjust = 0
 		start := t.P.Now()
 		s.nextSwitch = start + planned
@@ -45,12 +42,7 @@ func (s *Server) runScheduler(t *host.Thread) {
 			}
 			s.assignWarm(t)
 			s.fetchWarmups(t)
-			remain := s.nextSwitch - t.P.Now()
-			d := s.Cfg.WarmupPollInterval
-			if d > remain {
-				d = remain
-			}
-			if d > 0 {
+			if d := min(s.Cfg.WarmupPollInterval, s.nextSwitch-t.P.Now()); d > 0 {
 				t.P.Sleep(d)
 			}
 			now := t.P.Now()
@@ -181,11 +173,7 @@ func (r tickReadings) cpuUtil() float64 {
 
 // linkUtil is the busier direction of the server port against line rate.
 func (r tickReadings) linkUtil() float64 {
-	b := r.txBytes
-	if r.rxBytes > b {
-		b = r.rxBytes
-	}
-	return float64(b) / (r.lineRate * float64(r.tick))
+	return float64(max(r.txBytes, r.rxBytes)) / (r.lineRate * float64(r.tick))
 }
 
 // quiet reports a tick in which the server sat idle on the active group —
@@ -347,23 +335,21 @@ func (s *Server) assignWarm(t *host.Thread) {
 		free := 0
 		for _, cid := range s.groups[s.cur] {
 			cs := s.inGroup(s.cur, cid)
-			if cs == nil || cs.zone >= 0 {
+			if cs == nil || cs.zones[processing] >= 0 {
 				continue
 			}
-			for s.zoneOwner[free] >= 0 {
+			for s.owners(processing)[free] >= 0 {
 				free++
 			}
-			cs.zone = free
-			s.zoneOwner[free] = int(cid)
+			s.bind(cs, free, processing)
 			s.wipeZone(t, s.processingPool(), free)
 		}
 		return
 	}
 	g := (s.cur + 1) % len(s.groups)
 	for i, cid := range s.groups[g] {
-		if cs := s.inGroup(g, cid); cs != nil && cs.warmZone != i {
-			cs.warmZone = i
-			s.warmOwner[i] = int(cid)
+		if cs := s.inGroup(g, cid); cs != nil && cs.zones[warming] != i {
+			s.bind(cs, i, warming)
 			s.wipeZone(t, s.warmupPool(), i)
 		}
 	}
@@ -389,40 +375,30 @@ func (s *Server) fetchWarmups(t *host.Thread) {
 	if len(s.groups) == 0 {
 		return
 	}
-	s.fetchGroup(t, s.cur, false)
+	s.fetchGroup(t, s.cur, processing)
 	if len(s.groups) >= 2 {
-		s.fetchGroup(t, (s.cur+1)%len(s.groups), true)
+		s.fetchGroup(t, (s.cur+1)%len(s.groups), warming)
 	}
 }
 
-// fetchGroup prefetches group g's staged requests: the warming group's into
-// the warmup pool, the current group's into the processing pool.
-func (s *Server) fetchGroup(t *host.Thread, g int, warm bool) {
-	pool := s.processingPool()
-	if warm {
-		pool = s.warmupPool()
-	}
+// fetchGroup prefetches group g's staged requests into the pool in role:
+// the warming group's into the warmup pool, the current group's into the
+// processing pool.
+func (s *Server) fetchGroup(t *host.Thread, g, role int) {
+	pool := &s.pools[s.procIdx^role]
 	// The READs below yield; the group list holds still until the next
 	// boundary, and a member that departs meanwhile is skipped from then on.
 	for _, cid := range s.groups[g] {
 		cs := s.inGroup(g, cid)
-		if cs == nil {
+		if cs == nil || cs.zones[role] < 0 {
 			continue
 		}
-		zone := cs.zone
-		if warm {
-			zone = cs.warmZone
-		}
-		if zone < 0 {
-			continue
-		}
-		t.ReadMem(s.EndpointEntryAddr(cid), entrySize(s.Cfg.BlocksPerClient))
+		zone := cs.zones[role]
+		t.ReadMem(s.entryAddr(cid), entrySize(s.Cfg.BlocksPerClient))
 		count32, round, spans := s.readEndpointEntry(cid)
 		count := min(int(count32), s.Cfg.BlocksPerClient)
 		if round != cs.lastRound {
-			cs.lastRound = round
-			cs.fetchedUpTo = 0
-			cs.seen = 0
+			cs.lastRound, cs.fetchedUpTo, cs.seen = round, 0, 0
 		}
 		cs.advertised = count
 		if count <= cs.fetchedUpTo {
@@ -459,7 +435,7 @@ func (s *Server) fetchGroup(t *host.Thread, g int, warm bool) {
 			s.Stats.WarmupBytes += uint64(wr.Len)
 		}
 		s.Stats.WarmupReads += uint64(posted)
-		if warm {
+		if role == warming {
 			s.warmFetched += uint64(posted)
 		}
 		if s.trace.Enabled && len(wrs) > 0 {
@@ -489,7 +465,7 @@ func (s *Server) contextSwitch(t *host.Thread) {
 	// Remember the outgoing pool's zone map: writes that raced the switch
 	// are answered from it by the late sweep below.
 	oldPool := s.processingPool()
-	oldOwners := append(s.scratch.owners[:0], s.zoneOwner[:s.Cfg.maxZones()]...)
+	oldOwners := append(s.scratch.owners[:0], s.owners(processing)[:s.Cfg.maxZones()]...)
 	s.scratch.owners = oldOwners
 
 	// Outgoing group: zones revoked; members whose drain responses did not
@@ -499,7 +475,7 @@ func (s *Server) contextSwitch(t *host.Thread) {
 		if cs == nil {
 			continue
 		}
-		cs.zone = -1
+		s.unbind(cs, cs.zones[processing], processing)
 		if cs.notifiedEpoch != s.epoch {
 			s.notifyControl(t, cs)
 			s.Stats.Notifies++
@@ -513,16 +489,14 @@ func (s *Server) contextSwitch(t *host.Thread) {
 	// Promote the warmed group.
 	s.cur = (s.cur + 1) % len(s.groups)
 	s.procIdx ^= 1
-	s.zoneOwner, s.warmOwner = s.warmOwner, s.zoneOwner
 	// Reserved (pinned) zones past maxZones keep their owners forever.
-	for i := 0; i < s.Cfg.maxZones(); i++ {
-		s.warmOwner[i] = -1
+	for z := range s.Cfg.maxZones() {
+		s.unbind(nil, z, warming)
 	}
 	for i, cid := range s.groups[s.cur] {
 		if cs := s.inGroup(s.cur, cid); cs != nil {
-			cs.zone = i
-			cs.warmZone = -1
-			s.zoneOwner[i] = int(cid)
+			s.unbind(cs, -1, warming)
+			s.bind(cs, i, processing)
 		}
 	}
 	s.Stats.Switches++
@@ -554,35 +528,8 @@ func (s *Server) lateSweep(t *host.Thread, pool *rpccore.ReqPool, owners []int) 
 	out := s.schedOutbox()
 	for z, owner := range owners {
 		if owner >= 0 && s.clients[owner] != nil {
-			s.scanZone(t, pool, z, s.clients[owner], out, &s.schedReq, true)
+			s.scanZone(t, pool, z, s.clients[owner], out, &s.schedReq, byLateSweep)
 		}
-	}
-}
-
-// lateServe executes one late-swept request on the scheduler thread,
-// with the same dedup gate as the worker path: a request the workers
-// already executed before the switch is answered from cache, not re-run.
-func (s *Server) lateServe(t *host.Thread, out *rpccore.Outbox, cs *clientState, slot int, hdr rpcwire.Header, body []byte) {
-	if s.replayed(t, out, cs, slot, hdr, rpcwire.FlagContextSwitch) {
-		return
-	}
-	s.Stats.LateServed++
-	s.Stats.Served++
-	switch {
-	case s.handlers[hdr.Handler] == nil:
-		s.replies.Commit(cs.ID, hdr.ReqID, nil, true)
-		s.respond(t, out, cs, slot, hdr, 0, rpcwire.FlagError|rpcwire.FlagContextSwitch)
-	case s.legacy[hdr.Handler]:
-		// Long-running call types go to the legacy thread, never onto the
-		// scheduler's critical path (the cache entry commits there).
-		s.Stats.LegacyCalls++
-		s.legacyQ.Push(legacyJob{cs: cs, slot: slot, handler: hdr.Handler, reqID: hdr.ReqID,
-			body: s.bodies.Clone(body)})
-	default:
-		buf := out.Buf
-		n := s.handlers[hdr.Handler](t, cs.ID, body, buf[rpcwire.HeaderSize:len(buf)-rpcwire.TrailerSize])
-		s.replies.Commit(cs.ID, hdr.ReqID, buf[rpcwire.HeaderSize:rpcwire.HeaderSize+n], false)
-		s.respond(t, out, cs, slot, hdr, n, rpcwire.FlagContextSwitch)
 	}
 }
 
@@ -676,17 +623,13 @@ func (s *Server) settleSlice(g int) {
 		}
 		avgSize := 1.0
 		if cs.served > 0 {
-			avgSize = float64(cs.bytes) / float64(cs.served)
-			if avgSize < 1 {
-				avgSize = 1
-			}
+			avgSize = max(float64(cs.bytes)/float64(cs.served), 1)
 		}
 		// The sample is a rate per full slice: what a slice that ended early
 		// served is scaled up to the length it was budgeted.
 		inst := float64(cs.served) / avgSize * s.sliceScale
 		cs.priority = 0.7*cs.priority + 0.3*inst
-		cs.served = 0
-		cs.bytes = 0
+		cs.served, cs.bytes = 0, 0
 	}
 	s.settlePinned()
 }
@@ -747,12 +690,14 @@ func (s *Server) connect(ch *host.Host, sig *sim.Signal, pinned bool, tenant uin
 	conn := s.newConn(ch, sig)
 	conn.req.ID, conn.req.QP = id, cqp
 	cs := s.newClient(ctrlplane.Member{ID: id, QP: sqp, Peer: -1, Tenant: tenant}, conn.joinPayload())
-	if !s.placeJoined(cs, pinned) {
+	z := s.reserved(pinned)
+	if pinned && z < 0 {
 		s.clients = s.clients[:len(s.clients)-1]
 		s.Host.NIC.DestroyQP(sqp)
 		return nil
 	}
-	conn.adoptPlacement(cs.Pinned, cs.zone)
+	s.placeJoined(cs, z)
+	conn.adoptPlacement(cs.Pinned, cs.zones[processing])
 	// Only backdoor clients get per-client telemetry: their ids are never
 	// reused, whereas a managed join may be handed a released id and the
 	// registry panics on a duplicate name.
@@ -791,8 +736,7 @@ func (s *Server) newClient(m ctrlplane.Member, payload []byte) *clientState {
 		stageAddr: binary.LittleEndian.Uint64(payload[12:]),
 		stageRKey: binary.LittleEndian.Uint32(payload[20:]),
 		group:     -1,
-		zone:      -1,
-		warmZone:  -1,
+		zones:     [2]int{-1, -1},
 	}
 	if int(m.ID) == len(s.clients) {
 		s.clients = append(s.clients, cs)
@@ -802,25 +746,27 @@ func (s *Server) newClient(m ctrlplane.Member, payload []byte) *clientState {
 	return cs
 }
 
-// placeJoined puts a client into service: on a reserved zone at once when
-// pinned, otherwise in a group from the next slice boundary. A pinned
-// request with every reserved zone taken places nothing and reports false;
-// Connect refuses such a client, every other path degrades it to a group.
-func (s *Server) placeJoined(cs *clientState, pinned bool) bool {
-	cs.Pinned = pinned
-	if !pinned {
-		s.joins = append(s.joins, cs)
-		return true
-	}
-	for z := s.Cfg.maxZones(); z < s.Cfg.totalZones(); z++ {
-		// Both ownership arrays, which swap at every switch.
-		if s.zoneOwner[z] < 0 && s.warmOwner[z] < 0 {
-			s.zoneOwner[z], s.warmOwner[z] = int(cs.ID), int(cs.ID)
-			cs.zone = z
-			return true
+// reserved returns the reserved zone a client asking to be pinned gets: the
+// first bound in neither zone map, or -1 when every one is taken (Connect
+// refuses such a client, every other path degrades it to a group) or when
+// pinned is false.
+func (s *Server) reserved(pinned bool) int {
+	for z := s.Cfg.maxZones(); pinned && z < s.Cfg.totalZones(); z++ {
+		if s.zoneMaps[0][z] < 0 && s.zoneMaps[1][z] < 0 {
+			return z
 		}
 	}
-	return false
+	return -1
+}
+
+// placeJoined puts a client into service: pinned on reserved zone z at once
+// when z >= 0, otherwise in a group from the next slice boundary.
+func (s *Server) placeJoined(cs *clientState, z int) {
+	if cs.Pinned = z >= 0; cs.Pinned {
+		s.bind(cs, z, processing)
+	} else {
+		s.joins = append(s.joins, cs)
+	}
 }
 
 // place puts a joiner into the group the policy picks, or a fresh group at
@@ -840,35 +786,26 @@ func (s *Server) place(cs *clientState) {
 // Disconnect removes a client (log-out); groups merge at the next slice
 // boundary if the departure broke the size bounds.
 func (s *Server) Disconnect(id uint16) {
-	if int(id) >= len(s.clients) {
+	if int(id) >= len(s.clients) || s.clients[id] == nil {
 		return
 	}
 	cs := s.clients[id]
-	if cs == nil {
-		return
-	}
 	s.roster.Uncharge(&cs.Member)
 	s.unplace(cs)
 	s.clients[id] = nil
 	s.Host.NIC.DestroyQP(cs.QP)
 }
 
-// unplace takes a departing client out of service. Its zone claims in both
-// ownership arrays go at once, so the zone-owner check drops its in-flight
-// frames; its id stays listed, skipped, until the next boundary drops it.
+// unplace takes a departing client out of service. Its zones in both pools
+// are unbound at once, so the zone-owner check drops its in-flight frames;
+// its id stays listed, skipped, until the next boundary drops it.
 func (s *Server) unplace(cs *clientState) {
 	if cs.group >= 0 && !cs.departed {
 		cs.departed = true
 		s.leaves = append(s.leaves, cs)
 	}
-	if cs.zone >= 0 {
-		s.zoneOwner[cs.zone] = -1
-		cs.zone = -1
-	}
-	if cs.warmZone >= 0 {
-		s.warmOwner[cs.warmZone] = -1
-		cs.warmZone = -1
-	}
+	s.unbind(cs, cs.zones[processing], processing)
+	s.unbind(cs, cs.zones[warming], warming)
 }
 
 // Reconnect re-admits an existing Conn whose QP failed (retry-count
@@ -889,14 +826,11 @@ func (s *Server) Reconnect(c *Conn) {
 		// so the fresh clientState's round mismatch makes the first
 		// endpoint-entry fetch idempotent.
 		cs = s.newClient(ctrlplane.Member{ID: c.req.ID, QP: sqp, Peer: -1, Tenant: c.joinTenant}, c.joinPayload())
-		if !s.placeJoined(cs, c.pinned) {
-			s.placeJoined(cs, false)
-		}
+		s.placeJoined(cs, s.reserved(c.pinned))
 		s.roster.Charge(&cs.Member)
 	} else {
 		cs.QP = sqp
-		cs.fetchedUpTo = 0
-		cs.missedSlices, cs.scannedAt = 0, 0
+		cs.fetchedUpTo, cs.missedSlices, cs.scannedAt = 0, 0, 0
 	}
 	c.req.QP = cqp
 	s.Stats.Readmits++
@@ -905,11 +839,11 @@ func (s *Server) Reconnect(c *Conn) {
 	}
 }
 
-// GroupCount returns the number of connection groups.
-func (s *Server) GroupCount() int { return len(s.groups) }
+// groupCount returns the number of connection groups.
+func (s *Server) groupCount() int { return len(s.groups) }
 
-// GroupSizes returns the group cardinalities as of the last slice boundary.
-func (s *Server) GroupSizes() []int {
+// groupSizes returns the group cardinalities as of the last slice boundary.
+func (s *Server) groupSizes() []int {
 	var out []int
 	for _, g := range s.groups {
 		out = append(out, len(g))
@@ -920,6 +854,3 @@ func (s *Server) GroupSizes() []int {
 // NextSwitchAt exposes the scheduler's next planned switch time (used by
 // global synchronization).
 func (s *Server) NextSwitchAt() sim.Time { return s.nextSwitch }
-
-// AdjustPhase shifts the next slice by delta (global synchronization).
-func (s *Server) AdjustPhase(delta sim.Duration) { s.phaseAdjust += delta }

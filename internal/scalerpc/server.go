@@ -61,15 +61,16 @@ type clientState struct {
 	stageAddr uint64
 	stageRKey uint32
 
-	// Group/zone placement; group changes only at a slice boundary.
+	// Group/zone placement; group changes only at a slice boundary. zones
+	// holds the client's zone in the processing and in the warmup pool, -1
+	// where it has none (bind).
 	group    int
 	departed bool // left while listed in group: skipped until the boundary
-	zone     int  // zone in the current processing pool, -1 if not current
+	zones    [2]int
 
 	// Warmup bookkeeping.
 	lastRound   uint32
 	fetchedUpTo int
-	warmZone    int // zone in the warmup pool, -1 if not warming
 
 	// The live edge of the client's zone (scanZone): advertised is the
 	// staged count fetchGroup last read from its endpoint entry, seen one
@@ -120,11 +121,10 @@ type worker struct {
 }
 
 type legacyJob struct {
-	cs      *clientState
-	slot    int
-	handler uint8
-	reqID   uint64
-	body    []byte
+	cs   *clientState
+	slot int
+	hdr  rpcwire.Header
+	body []byte
 }
 
 // Server is a ScaleRPC RPCServer.
@@ -161,10 +161,9 @@ type Server struct {
 	roster *ctrlplane.Roster
 	mgr    *ctrlplane.Manager
 
-	// zoneOwner maps processing-pool zones to client ids (the context
-	// metadata of §3.3); warmOwner is the same for the warmup pool.
-	zoneOwner []int // -1 = unowned
-	warmOwner []int
+	// zoneMaps holds each pool's zone map, indexed like pools: the client
+	// id bound to every zone (the context metadata of §3.3), -1 for none.
+	zoneMaps [2][]int
 
 	workers []*worker
 
@@ -239,8 +238,6 @@ func NewServer(h *host.Host, cfg ServerConfig) *Server {
 		endpoint:  h.Mem.Register(entryStride(cfg.BlocksPerClient)*cfg.MaxClients, memory.PageSize2M, memory.LocalWrite|memory.RemoteWrite),
 		entryBuf:  make([]byte, entrySize(cfg.BlocksPerClient)),
 		legacyQ:   sim.NewQueue[legacyJob](h.Env),
-		zoneOwner: make([]int, zones),
-		warmOwner: make([]int, zones),
 		schedSig:  sim.NewSignal(h.Env),
 		resumeSig: sim.NewSignal(h.Env),
 		replies:   rpccore.NewReplyCache(cfg.BlocksPerClient),
@@ -277,11 +274,11 @@ func NewServer(h *host.Host, cfg ServerConfig) *Server {
 	srv.CounterVar("expires", &s.Stats.Expires)
 	s.handlerNs = srv.Histogram("handler_ns")
 	s.sliceNs = srv.Histogram("slice_ns")
-	for i := range s.zoneOwner {
-		s.zoneOwner[i] = -1
-		s.warmOwner[i] = -1
-	}
 	for p := range s.pools {
+		s.zoneMaps[p] = make([]int, zones)
+		for z := range zones {
+			s.zoneMaps[p][z] = -1
+		}
 		s.pools[p] = rpccore.NewReqPool(h, cfg.BlocksPerClient, zones, cfg.ParseCost, s.rel)
 	}
 	var sigs []*sim.Signal
@@ -305,15 +302,6 @@ func NewServer(h *host.Host, cfg ServerConfig) *Server {
 // Snapshot returns a copy of the server counters.
 func (s *Server) Snapshot() Stats { return s.Stats }
 
-// Reset zeroes the server counters (per-worker and per-client counters
-// included, so a measurement window starts clean everywhere).
-func (s *Server) Reset() {
-	s.Stats = Stats{}
-	for _, w := range s.workers {
-		w.Sweeps, w.Sleeps, w.Served = 0, 0, 0
-	}
-}
-
 // Register installs a handler. Must precede Start.
 func (s *Server) Register(id uint8, fn rpccore.Handler) { s.handlers[id] = fn }
 
@@ -325,7 +313,6 @@ func (s *Server) Start() {
 	}
 	s.started = true
 	for i, w := range s.workers {
-		w := w
 		s.Host.Spawn(fmt.Sprintf("scalerpc-w%d", i), w.run)
 	}
 	s.Host.Spawn("scalerpc-sched", s.runScheduler)
@@ -337,6 +324,41 @@ func (s *Server) processingPool() *rpccore.ReqPool { return &s.pools[s.procIdx] 
 
 // warmupPool returns the pool being pre-filled for the next group.
 func (s *Server) warmupPool() *rpccore.ReqPool { return &s.pools[s.procIdx^1] }
+
+// The virtualized mapping (§3.3) is kept twice: each pool's zone map names
+// the client bound to every zone, and each client's zones name its zone in
+// either pool's role. Only bind and unbind write either. A switch swaps the
+// two maps' roles by flipping procIdx.
+const (
+	processing = 0 // the role of the pool being served
+	warming    = 1 // the role of the pool warming for the next group
+)
+
+// owners returns the zone map of the pool in role.
+func (s *Server) owners(role int) []int { return s.zoneMaps[s.procIdx^role] }
+
+// bind gives cs zone z of the pool in role, in the pool's map and in cs. A
+// pinned client's reserved zone is bound in both maps, so it survives every
+// switch.
+func (s *Server) bind(cs *clientState, z, role int) {
+	if cs.Pinned {
+		s.owners(warming)[z] = int(cs.ID)
+	}
+	s.owners(role)[z], cs.zones[role] = int(cs.ID), z
+}
+
+// unbind clears a binding in the pool in role: zone z's owner when z >= 0,
+// and cs's zone there when cs is non-nil. A switch clears what is left of
+// the outgoing map by zone alone, and a departure clears only the
+// processing map's copy of a reserved zone.
+func (s *Server) unbind(cs *clientState, z, role int) {
+	if z >= 0 {
+		s.owners(role)[z] = -1
+	}
+	if cs != nil {
+		cs.zones[role] = -1
+	}
+}
 
 func (w *worker) run(t *host.Thread) {
 	s := w.s
@@ -389,7 +411,7 @@ func (w *worker) sweep(t *host.Thread) int {
 	defer t.EndWorkLazy()
 	// Reserved (pinned) zones sit past maxZones and always live in pool 0.
 	for z := w.idx; z < s.Cfg.totalZones(); z += s.Cfg.Workers {
-		owner := s.zoneOwner[z]
+		owner := s.owners(processing)[z]
 		if owner < 0 {
 			continue
 		}
@@ -403,14 +425,14 @@ func (w *worker) sweep(t *host.Thread) int {
 		if cs.Pinned {
 			pool = &s.pools[0]
 		}
-		served += s.scanZone(t, pool, z, cs, &w.out, &w.req, false)
+		served += s.scanZone(t, pool, z, cs, &w.out, &w.req, byWorker)
 	}
 	w.Served += uint64(served)
 	return served
 }
 
 // scanZone is the one scan of a client's zone, for a worker sweeping the
-// processing pool and for the late sweep answering the outgoing one (late):
+// processing pool and for the late sweep answering the outgoing one:
 // zone-major, so all of the client's pending requests are served, and their
 // responses posted as one chain behind one doorbell, before the next
 // client's. Posting the chain before returning puts every response on the
@@ -441,7 +463,7 @@ func (w *worker) sweep(t *host.Thread) int {
 // Pinned zones are scanned whole: a pinned client never stages, so there is
 // no advertised count, and after a readmission its retry layer re-posts
 // busy slots in place into a fresh reserved zone, above empty blocks.
-func (s *Server) scanZone(t *host.Thread, pool *rpccore.ReqPool, z int, cs *clientState, out *rpccore.Outbox, buf *[]byte, late bool) int {
+func (s *Server) scanZone(t *host.Thread, pool *rpccore.ReqPool, z int, cs *clientState, out *rpccore.Outbox, buf *[]byte, by executor) int {
 	owner := int(cs.ID)
 	end := max(cs.advertised, cs.seen)
 	if cs.Pinned {
@@ -451,7 +473,7 @@ func (s *Server) scanZone(t *host.Thread, pool *rpccore.ReqPool, z int, cs *clie
 	for b := 0; b < s.Cfg.BlocksPerClient; b++ {
 		// A worker's handler yields: a client evicted, or a zone handed
 		// over, meanwhile is not served further.
-		if !late && (s.zoneOwner[z] != owner || s.clients[owner] != cs) {
+		if by == byWorker && (s.owners(processing)[z] != owner || s.clients[owner] != cs) {
 			break
 		}
 		s.Stats.SweepProbes++
@@ -468,21 +490,20 @@ func (s *Server) scanZone(t *host.Thread, pool *rpccore.ReqPool, z int, cs *clie
 		}
 		// A worker charges the read and parse of every frame it takes; the
 		// late sweep charges the read of its client's own frames only.
-		if !late {
+		if by == byWorker {
 			pool.Parse(t, z, b, req)
 		}
 		hdr, body, herr := rpcwire.ParseHeader(req)
-		switch {
-		case herr != nil || int(hdr.ClientID) != owner:
+		if herr != nil || int(hdr.ClientID) != owner {
 			// A late write from a previous occupant of this zone: the sender
 			// will retry after its context_switch_event.
 			s.Stats.StaleDrops++
-		case late:
-			off, span := rpcwire.EncodedSpan(rpcwire.BlockSize, len(req))
-			t.ReadMem(pool.BlockAddr(z, b)+uint64(off), span)
-			s.lateServe(t, out, cs, b, hdr, body)
-		default:
-			s.serve(t, out, cs, b, hdr, body)
+		} else {
+			if by == byLateSweep {
+				off, span := rpcwire.EncodedSpan(rpcwire.BlockSize, len(req))
+				t.ReadMem(pool.BlockAddr(z, b)+uint64(off), span)
+			}
+			s.execute(t, out, cs, b, hdr, body, by)
 			served++
 		}
 		pool.Release(t, z, b)
@@ -491,91 +512,109 @@ func (s *Server) scanZone(t *host.Thread, pool *rpccore.ReqPool, z int, cs *clie
 	return served
 }
 
-// serve executes one request (inline or via legacy mode) and responds.
-// Duplicates — retries after a switch race, a timeout, or a reconnect —
-// are answered from the reply cache without re-running the handler
-// (at-most-once execution, §3.5 upgraded to exactly-once results).
-func (s *Server) serve(t *host.Thread, out *rpccore.Outbox, cs *clientState, slot int, hdr rpcwire.Header, body []byte) {
-	if s.replayed(t, out, cs, slot, hdr, 0) {
-		return
-	}
-	s.Stats.Served++
-	if cs.Pinned {
-		s.Stats.PinnedServed++
-	}
-	cs.served++
-	cs.bytes += uint64(len(body))
-	if !cs.Pinned {
-		s.groupServed++
-	}
-	s.usefulNs += uint64(s.Cfg.ParseCost)
-	if s.handlers[hdr.Handler] == nil {
-		s.replies.Commit(cs.ID, hdr.ReqID, nil, true)
-		s.respond(t, out, cs, slot, hdr, 0, rpcwire.FlagError)
-		return
-	}
-	if s.legacy[hdr.Handler] {
-		// Recorded long-running call type: hand to the legacy thread. The
-		// reply-cache entry stays in-flight until it commits there.
-		s.Stats.LegacyCalls++
-		// Settle sweep charges before the hand-off: the legacy thread wakes
-		// at the virtual time the request was actually parsed.
-		t.FlushWork()
-		s.legacyQ.Push(legacyJob{cs: cs, slot: slot, handler: hdr.Handler, reqID: hdr.ReqID,
-			body: s.bodies.Clone(body)})
-		return
-	}
-	// Settle deferred sweep charges around the handler so its measured
-	// duration (which drives legacy-mode detection) reflects its own work.
-	t.FlushWork()
-	start := t.P.Now()
-	buf := out.Buf
-	n := s.handlers[hdr.Handler](t, cs.ID, body, buf[rpcwire.HeaderSize:len(buf)-rpcwire.TrailerSize])
-	t.FlushWork()
-	ran := t.P.Now() - start
-	s.usefulNs += uint64(ran)
-	s.handlerNs.Record(int64(ran))
-	if ran > s.Cfg.LegacyThreshold && !s.legacy[hdr.Handler] {
-		// Record this call type (§3.5); subsequent requests run in legacy
-		// mode on a separate thread.
-		s.legacy[hdr.Handler] = true
-		s.Stats.LegacyMarked++
-	}
-	s.replies.Commit(cs.ID, hdr.ReqID, buf[rpcwire.HeaderSize:rpcwire.HeaderSize+n], false)
-	s.respond(t, out, cs, slot, hdr, n, 0)
-}
+// executor names the thread executing a request: a worker sweeping the
+// processing pool, the scheduler's late sweep of the outgoing one, or the
+// legacy thread running what a sweep handed it.
+type executor uint8
 
-// replayed reports whether the request is a duplicate, answering it from
-// the reply cache with flags if its first copy has committed. One still
-// executing (on the legacy thread) answers this duplicate too.
-func (s *Server) replayed(t *host.Thread, out *rpccore.Outbox, cs *clientState, slot int, hdr rpcwire.Header, flags byte) bool {
-	dup, rep, ready := s.replies.Admit(cs.ID, hdr.ReqID)
-	if !dup {
-		return false
+const (
+	byWorker executor = iota
+	byLateSweep
+	byLegacy
+)
+
+// execute runs one request, from the reply-cache admit to its response, on
+// any of the three threads. A duplicate — a retry after a switch race, a
+// timeout, or a reconnect — is answered from the reply cache without
+// re-running the handler (at-most-once execution, §3.5 upgraded to
+// exactly-once results); one whose first copy still executes (on the legacy
+// thread) goes unanswered here. A recorded long-running call type is handed
+// to the legacy thread (§3.5), where its cache entry commits.
+//
+// The late sweep differs from a worker in four things: every response it
+// sends carries the switch flag, it takes no part in the slice's accounting,
+// it marks no call type legacy, and it settles no deferred charges. The
+// legacy thread's request was admitted and counted by the sweep that handed
+// it over.
+func (s *Server) execute(t *host.Thread, out *rpccore.Outbox, cs *clientState, slot int, hdr rpcwire.Header, body []byte, by executor) {
+	var flags byte
+	if by == byLateSweep {
+		flags = rpcwire.FlagContextSwitch
 	}
-	s.rel.DedupHits++
-	if ready {
-		if rep.Err {
-			flags |= rpcwire.FlagError
+	res := out.Buf[rpcwire.HeaderSize : len(out.Buf)-rpcwire.TrailerSize] // the response body
+	if by != byLegacy {
+		if dup, rep, ready := s.replies.Admit(cs.ID, hdr.ReqID); dup {
+			s.rel.DedupHits++
+			if ready {
+				if rep.Err {
+					flags |= rpcwire.FlagError
+				}
+				s.respond(t, out, cs, slot, hdr, copy(res, rep.Payload), flags)
+			}
+			return
 		}
-		n := copy(out.Buf[rpcwire.HeaderSize:len(out.Buf)-rpcwire.TrailerSize], rep.Payload)
-		s.respond(t, out, cs, slot, hdr, n, flags)
+		s.Stats.Served++
+		if by == byLateSweep {
+			s.Stats.LateServed++
+		} else {
+			if cs.Pinned {
+				s.Stats.PinnedServed++
+			} else {
+				s.groupServed++
+			}
+			cs.served++
+			cs.bytes += uint64(len(body))
+			s.usefulNs += uint64(s.Cfg.ParseCost)
+		}
+		if s.handlers[hdr.Handler] == nil {
+			s.replies.Commit(cs.ID, hdr.ReqID, nil, true)
+			s.respond(t, out, cs, slot, hdr, 0, flags|rpcwire.FlagError)
+			return
+		}
+		if s.legacy[hdr.Handler] {
+			s.Stats.LegacyCalls++
+			// A worker settles its sweep charges before the hand-off: the
+			// legacy thread wakes at the virtual time the request was parsed.
+			if by == byWorker {
+				t.FlushWork()
+			}
+			s.legacyQ.Push(legacyJob{cs: cs, slot: slot, hdr: hdr, body: s.bodies.Clone(body)})
+			return
+		}
 	}
-	return true
+	// A worker settles deferred sweep charges around the handler so its
+	// measured duration, which drives legacy-mode detection, is its own work.
+	if by == byWorker {
+		t.FlushWork()
+	}
+	start := t.P.Now()
+	n := s.handlers[hdr.Handler](t, cs.ID, body, res)
+	if by == byWorker {
+		t.FlushWork()
+		ran := t.P.Now() - start
+		s.usefulNs += uint64(ran)
+		s.handlerNs.Record(int64(ran))
+		if ran > s.Cfg.LegacyThreshold && !s.legacy[hdr.Handler] {
+			// Record this call type (§3.5): its later requests run on the
+			// legacy thread.
+			s.legacy[hdr.Handler] = true
+			s.Stats.LegacyMarked++
+		}
+	}
+	s.replies.Commit(cs.ID, hdr.ReqID, res[:n], false)
+	if by == byLegacy {
+		s.bodies.Put(body)
+	}
+	s.respond(t, out, cs, slot, hdr, n, flags)
 }
 
 // runLegacy executes recorded long-running calls on a dedicated thread so
 // they never straddle a context switch (§3.5).
 func (s *Server) runLegacy(t *host.Thread) {
 	out := rpccore.NewOutbox(s.Host)
-	buf := out.Buf
 	for {
 		job := s.legacyQ.Pop(t.P)
-		n := s.handlers[job.handler](t, job.cs.ID, job.body, buf[rpcwire.HeaderSize:len(buf)-rpcwire.TrailerSize])
-		hdr := rpcwire.Header{ReqID: job.reqID, Handler: job.handler}
-		s.replies.Commit(job.cs.ID, job.reqID, buf[rpcwire.HeaderSize:rpcwire.HeaderSize+n], false)
-		s.bodies.Put(job.body)
-		s.respond(t, &out, job.cs, job.slot, hdr, n, 0)
+		s.execute(t, &out, job.cs, job.slot, job.hdr, job.body, byLegacy)
 		out.Post(t, job.cs.QP)
 	}
 }
@@ -591,8 +630,8 @@ func (s *Server) respond(t *host.Thread, out *rpccore.Outbox, cs *clientState, s
 	// assignment — e.g. a late-swept request answered after its group was
 	// switched out.
 	zoneInfo := zoneNone
-	if cs.zone >= 0 {
-		zoneInfo = uint16(cs.zone)
+	if z := cs.zones[processing]; z >= 0 {
+		zoneInfo = uint16(z)
 		if s.procIdx == 1 && !cs.Pinned {
 			zoneInfo |= poolBit
 		}
@@ -618,13 +657,9 @@ func (s *Server) readEndpointEntry(cid uint16) (count, round uint32, spans []byt
 	return binary.LittleEndian.Uint32(b), binary.LittleEndian.Uint32(b[4:]), b[entryHeader:]
 }
 
-// EndpointEntryAddr returns the address a client RDMA-writes its endpoint
-// entry to.
-func (s *Server) EndpointEntryAddr(cid uint16) uint64 {
+// entryAddr returns the address a client RDMA-writes its endpoint entry to.
+func (s *Server) entryAddr(cid uint16) uint64 {
 	return s.endpoint.Base + uint64(cid)*uint64(entryStride(s.Cfg.BlocksPerClient))
 }
-
-// EndpointRKey returns the endpoint table's rkey.
-func (s *Server) EndpointRKey() uint32 { return s.endpoint.RKey }
 
 var _ rpccore.Server = (*Server)(nil)

@@ -52,8 +52,6 @@ func NewSyncGroup(servers []*Server) *SyncGroup {
 	}
 	ts := servers[0]
 	for i, follower := range servers[1:] {
-		i := i
-		follower := follower
 		// A dedicated RC QP pair and mailbox regions per follower.
 		tsQP, foQP := ts.dialRC(follower.Host)
 		tsBox := ts.Host.Mem.Register(syncMsgSize, memory.PageSize4K, memory.LocalWrite|memory.RemoteWrite)
@@ -70,16 +68,10 @@ func NewSyncGroup(servers []*Server) *SyncGroup {
 		// scheduler phase.
 		ts.Host.Spawn("sync-ts", func(t *host.Thread) {
 			for {
-				if tsBox.ByteAt(0) != syncReq {
-					tsSig.WaitTimeout(t.P, 50*sim.Microsecond)
-					continue
-				}
-				t.ReadMem(tsBox.Base, syncMsgSize)
-				t2 := t.P.Now()
 				var req, resp [syncMsgSize]byte
-				_, _ = tsBox.ReadAt(req[:], 0) // every access here is inside a box or scratch
+				syncRecv(t, tsBox, tsSig, syncReq, req[:])
+				t2 := t.P.Now()
 				t1 := binary.LittleEndian.Uint64(req[1:])
-				_, _ = tsBox.WriteAt([]byte{0}, 0)
 				t.Work(100) // request handling
 				t3 := t.P.Now()
 				resp[0] = syncResp
@@ -88,12 +80,7 @@ func NewSyncGroup(servers []*Server) *SyncGroup {
 				binary.LittleEndian.PutUint64(resp[17:], uint64(t3))
 				binary.LittleEndian.PutUint64(resp[25:], uint64(t3-t2))
 				binary.LittleEndian.PutUint64(resp[33:], uint64(ts.NextSwitchAt()))
-				_, _ = tsScratch.WriteAt(resp[:], 0)
-				t.WriteMem(tsScratch.Base, syncMsgSize)
-				t.PostSend(tsQP, nic.SendWR{
-					Op: nic.OpWrite, LKey: tsScratch.LKey, LAddr: tsScratch.Base,
-					Len: syncMsgSize, RKey: foBox.RKey, RAddr: foBox.Base, Inline: true,
-				})
+				syncSend(t, tsQP, tsScratch, foBox, resp[:])
 			}
 		})
 
@@ -105,22 +92,11 @@ func NewSyncGroup(servers []*Server) *SyncGroup {
 				var req, resp [syncMsgSize]byte
 				req[0] = syncReq
 				binary.LittleEndian.PutUint64(req[1:], uint64(t1))
-				_, _ = foScratch.WriteAt(req[:], 0) // every access here is inside a box or scratch
-				t.WriteMem(foScratch.Base, syncMsgSize)
-				t.PostSend(foQP, nic.SendWR{
-					Op: nic.OpWrite, LKey: foScratch.LKey, LAddr: foScratch.Base,
-					Len: syncMsgSize, RKey: tsBox.RKey, RAddr: tsBox.Base, Inline: true,
-				})
-				// Await the response.
-				for foBox.ByteAt(0) != syncResp {
-					foSig.WaitTimeout(t.P, 50*sim.Microsecond)
-				}
-				t.ReadMem(foBox.Base, syncMsgSize)
-				_, _ = foBox.ReadAt(resp[:], 0)
+				syncSend(t, foQP, foScratch, tsBox, req[:])
+				syncRecv(t, foBox, foSig, syncResp, resp[:])
+				t4 := t.P.Now()
 				deltaT := sim.Duration(binary.LittleEndian.Uint64(resp[25:]))
 				tsPhase := sim.Time(binary.LittleEndian.Uint64(resp[33:]))
-				_, _ = foBox.WriteAt([]byte{0}, 0)
-				t4 := t.P.Now()
 
 				// D_i = D − (T4 − T1 − ΔT)/2: shorten the next slice by the
 				// one-way delay estimate, then align phases modulo the
@@ -135,11 +111,33 @@ func NewSyncGroup(servers []*Server) *SyncGroup {
 					phaseErr += slice
 				}
 				adj := phaseErr - oneWay
-				follower.AdjustPhase(adj)
+				follower.phaseAdjust += adj
 				g.LastOffset[i] = adj
 				g.Exchanges++
 			}
 		})
 	}
 	return g
+}
+
+// syncSend writes msg into the scratch region from and RDMA-writes it, inline,
+// into the peer's mailbox to.
+func syncSend(t *host.Thread, qp *nic.QP, from, to *memory.Region, msg []byte) {
+	_, _ = from.WriteAt(msg, 0) // every access here is inside a box or scratch
+	t.WriteMem(from.Base, syncMsgSize)
+	t.PostSend(qp, nic.SendWR{
+		Op: nic.OpWrite, LKey: from.LKey, LAddr: from.Base,
+		Len: syncMsgSize, RKey: to.RKey, RAddr: to.Base, Inline: true,
+	})
+}
+
+// syncRecv waits for a message of kind in box, copies it into msg and
+// clears the box for the next one.
+func syncRecv(t *host.Thread, box *memory.Region, sig *sim.Signal, kind byte, msg []byte) {
+	for box.ByteAt(0) != kind {
+		sig.WaitTimeout(t.P, 50*sim.Microsecond)
+	}
+	t.ReadMem(box.Base, syncMsgSize)
+	_, _ = box.ReadAt(msg, 0)
+	_, _ = box.WriteAt([]byte{0}, 0)
 }

@@ -56,15 +56,14 @@ func (s *Server) settlePinned() {
 		return
 	}
 	for z := s.Cfg.maxZones(); z < s.Cfg.totalZones(); z++ {
-		owner := s.zoneOwner[z]
+		owner := s.owners(processing)[z]
 		if owner < 0 || s.clients[owner] == nil {
 			continue
 		}
 		cs := s.clients[owner]
 		if cs.served > 0 || cs.bytes > 0 {
 			s.tenantAuth.SliceAccount(cs.Tenant, cs.served, cs.bytes)
-			cs.served = 0
-			cs.bytes = 0
+			cs.served, cs.bytes = 0, 0
 		}
 	}
 }
@@ -74,15 +73,13 @@ func (s *Server) settlePinned() {
 // authority's quota still gates admission (nil is returned when it
 // rejects or queues), and the connection is opened against the tenant.
 func (s *Server) ConnectTenant(ch *host.Host, sig *sim.Signal, tenant uint16, pinned bool) *Conn {
-	wantPinned := pinned
 	if s.tenantAuth != nil {
-		granted, err := s.tenantAuth.AdmitConn(tenant, pinned)
-		if err != nil {
+		var err error
+		if pinned, err = s.tenantAuth.AdmitConn(tenant, pinned); err != nil {
 			return nil
 		}
-		wantPinned = granted
 	}
-	c := s.connect(ch, sig, wantPinned, tenant)
+	c := s.connect(ch, sig, pinned, tenant)
 	if c == nil {
 		return nil
 	}

@@ -61,7 +61,7 @@ func TestWakeBudgetOneRequestOneWorker(t *testing.T) {
 				call(1)
 				if send && i == target {
 					th.P.Sleep(settle - th.P.Now())
-					o.zone = conn.Zone()
+					o.zone = conn.processZone()
 					o.answered = call(2)
 				}
 			})

@@ -87,9 +87,6 @@ func NewResource(e *Env, capacity int) *Resource {
 // InUse returns the number of units currently held.
 func (r *Resource) InUse() int { return r.inUse }
 
-// Waiting returns the number of processes queued for a unit.
-func (r *Resource) Waiting() int { return r.queueLen }
-
 func (r *Resource) tick() {
 	now := r.env.now
 	r.BusyTime += int64(now-r.lastTick) * int64(r.inUse)

@@ -196,12 +196,6 @@ func (m *Manager) Register(spec Spec) uint16 {
 	return id
 }
 
-// Lookup returns a registered tenant's id by name.
-func (m *Manager) Lookup(name string) (uint16, bool) {
-	id, ok := m.byName[name]
-	return id, ok
-}
-
 // state clamps unknown ids to the default tenant so a stray payload
 // cannot index out of range.
 func (m *Manager) state(tenant uint16) *state {
@@ -276,12 +270,6 @@ func (m *Manager) SliceAccount(tenant uint16, served, bytes uint64) {
 	st := m.state(tenant)
 	st.served += served
 	st.bytes += bytes
-}
-
-// Served returns a tenant's attributed request and byte totals.
-func (m *Manager) Served(tenant uint16) (served, bytes uint64) {
-	st := m.state(tenant)
-	return st.served, st.bytes
 }
 
 // setWeightScale, setClass and setShed are the controller's levers.
